@@ -11,16 +11,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ring import Chart, ScalarFn
+from .ring import ScalarFn
 from .multider import MultiDerivation
 from .leafform import SectionOfNormalBundle
 from .geom import matrix_inverse_unit
 from .graded import (
-    DX,
-    DXI,
-    M,
     XI,
-    XIS,
     Connection,
     ContractionOne,
     ContractionTwo,
@@ -48,10 +44,26 @@ class ObstructionFailure(Exception):
 # ---------------------------------------------------------------------------
 
 
+def check_contraction_axioms(data, x, label):
+    """q j = id, [d, h] = j q - id, h^2 = h j = q h = 0 on the sample x for
+    data with projection q, immersion j, homotopy h and differential d."""
+    q, j, h, d = data.projection, data.immersion, data.homotopy, data.differential
+    if not ((d(h(x)) + h(d(x))) - (j(q(x)) - x)).is_zero():
+        raise BFVError(f"{label} violate [d, h] = j q - id")
+    if not h(h(x)).is_zero():
+        raise BFVError(f"{label} violate h^2 = 0")
+    if not q(h(x)).is_zero():
+        raise BFVError(f"{label} violate q h = 0")
+    small = q(x)
+    if not (q(j(small)) - small).is_zero():
+        raise BFVError(f"{label} violate q j = id")
+    if not h(j(small)).is_zero():
+        raise BFVError(f"{label} violate h j = 0")
+
+
 class ContractionData:
-    """(projection, immersion, homotopy, differential) with the axioms
-    q j = id, [d, h] = j q - id, h^2 = h j = q h = 0 checked on a
-    randomized sample at construction."""
+    """(projection, immersion, homotopy, differential) with the contraction
+    axioms checked on a randomized sample at construction."""
 
     def __init__(self, projection, immersion, homotopy, differential, sampler=None, checks=6):
         self.projection = projection
@@ -60,20 +72,7 @@ class ContractionData:
         self.differential = differential
         if sampler is not None:
             for _ in range(checks):
-                x = sampler()
-                jq = self.immersion(self.projection(x))
-                comm = self.differential(self.homotopy(x)) + self.homotopy(self.differential(x))
-                if not (comm - (jq - x)).is_zero():
-                    raise BFVError("contraction data violate [d, h] = j q - id")
-                if not self.homotopy(self.homotopy(x)).is_zero():
-                    raise BFVError("contraction data violate h^2 = 0")
-                if not self.projection(self.homotopy(x)).is_zero():
-                    raise BFVError("contraction data violate q h = 0")
-                small = self.projection(x)
-                if not (self.projection(self.immersion(small)) - small).is_zero():
-                    raise BFVError("contraction data violate q j = id")
-                if not self.homotopy(self.immersion(small)).is_zero():
-                    raise BFVError("contraction data violate h j = 0")
+                check_contraction_axioms(self, sampler(), "contraction data")
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +325,7 @@ class PerturbedContraction:
         if sampler is not None:
             for _ in range(checks):
                 x = sampler()
-                jq = self.immersion(self.projection(x))
-                comm = self.differential(self.homotopy(x)) + self.homotopy(self.differential(x))
-                if not (comm - (jq - x)).is_zero():
-                    raise BFVError("perturbed data violate [d, h] = j q - id")
-                if not self.homotopy(self.homotopy(x)).is_zero():
-                    raise BFVError("perturbed data violate h^2 = 0")
-                if not self.projection(self.homotopy(x)).is_zero():
-                    raise BFVError("perturbed data violate q h = 0")
-                small = self.projection(x)
-                if not (self.projection(self.immersion(small)) - small).is_zero():
-                    raise BFVError("perturbed data violate q j = id")
-                if not self.homotopy(self.immersion(small)).is_zero():
-                    raise BFVError("perturbed data violate h j = 0")
-                # chain maps
+                check_contraction_axioms(self, x, "perturbed data")
                 if not (
                     self.projection(self.differential(x))
                     - self.small_differential(self.projection(x))
@@ -376,12 +362,8 @@ def bfv_lift_cocycle(lift: Lift, perturbed: PerturbedContraction, s: SectionOfNo
     """The perturbed immersion iota' applied to a section (as a ghost-degree
     one element): the canonical d_BFV-closed lift of an infinitesimal
     deformation."""
-    chart, rank = lift.chart, lift.rank
-    base = GradedElement.zero(chart, rank)
-    for A in range(rank):
-        if not s.components[A].is_zero():
-            base = base + GradedElement.ghost(chart, rank, A).scale_fn(s.components[A])
-    return perturbed.immersion(base)
+    ghosts = {((XI, A),): g for A, g in enumerate(s.components)}
+    return perturbed.immersion(GradedElement(lift.chart, lift.rank, ghosts))
 
 
 def bfv_kuranishi(lift: Lift, dop: GradedElement, nu: GradedElement):
@@ -423,13 +405,7 @@ def geometric_mc_zero_locus(omega: GradedElement, max_iter=12):
     chart = omega.chart
     rank = omega.rank
     pr10 = omega.pr(1, 0)
-    e = []
-    for A in range(rank):
-        coeff = ScalarFn.zero(chart)
-        for letters, f in pr10.terms.items():
-            if letters == ((XI, A),):
-                coeff = f
-        e.append(coeff)
+    e = [pr10.terms.get(((XI, A),), ScalarFn.zero(chart)) for A in range(rank)]
     # linear part L[A][B] = d e_A / d y_B |_{y=0}
     L = [
         [e[A].partial(chart.fiber[B]).restrict_zero_section() for B in range(rank)]
@@ -444,15 +420,5 @@ def geometric_mc_zero_locus(omega: GradedElement, max_iter=12):
         vals = [eA.substitute_fiber({name: gb for name, gb in zip(chart.fiber, g)}) for eA in e]
         if all(v.is_zero() for v in vals):
             return SectionOfNormalBundle(chart, g)
-        g = [
-            g[A] - sum_fns(chart, [L_inv[A][B] * vals[B] for B in range(rank)])
-            for A in range(rank)
-        ]
+        g = [g[A].plus(-(L_inv[A][B] * vals[B]) for B in range(rank)) for A in range(rank)]
     raise BFVError("zero locus iteration failed: locus is not a polynomial section graph")
-
-
-def sum_fns(chart, fns):
-    out = ScalarFn.zero(chart)
-    for f in fns:
-        out = out + f
-    return out

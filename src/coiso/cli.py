@@ -27,7 +27,7 @@ from .linfty import (
     mc_series,
     prolong_formal,
 )
-from .graded import GradedElement, GradedError, jacobi_bracket, normalize, XI, XIS
+from .graded import GradedElement, GradedError, bidegree, jacobi_bracket, normalize, XI, XIS
 from .bfv import (
     BFVError,
     Lift,
@@ -64,8 +64,28 @@ TASKS = (
 )
 
 
+# tasks taking an optional positive integer: the highest multibracket order
+# and the prolongation order
+COUNTED_TASKS = ("multibrackets", "prolong")
+
+
 class TaskError(Exception):
     pass
+
+
+def parse_task(spec: str):
+    """(name, argument or None) of a NAME[:ARGS] task spec; raises TaskError
+    for an unknown task or a malformed argument."""
+    name, _, arg = spec.partition(":")
+    if name not in TASKS:
+        raise TaskError(f"unknown task {name!r}")
+    if not arg:
+        return name, None
+    if name not in COUNTED_TASKS:
+        raise TaskError(f"task {name} takes no argument, got {arg!r}")
+    if not (arg.isascii() and arg.isdigit()) or int(arg) == 0:
+        raise TaskError(f"task {name}: argument {arg!r} is not a positive integer")
+    return name, int(arg)
 
 
 def run_task(scenario: Scenario, name: str, arg) -> dict:
@@ -93,7 +113,7 @@ def run_task(scenario: Scenario, name: str, arg) -> dict:
 
     if name == "multibrackets":
         table = extract_multibrackets(j)
-        max_order = int(arg) if arg else max(table.series_bound(), 3)
+        max_order = arg or max(table.series_bound(), 3)
         out = {"series_bound": table.series_bound(), "orders": {}}
         delta = [LeafForm(chart, 1, {(a,): ScalarFn.one(chart)}) for a in range(chart.m)]
         gens = {"m1_on_normal_frame": [leafform_to_json(table.m([d])) for d in delta]}
@@ -133,7 +153,7 @@ def run_task(scenario: Scenario, name: str, arg) -> dict:
     if name == "prolong":
         table = extract_multibrackets(j)
         s = scenario.section()
-        order = int(arg) if arg else scenario.formal_order()
+        order = arg or scenario.formal_order()
         history = []
         result = prolong_formal(table, s, order, history=history)
         orders = [
@@ -207,18 +227,15 @@ def run_task(scenario: Scenario, name: str, arg) -> dict:
     if name == "bfv-lift":
         by_k = {}
         for letters, f in lift.j_hat.terms.items():
-            from .graded import bidegree
-
-            h, k = bidegree(letters)
-            piece = GradedElement(chart, rank, {letters: f})
-            key = str(k + 1)  # J^_k sits in bidegree (k-1, k-1)
-            by_k.setdefault(key, GradedElement.zero(chart, rank))
-            by_k[key] = by_k[key] + piece
+            # J^_k sits in bidegree (k-1, k-1)
+            by_k.setdefault(str(bidegree(letters)[1] + 1), {})[letters] = f
         return {
             "corrections_added": len(lift.corrections),
             "equals_G_plus_inabla": (lift.j_hat - lift.G - lift.c1.i_nabla(j)).is_zero(),
             "mc": lift.j_hat.bracket(lift.j_hat).is_zero(),
-            "components_by_k": {k: graded_to_json(v) for k, v in sorted(by_k.items())},
+            "components_by_k": {
+                k: graded_to_json(GradedElement(chart, rank, t)) for k, t in sorted(by_k.items())
+            },
         }
 
     if name == "brst-charge":
@@ -234,15 +251,13 @@ def run_task(scenario: Scenario, name: str, arg) -> dict:
         by_antighost = {}
         for letters, f in omega.terms.items():
             k = sum(1 for l in letters if l[0] == XIS)
-            piece = GradedElement(chart, rank, {letters: f})
-            key = str(k)
-            by_antighost.setdefault(key, GradedElement.zero(chart, rank))
-            by_antighost[key] = by_antighost[key] + piece
+            by_antighost.setdefault(str(k), {})[letters] = f
         return {
             "exists": True,
             "converged_at": len(corrections),
             "components_by_antighost": {
-                k: graded_to_json(v) for k, v in sorted(by_antighost.items())
+                k: graded_to_json(GradedElement(chart, rank, t))
+                for k, t in sorted(by_antighost.items())
             },
             "mc": jacobi_bracket(lift.j_hat, omega, omega).is_zero(),
         }
@@ -285,9 +300,9 @@ def run_task(scenario: Scenario, name: str, arg) -> dict:
             f = ScalarFn.sin_phi(chart, c)
             out = pert.small_differential(GradedElement.section(chart, rank, f))
             m1 = table.m1(LeafForm.function(f))
-            expected = GradedElement.zero(chart, rank)
-            for (a,), coeff in m1.terms.items():
-                expected = expected + GradedElement.ghost(chart, rank, a).scale_fn(coeff)
+            expected = GradedElement(
+                chart, rank, {((XI, a),): coeff for (a,), coeff in m1.terms.items()}
+            )
             agree &= (out - expected).is_zero()
         return {"axioms_hold": True, "induced_differential_is_m1": agree}
 
@@ -390,6 +405,12 @@ def main(argv=None) -> int:
         return 1
 
     try:
+        tasks = [parse_task(spec) for spec in args.task]
+    except TaskError as exc:
+        sys.stderr.write(f"coiso: {exc}\n")
+        return 1
+
+    try:
         scenario = load_scenario(args.scenario)
     except ScenarioError as exc:
         sys.stderr.write(f"coiso: {exc}\n")
@@ -399,13 +420,9 @@ def main(argv=None) -> int:
         return 1
 
     report = {"schema": 1, "scenario": scenario.name, "tasks": {}}
-    for spec in args.task:
-        name, _, argtail = spec.partition(":")
-        if name not in TASKS:
-            sys.stderr.write(f"coiso: unknown task {name!r}\n")
-            return 1
+    for name, arg in tasks:
         try:
-            report["tasks"][name] = run_task(scenario, name, argtail or None)
+            report["tasks"][name] = run_task(scenario, name, arg)
         except (ScenarioError, ChartError, ExprError, GeometryError, DeformationError,
                 GradedError, BFVError) as exc:
             sys.stderr.write(f"coiso: task {name}: {exc}\n")

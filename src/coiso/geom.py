@@ -9,7 +9,7 @@ exact substitution criterion.
 from __future__ import annotations
 
 from .ring import Chart, ChartError, ScalarFn, unit_inverse
-from .multivector import MultiVectorField, merge_sign
+from .multivector import MultiVectorField, SkewTerms
 from .multider import MultiDerivation
 from .leafform import LeafForm, SectionOfNormalBundle
 
@@ -23,20 +23,10 @@ class GeometryError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class Form:
+class Form(SkewTerms):
     """Differential form with ScalarFn coefficients on increasing index keys."""
 
-    __slots__ = ("chart", "degree", "terms")
-
-    def __init__(self, chart: Chart, degree: int, terms=None):
-        self.chart = chart
-        self.degree = degree
-        self.terms = {}
-        if terms:
-            for key, f in terms.items():
-                if f.is_zero():
-                    continue
-                self.terms[tuple(key)] = f
+    __slots__ = ()
 
     @staticmethod
     def from_components(chart: Chart, comps: dict, degree: int) -> "Form":
@@ -46,78 +36,16 @@ class Form:
             out[idx] = f
         return Form(chart, degree, out)
 
-    def coefficient(self, key) -> ScalarFn:
-        from .multivector import sort_key_sign
-
-        sign, skey = sort_key_sign(tuple(key))
-        if sign == 0:
-            return ScalarFn.zero(self.chart)
-        f = self.terms.get(skey)
-        if f is None:
-            return ScalarFn.zero(self.chart)
-        return f if sign == 1 else -f
-
     def d(self) -> "Form":
-        out = {}
-        for key, f in self.terms.items():
-            for i in range(self.chart.dim):
-                df = f.partial_index(i)
-                if df.is_zero():
-                    continue
-                sign, nkey = merge_sign((i,), key)
-                if sign == 0:
-                    continue
-                g = df.scale(sign)
-                s = out.get(nkey)
-                s = g if s is None else s + g
-                if s.is_zero():
-                    out.pop(nkey, None)
-                else:
-                    out[nkey] = s
-        return Form(self.chart, self.degree + 1, out)
-
-    def wedge(self, other: "Form") -> "Form":
-        out = {}
-        for k1, f1 in self.terms.items():
-            for k2, f2 in other.terms.items():
-                sign, key = merge_sign(k1, k2)
-                if sign == 0:
-                    continue
-                g = (f1 * f2).scale(sign)
-                s = out.get(key)
-                s = g if s is None else s + g
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return Form(self.chart, self.degree + other.degree, out)
-
-    def __add__(self, other: "Form") -> "Form":
-        if self.degree != other.degree:
-            raise GeometryError("form degree mismatch")
-        out = dict(self.terms)
-        for key, f in other.terms.items():
-            s = out.get(key)
-            s = f if s is None else s + f
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Form(self.chart, self.degree, out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self._exterior_d(list(enumerate(self.chart.coords)))
 
     def pair_vector(self, X: MultiVectorField) -> ScalarFn:
         """<theta, X> for a 1-form and vector field."""
         if self.degree != 1 or X.degree != 1:
             raise GeometryError("pairing needs a 1-form and a vector field")
-        out = ScalarFn.zero(self.chart)
-        for (i,), f in self.terms.items():
-            c = X.coefficient((i,))
-            if not c.is_zero():
-                out = out + f * c
-        return out
+        return ScalarFn.zero(self.chart).plus(
+            f * X.coefficient((i,)) for (i,), f in self.terms.items()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +82,17 @@ def _full_det(chart, M) -> ScalarFn:
     from itertools import permutations
     from .multivector import perm_sign
 
-    out = ScalarFn.zero(chart)
-    for perm in permutations(range(n)):
-        prod = ScalarFn.one(chart)
-        dead = False
-        for i, j in enumerate(perm):
-            if M[i][j].is_zero():
-                dead = True
-                break
-            prod = prod * M[i][j]
-        if not dead:
-            out = out + prod.scale(perm_sign(perm))
-    return out
+    def products():
+        for perm in permutations(range(n)):
+            factors = [M[i][j] for i, j in enumerate(perm)]
+            if any(f.is_zero() for f in factors):
+                continue
+            prod = ScalarFn.one(chart)
+            for f in factors:
+                prod = prod * f
+            yield prod.scale(perm_sign(perm))
+
+    return ScalarFn.zero(chart).plus(products())
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +143,14 @@ def contact_to_jacobi(cc: ContactChart) -> MultiDerivation:
     # c_j = theta([R, E_j]); X_1 = R + sum a^i E_i with sum_i a^i omega_ij = -c_j
     c = [theta.pair_vector(cc.reeb.sn_bracket(frame[j])) for j in range(r)]
     a = _solve_row(omega_inv, [-cj for cj in c])
-    X1 = cc.reeb
-    for i in range(r):
-        if not a[i].is_zero():
-            X1 = X1 + frame[i].scale_fn(a[i])
+    X1 = cc.reeb.plus(frame[i].scale_fn(a[i]) for i in range(r))
 
     # B^mu = omega^sharp((dx^mu)|_C): sum_i b^i omega_ij = <dx^mu, E_j>
     B = []
     for mu in range(chart.dim):
         rhs = [frame[j].coefficient((mu,)) for j in range(r)]
         b = _solve_row(omega_inv, rhs)
-        vec = MultiVectorField.zero(chart, 1)
-        for i in range(r):
-            if not b[i].is_zero():
-                vec = vec + frame[i].scale_fn(b[i])
-        B.append(vec)
+        B.append(MultiVectorField.zero(chart, 1).plus(frame[i].scale_fn(b[i]) for i in range(r)))
 
     lam_terms = {}
     for mu in range(chart.dim):
@@ -266,13 +186,10 @@ def _solve_row(omega_inv, rhs):
     i.e. a^i = sum_j omega_inv[j][i]... expressed via the inverse transpose."""
     r = len(rhs)
     chart = rhs[0].chart if rhs else None
-    out = []
-    for i in range(r):
-        acc = ScalarFn.zero(chart)
-        for j in range(r):
-            acc = acc + rhs[j] * omega_inv[j][i]
-        out.append(acc)
-    return out
+    return [
+        ScalarFn.zero(chart).plus(rhs[j] * omega_inv[j][i] for j in range(r))
+        for i in range(r)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rational import GaussianRational
-from .ring import Chart, ScalarFn, TPoly
+from .ring import Chart, ScalarFn, SparseTerms, TPoly, accumulate
 from .multivector import MultiVectorField
 from .multider import MultiDerivation
 from .leafform import SectionOfNormalBundle
@@ -115,34 +114,42 @@ def arity(letters) -> int:
     return sum(1 for l in letters if is_symbol(l))
 
 
-class GradedElement:
+def _signed(f, sign):
+    return f if sign == 1 else -f
+
+
+def _canonical(pairs):
+    """Normalized (word, value) pairs: letters sorted with their graded
+    sign; words with a repeated odd letter and zero values dropped."""
+    for letters, f in pairs:
+        if f.is_zero():
+            continue
+        sign, canon = normalize(letters)
+        if sign:
+            yield canon, _signed(f, sign)
+
+
+class GradedElement(SparseTerms):
     """A sum of letter terms with ScalarFn coefficients.
 
     Terms with no symbol letters are graded sections of the ghost bundle;
     terms with symbols are graded symmetric multi-derivation words.
     """
 
-    __slots__ = ("chart", "rank", "terms")
+    __slots__ = ("rank",)
 
     def __init__(self, chart: Chart, rank: int, terms=None):
         self.chart = chart
         self.rank = rank
-        clean = {}
-        if terms:
-            for letters, f in terms.items():
-                if f.is_zero():
-                    continue
-                sign, canon = normalize(letters)
-                if sign == 0:
-                    continue
-                g = f if sign == 1 else -f
-                prev = clean.get(canon)
-                g = g if prev is None else prev + g
-                if g.is_zero():
-                    clean.pop(canon, None)
-                else:
-                    clean[canon] = g
-        self.terms = clean
+        self.terms = accumulate({}, _canonical(terms.items())) if terms else {}
+
+    def _shape(self):
+        return (self.chart, self.rank)
+
+    def _like(self, terms):
+        r = object.__new__(type(self))
+        r.chart, r.rank, r.terms = self.chart, self.rank, terms
+        return r
 
     # -- constructors --------------------------------------------------------
 
@@ -169,9 +176,6 @@ class GradedElement:
 
     # -- predicates --------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_section(self) -> bool:
         return all(arity(l) == 0 for l in self.terms)
 
@@ -182,74 +186,22 @@ class GradedElement:
         degs = {term_degree(l) for l in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
-    # -- linear structure -----------------------------------------------------------
-
-    def __add__(self, other: "GradedElement") -> "GradedElement":
-        if self.chart != other.chart or self.rank != other.rank:
-            raise GradedError("mismatched graded elements")
-        out = dict(self.terms)
-        for k, f in other.terms.items():
-            s = out.get(k)
-            s = f if s is None else s + f
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        r = GradedElement.__new__(GradedElement)
-        r.chart, r.rank, r.terms = self.chart, self.rank, out
-        return r
-
-    def __neg__(self):
-        r = GradedElement.__new__(GradedElement)
-        r.chart, r.rank = self.chart, self.rank
-        r.terms = {k: -f for k, f in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "GradedElement":
-        c = GaussianRational.of(c)
-        r = GradedElement.__new__(GradedElement)
-        r.chart, r.rank = self.chart, self.rank
-        r.terms = {} if c.is_zero() else {k: f.scale(c) for k, f in self.terms.items()}
-        return r
-
-    def scale_fn(self, g: ScalarFn) -> "GradedElement":
-        out = {}
-        for k, f in self.terms.items():
-            h = f * g
-            if not h.is_zero():
-                out[k] = h
-        r = GradedElement.__new__(GradedElement)
-        r.chart, r.rank, r.terms = self.chart, self.rank, out
-        return r
-
     def mul(self, other: "GradedElement") -> "GradedElement":
         """Graded symmetric product (exterior product on ghost letters)."""
-        out = GradedElement.zero(self.chart, self.rank)
-        acc = out.terms
-        for l1, f1 in self.terms.items():
-            for l2, f2 in other.terms.items():
-                sign, canon = normalize(l1 + l2)
-                if sign == 0:
-                    continue
-                g = (f1 * f2).scale(sign)
-                s = acc.get(canon)
-                s = g if s is None else s + g
-                if s.is_zero():
-                    acc.pop(canon, None)
-                else:
-                    acc[canon] = s
-        return out
+
+        def pairs():
+            for l1, f1 in self.terms.items():
+                for l2, f2 in other.terms.items():
+                    sign, canon = normalize(l1 + l2)
+                    if sign:
+                        yield canon, _signed(f1 * f2, sign)
+
+        return self._like(accumulate({}, pairs()))
 
     # -- bidegree projections ------------------------------------------------------------
 
     def pr(self, h: int, k: int) -> "GradedElement":
-        out = {l: f for l, f in self.terms.items() if bidegree(l) == (h, k)}
-        r = GradedElement.__new__(GradedElement)
-        r.chart, r.rank, r.terms = self.chart, self.rank, out
-        return r
+        return self._like({l: f for l, f in self.terms.items() if bidegree(l) == (h, k)})
 
     def bidegrees(self):
         return sorted({bidegree(l) for l in self.terms})
@@ -302,28 +254,21 @@ class GradedElement:
         The argument enters each word from the right; moving it left to a
         symbol position contributes the transposition signs of the letters
         it passes, with the argument's own shifted degree."""
-        out = GradedElement.zero(self.chart, self.rank)
-        acc = out.terms
-        for letters, c in self.terms.items():
-            sym_positions = [p for p, l in enumerate(letters) if is_symbol(l)]
-            for al, b in lam.terms.items():
-                deg_arg = term_degree(al)
-                for p in sym_positions:
-                    travel = sum(letter_degree(letters[q]) for q in range(p + 1, len(letters)))
-                    sign0 = (-1) ** ((deg_arg * travel) % 2)
-                    for s, res_letters, res_f in self._act(letters[p], al, b):
-                        seq = letters[:p] + res_letters + letters[p + 1 :]
-                        sign, canon = normalize(seq)
-                        if sign == 0:
-                            continue
-                        g = (c * res_f).scale(sign0 * s * sign)
-                        prev = acc.get(canon)
-                        g = g if prev is None else prev + g
-                        if g.is_zero():
-                            acc.pop(canon, None)
-                        else:
-                            acc[canon] = g
-        return out
+
+        def pairs():
+            for letters, c in self.terms.items():
+                sym_positions = [p for p, l in enumerate(letters) if is_symbol(l)]
+                for al, b in lam.terms.items():
+                    deg_arg = term_degree(al)
+                    for p in sym_positions:
+                        travel = sum(letter_degree(l) for l in letters[p + 1 :])
+                        sign0 = (-1) ** ((deg_arg * travel) % 2)
+                        for s, res_letters, res_f in self._act(letters[p], al, b):
+                            sign, canon = normalize(letters[:p] + res_letters + letters[p + 1 :])
+                            if sign:
+                                yield canon, _signed(c * res_f, sign0 * s * sign)
+
+        return self._like(accumulate({}, pairs()))
 
     def eval(self, args) -> "GradedElement":
         """Evaluate on graded sections by iterated first-slot insertion."""
@@ -340,99 +285,70 @@ class GradedElement:
         """Gerstenhaber product self o other: insert the full operator
         `other` into the first slot of `self`.  Composite (second-order)
         letters are kept so the bracket can verify their cancellation."""
-        out = GradedElement.zero(self.chart, self.rank)
-        acc = out.terms
 
-        def add(seq, f):
-            sign, canon = normalize(seq)
-            if sign == 0 or f.is_zero():
-                return
-            g = f if sign == 1 else -f
-            prev = acc.get(canon)
-            g = g if prev is None else prev + g
-            if g.is_zero():
-                acc.pop(canon, None)
-            else:
-                acc[canon] = g
+        def pairs():
+            for letters, c in self.terms.items():
+                sym_positions = [p for p, l in enumerate(letters) if is_symbol(l)]
+                for ol, oc in other.terms.items():
+                    deg_other = term_degree(ol)
+                    ghost_part = tuple(l for l in ol if not is_symbol(l))
+                    sym_part = tuple(l for l in ol if is_symbol(l))
+                    for p in sym_positions:
+                        s = letters[p]
+                        travel = sum(letter_degree(l) for l in letters[p + 1 :])
+                        sign0 = (-1) ** ((deg_other * travel) % 2)
+                        left, right = letters[:p], letters[p + 1 :]
+                        # part A: s acts on the coefficient/ghost part of other;
+                        # for the identity slot m this is already the whole
+                        # action (m is not a derivation)
+                        for sa, res_letters, res_f in self._act(s, ghost_part, oc):
+                            yield left + res_letters + sym_part + right, _signed(c * res_f, sign0 * sa)
+                        if s[0] == M:
+                            continue
+                        # part B: the derivative symbol s composes with one of
+                        # other's symbols (second order unless that symbol is m);
+                        # reaching past the block prefix carries the untwisted
+                        # parity of the derivative
+                        prefix_deg = sum(letter_degree(x) for x in ghost_part)
+                        for idx, sp in enumerate(sym_part):
+                            signB = (-1) ** ((_untwisted_parity(s) * prefix_deg) % 2)
+                            comp, csign = _compose_symbols(s, sp)
+                            if comp is not None:
+                                rest = sym_part[:idx] + (comp,) + sym_part[idx + 1 :]
+                                yield left + ghost_part + rest + right, _signed(
+                                    c * oc, sign0 * signB * csign
+                                )
+                            prefix_deg += letter_degree(sp)
 
-        for letters, c in self.terms.items():
-            sym_positions = [p for p, l in enumerate(letters) if is_symbol(l)]
-            for ol, oc in other.terms.items():
-                deg_other = term_degree(ol)
-                ghost_part = tuple(l for l in ol if not is_symbol(l))
-                sym_part = tuple(l for l in ol if is_symbol(l))
-                for p in sym_positions:
-                    s = letters[p]
-                    travel = sum(
-                        letter_degree(letters[q]) for q in range(p + 1, len(letters))
-                    )
-                    sign0 = (-1) ** ((deg_other * travel) % 2)
-                    left, right = letters[:p], letters[p + 1 :]
-                    # part A: s acts on the coefficient/ghost part of other;
-                    # for the identity slot m this is already the whole
-                    # action (m is not a derivation)
-                    for sa, res_letters, res_f in self._act(s, ghost_part, oc):
-                        seq = left + res_letters + sym_part + right
-                        add(seq, (c * res_f).scale(sign0 * sa))
-                    if s[0] == M:
-                        continue
-                    # part B: the derivative symbol s composes with one of
-                    # other's symbols (second order unless that symbol is m);
-                    # reaching past the block prefix carries the untwisted
-                    # parity of the derivative
-                    prefix_deg = sum(letter_degree(x) for x in ghost_part)
-                    for idx, sp in enumerate(sym_part):
-                        signB = (-1) ** ((_untwisted_parity(s) * prefix_deg) % 2)
-                        comp, csign = _compose_symbols(s, sp)
-                        if comp is not None:
-                            rest = sym_part[:idx] + (comp,) + sym_part[idx + 1 :]
-                            seq = left + ghost_part + rest + right
-                            add(seq, (c * oc).scale(sign0 * signB * csign))
-                        prefix_deg += letter_degree(sp)
-        return out
+        return self._like(accumulate({}, _canonical(pairs())))
 
     def bracket(self, other: "GradedElement") -> "GradedElement":
         """Graded Schouten-Jacobi bracket [[self, other]]."""
-        if self.chart != other.chart or self.rank != other.rank:
-            raise GradedError("mismatched graded elements")
+        self._check(other)
         da = self.is_homogeneous_degree()
         db = other.is_homogeneous_degree()
         if da is None or db is None:
             # split into homogeneous pieces
-            out = GradedElement.zero(self.chart, self.rank)
-            for pa in self._homogeneous_pieces():
-                for pb in other._homogeneous_pieces():
-                    out = out + pa.bracket(pb)
-            return out
+            return self._like({}).plus(
+                pa.bracket(pb)
+                for pa in self._homogeneous_pieces()
+                for pb in other._homogeneous_pieces()
+            )
         ab = self._compose(other)
-        ba = other._compose(self).scale((-1) ** ((da * db) % 2))
-        raw = ab - ba
+        ba = other._compose(self)
+        raw = ab + ba if (da * db) % 2 else ab - ba
         # pure second-order composites must cancel; m-composites reduce
-        out = GradedElement.zero(self.chart, self.rank)
-        for letters, f in raw.terms.items():
-            if any(l[0] == PAIR for l in letters):
-                raise AssertionError(
-                    "second-order composite survived the bracket"
-                )  # pragma: no cover
-            out = out + GradedElement(self.chart, self.rank, {letters: f})
-        return out
+        if any(l[0] == PAIR for letters in raw.terms for l in letters):
+            raise AssertionError("second-order composite survived the bracket")  # pragma: no cover
+        return raw
 
     def _homogeneous_pieces(self):
         by_deg = {}
         for l, f in self.terms.items():
             by_deg.setdefault(term_degree(l), {})[l] = f
-        return [GradedElement(self.chart, self.rank, t) for t in by_deg.values()]
+        return [self._like(t) for t in by_deg.values()]
 
-    # -- comparison / display --------------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedElement):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
+    # -- display --------------------------------------------------------------------------------
 
     def __repr__(self):
         if not self.terms:
@@ -489,10 +405,8 @@ def _compose_symbols(s, sp):
 def tautological_G(chart: Chart, rank: int) -> GradedElement:
     """G = sum_A Dxi(A) Dxis(A) (x) mu, the bidegree (-1,-1) pairing of
     ghosts with antighosts."""
-    out = GradedElement.zero(chart, rank)
-    for A in range(rank):
-        out = out + GradedElement.word(chart, rank, ((DXI, A), (DXIS, A)))
-    return out
+    one = ScalarFn.one(chart)
+    return GradedElement(chart, rank, {((DXI, A), (DXIS, A)): one for A in range(rank)})
 
 
 def decal_sign(section: GradedElement) -> int:
@@ -526,46 +440,32 @@ def to_graded(sq: MultiDerivation, rank: int) -> GradedElement:
 
     The p-part words carry no sign at any arity; the q-part (the id-slot
     words) carries (-1)^arity."""
-    chart = sq.chart
-    out = GradedElement.zero(chart, rank)
-    n = sq.arity
-    for key, f in sq.p_part.terms.items():
-        letters = tuple((DX, i) for i in key)
-        out = out + GradedElement.word(chart, rank, letters, f)
+    terms = {tuple((DX, i) for i in key): f for key, f in sq.p_part.terms.items()}
     if sq.q_part is not None:
-        qsgn = (-1) ** (n % 2)
+        qsgn = (-1) ** (sq.arity % 2)
         for key, f in sq.q_part.terms.items():
-            letters = ((M,),) + tuple((DX, i) for i in key)
-            out = out + GradedElement.word(chart, rank, letters, f.scale(qsgn))
-    return out
+            terms[((M,),) + tuple((DX, i) for i in key)] = f.scale(qsgn)
+    return GradedElement(sq.chart, rank, terms)
 
 
 def from_graded(op: GradedElement) -> MultiDerivation:
     """Inverse of to_graded on bidegree-(0,0) ghost-free words (the image of
     the projection p); other terms must be absent."""
     chart = op.chart
-    parts = {}
+    words = []  # (number of m slots, dx indices, coefficient)
     for letters, f in op.terms.items():
         if any(l[0] in (XI, XIS, DXI, DXIS) for l in letters):
             raise GradedError("from_graded needs a ghost-free operator")
-        ms = [l for l in letters if l[0] == M]
-        dxs = tuple(l[1] for l in letters if l[0] == DX)
-        parts.setdefault((len(ms), len(dxs)), []).append((dxs, f))
-    if not parts:
+        mcount = sum(1 for l in letters if l[0] == M)
+        if mcount > 1:
+            raise GradedError("repeated mu* slots do not correspond to a multiderivation")
+        words.append((mcount, tuple(l[1] for l in letters if l[0] == DX), f))
+    if not words:
         return MultiDerivation.zero(chart, 0)
-    arities = {mcount + len(key) for (mcount, _), items in parts.items() for key, _ in items}
-    n = max(arities)
+    n = max(mcount + len(key) for mcount, key, _ in words)
     qsgn = (-1) ** (n % 2)
-    p_terms = {}
-    q_terms = {}
-    for (mcount, _), items in parts.items():
-        for key, f in items:
-            if mcount == 0:
-                p_terms[key] = p_terms.get(key, ScalarFn.zero(chart)) + f
-            elif mcount == 1:
-                q_terms[key] = q_terms.get(key, ScalarFn.zero(chart)) + f.scale(qsgn)
-            else:
-                raise GradedError("repeated mu* slots do not correspond to a multiderivation")
+    p_terms = accumulate({}, ((key, f) for mcount, key, f in words if mcount == 0))
+    q_terms = accumulate({}, ((key, f.scale(qsgn)) for mcount, key, f in words if mcount == 1))
     p = MultiVectorField(chart, n, p_terms)
     q = MultiVectorField(chart, n - 1, q_terms) if n > 0 else None
     return MultiDerivation(p, q)
@@ -607,42 +507,28 @@ class ContractionOne:
         self.connection = connection or Connection(chart, rank)
         self._inabla_m = self._expand_inabla_m()
         self._inabla_dx = {}
-        self._adapted_m = None
 
     # local tables of i_nabla on generators
     def _expand_inabla_m(self) -> GradedElement:
         chart, rank = self.chart, self.rank
-        conn = self.connection
-        out = GradedElement.word(chart, rank, ((M,),))
+        gamma = self.connection.gamma_id
+        one = ScalarFn.one(chart)
+        terms = {((M,),): one}
         for A in range(rank):
             for B in range(rank):
-                coeff = conn.gamma_id[A][B] - (
-                    ScalarFn.one(chart) if A == B else ScalarFn.zero(chart)
-                )
-                if not coeff.is_zero():
-                    out = out + GradedElement.word(
-                        chart, rank, ((XI, B), (DXI, A)), coeff
-                    )
-                coeff2 = conn.gamma_id[B][A]
-                if not coeff2.is_zero():
-                    out = out + GradedElement.word(
-                        chart, rank, ((XIS, B), (DXIS, A)), -coeff2
-                    )
-        return out
+                terms[((XI, B), (DXI, A))] = (gamma[A][B] - one) if A == B else gamma[A][B]
+                terms[((XIS, B), (DXIS, A))] = -gamma[B][A]
+        return GradedElement(chart, rank, terms)
 
     def _expand_inabla_dx(self, i) -> GradedElement:
         chart, rank = self.chart, self.rank
         g = self.connection.gamma_i(i)
-        out = GradedElement.word(chart, rank, ((DX, i),))
+        terms = {((DX, i),): ScalarFn.one(chart)}
         for A in range(rank):
             for B in range(rank):
-                if not g[A][B].is_zero():
-                    out = out + GradedElement.word(chart, rank, ((XI, B), (DXI, A)), g[A][B])
-                if not g[B][A].is_zero():
-                    out = out + GradedElement.word(
-                        chart, rank, ((XIS, B), (DXIS, A)), -g[B][A]
-                    )
-        return out
+                terms[((XI, B), (DXI, A))] = g[A][B]
+                terms[((XIS, B), (DXIS, A))] = -g[B][A]
+        return GradedElement(chart, rank, terms)
 
     def inabla_symbol(self, letter) -> GradedElement:
         if letter[0] == M:
@@ -656,14 +542,16 @@ class ContractionOne:
     def i_nabla(self, sq: MultiDerivation) -> GradedElement:
         """i_nabla: substitute each slot symbol by its connection-corrected
         graded word; an algebra morphism on the symbol generators."""
-        out = GradedElement.zero(self.chart, self.rank)
-        raw = to_graded(sq, self.rank)
-        for letters, f in raw.terms.items():
-            prod = GradedElement.section(self.chart, self.rank, f)
-            for l in letters:
-                prod = prod.mul(self.inabla_symbol(l))
-            out = out + prod
-        return out
+        chart, rank = self.chart, self.rank
+
+        def products():
+            for letters, f in to_graded(sq, rank).terms.items():
+                prod = GradedElement.section(chart, rank, f)
+                for l in letters:
+                    prod = prod.mul(self.inabla_symbol(l))
+                yield prod
+
+        return GradedElement.zero(chart, rank).plus(products())
 
     def p(self, op: GradedElement) -> MultiDerivation:
         """Keep ghost-free bidegree-(0,0) words and read them as an ungraded
@@ -676,34 +564,11 @@ class ContractionOne:
 
     # -- adapted basis, weight, homotopy --------------------------------------
 
-    def _adapted_substitutions(self):
-        """Solve the i_nabla tables for the plain slots: m = i_nabla(id)
-        - corrections, dx(i) = i_nabla(dx_i) - corrections, expressed with
-        marker letters ('m~', 'dx~')."""
-        if self._adapted_m is not None:
-            return
-        # in the adapted basis the marker letters stand for i_nabla(id) and
-        # i_nabla(dx_i); substituting back is the inverse rewrite
-        self._adapted_m = True
-
     def to_adapted(self, op: GradedElement):
         """Rewrite wordwise so weight counting sees the connection-adapted
         slots: returns a dict from adapted letter tuples to ScalarFn where
         m-markers ('m', '~') and ('dx', i, '~') have weight zero."""
         chart, rank = self.chart, self.rank
-        out = {}
-
-        def add(letters, f):
-            sign, canon = normalize(letters)
-            if sign == 0 or f.is_zero():
-                return
-            g = f if sign == 1 else -f
-            prev = out.get(canon)
-            g = g if prev is None else prev + g
-            if g.is_zero():
-                out.pop(canon, None)
-            else:
-                out[canon] = g
 
         def expand(letters, f, acc):
             for pos, l in enumerate(letters):
@@ -721,30 +586,27 @@ class ContractionOne:
                     return
             acc.append((letters, f))
 
+        acc = []
         for letters, f in op.terms.items():
-            acc = []
             expand(letters, f, acc)
-            for ls, ff in acc:
-                add(ls, ff)
-        return out
+        return accumulate({}, _canonical(acc))
 
     def from_adapted(self, adapted) -> GradedElement:
         chart, rank = self.chart, self.rank
-        out = GradedElement.zero(chart, rank)
-        for letters, f in adapted.items():
-            prod = GradedElement.section(chart, rank, f)
-            seq = []
-            for l in letters:
-                if l[0] == "m" and len(l) == 2:
-                    prod = _mul_in_place(prod, self._inabla_m, seq)
-                elif l[0] == "dx" and len(l) == 3:
-                    prod = _mul_in_place(prod, self.inabla_symbol((DX, l[1])), seq)
-                else:
-                    prod = _mul_in_place(
-                        prod, GradedElement.word(chart, rank, (l,)), seq
-                    )
-            out = out + prod
-        return out
+
+        def products():
+            for letters, f in adapted.items():
+                prod = GradedElement.section(chart, rank, f)
+                for l in letters:
+                    if l[0] == "m" and len(l) == 2:
+                        prod = prod.mul(self._inabla_m)
+                    elif l[0] == "dx" and len(l) == 3:
+                        prod = prod.mul(self.inabla_symbol((DX, l[1])))
+                    else:
+                        prod = prod.mul(GradedElement.word(chart, rank, (l,)))
+                yield prod
+
+        return GradedElement.zero(chart, rank).plus(products())
 
     @staticmethod
     def _adapted_weight(letters) -> int:
@@ -766,52 +628,36 @@ class ContractionOne:
         return {w: self.from_adapted(t) for w, t in buckets.items()}
 
     def weight(self, op: GradedElement) -> GradedElement:
-        out = GradedElement.zero(self.chart, self.rank)
-        for w, comp in self.weight_split(op).items():
-            out = out + comp.scale(w)
-        return out
+        return GradedElement.zero(self.chart, self.rank).plus(
+            comp.scale(w) for w, comp in self.weight_split(op).items()
+        )
 
     def H_tilde(self, op: GradedElement) -> GradedElement:
         """The odd derivation sending Dxi(A) -> xis_A and Dxis(A) -> xi^A in
         the adapted basis (zero on everything else)."""
-        chart, rank = self.chart, self.rank
-        adapted = self.to_adapted(op)
-        acc = {}
 
-        def add(letters, f):
-            sign, canon = normalize(letters)
-            if sign == 0 or f.is_zero():
-                return
-            g = f if sign == 1 else -f
-            prev = acc.get(canon)
-            g = g if prev is None else prev + g
-            if g.is_zero():
-                acc.pop(canon, None)
-            else:
-                acc[canon] = g
+        def pairs():
+            for letters, f in self.to_adapted(op).items():
+                for pos, l in enumerate(letters):
+                    if l[0] == DXI:
+                        repl = (XIS, l[1])
+                    elif l[0] == DXIS:
+                        repl = (XI, l[1])
+                    else:
+                        continue
+                    # odd derivation: sign from passing the letters left of pos
+                    reach = sum(letter_degree(x) for x in letters[:pos])
+                    yield letters[:pos] + (repl,) + letters[pos + 1 :], _signed(f, (-1) ** (reach % 2))
 
-        for letters, f in adapted.items():
-            for pos, l in enumerate(letters):
-                if l[0] == DXI:
-                    repl = (XIS, l[1])
-                elif l[0] == DXIS:
-                    repl = (XI, l[1])
-                else:
-                    continue
-                # odd derivation: sign from passing the letters left of pos
-                reach = sum(letter_degree(x) for x in letters[:pos])
-                sign = (-1) ** (reach % 2)
-                add(letters[:pos] + (repl,) + letters[pos + 1 :], f.scale(sign))
-        return self.from_adapted(acc)
+        return self.from_adapted(accumulate({}, _canonical(pairs())))
 
     def H(self, op: GradedElement) -> GradedElement:
         """H_nabla = -(1/k) H_tilde on the weight-k eigenspace, 0 on weight 0."""
-        out = GradedElement.zero(self.chart, self.rank)
-        for w, comp in self.weight_split(op).items():
-            if w == 0:
-                continue
-            out = out + self.H_tilde(comp).scale(Fraction(-1, w))
-        return out
+        return GradedElement.zero(self.chart, self.rank).plus(
+            self.H_tilde(comp).scale(Fraction(-1, w))
+            for w, comp in self.weight_split(op).items()
+            if w
+        )
 
     def i_then_p_defect(self, op: GradedElement, d_G: GradedElement) -> GradedElement:
         """[d_G, H](op) - (i_nabla p - id)(op); zero by the contraction
@@ -820,10 +666,6 @@ class ContractionOne:
         lhs = dg(self.H(op)) + self.H(dg(op))
         rhs = self.i_nabla(self.p(op)) - op
         return lhs - rhs
-
-
-def _mul_in_place(prod, factor, _seq):
-    return prod.mul(factor)
 
 
 # ---------------------------------------------------------------------------
@@ -844,12 +686,15 @@ class ContractionTwo:
 
     def omega_E(self) -> GradedElement:
         """Omega_E[s] = sum_A (y_A - g_A) xi^A."""
-        chart, rank = self.chart, self.rank
-        out = GradedElement.zero(chart, rank)
-        for A in range(rank):
-            coeff = ScalarFn.y(chart, chart.fiber[A]) - self.s.components[A]
-            out = out + GradedElement.word(chart, rank, ((XI, A),), coeff)
-        return out
+        chart = self.chart
+        return GradedElement(
+            chart,
+            self.rank,
+            {
+                ((XI, A),): ScalarFn.y(chart, chart.fiber[A]) - self.s.components[A]
+                for A in range(self.rank)
+            },
+        )
 
     def d_s(self, G: GradedElement) -> GradedElement:
         """d[s] = {Omega_E[s], -}_G as a graded operator."""
@@ -857,9 +702,8 @@ class ContractionTwo:
 
     def wp(self, lam: GradedElement) -> GradedElement:
         """Restrict to im s and kill positive antighost words."""
-        chart = self.chart
         assignment = self.s.assignment()
-        out = GradedElement.zero(chart, self.rank)
+        out = {}
         for letters, f in lam.terms.items():
             if arity(letters):
                 raise GradedError("wp acts on sections")
@@ -867,8 +711,8 @@ class ContractionTwo:
                 continue
             g = f.substitute_fiber(assignment)
             if not g.is_zero():
-                out = out + GradedElement(chart, self.rank, {letters: g})
-        return out
+                out[letters] = g
+        return GradedElement.zero(self.chart, self.rank)._like(out)
 
     def iota(self, lam: GradedElement) -> GradedElement:
         for letters, f in lam.terms.items():
@@ -880,34 +724,30 @@ class ContractionTwo:
 
     def h(self, lam: GradedElement) -> GradedElement:
         """h[s] = int_0^1 j_t[s] dt, evaluated exactly on polynomial terms."""
-        chart, rank = self.chart, self.rank
-        out = GradedElement.zero(chart, rank)
+        chart = self.chart
         t = TPoly.t(chart)
-        for letters, f in lam.terms.items():
-            if arity(letters):
-                raise GradedError("h acts on sections")
-            nxis = sum(1 for l in letters if l[0] == XIS)
-            ghost_par = sum(letter_degree(l) for l in letters) % 2
-            # path substitution y_C -> y_C - t (y_C - g_C)
-            path = {}
-            for Cn, name in enumerate(chart.fiber):
-                yC = ScalarFn.y(chart, name)
-                diff = yC - self.s.components[Cn]
-                path[name] = TPoly.const(yC) - t.scale_fn(diff)
-            for A in range(rank):
-                dfa = f.partial(chart.fiber[A])
-                if dfa.is_zero():
-                    continue
-                tp = dfa.substitute_fiber_t(path)
-                # the (1-t)^{#antighosts} factor of psi_t
-                factor = TPoly(chart, [ScalarFn.one(chart), -ScalarFn.one(chart)])
-                for _ in range(nxis):
-                    tp = tp * factor
-                integ = tp.integrate01()
-                if integ.is_zero():
-                    continue
-                sign = -((-1) ** ghost_par)
-                out = out + GradedElement(
-                    chart, rank, {letters + ((XIS, A),): integ.scale(sign)}
-                )
-        return out
+        one = ScalarFn.one(chart)
+        # path substitution y_C -> y_C - t (y_C - g_C)
+        path = {}
+        for name, g in zip(chart.fiber, self.s.components):
+            yC = ScalarFn.y(chart, name)
+            path[name] = TPoly.const(yC) - t.scale_fn(yC - g)
+        # the (1-t)^{#antighosts} factor of psi_t
+        factor = TPoly(chart, [one, -one])
+
+        def pairs():
+            for letters, f in lam.terms.items():
+                if arity(letters):
+                    raise GradedError("h acts on sections")
+                nxis = sum(1 for l in letters if l[0] == XIS)
+                sign = -((-1) ** (sum(letter_degree(l) for l in letters) % 2))
+                for A, name in enumerate(chart.fiber):
+                    dfa = f.partial(name)
+                    if dfa.is_zero():
+                        continue
+                    tp = dfa.substitute_fiber_t(path)
+                    for _ in range(nxis):
+                        tp = tp * factor
+                    yield letters + ((XIS, A),), _signed(tp.integrate01(), sign)
+
+        return lam._like(accumulate({}, _canonical(pairs())))

@@ -11,115 +11,21 @@ dph_a |_F), degree-d leaf forms display as leafwise differential forms.
 from __future__ import annotations
 
 from .rational import GaussianRational
-from .ring import Chart, ChartError, ScalarFn
-from .multivector import merge_sign, sort_key_sign
+from .ring import Chart, ChartError, ScalarFn, accumulate
+from .multivector import SkewTerms
 
 
-class LeafForm:
-    __slots__ = ("chart", "degree", "terms")
+class LeafForm(SkewTerms):
+    __slots__ = ()
 
-    def __init__(self, chart: Chart, degree: int, terms=None):
-        if degree < 0:
-            raise ChartError("leaf form degree must be >= 0")
-        self.chart = chart
-        self.degree = degree
-        clean = {}
-        if terms:
-            for key, f in terms.items():
-                key = tuple(key)
-                if len(key) != degree:
-                    raise ChartError("key length does not match degree")
-                if any(i < 0 or i >= chart.m for i in key):
-                    raise ChartError("leaf form keys index fiber directions")
-                sign, skey = sort_key_sign(key)
-                if sign == 0 or f.is_zero():
-                    continue
-                if not f.is_base_only():
-                    raise ChartError("leaf form coefficients must be base-only")
-                g = f if sign == 1 else -f
-                prev = clean.get(skey)
-                g = g if prev is None else prev + g
-                if g.is_zero():
-                    clean.pop(skey, None)
-                else:
-                    clean[skey] = g
-        self.terms = clean
+    def _index_bound(self) -> int:
+        return self.chart.m
 
-    # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def zero(chart: Chart, degree: int) -> "LeafForm":
-        return LeafForm(chart, degree)
-
-    @staticmethod
-    def function(f: ScalarFn) -> "LeafForm":
-        return LeafForm(f.chart, 0, {(): f})
-
-    def as_function(self) -> ScalarFn:
-        if self.degree != 0:
-            raise ChartError("not a degree-0 leaf form")
-        return self.terms.get((), ScalarFn.zero(self.chart))
-
-    def coefficient(self, key) -> ScalarFn:
-        sign, skey = sort_key_sign(tuple(key))
-        if sign == 0:
-            return ScalarFn.zero(self.chart)
-        f = self.terms.get(skey)
-        if f is None:
-            return ScalarFn.zero(self.chart)
-        return f if sign == 1 else -f
-
-    # -- linear structure ---------------------------------------------------
-
-    def __add__(self, other: "LeafForm") -> "LeafForm":
-        if self.degree != other.degree or self.chart != other.chart:
-            raise ChartError("leaf form mismatch in sum")
-        out = dict(self.terms)
-        for key, f in other.terms.items():
-            s = out.get(key)
-            s = f if s is None else s + f
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        r = LeafForm.__new__(LeafForm)
-        r.chart, r.degree, r.terms = self.chart, self.degree, out
-        return r
-
-    def __neg__(self):
-        r = LeafForm.__new__(LeafForm)
-        r.chart, r.degree = self.chart, self.degree
-        r.terms = {k: -f for k, f in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "LeafForm":
-        c = GaussianRational.of(c)
-        r = LeafForm.__new__(LeafForm)
-        r.chart, r.degree = self.chart, self.degree
-        r.terms = {} if c.is_zero() else {k: f.scale(c) for k, f in self.terms.items()}
-        return r
-
-    def wedge(self, other: "LeafForm") -> "LeafForm":
-        out = {}
-        for k1, f1 in self.terms.items():
-            for k2, f2 in other.terms.items():
-                sign, key = merge_sign(k1, k2)
-                if sign == 0:
-                    continue
-                g = (f1 * f2).scale(sign)
-                s = out.get(key)
-                s = g if s is None else s + g
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return LeafForm(self.chart, self.degree + other.degree, out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _canonical(self, pairs):
+        for key, f in super()._canonical(pairs):
+            if not f.is_base_only():
+                raise ChartError("leaf form coefficients must be base-only")
+            yield key, f
 
     # -- leafwise calculus (needs the fiber <-> leaf correspondence) ----------
 
@@ -134,15 +40,7 @@ class LeafForm:
     def d_leaf(self) -> "LeafForm":
         """Leafwise exterior derivative d_F, using the a-th leaf coordinate
         as the direction paired with the a-th normal frame vector."""
-        leaf = self._leaf_names()
-        out = LeafForm.zero(self.chart, self.degree + 1)
-        for key, f in self.terms.items():
-            for a, name in enumerate(leaf):
-                df = f.partial(name)
-                if df.is_zero():
-                    continue
-                out = out + LeafForm(self.chart, self.degree + 1, {(a,) + key: df})
-        return out
+        return self._exterior_d(list(enumerate(self._leaf_names())))
 
     def leaf_zero_mode(self) -> "LeafForm":
         """Projector Pi_0: keep only terms with zero frequency in every leaf
@@ -164,35 +62,26 @@ class LeafForm:
         """The exact torus homotopy: K(e^{i n.phi} alpha) =
         (i n_j)^{-1} iota_j (e^{i n.phi} alpha) with j the least leaf index
         carrying a nonzero frequency; kills leaf-zero modes."""
-        chart = self.chart
-        leaf_idx = [chart.torus.index(c) for c in self._leaf_names()]
-        out = LeafForm.zero(chart, self.degree - 1) if self.degree else None
         if self.degree == 0:
             raise ChartError("homotopy K lowers degree; got degree 0")
-        for key, f in self.terms.items():
-            for (n, alpha), c in f.terms.items():
-                j = next((a for a, ji in enumerate(leaf_idx) if n[ji] != 0), None)
-                if j is None:
-                    continue
-                if j not in key:
-                    continue
-                pos = key.index(j)
-                rest = key[:pos] + key[pos + 1 :]
-                coeff = c / GaussianRational(0, n[leaf_idx[j]])
-                mono = ScalarFn(chart, {(n, alpha): coeff}).scale((-1) ** pos)
-                out = out + LeafForm(chart, self.degree - 1, {rest: mono})
-        return out
+        chart = self.chart
+        leaf_idx = [chart.torus.index(c) for c in self._leaf_names()]
 
-    # -- comparison / display ----------------------------------------------------
+        def pairs():
+            for key, f in self.terms.items():
+                for (n, alpha), c in f.terms.items():
+                    j = next((a for a, ji in enumerate(leaf_idx) if n[ji] != 0), None)
+                    if j is None or j not in key:
+                        continue
+                    pos = key.index(j)
+                    coeff = c / GaussianRational(0, n[leaf_idx[j]])
+                    if pos % 2:
+                        coeff = -coeff
+                    yield key[:pos] + key[pos + 1 :], ScalarFn(chart, {(n, alpha): coeff})
 
-    def __eq__(self, other):
-        if not isinstance(other, LeafForm):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
+        return LeafForm(chart, self.degree - 1, accumulate({}, pairs()))
+
+    # -- display ----------------------------------------------------------------
 
     def __repr__(self):
         if not self.terms:

@@ -61,16 +61,17 @@ def _jets_of(f: ScalarFn):
 
 
 def _taylor_from_jets(chart: Chart, jets) -> ScalarFn:
-    out = ScalarFn.zero(chart)
-    for beta, g in jets.items():
-        coeff = Fraction(1)
-        mono = ScalarFn.one(chart)
-        for a, p in enumerate(beta):
-            coeff /= math.factorial(p)
-            if p:
-                mono = mono * ScalarFn.y(chart, chart.fiber[a], p)
-        out = out + (g * mono).scale(coeff)
-    return out
+    def terms():
+        for beta, g in jets.items():
+            coeff = Fraction(1)
+            mono = ScalarFn.one(chart)
+            for a, p in enumerate(beta):
+                coeff /= math.factorial(p)
+                if p:
+                    mono = mono * ScalarFn.y(chart, chart.fiber[a], p)
+            yield (g * mono).scale(coeff)
+
+    return ScalarFn.zero(chart).plus(terms())
 
 
 class MultibracketTable:
@@ -192,7 +193,7 @@ class MultibracketTable:
         + J^a f)|_0 d_a."""
         chart = self.chart
         k = len(aa)
-        out = LeafForm.zero(chart, 1)
+        out = {}
         for a in range(chart.m):
             inner = ScalarFn.zero(chart)
             for (fam, key), _ in self.jets.items():
@@ -203,28 +204,23 @@ class MultibracketTable:
                     inner = inner + self.component(fam, key) * f
             for b in aa:
                 inner = inner.partial(chart.fiber[b])
-            inner = inner.restrict_zero_section().scale((-1) ** (k % 2))
-            if not inner.is_zero():
-                out = out + LeafForm(chart, 1, {(a,): inner})
-        return out
+            out[(a,)] = inner.restrict_zero_section().scale((-1) ** (k % 2))
+        return LeafForm(chart, 1, out)
 
     def gen_no_function(self, aa) -> LeafForm:
         """m_{k+1}(d_{a_1}, .., d_{a_{k+1}}) = -(-1)^k d_aa J^{ab}|_0
         delta_a ^ delta_b (x) mu."""
         chart = self.chart
         k = len(aa) - 1
-        out = LeafForm.zero(chart, 2)
+        out = {}
         for (fam, key), _ in self.jets.items():
             if fam != "ab":
                 continue
-            a, b = key
             inner = self.component(fam, key)
             for c in aa:
                 inner = inner.partial(chart.fiber[c])
-            inner = inner.restrict_zero_section().scale(-((-1) ** (k % 2)))
-            if not inner.is_zero():
-                out = out + LeafForm(chart, 2, {(a, b): inner})
-        return out
+            out[key] = inner.restrict_zero_section().scale(-((-1) ** (k % 2)))
+        return LeafForm(chart, 2, out)
 
 
 def extract_multibrackets(j: MultiDerivation) -> MultibracketTable:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .rational import GaussianRational
-from .ring import Chart, ChartError, ScalarFn
+from .ring import Chart, ChartError, ScalarFn, SparseTerms, accumulate
 
 
 def sort_key_sign(indices):
@@ -70,43 +69,101 @@ def unshuffles(indices, r):
         yield sign, tuple(indices[p] for p in chosen), tuple(indices[p] for p in rest)
 
 
-class MultiVectorField:
-    """Sparse skew multivector field; terms: increasing index tuple -> ScalarFn."""
+class SkewTerms(SparseTerms):
+    """Sparse skew container of a given degree: terms map strictly
+    increasing index tuples of that length to ScalarFn coefficients.
 
-    __slots__ = ("chart", "degree", "terms")
+    Keys index chart coordinates (torus first) unless a subclass narrows
+    the range through _index_bound."""
+
+    __slots__ = ("degree",)
 
     def __init__(self, chart: Chart, degree: int, terms=None):
         if degree < 0:
-            raise ChartError("multivector degree must be >= 0")
+            raise ChartError(f"{type(self).__name__} degree must be >= 0")
         self.chart = chart
         self.degree = degree
-        clean = {}
-        if terms:
-            for key, f in terms.items():
-                key = tuple(key)
-                if len(key) != degree:
-                    raise ChartError("key length does not match degree")
-                sign, skey = sort_key_sign(key)
-                if sign == 0 or f.is_zero():
-                    continue
-                g = f if sign == 1 else -f
-                prev = clean.get(skey)
-                g = g if prev is None else prev + g
-                if g.is_zero():
-                    clean.pop(skey, None)
-                else:
-                    clean[skey] = g
-        self.terms = clean
+        self.terms = accumulate({}, self._canonical(terms.items())) if terms else {}
+
+    def _shape(self):
+        return (self.chart, self.degree)
+
+    def _like(self, terms):
+        r = object.__new__(type(self))
+        r.chart, r.degree, r.terms = self.chart, self.degree, terms
+        return r
+
+    def _index_bound(self) -> int:
+        return self.chart.dim
+
+    def _canonical(self, pairs):
+        """Sorted keys with the sign of the sort; repeated indices and zero
+        coefficients dropped, wrong lengths and indices out of range
+        rejected."""
+        bound = self._index_bound()
+        for key, f in pairs:
+            key = tuple(key)
+            if len(key) != self.degree:
+                raise ChartError("key length does not match degree")
+            if any(i < 0 or i >= bound for i in key):
+                raise ChartError(f"{type(self).__name__} index out of range in {key}")
+            sign, skey = sort_key_sign(key)
+            if sign and not f.is_zero():
+                yield skey, (f if sign == 1 else -f)
 
     # -- constructors ------------------------------------------------------
 
-    @staticmethod
-    def zero(chart: Chart, degree: int) -> "MultiVectorField":
-        return MultiVectorField(chart, degree)
+    @classmethod
+    def zero(cls, chart: Chart, degree: int):
+        return cls(chart, degree)
 
-    @staticmethod
-    def function(f: ScalarFn) -> "MultiVectorField":
-        return MultiVectorField(f.chart, 0, {(): f})
+    @classmethod
+    def function(cls, f: ScalarFn):
+        return cls(f.chart, 0, {(): f})
+
+    def as_function(self) -> ScalarFn:
+        if self.degree != 0:
+            raise ChartError(f"not a degree-0 {type(self).__name__}")
+        return self.terms.get((), ScalarFn.zero(self.chart))
+
+    def coefficient(self, indices) -> ScalarFn:
+        """Coefficient on an arbitrary index tuple (skew in the indices)."""
+        sign, key = sort_key_sign(tuple(indices))
+        f = self.terms.get(key) if sign else None
+        if f is None:
+            return ScalarFn.zero(self.chart)
+        return f if sign == 1 else -f
+
+    def wedge(self, other):
+        def pairs():
+            for k1, f1 in self.terms.items():
+                for k2, f2 in other.terms.items():
+                    sign, key = merge_sign(k1, k2)
+                    if sign:
+                        yield key, (f1 * f2 if sign == 1 else -(f1 * f2))
+
+        return type(self)(self.chart, self.degree + other.degree, accumulate({}, pairs()))
+
+    def _exterior_d(self, directions):
+        """sum_i d_i f  e_i ^ e_key over (index i, coordinate name) directions."""
+
+        def pairs():
+            for k, f in self.terms.items():
+                for i, name in directions:
+                    df = f.partial(name)
+                    if df.is_zero():
+                        continue
+                    sign, key = merge_sign((i,), k)
+                    if sign:
+                        yield key, (df if sign == 1 else -df)
+
+        return type(self)(self.chart, self.degree + 1, accumulate({}, pairs()))
+
+
+class MultiVectorField(SkewTerms):
+    """Sparse skew multivector field; terms: increasing index tuple -> ScalarFn."""
+
+    __slots__ = ()
 
     @staticmethod
     def vector(chart: Chart, components: dict) -> "MultiVectorField":
@@ -119,85 +176,6 @@ class MultiVectorField:
     def basis_vector(chart: Chart, name: str) -> "MultiVectorField":
         return MultiVectorField(chart, 1, {(chart.index(name),): ScalarFn.one(chart)})
 
-    # -- predicates ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def as_function(self) -> ScalarFn:
-        if self.degree != 0:
-            raise ChartError("not a degree-0 multivector")
-        return self.terms.get((), ScalarFn.zero(self.chart))
-
-    def coefficient(self, indices) -> ScalarFn:
-        """Coefficient on an arbitrary index tuple (skew in the indices)."""
-        sign, key = sort_key_sign(tuple(indices))
-        if sign == 0:
-            return ScalarFn.zero(self.chart)
-        f = self.terms.get(key)
-        if f is None:
-            return ScalarFn.zero(self.chart)
-        return f if sign == 1 else -f
-
-    # -- linear structure ------------------------------------------------------
-
-    def __add__(self, other: "MultiVectorField") -> "MultiVectorField":
-        if self.degree != other.degree:
-            raise ChartError("degree mismatch in multivector sum")
-        out = dict(self.terms)
-        for key, f in other.terms.items():
-            s = out.get(key)
-            s = f if s is None else s + f
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        r = MultiVectorField.__new__(MultiVectorField)
-        r.chart, r.degree, r.terms = self.chart, self.degree, out
-        return r
-
-    def __neg__(self):
-        r = MultiVectorField.__new__(MultiVectorField)
-        r.chart, r.degree = self.chart, self.degree
-        r.terms = {k: -f for k, f in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "MultiVectorField":
-        c = GaussianRational.of(c)
-        r = MultiVectorField.__new__(MultiVectorField)
-        r.chart, r.degree = self.chart, self.degree
-        r.terms = {} if c.is_zero() else {k: f.scale(c) for k, f in self.terms.items()}
-        return r
-
-    def scale_fn(self, f: ScalarFn) -> "MultiVectorField":
-        out = {}
-        for key, g in self.terms.items():
-            h = g * f
-            if not h.is_zero():
-                out[key] = h
-        r = MultiVectorField.__new__(MultiVectorField)
-        r.chart, r.degree, r.terms = self.chart, self.degree, out
-        return r
-
-    def wedge(self, other: "MultiVectorField") -> "MultiVectorField":
-        out = {}
-        for k1, f1 in self.terms.items():
-            for k2, f2 in other.terms.items():
-                sign, key = merge_sign(k1, k2)
-                if sign == 0:
-                    continue
-                g = (f1 * f2).scale(sign)
-                s = out.get(key)
-                s = g if s is None else s + g
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return MultiVectorField(self.chart, self.degree + other.degree, out)
-
     # -- evaluation --------------------------------------------------------------
 
     def apply(self, fns) -> ScalarFn:
@@ -207,48 +185,37 @@ class MultiVectorField:
         if len(fns) != self.degree:
             raise ChartError("argument count does not match degree")
         chart = self.chart
-        out = ScalarFn.zero(chart)
         if self.degree == 0:
             return self.as_function()
         partials = [
             {i: f.partial_index(i) for i in range(chart.dim)} for f in fns
         ]
-        for key, c in self.terms.items():
-            for perm in permutations(range(self.degree)):
-                sign = perm_sign(perm)
-                prod = c.scale(sign)
-                dead = False
-                for slot, which in enumerate(perm):
-                    p = partials[which][key[slot]]
-                    if p.is_zero():
-                        dead = True
-                        break
-                    prod = prod * p
-                if not dead:
-                    out = out + prod
-        return out
+
+        def products():
+            for key, c in self.terms.items():
+                for perm in permutations(range(self.degree)):
+                    factors = [partials[which][key[slot]] for slot, which in enumerate(perm)]
+                    if any(p.is_zero() for p in factors):
+                        continue
+                    prod = c.scale(perm_sign(perm))
+                    for p in factors:
+                        prod = prod * p
+                    yield prod
+
+        return ScalarFn.zero(chart).plus(products())
 
     def insert_differential(self, g: ScalarFn) -> "MultiVectorField":
         """First-slot insertion P(g, -, ..., -) for degree >= 1."""
         if self.degree == 0:
             raise ChartError("cannot insert into a degree-0 multivector")
-        chart = self.chart
-        dg = {i: g.partial_index(i) for i in range(chart.dim)}
-        out = {}
-        for key, c in self.terms.items():
-            for pos, idx in enumerate(key):
-                p = dg[idx]
-                if p.is_zero():
-                    continue
-                rest = key[:pos] + key[pos + 1 :]
-                f = (p * c).scale((-1) ** pos)
-                s = out.get(rest)
-                s = f if s is None else s + f
-                if s.is_zero():
-                    out.pop(rest, None)
-                else:
-                    out[rest] = s
-        return MultiVectorField(chart, self.degree - 1, out)
+        dg = [g.partial_index(i) for i in range(self.chart.dim)]
+        pairs = (
+            (key[:pos] + key[pos + 1 :], dg[i] * c if pos % 2 == 0 else -(dg[i] * c))
+            for key, c in self.terms.items()
+            for pos, i in enumerate(key)
+            if not dg[i].is_zero()
+        )
+        return MultiVectorField(self.chart, self.degree - 1, accumulate({}, pairs))
 
     # -- Schouten-Nijenhuis ----------------------------------------------------
 
@@ -259,23 +226,26 @@ class MultiVectorField:
         if p == 0:
             return MultiVectorField.zero(self.chart, max(p + q - 1, 0))
         deg = p + q - 1
-        out = MultiVectorField.zero(self.chart, deg)
-        for key in _increasing_tuples(self.chart.dim, deg):
-            acc = ScalarFn.zero(self.chart)
+        dim = self.chart.dim
+        zero = ScalarFn.zero(self.chart)
+
+        def products(key):
             for sign, first, rest in unshuffles(key, q):
                 inner = other.coefficient(first)
                 if inner.is_zero():
                     continue
-                val = ScalarFn.zero(self.chart)
-                for i in range(self.chart.dim):
+                for i in range(dim):
                     di = inner.partial_index(i)
                     if di.is_zero():
                         continue
                     co = self.coefficient((i,) + rest)
                     if co.is_zero():
                         continue
-                    val = val + di * co
-                acc = acc + val.scale(sign)
+                    yield di * co if sign == 1 else -(di * co)
+
+        out = MultiVectorField.zero(self.chart, deg)
+        for key in _increasing_tuples(dim, deg):
+            acc = zero.plus(products(key))
             if not acc.is_zero():
                 out.terms[key] = acc
         return out
@@ -295,21 +265,11 @@ class MultiVectorField:
         """X(f) for a vector field."""
         if self.degree != 1:
             raise ChartError("lie_derivative_fn needs a vector field")
-        out = ScalarFn.zero(self.chart)
-        for (i,), c in self.terms.items():
-            out = out + c * f.partial_index(i)
-        return out
-
-    # -- comparison / display ------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiVectorField):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.degree == other.degree
-            and self.terms == other.terms
+        return ScalarFn.zero(self.chart).plus(
+            c * f.partial_index(i) for (i,), c in self.terms.items()
         )
+
+    # -- display ---------------------------------------------------------------
 
     def __repr__(self):
         if not self.terms:

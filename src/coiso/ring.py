@@ -9,11 +9,21 @@ tables coincide.
 Charts may be degenerate (k = 0 or m = 0); the torus coordinates are
 angles (only exp(i n phi) of them occurs, never phi itself) and the fiber
 coordinates are ordinary polynomial variables.
+
+Sparse terms.  ScalarFn and the other containers of the library
+(MultiVectorField, LeafForm, geom.Form, GradedElement) are SparseTerms: a
+shape (the chart, plus a degree or a ghost rank) and a dict ``terms`` from
+canonical keys to nonzero values.  Keys are canonical (exponent tuples
+here, sorted skew index tuples or normalized letter words elsewhere) and no
+value is ever zero, so equality is equality of term tables.  Every
+container is built through the one kernel ``accumulate``, which adds
+(key, value) pairs into a dict and deletes a key whose sum is zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .rational import GaussianRational, ONE, ZERO
 
@@ -88,43 +98,120 @@ class Chart:
         return f"Chart(torus={self.torus}, fiber={self.fiber}, leaf={self.leaf})"
 
 
-def _check_chart(a, b):
-    if a.chart != b.chart:
-        raise ChartError("operands live on different charts")
+def accumulate(out, pairs):
+    """Add (key, value) pairs into the dict out, deleting a key whose sum is
+    zero; returns out.  Values are nonzero and have + and is_zero()."""
+    get = out.get
+    for key, value in pairs:
+        prev = get(key)
+        if prev is None:
+            out[key] = value
+        else:
+            value = prev + value
+            if value.is_zero():
+                del out[key]
+            else:
+                out[key] = value
+    return out
 
 
-class ScalarFn:
-    """Exact function sum c * exp(i n.phi) * y^alpha on a chart.
+class SparseTerms:
+    """The linear structure shared by every sparse container.
 
-    terms maps (n, alpha) -> GaussianRational with n in Z^k, alpha in N^m;
-    zero coefficients are never stored.
+    A subclass keeps its shape next to ``terms`` and supplies two hooks:
+    ``_shape()``, the tuple that must agree for two containers to add, and
+    ``_like(terms)``, a container of the same shape holding terms that are
+    already canonical.
     """
 
     __slots__ = ("chart", "terms")
 
+    def _shape(self):
+        return (self.chart,)
+
+    def _like(self, terms):
+        r = object.__new__(type(self))
+        r.chart, r.terms = self.chart, terms
+        return r
+
+    def _check(self, other):
+        if type(other) is not type(self) or other._shape() != self._shape():
+            raise ChartError(f"{type(self).__name__} operands differ in chart or shape")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._check(other)
+        return self._like(accumulate(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._like(
+            accumulate(dict(self.terms), ((k, -v) for k, v in other.terms.items()))
+        )
+
+    def plus(self, others):
+        """self + sum(others), accumulated in one dict."""
+        out = dict(self.terms)
+        for x in others:
+            self._check(x)
+            accumulate(out, x.terms.items())
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def scale(self, c):
+        c = GaussianRational.of(c)
+        if c.is_zero():
+            return self._like({})
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    def scale_fn(self, f):
+        """Multiply every value by the ScalarFn f (containers whose values
+        are ScalarFns).  The ring has no zero divisors, so no value becomes
+        zero unless f is."""
+        if f.is_zero():
+            return self._like({})
+        return self._like({k: v * f for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseTerms):
+            return NotImplemented
+        return (
+            type(other) is type(self)
+            and other._shape() == self._shape()
+            and other.terms == self.terms
+        )
+
+
+def _checked_terms(chart, terms):
+    """Validated (key, coefficient) pairs of outside input; zeros dropped."""
+    for (n, alpha), c in terms.items():
+        c = GaussianRational.of(c)
+        if c.is_zero():
+            continue
+        n = tuple(int(v) for v in n)
+        alpha = tuple(int(v) for v in alpha)
+        if len(n) != chart.k or len(alpha) != chart.m:
+            raise ChartError("term exponent arity does not match chart")
+        if any(a < 0 for a in alpha):
+            raise ChartError("fiber exponents must be nonnegative")
+        yield (n, alpha), c
+
+
+class ScalarFn(SparseTerms):
+    """Exact function sum c * exp(i n.phi) * y^alpha on a chart.
+
+    terms maps (n, alpha) -> GaussianRational with n in Z^k, alpha in N^m.
+    """
+
+    __slots__ = ()
+
     def __init__(self, chart: Chart, terms=None):
         self.chart = chart
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                c = GaussianRational.of(c)
-                if c.is_zero():
-                    continue
-                n, alpha = key
-                n = tuple(int(v) for v in n)
-                alpha = tuple(int(v) for v in alpha)
-                if len(n) != chart.k or len(alpha) != chart.m:
-                    raise ChartError("term exponent arity does not match chart")
-                if any(a < 0 for a in alpha):
-                    raise ChartError("fiber exponents must be nonnegative")
-                k = (n, alpha)
-                prev = clean.get(k)
-                c = c if prev is None else prev + c
-                if c.is_zero():
-                    clean.pop(k, None)
-                else:
-                    clean[k] = c
-        self.terms = clean
+        self.terms = accumulate({}, _checked_terms(chart, terms)) if terms else {}
 
     # -- constructors -----------------------------------------------------
 
@@ -174,9 +261,6 @@ class ScalarFn:
 
     # -- predicates -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         zk = (0,) * self.chart.k
         zm = (0,) * self.chart.m
@@ -218,58 +302,20 @@ class ScalarFn:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other: "ScalarFn") -> "ScalarFn":
-        _check_chart(self, other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, ZERO) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        f = ScalarFn.__new__(ScalarFn)
-        f.chart = self.chart
-        f.terms = out
-        return f
-
-    def __sub__(self, other: "ScalarFn") -> "ScalarFn":
-        return self + (-other)
-
-    def __neg__(self) -> "ScalarFn":
-        f = ScalarFn.__new__(ScalarFn)
-        f.chart = self.chart
-        f.terms = {k: -c for k, c in self.terms.items()}
-        return f
-
-    def scale(self, c) -> "ScalarFn":
-        c = GaussianRational.of(c)
-        if c.is_zero():
-            return ScalarFn(self.chart)
-        f = ScalarFn.__new__(ScalarFn)
-        f.chart = self.chart
-        f.terms = {k: v * c for k, v in self.terms.items()}
-        return f
-
     def __mul__(self, other: "ScalarFn") -> "ScalarFn":
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
-        _check_chart(self, other)
-        out = {}
-        for (n1, a1), c1 in self.terms.items():
-            for (n2, a2), c2 in other.terms.items():
-                key = (
-                    tuple(x + y for x, y in zip(n1, n2)),
-                    tuple(x + y for x, y in zip(a1, a2)),
-                )
-                s = out.get(key, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        f = ScalarFn.__new__(ScalarFn)
-        f.chart = self.chart
-        f.terms = out
-        return f
+        self._check(other)
+        return self._like(
+            accumulate(
+                {},
+                (
+                    ((tuple(map(add, n1, n2)), tuple(map(add, a1, a2))), c1 * c2)
+                    for (n1, a1), c1 in self.terms.items()
+                    for (n2, a2), c2 in other.terms.items()
+                ),
+            )
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -277,10 +323,9 @@ class ScalarFn:
         return NotImplemented
 
     def conjugate(self) -> "ScalarFn":
-        out = {}
-        for (n, alpha), c in self.terms.items():
-            out[(tuple(-v for v in n), alpha)] = c.conjugate()
-        return ScalarFn(self.chart, out)
+        return self._like(
+            {(tuple(-v for v in n), alpha): c.conjugate() for (n, alpha), c in self.terms.items()}
+        )
 
     # -- calculus ---------------------------------------------------------
 
@@ -293,27 +338,23 @@ class ScalarFn:
         chart = self.chart
         if coord in chart.torus:
             j = chart.torus.index(coord)
-            out = {}
-            for (n, alpha), c in self.terms.items():
-                if n[j] == 0:
-                    continue
-                out[(n, alpha)] = c * GaussianRational(0, n[j])
-            return ScalarFn(chart, out)
+            return self._like(
+                {
+                    (n, alpha): c * GaussianRational(0, n[j])
+                    for (n, alpha), c in self.terms.items()
+                    if n[j]
+                }
+            )
         if coord in chart.fiber:
+            # lowering alpha_a maps distinct keys to distinct keys
             a = chart.fiber.index(coord)
-            out = {}
-            for (n, alpha), c in self.terms.items():
-                if alpha[a] == 0:
-                    continue
-                new_alpha = list(alpha)
-                new_alpha[a] -= 1
-                key = (n, tuple(new_alpha))
-                s = out.get(key, ZERO) + c * alpha[a]
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-            return ScalarFn(chart, out)
+            return self._like(
+                {
+                    (n, alpha[:a] + (alpha[a] - 1,) + alpha[a + 1 :]): c * alpha[a]
+                    for (n, alpha), c in self.terms.items()
+                    if alpha[a]
+                }
+            )
         raise ChartError(f"unknown coordinate {coord!r}")
 
     def partial_index(self, i: int) -> "ScalarFn":
@@ -336,7 +377,7 @@ class ScalarFn:
             if name not in chart.fiber:
                 raise ChartError(f"{name!r} is not a fiber coordinate")
         idx = {chart.fiber.index(name): tp for name, tp in assignment.items()}
-        out = TPoly.zero(chart)
+        out = []  # terms of the coefficient of t^p, p = 0, 1, ...
         for (n, alpha), c in self.terms.items():
             kept = list(alpha)
             factor = TPoly.const(ScalarFn.const(chart, c))
@@ -346,15 +387,15 @@ class ScalarFn:
                 for _ in range(p):
                     factor = factor * tp
             base = ScalarFn(chart, {(n, tuple(kept)): ONE})
-            out = out + factor.scale_fn(base)
-        return out
+            out += [{} for _ in range(len(factor.coeffs) - len(out))]
+            for p, coeff in enumerate(factor.coeffs):
+                accumulate(out[p], (coeff * base).terms.items())
+        return TPoly(chart, [self._like(t) for t in out])
 
     def restrict_zero_section(self) -> "ScalarFn":
         """Restrict to y = 0: keep only terms with zero fiber exponent."""
         zm = (0,) * self.chart.m
-        return ScalarFn(
-            self.chart, {(n, a): c for (n, a), c in self.terms.items() if a == zm}
-        )
+        return self._like({(n, a): c for (n, a), c in self.terms.items() if a == zm})
 
     def integrate_torus(self, coords) -> "TorusIntegral":
         """Integrate over the listed torus coordinates.
@@ -368,18 +409,10 @@ class ScalarFn:
             if c not in chart.torus:
                 raise ChartError(f"{c!r} is not a torus coordinate")
             js.append(chart.torus.index(c))
-        out = {}
-        for (n, alpha), c in self.terms.items():
-            if all(n[j] == 0 for j in js):
-                out[(n, alpha)] = c
-        return TorusIntegral(ScalarFn(chart, out), len(js))
+        kept = {(n, alpha): c for (n, alpha), c in self.terms.items() if all(n[j] == 0 for j in js)}
+        return TorusIntegral(self._like(kept), len(js))
 
     # -- comparison / display ----------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, ScalarFn):
-            return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.chart, frozenset(self.terms.items())))
@@ -464,17 +497,13 @@ class TPoly:
         return self.coeffs[0] if self.coeffs else ScalarFn.zero(self.chart)
 
     def at_one(self) -> ScalarFn:
-        out = ScalarFn.zero(self.chart)
-        for c in self.coeffs:
-            out = out + c
-        return out
+        return ScalarFn.zero(self.chart).plus(self.coeffs)
 
     def integrate01(self) -> ScalarFn:
         """Exact integral over t in [0, 1]."""
-        out = ScalarFn.zero(self.chart)
-        for p, c in enumerate(self.coeffs):
-            out = out + c.scale(Fraction(1, p + 1))
-        return out
+        return ScalarFn.zero(self.chart).plus(
+            c.scale(Fraction(1, p + 1)) for p, c in enumerate(self.coeffs)
+        )
 
 
 class TorusIntegral:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import permutations
 from fractions import Fraction
 
-from .ring import Chart, ScalarFn
+from .ring import Chart, ScalarFn, accumulate
 from .geom import matrix_inverse_unit
 from .leafform import LeafForm
 
@@ -31,16 +31,18 @@ class TransversalError(ValueError):
 
 def mat_mul(chart, A, B):
     n = len(A)
-    out = [[ScalarFn.zero(chart) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if A[i][k].is_zero():
-                continue
-            for j in range(n):
-                if B[k][j].is_zero():
-                    continue
-                out[i][j] = out[i][j] + A[i][k] * B[k][j]
-    return out
+    zero = ScalarFn.zero(chart)
+    return [
+        [
+            zero.plus(
+                A[i][k] * B[k][j]
+                for k in range(n)
+                if not (A[i][k].is_zero() or B[k][j].is_zero())
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def mat_eq(A, B):
@@ -203,55 +205,54 @@ class TransversalData:
             return LeafForm.zero(chart, 2)
         if len(fns) == 2:
             f, g = fns
-            out = ScalarFn.zero(chart)
-            for sigma in permutations(forms):
-                Y = self.y_matrix(sigma)
-                jf = self.jG0(f)
-                jg = self.jG0(g)
+            jf, jg = self.jG0(f), self.jG0(g)
+            out = ScalarFn.zero(chart).plus(
+                Y[al][be] * jf[al] * jg[be]
+                for Y in map(self.y_matrix, permutations(forms))
+                for al in range(self.n)
+                for be in range(self.n)
+                if not Y[al][be].is_zero()
+            )
+            return LeafForm.function(-out)
+        if len(fns) == 1:
+            jf = self.jG0(fns[0])
+
+            def pairs():
+                for tail in range(len(forms)):
+                    jlast = self.jG1(forms[tail])
+                    for sigma in permutations(forms[:tail] + forms[tail + 1 :]):
+                        Y = self.y_matrix(sigma)
+                        for al in range(self.n):
+                            for be in range(self.n):
+                                if Y[al][be].is_zero():
+                                    continue
+                                for h in range(self.nleaf):
+                                    c = Y[al][be] * jf[al] * jlast[h][be]
+                                    if not c.is_zero():
+                                        yield (h,), -c
+
+            return LeafForm(chart, 1, accumulate({}, pairs()))
+
+        # all arguments are frame 1-forms; keys (s, t) are sorted by LeafForm
+        def pairs():
+            half = Fraction(1, 2)
+            for sigma in permutations(range(k)):
+                Y = self.y_matrix([forms[sigma[t]] for t in range(k - 2)])
+                j1 = self.jG1(forms[sigma[k - 2]])
+                j2 = self.jG1(forms[sigma[k - 1]])
                 for al in range(self.n):
                     for be in range(self.n):
                         if Y[al][be].is_zero():
                             continue
-                        out = out + Y[al][be] * jf[al] * jg[be]
-            return LeafForm.function(-out)
-        if len(fns) == 1:
-            f = fns[0]
-            out = LeafForm.zero(chart, 1)
-            for tail in range(len(forms)):
-                rest = forms[:tail] + forms[tail + 1 :]
-                jlast = self.jG1(forms[tail])
-                for sigma in permutations(rest):
-                    Y = self.y_matrix(sigma)
-                    jf = self.jG0(f)
-                    for al in range(self.n):
-                        for be in range(self.n):
-                            if Y[al][be].is_zero():
-                                continue
-                            for h in range(self.nleaf):
-                                c = Y[al][be] * jf[al] * jlast[h][be]
+                        for s in range(self.nleaf):
+                            for t in range(self.nleaf):
+                                if s == t:
+                                    continue
+                                c = (Y[al][be] * j1[s][al] * j2[t][be]).scale(half)
                                 if not c.is_zero():
-                                    out = out + LeafForm(chart, 1, {(h,): -c})
-            return out
-        # all arguments are frame 1-forms
-        out = LeafForm.zero(chart, 2)
-        half = Fraction(1, 2)
-        for sigma in permutations(range(k)):
-            middle = [forms[sigma[t]] for t in range(k - 2)]
-            Y = self.y_matrix(middle)
-            j1 = self.jG1(forms[sigma[k - 2]])
-            j2 = self.jG1(forms[sigma[k - 1]])
-            for al in range(self.n):
-                for be in range(self.n):
-                    if Y[al][be].is_zero():
-                        continue
-                    for s in range(self.nleaf):
-                        for t in range(self.nleaf):
-                            if s == t:
-                                continue
-                            c = (Y[al][be] * j1[s][al] * j2[t][be]).scale(half)
-                            if not c.is_zero():
-                                out = out + LeafForm(chart, 2, {(s, t): c})
-        return out
+                                    yield (s, t), c
+
+        return LeafForm(chart, 2, accumulate({}, pairs()))
 
     # -- transversal differential operators ----------------------------------------
 
@@ -259,17 +260,15 @@ class TransversalData:
         """The extension eps of the transversal de Rham differential d_G:
         returns {alpha: LeafForm} over the transverse coframe (du^a..., dz)."""
         chart = self.chart
-        out = {al: LeafForm.zero(chart, omega.degree) for al in range(self.A + 1)}
+        pieces = {al: [] for al in range(self.A + 1)}
         for key, c in omega.terms.items():
             jc = self.jG0(c)
-            for al in range(self.A + 1):
-                comp = jc[al + 1]
-                if not comp.is_zero():
-                    out[al] = out[al] + LeafForm(chart, omega.degree, {key: comp})
+            for al in pieces:
+                pieces[al].append(LeafForm(chart, omega.degree, {key: jc[al + 1]}))
             # eps(e_K) = sum_j (-1)^{j-1} d_F(G^{i_j}_alpha) ^ e_{K minus j}
             for pos, i in enumerate(key):
-                rest = key[:pos] + key[pos + 1 :]
-                for al in range(self.A + 1):
+                rest = LeafForm(chart, len(key) - 1, {key[:pos] + key[pos + 1 :]: c})
+                for al in pieces:
                     dG = LeafForm(
                         chart,
                         1,
@@ -278,13 +277,10 @@ class TransversalData:
                             for h in range(self.nleaf)
                         },
                     )
-                    if dG.is_zero():
-                        continue
-                    term = dG.wedge(LeafForm(chart, len(rest), {rest: c})).scale(
-                        (-1) ** (pos % 2)
-                    )
-                    out[al] = out[al] + term
-        return out
+                    if not dG.is_zero():
+                        pieces[al].append(dG.wedge(rest).scale((-1) ** (pos % 2)))
+        zero = LeafForm.zero(chart, omega.degree)
+        return {al: zero.plus(p) for al, p in pieces.items()}
 
     def j1_G(self, omega: LeafForm):
         """The extension delta of the transversal jet prolongation:

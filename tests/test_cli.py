@@ -33,10 +33,26 @@ def test_usage_error(capsys):
     assert "required" in err
 
 
-def test_unknown_task(capsys):
-    code, _, err = run_cli(["--scenario", "torus-obstructed", "--task", "nope"], capsys)
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("nope", "unknown task"),
+        ("prolong:abc", "not a positive integer"),
+        ("multibrackets:abc", "not a positive integer"),
+        ("multibrackets:-1", "not a positive integer"),
+        ("prolong:0", "not a positive integer"),
+        ("mc:2", "takes no argument"),
+    ],
+    ids=["unknown", "prolong-abc", "multibrackets-abc", "multibrackets-negative", "prolong-zero", "mc-arg"],
+)
+def test_unknown_task(capsys, spec, message):
+    # every spec is parsed before the first task runs
+    code, out, err = run_cli(
+        ["--scenario", "torus-obstructed", "--task", "check-jacobi", "--task", spec], capsys
+    )
     assert code == 1
-    assert "unknown task" in err
+    assert out == ""
+    assert message in err and len(err.splitlines()) == 1
 
 
 def test_missing_scenario(capsys):
@@ -45,16 +61,19 @@ def test_missing_scenario(capsys):
 
 
 def test_validation_error_exit_code(tmp_path, capsys):
-    bad = {
-        "schema": 1,
-        "chart": {"torus": ["ph_1"], "fiber": ["y_1"], "leaf": ["ph_1"]},
-        "jacobi": {"p": [], "q": []},
-        "section": {"components": ["y_1"]},
-    }
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps(bad))
-    code, _, err = run_cli(["--scenario", str(p), "--task", "mc"], capsys)
-    assert code == 2  # section components must be base-only
+    chart = {"torus": ["ph_1"], "fiber": ["y_1"], "leaf": ["ph_1"]}
+    cases = [
+        # section components must be base-only
+        ({"jacobi": {"p": [], "q": []}, "section": {"components": ["y_1"]}}, "mc"),
+        # index 7 does not exist on the 2-dimensional chart
+        ({"jacobi": {"p": [{"idx": [0, 7], "coef": "1"}], "q": []}}, "check-jacobi"),
+    ]
+    for blocks, task in cases:
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"schema": 1, "chart": chart, **blocks}))
+        code, _, err = run_cli(["--scenario", str(p), "--task", task], capsys)
+        assert code == 2, err
+        assert len(err.splitlines()) == 1
 
 
 def test_obstruction_is_success(capsys):
@@ -77,35 +96,6 @@ def test_check_jacobi_report(capsys):
     )
     assert code == 0
     assert json.loads(out)["tasks"]["check-jacobi"]["jacobiator_zero"] is True
-
-
-def test_determinism_all_builtins(capsys):
-    jobs = {
-        "torus-obstructed": [
-            "check-jacobi",
-            "coisotropic",
-            "multibrackets:4",
-            "mc",
-            "kuranishi",
-            "prolong:3",
-            "transversal-crosscheck",
-            "bfv-lift",
-            "brst-charge",
-            "dbfv",
-            "bfv-kuranishi",
-            "hpl-resolve",
-        ],
-        "legendrian-jet": ["check-jacobi", "coisotropic", "multibrackets:3", "bfv-lift"],
-    }
-    for scenario, tasks in jobs.items():
-        args = ["--scenario", scenario, "--format", "json"]
-        for t in tasks:
-            args += ["--task", t]
-        code1, out1, err1 = run_cli(args, capsys)
-        assert code1 == 0, (scenario, err1)
-        code2, out2, _ = run_cli(args, capsys)
-        assert code2 == 0
-        assert out1 == out2  # byte-identical reports
 
 
 def test_out_flag(tmp_path, capsys):

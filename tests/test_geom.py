@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ScalarFn
+from coiso.ring import Chart, ChartError, ScalarFn
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm, SectionOfNormalBundle
@@ -126,6 +126,23 @@ def test_lcs_symplectic_torus():
     )
     assert J.p_part == expected
     assert J.sj_bracket(J).is_zero()
+
+
+def test_form_keys_are_canonical():
+    """Form keys are sorted with the sign of the sort; repeated indices
+    vanish; keys of the wrong length or out of range are rejected."""
+    chart = Chart(torus=("ph_1", "ph_2"))
+    one = ScalarFn.one(chart)
+    w = Form(chart, 2, {(1, 0): one})
+    assert not w.is_zero()
+    assert w == Form(chart, 2, {(0, 1): -one})
+    assert w.coefficient((0, 1)) == -one
+    assert w.coefficient((1, 0)) == one
+    assert Form(chart, 2, {(0, 0): one}).is_zero()
+    with pytest.raises(ChartError):
+        Form(chart, 2, {(0,): one})
+    with pytest.raises(ChartError):
+        Form(chart, 1, {(2,): one})
 
 
 def test_lcs_nontrivial_flat_connection():
