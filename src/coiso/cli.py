@@ -112,6 +112,9 @@ def run_task(scenario: Scenario, name: str, arg) -> dict:
         }
 
     if name == "multibrackets":
+        if not chart.m:
+            # the frame values m_k(delta, ...) cycle through the fiber frame
+            raise ScenarioError("needs at least one fiber coordinate, the chart has none")
         table = extract_multibrackets(j)
         max_order = arg or max(table.series_bound(), 3)
         out = {"series_bound": table.series_bound(), "orders": {}}
@@ -184,6 +187,11 @@ def run_task(scenario: Scenario, name: str, arg) -> dict:
         }
 
     if name == "transversal-crosscheck":
+        if chart.m < 2:
+            # the checks pair the first two fiber frame forms
+            raise ScenarioError(
+                f"needs at least two fiber coordinates, the chart has {chart.m}"
+            )
         table = extract_multibrackets(j)
         td = scenario.transversal()
         checks = []

@@ -15,6 +15,8 @@ bracket on multivector fields.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .ring import Chart, ChartError, ScalarFn
 from .multivector import MultiVectorField
 
@@ -136,8 +138,6 @@ class MultiDerivation:
         """Jac(J) = 1/2 [[J, J]]; zero iff J is a Jacobi structure."""
         if self.arity != 2:
             raise ArityError("jacobiator needs an arity-2 multiderivation")
-        from fractions import Fraction
-
         return self.sj_bracket(self).scale(Fraction(1, 2))
 
     def is_jacobi(self) -> bool:

@@ -2,21 +2,67 @@
 
 Every coefficient in the library is a GaussianRational; no floating point
 is used anywhere.
+
+Representation.  A GaussianRational is one integer triple (a, b, d) that
+stands for (a + b i)/d.  The triple is canonical: d > 0 and
+gcd(a, b, d) = 1, so zero is (0, 0, 1) and two values are equal iff their
+triples are.  Every operation computes its result triple in integers and
+reduces it with one gcd; negation and conjugation keep the triple reduced
+and skip it.  Fractions appear only at the boundary: the constructor
+accepts them (a pair of ints skips them), and ``re`` and ``im`` return them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+
+_new = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> "GaussianRational":
+    """The value (a + b i)/d of a triple that is already canonical."""
+    r = _new(GaussianRational)
+    r._a = a
+    r._b = b
+    r._d = d
+    return r
+
+
+def _reduced(a: int, b: int, d: int) -> "GaussianRational":
+    """The value (a + b i)/d, d > 0, reduced by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return _raw(a // g, b // g, d // g)
+    return _raw(a, b, d)
+
+
+def _from_rational(x):
+    """x as a GaussianRational if it is an int or a Fraction, else None."""
+    if isinstance(x, int):
+        return _raw(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _raw(x.numerator, 0, x.denominator)
+    return None
 
 
 class GaussianRational:
-    """A complex number re + im*i with rational real and imaginary parts."""
+    """A complex number (a + b i)/d with integers a, b and d > 0."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            # ScalarFn.partial builds one i*n per term; no Fraction for it
+            self._a, self._b, self._d = re, im, 1
+            return
+        re = Fraction(re)
+        im = Fraction(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        # d = lcm(q, s) of two reduced fractions gives gcd(a, b, d) = 1
+        d = q // gcd(q, s) * s
+        self._a, self._b, self._d = p * (d // q), r * (d // s), d
 
     # -- constructors ---------------------------------------------------
 
@@ -26,53 +72,77 @@ class GaussianRational:
             return x
         return GaussianRational(x)
 
+    # -- parts ------------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _from_rational(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        return _reduced(
+            self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __rsub__(self, other):
-        return GaussianRational.of(other) - self
+        return -self + other
 
     def __mul__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _from_rational(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.of(other)
-        n = other.re * other.re + other.im * other.im
+        if type(other) is not GaussianRational:
+            other = _from_rational(other)
+            if other is None:
+                return NotImplemented
+        a2, b2 = other._a, other._b
+        # (a1 + b1 i)/d1 / ((a2 + b2 i)/d2) = (a1 + b1 i)(a2 - b2 i) d2 / (d1 n)
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
+        a1, b1, d2 = self._a, self._b, other._d
+        return _reduced(
+            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n
         )
 
     def __rtruediv__(self, other):
-        return GaussianRational.of(other) / self
+        other = _from_rational(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -87,19 +157,19 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     # -- comparison / hashing --------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            other = _from_rational(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     # -- display ---------------------------------------------------------
 
@@ -107,12 +177,13 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}*i"
 
 
 ZERO = GaussianRational(0)

@@ -22,6 +22,13 @@ class ScenarioError(ValueError):
     pass
 
 
+def _need(block, key, where):
+    """block[key] of a required key; a ScenarioError naming it if missing."""
+    if not isinstance(block, dict) or key not in block:
+        raise ScenarioError(f"{where} block needs the key {key!r}")
+    return block[key]
+
+
 class Scenario:
     def __init__(self, data: dict, name: str = "<scenario>"):
         self.name = name
@@ -59,11 +66,18 @@ class Scenario:
             self.chart, {name: self._expr(e) for name, e in comps.items()}
         )
 
-    def _mvf(self, items, degree) -> MultiVectorField:
+    def _skew_terms(self, items, where) -> dict:
+        """{idx: coefficient} of a list of {"idx": [...], "coef": expr} items."""
         terms = {}
         for item in items:
-            terms[tuple(item["idx"])] = self._expr(item["coef"])
-        return MultiVectorField(self.chart, degree, terms)
+            idx = _need(item, "idx", where)
+            if not isinstance(idx, list) or any(type(i) is not int for i in idx):
+                raise ScenarioError(f"{where} idx {idx!r} is not a list of integers")
+            terms[tuple(idx)] = self._expr(_need(item, "coef", where))
+        return terms
+
+    def _mvf(self, items, degree) -> MultiVectorField:
+        return MultiVectorField(self.chart, degree, self._skew_terms(items, "jacobi"))
 
     # -- structure --------------------------------------------------------------
 
@@ -77,24 +91,13 @@ class Scenario:
             q = self._mvf(block.get("q", []), 1)
             j = MultiDerivation(p, q)
         elif kind == "contact":
-            theta = {name: self._expr(e) for name, e in block["theta"].items()}
-            reeb = self._vector(block["reeb"])
-            frame = [self._vector(v) for v in block["frame"]]
+            theta = {name: self._expr(e) for name, e in _need(block, "theta", kind).items()}
+            reeb = self._vector(_need(block, "reeb", kind))
+            frame = [self._vector(v) for v in _need(block, "frame", kind)]
             j = contact_to_jacobi(ContactChart(self.chart, theta, reeb, frame))
         elif kind == "lcs":
-            omega = Form(
-                self.chart,
-                2,
-                {tuple(item["idx"]): self._expr(item["coef"]) for item in block["omega"]},
-            )
-            theta1 = Form(
-                self.chart,
-                1,
-                {
-                    tuple(item["idx"]): self._expr(item["coef"])
-                    for item in block.get("theta1", [])
-                },
-            )
+            omega = Form(self.chart, 2, self._skew_terms(_need(block, "omega", kind), kind))
+            theta1 = Form(self.chart, 1, self._skew_terms(block.get("theta1", []), kind))
             j = lcs_to_jacobi(omega, theta1)
         elif kind == "jet":
             j = fiberwise_linear_jacobi(self.chart)
@@ -107,7 +110,7 @@ class Scenario:
         block = self.data.get("section")
         if block is None:
             raise ScenarioError("scenario has no section block")
-        comps = [self._expr(e) for e in block["components"]]
+        comps = [self._expr(e) for e in _need(block, "components", "section")]
         try:
             return SectionOfNormalBundle(self.chart, comps)
         except ChartError as exc:
@@ -123,10 +126,10 @@ class Scenario:
         block = self.data.get("transversal")
         if block is None:
             raise ScenarioError("scenario has no transversal block")
-        ga = [self._vector(v) for v in block["frame_a"]]
-        gz = self._vector(block["frame_z"])
+        ga = [self._vector(v) for v in _need(block, "frame_a", "transversal")]
+        gz = self._vector(_need(block, "frame_z", "transversal"))
         C = [self._expr(e) for e in block.get("C", ["0"] * len(ga))]
-        omega = [[self._expr(e) for e in row] for row in block["omega"]]
+        omega = [[self._expr(e) for e in row] for row in _need(block, "omega", "transversal")]
         fab = {
             int(i): [[self._expr(e) for e in row] for row in mat]
             for i, mat in block.get("F_ab", {}).items()

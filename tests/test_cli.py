@@ -67,6 +67,8 @@ def test_validation_error_exit_code(tmp_path, capsys):
         ({"jacobi": {"p": [], "q": []}, "section": {"components": ["y_1"]}}, "mc"),
         # index 7 does not exist on the 2-dimensional chart
         ({"jacobi": {"p": [{"idx": [0, 7], "coef": "1"}], "q": []}}, "check-jacobi"),
+        # an index must be an integer
+        ({"jacobi": {"p": [{"idx": ["a", 1], "coef": "1"}], "q": []}}, "check-jacobi"),
     ]
     for blocks, task in cases:
         p = tmp_path / "bad.json"
@@ -74,6 +76,66 @@ def test_validation_error_exit_code(tmp_path, capsys):
         code, _, err = run_cli(["--scenario", str(p), "--task", task], capsys)
         assert code == 2, err
         assert len(err.splitlines()) == 1
+
+
+LCS_T2 = {
+    "schema": 1,
+    "chart": {"torus": ["ph_1", "ph_2"], "fiber": [], "leaf": []},
+    "lcs": {"omega": [{"idx": [0, 1], "coef": "1"}], "theta1": []},
+}
+
+
+def test_multibrackets_without_fiber(tmp_path, capsys):
+    p = tmp_path / "lcs.json"
+    p.write_text(json.dumps(LCS_T2))
+    code, out, err = run_cli(["--scenario", str(p), "--task", "multibrackets"], capsys)
+    assert code == 2 and out == ""
+    assert "fiber coordinate" in err and len(err.splitlines()) == 1
+
+
+def test_transversal_crosscheck_needs_two_fiber_coordinates(tmp_path, capsys):
+    data = {
+        "schema": 1,
+        "chart": {"torus": ["ph_1", "ph_2"], "fiber": ["y_1"], "leaf": []},
+        "jacobi": {"p": [], "q": []},
+        "transversal": {"frame_a": [{"ph_1": "1"}], "frame_z": {"ph_2": "1"}, "omega": [["1"]]},
+    }
+    p = tmp_path / "one_fiber.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run_cli(["--scenario", str(p), "--task", "transversal-crosscheck"], capsys)
+    assert code == 2 and out == ""
+    assert "two fiber coordinates" in err and len(err.splitlines()) == 1
+
+
+def _builtin_data(name):
+    import importlib.resources as resources
+
+    return json.loads(
+        resources.files("coiso").joinpath("scenarios", f"{name}.json").read_text("utf-8")
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, key, task",
+    [
+        ("contact", "theta", "check-jacobi"),
+        ("contact", "reeb", "check-jacobi"),
+        ("contact", "frame", "check-jacobi"),
+        ("lcs", "omega", "check-jacobi"),
+        ("section", "components", "mc"),
+        ("transversal", "frame_a", "transversal-crosscheck"),
+        ("transversal", "frame_z", "transversal-crosscheck"),
+        ("transversal", "omega", "transversal-crosscheck"),
+    ],
+)
+def test_missing_block_key(tmp_path, capsys, kind, key, task):
+    data = dict(LCS_T2) if kind == "lcs" else _builtin_data("torus-obstructed")
+    data[kind] = {k: v for k, v in data[kind].items() if k != key}
+    p = tmp_path / "missing.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run_cli(["--scenario", str(p), "--task", task], capsys)
+    assert code == 2 and out == ""
+    assert repr(key) in err and len(err.splitlines()) == 1
 
 
 def test_obstruction_is_success(capsys):

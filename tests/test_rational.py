@@ -1,0 +1,166 @@
+"""GaussianRational against a pair-of-Fractions oracle (hypothesis)."""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coiso.rational import HALF, I, ONE, ZERO, GaussianRational
+
+prop = settings(max_examples=200, deadline=None)
+
+fractions = st.builds(
+    Fraction, st.integers(-30, 30), st.sampled_from([1, 1, 2, 3, 4, 6, 9, 12])
+)
+pairs = st.tuples(fractions, fractions)
+rationals = st.one_of(st.integers(-30, 30), fractions)
+
+
+# -- the oracle: (re, im) pairs of Fractions ---------------------------------
+
+
+def o_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def o_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def o_pow(x, n):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        out = o_mul(out, x)
+    return o_div((Fraction(1), Fraction(0)), out) if n < 0 else out
+
+
+def gr(x):
+    # integer parts go in as ints, which the constructor takes without Fraction
+    return GaussianRational(*(v.numerator if v.denominator == 1 else v for v in x))
+
+
+def assert_is(z, x):
+    """z is canonical and equals the oracle pair x."""
+    a, b, d = z._a, z._b, z._d
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (z.re, z.im) == x
+
+
+# -- arithmetic ---------------------------------------------------------------
+
+
+@prop
+@given(pairs, pairs)
+def test_ring_operations(x, y):
+    assert_is(gr(x) + gr(y), (x[0] + y[0], x[1] + y[1]))
+    assert_is(gr(x) - gr(y), (x[0] - y[0], x[1] - y[1]))
+    assert_is(gr(x) * gr(y), o_mul(x, y))
+    assert_is(-gr(x), (-x[0], -x[1]))
+    assert_is(gr(x).conjugate(), (x[0], -x[1]))
+    if y != (0, 0):
+        assert_is(gr(x) / gr(y), o_div(x, y))
+
+
+@prop
+@given(pairs, rationals)
+def test_mixed_operands(x, r):
+    q = (Fraction(r), Fraction(0))
+    z = gr(x)
+    assert_is(z + r, (x[0] + r, x[1]))
+    assert_is(r + z, (x[0] + r, x[1]))
+    assert_is(z - r, (x[0] - r, x[1]))
+    assert_is(r - z, (r - x[0], -x[1]))
+    assert_is(z * r, o_mul(x, q))
+    assert_is(r * z, o_mul(x, q))
+    if r:
+        assert_is(z / r, o_div(x, q))
+    if x != (0, 0):
+        assert_is(r / z, o_div(q, x))
+
+
+@prop
+@given(pairs, st.integers(-5, 5))
+def test_powers(x, n):
+    if n < 0 and x == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            gr(x) ** n
+    else:
+        assert_is(gr(x) ** n, o_pow(x, n))
+
+
+@prop
+@given(pairs)
+def test_division_by_zero(x):
+    for zero in (ZERO, GaussianRational(0, 0), 0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            gr(x) / zero
+    with pytest.raises(ZeroDivisionError):
+        x[0] / ZERO
+
+
+# -- representation -----------------------------------------------------------
+
+
+@prop
+@given(pairs)
+def test_constructor_and_parts(x):
+    z = gr(x)
+    assert_is(z, x)
+    assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
+    assert gr((z.re, z.im)) == z
+    assert GaussianRational.of(z) is z
+    assert z.is_zero() == (x == (0, 0))
+    assert z.is_real() == (x[1] == 0)
+
+
+def test_zero_is_canonical():
+    for z in (ZERO, GaussianRational(), ONE - ONE, I * 0, HALF - HALF, GaussianRational(0, 0) / I):
+        assert (z._a, z._b, z._d) == (0, 0, 1)
+
+
+@prop
+@given(pairs, pairs)
+def test_equality_and_hash(x, y):
+    zx, zy = gr(x), gr(y)
+    assert (zx == zy) == (x == y)
+    assert (zx != zy) == (x != y)
+    # the same value reached two ways
+    w = zx * zy - zy * zx + zx
+    assert w == zx and hash(w) == hash(zx)
+
+
+@prop
+@given(rationals)
+def test_equality_with_rationals(r):
+    z = GaussianRational(r)
+    assert z == r and r == z
+    assert z == Fraction(r)
+    assert z + I != r
+    assert GaussianRational.of(r) == z
+    assert z != "r"
+
+
+def test_display_unchanged():
+    cases = [
+        (ZERO, "0", "GaussianRational(Fraction(0, 1), Fraction(0, 1))"),
+        (ONE, "1", "GaussianRational(Fraction(1, 1), Fraction(0, 1))"),
+        (HALF, "1/2", "GaussianRational(Fraction(1, 2), Fraction(0, 1))"),
+        (I, "1*i", "GaussianRational(Fraction(0, 1), Fraction(1, 1))"),
+        (-I / 2, "-1/2*i", "GaussianRational(Fraction(0, 1), Fraction(-1, 2))"),
+        (GaussianRational(3, -2), "3-2*i", "GaussianRational(Fraction(3, 1), Fraction(-2, 1))"),
+        (
+            GaussianRational(Fraction(-1, 3), Fraction(2, 3)),
+            "-1/3+2/3*i",
+            "GaussianRational(Fraction(-1, 3), Fraction(2, 3))",
+        ),
+        (
+            GaussianRational("5/4", Fraction(-7, 6)),
+            "5/4-7/6*i",
+            "GaussianRational(Fraction(5, 4), Fraction(-7, 6))",
+        ),
+    ]
+    for z, text, rep in cases:
+        assert str(z) == text
+        assert repr(z) == rep
