@@ -90,7 +90,9 @@ def sbso(bracket, homotopy, obstruction, filtration, qbar, N, max_steps=16):
     * filtration(x): the filtration degree of x (10^9 for 0).
     * qbar: the approximate MC element, N: the starting filtration level.
 
-    Returns (Q, corrections) with corrections the list of added Q_k.
+    Returns (Q, corrections) with corrections the list of added Q_k.  The
+    square of the applicability test is the first square of the loop, so
+    the bracket runs len(corrections) + 1 times.
     """
     sq = bracket(qbar, qbar)
     obs = obstruction(sq)
@@ -100,15 +102,17 @@ def sbso(bracket, homotopy, obstruction, filtration, qbar, N, max_steps=16):
         raise BFVError("[qbar, qbar] sits below the starting filtration level")
     q = qbar
     corrections = []
+    if sq.is_zero():
+        return q, corrections
     for _ in range(max_steps):
-        sq = bracket(q, q)
-        if sq.is_zero():
-            return q, corrections
         step = homotopy(sq).scale(Fraction(1, 2))
         if step.is_zero():
             raise BFVError("SBSO stalled: homotopy produced no correction")
         corrections.append(step)
         q = q + step
+        sq = bracket(q, q)
+        if sq.is_zero():
+            return q, corrections
     raise BFVError("SBSO failed to converge within the finite filtration")
 
 
@@ -154,9 +158,10 @@ class Lift:
     """The lifted graded Jacobi structure of an ungraded one.
 
     When the supplied connection passes the flatness morphism test, the
-    fast path J^ = G + i_nabla(J) applies and the SBSO adds no corrections;
-    otherwise the recursion deforms G + i_nabla(J) into an MC element along
-    the diagonal bidegree filtration."""
+    fast path J^ = G + i_nabla(J) applies: its square is checked to be zero
+    and no SBSO runs.  Otherwise the recursion deforms G + i_nabla(J) into
+    an MC element along the diagonal bidegree filtration.  Either way the
+    constructor raises unless [[J^, J^]] = 0."""
 
     def __init__(self, j: MultiDerivation, rank: int, connection: Connection | None = None):
         chart = j.chart
@@ -172,19 +177,11 @@ class Lift:
         self.flat = self._is_flat()
         qbar = self.G + self.c1.i_nabla(j)
         if self.flat:
-            self.j_hat = qbar
-            if not self.j_hat.bracket(self.j_hat).is_zero():
+            if not qbar.bracket(qbar).is_zero():
                 raise BFVError("flat lifting failed: [[J^, J^]] != 0")
-            self.corrections = self._run_sbso(qbar)
-            if self.corrections:
-                raise BFVError("flat lifting unexpectedly required corrections")
+            self.j_hat, self.corrections = qbar, []
         else:
-            self.corrections = self._run_sbso(qbar)
-            self.j_hat = qbar
-            for step in self.corrections:
-                self.j_hat = self.j_hat + step
-            if not self.j_hat.bracket(self.j_hat).is_zero():
-                raise BFVError("lifting failed: [[J^, J^]] != 0")
+            self.j_hat, self.corrections = self._run_sbso(qbar)
 
     def _is_flat(self) -> bool:
         """Flatness through the bracket-morphism test on the structure and
@@ -206,7 +203,7 @@ class Lift:
 
     def _run_sbso(self, qbar):
         zero = GradedElement.zero(self.chart, self.rank)
-        _, corrections = sbso(
+        return sbso(
             lambda a, b: a.bracket(b),
             self.c1.H,
             lambda x: zero if self.c1.p(x).is_zero() else x,
@@ -214,7 +211,6 @@ class Lift:
             qbar,
             0,
         )
-        return corrections
 
     def lifting_conditions_hold(self, samples):
         """pr(0,0) of the lifted bracket agrees with {-,-}_G on mixed
@@ -333,13 +329,12 @@ class PerturbedContraction:
                     raise BFVError("perturbed projection is not a chain map")
 
 
-def hpl_resolution(lift: Lift, omega_brst: GradedElement, sampler=None):
-    """Perturb the s = 0 contraction data by delta = d_BFV - d[0]; the
-    induced differential on the small side is the leafwise de Rham
-    differential m_1."""
+def hpl_resolution(lift: Lift, dop: GradedElement, sampler=None):
+    """Perturb the s = 0 contraction data by delta = d_BFV - d[0], for the
+    operator dop of d_bfv; the induced differential on the small side is
+    the leafwise de Rham differential m_1."""
     chart, rank = lift.chart, lift.rank
     c2 = ContractionTwo(chart, rank, SectionOfNormalBundle.zero(chart))
-    dop = d_bfv(lift, omega_brst)
     d0 = c2.d_s(lift.G)
 
     base = ContractionData(

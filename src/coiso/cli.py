@@ -7,12 +7,29 @@ Reports are deterministic: identical scenario and flags produce
 byte-identical JSON.  Exit codes: 0 all tasks succeeded (a *found*
 obstruction is a success), 1 usage or parse error, 2 validation error,
 3 internal invariant violation.
+
+Each task is one function in ``TASKS``.  Tasks draw on artifacts of the
+scenario, each built on first use and checked once as it is built:
+
+    J (is_jacobi) --> multibracket table          mc, kuranishi, prolong, ...
+      |
+      +--> Lift: J^ ([[J^, J^]] = 0) --> Omega_0 = BRST charge of the zero
+           section (SBSO applicability) --> d_BFV (d_BFV^2 = 0) --> HPL data
+
+Artifacts live on the ``Scenario`` object, so they last one ``main`` call
+and are never shared between calls.  A task's report does not depend on
+which other tasks ran before it.  ``Scenario.omega0`` keeps an
+ObstructionFailure, and ``run_task`` turns it into an ``exists: false``
+report.  The HPL data is built by each task that needs it (bfv-kuranishi
+without sampled axiom checks, hpl-resolve with them), and brst-charge
+computes the charge of the scenario's section (or the zero section) itself.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -20,25 +37,18 @@ from .ring import ChartError, ScalarFn
 from .expr import ExprError, scalar_to_json
 from .leafform import LeafForm, SectionOfNormalBundle
 from .geom import GeometryError, is_coisotropic_section
-from .linfty import (
-    DeformationError,
-    extract_multibrackets,
-    kuranishi,
-    mc_series,
-    prolong_formal,
-)
+from .linfty import DeformationError, kuranishi, mc_series, prolong_formal
 from .graded import GradedElement, GradedError, bidegree, jacobi_bracket, normalize, XI, XIS
 from .bfv import (
     BFVError,
-    Lift,
     ObstructionFailure,
     bfv_kuranishi,
     bfv_lift_cocycle,
     brst_charge,
-    d_bfv,
     hpl_resolution,
 )
 from .scenario import Scenario, ScenarioError, builtin_names, load_scenario
+from .transversal import TransversalError
 from .serialize import (
     graded_to_json,
     graded_to_text,
@@ -47,22 +57,6 @@ from .serialize import (
     multider_to_json,
     section_to_json,
 )
-
-TASKS = (
-    "check-jacobi",
-    "coisotropic",
-    "multibrackets",
-    "mc",
-    "kuranishi",
-    "prolong",
-    "transversal-crosscheck",
-    "bfv-lift",
-    "brst-charge",
-    "dbfv",
-    "bfv-kuranishi",
-    "hpl-resolve",
-)
-
 
 # tasks taking an optional positive integer: the highest multibracket order
 # and the prolongation order
@@ -89,232 +83,253 @@ def parse_task(spec: str):
 
 
 def run_task(scenario: Scenario, name: str, arg) -> dict:
-    chart = scenario.chart
+    """The report of one task.  A charge that does not exist (the section,
+    or for the d_BFV tasks the zero section, is not coisotropic) is a
+    report, not an error."""
+    try:
+        return TASKS[name](scenario, arg)
+    except ObstructionFailure as exc:
+        return {
+            "exists": False,
+            "failure": graded_to_json(exc.component),
+            "failure_text": graded_to_text(exc.component),
+        }
+
+
+def _check_jacobi(scenario, arg):
     j = scenario.jacobi()
+    return {
+        "jacobiator_zero": j.jacobiator().is_zero(),
+        "structure": multider_to_json(j),
+    }
 
-    if name == "check-jacobi":
-        jac = j.jacobiator()
-        return {
-            "jacobiator_zero": jac.is_zero(),
-            "structure": multider_to_json(j),
+
+def _coisotropic(scenario, arg):
+    s = _section_or_zero(scenario)
+    ok, residues = is_coisotropic_section(scenario.jacobi(), s)
+    return {
+        "section": section_to_json(s),
+        "coisotropic": ok,
+        "residues": [
+            {"pair": list(k), "value": scalar_to_json(v)}
+            for k, v in sorted(residues.items())
+        ],
+    }
+
+
+def _fiber_frame(chart):
+    """The leafwise 1-forms delta_a of the fiber directions."""
+    return [LeafForm(chart, 1, {(a,): ScalarFn.one(chart)}) for a in range(chart.m)]
+
+
+def _multibrackets(scenario, arg):
+    chart = scenario.chart
+    if not chart.m:
+        # the frame values m_k(delta, ...) cycle through the fiber frame
+        raise ScenarioError("needs at least one fiber coordinate, the chart has none")
+    table = scenario.table()
+    max_order = arg or max(table.series_bound(), 3)
+    out = {"series_bound": table.series_bound(), "orders": {}}
+    delta = _fiber_frame(chart)
+    out["generators"] = {"m1_on_normal_frame": [leafform_to_json(table.m([d])) for d in delta]}
+    for k in range(1, max_order + 1):
+        val = table.m([delta[i % chart.m] for i in range(k)])
+        out["orders"][str(k)] = {"frame_value": leafform_to_json(val), "zero": val.is_zero()}
+    return out
+
+
+def _mc(scenario, arg):
+    table = scenario.table()
+    s = scenario.section()
+    mc = mc_series(table, s)
+    return {"section": section_to_json(s), "mc": leafform_to_json(mc), "mc_zero": mc.is_zero()}
+
+
+def _kuranishi(scenario, arg):
+    table = scenario.table()
+    s = scenario.section()
+    kr, report = kuranishi(table, s)
+    return {
+        "section": section_to_json(s),
+        "class": leafform_to_json(kr),
+        "zero_mode": leafform_to_json(report.zero_mode),
+        "zero_mode_text": leafform_to_text(report.zero_mode),
+        "two_pi_power": report.two_pi_power,
+        "obstructed": not report.is_zero(),
+    }
+
+
+def _prolong(scenario, arg):
+    table = scenario.table()
+    s = scenario.section()
+    order = arg or scenario.formal_order()
+    history = []
+    result = prolong_formal(table, s, order, history=history)
+    orders = [
+        {
+            "order_k": h["order_k"],
+            "rhs": leafform_to_json(h["rhs"]),
+            "obstruction_zero_mode": leafform_to_json(h["obstruction_zero_mode"]),
+            "two_pi_power": h["two_pi_power"],
+            "solved": h["solved"],
         }
-
-    if name == "coisotropic":
-        s = _section_or_zero(scenario)
-        ok, residues = is_coisotropic_section(j, s)
+        for h in history
+    ]
+    if result[0] == "obstructed":
+        _, at, report = result
         return {
-            "section": section_to_json(s),
-            "coisotropic": ok,
-            "residues": [
-                {"pair": list(k), "value": scalar_to_json(v)}
-                for k, v in sorted(residues.items())
-            ],
-        }
-
-    if name == "multibrackets":
-        if not chart.m:
-            # the frame values m_k(delta, ...) cycle through the fiber frame
-            raise ScenarioError("needs at least one fiber coordinate, the chart has none")
-        table = extract_multibrackets(j)
-        max_order = arg or max(table.series_bound(), 3)
-        out = {"series_bound": table.series_bound(), "orders": {}}
-        delta = [LeafForm(chart, 1, {(a,): ScalarFn.one(chart)}) for a in range(chart.m)]
-        gens = {"m1_on_normal_frame": [leafform_to_json(table.m([d])) for d in delta]}
-        out["generators"] = gens
-        for k in range(1, max_order + 1):
-            args = [delta[i % chart.m] for i in range(k)]
-            val = table.m(args)
-            out["orders"][str(k)] = {
-                "frame_value": leafform_to_json(val),
-                "zero": val.is_zero(),
-            }
-        return out
-
-    if name == "mc":
-        table = extract_multibrackets(j)
-        s = scenario.section()
-        mc = mc_series(table, s)
-        return {
-            "section": section_to_json(s),
-            "mc": leafform_to_json(mc),
-            "mc_zero": mc.is_zero(),
-        }
-
-    if name == "kuranishi":
-        table = extract_multibrackets(j)
-        s = scenario.section()
-        kr, report = kuranishi(table, s)
-        return {
-            "section": section_to_json(s),
-            "class": leafform_to_json(kr),
-            "zero_mode": leafform_to_json(report.zero_mode),
-            "zero_mode_text": leafform_to_text(report.zero_mode),
+            "solved": False,
+            "order_k": at,
+            "obstruction_zero_mode": leafform_to_json(report.zero_mode),
             "two_pi_power": report.two_pi_power,
-            "obstructed": not report.is_zero(),
-        }
-
-    if name == "prolong":
-        table = extract_multibrackets(j)
-        s = scenario.section()
-        order = arg or scenario.formal_order()
-        history = []
-        result = prolong_formal(table, s, order, history=history)
-        orders = [
-            {
-                "order_k": h["order_k"],
-                "rhs": leafform_to_json(h["rhs"]),
-                "obstruction_zero_mode": leafform_to_json(h["obstruction_zero_mode"]),
-                "two_pi_power": h["two_pi_power"],
-                "solved": h["solved"],
-            }
-            for h in history
-        ]
-        if result[0] == "obstructed":
-            _, at, report = result
-            return {
-                "solved": False,
-                "order_k": at,
-                "obstruction_zero_mode": leafform_to_json(report.zero_mode),
-                "two_pi_power": report.two_pi_power,
-                "orders": orders,
-            }
-        _, deformation = result
-        return {
-            "solved": True,
-            "order_k": order,
-            "coefficients": [section_to_json(c) for c in deformation.coefficients],
             "orders": orders,
         }
+    _, deformation = result
+    return {
+        "solved": True,
+        "order_k": order,
+        "coefficients": [section_to_json(c) for c in deformation.coefficients],
+        "orders": orders,
+    }
 
-    if name == "transversal-crosscheck":
-        if chart.m < 2:
-            # the checks pair the first two fiber frame forms
-            raise ScenarioError(
-                f"needs at least two fiber coordinates, the chart has {chart.m}"
+
+def _transversal_crosscheck(scenario, arg):
+    chart = scenario.chart
+    if chart.m < 2:
+        # the checks pair the first two fiber frame forms
+        raise ScenarioError(f"needs at least two fiber coordinates, the chart has {chart.m}")
+    table = scenario.table()
+    td = scenario.transversal()
+    checks = []
+    delta = _fiber_frame(chart)
+    probes = [ScalarFn.one(chart)] + [ScalarFn.sin_phi(chart, c) for c in chart.torus]
+    agree = True
+
+    def check(label, lhs, rhs):
+        nonlocal agree
+        ok = lhs == rhs
+        agree &= ok
+        checks.append({"generators": label, "equal": ok})
+
+    for f in probes[:3]:
+        check("m1(f)", td.multibracket([("fn", f)]), table.m([LeafForm.function(f)]))
+        for g in probes[:3]:
+            check(
+                "m2(f,g)",
+                td.multibracket([("fn", f), ("fn", g)]),
+                table.m([LeafForm.function(f), LeafForm.function(g)]),
             )
-        table = extract_multibrackets(j)
-        td = scenario.transversal()
-        checks = []
-        delta = [LeafForm(chart, 1, {(a,): ScalarFn.one(chart)}) for a in range(chart.m)]
-        probes = [ScalarFn.one(chart)]
-        for c in chart.torus:
-            probes.append(ScalarFn.sin_phi(chart, c))
-        agree = True
-        for f in probes[:3]:
-            lhs = td.multibracket([("fn", f)])
-            rhs = table.m([LeafForm.function(f)])
-            ok = lhs == rhs
-            agree &= ok
-            checks.append({"generators": "m1(f)", "equal": ok})
-            for g in probes[:3]:
-                lhs = td.multibracket([("fn", f), ("fn", g)])
-                rhs = table.m([LeafForm.function(f), LeafForm.function(g)])
-                ok = lhs == rhs
-                agree &= ok
-                checks.append({"generators": "m2(f,g)", "equal": ok})
-            for i in range(chart.m):
-                lhs = td.multibracket([("fn", f), ("form", i)])
-                rhs = table.m([LeafForm.function(f), delta[i]])
-                ok = lhs == rhs
-                agree &= ok
-                checks.append({"generators": f"m2(f,frame_{i})", "equal": ok})
-        lhs = td.multibracket([("form", 0), ("form", 1)])
-        rhs = table.m([delta[0], delta[1]])
-        agree &= lhs == rhs
-        checks.append({"generators": "m2(frame_0,frame_1)", "equal": lhs == rhs})
-        higher_zero = all(
-            td.multibracket([("form", i % chart.m) for i in range(k)]).is_zero()
-            for k in (3, 4)
+        for i in range(chart.m):
+            check(
+                f"m2(f,frame_{i})",
+                td.multibracket([("fn", f), ("form", i)]),
+                table.m([LeafForm.function(f), delta[i]]),
+            )
+    check(
+        "m2(frame_0,frame_1)",
+        td.multibracket([("form", 0), ("form", 1)]),
+        table.m([delta[0], delta[1]]),
+    )
+    higher_zero = all(
+        td.multibracket([("form", i % chart.m) for i in range(k)]).is_zero() for k in (3, 4)
+    )
+    return {"generator_agreement": agree, "higher_brackets_zero": higher_zero, "checks": checks}
+
+
+def _bfv_lift(scenario, arg):
+    lift = scenario.lift()
+    by_k = {}
+    for letters, f in lift.j_hat.terms.items():
+        # J^_k sits in bidegree (k-1, k-1)
+        by_k.setdefault(str(bidegree(letters)[1] + 1), {})[letters] = f
+    return {
+        "corrections_added": len(lift.corrections),
+        "equals_G_plus_inabla": (lift.j_hat - lift.G - lift.c1.i_nabla(lift.j)).is_zero(),
+        "mc": True,  # Lift raises unless [[J^, J^]] = 0
+        "components_by_k": {
+            k: graded_to_json(GradedElement(lift.chart, lift.rank, t))
+            for k, t in sorted(by_k.items())
+        },
+    }
+
+
+def _brst_charge(scenario, arg):
+    lift = scenario.lift()
+    omega, corrections = brst_charge(lift, _section_or_zero(scenario))
+    by_antighost = {}
+    for letters, f in omega.terms.items():
+        k = sum(1 for l in letters if l[0] == XIS)
+        by_antighost.setdefault(str(k), {})[letters] = f
+    return {
+        "exists": True,
+        "converged_at": len(corrections),
+        "components_by_antighost": {
+            k: graded_to_json(GradedElement(lift.chart, lift.rank, t))
+            for k, t in sorted(by_antighost.items())
+        },
+        "mc": jacobi_bracket(lift.j_hat, omega, omega).is_zero(),
+    }
+
+
+def _dbfv(scenario, arg):
+    dop = scenario.dbfv()
+    return {
+        "square_zero": True,  # d_bfv raises unless d_BFV^2 = 0
+        "operator": graded_to_json(dop),
+        "operator_text": graded_to_text(dop),
+    }
+
+
+def _bfv_kuranishi(scenario, arg):
+    lift = scenario.lift()
+    dop = scenario.dbfv()
+    pert = hpl_resolution(lift, dop)
+    nu = bfv_lift_cocycle(lift, pert, scenario.section())
+    kr, zero_mode, power = bfv_kuranishi(lift, dop, nu)
+    return {
+        "cocycle": graded_to_json(nu),
+        "class": graded_to_json(kr),
+        "zero_mode": graded_to_json(zero_mode),
+        "zero_mode_text": graded_to_text(zero_mode),
+        "two_pi_power": power,
+        "obstructed": not zero_mode.is_zero(),
+    }
+
+
+def _hpl_resolve(scenario, arg):
+    lift = scenario.lift()
+    chart, rank = lift.chart, lift.rank
+    dop = scenario.dbfv()
+    rng = random.Random(0)
+    pert = hpl_resolution(lift, dop, sampler=lambda: _random_graded_section(chart, rank, rng))
+    table = scenario.table()
+    agree = True
+    for c in chart.torus[:3]:
+        f = ScalarFn.sin_phi(chart, c)
+        out = pert.small_differential(GradedElement.section(chart, rank, f))
+        m1 = table.m1(LeafForm.function(f))
+        expected = GradedElement(
+            chart, rank, {((XI, a),): coeff for (a,), coeff in m1.terms.items()}
         )
-        return {"generator_agreement": agree, "higher_brackets_zero": higher_zero, "checks": checks}
+        agree &= (out - expected).is_zero()
+    return {"axioms_hold": True, "induced_differential_is_m1": agree}
 
-    # bfv family
-    rank = scenario.ghost_rank()
-    lift = Lift(j, rank)
 
-    if name == "bfv-lift":
-        by_k = {}
-        for letters, f in lift.j_hat.terms.items():
-            # J^_k sits in bidegree (k-1, k-1)
-            by_k.setdefault(str(bidegree(letters)[1] + 1), {})[letters] = f
-        return {
-            "corrections_added": len(lift.corrections),
-            "equals_G_plus_inabla": (lift.j_hat - lift.G - lift.c1.i_nabla(j)).is_zero(),
-            "mc": lift.j_hat.bracket(lift.j_hat).is_zero(),
-            "components_by_k": {
-                k: graded_to_json(GradedElement(chart, rank, t)) for k, t in sorted(by_k.items())
-            },
-        }
-
-    if name == "brst-charge":
-        s = _section_or_zero(scenario)
-        try:
-            omega, corrections = brst_charge(lift, s)
-        except ObstructionFailure as exc:
-            return {
-                "exists": False,
-                "failure": graded_to_json(exc.component),
-                "failure_text": graded_to_text(exc.component),
-            }
-        by_antighost = {}
-        for letters, f in omega.terms.items():
-            k = sum(1 for l in letters if l[0] == XIS)
-            by_antighost.setdefault(str(k), {})[letters] = f
-        return {
-            "exists": True,
-            "converged_at": len(corrections),
-            "components_by_antighost": {
-                k: graded_to_json(GradedElement(chart, rank, t))
-                for k, t in sorted(by_antighost.items())
-            },
-            "mc": jacobi_bracket(lift.j_hat, omega, omega).is_zero(),
-        }
-
-    if name == "dbfv":
-        omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
-        dop = d_bfv(lift, omega)
-        return {
-            "square_zero": dop.bracket(dop).is_zero(),
-            "operator": graded_to_json(dop),
-            "operator_text": graded_to_text(dop),
-        }
-
-    if name == "bfv-kuranishi":
-        omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
-        dop = d_bfv(lift, omega)
-        pert = hpl_resolution(lift, omega)
-        s = scenario.section()
-        nu = bfv_lift_cocycle(lift, pert, s)
-        kr, zero_mode, power = bfv_kuranishi(lift, dop, nu)
-        return {
-            "cocycle": graded_to_json(nu),
-            "class": graded_to_json(kr),
-            "zero_mode": graded_to_json(zero_mode),
-            "zero_mode_text": graded_to_text(zero_mode),
-            "two_pi_power": power,
-            "obstructed": not zero_mode.is_zero(),
-        }
-
-    if name == "hpl-resolve":
-        omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
-        import random
-
-        rng = random.Random(0)
-        sampler = lambda: _random_graded_section(chart, rank, rng)
-        pert = hpl_resolution(lift, omega, sampler=sampler)
-        table = extract_multibrackets(j)
-        agree = True
-        for c in chart.torus[:3]:
-            f = ScalarFn.sin_phi(chart, c)
-            out = pert.small_differential(GradedElement.section(chart, rank, f))
-            m1 = table.m1(LeafForm.function(f))
-            expected = GradedElement(
-                chart, rank, {((XI, a),): coeff for (a,), coeff in m1.terms.items()}
-            )
-            agree &= (out - expected).is_zero()
-        return {"axioms_hold": True, "induced_differential_is_m1": agree}
-
-    raise TaskError(f"unknown task {name!r}")
+# task name -> task(scenario, argument or None) -> report; the order of --help
+TASKS = {
+    "check-jacobi": _check_jacobi,
+    "coisotropic": _coisotropic,
+    "multibrackets": _multibrackets,
+    "mc": _mc,
+    "kuranishi": _kuranishi,
+    "prolong": _prolong,
+    "transversal-crosscheck": _transversal_crosscheck,
+    "bfv-lift": _bfv_lift,
+    "brst-charge": _brst_charge,
+    "dbfv": _dbfv,
+    "bfv-kuranishi": _bfv_kuranishi,
+    "hpl-resolve": _hpl_resolve,
+}
 
 
 def _section_or_zero(scenario: Scenario) -> SectionOfNormalBundle:
@@ -432,7 +447,7 @@ def main(argv=None) -> int:
         try:
             report["tasks"][name] = run_task(scenario, name, arg)
         except (ScenarioError, ChartError, ExprError, GeometryError, DeformationError,
-                GradedError, BFVError) as exc:
+                GradedError, BFVError, TransversalError) as exc:
             sys.stderr.write(f"coiso: task {name}: {exc}\n")
             return 2
         except AssertionError as exc:  # pragma: no cover

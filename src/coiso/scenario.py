@@ -3,6 +3,11 @@
 A scenario carries one chart, exactly one structure block (jacobi | contact
 | lcs | jet | transversal may accompany any of them), and optional section
 / formal / bfv blocks.  All coefficient expressions use the ring grammar.
+
+A ``Scenario`` also holds the artifacts its tasks share (the Jacobi
+structure, the transversal data, the multibracket table, the lift, the
+BRST charge of the zero section and d_BFV), each built on first use and
+kept for the life of the object.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from .multivector import MultiVectorField
 from .multider import MultiDerivation
 from .leafform import SectionOfNormalBundle
 from .geom import ContactChart, Form, contact_to_jacobi, fiberwise_linear_jacobi, lcs_to_jacobi
+from .linfty import MultibracketTable, extract_multibrackets
+from .bfv import Lift, ObstructionFailure, brst_charge, d_bfv
 from .transversal import TransversalData
 
 
@@ -22,11 +29,20 @@ class ScenarioError(ValueError):
     pass
 
 
-def _need(block, key, where):
-    """block[key] of a required key; a ScenarioError naming it if missing."""
+def _need(block, key, where, kind=object):
+    """block[key] of a required key; a ScenarioError naming it if it is
+    missing or not of the given kind (dict for a JSON object, or list)."""
     if not isinstance(block, dict) or key not in block:
         raise ScenarioError(f"{where} block needs the key {key!r}")
-    return block[key]
+    return _typed(block[key], kind, key, where)
+
+
+def _typed(value, kind, key, where):
+    """value, or a ScenarioError naming key if it is not of the given kind."""
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a list"
+        raise ScenarioError(f"{where} {key!r} must be {noun}, not {type(value).__name__}")
+    return value
 
 
 class Scenario:
@@ -50,8 +66,21 @@ class Scenario:
             raise ScenarioError("scenario needs exactly one structure block")
         self.structure_kind = structures[0]
         self.data = data
-        self._jacobi = None
-        self._transversal = None
+        self._built = {}  # artifact name -> value, or the ObstructionFailure it raised
+
+    def _once(self, name, build):
+        """The artifact called name, built by build() on its first use.  An
+        ObstructionFailure is a result, kept and raised again on every use;
+        any other error is raised and nothing is kept."""
+        if name not in self._built:
+            try:
+                self._built[name] = build()
+            except ObstructionFailure as exc:
+                self._built[name] = exc
+        value = self._built[name]
+        if isinstance(value, ObstructionFailure):
+            raise value
+        return value
 
     # -- parsing helpers ----------------------------------------------------
 
@@ -61,10 +90,11 @@ class Scenario:
         except ExprError as exc:
             raise ScenarioError(f"bad expression {text!r}: {exc}") from None
 
+    def _components(self, comps: dict) -> dict:
+        return {name: self._expr(e) for name, e in comps.items()}
+
     def _vector(self, comps: dict) -> MultiVectorField:
-        return MultiVectorField.vector(
-            self.chart, {name: self._expr(e) for name, e in comps.items()}
-        )
+        return MultiVectorField.vector(self.chart, self._components(comps))
 
     def _skew_terms(self, items, where) -> dict:
         """{idx: coefficient} of a list of {"idx": [...], "coef": expr} items."""
@@ -82,8 +112,9 @@ class Scenario:
     # -- structure --------------------------------------------------------------
 
     def jacobi(self) -> MultiDerivation:
-        if self._jacobi is not None:
-            return self._jacobi
+        return self._once("jacobi", self._build_jacobi)
+
+    def _build_jacobi(self) -> MultiDerivation:
         kind = self.structure_kind
         block = self.data[kind]
         if kind == "jacobi":
@@ -91,9 +122,12 @@ class Scenario:
             q = self._mvf(block.get("q", []), 1)
             j = MultiDerivation(p, q)
         elif kind == "contact":
-            theta = {name: self._expr(e) for name, e in _need(block, "theta", kind).items()}
-            reeb = self._vector(_need(block, "reeb", kind))
-            frame = [self._vector(v) for v in _need(block, "frame", kind)]
+            theta = self._components(_need(block, "theta", kind, dict))
+            reeb = self._vector(_need(block, "reeb", kind, dict))
+            frame = [
+                self._vector(_typed(v, dict, "frame", kind))
+                for v in _need(block, "frame", kind, list)
+            ]
             j = contact_to_jacobi(ContactChart(self.chart, theta, reeb, frame))
         elif kind == "lcs":
             omega = Form(self.chart, 2, self._skew_terms(_need(block, "omega", kind), kind))
@@ -103,7 +137,6 @@ class Scenario:
             j = fiberwise_linear_jacobi(self.chart)
         else:  # pragma: no cover
             raise ScenarioError(f"unknown structure {kind}")
-        self._jacobi = j
         return j
 
     def section(self) -> SectionOfNormalBundle:
@@ -121,13 +154,17 @@ class Scenario:
         return int(block.get("order", 3))
 
     def transversal(self) -> TransversalData:
-        if self._transversal is not None:
-            return self._transversal
+        return self._once("transversal", self._build_transversal)
+
+    def _build_transversal(self) -> TransversalData:
         block = self.data.get("transversal")
         if block is None:
             raise ScenarioError("scenario has no transversal block")
-        ga = [self._vector(v) for v in _need(block, "frame_a", "transversal")]
-        gz = self._vector(_need(block, "frame_z", "transversal"))
+        ga = [
+            self._vector(_typed(v, dict, "frame_a", "transversal"))
+            for v in _need(block, "frame_a", "transversal", list)
+        ]
+        gz = self._vector(_need(block, "frame_z", "transversal", dict))
         C = [self._expr(e) for e in block.get("C", ["0"] * len(ga))]
         omega = [[self._expr(e) for e in row] for row in _need(block, "omega", "transversal")]
         fab = {
@@ -138,11 +175,28 @@ class Scenario:
             int(i): [self._expr(e) for e in vec]
             for i, vec in block.get("F_a", {}).items()
         }
-        self._transversal = TransversalData(self.chart, ga, gz, C, omega, fab, fa)
-        return self._transversal
+        return TransversalData(self.chart, ga, gz, C, omega, fab, fa)
 
     def ghost_rank(self) -> int:
         return self.chart.m
+
+    # -- shared artifacts: J -> table, J -> Lift -> Omega_0 -> d_BFV ------------
+
+    def table(self) -> MultibracketTable:
+        return self._once("table", lambda: extract_multibrackets(self.jacobi()))
+
+    def lift(self) -> Lift:
+        return self._once("lift", lambda: Lift(self.jacobi(), self.ghost_rank()))
+
+    def omega0(self):
+        """(Omega_BRST, corrections) of the zero section; raises the
+        ObstructionFailure of a zero section that is not coisotropic."""
+        zero = SectionOfNormalBundle.zero
+        return self._once("omega0", lambda: brst_charge(self.lift(), zero(self.chart)))
+
+    def dbfv(self):
+        """d_BFV of Omega_0, its square checked to be zero."""
+        return self._once("dbfv", lambda: d_bfv(self.lift(), self.omega0()[0]))
 
 
 def load_scenario(path_or_name: str):

@@ -311,7 +311,7 @@ def test_criterion_08_bfv_layer(chart, J, lift):
         ).scale(2)
         assert (res - GradedElement(chart, RANK, {((XI, 0), (XI, 1)): coeff})).is_zero()
     # BFV Kuranishi of the lifted obstructed section
-    pert = hpl_resolution(lift, omega)
+    pert = hpl_resolution(lift, dop)
     f = ScalarFn.cos_phi(chart, "ph_4")
     g = ScalarFn.sin_phi(chart, "ph_4")
     nu = bfv_lift_cocycle(lift, pert, SectionOfNormalBundle(chart, [f, g]))
@@ -348,7 +348,8 @@ def test_criterion_09_hpl_resolution(chart, J, lift):
         return GradedElement(chart, RANK, terms)
 
     omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
-    pert = hpl_resolution(lift, omega, sampler=None)
+    dop = d_bfv(lift, omega)
+    pert = hpl_resolution(lift, dop, sampler=None)
     table = extract_multibrackets(J)
     # induced differential = m_1 on generators
     for _ in range(6):

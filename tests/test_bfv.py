@@ -35,6 +35,7 @@ from coiso.bfv import (
     exp_ad,
     geometric_mc_zero_locus,
     hpl_resolution,
+    sbso,
     sbso_gauge,
 )
 
@@ -159,6 +160,42 @@ def test_brst_charge_with_genuine_corrections(lift, chart):
         new_level = defect.antighost_filtration()
         assert new_level > level
         level = new_level
+
+
+def test_sbso_squares_once_per_step(lift, chart):
+    """The applicability square is the first square of the loop: the
+    bracket runs once per correction and once more for the zero square."""
+    s = SectionOfNormalBundle(chart, [ScalarFn.zero(chart), ScalarFn.sin_phi(chart, "ph_4")])
+    c2 = ContractionTwo(chart, RANK, s)
+    calls = []
+
+    def bracket(a, b):
+        calls.append((a, b))
+        return jacobi_bracket(lift.j_hat, a, b)
+
+    args = (bracket, c2.h, c2.wp, lambda x: x.antighost_filtration(), c2.omega_E(), -1)
+    q, corrections = sbso(*args)
+    assert corrections and len(calls) == len(corrections) + 1
+    assert jacobi_bracket(lift.j_hat, q, q).is_zero() and q == brst_charge(lift, s)[0]
+    # the square after the last allowed correction is checked, not dropped
+    assert sbso(*args, max_steps=len(corrections)) == (q, corrections)
+    with pytest.raises(BFVError, match="failed to converge"):
+        sbso(*args, max_steps=len(corrections) - 1)
+
+
+def test_flat_lift_squares_once(chart, monkeypatch):
+    pairs = []
+    original = GradedElement.bracket
+
+    def bracket(a, b):
+        pairs.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(GradedElement, "bracket", bracket)
+    lifted = Lift(torus_jacobi(chart), RANK)
+    monkeypatch.undo()
+    assert lifted.flat and lifted.corrections == []
+    assert sum(a == lifted.j_hat and b == lifted.j_hat for a, b in pairs) == 1
 
 
 def test_lift_with_nonflat_connection(chart):
@@ -294,8 +331,9 @@ def test_dbfv_action_on_degree_one(lift, chart):
 def test_hpl_resolution(lift, chart):
     rng = random.Random(5)
     omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
+    dop = d_bfv(lift, omega)
     sampler = lambda: rand_graded_section(chart, rng)
-    pert = hpl_resolution(lift, omega, sampler=sampler)
+    pert = hpl_resolution(lift, dop, sampler=sampler)
     # induced differential on base ghost words = m_1 under xi^a <-> dF_ph_a
     table = extract_multibrackets(lift.j)
     for _ in range(6):
@@ -324,7 +362,7 @@ def test_bfv_kuranishi_obstructed_example(lift, chart):
     rng = random.Random(6)
     omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
     dop = d_bfv(lift, omega)
-    pert = hpl_resolution(lift, omega, sampler=lambda: rand_graded_section(chart, rng))
+    pert = hpl_resolution(lift, dop, sampler=lambda: rand_graded_section(chart, rng))
     X, Y = fields_XY(chart)
     f = ScalarFn.cos_phi(chart, "ph_4")
     g = ScalarFn.sin_phi(chart, "ph_4")
@@ -395,7 +433,7 @@ def test_wp0_intertwines_reduced_bracket(lift, chart):
 
     omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
     dop = d_bfv(lift, omega)
-    pert = hpl_resolution(lift, omega)
+    pert = hpl_resolution(lift, dop)
     c2 = ContractionTwo(chart, RANK, SectionOfNormalBundle.zero(chart))
     table = extract_multibrackets(lift.j)
     cases = [

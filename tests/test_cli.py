@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -62,7 +63,7 @@ def test_missing_scenario(capsys):
 
 def test_validation_error_exit_code(tmp_path, capsys):
     chart = {"torus": ["ph_1"], "fiber": ["y_1"], "leaf": ["ph_1"]}
-    cases = [
+    small = [
         # section components must be base-only
         ({"jacobi": {"p": [], "q": []}, "section": {"components": ["y_1"]}}, "mc"),
         # index 7 does not exist on the 2-dimensional chart
@@ -70,9 +71,14 @@ def test_validation_error_exit_code(tmp_path, capsys):
         # an index must be an integer
         ({"jacobi": {"p": [{"idx": ["a", 1], "coef": "1"}], "q": []}}, "check-jacobi"),
     ]
-    for blocks, task in cases:
+    cases = [({"schema": 1, "chart": chart, **blocks}, task) for blocks, task in small]
+    # one C entry per frame_a field: two C entries, one field
+    cut = _builtin_data("torus-obstructed")
+    cut["transversal"]["frame_a"] = cut["transversal"]["frame_a"][:1]
+    cases.append((cut, "transversal-crosscheck"))
+    for data, task in cases:
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"schema": 1, "chart": chart, **blocks}))
+        p.write_text(json.dumps(data))
         code, _, err = run_cli(["--scenario", str(p), "--task", task], capsys)
         assert code == 2, err
         assert len(err.splitlines()) == 1
@@ -115,27 +121,69 @@ def _builtin_data(name):
     )
 
 
+MISSING = object()
+
+
+def _block_key_case(kind, key, task, value=MISSING, label=""):
+    """A case deleting block[key], or setting it to value described by label."""
+    shown = f"-{label}" if label else ""
+    return pytest.param(kind, key, task, value, id=f"{kind}-{key}{shown}-{task}")
+
+
 @pytest.mark.parametrize(
-    "kind, key, task",
+    "kind, key, task, value",
     [
-        ("contact", "theta", "check-jacobi"),
-        ("contact", "reeb", "check-jacobi"),
-        ("contact", "frame", "check-jacobi"),
-        ("lcs", "omega", "check-jacobi"),
-        ("section", "components", "mc"),
-        ("transversal", "frame_a", "transversal-crosscheck"),
-        ("transversal", "frame_z", "transversal-crosscheck"),
-        ("transversal", "omega", "transversal-crosscheck"),
+        _block_key_case("contact", "theta", "check-jacobi"),
+        _block_key_case("contact", "reeb", "check-jacobi"),
+        _block_key_case("contact", "frame", "check-jacobi"),
+        _block_key_case("lcs", "omega", "check-jacobi"),
+        _block_key_case("section", "components", "mc"),
+        _block_key_case("transversal", "frame_a", "transversal-crosscheck"),
+        _block_key_case("transversal", "frame_z", "transversal-crosscheck"),
+        _block_key_case("transversal", "omega", "transversal-crosscheck"),
+        # present, but not an object (or a list of objects)
+        _block_key_case("contact", "theta", "check-jacobi", [1], "list"),
+        _block_key_case("contact", "reeb", "check-jacobi", "1", "string"),
+        _block_key_case("contact", "frame", "check-jacobi", {"ph_1": "1"}, "object"),
+        _block_key_case("contact", "frame", "check-jacobi", [[1]], "list-entry"),
+        _block_key_case("transversal", "frame_a", "transversal-crosscheck", [["1"]], "list-entry"),
+        _block_key_case("transversal", "frame_z", "transversal-crosscheck", ["1"], "list"),
     ],
 )
-def test_missing_block_key(tmp_path, capsys, kind, key, task):
+def test_missing_block_key(tmp_path, capsys, kind, key, task, value):
     data = dict(LCS_T2) if kind == "lcs" else _builtin_data("torus-obstructed")
     data[kind] = {k: v for k, v in data[kind].items() if k != key}
+    if value is not MISSING:
+        data[kind][key] = value
     p = tmp_path / "missing.json"
     p.write_text(json.dumps(data))
     code, out, err = run_cli(["--scenario", str(p), "--task", task], capsys)
     assert code == 2 and out == ""
     assert repr(key) in err and len(err.splitlines()) == 1
+
+
+# the zero section of T^1 x R^2 under J = d_y1 ^ d_y2 is not coisotropic
+OBSTRUCTED_ZERO = {
+    "schema": 1,
+    "chart": {"torus": ["ph_1"], "fiber": ["y_1", "y_2"], "leaf": ["ph_1"]},
+    "jacobi": {"p": [{"idx": [1, 2], "coef": "1"}], "q": []},
+}
+
+
+def test_obstructed_zero_section_is_a_report(tmp_path, capsys):
+    """Without a BRST charge of the zero section, the tasks built on it
+    report the failure as brst-charge does, and exit 0."""
+    p = tmp_path / "obstructed.json"
+    p.write_text(json.dumps(OBSTRUCTED_ZERO))
+    tasks = ["brst-charge", "dbfv", "bfv-kuranishi", "hpl-resolve"]
+    code, out, err = run_cli(
+        ["--scenario", str(p)] + [a for t in tasks for a in ("--task", t)], capsys
+    )
+    assert code == 0 and err == ""
+    reports = json.loads(out)["tasks"]
+    failure = reports["brst-charge"]
+    assert failure["exists"] is False and failure["failure_text"]
+    assert all(reports[t] == failure for t in tasks)
 
 
 def test_obstruction_is_success(capsys):
@@ -242,3 +290,72 @@ def test_scenario_file_loading(tmp_path):
     assert sc.name == "mini"
     j = sc.jacobi()
     assert j.is_jacobi()
+
+
+def _job_args(scenario, tasks):
+    return ["--scenario", scenario, "--format", "json"] + [a for t in tasks for a in ("--task", t)]
+
+
+def _count_calls(monkeypatch, counts):
+    """Count into counts the Lift and MultibracketTable builds and the
+    d_bfv, hpl_resolution and HPL axiom-sample calls, wherever made."""
+    import coiso.bfv
+    import coiso.cli
+    import coiso.linfty
+
+    def wrap(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+        return original, counted
+
+    wrap(coiso.bfv.Lift, "__init__", "lift")
+    wrap(coiso.linfty.MultibracketTable, "__init__", "table")
+    wrap(coiso.cli, "_random_graded_section", "axiom_samples")
+    for name, key in (("d_bfv", "d_bfv"), ("hpl_resolution", "hpl")):
+        original, counted = wrap(coiso.bfv, name, key)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("coiso.") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+
+
+def test_job_builds_each_artifact_once(monkeypatch, capsys):
+    counts = Counter()
+    _count_calls(monkeypatch, counts)
+    code, _, err = run_cli(_job_args("torus-obstructed", TASKS), capsys)
+    assert code == 0, err
+    # bfv-kuranishi and hpl-resolve each build their own HPL data; only
+    # hpl-resolve samples its contraction axioms (6 base + 6 perturbed)
+    assert counts == {"lift": 1, "table": 1, "d_bfv": 1, "hpl": 2, "axiom_samples": 12}
+
+
+# the tasks each built-in scenario can run (legendrian-jet has no section
+# and no transversal block)
+BUILTIN_JOBS = {
+    "torus-obstructed": list(TASKS),
+    "legendrian-jet": [
+        "check-jacobi", "coisotropic", "multibrackets", "bfv-lift", "brst-charge", "dbfv",
+        "hpl-resolve",
+    ],
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(BUILTIN_JOBS))
+def test_task_report_independent_of_job(capsys, scenario):
+    """A task's report is the same alone, in the job, and in the job run
+    backwards: no shared artifact depends on which task built it."""
+    tasks = BUILTIN_JOBS[scenario]
+    code, out, err = run_cli(_job_args(scenario, tasks), capsys)
+    assert code == 0, err
+    job = json.loads(out)["tasks"]
+    code, out, err = run_cli(_job_args(scenario, tasks[::-1]), capsys)
+    assert code == 0, err
+    assert json.loads(out)["tasks"] == job
+    for task in tasks:
+        code, out, err = run_cli(_job_args(scenario, [task]), capsys)
+        assert code == 0, err
+        assert json.loads(out)["tasks"] == {task: job[task]}, task
