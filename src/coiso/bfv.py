@@ -46,19 +46,23 @@ class ObstructionFailure(Exception):
 
 def check_contraction_axioms(data, x, label):
     """q j = id, [d, h] = j q - id, h^2 = h j = q h = 0 on the sample x for
-    data with projection q, immersion j, homotopy h and differential d."""
+    data with projection q, immersion j, homotopy h and differential d.
+    Computes h(x), q(x) and j(q(x)) once each; returns q(x)."""
     q, j, h, d = data.projection, data.immersion, data.homotopy, data.differential
-    if not ((d(h(x)) + h(d(x))) - (j(q(x)) - x)).is_zero():
-        raise BFVError(f"{label} violate [d, h] = j q - id")
-    if not h(h(x)).is_zero():
-        raise BFVError(f"{label} violate h^2 = 0")
-    if not q(h(x)).is_zero():
-        raise BFVError(f"{label} violate q h = 0")
+    hx = h(x)
     small = q(x)
-    if not (q(j(small)) - small).is_zero():
+    jq = j(small)
+    if not ((d(hx) + h(d(x))) - (jq - x)).is_zero():
+        raise BFVError(f"{label} violate [d, h] = j q - id")
+    if not h(hx).is_zero():
+        raise BFVError(f"{label} violate h^2 = 0")
+    if not q(hx).is_zero():
+        raise BFVError(f"{label} violate q h = 0")
+    if not (q(jq) - small).is_zero():
         raise BFVError(f"{label} violate q j = id")
-    if not h(j(small)).is_zero():
+    if not h(jq).is_zero():
         raise BFVError(f"{label} violate h j = 0")
+    return small
 
 
 class ContractionData:
@@ -193,9 +197,10 @@ class Lift:
             probes.append(
                 MultiDerivation(MultiVectorField.basis_vector(self.chart, self.chart.coords[i]))
             )
-        for a in probes:
-            for b in probes:
-                lhs = self.c1.i_nabla(a).bracket(self.c1.i_nabla(b))
+        images = [self.c1.i_nabla(a) for a in probes]
+        for a, ia in zip(probes, images):
+            for b, ib in zip(probes, images):
+                lhs = ia.bracket(ib)
                 rhs = self.c1.i_nabla(a.sj_bracket(b))
                 if not (lhs - rhs).is_zero():
                     return False
@@ -321,10 +326,9 @@ class PerturbedContraction:
         if sampler is not None:
             for _ in range(checks):
                 x = sampler()
-                check_contraction_axioms(self, x, "perturbed data")
+                qx = check_contraction_axioms(self, x, "perturbed data")
                 if not (
-                    self.projection(self.differential(x))
-                    - self.small_differential(self.projection(x))
+                    self.projection(self.differential(x)) - self.small_differential(qx)
                 ).is_zero():
                     raise BFVError("perturbed projection is not a chain map")
 
@@ -344,8 +348,8 @@ def hpl_resolution(lift: Lift, dop: GradedElement, sampler=None):
         differential=lambda x: d0.insert(x),
         sampler=sampler,
     )
-    delta = lambda x: dop.insert(x) - d0.insert(x)
-    return PerturbedContraction(base, delta, sampler=sampler)
+    # insertion is linear in the operator: delta(x) = dop(x) - d0(x)
+    return PerturbedContraction(base, (dop - d0).insert, sampler=sampler)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import Chart, ScalarFn, SparseTerms, TPoly, accumulate
+from .ring import Chart, ScalarFn, SparseTerms, accumulate
 from .multivector import MultiVectorField
 from .multider import MultiDerivation
 from .leafform import SectionOfNormalBundle
@@ -64,30 +64,51 @@ def is_symbol(letter) -> bool:
     return letter[0] in _SYMBOL_KINDS
 
 
-def normalize(letters):
-    """Sort a letter tuple into canonical order, counting graded
-    transpositions; returns (sign, tuple) with sign 0 when an odd letter
-    repeats."""
-    letters = list(letters)
-    sign = 1
-    n = len(letters)
-    for i in range(1, n):
-        j = i
-        while j > 0 and _key(letters[j - 1]) > _key(letters[j]):
-            if (letter_degree(letters[j - 1]) % 2) and (letter_degree(letters[j]) % 2):
-                sign = -sign
-            letters[j - 1], letters[j] = letters[j], letters[j - 1]
-            j -= 1
-    for i in range(1, n):
-        if letters[i - 1] == letters[i] and letter_degree(letters[i]) % 2:
-            return 0, tuple(letters)
-    return sign, tuple(letters)
+# letter -> (sort key, parity, letter), filled on first sight of a letter;
+# bounded by the alphabet (letter kinds x indices, and the PAIR composites
+# of two symbols)
+_LETTERS = {}
+
+
+def _tabulate(letter):
+    entry = _LETTERS[letter] = (_key(letter), letter_degree(letter) % 2, letter)
+    return entry
+
+
+def _sort_key(letter):
+    return (_LETTERS.get(letter) or _tabulate(letter))[0]
 
 
 def _key(letter):
     return (_ORDER[letter[0]],) + tuple(
         x if isinstance(x, int) else str(x) for x in letter[1:]
     )
+
+
+def normalize(letters):
+    """Sort a letter tuple into canonical order, counting graded
+    transpositions; returns (sign, tuple) with sign 0 when an odd letter
+    repeats.  Each letter's sort key and parity is read once, from
+    _LETTERS."""
+    get = _LETTERS.get
+    entries = [get(l) or _tabulate(l) for l in letters]
+    sign = 1
+    n = len(entries)
+    for i in range(1, n):
+        cur = entries[i]
+        key, odd = cur[0], cur[1]
+        j = i
+        while j > 0 and entries[j - 1][0] > key:
+            if odd and entries[j - 1][1]:
+                sign = -sign
+            entries[j] = entries[j - 1]
+            j -= 1
+        entries[j] = cur
+    out = tuple(e[2] for e in entries)
+    for i in range(1, n):
+        if entries[i][1] and out[i - 1] == out[i]:
+            return 0, out
+    return sign, out
 
 
 def term_degree(letters) -> int:
@@ -323,20 +344,30 @@ class GradedElement(SparseTerms):
         return self._like(accumulate({}, _canonical(pairs())))
 
     def bracket(self, other: "GradedElement") -> "GradedElement":
-        """Graded Schouten-Jacobi bracket [[self, other]]."""
+        """Graded Schouten-Jacobi bracket [[self, other]] = a o b -+ b o a
+        (+ when both degrees are odd), from the Gerstenhaber products.
+
+        A square [[a, a]] (other is self) composes once: b o a = a o b, so
+        it is 2 (a o a) for odd |a| and 0 for even |a|."""
         self._check(other)
         da = self.is_homogeneous_degree()
-        db = other.is_homogeneous_degree()
+        db = da if other is self else other.is_homogeneous_degree()
         if da is None or db is None:
             # split into homogeneous pieces
+            pieces = self._homogeneous_pieces()
             return self._like({}).plus(
                 pa.bracket(pb)
-                for pa in self._homogeneous_pieces()
-                for pb in other._homogeneous_pieces()
+                for pa in pieces
+                for pb in (pieces if other is self else other._homogeneous_pieces())
             )
-        ab = self._compose(other)
-        ba = other._compose(self)
-        raw = ab + ba if (da * db) % 2 else ab - ba
+        if other is self:
+            if da % 2 == 0:
+                return self._like({})
+            raw = self._compose(self).scale(2)
+        else:
+            ab = self._compose(other)
+            ba = other._compose(self)
+            raw = ab + ba if (da * db) % 2 else ab - ba
         # pure second-order composites must cancel; m-composites reduce
         if any(l[0] == PAIR for letters in raw.terms for l in letters):
             raise AssertionError("second-order composite survived the bracket")  # pragma: no cover
@@ -391,7 +422,7 @@ def _compose_symbols(s, sp):
     if s == sp and _untwisted_parity(s):
         return None, 1  # odd derivative squares to zero
     a, b = (s, sp), 1
-    if _key(s) > _key(sp):
+    if _sort_key(s) > _sort_key(sp):
         sign = -1 if (_untwisted_parity(s) and _untwisted_parity(sp)) else 1
         a, b = (sp, s), sign
     return (PAIR, a[0], a[1]), b
@@ -723,17 +754,19 @@ class ContractionTwo:
         return lam
 
     def h(self, lam: GradedElement) -> GradedElement:
-        """h[s] = int_0^1 j_t[s] dt, evaluated exactly on polynomial terms."""
-        chart = self.chart
-        t = TPoly.t(chart)
-        one = ScalarFn.one(chart)
-        # path substitution y_C -> y_C - t (y_C - g_C)
-        path = {}
-        for name, g in zip(chart.fiber, self.s.components):
-            yC = ScalarFn.y(chart, name)
-            path[name] = TPoly.const(yC) - t.scale_fn(yC - g)
-        # the (1-t)^{#antighosts} factor of psi_t
-        factor = TPoly(chart, [one, -one])
+        """h[s] = int_0^1 j_t[s] dt, evaluated exactly on polynomial terms.
+
+        A term f w whose word w holds N antighost letters maps to
+
+            -(-1)^{sum of letter degrees of w} sum_A P_A w xis_A,
+            P_A = int_0^1 (1-t)^N (d f / d y_A)((1-t) y + t g) dt,
+
+        along the path y -> y - t (y - g) from the fiber point to the
+        section g = s.  ScalarFn.path_integral evaluates P_A in closed form,
+        expanding the path binomially and integrating each power product of
+        t by the Beta integral int_0^1 (1-t)^a t^b dt = a! b! / (a + b + 1)!.
+        """
+        targets = self.s.components
 
         def pairs():
             for letters, f in lam.terms.items():
@@ -741,13 +774,10 @@ class ContractionTwo:
                     raise GradedError("h acts on sections")
                 nxis = sum(1 for l in letters if l[0] == XIS)
                 sign = -((-1) ** (sum(letter_degree(l) for l in letters) % 2))
-                for A, name in enumerate(chart.fiber):
+                for A, name in enumerate(self.chart.fiber):
                     dfa = f.partial(name)
                     if dfa.is_zero():
                         continue
-                    tp = dfa.substitute_fiber_t(path)
-                    for _ in range(nxis):
-                        tp = tp * factor
-                    yield letters + ((XIS, A),), _signed(tp.integrate01(), sign)
+                    yield letters + ((XIS, A),), _signed(dfa.path_integral(targets, nxis), sign)
 
         return lam._like(accumulate({}, _canonical(pairs())))

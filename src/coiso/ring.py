@@ -23,7 +23,9 @@ container is built through the one kernel ``accumulate``, which adds
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from itertools import product
+from math import comb, factorial
+from operator import add, sub
 
 from .rational import GaussianRational, ONE, ZERO
 
@@ -392,6 +394,65 @@ class ScalarFn(SparseTerms):
                 accumulate(out[p], (coeff * base).terms.items())
         return TPoly(chart, [self._like(t) for t in out])
 
+    def path_integral(self, targets, power: int = 0) -> "ScalarFn":
+        """int_0^1 (1-t)^power f((1-t) y + t g) dt along the straight path
+        from the fiber point y to the targets g, one ScalarFn per fiber
+        coordinate in chart order.
+
+        Computed in closed form, term by term: y_C^alpha_C on the path
+        expands binomially into the sum over k_C of
+        C(alpha_C, k_C) (1-t)^(alpha_C - k_C) t^k_C y_C^(alpha_C - k_C) g_C^k_C,
+        and each power product of t integrates by the Beta integral
+
+            int_0^1 (1-t)^a t^b dt = a! b! / (a + b + 1)!,
+
+        with a = power + sum_C (alpha_C - k_C) and b = sum_C k_C.  Each power
+        g_C^k is computed once per call; a zero target contributes only
+        k_C = 0.
+        """
+        chart = self.chart
+        if len(targets) != chart.m:
+            raise ChartError("path_integral needs one target per fiber coordinate")
+        for g in targets:
+            self._check(g)
+        live = [not g.is_zero() for g in targets]
+        one = ScalarFn.one(chart)
+        powers = [[one] for _ in targets]  # powers[C][k] = g_C^k
+        products = {}  # k tuple -> prod_C g_C^k_C
+
+        def g_product(ks):
+            prod = products.get(ks)
+            if prod is None:
+                prod = one
+                for C, k in enumerate(ks):
+                    if k:
+                        pw = powers[C]
+                        while len(pw) <= k:
+                            pw.append(pw[-1] * targets[C])
+                        prod = prod * pw[k]
+                products[ks] = prod
+            return prod
+
+        def pairs():
+            for (n, alpha), c in self.terms.items():
+                top = power + sum(alpha)
+                ranges = [range(a + 1) if on else (0,) for a, on in zip(alpha, live)]
+                for ks in product(*ranges):
+                    b = sum(ks)
+                    a = top - b
+                    num = factorial(a) * factorial(b)
+                    for aC, kC in zip(alpha, ks):
+                        num *= comb(aC, kC)
+                    coef = c * Fraction(num, factorial(a + b + 1))
+                    if not b:
+                        yield (n, alpha), coef
+                        continue
+                    rest = tuple(map(sub, alpha, ks))
+                    for (n2, a2), c2 in g_product(ks).terms.items():
+                        yield (tuple(map(add, n, n2)), tuple(map(add, rest, a2))), coef * c2
+
+        return self._like(accumulate({}, pairs()))
+
     def restrict_zero_section(self) -> "ScalarFn":
         """Restrict to y = 0: keep only terms with zero fiber exponent."""
         zm = (0,) * self.chart.m
@@ -441,8 +502,9 @@ class ScalarFn(SparseTerms):
 class TPoly:
     """Polynomial in an auxiliary parameter t with ScalarFn coefficients.
 
-    Used by fiber substitutions along homotopy paths y -> y - t(y - g) and
-    their exact definite integrals over t in [0, 1].
+    The value of ScalarFn.substitute_fiber_t, with exact definite integrals
+    over t in [0, 1].  (Integrals along the homotopy path y -> y - t(y - g)
+    are ScalarFn.path_integral, in closed form.)
     """
 
     __slots__ = ("chart", "coeffs")

@@ -2,7 +2,8 @@
 
 A scenario carries one chart, exactly one structure block (jacobi | contact
 | lcs | jet | transversal may accompany any of them), and optional section
-/ formal / bfv blocks.  All coefficient expressions use the ring grammar.
+/ formal / bfv blocks; a bfv block must be {"connection": "trivial"}.  All
+coefficient expressions use the ring grammar.
 
 A ``Scenario`` also holds the artifacts its tasks share (the Jacobi
 structure, the transversal data, the multibracket table, the lift, the
@@ -43,6 +44,17 @@ def _typed(value, kind, key, where):
         noun = "an object" if kind is dict else "a list"
         raise ScenarioError(f"{where} {key!r} must be {noun}, not {type(value).__name__}")
     return value
+
+
+def _int_key(key, name):
+    """int(key) of a JSON object key that writes an integer in decimal."""
+    digits = key[1:] if key.startswith("-") else key
+    if not (digits.isascii() and digits.isdigit()):
+        raise ScenarioError(f"transversal {name!r} key {key!r} is not an integer")
+    return int(key)
+
+
+_TRIVIAL_BFV = {"connection": "trivial"}
 
 
 class Scenario:
@@ -150,8 +162,12 @@ class Scenario:
             raise ScenarioError(f"invalid section: {exc}") from None
 
     def formal_order(self) -> int:
-        block = self.data.get("formal", {})
-        return int(block.get("order", 3))
+        """The formal block's order, a positive integer (3 when absent)."""
+        block = _typed(self.data.get("formal", {}), dict, "formal", "scenario")
+        order = block.get("order", 3)
+        if type(order) is not int or order < 1:
+            raise ScenarioError(f"formal 'order' must be a positive integer, not {order!r}")
+        return order
 
     def transversal(self) -> TransversalData:
         return self._once("transversal", self._build_transversal)
@@ -168,12 +184,12 @@ class Scenario:
         C = [self._expr(e) for e in block.get("C", ["0"] * len(ga))]
         omega = [[self._expr(e) for e in row] for row in _need(block, "omega", "transversal")]
         fab = {
-            int(i): [[self._expr(e) for e in row] for row in mat]
-            for i, mat in block.get("F_ab", {}).items()
+            _int_key(i, "F_ab"): [[self._expr(e) for e in row] for row in mat]
+            for i, mat in _typed(block.get("F_ab", {}), dict, "F_ab", "transversal").items()
         }
         fa = {
-            int(i): [self._expr(e) for e in vec]
-            for i, vec in block.get("F_a", {}).items()
+            _int_key(i, "F_a"): [self._expr(e) for e in vec]
+            for i, vec in _typed(block.get("F_a", {}), dict, "F_a", "transversal").items()
         }
         return TransversalData(self.chart, ga, gz, C, omega, fab, fa)
 
@@ -186,7 +202,17 @@ class Scenario:
         return self._once("table", lambda: extract_multibrackets(self.jacobi()))
 
     def lift(self) -> Lift:
-        return self._once("lift", lambda: Lift(self.jacobi(), self.ghost_rank()))
+        return self._once("lift", self._build_lift)
+
+    def _build_lift(self) -> Lift:
+        # the trivial connection is the only one a scenario can name
+        block = self.data.get("bfv", _TRIVIAL_BFV)
+        if block != _TRIVIAL_BFV:
+            raise ScenarioError(
+                f"bfv block must be {json.dumps(_TRIVIAL_BFV)} (the only supported "
+                f"'connection'), not {json.dumps(block)}"
+            )
+        return Lift(self.jacobi(), self.ghost_rank())
 
     def omega0(self):
         """(Omega_BRST, corrections) of the zero section; raises the

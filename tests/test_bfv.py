@@ -1,7 +1,10 @@
 """Lifting, BRST charges, BFV differential, HPL resolution, Kuranishi."""
 
+import operator
 import random
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +34,7 @@ from coiso.bfv import (
     bfv_kuranishi,
     bfv_lift_cocycle,
     brst_charge,
+    check_contraction_axioms,
     d_bfv,
     exp_ad,
     geometric_mc_zero_locus,
@@ -160,6 +164,71 @@ def test_brst_charge_with_genuine_corrections(lift, chart):
         new_level = defect.antighost_filtration()
         assert new_level > level
         level = new_level
+
+
+def test_lifted_square_takes_the_shortcut(lift):
+    """[[J^, J^]] through the one-composition square equals the bracket
+    with a distinct copy of J^, which composes both ways."""
+    j = lift.j_hat
+    copy = GradedElement(j.chart, j.rank, dict(j.terms))
+    assert copy is not j and copy == j
+    assert j.bracket(j) == j.bracket(copy)
+    assert j.bracket(j).is_zero()
+
+
+class _Vec(tuple):
+    """A vector of Q^n with the + - is_zero the axiom checks use."""
+
+    def __add__(self, other):
+        return _Vec(map(operator.add, self, other))
+
+    def __sub__(self, other):
+        return _Vec(map(operator.sub, self, other))
+
+    def is_zero(self):
+        return not any(self)
+
+
+def _linear(*rows):
+    """x -> M x for the matrix M with these rows."""
+    return lambda x: _Vec(sum(m * v for m, v in zip(row, x)) for row in rows)
+
+
+# a contraction of V = span(a, b, c), d b = c, onto W = span(a):
+# q x = x_a, j y = y a, h c = -b
+_D = _linear((0, 0, 0), (0, 0, 0), (0, 1, 0))
+_BASE = dict(
+    projection=_linear((1, 0, 0)),
+    immersion=_linear((1,), (0,), (0,)),
+    homotopy=_linear((0, 0, 0), (0, 0, -1), (0, 0, 0)),
+    differential=_D,
+)
+
+
+@pytest.mark.parametrize(
+    "axiom, change, sample",
+    [
+        # h c = -2 b
+        ("[d, h] = j q - id", dict(homotopy=_linear((0, 0, 0), (0, 0, -2), (0, 0, 0))), (1, 1, 1)),
+        # h b = b, h c = -b - c: still a homotopy, but h^2 = id on span(b, c)
+        ("h^2 = 0", dict(homotopy=_linear((0, 0, 0), (0, 1, -1), (0, 0, -1))), (1, 1, 1)),
+        # h b = -a, h c = -b
+        ("q h = 0", dict(homotopy=_linear((0, -1, 0), (0, 0, -1), (0, 0, 0))), (0, 1, 0)),
+        # q x = -x_b
+        ("q j = id", dict(projection=_linear((0, -1, 0))), (-1, 1, 0)),
+        # h a = -c and nothing else
+        ("h j = 0", dict(homotopy=_linear((0, 0, 0), (0, 0, 0), (-1, 0, 0))), (1, 0, 0)),
+    ],
+)
+def test_contraction_axiom_messages(axiom, change, sample):
+    """Each data tuple breaks exactly one axiom on its sample, and the check
+    names that axiom.  (As identities of maps, q h = 0 and h j = 0 follow
+    from the other four, so no tuple breaks one of them alone everywhere.)"""
+    for x in ((1, 1, 1), (0, 1, 0), (-1, 1, 0), (1, 0, 0)):
+        assert check_contraction_axioms(SimpleNamespace(**_BASE), _Vec(x), "toy") == (x[0],)
+    data = SimpleNamespace(**{**_BASE, **change})
+    with pytest.raises(BFVError, match=f"^toy violate {re.escape(axiom)}$"):
+        check_contraction_axioms(data, _Vec(sample), "toy")
 
 
 def test_sbso_squares_once_per_step(lift, chart):

@@ -76,6 +76,20 @@ def test_validation_error_exit_code(tmp_path, capsys):
     cut = _builtin_data("torus-obstructed")
     cut["transversal"]["frame_a"] = cut["transversal"]["frame_a"][:1]
     cases.append((cut, "transversal-crosscheck"))
+    # blocks of the wrong kind: formal and transversal F_ab must be objects,
+    # bfv must be {"connection": "trivial"}
+    for key, value, task in [
+        ("formal", [3], "prolong"),
+        ("bfv", "trivial", "bfv-lift"),
+        ("bfv", {"connection": "trivial", "gamma": []}, "dbfv"),
+        ("bfv", {}, "hpl-resolve"),
+    ]:
+        bad = _builtin_data("torus-obstructed")
+        bad[key] = value
+        cases.append((bad, task))
+    bad = _builtin_data("torus-obstructed")
+    bad["transversal"]["F_ab"] = [[["0", "0"], ["0", "0"]]]
+    cases.append((bad, "transversal-crosscheck"))
     for data, task in cases:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(data))
@@ -148,6 +162,18 @@ def _block_key_case(kind, key, task, value=MISSING, label=""):
         _block_key_case("contact", "frame", "check-jacobi", [[1]], "list-entry"),
         _block_key_case("transversal", "frame_a", "transversal-crosscheck", [["1"]], "list-entry"),
         _block_key_case("transversal", "frame_z", "transversal-crosscheck", ["1"], "list"),
+        # present, but not a positive integer, an integer key or the trivial connection
+        _block_key_case("formal", "order", "prolong", "x", "string"),
+        _block_key_case("formal", "order", "prolong", 0, "zero"),
+        _block_key_case("formal", "order", "prolong", -2, "negative"),
+        _block_key_case("formal", "order", "prolong", True, "bool"),
+        _block_key_case("formal", "order", "prolong", 4.0, "float"),
+        _block_key_case(
+            "transversal", "F_ab", "transversal-crosscheck", {"x": [["0", "0"], ["0", "0"]]}, "key"
+        ),
+        _block_key_case("transversal", "F_a", "transversal-crosscheck", {"1.5": ["0", "0"]}, "key"),
+        _block_key_case("bfv", "connection", "bfv-lift", "curved", "curved"),
+        _block_key_case("bfv", "connection", "brst-charge", "curved", "curved"),
     ],
 )
 def test_missing_block_key(tmp_path, capsys, kind, key, task, value):

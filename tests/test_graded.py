@@ -162,6 +162,35 @@ def test_graded_jacobi_and_skew(chart):
         assert (lhs - rhs).is_zero()
 
 
+def test_square_composes_once(chart, monkeypatch):
+    """[[x, x]] with other is self equals the bracket with a distinct copy,
+    which takes the two-composition path, on odd, even and mixed degrees;
+    the square composes once for odd x and not at all for even x."""
+    rng = random.Random(12)
+    by_parity = {0: [], 1: []}
+    while min(len(v) for v in by_parity.values()) < 4:
+        x = rand_operator(chart, rng)
+        by_parity[deg_of(x) % 2].append(x)
+    mixed = [a + b for a, b in zip(by_parity[0], by_parity[1])]
+    calls = []
+    original = GradedElement._compose
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(GradedElement, "_compose", counted)
+    for parity, xs in (*by_parity.items(), (None, mixed)):
+        for x in xs:
+            copy = GradedElement(x.chart, x.rank, dict(x.terms))
+            assert copy is not x and copy == x
+            del calls[:]
+            square = x.bracket(x)
+            if parity is not None:
+                assert len(calls) == parity
+            assert square == x.bracket(copy)
+
+
 def test_bracket_insertion_recursion(chart):
     rng = random.Random(4)
     for _ in range(10):

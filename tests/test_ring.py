@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coiso.rational import GaussianRational
 from coiso.ring import Chart, ChartError, ScalarFn, TPoly, unit_inverse
@@ -177,3 +178,46 @@ def test_json_round_trip(chart):
     for _ in range(20):
         f = random_scalar(chart, rng, max_terms=4, freq=2, fiber_deg=2)
         assert scalar_from_json(chart, scalar_to_json(f)) == f
+
+
+# T^1 x R^2: two fiber coordinates, so one path can mix zero, base-only and
+# fiber-dependent targets
+PATH_CHART = Chart(torus=("ph_1",), fiber=("y_1", "y_2"))
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_coefs = st.builds(GaussianRational, _fractions, _fractions)
+
+
+def _fourier_polys(max_fiber_degree):
+    keys = st.tuples(
+        st.tuples(st.integers(-1, 1)),
+        st.tuples(st.integers(0, max_fiber_degree), st.integers(0, max_fiber_degree)),
+    )
+    return st.dictionaries(keys, _coefs, max_size=3).map(lambda t: ScalarFn(PATH_CHART, t))
+
+
+_targets = st.one_of(st.just(ScalarFn.zero(PATH_CHART)), _fourier_polys(0), _fourier_polys(1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fourier_polys(3), st.lists(_targets, min_size=2, max_size=2), st.integers(0, 3))
+def test_path_integral_matches_tpoly_route(f, targets, power):
+    """The closed form equals substituting y -> y - t (y - g), multiplying by
+    (1-t)^power and integrating the t-polynomial over [0, 1]."""
+    chart = PATH_CHART
+    t = TPoly.t(chart)
+    one = ScalarFn.one(chart)
+    path = {}
+    for name, g in zip(chart.fiber, targets):
+        y = ScalarFn.y(chart, name)
+        path[name] = TPoly.const(y) - t.scale_fn(y - g)
+    tp = f.substitute_fiber_t(path)
+    for _ in range(power):
+        tp = tp * TPoly(chart, [one, -one])
+    assert f.path_integral(targets, power) == tp.integrate01()
+
+
+def test_path_integral_needs_one_target_per_fiber_coordinate():
+    f = ScalarFn.y(PATH_CHART, "y_1")
+    with pytest.raises(ChartError):
+        f.path_integral([ScalarFn.zero(PATH_CHART)], 0)
