@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ring import ScalarFn
+from .ring import ChartError, ScalarFn, dot, inverse_unit
 from .multider import MultiDerivation
 from .leafform import SectionOfNormalBundle
-from .geom import matrix_inverse_unit
 from .graded import (
     XI,
     Connection,
@@ -411,13 +410,13 @@ def geometric_mc_zero_locus(omega: GradedElement, max_iter=12):
         for A in range(rank)
     ]
     try:
-        L_inv = matrix_inverse_unit(chart, L)
-    except Exception as exc:
+        L_inv = inverse_unit(chart, L)
+    except ChartError as exc:
         raise BFVError(f"zero locus is not a section graph: {exc}") from None
     g = [ScalarFn.zero(chart) for _ in range(rank)]
     for _ in range(max_iter):
         vals = [eA.substitute_fiber({name: gb for name, gb in zip(chart.fiber, g)}) for eA in e]
         if all(v.is_zero() for v in vals):
             return SectionOfNormalBundle(chart, g)
-        g = [g[A].plus(-(L_inv[A][B] * vals[B]) for B in range(rank)) for A in range(rank)]
+        g = [gA - dot(chart, row, vals) for gA, row in zip(g, L_inv)]
     raise BFVError("zero locus iteration failed: locus is not a polynomial section graph")

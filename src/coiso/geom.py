@@ -1,14 +1,16 @@
 """Geometric constructors and coisotropy machinery.
 
 Contact and lcs structures are turned into Jacobi multiderivations on the
-trivialized chart; the conormal projection P and vertical injection I tie
+trivialized chart, through the exact inverse ``ring.inverse_unit`` of the
+curvature matrix or of the 2-form, whose determinant must be a unit of the
+ring; the conormal projection P and vertical injection I tie
 multiderivations to leaf forms; coisotropy of a section is decided by the
 exact substitution criterion.
 """
 
 from __future__ import annotations
 
-from .ring import Chart, ChartError, ScalarFn, unit_inverse
+from .ring import Chart, ChartError, ScalarFn, inverse_unit, mat_mul
 from .multivector import MultiVectorField, SkewTerms
 from .multider import MultiDerivation
 from .leafform import LeafForm, SectionOfNormalBundle
@@ -46,53 +48,6 @@ class Form(SkewTerms):
         return ScalarFn.zero(self.chart).plus(
             f * X.coefficient((i,)) for (i,), f in self.terms.items()
         )
-
-
-# ---------------------------------------------------------------------------
-# exact linear solves over the ring (adjugate inversion)
-# ---------------------------------------------------------------------------
-
-
-def matrix_inverse_unit(chart, M):
-    """Exact inverse of a square ScalarFn matrix whose determinant is a unit
-    monomial; raises GeometryError naming the obstruction otherwise."""
-    n = len(M)
-    det = _full_det(chart, M)
-    try:
-        det_inv = unit_inverse(det)
-    except ChartError:
-        raise GeometryError(
-            f"matrix determinant is not a unit of the ring: {det!r}"
-        ) from None
-    inv = [[ScalarFn.zero(chart) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [M[r][c] for c in range(n) if c != i] for r in range(n) if r != j
-            ]
-            cof = _full_det(chart, minor).scale((-1) ** (i + j))
-            inv[i][j] = cof * det_inv
-    return inv
-
-
-def _full_det(chart, M) -> ScalarFn:
-    n = len(M)
-    if n == 0:
-        return ScalarFn.one(chart)
-    from itertools import permutations
-    from .multivector import perm_sign
-
-    def products():
-        for perm in permutations(range(n)):
-            factors = [M[i][j] for i, j in enumerate(perm)]
-            if any(f.is_zero() for f in factors):
-                continue
-            prod = ScalarFn.one(chart)
-            for f in factors:
-                prod = prod * f
-            yield prod.scale(perm_sign(perm))
-
-    return ScalarFn.zero(chart).plus(products())
 
 
 # ---------------------------------------------------------------------------
@@ -138,18 +93,21 @@ def contact_to_jacobi(cc: ContactChart) -> MultiDerivation:
     r = len(frame)
 
     omega = [[theta.pair_vector(frame[i].sn_bracket(frame[j])) for j in range(r)] for i in range(r)]
-    omega_inv = matrix_inverse_unit(chart, omega)
+    try:
+        omega_inv = inverse_unit(chart, omega)
+    except ChartError as exc:
+        raise GeometryError(str(exc)) from None
 
     # c_j = theta([R, E_j]); X_1 = R + sum a^i E_i with sum_i a^i omega_ij = -c_j
     c = [theta.pair_vector(cc.reeb.sn_bracket(frame[j])) for j in range(r)]
-    a = _solve_row(omega_inv, [-cj for cj in c])
+    (a,) = mat_mul(chart, [[-cj for cj in c]], omega_inv)
     X1 = cc.reeb.plus(frame[i].scale_fn(a[i]) for i in range(r))
 
     # B^mu = omega^sharp((dx^mu)|_C): sum_i b^i omega_ij = <dx^mu, E_j>
     B = []
     for mu in range(chart.dim):
         rhs = [frame[j].coefficient((mu,)) for j in range(r)]
-        b = _solve_row(omega_inv, rhs)
+        (b,) = mat_mul(chart, [rhs], omega_inv)
         B.append(MultiVectorField.zero(chart, 1).plus(frame[i].scale_fn(b[i]) for i in range(r)))
 
     lam_terms = {}
@@ -181,17 +139,6 @@ def contact_to_jacobi(cc: ContactChart) -> MultiDerivation:
     return J
 
 
-def _solve_row(omega_inv, rhs):
-    """Solve sum_i a^i omega_ij = rhs_j given omega^{-1}: a = rhs . omega^{-1}^T,
-    i.e. a^i = sum_j omega_inv[j][i]... expressed via the inverse transpose."""
-    r = len(rhs)
-    chart = rhs[0].chart if rhs else None
-    return [
-        ScalarFn.zero(chart).plus(rhs[j] * omega_inv[j][i] for j in range(r))
-        for i in range(r)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # lcs structures
 # ---------------------------------------------------------------------------
@@ -209,11 +156,14 @@ def lcs_to_jacobi(omega: Form, theta1: Form) -> MultiDerivation:
 
     n = chart.dim
     Omega = [[omega.coefficient((i, j)) for j in range(n)] for i in range(n)]
-    Omega_inv = matrix_inverse_unit(chart, Omega)
+    try:
+        Omega_inv = inverse_unit(chart, Omega)
+    except ChartError as exc:
+        raise GeometryError(str(exc)) from None
 
     def sharp(covector):
         # solve omega(V, e_j) = beta_j, i.e. sum_i v^i Omega[i][j] = beta_j
-        comps = _solve_row(Omega_inv, covector)
+        (comps,) = mat_mul(chart, [covector], Omega_inv)
         return MultiVectorField(
             chart, 1, {(i,): f for i, f in enumerate(comps) if not f.is_zero()}
         )

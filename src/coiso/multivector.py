@@ -11,7 +11,7 @@ composition on coordinate slots.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .ring import Chart, ChartError, ScalarFn, SparseTerms, accumulate
 
@@ -184,25 +184,10 @@ class MultiVectorField(SkewTerms):
         fns = list(fns)
         if len(fns) != self.degree:
             raise ChartError("argument count does not match degree")
-        chart = self.chart
-        if self.degree == 0:
-            return self.as_function()
-        partials = [
-            {i: f.partial_index(i) for i in range(chart.dim)} for f in fns
-        ]
-
-        def products():
-            for key, c in self.terms.items():
-                for perm in permutations(range(self.degree)):
-                    factors = [partials[which][key[slot]] for slot, which in enumerate(perm)]
-                    if any(p.is_zero() for p in factors):
-                        continue
-                    prod = c.scale(perm_sign(perm))
-                    for p in factors:
-                        prod = prod * p
-                    yield prod
-
-        return ScalarFn.zero(chart).plus(products())
+        out = self
+        for f in fns:
+            out = out.insert_differential(f)
+        return out.as_function()
 
     def insert_differential(self, g: ScalarFn) -> "MultiVectorField":
         """First-slot insertion P(g, -, ..., -) for degree >= 1."""

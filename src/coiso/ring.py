@@ -18,6 +18,10 @@ here, sorted skew index tuples or normalized letter words elsewhere) and no
 value is ever zero, so equality is equality of term tables.  Every
 container is built through the one kernel ``accumulate``, which adds
 (key, value) pairs into a dict and deletes a key whose sum is zero.
+
+Matrices over the ring are lists of rows of ScalarFns.  ``inverse_unit``
+is the one matrix inverse of the library; it needs a determinant that is
+a unit of the ring, which ``unit_inverse`` then inverts.
 """
 
 from __future__ import annotations
@@ -604,3 +608,63 @@ def unit_inverse(f: ScalarFn) -> ScalarFn:
         raise ChartError("not a unit: fiber-dependent monomial")
     inv = GaussianRational(1) / c
     return ScalarFn(f.chart, {(tuple(-v for v in n), alpha): inv})
+
+
+# ---------------------------------------------------------------------------
+# matrices over the ring: lists of rows of ScalarFns
+# ---------------------------------------------------------------------------
+
+
+def dot(chart: Chart, row, col) -> ScalarFn:
+    """sum_k row[k] * col[k]."""
+    return ScalarFn.zero(chart).plus(
+        a * b for a, b in zip(row, col) if not (a.is_zero() or b.is_zero())
+    )
+
+
+def mat_mul(chart: Chart, A, B):
+    """A B, reading the nonzero entries of each column of B once."""
+    zero = ScalarFn.zero(chart)
+    cols = [[(k, b) for k, b in enumerate(col) if not b.is_zero()] for col in zip(*B)]
+    return [[zero.plus(row[k] * b for k, b in col if not row[k].is_zero()) for col in cols] for row in A]
+
+
+def mat_eq(A, B) -> bool:
+    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+
+
+def mat_identity(chart: Chart, n: int):
+    return [
+        [ScalarFn.one(chart) if i == j else ScalarFn.zero(chart) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def inverse_unit(chart: Chart, A):
+    """Exact inverse of a square matrix whose determinant is a unit of the
+    ring; raises ChartError naming the determinant otherwise.
+
+    Faddeev-LeVerrier: from M_1 = I, for k = 1..n, c_(n-k) = -tr(A M_k) / k
+    and M_(k+1) = A M_k + c_(n-k) I.  Then det A = (-1)^n c_0 and
+    adj A = (-1)^(n-1) M_n.  Only ring products and division by the
+    integers 1..n occur, which is exact over Q(i).
+    """
+    n = len(A)
+    if not n:
+        return []
+    zero = ScalarFn.zero(chart)
+    M = mat_identity(chart, n)
+    for k in range(1, n):
+        AM = mat_mul(chart, A, M)
+        c = zero.plus(AM[i][i] for i in range(n)).scale(Fraction(-1, k))
+        M = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(AM)]
+    # tr(A M_n) = -n c_0, so det A = (-1)^(n-1) tr(A M_n) / n
+    det = zero.plus(dot(chart, row, col) for row, col in zip(A, zip(*M)))
+    det = det.scale(Fraction((-1) ** (n - 1), n))
+    try:
+        det_inv = unit_inverse(det)
+    except ChartError:
+        raise ChartError(f"matrix determinant is not a unit of the ring: {det!r}") from None
+    # A^-1 = adj A / det A = (-1)^(n-1) M_n / det A
+    det_inv = det_inv.scale((-1) ** (n - 1))
+    return [[x * det_inv for x in row] for row in M]

@@ -46,11 +46,10 @@ def _typed(value, kind, key, where):
     return value
 
 
-def _int_key(key, name):
-    """int(key) of a JSON object key that writes an integer in decimal."""
-    digits = key[1:] if key.startswith("-") else key
-    if not (digits.isascii() and digits.isdigit()):
-        raise ScenarioError(f"transversal {name!r} key {key!r} is not an integer")
+def _leaf_key(key, name, nleaf):
+    """The leaf index a transversal F_ab / F_a key writes in decimal."""
+    if key not in [str(i) for i in range(nleaf)]:
+        raise ScenarioError(f"transversal {name!r} key {key!r} is not a leaf index in range({nleaf})")
     return int(key)
 
 
@@ -101,6 +100,19 @@ class Scenario:
             return parse_scalar(self.chart, text)
         except ExprError as exc:
             raise ScenarioError(f"bad expression {text!r}: {exc}") from None
+
+    def _exprs(self, value, n, key) -> list:
+        """The n expressions of the transversal list called key."""
+        if not isinstance(value, list) or len(value) != n:
+            raise ScenarioError(f"transversal {key!r} must be a list of {n} expressions")
+        return [self._expr(e) for e in value]
+
+    def _expr_rows(self, value, n, key) -> list:
+        """The n x n expressions of the transversal matrix called key."""
+        square = isinstance(value, list) and len(value) == n
+        if not (square and all(isinstance(row, list) and len(row) == n for row in value)):
+            raise ScenarioError(f"transversal {key!r} must be {n} rows of {n} expressions")
+        return [[self._expr(e) for e in row] for row in value]
 
     def _components(self, comps: dict) -> dict:
         return {name: self._expr(e) for name, e in comps.items()}
@@ -181,14 +193,16 @@ class Scenario:
             for v in _need(block, "frame_a", "transversal", list)
         ]
         gz = self._vector(_need(block, "frame_z", "transversal", dict))
-        C = [self._expr(e) for e in block.get("C", ["0"] * len(ga))]
-        omega = [[self._expr(e) for e in row] for row in _need(block, "omega", "transversal")]
+        n = len(ga)
+        nleaf = len(self.chart.leaf)
+        C = self._exprs(block.get("C", ["0"] * n), n, "C")
+        omega = self._expr_rows(_need(block, "omega", "transversal"), n, "omega")
         fab = {
-            _int_key(i, "F_ab"): [[self._expr(e) for e in row] for row in mat]
+            _leaf_key(i, "F_ab", nleaf): self._expr_rows(mat, n, "F_ab")
             for i, mat in _typed(block.get("F_ab", {}), dict, "F_ab", "transversal").items()
         }
         fa = {
-            _int_key(i, "F_a"): [self._expr(e) for e in vec]
+            _leaf_key(i, "F_a", nleaf): self._exprs(vec, n, "F_a")
             for i, vec in _typed(block.get("F_a", {}), dict, "F_a", "transversal").items()
         }
         return TransversalData(self.chart, ga, gz, C, omega, fab, fa)

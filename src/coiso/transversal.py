@@ -11,8 +11,9 @@ matrices
     d^k W_p^{-1} / dp_{i_1} .. dp_{i_k} |_0
         = (-1)^k sum_{sigma} W^{-1} F^{i_sigma(1)} W^{-1} ... F^{i_sigma(k)} W^{-1},
 
-with W inverted exactly through its adjugate (the determinant must be a unit
-of the ring; no rational functions are ever formed).
+with W inverted exactly by ``ring.inverse_unit``, a Faddeev-LeVerrier
+adjugate (the determinant must be a unit of the ring; no rational functions
+are ever formed).
 """
 
 from __future__ import annotations
@@ -20,40 +21,12 @@ from __future__ import annotations
 from itertools import permutations
 from fractions import Fraction
 
-from .ring import Chart, ScalarFn, accumulate
-from .geom import matrix_inverse_unit
+from .ring import Chart, ScalarFn, accumulate, inverse_unit, mat_eq, mat_identity, mat_mul
 from .leafform import LeafForm
 
 
 class TransversalError(ValueError):
     pass
-
-
-def mat_mul(chart, A, B):
-    n = len(A)
-    zero = ScalarFn.zero(chart)
-    return [
-        [
-            zero.plus(
-                A[i][k] * B[k][j]
-                for k in range(n)
-                if not (A[i][k].is_zero() or B[k][j].is_zero())
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def mat_eq(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def mat_identity(chart, n):
-    return [
-        [ScalarFn.one(chart) if i == j else ScalarFn.zero(chart) for j in range(n)]
-        for i in range(n)
-    ]
 
 
 class TransversalData:
@@ -125,7 +98,7 @@ class TransversalData:
 
     def W_inv(self):
         if self._w_inv is None:
-            self._w_inv = matrix_inverse_unit(self.chart, self.W())
+            self._w_inv = inverse_unit(self.chart, self.W())
             if not mat_eq(mat_mul(self.chart, self.W(), self._w_inv), mat_identity(self.chart, self.n)):
                 raise AssertionError("adjugate inversion failed")  # pragma: no cover
         return self._w_inv

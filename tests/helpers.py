@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ScalarFn
+from coiso.ring import Chart, ScalarFn, mat_mul, unit_inverse
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
 
@@ -74,8 +75,6 @@ def random_base_scalar(chart, rng, max_terms=2, freq=1) -> ScalarFn:
 
 
 def random_mvf(chart, rng: random.Random, degree, **kw) -> MultiVectorField:
-    from itertools import combinations
-
     keys = list(combinations(range(chart.dim), degree))
     terms = {}
     for _ in range(rng.randint(1, 2)):
@@ -88,3 +87,72 @@ def random_multider(chart, rng: random.Random, arity, **kw) -> MultiDerivation:
     p = random_mvf(chart, rng, arity, **kw)
     q = random_mvf(chart, rng, arity - 1, **kw) if arity > 0 else None
     return MultiDerivation(p, q)
+
+
+def random_unimodular(chart, rng: random.Random, n):
+    """L U with L unit lower triangular and U upper triangular with unit
+    monomials c exp(i k.phi) on the diagonal; off-diagonal entries are
+    random (fiber-dependent) ScalarFns or zero."""
+    zero = ScalarFn.zero(chart)
+
+    def entry():
+        return random_scalar(chart, rng, max_terms=1) if rng.random() < 0.5 else zero
+
+    def unit():
+        k = tuple(rng.randint(-1, 1) for _ in range(chart.k))
+        c = GaussianRational(rng.choice([1, -1, 2, Fraction(1, 3)]), rng.randint(-1, 1))
+        return ScalarFn(chart, {(k, (0,) * chart.m): c})
+
+    one = ScalarFn.one(chart)
+    L = [[entry() if j < i else one if j == i else zero for j in range(n)] for i in range(n)]
+    U = [[entry() if j > i else unit() if j == i else zero for j in range(n)] for i in range(n)]
+    return mat_mul(chart, L, U)
+
+
+def _sign(perm) -> int:
+    """(-1)^(number of inversions)."""
+    return (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+
+
+def leibniz_det(chart, M) -> ScalarFn:
+    """det M = sum over permutations p of sign(p) prod_i M[i][p(i)]."""
+    out = ScalarFn.zero(chart)
+    for perm in permutations(range(len(M))):
+        factors = [M[i][j] for i, j in enumerate(perm)]
+        if any(f.is_zero() for f in factors):
+            continue
+        prod = ScalarFn.const(chart, _sign(perm))
+        for f in factors:
+            prod = prod * f
+        out = out + prod
+    return out
+
+
+def cofactor_inverse(chart, M):
+    """M^-1 = adj M / det M with every cofactor a Leibniz determinant:
+    (M^-1)[i][j] = (-1)^(i+j) det(M without row j and column i) / det M."""
+    n = len(M)
+    det_inv = unit_inverse(leibniz_det(chart, M))
+    return [
+        [
+            leibniz_det(
+                chart, [[M[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+            ).scale((-1) ** (i + j))
+            * det_inv
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def leibniz_apply(P: MultiVectorField, fns) -> ScalarFn:
+    """P(f_1, ..., f_d) by the determinant expansion over the slots of each
+    key: sum over permutations p of sign(p) c prod_slot d_key[slot] f_p(slot)."""
+    out = ScalarFn.zero(P.chart)
+    for key, c in P.terms.items():
+        for perm in permutations(range(P.degree)):
+            prod = c.scale(_sign(perm))
+            for slot, which in enumerate(perm):
+                prod = prod * fns[which].partial_index(key[slot])
+            out = out + prod
+    return out

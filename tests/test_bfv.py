@@ -552,5 +552,5 @@ def test_geometric_mc_zero_locus(lift, chart):
     # non-section locus: (y_1^2 + 1) xi^1 fails with a structured error
     y1 = ScalarFn.y(chart, "y_1")
     bad = GradedElement.word(chart, RANK, ((XI, 0),), y1 * y1 + ScalarFn.one(chart))
-    with pytest.raises(BFVError):
+    with pytest.raises(BFVError, match="^zero locus is not a section graph: matrix determinant"):
         geometric_mc_zero_locus(bad)

@@ -70,6 +70,8 @@ def test_validation_error_exit_code(tmp_path, capsys):
         ({"jacobi": {"p": [{"idx": [0, 7], "coef": "1"}], "q": []}}, "check-jacobi"),
         # an index must be an integer
         ({"jacobi": {"p": [{"idx": ["a", 1], "coef": "1"}], "q": []}}, "check-jacobi"),
+        # omega = (1 + y_1) dph_1 ^ dy_1 has the non-unit determinant (1 + y_1)^2
+        ({"lcs": {"omega": [{"idx": [0, 1], "coef": "1 + y_1"}]}}, "check-jacobi"),
     ]
     cases = [({"schema": 1, "chart": chart, **blocks}, task) for blocks, task in small]
     # one C entry per frame_a field: two C entries, one field
@@ -172,6 +174,20 @@ def _block_key_case(kind, key, task, value=MISSING, label=""):
             "transversal", "F_ab", "transversal-crosscheck", {"x": [["0", "0"], ["0", "0"]]}, "key"
         ),
         _block_key_case("transversal", "F_a", "transversal-crosscheck", {"1.5": ["0", "0"]}, "key"),
+        # present, but a number where a list belongs, of the wrong shape, or
+        # keyed outside the leaf indices 0, 1
+        _block_key_case("transversal", "C", "transversal-crosscheck", 0, "number"),
+        _block_key_case("transversal", "omega", "transversal-crosscheck", [["0", "-1"], 1], "row-number"),
+        _block_key_case("transversal", "omega", "transversal-crosscheck", [["0", "-1"]], "one-row"),
+        _block_key_case("transversal", "omega", "transversal-crosscheck", [["0"], ["1"]], "one-column"),
+        _block_key_case("transversal", "F_ab", "transversal-crosscheck", {"0": 1}, "number"),
+        _block_key_case("transversal", "F_ab", "transversal-crosscheck", {"0": [["0", "0"]]}, "one-row"),
+        _block_key_case("transversal", "F_a", "transversal-crosscheck", {"0": 1}, "number"),
+        _block_key_case("transversal", "F_a", "transversal-crosscheck", {"0": ["0"]}, "short"),
+        _block_key_case(
+            "transversal", "F_ab", "transversal-crosscheck", {"9": [["0", "0"], ["0", "0"]]}, "leaf"
+        ),
+        _block_key_case("transversal", "F_a", "transversal-crosscheck", {"9": ["0", "0"]}, "leaf"),
         _block_key_case("bfv", "connection", "bfv-lift", "curved", "curved"),
         _block_key_case("bfv", "connection", "brst-charge", "curved", "curved"),
     ],

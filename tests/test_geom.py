@@ -107,7 +107,7 @@ def test_contact_requires_unit_curvature(chart):
         "ph_5": ScalarFn.cos_phi(chart, "ph_3"),
     }
     _, Y = fields_XY(chart)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="^matrix determinant is not a unit of the ring: "):
         contact_to_jacobi(ContactChart(chart, theta, Y, bad_frame))
 
 
@@ -126,6 +126,14 @@ def test_lcs_symplectic_torus():
     )
     assert J.p_part == expected
     assert J.sj_bracket(J).is_zero()
+
+
+def test_lcs_requires_unit_determinant():
+    # omega = (1 + y) dph_1 ^ dy is closed, but det Omega = (1 + y)^2
+    chart = Chart(torus=("ph_1",), fiber=("y",))
+    omega = Form(chart, 2, {(0, 1): ScalarFn.one(chart) + ScalarFn.y(chart, "y")})
+    with pytest.raises(GeometryError, match="^matrix determinant is not a unit of the ring: "):
+        lcs_to_jacobi(omega, Form(chart, 1, {}))
 
 
 def test_form_keys_are_canonical():
@@ -201,6 +209,22 @@ def test_jet_model():
         f = random_base_scalar(chart, rng)
         g = random_base_scalar(chart, rng)
         assert J.apply([f, g]).is_zero()
+
+
+def test_jet_model_over_t5():
+    """The 10 x 10 curvature matrix of J^1(T^5) inverts, the constructor's
+    postconditions (theta(X_f) = f, [[J, J]] = 0) hold, and J is the sum
+    over i of the frozen form of test_jet_model."""
+    chart = jet_chart(5)
+    J = fiberwise_linear_jacobi(chart)
+    z = chart.index("z")
+    lam = {}
+    for i in range(1, 6):
+        ph, p = chart.index(f"ph_{i}"), chart.index(f"p_{i}")
+        lam[(ph, p)] = ScalarFn.one(chart)
+        lam[(z, p)] = ScalarFn.y(chart, f"p_{i}")
+    assert J.p_part == MultiVectorField(chart, 2, lam)
+    assert J.q_part == MultiVectorField.basis_vector(chart, "z")
 
 
 def test_jet_model_chart_shape():

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from coiso.ring import ScalarFn
+from coiso.ring import Chart, ScalarFn
 from coiso.multivector import MultiVectorField
 
-from helpers import random_mvf, random_scalar, torus_chart
+from helpers import leibniz_apply, random_mvf, random_scalar, torus_chart
 
 
 @pytest.fixture
@@ -49,6 +49,22 @@ def test_apply_determinant_convention(chart):
     # (X ^ Y)(f, g) = X(f) Y(g) - X(g) Y(f)
     assert w.apply([f, g]) == ScalarFn.cos_phi(chart, "ph_1")
     assert w.apply([g, f]) == -ScalarFn.cos_phi(chart, "ph_1")
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [torus_chart(), Chart(torus=("ph_1", "ph_2", "ph_3"))],
+    ids=["with-fiber", "fiberless"],
+)
+def test_apply_matches_leibniz_expansion(chart):
+    """Evaluation by successive first-slot insertions equals the determinant
+    expansion over the slots of each key, in degrees 0 to 3."""
+    rng = random.Random(21)
+    for degree in range(4):
+        for _ in range(4):
+            P = random_mvf(chart, rng, degree)
+            fns = [random_scalar(chart, rng) for _ in range(degree)]
+            assert P.apply(fns) == leibniz_apply(P, fns)
 
 
 def test_sn_vector_fields_is_commutator(chart):
@@ -125,7 +141,8 @@ def test_sn_coordinate_cases(chart):
 
 def test_sn_extensional_oracle(chart):
     """Nested first-slot insertions reproduce the bracket's evaluation:
-    for W = [[P, Q]] of degree 2, W(f, g) agrees with inserting f then g."""
+    for W = [[P, Q]] of degree 2, the determinant expansion of W(f, g)
+    agrees with inserting f then g."""
     rng = random.Random(14)
     for _ in range(5):
         P = random_mvf(chart, rng, 2)
@@ -133,6 +150,6 @@ def test_sn_extensional_oracle(chart):
         W = P.sn_bracket(Q)
         f = random_scalar(chart, rng)
         g = random_scalar(chart, rng)
-        via_apply = W.apply([f, g])
+        via_apply = leibniz_apply(W, [f, g])
         via_insert = W.insert_differential(f).insert_differential(g).as_function()
         assert via_apply == via_insert

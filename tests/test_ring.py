@@ -7,10 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ChartError, ScalarFn, TPoly, unit_inverse
+from coiso.ring import (
+    Chart,
+    ChartError,
+    ScalarFn,
+    TPoly,
+    inverse_unit,
+    mat_eq,
+    mat_identity,
+    mat_mul,
+    unit_inverse,
+)
 from coiso.expr import parse_scalar, scalar_to_json, scalar_from_json
 
-from helpers import random_scalar, random_real_scalar, torus_chart
+from helpers import cofactor_inverse, random_scalar, random_real_scalar, random_unimodular, torus_chart
 
 
 @pytest.fixture
@@ -221,3 +231,30 @@ def test_path_integral_needs_one_target_per_fiber_coordinate():
     f = ScalarFn.y(PATH_CHART, "y_1")
     with pytest.raises(ChartError):
         f.path_integral([ScalarFn.zero(PATH_CHART)], 0)
+
+
+MATRIX_CHART = Chart(torus=("ph_1", "ph_2"), fiber=("y_1",))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_inverse_unit_matches_cofactor_adjugate(n):
+    """On random unimodular matrices the inverse is two-sided and equals the
+    Leibniz cofactor adjugate divided by the Leibniz determinant."""
+    chart = MATRIX_CHART
+    rng = random.Random(100 + n)
+    for _ in range(3):
+        A = random_unimodular(chart, rng, n)
+        inv = inverse_unit(chart, A)
+        assert mat_eq(mat_mul(chart, A, inv), mat_identity(chart, n))
+        assert mat_eq(mat_mul(chart, inv, A), mat_identity(chart, n))
+        assert len(inv) == n and mat_eq(inv, cofactor_inverse(chart, A))
+
+
+def test_inverse_unit_needs_a_unit_determinant():
+    chart = MATRIX_CHART
+    y = ScalarFn.y(chart, "y_1")
+    one = ScalarFn.one(chart)
+    # det = 1 - y^2 is not a monomial; det = 0 is not a unit either
+    for A in ([[one, y], [y, one]], [[y, y], [y, y]]):
+        with pytest.raises(ChartError, match="^matrix determinant is not a unit of the ring: "):
+            inverse_unit(chart, A)

@@ -7,11 +7,11 @@ from itertools import permutations
 import pytest
 
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ScalarFn
+from coiso.ring import Chart, ScalarFn, mat_eq, mat_identity, mat_mul
 from coiso.multivector import MultiVectorField
 from coiso.leafform import LeafForm
 from coiso.linfty import extract_multibrackets
-from coiso.transversal import TransversalData, mat_eq, mat_identity, mat_mul
+from coiso.transversal import TransversalData
 
 from helpers import fields_XY, random_base_scalar, torus_chart, torus_jacobi
 
