@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .ring import ChartError, ScalarFn, dot, inverse_unit
 from .multider import MultiDerivation
+from .multivector import MultiVectorField
 from .leafform import SectionOfNormalBundle
 from .graded import (
     XI,
@@ -186,19 +187,26 @@ class Lift:
         else:
             self.j_hat, self.corrections = self._run_sbso(qbar)
 
-    def _is_flat(self) -> bool:
-        """Flatness through the bracket-morphism test on the structure and
-        the coordinate derivations."""
-        from .multivector import MultiVectorField
-
+    def _flatness_probes(self):
+        """The structure and the first two coordinate derivations."""
         probes = [self.j]
         for i in range(min(self.chart.dim, 2)):
             probes.append(
                 MultiDerivation(MultiVectorField.basis_vector(self.chart, self.chart.coords[i]))
             )
+        return probes
+
+    def _is_flat(self) -> bool:
+        """Flatness through the bracket-morphism test on the probes.
+
+        Each unordered pair is checked once, (a, a) included: both brackets
+        are graded antisymmetric with one sign rule and i_nabla is linear
+        and keeps degrees, so the pair (b, a) is -(-1)^{|a||b|} times the
+        pair (a, b) on both sides."""
+        probes = self._flatness_probes()
         images = [self.c1.i_nabla(a) for a in probes]
-        for a, ia in zip(probes, images):
-            for b, ib in zip(probes, images):
+        for n, (a, ia) in enumerate(zip(probes, images)):
+            for b, ib in zip(probes[n:], images[n:]):
                 lhs = ia.bracket(ib)
                 rhs = self.c1.i_nabla(a.sj_bracket(b))
                 if not (lhs - rhs).is_zero():

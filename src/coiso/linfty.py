@@ -316,23 +316,29 @@ class FormalDeformation:
             raise DeformationError("need exactly `order` coefficients")
 
 
-class ProlongationObstructed(Exception):
-    """Raised internally; prolong_formal converts it into a result."""
-
-
-def _compositions(total, parts):
-    """Ordered tuples of positive integers < total summing to total."""
-    if parts == 1:
-        if 0 < total:
-            yield (total,)
+def _partitions(total, largest):
+    """Non-increasing tuples of positive integers <= largest summing to total."""
+    if total == 0:
+        yield ()
         return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
+    for first in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - first, first):
             yield (first,) + rest
 
 
 def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: int, history=None):
     """Solve the MC hierarchy order by order with the torus homotopy.
+
+    The order-k right-hand side is sum_h (-1)^h / h! sum m_h(s_{p_1}, ..,
+    s_{p_h}) over the compositions (p_1, .., p_h) of k with h >= 2.  The
+    I(s_p) are fiber-constant vertical fields, so they commute, and the
+    derived brackets [[..[[J, I s_{p_1}]].., I s_{p_h}]] are symmetric in
+    their arguments.  The sum therefore runs over the partitions of k into
+    parts < k, each taken once in non-increasing order with the weight
+    (-1)^h / prod_j m_j!, m_j the multiplicity of the part j: the
+    h! / prod_j m_j! orderings of a partition are the same bracket.  The
+    nested brackets are kept for the length of the call, keyed by their
+    non-increasing prefix, so orders share them.
 
     Returns ('prolonged', FormalDeformation) on success, or
     ('obstructed', k, ObstructionReport) at the first order k whose
@@ -344,16 +350,24 @@ def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: i
     if not table.m1(s1.to_leafform()).is_zero():
         raise DeformationError("s1 is not an infinitesimal deformation")
     coeffs = [s1]
+    nested = {(): table.reconstruct()}
+
+    def bracket(parts):
+        out = nested.get(parts)
+        if out is None:
+            lifted = injection_I(coeffs[parts[-1] - 1].to_leafform())
+            out = nested[parts] = bracket(parts[:-1]).sj_bracket(lifted)
+        return out
+
+    def weight(parts):
+        den = math.prod(math.factorial(parts.count(p)) for p in set(parts))
+        return Fraction((-1) ** len(parts), den)
+
     for k in range(2, order + 1):
-        rhs = LeafForm.zero(chart, 2)
-        for h in range(2, k + 1):
-            for comp in _compositions(k, h):
-                if any(i >= k for i in comp):
-                    continue
-                args = [coeffs[i - 1].to_leafform() for i in comp]
-                rhs = rhs + table.m(args).scale(
-                    Fraction((-1) ** h, math.factorial(h))
-                )
+        rhs = LeafForm.zero(chart, 2).plus(
+            projection_P(bracket(parts)).scale(weight(parts))
+            for parts in _partitions(k, k - 1)
+        )
         status, payload = solve_dF(rhs)
         if history is not None:
             history.append(

@@ -4,14 +4,18 @@ A MultiVectorField of degree d stores coefficients on strictly increasing
 coordinate-index tuples of length d (indices in chart order, torus first).
 Degree 0 is a plain ScalarFn wrapped with an empty key.
 
-The Schouten-Nijenhuis bracket is computed through the Gerstenhaber-product
-expansion: all coefficient formulas below come from evaluating the insertion
-composition on coordinate slots.
+The Schouten-Nijenhuis bracket is computed through the Gerstenhaber product
+P o Q, the insertion of Q into the first slot of P, in coordinates:
+
+    (P o Q)^K = sum_{unshuffles K -> (I, R)} sign * sum_i d_i Q^I * P^{(i,) + R}.
+
+It is driven by the terms: for each Q term (I, g) and each coordinate i with
+d_i g != 0, every P term (L, f) with i = L[pos] contributes
+(-1)^pos d_i g * f to the key K = sort(I + R), R = L without i, with the
+sign of that merge.  Intersecting I and R contribute nothing.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .ring import Chart, ChartError, ScalarFn, SparseTerms, accumulate
 
@@ -38,35 +42,6 @@ def merge_sign(a, b):
     Returns (sign, merged) with sign 0 when the tuples intersect.
     """
     return sort_key_sign(tuple(a) + tuple(b))
-
-
-def perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def unshuffles(indices, r):
-    """All splits of a tuple into (first r, rest) keeping relative order,
-    together with the permutation sign relative to the original order."""
-    n = len(indices)
-    pos = range(n)
-    for chosen in combinations(pos, r):
-        rest = tuple(p for p in pos if p not in chosen)
-        perm = chosen + rest
-        sign = perm_sign(tuple(perm))
-        yield sign, tuple(indices[p] for p in chosen), tuple(indices[p] for p in rest)
 
 
 class SkewTerms(SparseTerms):
@@ -205,34 +180,36 @@ class MultiVectorField(SkewTerms):
     # -- Schouten-Nijenhuis ----------------------------------------------------
 
     def gerstenhaber(self, other: "MultiVectorField") -> "MultiVectorField":
-        """Gerstenhaber product P o Q: insert Q-output into the first slot
-        of P, expanded coefficient-wise over unshuffled slot indices."""
-        p, q = self.degree, other.degree
-        if p == 0:
-            return MultiVectorField.zero(self.chart, max(p + q - 1, 0))
-        deg = p + q - 1
-        dim = self.chart.dim
-        zero = ScalarFn.zero(self.chart)
+        """Gerstenhaber product P o Q: insert Q into the first slot of P.
 
-        def products(key):
-            for sign, first, rest in unshuffles(key, q):
-                inner = other.coefficient(first)
-                if inner.is_zero():
-                    continue
-                for i in range(dim):
-                    di = inner.partial_index(i)
+        (P o Q)^{sort(I + R)} collects sign(I, R) (-1)^pos d_i Q^I P^L over
+        the Q terms (I, Q^I), the coordinates i with d_i Q^I != 0 and the P
+        terms (L, P^L) with L[pos] = i and R = L without i; sign(I, R) is
+        the sign of merging I and R (zero when they meet), the sign of the
+        unshuffle of the output key into (I, R)."""
+        p, q = self.degree, other.degree
+        out = MultiVectorField.zero(self.chart, max(p + q - 1, 0))
+        if p == 0:
+            return out
+        slots = {}
+        for key, f in self.terms.items():
+            for pos, i in enumerate(key):
+                slots.setdefault(i, []).append(
+                    (key[:pos] + key[pos + 1 :], f if pos % 2 == 0 else -f)
+                )
+
+        def pairs():
+            for qk, g in other.terms.items():
+                for i, entries in slots.items():
+                    di = g.partial_index(i)
                     if di.is_zero():
                         continue
-                    co = self.coefficient((i,) + rest)
-                    if co.is_zero():
-                        continue
-                    yield di * co if sign == 1 else -(di * co)
+                    for rest, c in entries:
+                        sign, key = merge_sign(qk, rest)
+                        if sign:
+                            yield key, di * c if sign == 1 else -(di * c)
 
-        out = MultiVectorField.zero(self.chart, deg)
-        for key in _increasing_tuples(dim, deg):
-            acc = zero.plus(products(key))
-            if not acc.is_zero():
-                out.terms[key] = acc
+        out.terms = accumulate({}, pairs())
         return out
 
     def sn_bracket(self, other: "MultiVectorField") -> "MultiVectorField":
@@ -265,7 +242,3 @@ class MultiVectorField(SkewTerms):
             wedge = "^".join(f"d_{names[i]}" for i in key) or "1"
             bits.append(f"({self.terms[key]!r})*{wedge}")
         return " + ".join(bits)
-
-
-def _increasing_tuples(n, d):
-    return combinations(range(n), d)

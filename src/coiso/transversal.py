@@ -18,6 +18,7 @@ are ever formed).
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations
 from fractions import Fraction
 
@@ -105,10 +106,26 @@ class TransversalData:
 
     def y_matrix(self, indices):
         """Y^{i_1 .. i_k} = W^{-1} F^{i_1} W^{-1} ... F^{i_k} W^{-1}."""
-        out = self.W_inv()
-        for i in indices:
-            out = mat_mul(self.chart, out, mat_mul(self.chart, self.F(i), self.W_inv()))
-        return out
+        return self._y_matrices()(tuple(indices))
+
+    def _y_matrices(self):
+        """Y as a function of a tuple of letters, for the length of one call:
+        each factor F^i W^{-1} is built once and Y(letters) is kept by
+        prefix, Y(letters) = Y(letters[:-1]) F^{i_k} W^{-1}."""
+        chart, w_inv = self.chart, self.W_inv()
+        factors = {}
+        ys = {(): w_inv}
+
+        def y(letters):
+            out = ys.get(letters)
+            if out is None:
+                i = letters[-1]
+                if i not in factors:
+                    factors[i] = mat_mul(chart, self.F(i), w_inv)
+                out = ys[letters] = mat_mul(chart, y(letters[:-1]), factors[i])
+            return out
+
+        return y
 
     # -- transversal jet tables ------------------------------------------------
 
@@ -176,56 +193,35 @@ class TransversalData:
             (i,) = forms
             # d_F of d_F x^i (x) mu is zero: the frame forms are d_F-closed
             return LeafForm.zero(chart, 2)
-        if len(fns) == 2:
-            f, g = fns
-            jf, jg = self.jG0(f), self.jG0(g)
-            out = ScalarFn.zero(chart).plus(
-                Y[al][be] * jf[al] * jg[be]
-                for Y in map(self.y_matrix, permutations(forms))
-                for al in range(self.n)
-                for be in range(self.n)
-                if not Y[al][be].is_zero()
-            )
-            return LeafForm.function(-out)
-        if len(fns) == 1:
-            jf = self.jG0(fns[0])
+        # sum over the orderings of the form letters, each distinct ordering
+        # once with its multiplicity, of Y(prefix)[al][be] u[al] v[be]: u, v
+        # are the jets of the functions, then those of the last letters (one
+        # j^1_G row per leaf key); keys (s, t) are sorted by LeafForm
+        y = self._y_matrices()
+        degree = 2 - len(fns)
+        jets = [{(): self.jG0(f)} for f in fns]
+        rows = {i: {(h,): row for h, row in enumerate(self.jG1(i))} for i in set(forms)}
+        weight = Fraction(1, 2) if degree == 2 else -1
+        frame = range(self.n)
 
-            def pairs():
-                for tail in range(len(forms)):
-                    jlast = self.jG1(forms[tail])
-                    for sigma in permutations(forms[:tail] + forms[tail + 1 :]):
-                        Y = self.y_matrix(sigma)
-                        for al in range(self.n):
-                            for be in range(self.n):
-                                if Y[al][be].is_zero():
-                                    continue
-                                for h in range(self.nleaf):
-                                    c = Y[al][be] * jf[al] * jlast[h][be]
-                                    if not c.is_zero():
-                                        yield (h,), -c
-
-            return LeafForm(chart, 1, accumulate({}, pairs()))
-
-        # all arguments are frame 1-forms; keys (s, t) are sorted by LeafForm
         def pairs():
-            half = Fraction(1, 2)
-            for sigma in permutations(range(k)):
-                Y = self.y_matrix([forms[sigma[t]] for t in range(k - 2)])
-                j1 = self.jG1(forms[sigma[k - 2]])
-                j2 = self.jG1(forms[sigma[k - 1]])
-                for al in range(self.n):
-                    for be in range(self.n):
+            for letters, mult in Counter(permutations(forms)).items():
+                cut = len(letters) - degree
+                Y = y(letters[:cut])
+                left, right = jets + [rows[i] for i in letters[cut:]]
+                for al in frame:
+                    for be in frame:
                         if Y[al][be].is_zero():
                             continue
-                        for s in range(self.nleaf):
-                            for t in range(self.nleaf):
-                                if s == t:
-                                    continue
-                                c = (Y[al][be] * j1[s][al] * j2[t][be]).scale(half)
+                        for u, a in left.items():
+                            for v, b in right.items():
+                                if u and u == v:
+                                    continue  # d_F x^s ^ d_F x^s = 0
+                                c = Y[al][be] * a[al] * b[be]
                                 if not c.is_zero():
-                                    yield (s, t), c
+                                    yield u + v, c.scale(weight * mult)
 
-        return LeafForm(chart, 2, accumulate({}, pairs()))
+        return LeafForm(chart, degree, accumulate({}, pairs()))
 
     # -- transversal differential operators ----------------------------------------
 

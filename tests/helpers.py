@@ -156,3 +156,34 @@ def leibniz_apply(P: MultiVectorField, fns) -> ScalarFn:
                 prod = prod * fns[which].partial_index(key[slot])
             out = out + prod
     return out
+
+
+def dense_gerstenhaber(P: MultiVectorField, Q: MultiVectorField) -> MultiVectorField:
+    """P o Q key by key: for every increasing key K of degree p + q - 1 and
+    every unshuffle of K into (I, R) with |I| = q, add
+    sign * d_i Q^I * P^{(i,) + R} over all coordinates i."""
+    chart = P.chart
+    p, q = P.degree, Q.degree
+    deg = max(p + q - 1, 0)
+    if p == 0:
+        return MultiVectorField.zero(chart, deg)
+    terms = {}
+    for key in combinations(range(chart.dim), deg):
+        acc = ScalarFn.zero(chart)
+        for chosen in combinations(range(deg), q):
+            rest = tuple(s for s in range(deg) if s not in chosen)
+            inner = Q.coefficient(tuple(key[s] for s in chosen))
+            outer = tuple(key[s] for s in rest)
+            for i in range(chart.dim):
+                acc = acc + (inner.partial_index(i) * P.coefficient((i,) + outer)).scale(
+                    _sign(chosen + rest)
+                )
+        terms[key] = acc
+    return MultiVectorField(chart, deg, terms)
+
+
+def dense_sn_bracket(P: MultiVectorField, Q: MultiVectorField) -> MultiVectorField:
+    """[[P, Q]] = (-1)^{kk'} P o Q - Q o P with k = deg P - 1, k' = deg Q - 1,
+    both products taken by dense_gerstenhaber."""
+    k, kp = P.degree - 1, Q.degree - 1
+    return dense_gerstenhaber(P, Q).scale((-1) ** (k * kp)) - dense_gerstenhaber(Q, P)

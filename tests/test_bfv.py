@@ -176,6 +176,23 @@ def test_lifted_square_takes_the_shortcut(lift):
     assert j.bracket(j).is_zero()
 
 
+def test_flatness_probes_bracket_antisymmetrically(lift):
+    """Lift._is_flat checks the bracket-morphism identity on each unordered
+    probe pair once.  That is enough because on the probes i_nabla keeps the
+    degree (arity - 1) and both brackets are graded antisymmetric with the
+    same sign: [[b, a]] = -(-1)^{|a||b|} [[a, b]], the diagonal included."""
+    probes = lift._flatness_probes()
+    assert len(probes) == 3
+    images = [lift.c1.i_nabla(a) for a in probes]
+    degrees = [ia.is_homogeneous_degree() for ia in images]
+    assert degrees == [a.arity - 1 for a in probes]
+    for a, ia, da in zip(probes, images, degrees):
+        for b, ib, db in zip(probes, images, degrees):
+            sign = -((-1) ** (da * db))
+            assert ib.bracket(ia) == ia.bracket(ib).scale(sign)
+            assert b.sj_bracket(a) == a.sj_bracket(b).scale(sign)
+
+
 class _Vec(tuple):
     """A vector of Q^n with the + - is_zero the axiom checks use."""
 

@@ -6,7 +6,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from coiso.rational import GaussianRational
 from coiso.ring import ScalarFn
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
@@ -23,6 +25,7 @@ from coiso.linfty import (
     prolong_formal,
     solve_dF,
 )
+from coiso.scenario import load_scenario
 
 from helpers import fields_XY, random_base_scalar, torus_chart, torus_jacobi
 
@@ -410,3 +413,138 @@ def test_jet_model_brackets_vanish_above_one():
             comps[i + 1] = -f.partial(name)
         expected = LeafForm(chart, 1, {(a,): v for a, v in comps.items() if not v.is_zero()})
         assert out == expected
+
+
+# -- symmetric sums: random infinitesimal sections of torus-obstructed ----------
+
+TORUS_OBSTRUCTED = load_scenario("torus-obstructed")
+
+
+def _cubic_poisson_table():
+    """Lambda = (cos(ph_3) y_1^2 y_2 + y_2^3) d_y1 ^ d_y2 on the chart of
+    torus-obstructed: Poisson (a bivector in two directions), vanishing to
+    second order on the zero section, so m_1 = m_2 = 0 on sections and m_3
+    is not zero, which the fiberwise linear torus-obstructed J never gives."""
+    chart = TORUS_OBSTRUCTED.chart
+    y1, y2 = ScalarFn.y(chart, "y_1"), ScalarFn.y(chart, "y_2")
+    lam = ScalarFn.cos_phi(chart, "ph_3") * y1 * y1 * y2 + y2 * y2 * y2
+    fy = (chart.index("y_1"), chart.index("y_2"))
+    return extract_multibrackets(MultiDerivation(MultiVectorField(chart, 2, {fy: lam})))
+
+
+TABLES = {"torus-obstructed": TORUS_OBSTRUCTED.table(), "cubic-poisson": _cubic_poisson_table()}
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _polys(chart, directions):
+    """Fourier polynomials of at most two modes, frequencies -1..1 in the
+    given torus directions and 0 in the others, no fiber dependence."""
+    def mode(n):
+        return tuple(n[directions.index(i)] if i in directions else 0 for i in range(chart.k))
+
+    modes = st.tuples(*[st.integers(-1, 1)] * len(directions)).map(
+        lambda n: (mode(n), (0,) * chart.m)
+    )
+    coefs = st.builds(GaussianRational, _fractions, _fractions)
+    return st.dictionaries(modes, coefs, max_size=2).map(lambda t: ScalarFn(chart, t))
+
+
+def _closed_section(chart, transverse, h):
+    """s_a = g_a + d h / d ph_a: leaf-independent g plus the d_F-exact d_F h,
+    so that s is d_F-closed, m_1 s = 0."""
+    return SectionOfNormalBundle(
+        chart, [g + h.partial(x) for g, x in zip(transverse, chart.leaf)]
+    )
+
+
+def _infinitesimal_sections():
+    chart = TORUS_OBSTRUCTED.chart
+    transverse = st.lists(_polys(chart, (2, 3, 4)), min_size=chart.m, max_size=chart.m)
+    exact = _polys(chart, (0, 1, 2, 3))
+    return st.builds(_closed_section, st.just(chart), transverse, exact)
+
+
+def _prolonging_section():
+    """h = E(ph_1 + ph_2 + ph_4) - E(ph_1): on torus-obstructed every one of
+    s_1 .. s_4 is nonzero, so parts of every multiplicity pattern count."""
+    chart = TORUS_OBSTRUCTED.chart
+    zero = (0,) * chart.m
+    h = ScalarFn(chart, {((1, 1, 0, 1, 0), zero): 1, ((1, 0, 0, 0, 0), zero): -1})
+    return _closed_section(chart, [ScalarFn.zero(chart)] * chart.m, h)
+
+
+@pytest.mark.parametrize("name", TABLES)
+@settings(max_examples=25, deadline=None)
+@given(
+    sections=st.lists(_infinitesimal_sections(), min_size=3, max_size=3),
+    perm=st.permutations(range(3)),
+)
+def test_multibrackets_symmetric_in_sections(name, sections, perm):
+    """m_h(s_1, .., s_h) for h = 2, 3 does not depend on the order of the
+    sections: the I(s) are fiber-constant vertical fields and commute.  The
+    partition sum of prolong_formal relies on this."""
+    table = TABLES[name]
+    forms = [s.to_leafform() for s in sections]
+    assert all(table.m1(w).is_zero() for w in forms)
+    for h in (2, 3):
+        args = forms[:h]
+        reordered = [args[i] for i in perm if i < h]
+        assert table.m(reordered) == table.m(args)
+
+
+def _compositions(total, parts):
+    """Ordered tuples of `parts` positive integers summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def composition_prolong(table, s1, order, history):
+    """prolong_formal with the order-k right-hand side summed over every
+    composition of k into h >= 2 parts, weight (-1)^h / h!, each term an
+    m_h evaluated from J."""
+    chart = table.chart
+    coeffs = [s1]
+    for k in range(2, order + 1):
+        rhs = LeafForm.zero(chart, 2)
+        for h in range(2, k + 1):
+            for comp in _compositions(k, h):
+                args = [coeffs[i - 1].to_leafform() for i in comp]
+                rhs = rhs + table.m(args).scale(Fraction((-1) ** h, math.factorial(h)))
+        status, payload = solve_dF(rhs)
+        history.append(
+            {
+                "order_k": k,
+                "rhs": rhs,
+                "obstruction_zero_mode": rhs.leaf_zero_mode(),
+                "two_pi_power": len(chart.leaf),
+                "solved": status == "solved",
+            }
+        )
+        if status == "obstructed":
+            return "obstructed", k, payload
+        coeffs.append(SectionOfNormalBundle.from_leafform(payload))
+    return "prolonged", coeffs
+
+
+@pytest.mark.parametrize("name", TABLES)
+@settings(max_examples=25, deadline=None)
+@given(s1=_infinitesimal_sections(), order=st.integers(2, 5))
+@example(s1=_prolonging_section(), order=5)
+def test_prolong_matches_composition_sum(name, s1, order):
+    """The partition sum with shared prefixes gives the status, the
+    coefficients or obstruction and the history of the composition sum."""
+    table = TABLES[name]
+    history, expected_history = [], []
+    result = prolong_formal(table, s1, order, history=history)
+    expected = composition_prolong(table, s1, order, expected_history)
+    assert history == expected_history
+    assert result[0] == expected[0]
+    if result[0] == "prolonged":
+        assert result[1].coefficients == expected[1]
+    else:
+        assert result[1] == expected[1]
+        assert result[2].zero_mode == expected[2]

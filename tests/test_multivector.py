@@ -3,11 +3,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from coiso.rational import GaussianRational
 from coiso.ring import Chart, ScalarFn
 from coiso.multivector import MultiVectorField
 
-from helpers import leibniz_apply, random_mvf, random_scalar, torus_chart
+from helpers import (
+    dense_gerstenhaber,
+    dense_sn_bracket,
+    leibniz_apply,
+    random_mvf,
+    random_scalar,
+    torus_chart,
+)
 
 
 @pytest.fixture
@@ -153,3 +162,39 @@ def test_sn_extensional_oracle(chart):
         via_apply = leibniz_apply(W, [f, g])
         via_insert = W.insert_differential(f).insert_differential(g).as_function()
         assert via_apply == via_insert
+
+
+_CHARTS = [torus_chart(), Chart(torus=("ph_1", "ph_2", "ph_3"))]
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_coefs = st.builds(GaussianRational, _fractions, _fractions)
+
+
+@st.composite
+def _field_pairs(draw):
+    """Two random multivector fields of degree 0-3 on one chart, their
+    coefficients Fourier polynomials of fiber degree at most 1."""
+    chart = draw(st.sampled_from(_CHARTS))
+    exps = st.tuples(
+        st.tuples(*[st.integers(-1, 1)] * chart.k),
+        st.tuples(*[st.integers(0, 1)] * chart.m),
+    )
+    scalars = st.dictionaries(exps, _coefs, min_size=1, max_size=2).map(
+        lambda t: ScalarFn(chart, t)
+    )
+
+    def field(degree):
+        keys = st.lists(st.integers(0, chart.dim - 1), min_size=degree, max_size=degree)
+        terms = draw(st.dictionaries(keys.map(tuple), scalars, max_size=3))
+        return MultiVectorField(chart, degree, terms)
+
+    return field(draw(st.integers(0, 3))), field(draw(st.integers(0, 3)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_field_pairs())
+def test_gerstenhaber_matches_dense_expansion(pq):
+    """The term-driven product and bracket equal the key-by-key unshuffle
+    expansion, on charts with and without fiber."""
+    P, Q = pq
+    assert P.gerstenhaber(Q) == dense_gerstenhaber(P, Q)
+    assert P.sn_bracket(Q) == dense_sn_bracket(P, Q)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from coiso.rational import GaussianRational
 from coiso.ring import Chart, ScalarFn, mat_eq, mat_identity, mat_mul
@@ -210,3 +211,77 @@ def test_j1G_prolong(td, chart):
     right = {al: form.d_leaf() for al, form in td.j1_G(LeafForm.function(f)).items()}
     for al in left:
         assert left[al] == right[al]
+
+
+def curved_td(chart, rng):
+    """random_td with a skew F_ab block and an F_a vector on both leaf
+    directions, so that every Y-matrix is nonzero."""
+    td = random_td(chart, rng)
+    zero = ScalarFn.zero(chart)
+    for i in range(td.nleaf):
+        f = random_base_scalar(chart, rng)
+        td.Fab[i] = [[zero, f], [-f, zero]]
+        td.Fa[i] = [random_base_scalar(chart, rng) for _ in range(td.A)]
+    return td
+
+
+def permutation_multibracket(td, args):
+    """m_k summed over every permutation of the frame-form letters, each
+    Y = W^-1 F^{i_1} W^-1 ... F^{i_k} W^-1 multiplied out from the left."""
+    chart = td.chart
+    fns = [a[1] for a in args if a[0] == "fn"]
+    forms = [a[1] for a in args if a[0] == "form"]
+    frame = range(td.n)
+
+    def y(letters):
+        out = td.W_inv()
+        for i in letters:
+            out = mat_mul(chart, mat_mul(chart, out, td.F(i)), td.W_inv())
+        return out
+
+    if len(fns) == 2:
+        jf, jg = td.jG0(fns[0]), td.jG0(fns[1])
+        out = ScalarFn.zero(chart)
+        for sigma in permutations(forms):
+            Y = y(sigma)
+            for al in frame:
+                for be in frame:
+                    out = out + Y[al][be] * jf[al] * jg[be]
+        return LeafForm.function(-out)
+    out = LeafForm.zero(chart, 2 - len(fns))
+    for sigma in permutations(forms):
+        if fns:
+            Y, jf, jlast = y(sigma[:-1]), td.jG0(fns[0]), td.jG1(sigma[-1])
+            for al in frame:
+                for be in frame:
+                    for h in range(td.nleaf):
+                        c = Y[al][be] * jf[al] * jlast[h][be]
+                        out = out - LeafForm(chart, 1, {(h,): c})
+        else:
+            Y, j1, j2 = y(sigma[:-2]), td.jG1(sigma[-2]), td.jG1(sigma[-1])
+            for al in frame:
+                for be in frame:
+                    for s in range(td.nleaf):
+                        for t in range(td.nleaf):
+                            if s != t:
+                                c = (Y[al][be] * j1[s][al] * j2[t][be]).scale(Fraction(1, 2))
+                                out = out + LeafForm(chart, 2, {(s, t): c})
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    nfns=st.integers(0, 2),
+    letters=st.lists(st.integers(0, 1), min_size=0, max_size=4),
+)
+def test_multibracket_matches_permutation_sum(rng, nfns, letters):
+    """The prefix-shared, multiset-weighted multibracket equals the sum over
+    every permutation of the letters with each Y multiplied out, on curved
+    random data, for k = 2 .. 4 arguments."""
+    chart = torus_chart()
+    td = curved_td(chart, rng)
+    args = [("fn", random_base_scalar(chart, rng)) for _ in range(nfns)]
+    args += [("form", i) for i in letters[: 4 - nfns]]
+    assume(len(args) >= 2)
+    assert td.multibracket(args) == permutation_multibracket(td, args)
