@@ -39,25 +39,16 @@ XI, XIS, M, DX, DXI, DXIS, PAIR = "xi", "xis", "m", "dx", "dxi", "dxis", "pair"
 
 _SYMBOL_KINDS = (M, DX, DXI, DXIS, PAIR)
 _ORDER = {XI: 0, XIS: 1, M: 2, DX: 3, DXI: 4, DXIS: 5, PAIR: 6}
+_DEGREE = {XI: 1, XIS: -1, M: 1, DX: 1, DXI: 0, DXIS: 2}
 
 
 def letter_degree(letter) -> int:
     kind = letter[0]
-    if kind == XI:
-        return 1
-    if kind == XIS:
-        return -1
-    if kind == M:
-        return 1
-    if kind == DX:
-        return 1
-    if kind == DXI:
-        return 0
-    if kind == DXIS:
-        return 2
     if kind == PAIR:
         return letter_degree(letter[1]) + letter_degree(letter[2]) - 1
-    raise GradedError(f"unknown letter {letter!r}")
+    if kind not in _DEGREE:
+        raise GradedError(f"unknown letter {letter!r}")
+    return _DEGREE[kind]
 
 
 def is_symbol(letter) -> bool:
@@ -117,17 +108,14 @@ def term_degree(letters) -> int:
     return sum(letter_degree(l) for l in letters) - 1
 
 
+_BIDEGREE = {XI: (1, 0), XIS: (0, 1), DXI: (-1, 0), DXIS: (0, -1)}
+
+
 def bidegree(letters):
     h = k = 0
     for l in letters:
-        if l[0] == XI:
-            h += 1
-        elif l[0] == XIS:
-            k += 1
-        elif l[0] == DXI:
-            h -= 1
-        elif l[0] == DXIS:
-            k -= 1
+        dh, dk = _BIDEGREE.get(l[0], (0, 0))
+        h, k = h + dh, k + dk
     return h, k
 
 
@@ -239,34 +227,6 @@ class GradedElement(SparseTerms):
         degs = [bidegree(l)[1] for l in self.terms]
         return min(degs) if degs else 10 ** 9
 
-    # -- the action of symbols on section terms --------------------------------------------
-
-    def _act(self, symbol, letters, f):
-        """Apply one basic symbol to a section term (letters, f); returns a
-        list of (sign, letters, ScalarFn)."""
-        kind = symbol[0]
-        if kind == PAIR:
-            inner = self._act(symbol[2], letters, f)
-            out = []
-            for s1, l1, f1 in inner:
-                for s2, l2, f2 in self._act(symbol[1], l1, f1):
-                    out.append((s1 * s2, l2, f2))
-            return out
-        if kind == M:
-            return [(1, letters, f)]
-        if kind == DX:
-            df = f.partial_index(symbol[1])
-            return [] if df.is_zero() else [(1, letters, df)]
-        if kind in (DXI, DXIS):
-            target = XI if kind == DXI else XIS
-            A = symbol[1]
-            for pos, l in enumerate(letters):
-                if l == (target, A):
-                    sign = (-1) ** (pos % 2)  # ghost letters are all odd
-                    return [(sign, letters[:pos] + letters[pos + 1 :], f)]
-            return []
-        raise GradedError(f"cannot act with {symbol!r}")
-
     # -- insertion: [[op, section]] ------------------------------------------------------
 
     def insert(self, lam: "GradedElement") -> "GradedElement":
@@ -274,22 +234,9 @@ class GradedElement(SparseTerms):
 
         The argument enters each word from the right; moving it left to a
         symbol position contributes the transposition signs of the letters
-        it passes, with the argument's own shifted degree."""
-
-        def pairs():
-            for letters, c in self.terms.items():
-                sym_positions = [p for p, l in enumerate(letters) if is_symbol(l)]
-                for al, b in lam.terms.items():
-                    deg_arg = term_degree(al)
-                    for p in sym_positions:
-                        travel = sum(letter_degree(l) for l in letters[p + 1 :])
-                        sign0 = (-1) ** ((deg_arg * travel) % 2)
-                        for s, res_letters, res_f in self._act(letters[p], al, b):
-                            sign, canon = normalize(letters[:p] + res_letters + letters[p + 1 :])
-                            if sign:
-                                yield canon, _signed(c * res_f, sign0 * s * sign)
-
-        return self._like(accumulate({}, pairs()))
+        it passes, with the argument's own shifted degree.  A section has
+        no symbols, so this is the first-order part of self o lam."""
+        return self._compose(lam)[0]
 
     def eval(self, args) -> "GradedElement":
         """Evaluate on graded sections by iterated first-slot insertion."""
@@ -302,53 +249,91 @@ class GradedElement(SparseTerms):
 
     # -- Gerstenhaber product and bracket -----------------------------------------------------
 
-    def _compose(self, other: "GradedElement") -> "GradedElement":
+    def _compose(self, other: "GradedElement"):
         """Gerstenhaber product self o other: insert the full operator
-        `other` into the first slot of `self`.  Composite (second-order)
-        letters are kept so the bracket can verify their cancellation."""
+        `other` into the first slot of `self`.  Returns (first, tally).
+
+        `first` is the first-order product: a symbol of self acting on the
+        coefficient and ghost letters of an other term, or composing with
+        its identity slot m.  A derivative composed with a derivative of
+        other gives a second-order (PAIR) word, which is counted instead of
+        multiplied out: tally[(word, x, y)] is the signed number of times
+        the normalized word arises from the self term x and the other term
+        y, so it stands for count * self.terms[x] * other.terms[y].
+
+        Term splits, parities and partial derivatives are read once per
+        call; a word is normalized before its coefficient is multiplied."""
+        others = []
+        for ol, oc in other.terms.items():
+            ghost = tuple(l for l in ol if not is_symbol(l))
+            syms = tuple(l for l in ol if is_symbol(l))
+            # parity of the letters of ol left of each symbol
+            reach, reaches = sum(letter_degree(l) for l in ghost) % 2, []
+            for sp in syms:
+                reaches.append(reach)
+                reach ^= letter_degree(sp) % 2
+            others.append((ol, oc, ghost, syms, term_degree(ol) % 2, reaches, {}))
+        selfs = []
+        for letters, c in self.terms.items():
+            slots, travel = [], 0  # (position, symbol, its untwisted parity, parity right of it)
+            for p in range(len(letters) - 1, -1, -1):
+                if is_symbol(letters[p]):
+                    slots.append((p, letters[p], _untwisted_parity(letters[p]), travel))
+                travel ^= letter_degree(letters[p]) % 2
+            selfs.append((letters, c, slots[::-1]))
+        tally = {}
 
         def pairs():
-            for letters, c in self.terms.items():
-                sym_positions = [p for p, l in enumerate(letters) if is_symbol(l)]
-                for ol, oc in other.terms.items():
-                    deg_other = term_degree(ol)
-                    ghost_part = tuple(l for l in ol if not is_symbol(l))
-                    sym_part = tuple(l for l in ol if is_symbol(l))
-                    for p in sym_positions:
-                        s = letters[p]
-                        travel = sum(letter_degree(l) for l in letters[p + 1 :])
-                        sign0 = (-1) ** ((deg_other * travel) % 2)
+            for letters, c, slots in selfs:
+                for ol, oc, ghost, syms, odd, reaches, partials in others:
+                    for p, s, twisted, travel in slots:
+                        sign0 = -1 if odd and travel else 1
                         left, right = letters[:p], letters[p + 1 :]
-                        # part A: s acts on the coefficient/ghost part of other;
-                        # for the identity slot m this is already the whole
+                        # s acts on the coefficient/ghost part of other; for
+                        # the identity slot m this is already the whole
                         # action (m is not a derivation)
-                        for sa, res_letters, res_f in self._act(s, ghost_part, oc):
-                            yield left + res_letters + sym_part + right, _signed(c * res_f, sign0 * sa)
+                        acted = _act(s, ghost, oc, partials)
+                        if acted:
+                            sa, res_letters, res_f = acted
+                            sign, canon = normalize(left + res_letters + syms + right)
+                            if sign:
+                                yield canon, _signed(c * res_f, sign0 * sa * sign)
                         if s[0] == M:
                             continue
-                        # part B: the derivative symbol s composes with one of
-                        # other's symbols (second order unless that symbol is m);
-                        # reaching past the block prefix carries the untwisted
-                        # parity of the derivative
-                        prefix_deg = sum(letter_degree(x) for x in ghost_part)
-                        for idx, sp in enumerate(sym_part):
-                            signB = (-1) ** ((_untwisted_parity(s) * prefix_deg) % 2)
+                        # s composes with one of other's symbols: first order
+                        # when that symbol is m, else a tallied PAIR; reaching
+                        # past the letters left of it carries the untwisted
+                        # parity of s
+                        for idx, sp in enumerate(syms):
                             comp, csign = _compose_symbols(s, sp)
-                            if comp is not None:
-                                rest = sym_part[:idx] + (comp,) + sym_part[idx + 1 :]
-                                yield left + ghost_part + rest + right, _signed(
-                                    c * oc, sign0 * signB * csign
-                                )
-                            prefix_deg += letter_degree(sp)
+                            if comp is None:
+                                continue
+                            sign, canon = normalize(left + ghost + syms[:idx] + (comp,) + syms[idx + 1 :] + right)
+                            if not sign:
+                                continue
+                            sign *= sign0 * csign * (-1 if twisted and reaches[idx] else 1)
+                            if comp[0] == PAIR:
+                                key = (canon, letters, ol)
+                                tally[key] = tally.get(key, 0) + sign
+                            else:
+                                yield canon, _signed(c * oc, sign)
 
-        return self._like(accumulate({}, _canonical(pairs())))
+        return self._like(accumulate({}, pairs())), tally
 
     def bracket(self, other: "GradedElement") -> "GradedElement":
         """Graded Schouten-Jacobi bracket [[self, other]] = a o b -+ b o a
         (+ when both degrees are odd), from the Gerstenhaber products.
 
+        The second-order words must cancel; their tallies are merged, a key
+        (word, y, x) of b o a flipped to (word, x, y) with its count signed
+        by the -+, as both stand for a.terms[x] * b.terms[y].  A word's
+        coefficient is the sum of count * product over its keys, so it
+        vanishes formally when every count is zero; _check_cancelled
+        multiplies out only the keys with a nonzero count.
+
         A square [[a, a]] (other is self) composes once: b o a = a o b, so
-        it is 2 (a o a) for odd |a| and 0 for even |a|."""
+        it is 2 (a o a) for odd |a|, its tally merged with its own flip, and
+        0 for even |a|."""
         self._check(other)
         da = self.is_homogeneous_degree()
         db = da if other is self else other.is_homogeneous_degree()
@@ -363,15 +348,14 @@ class GradedElement(SparseTerms):
         if other is self:
             if da % 2 == 0:
                 return self._like({})
-            raw = self._compose(self).scale(2)
-        else:
-            ab = self._compose(other)
-            ba = other._compose(self)
-            raw = ab + ba if (da * db) % 2 else ab - ba
-        # pure second-order composites must cancel; m-composites reduce
-        if any(l[0] == PAIR for letters in raw.terms for l in letters):
-            raise AssertionError("second-order composite survived the bracket")  # pragma: no cover
-        return raw
+            ab, tally = self._compose(self)
+            _check_cancelled(_merged(tally, tally, 1), self.terms, self.terms)
+            return ab.scale(2)
+        ab, t_ab = self._compose(other)
+        ba, t_ba = other._compose(self)
+        sign = 1 if (da * db) % 2 else -1
+        _check_cancelled(_merged(t_ab, t_ba, sign), self.terms, other.terms)
+        return ab + ba if sign == 1 else ab - ba
 
     def _homogeneous_pieces(self):
         by_deg = {}
@@ -384,25 +368,16 @@ class GradedElement(SparseTerms):
     def __repr__(self):
         if not self.terms:
             return "GradedElement(0)"
-        bits = []
         names = self.chart.coords
-        for letters in sorted(self.terms, key=lambda ls: tuple(_key(l) for l in ls)):
-            word = []
-            for l in letters:
-                if l[0] == XI:
-                    word.append(f"xi^{l[1] + 1}")
-                elif l[0] == XIS:
-                    word.append(f"xis_{l[1] + 1}")
-                elif l[0] == M:
-                    word.append("ID")
-                elif l[0] == DX:
-                    word.append(f"D_{names[l[1]]}")
-                elif l[0] == DXI:
-                    word.append(f"D_xi^{l[1] + 1}")
-                elif l[0] == DXIS:
-                    word.append(f"D_xis_{l[1] + 1}")
-            bits.append(f"({self.terms[letters]!r})*" + (".".join(word) or "1"))
-        return " + ".join(bits)
+        shown = {XI: "xi^{}", XIS: "xis_{}", M: "ID", DXI: "D_xi^{}", DXIS: "D_xis_{}"}
+
+        def show(l):
+            return f"D_{names[l[1]]}" if l[0] == DX else shown[l[0]].format(*(i + 1 for i in l[1:]))
+
+        return " + ".join(
+            f"({self.terms[letters]!r})*" + (".".join(map(show, letters)) or "1")
+            for letters in sorted(self.terms, key=lambda ls: tuple(_key(l) for l in ls))
+        )
 
 
 def _untwisted_parity(letter) -> int:
@@ -426,6 +401,46 @@ def _compose_symbols(s, sp):
         sign = -1 if (_untwisted_parity(s) and _untwisted_parity(sp)) else 1
         a, b = (sp, s), sign
     return (PAIR, a[0], a[1]), b
+
+
+def _act(symbol, letters, f, partials):
+    """Apply one basic symbol to a section term (letters, f): (sign,
+    letters, ScalarFn) or None for zero; `partials` keeps f's derivatives."""
+    kind = symbol[0]
+    if kind == M:
+        return 1, letters, f
+    if kind == DX:
+        df = partials.get(symbol[1])
+        if df is None:
+            df = partials[symbol[1]] = f.partial_index(symbol[1])
+        return None if df.is_zero() else (1, letters, df)
+    if kind in (DXI, DXIS):
+        target = (XI if kind == DXI else XIS, symbol[1])
+        for pos, l in enumerate(letters):
+            if l == target:
+                return (-1) ** (pos % 2), letters[:pos] + letters[pos + 1 :], f  # ghosts are odd
+        return None
+    raise GradedError(f"cannot act with {symbol!r}")
+
+
+def _merged(t_ab, t_ba, sign):
+    """The tally of a o b + sign (b o a): keys (word, y, x) of b o a
+    flipped to (word, x, y)."""
+    out = dict(t_ab)
+    for (word, y, x), n in t_ba.items():
+        out[word, x, y] = out.get((word, x, y), 0) + sign * n
+    return out
+
+
+def _check_cancelled(tally, a_terms, b_terms):
+    """Multiply out the tally keys (word, x, y) with a nonzero count; raise
+    when some word's sum of count * a_terms[x] * b_terms[y] is nonzero."""
+    survivors = accumulate(
+        {},
+        ((word, (a_terms[x] * b_terms[y]).scale(n)) for (word, x, y), n in tally.items() if n),
+    )
+    if survivors:
+        raise AssertionError("second-order composite survived the bracket")
 
 
 # ---------------------------------------------------------------------------
@@ -536,29 +551,20 @@ class ContractionOne:
         self.chart = chart
         self.rank = rank
         self.connection = connection or Connection(chart, rank)
-        self._inabla_m = self._expand_inabla_m()
+        self._inabla_m = self._expand_inabla((M,), self.connection.gamma_id)
         self._inabla_dx = {}
 
-    # local tables of i_nabla on generators
-    def _expand_inabla_m(self) -> GradedElement:
+    def _expand_inabla(self, slot, gamma) -> GradedElement:
+        """Local table of i_nabla on one slot generator: the slot plus the
+        ghost rotation by gamma, less the ghost Euler field for the id slot."""
         chart, rank = self.chart, self.rank
-        gamma = self.connection.gamma_id
         one = ScalarFn.one(chart)
-        terms = {((M,),): one}
+        terms = {(slot,): one}
         for A in range(rank):
             for B in range(rank):
-                terms[((XI, B), (DXI, A))] = (gamma[A][B] - one) if A == B else gamma[A][B]
+                euler = slot[0] == M and A == B
+                terms[((XI, B), (DXI, A))] = (gamma[A][B] - one) if euler else gamma[A][B]
                 terms[((XIS, B), (DXIS, A))] = -gamma[B][A]
-        return GradedElement(chart, rank, terms)
-
-    def _expand_inabla_dx(self, i) -> GradedElement:
-        chart, rank = self.chart, self.rank
-        g = self.connection.gamma_i(i)
-        terms = {((DX, i),): ScalarFn.one(chart)}
-        for A in range(rank):
-            for B in range(rank):
-                terms[((XI, B), (DXI, A))] = g[A][B]
-                terms[((XIS, B), (DXIS, A))] = -g[B][A]
         return GradedElement(chart, rank, terms)
 
     def inabla_symbol(self, letter) -> GradedElement:
@@ -566,7 +572,7 @@ class ContractionOne:
             return self._inabla_m
         if letter[0] == DX:
             if letter[1] not in self._inabla_dx:
-                self._inabla_dx[letter[1]] = self._expand_inabla_dx(letter[1])
+                self._inabla_dx[letter[1]] = self._expand_inabla(letter, self.connection.gamma_i(letter[1]))
             return self._inabla_dx[letter[1]]
         raise GradedError("i_nabla substitutes only mu* and base-derivative slots")
 
@@ -641,13 +647,7 @@ class ContractionOne:
 
     @staticmethod
     def _adapted_weight(letters) -> int:
-        return sum(
-            1
-            for l in letters
-            if l[0] in (XI, XIS)
-            or (l[0] == DXI)
-            or (l[0] == DXIS)
-        )
+        return sum(1 for l in letters if l[0] in (XI, XIS, DXI, DXIS))
 
     def weight_split(self, op: GradedElement):
         """Split into eigencomponents of the weight derivation."""

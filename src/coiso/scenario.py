@@ -2,12 +2,12 @@
 
 A scenario carries one chart, exactly one structure block (jacobi | contact
 | lcs | jet | transversal may accompany any of them), and optional section
-/ formal / bfv blocks; a bfv block must be {"connection": "trivial"}.  All
-coefficient expressions use the ring grammar.
+/ formal / bfv blocks; a jet block must be {} and a bfv block must be
+{"connection": "trivial"}.  All coefficient expressions use the ring grammar.
 
 A ``Scenario`` also holds the artifacts its tasks share (the Jacobi
-structure, the transversal data, the multibracket table, the lift, the
-BRST charge of the zero section and d_BFV), each built on first use and
+structure, the section, the transversal data, the multibracket table, the
+lift, the BRST charge of the zero section and d_BFV), each built on first use and
 kept for the life of the object.
 """
 
@@ -158,12 +158,17 @@ class Scenario:
             theta1 = Form(self.chart, 1, self._skew_terms(block.get("theta1", []), kind))
             j = lcs_to_jacobi(omega, theta1)
         elif kind == "jet":
+            if block != {}:
+                raise ScenarioError(f"jet block takes no keys and must be {{}}, not {json.dumps(block)}")
             j = fiberwise_linear_jacobi(self.chart)
         else:  # pragma: no cover
             raise ScenarioError(f"unknown structure {kind}")
         return j
 
     def section(self) -> SectionOfNormalBundle:
+        return self._once("section", self._build_section)
+
+    def _build_section(self) -> SectionOfNormalBundle:
         block = self.data.get("section")
         if block is None:
             raise ScenarioError("scenario has no section block")

@@ -8,9 +8,22 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ScalarFn, mat_mul, unit_inverse
+from coiso.ring import Chart, ScalarFn, accumulate, mat_mul, unit_inverse
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
+from coiso.graded import (
+    DX,
+    DXI,
+    DXIS,
+    M,
+    XI,
+    XIS,
+    _compose_symbols,
+    is_symbol,
+    letter_degree,
+    normalize,
+    term_degree,
+)
 
 
 def torus_chart():
@@ -187,3 +200,82 @@ def dense_sn_bracket(P: MultiVectorField, Q: MultiVectorField) -> MultiVectorFie
     both products taken by dense_gerstenhaber."""
     k, kp = P.degree - 1, Q.degree - 1
     return dense_gerstenhaber(P, Q).scale((-1) ** (k * kp)) - dense_gerstenhaber(Q, P)
+
+
+def _dense_act(symbol, letters, f):
+    """One basic symbol applied to a section term (letters, f): a list of
+    (sign, letters, ScalarFn)."""
+    if symbol[0] == M:
+        return [(1, letters, f)]
+    if symbol[0] == DX:
+        df = f.partial_index(symbol[1])
+        return [] if df.is_zero() else [(1, letters, df)]
+    target = (XI if symbol[0] == DXI else XIS, symbol[1])
+    for pos, l in enumerate(letters):
+        if l == target:
+            return [((-1) ** pos, letters[:pos] + letters[pos + 1 :], f)]
+    return []
+
+
+def _dense_sum(like, pairs):
+    """The element of like's shape summing (letters, ScalarFn) pairs, each
+    word normalized with its graded sign."""
+    out = {}
+    for letters, f in pairs:
+        sign, canon = normalize(letters)
+        if sign:
+            accumulate(out, [(canon, f if sign == 1 else -f)])
+    return like._like(out)
+
+
+def dense_compose(a, b):
+    """a o b with every composite multiplied out, the second-order words
+    kept as PAIR letters: for each symbol s of an a word and each b term,
+    s acts on the b term's coefficient and ghost letters, and a derivative
+    s composes with each symbol of the b word, reaching past the letters
+    left of it with the untwisted parity of s."""
+
+    def pairs():
+        for letters, c in a.terms.items():
+            for ol, oc in b.terms.items():
+                ghost = tuple(l for l in ol if not is_symbol(l))
+                syms = tuple(l for l in ol if is_symbol(l))
+                for p, s in enumerate(letters):
+                    if not is_symbol(s):
+                        continue
+                    travel = sum(letter_degree(l) for l in letters[p + 1 :])
+                    sign0 = (-1) ** (term_degree(ol) * travel % 2)
+                    left, right = letters[:p], letters[p + 1 :]
+                    for sa, res_letters, res_f in _dense_act(s, ghost, oc):
+                        yield left + res_letters + syms + right, (c * res_f).scale(sign0 * sa)
+                    if s[0] == M:
+                        continue
+                    reach = sum(letter_degree(x) for x in ghost)
+                    for idx, sp in enumerate(syms):
+                        twist = (-1) ** (reach * (s[0] in (DXI, DXIS)) % 2)
+                        comp, csign = _compose_symbols(s, sp)
+                        if comp is not None:
+                            word = left + ghost + syms[:idx] + (comp,) + syms[idx + 1 :] + right
+                            yield word, (c * oc).scale(sign0 * twist * csign)
+                        reach += letter_degree(sp)
+
+    return _dense_sum(a, pairs())
+
+
+def dense_insert(op, lam):
+    """[[op, lam]] for a graded section lam by the insertion loop: lam
+    enters each word from the right and moves left to a symbol, passing
+    its letters with lam's shifted degree."""
+
+    def pairs():
+        for letters, c in op.terms.items():
+            for al, b in lam.terms.items():
+                for p, s in enumerate(letters):
+                    if not is_symbol(s):
+                        continue
+                    travel = sum(letter_degree(l) for l in letters[p + 1 :])
+                    sign0 = (-1) ** (term_degree(al) * travel % 2)
+                    for sa, res_letters, res_f in _dense_act(s, al, b):
+                        yield letters[:p] + res_letters + letters[p + 1 :], (c * res_f).scale(sign0 * sa)
+
+    return _dense_sum(op, pairs())

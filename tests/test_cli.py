@@ -100,6 +100,20 @@ def test_validation_error_exit_code(tmp_path, capsys):
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", [[], {"x": 1}, None, "jet"])
+@pytest.mark.parametrize("task", ["check-jacobi", "coisotropic"])
+def test_jet_block_takes_no_keys(tmp_path, capsys, task, value):
+    """The jet block has no parameters: any value but {} exits 2 with one
+    line, where {} runs the task."""
+    data = _builtin_data("legendrian-jet")
+    data["jet"] = value
+    p = tmp_path / "jet.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run_cli(["--scenario", str(p), "--task", task], capsys)
+    assert code == 2 and out == ""
+    assert "jet block" in err and len(err.splitlines()) == 1
+
+
 LCS_T2 = {
     "schema": 1,
     "chart": {"torus": ["ph_1", "ph_2"], "fiber": [], "leaf": []},
@@ -373,6 +387,18 @@ def test_job_builds_each_artifact_once(monkeypatch, capsys):
     # bfv-kuranishi and hpl-resolve each build their own HPL data; only
     # hpl-resolve samples its contraction axioms (6 base + 6 perturbed)
     assert counts == {"lift": 1, "table": 1, "d_bfv": 1, "hpl": 2, "axiom_samples": 12}
+
+
+def test_section_is_shared():
+    """The section is parsed once per Scenario; a missing block raises
+    every time and keeps nothing."""
+    scenario = load_scenario("torus-obstructed")
+    assert scenario.section() is scenario.section()
+    bare = load_scenario("legendrian-jet")
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match="no section block"):
+            bare.section()
+    assert "section" not in bare._built
 
 
 # the tasks each built-in scenario can run (legendrian-jet has no section

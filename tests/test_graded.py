@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from coiso import graded
 from coiso.rational import GaussianRational
 from coiso.ring import Chart, ScalarFn
 from coiso.multider import MultiDerivation
@@ -30,7 +32,15 @@ from coiso.graded import (
     to_graded,
 )
 
-from helpers import random_base_scalar, random_multider, random_scalar, torus_chart, torus_jacobi
+from helpers import (
+    dense_compose,
+    dense_insert,
+    random_base_scalar,
+    random_multider,
+    random_scalar,
+    torus_chart,
+    torus_jacobi,
+)
 
 RANK = 2
 
@@ -189,6 +199,122 @@ def test_square_composes_once(chart, monkeypatch):
             if parity is not None:
                 assert len(calls) == parity
             assert square == x.bracket(copy)
+
+
+# ghost rank -> a chart with that many fiber coordinates
+_GRADED_CHARTS = {
+    1: Chart(torus=("ph_1", "ph_2"), fiber=("y_1",), leaf=("ph_1",)),
+    2: Chart(torus=("ph_1", "ph_2"), fiber=("y_1", "y_2"), leaf=("ph_1",)),
+}
+
+
+@st.composite
+def _graded_pair(draw, kinds=("odd", "even", "mixed", "section"), other_kinds=None):
+    """Two graded elements of one rank (1 or 2) on its chart, each an
+    operator of homogeneous odd or even degree, of mixed degree, or a
+    section; words have up to two ghost letters and, for operators, one or
+    two symbols."""
+    rank = draw(st.sampled_from(sorted(_GRADED_CHARTS)))
+    chart = _GRADED_CHARTS[rank]
+    exps = st.tuples(st.tuples(*[st.integers(-1, 1)] * chart.k), st.tuples(*[st.integers(0, 1)] * chart.m))
+    coefs = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-2, 2))
+    scalars = st.dictionaries(exps, coefs, min_size=1, max_size=2).map(lambda t: ScalarFn(chart, t))
+    ghost = st.tuples(st.sampled_from((XI, XIS)), st.integers(0, rank - 1))
+    symbol = st.one_of(
+        st.just((M,)),
+        st.tuples(st.just(DX), st.integers(0, chart.dim - 1)),
+        st.tuples(st.sampled_from((DXI, DXIS)), st.integers(0, rank - 1)),
+    )
+
+    def element(kind):
+        nsym = (0, 0) if kind == "section" else (1, 2)
+        words = st.builds(
+            lambda g, s: g + s,
+            st.lists(ghost, max_size=2),
+            st.lists(symbol, min_size=nsym[0], max_size=nsym[1]),
+        )
+        terms = {}
+        for letters in draw(st.lists(words, min_size=1, max_size=3)):
+            sign, canon = normalize(letters)
+            if sign:
+                terms[canon] = draw(scalars)
+        degrees = sorted({term_degree(l) for l in terms})
+        if kind in ("odd", "even"):
+            # one degree of the asked parity
+            keep = [d for d in degrees if d % 2 == (kind == "odd")]
+            assume(keep)
+            terms = {l: f for l, f in terms.items() if term_degree(l) == keep[0]}
+        elif kind == "mixed":
+            assume(len(degrees) > 1)
+        assume(terms)
+        return GradedElement(chart, rank, terms)
+
+    return element(draw(st.sampled_from(kinds))), element(draw(st.sampled_from(other_kinds or kinds)))
+
+
+def _dense_bracket(a, b):
+    """[[a, b]] by the materializing products, over homogeneous pieces:
+    a o b -+ b o a, where no second-order (PAIR) word may survive."""
+    out = GradedElement.zero(a.chart, a.rank)
+    for pa in a._homogeneous_pieces():
+        for pb in b._homogeneous_pieces():
+            da, db = deg_of(pa), deg_of(pb)
+            ab, ba = dense_compose(pa, pb), dense_compose(pb, pa)
+            raw = ab + ba if (da * db) % 2 else ab - ba
+            assert not any(l[0] == graded.PAIR for letters in raw.terms for l in letters)
+            out = out + raw
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graded_pair())
+def test_bracket_matches_dense_compose(pair):
+    """The bracket's first-order kernel, and its tally check of the
+    second-order words, agree with multiplying every composite out: on odd,
+    even and mixed degrees, sections, rank 1 and 2, and squares."""
+    a, b = pair
+    assert a.bracket(b) == _dense_bracket(a, b)
+    assert a.bracket(a) == _dense_bracket(a, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graded_pair(kinds=("odd", "even", "mixed"), other_kinds=("section",)))
+def test_insert_matches_dense_insertion(pair):
+    """insert is the first-order part of the product with a section and
+    equals the insertion loop."""
+    op, lam = pair
+    assert op.insert(lam) == dense_insert(op, lam)
+    assert op._compose(lam)[1] == {}
+
+
+def test_uncancelled_composite_raises(chart, monkeypatch):
+    """A sign error in one derivative composite leaves a second-order word
+    in the bracket, and the tally check reports it."""
+    a = GradedElement.word(chart, RANK, ((DX, 0),), ScalarFn.sin_phi(chart, "ph_3"))
+    b = GradedElement.word(chart, RANK, ((DX, 1),), ScalarFn.y(chart, "y_1"))
+    assert a.bracket(b) == _dense_bracket(a, b)
+    original = graded._compose_symbols
+
+    def flipped(s, sp):
+        comp, sign = original(s, sp)
+        return comp, -sign if (s, sp) == ((DX, 1), (DX, 0)) else sign
+
+    monkeypatch.setattr(graded, "_compose_symbols", flipped)
+    with pytest.raises(AssertionError, match="second-order composite survived the bracket"):
+        a.bracket(b)
+
+
+def test_check_cancelled_multiplies_out_survivors(chart):
+    """Tally entries that do not cancel formally are multiplied out per
+    word: distinct factor pairs with equal products and opposite counts
+    cancel, unequal products do not, and zero counts are never read."""
+    f, g = ScalarFn.sin_phi(chart, "ph_3"), ScalarFn.y(chart, "y_1")
+    word = ((graded.PAIR, (DX, 0), (DX, 1)),)
+    a_terms = {"x1": f.scale(2), "x2": f}
+    tally = {(word, "x1", "y1"): 1, (word, "x2", "y2"): -1, (word, "x3", "y3"): 0}
+    graded._check_cancelled(tally, a_terms, {"y1": g, "y2": g.scale(2)})
+    with pytest.raises(AssertionError, match="second-order composite survived the bracket"):
+        graded._check_cancelled(tally, a_terms, {"y1": g, "y2": g.scale(3)})
 
 
 def test_bracket_insertion_recursion(chart):
