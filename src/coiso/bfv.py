@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from .ring import ChartError, ScalarFn, dot, inverse_unit
 from .multider import MultiDerivation
@@ -46,23 +47,26 @@ class ObstructionFailure(Exception):
 
 def check_contraction_axioms(data, x, label):
     """q j = id, [d, h] = j q - id, h^2 = h j = q h = 0 on the sample x for
-    data with projection q, immersion j, homotopy h and differential d.
-    Computes h(x), q(x) and j(q(x)) once each; returns q(x)."""
-    q, j, h, d = data.projection, data.immersion, data.homotopy, data.differential
-    hx = h(x)
-    small = q(x)
+    data with immersion j, differential d and homotopy_projection(y) =
+    (h(y), q(y)).  Takes h and q of each of x, d(x), h(x) and j(q(x)) from
+    one homotopy_projection call; returns (q(x), q(d(x)))."""
+    hq, j, d = data.homotopy_projection, data.immersion, data.differential
+    hx, small = hq(x)
     jq = j(small)
-    if not ((d(hx) + h(d(x))) - (jq - x)).is_zero():
+    hdx, qdx = hq(d(x))
+    if not ((d(hx) + hdx) - (jq - x)).is_zero():
         raise BFVError(f"{label} violate [d, h] = j q - id")
-    if not h(hx).is_zero():
+    hhx, qhx = hq(hx)
+    if not hhx.is_zero():
         raise BFVError(f"{label} violate h^2 = 0")
-    if not q(hx).is_zero():
+    if not qhx.is_zero():
         raise BFVError(f"{label} violate q h = 0")
-    if not (q(jq) - small).is_zero():
+    hjq, qjq = hq(jq)
+    if not (qjq - small).is_zero():
         raise BFVError(f"{label} violate q j = id")
-    if not h(jq).is_zero():
+    if not hjq.is_zero():
         raise BFVError(f"{label} violate h j = 0")
-    return small
+    return small, qdx
 
 
 class ContractionData:
@@ -77,6 +81,9 @@ class ContractionData:
         if sampler is not None:
             for _ in range(checks):
                 check_contraction_axioms(self, sampler(), "contraction data")
+
+    def homotopy_projection(self, y):
+        return self.homotopy(y), self.projection(y)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +168,13 @@ def exp_ad(r, x, bracket, max_terms=16):
 class Lift:
     """The lifted graded Jacobi structure of an ungraded one.
 
-    When the supplied connection passes the flatness morphism test, the
-    fast path J^ = G + i_nabla(J) applies: its square is checked to be zero
-    and no SBSO runs.  Otherwise the recursion deforms G + i_nabla(J) into
-    an MC element along the diagonal bidegree filtration.  Either way the
-    constructor raises unless [[J^, J^]] = 0."""
+    The constructor squares qbar = G + i_nabla(J) first.  A zero square
+    makes J^ = qbar with no corrections, which is what both the flat and
+    the curved route return then.  Otherwise the flatness morphism test
+    decides: for a flat connection the lifting has failed, for a curved one
+    the recursion deforms qbar into an MC element along the diagonal
+    bidegree filtration.  Either way the constructor raises unless
+    [[J^, J^]] = 0."""
 
     def __init__(self, j: MultiDerivation, rank: int, connection: Connection | None = None):
         chart = j.chart
@@ -178,14 +187,19 @@ class Lift:
         self.j = j
         self.c1 = ContractionOne(chart, rank, connection)
         self.G = tautological_G(chart, rank)
-        self.flat = self._is_flat()
         qbar = self.G + self.c1.i_nabla(j)
-        if self.flat:
-            if not qbar.bracket(qbar).is_zero():
-                raise BFVError("flat lifting failed: [[J^, J^]] != 0")
+        sq = qbar.bracket(qbar)
+        if sq.is_zero():
             self.j_hat, self.corrections = qbar, []
+        elif self.flat:
+            raise BFVError("flat lifting failed: [[J^, J^]] != 0")
         else:
-            self.j_hat, self.corrections = self._run_sbso(qbar)
+            self.j_hat, self.corrections = self._run_sbso(qbar, sq)
+
+    @cached_property
+    def flat(self) -> bool:
+        """Whether the connection passes the flatness morphism test."""
+        return self._is_flat()
 
     def _flatness_probes(self):
         """The structure and the first two coordinate derivations."""
@@ -213,10 +227,12 @@ class Lift:
                     return False
         return True
 
-    def _run_sbso(self, qbar):
+    def _run_sbso(self, qbar, sq):
+        """The SBSO from qbar, whose square sq is the applicability
+        square the recursion starts with."""
         zero = GradedElement.zero(self.chart, self.rank)
         return sbso(
-            lambda a, b: a.bracket(b),
+            lambda a, b: sq if a is qbar and b is qbar else a.bracket(b),
             self.c1.H,
             lambda x: zero if self.c1.p(x).is_zero() else x,
             lambda x: x.diag_filtration(),
@@ -311,33 +327,43 @@ def geometric_series(op, x, max_terms=16):
 
 class PerturbedContraction:
     """HPL output: the deformed contraction data of (q, j, h, d) under a
-    small perturbation delta with delta h nilpotent."""
+    small perturbation delta with delta h nilpotent.  The perturbed q and h
+    of an argument y both read the one series (1 - delta h)^{-1} y."""
 
     def __init__(self, base: ContractionData, delta, sampler=None, checks=6):
         self.base = base
         self.delta = delta
-
-        def inv_dh(x):
-            return geometric_series(lambda y: self.delta(base.homotopy(y)), x)
-
-        def inv_hd(x):
-            return geometric_series(lambda y: base.homotopy(self.delta(y)), x)
-
-        self.projection = lambda x: base.projection(inv_dh(x))
-        self.immersion = lambda x: inv_hd(base.immersion(x))
-        self.homotopy = lambda x: base.homotopy(inv_dh(x))
-        self.differential = lambda x: base.differential(x) + self.delta(x)
-        self.small_differential = lambda x: base.projection(
-            self.delta(inv_hd(base.immersion(x)))
-        )
         if sampler is not None:
             for _ in range(checks):
                 x = sampler()
-                qx = check_contraction_axioms(self, x, "perturbed data")
-                if not (
-                    self.projection(self.differential(x)) - self.small_differential(qx)
-                ).is_zero():
+                qx, qdx = check_contraction_axioms(self, x, "perturbed data")
+                if not (qdx - self.small_differential(qx)).is_zero():
                     raise BFVError("perturbed projection is not a chain map")
+
+    def series(self, y):
+        """(1 - delta h)^{-1} y."""
+        return geometric_series(lambda z: self.delta(self.base.homotopy(z)), y)
+
+    def projection(self, y):
+        return self.base.projection(self.series(y))
+
+    def homotopy(self, y):
+        return self.base.homotopy(self.series(y))
+
+    def homotopy_projection(self, y):
+        s = self.series(y)
+        return self.base.homotopy(s), self.base.projection(s)
+
+    def immersion(self, y):
+        """(1 - h delta)^{-1} j(y)."""
+        base = self.base
+        return geometric_series(lambda z: base.homotopy(self.delta(z)), base.immersion(y))
+
+    def differential(self, y):
+        return self.base.differential(y) + self.delta(y)
+
+    def small_differential(self, y):
+        return self.base.projection(self.delta(self.immersion(y)))
 
 
 def hpl_resolution(lift: Lift, dop: GradedElement, sampler=None):

@@ -11,10 +11,15 @@ obstruction is a success), 1 usage or parse error, 2 validation error,
 Each task is one function in ``TASKS``.  Tasks draw on artifacts of the
 scenario, each built on first use and checked once as it is built:
 
-    J (is_jacobi) --> multibracket table          mc, kuranishi, prolong, ...
+    J ([[J, J]] = 0) --> multibracket table       mc, kuranishi, prolong, ...
       |
-      +--> Lift: J^ ([[J^, J^]] = 0) --> Omega_0 = BRST charge of the zero
-           section (SBSO applicability) --> d_BFV (d_BFV^2 = 0) --> HPL data
+      +--> Lift: J^ ([[J^, J^]] = 0; the connection's flatness is tested
+           only when that square is not zero) --> Omega_0 = BRST charge of
+           the zero section (SBSO applicability) --> d_BFV (d_BFV^2 = 0)
+           --> HPL data
+
+J keeps [[J, J]] once computed, so the structure's constructor,
+check-jacobi, coisotropic, the table and the lift share one square.
 
 Artifacts live on the ``Scenario`` object, so they last one ``main`` call
 and are never shared between calls.  A task's report does not depend on

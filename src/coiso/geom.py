@@ -78,6 +78,18 @@ class ContactChart:
             if not self.theta.pair_vector(E).is_zero():
                 raise GeometryError("frame vectors must lie in ker theta")
 
+    def curvature(self):
+        """The matrix omega_ij = theta([E_i, E_j]) of the frame.  The Lie
+        bracket of vector fields is antisymmetric, so only i < j is
+        computed: omega_ji = -omega_ij and the diagonal is zero."""
+        r = len(self.frame)
+        omega = [[ScalarFn.zero(self.chart)] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i + 1, r):
+                w = self.theta.pair_vector(self.frame[i].sn_bracket(self.frame[j]))
+                omega[i][j], omega[j][i] = w, -w
+        return omega
+
 
 def contact_to_jacobi(cc: ContactChart) -> MultiDerivation:
     """The Jacobi structure of a contact form: {lam, mu} = theta([X_lam, X_mu])
@@ -92,9 +104,8 @@ def contact_to_jacobi(cc: ContactChart) -> MultiDerivation:
     frame = cc.frame
     r = len(frame)
 
-    omega = [[theta.pair_vector(frame[i].sn_bracket(frame[j])) for j in range(r)] for i in range(r)]
     try:
-        omega_inv = inverse_unit(chart, omega)
+        omega_inv = inverse_unit(chart, cc.curvature())
     except ChartError as exc:
         raise GeometryError(str(exc)) from None
 
@@ -103,12 +114,11 @@ def contact_to_jacobi(cc: ContactChart) -> MultiDerivation:
     (a,) = mat_mul(chart, [[-cj for cj in c]], omega_inv)
     X1 = cc.reeb.plus(frame[i].scale_fn(a[i]) for i in range(r))
 
-    # B^mu = omega^sharp((dx^mu)|_C): sum_i b^i omega_ij = <dx^mu, E_j>
-    B = []
-    for mu in range(chart.dim):
-        rhs = [frame[j].coefficient((mu,)) for j in range(r)]
-        (b,) = mat_mul(chart, [rhs], omega_inv)
-        B.append(MultiVectorField.zero(chart, 1).plus(frame[i].scale_fn(b[i]) for i in range(r)))
+    # B^mu = omega^sharp((dx^mu)|_C): sum_i b^i omega_ij = <dx^mu, E_j>,
+    # one row of right-hand sides per coordinate mu
+    rhs = [[frame[j].coefficient((mu,)) for j in range(r)] for mu in range(chart.dim)]
+    zero = MultiVectorField.zero(chart, 1)
+    B = [zero.plus(frame[i].scale_fn(b[i]) for i in range(r)) for b in mat_mul(chart, rhs, omega_inv)]
 
     lam_terms = {}
     for mu in range(chart.dim):
@@ -169,11 +179,11 @@ def lcs_to_jacobi(omega: Form, theta1: Form) -> MultiDerivation:
         )
 
     gamma = sharp([theta1.coefficient((j,)) for j in range(n)])
+    # the sharp of the unit covector dx^mu is row mu of Omega_inv
     lam_terms = {}
-    sharp_basis = [sharp([ScalarFn.one(chart) if j == mu else ScalarFn.zero(chart) for j in range(n)]) for mu in range(n)]
     for mu in range(n):
         for nu in range(mu + 1, n):
-            coeff = sharp_basis[mu].coefficient((nu,))
+            coeff = Omega_inv[mu][nu]
             if not coeff.is_zero():
                 lam_terms[(mu, nu)] = coeff
     lam = MultiVectorField(chart, 2, lam_terms)

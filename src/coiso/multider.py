@@ -41,9 +41,12 @@ class Section:
 
 
 class MultiDerivation:
-    """square = P - Q ^ id; arity = deg P; Q is None for arity 0."""
+    """square = P - Q ^ id; arity = deg P; Q is None for arity 0.
 
-    __slots__ = ("chart", "arity", "p_part", "q_part")
+    A MultiDerivation is never changed after construction, so its bracket
+    with itself is computed on first use and kept on the object."""
+
+    __slots__ = ("chart", "arity", "p_part", "q_part", "_square")
 
     def __init__(self, p_part: MultiVectorField, q_part=None):
         self.chart = p_part.chart
@@ -61,6 +64,7 @@ class MultiDerivation:
             if q_part.chart != self.chart:
                 raise ChartError("p and q parts live on different charts")
         self.q_part = q_part
+        self._square = None
 
     # -- constructors --------------------------------------------------------
 
@@ -104,6 +108,14 @@ class MultiDerivation:
     # -- Schouten-Jacobi bracket -------------------------------------------------
 
     def sj_bracket(self, other: "MultiDerivation") -> "MultiDerivation":
+        """[[self, other]]; [[self, self]] is computed once per object."""
+        if other is not self:
+            return self._bracket(other)
+        if self._square is None:
+            self._square = self._bracket(self)
+        return self._square
+
+    def _bracket(self, other: "MultiDerivation") -> "MultiDerivation":
         if self.chart != other.chart:
             raise ChartError("operands live on different charts")
         k = self.arity - 1

@@ -192,6 +192,14 @@ class SparseTerms:
         )
 
 
+def _monomial(chart, n, alpha, c):
+    """The ScalarFn c * exp(i n.phi) * y^alpha of a nonzero c and exponents
+    of the chart's shape, built without revalidating them."""
+    f = object.__new__(ScalarFn)
+    f.chart, f.terms = chart, {(n, alpha): c}
+    return f
+
+
 def _checked_terms(chart, terms):
     """Validated (key, coefficient) pairs of outside input; zeros dropped."""
     for (n, alpha), c in terms.items():
@@ -230,13 +238,11 @@ class ScalarFn(SparseTerms):
         c = GaussianRational.of(c)
         if c.is_zero():
             return ScalarFn(chart)
-        zk = (0,) * chart.k
-        zm = (0,) * chart.m
-        return ScalarFn(chart, {(zk, zm): c})
+        return _monomial(chart, (0,) * chart.k, (0,) * chart.m, c)
 
     @staticmethod
     def one(chart: Chart) -> "ScalarFn":
-        return ScalarFn.const(chart, 1)
+        return _monomial(chart, (0,) * chart.k, (0,) * chart.m, ONE)
 
     @staticmethod
     def exp_phi(chart: Chart, coord: str, n: int = 1) -> "ScalarFn":
@@ -420,7 +426,8 @@ class ScalarFn(SparseTerms):
         for g in targets:
             self._check(g)
         live = [not g.is_zero() for g in targets]
-        one = ScalarFn.one(chart)
+        # g_product runs only for a nonzero target
+        one = ScalarFn.one(chart) if any(live) else None
         powers = [[one] for _ in targets]  # powers[C][k] = g_C^k
         products = {}  # k tuple -> prod_C g_C^k_C
 
@@ -606,8 +613,7 @@ def unit_inverse(f: ScalarFn) -> ScalarFn:
     ((n, alpha), c), = f.terms.items()
     if any(alpha):
         raise ChartError("not a unit: fiber-dependent monomial")
-    inv = GaussianRational(1) / c
-    return ScalarFn(f.chart, {(tuple(-v for v in n), alpha): inv})
+    return _monomial(f.chart, tuple(-v for v in n), alpha, ONE / c)
 
 
 # ---------------------------------------------------------------------------

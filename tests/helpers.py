@@ -122,6 +122,11 @@ def random_unimodular(chart, rng: random.Random, n):
     return mat_mul(chart, L, U)
 
 
+def dense_curvature(cc):
+    """theta([E_i, E_j]) for every ordered pair of the contact frame."""
+    return [[cc.theta.pair_vector(E.sn_bracket(F)) for F in cc.frame] for E in cc.frame]
+
+
 def _sign(perm) -> int:
     """(-1)^(number of inversions)."""
     return (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))

@@ -222,6 +222,14 @@ _BASE = dict(
 )
 
 
+def _toy(**maps):
+    """Contraction data of these maps, its homotopy_projection read from
+    its own homotopy and projection."""
+    data = SimpleNamespace(**maps)
+    data.homotopy_projection = lambda y: (data.homotopy(y), data.projection(y))
+    return data
+
+
 @pytest.mark.parametrize(
     "axiom, change, sample",
     [
@@ -242,8 +250,9 @@ def test_contraction_axiom_messages(axiom, change, sample):
     names that axiom.  (As identities of maps, q h = 0 and h j = 0 follow
     from the other four, so no tuple breaks one of them alone everywhere.)"""
     for x in ((1, 1, 1), (0, 1, 0), (-1, 1, 0), (1, 0, 0)):
-        assert check_contraction_axioms(SimpleNamespace(**_BASE), _Vec(x), "toy") == (x[0],)
-    data = SimpleNamespace(**{**_BASE, **change})
+        # (q x, q d x), and d x = x_b c has no a-component
+        assert check_contraction_axioms(_toy(**_BASE), _Vec(x), "toy") == ((x[0],), (0,))
+    data = _toy(**{**_BASE, **change})
     with pytest.raises(BFVError, match=f"^toy violate {re.escape(axiom)}$"):
         check_contraction_axioms(data, _Vec(sample), "toy")
 
@@ -270,18 +279,57 @@ def test_sbso_squares_once_per_step(lift, chart):
 
 
 def test_flat_lift_squares_once(chart, monkeypatch):
+    """A lift whose square is zero brackets J^ with itself once and never
+    runs the flatness test; lift.flat runs it when read."""
     pairs = []
+    flat_tests = []
     original = GradedElement.bracket
+    is_flat = Lift._is_flat
 
     def bracket(a, b):
         pairs.append((a, b))
         return original(a, b)
 
     monkeypatch.setattr(GradedElement, "bracket", bracket)
+    monkeypatch.setattr(Lift, "_is_flat", lambda self: flat_tests.append(self) or is_flat(self))
     lifted = Lift(torus_jacobi(chart), RANK)
+    assert flat_tests == []
+    assert sum(a == lifted.j_hat and b == lifted.j_hat for a, b in pairs) == 1
     monkeypatch.undo()
     assert lifted.flat and lifted.corrections == []
-    assert sum(a == lifted.j_hat and b == lifted.j_hat for a, b in pairs) == 1
+
+
+def test_flat_lift_with_nonzero_square_fails(lift, chart, monkeypatch):
+    """When [[J^, J^]] != 0 the flatness test decides, and for a flat
+    connection the lifting fails (the square is stubbed: a Jacobi J never
+    gives a nonzero one)."""
+    qbar = lift.G + lift.c1.i_nabla(lift.j)
+    original = GradedElement.bracket
+
+    def bracket(a, b):
+        if a == qbar and b == qbar:
+            return a
+        return original(a, b)
+
+    monkeypatch.setattr(GradedElement, "bracket", bracket)
+    with pytest.raises(BFVError, match="^flat lifting failed: "):
+        Lift(torus_jacobi(chart), RANK)
+
+
+def test_perturbed_sample_sums_four_series(lift, chart, monkeypatch):
+    """A sampled check of the perturbed data sums (1 - delta h)^{-1} once on
+    each of x, d x, h x and j q x: h and q of an argument share one series,
+    and the chain-map check reuses q d x."""
+    dop = d_bfv(lift, brst_charge(lift, SectionOfNormalBundle.zero(chart))[0])
+    pert = hpl_resolution(lift, dop)
+    series = []
+    original = PerturbedContraction.series
+    monkeypatch.setattr(
+        PerturbedContraction, "series", lambda self, y: series.append(y) or original(self, y)
+    )
+    rng = random.Random(41)
+    PerturbedContraction(pert.base, pert.delta, lambda: rand_graded_section(chart, rng), checks=3)
+    assert len(series) == 4 * 3
 
 
 def test_lift_with_nonflat_connection(chart):

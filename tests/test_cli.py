@@ -427,3 +427,25 @@ def test_task_report_independent_of_job(capsys, scenario):
         code, out, err = run_cli(_job_args(scenario, [task]), capsys)
         assert code == 0, err
         assert json.loads(out)["tasks"] == {task: job[task]}, task
+
+
+@pytest.mark.parametrize("scenario", sorted(BUILTIN_JOBS))
+def test_job_squares_the_structure_once(monkeypatch, capsys, scenario):
+    """[[J, J]] is computed once in a job whose constructor, check-jacobi,
+    coisotropic, table and lift all read it, and never for another
+    multiderivation."""
+    from coiso.multider import MultiDerivation
+
+    squared = []
+    original = MultiDerivation._bracket
+
+    def bracket(a, b):
+        if a is b:
+            squared.append(a)
+        return original(a, b)
+
+    monkeypatch.setattr(MultiDerivation, "_bracket", bracket)
+    code, out, err = run_cli(_job_args(scenario, BUILTIN_JOBS[scenario]), capsys)
+    assert code == 0, err
+    assert len(squared) == 1 and squared[0].arity == 2
+    assert json.loads(out)["tasks"]["check-jacobi"]["jacobiator_zero"] is True

@@ -1,12 +1,13 @@
 """Contact/lcs/jet constructors, projection P, injection I, coisotropy."""
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ChartError, ScalarFn
+from coiso.ring import Chart, ChartError, ScalarFn, mat_eq
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm, SectionOfNormalBundle
@@ -23,7 +24,14 @@ from coiso.geom import (
     projection_P,
 )
 
-from helpers import fields_XY, random_base_scalar, random_scalar, torus_chart, torus_jacobi
+from helpers import (
+    dense_curvature,
+    fields_XY,
+    random_base_scalar,
+    random_scalar,
+    torus_chart,
+    torus_jacobi,
+)
 
 
 @pytest.fixture
@@ -56,6 +64,24 @@ def test_contact_reproduces_displayed_J(chart):
     J = contact_to_jacobi(torus_contact_chart(chart))
     assert J == torus_jacobi(chart)
     assert J.sj_bracket(J).is_zero()
+
+
+def test_curvature_is_the_dense_matrix(chart):
+    """ContactChart.curvature brackets the pairs i < j only; the dense
+    r x r matrix is the oracle, on the declared frame and on random
+    ScalarFn combinations of it, which still lie in ker theta."""
+    cc = torus_contact_chart(chart)
+    rng = random.Random(37)
+    zero = MultiVectorField.zero(chart, 1)
+    mixed = copy.copy(cc)
+    mixed.frame = [
+        zero.plus(E.scale_fn(random_scalar(chart, rng, max_terms=1)) for E in rng.sample(cc.frame, 3))
+        for _ in cc.frame
+    ]
+    for c in (cc, mixed):
+        omega = c.curvature()
+        assert len(omega) == 6 and mat_eq(omega, dense_curvature(c))
+    assert not mat_eq(mixed.curvature(), cc.curvature())
 
 
 def test_contact_scaling(chart):

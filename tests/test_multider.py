@@ -245,3 +245,19 @@ def test_eval_nested_insertion(J, chart):
         step1 = J.sj_bracket(MultiDerivation.from_section(lam))
         step2 = step1.sj_bracket(MultiDerivation.from_section(mu))
         assert step2.p_part.as_function().scale(-1) == J.apply([lam, mu])
+
+
+def test_square_is_kept_and_equals_the_bracket_with_a_copy(J, chart):
+    """[[J, J]] is computed once per object and kept; the bracket with a
+    distinct copy, which always computes, is the oracle.  is_jacobi and
+    jacobiator read the kept square."""
+    rng = random.Random(31)
+    for j in [J] + [random_multider(chart, rng, n) for n in (0, 1, 2, 2, 3)]:
+        copy = MultiDerivation(j.p_part, j.q_part)
+        sq = j.sj_bracket(j)
+        assert j.sj_bracket(j) is sq
+        assert sq == j.sj_bracket(copy) == copy.sj_bracket(j)
+        assert j.is_jacobi() == (j.arity == 2 and sq.is_zero())
+        if j.arity == 2:
+            assert j.jacobiator() == sq.scale(Fraction(1, 2))
+    assert J.is_jacobi() and not random_multider(chart, rng, 2).is_jacobi()
