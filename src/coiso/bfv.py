@@ -49,7 +49,7 @@ def check_contraction_axioms(data, x, label):
     """q j = id, [d, h] = j q - id, h^2 = h j = q h = 0 on the sample x for
     data with immersion j, differential d and homotopy_projection(y) =
     (h(y), q(y)).  Takes h and q of each of x, d(x), h(x) and j(q(x)) from
-    one homotopy_projection call; returns (q(x), q(d(x)))."""
+    one homotopy_projection call; returns (j(q(x)), q(d(x)))."""
     hq, j, d = data.homotopy_projection, data.immersion, data.differential
     hx, small = hq(x)
     jq = j(small)
@@ -66,7 +66,7 @@ def check_contraction_axioms(data, x, label):
         raise BFVError(f"{label} violate q j = id")
     if not hjq.is_zero():
         raise BFVError(f"{label} violate h j = 0")
-    return small, qdx
+    return jq, qdx
 
 
 class ContractionData:
@@ -263,9 +263,6 @@ class Lift:
                 return False
         return True
 
-    def bracket_sections(self, a: GradedElement, b: GradedElement) -> GradedElement:
-        return jacobi_bracket(self.j_hat, a, b)
-
 
 # ---------------------------------------------------------------------------
 # BRST charge and BFV differential
@@ -336,8 +333,9 @@ class PerturbedContraction:
         if sampler is not None:
             for _ in range(checks):
                 x = sampler()
-                qx, qdx = check_contraction_axioms(self, x, "perturbed data")
-                if not (qdx - self.small_differential(qx)).is_zero():
+                # chain map: q'(d' x) = q delta j'(q' x), j'(q' x) read from the check
+                jqx, qdx = check_contraction_axioms(self, x, "perturbed data")
+                if not (qdx - base.projection(delta(jqx))).is_zero():
                     raise BFVError("perturbed projection is not a chain map")
 
     def series(self, y):
@@ -412,18 +410,9 @@ def bfv_kuranishi(lift: Lift, dop: GradedElement, nu: GradedElement):
 
 
 def _ghost_leaf_zero_mode(x: GradedElement) -> GradedElement:
-    chart = x.chart
-    leaf_idx = [chart.torus.index(c) for c in chart.leaf]
-    out = {}
-    for letters, f in x.terms.items():
-        kept = {
-            (n, a): c
-            for (n, a), c in f.terms.items()
-            if all(n[j] == 0 for j in leaf_idx)
-        }
-        if kept:
-            out[letters] = ScalarFn(chart, kept)
-    return GradedElement(chart, x.rank, out)
+    leaf = x.chart.leaf_indices()
+    modes = ((letters, f.zero_mode(leaf)) for letters, f in x.terms.items())
+    return x._like({letters: g for letters, g in modes if not g.is_zero()})
 
 
 def geometric_mc_zero_locus(omega: GradedElement, max_iter=12):

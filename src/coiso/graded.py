@@ -212,9 +212,6 @@ class GradedElement(SparseTerms):
     def pr(self, h: int, k: int) -> "GradedElement":
         return self._like({l: f for l, f in self.terms.items() if bidegree(l) == (h, k)})
 
-    def bidegrees(self):
-        return sorted({bidegree(l) for l in self.terms})
-
     def antighost_filtration(self) -> int:
         """Min over terms of the antighost letter count (the filtration
         degree used by the BRST recursion); sections only."""
@@ -536,11 +533,6 @@ class Connection:
     def gamma_i(self, i):
         zero = ScalarFn.zero(self.chart)
         return self.gamma.get(i, [[zero] * self.rank for _ in range(self.rank)])
-
-    def is_trivial(self) -> bool:
-        return all(f.is_zero() for row in self.gamma_id for f in row) and all(
-            f.is_zero() for g in self.gamma.values() for row in g for f in row
-        )
 
 
 class ContractionOne:

@@ -45,18 +45,10 @@ class LeafForm(SkewTerms):
     def leaf_zero_mode(self) -> "LeafForm":
         """Projector Pi_0: keep only terms with zero frequency in every leaf
         direction (the leaf-torus zero mode)."""
-        chart = self.chart
-        leaf_idx = [chart.torus.index(c) for c in self._leaf_names()]
-        out = {}
-        for key, f in self.terms.items():
-            kept = {
-                (n, alpha): c
-                for (n, alpha), c in f.terms.items()
-                if all(n[j] == 0 for j in leaf_idx)
-            }
-            if kept:
-                out[key] = ScalarFn(chart, kept)
-        return LeafForm(chart, self.degree, out)
+        self._leaf_names()  # ChartError unless one leaf coordinate per fiber direction
+        leaf = self.chart.leaf_indices()
+        modes = ((key, f.zero_mode(leaf)) for key, f in self.terms.items())
+        return self._like({key: g for key, g in modes if not g.is_zero()})
 
     def homotopy_K(self) -> "LeafForm":
         """The exact torus homotopy: K(e^{i n.phi} alpha) =

@@ -4,22 +4,19 @@ Multibrackets come from higher derived brackets
 
     m_k(xi_1, ..., xi_k) = P [[ ... [[J, I(xi_1)]], ... ]], I(xi_k)]]
 
-and are stored through the MultibracketTable: the restricted fiber jets of
-the five component families of J (J^{ab}, J^{ai}, J^{ij}, J^a, J^i in the
-splitting base/fiber).  Evaluation rebuilds the fiberwise Taylor expansion
-from the jets -- exact for the fiberwise-polynomial structures this library
-works with -- and expands the nested brackets by multilinearity and the
-Leibniz rule of the Schouten-Jacobi calculus.
+evaluated on the structure J that the MultibracketTable holds, expanded by
+multilinearity and the Leibniz rule of the Schouten-Jacobi calculus.  Their
+values on the normal frame are fiber derivatives d_aa ...|_{y=0} of the
+components of J (in the splitting base/fiber: J^{ab}, J^{ai}, J^{ij}, J^a,
+J^i), which the generator formulas read off J's coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 
-from .ring import Chart, ScalarFn
-from .multivector import MultiVectorField
+from .ring import ScalarFn
 from .multider import MultiDerivation
 from .leafform import LeafForm, SectionOfNormalBundle
 from .geom import injection_I, projection_P
@@ -29,198 +26,113 @@ class DeformationError(ValueError):
     pass
 
 
-def _multi_indices(m, order):
-    """All fiber multi-indices of the given total order."""
-    if order == 0:
-        yield (0,) * m
-        return
-    for idx in combinations(range(order + m - 1), m - 1):
-        beta = []
-        prev = -1
-        for x in idx + (order + m - 1,):
-            beta.append(x - prev - 1)
-            prev = x
-        yield tuple(beta)
+def _series_bound(j: MultiDerivation) -> int:
+    """The highest fiber degree among the P and Q coefficients of j, plus 2:
+    every derived bracket of j with more I(xi) of degree <= 1 arguments
+    than this vanishes."""
+    coeffs = list(j.p_part.terms.values()) + list(j.q_part.terms.values())
+    return max((f.fiber_degree() for f in coeffs), default=0) + 2
 
 
-def _jets_of(f: ScalarFn):
-    """All fiber jets d^beta_y f|_{y=0} of a polynomial ScalarFn, as
-    {beta: base-only ScalarFn}; finite because f is fiberwise polynomial."""
-    chart = f.chart
-    out = {}
-    for order in range(f.fiber_degree() + 1):
-        for beta in _multi_indices(chart.m, order):
-            g = f
-            for a, p in enumerate(beta):
-                for _ in range(p):
-                    g = g.partial(chart.fiber[a])
-            g = g.restrict_zero_section()
-            if not g.is_zero():
-                out[beta] = g
-    return out
+def _exp_series(x: MultiDerivation, v: MultiDerivation, bound: int, start: int) -> LeafForm:
+    """sum_{k >= start} (1/k!) P([[..[[x, v]].., v]]) with k brackets: the
+    terms up to k = bound + 1, whose last must vanish."""
+    terms = []
+    for k in range(bound + 2):
+        if k:
+            x = x.sj_bracket(v)
+        if k >= start:
+            terms.append(projection_P(x).scale(Fraction(1, math.factorial(k))))
+    if not terms[-1].is_zero():  # pragma: no cover
+        raise AssertionError("derived-bracket series failed to terminate")
+    return terms[0].plus(terms[1:])
 
 
-def _taylor_from_jets(chart: Chart, jets) -> ScalarFn:
-    def terms():
-        for beta, g in jets.items():
-            coeff = Fraction(1)
-            mono = ScalarFn.one(chart)
-            for a, p in enumerate(beta):
-                coeff /= math.factorial(p)
-                if p:
-                    mono = mono * ScalarFn.y(chart, chart.fiber[a], p)
-            yield (g * mono).scale(coeff)
-
-    return ScalarFn.zero(chart).plus(terms())
+def _jet(f: ScalarFn, aa) -> ScalarFn:
+    """d_aa f |_{y=0}: the fiber derivatives along the normal directions aa,
+    restricted to the zero section."""
+    for a in aa:
+        f = f.partial(f.chart.fiber[a])
+    return f.restrict_zero_section()
 
 
 class MultibracketTable:
-    """Restricted jets of the J-components; the generator values of every
-    multibracket m_k are determined by these exactly."""
+    """The Jacobi bi-derivation J whose derived brackets are the multibrackets
+    m_k; the generator formulas give their values on the normal frame."""
 
     def __init__(self, j: MultiDerivation):
         if j.arity != 2:
             raise DeformationError("multibracket extraction needs a bi-derivation")
         if not j.is_jacobi():
             raise DeformationError("multibracket extraction needs a Jacobi structure")
-        chart = j.chart
-        self.chart = chart
-        k = chart.k
-        # families of Lambda = p-part: keys over chart indices, J^{key} with
-        # the Einstein normalization Lambda^{mu nu} = 2 J^{mu nu}
-        self.jets = {}
-        for (mu, nu), f in j.p_part.terms.items():
-            if mu >= k and nu >= k:
-                fam, key = "ab", (mu - k, nu - k)
-            elif mu < k and nu >= k:
-                fam, key = "ai", (nu - k, mu)
-            elif mu < k and nu < k:
-                fam, key = "ij", (mu, nu)
-            else:
-                raise AssertionError("unsorted multivector key")
-            coeff = f if fam != "ai" else -f  # Lambda^{mu,a} = -Lambda^{a,mu}
-            self.jets[(fam, key)] = _jets_of(coeff)
-        for (mu,), f in j.q_part.terms.items():
-            # J^alpha nabla_alpha ^ id = -Gamma ^ id
-            fam, key = ("a", (mu - k,)) if mu >= k else ("i", (mu,))
-            self.jets[(fam, key)] = _jets_of(-f)
-        self.max_jet_order = max(
-            (max((sum(b) for b in jets), default=0) for jets in self.jets.values()),
-            default=0,
-        )
-        self._reconstructed = None
-
-    # -- reconstruction -----------------------------------------------------
-
-    def component(self, fam, key) -> ScalarFn:
-        jets = self.jets.get((fam, key))
-        if not jets:
-            return ScalarFn.zero(self.chart)
-        return _taylor_from_jets(self.chart, jets)
-
-    def reconstruct(self) -> MultiDerivation:
-        """The fiberwise Taylor expansion of J rebuilt from the stored jets."""
-        if self._reconstructed is not None:
-            return self._reconstructed
-        chart = self.chart
-        k = chart.k
-        lam_terms = {}
-        q_terms = {}
-        for (fam, key), jets in self.jets.items():
-            f = _taylor_from_jets(chart, jets)
-            if fam == "ab":
-                lam_terms[(key[0] + k, key[1] + k)] = f
-            elif fam == "ai":
-                lam_terms[(key[1], key[0] + k)] = -f
-            elif fam == "ij":
-                lam_terms[key] = f
-            elif fam == "a":
-                q_terms[(key[0] + k,)] = -f
-            elif fam == "i":
-                q_terms[key] = -f
-        self._reconstructed = MultiDerivation(
-            MultiVectorField(chart, 2, lam_terms), MultiVectorField(chart, 1, q_terms)
-        )
-        return self._reconstructed
+        self.j = j
+        self.chart = j.chart
 
     # -- evaluation ----------------------------------------------------------
 
     def m(self, args) -> LeafForm:
-        """m_k on LeafForm arguments via the derived-bracket expansion of the
-        reconstructed structure."""
-        current = self.reconstruct()
+        """m_k on LeafForm arguments via the derived-bracket expansion of J."""
+        current = self.j
         for xi in args:
             current = current.sj_bracket(injection_I(xi))
         return projection_P(current)
-
-    def m_sections(self, sections) -> LeafForm:
-        return self.m([s.to_leafform() for s in sections])
 
     def m1(self, omega: LeafForm) -> LeafForm:
         return self.m([omega])
 
     def series_bound(self) -> int:
         """All m_k with k > series_bound() vanish on degree <= 1 arguments."""
-        return self.max_jet_order + 2
+        return _series_bound(self.j)
 
     # -- generator formulas (coordinate corollary) --------------------------------
+    # J = Lambda - Gamma ^ id with the families J^{ij} = P^{ij}, J^i = -Q^i,
+    # J^{ai} = -P^{ia}, J^a = -Q^a and J^{ab} = P^{ab} (i, j torus and a, b
+    # fiber indices, Lambda^{mu nu} = 2 J^{mu nu}).
 
     def gen_two_functions(self, aa, f: ScalarFn, g: ScalarFn) -> ScalarFn:
         """m_{k+1}(d_{a_1}, .., d_{a_{k-1}}, f mu, g mu) for constant normal
         directions aa: (-1)^k d_aa [2 J^{ij} d_i f d_j g - J^i (f d_i g - g d_i f)]|_0."""
-        chart = self.chart
-        k = len(aa) + 1
-        inner = ScalarFn.zero(chart)
-        for (fam, key), _ in self.jets.items():
-            if fam == "ij":
-                i, j = key
-                Jij = self.component(fam, key)  # = Lambda^{ij}/... full skew entry
-                di, dj = chart.coords[i], chart.coords[j]
-                inner = inner + Jij * (
-                    f.partial(di) * g.partial(dj) - f.partial(dj) * g.partial(di)
-                )
-            elif fam == "i":
-                (i,) = key
-                Ji = self.component(fam, key)
-                di = chart.coords[i]
-                inner = inner - Ji * (f * g.partial(di) - g * f.partial(di))
-        for a in aa:
-            inner = inner.partial(chart.fiber[a])
-        return inner.restrict_zero_section().scale((-1) ** (k % 2))
+        k = self.chart.k
+        df = [f.partial_index(i) for i in range(k)]
+        dg = [g.partial_index(i) for i in range(k)]
+        inner = ScalarFn.zero(self.chart).plus(
+            [
+                J * (df[i] * dg[j] - df[j] * dg[i])
+                for (i, j), J in self.j.p_part.terms.items()
+                if j < k
+            ]
+            + [Q * (f * dg[i] - g * df[i]) for (i,), Q in self.j.q_part.terms.items() if i < k]
+        )
+        return _jet(inner, aa).scale((-1) ** ((len(aa) + 1) % 2))
 
     def gen_one_function(self, aa, f: ScalarFn) -> LeafForm:
         """m_{k+1}(d_{a_1}, .., d_{a_k}, f mu) = (-1)^k d_aa (2 J^{ai} d_i f
         + J^a f)|_0 d_a."""
-        chart = self.chart
-        k = len(aa)
-        out = {}
-        for a in range(chart.m):
-            inner = ScalarFn.zero(chart)
-            for (fam, key), _ in self.jets.items():
-                if fam == "ai" and key[0] == a:
-                    i = key[1]
-                    inner = inner + self.component(fam, key) * f.partial(chart.coords[i])
-                elif fam == "a" and key[0] == a:
-                    inner = inner + self.component(fam, key) * f
-            for b in aa:
-                inner = inner.partial(chart.fiber[b])
-            out[(a,)] = inner.restrict_zero_section().scale((-1) ** (k % 2))
-        return LeafForm(chart, 1, out)
+        chart, k = self.chart, self.chart.k
+        inner = [ScalarFn.zero(chart) for _ in range(chart.m)]
+        for (i, b), P in self.j.p_part.terms.items():
+            if i < k <= b:
+                inner[b - k] -= P * f.partial_index(i)
+        for (b,), Q in self.j.q_part.terms.items():
+            if b >= k:
+                inner[b - k] -= Q * f
+        sign = (-1) ** (len(aa) % 2)
+        return LeafForm(chart, 1, {(a,): _jet(g, aa).scale(sign) for a, g in enumerate(inner)})
 
     def gen_no_function(self, aa) -> LeafForm:
         """m_{k+1}(d_{a_1}, .., d_{a_{k+1}}) = -(-1)^k d_aa J^{ab}|_0
         delta_a ^ delta_b (x) mu."""
-        chart = self.chart
-        k = len(aa) - 1
-        out = {}
-        for (fam, key), _ in self.jets.items():
-            if fam != "ab":
-                continue
-            inner = self.component(fam, key)
-            for c in aa:
-                inner = inner.partial(chart.fiber[c])
-            out[key] = inner.restrict_zero_section().scale(-((-1) ** (k % 2)))
-        return LeafForm(chart, 2, out)
+        k = self.chart.k
+        sign = -((-1) ** ((len(aa) - 1) % 2))
+        return LeafForm(
+            self.chart,
+            2,
+            {
+                (a - k, b - k): _jet(P, aa).scale(sign)
+                for (a, b), P in self.j.p_part.terms.items()
+                if a >= k
+            },
+        )
 
 
 def extract_multibrackets(j: MultiDerivation) -> MultibracketTable:
@@ -255,19 +167,10 @@ def solve_dF(omega: LeafForm):
 def mc_series(table: MultibracketTable, s: SectionOfNormalBundle) -> LeafForm:
     """MC(-s) = sum_k (1/k!) m_k(-s, ..., -s); finite for fiberwise
     polynomial structures."""
-    chart = table.chart
     minus = injection_I((-s).to_leafform())
-    out = LeafForm.zero(chart, 2)
-    current = table.reconstruct()
-    bound = table.series_bound()
-    for k in range(1, bound + 2):
-        current = current.sj_bracket(minus)
-        term = projection_P(current)
-        if k > bound and not term.is_zero():  # pragma: no cover
-            raise AssertionError("MC series failed to terminate")
-        if term.degree != 2:
-            raise AssertionError("MC series terms must have degree 2")
-        out = out + term.scale(Fraction(1, math.factorial(k)))
+    out = _exp_series(table.j, minus, table.series_bound(), 1)
+    if out.degree != 2:
+        raise AssertionError("MC series terms must have degree 2")
     return out
 
 
@@ -350,7 +253,7 @@ def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: i
     if not table.m1(s1.to_leafform()).is_zero():
         raise DeformationError("s1 is not an infinitesimal deformation")
     coeffs = [s1]
-    nested = {(): table.reconstruct()}
+    nested = {(): table.j}
 
     def bracket(parts):
         out = nested.get(parts)
@@ -387,22 +290,16 @@ def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: i
 
 
 def delta_mc(table: MultibracketTable, s: SectionOfNormalBundle, lam: ScalarFn) -> LeafForm:
-    """Hamiltonian gauge direction sum_k (1/k!) m_{k+1}(-s, ..., -s, lam)."""
+    """Hamiltonian gauge direction sum_k (1/k!) m_{k+1}(-s, ..., -s, lam).
+
+    lam is base-only and I(-s) a fiber-constant vertical field, so
+    [[I(-s), I(lam)]] = 0 and, by the graded Jacobi identity, ad_{I(-s)}
+    commutes with ad_{I(lam)}: the series is that of [[J, I(lam)]]."""
     if not lam.is_base_only():
         raise DeformationError("gauge parameter must be base-only")
-    chart = table.chart
     minus = injection_I((-s).to_leafform())
-    lam_arg = injection_I(LeafForm.function(lam))
-    out = LeafForm.zero(chart, 1)
-    current = table.reconstruct()
-    bound = table.series_bound()
-    for k in range(0, bound + 2):
-        term = projection_P(current.sj_bracket(lam_arg))
-        if k > bound and not term.is_zero():  # pragma: no cover
-            raise AssertionError("delta MC series failed to terminate")
-        out = out + term.scale(Fraction(1, math.factorial(k)))
-        current = current.sj_bracket(minus)
-    return out
+    x = table.j.sj_bracket(injection_I(LeafForm.function(lam)))
+    return _exp_series(x, minus, table.series_bound(), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -425,25 +322,9 @@ def extended_mc_residual(j: MultiDerivation, box: MultiDerivation, s: SectionOfN
 
     Both components vanish iff J + box is Jacobi and s is a coisotropic
     section for it; the corresponding formal MC element is (box, -s), so for
-    box = 0 the second component is the ordinary series MC(-s)."""
+    box = 0 the second component is the ordinary series MC(-s).  I(s) has
+    arity 1, so L_{I(s)} x = [[I(s), x]] = [[x, I(-s)]]."""
     total = j + box
     first = total.sj_bracket(total).scale(Fraction(-1, 2))
-    flow = injection_I(s.to_leafform())
-    chart = j.chart
-    second = LeafForm.zero(chart, 2)
-    current = total
-    bound = (
-        max(
-            (f.fiber_degree() for f in list(total.p_part.terms.values())
-             + list(total.q_part.terms.values())),
-            default=0,
-        )
-        + 2
-    )
-    for k in range(0, bound + 2):
-        term = projection_P(current)
-        if k > bound and not term.is_zero():  # pragma: no cover
-            raise AssertionError("extended MC series failed to terminate")
-        second = second + term.scale(Fraction(1, math.factorial(k)))
-        current = flow.sj_bracket(current)
-    return first, second
+    minus = injection_I((-s).to_leafform())
+    return first, _exp_series(total, minus, _series_bound(total), 0)

@@ -25,21 +25,6 @@ class ArityError(ValueError):
     pass
 
 
-class Section:
-    """A section lam = f * mu of the trivialized bundle."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: ScalarFn):
-        self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, Section) and self.value == other.value
-
-    def __repr__(self):
-        return f"Section({self.value!r})"
-
-
 class MultiDerivation:
     """square = P - Q ^ id; arity = deg P; Q is None for arity 0.
 
@@ -171,9 +156,6 @@ class MultiDerivation:
                 out = out + term.scale((-1) ** ((n - 1 - i) % 2))
         return out
 
-    def eval_sections(self, sections) -> Section:
-        return Section(self.apply([s.value for s in sections]))
-
     def eval_nested(self, fns) -> ScalarFn:
         """Iterated single brackets [[...[[square, f_1]], ...]], f_n]].
 
@@ -187,12 +169,6 @@ class MultiDerivation:
         if out.arity != 0:
             raise ArityError("argument count does not match arity")
         return out.p_part.as_function()
-
-    def bracket_fns(self, f: ScalarFn, g: ScalarFn) -> ScalarFn:
-        """{f, g} for an arity-2 multiderivation."""
-        if self.arity != 2:
-            raise ArityError("bracket needs arity 2")
-        return self.apply([f, g])
 
     # -- Hamiltonians ----------------------------------------------------------------
 

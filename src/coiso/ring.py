@@ -273,16 +273,6 @@ class ScalarFn(SparseTerms):
 
     # -- predicates -------------------------------------------------------
 
-    def is_constant(self) -> bool:
-        zk = (0,) * self.chart.k
-        zm = (0,) * self.chart.m
-        return all(key == (zk, zm) for key in self.terms)
-
-    def constant_value(self) -> GaussianRational:
-        zk = (0,) * self.chart.k
-        zm = (0,) * self.chart.m
-        return self.terms.get((zk, zm), ZERO)
-
     def is_real(self) -> bool:
         """f is real iff coeff(-n, alpha) = conj(coeff(n, alpha))."""
         for (n, alpha), c in self.terms.items():
@@ -294,18 +284,6 @@ class ScalarFn(SparseTerms):
     def is_base_only(self) -> bool:
         """No dependence on fiber coordinates."""
         return all(all(a == 0 for a in alpha) for (_, alpha) in self.terms)
-
-    def depends_only_on(self, coord_names) -> bool:
-        allowed_t = {self.chart.torus.index(c) for c in coord_names if c in self.chart.torus}
-        allowed_f = {self.chart.fiber.index(c) for c in coord_names if c in self.chart.fiber}
-        for (n, alpha) in self.terms:
-            for j, v in enumerate(n):
-                if v != 0 and j not in allowed_t:
-                    return False
-            for a, v in enumerate(alpha):
-                if v != 0 and a not in allowed_f:
-                    return False
-        return True
 
     def fiber_degree(self) -> int:
         if not self.terms:
@@ -469,6 +447,13 @@ class ScalarFn(SparseTerms):
         zm = (0,) * self.chart.m
         return self._like({(n, a): c for (n, a), c in self.terms.items() if a == zm})
 
+    def zero_mode(self, js) -> "ScalarFn":
+        """Keep only the terms with zero frequency in every torus direction
+        of the indices js."""
+        return self._like(
+            {(n, alpha): c for (n, alpha), c in self.terms.items() if not any(n[j] for j in js)}
+        )
+
     def integrate_torus(self, coords) -> "TorusIntegral":
         """Integrate over the listed torus coordinates.
 
@@ -476,13 +461,11 @@ class ScalarFn(SparseTerms):
         the resulting symbolic (2*pi)^d factor is recorded exactly.
         """
         chart = self.chart
-        js = []
         for c in coords:
             if c not in chart.torus:
                 raise ChartError(f"{c!r} is not a torus coordinate")
-            js.append(chart.torus.index(c))
-        kept = {(n, alpha): c for (n, alpha), c in self.terms.items() if all(n[j] == 0 for j in js)}
-        return TorusIntegral(self._like(kept), len(js))
+        js = [chart.torus.index(c) for c in coords]
+        return TorusIntegral(self.zero_mode(js), len(js))
 
     # -- comparison / display ----------------------------------------------
 
@@ -568,9 +551,6 @@ class TPoly:
         if len(self.coeffs) > 1:
             raise ChartError("expression still depends on the parameter t")
         return self.coeffs[0] if self.coeffs else ScalarFn.zero(self.chart)
-
-    def at_one(self) -> ScalarFn:
-        return ScalarFn.zero(self.chart).plus(self.coeffs)
 
     def integrate01(self) -> ScalarFn:
         """Exact integral over t in [0, 1]."""

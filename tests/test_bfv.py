@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from coiso import bfv
 from coiso.rational import GaussianRational
 from coiso.ring import ScalarFn
 from coiso.leafform import LeafForm, SectionOfNormalBundle
@@ -250,8 +251,8 @@ def test_contraction_axiom_messages(axiom, change, sample):
     names that axiom.  (As identities of maps, q h = 0 and h j = 0 follow
     from the other four, so no tuple breaks one of them alone everywhere.)"""
     for x in ((1, 1, 1), (0, 1, 0), (-1, 1, 0), (1, 0, 0)):
-        # (q x, q d x), and d x = x_b c has no a-component
-        assert check_contraction_axioms(_toy(**_BASE), _Vec(x), "toy") == ((x[0],), (0,))
+        # (j q x, q d x) = (x_a a, 0): d x = x_b c has no a-component
+        assert check_contraction_axioms(_toy(**_BASE), _Vec(x), "toy") == ((x[0], 0, 0), (0,))
     data = _toy(**{**_BASE, **change})
     with pytest.raises(BFVError, match=f"^toy violate {re.escape(axiom)}$"):
         check_contraction_axioms(data, _Vec(sample), "toy")
@@ -319,17 +320,21 @@ def test_flat_lift_with_nonzero_square_fails(lift, chart, monkeypatch):
 def test_perturbed_sample_sums_four_series(lift, chart, monkeypatch):
     """A sampled check of the perturbed data sums (1 - delta h)^{-1} once on
     each of x, d x, h x and j q x: h and q of an argument share one series,
-    and the chain-map check reuses q d x."""
+    and the chain-map check reuses q d x.  It sums (1 - h delta)^{-1} once,
+    for the perturbed j of q x, which the chain-map check reuses too."""
     dop = d_bfv(lift, brst_charge(lift, SectionOfNormalBundle.zero(chart))[0])
     pert = hpl_resolution(lift, dop)
-    series = []
+    series, geometric = [], []
     original = PerturbedContraction.series
     monkeypatch.setattr(
         PerturbedContraction, "series", lambda self, y: series.append(y) or original(self, y)
     )
+    summed = bfv.geometric_series
+    monkeypatch.setattr(bfv, "geometric_series", lambda op, x: geometric.append(x) or summed(op, x))
     rng = random.Random(41)
     PerturbedContraction(pert.base, pert.delta, lambda: rand_graded_section(chart, rng), checks=3)
     assert len(series) == 4 * 3
+    assert len(geometric) == 5 * 3
 
 
 def test_lift_with_nonflat_connection(chart):

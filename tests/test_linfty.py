@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -47,10 +47,6 @@ def table(J):
 
 def leaf1(chart, f, g):
     return LeafForm(chart, 1, {(0,): f, (1,): g})
-
-
-def test_table_reconstruction_is_faithful(J, table):
-    assert table.reconstruct() == J
 
 
 def test_m1_matches_leafwise_de_rham(table, chart):
@@ -103,39 +99,6 @@ def test_higher_brackets_vanish(table, chart):
     for k in range(3, 7):
         assert table.m(args[:k]).is_zero()
     assert table.series_bound() >= 2
-
-
-def test_generator_formulas_match_derived_brackets(table, chart, J):
-    """The coordinate-corollary generator values agree with the nested
-    derived brackets on the original structure (the independent oracle)."""
-    rng = random.Random(4)
-    delta = [LeafForm(chart, 1, {(a,): ScalarFn.one(chart)}) for a in range(chart.m)]
-
-    def oracle(args):
-        current = J
-        for xi in args:
-            current = current.sj_bracket(injection_I(xi))
-        return projection_P(current)
-
-    for k in (1, 2, 3):
-        for aa in combinations(range(chart.m), min(k - 1, chart.m)):
-            f = random_base_scalar(chart, rng)
-            g = random_base_scalar(chart, rng)
-            if len(aa) == k - 1:
-                val = table.gen_two_functions(aa, f, g)
-                nested = oracle([delta[a] for a in aa] + [LeafForm.function(f), LeafForm.function(g)])
-                assert nested.as_function() == val
-        for aa in combinations(range(chart.m), min(k, chart.m)):
-            if len(aa) == k:
-                f = random_base_scalar(chart, rng)
-                val = table.gen_one_function(aa, f)
-                nested = oracle([delta[a] for a in aa] + [LeafForm.function(f)])
-                assert nested == val
-        for aa in combinations(range(chart.m), min(k + 1, chart.m)):
-            if len(aa) == k + 1:
-                val = table.gen_no_function(aa)
-                nested = oracle([delta[a] for a in aa])
-                assert nested == val
 
 
 def test_solve_dF(chart):
@@ -270,21 +233,25 @@ def test_delta_mc(table, chart, J):
     # lam = 0 gives 0
     s = SectionOfNormalBundle(chart, [random_base_scalar(chart, rng), random_base_scalar(chart, rng)])
     assert delta_mc(table, s, ScalarFn.zero(chart)).is_zero()
-    # independent derived-bracket oracle: sum_k 1/k! P[[..[[J, I(-s)]]..], I(lam)]]
-    for _ in range(3):
+    # independent derived-bracket oracle: sum_k 1/k! P[[..[[J, I(-s)]]..], I(lam)]],
+    # also on cubic-poisson, whose series runs to k = 6 (its J has no torus
+    # direction, so both sides vanish there)
+    cubic = (TABLES["cubic-poisson"], STRUCTURES["cubic-poisson"])
+    for tab, j in [(table, J)] * 3 + [cubic] * 2:
+        chart = tab.chart
         s = SectionOfNormalBundle(
             chart, [random_base_scalar(chart, rng), random_base_scalar(chart, rng)]
         )
         lam = random_base_scalar(chart, rng)
         acc = LeafForm.zero(chart, 1)
-        current = J
+        current = j
         minus = injection_I((-s).to_leafform())
-        for k in range(0, 5):
+        for k in range(0, 8):
             acc = acc + projection_P(
                 current.sj_bracket(injection_I(LeafForm.function(lam)))
             ).scale(Fraction(1, math.factorial(k)))
             current = current.sj_bracket(minus)
-        assert delta_mc(table, s, lam) == acc
+        assert delta_mc(tab, s, lam) == acc
 
 
 def test_extended_brackets(chart, J):
@@ -420,7 +387,7 @@ def test_jet_model_brackets_vanish_above_one():
 TORUS_OBSTRUCTED = load_scenario("torus-obstructed")
 
 
-def _cubic_poisson_table():
+def _cubic_poisson():
     """Lambda = (cos(ph_3) y_1^2 y_2 + y_2^3) d_y1 ^ d_y2 on the chart of
     torus-obstructed: Poisson (a bivector in two directions), vanishing to
     second order on the zero section, so m_1 = m_2 = 0 on sections and m_3
@@ -429,10 +396,65 @@ def _cubic_poisson_table():
     y1, y2 = ScalarFn.y(chart, "y_1"), ScalarFn.y(chart, "y_2")
     lam = ScalarFn.cos_phi(chart, "ph_3") * y1 * y1 * y2 + y2 * y2 * y2
     fy = (chart.index("y_1"), chart.index("y_2"))
-    return extract_multibrackets(MultiDerivation(MultiVectorField(chart, 2, {fy: lam})))
+    return MultiDerivation(MultiVectorField(chart, 2, {fy: lam}))
 
 
-TABLES = {"torus-obstructed": TORUS_OBSTRUCTED.table(), "cubic-poisson": _cubic_poisson_table()}
+STRUCTURES = {"torus-obstructed": TORUS_OBSTRUCTED.jacobi(), "cubic-poisson": _cubic_poisson()}
+TABLES = {
+    "torus-obstructed": TORUS_OBSTRUCTED.table(),
+    "cubic-poisson": extract_multibrackets(STRUCTURES["cubic-poisson"]),
+}
+
+
+def test_series_bound_is_fiber_degree_plus_two():
+    """series_bound() is the highest fiber degree of J's coefficients plus 2:
+    3 for the fiberwise linear torus-obstructed J, 5 for cubic-poisson."""
+    assert {name: t.series_bound() for name, t in TABLES.items()} == {
+        "torus-obstructed": 3,
+        "cubic-poisson": 5,
+    }
+    for name, j in STRUCTURES.items():
+        coeffs = list(j.p_part.terms.values()) + list(j.q_part.terms.values())
+        assert TABLES[name].series_bound() == max(f.fiber_degree() for f in coeffs) + 2
+
+
+def test_generator_formulas_match_derived_brackets():
+    """The coordinate-corollary generator values agree with the nested
+    derived brackets on the original structure (the independent oracle), on
+    both tables: the fiber derivatives d_aa run over multisets of normal
+    directions, so cubic-poisson's jets of order 2 and 3 are nonzero."""
+    for name, table in TABLES.items():
+        J, chart = STRUCTURES[name], table.chart
+        rng = random.Random(4)
+        delta = [LeafForm(chart, 1, {(a,): ScalarFn.one(chart)}) for a in range(chart.m)]
+
+        def oracle(args):
+            current = J
+            for xi in args:
+                current = current.sj_bracket(injection_I(xi))
+            return projection_P(current)
+
+        def normal(aa):
+            return [delta[a] for a in aa]
+
+        nonzero = 0
+        for k in (1, 2, 3):
+            for aa in combinations_with_replacement(range(chart.m), k - 1):
+                f = random_base_scalar(chart, rng)
+                g = random_base_scalar(chart, rng)
+                val = table.gen_two_functions(aa, f, g)
+                nested = oracle(normal(aa) + [LeafForm.function(f), LeafForm.function(g)])
+                assert nested.as_function() == val
+            for aa in combinations_with_replacement(range(chart.m), k):
+                f = random_base_scalar(chart, rng)
+                val = table.gen_one_function(aa, f)
+                assert oracle(normal(aa) + [LeafForm.function(f)]) == val
+            for aa in combinations_with_replacement(range(chart.m), k + 1):
+                val = table.gen_no_function(aa)
+                assert oracle(normal(aa)) == val
+                nonzero += len(aa) >= 2 and not val.is_zero()
+        # only cubic-poisson has nonzero J^{ab} jets of order >= 2
+        assert (nonzero > 0) == (name == "cubic-poisson")
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
