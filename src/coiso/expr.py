@@ -11,7 +11,8 @@ Grammar (whitespace-insensitive):
 
 Names must be chart coordinates; a bare torus coordinate is not a valid
 factor (angles are not functions), only fiber coordinates may appear as
-monomials.
+monomials.  Parentheses nest at most ``_Parser.MAX_DEPTH`` (100) deep, so a
+deeper expression is an ExprError rather than a RecursionError.
 """
 
 from __future__ import annotations
@@ -54,10 +55,14 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    # parentheses nest at most this deep: each level is three Python frames
+    MAX_DEPTH = 100
+
     def __init__(self, chart: Chart, text: str):
         self.chart = chart
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -119,8 +124,12 @@ class _Parser:
         chart = self.chart
         kind, val, pos = self.next()
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > self.MAX_DEPTH:
+                raise ExprError(f"parentheses nested deeper than {self.MAX_DEPTH}", pos)
             f = self.expr()
             self.expect(")")
+            self.depth -= 1
             return f
         if kind == "num":
             num = val

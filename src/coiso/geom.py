@@ -1,16 +1,20 @@
 """Geometric constructors and coisotropy machinery.
 
 Contact and lcs structures are turned into Jacobi multiderivations on the
-trivialized chart, through the exact inverse ``ring.inverse_unit`` of the
-curvature matrix or of the 2-form, whose determinant must be a unit of the
-ring; the conormal projection P and vertical injection I tie
-multiderivations to leaf forms; coisotropy of a section is decided by the
-exact substitution criterion.
+trivialized chart.  A contact form reads its bivector off the exact inverse
+``ring.inverse_unit`` of the curvature matrix of its frame,
+Lambda = sum_{i<j} (omega^-1)_ij E_i ^ E_j; an lcs structure reads it off
+the inverse of its 2-form; either determinant must be a unit of the ring.
+The 1-jet model J^1(T^b) is written in closed form.  Every constructor
+checks [[J, J]] = 0, and the contact ones theta(X_f) = f as well.  The
+conormal projection P and vertical injection I tie multiderivations to leaf
+forms; coisotropy of a section is decided by the exact substitution
+criterion.
 """
 
 from __future__ import annotations
 
-from .ring import Chart, ChartError, ScalarFn, inverse_unit, mat_mul
+from .ring import Chart, ChartError, ScalarFn, accumulate, inverse_unit, mat_mul
 from .multivector import MultiVectorField, SkewTerms
 from .multider import MultiDerivation
 from .leafform import LeafForm, SectionOfNormalBundle
@@ -30,14 +34,6 @@ class Form(SkewTerms):
 
     __slots__ = ()
 
-    @staticmethod
-    def from_components(chart: Chart, comps: dict, degree: int) -> "Form":
-        out = {}
-        for key, f in comps.items():
-            idx = tuple(chart.index(n) for n in key) if key and isinstance(key[0], str) else tuple(key)
-            out[idx] = f
-        return Form(chart, degree, out)
-
     def d(self) -> "Form":
         return self._exterior_d(list(enumerate(self.chart.coords)))
 
@@ -48,6 +44,14 @@ class Form(SkewTerms):
         return ScalarFn.zero(self.chart).plus(
             f * X.coefficient((i,)) for (i,), f in self.terms.items()
         )
+
+
+def _inverse(chart: Chart, A):
+    """inverse_unit(chart, A), its ChartError turned into a GeometryError."""
+    try:
+        return inverse_unit(chart, A)
+    except ChartError as exc:
+        raise GeometryError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +69,7 @@ class ContactChart:
 
     def __init__(self, chart: Chart, theta: dict, reeb: MultiVectorField, frame):
         self.chart = chart
-        self.theta = Form.from_components(
-            chart, {(name,): f for name, f in theta.items()}, 1
-        )
+        self.theta = Form(chart, 1, {(chart.index(name),): f for name, f in theta.items()})
         self.reeb = reeb
         self.frame = list(frame)
         if len(self.frame) != chart.dim - 1:
@@ -91,62 +93,59 @@ class ContactChart:
         return omega
 
 
+def check_contact_jacobi(theta: Form, J: MultiDerivation) -> MultiDerivation:
+    """J = Lambda - Q ^ id after the postconditions of a contact construction:
+    theta(X_f) = f for every f, then [[J, J]] = 0.
+
+    X_f = f Q + Lambda(df, -), so theta(X_f) - f = f (theta(Q) - 1) -
+    (i_theta Lambda)(f) with i_theta Lambda = Lambda(theta, -).  Hence
+    theta(X_f) = f for every f iff theta(X_1) = theta(Q) = 1 and
+    i_theta Lambda = 0.  These two are also what theta(X_f) = f on the ring
+    generators says: f = 1 gives theta(Q) = 1; then f = y_a gives the d_{y_a}
+    component of i_theta Lambda, and f = exp(i ph), with df = i exp(i ph) dph
+    and i exp(i ph) a unit, gives its d_ph component."""
+    th = {mu: f for (mu,), f in theta.terms.items()}
+
+    def contraction():
+        # Lambda(theta, -) = sum_{mu<nu} Lambda^{mu nu} (theta_mu d_nu - theta_nu d_mu)
+        for (mu, nu), f in J.p_part.terms.items():
+            if mu in th:
+                yield nu, th[mu] * f
+            if nu in th:
+                yield mu, -(th[nu] * f)
+
+    if theta.pair_vector(J.q_part) != ScalarFn.one(J.chart) or accumulate({}, contraction()):
+        raise GeometryError("postcondition theta(X_f) = f failed")
+    if not J.sj_bracket(J).is_zero():
+        raise GeometryError("contact construction produced a non-Jacobi bracket")
+    return J
+
+
 def contact_to_jacobi(cc: ContactChart) -> MultiDerivation:
     """The Jacobi structure of a contact form: {lam, mu} = theta([X_lam, X_mu])
     with X_lam the unique contact field satisfying theta(X_lam) = lam.
 
     The curvature matrix omega_ij = theta([E_i, E_j]) must be invertible with
-    unit determinant.  Postconditions theta(X_f) = f on ring generators and
-    [[J, J]] = 0 are verified before returning.
+    unit determinant.  Then Lambda = sum_{i<j} (omega^-1)_ij E_i ^ E_j and
+    Q = X_1 = R + sum_i a^i E_i, with sum_i a^i omega_ij = -theta([R, E_j]).
     """
     chart = cc.chart
-    theta = cc.theta
     frame = cc.frame
     r = len(frame)
 
-    try:
-        omega_inv = inverse_unit(chart, cc.curvature())
-    except ChartError as exc:
-        raise GeometryError(str(exc)) from None
+    omega_inv = _inverse(chart, cc.curvature())
+    if any(not (omega_inv[i][j] + omega_inv[j][i]).is_zero() for i in range(r) for j in range(i + 1)):
+        raise GeometryError("inverse curvature matrix is not skew")
 
-    # c_j = theta([R, E_j]); X_1 = R + sum a^i E_i with sum_i a^i omega_ij = -c_j
-    c = [theta.pair_vector(cc.reeb.sn_bracket(frame[j])) for j in range(r)]
-    (a,) = mat_mul(chart, [[-cj for cj in c]], omega_inv)
+    (a,) = mat_mul(chart, [[-cc.theta.pair_vector(cc.reeb.sn_bracket(E)) for E in frame]], omega_inv)
     X1 = cc.reeb.plus(frame[i].scale_fn(a[i]) for i in range(r))
-
-    # B^mu = omega^sharp((dx^mu)|_C): sum_i b^i omega_ij = <dx^mu, E_j>,
-    # one row of right-hand sides per coordinate mu
-    rhs = [[frame[j].coefficient((mu,)) for j in range(r)] for mu in range(chart.dim)]
-    zero = MultiVectorField.zero(chart, 1)
-    B = [zero.plus(frame[i].scale_fn(b[i]) for i in range(r)) for b in mat_mul(chart, rhs, omega_inv)]
-
-    lam_terms = {}
-    for mu in range(chart.dim):
-        for nu in range(mu + 1, chart.dim):
-            coeff = B[mu].coefficient((nu,))
-            if not coeff.is_zero():
-                lam_terms[(mu, nu)] = coeff
-    lam = MultiVectorField(chart, 2, lam_terms)
-
-    # antisymmetry check of the candidate bi-vector
-    for mu in range(chart.dim):
-        for nu in range(chart.dim):
-            if not (B[mu].coefficient((nu,)) + B[nu].coefficient((mu,))).is_zero():
-                raise GeometryError("contact construction produced a non-skew bi-symbol")
-
-    J = MultiDerivation(lam, X1)
-
-    # postcondition: theta(X_f) = f on generators
-    gens = [ScalarFn.one(chart)]
-    gens += [ScalarFn.y(chart, nm) for nm in chart.fiber]
-    gens += [ScalarFn.exp_phi(chart, nm, 1) for nm in chart.torus]
-    for f in gens:
-        Xf = J.hamiltonian_vf(f)
-        if theta.pair_vector(Xf) != f:
-            raise GeometryError("postcondition theta(X_f) = f failed")
-    if not J.sj_bracket(J).is_zero():
-        raise GeometryError("contact construction produced a non-Jacobi bracket")
-    return J
+    lam = MultiVectorField.zero(chart, 2).plus(
+        frame[i].scale_fn(omega_inv[i][j]).wedge(frame[j])
+        for i in range(r)
+        for j in range(i + 1, r)
+        if not omega_inv[i][j].is_zero()
+    )
+    return check_contact_jacobi(cc.theta, MultiDerivation(lam, X1))
 
 
 # ---------------------------------------------------------------------------
@@ -165,29 +164,13 @@ def lcs_to_jacobi(omega: Form, theta1: Form) -> MultiDerivation:
         raise GeometryError("d omega + omega ^ theta1 != 0")
 
     n = chart.dim
-    Omega = [[omega.coefficient((i, j)) for j in range(n)] for i in range(n)]
-    try:
-        Omega_inv = inverse_unit(chart, Omega)
-    except ChartError as exc:
-        raise GeometryError(str(exc)) from None
-
-    def sharp(covector):
-        # solve omega(V, e_j) = beta_j, i.e. sum_i v^i Omega[i][j] = beta_j
-        (comps,) = mat_mul(chart, [covector], Omega_inv)
-        return MultiVectorField(
-            chart, 1, {(i,): f for i, f in enumerate(comps) if not f.is_zero()}
-        )
-
-    gamma = sharp([theta1.coefficient((j,)) for j in range(n)])
-    # the sharp of the unit covector dx^mu is row mu of Omega_inv
-    lam_terms = {}
-    for mu in range(n):
-        for nu in range(mu + 1, n):
-            coeff = Omega_inv[mu][nu]
-            if not coeff.is_zero():
-                lam_terms[(mu, nu)] = coeff
-    lam = MultiVectorField(chart, 2, lam_terms)
-    J = MultiDerivation(lam, gamma)
+    Omega_inv = _inverse(chart, [[omega.coefficient((i, j)) for j in range(n)] for i in range(n)])
+    # the sharp of a covector beta solves sum_i v^i Omega_ij = beta_j, so it
+    # is the row beta Omega^-1; the sharp of dx^mu is row mu of Omega^-1
+    (gamma,) = mat_mul(chart, [[theta1.coefficient((j,)) for j in range(n)]], Omega_inv)
+    lam = {(mu, nu): Omega_inv[mu][nu] for mu in range(n) for nu in range(mu + 1, n)}
+    gamma = MultiVectorField(chart, 1, {(i,): f for i, f in enumerate(gamma)})
+    J = MultiDerivation(MultiVectorField(chart, 2, lam), gamma)
     if not J.sj_bracket(J).is_zero():
         raise GeometryError("lcs construction produced a non-Jacobi bracket")
     return J
@@ -201,25 +184,21 @@ def lcs_to_jacobi(omega: Form, theta1: Form) -> MultiDerivation:
 def fiberwise_linear_jacobi(chart: Chart) -> MultiDerivation:
     """The fiberwise linear Jacobi structure on the 1-jet model J^1(T^b):
     fiber coordinates must be (z, p_1, ..., p_b) over a torus base of
-    dimension b, carrying the canonical contact form dz - sum p_i dph_i."""
+    dimension b, carrying the canonical contact form theta = dz - sum p_i dph_i.
+    In closed form Lambda = sum_i (d_{ph_i} + p_i d_z) ^ d_{p_i} and Q = d_z."""
     b = chart.k
     if chart.m != b + 1:
         raise GeometryError("jet chart needs fiber (z, p_1..p_b) over T^b")
-    z = chart.fiber[0]
-    ps = chart.fiber[1:]
-    theta = {z: ScalarFn.one(chart)}
-    for i, name in enumerate(chart.torus):
-        theta[name] = -ScalarFn.y(chart, ps[i])
-    reeb = MultiVectorField.basis_vector(chart, z)
-    frame = []
-    for p in ps:
-        frame.append(MultiVectorField.basis_vector(chart, p))
-    for i, name in enumerate(chart.torus):
-        frame.append(
-            MultiVectorField.basis_vector(chart, name)
-            + MultiVectorField.basis_vector(chart, z).scale_fn(ScalarFn.y(chart, ps[i]))
-        )
-    return contact_to_jacobi(ContactChart(chart, theta, reeb, frame))
+    one = ScalarFn.one(chart)
+    z = chart.index(chart.fiber[0])
+    lam, theta = {}, {(z,): one}
+    for i, name in enumerate(chart.fiber[1:]):
+        p, pi = chart.index(name), ScalarFn.y(chart, name)
+        lam[(i, p)], lam[(z, p)] = one, pi
+        theta[(i,)] = -pi
+    dz = MultiVectorField.basis_vector(chart, chart.fiber[0])
+    J = MultiDerivation(MultiVectorField(chart, 2, lam), dz)
+    return check_contact_jacobi(Form(chart, 1, theta), J)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +227,6 @@ def injection_I(xi: LeafForm) -> MultiDerivation:
     chart = xi.chart
     terms = {tuple(a + chart.k for a in key): f for key, f in xi.terms.items()}
     return MultiDerivation(MultiVectorField(chart, xi.degree, terms))
-
-
-def injection_section(s: SectionOfNormalBundle) -> MultiDerivation:
-    return injection_I(s.to_leafform())
 
 
 def is_coisotropic_section(j: MultiDerivation, s: SectionOfNormalBundle):

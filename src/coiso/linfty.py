@@ -266,8 +266,9 @@ def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: i
         den = math.prod(math.factorial(parts.count(p)) for p in set(parts))
         return Fraction((-1) ** len(parts), den)
 
+    zero = LeafForm.zero(chart, 2)
     for k in range(2, order + 1):
-        rhs = LeafForm.zero(chart, 2).plus(
+        rhs = zero.plus(
             projection_P(bracket(parts)).scale(weight(parts))
             for parts in _partitions(k, k - 1)
         )
@@ -277,7 +278,9 @@ def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: i
                 {
                     "order_k": k,
                     "rhs": rhs,
-                    "obstruction_zero_mode": rhs.leaf_zero_mode(),
+                    # solve_dF returns the zero mode of an obstructed order;
+                    # a solved order has none
+                    "obstruction_zero_mode": payload if status == "obstructed" else zero,
                     "two_pi_power": len(chart.leaf),
                     "solved": status == "solved",
                 }

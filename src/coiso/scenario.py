@@ -2,8 +2,9 @@
 
 A scenario carries one chart, exactly one structure block (jacobi | contact
 | lcs | jet | transversal may accompany any of them), and optional section
-/ formal / bfv blocks; a jet block must be {} and a bfv block must be
-{"connection": "trivial"}.  All coefficient expressions use the ring grammar.
+/ formal / bfv blocks; a jacobi block takes only the keys p and q, a jet
+block must be {} and a bfv block must be {"connection": "trivial"}.  All
+coefficient expressions use the ring grammar.
 
 A ``Scenario`` also holds the artifacts its tasks share (the Jacobi
 structure, the section, the transversal data, the multibracket table, the
@@ -65,6 +66,8 @@ class Scenario:
             raise ScenarioError("unsupported scenario schema (expected schema: 1)")
         try:
             chart_block = data["chart"]
+            if not isinstance(chart_block, dict):
+                raise TypeError(f"must be an object, not {type(chart_block).__name__}")
             self.chart = Chart(
                 torus=chart_block.get("torus", ()),
                 fiber=chart_block.get("fiber", ()),
@@ -142,8 +145,11 @@ class Scenario:
         kind = self.structure_kind
         block = self.data[kind]
         if kind == "jacobi":
-            p = self._mvf(block.get("p", []), 2)
-            q = self._mvf(block.get("q", []), 1)
+            extra = sorted(set(_typed(block, dict, "block", kind)) - {"p", "q"})
+            if extra:
+                raise ScenarioError(f"jacobi block takes only the keys 'p' and 'q', not {extra}")
+            p = self._mvf(_typed(block.get("p", []), list, "p", kind), 2)
+            q = self._mvf(_typed(block.get("q", []), list, "q", kind), 1)
             j = MultiDerivation(p, q)
         elif kind == "contact":
             theta = self._components(_need(block, "theta", kind, dict))
@@ -251,8 +257,14 @@ def load_scenario(path_or_name: str):
 
     name = path_or_name
     if os.path.exists(path_or_name):
-        with open(path_or_name, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path_or_name, "rb") as fh:
+            raw = fh.read()
+        try:
+            data = json.loads(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"scenario is not UTF-8 text: {exc}") from None
+        except RecursionError:
+            raise ScenarioError("scenario JSON is nested too deeply") from None
         name = os.path.splitext(os.path.basename(path_or_name))[0]
         return Scenario(data, name)
     builtin = path_or_name.split("/")[-1]

@@ -11,6 +11,7 @@ from coiso.rational import GaussianRational
 from coiso.ring import Chart, ScalarFn, accumulate, mat_mul, unit_inverse
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
+from coiso.geom import ContactChart
 from coiso.graded import (
     DX,
     DXI,
@@ -62,6 +63,42 @@ def torus_jacobi(chart=None) -> MultiDerivation:
         dy = MultiVectorField.basis_vector(chart, f"y_{a}")
         lam = lam - dphi.wedge(dy)
     return MultiDerivation(lam, Y)
+
+
+def jet_chart(b: int) -> Chart:
+    """The 1-jet model J^1(T^b): fiber (z, p_1..p_b) over the torus base."""
+    return Chart(
+        torus=tuple(f"ph_{i + 1}" for i in range(b)),
+        fiber=("z",) + tuple(f"p_{i + 1}" for i in range(b)),
+        leaf=tuple(f"ph_{i + 1}" for i in range(b)),
+    )
+
+
+def jet_contact_chart(chart) -> ContactChart:
+    """theta = dz - sum_i p_i dph_i on a jet chart, with the Reeb field d_z
+    and the frame d_{p_i}, d_{ph_i} + p_i d_z of ker theta: the contact
+    route through this frame is the oracle of the closed-form jet model."""
+    z = chart.fiber[0]
+    ps = chart.fiber[1:]
+    dz = MultiVectorField.basis_vector(chart, z)
+    theta = {z: ScalarFn.one(chart)}
+    frame = [MultiVectorField.basis_vector(chart, p) for p in ps]
+    for ph, p in zip(chart.torus, ps):
+        theta[ph] = -ScalarFn.y(chart, p)
+        frame.append(MultiVectorField.basis_vector(chart, ph) + dz.scale_fn(ScalarFn.y(chart, p)))
+    return ContactChart(chart, theta, dz, frame)
+
+
+def generator_postcondition(theta, J) -> bool:
+    """theta(X_f) = f on the ring generators 1, y_a and exp(i ph_j), one
+    Hamiltonian field each: the generator-by-generator form of the contact
+    postcondition that geom.check_contact_jacobi reads off theta(Q) and
+    i_theta Lambda."""
+    chart = J.chart
+    gens = [ScalarFn.one(chart)]
+    gens += [ScalarFn.y(chart, nm) for nm in chart.fiber]
+    gens += [ScalarFn.exp_phi(chart, nm, 1) for nm in chart.torus]
+    return all(theta.pair_vector(J.hamiltonian_vf(f)) == f for f in gens)
 
 
 def random_scalar(chart, rng: random.Random, max_terms=2, freq=1, fiber_deg=1) -> ScalarFn:

@@ -6,14 +6,12 @@ criterion; any assertion failure marks the criterion failed.
 
 import json
 import random
-from fractions import Fraction
 
 import pytest
 
-from coiso.rational import GaussianRational
-from coiso.ring import Chart, ScalarFn
+from coiso.ring import ScalarFn
 from coiso.multivector import MultiVectorField
-from coiso.multider import MultiDerivation, scale_by_fn, leibniz_defect
+from coiso.multider import leibniz_defect
 from coiso.leafform import LeafForm, SectionOfNormalBundle
 from coiso.geom import (
     injection_I,
@@ -36,7 +34,6 @@ from coiso.graded import (
     jacobi_bracket,
     normalize,
     tautological_G,
-    term_degree,
 )
 from coiso.bfv import (
     Lift,
@@ -53,6 +50,7 @@ from coiso.cli import main as cli_main
 
 from helpers import (
     fields_XY,
+    jet_chart,
     random_base_scalar,
     random_multider,
     random_scalar,
@@ -255,8 +253,6 @@ def test_criterion_06_transversal_crosscheck(chart, J, table):
 
 
 def test_criterion_07_legendrian_toy():
-    from test_geom import jet_chart
-
     rng = random.Random(105)
     for b in (1, 2):
         chart = jet_chart(b)

@@ -3,13 +3,11 @@
 import operator
 import random
 import re
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from coiso import bfv
-from coiso.rational import GaussianRational
 from coiso.ring import ScalarFn
 from coiso.leafform import LeafForm, SectionOfNormalBundle
 from coiso.linfty import extract_multibrackets, kuranishi
@@ -17,14 +15,12 @@ from coiso.graded import (
     DX,
     DXI,
     DXIS,
-    M,
     XI,
     XIS,
     ContractionTwo,
     GradedElement,
     jacobi_bracket,
     normalize,
-    tautological_G,
 )
 from coiso.bfv import (
     BFVError,

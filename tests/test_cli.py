@@ -1,16 +1,14 @@
 """Scenario front end: parsing, reports, determinism, exit codes."""
 
-import io
 import json
 import random
-import subprocess
 import sys
 from collections import Counter
 
 import pytest
 
-from coiso.cli import main, format_report, run_task, TASKS
-from coiso.scenario import Scenario, ScenarioError, builtin_names, load_scenario
+from coiso.cli import main, TASKS
+from coiso.scenario import Scenario, ScenarioError, load_scenario
 from coiso.expr import parse_scalar, scalar_to_json, scalar_to_text, scalar_from_json
 
 from helpers import random_scalar, torus_chart
@@ -112,6 +110,59 @@ def test_jet_block_takes_no_keys(tmp_path, capsys, task, value):
     code, out, err = run_cli(["--scenario", str(p), "--task", task], capsys)
     assert code == 2 and out == ""
     assert "jet block" in err and len(err.splitlines()) == 1
+
+
+def _write_scenario(tmp_path, data):
+    p = tmp_path / "malformed.json"
+    p.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode("utf-8"))
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [(b'{"schema": 1, "note": "caf\xe9"}', "not UTF-8"), (b"[" * 5000 + b"]" * 5000, "nested too deeply")],
+    ids=["latin-1", "nested"],
+)
+def test_scenario_file_unreadable(tmp_path, capsys, raw, message):
+    """A scenario file that is not UTF-8, or JSON nested 5000 deep, is a
+    parse error: exit 1, one line."""
+    code, out, err = run_cli(["--scenario", _write_scenario(tmp_path, raw), "--task", "check-jacobi"], capsys)
+    assert code == 1 and out == ""
+    assert message in err and len(err.splitlines()) == 1
+
+
+def test_chart_block_not_an_object(tmp_path, capsys):
+    data = _builtin_data("legendrian-jet")
+    data["chart"] = []
+    path = _write_scenario(tmp_path, data)
+    code, out, err = run_cli(["--scenario", path, "--task", "check-jacobi"], capsys)
+    assert code == 1 and out == ""
+    assert "invalid chart block" in err and len(err.splitlines()) == 1
+
+
+def test_expression_nested_too_deeply(tmp_path, capsys):
+    """2000 nested parentheses are an ExprError (exit 2), not a RecursionError;
+    100 still parse."""
+    chart = {"torus": ["ph_1"], "fiber": ["y_1"], "leaf": ["ph_1"]}
+    coef = "(" * 100 + "1" + ")" * 100
+    assert parse_scalar(torus_chart(), coef) == parse_scalar(torus_chart(), "1")
+    coef = "(" * 2000 + "1" + ")" * 2000
+    data = {"schema": 1, "chart": chart, "jacobi": {"p": [{"idx": [0, 1], "coef": coef}], "q": []}}
+    code, out, err = run_cli(["--scenario", _write_scenario(tmp_path, data), "--task", "check-jacobi"], capsys)
+    assert code == 2 and out == ""
+    assert "nested deeper than 100" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("block", [{"P": [], "Q": []}, {"p": [], "q": [], "x": 1}, [], {"p": 5}])
+def test_jacobi_block_keys_are_closed(tmp_path, capsys, block):
+    """A jacobi block with a key other than p and q (say "P"/"Q", which
+    would otherwise load as the zero structure), or one that is not an
+    object of lists, exits 2 with one line."""
+    chart = {"torus": ["ph_1"], "fiber": ["y_1"], "leaf": ["ph_1"]}
+    path = _write_scenario(tmp_path, {"schema": 1, "chart": chart, "jacobi": block})
+    code, out, err = run_cli(["--scenario", path, "--task", "check-jacobi"], capsys)
+    assert code == 2 and out == ""
+    assert "jacobi" in err and len(err.splitlines()) == 1
 
 
 LCS_T2 = {

@@ -2,7 +2,6 @@
 
 import copy
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -15,10 +14,10 @@ from coiso.geom import (
     ContactChart,
     Form,
     GeometryError,
+    check_contact_jacobi,
     contact_to_jacobi,
     fiberwise_linear_jacobi,
     injection_I,
-    injection_section,
     is_coisotropic_section,
     lcs_to_jacobi,
     projection_P,
@@ -27,6 +26,9 @@ from coiso.geom import (
 from helpers import (
     dense_curvature,
     fields_XY,
+    generator_postcondition,
+    jet_chart,
+    jet_contact_chart,
     random_base_scalar,
     random_scalar,
     torus_chart,
@@ -203,14 +205,6 @@ def test_lcs_precondition_violation():
         lcs_to_jacobi(omega, theta1)
 
 
-def jet_chart(b: int) -> Chart:
-    return Chart(
-        torus=tuple(f"ph_{i + 1}" for i in range(b)),
-        fiber=("z",) + tuple(f"p_{i + 1}" for i in range(b)),
-        leaf=tuple(f"ph_{i + 1}" for i in range(b)),
-    )
-
-
 def test_jet_model():
     chart = jet_chart(1)
     J = fiberwise_linear_jacobi(chart)
@@ -238,11 +232,13 @@ def test_jet_model():
 
 
 def test_jet_model_over_t5():
-    """The 10 x 10 curvature matrix of J^1(T^5) inverts, the constructor's
-    postconditions (theta(X_f) = f, [[J, J]] = 0) hold, and J is the sum
-    over i of the frozen form of test_jet_model."""
+    """On J^1(T^5) the closed form passes the constructor's postconditions
+    (theta(X_f) = f, [[J, J]] = 0) and is the sum over i of the frozen form
+    of test_jet_model; the contact route, through the inverse of its 10 x 10
+    curvature matrix, gives the same J."""
     chart = jet_chart(5)
     J = fiberwise_linear_jacobi(chart)
+    assert contact_to_jacobi(jet_contact_chart(chart)) == J
     z = chart.index("z")
     lam = {}
     for i in range(1, 6):
@@ -251,6 +247,35 @@ def test_jet_model_over_t5():
         lam[(z, p)] = ScalarFn.y(chart, f"p_{i}")
     assert J.p_part == MultiVectorField(chart, 2, lam)
     assert J.q_part == MultiVectorField.basis_vector(chart, "z")
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_jet_closed_form_is_the_contact_route(b):
+    """The closed form equals contact_to_jacobi on the jet contact frame."""
+    chart = jet_chart(b)
+    assert fiberwise_linear_jacobi(chart) == contact_to_jacobi(jet_contact_chart(chart))
+
+
+@pytest.mark.parametrize("corrupt", ["lambda", "q"])
+def test_corrupted_structure_fails_both_postconditions(corrupt):
+    """theta(Q) = 1 with i_theta Lambda = 0, and theta(X_f) = f on the
+    generators, accept the jet model and both reject it with an extra
+    p_1 d_ph_1 ^ d_z in Lambda, or with Q doubled."""
+    chart = jet_chart(1)
+    theta = jet_contact_chart(chart).theta
+    J = fiberwise_linear_jacobi(chart)
+    assert generator_postcondition(theta, J)
+    assert check_contact_jacobi(theta, J) is J
+    if corrupt == "lambda":
+        extra = MultiVectorField.basis_vector(chart, "ph_1").wedge(
+            MultiVectorField.basis_vector(chart, "z")
+        )
+        bad = MultiDerivation(J.p_part + extra.scale_fn(ScalarFn.y(chart, "p_1")), J.q_part)
+    else:
+        bad = MultiDerivation(J.p_part, J.q_part.scale(2))
+    assert not generator_postcondition(theta, bad)
+    with pytest.raises(GeometryError, match="^postcondition theta"):
+        check_contact_jacobi(theta, bad)
 
 
 def test_jet_model_chart_shape():

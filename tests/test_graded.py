@@ -1,7 +1,6 @@
 """Ghost algebra, graded Schouten-Jacobi bracket, contraction data."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 from coiso import graded
 from coiso.rational import GaussianRational
 from coiso.ring import Chart, ScalarFn
-from coiso.multider import MultiDerivation
 from coiso.leafform import SectionOfNormalBundle
 from coiso.graded import (
     DX,
@@ -22,9 +20,7 @@ from coiso.graded import (
     ContractionOne,
     ContractionTwo,
     GradedElement,
-    bidegree,
     from_graded,
-    hamiltonian_operator,
     jacobi_bracket,
     normalize,
     tautological_G,

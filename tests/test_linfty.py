@@ -27,7 +27,7 @@ from coiso.linfty import (
 )
 from coiso.scenario import load_scenario
 
-from helpers import fields_XY, random_base_scalar, torus_chart, torus_jacobi
+from helpers import fields_XY, jet_chart, random_base_scalar, torus_chart, torus_jacobi
 
 
 @pytest.fixture
@@ -357,8 +357,6 @@ def test_m2_descends_to_cohomology(table, chart):
 
 
 def test_jet_model_brackets_vanish_above_one():
-    from test_geom import jet_chart
-
     for b in (1, 2):
         chart = jet_chart(b)
         J = fiberwise_linear_jacobi(chart)

@@ -7,7 +7,7 @@ import pytest
 
 from coiso.ring import ScalarFn
 from coiso.multivector import MultiVectorField
-from coiso.multider import MultiDerivation, scale_by_fn, leibniz_defect
+from coiso.multider import MultiDerivation, leibniz_defect
 
 from helpers import (
     fields_XY,

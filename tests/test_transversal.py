@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ScalarFn, mat_eq, mat_identity, mat_mul
+from coiso.ring import ScalarFn, mat_eq, mat_identity, mat_mul
 from coiso.multivector import MultiVectorField
 from coiso.leafform import LeafForm
 from coiso.linfty import extract_multibrackets
