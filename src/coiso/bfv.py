@@ -22,6 +22,7 @@ from .graded import (
     ContractionOne,
     ContractionTwo,
     GradedElement,
+    encode,
     hamiltonian_operator,
     jacobi_bracket,
     tautological_G,
@@ -426,7 +427,7 @@ def geometric_mc_zero_locus(omega: GradedElement, max_iter=12):
     chart = omega.chart
     rank = omega.rank
     pr10 = omega.pr(1, 0)
-    e = [pr10.terms.get(((XI, A),), ScalarFn.zero(chart)) for A in range(rank)]
+    e = [pr10.terms.get(encode(((XI, A),)), ScalarFn.zero(chart)) for A in range(rank)]
     # linear part L[A][B] = d e_A / d y_B |_{y=0}
     L = [
         [e[A].partial(chart.fiber[B]).restrict_zero_section() for B in range(rank)]

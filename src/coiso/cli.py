@@ -43,7 +43,7 @@ from .expr import ExprError, scalar_to_json
 from .leafform import LeafForm, SectionOfNormalBundle
 from .geom import GeometryError, is_coisotropic_section
 from .linfty import DeformationError, kuranishi, mc_series, prolong_formal
-from .graded import GradedElement, GradedError, bidegree, jacobi_bracket, normalize, XI, XIS
+from .graded import GradedElement, GradedError, bidegree, decode, encode, jacobi_bracket, normalize, XI, XIS
 from .bfv import (
     BFVError,
     ObstructionFailure,
@@ -252,7 +252,7 @@ def _bfv_lift(scenario, arg):
         "equals_G_plus_inabla": (lift.j_hat - lift.G - lift.c1.i_nabla(lift.j)).is_zero(),
         "mc": True,  # Lift raises unless [[J^, J^]] = 0
         "components_by_k": {
-            k: graded_to_json(GradedElement(lift.chart, lift.rank, t))
+            k: graded_to_json(lift.j_hat._like(t))
             for k, t in sorted(by_k.items())
         },
     }
@@ -263,13 +263,13 @@ def _brst_charge(scenario, arg):
     omega, corrections = brst_charge(lift, _section_or_zero(scenario))
     by_antighost = {}
     for letters, f in omega.terms.items():
-        k = sum(1 for l in letters if l[0] == XIS)
+        k = bidegree(letters)[1]  # omega is a section: its antighost count
         by_antighost.setdefault(str(k), {})[letters] = f
     return {
         "exists": True,
         "converged_at": len(corrections),
         "components_by_antighost": {
-            k: graded_to_json(GradedElement(lift.chart, lift.rank, t))
+            k: graded_to_json(omega._like(t))
             for k, t in sorted(by_antighost.items())
         },
         "mc": jacobi_bracket(lift.j_hat, omega, omega).is_zero(),
@@ -352,7 +352,7 @@ def _random_graded_section(chart, rank, rng):
         for _ in range(rng.randint(0, 2)):
             kind = rng.choice((XI, XIS))
             letters.append((kind, rng.randrange(rank)))
-        sign, canon = normalize(letters)
+        sign, canon = normalize(encode(letters))
         if sign == 0:
             continue
         n = tuple(rng.randint(-1, 1) for _ in range(chart.k))
@@ -360,7 +360,7 @@ def _random_graded_section(chart, rank, rng):
         coeff = GaussianRational(
             Fraction(rng.randint(-2, 2), 1), Fraction(rng.randint(-2, 2), 1)
         )
-        terms[canon] = ScalarFn(chart, {(n, alpha): coeff})
+        terms[decode(canon)] = ScalarFn(chart, {(n, alpha): coeff})
     return GradedElement(chart, rank, terms)
 
 

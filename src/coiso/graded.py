@@ -3,7 +3,7 @@ multi-derivations in the basic-symbol word basis, the graded Schouten-Jacobi
 bracket, the tautological bracket G, and both contraction-data families.
 
 Everything is written in one letter algebra.  A term is a Gaussian-rational
-ScalarFn coefficient together with an ordered tuple of letters:
+ScalarFn coefficient together with an ordered tuple of letters (a word):
 
     ghost letters   xi(A)  [degree +1]   and  xis(A)  [degree -1],
     symbol letters  m      [degree +1]   (the mu*-slot, i.e. id),
@@ -12,16 +12,36 @@ ScalarFn coefficient together with an ordered tuple of letters:
                     dxis(A)[degree +2]   (antighost derivative).
 
 Degrees are the shifted (decalage) ones, so m and dx are odd while dxi and
-dxis are even.  Every sign in the module is produced by counting
-transpositions of these graded letters during normalization; no sign is
-ever taken from a formula table.  The one free global convention (arguments
-enter a word from the right) is pinned by requiring G(u, alpha) = alpha(u)
-with positive sign; the test suite asserts this together with the local
-tables of d_G, p, i_nabla and the worked example's BFV operator.
+dxis are even.
+
+Inside the module a letter is one int,
+
+    kind << 24 | index << 2 | marker << 1 | parity,
+
+with the kind field XI < XIS < M < DX < DXI < DXIS < PAIR.  Integer order
+is therefore the canonical order (kind first, then index), the low bit is
+the letter's parity, and a kind is read off by comparing with the kind
+constants, which are the codes of the index-0 letters: ghosts are the
+codes below M, symbols those from M on, ghost derivatives those from DXI
+on.  The marker bit tags the connection-adapted slots of
+ContractionOne.to_adapted, which sort right after their plain letter.  A
+PAIR letter (the second-order composite of two derivatives, which only
+ever appears in a tally key) packs its two letters above the kind field.
+The public form of a letter is a tuple, (XI, A), (M,), (DX, i) and so on:
+GradedElement() and encode() read it, decode() writes it.
+
+Every sign in the module is produced by counting the transpositions of two
+odd letters, while a word is sorted (normalize) or two canonical words are
+merged (_merge); no sign is ever taken from a formula table.  The one free
+global convention (arguments enter a word from the right) is pinned by
+requiring G(u, alpha) = alpha(u) with positive sign; the test suite asserts
+this together with the local tables of d_G, p, i_nabla and the worked
+example's BFV operator.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .ring import Chart, ScalarFn, SparseTerms, accumulate
@@ -34,93 +54,137 @@ class GradedError(ValueError):
     pass
 
 
-# letter kinds
-XI, XIS, M, DX, DXI, DXIS, PAIR = "xi", "xis", "m", "dx", "dxi", "dxis", "pair"
+_KIND = 24  # first bit of the kind field; the index fills bits 2..23
+_INDEX = (1 << _KIND - 2) - 1
+_MARK = 2  # the marker bit of a connection-adapted slot
+_WIDTH = _KIND + 3  # bits of a letter that is not a PAIR
 
-_SYMBOL_KINDS = (M, DX, DXI, DXIS, PAIR)
-_ORDER = {XI: 0, XIS: 1, M: 2, DX: 3, DXI: 4, DXIS: 5, PAIR: 6}
-_DEGREE = {XI: 1, XIS: -1, M: 1, DX: 1, DXI: 0, DXIS: 2}
-
-
-def letter_degree(letter) -> int:
-    kind = letter[0]
-    if kind == PAIR:
-        return letter_degree(letter[1]) + letter_degree(letter[2]) - 1
-    if kind not in _DEGREE:
-        raise GradedError(f"unknown letter {letter!r}")
-    return _DEGREE[kind]
+# letter kinds, as the codes of their index-0 letters
+XI, XIS, M, DX, DXI, DXIS, PAIR = (kind << _KIND | odd for kind, odd in enumerate((1, 1, 1, 1, 0, 0, 0)))
+_KINDS = (XI, XIS, M, DX, DXI, DXIS)
+_DEGREES = (1, -1, 1, 1, 0, 2)  # shifted degree by kind field, XI to DXIS
+# a ghost derivative less this is the ghost it removes: DXI(A) -> XI(A), DXIS(A) -> XIS(A)
+_TARGET = DXI - XI
 
 
-def is_symbol(letter) -> bool:
-    return letter[0] in _SYMBOL_KINDS
+def _letter(kind, index=0) -> int:
+    return kind | index << 2
 
 
-# letter -> (sort key, parity, letter), filled on first sight of a letter;
-# bounded by the alphabet (letter kinds x indices, and the PAIR composites
-# of two symbols)
-_LETTERS = {}
+def _index(code) -> int:
+    return code >> 2 & _INDEX
 
 
-def _tabulate(letter):
-    entry = _LETTERS[letter] = (_key(letter), letter_degree(letter) % 2, letter)
-    return entry
+def _pair(a, b) -> int:
+    """The PAIR letter of the composite a o b of two derivatives; of degree
+    |a| + |b| - 1, so odd when a and b have the same parity."""
+    return (a << _WIDTH | b) << _WIDTH | PAIR | (1 ^ (a ^ b) & 1)
 
 
-def _sort_key(letter):
-    return (_LETTERS.get(letter) or _tabulate(letter))[0]
+def encode(word) -> tuple:
+    """Tuple letters (XI, A), (XIS, A), (M,), (DX, i), (DXI, A), (DXIS, A) or
+    (PAIR, a, b) -> their int codes."""
+    return tuple(map(_encode, word))
 
 
-def _key(letter):
-    return (_ORDER[letter[0]],) + tuple(
-        x if isinstance(x, int) else str(x) for x in letter[1:]
-    )
+def _encode(letter) -> int:
+    kind, *rest = letter
+    if kind == PAIR and len(rest) == 2:
+        return _pair(*map(_encode, rest))
+    if kind in _KINDS and len(rest) == (kind != M) and all(
+        type(i) is int and 0 <= i <= _INDEX for i in rest
+    ):
+        return _letter(kind, *rest)
+    raise GradedError(f"unknown letter {letter!r}")
 
 
-def normalize(letters):
-    """Sort a letter tuple into canonical order, counting graded
-    transpositions; returns (sign, tuple) with sign 0 when an odd letter
-    repeats.  Each letter's sort key and parity is read once, from
-    _LETTERS."""
-    get = _LETTERS.get
-    entries = [get(l) or _tabulate(l) for l in letters]
+def decode(word) -> tuple:
+    """Int codes -> tuple letters; the inverse of encode."""
+    return tuple(map(_decode, word))
+
+
+def _decode(code):
+    if code >= PAIR:
+        mask = (1 << _WIDTH) - 1
+        return (PAIR, _decode(code >> 2 * _WIDTH), _decode(code >> _WIDTH & mask))
+    kind = code & (7 << _KIND | 1)
+    return (M,) if kind == M else (kind, _index(code))
+
+
+def normalize(word):
+    """Sort a word into canonical order by insertion, counting the
+    transpositions of two odd letters; returns (sign, word), or (0, ()) when
+    an odd letter repeats."""
+    w = list(word)
     sign = 1
-    n = len(entries)
-    for i in range(1, n):
-        cur = entries[i]
-        key, odd = cur[0], cur[1]
+    for i in range(1, len(w)):
+        cur = w[i]
         j = i
-        while j > 0 and entries[j - 1][0] > key:
-            if odd and entries[j - 1][1]:
+        while j and w[j - 1] > cur:
+            if cur & w[j - 1] & 1:
                 sign = -sign
-            entries[j] = entries[j - 1]
+            w[j] = w[j - 1]
             j -= 1
-        entries[j] = cur
-    out = tuple(e[2] for e in entries)
-    for i in range(1, n):
-        if entries[i][1] and out[i - 1] == out[i]:
-            return 0, out
-    return sign, out
+        if j and cur & 1 and w[j - 1] == cur:
+            return 0, ()
+        w[j] = cur
+    return sign, tuple(w)
 
 
-def term_degree(letters) -> int:
+def _merge(a, b):
+    """Merge the canonical words a and b (a written first) into one
+    canonical word, counting each odd letter of a that crosses an odd
+    letter of b; returns (sign, word), or (0, ()) when both hold one odd
+    letter."""
+    if not a or not b:
+        return 1, a + b
+    out = []
+    i, n = 0, len(a)
+    sign = 1
+    passed = 0  # parity of the odd letters of b already placed
+    for y in b:
+        while i < n and a[i] < y:
+            if a[i] & passed:
+                sign = -sign
+            out.append(a[i])
+            i += 1
+        if y & 1:
+            if i < n and a[i] == y:
+                return 0, ()
+            passed ^= 1
+        out.append(y)
+    if passed:
+        for x in a[i:]:
+            if x & 1:
+                sign = -sign
+    out += a[i:]
+    return sign, tuple(out)
+
+
+def term_degree(word) -> int:
     """Total shifted degree of a term: letter degrees plus the -1 of the
     ubiquitous mu coefficient."""
-    return sum(letter_degree(l) for l in letters) - 1
+    return sum(_DEGREES[x >> _KIND] for x in word) - 1
 
 
-_BIDEGREE = {XI: (1, 0), XIS: (0, 1), DXI: (-1, 0), DXIS: (0, -1)}
-
-
-def bidegree(letters):
+def bidegree(word):
+    """(ghosts - ghost derivatives, antighosts - antighost derivatives)."""
     h = k = 0
-    for l in letters:
-        dh, dk = _BIDEGREE.get(l[0], (0, 0))
-        h, k = h + dh, k + dk
+    for x in word:
+        if x < XIS:
+            h += 1
+        elif x < M:
+            k += 1
+        elif x >= DXIS:
+            k -= 1
+        elif x >= DXI:
+            h -= 1
     return h, k
 
 
-def arity(letters) -> int:
-    return sum(1 for l in letters if is_symbol(l))
+def arity(word) -> int:
+    """The number of symbol letters of a canonical word (they come last)."""
+    return len(word) - bisect_left(word, M)
 
 
 def _signed(f, sign):
@@ -142,7 +206,8 @@ class GradedElement(SparseTerms):
     """A sum of letter terms with ScalarFn coefficients.
 
     Terms with no symbol letters are graded sections of the ghost bundle;
-    terms with symbols are graded symmetric multi-derivation words.
+    terms with symbols are graded symmetric multi-derivation words.  The
+    constructor takes tuple-letter words; terms are kept with int words.
     """
 
     __slots__ = ("rank",)
@@ -150,7 +215,9 @@ class GradedElement(SparseTerms):
     def __init__(self, chart: Chart, rank: int, terms=None):
         self.chart = chart
         self.rank = rank
-        self.terms = accumulate({}, _canonical(terms.items())) if terms else {}
+        self.terms = (
+            accumulate({}, _canonical((encode(w), f) for w, f in terms.items())) if terms else {}
+        )
 
     def _shape(self):
         return (self.chart, self.rank)
@@ -159,6 +226,11 @@ class GradedElement(SparseTerms):
         r = object.__new__(type(self))
         r.chart, r.rank, r.terms = self.chart, self.rank, terms
         return r
+
+    def _sum(self, pairs) -> "GradedElement":
+        """The element of this shape summing (int word, ScalarFn) pairs,
+        each word normalized with its graded sign."""
+        return self._like(accumulate({}, _canonical(pairs)))
 
     # -- constructors --------------------------------------------------------
 
@@ -201,7 +273,7 @@ class GradedElement(SparseTerms):
         def pairs():
             for l1, f1 in self.terms.items():
                 for l2, f2 in other.terms.items():
-                    sign, canon = normalize(l1 + l2)
+                    sign, canon = _merge(l1, l2)
                     if sign:
                         yield canon, _signed(f1 * f2, sign)
 
@@ -215,7 +287,7 @@ class GradedElement(SparseTerms):
     def antighost_filtration(self) -> int:
         """Min over terms of the antighost letter count (the filtration
         degree used by the BRST recursion); sections only."""
-        degs = [sum(1 for x in l if x[0] == XIS) for l in self.terms]
+        degs = [sum(1 for x in l if XIS <= x < M) for l in self.terms]
         return min(degs) if degs else 10 ** 9
 
     def diag_filtration(self) -> int:
@@ -258,58 +330,78 @@ class GradedElement(SparseTerms):
         the normalized word arises from the self term x and the other term
         y, so it stands for count * self.terms[x] * other.terms[y].
 
+        A slot s of a self word splits it into left + s + right, and the
+        result of s is a canonical run z put in its place: left + z +
+        right.  Its sign is that of moving z past right (the parities of
+        z and right) times that of merging z into left + right (_merge).
         Term splits, parities and partial derivatives are read once per
-        call; a word is normalized before its coefficient is multiplied."""
+        call; a word is put in canonical order before its coefficient is
+        multiplied."""
         others = []
         for ol, oc in other.terms.items():
-            ghost = tuple(l for l in ol if not is_symbol(l))
-            syms = tuple(l for l in ol if is_symbol(l))
-            # parity of the letters of ol left of each symbol
-            reach, reaches = sum(letter_degree(l) for l in ghost) % 2, []
-            for sp in syms:
-                reaches.append(reach)
-                reach ^= letter_degree(sp) % 2
-            others.append((ol, oc, ghost, syms, term_degree(ol) % 2, reaches, {}))
+            g = bisect_left(ol, M)
+            parity = sum(x & 1 for x in ol) & 1
+            # per symbol sp of ol: the letters left of it, those right of it,
+            # the parity of ol without it, and that of the letters left of it
+            comps, reach = [], g & 1  # ghosts are odd
+            for idx in range(g, len(ol)):
+                sp = ol[idx]
+                comps.append((sp, ol[:idx], ol[idx + 1 :], parity ^ (sp & 1), reach))
+                reach ^= sp & 1
+            # the term degree of ol is its letter degrees less one
+            others.append((ol, oc, ol[:g], ol[g:], parity, 1 ^ parity, comps, {}))
         selfs = []
         for letters, c in self.terms.items():
-            slots, travel = [], 0  # (position, symbol, its untwisted parity, parity right of it)
-            for p in range(len(letters) - 1, -1, -1):
-                if is_symbol(letters[p]):
-                    slots.append((p, letters[p], _untwisted_parity(letters[p]), travel))
-                travel ^= letter_degree(letters[p]) % 2
+            slots, travel = [], 0  # (symbol, its untwisted parity, parity right of it, the word without it)
+            for p in range(len(letters) - 1, bisect_left(letters, M) - 1, -1):
+                s = letters[p]
+                slots.append((s, 1 ^ (s & 1), travel, letters[:p] + letters[p + 1 :]))
+                travel ^= s & 1
             selfs.append((letters, c, slots[::-1]))
         tally = {}
 
         def pairs():
             for letters, c, slots in selfs:
-                for ol, oc, ghost, syms, odd, reaches, partials in others:
-                    for p, s, twisted, travel in slots:
-                        sign0 = -1 if odd and travel else 1
-                        left, right = letters[:p], letters[p + 1 :]
+                for ol, oc, ghost, syms, parity, odd, comps, partials in others:
+                    for s, twisted, travel, rest in slots:
+                        # other enters from the right, passing the letters
+                        # right of the slot
+                        flip = odd & travel
                         # s acts on the coefficient/ghost part of other; for
                         # the identity slot m this is already the whole
                         # action (m is not a derivation)
                         acted = _act(s, ghost, oc, partials)
                         if acted:
-                            sa, res_letters, res_f = acted
-                            sign, canon = normalize(left + res_letters + syms + right)
+                            sa, res_ghost, res_f = acted
+                            sign, canon = _merge(rest, res_ghost + syms)
                             if sign:
-                                yield canon, _signed(c * res_f, sign0 * sa * sign)
-                        if s[0] == M:
+                                # a ghost derivative removed one (odd) ghost
+                                pz = parity ^ (s >= DXI)
+                                if flip ^ (pz & travel):
+                                    sign = -sign
+                                yield canon, _signed(c * res_f, sa * sign)
+                        if s == M:
                             continue
                         # s composes with one of other's symbols: first order
                         # when that symbol is m, else a tallied PAIR; reaching
                         # past the letters left of it carries the untwisted
                         # parity of s
-                        for idx, sp in enumerate(syms):
+                        for sp, head, after, parity_rest, reach in comps:
                             comp, csign = _compose_symbols(s, sp)
                             if comp is None:
                                 continue
-                            sign, canon = normalize(left + ghost + syms[:idx] + (comp,) + syms[idx + 1 :] + right)
+                            # comp takes its place among the symbols after sp
+                            sz, tail = _merge((comp,), after)
+                            if not sz:
+                                continue
+                            sign, canon = _merge(rest, head + tail)
                             if not sign:
                                 continue
-                            sign *= sign0 * csign * (-1 if twisted and reaches[idx] else 1)
-                            if comp[0] == PAIR:
+                            pz = parity_rest ^ (comp & 1)
+                            if flip ^ (pz & travel) ^ (twisted & reach):
+                                sign = -sign
+                            sign *= sz * csign
+                            if comp >= PAIR:
                                 key = (canon, letters, ol)
                                 tally[key] = tally.get(key, 0) + sign
                             else:
@@ -372,15 +464,9 @@ class GradedElement(SparseTerms):
             return f"D_{names[l[1]]}" if l[0] == DX else shown[l[0]].format(*(i + 1 for i in l[1:]))
 
         return " + ".join(
-            f"({self.terms[letters]!r})*" + (".".join(map(show, letters)) or "1")
-            for letters in sorted(self.terms, key=lambda ls: tuple(_key(l) for l in ls))
+            f"({self.terms[word]!r})*" + (".".join(map(show, decode(word))) or "1")
+            for word in sorted(self.terms)
         )
-
-
-def _untwisted_parity(letter) -> int:
-    """Parity of the underlying derivative: d/dx even, d/dtheta and
-    d/dtheta* odd (the mu* twist accounts for the letter-degree shift)."""
-    return 1 if letter[0] in (DXI, DXIS) else 0
 
 
 def _compose_symbols(s, sp):
@@ -388,36 +474,34 @@ def _compose_symbols(s, sp):
 
     m is the identity on untwisted coefficients, so composites with m
     reduce to first order; derivative pairs stay second order and are
-    normalized with the commutation sign of the underlying derivatives."""
-    if sp[0] == M:
+    normalized with the commutation sign of the underlying derivatives:
+    d/dx is even, d/dtheta and d/dtheta* odd (the mu* twist shifts each
+    letter's degree by one, so a derivative's untwisted parity is the
+    opposite of its letter's)."""
+    if sp == M:
         return s, 1
-    if s == sp and _untwisted_parity(s):
+    if s == sp and not s & 1:
         return None, 1  # odd derivative squares to zero
-    a, b = (s, sp), 1
-    if _sort_key(s) > _sort_key(sp):
-        sign = -1 if (_untwisted_parity(s) and _untwisted_parity(sp)) else 1
-        a, b = (sp, s), sign
-    return (PAIR, a[0], a[1]), b
+    if s > sp:
+        return _pair(sp, s), -1 if not (s | sp) & 1 else 1
+    return _pair(s, sp), 1
 
 
-def _act(symbol, letters, f, partials):
-    """Apply one basic symbol to a section term (letters, f): (sign,
+def _act(symbol, ghost, f, partials):
+    """Apply one basic symbol to a section term (ghost letters, f): (sign,
     letters, ScalarFn) or None for zero; `partials` keeps f's derivatives."""
-    kind = symbol[0]
-    if kind == M:
-        return 1, letters, f
-    if kind == DX:
-        df = partials.get(symbol[1])
+    if symbol == M:
+        return 1, ghost, f
+    if symbol < DXI:  # dx(i)
+        df = partials.get(symbol)
         if df is None:
-            df = partials[symbol[1]] = f.partial_index(symbol[1])
-        return None if df.is_zero() else (1, letters, df)
-    if kind in (DXI, DXIS):
-        target = (XI if kind == DXI else XIS, symbol[1])
-        for pos, l in enumerate(letters):
-            if l == target:
-                return (-1) ** (pos % 2), letters[:pos] + letters[pos + 1 :], f  # ghosts are odd
-        return None
-    raise GradedError(f"cannot act with {symbol!r}")
+            df = partials[symbol] = f.partial_index(_index(symbol))
+        return None if df.is_zero() else (1, ghost, df)
+    target = symbol - _TARGET
+    if target in ghost:
+        pos = ghost.index(target)
+        return -1 if pos & 1 else 1, ghost[:pos] + ghost[pos + 1 :], f  # ghosts are odd
+    return None
 
 
 def _merged(t_ab, t_ba, sign):
@@ -483,12 +567,12 @@ def to_graded(sq: MultiDerivation, rank: int) -> GradedElement:
 
     The p-part words carry no sign at any arity; the q-part (the id-slot
     words) carries (-1)^arity."""
-    terms = {tuple((DX, i) for i in key): f for key, f in sq.p_part.terms.items()}
+    pairs = [(tuple(_letter(DX, i) for i in key), f) for key, f in sq.p_part.terms.items()]
     if sq.q_part is not None:
         qsgn = (-1) ** (sq.arity % 2)
         for key, f in sq.q_part.terms.items():
-            terms[((M,),) + tuple((DX, i) for i in key)] = f.scale(qsgn)
-    return GradedElement(sq.chart, rank, terms)
+            pairs.append(((M,) + tuple(_letter(DX, i) for i in key), f.scale(qsgn)))
+    return GradedElement.zero(sq.chart, rank)._sum(pairs)
 
 
 def from_graded(op: GradedElement) -> MultiDerivation:
@@ -497,12 +581,11 @@ def from_graded(op: GradedElement) -> MultiDerivation:
     chart = op.chart
     words = []  # (number of m slots, dx indices, coefficient)
     for letters, f in op.terms.items():
-        if any(l[0] in (XI, XIS, DXI, DXIS) for l in letters):
+        if not all(M <= x < DXI for x in letters):
             raise GradedError("from_graded needs a ghost-free operator")
-        mcount = sum(1 for l in letters if l[0] == M)
-        if mcount > 1:
-            raise GradedError("repeated mu* slots do not correspond to a multiderivation")
-        words.append((mcount, tuple(l[1] for l in letters if l[0] == DX), f))
+        # m is odd, so a canonical word holds it at most once, first
+        mcount = letters.count(M)
+        words.append((mcount, tuple(map(_index, letters[mcount:])), f))
     if not words:
         return MultiDerivation.zero(chart, 0)
     n = max(mcount + len(key) for mcount, key, _ in words)
@@ -543,29 +626,30 @@ class ContractionOne:
         self.chart = chart
         self.rank = rank
         self.connection = connection or Connection(chart, rank)
-        self._inabla_m = self._expand_inabla((M,), self.connection.gamma_id)
+        self._inabla_m = self._expand_inabla(M, self.connection.gamma_id)
         self._inabla_dx = {}
 
     def _expand_inabla(self, slot, gamma) -> GradedElement:
         """Local table of i_nabla on one slot generator: the slot plus the
         ghost rotation by gamma, less the ghost Euler field for the id slot."""
-        chart, rank = self.chart, self.rank
-        one = ScalarFn.one(chart)
-        terms = {(slot,): one}
-        for A in range(rank):
-            for B in range(rank):
-                euler = slot[0] == M and A == B
-                terms[((XI, B), (DXI, A))] = (gamma[A][B] - one) if euler else gamma[A][B]
-                terms[((XIS, B), (DXIS, A))] = -gamma[B][A]
-        return GradedElement(chart, rank, terms)
+        one = ScalarFn.one(self.chart)
+        pairs = [((slot,), one)]
+        for A in range(self.rank):
+            for B in range(self.rank):
+                euler = slot == M and A == B
+                pairs.append(((_letter(XI, B), _letter(DXI, A)), (gamma[A][B] - one) if euler else gamma[A][B]))
+                pairs.append(((_letter(XIS, B), _letter(DXIS, A)), -gamma[B][A]))
+        return GradedElement.zero(self.chart, self.rank)._sum(pairs)
 
     def inabla_symbol(self, letter) -> GradedElement:
-        if letter[0] == M:
+        """i_nabla of the slot letter m or dx(i)."""
+        if letter == M:
             return self._inabla_m
-        if letter[0] == DX:
-            if letter[1] not in self._inabla_dx:
-                self._inabla_dx[letter[1]] = self._expand_inabla(letter, self.connection.gamma_i(letter[1]))
-            return self._inabla_dx[letter[1]]
+        if DX <= letter < DXI:
+            if letter not in self._inabla_dx:
+                gamma = self.connection.gamma_i(_index(letter))
+                self._inabla_dx[letter] = self._expand_inabla(letter, gamma)
+            return self._inabla_dx[letter]
         raise GradedError("i_nabla substitutes only mu* and base-derivative slots")
 
     def i_nabla(self, sq: MultiDerivation) -> GradedElement:
@@ -585,33 +669,25 @@ class ContractionOne:
     def p(self, op: GradedElement) -> MultiDerivation:
         """Keep ghost-free bidegree-(0,0) words and read them as an ungraded
         multiderivation."""
-        kept = {}
-        for letters, f in op.terms.items():
-            if all(l[0] in (M, DX) for l in letters):
-                kept[letters] = f
-        return from_graded(GradedElement(self.chart, self.rank, kept))
+        return from_graded(op._like({l: f for l, f in op.terms.items() if all(M <= x < DXI for x in l)}))
 
     # -- adapted basis, weight, homotopy --------------------------------------
 
     def to_adapted(self, op: GradedElement):
         """Rewrite wordwise so weight counting sees the connection-adapted
-        slots: returns a dict from adapted letter tuples to ScalarFn where
-        m-markers ('m', '~') and ('dx', i, '~') have weight zero."""
-        chart, rank = self.chart, self.rank
+        slots: returns a dict from adapted words to ScalarFn where the
+        marked slots m | _MARK and dx(i) | _MARK (the i_nabla images of m and
+        dx(i)) have weight zero."""
 
         def expand(letters, f, acc):
             for pos, l in enumerate(letters):
-                if (l[0] == M and len(l) == 1) or (l[0] == DX and len(l) == 2):
-                    if l[0] == M:
-                        marker = ("m", "~")
-                        corr = self._inabla_m - GradedElement.word(chart, rank, ((M,),))
-                    else:
-                        marker = ("dx", l[1], "~")
-                        corr = self.inabla_symbol(l) - GradedElement.word(chart, rank, (l,))
-                    # slot = marker - corrections, spliced at the slot position
-                    acc.append((letters[:pos] + (marker,) + letters[pos + 1 :], f))
-                    for cls, cf in corr.terms.items():
-                        expand(letters[:pos] + cls + letters[pos + 1 :], -(f * cf), acc)
+                if l == M or DX <= l < DXI and not l & _MARK:
+                    # slot = marker - corrections (i_nabla of the slot less
+                    # the slot), spliced at the slot position
+                    acc.append((letters[:pos] + (l | _MARK,) + letters[pos + 1 :], f))
+                    for cls, cf in self.inabla_symbol(l).terms.items():
+                        if cls != (l,):
+                            expand(letters[:pos] + cls + letters[pos + 1 :], -(f * cf), acc)
                     return
             acc.append((letters, f))
 
@@ -624,22 +700,21 @@ class ContractionOne:
         chart, rank = self.chart, self.rank
 
         def products():
+            one = ScalarFn.one(chart)
             for letters, f in adapted.items():
                 prod = GradedElement.section(chart, rank, f)
                 for l in letters:
-                    if l[0] == "m" and len(l) == 2:
-                        prod = prod.mul(self._inabla_m)
-                    elif l[0] == "dx" and len(l) == 3:
-                        prod = prod.mul(self.inabla_symbol((DX, l[1])))
+                    if l & _MARK:
+                        prod = prod.mul(self.inabla_symbol(l ^ _MARK))
                     else:
-                        prod = prod.mul(GradedElement.word(chart, rank, (l,)))
+                        prod = prod.mul(prod._like({(l,): one}))
                 yield prod
 
         return GradedElement.zero(chart, rank).plus(products())
 
     @staticmethod
     def _adapted_weight(letters) -> int:
-        return sum(1 for l in letters if l[0] in (XI, XIS, DXI, DXIS))
+        return sum(1 for l in letters if l < M or l >= DXI)
 
     def weight_split(self, op: GradedElement):
         """Split into eigencomponents of the weight derivation."""
@@ -662,15 +737,12 @@ class ContractionOne:
         def pairs():
             for letters, f in self.to_adapted(op).items():
                 for pos, l in enumerate(letters):
-                    if l[0] == DXI:
-                        repl = (XIS, l[1])
-                    elif l[0] == DXIS:
-                        repl = (XI, l[1])
-                    else:
+                    if l < DXI:
                         continue
+                    repl = l - DXI + XIS if l < DXIS else l - DXIS + XI
                     # odd derivation: sign from passing the letters left of pos
-                    reach = sum(letter_degree(x) for x in letters[:pos])
-                    yield letters[:pos] + (repl,) + letters[pos + 1 :], _signed(f, (-1) ** (reach % 2))
+                    reach = sum(x & 1 for x in letters[:pos])
+                    yield letters[:pos] + (repl,) + letters[pos + 1 :], _signed(f, -1 if reach & 1 else 1)
 
         return self.from_adapted(accumulate({}, _canonical(pairs())))
 
@@ -730,7 +802,7 @@ class ContractionTwo:
         for letters, f in lam.terms.items():
             if arity(letters):
                 raise GradedError("wp acts on sections")
-            if any(l[0] == XIS for l in letters):
+            if any(XIS <= x < M for x in letters):
                 continue
             g = f.substitute_fiber(assignment)
             if not g.is_zero():
@@ -739,7 +811,7 @@ class ContractionTwo:
 
     def iota(self, lam: GradedElement) -> GradedElement:
         for letters, f in lam.terms.items():
-            if any(l[0] == XIS for l in letters) or arity(letters):
+            if any(XIS <= x < M for x in letters) or arity(letters):
                 raise GradedError("iota embeds base ghost words")
             if not f.is_base_only():
                 raise GradedError("iota embeds base-only coefficients")
@@ -764,12 +836,12 @@ class ContractionTwo:
             for letters, f in lam.terms.items():
                 if arity(letters):
                     raise GradedError("h acts on sections")
-                nxis = sum(1 for l in letters if l[0] == XIS)
-                sign = -((-1) ** (sum(letter_degree(l) for l in letters) % 2))
+                nxis = sum(1 for x in letters if XIS <= x < M)
+                sign = 1 if sum(x & 1 for x in letters) & 1 else -1
                 for A, name in enumerate(self.chart.fiber):
                     dfa = f.partial(name)
                     if dfa.is_zero():
                         continue
-                    yield letters + ((XIS, A),), _signed(dfa.path_integral(targets, nxis), sign)
+                    yield letters + (_letter(XIS, A),), _signed(dfa.path_integral(targets, nxis), sign)
 
         return lam._like(accumulate({}, _canonical(pairs())))

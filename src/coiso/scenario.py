@@ -2,8 +2,10 @@
 
 A scenario carries one chart, exactly one structure block (jacobi | contact
 | lcs | jet | transversal may accompany any of them), and optional section
-/ formal / bfv blocks; a jacobi block takes only the keys p and q, a jet
-block must be {} and a bfv block must be {"connection": "trivial"}.  All
+/ formal / bfv blocks.  The chart's torus, fiber and leaf are lists of
+coordinate names.  Each block takes a closed set of keys (a jacobi block
+only p and q, an lcs block omega and theta1, and so on), a jet block must be
+{} and a bfv block must be {"connection": "trivial"}.  All
 coefficient expressions use the ring grammar.
 
 A ``Scenario`` also holds the artifacts its tasks share (the Jacobi
@@ -47,6 +49,15 @@ def _typed(value, kind, key, where):
     return value
 
 
+def _closed(block, keys, where):
+    """block, an object whose keys are all among keys; a ScenarioError
+    naming any other key."""
+    extra = sorted(set(_typed(block, dict, "block", where)) - set(keys))
+    if extra:
+        raise ScenarioError(f"{where} block takes only the keys {list(keys)}, not {extra}")
+    return block
+
+
 def _leaf_key(key, name, nleaf):
     """The leaf index a transversal F_ab / F_a key writes in decimal."""
     if key not in [str(i) for i in range(nleaf)]:
@@ -68,6 +79,10 @@ class Scenario:
             chart_block = data["chart"]
             if not isinstance(chart_block, dict):
                 raise TypeError(f"must be an object, not {type(chart_block).__name__}")
+            for key in ("torus", "fiber", "leaf"):
+                names = chart_block.get(key, [])
+                if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                    raise TypeError(f"{key!r} must be a list of coordinate names")
             self.chart = Chart(
                 torus=chart_block.get("torus", ()),
                 fiber=chart_block.get("fiber", ()),
@@ -145,13 +160,12 @@ class Scenario:
         kind = self.structure_kind
         block = self.data[kind]
         if kind == "jacobi":
-            extra = sorted(set(_typed(block, dict, "block", kind)) - {"p", "q"})
-            if extra:
-                raise ScenarioError(f"jacobi block takes only the keys 'p' and 'q', not {extra}")
+            _closed(block, ("p", "q"), kind)
             p = self._mvf(_typed(block.get("p", []), list, "p", kind), 2)
             q = self._mvf(_typed(block.get("q", []), list, "q", kind), 1)
             j = MultiDerivation(p, q)
         elif kind == "contact":
+            _closed(block, ("theta", "reeb", "frame"), kind)
             theta = self._components(_need(block, "theta", kind, dict))
             reeb = self._vector(_need(block, "reeb", kind, dict))
             frame = [
@@ -160,6 +174,7 @@ class Scenario:
             ]
             j = contact_to_jacobi(ContactChart(self.chart, theta, reeb, frame))
         elif kind == "lcs":
+            _closed(block, ("omega", "theta1"), kind)
             omega = Form(self.chart, 2, self._skew_terms(_need(block, "omega", kind), kind))
             theta1 = Form(self.chart, 1, self._skew_terms(block.get("theta1", []), kind))
             j = lcs_to_jacobi(omega, theta1)
@@ -178,6 +193,7 @@ class Scenario:
         block = self.data.get("section")
         if block is None:
             raise ScenarioError("scenario has no section block")
+        _closed(block, ("components",), "section")
         comps = [self._expr(e) for e in _need(block, "components", "section")]
         try:
             return SectionOfNormalBundle(self.chart, comps)
@@ -186,7 +202,7 @@ class Scenario:
 
     def formal_order(self) -> int:
         """The formal block's order, a positive integer (3 when absent)."""
-        block = _typed(self.data.get("formal", {}), dict, "formal", "scenario")
+        block = _closed(self.data.get("formal", {}), ("order",), "formal")
         order = block.get("order", 3)
         if type(order) is not int or order < 1:
             raise ScenarioError(f"formal 'order' must be a positive integer, not {order!r}")
@@ -199,6 +215,7 @@ class Scenario:
         block = self.data.get("transversal")
         if block is None:
             raise ScenarioError("scenario has no transversal block")
+        _closed(block, ("frame_a", "frame_z", "C", "omega", "F_ab", "F_a"), "transversal")
         ga = [
             self._vector(_typed(v, dict, "frame_a", "transversal"))
             for v in _need(block, "frame_a", "transversal", list)

@@ -11,7 +11,7 @@ from .expr import scalar_to_json, scalar_to_text
 from .multivector import MultiVectorField
 from .multider import MultiDerivation
 from .leafform import LeafForm, SectionOfNormalBundle
-from .graded import DX, DXI, DXIS, M, XI, XIS, GradedElement
+from .graded import DX, DXI, DXIS, M, XI, XIS, GradedElement, decode
 
 
 def mvf_to_json(v: MultiVectorField) -> list:
@@ -82,7 +82,7 @@ def _symbol_to_json(chart: Chart, letter) -> str:
 def graded_to_json(x: GradedElement) -> list:
     chart = x.chart
     out = []
-    for letters in sorted(x.terms, key=_letters_sort_key):
+    for letters, coef in _report_order(x):
         ghosts = [l[1] for l in letters if l[0] == XI]
         antighosts = [l[1] for l in letters if l[0] == XIS]
         word = [
@@ -93,14 +93,21 @@ def graded_to_json(x: GradedElement) -> list:
                 "ghost": ghosts,
                 "antighost": antighosts,
                 "word": word,
-                "coef": scalar_to_json(x.terms[letters]),
+                "coef": scalar_to_json(coef),
             }
         )
     return out
 
 
-def _letters_sort_key(letters):
-    return tuple((l[0], *(str(v) for v in l[1:])) for l in letters)
+# report order: letters by kind name (dx < dxi < dxis < m < xi < xis), then
+# by their indices as strings
+_KIND_NAMES = {DX: "dx", DXI: "dxi", DXIS: "dxis", M: "m", XI: "xi", XIS: "xis"}
+
+
+def _report_order(x: GradedElement):
+    """(tuple letters, coefficient) of each term, in report order."""
+    terms = [(decode(word), f) for word, f in x.terms.items()]
+    return sorted(terms, key=lambda t: [(_KIND_NAMES[l[0]], *map(str, l[1:])) for l in t[0]])
 
 
 def graded_to_text(x: GradedElement) -> str:
@@ -108,7 +115,7 @@ def graded_to_text(x: GradedElement) -> str:
         return "0"
     chart = x.chart
     bits = []
-    for letters in sorted(x.terms, key=_letters_sort_key):
+    for letters, coef in _report_order(x):
         word = []
         for l in letters:
             if l[0] == XI:
@@ -117,5 +124,5 @@ def graded_to_text(x: GradedElement) -> str:
                 word.append(f"xis_{l[1] + 1}")
             else:
                 word.append(_symbol_to_json(chart, l))
-        bits.append(f"({scalar_to_text(x.terms[letters])}) " + (".".join(word) or "1"))
+        bits.append(f"({scalar_to_text(coef)}) " + (".".join(word) or "1"))
     return " + ".join(bits)

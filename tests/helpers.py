@@ -12,19 +12,7 @@ from coiso.ring import Chart, ScalarFn, accumulate, mat_mul, unit_inverse
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
 from coiso.geom import ContactChart
-from coiso.graded import (
-    DX,
-    DXI,
-    DXIS,
-    M,
-    XI,
-    XIS,
-    _compose_symbols,
-    is_symbol,
-    letter_degree,
-    normalize,
-    term_degree,
-)
+from coiso.graded import DX, DXI, DXIS, M, PAIR, XI, XIS, GradedElement, decode
 
 
 def torus_chart():
@@ -244,6 +232,72 @@ def dense_sn_bracket(P: MultiVectorField, Q: MultiVectorField) -> MultiVectorFie
     return dense_gerstenhaber(P, Q).scale((-1) ** (k * kp)) - dense_gerstenhaber(Q, P)
 
 
+# The graded oracles below work on tuple letters, (XI, A), (M,), (DX, i),
+# (PAIR, a, b) and so on, with their own order, degrees and sort: they share
+# no code with graded's int letter codes.
+_ORDER = {XI: 0, XIS: 1, M: 2, DX: 3, DXI: 4, DXIS: 5, PAIR: 6}
+_DEGREE = {XI: 1, XIS: -1, M: 1, DX: 1, DXI: 0, DXIS: 2}
+
+
+def _letter_degree(letter) -> int:
+    if letter[0] == PAIR:
+        return _letter_degree(letter[1]) + _letter_degree(letter[2]) - 1
+    return _DEGREE[letter[0]]
+
+
+def _is_symbol(letter) -> bool:
+    return letter[0] not in (XI, XIS)
+
+
+def _untwisted_parity(letter) -> int:
+    """d/dx even, d/dtheta and d/dtheta* odd."""
+    return 1 if letter[0] in (DXI, DXIS) else 0
+
+
+def _sort_key(letter):
+    return (_ORDER[letter[0]],) + tuple(x if isinstance(x, int) else str(x) for x in letter[1:])
+
+
+def dense_term_degree(letters) -> int:
+    return sum(_letter_degree(l) for l in letters) - 1
+
+
+def dense_normalize(letters):
+    """Sort tuple letters into canonical order (kind, then index) by
+    insertion, counting graded transpositions; returns (sign, tuple) with
+    sign 0 when an odd letter repeats."""
+    entries = [(_sort_key(l), _letter_degree(l) % 2, l) for l in letters]
+    sign = 1
+    for i in range(1, len(entries)):
+        cur = entries[i]
+        j = i
+        while j > 0 and entries[j - 1][0] > cur[0]:
+            if cur[1] and entries[j - 1][1]:
+                sign = -sign
+            entries[j] = entries[j - 1]
+            j -= 1
+        entries[j] = cur
+    out = tuple(e[2] for e in entries)
+    for i in range(1, len(entries)):
+        if entries[i][1] and out[i - 1] == out[i]:
+            return 0, out
+    return sign, out
+
+
+def _dense_compose_symbols(s, sp):
+    """Ordered composite s o sp of two symbol letters as (letter, sign):
+    s itself when sp is m, None for an odd derivative squared, else the
+    PAIR of the two in canonical order, signed by the commutation of the
+    underlying derivatives."""
+    if sp[0] == M:
+        return s, 1
+    if s == sp and _untwisted_parity(s):
+        return None, 1
+    if _sort_key(s) > _sort_key(sp):
+        return (PAIR, sp, s), -1 if _untwisted_parity(s) and _untwisted_parity(sp) else 1
+    return (PAIR, s, sp), 1
+
+
 def _dense_act(symbol, letters, f):
     """One basic symbol applied to a section term (letters, f): a list of
     (sign, letters, ScalarFn)."""
@@ -259,15 +313,20 @@ def _dense_act(symbol, letters, f):
     return []
 
 
+def _decoded(x):
+    """(tuple-letter word, coefficient) of each term of a GradedElement."""
+    return [(decode(word), f) for word, f in x.terms.items()]
+
+
 def _dense_sum(like, pairs):
-    """The element of like's shape summing (letters, ScalarFn) pairs, each
-    word normalized with its graded sign."""
+    """The element of like's shape summing (tuple-letter word, ScalarFn)
+    pairs, each word normalized with its graded sign by dense_normalize."""
     out = {}
     for letters, f in pairs:
-        sign, canon = normalize(letters)
+        sign, canon = dense_normalize(letters)
         if sign:
             accumulate(out, [(canon, f if sign == 1 else -f)])
-    return like._like(out)
+    return GradedElement(like.chart, like.rank, out)
 
 
 def dense_compose(a, b):
@@ -278,28 +337,28 @@ def dense_compose(a, b):
     left of it with the untwisted parity of s."""
 
     def pairs():
-        for letters, c in a.terms.items():
-            for ol, oc in b.terms.items():
-                ghost = tuple(l for l in ol if not is_symbol(l))
-                syms = tuple(l for l in ol if is_symbol(l))
+        for letters, c in _decoded(a):
+            for ol, oc in _decoded(b):
+                ghost = tuple(l for l in ol if not _is_symbol(l))
+                syms = tuple(l for l in ol if _is_symbol(l))
                 for p, s in enumerate(letters):
-                    if not is_symbol(s):
+                    if not _is_symbol(s):
                         continue
-                    travel = sum(letter_degree(l) for l in letters[p + 1 :])
-                    sign0 = (-1) ** (term_degree(ol) * travel % 2)
+                    travel = sum(_letter_degree(l) for l in letters[p + 1 :])
+                    sign0 = (-1) ** (dense_term_degree(ol) * travel % 2)
                     left, right = letters[:p], letters[p + 1 :]
                     for sa, res_letters, res_f in _dense_act(s, ghost, oc):
                         yield left + res_letters + syms + right, (c * res_f).scale(sign0 * sa)
                     if s[0] == M:
                         continue
-                    reach = sum(letter_degree(x) for x in ghost)
+                    reach = sum(_letter_degree(x) for x in ghost)
                     for idx, sp in enumerate(syms):
-                        twist = (-1) ** (reach * (s[0] in (DXI, DXIS)) % 2)
-                        comp, csign = _compose_symbols(s, sp)
+                        twist = (-1) ** (reach * _untwisted_parity(s) % 2)
+                        comp, csign = _dense_compose_symbols(s, sp)
                         if comp is not None:
                             word = left + ghost + syms[:idx] + (comp,) + syms[idx + 1 :] + right
                             yield word, (c * oc).scale(sign0 * twist * csign)
-                        reach += letter_degree(sp)
+                        reach += _letter_degree(sp)
 
     return _dense_sum(a, pairs())
 
@@ -310,13 +369,13 @@ def dense_insert(op, lam):
     its letters with lam's shifted degree."""
 
     def pairs():
-        for letters, c in op.terms.items():
-            for al, b in lam.terms.items():
+        for letters, c in _decoded(op):
+            for al, b in _decoded(lam):
                 for p, s in enumerate(letters):
-                    if not is_symbol(s):
+                    if not _is_symbol(s):
                         continue
-                    travel = sum(letter_degree(l) for l in letters[p + 1 :])
-                    sign0 = (-1) ** (term_degree(al) * travel % 2)
+                    travel = sum(_letter_degree(l) for l in letters[p + 1 :])
+                    sign0 = (-1) ** (dense_term_degree(al) * travel % 2)
                     for sa, res_letters, res_f in _dense_act(s, al, b):
                         yield letters[:p] + res_letters + letters[p + 1 :], (c * res_f).scale(sign0 * sa)
 

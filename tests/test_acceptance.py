@@ -32,7 +32,6 @@ from coiso.graded import (
     ContractionTwo,
     GradedElement,
     jacobi_bracket,
-    normalize,
     tautological_G,
 )
 from coiso.bfv import (
@@ -49,6 +48,7 @@ from coiso.bfv import (
 from coiso.cli import main as cli_main
 
 from helpers import (
+    dense_normalize,
     fields_XY,
     jet_chart,
     random_base_scalar,
@@ -337,7 +337,7 @@ def test_criterion_09_hpl_resolution(chart, J, lift):
             letters = []
             for _ in range(rng.randint(0, 2)):
                 letters.append(rng.choice([(XI, rng.randrange(RANK)), (XIS, rng.randrange(RANK))]))
-            sign, canon = normalize(letters)
+            sign, canon = dense_normalize(letters)
             if sign == 0:
                 continue
             terms[canon] = random_scalar(chart, rng, max_terms=1)
@@ -409,7 +409,7 @@ def test_criterion_10_property_suites(chart, J, lift):
                         [(M,), (DX, rng.randrange(chart.dim)), (DXI, rng.randrange(RANK)), (DXIS, rng.randrange(RANK))]
                     )
                 )
-            sign, canon = normalize(letters)
+            sign, canon = dense_normalize(letters)
             if sign == 0:
                 continue
             terms[canon] = random_scalar(chart, rng, max_terms=1)
@@ -507,7 +507,7 @@ def _rand_graded_section(chart, rng):
         letters = []
         for _ in range(rng.randint(0, 2)):
             letters.append(rng.choice([(XI, rng.randrange(RANK)), (XIS, rng.randrange(RANK))]))
-        sign, canon = normalize(letters)
+        sign, canon = dense_normalize(letters)
         if sign == 0:
             continue
         terms[canon] = random_scalar(chart, rng, max_terms=1)

@@ -255,6 +255,13 @@ def _block_key_case(kind, key, task, value=MISSING, label=""):
         _block_key_case("transversal", "F_a", "transversal-crosscheck", {"9": ["0", "0"]}, "leaf"),
         _block_key_case("bfv", "connection", "bfv-lift", "curved", "curved"),
         _block_key_case("bfv", "connection", "brst-charge", "curved", "curved"),
+        # a key the block does not take, such as a misspelt "theta1" (which
+        # would otherwise load as theta1 = 0)
+        _block_key_case("lcs", "Theta1", "check-jacobi", [], "unknown"),
+        _block_key_case("contact", "Reeb", "check-jacobi", {}, "unknown"),
+        _block_key_case("transversal", "c", "transversal-crosscheck", ["1", "0"], "unknown"),
+        _block_key_case("section", "component", "mc", [], "unknown"),
+        _block_key_case("formal", "Order", "prolong", 4, "unknown"),
     ],
 )
 def test_missing_block_key(tmp_path, capsys, kind, key, task, value):
@@ -267,6 +274,18 @@ def test_missing_block_key(tmp_path, capsys, kind, key, task, value):
     code, out, err = run_cli(["--scenario", str(p), "--task", task], capsys)
     assert code == 2 and out == ""
     assert repr(key) in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key, value", [("torus", "ph_1"), ("fiber", ["y_1", 2]), ("leaf", "ph_1")])
+def test_chart_names_are_lists_of_strings(tmp_path, capsys, key, value):
+    """A chart whose torus, fiber or leaf is not a list of names (the
+    string "ph_1" would otherwise be the torus p, h, _, 1) is invalid:
+    exit 1."""
+    chart = {"torus": ["ph_1"], "fiber": ["y_1"], "leaf": []}
+    data = {"schema": 1, "chart": dict(chart, **{key: value}), "jacobi": {"p": [], "q": []}}
+    code, out, err = run_cli(["--scenario", _write_scenario(tmp_path, data), "--task", "check-jacobi"], capsys)
+    assert code == 1 and out == ""
+    assert "invalid chart block" in err and repr(key) in err and len(err.splitlines()) == 1
 
 
 # the zero section of T^1 x R^2 under J = d_y1 ^ d_y2 is not coisotropic

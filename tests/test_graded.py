@@ -20,9 +20,10 @@ from coiso.graded import (
     ContractionOne,
     ContractionTwo,
     GradedElement,
+    decode,
+    encode,
     from_graded,
     jacobi_bracket,
-    normalize,
     tautological_G,
     term_degree,
     to_graded,
@@ -31,6 +32,7 @@ from coiso.graded import (
 from helpers import (
     dense_compose,
     dense_insert,
+    dense_normalize,
     random_base_scalar,
     random_multider,
     random_scalar,
@@ -57,7 +59,7 @@ def rand_section(chart, rng, nterms=2):
         letters = []
         for _ in range(rng.randint(0, 2)):
             letters.append(rng.choice([(XI, rng.randrange(RANK)), (XIS, rng.randrange(RANK))]))
-        sign, canon = normalize(letters)
+        sign, canon = dense_normalize(letters)
         if sign == 0:
             continue
         terms[canon] = random_scalar(chart, rng, max_terms=1)
@@ -77,10 +79,10 @@ def rand_operator(chart, rng, max_arity=2, nterms=2):
                     [(M,), (DX, rng.randrange(chart.dim)), (DXI, rng.randrange(RANK)), (DXIS, rng.randrange(RANK))]
                 )
             )
-        sign, canon = normalize(letters)
+        sign, canon = dense_normalize(letters)
         if sign == 0:
             continue
-        d = term_degree(canon)
+        d = term_degree(encode(canon))
         if deg is None:
             deg = d
         if d != deg:
@@ -188,7 +190,7 @@ def test_square_composes_once(chart, monkeypatch):
     monkeypatch.setattr(GradedElement, "_compose", counted)
     for parity, xs in (*by_parity.items(), (None, mixed)):
         for x in xs:
-            copy = GradedElement(x.chart, x.rank, dict(x.terms))
+            copy = x._like(dict(x.terms))
             assert copy is not x and copy == x
             del calls[:]
             square = x.bracket(x)
@@ -231,21 +233,75 @@ def _graded_pair(draw, kinds=("odd", "even", "mixed", "section"), other_kinds=No
         )
         terms = {}
         for letters in draw(st.lists(words, min_size=1, max_size=3)):
-            sign, canon = normalize(letters)
+            sign, canon = dense_normalize(letters)
             if sign:
                 terms[canon] = draw(scalars)
-        degrees = sorted({term_degree(l) for l in terms})
+        degrees = sorted({term_degree(encode(l)) for l in terms})
         if kind in ("odd", "even"):
             # one degree of the asked parity
             keep = [d for d in degrees if d % 2 == (kind == "odd")]
             assume(keep)
-            terms = {l: f for l, f in terms.items() if term_degree(l) == keep[0]}
+            terms = {l: f for l, f in terms.items() if term_degree(encode(l)) == keep[0]}
         elif kind == "mixed":
             assume(len(degrees) > 1)
         assume(terms)
         return GradedElement(chart, rank, terms)
 
     return element(draw(st.sampled_from(kinds))), element(draw(st.sampled_from(other_kinds or kinds)))
+
+
+# tuple letters of ghost rank 2 on a 3-dimensional chart: small enough that
+# random words repeat letters
+_WORD_LETTERS = st.one_of(
+    st.tuples(st.sampled_from((XI, XIS, DXI, DXIS)), st.integers(0, 1)),
+    st.just((M,)),
+    st.tuples(st.just(DX), st.integers(0, 2)),
+)
+_DERIVATIVES = st.one_of(
+    st.tuples(st.sampled_from((DXI, DXIS)), st.integers(0, 1)), st.tuples(st.just(DX), st.integers(0, 2))
+)
+_PAIRS = st.tuples(st.just(graded.PAIR), _DERIVATIVES, _DERIVATIVES)
+
+
+@st.composite
+def _words(draw):
+    """Up to 8 tuple letters, repeats allowed, with at most one PAIR letter
+    (as in a tallied second-order word)."""
+    word = draw(st.lists(_WORD_LETTERS, max_size=8))
+    if draw(st.booleans()):
+        word.insert(draw(st.integers(0, len(word))), draw(_PAIRS))
+    return tuple(word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_words(), _words())
+def test_letter_codes_normalize_like_tuple_letters(word, other):
+    """Encoding, normalizing and decoding a word gives the tuple-letter
+    insertion sort's sign and word; merging two canonical words equals
+    normalizing their concatenation."""
+    assert decode(encode(word)) == word
+    sign, canon = graded.normalize(encode(word))
+    dsign, dcanon = dense_normalize(word)
+    assert sign == dsign
+    if sign:
+        assert decode(canon) == dcanon
+    other = graded.normalize(encode(other))[1]
+    msign, merged = graded._merge(canon, other)
+    nsign, joined = graded.normalize(canon + other)
+    assert msign == nsign and (not msign or merged == joined)
+
+
+def test_letter_codes_order_letters_by_kind_then_index():
+    """Up to ghost rank 4 and chart dimension 8, the integer codes order
+    every letter but PAIR as (kind in the order xi, xis, m, dx, dxi, dxis,
+    then index) does."""
+    kinds = [XI, XIS, M, DX, DXI, DXIS]
+    letters = [(M,)] + [(DX, i) for i in range(8)]
+    letters += [(kind, A) for kind in (XI, XIS, DXI, DXIS) for A in range(4)]
+    by_code = sorted(letters, key=lambda l: encode((l,)))
+    assert by_code == sorted(letters, key=lambda l: (kinds.index(l[0]),) + l[1:])
+    with pytest.raises(graded.GradedError):
+        encode((("xi", 0),))
 
 
 def _dense_bracket(a, b):
@@ -257,7 +313,7 @@ def _dense_bracket(a, b):
             da, db = deg_of(pa), deg_of(pb)
             ab, ba = dense_compose(pa, pb), dense_compose(pb, pa)
             raw = ab + ba if (da * db) % 2 else ab - ba
-            assert not any(l[0] == graded.PAIR for letters in raw.terms for l in letters)
+            assert not any(l[0] == graded.PAIR for word in raw.terms for l in decode(word))
             out = out + raw
     return out
 
@@ -293,7 +349,7 @@ def test_uncancelled_composite_raises(chart, monkeypatch):
 
     def flipped(s, sp):
         comp, sign = original(s, sp)
-        return comp, -sign if (s, sp) == ((DX, 1), (DX, 0)) else sign
+        return comp, -sign if (s, sp) == encode(((DX, 1), (DX, 0))) else sign
 
     monkeypatch.setattr(graded, "_compose_symbols", flipped)
     with pytest.raises(AssertionError, match="second-order composite survived the bracket"):
@@ -337,7 +393,7 @@ def test_graded_leibniz(chart):
     done = 0
     while done < 6:
         box = rand_operator(chart, rng, max_arity=1, nterms=1)
-        if any(l[0] == M for ls in box.terms for l in ls):
+        if any(M in word for word in box.terms):
             continue
         boxp = rand_operator(chart, rng, max_arity=1, nterms=1)
         f = random_scalar(chart, rng)
