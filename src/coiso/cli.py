@@ -43,7 +43,7 @@ from .expr import ExprError, scalar_to_json
 from .leafform import LeafForm, SectionOfNormalBundle
 from .geom import GeometryError, is_coisotropic_section
 from .linfty import DeformationError, kuranishi, mc_series, prolong_formal
-from .graded import GradedElement, GradedError, bidegree, decode, encode, jacobi_bracket, normalize, XI, XIS
+from .graded import GradedElement, GradedError, bidegree, encode, jacobi_bracket, normalize, XI, XIS
 from .bfv import (
     BFVError,
     ObstructionFailure,
@@ -360,8 +360,8 @@ def _random_graded_section(chart, rank, rng):
         coeff = GaussianRational(
             Fraction(rng.randint(-2, 2), 1), Fraction(rng.randint(-2, 2), 1)
         )
-        terms[decode(canon)] = ScalarFn(chart, {(n, alpha): coeff})
-    return GradedElement(chart, rank, terms)
+        terms[canon] = ScalarFn(chart, {(n, alpha): coeff})
+    return GradedElement.zero(chart, rank)._sum(terms.items())
 
 
 def format_report(report: dict, fmt: str) -> str:

@@ -31,12 +31,11 @@ The public form of a letter is a tuple, (XI, A), (M,), (DX, i) and so on:
 GradedElement() and encode() read it, decode() writes it.
 
 Every sign in the module is produced by counting the transpositions of two
-odd letters, while a word is sorted (normalize) or two canonical words are
-merged (_merge); no sign is ever taken from a formula table.  The one free
-global convention (arguments enter a word from the right) is pinned by
-requiring G(u, alpha) = alpha(u) with positive sign; the test suite asserts
-this together with the local tables of d_G, p, i_nabla and the worked
-example's BFV operator.
+odd letters while a word is sorted (normalize); no sign is ever taken from
+a formula table.  The one free global convention (arguments enter a word
+from the right) is pinned by requiring G(u, alpha) = alpha(u) with positive
+sign; the test suite asserts this together with the local tables of d_G,
+p, i_nabla and the worked example's BFV operator.
 """
 
 from __future__ import annotations
@@ -129,36 +128,6 @@ def normalize(word):
             return 0, ()
         w[j] = cur
     return sign, tuple(w)
-
-
-def _merge(a, b):
-    """Merge the canonical words a and b (a written first) into one
-    canonical word, counting each odd letter of a that crosses an odd
-    letter of b; returns (sign, word), or (0, ()) when both hold one odd
-    letter."""
-    if not a or not b:
-        return 1, a + b
-    out = []
-    i, n = 0, len(a)
-    sign = 1
-    passed = 0  # parity of the odd letters of b already placed
-    for y in b:
-        while i < n and a[i] < y:
-            if a[i] & passed:
-                sign = -sign
-            out.append(a[i])
-            i += 1
-        if y & 1:
-            if i < n and a[i] == y:
-                return 0, ()
-            passed ^= 1
-        out.append(y)
-    if passed:
-        for x in a[i:]:
-            if x & 1:
-                sign = -sign
-    out += a[i:]
-    return sign, tuple(out)
 
 
 def term_degree(word) -> int:
@@ -273,7 +242,7 @@ class GradedElement(SparseTerms):
         def pairs():
             for l1, f1 in self.terms.items():
                 for l2, f2 in other.terms.items():
-                    sign, canon = _merge(l1, l2)
+                    sign, canon = normalize(l1 + l2)
                     if sign:
                         yield canon, _signed(f1 * f2, sign)
 
@@ -330,77 +299,59 @@ class GradedElement(SparseTerms):
         the normalized word arises from the self term x and the other term
         y, so it stands for count * self.terms[x] * other.terms[y].
 
-        A slot s of a self word splits it into left + s + right, and the
-        result of s is a canonical run z put in its place: left + z +
-        right.  Its sign is that of moving z past right (the parities of
-        z and right) times that of merging z into left + right (_merge).
         Term splits, parities and partial derivatives are read once per
-        call; a word is put in canonical order before its coefficient is
-        multiplied."""
+        call; a word is normalized before its coefficient is multiplied."""
         others = []
         for ol, oc in other.terms.items():
             g = bisect_left(ol, M)
-            parity = sum(x & 1 for x in ol) & 1
-            # per symbol sp of ol: the letters left of it, those right of it,
-            # the parity of ol without it, and that of the letters left of it
-            comps, reach = [], g & 1  # ghosts are odd
-            for idx in range(g, len(ol)):
-                sp = ol[idx]
-                comps.append((sp, ol[:idx], ol[idx + 1 :], parity ^ (sp & 1), reach))
+            # parity of the letters of ol left of each symbol; ghosts are odd
+            reach, reaches = g & 1, []
+            for sp in ol[g:]:
+                reaches.append(reach)
                 reach ^= sp & 1
             # the term degree of ol is its letter degrees less one
-            others.append((ol, oc, ol[:g], ol[g:], parity, 1 ^ parity, comps, {}))
+            others.append((ol, oc, ol[:g], ol[g:], 1 ^ reach, reaches, {}))
         selfs = []
         for letters, c in self.terms.items():
-            slots, travel = [], 0  # (symbol, its untwisted parity, parity right of it, the word without it)
+            slots, travel = [], 0  # (position, symbol, its untwisted parity, parity right of it)
             for p in range(len(letters) - 1, bisect_left(letters, M) - 1, -1):
                 s = letters[p]
-                slots.append((s, 1 ^ (s & 1), travel, letters[:p] + letters[p + 1 :]))
+                slots.append((p, s, 1 ^ (s & 1), travel))
                 travel ^= s & 1
             selfs.append((letters, c, slots[::-1]))
         tally = {}
 
         def pairs():
             for letters, c, slots in selfs:
-                for ol, oc, ghost, syms, parity, odd, comps, partials in others:
-                    for s, twisted, travel, rest in slots:
+                for ol, oc, ghost, syms, odd, reaches, partials in others:
+                    for p, s, twisted, travel in slots:
                         # other enters from the right, passing the letters
                         # right of the slot
-                        flip = odd & travel
+                        sign0 = -1 if odd & travel else 1
+                        left, right = letters[:p], letters[p + 1 :]
                         # s acts on the coefficient/ghost part of other; for
                         # the identity slot m this is already the whole
                         # action (m is not a derivation)
                         acted = _act(s, ghost, oc, partials)
                         if acted:
                             sa, res_ghost, res_f = acted
-                            sign, canon = _merge(rest, res_ghost + syms)
+                            sign, canon = normalize(left + res_ghost + syms + right)
                             if sign:
-                                # a ghost derivative removed one (odd) ghost
-                                pz = parity ^ (s >= DXI)
-                                if flip ^ (pz & travel):
-                                    sign = -sign
-                                yield canon, _signed(c * res_f, sa * sign)
+                                yield canon, _signed(c * res_f, sign0 * sa * sign)
                         if s == M:
                             continue
                         # s composes with one of other's symbols: first order
                         # when that symbol is m, else a tallied PAIR; reaching
                         # past the letters left of it carries the untwisted
                         # parity of s
-                        for sp, head, after, parity_rest, reach in comps:
+                        for idx, sp in enumerate(syms):
                             comp, csign = _compose_symbols(s, sp)
                             if comp is None:
                                 continue
-                            # comp takes its place among the symbols after sp
-                            sz, tail = _merge((comp,), after)
-                            if not sz:
-                                continue
-                            sign, canon = _merge(rest, head + tail)
+                            sign, canon = normalize(left + ghost + syms[:idx] + (comp,) + syms[idx + 1 :] + right)
                             if not sign:
                                 continue
-                            pz = parity_rest ^ (comp & 1)
-                            if flip ^ (pz & travel) ^ (twisted & reach):
-                                sign = -sign
-                            sign *= sz * csign
+                            sign *= sign0 * csign * (-1 if twisted & reaches[idx] else 1)
                             if comp >= PAIR:
                                 key = (canon, letters, ol)
                                 tally[key] = tally.get(key, 0) + sign
