@@ -90,7 +90,8 @@ def parse_task(spec: str):
 def run_task(scenario: Scenario, name: str, arg) -> dict:
     """The report of one task.  A charge that does not exist (the section,
     or for the d_BFV tasks the zero section, is not coisotropic) is a
-    report, not an error."""
+    report, not an error; an unknown top-level key of the scenario is."""
+    scenario.check_keys()
     try:
         return TASKS[name](scenario, arg)
     except ObstructionFailure as exc:

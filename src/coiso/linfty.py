@@ -9,6 +9,14 @@ multilinearity and the Leibniz rule of the Schouten-Jacobi calculus.  Their
 values on the normal frame are fiber derivatives d_aa ...|_{y=0} of the
 components of J (in the splitting base/fiber: J^{ab}, J^{ai}, J^{ij}, J^a,
 J^i), which the generator formulas read off J's coefficients.
+
+A MultibracketTable keeps every derived bracket it builds, keyed by the
+sequence of its LeafForm arguments, so m_k extends the bracket of its
+first k - 1 arguments when that was built before.  Within one table the
+tasks share their brackets: m_1 s and m_2(s, s) of the Kuranishi map, the
+orders of the formal prolongation, the MC series and each order of the
+frame values.  Keys compare by exact equality, and no lookup iterates
+over the memo.
 """
 
 from __future__ import annotations
@@ -58,7 +66,8 @@ def _jet(f: ScalarFn, aa) -> ScalarFn:
 
 class MultibracketTable:
     """The Jacobi bi-derivation J whose derived brackets are the multibrackets
-    m_k; the generator formulas give their values on the normal frame."""
+    m_k; the generator formulas give their values on the normal frame.  Each
+    derived bracket is built once for the life of the table."""
 
     def __init__(self, j: MultiDerivation):
         if j.arity != 2:
@@ -67,15 +76,26 @@ class MultibracketTable:
             raise DeformationError("multibracket extraction needs a Jacobi structure")
         self.j = j
         self.chart = j.chart
+        # a trie of argument sequences: (bracket, {next argument: node})
+        self._derived = (j, {})
 
     # -- evaluation ----------------------------------------------------------
 
-    def m(self, args) -> LeafForm:
-        """m_k on LeafForm arguments via the derived-bracket expansion of J."""
-        current = self.j
+    def derived(self, args) -> MultiDerivation:
+        """[[..[[J, I xi_1]].., I xi_k]] of the LeafForms args = (xi_1, ..,
+        xi_k): the bracket of each prefix is that of the prefix before it
+        with I of its last argument, built on first use and kept."""
+        bracket, children = self._derived
         for xi in args:
-            current = current.sj_bracket(injection_I(xi))
-        return projection_P(current)
+            node = children.get(xi)
+            if node is None:
+                node = children[xi] = (bracket.sj_bracket(injection_I(xi)), {})
+            bracket, children = node
+        return bracket
+
+    def m(self, args) -> LeafForm:
+        """m_k on LeafForm arguments: P of the derived bracket."""
+        return projection_P(self.derived(args))
 
     def m1(self, omega: LeafForm) -> LeafForm:
         return self.m([omega])
@@ -165,10 +185,18 @@ def solve_dF(omega: LeafForm):
 
 
 def mc_series(table: MultibracketTable, s: SectionOfNormalBundle) -> LeafForm:
-    """MC(-s) = sum_k (1/k!) m_k(-s, ..., -s); finite for fiberwise
-    polynomial structures."""
-    minus = injection_I((-s).to_leafform())
-    out = _exp_series(table.j, minus, table.series_bound(), 1)
+    """MC(-s) = sum_k (1/k!) m_k(-s, ..., -s) = sum_k ((-1)^k / k!) m_k(s, ..., s)
+    by multilinearity, with the m_k(s, ..., s) from the table; finite for
+    fiberwise polynomial structures: the terms up to k = series_bound() + 1,
+    whose last must vanish."""
+    sform = s.to_leafform()
+    terms = [
+        table.m((sform,) * k).scale(Fraction((-1) ** k, math.factorial(k)))
+        for k in range(1, table.series_bound() + 2)
+    ]
+    if not terms[-1].is_zero():  # pragma: no cover
+        raise AssertionError("MC series failed to terminate")
+    out = terms[0].plus(terms[1:])
     if out.degree != 2:
         raise AssertionError("MC series terms must have degree 2")
     return out
@@ -240,8 +268,9 @@ def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: i
     parts < k, each taken once in non-increasing order with the weight
     (-1)^h / prod_j m_j!, m_j the multiplicity of the part j: the
     h! / prod_j m_j! orderings of a partition are the same bracket.  The
-    nested brackets are kept for the length of the call, keyed by their
-    non-increasing prefix, so orders share them.
+    nested brackets come from the table, keyed by the leaf forms of their
+    non-increasing prefix, so orders share them, and order 2 shares
+    [[J, I s_1]] and [[[[J, I s_1]], I s_1]] with kuranishi.
 
     Returns ('prolonged', FormalDeformation) on success, or
     ('obstructed', k, ObstructionReport) at the first order k whose
@@ -250,17 +279,10 @@ def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: i
     {order_k, rhs, obstruction_zero_mode, two_pi_power, solved}.
     """
     chart = table.chart
-    if not table.m1(s1.to_leafform()).is_zero():
-        raise DeformationError("s1 is not an infinitesimal deformation")
     coeffs = [s1]
-    nested = {(): table.j}
-
-    def bracket(parts):
-        out = nested.get(parts)
-        if out is None:
-            lifted = injection_I(coeffs[parts[-1] - 1].to_leafform())
-            out = nested[parts] = bracket(parts[:-1]).sj_bracket(lifted)
-        return out
+    forms = [s1.to_leafform()]  # forms[p - 1] is the leaf form of s_p
+    if not table.m1(forms[0]).is_zero():
+        raise DeformationError("s1 is not an infinitesimal deformation")
 
     def weight(parts):
         den = math.prod(math.factorial(parts.count(p)) for p in set(parts))
@@ -269,7 +291,7 @@ def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: i
     zero = LeafForm.zero(chart, 2)
     for k in range(2, order + 1):
         rhs = zero.plus(
-            projection_P(bracket(parts)).scale(weight(parts))
+            table.m([forms[p - 1] for p in parts]).scale(weight(parts))
             for parts in _partitions(k, k - 1)
         )
         status, payload = solve_dF(rhs)
@@ -287,8 +309,8 @@ def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: i
             )
         if status == "obstructed":
             return "obstructed", k, ObstructionReport(payload, len(chart.leaf))
-        sk = SectionOfNormalBundle.from_leafform(payload)
-        coeffs.append(sk)
+        coeffs.append(SectionOfNormalBundle.from_leafform(payload))
+        forms.append(payload)
     return "prolonged", FormalDeformation(order, coeffs)
 
 

@@ -17,7 +17,9 @@ canonical keys to nonzero values.  Keys are canonical (exponent tuples
 here, sorted skew index tuples or normalized letter words elsewhere) and no
 value is ever zero, so equality is equality of term tables.  Every
 container is built through the one kernel ``accumulate``, which adds
-(key, value) pairs into a dict and deletes a key whose sum is zero.
+(key, value) pairs into a dict and deletes a key whose sum is zero.  A
+term table is never changed once its container is built, so a container
+hashes by its type, shape and terms and can key a dict.
 
 Matrices over the ring are lists of rows of ScalarFns.  ``inverse_unit``
 is the one matrix inverse of the library; it needs a determinant that is
@@ -106,7 +108,9 @@ class Chart:
 
 def accumulate(out, pairs):
     """Add (key, value) pairs into the dict out, deleting a key whose sum is
-    zero; returns out.  Values are nonzero and have + and is_zero()."""
+    zero; returns out.  Values are nonzero and have + and is_zero().  out
+    becomes a container's term table, which nothing changes afterwards:
+    SparseTerms.__hash__ relies on it."""
     get = out.get
     for key, value in pairs:
         prev = get(key)
@@ -190,6 +194,10 @@ class SparseTerms:
             and other._shape() == self._shape()
             and other.terms == self.terms
         )
+
+    def __hash__(self):
+        # agrees with __eq__; term tables are never changed after construction
+        return hash((type(self), self._shape(), frozenset(self.terms.items())))
 
 
 def _monomial(chart, n, alpha, c):
@@ -468,9 +476,6 @@ class ScalarFn(SparseTerms):
         return TorusIntegral(self.zero_mode(js), len(js))
 
     # -- comparison / display ----------------------------------------------
-
-    def __hash__(self):
-        return hash((self.chart, frozenset(self.terms.items())))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])

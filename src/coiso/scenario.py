@@ -2,11 +2,12 @@
 
 A scenario carries one chart, exactly one structure block (jacobi | contact
 | lcs | jet | transversal may accompany any of them), and optional section
-/ formal / bfv blocks.  The chart's torus, fiber and leaf are lists of
-coordinate names.  Each block takes a closed set of keys (a jacobi block
-only p and q, an lcs block omega and theta1, and so on), a jet block must be
-{} and a bfv block must be {"connection": "trivial"}.  All
-coefficient expressions use the ring grammar.
+/ formal / bfv blocks, and no other top-level key.  The chart takes only
+torus, fiber and leaf, each a list of coordinate names.  Each block takes a
+closed set of keys (a jacobi block only p and q, an lcs block omega and
+theta1, and so on), a jet block must be {} and a bfv block must be
+{"connection": "trivial"}.  All coefficient expressions use the ring
+grammar.
 
 A ``Scenario`` also holds the artifacts its tasks share (the Jacobi
 structure, the section, the transversal data, the multibracket table, the
@@ -66,6 +67,9 @@ def _leaf_key(key, name, nleaf):
 
 
 _TRIVIAL_BFV = {"connection": "trivial"}
+_CHART_KEYS = ("torus", "fiber", "leaf")
+_STRUCTURES = ("jacobi", "contact", "lcs", "jet")
+_TOP_LEVEL_KEYS = ("schema", "chart") + _STRUCTURES + ("transversal", "section", "formal", "bfv")
 
 
 class Scenario:
@@ -79,7 +83,10 @@ class Scenario:
             chart_block = data["chart"]
             if not isinstance(chart_block, dict):
                 raise TypeError(f"must be an object, not {type(chart_block).__name__}")
-            for key in ("torus", "fiber", "leaf"):
+            extra = sorted(set(chart_block) - set(_CHART_KEYS))
+            if extra:
+                raise TypeError(f"takes only the keys {list(_CHART_KEYS)}, not {extra}")
+            for key in _CHART_KEYS:
                 names = chart_block.get(key, [])
                 if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
                     raise TypeError(f"{key!r} must be a list of coordinate names")
@@ -90,7 +97,7 @@ class Scenario:
             )
         except (KeyError, ChartError, TypeError) as exc:
             raise ScenarioError(f"invalid chart block: {exc}") from None
-        structures = [k for k in ("jacobi", "contact", "lcs", "jet") if k in data]
+        structures = [k for k in _STRUCTURES if k in data]
         if len(structures) != 1:
             raise ScenarioError("scenario needs exactly one structure block")
         self.structure_kind = structures[0]
@@ -110,6 +117,11 @@ class Scenario:
         if isinstance(value, ObstructionFailure):
             raise value
         return value
+
+    def check_keys(self):
+        """A ScenarioError naming a top-level key the format does not have
+        (a misspelt "Formal" would otherwise be ignored)."""
+        _closed(self.data, _TOP_LEVEL_KEYS, "top-level")
 
     # -- parsing helpers ----------------------------------------------------
 

@@ -11,7 +11,8 @@ from coiso.rational import GaussianRational
 from coiso.ring import Chart, ScalarFn, accumulate, mat_mul, unit_inverse
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
-from coiso.geom import ContactChart
+from coiso.geom import ContactChart, injection_I
+from coiso.linfty import _exp_series
 from coiso.graded import DX, DXI, DXIS, M, PAIR, XI, XIS, GradedElement, decode
 
 
@@ -87,6 +88,22 @@ def generator_postcondition(theta, J) -> bool:
     gens += [ScalarFn.y(chart, nm) for nm in chart.fiber]
     gens += [ScalarFn.exp_phi(chart, nm, 1) for nm in chart.torus]
     return all(theta.pair_vector(J.hamiltonian_vf(f)) == f for f in gens)
+
+
+def nested_derived(j: MultiDerivation, args) -> MultiDerivation:
+    """[[..[[j, I xi_1]].., I xi_k]] by a plain fold over the LeafForm args:
+    the oracle of MultibracketTable.derived, which keeps its prefixes."""
+    for xi in args:
+        j = j.sj_bracket(injection_I(xi))
+    return j
+
+
+def exp_series_mc(table, s):
+    """MC(-s) by the exponential series of ad_{I(-s)} on J, each order one
+    bracket more than the last: the oracle of linfty.mc_series, which reads
+    m_k(s, .., s) from the table and signs them by multilinearity."""
+    minus = injection_I((-s).to_leafform())
+    return _exp_series(table.j, minus, table.series_bound(), 1)
 
 
 def random_scalar(chart, rng: random.Random, max_terms=2, freq=1, fiber_deg=1) -> ScalarFn:

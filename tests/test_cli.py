@@ -288,6 +288,36 @@ def test_chart_names_are_lists_of_strings(tmp_path, capsys, key, value):
     assert "invalid chart block" in err and repr(key) in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("key, value", [("Leaf", ["ph_1", "ph_2"]), ("base", [])])
+@pytest.mark.parametrize("task", ["check-jacobi", "kuranishi"])
+def test_chart_keys_are_closed(tmp_path, capsys, key, value, task):
+    """A chart key other than torus, fiber and leaf (a misspelt "Leaf" would
+    otherwise load a chart without leaf coordinates) is invalid: exit 1, one
+    line naming the key."""
+    data = _builtin_data("torus-obstructed")
+    data["chart"].pop(key.lower(), None)
+    data["chart"][key] = value
+    code, out, err = run_cli(["--scenario", _write_scenario(tmp_path, data), "--task", task], capsys)
+    assert code == 1 and out == ""
+    assert "invalid chart block" in err and repr(key) in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key, value", [("Formal", {"order": 5}), ("note", "a remark")])
+@pytest.mark.parametrize("task", ["prolong", "check-jacobi"])
+def test_top_level_keys_are_closed(tmp_path, capsys, key, value, task):
+    """A top-level key the format does not have (a misspelt "Formal" would
+    otherwise be ignored and prolong run at the default order) exits 2 with
+    one line naming the key; without it the task runs."""
+    data = _builtin_data("torus-obstructed")
+    data.pop(key.lower(), None)
+    code, out, err = run_cli(["--scenario", _write_scenario(tmp_path, data), "--task", task], capsys)
+    assert code == 0 and err == ""
+    data[key] = value
+    code, out, err = run_cli(["--scenario", _write_scenario(tmp_path, data), "--task", task], capsys)
+    assert code == 2 and out == ""
+    assert repr(key) in err and len(err.splitlines()) == 1
+
+
 # the zero section of T^1 x R^2 under J = d_y1 ^ d_y2 is not coisotropic
 OBSTRUCTED_ZERO = {
     "schema": 1,

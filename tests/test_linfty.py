@@ -1,9 +1,13 @@
 """Multibracket extraction, MC series, Kuranishi map, formal prolongation."""
 
+import importlib.util
+import json
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +20,7 @@ from coiso.leafform import LeafForm, SectionOfNormalBundle
 from coiso.geom import injection_I, is_coisotropic_section, projection_P, fiberwise_linear_jacobi
 from coiso.linfty import (
     DeformationError,
+    MultibracketTable,
     delta_mc,
     extended_mc_residual,
     extended_n1,
@@ -25,9 +30,17 @@ from coiso.linfty import (
     prolong_formal,
     solve_dF,
 )
-from coiso.scenario import load_scenario
+from coiso.scenario import Scenario, load_scenario
 
-from helpers import fields_XY, jet_chart, random_base_scalar, torus_chart, torus_jacobi
+from helpers import (
+    exp_series_mc,
+    fields_XY,
+    jet_chart,
+    nested_derived,
+    random_base_scalar,
+    torus_chart,
+    torus_jacobi,
+)
 
 
 @pytest.fixture
@@ -427,10 +440,7 @@ def test_generator_formulas_match_derived_brackets():
         delta = [LeafForm(chart, 1, {(a,): ScalarFn.one(chart)}) for a in range(chart.m)]
 
         def oracle(args):
-            current = J
-            for xi in args:
-                current = current.sj_bracket(injection_I(xi))
-            return projection_P(current)
+            return projection_P(nested_derived(J, args))
 
         def normal(aa):
             return [delta[a] for a in aa]
@@ -525,7 +535,7 @@ def _compositions(total, parts):
 def composition_prolong(table, s1, order, history):
     """prolong_formal with the order-k right-hand side summed over every
     composition of k into h >= 2 parts, weight (-1)^h / h!, each term an
-    m_h evaluated from J."""
+    m_h evaluated from J by a fold that shares no bracket."""
     chart = table.chart
     coeffs = [s1]
     for k in range(2, order + 1):
@@ -533,7 +543,8 @@ def composition_prolong(table, s1, order, history):
         for h in range(2, k + 1):
             for comp in _compositions(k, h):
                 args = [coeffs[i - 1].to_leafform() for i in comp]
-                rhs = rhs + table.m(args).scale(Fraction((-1) ** h, math.factorial(h)))
+                m_h = projection_P(nested_derived(table.j, args))
+                rhs = rhs + m_h.scale(Fraction((-1) ** h, math.factorial(h)))
         status, payload = solve_dF(rhs)
         history.append(
             {
@@ -568,3 +579,85 @@ def test_prolong_matches_composition_sum(name, s1, order):
     else:
         assert result[1] == expected[1]
         assert result[2].zero_mode == expected[2]
+
+
+def _leaf_arguments():
+    """LeafForm arguments of the derived brackets on the chart of
+    torus-obstructed: functions (degree 0) and sections (degree 1)."""
+    chart = TORUS_OBSTRUCTED.chart
+    polys = _polys(chart, (0, 2, 3))
+    functions = polys.map(LeafForm.function)
+    sections = st.lists(polys, min_size=chart.m, max_size=chart.m).map(
+        lambda comps: SectionOfNormalBundle(chart, comps).to_leafform()
+    )
+    return st.one_of(functions, sections)
+
+
+@pytest.mark.parametrize("name", TABLES)
+@settings(max_examples=20, deadline=None)
+@given(
+    pool=st.lists(_leaf_arguments(), min_size=1, max_size=3),
+    picks=st.lists(st.integers(0, 2), min_size=1, max_size=4),
+    cut=st.integers(0, 3),
+)
+def test_derived_memo_matches_fold(name, pool, picks, cut):
+    """table.m(args) is P of the plain fold nested_derived(J, args): on a
+    fresh table, with arguments repeated (picks from a pool of at most
+    three), a prefix asked for before its extension and the reverse order
+    after both; and on the shared table that other tests have warmed.  A
+    second request returns the kept bracket itself."""
+    j = STRUCTURES[name]
+    args = [pool[i % len(pool)] for i in picks]
+    prefix = args[: min(cut, len(args))]
+    fresh = MultibracketTable(j)
+    for xs in (prefix, args, args[::-1]):
+        expected = nested_derived(j, xs)
+        assert fresh.derived(xs) == expected
+        assert fresh.m(xs) == projection_P(expected)
+        assert fresh.derived(xs) is fresh.derived(list(xs))
+    warm = TABLES[name]
+    assert warm.m(args) == projection_P(nested_derived(j, args))
+
+
+def _section_scenarios():
+    """The built-in torus-obstructed and seeded sections of both
+    linfty-sections families (ph3: prolongs, mixed: obstructed at order 2),
+    built by the benchmark's own generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    base = json.loads(workloads._builtin_bytes("torus-obstructed"))
+    out = [pytest.param(load_scenario("torus-obstructed"), id="torus-obstructed")]
+    for family in (workloads.PROLONGED, workloads.OBSTRUCTED):
+        for seed in range(3):
+            rng = random.Random(f"mc-series/{family}/{seed}")
+            data = workloads.section_scenario(base, family, rng)
+            out.append(pytest.param(Scenario(data, family), id=f"{family}-{seed}"))
+    return out
+
+
+@pytest.mark.parametrize("scenario", _section_scenarios())
+def test_mc_series_matches_exp_series(scenario):
+    """mc_series, whose m_k(s, .., s) come from the table, equals the
+    exponential series of ad_{I(-s)} on J: on a fresh table, and again once
+    kuranishi and prolong_formal have kept their brackets of s there."""
+    table, s = scenario.table(), scenario.section()
+    expected = exp_series_mc(table, s)
+    assert mc_series(table, s) == expected
+    kuranishi(table, s)
+    prolong_formal(table, s, 4)
+    assert mc_series(table, s) == expected
+
+
+@pytest.mark.parametrize("name", TABLES)
+@settings(max_examples=15, deadline=None)
+@given(comps=st.lists(_polys(TORUS_OBSTRUCTED.chart, (0, 1, 2, 3)), min_size=2, max_size=2))
+def test_mc_series_matches_exp_series_off_shell(name, comps):
+    """The same on any section, where m_1 s and, on cubic-poisson, m_3(s, s, s)
+    need not vanish, so every odd order checks the sign (-1)^k that
+    multilinearity gives."""
+    table = TABLES[name]
+    s = SectionOfNormalBundle(table.chart, comps)
+    assert mc_series(table, s) == exp_series_mc(table, s)

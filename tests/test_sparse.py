@@ -96,3 +96,54 @@ def test_sparse_terms_stay_canonical(name):
         assert (a - a).is_zero() and a.scale(0).is_zero()
         assert (a + b) - b == a
         assert a + b == b + a
+
+
+def _reordered(x):
+    """x rebuilt through its constructor from its terms in reverse order."""
+    items = list(x.terms.items())[::-1]
+    if isinstance(x, ScalarFn):
+        return ScalarFn(x.chart, dict(items))
+    return type(x)(x.chart, x.degree, dict(items))
+
+
+@pytest.mark.parametrize("name", ["ScalarFn", "MultiVectorField", "LeafForm"])
+def test_equal_containers_hash_equal(name):
+    """Equal containers built in different term orders hash equal and are
+    one dict key, the memo key of MultibracketTable.derived."""
+    make, _ = CONTAINERS[name]
+    rng = random.Random(11)
+    for _ in range(25):
+        x = make(rng)
+        y = _reordered(x)
+        assert y == x and hash(y) == hash(x)
+        memo = {(x, x): "kept"}
+        assert memo[(y, y)] == "kept" and len(memo | {(y, y): "again"}) == 1
+
+
+def test_containers_of_other_type_or_shape_differ():
+    """One term table in containers of different type, degree, rank or chart
+    gives different values and different dict keys."""
+    f = random_base_scalar(CHART, random.Random(3))
+    other_chart = Chart(torus=("th_1", "th_2"), fiber=("y_1", "y_2"), leaf=("th_1", "th_2"))
+    same_terms = [
+        MultiVectorField(CHART, 1, {(0,): f}),
+        LeafForm(CHART, 1, {(0,): f}),
+        Form(CHART, 1, {(0,): f}),
+        MultiVectorField(CHART, 0, {(): f}),
+        LeafForm(CHART, 0, {(): f}),
+    ]
+    empty = [
+        ScalarFn.zero(CHART),
+        ScalarFn.zero(other_chart),
+        MultiVectorField.zero(CHART, 1),
+        MultiVectorField.zero(CHART, 2),
+        LeafForm.zero(CHART, 1),
+        GradedElement(CHART, 1),
+        GradedElement(CHART, 2),
+    ]
+    for group in (same_terms, empty):
+        assert len({x: i for i, x in enumerate(group)}) == len(group)
+        for i, x in enumerate(group):
+            assert all(x != y for y in group[i + 1 :])
+    g = ScalarFn(other_chart, {key: c for key, c in f.terms.items()})
+    assert g.terms == f.terms and g != f and len({f, g}) == 2
