@@ -439,7 +439,7 @@ def geometric_mc_zero_locus(omega: GradedElement, max_iter=12):
         raise BFVError(f"zero locus is not a section graph: {exc}") from None
     g = [ScalarFn.zero(chart) for _ in range(rank)]
     for _ in range(max_iter):
-        vals = [eA.substitute_fiber({name: gb for name, gb in zip(chart.fiber, g)}) for eA in e]
+        vals = [eA.substitute_fiber(g) for eA in e]
         if all(v.is_zero() for v in vals):
             return SectionOfNormalBundle(chart, g)
         g = [gA - dot(chart, row, vals) for gA, row in zip(g, L_inv)]

@@ -238,14 +238,13 @@ def is_coisotropic_section(j: MultiDerivation, s: SectionOfNormalBundle):
     if not j.is_jacobi():
         raise GeometryError("is_coisotropic_section requires a Jacobi structure")
     chart = j.chart
-    assignment = s.assignment()
     gens = [
         ScalarFn.y(chart, name) - g for name, g in zip(chart.fiber, s.components)
     ]
     residues = {}
     for a in range(chart.m):
         for b in range(a + 1, chart.m):
-            r = j.apply([gens[a], gens[b]]).substitute_fiber(assignment)
+            r = j.apply([gens[a], gens[b]]).substitute_fiber(s.components)
             if not r.is_zero():
                 residues[(a, b)] = r
     return (not residues), residues

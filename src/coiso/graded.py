@@ -748,14 +748,13 @@ class ContractionTwo:
 
     def wp(self, lam: GradedElement) -> GradedElement:
         """Restrict to im s and kill positive antighost words."""
-        assignment = self.s.assignment()
         out = {}
         for letters, f in lam.terms.items():
             if arity(letters):
                 raise GradedError("wp acts on sections")
             if any(XIS <= x < M for x in letters):
                 continue
-            g = f.substitute_fiber(assignment)
+            g = f.substitute_fiber(self.s.components)
             if not g.is_zero():
                 out[letters] = g
         return GradedElement.zero(self.chart, self.rank)._like(out)

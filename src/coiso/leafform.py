@@ -139,10 +139,6 @@ class SectionOfNormalBundle:
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.components)
 
-    def assignment(self) -> dict:
-        """Fiber substitution dict y_a -> g_a(u)."""
-        return {name: f for name, f in zip(self.chart.fiber, self.components)}
-
     def __eq__(self, other):
         return (
             isinstance(other, SectionOfNormalBundle)

@@ -21,6 +21,13 @@ container is built through the one kernel ``accumulate``, which adds
 term table is never changed once its container is built, so a container
 hashes by its type, shape and terms and can key a dict.
 
+Fiber substitution.  ``ScalarFn.substitute_fiber`` replaces every fiber
+coordinate by a target function, and ``ScalarFn.path_integral`` integrates
+exactly along the straight path from the fiber point to the targets, in
+closed form (binomial expansion and the Beta integral).  Both read the
+products of powers of the targets from one per-call table,
+``_power_table``.
+
 Matrices over the ring are lists of rows of ScalarFns.  ``inverse_unit``
 is the one matrix inverse of the library; it needs a determinant that is
 a unit of the ring, which ``unit_inverse`` then inverts.
@@ -223,6 +230,35 @@ def _checked_terms(chart, terms):
         yield (n, alpha), c
 
 
+def _power_table(f, targets):
+    """ks -> prod_C g_C^k_C for the targets g of a fiber substitution into
+    the ScalarFn f, one per fiber coordinate of its chart in chart order
+    (a ChartError otherwise).  Each power g_C^k and each product is
+    computed once per table; g_C^0 = 1, also for a zero target."""
+    if len(targets) != f.chart.m:
+        raise ChartError("a fiber substitution needs one target per fiber coordinate")
+    for g in targets:
+        f._check(g)
+    powers = [[None, g] for g in targets]  # powers[C][k] = g_C^k, k >= 1
+    products = {}  # k tuple -> prod_C g_C^k_C
+
+    def g_product(ks):
+        prod = products.get(ks)
+        if prod is None:
+            for C, k in enumerate(ks):
+                if k:
+                    pw = powers[C]
+                    while len(pw) <= k:
+                        pw.append(pw[-1] * pw[1])
+                    prod = pw[k] if prod is None else prod * pw[k]
+            if prod is None:  # every k_C = 0
+                prod = ScalarFn.one(f.chart)
+            products[ks] = prod
+        return prod
+
+    return g_product
+
+
 class ScalarFn(SparseTerms):
     """Exact function sum c * exp(i n.phi) * y^alpha on a chart.
 
@@ -358,37 +394,22 @@ class ScalarFn(SparseTerms):
     def partial_index(self, i: int) -> "ScalarFn":
         return self.partial(self.chart.coords[i])
 
-    def substitute_fiber(self, assignment: dict) -> "ScalarFn":
-        """Substitute fiber coordinates by ScalarFn expressions.
+    def substitute_fiber(self, targets) -> "ScalarFn":
+        """f(u, g): every fiber coordinate y_C replaced by its target g_C,
+        one ScalarFn per fiber coordinate in chart order (the target
+        ScalarFn.y(chart, y_C) keeps y_C).
 
-        assignment maps fiber coordinate names to ScalarFn on the same
-        chart; unlisted fiber coordinates are left alone.
+        A term c * exp(i n.phi) * y^alpha becomes
+        c * exp(i n.phi) * prod_C g_C^alpha_C, read from the power table.
         """
-        res = self.substitute_fiber_t({k: TPoly.const(v) for k, v in assignment.items()})
-        return res.at_zero_degree()
+        g_product = _power_table(self, targets)
 
-    def substitute_fiber_t(self, assignment: dict) -> "TPoly":
-        """Substitute fiber coordinates by TPoly expressions (polynomial in
-        an auxiliary parameter t), returning a TPoly."""
-        chart = self.chart
-        for name in assignment:
-            if name not in chart.fiber:
-                raise ChartError(f"{name!r} is not a fiber coordinate")
-        idx = {chart.fiber.index(name): tp for name, tp in assignment.items()}
-        out = []  # terms of the coefficient of t^p, p = 0, 1, ...
-        for (n, alpha), c in self.terms.items():
-            kept = list(alpha)
-            factor = TPoly.const(ScalarFn.const(chart, c))
-            for a, tp in idx.items():
-                p = alpha[a]
-                kept[a] = 0
-                for _ in range(p):
-                    factor = factor * tp
-            base = ScalarFn(chart, {(n, tuple(kept)): ONE})
-            out += [{} for _ in range(len(factor.coeffs) - len(out))]
-            for p, coeff in enumerate(factor.coeffs):
-                accumulate(out[p], (coeff * base).terms.items())
-        return TPoly(chart, [self._like(t) for t in out])
+        def pairs():
+            for (n, alpha), c in self.terms.items():
+                for (n2, a2), c2 in g_product(alpha).terms.items():
+                    yield (tuple(map(add, n, n2)), a2), c * c2
+
+        return self._like(accumulate({}, pairs()))
 
     def path_integral(self, targets, power: int = 0) -> "ScalarFn":
         """int_0^1 (1-t)^power f((1-t) y + t g) dt along the straight path
@@ -402,33 +423,12 @@ class ScalarFn(SparseTerms):
 
             int_0^1 (1-t)^a t^b dt = a! b! / (a + b + 1)!,
 
-        with a = power + sum_C (alpha_C - k_C) and b = sum_C k_C.  Each power
-        g_C^k is computed once per call; a zero target contributes only
-        k_C = 0.
+        with a = power + sum_C (alpha_C - k_C) and b = sum_C k_C.  The
+        products of powers of g come from the power table.
         """
-        chart = self.chart
-        if len(targets) != chart.m:
-            raise ChartError("path_integral needs one target per fiber coordinate")
-        for g in targets:
-            self._check(g)
+        g_product = _power_table(self, targets)
+        # a zero target contributes only k_C = 0
         live = [not g.is_zero() for g in targets]
-        # g_product runs only for a nonzero target
-        one = ScalarFn.one(chart) if any(live) else None
-        powers = [[one] for _ in targets]  # powers[C][k] = g_C^k
-        products = {}  # k tuple -> prod_C g_C^k_C
-
-        def g_product(ks):
-            prod = products.get(ks)
-            if prod is None:
-                prod = one
-                for C, k in enumerate(ks):
-                    if k:
-                        pw = powers[C]
-                        while len(pw) <= k:
-                            pw.append(pw[-1] * targets[C])
-                        prod = prod * pw[k]
-                products[ks] = prod
-            return prod
 
         def pairs():
             for (n, alpha), c in self.terms.items():
@@ -496,72 +496,6 @@ class ScalarFn(SparseTerms):
                     parts.append(f"{self.chart.fiber[a]}^{v}")
             bits.append("*".join(parts))
         return " + ".join(bits)
-
-
-class TPoly:
-    """Polynomial in an auxiliary parameter t with ScalarFn coefficients.
-
-    The value of ScalarFn.substitute_fiber_t, with exact definite integrals
-    over t in [0, 1].  (Integrals along the homotopy path y -> y - t(y - g)
-    are ScalarFn.path_integral, in closed form.)
-    """
-
-    __slots__ = ("chart", "coeffs")
-
-    def __init__(self, chart: Chart, coeffs):
-        self.chart = chart
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.coeffs = coeffs
-
-    @staticmethod
-    def zero(chart: Chart) -> "TPoly":
-        return TPoly(chart, [])
-
-    @staticmethod
-    def const(f: ScalarFn) -> "TPoly":
-        return TPoly(f.chart, [f])
-
-    @staticmethod
-    def t(chart: Chart) -> "TPoly":
-        return TPoly(chart, [ScalarFn.zero(chart), ScalarFn.one(chart)])
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else ScalarFn.zero(self.chart)
-            b = other.coeffs[i] if i < len(other.coeffs) else ScalarFn.zero(self.chart)
-            out.append(a + b)
-        return TPoly(self.chart, out)
-
-    def __neg__(self):
-        return TPoly(self.chart, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "TPoly") -> "TPoly":
-        out = [ScalarFn.zero(self.chart) for _ in range(len(self.coeffs) + len(other.coeffs))]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return TPoly(self.chart, out)
-
-    def scale_fn(self, f: ScalarFn) -> "TPoly":
-        return TPoly(self.chart, [c * f for c in self.coeffs])
-
-    def at_zero_degree(self) -> ScalarFn:
-        if len(self.coeffs) > 1:
-            raise ChartError("expression still depends on the parameter t")
-        return self.coeffs[0] if self.coeffs else ScalarFn.zero(self.chart)
-
-    def integrate01(self) -> ScalarFn:
-        """Exact integral over t in [0, 1]."""
-        return ScalarFn.zero(self.chart).plus(
-            c.scale(Fraction(1, p + 1)) for p, c in enumerate(self.coeffs)
-        )
 
 
 class TorusIntegral:

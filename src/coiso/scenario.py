@@ -25,7 +25,7 @@ from .multivector import MultiVectorField
 from .multider import MultiDerivation
 from .leafform import SectionOfNormalBundle
 from .geom import ContactChart, Form, contact_to_jacobi, fiberwise_linear_jacobi, lcs_to_jacobi
-from .linfty import MultibracketTable, extract_multibrackets
+from .linfty import MultibracketTable
 from .bfv import Lift, ObstructionFailure, brst_charge, d_bfv
 from .transversal import TransversalData
 
@@ -187,8 +187,9 @@ class Scenario:
             j = contact_to_jacobi(ContactChart(self.chart, theta, reeb, frame))
         elif kind == "lcs":
             _closed(block, ("omega", "theta1"), kind)
-            omega = Form(self.chart, 2, self._skew_terms(_need(block, "omega", kind), kind))
-            theta1 = Form(self.chart, 1, self._skew_terms(block.get("theta1", []), kind))
+            omega = Form(self.chart, 2, self._skew_terms(_need(block, "omega", kind, list), kind))
+            theta1 = _typed(block.get("theta1", []), list, "theta1", kind)
+            theta1 = Form(self.chart, 1, self._skew_terms(theta1, kind))
             j = lcs_to_jacobi(omega, theta1)
         elif kind == "jet":
             if block != {}:
@@ -206,7 +207,7 @@ class Scenario:
         if block is None:
             raise ScenarioError("scenario has no section block")
         _closed(block, ("components",), "section")
-        comps = [self._expr(e) for e in _need(block, "components", "section")]
+        comps = [self._expr(e) for e in _need(block, "components", "section", list)]
         try:
             return SectionOfNormalBundle(self.chart, comps)
         except ChartError as exc:
@@ -253,7 +254,7 @@ class Scenario:
     # -- shared artifacts: J -> table, J -> Lift -> Omega_0 -> d_BFV ------------
 
     def table(self) -> MultibracketTable:
-        return self._once("table", lambda: extract_multibrackets(self.jacobi()))
+        return self._once("table", lambda: MultibracketTable(self.jacobi()))
 
     def lift(self) -> Lift:
         return self._once("lift", self._build_lift)

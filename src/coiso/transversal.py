@@ -263,6 +263,3 @@ class TransversalData:
         for al, form in self.d_G(omega).items():
             out[al + 1] = form
         return out
-
-    def d_F(self, omega: LeafForm) -> LeafForm:
-        return omega.d_leaf()

@@ -106,6 +106,82 @@ def exp_series_mc(table, s):
     return _exp_series(table.j, minus, table.series_bound(), 1)
 
 
+class TPoly:
+    """Polynomial in an auxiliary parameter t with ScalarFn coefficients,
+    with the exact integral over t in [0, 1]: the t-polynomial route that is
+    the oracle of ScalarFn.substitute_fiber and ScalarFn.path_integral."""
+
+    __slots__ = ("chart", "coeffs")
+
+    def __init__(self, chart, coeffs):
+        self.chart = chart
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1].is_zero():
+            coeffs.pop()
+        self.coeffs = coeffs
+
+    @staticmethod
+    def const(f: ScalarFn) -> "TPoly":
+        return TPoly(f.chart, [f])
+
+    @staticmethod
+    def t(chart) -> "TPoly":
+        return TPoly(chart, [ScalarFn.zero(chart), ScalarFn.one(chart)])
+
+    def __add__(self, other: "TPoly") -> "TPoly":
+        zero = ScalarFn.zero(self.chart)
+        n = max(len(self.coeffs), len(other.coeffs))
+        a = self.coeffs + [zero] * (n - len(self.coeffs))
+        b = other.coeffs + [zero] * (n - len(other.coeffs))
+        return TPoly(self.chart, [x + y for x, y in zip(a, b)])
+
+    def __neg__(self):
+        return TPoly(self.chart, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other: "TPoly") -> "TPoly":
+        out = [ScalarFn.zero(self.chart) for _ in range(len(self.coeffs) + len(other.coeffs))]
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return TPoly(self.chart, out)
+
+    def scale_fn(self, f: ScalarFn) -> "TPoly":
+        return TPoly(self.chart, [c * f for c in self.coeffs])
+
+    def at_zero_degree(self) -> ScalarFn:
+        assert len(self.coeffs) <= 1, "expression still depends on the parameter t"
+        return self.coeffs[0] if self.coeffs else ScalarFn.zero(self.chart)
+
+    def integrate01(self) -> ScalarFn:
+        return ScalarFn.zero(self.chart).plus(
+            c.scale(Fraction(1, p + 1)) for p, c in enumerate(self.coeffs)
+        )
+
+
+def substitute_fiber_t(f: ScalarFn, assignment: dict) -> TPoly:
+    """f with the fiber coordinates named in assignment replaced by TPoly
+    expressions, term by term: c exp(i n.phi) y^alpha becomes the TPoly
+    c * prod_a tp_a^alpha_a times the unsubstituted rest of the monomial."""
+    chart = f.chart
+    idx = {chart.fiber.index(name): tp for name, tp in assignment.items()}
+    out = []  # terms of the coefficient of t^p, p = 0, 1, ...
+    for (n, alpha), c in f.terms.items():
+        kept = list(alpha)
+        factor = TPoly.const(ScalarFn.const(chart, c))
+        for a, tp in idx.items():
+            kept[a] = 0
+            for _ in range(alpha[a]):
+                factor = factor * tp
+        base = ScalarFn(chart, {(n, tuple(kept)): 1})
+        out += [{} for _ in range(len(factor.coeffs) - len(out))]
+        for p, coeff in enumerate(factor.coeffs):
+            accumulate(out[p], (coeff * base).terms.items())
+    return TPoly(chart, [f._like(t) for t in out])
+
+
 def random_scalar(chart, rng: random.Random, max_terms=2, freq=1, fiber_deg=1) -> ScalarFn:
     terms = {}
     for _ in range(rng.randint(1, max_terms)):

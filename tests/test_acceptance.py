@@ -19,7 +19,7 @@ from coiso.geom import (
     fiberwise_linear_jacobi,
     projection_P,
 )
-from coiso.linfty import extract_multibrackets, kuranishi, mc_series, prolong_formal
+from coiso.linfty import MultibracketTable, kuranishi, mc_series, prolong_formal
 from coiso.transversal import TransversalData
 from coiso.graded import (
     DX,
@@ -77,7 +77,7 @@ def J(chart):
 
 @pytest.fixture(scope="module")
 def table(J):
-    return extract_multibrackets(J)
+    return MultibracketTable(J)
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +257,7 @@ def test_criterion_07_legendrian_toy():
     for b in (1, 2):
         chart = jet_chart(b)
         J = fiberwise_linear_jacobi(chart)
-        table = extract_multibrackets(J)
+        table = MultibracketTable(J)
         args = [LeafForm.function(random_base_scalar(chart, rng))]
         args += [
             LeafForm(chart, 1, {(a,): random_base_scalar(chart, rng)})
@@ -346,7 +346,7 @@ def test_criterion_09_hpl_resolution(chart, J, lift):
     omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
     dop = d_bfv(lift, omega)
     pert = hpl_resolution(lift, dop, sampler=None)
-    table = extract_multibrackets(J)
+    table = MultibracketTable(J)
     # induced differential = m_1 on generators
     for _ in range(6):
         f = random_base_scalar(chart, rng)

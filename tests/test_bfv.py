@@ -10,7 +10,7 @@ import pytest
 from coiso import bfv
 from coiso.ring import ScalarFn
 from coiso.leafform import LeafForm, SectionOfNormalBundle
-from coiso.linfty import extract_multibrackets, kuranishi
+from coiso.linfty import MultibracketTable, kuranishi
 from coiso.graded import (
     DX,
     DXI,
@@ -471,7 +471,7 @@ def test_hpl_resolution(lift, chart):
     sampler = lambda: rand_graded_section(chart, rng)
     pert = hpl_resolution(lift, dop, sampler=sampler)
     # induced differential on base ghost words = m_1 under xi^a <-> dF_ph_a
-    table = extract_multibrackets(lift.j)
+    table = MultibracketTable(lift.j)
     for _ in range(6):
         f = random_base_scalar(chart, rng)
         base = GradedElement.section(chart, RANK, f)
@@ -523,7 +523,7 @@ def test_bfv_kuranishi_obstructed_example(lift, chart):
     assert power == 2
     # agreement with the derived-bracket Kuranishi through the
     # ghost <-> leaf-form correspondence
-    table = extract_multibrackets(lift.j)
+    table = MultibracketTable(lift.j)
     kr_l, report = kuranishi(table, s)
     assert report.zero_mode == LeafForm(chart, 2, {(0, 1): s3})
     # exact boundaries map to zero classes: d_BFV(anything) has vanishing
@@ -565,13 +565,11 @@ def test_wp0_intertwines_reduced_bracket(lift, chart):
     """wp[0]{l1, l2}_BFV = {l1^0|_S, l2^0|_S}_J for d_BFV-closed degree-0
     sections, and the induced degree-0 bracket on the resolution matches
     m_2 on d_F-closed functions."""
-    from coiso.linfty import extract_multibrackets
-
     omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
     dop = d_bfv(lift, omega)
     pert = hpl_resolution(lift, dop)
     c2 = ContractionTwo(chart, RANK, SectionOfNormalBundle.zero(chart))
-    table = extract_multibrackets(lift.j)
+    table = MultibracketTable(lift.j)
     cases = [
         (ScalarFn.sin_phi(chart, "ph_3"), ScalarFn.cos_phi(chart, "ph_3")),
         (ScalarFn.cos_phi(chart, "ph_4"), ScalarFn.sin_phi(chart, "ph_4")),

@@ -229,6 +229,14 @@ def _block_key_case(kind, key, task, value=MISSING, label=""):
         _block_key_case("contact", "frame", "check-jacobi", [[1]], "list-entry"),
         _block_key_case("transversal", "frame_a", "transversal-crosscheck", [["1"]], "list-entry"),
         _block_key_case("transversal", "frame_z", "transversal-crosscheck", ["1"], "list"),
+        # present, but not a list: a string of components would load
+        # character by character ("00" as the zero section)
+        _block_key_case("section", "components", "coisotropic", "00", "string"),
+        _block_key_case("section", "components", "mc", 5, "number"),
+        _block_key_case("lcs", "omega", "check-jacobi", 5, "number"),
+        _block_key_case("lcs", "omega", "check-jacobi", {"idx": [0, 1], "coef": "1"}, "object"),
+        _block_key_case("lcs", "theta1", "check-jacobi", 5, "number"),
+        _block_key_case("lcs", "theta1", "check-jacobi", {"idx": [0], "coef": "1"}, "object"),
         # present, but not a positive integer, an integer key or the trivial connection
         _block_key_case("formal", "order", "prolong", "x", "string"),
         _block_key_case("formal", "order", "prolong", 0, "zero"),

@@ -24,7 +24,6 @@ from coiso.linfty import (
     delta_mc,
     extended_mc_residual,
     extended_n1,
-    extract_multibrackets,
     kuranishi,
     mc_series,
     prolong_formal,
@@ -55,7 +54,7 @@ def J(chart):
 
 @pytest.fixture
 def table(J):
-    return extract_multibrackets(J)
+    return MultibracketTable(J)
 
 
 def leaf1(chart, f, g):
@@ -273,7 +272,7 @@ def test_extended_brackets(chart, J):
     s = SectionOfNormalBundle(
         chart, [random_base_scalar(chart, rng), random_base_scalar(chart, rng)]
     )
-    table = extract_multibrackets(J)
+    table = MultibracketTable(J)
     # box = 0: extended MC reduces to (0, MC(-s))
     first, second = extended_mc_residual(J, zero_box, s)
     assert first.is_zero()
@@ -373,7 +372,7 @@ def test_jet_model_brackets_vanish_above_one():
     for b in (1, 2):
         chart = jet_chart(b)
         J = fiberwise_linear_jacobi(chart)
-        table = extract_multibrackets(J)
+        table = MultibracketTable(J)
         rng = random.Random(12)
         args = [LeafForm.function(random_base_scalar(chart, rng))]
         args += [
@@ -413,7 +412,7 @@ def _cubic_poisson():
 STRUCTURES = {"torus-obstructed": TORUS_OBSTRUCTED.jacobi(), "cubic-poisson": _cubic_poisson()}
 TABLES = {
     "torus-obstructed": TORUS_OBSTRUCTED.table(),
-    "cubic-poisson": extract_multibrackets(STRUCTURES["cubic-poisson"]),
+    "cubic-poisson": MultibracketTable(STRUCTURES["cubic-poisson"]),
 }
 
 

@@ -11,7 +11,6 @@ from coiso.ring import (
     Chart,
     ChartError,
     ScalarFn,
-    TPoly,
     inverse_unit,
     mat_eq,
     mat_identity,
@@ -20,7 +19,15 @@ from coiso.ring import (
 )
 from coiso.expr import parse_scalar, scalar_to_json, scalar_from_json
 
-from helpers import cofactor_inverse, random_scalar, random_real_scalar, random_unimodular, torus_chart
+from helpers import (
+    TPoly,
+    cofactor_inverse,
+    random_real_scalar,
+    random_scalar,
+    random_unimodular,
+    substitute_fiber_t,
+    torus_chart,
+)
 
 
 @pytest.fixture
@@ -103,7 +110,7 @@ def test_substitute_fiber_with_t_integral(chart):
     f = y1 * y1
     t = TPoly.t(chart)
     path = TPoly.const(y1) - t.scale_fn(y1)
-    res = f.substitute_fiber_t({"y_1": path})
+    res = substitute_fiber_t(f, {"y_1": path})
     assert res.integrate01() == (y1 * y1).scale(Fraction(1, 3))
 
 
@@ -111,7 +118,7 @@ def test_substitute_fiber_at_section(chart):
     # f = y_1, y_1 -> g(u): result is g(u)
     g = ScalarFn.cos_phi(chart, "ph_4")
     y1 = ScalarFn.y(chart, "y_1")
-    assert y1.substitute_fiber({"y_1": g}) == g
+    assert y1.substitute_fiber([g, ScalarFn.y(chart, "y_2")]) == g
 
 
 def test_substitute_fiber_mixed(chart):
@@ -120,7 +127,7 @@ def test_substitute_fiber_mixed(chart):
     c4 = ScalarFn.cos_phi(chart, "ph_4")
     f = ScalarFn.y(chart, "y_1") * s4
     expected = s4 * c4
-    assert f.substitute_fiber({"y_1": c4}) == expected
+    assert f.substitute_fiber([c4, ScalarFn.y(chart, "y_2")]) == expected
 
 
 def test_integrate_torus(chart):
@@ -155,7 +162,7 @@ def test_reality_preserved(chart):
         assert f.partial("ph_2").is_real()
         assert f.partial("y_1").is_real()
         h = random_real_scalar(chart, rng, fiber_deg=0)
-        assert f.substitute_fiber({"y_1": h}).is_real()
+        assert f.substitute_fiber([h, ScalarFn.y(chart, "y_2")]).is_real()
 
 
 def test_unit_inverse(chart):
@@ -221,7 +228,7 @@ def test_path_integral_matches_tpoly_route(f, targets, power):
     for name, g in zip(chart.fiber, targets):
         y = ScalarFn.y(chart, name)
         path[name] = TPoly.const(y) - t.scale_fn(y - g)
-    tp = f.substitute_fiber_t(path)
+    tp = substitute_fiber_t(f, path)
     for _ in range(power):
         tp = tp * TPoly(chart, [one, -one])
     assert f.path_integral(targets, power) == tp.integrate01()
@@ -231,6 +238,30 @@ def test_path_integral_needs_one_target_per_fiber_coordinate():
     f = ScalarFn.y(PATH_CHART, "y_1")
     with pytest.raises(ChartError):
         f.path_integral([ScalarFn.zero(PATH_CHART)], 0)
+
+
+def _substitution_targets(name):
+    """Zero, the identity y_name, base-only and fiber-linear targets."""
+    identity = ScalarFn.y(PATH_CHART, name)
+    return st.one_of(st.just(ScalarFn.zero(PATH_CHART)), st.just(identity), _fourier_polys(0), _fourier_polys(1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fourier_polys(3), st.tuples(_substitution_targets("y_1"), _substitution_targets("y_2")))
+def test_substitute_fiber_matches_tpoly_route(f, targets):
+    """The power-table substitution equals the t-free case of the
+    t-polynomial route: each target a constant TPoly, read at degree 0."""
+    path = {name: TPoly.const(g) for name, g in zip(PATH_CHART.fiber, targets)}
+    assert f.substitute_fiber(targets) == substitute_fiber_t(f, path).at_zero_degree()
+
+
+def test_substitute_fiber_needs_one_target_per_fiber_coordinate():
+    f = ScalarFn.y(PATH_CHART, "y_1")
+    y1, y2 = ScalarFn.y(PATH_CHART, "y_1"), ScalarFn.y(PATH_CHART, "y_2")
+    other = ScalarFn.one(Chart(torus=("ph_2",), fiber=("y_1", "y_2")))
+    for targets in ([y1], [y1, y2, y1], [y1, other]):
+        with pytest.raises(ChartError):
+            f.substitute_fiber(targets)
 
 
 MATRIX_CHART = Chart(torus=("ph_1", "ph_2"), fiber=("y_1",))

@@ -11,7 +11,7 @@ from coiso.rational import GaussianRational
 from coiso.ring import ScalarFn, mat_eq, mat_identity, mat_mul
 from coiso.multivector import MultiVectorField
 from coiso.leafform import LeafForm
-from coiso.linfty import extract_multibrackets
+from coiso.linfty import MultibracketTable
 from coiso.transversal import TransversalData
 
 from helpers import fields_XY, random_base_scalar, torus_chart, torus_jacobi
@@ -124,7 +124,7 @@ def test_y_matrix_neumann_oracle(chart):
 def test_cross_check_with_linfty(td, chart):
     """Generator-by-generator equality with the derived-bracket table of the
     worked example, under the frame identification dF_ph_a <-> delta_a."""
-    table = extract_multibrackets(torus_jacobi(chart))
+    table = MultibracketTable(torus_jacobi(chart))
     rng = random.Random(2)
     delta = [LeafForm(chart, 1, {(a,): ScalarFn.one(chart)}) for a in range(2)]
 
