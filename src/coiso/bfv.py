@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .ring import ChartError, ScalarFn, dot, inverse_unit
+from .ring import ChartError, PowerTable, ScalarFn, dot, inverse_unit
 from .multider import MultiDerivation
 from .multivector import MultiVectorField
 from .leafform import SectionOfNormalBundle
@@ -439,7 +439,8 @@ def geometric_mc_zero_locus(omega: GradedElement, max_iter=12):
         raise BFVError(f"zero locus is not a section graph: {exc}") from None
     g = [ScalarFn.zero(chart) for _ in range(rank)]
     for _ in range(max_iter):
-        vals = [eA.substitute_fiber(g) for eA in e]
+        powers = PowerTable(chart, g)
+        vals = [eA.substitute_fiber(powers) for eA in e]
         if all(v.is_zero() for v in vals):
             return SectionOfNormalBundle(chart, g)
         g = [gA - dot(chart, row, vals) for gA, row in zip(g, L_inv)]

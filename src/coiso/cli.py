@@ -5,8 +5,9 @@
 
 Reports are deterministic: identical scenario and flags produce
 byte-identical JSON.  Exit codes: 0 all tasks succeeded (a *found*
-obstruction is a success), 1 usage or parse error, 2 validation error,
-3 internal invariant violation.
+obstruction is a success), 1 usage error or a scenario that cannot be read
+as JSON, 2 any error in a scenario's content (found by ``scenario.SCHEMA``
+as it loads, or as a task builds an artifact), 3 internal invariant violation.
 
 Each task is one function in ``TASKS``.  Tasks draw on artifacts of the
 scenario, each built on first use and checked once as it is built:
@@ -52,7 +53,7 @@ from .bfv import (
     brst_charge,
     hpl_resolution,
 )
-from .scenario import Scenario, ScenarioError, builtin_names, load_scenario
+from .scenario import Scenario, ScenarioError, ScenarioFileError, builtin_names, load_scenario
 from .transversal import TransversalError
 from .serialize import (
     graded_to_json,
@@ -90,8 +91,7 @@ def parse_task(spec: str):
 def run_task(scenario: Scenario, name: str, arg) -> dict:
     """The report of one task.  A charge that does not exist (the section,
     or for the d_BFV tasks the zero section, is not coisotropic) is a
-    report, not an error; an unknown top-level key of the scenario is."""
-    scenario.check_keys()
+    report, not an error."""
     try:
         return TASKS[name](scenario, arg)
     except ObstructionFailure as exc:
@@ -204,6 +204,8 @@ def _transversal_crosscheck(scenario, arg):
     if chart.m < 2:
         # the checks pair the first two fiber frame forms
         raise ScenarioError(f"needs at least two fiber coordinates, the chart has {chart.m}")
+    if len(chart.leaf) != chart.m:  # frame form i is d_F of leaf coordinate i
+        raise ScenarioError("needs one chart 'leaf' coordinate per fiber coordinate")
     table = scenario.table()
     td = scenario.transversal()
     checks = []
@@ -443,10 +445,7 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
     except ScenarioError as exc:
         sys.stderr.write(f"coiso: {exc}\n")
-        return 1
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(f"coiso: scenario parse error: {exc}\n")
-        return 1
+        return 1 if isinstance(exc, ScenarioFileError) else 2
 
     report = {"schema": 1, "scenario": scenario.name, "tasks": {}}
     for name, arg in tasks:

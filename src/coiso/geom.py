@@ -14,7 +14,7 @@ criterion.
 
 from __future__ import annotations
 
-from .ring import Chart, ChartError, ScalarFn, accumulate, inverse_unit, mat_mul
+from .ring import Chart, ChartError, PowerTable, ScalarFn, accumulate, inverse_unit, mat_mul
 from .multivector import MultiVectorField, SkewTerms
 from .multider import MultiDerivation
 from .leafform import LeafForm, SectionOfNormalBundle
@@ -241,10 +241,11 @@ def is_coisotropic_section(j: MultiDerivation, s: SectionOfNormalBundle):
     gens = [
         ScalarFn.y(chart, name) - g for name, g in zip(chart.fiber, s.components)
     ]
+    powers = PowerTable(chart, s.components)
     residues = {}
     for a in range(chart.m):
         for b in range(a + 1, chart.m):
-            r = j.apply([gens[a], gens[b]]).substitute_fiber(s.components)
+            r = j.apply([gens[a], gens[b]]).substitute_fiber(powers)
             if not r.is_zero():
                 residues[(a, b)] = r
     return (not residues), residues

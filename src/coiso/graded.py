@@ -43,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
-from .ring import Chart, ScalarFn, SparseTerms, accumulate
+from .ring import Chart, PowerTable, ScalarFn, SparseTerms, accumulate
 from .multivector import MultiVectorField
 from .multider import MultiDerivation
 from .leafform import SectionOfNormalBundle
@@ -729,6 +729,7 @@ class ContractionTwo:
         self.chart = chart
         self.rank = rank
         self.s = s
+        self.powers = PowerTable(chart, s.components)  # wp and h substitute s
 
     def omega_E(self) -> GradedElement:
         """Omega_E[s] = sum_A (y_A - g_A) xi^A."""
@@ -754,7 +755,7 @@ class ContractionTwo:
                 raise GradedError("wp acts on sections")
             if any(XIS <= x < M for x in letters):
                 continue
-            g = f.substitute_fiber(self.s.components)
+            g = f.substitute_fiber(self.powers)
             if not g.is_zero():
                 out[letters] = g
         return GradedElement.zero(self.chart, self.rank)._like(out)
@@ -780,7 +781,6 @@ class ContractionTwo:
         expanding the path binomially and integrating each power product of
         t by the Beta integral int_0^1 (1-t)^a t^b dt = a! b! / (a + b + 1)!.
         """
-        targets = self.s.components
 
         def pairs():
             for letters, f in lam.terms.items():
@@ -792,6 +792,7 @@ class ContractionTwo:
                     dfa = f.partial(name)
                     if dfa.is_zero():
                         continue
-                    yield letters + (_letter(XIS, A),), _signed(dfa.path_integral(targets, nxis), sign)
+                    p_a = dfa.path_integral(self.powers, nxis)
+                    yield letters + (_letter(XIS, A),), _signed(p_a, sign)
 
         return lam._like(accumulate({}, _canonical(pairs())))

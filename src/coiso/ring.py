@@ -25,8 +25,8 @@ Fiber substitution.  ``ScalarFn.substitute_fiber`` replaces every fiber
 coordinate by a target function, and ``ScalarFn.path_integral`` integrates
 exactly along the straight path from the fiber point to the targets, in
 closed form (binomial expansion and the Beta integral).  Both read the
-products of powers of the targets from one per-call table,
-``_power_table``.
+products of powers of the targets from a ``PowerTable``, which a caller
+passes for targets it substitutes into many times (a section).
 
 Matrices over the ring are lists of rows of ScalarFns.  ``inverse_unit``
 is the one matrix inverse of the library; it needs a determinant that is
@@ -230,33 +230,38 @@ def _checked_terms(chart, terms):
         yield (n, alpha), c
 
 
-def _power_table(f, targets):
-    """ks -> prod_C g_C^k_C for the targets g of a fiber substitution into
-    the ScalarFn f, one per fiber coordinate of its chart in chart order
-    (a ChartError otherwise).  Each power g_C^k and each product is
+class PowerTable:
+    """``table(ks)`` = prod_C g_C^k_C for the targets g of a fiber
+    substitution, one ScalarFn per fiber coordinate of the chart in chart
+    order (a ChartError otherwise).  Each power g_C^k and each product is
     computed once per table; g_C^0 = 1, also for a zero target."""
-    if len(targets) != f.chart.m:
-        raise ChartError("a fiber substitution needs one target per fiber coordinate")
-    for g in targets:
-        f._check(g)
-    powers = [[None, g] for g in targets]  # powers[C][k] = g_C^k, k >= 1
-    products = {}  # k tuple -> prod_C g_C^k_C
 
-    def g_product(ks):
-        prod = products.get(ks)
+    __slots__ = ("chart", "live", "_powers", "_products")
+
+    def __init__(self, chart: Chart, targets):
+        targets = list(targets)
+        if len(targets) != chart.m:
+            raise ChartError("a fiber substitution needs one target per fiber coordinate")
+        if any(type(g) is not ScalarFn or g.chart != chart for g in targets):
+            raise ChartError("fiber substitution targets differ in chart")
+        self.chart = chart
+        self.live = [not g.is_zero() for g in targets]
+        self._powers = [[None, g] for g in targets]  # _powers[C][k] = g_C^k, k >= 1
+        self._products = {}  # k tuple -> prod_C g_C^k_C
+
+    def __call__(self, ks) -> "ScalarFn":
+        prod = self._products.get(ks)
         if prod is None:
             for C, k in enumerate(ks):
                 if k:
-                    pw = powers[C]
+                    pw = self._powers[C]
                     while len(pw) <= k:
                         pw.append(pw[-1] * pw[1])
                     prod = pw[k] if prod is None else prod * pw[k]
             if prod is None:  # every k_C = 0
-                prod = ScalarFn.one(f.chart)
-            products[ks] = prod
+                prod = ScalarFn.one(self.chart)
+            self._products[ks] = prod
         return prod
-
-    return g_product
 
 
 class ScalarFn(SparseTerms):
@@ -394,15 +399,22 @@ class ScalarFn(SparseTerms):
     def partial_index(self, i: int) -> "ScalarFn":
         return self.partial(self.chart.coords[i])
 
+    def _power_table(self, targets) -> PowerTable:
+        """targets as a PowerTable of this chart: itself if it is one."""
+        table = targets if isinstance(targets, PowerTable) else PowerTable(self.chart, targets)
+        if table.chart != self.chart:
+            raise ChartError("fiber substitution targets differ in chart")
+        return table
+
     def substitute_fiber(self, targets) -> "ScalarFn":
         """f(u, g): every fiber coordinate y_C replaced by its target g_C,
         one ScalarFn per fiber coordinate in chart order (the target
-        ScalarFn.y(chart, y_C) keeps y_C).
+        ScalarFn.y(chart, y_C) keeps y_C), or their PowerTable.
 
         A term c * exp(i n.phi) * y^alpha becomes
         c * exp(i n.phi) * prod_C g_C^alpha_C, read from the power table.
         """
-        g_product = _power_table(self, targets)
+        g_product = self._power_table(targets)
 
         def pairs():
             for (n, alpha), c in self.terms.items():
@@ -414,7 +426,7 @@ class ScalarFn(SparseTerms):
     def path_integral(self, targets, power: int = 0) -> "ScalarFn":
         """int_0^1 (1-t)^power f((1-t) y + t g) dt along the straight path
         from the fiber point y to the targets g, one ScalarFn per fiber
-        coordinate in chart order.
+        coordinate in chart order, or their PowerTable.
 
         Computed in closed form, term by term: y_C^alpha_C on the path
         expands binomially into the sum over k_C of
@@ -426,9 +438,9 @@ class ScalarFn(SparseTerms):
         with a = power + sum_C (alpha_C - k_C) and b = sum_C k_C.  The
         products of powers of g come from the power table.
         """
-        g_product = _power_table(self, targets)
+        g_product = self._power_table(targets)
         # a zero target contributes only k_C = 0
-        live = [not g.is_zero() for g in targets]
+        live = g_product.live
 
         def pairs():
             for (n, alpha), c in self.terms.items():

@@ -1,23 +1,23 @@
 """Scenario files: the JSON input format of the command line front end.
 
-A scenario carries one chart, exactly one structure block (jacobi | contact
-| lcs | jet | transversal may accompany any of them), and optional section
-/ formal / bfv blocks, and no other top-level key.  The chart takes only
-torus, fiber and leaf, each a list of coordinate names.  Each block takes a
-closed set of keys (a jacobi block only p and q, an lcs block omega and
-theta1, and so on), a jet block must be {} and a bfv block must be
-{"connection": "trivial"}.  All coefficient expressions use the ring
-grammar.
+``SCHEMA`` is the format (schema 1): a table from each block to the keys it
+takes, each key with whether it is required and the kind of its JSON value.
+``Scenario`` walks it once, over the whole document, so a malformed block
+is an error whichever task runs; the builders then read keys directly.
+Expressions are parsed by the builder of the artifact that reads them (the
+costly part of a load), and the constructors check what values mean.
 
 A ``Scenario`` also holds the artifacts its tasks share (the Jacobi
 structure, the section, the transversal data, the multibracket table, the
-lift, the BRST charge of the zero section and d_BFV), each built on first use and
-kept for the life of the object.
+lift, the BRST charge of the zero section and d_BFV), each built on first
+use and kept for the life of the object.
 """
 
 from __future__ import annotations
 
+import importlib.resources as resources
 import json
+import os
 
 from .ring import Chart, ChartError, ScalarFn
 from .expr import ExprError, parse_scalar
@@ -31,75 +31,130 @@ from .transversal import TransversalData
 
 
 class ScenarioError(ValueError):
-    pass
+    """The content of a scenario is not valid."""
 
 
-def _need(block, key, where, kind=object):
-    """block[key] of a required key; a ScenarioError naming it if it is
-    missing or not of the given kind (dict for a JSON object, or list)."""
-    if not isinstance(block, dict) or key not in block:
-        raise ScenarioError(f"{where} block needs the key {key!r}")
-    return _typed(block[key], kind, key, where)
+class ScenarioFileError(ScenarioError):
+    """No such scenario file or built-in, or one that is not UTF-8 JSON."""
 
 
-def _typed(value, kind, key, where):
-    """value, or a ScenarioError naming key if it is not of the given kind."""
-    if not isinstance(value, kind):
-        noun = "an object" if kind is dict else "a list"
-        raise ScenarioError(f"{where} {key!r} must be {noun}, not {type(value).__name__}")
-    return value
+def _is_str(v):
+    return isinstance(v, str)
 
 
-def _closed(block, keys, where):
-    """block, an object whose keys are all among keys; a ScenarioError
-    naming any other key."""
-    extra = sorted(set(_typed(block, dict, "block", where)) - set(keys))
+def _is_list(v, entry, n=None):
+    """v is a list (of n entries, if n is given) whose entries pass entry."""
+    return isinstance(v, list) and (n is None or len(v) == n) and all(map(entry, v))
+
+
+def _is_field(v):
+    return isinstance(v, dict) and all(map(_is_str, v.values()))
+
+
+def _is_term(v):
+    return (
+        isinstance(v, dict)
+        and set(v) == {"idx", "coef"}
+        and _is_list(v["idx"], lambda i: type(i) is int)
+        and _is_str(v["coef"])
+    )
+
+
+def _is_matrix(v, n):
+    return _is_list(v, lambda row: _is_list(row, _is_str, n), n)
+
+
+def _is_leaf_keyed(v, doc, entry):
+    leaf = {str(i) for i in range(len(doc["chart"].get("leaf", [])))}
+    return isinstance(v, dict) and set(v) <= leaf and all(map(entry, v.values()))
+
+
+def _n(doc):  # the number of transversal frame_a fields
+    return len(doc["transversal"]["frame_a"])
+
+
+# A kind is (what the value must be, test(value, document)).  A test reads
+# sizes from the document only where the walk has checked them: the chart
+# comes before every other block, frame_a before the rest of transversal.
+_NAMES = ("a list of coordinate names", lambda v, d: _is_list(v, _is_str))
+_FIELD = ("an object {coordinate name: expression}", lambda v, d: _is_field(v))
+_FIELDS = ("a list of {coordinate name: expression} objects", lambda v, d: _is_list(v, _is_field))
+_TERMS = (  # one item per term: an idx given twice would keep only its last coef
+    'a list of {"idx": [ints], "coef": expr} objects, no two with the same indices',
+    lambda v, d: _is_list(v, _is_term) and len({tuple(sorted(t["idx"])) for t in v}) == len(v),
+)
+_ROW = ("a list of one expression per frame_a field", lambda v, d: _is_list(v, _is_str, _n(d)))
+_MATRIX = ("a square matrix, one row per frame_a field", lambda v, d: _is_matrix(v, _n(d)))
+_LEAF_MATRICES = (
+    "an object from leaf indices to square matrices, one row per frame_a field",
+    lambda v, d: _is_leaf_keyed(v, d, lambda m: _is_matrix(m, _n(d))),
+)
+_LEAF_ROWS = (
+    "an object from leaf indices to lists of one expression per frame_a field",
+    lambda v, d: _is_leaf_keyed(v, d, lambda r: _is_list(r, _is_str, _n(d))),
+)
+_FIBER_ROW = (
+    "a list of one expression per fiber coordinate",
+    lambda v, d: _is_list(v, _is_str, len(d["chart"].get("fiber", []))),
+)
+_POSITIVE = ("a positive integer", lambda v, d: type(v) is int and v >= 1)
+REQUIRED, OPTIONAL = True, False
+
+# block -> key -> (required, kind); a key whose kind is a table holds a block
+SCHEMA = {
+    "schema": (REQUIRED, ("1", lambda v, d: type(v) is int and v == 1)),
+    "chart": (REQUIRED, dict.fromkeys(("torus", "fiber", "leaf"), (OPTIONAL, _NAMES))),
+    "jacobi": (OPTIONAL, {"p": (OPTIONAL, _TERMS), "q": (OPTIONAL, _TERMS)}),
+    "contact": (OPTIONAL, {
+        "theta": (REQUIRED, _FIELD), "reeb": (REQUIRED, _FIELD), "frame": (REQUIRED, _FIELDS),
+    }),
+    "lcs": (OPTIONAL, {"omega": (REQUIRED, _TERMS), "theta1": (OPTIONAL, _TERMS)}),
+    "jet": (OPTIONAL, {}),
+    "transversal": (OPTIONAL, {
+        "frame_a": (REQUIRED, _FIELDS),
+        "frame_z": (REQUIRED, _FIELD),
+        "C": (OPTIONAL, _ROW),
+        "omega": (REQUIRED, _MATRIX),
+        "F_ab": (OPTIONAL, _LEAF_MATRICES),
+        "F_a": (OPTIONAL, _LEAF_ROWS),
+    }),
+    "section": (OPTIONAL, {"components": (REQUIRED, _FIBER_ROW)}),
+    "formal": (OPTIONAL, {"order": (OPTIONAL, _POSITIVE)}),
+    # the trivial connection is the only one a scenario can name
+    "bfv": (OPTIONAL, {"connection": (REQUIRED, ('"trivial"', lambda v, d: v == "trivial"))}),
+}
+STRUCTURES = ("jacobi", "contact", "lcs", "jet")
+
+
+def _walk(where, block, table, doc):
+    """A ScenarioError naming the first key of block, in table order, that
+    the table does not take or whose value is not of its kind."""
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{where} block must be an object, not {type(block).__name__}")
+    extra = sorted(set(block) - set(table))
     if extra:
-        raise ScenarioError(f"{where} block takes only the keys {list(keys)}, not {extra}")
-    return block
-
-
-def _leaf_key(key, name, nleaf):
-    """The leaf index a transversal F_ab / F_a key writes in decimal."""
-    if key not in [str(i) for i in range(nleaf)]:
-        raise ScenarioError(f"transversal {name!r} key {key!r} is not a leaf index in range({nleaf})")
-    return int(key)
-
-
-_TRIVIAL_BFV = {"connection": "trivial"}
-_CHART_KEYS = ("torus", "fiber", "leaf")
-_STRUCTURES = ("jacobi", "contact", "lcs", "jet")
-_TOP_LEVEL_KEYS = ("schema", "chart") + _STRUCTURES + ("transversal", "section", "formal", "bfv")
+        raise ScenarioError(f"{where} block takes only the keys {list(table)}, not {extra}")
+    for key, (required, kind) in table.items():
+        if key not in block:
+            if required:
+                raise ScenarioError(f"{where} block needs the key {key!r}")
+        elif isinstance(kind, dict):
+            _walk(key, block[key], kind, doc)
+        elif not kind[1](block[key], doc):
+            raise ScenarioError(f"{where} {key!r} must be {kind[0]}")
 
 
 class Scenario:
     def __init__(self, data: dict, name: str = "<scenario>"):
         self.name = name
-        if not isinstance(data, dict):
-            raise ScenarioError("scenario must be a JSON object")
-        if data.get("schema") != 1:
-            raise ScenarioError("unsupported scenario schema (expected schema: 1)")
-        try:
-            chart_block = data["chart"]
-            if not isinstance(chart_block, dict):
-                raise TypeError(f"must be an object, not {type(chart_block).__name__}")
-            extra = sorted(set(chart_block) - set(_CHART_KEYS))
-            if extra:
-                raise TypeError(f"takes only the keys {list(_CHART_KEYS)}, not {extra}")
-            for key in _CHART_KEYS:
-                names = chart_block.get(key, [])
-                if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-                    raise TypeError(f"{key!r} must be a list of coordinate names")
-            self.chart = Chart(
-                torus=chart_block.get("torus", ()),
-                fiber=chart_block.get("fiber", ()),
-                leaf=chart_block.get("leaf", ()),
-            )
-        except (KeyError, ChartError, TypeError) as exc:
-            raise ScenarioError(f"invalid chart block: {exc}") from None
-        structures = [k for k in _STRUCTURES if k in data]
+        _walk("top-level", data, SCHEMA, data)
+        structures = [k for k in STRUCTURES if k in data]
         if len(structures) != 1:
-            raise ScenarioError("scenario needs exactly one structure block")
+            raise ScenarioError(f"scenario needs exactly one structure block of {list(STRUCTURES)}")
+        try:
+            self.chart = Chart(**data["chart"])
+        except ChartError as exc:
+            raise ScenarioError(f"invalid chart block: {exc}") from None
         self.structure_kind = structures[0]
         self.data = data
         self._built = {}  # artifact name -> value, or the ObstructionFailure it raised
@@ -118,11 +173,6 @@ class Scenario:
             raise value
         return value
 
-    def check_keys(self):
-        """A ScenarioError naming a top-level key the format does not have
-        (a misspelt "Formal" would otherwise be ignored)."""
-        _closed(self.data, _TOP_LEVEL_KEYS, "top-level")
-
     # -- parsing helpers ----------------------------------------------------
 
     def _expr(self, text) -> ScalarFn:
@@ -131,18 +181,8 @@ class Scenario:
         except ExprError as exc:
             raise ScenarioError(f"bad expression {text!r}: {exc}") from None
 
-    def _exprs(self, value, n, key) -> list:
-        """The n expressions of the transversal list called key."""
-        if not isinstance(value, list) or len(value) != n:
-            raise ScenarioError(f"transversal {key!r} must be a list of {n} expressions")
-        return [self._expr(e) for e in value]
-
-    def _expr_rows(self, value, n, key) -> list:
-        """The n x n expressions of the transversal matrix called key."""
-        square = isinstance(value, list) and len(value) == n
-        if not (square and all(isinstance(row, list) and len(row) == n for row in value)):
-            raise ScenarioError(f"transversal {key!r} must be {n} rows of {n} expressions")
-        return [[self._expr(e) for e in row] for row in value]
+    def _exprs(self, texts) -> list:
+        return [self._expr(e) for e in texts]
 
     def _components(self, comps: dict) -> dict:
         return {name: self._expr(e) for name, e in comps.items()}
@@ -150,18 +190,9 @@ class Scenario:
     def _vector(self, comps: dict) -> MultiVectorField:
         return MultiVectorField.vector(self.chart, self._components(comps))
 
-    def _skew_terms(self, items, where) -> dict:
+    def _skew_terms(self, items) -> dict:
         """{idx: coefficient} of a list of {"idx": [...], "coef": expr} items."""
-        terms = {}
-        for item in items:
-            idx = _need(item, "idx", where)
-            if not isinstance(idx, list) or any(type(i) is not int for i in idx):
-                raise ScenarioError(f"{where} idx {idx!r} is not a list of integers")
-            terms[tuple(idx)] = self._expr(_need(item, "coef", where))
-        return terms
-
-    def _mvf(self, items, degree) -> MultiVectorField:
-        return MultiVectorField(self.chart, degree, self._skew_terms(items, "jacobi"))
+        return {tuple(item["idx"]): self._expr(item["coef"]) for item in items}
 
     # -- structure --------------------------------------------------------------
 
@@ -172,54 +203,35 @@ class Scenario:
         kind = self.structure_kind
         block = self.data[kind]
         if kind == "jacobi":
-            _closed(block, ("p", "q"), kind)
-            p = self._mvf(_typed(block.get("p", []), list, "p", kind), 2)
-            q = self._mvf(_typed(block.get("q", []), list, "q", kind), 1)
-            j = MultiDerivation(p, q)
-        elif kind == "contact":
-            _closed(block, ("theta", "reeb", "frame"), kind)
-            theta = self._components(_need(block, "theta", kind, dict))
-            reeb = self._vector(_need(block, "reeb", kind, dict))
-            frame = [
-                self._vector(_typed(v, dict, "frame", kind))
-                for v in _need(block, "frame", kind, list)
-            ]
-            j = contact_to_jacobi(ContactChart(self.chart, theta, reeb, frame))
-        elif kind == "lcs":
-            _closed(block, ("omega", "theta1"), kind)
-            omega = Form(self.chart, 2, self._skew_terms(_need(block, "omega", kind, list), kind))
-            theta1 = _typed(block.get("theta1", []), list, "theta1", kind)
-            theta1 = Form(self.chart, 1, self._skew_terms(theta1, kind))
-            j = lcs_to_jacobi(omega, theta1)
-        elif kind == "jet":
-            if block != {}:
-                raise ScenarioError(f"jet block takes no keys and must be {{}}, not {json.dumps(block)}")
-            j = fiberwise_linear_jacobi(self.chart)
-        else:  # pragma: no cover
-            raise ScenarioError(f"unknown structure {kind}")
-        return j
+            p = MultiVectorField(self.chart, 2, self._skew_terms(block.get("p", [])))
+            q = MultiVectorField(self.chart, 1, self._skew_terms(block.get("q", [])))
+            return MultiDerivation(p, q)
+        if kind == "contact":
+            theta = self._components(block["theta"])
+            reeb = self._vector(block["reeb"])
+            frame = [self._vector(v) for v in block["frame"]]
+            return contact_to_jacobi(ContactChart(self.chart, theta, reeb, frame))
+        if kind == "lcs":
+            omega = Form(self.chart, 2, self._skew_terms(block["omega"]))
+            theta1 = Form(self.chart, 1, self._skew_terms(block.get("theta1", [])))
+            return lcs_to_jacobi(omega, theta1)
+        return fiberwise_linear_jacobi(self.chart)  # the jet block is {}
 
     def section(self) -> SectionOfNormalBundle:
         return self._once("section", self._build_section)
 
     def _build_section(self) -> SectionOfNormalBundle:
-        block = self.data.get("section")
-        if block is None:
+        if "section" not in self.data:
             raise ScenarioError("scenario has no section block")
-        _closed(block, ("components",), "section")
-        comps = [self._expr(e) for e in _need(block, "components", "section", list)]
+        comps = self._exprs(self.data["section"]["components"])
         try:
             return SectionOfNormalBundle(self.chart, comps)
         except ChartError as exc:
             raise ScenarioError(f"invalid section: {exc}") from None
 
     def formal_order(self) -> int:
-        """The formal block's order, a positive integer (3 when absent)."""
-        block = _closed(self.data.get("formal", {}), ("order",), "formal")
-        order = block.get("order", 3)
-        if type(order) is not int or order < 1:
-            raise ScenarioError(f"formal 'order' must be a positive integer, not {order!r}")
-        return order
+        """The formal block's order (3 when absent)."""
+        return self.data.get("formal", {}).get("order", 3)
 
     def transversal(self) -> TransversalData:
         return self._once("transversal", self._build_transversal)
@@ -228,28 +240,13 @@ class Scenario:
         block = self.data.get("transversal")
         if block is None:
             raise ScenarioError("scenario has no transversal block")
-        _closed(block, ("frame_a", "frame_z", "C", "omega", "F_ab", "F_a"), "transversal")
-        ga = [
-            self._vector(_typed(v, dict, "frame_a", "transversal"))
-            for v in _need(block, "frame_a", "transversal", list)
-        ]
-        gz = self._vector(_need(block, "frame_z", "transversal", dict))
-        n = len(ga)
-        nleaf = len(self.chart.leaf)
-        C = self._exprs(block.get("C", ["0"] * n), n, "C")
-        omega = self._expr_rows(_need(block, "omega", "transversal"), n, "omega")
-        fab = {
-            _leaf_key(i, "F_ab", nleaf): self._expr_rows(mat, n, "F_ab")
-            for i, mat in _typed(block.get("F_ab", {}), dict, "F_ab", "transversal").items()
-        }
-        fa = {
-            _leaf_key(i, "F_a", nleaf): self._exprs(vec, n, "F_a")
-            for i, vec in _typed(block.get("F_a", {}), dict, "F_a", "transversal").items()
-        }
+        ga = [self._vector(v) for v in block["frame_a"]]
+        gz = self._vector(block["frame_z"])
+        C = self._exprs(block.get("C", ["0"] * len(ga)))
+        omega = [self._exprs(row) for row in block["omega"]]
+        fab = {int(i): [self._exprs(row) for row in m] for i, m in block.get("F_ab", {}).items()}
+        fa = {int(i): self._exprs(row) for i, row in block.get("F_a", {}).items()}
         return TransversalData(self.chart, ga, gz, C, omega, fab, fa)
-
-    def ghost_rank(self) -> int:
-        return self.chart.m
 
     # -- shared artifacts: J -> table, J -> Lift -> Omega_0 -> d_BFV ------------
 
@@ -257,17 +254,7 @@ class Scenario:
         return self._once("table", lambda: MultibracketTable(self.jacobi()))
 
     def lift(self) -> Lift:
-        return self._once("lift", self._build_lift)
-
-    def _build_lift(self) -> Lift:
-        # the trivial connection is the only one a scenario can name
-        block = self.data.get("bfv", _TRIVIAL_BFV)
-        if block != _TRIVIAL_BFV:
-            raise ScenarioError(
-                f"bfv block must be {json.dumps(_TRIVIAL_BFV)} (the only supported "
-                f"'connection'), not {json.dumps(block)}"
-            )
-        return Lift(self.jacobi(), self.ghost_rank())
+        return self._once("lift", lambda: Lift(self.jacobi(), self.chart.m))
 
     def omega0(self):
         """(Omega_BRST, corrections) of the zero section; raises the
@@ -281,39 +268,35 @@ class Scenario:
 
 
 def load_scenario(path_or_name: str):
-    """Load a scenario from a file path or a built-in name."""
-    import importlib.resources as resources
-    import os
-
-    name = path_or_name
+    """The scenario in a file, or the built-in scenario of that name; a
+    ScenarioFileError if it cannot be read as JSON."""
     if os.path.exists(path_or_name):
-        with open(path_or_name, "rb") as fh:
-            raw = fh.read()
         try:
-            data = json.loads(raw.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ScenarioError(f"scenario is not UTF-8 text: {exc}") from None
-        except RecursionError:
-            raise ScenarioError("scenario JSON is nested too deeply") from None
+            with open(path_or_name, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise ScenarioFileError(f"cannot read scenario file: {exc.strerror}") from None
         name = os.path.splitext(os.path.basename(path_or_name))[0]
-        return Scenario(data, name)
-    builtin = path_or_name.split("/")[-1]
+    else:
+        name = path_or_name.split("/")[-1]
+        try:
+            folder = resources.files("coiso").joinpath("scenarios")
+            raw = folder.joinpath(f"{name}.json").read_bytes()
+        except (OSError, ValueError, ModuleNotFoundError):  # ValueError: a NUL in the name
+            raise ScenarioFileError(
+                f"scenario {path_or_name!r}: no such file or built-in scenario"
+            ) from None
     try:
-        text = (
-            resources.files("coiso")
-            .joinpath("scenarios")
-            .joinpath(f"{builtin}.json")
-            .read_text(encoding="utf-8")
-        )
-    except (FileNotFoundError, ModuleNotFoundError):
-        raise ScenarioError(
-            f"scenario {path_or_name!r}: no such file or built-in scenario"
-        ) from None
-    return Scenario(json.loads(text), builtin)
+        data = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioFileError(f"scenario is not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise ScenarioFileError("scenario JSON is nested too deeply") from None
+    except ValueError as exc:
+        raise ScenarioFileError(f"scenario parse error: {exc}") from None
+    return Scenario(data, name)
 
 
 def builtin_names():
-    import importlib.resources as resources
-
     folder = resources.files("coiso").joinpath("scenarios")
     return sorted(p.name[: -len(".json")] for p in folder.iterdir() if p.name.endswith(".json"))

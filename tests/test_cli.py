@@ -1,11 +1,14 @@
 """Scenario front end: parsing, reports, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import random
 import sys
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coiso.cli import main, TASKS
 from coiso.scenario import Scenario, ScenarioError, load_scenario
@@ -68,6 +71,10 @@ def test_validation_error_exit_code(tmp_path, capsys):
         ({"jacobi": {"p": [{"idx": [0, 7], "coef": "1"}], "q": []}}, "check-jacobi"),
         # an index must be an integer
         ({"jacobi": {"p": [{"idx": ["a", 1], "coef": "1"}], "q": []}}, "check-jacobi"),
+        # one item per term: [0, 1] twice would keep only the last coefficient,
+        # and [1, 0] is the same term
+        ({"jacobi": {"p": [{"idx": [0, 1], "coef": "1"}, {"idx": [1, 0], "coef": "-1"}]}}, "check-jacobi"),
+        ({"lcs": {"omega": [{"idx": [0, 1], "coef": "1"}] * 2}}, "check-jacobi"),
         # omega = (1 + y_1) dph_1 ^ dy_1 has the non-unit determinant (1 + y_1)^2
         ({"lcs": {"omega": [{"idx": [0, 1], "coef": "1 + y_1"}]}}, "check-jacobi"),
     ]
@@ -90,6 +97,12 @@ def test_validation_error_exit_code(tmp_path, capsys):
     bad = _builtin_data("torus-obstructed")
     bad["transversal"]["F_ab"] = [[["0", "0"], ["0", "0"]]]
     cases.append((bad, "transversal-crosscheck"))
+    # schema version 2, a second structure block, and no structure block
+    for change in ({"schema": 2}, {"jet": {}}):
+        cases.append((dict(_builtin_data("torus-obstructed"), **change), "check-jacobi"))
+    bad = _builtin_data("torus-obstructed")
+    del bad["contact"]
+    cases.append((bad, "check-jacobi"))
     for data, task in cases:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(data))
@@ -136,8 +149,8 @@ def test_chart_block_not_an_object(tmp_path, capsys):
     data["chart"] = []
     path = _write_scenario(tmp_path, data)
     code, out, err = run_cli(["--scenario", path, "--task", "check-jacobi"], capsys)
-    assert code == 1 and out == ""
-    assert "invalid chart block" in err and len(err.splitlines()) == 1
+    assert code == 2 and out == ""
+    assert "chart block" in err and len(err.splitlines()) == 1
 
 
 def test_expression_nested_too_deeply(tmp_path, capsys):
@@ -211,67 +224,83 @@ def _block_key_case(kind, key, task, value=MISSING, label=""):
     return pytest.param(kind, key, task, value, id=f"{kind}-{key}{shown}-{task}")
 
 
-@pytest.mark.parametrize(
-    "kind, key, task, value",
-    [
-        _block_key_case("contact", "theta", "check-jacobi"),
-        _block_key_case("contact", "reeb", "check-jacobi"),
-        _block_key_case("contact", "frame", "check-jacobi"),
-        _block_key_case("lcs", "omega", "check-jacobi"),
-        _block_key_case("section", "components", "mc"),
-        _block_key_case("transversal", "frame_a", "transversal-crosscheck"),
-        _block_key_case("transversal", "frame_z", "transversal-crosscheck"),
-        _block_key_case("transversal", "omega", "transversal-crosscheck"),
-        # present, but not an object (or a list of objects)
-        _block_key_case("contact", "theta", "check-jacobi", [1], "list"),
-        _block_key_case("contact", "reeb", "check-jacobi", "1", "string"),
-        _block_key_case("contact", "frame", "check-jacobi", {"ph_1": "1"}, "object"),
-        _block_key_case("contact", "frame", "check-jacobi", [[1]], "list-entry"),
-        _block_key_case("transversal", "frame_a", "transversal-crosscheck", [["1"]], "list-entry"),
-        _block_key_case("transversal", "frame_z", "transversal-crosscheck", ["1"], "list"),
-        # present, but not a list: a string of components would load
-        # character by character ("00" as the zero section)
-        _block_key_case("section", "components", "coisotropic", "00", "string"),
-        _block_key_case("section", "components", "mc", 5, "number"),
-        _block_key_case("lcs", "omega", "check-jacobi", 5, "number"),
-        _block_key_case("lcs", "omega", "check-jacobi", {"idx": [0, 1], "coef": "1"}, "object"),
-        _block_key_case("lcs", "theta1", "check-jacobi", 5, "number"),
-        _block_key_case("lcs", "theta1", "check-jacobi", {"idx": [0], "coef": "1"}, "object"),
-        # present, but not a positive integer, an integer key or the trivial connection
-        _block_key_case("formal", "order", "prolong", "x", "string"),
-        _block_key_case("formal", "order", "prolong", 0, "zero"),
-        _block_key_case("formal", "order", "prolong", -2, "negative"),
-        _block_key_case("formal", "order", "prolong", True, "bool"),
-        _block_key_case("formal", "order", "prolong", 4.0, "float"),
-        _block_key_case(
-            "transversal", "F_ab", "transversal-crosscheck", {"x": [["0", "0"], ["0", "0"]]}, "key"
-        ),
-        _block_key_case("transversal", "F_a", "transversal-crosscheck", {"1.5": ["0", "0"]}, "key"),
-        # present, but a number where a list belongs, of the wrong shape, or
-        # keyed outside the leaf indices 0, 1
-        _block_key_case("transversal", "C", "transversal-crosscheck", 0, "number"),
-        _block_key_case("transversal", "omega", "transversal-crosscheck", [["0", "-1"], 1], "row-number"),
-        _block_key_case("transversal", "omega", "transversal-crosscheck", [["0", "-1"]], "one-row"),
-        _block_key_case("transversal", "omega", "transversal-crosscheck", [["0"], ["1"]], "one-column"),
-        _block_key_case("transversal", "F_ab", "transversal-crosscheck", {"0": 1}, "number"),
-        _block_key_case("transversal", "F_ab", "transversal-crosscheck", {"0": [["0", "0"]]}, "one-row"),
-        _block_key_case("transversal", "F_a", "transversal-crosscheck", {"0": 1}, "number"),
-        _block_key_case("transversal", "F_a", "transversal-crosscheck", {"0": ["0"]}, "short"),
-        _block_key_case(
-            "transversal", "F_ab", "transversal-crosscheck", {"9": [["0", "0"], ["0", "0"]]}, "leaf"
-        ),
-        _block_key_case("transversal", "F_a", "transversal-crosscheck", {"9": ["0", "0"]}, "leaf"),
-        _block_key_case("bfv", "connection", "bfv-lift", "curved", "curved"),
-        _block_key_case("bfv", "connection", "brst-charge", "curved", "curved"),
-        # a key the block does not take, such as a misspelt "theta1" (which
-        # would otherwise load as theta1 = 0)
-        _block_key_case("lcs", "Theta1", "check-jacobi", [], "unknown"),
-        _block_key_case("contact", "Reeb", "check-jacobi", {}, "unknown"),
-        _block_key_case("transversal", "c", "transversal-crosscheck", ["1", "0"], "unknown"),
-        _block_key_case("section", "component", "mc", [], "unknown"),
-        _block_key_case("formal", "Order", "prolong", 4, "unknown"),
-    ],
-)
+BLOCK_KEY_CASES = [
+    _block_key_case("contact", "theta", "check-jacobi"),
+    _block_key_case("contact", "reeb", "check-jacobi"),
+    _block_key_case("contact", "frame", "check-jacobi"),
+    _block_key_case("lcs", "omega", "check-jacobi"),
+    _block_key_case("section", "components", "mc"),
+    _block_key_case("transversal", "frame_a", "transversal-crosscheck"),
+    _block_key_case("transversal", "frame_z", "transversal-crosscheck"),
+    _block_key_case("transversal", "omega", "transversal-crosscheck"),
+    # present, but not an object (or a list of objects)
+    _block_key_case("contact", "theta", "check-jacobi", [1], "list"),
+    _block_key_case("contact", "reeb", "check-jacobi", "1", "string"),
+    _block_key_case("contact", "frame", "check-jacobi", {"ph_1": "1"}, "object"),
+    _block_key_case("contact", "frame", "check-jacobi", [[1]], "list-entry"),
+    _block_key_case("transversal", "frame_a", "transversal-crosscheck", [["1"]], "list-entry"),
+    _block_key_case("transversal", "frame_z", "transversal-crosscheck", ["1"], "list"),
+    # present, but not a list: a string of components would load
+    # character by character ("00" as the zero section)
+    _block_key_case("section", "components", "coisotropic", "00", "string"),
+    _block_key_case("section", "components", "mc", 5, "number"),
+    _block_key_case("lcs", "omega", "check-jacobi", 5, "number"),
+    _block_key_case("lcs", "omega", "check-jacobi", {"idx": [0, 1], "coef": "1"}, "object"),
+    _block_key_case("lcs", "theta1", "check-jacobi", 5, "number"),
+    _block_key_case("lcs", "theta1", "check-jacobi", {"idx": [0], "coef": "1"}, "object"),
+    # present, but not a positive integer, an integer key or the trivial connection
+    _block_key_case("formal", "order", "prolong", "x", "string"),
+    _block_key_case("formal", "order", "prolong", 0, "zero"),
+    _block_key_case("formal", "order", "prolong", -2, "negative"),
+    _block_key_case("formal", "order", "prolong", True, "bool"),
+    _block_key_case("formal", "order", "prolong", 4.0, "float"),
+    _block_key_case(
+        "transversal", "F_ab", "transversal-crosscheck", {"x": [["0", "0"], ["0", "0"]]}, "key"
+    ),
+    _block_key_case("transversal", "F_a", "transversal-crosscheck", {"1.5": ["0", "0"]}, "key"),
+    # present, but a number where a list belongs, of the wrong shape, or
+    # keyed outside the leaf indices 0, 1
+    _block_key_case("transversal", "C", "transversal-crosscheck", 0, "number"),
+    _block_key_case("transversal", "omega", "transversal-crosscheck", [["0", "-1"], 1], "row-number"),
+    _block_key_case("transversal", "omega", "transversal-crosscheck", [["0", "-1"]], "one-row"),
+    _block_key_case("transversal", "omega", "transversal-crosscheck", [["0"], ["1"]], "one-column"),
+    _block_key_case("transversal", "F_ab", "transversal-crosscheck", {"0": 1}, "number"),
+    _block_key_case("transversal", "F_ab", "transversal-crosscheck", {"0": [["0", "0"]]}, "one-row"),
+    _block_key_case("transversal", "F_a", "transversal-crosscheck", {"0": 1}, "number"),
+    _block_key_case("transversal", "F_a", "transversal-crosscheck", {"0": ["0"]}, "short"),
+    _block_key_case(
+        "transversal", "F_ab", "transversal-crosscheck", {"9": [["0", "0"], ["0", "0"]]}, "leaf"
+    ),
+    _block_key_case("transversal", "F_a", "transversal-crosscheck", {"9": ["0", "0"]}, "leaf"),
+    _block_key_case("bfv", "connection", "bfv-lift", "curved", "curved"),
+    _block_key_case("bfv", "connection", "brst-charge", "curved", "curved"),
+    # a key the block does not take, such as a misspelt "theta1" (which
+    # would otherwise load as theta1 = 0)
+    _block_key_case("lcs", "Theta1", "check-jacobi", [], "unknown"),
+    _block_key_case("contact", "Reeb", "check-jacobi", {}, "unknown"),
+    _block_key_case("transversal", "c", "transversal-crosscheck", ["1", "0"], "unknown"),
+    _block_key_case("section", "component", "mc", [], "unknown"),
+    _block_key_case("formal", "Order", "prolong", 4, "unknown"),
+    # fewer leaf coordinates than fiber coordinates: the cross-check
+    # pairs fiber frame form i with leaf coordinate i
+    _block_key_case("chart", "leaf", "transversal-crosscheck", ["ph_2"], "one-leaf"),
+]
+
+
+def _as_check_jacobi(cases):
+    """The cases of the blocks check-jacobi does not read (section,
+    transversal, formal, bfv), each block and value once, run by
+    check-jacobi: the schema finds the error at load."""
+    out = {}
+    for case in cases:
+        kind, key, task, value = case.values
+        if kind in ("section", "transversal", "formal", "bfv"):
+            param = pytest.param(kind, key, "check-jacobi", value, id=f"{case.id}-as-check-jacobi")
+            out.setdefault(repr((kind, key, value)), param)
+    return list(out.values())
+
+
+@pytest.mark.parametrize("kind, key, task, value", BLOCK_KEY_CASES + _as_check_jacobi(BLOCK_KEY_CASES))
 def test_missing_block_key(tmp_path, capsys, kind, key, task, value):
     data = dict(LCS_T2) if kind == "lcs" else _builtin_data("torus-obstructed")
     data[kind] = {k: v for k, v in data[kind].items() if k != key}
@@ -288,26 +317,26 @@ def test_missing_block_key(tmp_path, capsys, kind, key, task, value):
 def test_chart_names_are_lists_of_strings(tmp_path, capsys, key, value):
     """A chart whose torus, fiber or leaf is not a list of names (the
     string "ph_1" would otherwise be the torus p, h, _, 1) is invalid:
-    exit 1."""
+    exit 2."""
     chart = {"torus": ["ph_1"], "fiber": ["y_1"], "leaf": []}
     data = {"schema": 1, "chart": dict(chart, **{key: value}), "jacobi": {"p": [], "q": []}}
     code, out, err = run_cli(["--scenario", _write_scenario(tmp_path, data), "--task", "check-jacobi"], capsys)
-    assert code == 1 and out == ""
-    assert "invalid chart block" in err and repr(key) in err and len(err.splitlines()) == 1
+    assert code == 2 and out == ""
+    assert f"chart {key!r}" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("key, value", [("Leaf", ["ph_1", "ph_2"]), ("base", [])])
 @pytest.mark.parametrize("task", ["check-jacobi", "kuranishi"])
 def test_chart_keys_are_closed(tmp_path, capsys, key, value, task):
     """A chart key other than torus, fiber and leaf (a misspelt "Leaf" would
-    otherwise load a chart without leaf coordinates) is invalid: exit 1, one
+    otherwise load a chart without leaf coordinates) is invalid: exit 2, one
     line naming the key."""
     data = _builtin_data("torus-obstructed")
     data["chart"].pop(key.lower(), None)
     data["chart"][key] = value
     code, out, err = run_cli(["--scenario", _write_scenario(tmp_path, data), "--task", task], capsys)
-    assert code == 1 and out == ""
-    assert "invalid chart block" in err and repr(key) in err and len(err.splitlines()) == 1
+    assert code == 2 and out == ""
+    assert "chart block" in err and repr(key) in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("key, value", [("Formal", {"order": 5}), ("note", "a remark")])
@@ -557,3 +586,90 @@ def test_job_squares_the_structure_once(monkeypatch, capsys, scenario):
     assert code == 0, err
     assert len(squared) == 1 and squared[0].arity == 2
     assert json.loads(out)["tasks"]["check-jacobi"]["jacobiator_zero"] is True
+
+
+# -- fuzzing the scenario format ---------------------------------------------------
+
+# values a mutation puts in the document: any JSON, and expressions
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats(-2, 9) | st.text("ph_12yz0*()-", max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from("xC0"), inner, max_size=2),
+    max_leaves=4,
+)
+EXPRESSIONS = st.sampled_from(
+    ["0", "1", "-1/2", "i", "y_1", "p_1*z", "sin(ph_3)", "cos(ph_1)*y_2", "exp(I*2*ph_2)", "ph_1", "sin(", ""]
+)
+# keys a mutation adds: unknown ones, and known ones in new places
+NEW_KEYS = ("x", "0", "1", "C", "F_a", "jet", "leaf", "order", "section", "theta1")
+
+
+def _json_paths(value, path=()):
+    """The path (keys and indices from the root) of every value inside value."""
+    entries = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, entry in entries:
+        yield path + (key,)
+        yield from _json_paths(entry, path + (key,))
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """The bytes of a built-in scenario after one or two mutations of its
+    JSON (a value replaced by any JSON value or by an expression, a key or
+    list entry deleted, a key added or a list grown, a value nested in
+    lists) and, one time in four, of one byte (overwritten, inserted or
+    deleted)."""
+    doc = _builtin_data(draw(st.sampled_from(sorted(BUILTIN_JOBS))))
+    for _ in range(draw(st.integers(1, 2))):
+        # a Random spreads the paths more evenly than sampled_from does
+        path = draw(st.randoms(use_true_random=False)).choice(list(_json_paths(doc)))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key, old = path[-1], parent[path[-1]]
+        op = draw(st.sampled_from(("retype", "rewrite", "delete", "grow", "nest")))
+        if op == "retype" or (op == "grow" and not isinstance(old, (dict, list))):
+            parent[key] = draw(JSON_VALUES)
+        elif op == "rewrite":
+            parent[key] = draw(EXPRESSIONS if isinstance(old, str) else st.integers(-2, 9))
+        elif op == "delete":
+            del parent[key]
+        elif op == "grow" and isinstance(old, dict):
+            old[draw(st.sampled_from(NEW_KEYS))] = draw(EXPRESSIONS | JSON_VALUES)
+        elif op == "grow":
+            old.append(old[-1] if old and draw(st.booleans()) else draw(JSON_VALUES))
+        else:
+            for _ in range(draw(st.integers(1, 3))):
+                parent[key] = [parent[key]]
+    raw = json.dumps(doc).encode()
+    if draw(st.integers(0, 3)) == 3:
+        at = draw(st.integers(0, len(raw) - 1))
+        byte = bytes([draw(st.integers(0, 255))])
+        raw = draw(st.sampled_from((raw[:at] + byte + raw[at + 1 :], raw[:at] + byte + raw[at:], raw[:at] + raw[at + 1 :])))
+    return raw
+
+
+def _one_leaf_crosscheck():
+    data = _builtin_data("torus-obstructed")
+    data["chart"]["leaf"] = ["ph_2"]
+    return json.dumps(data).encode()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    raw=_mutated_scenarios(),
+    task=st.sampled_from(
+        ["check-jacobi", "coisotropic", "mc", "multibrackets:2", "prolong:1", "transversal-crosscheck", "bfv-lift"]
+    ),
+)
+@example(raw=_one_leaf_crosscheck(), task="transversal-crosscheck")
+def test_mutated_scenarios_end_in_an_exit_code(tmp_path_factory, raw, task):
+    """Whatever a mutation does to a built-in scenario, main returns an exit
+    code of 0 to 3 and, unless it succeeds, writes one line: no exception
+    escapes it."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_bytes(raw)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--scenario", str(path), "--task", task])
+    assert code in (0, 1, 2, 3)
+    assert code == 0 or len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -10,6 +10,7 @@ from coiso.rational import GaussianRational
 from coiso.ring import (
     Chart,
     ChartError,
+    PowerTable,
     ScalarFn,
     inverse_unit,
     mat_eq,
@@ -250,16 +251,21 @@ def _substitution_targets(name):
 @given(_fourier_polys(3), st.tuples(_substitution_targets("y_1"), _substitution_targets("y_2")))
 def test_substitute_fiber_matches_tpoly_route(f, targets):
     """The power-table substitution equals the t-free case of the
-    t-polynomial route: each target a constant TPoly, read at degree 0."""
+    t-polynomial route: each target a constant TPoly, read at degree 0.  A
+    table passed for the targets gives the same, also to a second function
+    that reads the powers the first one built."""
     path = {name: TPoly.const(g) for name, g in zip(PATH_CHART.fiber, targets)}
     assert f.substitute_fiber(targets) == substitute_fiber_t(f, path).at_zero_degree()
+    table = PowerTable(PATH_CHART, targets)
+    for g in (f.partial("y_1"), f):
+        assert g.substitute_fiber(table) == substitute_fiber_t(g, path).at_zero_degree()
 
 
 def test_substitute_fiber_needs_one_target_per_fiber_coordinate():
     f = ScalarFn.y(PATH_CHART, "y_1")
     y1, y2 = ScalarFn.y(PATH_CHART, "y_1"), ScalarFn.y(PATH_CHART, "y_2")
     other = ScalarFn.one(Chart(torus=("ph_2",), fiber=("y_1", "y_2")))
-    for targets in ([y1], [y1, y2, y1], [y1, other]):
+    for targets in ([y1], [y1, y2, y1], [y1, other], PowerTable(other.chart, [other, other])):
         with pytest.raises(ChartError):
             f.substitute_fiber(targets)
 
