@@ -35,15 +35,17 @@ class Form(SkewTerms):
     __slots__ = ()
 
     def d(self) -> "Form":
-        return self._exterior_d(list(enumerate(self.chart.coords)))
+        return self._exterior_d([(i, i) for i in range(self.chart.dim)])
 
     def pair_vector(self, X: MultiVectorField) -> ScalarFn:
-        """<theta, X> for a 1-form and vector field."""
+        """<theta, X> for a 1-form and vector field, summed over the keys
+        both carry."""
         if self.degree != 1 or X.degree != 1:
             raise GeometryError("pairing needs a 1-form and a vector field")
-        return ScalarFn.zero(self.chart).plus(
-            f * X.coefficient((i,)) for (i,), f in self.terms.items()
-        )
+        if X.chart != self.chart:
+            raise ChartError("pairing operands differ in chart")
+        x = X.terms
+        return ScalarFn.zero(self.chart).plus(f * x[k] for k, f in self.terms.items() if k in x)
 
 
 def _inverse(chart: Chart, A):

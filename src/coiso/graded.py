@@ -446,8 +446,11 @@ def _act(symbol, ghost, f, partials):
     if symbol < DXI:  # dx(i)
         df = partials.get(symbol)
         if df is None:
-            df = partials[symbol] = f.partial_index(_index(symbol))
-        return None if df.is_zero() else (1, ghost, df)
+            i = _index(symbol)
+            if not f.mask >> i & 1:
+                return None
+            df = partials[symbol] = f.partial_index(i)
+        return 1, ghost, df
     target = symbol - _TARGET
     if target in ghost:
         pos = ghost.index(target)
@@ -587,9 +590,12 @@ class ContractionOne:
         pairs = [((slot,), one)]
         for A in range(self.rank):
             for B in range(self.rank):
-                euler = slot == M and A == B
-                pairs.append(((_letter(XI, B), _letter(DXI, A)), (gamma[A][B] - one) if euler else gamma[A][B]))
-                pairs.append(((_letter(XIS, B), _letter(DXIS, A)), -gamma[B][A]))
+                if slot == M and A == B:
+                    pairs.append(((_letter(XI, B), _letter(DXI, A)), gamma[A][B] - one))
+                elif not gamma[A][B].is_zero():
+                    pairs.append(((_letter(XI, B), _letter(DXI, A)), gamma[A][B]))
+                if not gamma[B][A].is_zero():
+                    pairs.append(((_letter(XIS, B), _letter(DXIS, A)), -gamma[B][A]))
         return GradedElement.zero(self.chart, self.rank)._sum(pairs)
 
     def inabla_symbol(self, letter) -> GradedElement:
@@ -788,11 +794,11 @@ class ContractionTwo:
                     raise GradedError("h acts on sections")
                 nxis = sum(1 for x in letters if XIS <= x < M)
                 sign = 1 if sum(x & 1 for x in letters) & 1 else -1
+                mask = f.mask >> self.chart.k
                 for A, name in enumerate(self.chart.fiber):
-                    dfa = f.partial(name)
-                    if dfa.is_zero():
+                    if not mask >> A & 1:
                         continue
-                    p_a = dfa.path_integral(self.powers, nxis)
+                    p_a = f.partial(name).path_integral(self.powers, nxis)
                     yield letters + (_letter(XIS, A),), _signed(p_a, sign)
 
         return lam._like(accumulate({}, _canonical(pairs())))

@@ -40,7 +40,8 @@ class LeafForm(SkewTerms):
     def d_leaf(self) -> "LeafForm":
         """Leafwise exterior derivative d_F, using the a-th leaf coordinate
         as the direction paired with the a-th normal frame vector."""
-        return self._exterior_d(list(enumerate(self._leaf_names())))
+        self._leaf_names()  # ChartError unless one leaf coordinate per fiber direction
+        return self._exterior_d(list(enumerate(self.chart.leaf_indices())))
 
     def leaf_zero_mode(self) -> "LeafForm":
         """Projector Pi_0: keep only terms with zero frequency in every leaf

@@ -9,8 +9,8 @@ P o Q, the insertion of Q into the first slot of P, in coordinates:
 
     (P o Q)^K = sum_{unshuffles K -> (I, R)} sign * sum_i d_i Q^I * P^{(i,) + R}.
 
-It is driven by the terms: for each Q term (I, g) and each coordinate i with
-d_i g != 0, every P term (L, f) with i = L[pos] contributes
+It is driven by the terms: for each Q term (I, g) and each coordinate i in
+g's mask (so d_i g != 0), every P term (L, f) with i = L[pos] contributes
 (-1)^pos d_i g * f to the key K = sort(I + R), R = L without i, with the
 sign of that merge.  Intersecting I and R contribute nothing.
 """
@@ -120,16 +120,18 @@ class SkewTerms(SparseTerms):
         return type(self)(self.chart, self.degree + other.degree, accumulate({}, pairs()))
 
     def _exterior_d(self, directions):
-        """sum_i d_i f  e_i ^ e_key over (index i, coordinate name) directions."""
+        """sum_i d_c f  e_i ^ e_key over (key index i, chart index c)
+        directions; only the coordinates f depends on are differentiated."""
 
         def pairs():
             for k, f in self.terms.items():
-                for i, name in directions:
-                    df = f.partial(name)
-                    if df.is_zero():
+                mask = f.mask
+                for i, c in directions:
+                    if not mask >> c & 1:
                         continue
                     sign, key = merge_sign((i,), k)
                     if sign:
+                        df = f.partial_index(c)
                         yield key, (df if sign == 1 else -df)
 
         return type(self)(self.chart, self.degree + 1, accumulate({}, pairs()))
@@ -168,14 +170,18 @@ class MultiVectorField(SkewTerms):
         """First-slot insertion P(g, -, ..., -) for degree >= 1."""
         if self.degree == 0:
             raise ChartError("cannot insert into a degree-0 multivector")
-        dg = [g.partial_index(i) for i in range(self.chart.dim)]
-        pairs = (
-            (key[:pos] + key[pos + 1 :], dg[i] * c if pos % 2 == 0 else -(dg[i] * c))
-            for key, c in self.terms.items()
-            for pos, i in enumerate(key)
-            if not dg[i].is_zero()
-        )
-        return MultiVectorField(self.chart, self.degree - 1, accumulate({}, pairs))
+        mask, dg = g.mask, {}
+
+        def pairs():
+            for key, c in self.terms.items():
+                for pos, i in enumerate(key):
+                    if mask >> i & 1:
+                        d = dg.get(i)
+                        if d is None:
+                            d = dg[i] = g.partial_index(i)
+                        yield key[:pos] + key[pos + 1 :], d * c if pos % 2 == 0 else -(d * c)
+
+        return MultiVectorField(self.chart, self.degree - 1, accumulate({}, pairs()))
 
     # -- Schouten-Nijenhuis ----------------------------------------------------
 
@@ -200,10 +206,11 @@ class MultiVectorField(SkewTerms):
 
         def pairs():
             for qk, g in other.terms.items():
+                mask = g.mask
                 for i, entries in slots.items():
-                    di = g.partial_index(i)
-                    if di.is_zero():
+                    if not mask >> i & 1:
                         continue
+                    di = g.partial_index(i)
                     for rest, c in entries:
                         sign, key = merge_sign(qk, rest)
                         if sign:
@@ -227,8 +234,9 @@ class MultiVectorField(SkewTerms):
         """X(f) for a vector field."""
         if self.degree != 1:
             raise ChartError("lie_derivative_fn needs a vector field")
+        mask = f.mask
         return ScalarFn.zero(self.chart).plus(
-            c * f.partial_index(i) for (i,), c in self.terms.items()
+            c * f.partial_index(i) for (i,), c in self.terms.items() if mask >> i & 1
         )
 
     # -- display ---------------------------------------------------------------

@@ -28,6 +28,19 @@ closed form (binomial expansion and the Beta integral).  Both read the
 products of powers of the targets from a ``PowerTable``, which a caller
 passes for targets it substitutes into many times (a section).
 
+Structural zeros.  Most coefficients of the calculus depend on few of the
+chart's coordinates, so most of their partial derivatives, and the products
+with them, are zero before anything is computed.  ``ScalarFn.mask`` is the
+set of coordinates a function depends on, as an int: bit i is set iff some
+term has a nonzero frequency or exponent in chart coordinate i (torus
+coordinates first).  The mask is exact: it is computed from the terms
+themselves, never taken from a caller's claim, the first time it is read,
+and then kept in a slot.  A term's derivative along a coordinate it carries is a nonzero
+multiple of it, and distinct terms stay distinct, so ``partial_index(i)``
+is zero iff bit i is clear; callers test the bit and skip the derivative
+(and every product with it).  A product with a zero operand is the zero
+of the same chart, and ``mat_mul`` shares one zero among its empty entries.
+
 Matrices over the ring are lists of rows of ScalarFns.  ``inverse_unit``
 is the one matrix inverse of the library; it needs a determinant that is
 a unit of the ring, which ``unit_inverse`` then inverts.
@@ -211,8 +224,21 @@ def _monomial(chart, n, alpha, c):
     """The ScalarFn c * exp(i n.phi) * y^alpha of a nonzero c and exponents
     of the chart's shape, built without revalidating them."""
     f = object.__new__(ScalarFn)
-    f.chart, f.terms = chart, {(n, alpha): c}
+    f.chart, f.terms, f._mask = chart, {(n, alpha): c}, None
     return f
+
+
+def _mask_of(terms) -> int:
+    """The coordinates the terms depend on: bit i set iff some key has a
+    nonzero entry at chart index i (torus frequencies, then fiber exponents)."""
+    mask = 0
+    for n, alpha in terms:
+        bit = 1
+        for v in n + alpha:
+            if v:
+                mask |= bit
+            bit <<= 1
+    return mask
 
 
 def _checked_terms(chart, terms):
@@ -270,11 +296,27 @@ class ScalarFn(SparseTerms):
     terms maps (n, alpha) -> GaussianRational with n in Z^k, alpha in N^m.
     """
 
-    __slots__ = ()
+    __slots__ = ("_mask",)
 
     def __init__(self, chart: Chart, terms=None):
         self.chart = chart
         self.terms = accumulate({}, _checked_terms(chart, terms)) if terms else {}
+        self._mask = None
+
+    def _like(self, terms):
+        r = object.__new__(ScalarFn)
+        r.chart, r.terms, r._mask = self.chart, terms, None
+        return r
+
+    @property
+    def mask(self) -> int:
+        """The coordinates this function depends on, as a bit mask over chart
+        indices (see the module docstring); computed from the terms on first
+        read and kept."""
+        mask = self._mask
+        if mask is None:
+            mask = self._mask = _mask_of(self.terms)
+        return mask
 
     # -- constructors -----------------------------------------------------
 
@@ -296,6 +338,8 @@ class ScalarFn(SparseTerms):
     @staticmethod
     def exp_phi(chart: Chart, coord: str, n: int = 1) -> "ScalarFn":
         """exp(i n phi_coord)."""
+        if coord not in chart.torus:
+            raise ChartError(f"{coord!r} is not a torus coordinate")
         j = chart.torus.index(coord)
         nn = [0] * chart.k
         nn[j] = n
@@ -315,6 +359,8 @@ class ScalarFn(SparseTerms):
 
     @staticmethod
     def y(chart: Chart, coord: str, p: int = 1) -> "ScalarFn":
+        if coord not in chart.fiber:
+            raise ChartError(f"{coord!r} is not a fiber coordinate")
         a = chart.fiber.index(coord)
         alpha = [0] * chart.m
         alpha[a] = p
@@ -345,6 +391,10 @@ class ScalarFn(SparseTerms):
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         self._check(other)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         return self._like(
             accumulate(
                 {},
@@ -397,7 +447,12 @@ class ScalarFn(SparseTerms):
         raise ChartError(f"unknown coordinate {coord!r}")
 
     def partial_index(self, i: int) -> "ScalarFn":
-        return self.partial(self.chart.coords[i])
+        """Partial derivative along chart coordinate i (torus first); zero
+        iff bit i of the mask is clear."""
+        coords = self.chart.coords
+        if not 0 <= i < len(coords):
+            raise ChartError(f"coordinate index {i} out of range for a chart of dimension {len(coords)}")
+        return self.partial(coords[i])
 
     def _power_table(self, targets) -> PowerTable:
         """targets as a PowerTable of this chart: itself if it is one."""
@@ -560,10 +615,18 @@ def dot(chart: Chart, row, col) -> ScalarFn:
 
 
 def mat_mul(chart: Chart, A, B):
-    """A B, reading the nonzero entries of each column of B once."""
+    """A B, reading the nonzero entries of each column of B once; an entry
+    with no nonzero product is one zero shared by the whole result."""
     zero = ScalarFn.zero(chart)
     cols = [[(k, b) for k, b in enumerate(col) if not b.is_zero()] for col in zip(*B)]
-    return [[zero.plus(row[k] * b for k, b in col if not row[k].is_zero()) for col in cols] for row in A]
+    out = []
+    for row in A:
+        out_row = []
+        for col in cols:
+            products = [row[k] * b for k, b in col if not row[k].is_zero()]
+            out_row.append(zero.plus(products) if products else zero)
+        out.append(out_row)
+    return out
 
 
 def mat_eq(A, B) -> bool:
@@ -571,10 +634,8 @@ def mat_eq(A, B) -> bool:
 
 
 def mat_identity(chart: Chart, n: int):
-    return [
-        [ScalarFn.one(chart) if i == j else ScalarFn.zero(chart) for j in range(n)]
-        for i in range(n)
-    ]
+    zero, one = ScalarFn.zero(chart), ScalarFn.one(chart)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def inverse_unit(chart: Chart, A):

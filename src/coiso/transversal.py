@@ -129,9 +129,6 @@ class TransversalData:
 
     # -- transversal jet tables ------------------------------------------------
 
-    def _leaf_coord(self, i):
-        return self.leaf[i]
-
     def _leaf_chart_index(self, i):
         return self.chart.index(self.leaf[i])
 
@@ -150,16 +147,19 @@ class TransversalData:
         comps.append(self.G.lie_derivative_fn(f))
         return comps
 
+    def _d_leaf(self, f: ScalarFn, h) -> ScalarFn:
+        """d f / d x^h, skipped (zero) when f does not depend on x^h."""
+        c = self._leaf_chart_index(h)
+        return f.partial_index(c) if f.mask >> c & 1 else ScalarFn.zero(self.chart)
+
     def jG1(self, i):
         """Component matrix of j^1_G(d_F x^i (x) mu): entry [h][alpha]."""
         chart = self.chart
+        comps = [self.G_comp(a, i) for a in range(self.A + 1)]
         rows = []
         for h in range(self.nleaf):
-            xh = self._leaf_coord(h)
             row = [ScalarFn.one(chart) if h == i else ScalarFn.zero(chart)]
-            for a in range(self.A):
-                row.append(self.G_comp(a, i).partial(xh))
-            row.append(self.G_comp(self.A, i).partial(xh))
+            row += [self._d_leaf(g, h) for g in comps]
             rows.append(row)
         return rows
 
@@ -181,15 +181,7 @@ class TransversalData:
         if k == 1:
             if fns:
                 f = fns[0]
-                return LeafForm(
-                    chart,
-                    1,
-                    {
-                        (h,): f.partial(self._leaf_coord(h))
-                        for h in range(self.nleaf)
-                        if not f.partial(self._leaf_coord(h)).is_zero()
-                    },
-                )
+                return LeafForm(chart, 1, {(h,): self._d_leaf(f, h) for h in range(self.nleaf)})
             (i,) = forms
             # d_F of d_F x^i (x) mu is zero: the frame forms are d_F-closed
             return LeafForm.zero(chart, 2)
@@ -214,12 +206,14 @@ class TransversalData:
                         if Y[al][be].is_zero():
                             continue
                         for u, a in left.items():
+                            if a[al].is_zero():
+                                continue
                             for v, b in right.items():
                                 if u and u == v:
                                     continue  # d_F x^s ^ d_F x^s = 0
-                                c = Y[al][be] * a[al] * b[be]
-                                if not c.is_zero():
-                                    yield u + v, c.scale(weight * mult)
+                                if not b[be].is_zero():
+                                    # the ring has no zero divisors
+                                    yield u + v, (Y[al][be] * a[al] * b[be]).scale(weight * mult)
 
         return LeafForm(chart, degree, accumulate({}, pairs()))
 
@@ -238,14 +232,8 @@ class TransversalData:
             for pos, i in enumerate(key):
                 rest = LeafForm(chart, len(key) - 1, {key[:pos] + key[pos + 1 :]: c})
                 for al in pieces:
-                    dG = LeafForm(
-                        chart,
-                        1,
-                        {
-                            (h,): self.G_comp(al, i).partial(self._leaf_coord(h))
-                            for h in range(self.nleaf)
-                        },
-                    )
+                    g = self.G_comp(al, i)
+                    dG = LeafForm(chart, 1, {(h,): self._d_leaf(g, h) for h in range(self.nleaf)})
                     if not dG.is_zero():
                         pieces[al].append(dG.wedge(rest).scale((-1) ** (pos % 2)))
         zero = LeafForm.zero(chart, omega.degree)

@@ -181,6 +181,20 @@ def test_form_keys_are_canonical():
         Form(chart, 1, {(2,): one})
 
 
+def test_pair_vector_reads_shared_keys():
+    """<theta, X> sums over the coordinates both carry; disjoint supports
+    pair to zero, and operands on different charts are refused even then."""
+    chart = Chart(torus=("ph_1", "ph_2", "ph_3"))
+    c1, s2 = ScalarFn.cos_phi(chart, "ph_1"), ScalarFn.sin_phi(chart, "ph_2")
+    theta = Form(chart, 1, {(0,): c1, (1,): s2})
+    X = MultiVectorField.vector(chart, {"ph_2": c1, "ph_3": s2})
+    assert theta.pair_vector(X) == s2 * c1
+    assert theta.pair_vector(MultiVectorField.vector(chart, {"ph_3": c1})).is_zero()
+    other = Chart(torus=("ph_1", "ph_2", "th"))
+    with pytest.raises(ChartError, match="differ in chart"):
+        theta.pair_vector(MultiVectorField.vector(other, {"th": ScalarFn.one(other)}))
+
+
 def test_lcs_nontrivial_flat_connection():
     """On T^4: theta1 = i dph_3 (closed), omega = E(ph_3, -1) dph_1 ^ dph_2
     + dph_3 ^ dph_4 satisfies d omega + omega ^ theta1 = 0 exactly."""

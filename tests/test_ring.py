@@ -295,3 +295,74 @@ def test_inverse_unit_needs_a_unit_determinant():
     for A in ([[one, y], [y, one]], [[y, y], [y, y]]):
         with pytest.raises(ChartError, match="^matrix determinant is not a unit of the ring: "):
             inverse_unit(chart, A)
+
+
+# -- structural zeros: the coordinate mask ------------------------------------
+
+MASK_CHARTS = [PATH_CHART, torus_chart()]
+
+
+def _sparse_polys(chart):
+    """Fourier polynomials on chart whose terms mostly leave a coordinate
+    out, so that masks are neither empty nor full."""
+    keys = st.tuples(
+        st.tuples(*[st.sampled_from((0, 0, 0, 1, -1, 2))] * chart.k),
+        st.tuples(*[st.sampled_from((0, 0, 1, 2))] * chart.m),
+    )
+    return st.dictionaries(keys, _coefs, max_size=4).map(lambda t: ScalarFn(chart, t))
+
+
+@pytest.mark.parametrize("chart", MASK_CHARTS, ids=["path", "torus"])
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mask_bit_iff_partial_nonzero(chart, data):
+    f = data.draw(_sparse_polys(chart))
+    assert 0 <= f.mask < 1 << chart.dim
+    for i in range(chart.dim):
+        assert bool(f.mask >> i & 1) == (not f.partial_index(i).is_zero())
+
+
+@pytest.mark.parametrize("chart", MASK_CHARTS, ids=["path", "torus"])
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mask_of_sum_and_product_within_union(chart, data):
+    f, g = data.draw(_sparse_polys(chart)), data.draw(_sparse_polys(chart))
+    union = f.mask | g.mask
+    # f - f and f * conj(f) cancel terms, so their masks shrink
+    for h in (f + g, f * g, f - f, f * f.conjugate(), f + g - f):
+        assert h.mask & ~union == 0
+    assert (f - f).mask == 0 and ScalarFn.zero(chart).mask == 0
+
+
+@pytest.mark.parametrize("chart", MASK_CHARTS, ids=["path", "torus"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_zero_operand_gives_zero_on_its_chart(chart, data):
+    f = data.draw(_sparse_polys(chart))
+    zero = ScalarFn.zero(chart)
+    for h in (f * zero, zero * f, zero * zero):
+        assert h.is_zero() and h.chart == chart and h.mask == 0
+    other = ScalarFn.zero(Chart(torus=("th",), fiber=chart.fiber))
+    for a, b in ((f, other), (other, f), (zero, other), (other, zero)):
+        with pytest.raises(ChartError, match="differ in chart"):
+            a * b
+
+
+def test_partial_index_rejects_out_of_range():
+    chart = Chart(torus=("ph",), fiber=("y",))
+    f = ScalarFn.y(chart, "y", 2)
+    assert f.partial_index(1) == ScalarFn.y(chart, "y").scale(2)
+    for i in (-1, -2, 2, 7):
+        with pytest.raises(ChartError, match=rf"^coordinate index {i} out of range"):
+            f.partial_index(i)
+
+
+def test_coordinate_constructors_check_the_kind():
+    chart = Chart(torus=("ph",), fiber=("y",))
+    for make in (ScalarFn.exp_phi, ScalarFn.sin_phi, ScalarFn.cos_phi):
+        with pytest.raises(ChartError, match="^'y' is not a torus coordinate$"):
+            make(chart, "y")
+    with pytest.raises(ChartError, match="^'ph' is not a fiber coordinate$"):
+        ScalarFn.y(chart, "ph")
+    with pytest.raises(ChartError, match="^'x' is not a fiber coordinate$"):
+        ScalarFn.y(chart, "x")
