@@ -1,5 +1,5 @@
 """Lifting Jacobi structures, BRST charges, the BFV differential, the
-generic SBSO and HPL engines, BFV Kuranishi, and geometric MC zero loci.
+generic SBSO and HPL engines, and BFV Kuranishi classes.
 
 The step-by-step obstruction engine is one recursion used by two consumers:
 the lifting (filtration by antighost bidegree on operators, N = 0) and the
@@ -8,11 +8,9 @@ BRST charge (filtration by antighost word degree on sections, N = -1).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cached_property
 
-from .ring import ChartError, PowerTable, ScalarFn, dot, inverse_unit
 from .multider import MultiDerivation
 from .multivector import MultiVectorField
 from .leafform import SectionOfNormalBundle
@@ -22,7 +20,6 @@ from .graded import (
     ContractionOne,
     ContractionTwo,
     GradedElement,
-    encode,
     hamiltonian_operator,
     jacobi_bracket,
     tautological_G,
@@ -128,39 +125,6 @@ def sbso(bracket, homotopy, obstruction, filtration, qbar, N, max_steps=16):
     raise BFVError("SBSO failed to converge within the finite filtration")
 
 
-def sbso_gauge(q0, q1, bracket, homotopy, filtration, max_steps=16):
-    """Gauge ladder between MC elements agreeing to leading filtration
-    order: a sequence of R with exp(ad_R) steps carrying q0 to q1."""
-    if not bracket(q0, q0).is_zero() or not bracket(q1, q1).is_zero():
-        raise BFVError("gauge ladder endpoints must be MC elements")
-    ladder = []
-    current = q0
-    for _ in range(max_steps):
-        diff = q1 - current
-        if diff.is_zero():
-            return ladder, current
-        r = homotopy(diff)
-        if r.is_zero():
-            raise BFVError("gauge ladder stalled")
-        ladder.append(r)
-        current = exp_ad(r, current, bracket)
-        if not bracket(current, current).is_zero():
-            raise BFVError("gauge step failed to preserve the MC equation")
-    raise BFVError("gauge ladder failed to terminate")
-
-
-def exp_ad(r, x, bracket, max_terms=16):
-    """exp(ad_r) x = sum 1/k! ad_r^k x; finite by filtration."""
-    out = x
-    term = x
-    for k in range(1, max_terms):
-        term = bracket(r, term)
-        if term.is_zero():
-            return out
-        out = out + term.scale(Fraction(1, math.factorial(k)))
-    raise BFVError("exp(ad) failed to terminate")
-
-
 # ---------------------------------------------------------------------------
 # lifting
 # ---------------------------------------------------------------------------
@@ -241,29 +205,6 @@ class Lift:
             0,
         )
 
-    def lifting_conditions_hold(self, samples):
-        """pr(0,0) of the lifted bracket agrees with {-,-}_G on mixed
-        ghost/antighost generators and with {-,-}_J on plain sections."""
-        chart, rank = self.chart, self.rank
-        for A in range(rank):
-            u = GradedElement.ghost(chart, rank, A)
-            for B in range(rank):
-                al = GradedElement.antighost(chart, rank, B)
-                lhs = jacobi_bracket(self.j_hat, u, al).pr(0, 0)
-                rhs = jacobi_bracket(self.G, u, al).pr(0, 0)
-                if not (lhs - rhs).is_zero():
-                    return False
-        for f, g in samples:
-            lhs = jacobi_bracket(
-                self.j_hat,
-                GradedElement.section(chart, rank, f),
-                GradedElement.section(chart, rank, g),
-            ).pr(0, 0)
-            expected = GradedElement.section(chart, rank, self.j.apply([f, g]))
-            if not (lhs - expected).is_zero():
-                return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # BRST charge and BFV differential
@@ -297,13 +238,6 @@ def d_bfv(lift: Lift, omega: GradedElement) -> GradedElement:
     if not op.bracket(op).is_zero():
         raise BFVError("d_BFV does not square to zero")
     return op
-
-
-def bfv_coisotropy_residual(lift: Lift, s: SectionOfNormalBundle) -> GradedElement:
-    """{Omega_E[s], Omega_E[s]}_BFV."""
-    c2 = ContractionTwo(lift.chart, lift.rank, s)
-    om = c2.omega_E()
-    return jacobi_bracket(lift.j_hat, om, om)
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +277,6 @@ class PerturbedContraction:
         """(1 - delta h)^{-1} y."""
         return geometric_series(lambda z: self.delta(self.base.homotopy(z)), y)
 
-    def projection(self, y):
-        return self.base.projection(self.series(y))
-
-    def homotopy(self, y):
-        return self.base.homotopy(self.series(y))
-
     def homotopy_projection(self, y):
         s = self.series(y)
         return self.base.homotopy(s), self.base.projection(s)
@@ -385,7 +313,7 @@ def hpl_resolution(lift: Lift, dop: GradedElement, sampler=None):
 
 
 # ---------------------------------------------------------------------------
-# BFV Kuranishi and geometric MC elements
+# BFV Kuranishi
 # ---------------------------------------------------------------------------
 
 
@@ -414,34 +342,3 @@ def _ghost_leaf_zero_mode(x: GradedElement) -> GradedElement:
     leaf = x.chart.leaf_indices()
     modes = ((letters, f.zero_mode(leaf)) for letters, f in x.terms.items())
     return x._like({letters: g for letters, g in modes if not g.is_zero()})
-
-
-def geometric_mc_zero_locus(omega: GradedElement, max_iter=12):
-    """Solve pr(1,0) Omega = sum e_A(u, y) xi^A for the section graph
-    y = g(u) with e_A(u, g(u)) = 0.
-
-    The linear-in-y part along y = 0 must be invertible (unit determinant);
-    the solution is found by the exact Newton iteration, which terminates
-    for graphs of polynomial sections.  Returns the section or raises
-    BFVError with a structured message."""
-    chart = omega.chart
-    rank = omega.rank
-    pr10 = omega.pr(1, 0)
-    e = [pr10.terms.get(encode(((XI, A),)), ScalarFn.zero(chart)) for A in range(rank)]
-    # linear part L[A][B] = d e_A / d y_B |_{y=0}
-    L = [
-        [e[A].partial(chart.fiber[B]).restrict_zero_section() for B in range(rank)]
-        for A in range(rank)
-    ]
-    try:
-        L_inv = inverse_unit(chart, L)
-    except ChartError as exc:
-        raise BFVError(f"zero locus is not a section graph: {exc}") from None
-    g = [ScalarFn.zero(chart) for _ in range(rank)]
-    for _ in range(max_iter):
-        powers = PowerTable(chart, g)
-        vals = [eA.substitute_fiber(powers) for eA in e]
-        if all(v.is_zero() for v in vals):
-            return SectionOfNormalBundle(chart, g)
-        g = [gA - dot(chart, row, vals) for gA, row in zip(g, L_inv)]
-    raise BFVError("zero locus iteration failed: locus is not a polynomial section graph")

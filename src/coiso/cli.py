@@ -5,9 +5,10 @@
 
 Reports are deterministic: identical scenario and flags produce
 byte-identical JSON.  Exit codes: 0 all tasks succeeded (a *found*
-obstruction is a success), 1 usage error or a scenario that cannot be read
-as JSON, 2 any error in a scenario's content (found by ``scenario.SCHEMA``
-as it loads, or as a task builds an artifact), 3 internal invariant violation.
+obstruction is a success), 1 usage error, a scenario that cannot be read
+as JSON or a report that cannot be written to --out, 2 any error in a
+scenario's content (found by ``scenario.SCHEMA`` as it loads, or as a task
+builds an artifact), 3 internal invariant violation.
 
 Each task is one function in ``TASKS``.  Tasks draw on artifacts of the
 scenario, each built on first use and checked once as it is built:
@@ -461,8 +462,12 @@ def main(argv=None) -> int:
 
     text = format_report(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"coiso: cannot write report: {exc}\n")
+            return 1
     else:
         sys.stdout.write(text)
     return 0

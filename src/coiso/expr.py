@@ -210,14 +210,6 @@ def scalar_to_json(f: ScalarFn) -> list:
     return out
 
 
-def scalar_from_json(chart: Chart, data: list) -> ScalarFn:
-    terms = {}
-    for item in data:
-        key = (tuple(item["torus"]), tuple(item["fiber"]))
-        terms[key] = GaussianRational(Fraction(item["re"]), Fraction(item["im"]))
-    return ScalarFn(chart, terms)
-
-
 def scalar_to_text(f: ScalarFn) -> str:
     """Readable rendering in the scenario grammar (sin/cos collected when
     a +/- frequency pair is recognized, exp otherwise)."""

@@ -211,26 +211,10 @@ class GradedElement(SparseTerms):
     def section(chart: Chart, rank: int, f: ScalarFn) -> "GradedElement":
         return GradedElement(chart, rank, {(): f})
 
-    @staticmethod
-    def ghost(chart: Chart, rank: int, A: int) -> "GradedElement":
-        return GradedElement(chart, rank, {((XI, A),): ScalarFn.one(chart)})
-
-    @staticmethod
-    def antighost(chart: Chart, rank: int, A: int) -> "GradedElement":
-        return GradedElement(chart, rank, {((XIS, A),): ScalarFn.one(chart)})
-
-    @staticmethod
-    def word(chart: Chart, rank: int, letters, f=None) -> "GradedElement":
-        f = f if f is not None else ScalarFn.one(chart)
-        return GradedElement(chart, rank, {tuple(letters): f})
-
     # -- predicates --------------------------------------------------------------
 
     def is_section(self) -> bool:
         return all(arity(l) == 0 for l in self.terms)
-
-    def max_arity(self) -> int:
-        return max((arity(l) for l in self.terms), default=0)
 
     def is_homogeneous_degree(self):
         degs = {term_degree(l) for l in self.terms}
@@ -248,10 +232,7 @@ class GradedElement(SparseTerms):
 
         return self._like(accumulate({}, pairs()))
 
-    # -- bidegree projections ------------------------------------------------------------
-
-    def pr(self, h: int, k: int) -> "GradedElement":
-        return self._like({l: f for l, f in self.terms.items() if bidegree(l) == (h, k)})
+    # -- filtrations ------------------------------------------------------------
 
     def antighost_filtration(self) -> int:
         """Min over terms of the antighost letter count (the filtration
@@ -500,7 +481,11 @@ def decal_sign(section: GradedElement) -> int:
 
 
 def jacobi_bracket(jop: GradedElement, a: GradedElement, b: GradedElement) -> GradedElement:
-    """{a, b}_J = (-1)^{|a|} J(a, b) on homogeneous sections (decalage)."""
+    """{a, b}_J = (-1)^{|a|} J(a, b) on homogeneous sections (decalage); zero
+    for a = 0, which has no single degree (the BFV Kuranishi class of the
+    zero section)."""
+    if a.is_zero():
+        return a
     return jop.eval([a, b]).scale(decal_sign(a))
 
 
@@ -517,7 +502,7 @@ def hamiltonian_operator(jop: GradedElement, omega: GradedElement) -> GradedElem
 def to_graded(sq: MultiDerivation, rank: int) -> GradedElement:
     """Decalage embedding of a skew multiderivation into the graded word
     algebra, normalized so that iterated insertions reproduce the ungraded
-    nested brackets: eval([f_1..f_n]) = sq.eval_nested([f_1..f_n]).
+    nested brackets: eval([f_1..f_n]) = [[..[[sq, f_1]].., f_n]].
 
     The p-part words carry no sign at any arity; the q-part (the id-slot
     words) carries (-1)^arity."""
@@ -682,11 +667,6 @@ class ContractionOne:
             buckets.setdefault(w, {})[letters] = f
         return {w: self.from_adapted(t) for w, t in buckets.items()}
 
-    def weight(self, op: GradedElement) -> GradedElement:
-        return GradedElement.zero(self.chart, self.rank).plus(
-            comp.scale(w) for w, comp in self.weight_split(op).items()
-        )
-
     def H_tilde(self, op: GradedElement) -> GradedElement:
         """The odd derivation sending Dxi(A) -> xis_A and Dxis(A) -> xi^A in
         the adapted basis (zero on everything else)."""
@@ -710,14 +690,6 @@ class ContractionOne:
             for w, comp in self.weight_split(op).items()
             if w
         )
-
-    def i_then_p_defect(self, op: GradedElement, d_G: GradedElement) -> GradedElement:
-        """[d_G, H](op) - (i_nabla p - id)(op); zero by the contraction
-        identities (used by tests)."""
-        dg = lambda x: d_G.bracket(x)
-        lhs = dg(self.H(op)) + self.H(dg(op))
-        rhs = self.i_nabla(self.p(op)) - op
-        return lhs - rhs
 
 
 # ---------------------------------------------------------------------------

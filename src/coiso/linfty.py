@@ -8,7 +8,8 @@ evaluated on the structure J that the MultibracketTable holds, expanded by
 multilinearity and the Leibniz rule of the Schouten-Jacobi calculus.  Their
 values on the normal frame are fiber derivatives d_aa ...|_{y=0} of the
 components of J (in the splitting base/fiber: J^{ab}, J^{ai}, J^{ij}, J^a,
-J^i), which the generator formulas read off J's coefficients.
+J^i); the test suite reads these generator formulas off J's coefficients
+as an oracle of the table.
 
 A MultibracketTable keeps every derived bracket it builds, keyed by the
 sequence of its LeafForm arguments, so m_k extends the bracket of its
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ring import ScalarFn
 from .multider import MultiDerivation
 from .leafform import LeafForm, SectionOfNormalBundle
 from .geom import injection_I, projection_P
@@ -42,32 +42,9 @@ def _series_bound(j: MultiDerivation) -> int:
     return max((f.fiber_degree() for f in coeffs), default=0) + 2
 
 
-def _exp_series(x: MultiDerivation, v: MultiDerivation, bound: int, start: int) -> LeafForm:
-    """sum_{k >= start} (1/k!) P([[..[[x, v]].., v]]) with k brackets: the
-    terms up to k = bound + 1, whose last must vanish."""
-    terms = []
-    for k in range(bound + 2):
-        if k:
-            x = x.sj_bracket(v)
-        if k >= start:
-            terms.append(projection_P(x).scale(Fraction(1, math.factorial(k))))
-    if not terms[-1].is_zero():  # pragma: no cover
-        raise AssertionError("derived-bracket series failed to terminate")
-    return terms[0].plus(terms[1:])
-
-
-def _jet(f: ScalarFn, aa) -> ScalarFn:
-    """d_aa f |_{y=0}: the fiber derivatives along the normal directions aa,
-    restricted to the zero section."""
-    for a in aa:
-        f = f.partial(f.chart.fiber[a])
-    return f.restrict_zero_section()
-
-
 class MultibracketTable:
     """The Jacobi bi-derivation J whose derived brackets are the multibrackets
-    m_k; the generator formulas give their values on the normal frame.  Each
-    derived bracket is built once for the life of the table."""
+    m_k.  Each derived bracket is built once for the life of the table."""
 
     def __init__(self, j: MultiDerivation):
         if j.arity != 2:
@@ -103,56 +80,6 @@ class MultibracketTable:
     def series_bound(self) -> int:
         """All m_k with k > series_bound() vanish on degree <= 1 arguments."""
         return _series_bound(self.j)
-
-    # -- generator formulas (coordinate corollary) --------------------------------
-    # J = Lambda - Gamma ^ id with the families J^{ij} = P^{ij}, J^i = -Q^i,
-    # J^{ai} = -P^{ia}, J^a = -Q^a and J^{ab} = P^{ab} (i, j torus and a, b
-    # fiber indices, Lambda^{mu nu} = 2 J^{mu nu}).
-
-    def gen_two_functions(self, aa, f: ScalarFn, g: ScalarFn) -> ScalarFn:
-        """m_{k+1}(d_{a_1}, .., d_{a_{k-1}}, f mu, g mu) for constant normal
-        directions aa: (-1)^k d_aa [2 J^{ij} d_i f d_j g - J^i (f d_i g - g d_i f)]|_0."""
-        k = self.chart.k
-        df = [f.partial_index(i) for i in range(k)]
-        dg = [g.partial_index(i) for i in range(k)]
-        inner = ScalarFn.zero(self.chart).plus(
-            [
-                J * (df[i] * dg[j] - df[j] * dg[i])
-                for (i, j), J in self.j.p_part.terms.items()
-                if j < k
-            ]
-            + [Q * (f * dg[i] - g * df[i]) for (i,), Q in self.j.q_part.terms.items() if i < k]
-        )
-        return _jet(inner, aa).scale((-1) ** ((len(aa) + 1) % 2))
-
-    def gen_one_function(self, aa, f: ScalarFn) -> LeafForm:
-        """m_{k+1}(d_{a_1}, .., d_{a_k}, f mu) = (-1)^k d_aa (2 J^{ai} d_i f
-        + J^a f)|_0 d_a."""
-        chart, k = self.chart, self.chart.k
-        inner = [ScalarFn.zero(chart) for _ in range(chart.m)]
-        for (i, b), P in self.j.p_part.terms.items():
-            if i < k <= b:
-                inner[b - k] -= P * f.partial_index(i)
-        for (b,), Q in self.j.q_part.terms.items():
-            if b >= k:
-                inner[b - k] -= Q * f
-        sign = (-1) ** (len(aa) % 2)
-        return LeafForm(chart, 1, {(a,): _jet(g, aa).scale(sign) for a, g in enumerate(inner)})
-
-    def gen_no_function(self, aa) -> LeafForm:
-        """m_{k+1}(d_{a_1}, .., d_{a_{k+1}}) = -(-1)^k d_aa J^{ab}|_0
-        delta_a ^ delta_b (x) mu."""
-        k = self.chart.k
-        sign = -((-1) ** ((len(aa) - 1) % 2))
-        return LeafForm(
-            self.chart,
-            2,
-            {
-                (a - k, b - k): _jet(P, aa).scale(sign)
-                for (a, b), P in self.j.p_part.terms.items()
-                if a >= k
-            },
-        )
 
 
 def extract_multibrackets(j: MultiDerivation) -> MultibracketTable:
@@ -314,44 +241,3 @@ def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: i
         coeffs.append(SectionOfNormalBundle.from_leafform(payload))
         forms.append(payload)
     return "prolonged", FormalDeformation(order, coeffs)
-
-
-def delta_mc(table: MultibracketTable, s: SectionOfNormalBundle, lam: ScalarFn) -> LeafForm:
-    """Hamiltonian gauge direction sum_k (1/k!) m_{k+1}(-s, ..., -s, lam).
-
-    lam is base-only and I(-s) a fiber-constant vertical field, so
-    [[I(-s), I(lam)]] = 0 and, by the graded Jacobi identity, ad_{I(-s)}
-    commutes with ad_{I(lam)}: the series is that of [[J, I(lam)]]."""
-    if not lam.is_base_only():
-        raise DeformationError("gauge parameter must be base-only")
-    minus = injection_I((-s).to_leafform())
-    x = table.j.sj_bracket(injection_I(LeafForm.function(lam)))
-    return _exp_series(x, minus, table.series_bound(), 0)
-
-
-# ---------------------------------------------------------------------------
-# extended (simultaneous-deformation) brackets
-# ---------------------------------------------------------------------------
-
-
-def extended_n1(j: MultiDerivation, box: MultiDerivation, xi: LeafForm):
-    """n_1(box, xi) = (-[[J, box]], P box + m_1 xi)."""
-    first = j.sj_bracket(box).scale(-1)
-    table_m1 = projection_P(j.sj_bracket(injection_I(xi)))
-    second = projection_P(box) + table_m1
-    return first, second
-
-
-def extended_mc_residual(j: MultiDerivation, box: MultiDerivation, s: SectionOfNormalBundle):
-    """The full extended MC residual of the geometric pair (box, s):
-
-        ( -1/2 [[J + box, J + box]],  P(exp L_{I(s)} (J + box)) ).
-
-    Both components vanish iff J + box is Jacobi and s is a coisotropic
-    section for it; the corresponding formal MC element is (box, -s), so for
-    box = 0 the second component is the ordinary series MC(-s).  I(s) has
-    arity 1, so L_{I(s)} x = [[I(s), x]] = [[x, I(-s)]]."""
-    total = j + box
-    first = total.sj_bracket(total).scale(Fraction(-1, 2))
-    minus = injection_I((-s).to_leafform())
-    return first, _exp_series(total, minus, _series_bound(total), 0)

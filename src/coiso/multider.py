@@ -57,10 +57,6 @@ class MultiDerivation:
     def zero(chart: Chart, arity: int) -> "MultiDerivation":
         return MultiDerivation(MultiVectorField.zero(chart, arity))
 
-    @staticmethod
-    def from_section(f: ScalarFn) -> "MultiDerivation":
-        return MultiDerivation(MultiVectorField.function(f))
-
     def q_or_zero(self) -> MultiVectorField:
         if self.q_part is None:
             return MultiVectorField.zero(self.chart, 0)
@@ -156,61 +152,6 @@ class MultiDerivation:
                 out = out + term.scale((-1) ** ((n - 1 - i) % 2))
         return out
 
-    def eval_nested(self, fns) -> ScalarFn:
-        """Iterated single brackets [[...[[square, f_1]], ...]], f_n]].
-
-        Differs from apply() by the sign (-1)^{n(n-1)/2} coming from the
-        skew Gerstenhaber product; apply() is normalized so that
-        apply([lam, mu]) = {lam, mu} for a Jacobi bi-derivation.
-        """
-        out = self
-        for f in fns:
-            out = out.sj_bracket(MultiDerivation.from_section(f))
-        if out.arity != 0:
-            raise ArityError("argument count does not match arity")
-        return out.p_part.as_function()
-
-    # -- Hamiltonians ----------------------------------------------------------------
-
-    def hamiltonian(self, lam: ScalarFn) -> "MultiDerivation":
-        """Delta_lam = -[[J, lam]] = {lam, -}, an arity-1 derivation."""
-        if self.arity != 2:
-            raise ArityError("hamiltonian needs arity 2")
-        return self.sj_bracket(MultiDerivation.from_section(lam)).scale(-1)
-
-    def hamiltonian_vf(self, lam: ScalarFn) -> MultiVectorField:
-        """X_lam, the symbol of Delta_lam."""
-        return self.hamiltonian(lam).p_part
-
-    # -- Jacobi pair dictionary ---------------------------------------------------------
-
-    def jacobi_pair(self):
-        """Return (Lambda, Gamma, report) with J = Lambda - Gamma ^ id.
-
-        report['lie'] is L_Gamma Lambda = [[Gamma, Lambda]], report['mc'] is
-        [[Lambda, Lambda]] + 2 Gamma ^ Lambda; the pair is a Jacobi pair iff
-        both vanish, which is equivalent to is_jacobi().
-        """
-        if self.arity != 2:
-            raise ArityError("jacobi_pair needs arity 2")
-        lam = self.p_part
-        gam = self.q_part
-        lie = gam.sn_bracket(lam)
-        mc = lam.sn_bracket(lam) + gam.wedge(lam).scale(2)
-        return lam, gam, {"lie": lie, "mc": mc, "valid": lie.is_zero() and mc.is_zero()}
-
-    # -- bi-symbol -----------------------------------------------------------------------
-
-    def bisymbol(self) -> MultiVectorField:
-        """Lambda_J: in the trivialized case the p-part of J."""
-        if self.arity != 2:
-            raise ArityError("bisymbol needs arity 2")
-        return self.p_part
-
-    def sharp(self, f: ScalarFn) -> MultiVectorField:
-        """Lambda_J^#(df): the vector field g -> Lambda_J(df, dg)."""
-        return self.bisymbol().insert_differential(f)
-
     # -- comparison / display ----------------------------------------------------------------
 
     def __eq__(self, other):
@@ -224,21 +165,3 @@ class MultiDerivation:
 
     def __repr__(self):
         return f"MultiDerivation(P={self.p_part!r}, Q={self.q_part!r})"
-
-
-def scale_by_fn(b: MultiDerivation, f: ScalarFn) -> MultiDerivation:
-    """The module product f * b (multiplication of every coefficient)."""
-    return MultiDerivation(
-        b.p_part.scale_fn(f), None if b.q_part is None else b.q_part.scale_fn(f)
-    )
-
-
-def leibniz_defect(a: MultiDerivation, f: ScalarFn, b: MultiDerivation) -> MultiDerivation:
-    """[[a, f b]] - X_a(f) b - f [[a, b]] for a derivation a (arity 1);
-    used by property tests, not by the production code paths."""
-    if a.arity != 1:
-        raise ArityError("leibniz_defect supports arity-1 a only")
-    whole = a.sj_bracket(scale_by_fn(b, f))
-    fab = scale_by_fn(a.sj_bracket(b), f)
-    xa_f = a.p_part.apply([f])
-    return whole - scale_by_fn(b, xa_f) - fab

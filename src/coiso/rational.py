@@ -87,9 +87,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not (self._a or self._b)
 
-    def is_real(self) -> bool:
-        return not self._b
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):

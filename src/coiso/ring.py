@@ -53,7 +53,7 @@ from itertools import product
 from math import comb, factorial
 from operator import add, sub
 
-from .rational import GaussianRational, ONE, ZERO
+from .rational import GaussianRational, ONE
 
 
 class ChartError(ValueError):
@@ -76,9 +76,11 @@ class Chart:
         names = torus + fiber
         if len(set(names)) != len(names):
             raise ChartError("coordinate names must be unique")
-        for c in leaf:
+        for n, c in enumerate(leaf):
             if c not in torus:
                 raise ChartError(f"leaf coordinate {c!r} is not a torus coordinate")
+            if c in leaf[:n]:
+                raise ChartError(f"leaf coordinate {c!r} is repeated")
         self.torus = torus
         self.fiber = fiber
         self.leaf = leaf
@@ -368,14 +370,6 @@ class ScalarFn(SparseTerms):
 
     # -- predicates -------------------------------------------------------
 
-    def is_real(self) -> bool:
-        """f is real iff coeff(-n, alpha) = conj(coeff(n, alpha))."""
-        for (n, alpha), c in self.terms.items():
-            mirror = (tuple(-v for v in n), alpha)
-            if self.terms.get(mirror, ZERO) != c.conjugate():
-                return False
-        return True
-
     def is_base_only(self) -> bool:
         """No dependence on fiber coordinates."""
         return all(all(a == 0 for a in alpha) for (_, alpha) in self.terms)
@@ -529,19 +523,6 @@ class ScalarFn(SparseTerms):
             {(n, alpha): c for (n, alpha), c in self.terms.items() if not any(n[j] for j in js)}
         )
 
-    def integrate_torus(self, coords) -> "TorusIntegral":
-        """Integrate over the listed torus coordinates.
-
-        Keeps only terms with zero frequency in every integrated direction;
-        the resulting symbolic (2*pi)^d factor is recorded exactly.
-        """
-        chart = self.chart
-        for c in coords:
-            if c not in chart.torus:
-                raise ChartError(f"{c!r} is not a torus coordinate")
-        js = [chart.torus.index(c) for c in coords]
-        return TorusIntegral(self.zero_mode(js), len(js))
-
     # -- comparison / display ----------------------------------------------
 
     def sorted_terms(self):
@@ -563,29 +544,6 @@ class ScalarFn(SparseTerms):
                     parts.append(f"{self.chart.fiber[a]}^{v}")
             bits.append("*".join(parts))
         return " + ".join(bits)
-
-
-class TorusIntegral:
-    """Result of an exact torus integration: value * (2*pi)^two_pi_power."""
-
-    __slots__ = ("value", "two_pi_power")
-
-    def __init__(self, value: ScalarFn, two_pi_power: int):
-        self.value = value
-        self.two_pi_power = two_pi_power
-
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, TorusIntegral):
-            return NotImplemented
-        if self.value.is_zero() and other.value.is_zero():
-            return True
-        return self.value == other.value and self.two_pi_power == other.two_pi_power
-
-    def __repr__(self):
-        return f"TorusIntegral({self.value!r}, (2*pi)^{self.two_pi_power})"
 
 
 def unit_inverse(f: ScalarFn) -> ScalarFn:

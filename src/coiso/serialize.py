@@ -6,7 +6,7 @@ lists by a fixed symbol order, and every dict is emitted with sorted keys.
 
 from __future__ import annotations
 
-from .ring import Chart, TorusIntegral
+from .ring import Chart
 from .expr import scalar_to_json, scalar_to_text
 from .multivector import MultiVectorField
 from .multider import MultiDerivation
@@ -57,10 +57,6 @@ def leafform_to_text(w: LeafForm) -> str:
 
 def section_to_json(s: SectionOfNormalBundle) -> list:
     return [scalar_to_json(f) for f in s.components]
-
-
-def integral_to_text(t: TorusIntegral) -> str:
-    return f"(2*pi)^{t.two_pi_power} * ({scalar_to_text(t.value)})"
 
 
 def _symbol_to_json(chart: Chart, letter) -> str:

@@ -104,10 +104,6 @@ class TransversalData:
                 raise AssertionError("adjugate inversion failed")  # pragma: no cover
         return self._w_inv
 
-    def y_matrix(self, indices):
-        """Y^{i_1 .. i_k} = W^{-1} F^{i_1} W^{-1} ... F^{i_k} W^{-1}."""
-        return self._y_matrices()(tuple(indices))
-
     def _y_matrices(self):
         """Y as a function of a tuple of letters, for the length of one call:
         each factor F^i W^{-1} is built once and Y(letters) is kept by
@@ -216,38 +212,3 @@ class TransversalData:
                                     yield u + v, (Y[al][be] * a[al] * b[be]).scale(weight * mult)
 
         return LeafForm(chart, degree, accumulate({}, pairs()))
-
-    # -- transversal differential operators ----------------------------------------
-
-    def d_G(self, omega: LeafForm):
-        """The extension eps of the transversal de Rham differential d_G:
-        returns {alpha: LeafForm} over the transverse coframe (du^a..., dz)."""
-        chart = self.chart
-        pieces = {al: [] for al in range(self.A + 1)}
-        for key, c in omega.terms.items():
-            jc = self.jG0(c)
-            for al in pieces:
-                pieces[al].append(LeafForm(chart, omega.degree, {key: jc[al + 1]}))
-            # eps(e_K) = sum_j (-1)^{j-1} d_F(G^{i_j}_alpha) ^ e_{K minus j}
-            for pos, i in enumerate(key):
-                rest = LeafForm(chart, len(key) - 1, {key[:pos] + key[pos + 1 :]: c})
-                for al in pieces:
-                    g = self.G_comp(al, i)
-                    dG = LeafForm(chart, 1, {(h,): self._d_leaf(g, h) for h in range(self.nleaf)})
-                    if not dG.is_zero():
-                        pieces[al].append(dG.wedge(rest).scale((-1) ** (pos % 2)))
-        zero = LeafForm.zero(chart, omega.degree)
-        return {al: zero.plus(p) for al, p in pieces.items()}
-
-    def j1_G(self, omega: LeafForm):
-        """The extension delta of the transversal jet prolongation:
-        {alpha: LeafForm} over the frame (j, j^a..., j^circ); alpha = 0 is
-        the j-component, 1..A the j^a block, A+1 the j^circ one.
-
-        delta(omega) = omega (x) j + [d_G extension](omega) in the
-        transverse slots, through the embedding N^*F (x) l -> J^1_perp l.
-        """
-        out = {0: omega}
-        for al, form in self.d_G(omega).items():
-            out[al + 1] = form
-        return out

@@ -1,5 +1,7 @@
 """Shared fixtures: the T^5 x R^2 contact chart and its Jacobi structure,
-plus small random generators used by the algebraic property suites."""
+small random generators used by the algebraic property suites, and the
+oracles and conveniences of the tests, which no command-line task needs
+(the paper's constructions without a task are in paper.py)."""
 
 from __future__ import annotations
 
@@ -10,10 +12,12 @@ from itertools import combinations, permutations
 from coiso.rational import GaussianRational
 from coiso.ring import Chart, ScalarFn, accumulate, mat_mul, unit_inverse
 from coiso.multivector import MultiVectorField
-from coiso.multider import MultiDerivation
+from coiso.multider import ArityError, MultiDerivation
+from coiso.leafform import LeafForm
 from coiso.geom import ContactChart, injection_I
-from coiso.linfty import _exp_series
 from coiso.graded import DX, DXI, DXIS, M, PAIR, XI, XIS, GradedElement, decode
+
+from paper import exp_series, hamiltonian
 
 
 def torus_chart():
@@ -87,7 +91,7 @@ def generator_postcondition(theta, J) -> bool:
     gens = [ScalarFn.one(chart)]
     gens += [ScalarFn.y(chart, nm) for nm in chart.fiber]
     gens += [ScalarFn.exp_phi(chart, nm, 1) for nm in chart.torus]
-    return all(theta.pair_vector(J.hamiltonian_vf(f)) == f for f in gens)
+    return all(theta.pair_vector(hamiltonian(J, f).p_part) == f for f in gens)
 
 
 def nested_derived(j: MultiDerivation, args) -> MultiDerivation:
@@ -103,7 +107,134 @@ def exp_series_mc(table, s):
     bracket more than the last: the oracle of linfty.mc_series, which reads
     m_k(s, .., s) from the table and signs them by multilinearity."""
     minus = injection_I((-s).to_leafform())
-    return _exp_series(table.j, minus, table.series_bound(), 1)
+    return exp_series(table.j, minus, table.series_bound(), 1)
+
+
+def eval_nested(sq: MultiDerivation, fns) -> ScalarFn:
+    """Iterated single brackets [[...[[sq, f_1]], ...]], f_n]].
+
+    Differs from apply() by the sign (-1)^{n(n-1)/2} coming from the skew
+    Gerstenhaber product; apply() is normalized so that apply([lam, mu]) =
+    {lam, mu} for a Jacobi bi-derivation.  graded.to_graded is normalized
+    so that iterated insertions reproduce these nested brackets."""
+    out = sq
+    for f in fns:
+        out = out.sj_bracket(MultiDerivation(MultiVectorField.function(f)))
+    if out.arity != 0:
+        raise ArityError("argument count does not match arity")
+    return out.p_part.as_function()
+
+
+def jacobi_pair(j: MultiDerivation):
+    """(Lambda, Gamma, report) with J = Lambda - Gamma ^ id.
+
+    report['lie'] is L_Gamma Lambda = [[Gamma, Lambda]], report['mc'] is
+    [[Lambda, Lambda]] + 2 Gamma ^ Lambda; the pair is a Jacobi pair iff
+    both vanish, which is equivalent to is_jacobi()."""
+    if j.arity != 2:
+        raise ArityError("jacobi_pair needs arity 2")
+    lam, gam = j.p_part, j.q_part
+    lie = gam.sn_bracket(lam)
+    mc = lam.sn_bracket(lam) + gam.wedge(lam).scale(2)
+    return lam, gam, {"lie": lie, "mc": mc, "valid": lie.is_zero() and mc.is_zero()}
+
+
+def scale_by_fn(b: MultiDerivation, f: ScalarFn) -> MultiDerivation:
+    """The module product f * b (multiplication of every coefficient)."""
+    return MultiDerivation(b.p_part.scale_fn(f), None if b.q_part is None else b.q_part.scale_fn(f))
+
+
+def leibniz_defect(a: MultiDerivation, f: ScalarFn, b: MultiDerivation) -> MultiDerivation:
+    """[[a, f b]] - X_a(f) b - f [[a, b]] for a derivation a (arity 1)."""
+    if a.arity != 1:
+        raise ArityError("leibniz_defect supports arity-1 a only")
+    whole = a.sj_bracket(scale_by_fn(b, f))
+    fab = scale_by_fn(a.sj_bracket(b), f)
+    xa_f = a.p_part.apply([f])
+    return whole - scale_by_fn(b, xa_f) - fab
+
+
+def i_then_p_defect(c1, op: GradedElement, d_G: GradedElement) -> GradedElement:
+    """[d_G, H](op) - (i_nabla p - id)(op) for the first contraction data
+    c1; zero by the contraction identities."""
+    lhs = d_G.bracket(c1.H(op)) + c1.H(d_G.bracket(op))
+    rhs = c1.i_nabla(c1.p(op)) - op
+    return lhs - rhs
+
+
+def ghost(chart, rank, A) -> GradedElement:
+    """The ghost xi^A."""
+    return GradedElement(chart, rank, {((XI, A),): ScalarFn.one(chart)})
+
+
+def antighost(chart, rank, A) -> GradedElement:
+    """The antighost xis_A."""
+    return GradedElement(chart, rank, {((XIS, A),): ScalarFn.one(chart)})
+
+
+def scalar_from_json(chart, data) -> ScalarFn:
+    """The inverse of expr.scalar_to_json."""
+    terms = {}
+    for item in data:
+        key = (tuple(item["torus"]), tuple(item["fiber"]))
+        terms[key] = GaussianRational(Fraction(item["re"]), Fraction(item["im"]))
+    return ScalarFn(chart, terms)
+
+
+# The generator formulas (coordinate corollary) of the multibrackets on the
+# normal frame: oracles of MultibracketTable.m.  J = Lambda - Gamma ^ id with
+# the families J^{ij} = P^{ij}, J^i = -Q^i, J^{ai} = -P^{ia}, J^a = -Q^a and
+# J^{ab} = P^{ab} (i, j torus and a, b fiber indices, Lambda^{mu nu} =
+# 2 J^{mu nu}).
+
+
+def jet(f: ScalarFn, aa) -> ScalarFn:
+    """d_aa f |_{y=0}: the fiber derivatives along the normal directions aa,
+    restricted to the zero section."""
+    for a in aa:
+        f = f.partial(f.chart.fiber[a])
+    return f.restrict_zero_section()
+
+
+def gen_two_functions(table, aa, f: ScalarFn, g: ScalarFn) -> ScalarFn:
+    """m_{k+1}(d_{a_1}, .., d_{a_{k-1}}, f mu, g mu) for constant normal
+    directions aa: (-1)^k d_aa [2 J^{ij} d_i f d_j g - J^i (f d_i g - g d_i f)]|_0."""
+    j, k = table.j, table.chart.k
+    df = [f.partial_index(i) for i in range(k)]
+    dg = [g.partial_index(i) for i in range(k)]
+    inner = ScalarFn.zero(table.chart).plus(
+        [J * (df[i] * dg[jj] - df[jj] * dg[i]) for (i, jj), J in j.p_part.terms.items() if jj < k]
+        + [Q * (f * dg[i] - g * df[i]) for (i,), Q in j.q_part.terms.items() if i < k]
+    )
+    return jet(inner, aa).scale((-1) ** ((len(aa) + 1) % 2))
+
+
+def gen_one_function(table, aa, f: ScalarFn) -> LeafForm:
+    """m_{k+1}(d_{a_1}, .., d_{a_k}, f mu) = (-1)^k d_aa (2 J^{ai} d_i f
+    + J^a f)|_0 d_a."""
+    chart, j = table.chart, table.j
+    k = chart.k
+    inner = [ScalarFn.zero(chart) for _ in range(chart.m)]
+    for (i, b), P in j.p_part.terms.items():
+        if i < k <= b:
+            inner[b - k] -= P * f.partial_index(i)
+    for (b,), Q in j.q_part.terms.items():
+        if b >= k:
+            inner[b - k] -= Q * f
+    sign = (-1) ** (len(aa) % 2)
+    return LeafForm(chart, 1, {(a,): jet(g, aa).scale(sign) for a, g in enumerate(inner)})
+
+
+def gen_no_function(table, aa) -> LeafForm:
+    """m_{k+1}(d_{a_1}, .., d_{a_{k+1}}) = -(-1)^k d_aa J^{ab}|_0
+    delta_a ^ delta_b (x) mu."""
+    k = table.chart.k
+    sign = -((-1) ** ((len(aa) - 1) % 2))
+    return LeafForm(
+        table.chart,
+        2,
+        {(a - k, b - k): jet(P, aa).scale(sign) for (a, b), P in table.j.p_part.terms.items() if a >= k},
+    )
 
 
 class TPoly:

@@ -12,9 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from coiso.cli import main, TASKS
 from coiso.scenario import Scenario, ScenarioError, load_scenario
-from coiso.expr import parse_scalar, scalar_to_json, scalar_to_text, scalar_from_json
+from coiso.expr import parse_scalar, scalar_to_json, scalar_to_text
 
-from helpers import random_scalar, torus_chart
+from helpers import random_scalar, scalar_from_json, torus_chart
 
 
 def run_cli(args, capsys):
@@ -339,6 +339,40 @@ def test_chart_keys_are_closed(tmp_path, capsys, key, value, task):
     assert "chart block" in err and repr(key) in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("leaf", ["ph_1", "ph_1"], "leaf coordinate 'ph_1' is repeated"),
+        ("leaf", ["y_1"], "not a torus coordinate"),
+        ("fiber", ["y_1", "ph_1"], "unique"),
+    ],
+    ids=["repeated-leaf", "fiber-leaf", "repeated-name"],
+)
+@pytest.mark.parametrize("task", ["check-jacobi", "kuranishi"])
+def test_chart_names_are_consistent(tmp_path, capsys, key, value, message, task):
+    """A repeated leaf coordinate (which kuranishi would otherwise integrate
+    twice, reporting two_pi_power 2 and the form dph_1^dph_1), a leaf
+    coordinate off the torus and a name used twice are invalid: exit 2, one
+    line."""
+    data = _builtin_data("torus-obstructed")
+    data["chart"][key] = value
+    code, out, err = run_cli(["--scenario", _write_scenario(tmp_path, data), "--task", task], capsys)
+    assert code == 2 and out == ""
+    assert "invalid chart block" in err and message in err and len(err.splitlines()) == 1
+
+
+def test_unwritable_out_path(tmp_path, capsys):
+    """A report that cannot be written exits 1 with one line, not a
+    traceback."""
+    target = tmp_path / "no-such-dir" / "report.json"
+    code, out, err = run_cli(
+        ["--scenario", "torus-obstructed", "--task", "check-jacobi", "--out", str(target)], capsys
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("coiso: cannot write report: ") and len(err.splitlines()) == 1
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("key, value", [("Formal", {"order": 5}), ("note", "a remark")])
 @pytest.mark.parametrize("task", ["prolong", "check-jacobi"])
 def test_top_level_keys_are_closed(tmp_path, capsys, key, value, task):
@@ -432,13 +466,10 @@ def test_text_format(capsys):
 
 def test_report_formatting_examples():
     from coiso.leafform import LeafForm
-    from coiso.ring import ScalarFn, TorusIntegral
-    from coiso.serialize import integral_to_text, leafform_to_json
+    from coiso.serialize import leafform_to_json
 
     chart = torus_chart()
     assert leafform_to_json(LeafForm.zero(chart, 2)) == {"degree": 2, "terms": []}
-    t = TorusIntegral(ScalarFn.sin_phi(chart, "ph_3"), 2)
-    assert integral_to_text(t) == "(2*pi)^2 * (sin(ph_3))"
 
 
 def test_expression_round_trip():

@@ -34,6 +34,7 @@ from helpers import (
     torus_chart,
     torus_jacobi,
 )
+from paper import hamiltonian
 
 
 @pytest.fixture
@@ -120,7 +121,7 @@ def test_contact_standard_r3():
     assert J.sj_bracket(J).is_zero()
     # the curvature of the declared frame is the unit 1x1... rank 2 here:
     # omega(d_y, d_x + y d_z) = theta([d_y, d_x + y d_z]) = theta(d_z) = 1
-    assert J.hamiltonian_vf(ScalarFn.one(chart)) == reeb
+    assert hamiltonian(J, ScalarFn.one(chart)).p_part == reeb
 
 
 def test_contact_requires_unit_curvature(chart):

@@ -30,9 +30,13 @@ from coiso.graded import (
 )
 
 from helpers import (
+    antighost,
     dense_compose,
     dense_insert,
     dense_normalize,
+    eval_nested,
+    ghost,
+    i_then_p_defect,
     random_base_scalar,
     random_multider,
     random_scalar,
@@ -97,13 +101,13 @@ def deg_of(x):
 
 
 def test_ghost_multiplication(chart):
-    xi1 = GradedElement.ghost(chart, RANK, 0)
-    xi2 = GradedElement.ghost(chart, RANK, 1)
+    xi1 = ghost(chart, RANK, 0)
+    xi2 = ghost(chart, RANK, 1)
     assert xi1.mul(xi2) == xi2.mul(xi1).scale(-1)
     assert xi1.mul(xi1).is_zero()
     # (y_1 xi^1)(y_2 xis_2) lands in canonical order with sign +1
     a = xi1.scale_fn(ScalarFn.y(chart, "y_1"))
-    b = GradedElement.antighost(chart, RANK, 1).scale_fn(ScalarFn.y(chart, "y_2"))
+    b = antighost(chart, RANK, 1).scale_fn(ScalarFn.y(chart, "y_2"))
     prod = a.mul(b)
     y12 = ScalarFn.y(chart, "y_1") * ScalarFn.y(chart, "y_2")
     assert prod == GradedElement(chart, RANK, {((XI, 0), (XIS, 1)): y12})
@@ -118,13 +122,13 @@ def test_tautological_G_evaluation(chart, G):
         for A in range(RANK):
             cu = random_scalar(chart, rng)
             ca = random_scalar(chart, rng)
-            u = u + GradedElement.ghost(chart, RANK, A).scale_fn(cu)
-            al = al + GradedElement.antighost(chart, RANK, A).scale_fn(ca)
+            u = u + ghost(chart, RANK, A).scale_fn(cu)
+            al = al + antighost(chart, RANK, A).scale_fn(ca)
             pairing = pairing + cu * ca
         expected = GradedElement.section(chart, RANK, pairing)
         assert G.eval([u, al]) == expected
         assert G.eval([al, u]) == expected
-        u2 = GradedElement.ghost(chart, RANK, 1)
+        u2 = ghost(chart, RANK, 1)
         assert G.eval([u, u2]).is_zero()
     # decalage bracket agrees on ghost-degree-1 arguments
     assert jacobi_bracket(G, u, al) == expected
@@ -134,16 +138,16 @@ def test_dG_local_table(chart, G):
     # d_G xi^A = Delta^A, d_G (xis_A mu) = Delta_A, d_G(f mu) = 0,
     # d_G(id) = G, d_G kills the Delta generators
     for A in range(RANK):
-        out = G.insert(GradedElement.ghost(chart, RANK, A))
-        assert out == GradedElement.word(chart, RANK, ((DXIS, A),))
-        out = G.insert(GradedElement.antighost(chart, RANK, A))
-        assert out == GradedElement.word(chart, RANK, ((DXI, A),))
+        out = G.insert(ghost(chart, RANK, A))
+        assert out == GradedElement(chart, RANK, {((DXIS, A),): ScalarFn.one(chart)})
+        out = G.insert(antighost(chart, RANK, A))
+        assert out == GradedElement(chart, RANK, {((DXI, A),): ScalarFn.one(chart)})
     f = GradedElement.section(chart, RANK, ScalarFn.sin_phi(chart, "ph_3"))
     assert G.insert(f).is_zero()
-    id_op = GradedElement.word(chart, RANK, ((M,),))
+    id_op = GradedElement(chart, RANK, {((M,),): ScalarFn.one(chart)})
     assert G.bracket(id_op) == G
     for letters in (((DX, 0),), ((DXI, 1),), ((DXIS, 0),)):
-        assert G.bracket(GradedElement.word(chart, RANK, letters)).is_zero()
+        assert G.bracket(GradedElement(chart, RANK, {letters: ScalarFn.one(chart)})).is_zero()
     assert G.bracket(G).is_zero()
 
 
@@ -337,8 +341,8 @@ def test_insert_matches_dense_insertion(pair):
 def test_uncancelled_composite_raises(chart, monkeypatch):
     """A sign error in one derivative composite leaves a second-order word
     in the bracket, and the tally check reports it."""
-    a = GradedElement.word(chart, RANK, ((DX, 0),), ScalarFn.sin_phi(chart, "ph_3"))
-    b = GradedElement.word(chart, RANK, ((DX, 1),), ScalarFn.y(chart, "y_1"))
+    a = GradedElement(chart, RANK, {((DX, 0),): ScalarFn.sin_phi(chart, "ph_3")})
+    b = GradedElement(chart, RANK, {((DX, 1),): ScalarFn.y(chart, "y_1")})
     assert a.bracket(b) == _dense_bracket(a, b)
     original = graded._compose_symbols
 
@@ -404,7 +408,7 @@ def test_eval_graded_symmetry(chart):
     rng = random.Random(6)
     for _ in range(6):
         op = rand_operator(chart, rng, max_arity=2, nterms=2)
-        if op.max_arity() != 2:
+        if max(map(graded.arity, op.terms), default=0) != 2:
             continue
         a = rand_section(chart, rng)
         b = rand_section(chart, rng)
@@ -424,7 +428,7 @@ def test_to_graded_matches_nested_eval(chart):
         op = to_graded(sq, RANK)
         args = [random_scalar(chart, rng) for _ in range(sq.arity)]
         lhs = op.eval([GradedElement.section(chart, RANK, f) for f in args])
-        expected = sq.eval_nested(args)
+        expected = eval_nested(sq, args)
         assert lhs == GradedElement.section(chart, RANK, expected)
         assert from_graded(op) == sq
 
@@ -457,9 +461,12 @@ def test_contraction_one_homotopy(chart, G):
             op = rand_operator(chart, rng, max_arity=2)
             # [H~, d_G] = weight
             lhs = c1.H_tilde(G.bracket(op)) + G.bracket(c1.H_tilde(op))
-            assert (lhs - c1.weight(op)).is_zero()
+            weight = GradedElement.zero(chart, RANK).plus(
+                comp.scale(w) for w, comp in c1.weight_split(op).items()
+            )
+            assert (lhs - weight).is_zero()
             # i p - id = [d_G, H]
-            assert c1.i_then_p_defect(op, G).is_zero()
+            assert i_then_p_defect(c1, op, G).is_zero()
             # side conditions
             assert c1.H(c1.H(op)).is_zero()
             assert c1.p(c1.H(op)).is_zero()
@@ -512,7 +519,7 @@ def test_contraction_two(chart, G):
         expected = GradedElement.zero(chart, RANK)
         for A in range(RANK):
             coeff = ScalarFn.y(chart, chart.fiber[A]) - s.components[A]
-            expected = expected + GradedElement.word(chart, RANK, ((DXIS, A),), coeff)
+            expected = expected + GradedElement(chart, RANK, {((DXIS, A),): coeff})
         assert (ds - expected).is_zero()
         # d[s]^2 = 0
         assert ds.bracket(ds).is_zero()

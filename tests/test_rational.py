@@ -112,7 +112,7 @@ def test_constructor_and_parts(x):
     assert gr((z.re, z.im)) == z
     assert GaussianRational.of(z) is z
     assert z.is_zero() == (x == (0, 0))
-    assert z.is_real() == (x[1] == 0)
+    assert (z.im == 0) == (x[1] == 0)
 
 
 def test_zero_is_canonical():
