@@ -1,26 +1,31 @@
 """Lifting Jacobi structures, BRST charges, the BFV differential, the
 generic SBSO and HPL engines, and BFV Kuranishi classes.
 
-The step-by-step obstruction engine is one recursion used by two consumers:
-the lifting (filtration by antighost bidegree on operators, N = 0) and the
-BRST charge (filtration by antighost word degree on sections, N = -1).
+The step-by-step obstruction (SBSO) engine deforms an approximate MC
+element along a filtration.  The BRST charge runs it (filtration by
+antighost word degree on sections, N = -1).  The lift does not: for the
+trivial connection, the only one the library builds, J^ = G + i_nabla(J)
+already squares to zero; a curved connection would need the recursion on
+operators, filtered by antighost bidegree.
+
+A failed identity that the paper proves (the contraction axioms, the
+perturbed chain map, [[J^, J^]] = 0, d_BFV^2 = 0, the termination of the
+SBSO and of the perturbation series) raises AssertionError; BFVError is
+kept for inputs the constructions do not accept.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
 from .multider import MultiDerivation
-from .multivector import MultiVectorField
 from .leafform import SectionOfNormalBundle
 from .graded import (
     XI,
-    Connection,
-    ContractionOne,
     ContractionTwo,
     GradedElement,
     hamiltonian_operator,
+    i_nabla,
     jacobi_bracket,
     tautological_G,
 )
@@ -53,17 +58,17 @@ def check_contraction_axioms(data, x, label):
     jq = j(small)
     hdx, qdx = hq(d(x))
     if not ((d(hx) + hdx) - (jq - x)).is_zero():
-        raise BFVError(f"{label} violate [d, h] = j q - id")
+        raise AssertionError(f"{label} violate [d, h] = j q - id")
     hhx, qhx = hq(hx)
     if not hhx.is_zero():
-        raise BFVError(f"{label} violate h^2 = 0")
+        raise AssertionError(f"{label} violate h^2 = 0")
     if not qhx.is_zero():
-        raise BFVError(f"{label} violate q h = 0")
+        raise AssertionError(f"{label} violate q h = 0")
     hjq, qjq = hq(jq)
     if not (qjq - small).is_zero():
-        raise BFVError(f"{label} violate q j = id")
+        raise AssertionError(f"{label} violate q j = id")
     if not hjq.is_zero():
-        raise BFVError(f"{label} violate h j = 0")
+        raise AssertionError(f"{label} violate h j = 0")
     return jq, qdx
 
 
@@ -116,13 +121,13 @@ def sbso(bracket, homotopy, obstruction, filtration, qbar, N, max_steps=16):
     for _ in range(max_steps):
         step = homotopy(sq).scale(Fraction(1, 2))
         if step.is_zero():
-            raise BFVError("SBSO stalled: homotopy produced no correction")
+            raise AssertionError("SBSO stalled: homotopy produced no correction")
         corrections.append(step)
         q = q + step
         sq = bracket(q, q)
         if sq.is_zero():
             return q, corrections
-    raise BFVError("SBSO failed to converge within the finite filtration")
+    raise AssertionError("SBSO failed to converge within the finite filtration")
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +136,12 @@ def sbso(bracket, homotopy, obstruction, filtration, qbar, N, max_steps=16):
 
 
 class Lift:
-    """The lifted graded Jacobi structure of an ungraded one.
+    """The lifted graded Jacobi structure J^ = G + i_nabla(J) of an
+    ungraded one, for the trivial connection.  That connection is flat, so
+    the lift needs no SBSO corrections: the constructor squares J^ once and
+    raises unless [[J^, J^]] = 0."""
 
-    The constructor squares qbar = G + i_nabla(J) first.  A zero square
-    makes J^ = qbar with no corrections, which is what both the flat and
-    the curved route return then.  Otherwise the flatness morphism test
-    decides: for a flat connection the lifting has failed, for a curved one
-    the recursion deforms qbar into an MC element along the diagonal
-    bidegree filtration.  Either way the constructor raises unless
-    [[J^, J^]] = 0."""
-
-    def __init__(self, j: MultiDerivation, rank: int, connection: Connection | None = None):
+    def __init__(self, j: MultiDerivation, rank: int):
         chart = j.chart
         if rank != chart.m:
             raise BFVError("ghost rank must match the fiber dimension")
@@ -150,60 +150,10 @@ class Lift:
         self.chart = chart
         self.rank = rank
         self.j = j
-        self.c1 = ContractionOne(chart, rank, connection)
         self.G = tautological_G(chart, rank)
-        qbar = self.G + self.c1.i_nabla(j)
-        sq = qbar.bracket(qbar)
-        if sq.is_zero():
-            self.j_hat, self.corrections = qbar, []
-        elif self.flat:
-            raise BFVError("flat lifting failed: [[J^, J^]] != 0")
-        else:
-            self.j_hat, self.corrections = self._run_sbso(qbar, sq)
-
-    @cached_property
-    def flat(self) -> bool:
-        """Whether the connection passes the flatness morphism test."""
-        return self._is_flat()
-
-    def _flatness_probes(self):
-        """The structure and the first two coordinate derivations."""
-        probes = [self.j]
-        for i in range(min(self.chart.dim, 2)):
-            probes.append(
-                MultiDerivation(MultiVectorField.basis_vector(self.chart, self.chart.coords[i]))
-            )
-        return probes
-
-    def _is_flat(self) -> bool:
-        """Flatness through the bracket-morphism test on the probes.
-
-        Each unordered pair is checked once, (a, a) included: both brackets
-        are graded antisymmetric with one sign rule and i_nabla is linear
-        and keeps degrees, so the pair (b, a) is -(-1)^{|a||b|} times the
-        pair (a, b) on both sides."""
-        probes = self._flatness_probes()
-        images = [self.c1.i_nabla(a) for a in probes]
-        for n, (a, ia) in enumerate(zip(probes, images)):
-            for b, ib in zip(probes[n:], images[n:]):
-                lhs = ia.bracket(ib)
-                rhs = self.c1.i_nabla(a.sj_bracket(b))
-                if not (lhs - rhs).is_zero():
-                    return False
-        return True
-
-    def _run_sbso(self, qbar, sq):
-        """The SBSO from qbar, whose square sq is the applicability
-        square the recursion starts with."""
-        zero = GradedElement.zero(self.chart, self.rank)
-        return sbso(
-            lambda a, b: sq if a is qbar and b is qbar else a.bracket(b),
-            self.c1.H,
-            lambda x: zero if self.c1.p(x).is_zero() else x,
-            lambda x: x.diag_filtration(),
-            qbar,
-            0,
-        )
+        self.j_hat = self.G + i_nabla(j, rank)
+        if not self.j_hat.bracket(self.j_hat).is_zero():
+            raise AssertionError("flat lifting failed: [[J^, J^]] != 0")
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +186,7 @@ def d_bfv(lift: Lift, omega: GradedElement) -> GradedElement:
     """d_BFV = {Omega_BRST, -} as a graded operator; square-zero verified."""
     op = hamiltonian_operator(lift.j_hat, omega)
     if not op.bracket(op).is_zero():
-        raise BFVError("d_BFV does not square to zero")
+        raise AssertionError("d_BFV does not square to zero")
     return op
 
 
@@ -254,7 +204,7 @@ def geometric_series(op, x, max_terms=16):
         if term.is_zero():
             return out
         out = out + term
-    raise BFVError("perturbation series failed to terminate")
+    raise AssertionError("perturbation series failed to terminate")
 
 
 class PerturbedContraction:
@@ -271,7 +221,7 @@ class PerturbedContraction:
                 # chain map: q'(d' x) = q delta j'(q' x), j'(q' x) read from the check
                 jqx, qdx = check_contraction_axioms(self, x, "perturbed data")
                 if not (qdx - base.projection(delta(jqx))).is_zero():
-                    raise BFVError("perturbed projection is not a chain map")
+                    raise AssertionError("perturbed projection is not a chain map")
 
     def series(self, y):
         """(1 - delta h)^{-1} y."""

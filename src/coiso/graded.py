@@ -1,6 +1,8 @@
 """Ghost/antighost calculus: graded sections, graded symmetric
 multi-derivations in the basic-symbol word basis, the graded Schouten-Jacobi
-bracket, the tautological bracket G, and both contraction-data families.
+bracket, the tautological bracket G, the embedding i_nabla of ungraded
+multiderivations for the trivial connection, and the contraction data on
+graded sections.
 
 Everything is written in one letter algebra.  A term is a Gaussian-rational
 ScalarFn coefficient together with an ordered tuple of letters (a word):
@@ -16,17 +18,18 @@ dxis are even.
 
 Inside the module a letter is one int,
 
-    kind << 24 | index << 2 | marker << 1 | parity,
+    kind << 24 | index << 2 | parity,
 
 with the kind field XI < XIS < M < DX < DXI < DXIS < PAIR.  Integer order
 is therefore the canonical order (kind first, then index), the low bit is
 the letter's parity, and a kind is read off by comparing with the kind
 constants, which are the codes of the index-0 letters: ghosts are the
 codes below M, symbols those from M on, ghost derivatives those from DXI
-on.  The marker bit tags the connection-adapted slots of
-ContractionOne.to_adapted, which sort right after their plain letter.  A
-PAIR letter (the second-order composite of two derivatives, which only
-ever appears in a tally key) packs its two letters above the kind field.
+on.  Bit 1 is clear in every letter the module makes, so a caller may set
+it to tag a letter: normalize sorts a tagged letter right after its plain
+one, with the same parity.  A PAIR letter (the second-order composite of
+two derivatives, which only ever appears in a tally key) packs its two
+letters above the kind field.
 The public form of a letter is a tuple, (XI, A), (M,), (DX, i) and so on:
 GradedElement() and encode() read it, decode() writes it.
 
@@ -41,10 +44,8 @@ p, i_nabla and the worked example's BFV operator.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 
 from .ring import Chart, PowerTable, ScalarFn, SparseTerms, accumulate
-from .multivector import MultiVectorField
 from .multider import MultiDerivation
 from .leafform import SectionOfNormalBundle
 
@@ -55,7 +56,6 @@ class GradedError(ValueError):
 
 _KIND = 24  # first bit of the kind field; the index fills bits 2..23
 _INDEX = (1 << _KIND - 2) - 1
-_MARK = 2  # the marker bit of a connection-adapted slot
 _WIDTH = _KIND + 3  # bits of a letter that is not a PAIR
 
 # letter kinds, as the codes of their index-0 letters
@@ -238,12 +238,6 @@ class GradedElement(SparseTerms):
         """Min over terms of the antighost letter count (the filtration
         degree used by the BRST recursion); sections only."""
         degs = [sum(1 for x in l if XIS <= x < M) for l in self.terms]
-        return min(degs) if degs else 10 ** 9
-
-    def diag_filtration(self) -> int:
-        """Min over terms of the antighost bidegree entry k (the filtration
-        used by the lifting recursion on operators)."""
-        degs = [bidegree(l)[1] for l in self.terms]
         return min(degs) if degs else 10 ** 9
 
     # -- insertion: [[op, section]] ------------------------------------------------------
@@ -514,182 +508,27 @@ def to_graded(sq: MultiDerivation, rank: int) -> GradedElement:
     return GradedElement.zero(sq.chart, rank)._sum(pairs)
 
 
-def from_graded(op: GradedElement) -> MultiDerivation:
-    """Inverse of to_graded on bidegree-(0,0) ghost-free words (the image of
-    the projection p); other terms must be absent."""
+def i_nabla(sq: MultiDerivation, rank: int) -> GradedElement:
+    """i_nabla of the trivial connection, an algebra morphism on the slot
+    letters: m maps to m - sum_A xi^A Dxi(A) (the id slot less the ghost
+    Euler field) and each dx(i) to itself.  The images are multiplied along
+    each word of to_graded(sq)."""
+    op = to_graded(sq, rank)
     chart = op.chart
-    words = []  # (number of m slots, dx indices, coefficient)
-    for letters, f in op.terms.items():
-        if not all(M <= x < DXI for x in letters):
-            raise GradedError("from_graded needs a ghost-free operator")
-        # m is odd, so a canonical word holds it at most once, first
-        mcount = letters.count(M)
-        words.append((mcount, tuple(map(_index, letters[mcount:])), f))
-    if not words:
-        return MultiDerivation.zero(chart, 0)
-    n = max(mcount + len(key) for mcount, key, _ in words)
-    qsgn = (-1) ** (n % 2)
-    p_terms = accumulate({}, ((key, f) for mcount, key, f in words if mcount == 0))
-    q_terms = accumulate({}, ((key, f.scale(qsgn)) for mcount, key, f in words if mcount == 1))
-    p = MultiVectorField(chart, n, p_terms)
-    q = MultiVectorField(chart, n - 1, q_terms) if n > 0 else None
-    return MultiDerivation(p, q)
+    one = ScalarFn.one(chart)
+    euler = {(_letter(XI, A), _letter(DXI, A)): -one for A in range(rank)}
+    images = {M: op._like({(M,): one, **euler})}
 
-
-# ---------------------------------------------------------------------------
-# first contraction data: p, i_nabla, weight, H_nabla
-# ---------------------------------------------------------------------------
-
-
-class Connection:
-    """DL-connection coefficients in the ghost bundle: Gamma_id[A][B] for the
-    id direction and Gamma[i][A][B] per base coordinate; zero by default."""
-
-    def __init__(self, chart: Chart, rank: int, gamma_id=None, gamma=None):
-        self.chart = chart
-        self.rank = rank
-        zero = ScalarFn.zero(chart)
-        self.gamma_id = gamma_id or [[zero] * rank for _ in range(rank)]
-        self.gamma = gamma or {}
-
-    def gamma_i(self, i):
-        zero = ScalarFn.zero(self.chart)
-        return self.gamma.get(i, [[zero] * self.rank for _ in range(self.rank)])
-
-
-class ContractionOne:
-    """Contraction data from graded operators onto ungraded multiderivations
-    determined by a connection: (p, i_nabla, H_nabla, weight)."""
-
-    def __init__(self, chart: Chart, rank: int, connection: Connection | None = None):
-        self.chart = chart
-        self.rank = rank
-        self.connection = connection or Connection(chart, rank)
-        self._inabla_m = self._expand_inabla(M, self.connection.gamma_id)
-        self._inabla_dx = {}
-
-    def _expand_inabla(self, slot, gamma) -> GradedElement:
-        """Local table of i_nabla on one slot generator: the slot plus the
-        ghost rotation by gamma, less the ghost Euler field for the id slot."""
-        one = ScalarFn.one(self.chart)
-        pairs = [((slot,), one)]
-        for A in range(self.rank):
-            for B in range(self.rank):
-                if slot == M and A == B:
-                    pairs.append(((_letter(XI, B), _letter(DXI, A)), gamma[A][B] - one))
-                elif not gamma[A][B].is_zero():
-                    pairs.append(((_letter(XI, B), _letter(DXI, A)), gamma[A][B]))
-                if not gamma[B][A].is_zero():
-                    pairs.append(((_letter(XIS, B), _letter(DXIS, A)), -gamma[B][A]))
-        return GradedElement.zero(self.chart, self.rank)._sum(pairs)
-
-    def inabla_symbol(self, letter) -> GradedElement:
-        """i_nabla of the slot letter m or dx(i)."""
-        if letter == M:
-            return self._inabla_m
-        if DX <= letter < DXI:
-            if letter not in self._inabla_dx:
-                gamma = self.connection.gamma_i(_index(letter))
-                self._inabla_dx[letter] = self._expand_inabla(letter, gamma)
-            return self._inabla_dx[letter]
-        raise GradedError("i_nabla substitutes only mu* and base-derivative slots")
-
-    def i_nabla(self, sq: MultiDerivation) -> GradedElement:
-        """i_nabla: substitute each slot symbol by its connection-corrected
-        graded word; an algebra morphism on the symbol generators."""
-        chart, rank = self.chart, self.rank
-
-        def products():
-            for letters, f in to_graded(sq, rank).terms.items():
-                prod = GradedElement.section(chart, rank, f)
-                for l in letters:
-                    prod = prod.mul(self.inabla_symbol(l))
-                yield prod
-
-        return GradedElement.zero(chart, rank).plus(products())
-
-    def p(self, op: GradedElement) -> MultiDerivation:
-        """Keep ghost-free bidegree-(0,0) words and read them as an ungraded
-        multiderivation."""
-        return from_graded(op._like({l: f for l, f in op.terms.items() if all(M <= x < DXI for x in l)}))
-
-    # -- adapted basis, weight, homotopy --------------------------------------
-
-    def to_adapted(self, op: GradedElement):
-        """Rewrite wordwise so weight counting sees the connection-adapted
-        slots: returns a dict from adapted words to ScalarFn where the
-        marked slots m | _MARK and dx(i) | _MARK (the i_nabla images of m and
-        dx(i)) have weight zero."""
-
-        def expand(letters, f, acc):
-            for pos, l in enumerate(letters):
-                if l == M or DX <= l < DXI and not l & _MARK:
-                    # slot = marker - corrections (i_nabla of the slot less
-                    # the slot), spliced at the slot position
-                    acc.append((letters[:pos] + (l | _MARK,) + letters[pos + 1 :], f))
-                    for cls, cf in self.inabla_symbol(l).terms.items():
-                        if cls != (l,):
-                            expand(letters[:pos] + cls + letters[pos + 1 :], -(f * cf), acc)
-                    return
-            acc.append((letters, f))
-
-        acc = []
+    def products():
         for letters, f in op.terms.items():
-            expand(letters, f, acc)
-        return accumulate({}, _canonical(acc))
+            prod = GradedElement.section(chart, rank, f)
+            for l in letters:
+                if l not in images:
+                    images[l] = op._like({(l,): one})
+                prod = prod.mul(images[l])
+            yield prod
 
-    def from_adapted(self, adapted) -> GradedElement:
-        chart, rank = self.chart, self.rank
-
-        def products():
-            one = ScalarFn.one(chart)
-            for letters, f in adapted.items():
-                prod = GradedElement.section(chart, rank, f)
-                for l in letters:
-                    if l & _MARK:
-                        prod = prod.mul(self.inabla_symbol(l ^ _MARK))
-                    else:
-                        prod = prod.mul(prod._like({(l,): one}))
-                yield prod
-
-        return GradedElement.zero(chart, rank).plus(products())
-
-    @staticmethod
-    def _adapted_weight(letters) -> int:
-        return sum(1 for l in letters if l < M or l >= DXI)
-
-    def weight_split(self, op: GradedElement):
-        """Split into eigencomponents of the weight derivation."""
-        adapted = self.to_adapted(op)
-        buckets = {}
-        for letters, f in adapted.items():
-            w = self._adapted_weight(letters)
-            buckets.setdefault(w, {})[letters] = f
-        return {w: self.from_adapted(t) for w, t in buckets.items()}
-
-    def H_tilde(self, op: GradedElement) -> GradedElement:
-        """The odd derivation sending Dxi(A) -> xis_A and Dxis(A) -> xi^A in
-        the adapted basis (zero on everything else)."""
-
-        def pairs():
-            for letters, f in self.to_adapted(op).items():
-                for pos, l in enumerate(letters):
-                    if l < DXI:
-                        continue
-                    repl = l - DXI + XIS if l < DXIS else l - DXIS + XI
-                    # odd derivation: sign from passing the letters left of pos
-                    reach = sum(x & 1 for x in letters[:pos])
-                    yield letters[:pos] + (repl,) + letters[pos + 1 :], _signed(f, -1 if reach & 1 else 1)
-
-        return self.from_adapted(accumulate({}, _canonical(pairs())))
-
-    def H(self, op: GradedElement) -> GradedElement:
-        """H_nabla = -(1/k) H_tilde on the weight-k eigenspace, 0 on weight 0."""
-        return GradedElement.zero(self.chart, self.rank).plus(
-            self.H_tilde(comp).scale(Fraction(-1, w))
-            for w, comp in self.weight_split(op).items()
-            if w
-        )
+    return op._like({}).plus(products())
 
 
 # ---------------------------------------------------------------------------

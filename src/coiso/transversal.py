@@ -143,19 +143,21 @@ class TransversalData:
         comps.append(self.G.lie_derivative_fn(f))
         return comps
 
-    def _d_leaf(self, f: ScalarFn, h) -> ScalarFn:
-        """d f / d x^h, skipped (zero) when f does not depend on x^h."""
+    def _d_leaf(self, f: ScalarFn, h, zero: ScalarFn) -> ScalarFn:
+        """d f / d x^h, skipped (the caller's one zero) when f does not
+        depend on x^h."""
         c = self._leaf_chart_index(h)
-        return f.partial_index(c) if f.mask >> c & 1 else ScalarFn.zero(self.chart)
+        return f.partial_index(c) if f.mask >> c & 1 else zero
 
     def jG1(self, i):
         """Component matrix of j^1_G(d_F x^i (x) mu): entry [h][alpha]."""
         chart = self.chart
+        zero = ScalarFn.zero(chart)
         comps = [self.G_comp(a, i) for a in range(self.A + 1)]
         rows = []
         for h in range(self.nleaf):
-            row = [ScalarFn.one(chart) if h == i else ScalarFn.zero(chart)]
-            row += [self._d_leaf(g, h) for g in comps]
+            row = [ScalarFn.one(chart) if h == i else zero]
+            row += [self._d_leaf(g, h, zero) for g in comps]
             rows.append(row)
         return rows
 
@@ -177,7 +179,8 @@ class TransversalData:
         if k == 1:
             if fns:
                 f = fns[0]
-                return LeafForm(chart, 1, {(h,): self._d_leaf(f, h) for h in range(self.nleaf)})
+                zero = ScalarFn.zero(chart)
+                return LeafForm(chart, 1, {(h,): self._d_leaf(f, h, zero) for h in range(self.nleaf)})
             (i,) = forms
             # d_F of d_F x^i (x) mu is zero: the frame forms are d_F-closed
             return LeafForm.zero(chart, 2)

@@ -8,6 +8,11 @@ that check it, written on the library's public API:
   bi-symbol Lambda_J (multi-derivations);
 * the Hamiltonian gauge direction and the extended brackets of
   simultaneous deformations of structure and submanifold (L-infinity);
+* the first contraction data (p, i_nabla, the weight splitting, H~ and
+  H_nabla) of a connection in the ghost bundle, with the inverse
+  from_graded of to_graded and the diagonal bidegree filtration, and the
+  lift along a curved connection, which runs bfv.sbso along that
+  filtration (the library lifts along the trivial connection only);
 * the gauge ladder between MC elements by exp(ad_R), the BFV coisotropy
   residual, the lifting conditions of a lifted structure and the zero locus
   of a geometric MC element (BFV);
@@ -21,15 +26,33 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
-from coiso.ring import ChartError, PowerTable, ScalarFn, dot, inverse_unit
+from coiso.ring import ChartError, PowerTable, ScalarFn, accumulate, dot, inverse_unit
 from coiso.multivector import MultiVectorField
 from coiso.multider import ArityError, MultiDerivation
 from coiso.leafform import LeafForm, SectionOfNormalBundle
 from coiso.geom import injection_I, projection_P
 from coiso.linfty import DeformationError, MultibracketTable, _series_bound
-from coiso.graded import XI, XIS, ContractionTwo, GradedElement, bidegree, encode, jacobi_bracket
-from coiso.bfv import BFVError, Lift
+from coiso.graded import (
+    DX,
+    DXI,
+    DXIS,
+    M,
+    XI,
+    XIS,
+    ContractionTwo,
+    GradedElement,
+    GradedError,
+    bidegree,
+    decode,
+    encode,
+    jacobi_bracket,
+    normalize,
+    tautological_G,
+    to_graded,
+)
+from coiso.bfv import BFVError, Lift, sbso
 from coiso.transversal import TransversalData
 
 
@@ -105,6 +128,263 @@ def extended_mc_residual(j: MultiDerivation, box: MultiDerivation, s: SectionOfN
     first = total.sj_bracket(total).scale(Fraction(-1, 2))
     minus = injection_I((-s).to_leafform())
     return first, exp_series(total, minus, _series_bound(total), 0)
+
+
+# ---------------------------------------------------------------------------
+# the first contraction data and the lift along a curved connection
+# ---------------------------------------------------------------------------
+
+
+def from_graded(op: GradedElement) -> MultiDerivation:
+    """Inverse of to_graded on bidegree-(0,0) ghost-free words (the image of
+    the projection p); other terms must be absent."""
+    chart = op.chart
+    words = []  # (number of m slots, dx indices, coefficient)
+    for letters, f in op.terms.items():
+        letters = decode(letters)
+        if not all(l[0] in (M, DX) for l in letters):
+            raise GradedError("from_graded needs a ghost-free operator")
+        # m is odd, so a canonical word holds it at most once, first
+        mcount = letters.count((M,))
+        words.append((mcount, tuple(l[1] for l in letters[mcount:]), f))
+    if not words:
+        return MultiDerivation.zero(chart, 0)
+    n = max(mcount + len(key) for mcount, key, _ in words)
+    qsgn = (-1) ** (n % 2)
+    p_terms = accumulate({}, ((key, f) for mcount, key, f in words if mcount == 0))
+    q_terms = accumulate({}, ((key, f.scale(qsgn)) for mcount, key, f in words if mcount == 1))
+    p = MultiVectorField(chart, n, p_terms)
+    q = MultiVectorField(chart, n - 1, q_terms) if n > 0 else None
+    return MultiDerivation(p, q)
+
+
+def diag_filtration(x: GradedElement) -> int:
+    """Min over terms of the antighost bidegree entry k (the filtration of
+    the lifting recursion on operators); 10^9 for 0."""
+    degs = [bidegree(l)[1] for l in x.terms]
+    return min(degs) if degs else 10 ** 9
+
+
+class Connection:
+    """DL-connection coefficients in the ghost bundle: Gamma_id[A][B] for the
+    id direction and Gamma[i][A][B] per base coordinate; zero by default."""
+
+    def __init__(self, chart, rank: int, gamma_id=None, gamma=None):
+        self.chart = chart
+        self.rank = rank
+        zero = ScalarFn.zero(chart)
+        self.gamma_id = gamma_id or [[zero] * rank for _ in range(rank)]
+        self.gamma = gamma or {}
+
+    def gamma_i(self, i):
+        zero = ScalarFn.zero(self.chart)
+        return self.gamma.get(i, [[zero] * self.rank for _ in range(self.rank)])
+
+
+# An adapted word tags each slot letter (m or dx(i)) that stands for its
+# i_nabla image.  The tag is bit 1 of the letter's code, which graded keeps
+# clear in its own letters, so normalize sorts a tagged slot right after
+# its plain letter, with the same parity.
+_TAG = 2
+
+
+def _canonical_sum(pairs) -> dict:
+    """Sum (word, coefficient) pairs over their canonical words, each with
+    its graded sign; words with a repeated odd letter and zeros dropped."""
+
+    def signed():
+        for word, f in pairs:
+            sign, canon = normalize(word)
+            if sign and not f.is_zero():
+                yield canon, f if sign == 1 else -f
+
+    return accumulate({}, signed())
+
+
+class ContractionOne:
+    """Contraction data from graded operators onto ungraded multiderivations
+    determined by a connection: (p, i_nabla, H_nabla, weight)."""
+
+    def __init__(self, chart, rank: int, connection: Connection | None = None):
+        self.chart = chart
+        self.rank = rank
+        self.connection = connection or Connection(chart, rank)
+        self._images = {}  # slot letter -> its i_nabla image
+
+    def _image(self, slot) -> GradedElement:
+        """i_nabla of the slot letter m or dx(i): the slot plus the ghost
+        rotation by its Gamma, less the ghost Euler field for the id slot."""
+        if slot not in self._images:
+            (letter,) = decode((slot,))
+            if letter == (M,):
+                gamma = self.connection.gamma_id
+            elif letter[0] == DX:
+                gamma = self.connection.gamma_i(letter[1])
+            else:
+                raise GradedError("i_nabla substitutes only mu* and base-derivative slots")
+            one = ScalarFn.one(self.chart)
+            terms = {(letter,): one}
+            for A in range(self.rank):
+                for B in range(self.rank):
+                    rotation = gamma[A][B] - one if letter == (M,) and A == B else gamma[A][B]
+                    terms[(XI, B), (DXI, A)] = rotation
+                    terms[(XIS, B), (DXIS, A)] = -gamma[B][A]
+            self._images[slot] = GradedElement(self.chart, self.rank, terms)
+        return self._images[slot]
+
+    def i_nabla(self, sq: MultiDerivation) -> GradedElement:
+        """i_nabla: substitute each slot symbol by its connection-corrected
+        graded word; an algebra morphism on the symbol generators."""
+        chart, rank = self.chart, self.rank
+
+        def products():
+            for letters, f in to_graded(sq, rank).terms.items():
+                prod = GradedElement.section(chart, rank, f)
+                for l in letters:
+                    prod = prod.mul(self._image(l))
+                yield prod
+
+        return GradedElement.zero(chart, rank).plus(products())
+
+    def p(self, op: GradedElement) -> MultiDerivation:
+        """Keep ghost-free bidegree-(0,0) words and read them as an ungraded
+        multiderivation."""
+        kept = {decode(l): f for l, f in op.terms.items() if all(M <= x < DXI for x in l)}
+        return from_graded(GradedElement(self.chart, self.rank, kept))
+
+    # -- adapted basis, weight, homotopy --------------------------------------
+
+    def _to_adapted(self, op: GradedElement) -> dict:
+        """Rewrite wordwise so that weight counting sees the adapted slots:
+        the first untagged slot l of a word becomes the tagged l, which
+        stands for i_nabla(l), less the word with l replaced by each
+        correction term of i_nabla(l), rewritten in turn.  Returns a dict
+        from adapted words to coefficients, in which tagged slots have
+        weight zero."""
+
+        def expand(letters, f, acc):
+            for pos, l in enumerate(letters):
+                if M <= l < DXI and not l & _TAG:
+                    acc.append((letters[:pos] + (l | _TAG,) + letters[pos + 1 :], f))
+                    for cls, cf in self._image(l).terms.items():
+                        if cls != (l,):
+                            expand(letters[:pos] + cls + letters[pos + 1 :], -(f * cf), acc)
+                    return
+            acc.append((letters, f))
+
+        acc = []
+        for letters, f in op.terms.items():
+            expand(letters, f, acc)
+        return _canonical_sum(acc)
+
+    def _from_adapted(self, adapted: dict) -> GradedElement:
+        chart, rank = self.chart, self.rank
+        one = ScalarFn.one(chart)
+
+        def products():
+            for letters, f in adapted.items():
+                prod = GradedElement.section(chart, rank, f)
+                for l in letters:
+                    if l & _TAG:
+                        prod = prod.mul(self._image(l ^ _TAG))
+                    else:
+                        prod = prod.mul(GradedElement(chart, rank, {decode((l,)): one}))
+                yield prod
+
+        return GradedElement.zero(chart, rank).plus(products())
+
+    def weight_split(self, op: GradedElement) -> dict:
+        """Split into eigencomponents of the weight derivation, which counts
+        the ghost letters and ghost derivatives of an adapted word."""
+        buckets = {}
+        for letters, f in self._to_adapted(op).items():
+            w = sum(1 for l in letters if l < M or l >= DXI)
+            buckets.setdefault(w, {})[letters] = f
+        return {w: self._from_adapted(t) for w, t in buckets.items()}
+
+    def H_tilde(self, op: GradedElement) -> GradedElement:
+        """The odd derivation sending Dxi(A) -> xis_A and Dxis(A) -> xi^A in
+        the adapted basis (zero on everything else)."""
+
+        def pairs():
+            for letters, f in self._to_adapted(op).items():
+                for pos, l in enumerate(letters):
+                    if l < DXI:
+                        continue
+                    repl = l - DXI + XIS if l < DXIS else l - DXIS + XI
+                    # odd derivation: sign from passing the letters left of pos
+                    reach = sum(x & 1 for x in letters[:pos])
+                    yield letters[:pos] + (repl,) + letters[pos + 1 :], -f if reach & 1 else f
+
+        return self._from_adapted(_canonical_sum(pairs()))
+
+    def H(self, op: GradedElement) -> GradedElement:
+        """H_nabla = -(1/k) H_tilde on the weight-k eigenspace, 0 on weight 0."""
+        return GradedElement.zero(self.chart, self.rank).plus(
+            self.H_tilde(comp).scale(Fraction(-1, w))
+            for w, comp in self.weight_split(op).items()
+            if w
+        )
+
+
+class CurvedLift:
+    """The lift of a Jacobi structure along a connection, with the
+    attributes of bfv.Lift.  qbar = G + i_nabla(J) is the lift when it
+    squares to zero.  Otherwise the flatness test decides: for a flat
+    connection the lifting has failed, for a curved one bfv.sbso deforms
+    qbar into an MC element along the diagonal bidegree filtration, and
+    corrections lists what it added."""
+
+    def __init__(self, j: MultiDerivation, rank: int, connection: Connection | None = None):
+        chart = j.chart
+        self.chart = chart
+        self.rank = rank
+        self.j = j
+        self.c1 = ContractionOne(chart, rank, connection)
+        self.G = tautological_G(chart, rank)
+        qbar = self.G + self.c1.i_nabla(j)
+        sq = qbar.bracket(qbar)
+        if sq.is_zero():
+            self.j_hat, self.corrections = qbar, []
+        elif self.flat:
+            raise AssertionError("flat lifting failed: [[J^, J^]] != 0")
+        else:
+            # the applicability square of the recursion is sq
+            zero = GradedElement.zero(chart, rank)
+            self.j_hat, self.corrections = sbso(
+                lambda a, b: sq if a is qbar and b is qbar else a.bracket(b),
+                self.c1.H,
+                lambda x: zero if self.c1.p(x).is_zero() else x,
+                diag_filtration,
+                qbar,
+                0,
+            )
+
+    def flatness_probes(self):
+        """The structure and the first two coordinate derivations."""
+        probes = [self.j]
+        for i in range(min(self.chart.dim, 2)):
+            probes.append(
+                MultiDerivation(MultiVectorField.basis_vector(self.chart, self.chart.coords[i]))
+            )
+        return probes
+
+    @cached_property
+    def flat(self) -> bool:
+        """Whether the connection passes the flatness test: i_nabla is a
+        bracket morphism on the probes.
+
+        Each unordered pair is checked once, (a, a) included: both brackets
+        are graded antisymmetric with one sign rule and i_nabla is linear
+        and keeps degrees, so the pair (b, a) is -(-1)^{|a||b|} times the
+        pair (a, b) on both sides."""
+        probes = self.flatness_probes()
+        images = [self.c1.i_nabla(a) for a in probes]
+        for n, (a, ia) in enumerate(zip(probes, images)):
+            for b, ib in zip(probes[n:], images[n:]):
+                if not (ia.bracket(ib) - self.c1.i_nabla(a.sj_bracket(b))).is_zero():
+                    return False
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ from coiso.graded import (
     M,
     XI,
     XIS,
-    ContractionOne,
     ContractionTwo,
     GradedElement,
+    i_nabla,
     jacobi_bracket,
     tautological_G,
 )
@@ -57,7 +57,7 @@ from helpers import (
     torus_chart,
     torus_jacobi,
 )
-from paper import bfv_coisotropy_residual, exp_ad, sbso_gauge
+from paper import ContractionOne, bfv_coisotropy_residual, exp_ad, sbso_gauge
 
 RANK = 2
 
@@ -273,8 +273,8 @@ def test_criterion_07_legendrian_toy():
 def test_criterion_08_bfv_layer(chart, J, lift):
     X, Y = fields_XY(chart)
     # lift with trivial flat connection: J^ = G + i_nabla(J), no corrections
-    assert lift.corrections == []
-    assert (lift.j_hat - lift.G - lift.c1.i_nabla(J)).is_zero()
+    assert lift.j_hat == lift.G + i_nabla(J, RANK)
+    assert (lift.j_hat - lift.G - i_nabla(J, RANK)).is_zero()
     # Omega_BRST = Omega_E
     omega, corrections = brst_charge(lift, SectionOfNormalBundle.zero(chart))
     c2 = ContractionTwo(chart, RANK, SectionOfNormalBundle.zero(chart))

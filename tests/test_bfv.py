@@ -21,6 +21,7 @@ from coiso.graded import (
     GradedElement,
     decode,
     encode,
+    i_nabla,
     jacobi_bracket,
 )
 from coiso.bfv import (
@@ -39,6 +40,9 @@ from coiso.bfv import (
 
 from helpers import dense_normalize, fields_XY, ghost, random_base_scalar, random_scalar, torus_chart, torus_jacobi
 from paper import (
+    Connection,
+    ContractionOne,
+    CurvedLift,
     bfv_coisotropy_residual,
     exp_ad,
     geometric_mc_zero_locus,
@@ -74,8 +78,9 @@ def rand_graded_section(chart, rng, nterms=2):
 
 
 def test_lift_is_G_plus_inabla_with_no_corrections(lift, chart):
-    assert lift.corrections == []
-    assert (lift.j_hat - lift.G - lift.c1.i_nabla(lift.j)).is_zero()
+    # Lift keeps no corrections list: J^ is G + i_nabla(J) term for term
+    assert lift.j_hat == lift.G + i_nabla(lift.j, RANK)
+    assert (lift.j_hat - lift.G - i_nabla(lift.j, RANK)).is_zero()
     assert lift.j_hat.bracket(lift.j_hat).is_zero()
 
 
@@ -95,7 +100,7 @@ def test_lifting_conditions(lift, chart):
     samples = [(random_scalar(chart, rng), random_scalar(chart, rng)) for _ in range(4)]
     assert lifting_conditions_hold(lift, samples)
     # p(J^_1) = J: the non-G part projects to the original structure
-    assert lift.c1.p(lift.j_hat - lift.G) == lift.j
+    assert ContractionOne(chart, RANK).p(lift.j_hat - lift.G) == lift.j
 
 
 def test_displayed_lift(lift, chart):
@@ -106,7 +111,7 @@ def test_displayed_lift(lift, chart):
     s3 = ScalarFn.sin_phi(chart, "ph_3")
     c3 = ScalarFn.cos_phi(chart, "ph_3")
     # collect the expected ghost-sector terms: G + Y (x) (xi^A Dxi_A)-part
-    diff = lift.j_hat - lift.c1.i_nabla(lift.j) - lift.G
+    diff = lift.j_hat - i_nabla(lift.j, RANK) - lift.G
     assert diff.is_zero()
     # the ghost-rotation terms of i_nabla(J) have bidegree (1, 0) - (1, 0):
     # words xi^A . D_ph . D_xi_A with the Reeb coefficients
@@ -178,12 +183,14 @@ def test_lifted_square_takes_the_shortcut(lift):
     assert j.bracket(j).is_zero()
 
 
-def test_flatness_probes_bracket_antisymmetrically(lift):
-    """Lift._is_flat checks the bracket-morphism identity on each unordered
-    probe pair once.  That is enough because on the probes i_nabla keeps the
-    degree (arity - 1) and both brackets are graded antisymmetric with the
-    same sign: [[b, a]] = -(-1)^{|a||b|} [[a, b]], the diagonal included."""
-    probes = lift._flatness_probes()
+def test_flatness_probes_bracket_antisymmetrically(chart):
+    """CurvedLift.flat checks the bracket-morphism identity on each
+    unordered probe pair once.  That is enough because on the probes
+    i_nabla keeps the degree (arity - 1) and both brackets are graded
+    antisymmetric with the same sign: [[b, a]] = -(-1)^{|a||b|} [[a, b]],
+    the diagonal included."""
+    lift = CurvedLift(torus_jacobi(chart), RANK)
+    probes = lift.flatness_probes()
     assert len(probes) == 3
     images = [lift.c1.i_nabla(a) for a in probes]
     degrees = [ia.is_homogeneous_degree() for ia in images]
@@ -255,7 +262,7 @@ def test_contraction_axiom_messages(axiom, change, sample):
         # (j q x, q d x) = (x_a a, 0): d x = x_b c has no a-component
         assert check_contraction_axioms(_toy(**_BASE), _Vec(x), "toy") == ((x[0], 0, 0), (0,))
     data = _toy(**{**_BASE, **change})
-    with pytest.raises(BFVError, match=f"^toy violate {re.escape(axiom)}$"):
+    with pytest.raises(AssertionError, match=f"^toy violate {re.escape(axiom)}$"):
         check_contraction_axioms(data, _Vec(sample), "toy")
 
 
@@ -276,36 +283,32 @@ def test_sbso_squares_once_per_step(lift, chart):
     assert jacobi_bracket(lift.j_hat, q, q).is_zero() and q == brst_charge(lift, s)[0]
     # the square after the last allowed correction is checked, not dropped
     assert sbso(*args, max_steps=len(corrections)) == (q, corrections)
-    with pytest.raises(BFVError, match="failed to converge"):
+    with pytest.raises(AssertionError, match="failed to converge"):
         sbso(*args, max_steps=len(corrections) - 1)
 
 
 def test_flat_lift_squares_once(chart, monkeypatch):
-    """A lift whose square is zero brackets J^ with itself once and never
-    runs the flatness test; lift.flat runs it when read."""
+    """A lift brackets J^ with itself once and never runs the SBSO."""
     pairs = []
-    flat_tests = []
+    sbso_runs = []
     original = GradedElement.bracket
-    is_flat = Lift._is_flat
 
     def bracket(a, b):
         pairs.append((a, b))
         return original(a, b)
 
     monkeypatch.setattr(GradedElement, "bracket", bracket)
-    monkeypatch.setattr(Lift, "_is_flat", lambda self: flat_tests.append(self) or is_flat(self))
+    monkeypatch.setattr(bfv, "sbso", lambda *args, **kwargs: sbso_runs.append(args))
     lifted = Lift(torus_jacobi(chart), RANK)
-    assert flat_tests == []
     assert sum(a == lifted.j_hat and b == lifted.j_hat for a, b in pairs) == 1
-    monkeypatch.undo()
-    assert lifted.flat and lifted.corrections == []
+    assert sbso_runs == []
 
 
 def test_flat_lift_with_nonzero_square_fails(lift, chart, monkeypatch):
-    """When [[J^, J^]] != 0 the flatness test decides, and for a flat
-    connection the lifting fails (the square is stubbed: a Jacobi J never
+    """When [[J^, J^]] != 0 the lifting fails, as an invariant violation:
+    the trivial connection is flat (the square is stubbed: a Jacobi J never
     gives a nonzero one)."""
-    qbar = lift.G + lift.c1.i_nabla(lift.j)
+    qbar = lift.G + i_nabla(lift.j, RANK)
     original = GradedElement.bracket
 
     def bracket(a, b):
@@ -314,7 +317,7 @@ def test_flat_lift_with_nonzero_square_fails(lift, chart, monkeypatch):
         return original(a, b)
 
     monkeypatch.setattr(GradedElement, "bracket", bracket)
-    with pytest.raises(BFVError, match="^flat lifting failed: "):
+    with pytest.raises(AssertionError, match="^flat lifting failed: "):
         Lift(torus_jacobi(chart), RANK)
 
 
@@ -341,8 +344,6 @@ def test_perturbed_sample_sums_four_series(lift, chart, monkeypatch):
 def test_lift_with_nonflat_connection(chart):
     """A curved connection still lifts: the SBSO adds corrections and the
     output is an MC lifting of J."""
-    from coiso.graded import Connection
-
     gamma = {
         0: [[ScalarFn.zero(chart), ScalarFn.sin_phi(chart, "ph_3")],
             [ScalarFn.zero(chart), ScalarFn.zero(chart)]],
@@ -350,7 +351,7 @@ def test_lift_with_nonflat_connection(chart):
             [ScalarFn.cos_phi(chart, "ph_1"), ScalarFn.zero(chart)]],
     }
     conn = Connection(chart, RANK, gamma=gamma)
-    lifted = Lift(torus_jacobi(chart), RANK, conn)
+    lifted = CurvedLift(torus_jacobi(chart), RANK, conn)
     assert not lifted.flat
     assert lifted.corrections
     assert lifted.j_hat.bracket(lifted.j_hat).is_zero()

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from coiso.cli import main, TASKS
 from coiso.scenario import Scenario, ScenarioError, load_scenario
 from coiso.expr import parse_scalar, scalar_to_json, scalar_to_text
+from coiso.graded import GradedElement
 
 from helpers import random_scalar, scalar_from_json, torus_chart
 
@@ -109,6 +110,16 @@ def test_validation_error_exit_code(tmp_path, capsys):
         code, _, err = run_cli(["--scenario", str(p), "--task", task], capsys)
         assert code == 2, err
         assert len(err.splitlines()) == 1
+
+
+def test_invariant_violation_exit_code(capsys, monkeypatch):
+    """A failed identity of a valid scenario exits 3 with one line (the
+    square of the lift is stubbed: a Jacobi J never gives a nonzero one)."""
+    original = GradedElement.bracket
+    monkeypatch.setattr(GradedElement, "bracket", lambda a, b: a if a is b else original(a, b))
+    code, out, err = run_cli(["--scenario", "torus-obstructed", "--task", "bfv-lift"], capsys)
+    assert code == 3 and out == ""
+    assert err == "coiso: internal invariant violation in bfv-lift: flat lifting failed: [[J^, J^]] != 0\n"
 
 
 @pytest.mark.parametrize("value", [[], {"x": 1}, None, "jet"])

@@ -9,6 +9,7 @@ from coiso import graded
 from coiso.rational import GaussianRational
 from coiso.ring import Chart, ScalarFn
 from coiso.leafform import SectionOfNormalBundle
+from coiso.scenario import load_scenario
 from coiso.graded import (
     DX,
     DXI,
@@ -16,13 +17,11 @@ from coiso.graded import (
     M,
     XI,
     XIS,
-    Connection,
-    ContractionOne,
     ContractionTwo,
     GradedElement,
     decode,
     encode,
-    from_graded,
+    i_nabla,
     jacobi_bracket,
     tautological_G,
     term_degree,
@@ -43,6 +42,7 @@ from helpers import (
     torus_chart,
     torus_jacobi,
 )
+from paper import Connection, ContractionOne, from_graded
 
 RANK = 2
 
@@ -451,6 +451,20 @@ def test_contraction_one_tables(chart, G):
     for _ in range(3):
         a = random_multider(chart, rng, rng.choice([1, 2]))
         assert G.bracket(c1.i_nabla(a)).is_zero()
+
+
+def test_i_nabla_matches_the_connection_reference(chart):
+    """The library's i_nabla (trivial connection) equals the first
+    contraction data's i_nabla for the zero connection, which multiplies the
+    slot images along each word, and p reads the multiderivation back."""
+    rng = random.Random(12)
+    jet = load_scenario("legendrian-jet").jacobi()
+    cases = [(torus_jacobi(chart), RANK), (jet, jet.chart.m)]
+    cases += [(random_multider(chart, rng, arity), RANK) for arity in (1, 2, 3) for _ in range(3)]
+    for sq, rank in cases:
+        c1 = ContractionOne(sq.chart, rank)
+        assert i_nabla(sq, rank) == c1.i_nabla(sq)
+        assert c1.p(i_nabla(sq, rank)) == sq
 
 
 def test_contraction_one_homotopy(chart, G):
