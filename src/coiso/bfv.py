@@ -277,15 +277,15 @@ def bfv_lift_cocycle(lift: Lift, perturbed: PerturbedContraction, s: SectionOfNo
 
 def bfv_kuranishi(lift: Lift, dop: GradedElement, nu: GradedElement):
     """Kr[nu] = [{nu, nu}_BFV] for a d_BFV-closed degree-1 section; returns
-    the class together with the reduced leaf-torus zero mode of half the
-    class (matching the order-2 prolongation obstruction)."""
+    (class, zero_mode), zero_mode the reduced leaf-torus zero mode of half
+    the class, as linfty.kuranishi returns that of the order-2 prolongation
+    obstruction."""
     if not dop.insert(nu).is_zero():
         raise BFVError("bfv_kuranishi requires a d_BFV-closed section")
     kr = jacobi_bracket(lift.j_hat, nu, nu)
     c2 = ContractionTwo(lift.chart, lift.rank, SectionOfNormalBundle.zero(lift.chart))
     reduced = c2.wp(kr).scale(Fraction(1, 2))
-    zero_mode = _ghost_leaf_zero_mode(reduced)
-    return kr, zero_mode, len(lift.chart.leaf)
+    return kr, _ghost_leaf_zero_mode(reduced)
 
 
 def _ghost_leaf_zero_mode(x: GradedElement) -> GradedElement:

@@ -151,17 +151,23 @@ def _mc(scenario, arg):
     return {"section": section_to_json(s), "mc": leafform_to_json(mc), "mc_zero": mc.is_zero()}
 
 
+def _two_pi_power(chart):
+    """d of the (2 pi)^d factor of an obstruction: the zero mode is an
+    average over the d leaf angles, the obstruction their integral."""
+    return len(chart.leaf)
+
+
 def _kuranishi(scenario, arg):
     table = scenario.table()
     s = scenario.section()
-    kr, report = kuranishi(table, s)
+    kr, zero_mode = kuranishi(table, s)
     return {
         "section": section_to_json(s),
         "class": leafform_to_json(kr),
-        "zero_mode": leafform_to_json(report.zero_mode),
-        "zero_mode_text": leafform_to_text(report.zero_mode),
-        "two_pi_power": report.two_pi_power,
-        "obstructed": not report.is_zero(),
+        "zero_mode": leafform_to_json(zero_mode),
+        "zero_mode_text": leafform_to_text(zero_mode),
+        "two_pi_power": _two_pi_power(scenario.chart),
+        "obstructed": not zero_mode.is_zero(),
     }
 
 
@@ -169,32 +175,31 @@ def _prolong(scenario, arg):
     table = scenario.table()
     s = scenario.section()
     order = arg or scenario.formal_order()
-    history = []
-    result = prolong_formal(table, s, order, history=history)
+    coefficients, history = prolong_formal(table, s, order)
+    power = _two_pi_power(scenario.chart)
     orders = [
         {
             "order_k": h["order_k"],
             "rhs": leafform_to_json(h["rhs"]),
             "obstruction_zero_mode": leafform_to_json(h["obstruction_zero_mode"]),
-            "two_pi_power": h["two_pi_power"],
+            "two_pi_power": power,
             "solved": h["solved"],
         }
         for h in history
     ]
-    if result[0] == "obstructed":
-        _, at, report = result
+    if orders and not orders[-1]["solved"]:
+        last = orders[-1]
         return {
             "solved": False,
-            "order_k": at,
-            "obstruction_zero_mode": leafform_to_json(report.zero_mode),
-            "two_pi_power": report.two_pi_power,
+            "order_k": last["order_k"],
+            "obstruction_zero_mode": last["obstruction_zero_mode"],
+            "two_pi_power": power,
             "orders": orders,
         }
-    _, deformation = result
     return {
         "solved": True,
         "order_k": order,
-        "coefficients": [section_to_json(c) for c in deformation.coefficients],
+        "coefficients": [section_to_json(c) for c in coefficients],
         "orders": orders,
     }
 
@@ -293,13 +298,13 @@ def _bfv_kuranishi(scenario, arg):
     dop = scenario.dbfv()
     pert = hpl_resolution(lift, dop)
     nu = bfv_lift_cocycle(lift, pert, scenario.section())
-    kr, zero_mode, power = bfv_kuranishi(lift, dop, nu)
+    kr, zero_mode = bfv_kuranishi(lift, dop, nu)
     return {
         "cocycle": graded_to_json(nu),
         "class": graded_to_json(kr),
         "zero_mode": graded_to_json(zero_mode),
         "zero_mode_text": graded_to_text(zero_mode),
-        "two_pi_power": power,
+        "two_pi_power": _two_pi_power(scenario.chart),
         "obstructed": not zero_mode.is_zero(),
     }
 
@@ -352,7 +357,7 @@ def _random_graded_section(chart, rank, rng):
     terms = {}
     for _ in range(2):
         letters = []
-        for _ in range(rng.randint(0, 2)):
+        for _ in range(rng.randint(0, 2) if rank else 0):  # no ghost letters at rank 0
             kind = rng.choice((XI, XIS))
             letters.append((kind, rng.randrange(rank)))
         sign, canon = normalize(encode(letters))

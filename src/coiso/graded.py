@@ -484,7 +484,11 @@ def jacobi_bracket(jop: GradedElement, a: GradedElement, b: GradedElement) -> Gr
 
 
 def hamiltonian_operator(jop: GradedElement, omega: GradedElement) -> GradedElement:
-    """The derivation {omega, -}_J = (-1)^{|omega|} [[J, omega]]."""
+    """The derivation {omega, -}_J = (-1)^{|omega|} [[J, omega]]; zero for
+    omega = 0, which has no single degree (the BRST charge of a chart
+    without fiber coordinates)."""
+    if omega.is_zero():
+        return omega
     return jop.insert(omega).scale(decal_sign(omega))
 
 

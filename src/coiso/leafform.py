@@ -126,20 +126,6 @@ class SectionOfNormalBundle:
         comps = [w.coefficient((a,)) for a in range(w.chart.m)]
         return SectionOfNormalBundle(w.chart, comps)
 
-    def scale(self, c) -> "SectionOfNormalBundle":
-        return SectionOfNormalBundle(self.chart, [f.scale(c) for f in self.components])
-
-    def __add__(self, other):
-        return SectionOfNormalBundle(
-            self.chart, [a + b for a, b in zip(self.components, other.components)]
-        )
-
-    def __neg__(self):
-        return SectionOfNormalBundle(self.chart, [-f for f in self.components])
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.components)
-
     def __eq__(self, other):
         return (
             isinstance(other, SectionOfNormalBundle)

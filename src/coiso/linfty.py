@@ -34,14 +34,6 @@ class DeformationError(ValueError):
     pass
 
 
-def _series_bound(j: MultiDerivation) -> int:
-    """The highest fiber degree among the P and Q coefficients of j, plus 2:
-    every derived bracket of j with more I(xi) of degree <= 1 arguments
-    than this vanishes."""
-    coeffs = list(j.p_part.terms.values()) + list(j.q_part.terms.values())
-    return max((f.fiber_degree() for f in coeffs), default=0) + 2
-
-
 class MultibracketTable:
     """The Jacobi bi-derivation J whose derived brackets are the multibrackets
     m_k.  Each derived bracket is built once for the life of the table."""
@@ -78,8 +70,12 @@ class MultibracketTable:
         return self.m([omega])
 
     def series_bound(self) -> int:
-        """All m_k with k > series_bound() vanish on degree <= 1 arguments."""
-        return _series_bound(self.j)
+        """All m_k with k > series_bound() vanish on degree <= 1 arguments:
+        the highest fiber degree among the P and Q coefficients of J, plus 2,
+        bounds the number of I(xi) brackets that do not vanish."""
+        j = self.j
+        coeffs = list(j.p_part.terms.values()) + list(j.q_part.terms.values())
+        return max((f.fiber_degree() for f in coeffs), default=0) + 2
 
 
 def extract_multibrackets(j: MultiDerivation) -> MultibracketTable:
@@ -134,46 +130,15 @@ def mc_series(table: MultibracketTable, s: SectionOfNormalBundle) -> LeafForm:
 def kuranishi(table: MultibracketTable, s: SectionOfNormalBundle):
     """The Kuranishi class of an infinitesimal deformation.
 
-    Returns (m2(s, s), obstruction) where the obstruction report is the
-    leaf-torus zero mode of the order-2 prolongation obstruction
-    (1/2) m_2(s, s), together with its symbolic (2 pi)^d factor.
+    Returns (m_2(s, s), zero_mode): the leaf-torus zero mode of the order-2
+    prolongation obstruction (1/2) m_2(s, s).  The obstruction is its
+    integral over the d leaf angles, (2 pi)^d times it, d = len(chart.leaf).
     """
     sform = s.to_leafform()
     if not table.m1(sform).is_zero():
         raise DeformationError("kuranishi requires an infinitesimal deformation")
     kr = table.m([sform, sform])
-    rhs2 = kr.scale(Fraction(1, 2))
-    obstruction = rhs2.leaf_zero_mode()
-    return kr, ObstructionReport(obstruction, len(table.chart.leaf))
-
-
-class ObstructionReport:
-    """Zero-mode representative of a prolongation obstruction with its
-    exact (2 pi)^power factor."""
-
-    __slots__ = ("zero_mode", "two_pi_power")
-
-    def __init__(self, zero_mode: LeafForm, two_pi_power: int):
-        self.zero_mode = zero_mode
-        self.two_pi_power = two_pi_power
-
-    def is_zero(self) -> bool:
-        return self.zero_mode.is_zero()
-
-    def __repr__(self):
-        return f"ObstructionReport({self.zero_mode!r}, (2*pi)^{self.two_pi_power})"
-
-
-class FormalDeformation:
-    """Truncated formal series s(eps) = sum_{i=1}^{order} eps^i s_i."""
-
-    __slots__ = ("order", "coefficients")
-
-    def __init__(self, order: int, coefficients):
-        self.order = order
-        self.coefficients = list(coefficients)
-        if len(self.coefficients) != order:
-            raise DeformationError("need exactly `order` coefficients")
+    return kr, kr.scale(Fraction(1, 2)).leaf_zero_mode()
 
 
 def _partitions(total, largest):
@@ -186,7 +151,7 @@ def _partitions(total, largest):
             yield (first,) + rest
 
 
-def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: int, history=None):
+def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: int):
     """Solve the MC hierarchy order by order with the torus homotopy.
 
     The order-k right-hand side is sum_h (-1)^h / h! sum m_h(s_{p_1}, ..,
@@ -201,11 +166,11 @@ def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: i
     non-increasing prefix, so orders share them, and order 2 shares
     [[J, I s_1]] and [[[[J, I s_1]], I s_1]] with kuranishi.
 
-    Returns ('prolonged', FormalDeformation) on success, or
-    ('obstructed', k, ObstructionReport) at the first order k whose
-    right-hand side has a nonzero leaf zero mode.  When a list is passed as
-    `history`, one entry per order k is appended:
-    {order_k, rhs, obstruction_zero_mode, two_pi_power, solved}.
+    Returns (coefficients, orders): the sections s_1, s_2, .. solved so far,
+    and one entry per order k >= 2 tried, {order_k, rhs,
+    obstruction_zero_mode, solved}.  The run stops at the first order whose
+    right-hand side has a nonzero leaf zero mode, so it was obstructed iff
+    the last entry is unsolved.
     """
     chart = table.chart
     coeffs = [s1]
@@ -218,26 +183,26 @@ def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: i
         return Fraction((-1) ** len(parts), den)
 
     zero = LeafForm.zero(chart, 2)
+    orders = []
     for k in range(2, order + 1):
         rhs = zero.plus(
             table.m([forms[p - 1] for p in parts]).scale(weight(parts))
             for parts in _partitions(k, k - 1)
         )
         status, payload = solve_dF(rhs)
-        if history is not None:
-            history.append(
-                {
-                    "order_k": k,
-                    "rhs": rhs,
-                    # solve_dF returns the zero mode of an obstructed order;
-                    # a solved order has none
-                    "obstruction_zero_mode": payload if status == "obstructed" else zero,
-                    "two_pi_power": len(chart.leaf),
-                    "solved": status == "solved",
-                }
-            )
-        if status == "obstructed":
-            return "obstructed", k, ObstructionReport(payload, len(chart.leaf))
+        solved = status == "solved"
+        # solve_dF returns the zero mode of an obstructed order; a solved
+        # order has none
+        orders.append(
+            {
+                "order_k": k,
+                "rhs": rhs,
+                "obstruction_zero_mode": zero if solved else payload,
+                "solved": solved,
+            }
+        )
+        if not solved:
+            break
         coeffs.append(SectionOfNormalBundle.from_leafform(payload))
         forms.append(payload)
-    return "prolonged", FormalDeformation(order, coeffs)
+    return coeffs, orders

@@ -67,21 +67,6 @@ class MultiDerivation:
 
     # -- linear structure ------------------------------------------------------
 
-    def __add__(self, other: "MultiDerivation") -> "MultiDerivation":
-        if self.arity != other.arity:
-            raise ArityError("arity mismatch in sum")
-        q = None
-        if self.arity > 0:
-            q = self.q_part + other.q_part
-        return MultiDerivation(self.p_part + other.p_part, q)
-
-    def __neg__(self):
-        q = None if self.q_part is None else -self.q_part
-        return MultiDerivation(-self.p_part, q)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c) -> "MultiDerivation":
         q = None if self.q_part is None else self.q_part.scale(c)
         return MultiDerivation(self.p_part.scale(c), q)

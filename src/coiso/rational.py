@@ -7,9 +7,9 @@ Representation.  A GaussianRational is one integer triple (a, b, d) that
 stands for (a + b i)/d.  The triple is canonical: d > 0 and
 gcd(a, b, d) = 1, so zero is (0, 0, 1) and two values are equal iff their
 triples are.  Every operation computes its result triple in integers and
-reduces it with one gcd; negation and conjugation keep the triple reduced
-and skip it.  Fractions appear only at the boundary: the constructor
-accepts them (a pair of ints skips them), and ``re`` and ``im`` return them.
+reduces it with one gcd; negation keeps the triple reduced and skips it.
+Fractions appear only at the boundary: the constructor accepts them (a
+pair of ints skips them), and ``re`` and ``im`` return them.
 """
 
 from __future__ import annotations
@@ -104,9 +104,6 @@ class GaussianRational:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         if type(other) is not GaussianRational:
             other = _from_rational(other)
@@ -132,29 +129,8 @@ class GaussianRational:
             (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n
         )
 
-    def __rtruediv__(self, other):
-        other = _from_rational(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __neg__(self):
         return _raw(-self._a, -self._b, self._d)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return GaussianRational(1) / self ** (-n)
-        out = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def conjugate(self) -> "GaussianRational":
-        return _raw(self._a, -self._b, self._d)
 
     # -- comparison / hashing --------------------------------------------
 

@@ -161,11 +161,6 @@ class SparseTerms:
     def _shape(self):
         return (self.chart,)
 
-    def _like(self, terms):
-        r = object.__new__(type(self))
-        r.chart, r.terms = self.chart, terms
-        return r
-
     def _check(self, other):
         if type(other) is not type(self) or other._shape() != self._shape():
             raise ChartError(f"{type(self).__name__} operands differ in chart or shape")
@@ -398,16 +393,6 @@ class ScalarFn(SparseTerms):
                     for (n2, a2), c2 in other.terms.items()
                 ),
             )
-        )
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scale(other)
-        return NotImplemented
-
-    def conjugate(self) -> "ScalarFn":
-        return self._like(
-            {(tuple(-v for v in n), alpha): c.conjugate() for (n, alpha), c in self.terms.items()}
         )
 
     # -- calculus ---------------------------------------------------------

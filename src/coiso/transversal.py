@@ -166,16 +166,17 @@ class TransversalData:
     def multibracket(self, args) -> LeafForm:
         """Evaluate m_k on generator arguments.
 
-        args: list of ('fn', ScalarFn) and ('form', leaf index) entries; at
-        most two 'fn' entries may appear (higher function multiplicities
-        vanish by symmetry of the L-infinity[1] brackets).
+        args: list of ('fn', ScalarFn) and ('form', leaf index) entries.
+        With more than two 'fn' entries the value is the degree-0 zero, as
+        MultibracketTable.m gives it: the derived bracket has arity
+        2 - (number of functions) < 0.
         """
         chart = self.chart
         k = len(args)
         fns = [a[1] for a in args if a[0] == "fn"]
         forms = [a[1] for a in args if a[0] == "form"]
         if len(fns) > 2:
-            return LeafForm.zero(chart, 2 - len(fns))
+            return LeafForm.zero(chart, 0)
         if k == 1:
             if fns:
                 f = fns[0]

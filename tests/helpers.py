@@ -106,7 +106,7 @@ def exp_series_mc(table, s):
     """MC(-s) by the exponential series of ad_{I(-s)} on J, each order one
     bracket more than the last: the oracle of linfty.mc_series, which reads
     m_k(s, .., s) from the table and signs them by multilinearity."""
-    minus = injection_I((-s).to_leafform())
+    minus = injection_I(-s.to_leafform())
     return exp_series(table.j, minus, table.series_bound(), 1)
 
 
@@ -149,9 +149,9 @@ def leibniz_defect(a: MultiDerivation, f: ScalarFn, b: MultiDerivation) -> Multi
     if a.arity != 1:
         raise ArityError("leibniz_defect supports arity-1 a only")
     whole = a.sj_bracket(scale_by_fn(b, f))
-    fab = scale_by_fn(a.sj_bracket(b), f)
-    xa_f = a.p_part.apply([f])
-    return whole - scale_by_fn(b, xa_f) - fab
+    rest = (scale_by_fn(b, a.p_part.apply([f])), scale_by_fn(a.sj_bracket(b), f))
+    p = whole.p_part.plus(-x.p_part for x in rest)
+    return MultiDerivation(p, whole.q_or_zero().plus(-x.q_or_zero() for x in rest))
 
 
 def i_then_p_defect(c1, op: GradedElement, d_G: GradedElement) -> GradedElement:
@@ -326,9 +326,15 @@ def random_scalar(chart, rng: random.Random, max_terms=2, freq=1, fiber_deg=1) -
     return ScalarFn(chart, terms)
 
 
+def conjugate(f: ScalarFn) -> ScalarFn:
+    """The complex conjugate: c exp(i n.phi) y^alpha -> conj(c) exp(-i n.phi) y^alpha."""
+    terms = {(tuple(-v for v in n), alpha): GaussianRational(c.re, -c.im) for (n, alpha), c in f.terms.items()}
+    return ScalarFn(f.chart, terms)
+
+
 def random_real_scalar(chart, rng, **kw) -> ScalarFn:
     f = random_scalar(chart, rng, **kw)
-    return f + f.conjugate()
+    return f + conjugate(f)
 
 
 def random_base_scalar(chart, rng, max_terms=2, freq=1) -> ScalarFn:

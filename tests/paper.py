@@ -33,7 +33,7 @@ from coiso.multivector import MultiVectorField
 from coiso.multider import ArityError, MultiDerivation
 from coiso.leafform import LeafForm, SectionOfNormalBundle
 from coiso.geom import injection_I, projection_P
-from coiso.linfty import DeformationError, MultibracketTable, _series_bound
+from coiso.linfty import DeformationError, MultibracketTable
 from coiso.graded import (
     DX,
     DXI,
@@ -103,7 +103,7 @@ def delta_mc(table: MultibracketTable, s: SectionOfNormalBundle, lam: ScalarFn) 
     commutes with ad_{I(lam)}: the series is that of [[J, I(lam)]]."""
     if not lam.is_base_only():
         raise DeformationError("gauge parameter must be base-only")
-    minus = injection_I((-s).to_leafform())
+    minus = injection_I(-s.to_leafform())
     x = table.j.sj_bracket(injection_I(LeafForm.function(lam)))
     return exp_series(x, minus, table.series_bound(), 0)
 
@@ -124,10 +124,12 @@ def extended_mc_residual(j: MultiDerivation, box: MultiDerivation, s: SectionOfN
     section for it; the corresponding formal MC element is (box, -s), so for
     box = 0 the second component is the ordinary series MC(-s).  I(s) has
     arity 1, so L_{I(s)} x = [[I(s), x]] = [[x, I(-s)]]."""
-    total = j + box
+    total = MultiDerivation(j.p_part + box.p_part, j.q_part + box.q_part)
     first = total.sj_bracket(total).scale(Fraction(-1, 2))
-    minus = injection_I((-s).to_leafform())
-    return first, exp_series(total, minus, _series_bound(total), 0)
+    minus = injection_I(-s.to_leafform())
+    coeffs = [*total.p_part.terms.values(), *total.q_part.terms.values()]
+    bound = max((f.fiber_degree() for f in coeffs), default=0) + 2  # as in series_bound
+    return first, exp_series(total, minus, bound, 0)
 
 
 # ---------------------------------------------------------------------------

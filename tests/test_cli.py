@@ -15,7 +15,7 @@ from coiso.scenario import Scenario, ScenarioError, load_scenario
 from coiso.expr import parse_scalar, scalar_to_json, scalar_to_text
 from coiso.graded import GradedElement
 
-from helpers import random_scalar, scalar_from_json, torus_chart
+from helpers import conjugate, random_scalar, scalar_from_json, torus_chart
 
 
 def run_cli(args, capsys):
@@ -202,6 +202,21 @@ def test_multibrackets_without_fiber(tmp_path, capsys):
     code, out, err = run_cli(["--scenario", str(p), "--task", "multibrackets"], capsys)
     assert code == 2 and out == ""
     assert "fiber coordinate" in err and len(err.splitlines()) == 1
+
+
+def test_dbfv_without_fiber(tmp_path, capsys):
+    """Without fiber coordinates the BRST charge of the zero section is
+    zero, and so is d_BFV; hpl-resolve, which projects onto the fiber
+    directions, exits 2 with one line."""
+    p = tmp_path / "lcs.json"
+    p.write_text(json.dumps(LCS_T2))
+    code, out, err = run_cli(["--scenario", str(p), "--task", "dbfv"], capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)["tasks"]["dbfv"]
+    assert report["square_zero"] is True and report["operator"] == []
+    code, out, err = run_cli(["--scenario", str(p), "--task", "hpl-resolve"], capsys)
+    assert code == 2 and out == ""
+    assert "fiber direction" in err and len(err.splitlines()) == 1
 
 
 def test_transversal_crosscheck_needs_two_fiber_coordinates(tmp_path, capsys):
@@ -488,7 +503,7 @@ def test_expression_round_trip():
     rng = random.Random(1)
     for _ in range(30):
         f = random_scalar(chart, rng, max_terms=3, freq=2, fiber_deg=2)
-        f = f + f.conjugate()  # keep it real so sin/cos collection kicks in
+        f = f + conjugate(f)  # keep it real so sin/cos collection kicks in
         text = scalar_to_text(f)
         assert parse_scalar(chart, text) == f
         assert scalar_from_json(chart, scalar_to_json(f)) == f

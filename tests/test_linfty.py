@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -191,12 +192,19 @@ def test_kuranishi_obstructed_example(table, chart):
     s = SectionOfNormalBundle(chart, [f, g])
     # infinitesimal condition dg/dph_1 - df/dph_2 = 0
     assert (g.partial("ph_1") - f.partial("ph_2")).is_zero()
-    kr, report = kuranishi(table, s)
+    kr, zero_mode = kuranishi(table, s)
     s3 = ScalarFn.sin_phi(chart, "ph_3")
     assert kr == LeafForm(chart, 2, {(0, 1): s3.scale(2)})
-    assert report.zero_mode == LeafForm(chart, 2, {(0, 1): s3})
-    assert report.two_pi_power == 2
-    assert not report.is_zero()
+    assert zero_mode == LeafForm(chart, 2, {(0, 1): s3})
+
+
+def test_readme_example(capsys):
+    """The python block of README.md runs and prints the zero mode of the
+    torus-obstructed section, sin(ph_3) dph_1^dph_2."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    exec(block, {})
+    assert capsys.readouterr().out == "(sin(ph_3)) dph_1^dph_2\n"
 
 
 def test_kuranishi_rejects_non_cocycle(table, chart):
@@ -206,34 +214,35 @@ def test_kuranishi_rejects_non_cocycle(table, chart):
 
 
 def test_kuranishi_zero_for_zero(table, chart):
-    kr, report = kuranishi(table, SectionOfNormalBundle.zero(chart))
-    assert kr.is_zero() and report.is_zero()
+    kr, zero_mode = kuranishi(table, SectionOfNormalBundle.zero(chart))
+    assert kr.is_zero() and zero_mode.is_zero()
 
 
 def test_prolong_obstructed(table, chart):
     s1 = SectionOfNormalBundle(
         chart, [ScalarFn.cos_phi(chart, "ph_4"), ScalarFn.sin_phi(chart, "ph_4")]
     )
-    status, order, report = prolong_formal(table, s1, 4)
-    assert status == "obstructed" and order == 2
-    assert report.zero_mode == LeafForm(chart, 2, {(0, 1): ScalarFn.sin_phi(chart, "ph_3")})
-    assert report.two_pi_power == 2
+    coefficients, orders = prolong_formal(table, s1, 4)
+    assert coefficients == [s1]
+    assert [o["order_k"] for o in orders] == [2] and not orders[-1]["solved"]
+    zero_mode = LeafForm(chart, 2, {(0, 1): ScalarFn.sin_phi(chart, "ph_3")})
+    assert orders[-1]["obstruction_zero_mode"] == zero_mode
 
 
 def test_prolong_unobstructed_cases(table, chart):
-    status, result = prolong_formal(table, SectionOfNormalBundle.zero(chart), 3)
-    assert status == "prolonged"
-    assert all(c.is_zero() for c in result.coefficients)
+    zero = SectionOfNormalBundle.zero(chart)
+    coefficients, orders = prolong_formal(table, zero, 3)
+    assert [o["solved"] for o in orders] == [True, True]
+    assert coefficients == [zero] * 3
 
     # s1 = (cos ph_3, 0): m_2(s1, s1) density vanishes identically, so the
     # prolongation continues with s_2 = 0 (direct evaluation oracle below)
     s1 = SectionOfNormalBundle(chart, [ScalarFn.cos_phi(chart, "ph_3"), ScalarFn.zero(chart)])
     m2 = table.m([s1.to_leafform(), s1.to_leafform()])
     assert m2.is_zero()
-    status, result = prolong_formal(table, s1, 3)
-    assert status == "prolonged"
-    assert result.coefficients[0] == s1
-    assert all(c.is_zero() for c in result.coefficients[1:])
+    coefficients, orders = prolong_formal(table, s1, 3)
+    assert [o["solved"] for o in orders] == [True, True]
+    assert coefficients == [s1, zero, zero]
 
 
 def test_delta_mc(table, chart, J):
@@ -258,7 +267,7 @@ def test_delta_mc(table, chart, J):
         lam = random_base_scalar(chart, rng)
         acc = LeafForm.zero(chart, 1)
         current = j
-        minus = injection_I((-s).to_leafform())
+        minus = injection_I(-s.to_leafform())
         for k in range(0, 8):
             acc = acc + projection_P(
                 current.sj_bracket(injection_I(LeafForm.function(lam)))
@@ -280,7 +289,7 @@ def test_extended_brackets(chart, J):
     assert second == mc_series(table, s)
     # s = 0 with box such that J + box is Jacobi and P(J + box) = 0
     box = J.scale(Fraction(1, 3))
-    assert (J + box).sj_bracket(J + box).is_zero()
+    assert J.scale(Fraction(4, 3)).is_jacobi()  # J + box
     first, second = extended_mc_residual(J, box, SectionOfNormalBundle.zero(chart))
     assert first.is_zero() and second.is_zero()
     # infinitesimal pair condition: n_1(box, -s) = 0 iff d_J box = 0 and
@@ -289,7 +298,7 @@ def test_extended_brackets(chart, J):
         s = SectionOfNormalBundle(
             chart, [random_base_scalar(chart, rng), random_base_scalar(chart, rng)]
         )
-        first, second = extended_n1(J, box, (-s).to_leafform())
+        first, second = extended_n1(J, box, -s.to_leafform())
         dj_box = J.sj_bracket(box)
         m1s = table.m1(s.to_leafform())
         cond = dj_box.is_zero() and (projection_P(box) - m1s).is_zero()
@@ -532,12 +541,12 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def composition_prolong(table, s1, order, history):
+def composition_prolong(table, s1, order):
     """prolong_formal with the order-k right-hand side summed over every
     composition of k into h >= 2 parts, weight (-1)^h / h!, each term an
     m_h evaluated from J by a fold that shares no bracket."""
     chart = table.chart
-    coeffs = [s1]
+    coeffs, history = [s1], []
     for k in range(2, order + 1):
         rhs = LeafForm.zero(chart, 2)
         for h in range(2, k + 1):
@@ -551,14 +560,13 @@ def composition_prolong(table, s1, order, history):
                 "order_k": k,
                 "rhs": rhs,
                 "obstruction_zero_mode": rhs.leaf_zero_mode(),
-                "two_pi_power": len(chart.leaf),
                 "solved": status == "solved",
             }
         )
         if status == "obstructed":
-            return "obstructed", k, payload
+            break
         coeffs.append(SectionOfNormalBundle.from_leafform(payload))
-    return "prolonged", coeffs
+    return coeffs, history
 
 
 @pytest.mark.parametrize("name", TABLES)
@@ -566,19 +574,10 @@ def composition_prolong(table, s1, order, history):
 @given(s1=_infinitesimal_sections(), order=st.integers(2, 5))
 @example(s1=_prolonging_section(), order=5)
 def test_prolong_matches_composition_sum(name, s1, order):
-    """The partition sum with shared prefixes gives the status, the
-    coefficients or obstruction and the history of the composition sum."""
+    """The partition sum with shared prefixes gives the coefficients and
+    the orders of the composition sum."""
     table = TABLES[name]
-    history, expected_history = [], []
-    result = prolong_formal(table, s1, order, history=history)
-    expected = composition_prolong(table, s1, order, expected_history)
-    assert history == expected_history
-    assert result[0] == expected[0]
-    if result[0] == "prolonged":
-        assert result[1].coefficients == expected[1]
-    else:
-        assert result[1] == expected[1]
-        assert result[2].zero_mode == expected[2]
+    assert prolong_formal(table, s1, order) == composition_prolong(table, s1, order)
 
 
 def _leaf_arguments():

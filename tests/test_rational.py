@@ -29,13 +29,6 @@ def o_div(x, y):
     return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
 
 
-def o_pow(x, n):
-    out = (Fraction(1), Fraction(0))
-    for _ in range(abs(n)):
-        out = o_mul(out, x)
-    return o_div((Fraction(1), Fraction(0)), out) if n < 0 else out
-
-
 def gr(x):
     # integer parts go in as ints, which the constructor takes without Fraction
     return GaussianRational(*(v.numerator if v.denominator == 1 else v for v in x))
@@ -58,7 +51,6 @@ def test_ring_operations(x, y):
     assert_is(gr(x) - gr(y), (x[0] - y[0], x[1] - y[1]))
     assert_is(gr(x) * gr(y), o_mul(x, y))
     assert_is(-gr(x), (-x[0], -x[1]))
-    assert_is(gr(x).conjugate(), (x[0], -x[1]))
     if y != (0, 0):
         assert_is(gr(x) / gr(y), o_div(x, y))
 
@@ -71,23 +63,10 @@ def test_mixed_operands(x, r):
     assert_is(z + r, (x[0] + r, x[1]))
     assert_is(r + z, (x[0] + r, x[1]))
     assert_is(z - r, (x[0] - r, x[1]))
-    assert_is(r - z, (r - x[0], -x[1]))
     assert_is(z * r, o_mul(x, q))
     assert_is(r * z, o_mul(x, q))
     if r:
         assert_is(z / r, o_div(x, q))
-    if x != (0, 0):
-        assert_is(r / z, o_div(q, x))
-
-
-@prop
-@given(pairs, st.integers(-5, 5))
-def test_powers(x, n):
-    if n < 0 and x == (0, 0):
-        with pytest.raises(ZeroDivisionError):
-            gr(x) ** n
-    else:
-        assert_is(gr(x) ** n, o_pow(x, n))
 
 
 @prop
@@ -96,8 +75,6 @@ def test_division_by_zero(x):
     for zero in (ZERO, GaussianRational(0, 0), 0, Fraction(0)):
         with pytest.raises(ZeroDivisionError):
             gr(x) / zero
-    with pytest.raises(ZeroDivisionError):
-        x[0] / ZERO
 
 
 # -- representation -----------------------------------------------------------

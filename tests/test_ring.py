@@ -23,6 +23,7 @@ from coiso.expr import parse_scalar, scalar_to_json
 from helpers import (
     TPoly,
     cofactor_inverse,
+    conjugate,
     scalar_from_json,
     random_real_scalar,
     random_scalar,
@@ -161,10 +162,10 @@ def test_reality_preserved(chart):
         f = random_real_scalar(chart, rng)
         g = random_real_scalar(chart, rng)
         for x in (f, g, f + g, f * g, f.partial("ph_2"), f.partial("y_1")):
-            assert x.conjugate() == x
+            assert conjugate(x) == x
         h = random_real_scalar(chart, rng, fiber_deg=0)
         x = f.substitute_fiber([h, ScalarFn.y(chart, "y_2")])
-        assert x.conjugate() == x
+        assert conjugate(x) == x
 
 
 def test_unit_inverse(chart):
@@ -330,7 +331,7 @@ def test_mask_of_sum_and_product_within_union(chart, data):
     f, g = data.draw(_sparse_polys(chart)), data.draw(_sparse_polys(chart))
     union = f.mask | g.mask
     # f - f and f * conj(f) cancel terms, so their masks shrink
-    for h in (f + g, f * g, f - f, f * f.conjugate(), f + g - f):
+    for h in (f + g, f * g, f - f, f * conjugate(f), f + g - f):
         assert h.mask & ~union == 0
     assert (f - f).mask == 0 and ScalarFn.zero(chart).mask == 0
 

@@ -147,6 +147,11 @@ def test_cross_check_with_linfty(td, chart):
         )
         # m_1 on the frame forms
         assert td.multibracket([("form", 0)]) == table.m([delta[0]])
+        # three functions, with and without a form: the degree-0 zero
+        for tail in ([], [delta[0]]):
+            args = [("fn", f), ("fn", g), ("fn", f)] + [("form", 0)] * len(tail)
+            fns = [LeafForm.function(h) for h in (f, g, f)]
+            assert td.multibracket(args) == table.m(fns + tail)
         # m_k = 0 for k > 2 (transversally integrable)
         for k in (3, 4):
             args = [("fn", f)] + [("form", i % 2) for i in range(k - 1)]
