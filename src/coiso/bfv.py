@@ -8,6 +8,11 @@ trivial connection, the only one the library builds, J^ = G + i_nabla(J)
 already squares to zero; a curved connection would need the recursion on
 operators, filtered by antighost bidegree.
 
+The homological perturbation lemma perturbs the s = 0 ContractionTwo
+(wp, iota, h) with differential d[0] by delta = d_BFV - d[0]; the result,
+PerturbedContraction, is built once per scenario.  check_hpl_axioms checks
+the contraction axioms of both on samples (the hpl-resolve task).
+
 A failed identity that the paper proves (the contraction axioms, the
 perturbed chain map, [[J^, J^]] = 0, d_BFV^2 = 0, the termination of the
 SBSO and of the perturbation series) raises AssertionError; BFVError is
@@ -44,16 +49,16 @@ class ObstructionFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# contraction data wrapper
+# contraction axioms
 # ---------------------------------------------------------------------------
 
 
-def check_contraction_axioms(data, x, label):
+def check_contraction_axioms(homotopy_projection, immersion, differential, x, label):
     """q j = id, [d, h] = j q - id, h^2 = h j = q h = 0 on the sample x for
-    data with immersion j, differential d and homotopy_projection(y) =
+    the immersion j, the differential d and homotopy_projection(y) =
     (h(y), q(y)).  Takes h and q of each of x, d(x), h(x) and j(q(x)) from
     one homotopy_projection call; returns (j(q(x)), q(d(x)))."""
-    hq, j, d = data.homotopy_projection, data.immersion, data.differential
+    hq, j, d = homotopy_projection, immersion, differential
     hx, small = hq(x)
     jq = j(small)
     hdx, qdx = hq(d(x))
@@ -70,23 +75,6 @@ def check_contraction_axioms(data, x, label):
     if not hjq.is_zero():
         raise AssertionError(f"{label} violate h j = 0")
     return jq, qdx
-
-
-class ContractionData:
-    """(projection, immersion, homotopy, differential) with the contraction
-    axioms checked on a randomized sample at construction."""
-
-    def __init__(self, projection, immersion, homotopy, differential, sampler=None, checks=6):
-        self.projection = projection
-        self.immersion = immersion
-        self.homotopy = homotopy
-        self.differential = differential
-        if sampler is not None:
-            for _ in range(checks):
-                check_contraction_axioms(self, sampler(), "contraction data")
-
-    def homotopy_projection(self, y):
-        return self.homotopy(y), self.projection(y)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +183,11 @@ def d_bfv(lift: Lift, omega: GradedElement) -> GradedElement:
 # ---------------------------------------------------------------------------
 
 
-def geometric_series(op, x, max_terms=16):
+def geometric_series(op, x):
     """(1 - op)^{-1} x = sum op^k x for nilpotent op."""
     out = x
     term = x
-    for _ in range(max_terms):
+    for _ in range(16):
         term = op(term)
         if term.is_zero():
             return out
@@ -208,58 +196,58 @@ def geometric_series(op, x, max_terms=16):
 
 
 class PerturbedContraction:
-    """HPL output: the deformed contraction data of (q, j, h, d) under a
-    small perturbation delta with delta h nilpotent.  The perturbed q and h
-    of an argument y both read the one series (1 - delta h)^{-1} y."""
+    """HPL output: the contraction (wp, iota, h) of base with differential
+    d0.insert, perturbed by delta = d_BFV - d0 with delta h nilpotent, for
+    the operator dop of d_bfv.  The perturbed differential is dop.insert,
+    and the perturbed q and h of an argument y both read the one series
+    (1 - delta h)^{-1} y."""
 
-    def __init__(self, base: ContractionData, delta, sampler=None, checks=6):
+    def __init__(self, base: ContractionTwo, d0: GradedElement, dop: GradedElement):
         self.base = base
-        self.delta = delta
-        if sampler is not None:
-            for _ in range(checks):
-                x = sampler()
-                # chain map: q'(d' x) = q delta j'(q' x), j'(q' x) read from the check
-                jqx, qdx = check_contraction_axioms(self, x, "perturbed data")
-                if not (qdx - base.projection(delta(jqx))).is_zero():
-                    raise AssertionError("perturbed projection is not a chain map")
+        self.d0 = d0
+        self.differential = dop.insert
+        # insertion is linear in the operator: delta(x) = dop(x) - d0(x)
+        self.delta = (dop - d0).insert
 
     def series(self, y):
         """(1 - delta h)^{-1} y."""
-        return geometric_series(lambda z: self.delta(self.base.homotopy(z)), y)
+        return geometric_series(lambda z: self.delta(self.base.h(z)), y)
 
     def homotopy_projection(self, y):
         s = self.series(y)
-        return self.base.homotopy(s), self.base.projection(s)
+        return self.base.h(s), self.base.wp(s)
 
     def immersion(self, y):
         """(1 - h delta)^{-1} j(y)."""
         base = self.base
-        return geometric_series(lambda z: base.homotopy(self.delta(z)), base.immersion(y))
-
-    def differential(self, y):
-        return self.base.differential(y) + self.delta(y)
+        return geometric_series(lambda z: base.h(self.delta(z)), base.iota(y))
 
     def small_differential(self, y):
-        return self.base.projection(self.delta(self.immersion(y)))
+        return self.base.wp(self.delta(self.immersion(y)))
 
 
-def hpl_resolution(lift: Lift, dop: GradedElement, sampler=None):
+def hpl_resolution(lift: Lift, dop: GradedElement) -> PerturbedContraction:
     """Perturb the s = 0 contraction data by delta = d_BFV - d[0], for the
     operator dop of d_bfv; the induced differential on the small side is
     the leafwise de Rham differential m_1."""
-    chart, rank = lift.chart, lift.rank
-    c2 = ContractionTwo(chart, rank, SectionOfNormalBundle.zero(chart))
-    d0 = c2.d_s(lift.G)
+    base = ContractionTwo(lift.chart, lift.rank, SectionOfNormalBundle.zero(lift.chart))
+    return PerturbedContraction(base, base.d_s(lift.G), dop)
 
-    base = ContractionData(
-        projection=c2.wp,
-        immersion=c2.iota,
-        homotopy=c2.h,
-        differential=lambda x: d0.insert(x),
-        sampler=sampler,
-    )
-    # insertion is linear in the operator: delta(x) = dop(x) - d0(x)
-    return PerturbedContraction(base, (dop - d0).insert, sampler=sampler)
+
+def check_hpl_axioms(pert: PerturbedContraction, sampler):
+    """The contraction axioms of the s = 0 data on 6 samples of sampler(),
+    then those of the perturbed data, with its chain map, on 6 more."""
+    base = pert.base
+    hq = lambda y: (base.h(y), base.wp(y))
+    for _ in range(6):
+        check_contraction_axioms(hq, base.iota, pert.d0.insert, sampler(), "contraction data")
+    for _ in range(6):
+        # chain map: q'(d' x) = q delta j'(q' x), j'(q' x) read from the check
+        jqx, qdx = check_contraction_axioms(
+            pert.homotopy_projection, pert.immersion, pert.differential, sampler(), "perturbed data"
+        )
+        if not (qdx - base.wp(pert.delta(jqx))).is_zero():
+            raise AssertionError("perturbed projection is not a chain map")
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +263,14 @@ def bfv_lift_cocycle(lift: Lift, perturbed: PerturbedContraction, s: SectionOfNo
     return perturbed.immersion(GradedElement(lift.chart, lift.rank, ghosts))
 
 
-def bfv_kuranishi(lift: Lift, dop: GradedElement, nu: GradedElement):
+def bfv_kuranishi(lift: Lift, perturbed: PerturbedContraction, nu: GradedElement):
     """Kr[nu] = [{nu, nu}_BFV] for a d_BFV-closed degree-1 section; returns
     (class, zero_mode), zero_mode the reduced leaf-torus zero mode of half
     the class, as linfty.kuranishi returns that of the order-2 prolongation
-    obstruction."""
-    if not dop.insert(nu).is_zero():
+    obstruction.  Like that route, it needs a fiber direction."""
+    if not lift.chart.m:
+        raise BFVError("projection needs at least one fiber direction")
+    if not perturbed.differential(nu).is_zero():
         raise BFVError("bfv_kuranishi requires a d_BFV-closed section")
     kr = jacobi_bracket(lift.j_hat, nu, nu)
-    c2 = ContractionTwo(lift.chart, lift.rank, SectionOfNormalBundle.zero(lift.chart))
-    reduced = c2.wp(kr).scale(Fraction(1, 2))
-    return kr, _ghost_leaf_zero_mode(reduced)
-
-
-def _ghost_leaf_zero_mode(x: GradedElement) -> GradedElement:
-    leaf = x.chart.leaf_indices()
-    modes = ((letters, f.zero_mode(leaf)) for letters, f in x.terms.items())
-    return x._like({letters: g for letters, g in modes if not g.is_zero()})
+    return kr, perturbed.base.wp(kr).scale(Fraction(1, 2)).leaf_zero_mode()

@@ -26,9 +26,10 @@ Artifacts live on the ``Scenario`` object, so they last one ``main`` call
 and are never shared between calls.  A task's report does not depend on
 which other tasks ran before it.  ``Scenario.omega0`` keeps an
 ObstructionFailure, and ``run_task`` turns it into an ``exists: false``
-report.  The HPL data is built by each task that needs it (bfv-kuranishi
-without sampled axiom checks, hpl-resolve with them), and brst-charge
-computes the charge of the scenario's section (or the zero section) itself.
+report.  bfv-kuranishi and hpl-resolve share one build of the HPL data,
+and only hpl-resolve checks its contraction axioms on samples; brst-charge
+computes the charge of the scenario's section (or the zero section)
+itself.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .bfv import (
     bfv_kuranishi,
     bfv_lift_cocycle,
     brst_charge,
-    hpl_resolution,
+    check_hpl_axioms,
 )
 from .scenario import Scenario, ScenarioError, ScenarioFileError, builtin_names, load_scenario
 from .transversal import TransversalError
@@ -295,10 +296,9 @@ def _dbfv(scenario, arg):
 
 def _bfv_kuranishi(scenario, arg):
     lift = scenario.lift()
-    dop = scenario.dbfv()
-    pert = hpl_resolution(lift, dop)
+    pert = scenario.hpl()
     nu = bfv_lift_cocycle(lift, pert, scenario.section())
-    kr, zero_mode = bfv_kuranishi(lift, dop, nu)
+    kr, zero_mode = bfv_kuranishi(lift, pert, nu)
     return {
         "cocycle": graded_to_json(nu),
         "class": graded_to_json(kr),
@@ -312,9 +312,9 @@ def _bfv_kuranishi(scenario, arg):
 def _hpl_resolve(scenario, arg):
     lift = scenario.lift()
     chart, rank = lift.chart, lift.rank
-    dop = scenario.dbfv()
+    pert = scenario.hpl()
     rng = random.Random(0)
-    pert = hpl_resolution(lift, dop, sampler=lambda: _random_graded_section(chart, rank, rng))
+    check_hpl_axioms(pert, lambda: _random_graded_section(chart, rank, rng))
     table = scenario.table()
     agree = True
     for c in chart.torus[:3]:

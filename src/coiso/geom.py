@@ -48,14 +48,6 @@ class Form(SkewTerms):
         return ScalarFn.zero(self.chart).plus(f * x[k] for k, f in self.terms.items() if k in x)
 
 
-def _inverse(chart: Chart, A):
-    """inverse_unit(chart, A), its ChartError turned into a GeometryError."""
-    try:
-        return inverse_unit(chart, A)
-    except ChartError as exc:
-        raise GeometryError(str(exc)) from None
-
-
 # ---------------------------------------------------------------------------
 # contact structures
 # ---------------------------------------------------------------------------
@@ -135,7 +127,7 @@ def contact_to_jacobi(cc: ContactChart) -> MultiDerivation:
     frame = cc.frame
     r = len(frame)
 
-    omega_inv = _inverse(chart, cc.curvature())
+    omega_inv = inverse_unit(chart, cc.curvature())
     if any(not (omega_inv[i][j] + omega_inv[j][i]).is_zero() for i in range(r) for j in range(i + 1)):
         raise GeometryError("inverse curvature matrix is not skew")
 
@@ -166,7 +158,7 @@ def lcs_to_jacobi(omega: Form, theta1: Form) -> MultiDerivation:
         raise GeometryError("d omega + omega ^ theta1 != 0")
 
     n = chart.dim
-    Omega_inv = _inverse(chart, [[omega.coefficient((i, j)) for j in range(n)] for i in range(n)])
+    Omega_inv = inverse_unit(chart, [[omega.coefficient((i, j)) for j in range(n)] for i in range(n)])
     # the sharp of a covector beta solves sum_i v^i Omega_ij = beta_j, so it
     # is the row beta Omega^-1; the sharp of dx^mu is row mu of Omega^-1
     (gamma,) = mat_mul(chart, [[theta1.coefficient((j,)) for j in range(n)]], Omega_inv)

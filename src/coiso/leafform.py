@@ -47,9 +47,7 @@ class LeafForm(SkewTerms):
         """Projector Pi_0: keep only terms with zero frequency in every leaf
         direction (the leaf-torus zero mode)."""
         self._leaf_names()  # ChartError unless one leaf coordinate per fiber direction
-        leaf = self.chart.leaf_indices()
-        modes = ((key, f.zero_mode(leaf)) for key, f in self.terms.items())
-        return self._like({key: g for key, g in modes if not g.is_zero()})
+        return super().leaf_zero_mode()
 
     def homotopy_K(self) -> "LeafForm":
         """The exact torus homotopy: K(e^{i n.phi} alpha) =

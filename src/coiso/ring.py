@@ -203,6 +203,13 @@ class SparseTerms:
             return self._like({})
         return self._like({k: v * f for k, v in self.terms.items()})
 
+    def leaf_zero_mode(self):
+        """Pi_0 of a container whose values are ScalarFns: keep the terms of
+        each value with zero frequency in every leaf direction."""
+        leaf = self.chart.leaf_indices()
+        modes = ((k, f.zero_mode(leaf)) for k, f in self.terms.items())
+        return self._like({k: g for k, g in modes if not g.is_zero()})
+
     def __eq__(self, other):
         if not isinstance(other, SparseTerms):
             return NotImplemented

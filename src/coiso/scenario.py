@@ -9,8 +9,8 @@ costly part of a load), and the constructors check what values mean.
 
 A ``Scenario`` also holds the artifacts its tasks share (the Jacobi
 structure, the section, the transversal data, the multibracket table, the
-lift, the BRST charge of the zero section and d_BFV), each built on first
-use and kept for the life of the object.
+lift, the BRST charge of the zero section, d_BFV and its HPL data), each
+built on first use and kept for the life of the object.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .multider import MultiDerivation
 from .leafform import SectionOfNormalBundle
 from .geom import ContactChart, Form, contact_to_jacobi, fiberwise_linear_jacobi, lcs_to_jacobi
 from .linfty import MultibracketTable
-from .bfv import Lift, ObstructionFailure, brst_charge, d_bfv
+from .bfv import Lift, ObstructionFailure, brst_charge, d_bfv, hpl_resolution
 from .transversal import TransversalData
 
 
@@ -248,7 +248,7 @@ class Scenario:
         fa = {int(i): self._exprs(row) for i, row in block.get("F_a", {}).items()}
         return TransversalData(self.chart, ga, gz, C, omega, fab, fa)
 
-    # -- shared artifacts: J -> table, J -> Lift -> Omega_0 -> d_BFV ------------
+    # -- shared artifacts: J -> table, J -> Lift -> Omega_0 -> d_BFV -> HPL -----
 
     def table(self) -> MultibracketTable:
         return self._once("table", lambda: MultibracketTable(self.jacobi()))
@@ -265,6 +265,11 @@ class Scenario:
     def dbfv(self):
         """d_BFV of Omega_0, its square checked to be zero."""
         return self._once("dbfv", lambda: d_bfv(self.lift(), self.omega0()[0]))
+
+    def hpl(self):
+        """The HPL data of d_BFV: the zero-section contraction perturbed by
+        d_BFV - d[0]."""
+        return self._once("hpl", lambda: hpl_resolution(self.lift(), self.dbfv()))
 
 
 def load_scenario(path_or_name: str):

@@ -321,7 +321,7 @@ def test_criterion_08_bfv_layer(chart, J, lift):
         },
     )
     assert (nu - expected_nu).is_zero()
-    kr, zero_mode = bfv_kuranishi(lift, dop, nu)
+    kr, zero_mode = bfv_kuranishi(lift, pert, nu)
     assert zero_mode == GradedElement(chart, RANK, {((XI, 0), (XI, 1)): s3})
     report(8, "BFV layer: lift, charge, d_BFV, residual and BFV Kuranishi all reproduce the worked example")
 
@@ -343,7 +343,7 @@ def test_criterion_09_hpl_resolution(chart, J, lift):
 
     omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
     dop = d_bfv(lift, omega)
-    pert = hpl_resolution(lift, dop, sampler=None)
+    pert = hpl_resolution(lift, dop)
     table = MultibracketTable(J)
     # induced differential = m_1 on generators
     for _ in range(6):

@@ -3,7 +3,6 @@
 import operator
 import random
 import re
-from types import SimpleNamespace
 
 import pytest
 
@@ -33,6 +32,7 @@ from coiso.bfv import (
     bfv_lift_cocycle,
     brst_charge,
     check_contraction_axioms,
+    check_hpl_axioms,
     d_bfv,
     hpl_resolution,
     sbso,
@@ -231,12 +231,11 @@ _BASE = dict(
 )
 
 
-def _toy(**maps):
-    """Contraction data of these maps, its homotopy_projection read from
-    its own homotopy and projection."""
-    data = SimpleNamespace(**maps)
-    data.homotopy_projection = lambda y: (data.homotopy(y), data.projection(y))
-    return data
+def _check_toy(x, projection, immersion, homotopy, differential):
+    """The axiom check of these maps on the sample x, its
+    homotopy_projection read from homotopy and projection."""
+    hq = lambda y: (homotopy(y), projection(y))
+    return check_contraction_axioms(hq, immersion, differential, _Vec(x), "toy")
 
 
 @pytest.mark.parametrize(
@@ -260,10 +259,9 @@ def test_contraction_axiom_messages(axiom, change, sample):
     from the other four, so no tuple breaks one of them alone everywhere.)"""
     for x in ((1, 1, 1), (0, 1, 0), (-1, 1, 0), (1, 0, 0)):
         # (j q x, q d x) = (x_a a, 0): d x = x_b c has no a-component
-        assert check_contraction_axioms(_toy(**_BASE), _Vec(x), "toy") == ((x[0], 0, 0), (0,))
-    data = _toy(**{**_BASE, **change})
+        assert _check_toy(x, **_BASE) == ((x[0], 0, 0), (0,))
     with pytest.raises(AssertionError, match=f"^toy violate {re.escape(axiom)}$"):
-        check_contraction_axioms(data, _Vec(sample), "toy")
+        _check_toy(sample, **{**_BASE, **change})
 
 
 def test_sbso_squares_once_per_step(lift, chart):
@@ -325,7 +323,8 @@ def test_perturbed_sample_sums_four_series(lift, chart, monkeypatch):
     """A sampled check of the perturbed data sums (1 - delta h)^{-1} once on
     each of x, d x, h x and j q x: h and q of an argument share one series,
     and the chain-map check reuses q d x.  It sums (1 - h delta)^{-1} once,
-    for the perturbed j of q x, which the chain-map check reuses too."""
+    for the perturbed j of q x, which the chain-map check reuses too.  The
+    6 samples of the s = 0 data sum no series."""
     dop = d_bfv(lift, brst_charge(lift, SectionOfNormalBundle.zero(chart))[0])
     pert = hpl_resolution(lift, dop)
     series, geometric = [], []
@@ -336,9 +335,9 @@ def test_perturbed_sample_sums_four_series(lift, chart, monkeypatch):
     summed = bfv.geometric_series
     monkeypatch.setattr(bfv, "geometric_series", lambda op, x: geometric.append(x) or summed(op, x))
     rng = random.Random(41)
-    PerturbedContraction(pert.base, pert.delta, lambda: rand_graded_section(chart, rng), checks=3)
-    assert len(series) == 4 * 3
-    assert len(geometric) == 5 * 3
+    check_hpl_axioms(pert, lambda: rand_graded_section(chart, rng))
+    assert len(series) == 4 * 6
+    assert len(geometric) == 5 * 6
 
 
 def test_lift_with_nonflat_connection(chart):
@@ -474,7 +473,8 @@ def test_hpl_resolution(lift, chart):
     omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
     dop = d_bfv(lift, omega)
     sampler = lambda: rand_graded_section(chart, rng)
-    pert = hpl_resolution(lift, dop, sampler=sampler)
+    pert = hpl_resolution(lift, dop)
+    check_hpl_axioms(pert, sampler)
     # induced differential on base ghost words = m_1 under xi^a <-> dF_ph_a
     table = MultibracketTable(lift.j)
     for _ in range(6):
@@ -503,7 +503,8 @@ def test_bfv_kuranishi_obstructed_example(lift, chart):
     rng = random.Random(6)
     omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
     dop = d_bfv(lift, omega)
-    pert = hpl_resolution(lift, dop, sampler=lambda: rand_graded_section(chart, rng))
+    pert = hpl_resolution(lift, dop)
+    check_hpl_axioms(pert, lambda: rand_graded_section(chart, rng))
     X, Y = fields_XY(chart)
     f = ScalarFn.cos_phi(chart, "ph_4")
     g = ScalarFn.sin_phi(chart, "ph_4")
@@ -522,7 +523,7 @@ def test_bfv_kuranishi_obstructed_example(lift, chart):
     )
     assert (nu - expected).is_zero()
     assert dop.insert(nu).is_zero()
-    kr, zero_mode = bfv_kuranishi(lift, dop, nu)
+    kr, zero_mode = bfv_kuranishi(lift, pert, nu)
     s3 = ScalarFn.sin_phi(chart, "ph_3")
     assert zero_mode == GradedElement(chart, RANK, {((XI, 0), (XI, 1)): s3})
     # agreement with the derived-bracket Kuranishi through the
@@ -537,9 +538,7 @@ def test_bfv_kuranishi_obstructed_example(lift, chart):
         bound = dop.insert(lam)
         gh2 = pr(bound, 2, 0)
         c2 = ContractionTwo(chart, RANK, SectionOfNormalBundle.zero(chart))
-        from coiso.bfv import _ghost_leaf_zero_mode
-
-        assert _ghost_leaf_zero_mode(c2.wp(dop.insert(lam))).is_zero()
+        assert c2.wp(dop.insert(lam)).leaf_zero_mode().is_zero()
 
 
 def test_sbso_gauge_ladder(lift, chart):

@@ -207,7 +207,8 @@ def test_multibrackets_without_fiber(tmp_path, capsys):
 def test_dbfv_without_fiber(tmp_path, capsys):
     """Without fiber coordinates the BRST charge of the zero section is
     zero, and so is d_BFV; hpl-resolve, which projects onto the fiber
-    directions, exits 2 with one line."""
+    directions, exits 2 with one line, and so do both obstruction routes,
+    with the same message, on an empty section."""
     p = tmp_path / "lcs.json"
     p.write_text(json.dumps(LCS_T2))
     code, out, err = run_cli(["--scenario", str(p), "--task", "dbfv"], capsys)
@@ -217,6 +218,13 @@ def test_dbfv_without_fiber(tmp_path, capsys):
     code, out, err = run_cli(["--scenario", str(p), "--task", "hpl-resolve"], capsys)
     assert code == 2 and out == ""
     assert "fiber direction" in err and len(err.splitlines()) == 1
+    p.write_text(json.dumps({**LCS_T2, "section": {"components": []}}))
+    messages = []
+    for task in ("kuranishi", "bfv-kuranishi"):
+        code, out, err = run_cli(["--scenario", str(p), "--task", task], capsys)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        messages.append(err.replace(f"task {task}: ", ""))
+    assert messages == ["coiso: projection needs at least one fiber direction\n"] * 2
 
 
 def test_transversal_crosscheck_needs_two_fiber_coordinates(tmp_path, capsys):
@@ -578,9 +586,9 @@ def test_job_builds_each_artifact_once(monkeypatch, capsys):
     _count_calls(monkeypatch, counts)
     code, _, err = run_cli(_job_args("torus-obstructed", TASKS), capsys)
     assert code == 0, err
-    # bfv-kuranishi and hpl-resolve each build their own HPL data; only
+    # bfv-kuranishi and hpl-resolve share one build of the HPL data; only
     # hpl-resolve samples its contraction axioms (6 base + 6 perturbed)
-    assert counts == {"lift": 1, "table": 1, "d_bfv": 1, "hpl": 2, "axiom_samples": 12}
+    assert counts == {"lift": 1, "table": 1, "d_bfv": 1, "hpl": 1, "axiom_samples": 12}
 
 
 def test_section_is_shared():

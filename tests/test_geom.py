@@ -136,7 +136,7 @@ def test_contact_requires_unit_curvature(chart):
         "ph_5": ScalarFn.cos_phi(chart, "ph_3"),
     }
     _, Y = fields_XY(chart)
-    with pytest.raises(GeometryError, match="^matrix determinant is not a unit of the ring: "):
+    with pytest.raises(ChartError, match="^matrix determinant is not a unit of the ring: "):
         contact_to_jacobi(ContactChart(chart, theta, Y, bad_frame))
 
 
@@ -161,7 +161,7 @@ def test_lcs_requires_unit_determinant():
     # omega = (1 + y) dph_1 ^ dy is closed, but det Omega = (1 + y)^2
     chart = Chart(torus=("ph_1",), fiber=("y",))
     omega = Form(chart, 2, {(0, 1): ScalarFn.one(chart) + ScalarFn.y(chart, "y")})
-    with pytest.raises(GeometryError, match="^matrix determinant is not a unit of the ring: "):
+    with pytest.raises(ChartError, match="^matrix determinant is not a unit of the ring: "):
         lcs_to_jacobi(omega, Form(chart, 1, {}))
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from coiso.leafform import LeafForm, SectionOfNormalBundle
 from coiso.linfty import kuranishi, prolong_formal
 from coiso.graded import XI, GradedElement, decode
-from coiso.bfv import bfv_kuranishi, bfv_lift_cocycle, hpl_resolution
+from coiso.bfv import bfv_kuranishi, bfv_lift_cocycle
 from coiso.scenario import load_scenario
 
 from test_linfty import TORUS_OBSTRUCTED, _infinitesimal_sections
@@ -22,11 +22,9 @@ from test_linfty import TORUS_OBSTRUCTED, _infinitesimal_sections
 
 @pytest.fixture(scope="module")
 def routes():
-    """(table, lift, d_BFV operator, HPL resolution) of torus-obstructed."""
+    """(table, lift, HPL resolution) of torus-obstructed."""
     scenario = load_scenario("torus-obstructed")
-    lift = scenario.lift()
-    dop = scenario.dbfv()
-    return scenario.table(), lift, dop, hpl_resolution(lift, dop)
+    return scenario.table(), scenario.lift(), scenario.hpl()
 
 
 def ghost_to_leafform(x: GradedElement, degree: int) -> LeafForm:
@@ -45,10 +43,10 @@ def ghost_to_leafform(x: GradedElement, degree: int) -> LeafForm:
 @example(s=TORUS_OBSTRUCTED.section())  # (cos ph_4, sin ph_4): obstructed
 @example(s=SectionOfNormalBundle.zero(TORUS_OBSTRUCTED.chart))  # nu = 0 has no single degree
 def test_kuranishi_and_bfv_kuranishi_agree(routes, s):
-    table, lift, dop, pert = routes
+    table, lift, pert = routes
     _, zero_mode_l = kuranishi(table, s)
     nu = bfv_lift_cocycle(lift, pert, s)
-    _, zero_mode = bfv_kuranishi(lift, dop, nu)
+    _, zero_mode = bfv_kuranishi(lift, pert, nu)
     assert ghost_to_leafform(zero_mode, 2) == zero_mode_l
     _, orders = prolong_formal(table, s, 2)
     assert (not orders[-1]["solved"]) == (not zero_mode.is_zero())
