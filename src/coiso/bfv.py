@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .ring import ContentError
 from .multider import MultiDerivation
 from .leafform import SectionOfNormalBundle
 from .graded import (
@@ -36,7 +37,7 @@ from .graded import (
 )
 
 
-class BFVError(ValueError):
+class BFVError(ContentError):
     pass
 
 

@@ -7,8 +7,9 @@ Reports are deterministic: identical scenario and flags produce
 byte-identical JSON.  Exit codes: 0 all tasks succeeded (a *found*
 obstruction is a success), 1 usage error, a scenario that cannot be read
 as JSON or a report that cannot be written to --out, 2 any error in a
-scenario's content (found by ``scenario.SCHEMA`` as it loads, or as a task
-builds an artifact), 3 internal invariant violation.
+scenario's content (a ``ring.ContentError``, found by ``scenario.SCHEMA``
+as it loads, or as a task builds an artifact), 3 internal invariant
+violation.
 
 Each task is one function in ``TASKS``.  Tasks draw on artifacts of the
 scenario, each built on first use and checked once as it is built:
@@ -40,14 +41,13 @@ import random
 import sys
 from fractions import Fraction
 
-from .ring import ChartError, ScalarFn
-from .expr import ExprError, scalar_to_json
+from .ring import ContentError, ScalarFn
+from .expr import scalar_to_json
 from .leafform import LeafForm, SectionOfNormalBundle
-from .geom import GeometryError, is_coisotropic_section
-from .linfty import DeformationError, kuranishi, mc_series, prolong_formal
-from .graded import GradedElement, GradedError, bidegree, encode, i_nabla, jacobi_bracket, normalize, XI, XIS
+from .geom import is_coisotropic_section
+from .linfty import kuranishi, mc_series, prolong_formal
+from .graded import GradedElement, bidegree, encode, i_nabla, jacobi_bracket, normalize, XI, XIS
 from .bfv import (
-    BFVError,
     ObstructionFailure,
     bfv_kuranishi,
     bfv_lift_cocycle,
@@ -55,7 +55,6 @@ from .bfv import (
     check_hpl_axioms,
 )
 from .scenario import Scenario, ScenarioError, ScenarioFileError, builtin_names, load_scenario
-from .transversal import TransversalError
 from .serialize import (
     graded_to_json,
     graded_to_text,
@@ -368,7 +367,7 @@ def _random_graded_section(chart, rank, rng):
         coeff = GaussianRational(
             Fraction(rng.randint(-2, 2), 1), Fraction(rng.randint(-2, 2), 1)
         )
-        terms[canon] = ScalarFn(chart, {(n, alpha): coeff})
+        terms[canon] = ScalarFn(chart, {n + alpha: coeff})
     return GradedElement.zero(chart, rank)._sum(terms.items())
 
 
@@ -456,8 +455,7 @@ def main(argv=None) -> int:
     for name, arg in tasks:
         try:
             report["tasks"][name] = run_task(scenario, name, arg)
-        except (ScenarioError, ChartError, ExprError, GeometryError, DeformationError,
-                GradedError, BFVError, TransversalError) as exc:
+        except ContentError as exc:
             sys.stderr.write(f"coiso: task {name}: {exc}\n")
             return 2
         except AssertionError as exc:

@@ -21,14 +21,14 @@ import re
 from fractions import Fraction
 
 from .rational import GaussianRational
-from .ring import Chart, ScalarFn
+from .ring import Chart, ContentError, ScalarFn
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
 )
 
 
-class ExprError(ValueError):
+class ExprError(ContentError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
@@ -197,12 +197,13 @@ def _frac_str(x: Fraction) -> str:
 
 def scalar_to_json(f: ScalarFn) -> list:
     """Canonical JSON: term list sorted lexicographically by exponents."""
+    k = f.chart.k
     out = []
-    for (n, alpha), c in f.sorted_terms():
+    for e, c in f.sorted_terms():
         out.append(
             {
-                "torus": list(n),
-                "fiber": list(alpha),
+                "torus": list(e[:k]),
+                "fiber": list(e[k:]),
                 "re": _frac_str(c.re),
                 "im": _frac_str(c.im),
             }
@@ -216,17 +217,19 @@ def scalar_to_text(f: ScalarFn) -> str:
     if f.is_zero():
         return "0"
     chart = f.chart
+    k = chart.k
     done = set()
     bits = []
-    for (n, alpha), c in f.sorted_terms():
-        if (n, alpha) in done:
+    for e, c in f.sorted_terms():
+        if e in done:
             continue
-        mirror = (tuple(-v for v in n), alpha)
+        n = e[:k]
+        mirror = tuple(-v for v in n) + e[k:]
         single = sum(1 for v in n if v != 0) == 1
-        if single and mirror in f.terms and mirror != (n, alpha):
+        if single and mirror in f.terms and mirror != e:
             j = next(j for j, v in enumerate(n) if v != 0)
             v = n[j]
-            pos_key, neg_key = ((n, alpha), mirror) if v > 0 else (mirror, (n, alpha))
+            pos_key, neg_key = (e, mirror) if v > 0 else (mirror, e)
             a = f.terms[pos_key]
             b = f.terms[neg_key]
             freq = abs(v)
@@ -236,19 +239,19 @@ def scalar_to_text(f: ScalarFn) -> str:
                 # cos_c = a + b and sin_c = i (a - b), exactly
                 cos_c = a + b
                 sin_c = (a - b) * GaussianRational(0, 1)
-                done.add((n, alpha))
+                done.add(e)
                 done.add(mirror)
                 for coeff, fn in ((cos_c, f"cos({name})"), (sin_c, f"sin({name})")):
                     if not coeff.is_zero():
-                        bits.append(_term_text(chart, coeff, (0,) * chart.k, alpha, fn))
+                        bits.append(_term_text(chart, coeff, (0,) * k + e[k:], fn))
                 continue
-        done.add((n, alpha))
-        bits.append(_term_text(chart, c, n, alpha, None))
+        done.add(e)
+        bits.append(_term_text(chart, c, e, None))
     text = " + ".join(bits)
     return text.replace("+ -", "- ")
 
 
-def _term_text(chart, c: GaussianRational, n, alpha, trig: str | None) -> str:
+def _term_text(chart, c: GaussianRational, e, trig: str | None) -> str:
     parts = []
     if c == GaussianRational(1):
         pass
@@ -257,16 +260,14 @@ def _term_text(chart, c: GaussianRational, n, alpha, trig: str | None) -> str:
     else:
         s = str(c)
         parts.append(f"({s})" if ("+" in s[1:] or "-" in s[1:]) else s)
-    for j, v in enumerate(n):
+    for name, v in zip(chart.torus, e):
         if v:
-            parts.append(f"exp(I*{v}*{chart.torus[j]})")
+            parts.append(f"exp(I*{v}*{name})")
     if trig:
         parts.append(trig)
-    for a, v in enumerate(alpha):
-        if v == 1:
-            parts.append(chart.fiber[a])
-        elif v > 1:
-            parts.append(f"{chart.fiber[a]}^{v}")
+    for name, v in zip(chart.fiber, e[chart.k :]):
+        if v:
+            parts.append(name if v == 1 else f"{name}^{v}")
     if not parts:
         return "1"
     return "*".join(parts)

@@ -14,13 +14,13 @@ criterion.
 
 from __future__ import annotations
 
-from .ring import Chart, ChartError, PowerTable, ScalarFn, accumulate, inverse_unit, mat_mul
+from .ring import Chart, ChartError, ContentError, PowerTable, ScalarFn, accumulate, inverse_unit, mat_mul
 from .multivector import MultiVectorField, SkewTerms
 from .multider import MultiDerivation
 from .leafform import LeafForm, SectionOfNormalBundle
 
 
-class GeometryError(ValueError):
+class GeometryError(ContentError):
     pass
 
 

@@ -45,12 +45,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .ring import Chart, PowerTable, ScalarFn, SparseTerms, accumulate
+from .ring import Chart, ContentError, PowerTable, ScalarFn, SparseTerms, accumulate
 from .multider import MultiDerivation
 from .leafform import SectionOfNormalBundle
 
 
-class GradedError(ValueError):
+class GradedError(ContentError):
     pass
 
 
@@ -424,7 +424,7 @@ def _act(symbol, ghost, f, partials):
             i = _index(symbol)
             if not f.mask >> i & 1:
                 return None
-            df = partials[symbol] = f.partial_index(i)
+            df = partials[symbol] = f.partial(i)
         return 1, ghost, df
     target = symbol - _TARGET
     if target in ghost:
@@ -609,11 +609,10 @@ class ContractionTwo:
                     raise GradedError("h acts on sections")
                 nxis = sum(1 for x in letters if XIS <= x < M)
                 sign = 1 if sum(x & 1 for x in letters) & 1 else -1
-                mask = f.mask >> self.chart.k
-                for A, name in enumerate(self.chart.fiber):
-                    if not mask >> A & 1:
-                        continue
-                    p_a = f.partial(name).path_integral(self.powers, nxis)
-                    yield letters + (_letter(XIS, A),), _signed(p_a, sign)
+                for A in range(self.rank):
+                    i = self.chart.k + A
+                    if f.mask >> i & 1:
+                        p_a = f.partial(i).path_integral(self.powers, nxis)
+                        yield letters + (_letter(XIS, A),), _signed(p_a, sign)
 
         return lam._like(accumulate({}, _canonical(pairs())))

@@ -60,15 +60,15 @@ class LeafForm(SkewTerms):
 
         def pairs():
             for key, f in self.terms.items():
-                for (n, alpha), c in f.terms.items():
-                    j = next((a for a, ji in enumerate(leaf_idx) if n[ji] != 0), None)
+                for e, c in f.terms.items():
+                    j = next((a for a, ji in enumerate(leaf_idx) if e[ji] != 0), None)
                     if j is None or j not in key:
                         continue
                     pos = key.index(j)
-                    coeff = c / GaussianRational(0, n[leaf_idx[j]])
+                    coeff = c / GaussianRational(0, e[leaf_idx[j]])
                     if pos % 2:
                         coeff = -coeff
-                    yield key[:pos] + key[pos + 1 :], ScalarFn(chart, {(n, alpha): coeff})
+                    yield key[:pos] + key[pos + 1 :], ScalarFn(chart, {e: coeff})
 
         return LeafForm(chart, self.degree - 1, accumulate({}, pairs()))
 

@@ -25,12 +25,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .ring import ContentError
 from .multider import MultiDerivation
 from .leafform import LeafForm, SectionOfNormalBundle
 from .geom import injection_I, projection_P
 
 
-class DeformationError(ValueError):
+class DeformationError(ContentError):
     pass
 
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import Chart, ChartError, ScalarFn
+from .ring import Chart, ChartError, ContentError, ScalarFn
 from .multivector import MultiVectorField
 
 
-class ArityError(ValueError):
+class ArityError(ContentError):
     pass
 
 

@@ -131,7 +131,7 @@ class SkewTerms(SparseTerms):
                         continue
                     sign, key = merge_sign((i,), k)
                     if sign:
-                        df = f.partial_index(c)
+                        df = f.partial(c)
                         yield key, (df if sign == 1 else -df)
 
         return type(self)(self.chart, self.degree + 1, accumulate({}, pairs()))
@@ -178,7 +178,7 @@ class MultiVectorField(SkewTerms):
                     if mask >> i & 1:
                         d = dg.get(i)
                         if d is None:
-                            d = dg[i] = g.partial_index(i)
+                            d = dg[i] = g.partial(i)
                         yield key[:pos] + key[pos + 1 :], d * c if pos % 2 == 0 else -(d * c)
 
         return MultiVectorField(self.chart, self.degree - 1, accumulate({}, pairs()))
@@ -210,7 +210,7 @@ class MultiVectorField(SkewTerms):
                 for i, entries in slots.items():
                     if not mask >> i & 1:
                         continue
-                    di = g.partial_index(i)
+                    di = g.partial(i)
                     for rest, c in entries:
                         sign, key = merge_sign(qk, rest)
                         if sign:
@@ -236,7 +236,7 @@ class MultiVectorField(SkewTerms):
             raise ChartError("lie_derivative_fn needs a vector field")
         mask = f.mask
         return ScalarFn.zero(self.chart).plus(
-            c * f.partial_index(i) for (i,), c in self.terms.items() if mask >> i & 1
+            c * f.partial(i) for (i,), c in self.terms.items() if mask >> i & 1
         )
 
     # -- display ---------------------------------------------------------------

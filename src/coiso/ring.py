@@ -2,9 +2,11 @@
 
 A ScalarFn is a finite sum  sum_c c * exp(i n.phi) * y^alpha  with Gaussian
 rational coefficients, integer torus frequencies n and nonnegative fiber
-exponents alpha.  Products of basis monomials are again basis monomials, so
-the representation is canonical: two functions are equal iff their term
-tables coincide.
+exponents alpha.  A term's key is one exponent tuple of length chart.dim in
+chart order, n followed by alpha, so the product of two basis monomials is
+the basis monomial of the sum of their keys, and a derivative along chart
+coordinate i reads entry i of each key.  The representation is canonical:
+two functions are equal iff their term tables coincide.
 
 Charts may be degenerate (k = 0 or m = 0); the torus coordinates are
 angles (only exp(i n phi) of them occurs, never phi itself) and the fiber
@@ -24,22 +26,22 @@ hashes by its type, shape and terms and can key a dict.
 Fiber substitution.  ``ScalarFn.substitute_fiber`` replaces every fiber
 coordinate by a target function, and ``ScalarFn.path_integral`` integrates
 exactly along the straight path from the fiber point to the targets, in
-closed form (binomial expansion and the Beta integral).  Both read the
-products of powers of the targets from a ``PowerTable``, which a caller
-passes for targets it substitutes into many times (a section).
+closed form (binomial expansion and the Beta integral).  Both take the
+targets as a ``PowerTable``, which computes each product of powers of the
+targets once, however often a caller substitutes into them (a section).
 
 Structural zeros.  Most coefficients of the calculus depend on few of the
 chart's coordinates, so most of their partial derivatives, and the products
 with them, are zero before anything is computed.  ``ScalarFn.mask`` is the
 set of coordinates a function depends on, as an int: bit i is set iff some
-term has a nonzero frequency or exponent in chart coordinate i (torus
-coordinates first).  The mask is exact: it is computed from the terms
-themselves, never taken from a caller's claim, the first time it is read,
-and then kept in a slot.  A term's derivative along a coordinate it carries is a nonzero
-multiple of it, and distinct terms stay distinct, so ``partial_index(i)``
-is zero iff bit i is clear; callers test the bit and skip the derivative
-(and every product with it).  A product with a zero operand is the zero
-of the same chart, and ``mat_mul`` shares one zero among its empty entries.
+key has a nonzero entry at index i.  The mask is exact: it is computed from
+the terms themselves, never taken from a caller's claim, the first time it
+is read, and then kept in a slot.  A term's derivative along a coordinate
+it carries is a nonzero multiple of it, and distinct terms stay distinct,
+so ``partial(i)`` is zero iff bit i is clear; callers test the bit and skip
+the derivative (and every product with it).  A product with a zero operand
+is the zero of the same chart, and ``mat_mul`` shares one zero among its
+empty entries.
 
 Matrices over the ring are lists of rows of ScalarFns.  ``inverse_unit``
 is the one matrix inverse of the library; it needs a determinant that is
@@ -56,7 +58,12 @@ from operator import add, sub
 from .rational import GaussianRational, ONE
 
 
-class ChartError(ValueError):
+class ContentError(ValueError):
+    """The base of every error the library raises for invalid input: the
+    command line exits 2 on any of them."""
+
+
+class ChartError(ContentError):
     pass
 
 
@@ -224,21 +231,21 @@ class SparseTerms:
         return hash((type(self), self._shape(), frozenset(self.terms.items())))
 
 
-def _monomial(chart, n, alpha, c):
-    """The ScalarFn c * exp(i n.phi) * y^alpha of a nonzero c and exponents
-    of the chart's shape, built without revalidating them."""
+def _monomial(chart, key, c):
+    """The ScalarFn c * exp(i n.phi) * y^alpha of a nonzero c and a key of
+    the chart's shape, built without revalidating them."""
     f = object.__new__(ScalarFn)
-    f.chart, f.terms, f._mask = chart, {(n, alpha): c}, None
+    f.chart, f.terms, f._mask = chart, {key: c}, None
     return f
 
 
 def _mask_of(terms) -> int:
     """The coordinates the terms depend on: bit i set iff some key has a
-    nonzero entry at chart index i (torus frequencies, then fiber exponents)."""
+    nonzero entry at chart index i."""
     mask = 0
-    for n, alpha in terms:
+    for key in terms:
         bit = 1
-        for v in n + alpha:
+        for v in key:
             if v:
                 mask |= bit
             bit <<= 1
@@ -247,17 +254,16 @@ def _mask_of(terms) -> int:
 
 def _checked_terms(chart, terms):
     """Validated (key, coefficient) pairs of outside input; zeros dropped."""
-    for (n, alpha), c in terms.items():
+    for key, c in terms.items():
         c = GaussianRational.of(c)
         if c.is_zero():
             continue
-        n = tuple(int(v) for v in n)
-        alpha = tuple(int(v) for v in alpha)
-        if len(n) != chart.k or len(alpha) != chart.m:
+        key = tuple(int(v) for v in key)
+        if len(key) != chart.dim:
             raise ChartError("term exponent arity does not match chart")
-        if any(a < 0 for a in alpha):
+        if any(a < 0 for a in key[chart.k :]):
             raise ChartError("fiber exponents must be nonnegative")
-        yield (n, alpha), c
+        yield key, c
 
 
 class PowerTable:
@@ -297,7 +303,8 @@ class PowerTable:
 class ScalarFn(SparseTerms):
     """Exact function sum c * exp(i n.phi) * y^alpha on a chart.
 
-    terms maps (n, alpha) -> GaussianRational with n in Z^k, alpha in N^m.
+    terms maps n + alpha -> GaussianRational with n in Z^k, alpha in N^m: one
+    exponent tuple of length chart.dim in chart order.
     """
 
     __slots__ = ("_mask",)
@@ -333,21 +340,20 @@ class ScalarFn(SparseTerms):
         c = GaussianRational.of(c)
         if c.is_zero():
             return ScalarFn(chart)
-        return _monomial(chart, (0,) * chart.k, (0,) * chart.m, c)
+        return _monomial(chart, (0,) * chart.dim, c)
 
     @staticmethod
     def one(chart: Chart) -> "ScalarFn":
-        return _monomial(chart, (0,) * chart.k, (0,) * chart.m, ONE)
+        return _monomial(chart, (0,) * chart.dim, ONE)
 
     @staticmethod
     def exp_phi(chart: Chart, coord: str, n: int = 1) -> "ScalarFn":
         """exp(i n phi_coord)."""
         if coord not in chart.torus:
             raise ChartError(f"{coord!r} is not a torus coordinate")
-        j = chart.torus.index(coord)
-        nn = [0] * chart.k
-        nn[j] = n
-        return ScalarFn(chart, {(tuple(nn), (0,) * chart.m): ONE})
+        key = [0] * chart.dim
+        key[chart.torus.index(coord)] = n
+        return ScalarFn(chart, {tuple(key): ONE})
 
     @staticmethod
     def sin_phi(chart: Chart, coord: str) -> "ScalarFn":
@@ -365,21 +371,19 @@ class ScalarFn(SparseTerms):
     def y(chart: Chart, coord: str, p: int = 1) -> "ScalarFn":
         if coord not in chart.fiber:
             raise ChartError(f"{coord!r} is not a fiber coordinate")
-        a = chart.fiber.index(coord)
-        alpha = [0] * chart.m
-        alpha[a] = p
-        return ScalarFn(chart, {((0,) * chart.k, tuple(alpha)): ONE})
+        key = [0] * chart.dim
+        key[chart.index(coord)] = p
+        return ScalarFn(chart, {tuple(key): ONE})
 
     # -- predicates -------------------------------------------------------
 
     def is_base_only(self) -> bool:
         """No dependence on fiber coordinates."""
-        return all(all(a == 0 for a in alpha) for (_, alpha) in self.terms)
+        return not self.mask >> self.chart.k
 
     def fiber_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(alpha) for (_, alpha) in self.terms)
+        k = self.chart.k
+        return max((sum(key[k:]) for key in self.terms), default=0)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -395,79 +399,57 @@ class ScalarFn(SparseTerms):
             accumulate(
                 {},
                 (
-                    ((tuple(map(add, n1, n2)), tuple(map(add, a1, a2))), c1 * c2)
-                    for (n1, a1), c1 in self.terms.items()
-                    for (n2, a2), c2 in other.terms.items()
+                    (tuple(map(add, e1, e2)), c1 * c2)
+                    for e1, c1 in self.terms.items()
+                    for e2, c2 in other.terms.items()
                 ),
             )
         )
 
     # -- calculus ---------------------------------------------------------
 
-    def partial(self, coord: str) -> "ScalarFn":
-        """Partial derivative wrt a chart coordinate.
+    def partial(self, i: int) -> "ScalarFn":
+        """Partial derivative along chart coordinate i; zero iff bit i of
+        the mask is clear.
 
-        Torus coordinate: each term is multiplied by (i * n_coord).
-        Fiber coordinate: ordinary polynomial derivative.
+        Torus coordinate: each term is multiplied by sqrt(-1) times its
+        frequency e[i].  Fiber coordinate: ordinary polynomial derivative.
         """
-        chart = self.chart
-        if coord in chart.torus:
-            j = chart.torus.index(coord)
+        dim = self.chart.dim
+        if not 0 <= i < dim:
+            raise ChartError(f"coordinate index {i} out of range for a chart of dimension {dim}")
+        if i < self.chart.k:
             return self._like(
-                {
-                    (n, alpha): c * GaussianRational(0, n[j])
-                    for (n, alpha), c in self.terms.items()
-                    if n[j]
-                }
+                {e: c * GaussianRational(0, e[i]) for e, c in self.terms.items() if e[i]}
             )
-        if coord in chart.fiber:
-            # lowering alpha_a maps distinct keys to distinct keys
-            a = chart.fiber.index(coord)
-            return self._like(
-                {
-                    (n, alpha[:a] + (alpha[a] - 1,) + alpha[a + 1 :]): c * alpha[a]
-                    for (n, alpha), c in self.terms.items()
-                    if alpha[a]
-                }
-            )
-        raise ChartError(f"unknown coordinate {coord!r}")
+        # lowering the exponent maps distinct keys to distinct keys
+        return self._like(
+            {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self.terms.items() if e[i]}
+        )
 
-    def partial_index(self, i: int) -> "ScalarFn":
-        """Partial derivative along chart coordinate i (torus first); zero
-        iff bit i of the mask is clear."""
-        coords = self.chart.coords
-        if not 0 <= i < len(coords):
-            raise ChartError(f"coordinate index {i} out of range for a chart of dimension {len(coords)}")
-        return self.partial(coords[i])
-
-    def _power_table(self, targets) -> PowerTable:
-        """targets as a PowerTable of this chart: itself if it is one."""
-        table = targets if isinstance(targets, PowerTable) else PowerTable(self.chart, targets)
-        if table.chart != self.chart:
-            raise ChartError("fiber substitution targets differ in chart")
-        return table
-
-    def substitute_fiber(self, targets) -> "ScalarFn":
+    def substitute_fiber(self, powers: PowerTable) -> "ScalarFn":
         """f(u, g): every fiber coordinate y_C replaced by its target g_C,
-        one ScalarFn per fiber coordinate in chart order (the target
-        ScalarFn.y(chart, y_C) keeps y_C), or their PowerTable.
+        the targets given as a PowerTable (the target ScalarFn.y(chart, y_C)
+        keeps y_C).
 
         A term c * exp(i n.phi) * y^alpha becomes
         c * exp(i n.phi) * prod_C g_C^alpha_C, read from the power table.
         """
-        g_product = self._power_table(targets)
+        if powers.chart != self.chart:
+            raise ChartError("fiber substitution targets differ in chart")
+        k, zm = self.chart.k, (0,) * self.chart.m
 
         def pairs():
-            for (n, alpha), c in self.terms.items():
-                for (n2, a2), c2 in g_product(alpha).terms.items():
-                    yield (tuple(map(add, n, n2)), a2), c * c2
+            for e, c in self.terms.items():
+                base = e[:k] + zm
+                for e2, c2 in powers(e[k:]).terms.items():
+                    yield tuple(map(add, base, e2)), c * c2
 
         return self._like(accumulate({}, pairs()))
 
-    def path_integral(self, targets, power: int = 0) -> "ScalarFn":
+    def path_integral(self, powers: PowerTable, power: int) -> "ScalarFn":
         """int_0^1 (1-t)^power f((1-t) y + t g) dt along the straight path
-        from the fiber point y to the targets g, one ScalarFn per fiber
-        coordinate in chart order, or their PowerTable.
+        from the fiber point y to the targets g, given as a PowerTable.
 
         Computed in closed form, term by term: y_C^alpha_C on the path
         expands binomially into the sum over k_C of
@@ -479,12 +461,15 @@ class ScalarFn(SparseTerms):
         with a = power + sum_C (alpha_C - k_C) and b = sum_C k_C.  The
         products of powers of g come from the power table.
         """
-        g_product = self._power_table(targets)
+        if powers.chart != self.chart:
+            raise ChartError("fiber substitution targets differ in chart")
+        k = self.chart.k
         # a zero target contributes only k_C = 0
-        live = g_product.live
+        live = powers.live
 
         def pairs():
-            for (n, alpha), c in self.terms.items():
+            for e, c in self.terms.items():
+                alpha = e[k:]
                 top = power + sum(alpha)
                 ranges = [range(a + 1) if on else (0,) for a, on in zip(alpha, live)]
                 for ks in product(*ranges):
@@ -495,25 +480,23 @@ class ScalarFn(SparseTerms):
                         num *= comb(aC, kC)
                     coef = c * Fraction(num, factorial(a + b + 1))
                     if not b:
-                        yield (n, alpha), coef
+                        yield e, coef
                         continue
-                    rest = tuple(map(sub, alpha, ks))
-                    for (n2, a2), c2 in g_product(ks).terms.items():
-                        yield (tuple(map(add, n, n2)), tuple(map(add, rest, a2))), coef * c2
+                    rest = e[:k] + tuple(map(sub, alpha, ks))
+                    for e2, c2 in powers(ks).terms.items():
+                        yield tuple(map(add, rest, e2)), coef * c2
 
         return self._like(accumulate({}, pairs()))
 
     def restrict_zero_section(self) -> "ScalarFn":
         """Restrict to y = 0: keep only terms with zero fiber exponent."""
-        zm = (0,) * self.chart.m
-        return self._like({(n, a): c for (n, a), c in self.terms.items() if a == zm})
+        k, zm = self.chart.k, (0,) * self.chart.m
+        return self._like({e: c for e, c in self.terms.items() if e[k:] == zm})
 
     def zero_mode(self, js) -> "ScalarFn":
         """Keep only the terms with zero frequency in every torus direction
         of the indices js."""
-        return self._like(
-            {(n, alpha): c for (n, alpha), c in self.terms.items() if not any(n[j] for j in js)}
-        )
+        return self._like({e: c for e, c in self.terms.items() if not any(e[j] for j in js)})
 
     # -- comparison / display ----------------------------------------------
 
@@ -523,17 +506,14 @@ class ScalarFn(SparseTerms):
     def __repr__(self):
         if not self.terms:
             return "ScalarFn(0)"
-        bits = []
-        for (n, alpha), c in self.sorted_terms():
+        chart, bits = self.chart, []
+        for e, c in self.sorted_terms():
             parts = [f"({c})"]
-            for j, v in enumerate(n):
-                if v:
-                    parts.append(f"E({self.chart.torus[j]},{v})")
-            for a, v in enumerate(alpha):
-                if v == 1:
-                    parts.append(self.chart.fiber[a])
-                elif v > 1:
-                    parts.append(f"{self.chart.fiber[a]}^{v}")
+            for j, (name, v) in enumerate(zip(chart.coords, e)):
+                if j < chart.k and v:
+                    parts.append(f"E({name},{v})")
+                elif v:
+                    parts.append(name if v == 1 else f"{name}^{v}")
             bits.append("*".join(parts))
         return " + ".join(bits)
 
@@ -546,10 +526,10 @@ def unit_inverse(f: ScalarFn) -> ScalarFn:
     """
     if len(f.terms) != 1:
         raise ChartError("not a unit: expected a single monomial")
-    ((n, alpha), c), = f.terms.items()
-    if any(alpha):
+    (e, c), = f.terms.items()
+    if not f.is_base_only():
         raise ChartError("not a unit: fiber-dependent monomial")
-    return _monomial(f.chart, tuple(-v for v in n), alpha, ONE / c)
+    return _monomial(f.chart, tuple(-v for v in e), ONE / c)
 
 
 # ---------------------------------------------------------------------------

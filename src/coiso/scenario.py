@@ -19,7 +19,7 @@ import importlib.resources as resources
 import json
 import os
 
-from .ring import Chart, ChartError, ScalarFn
+from .ring import Chart, ChartError, ContentError, ScalarFn
 from .expr import ExprError, parse_scalar
 from .multivector import MultiVectorField
 from .multider import MultiDerivation
@@ -30,7 +30,7 @@ from .bfv import Lift, ObstructionFailure, brst_charge, d_bfv, hpl_resolution
 from .transversal import TransversalData
 
 
-class ScenarioError(ValueError):
+class ScenarioError(ContentError):
     """The content of a scenario is not valid."""
 
 

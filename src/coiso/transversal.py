@@ -22,11 +22,11 @@ from collections import Counter
 from itertools import permutations
 from fractions import Fraction
 
-from .ring import Chart, ScalarFn, accumulate, inverse_unit, mat_eq, mat_identity, mat_mul
+from .ring import Chart, ContentError, ScalarFn, accumulate, inverse_unit, mat_eq, mat_identity, mat_mul
 from .leafform import LeafForm
 
 
-class TransversalError(ValueError):
+class TransversalError(ContentError):
     pass
 
 
@@ -147,7 +147,7 @@ class TransversalData:
         """d f / d x^h, skipped (the caller's one zero) when f does not
         depend on x^h."""
         c = self._leaf_chart_index(h)
-        return f.partial_index(c) if f.mask >> c & 1 else zero
+        return f.partial(c) if f.mask >> c & 1 else zero
 
     def jG1(self, i):
         """Component matrix of j^1_G(d_F x^i (x) mu): entry [h][alpha]."""

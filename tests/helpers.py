@@ -176,7 +176,7 @@ def scalar_from_json(chart, data) -> ScalarFn:
     """The inverse of expr.scalar_to_json."""
     terms = {}
     for item in data:
-        key = (tuple(item["torus"]), tuple(item["fiber"]))
+        key = tuple(item["torus"] + item["fiber"])
         terms[key] = GaussianRational(Fraction(item["re"]), Fraction(item["im"]))
     return ScalarFn(chart, terms)
 
@@ -192,7 +192,7 @@ def jet(f: ScalarFn, aa) -> ScalarFn:
     """d_aa f |_{y=0}: the fiber derivatives along the normal directions aa,
     restricted to the zero section."""
     for a in aa:
-        f = f.partial(f.chart.fiber[a])
+        f = f.partial(f.chart.k + a)
     return f.restrict_zero_section()
 
 
@@ -200,8 +200,8 @@ def gen_two_functions(table, aa, f: ScalarFn, g: ScalarFn) -> ScalarFn:
     """m_{k+1}(d_{a_1}, .., d_{a_{k-1}}, f mu, g mu) for constant normal
     directions aa: (-1)^k d_aa [2 J^{ij} d_i f d_j g - J^i (f d_i g - g d_i f)]|_0."""
     j, k = table.j, table.chart.k
-    df = [f.partial_index(i) for i in range(k)]
-    dg = [g.partial_index(i) for i in range(k)]
+    df = [f.partial(i) for i in range(k)]
+    dg = [g.partial(i) for i in range(k)]
     inner = ScalarFn.zero(table.chart).plus(
         [J * (df[i] * dg[jj] - df[jj] * dg[i]) for (i, jj), J in j.p_part.terms.items() if jj < k]
         + [Q * (f * dg[i] - g * df[i]) for (i,), Q in j.q_part.terms.items() if i < k]
@@ -217,7 +217,7 @@ def gen_one_function(table, aa, f: ScalarFn) -> LeafForm:
     inner = [ScalarFn.zero(chart) for _ in range(chart.m)]
     for (i, b), P in j.p_part.terms.items():
         if i < k <= b:
-            inner[b - k] -= P * f.partial_index(i)
+            inner[b - k] -= P * f.partial(i)
     for (b,), Q in j.q_part.terms.items():
         if b >= k:
             inner[b - k] -= Q * f
@@ -297,16 +297,16 @@ def substitute_fiber_t(f: ScalarFn, assignment: dict) -> TPoly:
     expressions, term by term: c exp(i n.phi) y^alpha becomes the TPoly
     c * prod_a tp_a^alpha_a times the unsubstituted rest of the monomial."""
     chart = f.chart
-    idx = {chart.fiber.index(name): tp for name, tp in assignment.items()}
+    idx = {chart.index(name): tp for name, tp in assignment.items()}
     out = []  # terms of the coefficient of t^p, p = 0, 1, ...
-    for (n, alpha), c in f.terms.items():
-        kept = list(alpha)
+    for e, c in f.terms.items():
+        kept = list(e)
         factor = TPoly.const(ScalarFn.const(chart, c))
-        for a, tp in idx.items():
-            kept[a] = 0
-            for _ in range(alpha[a]):
+        for i, tp in idx.items():
+            kept[i] = 0
+            for _ in range(e[i]):
                 factor = factor * tp
-        base = ScalarFn(chart, {(n, tuple(kept)): 1})
+        base = ScalarFn(chart, {tuple(kept): 1})
         out += [{} for _ in range(len(factor.coeffs) - len(out))]
         for p, coeff in enumerate(factor.coeffs):
             accumulate(out[p], (coeff * base).terms.items())
@@ -322,13 +322,14 @@ def random_scalar(chart, rng: random.Random, max_terms=2, freq=1, fiber_deg=1) -
             Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
             Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
         )
-        terms[(n, alpha)] = c
+        terms[n + alpha] = c
     return ScalarFn(chart, terms)
 
 
 def conjugate(f: ScalarFn) -> ScalarFn:
     """The complex conjugate: c exp(i n.phi) y^alpha -> conj(c) exp(-i n.phi) y^alpha."""
-    terms = {(tuple(-v for v in n), alpha): GaussianRational(c.re, -c.im) for (n, alpha), c in f.terms.items()}
+    k = f.chart.k
+    terms = {tuple(-v for v in e[:k]) + e[k:]: GaussianRational(c.re, -c.im) for e, c in f.terms.items()}
     return ScalarFn(f.chart, terms)
 
 
@@ -369,7 +370,7 @@ def random_unimodular(chart, rng: random.Random, n):
     def unit():
         k = tuple(rng.randint(-1, 1) for _ in range(chart.k))
         c = GaussianRational(rng.choice([1, -1, 2, Fraction(1, 3)]), rng.randint(-1, 1))
-        return ScalarFn(chart, {(k, (0,) * chart.m): c})
+        return ScalarFn(chart, {k + (0,) * chart.m: c})
 
     one = ScalarFn.one(chart)
     L = [[entry() if j < i else one if j == i else zero for j in range(n)] for i in range(n)]
@@ -426,7 +427,7 @@ def leibniz_apply(P: MultiVectorField, fns) -> ScalarFn:
         for perm in permutations(range(P.degree)):
             prod = c.scale(_sign(perm))
             for slot, which in enumerate(perm):
-                prod = prod * fns[which].partial_index(key[slot])
+                prod = prod * fns[which].partial(key[slot])
             out = out + prod
     return out
 
@@ -448,7 +449,7 @@ def dense_gerstenhaber(P: MultiVectorField, Q: MultiVectorField) -> MultiVectorF
             inner = Q.coefficient(tuple(key[s] for s in chosen))
             outer = tuple(key[s] for s in rest)
             for i in range(chart.dim):
-                acc = acc + (inner.partial_index(i) * P.coefficient((i,) + outer)).scale(
+                acc = acc + (inner.partial(i) * P.coefficient((i,) + outer)).scale(
                     _sign(chosen + rest)
                 )
         terms[key] = acc
@@ -534,7 +535,7 @@ def _dense_act(symbol, letters, f):
     if symbol[0] == M:
         return [(1, letters, f)]
     if symbol[0] == DX:
-        df = f.partial_index(symbol[1])
+        df = f.partial(symbol[1])
         return [] if df.is_zero() else [(1, letters, df)]
     target = (XI if symbol[0] == DXI else XIS, symbol[1])
     for pos, l in enumerate(letters):

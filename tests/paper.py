@@ -474,7 +474,7 @@ def geometric_mc_zero_locus(omega: GradedElement, max_iter=12) -> SectionOfNorma
     e = [pr10.terms.get(encode(((XI, A),)), ScalarFn.zero(chart)) for A in range(rank)]
     # linear part L[A][B] = d e_A / d y_B |_{y=0}
     L = [
-        [e[A].partial(chart.fiber[B]).restrict_zero_section() for B in range(rank)]
+        [e[A].partial(chart.k + B).restrict_zero_section() for B in range(rank)]
         for A in range(rank)
     ]
     try:
@@ -498,7 +498,7 @@ def geometric_mc_zero_locus(omega: GradedElement, max_iter=12) -> SectionOfNorma
 
 def _d_leaf_form(td: TransversalData, g: ScalarFn) -> LeafForm:
     """d_F g = sum_h (d g / d x^h) d_F x^h over the leaf coordinates."""
-    return LeafForm(td.chart, 1, {(h,): g.partial(x) for h, x in enumerate(td.leaf)})
+    return LeafForm(td.chart, 1, {(h,): g.partial(td.chart.index(x)) for h, x in enumerate(td.leaf)})
 
 
 def d_G(td: TransversalData, omega: LeafForm):

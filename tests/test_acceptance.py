@@ -116,10 +116,10 @@ def test_criterion_02_bracket_table(chart, J):
         f = random_base_scalar(chart, rng, max_terms=3)
         g = random_base_scalar(chart, rng, max_terms=3)
         for a in range(2):
-            assert J.apply([y[a], f]) == f.partial(f"ph_{a + 1}")
+            assert J.apply([y[a], f]) == f.partial(a)
         expected = (
-            f.partial("ph_3") * X.lie_derivative_fn(g)
-            - g.partial("ph_3") * X.lie_derivative_fn(f)
+            f.partial(2) * X.lie_derivative_fn(g)
+            - g.partial(2) * X.lie_derivative_fn(f)
             + f * Y.lie_derivative_fn(g)
             - g * Y.lie_derivative_fn(f)
         )
@@ -139,11 +139,11 @@ def test_criterion_03_multibrackets(chart, J, table):
         f1, f2 = random_base_scalar(chart, rng), random_base_scalar(chart, rng)
         # m_1 on functions and 1-forms
         assert table.m1(LeafForm.function(f)) == leaf1(
-            f.partial("ph_1"), f.partial("ph_2")
+            f.partial(0), f.partial(1)
         )
         w = leaf1(f1, f2)
         assert table.m1(w) == LeafForm(
-            chart, 2, {(0, 1): f2.partial("ph_1") - f1.partial("ph_2")}
+            chart, 2, {(0, 1): f2.partial(0) - f1.partial(1)}
         )
         # m_2 table
         assert table.m([LeafForm.function(f), LeafForm.function(g1)]).as_function() == -J.apply([f, g1])
@@ -169,7 +169,7 @@ def test_criterion_04_obstructed_deformation(chart, table):
     f = ScalarFn.cos_phi(chart, "ph_4")
     g = ScalarFn.sin_phi(chart, "ph_4")
     s = SectionOfNormalBundle(chart, [f, g])
-    assert (g.partial("ph_1") - f.partial("ph_2")).is_zero()
+    assert (g.partial(0) - f.partial(1)).is_zero()
     assert table.m1(s.to_leafform()).is_zero()
     kr, zero_mode = kuranishi(table, s)
     s3 = ScalarFn.sin_phi(chart, "ph_3")
@@ -198,10 +198,10 @@ def test_criterion_05_coisotropy_equivalence(chart, J, table):
         ok, _ = is_coisotropic_section(J, s)
         assert ok == mc.is_zero()
         coeff = (
-            f.partial("ph_2")
-            - g.partial("ph_1")
-            + f.partial("ph_3") * X.lie_derivative_fn(g)
-            - g.partial("ph_3") * X.lie_derivative_fn(f)
+            f.partial(1)
+            - g.partial(0)
+            + f.partial(2) * X.lie_derivative_fn(g)
+            - g.partial(2) * X.lie_derivative_fn(f)
             + f * Y.lie_derivative_fn(g)
             - g * Y.lie_derivative_fn(f)
         )
@@ -297,10 +297,10 @@ def test_criterion_08_bfv_layer(chart, J, lift):
         g = random_base_scalar(chart, rng)
         res = bfv_coisotropy_residual(lift, SectionOfNormalBundle(chart, [f, g]))
         coeff = (
-            f.partial("ph_3") * X.lie_derivative_fn(g)
-            - g.partial("ph_3") * X.lie_derivative_fn(f)
-            + f.partial("ph_2")
-            - g.partial("ph_1")
+            f.partial(2) * X.lie_derivative_fn(g)
+            - g.partial(2) * X.lie_derivative_fn(f)
+            + f.partial(1)
+            - g.partial(0)
             + y[0] * Y.lie_derivative_fn(g)
             - y[1] * Y.lie_derivative_fn(f)
         ).scale(2)

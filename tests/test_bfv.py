@@ -383,10 +383,10 @@ def test_coisotropy_residual_displayed(lift, chart):
         s = SectionOfNormalBundle(chart, [f, g])
         res = bfv_coisotropy_residual(lift, s)
         coeff = (
-            f.partial("ph_3") * X.lie_derivative_fn(g)
-            - g.partial("ph_3") * X.lie_derivative_fn(f)
-            + f.partial("ph_2")
-            - g.partial("ph_1")
+            f.partial(2) * X.lie_derivative_fn(g)
+            - g.partial(2) * X.lie_derivative_fn(f)
+            + f.partial(1)
+            - g.partial(0)
             + ScalarFn.y(chart, "y_1") * Y.lie_derivative_fn(g)
             - ScalarFn.y(chart, "y_2") * Y.lie_derivative_fn(f)
         ).scale(2)
@@ -460,8 +460,8 @@ def test_dbfv_action_on_degree_one(lift, chart):
         # the xi^1 xi^2 coefficient of the action on degree-1 sections, in
         # the same orientation as the operator formula above
         expected = (
-            -F1.partial("ph_2")
-            + F2.partial("ph_1")
+            -F1.partial(1)
+            + F2.partial(0)
             + y[0] * (G1 - Y.lie_derivative_fn(F2))
             + y[1] * (G2 + Y.lie_derivative_fn(F1))
         )

@@ -1,8 +1,11 @@
 """Scenario front end: parsing, reports, determinism, exit codes."""
 
 import contextlib
+import importlib
+import inspect
 import io
 import json
+import pkgutil
 import random
 import sys
 from collections import Counter
@@ -10,7 +13,9 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import coiso
 from coiso.cli import main, TASKS
+from coiso.ring import ContentError
 from coiso.scenario import Scenario, ScenarioError, load_scenario
 from coiso.expr import parse_scalar, scalar_to_json, scalar_to_text
 from coiso.graded import GradedElement
@@ -110,6 +115,38 @@ def test_validation_error_exit_code(tmp_path, capsys):
         code, _, err = run_cli(["--scenario", str(p), "--task", task], capsys)
         assert code == 2, err
         assert len(err.splitlines()) == 1
+
+
+def _value_error_classes():
+    """Every ValueError subclass defined in a module of the library."""
+    out = []
+    for info in pkgutil.iter_modules(coiso.__path__):
+        mod = importlib.import_module(f"coiso.{info.name}")
+        out += [
+            cls
+            for cls in vars(mod).values()
+            if inspect.isclass(cls) and cls.__module__ == mod.__name__ and issubclass(cls, ValueError)
+        ]
+    return out
+
+
+def test_every_value_error_is_a_content_error():
+    """One base for the errors of invalid input, so that the exit-2 clause
+    of main names it alone and cannot miss a module's error class."""
+    classes = _value_error_classes()
+    assert ContentError in classes and len(classes) >= 11
+    assert all(issubclass(cls, ContentError) for cls in classes)
+
+
+@pytest.mark.parametrize("cls", _value_error_classes(), ids=lambda cls: cls.__name__)
+def test_content_error_in_a_task_exits_2(capsys, monkeypatch, cls):
+    def fail(scenario, arg):
+        raise ValueError.__new__(cls, "bad content")
+
+    monkeypatch.setitem(TASKS, "check-jacobi", fail)
+    code, out, err = run_cli(["--scenario", "torus-obstructed", "--task", "check-jacobi"], capsys)
+    assert code == 2 and out == ""
+    assert err == "coiso: task check-jacobi: bad content\n"
 
 
 def test_invariant_violation_exit_code(capsys, monkeypatch):
@@ -467,6 +504,43 @@ def test_check_jacobi_report(capsys):
     )
     assert code == 0
     assert json.loads(out)["tasks"]["check-jacobi"]["jacobiator_zero"] is True
+
+
+def test_check_jacobi_reports_a_nonzero_jacobiator(tmp_path, capsys):
+    """A raw jacobi block need not be Jacobi: on T^3, P = cos(ph_3) d2^d3
+    - sin(ph_3) d1^d3 + d1^d2 has [[P, P]] != 0.  check-jacobi reports
+    that, with exit 0."""
+    data = {
+        "schema": 1,
+        "chart": {"torus": ["ph_1", "ph_2", "ph_3"], "fiber": [], "leaf": []},
+        "jacobi": {
+            "p": [
+                {"idx": [1, 2], "coef": "cos(ph_3)"},
+                {"idx": [0, 2], "coef": "-sin(ph_3)"},
+                {"idx": [0, 1], "coef": "1"},
+            ],
+            "q": [],
+        },
+    }
+    path = _write_scenario(tmp_path, data)
+    code, out, err = run_cli(["--scenario", path, "--task", "check-jacobi"], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["tasks"]["check-jacobi"]["jacobiator_zero"] is False
+
+
+def test_transversal_crosscheck_reports_a_disagreement(tmp_path, capsys):
+    """A transversal block that does not match the structure (frame_z
+    given a d/dph_2 component) is a report: exit 0, generator_agreement
+    false, and the checks that differ marked unequal."""
+    data = _builtin_data("torus-obstructed")
+    data["transversal"]["frame_z"]["ph_2"] = "1"
+    path = _write_scenario(tmp_path, data)
+    code, out, err = run_cli(["--scenario", path, "--task", "transversal-crosscheck"], capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)["tasks"]["transversal-crosscheck"]
+    assert report["generator_agreement"] is False
+    unequal = Counter(c["generators"] for c in report["checks"] if not c["equal"])
+    assert unequal == {"m2(f,g)": 4, "m2(f,frame_0)": 1, "m2(f,frame_1)": 1}
 
 
 def test_out_flag(tmp_path, capsys):

@@ -376,10 +376,10 @@ def test_coisotropic_pde_criterion(chart):
 
     def pde(f, g):
         return (
-            f.partial("ph_2")
-            - g.partial("ph_1")
-            + f.partial("ph_3") * X.lie_derivative_fn(g)
-            - g.partial("ph_3") * X.lie_derivative_fn(f)
+            f.partial(1)
+            - g.partial(0)
+            + f.partial(2) * X.lie_derivative_fn(g)
+            - g.partial(2) * X.lie_derivative_fn(f)
             + f * Y.lie_derivative_fn(g)
             - g * Y.lie_derivative_fn(f)
         )

@@ -218,7 +218,7 @@ def _graded_pair(draw, kinds=("odd", "even", "mixed", "section"), other_kinds=No
     two symbols."""
     rank = draw(st.sampled_from(sorted(_GRADED_CHARTS)))
     chart = _GRADED_CHARTS[rank]
-    exps = st.tuples(st.tuples(*[st.integers(-1, 1)] * chart.k), st.tuples(*[st.integers(0, 1)] * chart.m))
+    exps = st.tuples(*[st.integers(-1, 1)] * chart.k, *[st.integers(0, 1)] * chart.m)
     coefs = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-2, 2))
     scalars = st.dictionaries(exps, coefs, min_size=1, max_size=2).map(lambda t: ScalarFn(chart, t))
     ghost = st.tuples(st.sampled_from((XI, XIS)), st.integers(0, rank - 1))

@@ -35,7 +35,7 @@ def commutator(X, Y):
         for j in range(chart.dim):
             xj = X.coefficient((j,))
             yj = Y.coefficient((j,))
-            acc = acc + xj * yi.partial_index(j) - yj * xi.partial_index(j)
+            acc = acc + xj * yi.partial(j) - yj * xi.partial(j)
         if not acc.is_zero():
             comps[(i,)] = acc
     return MultiVectorField(chart, 1, comps)
@@ -174,10 +174,7 @@ def _field_pairs(draw):
     """Two random multivector fields of degree 0-3 on one chart, their
     coefficients Fourier polynomials of fiber degree at most 1."""
     chart = draw(st.sampled_from(_CHARTS))
-    exps = st.tuples(
-        st.tuples(*[st.integers(-1, 1)] * chart.k),
-        st.tuples(*[st.integers(0, 1)] * chart.m),
-    )
+    exps = st.tuples(*[st.integers(-1, 1)] * chart.k, *[st.integers(0, 1)] * chart.m)
     scalars = st.dictionaries(exps, _coefs, min_size=1, max_size=2).map(
         lambda t: ScalarFn(chart, t)
     )

@@ -61,9 +61,8 @@ def _assert_canonical(x):
     for key, value in x.terms.items():
         assert not value.is_zero(), (key, value)
         if isinstance(x, ScalarFn):
-            n, alpha = key
-            assert len(n) == CHART.k and len(alpha) == CHART.m
-            assert all(a >= 0 for a in alpha)
+            assert type(key) is tuple and len(key) == CHART.dim
+            assert all(a >= 0 for a in key[CHART.k :])
             assert isinstance(value, GaussianRational)
             continue
         _assert_canonical(value)

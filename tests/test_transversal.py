@@ -1,8 +1,10 @@
 """The transversal multibracket engine and its cross-checks."""
 
+import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from importlib import resources
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,6 +14,7 @@ from coiso.ring import ScalarFn, mat_eq, mat_identity, mat_mul
 from coiso.multivector import MultiVectorField
 from coiso.leafform import LeafForm
 from coiso.linfty import MultibracketTable
+from coiso.scenario import Scenario
 from coiso.transversal import TransversalData
 
 from helpers import fields_XY, random_base_scalar, torus_chart, torus_jacobi
@@ -158,6 +161,46 @@ def test_cross_check_with_linfty(td, chart):
             assert td.multibracket(args).is_zero()
 
 
+def _transverse_disagreements(edit):
+    """The ordered pairs of transverse probes f, g (sin ph_3, sin ph_4,
+    sin ph_5, cos ph_4 sin ph_3) on which the engine's m_2(f, g) differs
+    from the table's, on torus-obstructed after edit(transversal block)."""
+    data = json.loads(resources.files("coiso").joinpath("scenarios", "torus-obstructed.json").read_text())
+    edit(data["transversal"])
+    scenario = Scenario(data)
+    chart, td, table = scenario.chart, scenario.transversal(), scenario.table()
+    sin = [ScalarFn.sin_phi(chart, c) for c in ("ph_3", "ph_4", "ph_5")]
+    probes = sin + [ScalarFn.cos_phi(chart, "ph_4") * sin[0]]
+    return sum(
+        td.multibracket([("fn", f), ("fn", g)]) != table.m([LeafForm.function(f), LeafForm.function(g)])
+        for f, g in product(probes, repeat=2)
+    )
+
+
+def _double_omega(block):
+    block["omega"] = [["0", "-2"], ["2", "0"]]
+
+
+def _set_c(block):
+    block["C"] = ["1", "0"]
+
+
+def _scale_frame_a(block):
+    block["frame_a"][0] = {"ph_3": "2"}
+
+
+@pytest.mark.parametrize(
+    "edit, pairs",
+    [(lambda block: None, 0), (_double_omega, 10), (_set_c, 4), (_scale_frame_a, 10)],
+    ids=["shipped", "omega-doubled", "C", "frame_a"],
+)
+def test_transverse_probes_detect_a_wrong_block(edit, pairs):
+    """Probes that vary across the leaves see the transversal block: the
+    shipped block agrees with the derived brackets on every pair, and each
+    edit that breaks the match makes pairs disagree."""
+    assert _transverse_disagreements(edit) == pairs
+
+
 def test_involutive_brackets_vanish_above_two(chart):
     rng = random.Random(3)
     for _ in range(3):
@@ -195,10 +238,7 @@ def test_dG_extension(td, chart):
     f = ScalarFn.cos_phi(chart, "ph_4") * random_base_scalar(
         chart, rng, max_terms=1
     ).restrict_zero_section()
-    f = ScalarFn(
-        chart,
-        {(n, a): c for (n, a), c in f.terms.items() if n[0] == 0 and n[1] == 0},
-    )
+    f = ScalarFn(chart, {e: c for e, c in f.terms.items() if e[0] == 0 and e[1] == 0})
     out = d_G(td, LeafForm.function(f))
     for al in out:
         assert out[al].d_leaf().is_zero()
