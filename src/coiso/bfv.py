@@ -1,6 +1,10 @@
 """Lifting Jacobi structures, BRST charges, the BFV differential, the
 generic SBSO and HPL engines, and BFV Kuranishi classes.
 
+The ghosts are the fiber coordinates of the normal bundle, so there is
+one ghost per fiber coordinate of the chart, and a section s of the normal
+bundle is the degree-1 LeafForm sum_A g_A delta_A.
+
 The step-by-step obstruction (SBSO) engine deforms an approximate MC
 element along a filtration.  The BRST charge runs it (filtration by
 antighost word degree on sections, N = -1).  The lift does not: for the
@@ -25,7 +29,7 @@ from fractions import Fraction
 
 from .ring import ContentError
 from .multider import MultiDerivation
-from .leafform import SectionOfNormalBundle
+from .leafform import LeafForm
 from .graded import (
     XI,
     ContractionTwo,
@@ -130,17 +134,13 @@ class Lift:
     the lift needs no SBSO corrections: the constructor squares J^ once and
     raises unless [[J^, J^]] = 0."""
 
-    def __init__(self, j: MultiDerivation, rank: int):
-        chart = j.chart
-        if rank != chart.m:
-            raise BFVError("ghost rank must match the fiber dimension")
+    def __init__(self, j: MultiDerivation):
         if not j.is_jacobi():
             raise BFVError("lifting requires a Jacobi structure")
-        self.chart = chart
-        self.rank = rank
+        self.chart = j.chart
         self.j = j
-        self.G = tautological_G(chart, rank)
-        self.j_hat = self.G + i_nabla(j, rank)
+        self.G = tautological_G(j.chart)
+        self.j_hat = self.G + i_nabla(j)
         if not self.j_hat.bracket(self.j_hat).is_zero():
             raise AssertionError("flat lifting failed: [[J^, J^]] != 0")
 
@@ -150,11 +150,11 @@ class Lift:
 # ---------------------------------------------------------------------------
 
 
-def brst_charge(lift: Lift, s: SectionOfNormalBundle):
-    """Run the SBSO on Omega_E[s]; returns (Omega, corrections) or raises
-    ObstructionFailure carrying wp[s]{Omega_E[s], Omega_E[s]} when the image
-    of s is not coisotropic."""
-    c2 = ContractionTwo(lift.chart, lift.rank, s)
+def brst_charge(lift: Lift, s: LeafForm):
+    """Run the SBSO on Omega_E[s] for a normal section s; returns (Omega,
+    corrections) or raises ObstructionFailure carrying
+    wp[s]{Omega_E[s], Omega_E[s]} when the image of s is not coisotropic."""
+    c2 = ContractionTwo(s)
     qbar = c2.omega_E()
 
     def bracket(a, b):
@@ -231,7 +231,7 @@ def hpl_resolution(lift: Lift, dop: GradedElement) -> PerturbedContraction:
     """Perturb the s = 0 contraction data by delta = d_BFV - d[0], for the
     operator dop of d_bfv; the induced differential on the small side is
     the leafwise de Rham differential m_1."""
-    base = ContractionTwo(lift.chart, lift.rank, SectionOfNormalBundle.zero(lift.chart))
+    base = ContractionTwo(LeafForm.zero(lift.chart, 1))
     return PerturbedContraction(base, base.d_s(lift.G), dop)
 
 
@@ -256,12 +256,12 @@ def check_hpl_axioms(pert: PerturbedContraction, sampler):
 # ---------------------------------------------------------------------------
 
 
-def bfv_lift_cocycle(lift: Lift, perturbed: PerturbedContraction, s: SectionOfNormalBundle) -> GradedElement:
-    """The perturbed immersion iota' applied to a section (as a ghost-degree
-    one element): the canonical d_BFV-closed lift of an infinitesimal
-    deformation."""
-    ghosts = {((XI, A),): g for A, g in enumerate(s.components)}
-    return perturbed.immersion(GradedElement(lift.chart, lift.rank, ghosts))
+def bfv_lift_cocycle(lift: Lift, perturbed: PerturbedContraction, s: LeafForm) -> GradedElement:
+    """The perturbed immersion iota' applied to a normal section s = sum_A
+    g_A delta_A (as the ghost-degree one element sum_A g_A xi^A): the
+    canonical d_BFV-closed lift of an infinitesimal deformation."""
+    ghosts = {((XI, A),): g for A, g in enumerate(s.components())}
+    return perturbed.immersion(GradedElement(lift.chart, ghosts))
 
 
 def bfv_kuranishi(lift: Lift, perturbed: PerturbedContraction, nu: GradedElement):

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .ring import ContentError, ScalarFn
 from .expr import scalar_to_json
-from .leafform import LeafForm, SectionOfNormalBundle
+from .leafform import LeafForm
 from .geom import is_coisotropic_section
 from .linfty import kuranishi, mc_series, prolong_formal
 from .graded import GradedElement, bidegree, encode, i_nabla, jacobi_bracket, normalize, XI, XIS
@@ -175,7 +175,7 @@ def _prolong(scenario, arg):
     table = scenario.table()
     s = scenario.section()
     order = arg or scenario.formal_order()
-    coefficients, history = prolong_formal(table, s, order)
+    sections, history = prolong_formal(table, s, order)
     power = _two_pi_power(scenario.chart)
     orders = [
         {
@@ -199,7 +199,7 @@ def _prolong(scenario, arg):
     return {
         "solved": True,
         "order_k": order,
-        "coefficients": [section_to_json(c) for c in coefficients],
+        "coefficients": [section_to_json(c) for c in sections],
         "orders": orders,
     }
 
@@ -257,7 +257,7 @@ def _bfv_lift(scenario, arg):
         by_k.setdefault(str(bidegree(letters)[1] + 1), {})[letters] = f
     return {
         "corrections_added": 0,  # the trivial connection is flat: Lift adds no SBSO corrections
-        "equals_G_plus_inabla": (lift.j_hat - lift.G - i_nabla(lift.j, lift.rank)).is_zero(),
+        "equals_G_plus_inabla": (lift.j_hat - lift.G - i_nabla(lift.j)).is_zero(),
         "mc": True,  # Lift raises unless [[J^, J^]] = 0
         "components_by_k": {
             k: graded_to_json(lift.j_hat._like(t))
@@ -310,19 +310,17 @@ def _bfv_kuranishi(scenario, arg):
 
 def _hpl_resolve(scenario, arg):
     lift = scenario.lift()
-    chart, rank = lift.chart, lift.rank
+    chart = lift.chart
     pert = scenario.hpl()
     rng = random.Random(0)
-    check_hpl_axioms(pert, lambda: _random_graded_section(chart, rank, rng))
+    check_hpl_axioms(pert, lambda: _random_graded_section(chart, rng))
     table = scenario.table()
     agree = True
     for c in chart.torus[:3]:
         f = ScalarFn.sin_phi(chart, c)
-        out = pert.small_differential(GradedElement.section(chart, rank, f))
+        out = pert.small_differential(GradedElement.section(chart, f))
         m1 = table.m1(LeafForm.function(f))
-        expected = GradedElement(
-            chart, rank, {((XI, a),): coeff for (a,), coeff in m1.terms.items()}
-        )
+        expected = GradedElement(chart, {((XI, a),): coeff for (a,), coeff in m1.terms.items()})
         agree &= (out - expected).is_zero()
     return {"axioms_hold": True, "induced_differential_is_m1": agree}
 
@@ -344,21 +342,21 @@ TASKS = {
 }
 
 
-def _section_or_zero(scenario: Scenario) -> SectionOfNormalBundle:
+def _section_or_zero(scenario: Scenario) -> LeafForm:
     if "section" in scenario.data:
         return scenario.section()
-    return SectionOfNormalBundle.zero(scenario.chart)
+    return LeafForm.zero(scenario.chart, 1)
 
 
-def _random_graded_section(chart, rank, rng):
+def _random_graded_section(chart, rng):
     from .rational import GaussianRational
 
     terms = {}
     for _ in range(2):
         letters = []
-        for _ in range(rng.randint(0, 2) if rank else 0):  # no ghost letters at rank 0
+        for _ in range(rng.randint(0, 2) if chart.m else 0):  # no ghost letters without fibers
             kind = rng.choice((XI, XIS))
-            letters.append((kind, rng.randrange(rank)))
+            letters.append((kind, rng.randrange(chart.m)))
         sign, canon = normalize(encode(letters))
         if sign == 0:
             continue
@@ -368,7 +366,7 @@ def _random_graded_section(chart, rank, rng):
             Fraction(rng.randint(-2, 2), 1), Fraction(rng.randint(-2, 2), 1)
         )
         terms[canon] = ScalarFn(chart, {n + alpha: coeff})
-    return GradedElement.zero(chart, rank)._sum(terms.items())
+    return GradedElement.zero(chart)._sum(terms.items())
 
 
 def format_report(report: dict, fmt: str) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .ring import Chart, ChartError, ContentError, PowerTable, ScalarFn, accumulate, inverse_unit, mat_mul
 from .multivector import MultiVectorField, SkewTerms
 from .multider import MultiDerivation
-from .leafform import LeafForm, SectionOfNormalBundle
+from .leafform import LeafForm
 
 
 class GeometryError(ContentError):
@@ -223,19 +223,19 @@ def injection_I(xi: LeafForm) -> MultiDerivation:
     return MultiDerivation(MultiVectorField(chart, xi.degree, terms))
 
 
-def is_coisotropic_section(j: MultiDerivation, s: SectionOfNormalBundle):
-    """Substitution criterion: all brackets {(y_A - g_A), (y_B - g_B)}
-    restricted to y = g(u) must vanish.
+def is_coisotropic_section(j: MultiDerivation, s: LeafForm):
+    """Substitution criterion for the normal section s = sum_A g_A delta_A:
+    all brackets {(y_A - g_A), (y_B - g_B)} restricted to y = g(u) must
+    vanish.
 
     Returns (flag, residues) with residues keyed by the offending (A, B).
     """
     if not j.is_jacobi():
         raise GeometryError("is_coisotropic_section requires a Jacobi structure")
     chart = j.chart
-    gens = [
-        ScalarFn.y(chart, name) - g for name, g in zip(chart.fiber, s.components)
-    ]
-    powers = PowerTable(chart, s.components)
+    comps = s.components()
+    gens = [ScalarFn.y(chart, name) - g for name, g in zip(chart.fiber, comps)]
+    powers = PowerTable(chart, comps)
     residues = {}
     for a in range(chart.m):
         for b in range(a + 1, chart.m):

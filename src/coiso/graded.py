@@ -47,7 +47,7 @@ from bisect import bisect_left
 
 from .ring import Chart, ContentError, PowerTable, ScalarFn, SparseTerms, accumulate
 from .multider import MultiDerivation
-from .leafform import SectionOfNormalBundle
+from .leafform import LeafForm
 
 
 class GradedError(ContentError):
@@ -176,24 +176,22 @@ class GradedElement(SparseTerms):
 
     Terms with no symbol letters are graded sections of the ghost bundle;
     terms with symbols are graded symmetric multi-derivation words.  The
-    constructor takes tuple-letter words; terms are kept with int words.
+    ghost indices A run over the chart's fiber coordinates: the ghosts are
+    fiber coordinates of the normal bundle.  The constructor takes
+    tuple-letter words; terms are kept with int words.
     """
 
-    __slots__ = ("rank",)
+    __slots__ = ()
 
-    def __init__(self, chart: Chart, rank: int, terms=None):
+    def __init__(self, chart: Chart, terms=None):
         self.chart = chart
-        self.rank = rank
         self.terms = (
             accumulate({}, _canonical((encode(w), f) for w, f in terms.items())) if terms else {}
         )
 
-    def _shape(self):
-        return (self.chart, self.rank)
-
     def _like(self, terms):
         r = object.__new__(type(self))
-        r.chart, r.rank, r.terms = self.chart, self.rank, terms
+        r.chart, r.terms = self.chart, terms
         return r
 
     def _sum(self, pairs) -> "GradedElement":
@@ -204,12 +202,12 @@ class GradedElement(SparseTerms):
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(chart: Chart, rank: int) -> "GradedElement":
-        return GradedElement(chart, rank)
+    def zero(chart: Chart) -> "GradedElement":
+        return GradedElement(chart)
 
     @staticmethod
-    def section(chart: Chart, rank: int, f: ScalarFn) -> "GradedElement":
-        return GradedElement(chart, rank, {(): f})
+    def section(chart: Chart, f: ScalarFn) -> "GradedElement":
+        return GradedElement(chart, {(): f})
 
     # -- predicates --------------------------------------------------------------
 
@@ -458,11 +456,11 @@ def _check_cancelled(tally, a_terms, b_terms):
 # ---------------------------------------------------------------------------
 
 
-def tautological_G(chart: Chart, rank: int) -> GradedElement:
+def tautological_G(chart: Chart) -> GradedElement:
     """G = sum_A Dxi(A) Dxis(A) (x) mu, the bidegree (-1,-1) pairing of
     ghosts with antighosts."""
     one = ScalarFn.one(chart)
-    return GradedElement(chart, rank, {((DXI, A), (DXIS, A)): one for A in range(rank)})
+    return GradedElement(chart, {((DXI, A), (DXIS, A)): one for A in range(chart.m)})
 
 
 def decal_sign(section: GradedElement) -> int:
@@ -497,7 +495,7 @@ def hamiltonian_operator(jop: GradedElement, omega: GradedElement) -> GradedElem
 # ---------------------------------------------------------------------------
 
 
-def to_graded(sq: MultiDerivation, rank: int) -> GradedElement:
+def to_graded(sq: MultiDerivation) -> GradedElement:
     """Decalage embedding of a skew multiderivation into the graded word
     algebra, normalized so that iterated insertions reproduce the ungraded
     nested brackets: eval([f_1..f_n]) = [[..[[sq, f_1]].., f_n]].
@@ -509,23 +507,23 @@ def to_graded(sq: MultiDerivation, rank: int) -> GradedElement:
         qsgn = (-1) ** (sq.arity % 2)
         for key, f in sq.q_part.terms.items():
             pairs.append(((M,) + tuple(_letter(DX, i) for i in key), f.scale(qsgn)))
-    return GradedElement.zero(sq.chart, rank)._sum(pairs)
+    return GradedElement.zero(sq.chart)._sum(pairs)
 
 
-def i_nabla(sq: MultiDerivation, rank: int) -> GradedElement:
+def i_nabla(sq: MultiDerivation) -> GradedElement:
     """i_nabla of the trivial connection, an algebra morphism on the slot
     letters: m maps to m - sum_A xi^A Dxi(A) (the id slot less the ghost
     Euler field) and each dx(i) to itself.  The images are multiplied along
     each word of to_graded(sq)."""
-    op = to_graded(sq, rank)
+    op = to_graded(sq)
     chart = op.chart
     one = ScalarFn.one(chart)
-    euler = {(_letter(XI, A), _letter(DXI, A)): -one for A in range(rank)}
+    euler = {(_letter(XI, A), _letter(DXI, A)): -one for A in range(chart.m)}
     images = {M: op._like({(M,): one, **euler})}
 
     def products():
         for letters, f in op.terms.items():
-            prod = GradedElement.section(chart, rank, f)
+            prod = GradedElement.section(chart, f)
             for l in letters:
                 if l not in images:
                     images[l] = op._like({(l,): one})
@@ -541,26 +539,23 @@ def i_nabla(sq: MultiDerivation, rank: int) -> GradedElement:
 
 
 class ContractionTwo:
-    """Contraction data on graded sections determined by a section s of the
-    normal bundle: (wp[s], iota, h[s], d[s])."""
+    """Contraction data on graded sections determined by a normal section
+    s = sum_A g_A delta_A, a degree-1 LeafForm on the chart of the data:
+    (wp[s], iota, h[s], d[s])."""
 
-    def __init__(self, chart: Chart, rank: int, s: SectionOfNormalBundle):
-        if rank != chart.m:
-            raise GradedError("ghost rank must match the fiber dimension")
-        self.chart = chart
-        self.rank = rank
-        self.s = s
-        self.powers = PowerTable(chart, s.components)  # wp and h substitute s
+    def __init__(self, s: LeafForm):
+        self.chart = s.chart
+        self.components = s.components()
+        self.powers = PowerTable(s.chart, self.components)  # wp and h substitute s
 
     def omega_E(self) -> GradedElement:
         """Omega_E[s] = sum_A (y_A - g_A) xi^A."""
         chart = self.chart
         return GradedElement(
             chart,
-            self.rank,
             {
-                ((XI, A),): ScalarFn.y(chart, chart.fiber[A]) - self.s.components[A]
-                for A in range(self.rank)
+                ((XI, A),): ScalarFn.y(chart, chart.fiber[A]) - g
+                for A, g in enumerate(self.components)
             },
         )
 
@@ -579,7 +574,7 @@ class ContractionTwo:
             g = f.substitute_fiber(self.powers)
             if not g.is_zero():
                 out[letters] = g
-        return GradedElement.zero(self.chart, self.rank)._like(out)
+        return GradedElement.zero(self.chart)._like(out)
 
     def iota(self, lam: GradedElement) -> GradedElement:
         for letters, f in lam.terms.items():
@@ -609,7 +604,7 @@ class ContractionTwo:
                     raise GradedError("h acts on sections")
                 nxis = sum(1 for x in letters if XIS <= x < M)
                 sign = 1 if sum(x & 1 for x in letters) & 1 else -1
-                for A in range(self.rank):
+                for A in range(self.chart.m):
                     i = self.chart.k + A
                     if f.mask >> i & 1:
                         p_a = f.partial(i).path_integral(self.powers, nxis)

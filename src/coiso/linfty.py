@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .ring import ContentError
 from .multider import MultiDerivation
-from .leafform import LeafForm, SectionOfNormalBundle
+from .leafform import LeafForm
 from .geom import injection_I, projection_P
 
 
@@ -110,14 +110,13 @@ def solve_dF(omega: LeafForm):
 # ---------------------------------------------------------------------------
 
 
-def mc_series(table: MultibracketTable, s: SectionOfNormalBundle) -> LeafForm:
+def mc_series(table: MultibracketTable, s: LeafForm) -> LeafForm:
     """MC(-s) = sum_k (1/k!) m_k(-s, ..., -s) = sum_k ((-1)^k / k!) m_k(s, ..., s)
-    by multilinearity, with the m_k(s, ..., s) from the table; finite for
-    fiberwise polynomial structures: the terms up to k = series_bound() + 1,
-    whose last must vanish."""
-    sform = s.to_leafform()
+    for a normal section s, by multilinearity, with the m_k(s, ..., s) from
+    the table; finite for fiberwise polynomial structures: the terms up to
+    k = series_bound() + 1, whose last must vanish."""
     terms = [
-        table.m((sform,) * k).scale(Fraction((-1) ** k, math.factorial(k)))
+        table.m((s,) * k).scale(Fraction((-1) ** k, math.factorial(k)))
         for k in range(1, table.series_bound() + 2)
     ]
     if not terms[-1].is_zero():  # pragma: no cover
@@ -128,17 +127,16 @@ def mc_series(table: MultibracketTable, s: SectionOfNormalBundle) -> LeafForm:
     return out
 
 
-def kuranishi(table: MultibracketTable, s: SectionOfNormalBundle):
+def kuranishi(table: MultibracketTable, s: LeafForm):
     """The Kuranishi class of an infinitesimal deformation.
 
     Returns (m_2(s, s), zero_mode): the leaf-torus zero mode of the order-2
     prolongation obstruction (1/2) m_2(s, s).  The obstruction is its
     integral over the d leaf angles, (2 pi)^d times it, d = len(chart.leaf).
     """
-    sform = s.to_leafform()
-    if not table.m1(sform).is_zero():
+    if not table.m1(s).is_zero():
         raise DeformationError("kuranishi requires an infinitesimal deformation")
-    kr = table.m([sform, sform])
+    kr = table.m([s, s])
     return kr, kr.scale(Fraction(1, 2)).leaf_zero_mode()
 
 
@@ -152,7 +150,7 @@ def _partitions(total, largest):
             yield (first,) + rest
 
 
-def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: int):
+def prolong_formal(table: MultibracketTable, s1: LeafForm, order: int):
     """Solve the MC hierarchy order by order with the torus homotopy.
 
     The order-k right-hand side is sum_h (-1)^h / h! sum m_h(s_{p_1}, ..,
@@ -167,27 +165,25 @@ def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: i
     non-increasing prefix, so orders share them, and order 2 shares
     [[J, I s_1]] and [[[[J, I s_1]], I s_1]] with kuranishi.
 
-    Returns (coefficients, orders): the sections s_1, s_2, .. solved so far,
-    and one entry per order k >= 2 tried, {order_k, rhs,
+    Returns (sections, orders): the normal sections s_1, s_2, .. solved so
+    far, and one entry per order k >= 2 tried, {order_k, rhs,
     obstruction_zero_mode, solved}.  The run stops at the first order whose
     right-hand side has a nonzero leaf zero mode, so it was obstructed iff
     the last entry is unsolved.
     """
-    chart = table.chart
-    coeffs = [s1]
-    forms = [s1.to_leafform()]  # forms[p - 1] is the leaf form of s_p
-    if not table.m1(forms[0]).is_zero():
+    sections = [s1]  # sections[p - 1] is s_p
+    if not table.m1(s1).is_zero():
         raise DeformationError("s1 is not an infinitesimal deformation")
 
     def weight(parts):
         den = math.prod(math.factorial(parts.count(p)) for p in set(parts))
         return Fraction((-1) ** len(parts), den)
 
-    zero = LeafForm.zero(chart, 2)
+    zero = LeafForm.zero(table.chart, 2)
     orders = []
     for k in range(2, order + 1):
         rhs = zero.plus(
-            table.m([forms[p - 1] for p in parts]).scale(weight(parts))
+            table.m([sections[p - 1] for p in parts]).scale(weight(parts))
             for parts in _partitions(k, k - 1)
         )
         status, payload = solve_dF(rhs)
@@ -204,6 +200,5 @@ def prolong_formal(table: MultibracketTable, s1: SectionOfNormalBundle, order: i
         )
         if not solved:
             break
-        coeffs.append(SectionOfNormalBundle.from_leafform(payload))
-        forms.append(payload)
-    return coeffs, orders
+        sections.append(payload)
+    return sections, orders

@@ -99,7 +99,8 @@ class SkewTerms(SparseTerms):
     def as_function(self) -> ScalarFn:
         if self.degree != 0:
             raise ChartError(f"not a degree-0 {type(self).__name__}")
-        return self.terms.get((), ScalarFn.zero(self.chart))
+        f = self.terms.get(())
+        return ScalarFn.zero(self.chart) if f is None else f
 
     def coefficient(self, indices) -> ScalarFn:
         """Coefficient on an arbitrary index tuple (skew in the indices)."""

@@ -159,7 +159,4 @@ class GaussianRational:
         return f"{re}{sign}{abs(im)}*i"
 
 
-ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
-HALF = GaussianRational(Fraction(1, 2))

@@ -14,7 +14,7 @@ coordinates are ordinary polynomial variables.
 
 Sparse terms.  ScalarFn and the other containers of the library
 (MultiVectorField, LeafForm, geom.Form, GradedElement) are SparseTerms: a
-shape (the chart, plus a degree or a ghost rank) and a dict ``terms`` from
+shape (the chart, plus a degree for the skew ones) and a dict ``terms`` from
 canonical keys to nonzero values.  Keys are canonical (exponent tuples
 here, sorted skew index tuples or normalized letter words elsewhere) and no
 value is ever zero, so equality is equality of term tables.  Every
@@ -557,10 +557,6 @@ def mat_mul(chart: Chart, A, B):
             out_row.append(zero.plus(products) if products else zero)
         out.append(out_row)
     return out
-
-
-def mat_eq(A, B) -> bool:
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
 def mat_identity(chart: Chart, n: int):

@@ -23,7 +23,7 @@ from .ring import Chart, ChartError, ContentError, ScalarFn
 from .expr import ExprError, parse_scalar
 from .multivector import MultiVectorField
 from .multider import MultiDerivation
-from .leafform import SectionOfNormalBundle
+from .leafform import LeafForm
 from .geom import ContactChart, Form, contact_to_jacobi, fiberwise_linear_jacobi, lcs_to_jacobi
 from .linfty import MultibracketTable
 from .bfv import Lift, ObstructionFailure, brst_charge, d_bfv, hpl_resolution
@@ -217,15 +217,16 @@ class Scenario:
             return lcs_to_jacobi(omega, theta1)
         return fiberwise_linear_jacobi(self.chart)  # the jet block is {}
 
-    def section(self) -> SectionOfNormalBundle:
+    def section(self) -> LeafForm:
+        """The section block's normal section sum_a g_a delta_a."""
         return self._once("section", self._build_section)
 
-    def _build_section(self) -> SectionOfNormalBundle:
+    def _build_section(self) -> LeafForm:
         if "section" not in self.data:
             raise ScenarioError("scenario has no section block")
         comps = self._exprs(self.data["section"]["components"])
         try:
-            return SectionOfNormalBundle(self.chart, comps)
+            return LeafForm.section(self.chart, comps)
         except ChartError as exc:
             raise ScenarioError(f"invalid section: {exc}") from None
 
@@ -254,13 +255,12 @@ class Scenario:
         return self._once("table", lambda: MultibracketTable(self.jacobi()))
 
     def lift(self) -> Lift:
-        return self._once("lift", lambda: Lift(self.jacobi(), self.chart.m))
+        return self._once("lift", lambda: Lift(self.jacobi()))
 
     def omega0(self):
         """(Omega_BRST, corrections) of the zero section; raises the
         ObstructionFailure of a zero section that is not coisotropic."""
-        zero = SectionOfNormalBundle.zero
-        return self._once("omega0", lambda: brst_charge(self.lift(), zero(self.chart)))
+        return self._once("omega0", lambda: brst_charge(self.lift(), LeafForm.zero(self.chart, 1)))
 
     def dbfv(self):
         """d_BFV of Omega_0, its square checked to be zero."""

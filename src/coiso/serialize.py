@@ -10,7 +10,7 @@ from .ring import Chart
 from .expr import scalar_to_json, scalar_to_text
 from .multivector import MultiVectorField
 from .multider import MultiDerivation
-from .leafform import LeafForm, SectionOfNormalBundle
+from .leafform import LeafForm
 from .graded import DX, DXI, DXIS, M, XI, XIS, GradedElement, decode
 
 
@@ -55,8 +55,9 @@ def leafform_to_text(w: LeafForm) -> str:
     return " + ".join(bits)
 
 
-def section_to_json(s: SectionOfNormalBundle) -> list:
-    return [scalar_to_json(f) for f in s.components]
+def section_to_json(s: LeafForm) -> list:
+    """The components of a normal section, one per fiber coordinate."""
+    return [scalar_to_json(f) for f in s.components()]
 
 
 def _symbol_to_json(chart: Chart, letter) -> str:

@@ -22,7 +22,7 @@ from collections import Counter
 from itertools import permutations
 from fractions import Fraction
 
-from .ring import Chart, ContentError, ScalarFn, accumulate, inverse_unit, mat_eq, mat_identity, mat_mul
+from .ring import Chart, ContentError, ScalarFn, accumulate, inverse_unit, mat_identity, mat_mul
 from .leafform import LeafForm
 
 
@@ -100,7 +100,7 @@ class TransversalData:
     def W_inv(self):
         if self._w_inv is None:
             self._w_inv = inverse_unit(self.chart, self.W())
-            if not mat_eq(mat_mul(self.chart, self.W(), self._w_inv), mat_identity(self.chart, self.n)):
+            if mat_mul(self.chart, self.W(), self._w_inv) != mat_identity(self.chart, self.n):
                 raise AssertionError("adjugate inversion failed")  # pragma: no cover
         return self._w_inv
 

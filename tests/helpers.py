@@ -106,7 +106,7 @@ def exp_series_mc(table, s):
     """MC(-s) by the exponential series of ad_{I(-s)} on J, each order one
     bracket more than the last: the oracle of linfty.mc_series, which reads
     m_k(s, .., s) from the table and signs them by multilinearity."""
-    minus = injection_I(-s.to_leafform())
+    minus = injection_I(-s)
     return exp_series(table.j, minus, table.series_bound(), 1)
 
 
@@ -162,14 +162,14 @@ def i_then_p_defect(c1, op: GradedElement, d_G: GradedElement) -> GradedElement:
     return lhs - rhs
 
 
-def ghost(chart, rank, A) -> GradedElement:
+def ghost(chart, A) -> GradedElement:
     """The ghost xi^A."""
-    return GradedElement(chart, rank, {((XI, A),): ScalarFn.one(chart)})
+    return GradedElement(chart, {((XI, A),): ScalarFn.one(chart)})
 
 
-def antighost(chart, rank, A) -> GradedElement:
+def antighost(chart, A) -> GradedElement:
     """The antighost xis_A."""
-    return GradedElement(chart, rank, {((XIS, A),): ScalarFn.one(chart)})
+    return GradedElement(chart, {((XIS, A),): ScalarFn.one(chart)})
 
 
 def scalar_from_json(chart, data) -> ScalarFn:
@@ -557,7 +557,7 @@ def _dense_sum(like, pairs):
         sign, canon = dense_normalize(letters)
         if sign:
             accumulate(out, [(canon, f if sign == 1 else -f)])
-    return GradedElement(like.chart, like.rank, out)
+    return GradedElement(like.chart, out)
 
 
 def dense_compose(a, b):

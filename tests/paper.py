@@ -31,7 +31,7 @@ from functools import cached_property
 from coiso.ring import ChartError, PowerTable, ScalarFn, accumulate, dot, inverse_unit
 from coiso.multivector import MultiVectorField
 from coiso.multider import ArityError, MultiDerivation
-from coiso.leafform import LeafForm, SectionOfNormalBundle
+from coiso.leafform import LeafForm
 from coiso.geom import injection_I, projection_P
 from coiso.linfty import DeformationError, MultibracketTable
 from coiso.graded import (
@@ -95,7 +95,7 @@ def exp_series(x: MultiDerivation, v: MultiDerivation, bound: int, start: int) -
     return terms[0].plus(terms[1:])
 
 
-def delta_mc(table: MultibracketTable, s: SectionOfNormalBundle, lam: ScalarFn) -> LeafForm:
+def delta_mc(table: MultibracketTable, s: LeafForm, lam: ScalarFn) -> LeafForm:
     """Hamiltonian gauge direction sum_k (1/k!) m_{k+1}(-s, ..., -s, lam).
 
     lam is base-only and I(-s) a fiber-constant vertical field, so
@@ -103,7 +103,7 @@ def delta_mc(table: MultibracketTable, s: SectionOfNormalBundle, lam: ScalarFn) 
     commutes with ad_{I(lam)}: the series is that of [[J, I(lam)]]."""
     if not lam.is_base_only():
         raise DeformationError("gauge parameter must be base-only")
-    minus = injection_I(-s.to_leafform())
+    minus = injection_I(-s)
     x = table.j.sj_bracket(injection_I(LeafForm.function(lam)))
     return exp_series(x, minus, table.series_bound(), 0)
 
@@ -115,7 +115,7 @@ def extended_n1(j: MultiDerivation, box: MultiDerivation, xi: LeafForm):
     return first, second
 
 
-def extended_mc_residual(j: MultiDerivation, box: MultiDerivation, s: SectionOfNormalBundle):
+def extended_mc_residual(j: MultiDerivation, box: MultiDerivation, s: LeafForm):
     """The full extended MC residual of the geometric pair (box, s):
 
         ( -1/2 [[J + box, J + box]],  P(exp L_{I(s)} (J + box)) ).
@@ -126,7 +126,7 @@ def extended_mc_residual(j: MultiDerivation, box: MultiDerivation, s: SectionOfN
     arity 1, so L_{I(s)} x = [[I(s), x]] = [[x, I(-s)]]."""
     total = MultiDerivation(j.p_part + box.p_part, j.q_part + box.q_part)
     first = total.sj_bracket(total).scale(Fraction(-1, 2))
-    minus = injection_I(-s.to_leafform())
+    minus = injection_I(-s)
     coeffs = [*total.p_part.terms.values(), *total.q_part.terms.values()]
     bound = max((f.fiber_degree() for f in coeffs), default=0) + 2  # as in series_bound
     return first, exp_series(total, minus, bound, 0)
@@ -171,16 +171,15 @@ class Connection:
     """DL-connection coefficients in the ghost bundle: Gamma_id[A][B] for the
     id direction and Gamma[i][A][B] per base coordinate; zero by default."""
 
-    def __init__(self, chart, rank: int, gamma_id=None, gamma=None):
+    def __init__(self, chart, gamma_id=None, gamma=None):
         self.chart = chart
-        self.rank = rank
         zero = ScalarFn.zero(chart)
-        self.gamma_id = gamma_id or [[zero] * rank for _ in range(rank)]
+        self.gamma_id = gamma_id or [[zero] * chart.m for _ in range(chart.m)]
         self.gamma = gamma or {}
 
     def gamma_i(self, i):
-        zero = ScalarFn.zero(self.chart)
-        return self.gamma.get(i, [[zero] * self.rank for _ in range(self.rank)])
+        zero, m = ScalarFn.zero(self.chart), self.chart.m
+        return self.gamma.get(i, [[zero] * m for _ in range(m)])
 
 
 # An adapted word tags each slot letter (m or dx(i)) that stands for its
@@ -207,10 +206,9 @@ class ContractionOne:
     """Contraction data from graded operators onto ungraded multiderivations
     determined by a connection: (p, i_nabla, H_nabla, weight)."""
 
-    def __init__(self, chart, rank: int, connection: Connection | None = None):
+    def __init__(self, chart, connection: Connection | None = None):
         self.chart = chart
-        self.rank = rank
-        self.connection = connection or Connection(chart, rank)
+        self.connection = connection or Connection(chart)
         self._images = {}  # slot letter -> its i_nabla image
 
     def _image(self, slot) -> GradedElement:
@@ -226,33 +224,33 @@ class ContractionOne:
                 raise GradedError("i_nabla substitutes only mu* and base-derivative slots")
             one = ScalarFn.one(self.chart)
             terms = {(letter,): one}
-            for A in range(self.rank):
-                for B in range(self.rank):
+            for A in range(self.chart.m):
+                for B in range(self.chart.m):
                     rotation = gamma[A][B] - one if letter == (M,) and A == B else gamma[A][B]
                     terms[(XI, B), (DXI, A)] = rotation
                     terms[(XIS, B), (DXIS, A)] = -gamma[B][A]
-            self._images[slot] = GradedElement(self.chart, self.rank, terms)
+            self._images[slot] = GradedElement(self.chart, terms)
         return self._images[slot]
 
     def i_nabla(self, sq: MultiDerivation) -> GradedElement:
         """i_nabla: substitute each slot symbol by its connection-corrected
         graded word; an algebra morphism on the symbol generators."""
-        chart, rank = self.chart, self.rank
+        chart = self.chart
 
         def products():
-            for letters, f in to_graded(sq, rank).terms.items():
-                prod = GradedElement.section(chart, rank, f)
+            for letters, f in to_graded(sq).terms.items():
+                prod = GradedElement.section(chart, f)
                 for l in letters:
                     prod = prod.mul(self._image(l))
                 yield prod
 
-        return GradedElement.zero(chart, rank).plus(products())
+        return GradedElement.zero(chart).plus(products())
 
     def p(self, op: GradedElement) -> MultiDerivation:
         """Keep ghost-free bidegree-(0,0) words and read them as an ungraded
         multiderivation."""
         kept = {decode(l): f for l, f in op.terms.items() if all(M <= x < DXI for x in l)}
-        return from_graded(GradedElement(self.chart, self.rank, kept))
+        return from_graded(GradedElement(self.chart, kept))
 
     # -- adapted basis, weight, homotopy --------------------------------------
 
@@ -280,20 +278,20 @@ class ContractionOne:
         return _canonical_sum(acc)
 
     def _from_adapted(self, adapted: dict) -> GradedElement:
-        chart, rank = self.chart, self.rank
+        chart = self.chart
         one = ScalarFn.one(chart)
 
         def products():
             for letters, f in adapted.items():
-                prod = GradedElement.section(chart, rank, f)
+                prod = GradedElement.section(chart, f)
                 for l in letters:
                     if l & _TAG:
                         prod = prod.mul(self._image(l ^ _TAG))
                     else:
-                        prod = prod.mul(GradedElement(chart, rank, {decode((l,)): one}))
+                        prod = prod.mul(GradedElement(chart, {decode((l,)): one}))
                 yield prod
 
-        return GradedElement.zero(chart, rank).plus(products())
+        return GradedElement.zero(chart).plus(products())
 
     def weight_split(self, op: GradedElement) -> dict:
         """Split into eigencomponents of the weight derivation, which counts
@@ -322,7 +320,7 @@ class ContractionOne:
 
     def H(self, op: GradedElement) -> GradedElement:
         """H_nabla = -(1/k) H_tilde on the weight-k eigenspace, 0 on weight 0."""
-        return GradedElement.zero(self.chart, self.rank).plus(
+        return GradedElement.zero(self.chart).plus(
             self.H_tilde(comp).scale(Fraction(-1, w))
             for w, comp in self.weight_split(op).items()
             if w
@@ -337,13 +335,12 @@ class CurvedLift:
     qbar into an MC element along the diagonal bidegree filtration, and
     corrections lists what it added."""
 
-    def __init__(self, j: MultiDerivation, rank: int, connection: Connection | None = None):
+    def __init__(self, j: MultiDerivation, connection: Connection | None = None):
         chart = j.chart
         self.chart = chart
-        self.rank = rank
         self.j = j
-        self.c1 = ContractionOne(chart, rank, connection)
-        self.G = tautological_G(chart, rank)
+        self.c1 = ContractionOne(chart, connection)
+        self.G = tautological_G(chart)
         qbar = self.G + self.c1.i_nabla(j)
         sq = qbar.bracket(qbar)
         if sq.is_zero():
@@ -352,7 +349,7 @@ class CurvedLift:
             raise AssertionError("flat lifting failed: [[J^, J^]] != 0")
         else:
             # the applicability square of the recursion is sq
-            zero = GradedElement.zero(chart, rank)
+            zero = GradedElement.zero(chart)
             self.j_hat, self.corrections = sbso(
                 lambda a, b: sq if a is qbar and b is qbar else a.bracket(b),
                 self.c1.H,
@@ -432,61 +429,60 @@ def pr(x: GradedElement, h: int, k: int) -> GradedElement:
     return x._like({l: f for l, f in x.terms.items() if bidegree(l) == (h, k)})
 
 
-def bfv_coisotropy_residual(lift: Lift, s: SectionOfNormalBundle) -> GradedElement:
+def bfv_coisotropy_residual(lift: Lift, s: LeafForm) -> GradedElement:
     """{Omega_E[s], Omega_E[s]}_BFV."""
-    om = ContractionTwo(lift.chart, lift.rank, s).omega_E()
+    om = ContractionTwo(s).omega_E()
     return jacobi_bracket(lift.j_hat, om, om)
 
 
 def lifting_conditions_hold(lift: Lift, samples) -> bool:
     """pr(0,0) of the lifted bracket agrees with {-,-}_G on mixed
     ghost/antighost generators and with {-,-}_J on plain sections."""
-    chart, rank = lift.chart, lift.rank
+    chart = lift.chart
     one = ScalarFn.one(chart)
-    for A in range(rank):
-        u = GradedElement(chart, rank, {((XI, A),): one})
-        for B in range(rank):
-            al = GradedElement(chart, rank, {((XIS, B),): one})
+    for A in range(chart.m):
+        u = GradedElement(chart, {((XI, A),): one})
+        for B in range(chart.m):
+            al = GradedElement(chart, {((XIS, B),): one})
             lhs = pr(jacobi_bracket(lift.j_hat, u, al), 0, 0)
             rhs = pr(jacobi_bracket(lift.G, u, al), 0, 0)
             if not (lhs - rhs).is_zero():
                 return False
     for f, g in samples:
-        sf, sg = GradedElement.section(chart, rank, f), GradedElement.section(chart, rank, g)
+        sf, sg = GradedElement.section(chart, f), GradedElement.section(chart, g)
         lhs = pr(jacobi_bracket(lift.j_hat, sf, sg), 0, 0)
-        expected = GradedElement.section(chart, rank, lift.j.apply([f, g]))
+        expected = GradedElement.section(chart, lift.j.apply([f, g]))
         if not (lhs - expected).is_zero():
             return False
     return True
 
 
-def geometric_mc_zero_locus(omega: GradedElement, max_iter=12) -> SectionOfNormalBundle:
+def geometric_mc_zero_locus(omega: GradedElement, max_iter=12) -> LeafForm:
     """Solve pr(1,0) Omega = sum e_A(u, y) xi^A for the section graph
-    y = g(u) with e_A(u, g(u)) = 0.
+    y = g(u) with e_A(u, g(u)) = 0, as the normal section sum_A g_A delta_A.
 
     The linear-in-y part along y = 0 must be invertible (unit determinant);
     the solution is found by the exact Newton iteration, which terminates
     for graphs of polynomial sections.  Returns the section or raises
     BFVError with a structured message."""
     chart = omega.chart
-    rank = omega.rank
     pr10 = pr(omega, 1, 0)
-    e = [pr10.terms.get(encode(((XI, A),)), ScalarFn.zero(chart)) for A in range(rank)]
+    e = [pr10.terms.get(encode(((XI, A),)), ScalarFn.zero(chart)) for A in range(chart.m)]
     # linear part L[A][B] = d e_A / d y_B |_{y=0}
     L = [
-        [e[A].partial(chart.k + B).restrict_zero_section() for B in range(rank)]
-        for A in range(rank)
+        [e[A].partial(chart.k + B).restrict_zero_section() for B in range(chart.m)]
+        for A in range(chart.m)
     ]
     try:
         L_inv = inverse_unit(chart, L)
     except ChartError as exc:
         raise BFVError(f"zero locus is not a section graph: {exc}") from None
-    g = [ScalarFn.zero(chart) for _ in range(rank)]
+    g = [ScalarFn.zero(chart) for _ in range(chart.m)]
     for _ in range(max_iter):
         powers = PowerTable(chart, g)
         vals = [eA.substitute_fiber(powers) for eA in e]
         if all(v.is_zero() for v in vals):
-            return SectionOfNormalBundle(chart, g)
+            return LeafForm.section(chart, g)
         g = [gA - dot(chart, row, vals) for gA, row in zip(g, L_inv)]
     raise BFVError("zero locus iteration failed: locus is not a polynomial section graph")
 

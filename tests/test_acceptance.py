@@ -11,7 +11,7 @@ import pytest
 
 from coiso.ring import ScalarFn
 from coiso.multivector import MultiVectorField
-from coiso.leafform import LeafForm, SectionOfNormalBundle
+from coiso.leafform import LeafForm
 from coiso.geom import (
     injection_I,
     is_coisotropic_section,
@@ -59,7 +59,6 @@ from helpers import (
 )
 from paper import ContractionOne, bfv_coisotropy_residual, exp_ad, sbso_gauge
 
-RANK = 2
 
 
 def report(n, text):
@@ -83,7 +82,7 @@ def table(J):
 
 @pytest.fixture(scope="module")
 def lift(J):
-    return Lift(J, RANK)
+    return Lift(J)
 
 
 def torus_contact_chart(chart):
@@ -168,9 +167,9 @@ def test_criterion_03_multibrackets(chart, J, table):
 def test_criterion_04_obstructed_deformation(chart, table):
     f = ScalarFn.cos_phi(chart, "ph_4")
     g = ScalarFn.sin_phi(chart, "ph_4")
-    s = SectionOfNormalBundle(chart, [f, g])
+    s = LeafForm.section(chart, [f, g])
     assert (g.partial(0) - f.partial(1)).is_zero()
-    assert table.m1(s.to_leafform()).is_zero()
+    assert table.m1(s).is_zero()
     kr, zero_mode = kuranishi(table, s)
     s3 = ScalarFn.sin_phi(chart, "ph_3")
     assert zero_mode == LeafForm(chart, 2, {(0, 1): s3})
@@ -193,7 +192,7 @@ def test_criterion_05_coisotropy_equivalence(chart, J, table):
             (random_base_scalar(chart, rng), random_base_scalar(chart, rng))
         )
     for f, g in cases:
-        s = SectionOfNormalBundle(chart, [f, g])
+        s = LeafForm.section(chart, [f, g])
         mc = mc_series(table, s)
         ok, _ = is_coisotropic_section(J, s)
         assert ok == mc.is_zero()
@@ -271,23 +270,23 @@ def test_criterion_07_legendrian_toy():
 def test_criterion_08_bfv_layer(chart, J, lift):
     X, Y = fields_XY(chart)
     # lift with trivial flat connection: J^ = G + i_nabla(J), no corrections
-    assert lift.j_hat == lift.G + i_nabla(J, RANK)
-    assert (lift.j_hat - lift.G - i_nabla(J, RANK)).is_zero()
+    assert lift.j_hat == lift.G + i_nabla(J)
+    assert (lift.j_hat - lift.G - i_nabla(J)).is_zero()
     # Omega_BRST = Omega_E
-    omega, corrections = brst_charge(lift, SectionOfNormalBundle.zero(chart))
-    c2 = ContractionTwo(chart, RANK, SectionOfNormalBundle.zero(chart))
+    omega, corrections = brst_charge(lift, LeafForm.zero(chart, 1))
+    c2 = ContractionTwo(LeafForm.zero(chart, 1))
     assert corrections == [] and (omega - c2.omega_E()).is_zero()
     # d_BFV: the worked example's operator (in the orientation forced by
     # d[0] = y_A Delta^A and the +m_1 resolution), and d_BFV^2 = 0
     dop = d_bfv(lift, omega)
     s3, c3 = ScalarFn.sin_phi(chart, "ph_3"), ScalarFn.cos_phi(chart, "ph_3")
     y = [ScalarFn.y(chart, "y_1"), ScalarFn.y(chart, "y_2")]
-    expected = GradedElement.zero(chart, RANK)
-    for A in range(RANK):
-        expected = expected + GradedElement(chart, RANK, {((DXIS, A),): y[A]})
-        expected = expected + GradedElement(chart, RANK, {((XI, A), (DX, A)): ScalarFn.one(chart)})
-        expected = expected + GradedElement(chart, RANK, {((XI, A), (DX, 3)): -(y[A] * s3)})
-        expected = expected + GradedElement(chart, RANK, {((XI, A), (DX, 4)): -(y[A] * c3)})
+    expected = GradedElement.zero(chart)
+    for A in range(chart.m):
+        expected = expected + GradedElement(chart, {((DXIS, A),): y[A]})
+        expected = expected + GradedElement(chart, {((XI, A), (DX, A)): ScalarFn.one(chart)})
+        expected = expected + GradedElement(chart, {((XI, A), (DX, 3)): -(y[A] * s3)})
+        expected = expected + GradedElement(chart, {((XI, A), (DX, 4)): -(y[A] * c3)})
     assert (dop - expected).is_zero()
     assert dop.bracket(dop).is_zero()
     # the coisotropy residual of a generic section
@@ -295,7 +294,7 @@ def test_criterion_08_bfv_layer(chart, J, lift):
     for _ in range(5):
         f = random_base_scalar(chart, rng)
         g = random_base_scalar(chart, rng)
-        res = bfv_coisotropy_residual(lift, SectionOfNormalBundle(chart, [f, g]))
+        res = bfv_coisotropy_residual(lift, LeafForm.section(chart, [f, g]))
         coeff = (
             f.partial(2) * X.lie_derivative_fn(g)
             - g.partial(2) * X.lie_derivative_fn(f)
@@ -304,15 +303,14 @@ def test_criterion_08_bfv_layer(chart, J, lift):
             + y[0] * Y.lie_derivative_fn(g)
             - y[1] * Y.lie_derivative_fn(f)
         ).scale(2)
-        assert (res - GradedElement(chart, RANK, {((XI, 0), (XI, 1)): coeff})).is_zero()
+        assert (res - GradedElement(chart, {((XI, 0), (XI, 1)): coeff})).is_zero()
     # BFV Kuranishi of the lifted obstructed section
     pert = hpl_resolution(lift, dop)
     f = ScalarFn.cos_phi(chart, "ph_4")
     g = ScalarFn.sin_phi(chart, "ph_4")
-    nu = bfv_lift_cocycle(lift, pert, SectionOfNormalBundle(chart, [f, g]))
+    nu = bfv_lift_cocycle(lift, pert, LeafForm.section(chart, [f, g]))
     expected_nu = GradedElement(
         chart,
-        RANK,
         {
             ((XI, 0),): f,
             ((XI, 1),): g,
@@ -322,7 +320,7 @@ def test_criterion_08_bfv_layer(chart, J, lift):
     )
     assert (nu - expected_nu).is_zero()
     kr, zero_mode = bfv_kuranishi(lift, pert, nu)
-    assert zero_mode == GradedElement(chart, RANK, {((XI, 0), (XI, 1)): s3})
+    assert zero_mode == GradedElement(chart, {((XI, 0), (XI, 1)): s3})
     report(8, "BFV layer: lift, charge, d_BFV, residual and BFV Kuranishi all reproduce the worked example")
 
 
@@ -334,25 +332,25 @@ def test_criterion_09_hpl_resolution(chart, J, lift):
         for _ in range(2):
             letters = []
             for _ in range(rng.randint(0, 2)):
-                letters.append(rng.choice([(XI, rng.randrange(RANK)), (XIS, rng.randrange(RANK))]))
+                letters.append(rng.choice([(XI, rng.randrange(chart.m)), (XIS, rng.randrange(chart.m))]))
             sign, canon = dense_normalize(letters)
             if sign == 0:
                 continue
             terms[canon] = random_scalar(chart, rng, max_terms=1)
-        return GradedElement(chart, RANK, terms)
+        return GradedElement(chart, terms)
 
-    omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
+    omega, _ = brst_charge(lift, LeafForm.zero(chart, 1))
     dop = d_bfv(lift, omega)
     pert = hpl_resolution(lift, dop)
     table = MultibracketTable(J)
     # induced differential = m_1 on generators
     for _ in range(6):
         f = random_base_scalar(chart, rng)
-        out = pert.small_differential(GradedElement.section(chart, RANK, f))
+        out = pert.small_differential(GradedElement.section(chart, f))
         m1 = table.m1(LeafForm.function(f))
-        expected = GradedElement.zero(chart, RANK)
+        expected = GradedElement.zero(chart)
         for (a,), coeff in m1.terms.items():
-            expected = expected + ghost(chart, RANK, a).scale_fn(coeff)
+            expected = expected + ghost(chart, a).scale_fn(coeff)
         assert (out - expected).is_zero()
     # all contraction axioms and side conditions on 100 randomized elements
     def h(y):
@@ -404,18 +402,18 @@ def test_criterion_10_property_suites(chart, J, lift):
         while not terms:
             letters = []
             for _ in range(rng.randint(0, 2)):
-                letters.append(rng.choice([(XI, rng.randrange(RANK)), (XIS, rng.randrange(RANK))]))
+                letters.append(rng.choice([(XI, rng.randrange(chart.m)), (XIS, rng.randrange(chart.m))]))
             for _ in range(rng.randint(1, max_arity)):
                 letters.append(
                     rng.choice(
-                        [(M,), (DX, rng.randrange(chart.dim)), (DXI, rng.randrange(RANK)), (DXIS, rng.randrange(RANK))]
+                        [(M,), (DX, rng.randrange(chart.dim)), (DXI, rng.randrange(chart.m)), (DXIS, rng.randrange(chart.m))]
                     )
                 )
             sign, canon = dense_normalize(letters)
             if sign == 0:
                 continue
             terms[canon] = random_scalar(chart, rng, max_terms=1)
-        return GradedElement(chart, RANK, terms)
+        return GradedElement(chart, terms)
 
     def deg_of(x):
         d = x.is_homogeneous_degree()
@@ -441,12 +439,12 @@ def test_criterion_10_property_suites(chart, J, lift):
         )
         assert eval_nested(j.sj_bracket(j), [f, g, h]) == cyc.scale(2)
     # contraction-data axioms, both families
-    G = tautological_G(chart, RANK)
-    c1 = ContractionOne(chart, RANK)
+    G = tautological_G(chart)
+    c1 = ContractionOne(chart)
     for _ in range(10):
         op = rand_op(max_arity=2)
         lhs = c1.H_tilde(G.bracket(op)) + G.bracket(c1.H_tilde(op))
-        weight = GradedElement.zero(chart, RANK).plus(
+        weight = GradedElement.zero(chart).plus(
             comp.scale(w) for w, comp in c1.weight_split(op).items()
         )
         assert (lhs - weight).is_zero()
@@ -455,11 +453,11 @@ def test_criterion_10_property_suites(chart, J, lift):
         assert c1.p(c1.H(op)).is_zero()
         assert G.bracket(G.bracket(op)).is_zero()  # d_G^2 = 0
     rng2 = random.Random(109)
-    s_rand = SectionOfNormalBundle(
+    s_rand = LeafForm.section(
         chart, [random_base_scalar(chart, rng2), random_base_scalar(chart, rng2)]
     )
-    for s in (SectionOfNormalBundle.zero(chart), s_rand):
-        c2 = ContractionTwo(chart, RANK, s)
+    for s in (LeafForm.zero(chart, 1), s_rand):
+        c2 = ContractionTwo(s)
         ds = c2.d_s(G)
         assert ds.bracket(ds).is_zero()  # d[s]^2 = 0
         for _ in range(8):
@@ -469,7 +467,7 @@ def test_criterion_10_property_suites(chart, J, lift):
             assert c2.h(c2.h(lam)).is_zero()
             assert c2.wp(c2.h(lam)).is_zero()
         base = GradedElement(
-            chart, RANK, {((XI, 0),): random_base_scalar(chart, rng2)}
+            chart, {((XI, 0),): random_base_scalar(chart, rng2)}
         )
         assert c2.wp(c2.iota(base)) == base
         assert c2.h(c2.iota(base)).is_zero()
@@ -490,17 +488,16 @@ def test_criterion_10_property_suites(chart, J, lift):
         xj = LeafForm(chart, 1, {(rng.randrange(2),): random_base_scalar(chart, rng)})
         assert injection_I(xi).sj_bracket(injection_I(xj)).is_zero()
     # SBSO outputs are MC; gauge ladder preserves MC
-    omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
+    omega, _ = brst_charge(lift, LeafForm.zero(chart, 1))
     bracket = lambda x, y: jacobi_bracket(lift.j_hat, x, y)
     assert bracket(omega, omega).is_zero()
     r = GradedElement(
         chart,
-        RANK,
         {((XI, 0), (XI, 1), (XIS, 0), (XIS, 1)): random_base_scalar(chart, rng, max_terms=1)},
     )
     omega2 = exp_ad(r, omega, bracket)
     assert bracket(omega2, omega2).is_zero()
-    c2 = ContractionTwo(chart, RANK, SectionOfNormalBundle.zero(chart))
+    c2 = ContractionTwo(LeafForm.zero(chart, 1))
     ladder, final = sbso_gauge(omega, omega2, bracket, c2.h, lambda x: x.antighost_filtration())
     assert (final - omega2).is_zero()
     report(10, f"algebraic property suites hold ({triples} random bracket triples, both contraction families)")
@@ -511,12 +508,12 @@ def _rand_graded_section(chart, rng):
     for _ in range(2):
         letters = []
         for _ in range(rng.randint(0, 2)):
-            letters.append(rng.choice([(XI, rng.randrange(RANK)), (XIS, rng.randrange(RANK))]))
+            letters.append(rng.choice([(XI, rng.randrange(chart.m)), (XIS, rng.randrange(chart.m))]))
         sign, canon = dense_normalize(letters)
         if sign == 0:
             continue
         terms[canon] = random_scalar(chart, rng, max_terms=1)
-    return GradedElement(chart, RANK, terms)
+    return GradedElement(chart, terms)
 
 
 def test_criterion_11_determinism(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from coiso import bfv
 from coiso.ring import ScalarFn
-from coiso.leafform import LeafForm, SectionOfNormalBundle
+from coiso.leafform import LeafForm
 from coiso.linfty import MultibracketTable, kuranishi
 from coiso.graded import (
     DX,
@@ -51,7 +51,6 @@ from paper import (
     sbso_gauge,
 )
 
-RANK = 2
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +60,7 @@ def chart():
 
 @pytest.fixture(scope="module")
 def lift(chart):
-    return Lift(torus_jacobi(chart), RANK)
+    return Lift(torus_jacobi(chart))
 
 
 def rand_graded_section(chart, rng, nterms=2):
@@ -69,18 +68,18 @@ def rand_graded_section(chart, rng, nterms=2):
     for _ in range(nterms):
         letters = []
         for _ in range(rng.randint(0, 2)):
-            letters.append(rng.choice([(XI, rng.randrange(RANK)), (XIS, rng.randrange(RANK))]))
+            letters.append(rng.choice([(XI, rng.randrange(chart.m)), (XIS, rng.randrange(chart.m))]))
         sign, canon = dense_normalize(letters)
         if sign == 0:
             continue
         terms[canon] = random_scalar(chart, rng, max_terms=1)
-    return GradedElement(chart, RANK, terms)
+    return GradedElement(chart, terms)
 
 
 def test_lift_is_G_plus_inabla_with_no_corrections(lift, chart):
     # Lift keeps no corrections list: J^ is G + i_nabla(J) term for term
-    assert lift.j_hat == lift.G + i_nabla(lift.j, RANK)
-    assert (lift.j_hat - lift.G - i_nabla(lift.j, RANK)).is_zero()
+    assert lift.j_hat == lift.G + i_nabla(lift.j)
+    assert (lift.j_hat - lift.G - i_nabla(lift.j)).is_zero()
     assert lift.j_hat.bracket(lift.j_hat).is_zero()
 
 
@@ -91,7 +90,7 @@ def test_lift_of_zero_is_G(chart):
     zero = MultiDerivation(
         MultiVectorField.zero(chart, 2), MultiVectorField.zero(chart, 1)
     )
-    lf = Lift(zero, RANK)
+    lf = Lift(zero)
     assert (lf.j_hat - lf.G).is_zero()
 
 
@@ -100,7 +99,7 @@ def test_lifting_conditions(lift, chart):
     samples = [(random_scalar(chart, rng), random_scalar(chart, rng)) for _ in range(4)]
     assert lifting_conditions_hold(lift, samples)
     # p(J^_1) = J: the non-G part projects to the original structure
-    assert ContractionOne(chart, RANK).p(lift.j_hat - lift.G) == lift.j
+    assert ContractionOne(chart).p(lift.j_hat - lift.G) == lift.j
 
 
 def test_displayed_lift(lift, chart):
@@ -111,7 +110,7 @@ def test_displayed_lift(lift, chart):
     s3 = ScalarFn.sin_phi(chart, "ph_3")
     c3 = ScalarFn.cos_phi(chart, "ph_3")
     # collect the expected ghost-sector terms: G + Y (x) (xi^A Dxi_A)-part
-    diff = lift.j_hat - i_nabla(lift.j, RANK) - lift.G
+    diff = lift.j_hat - i_nabla(lift.j) - lift.G
     assert diff.is_zero()
     # the ghost-rotation terms of i_nabla(J) have bidegree (1, 0) - (1, 0):
     # words xi^A . D_ph . D_xi_A with the Reeb coefficients
@@ -121,15 +120,15 @@ def test_displayed_lift(lift, chart):
         if any(l[0] == DXI for l in letters) and any(l[0] == XI for l in letters)
     }
     expected_words = set()
-    for A in range(RANK):
+    for A in range(chart.m):
         for i, coeff in ((3, s3), (4, c3)):
             expected_words.add(((XI, A), (DX, i), (DXI, A)))
     assert found == expected_words
 
 
 def test_brst_charge_zero_section(lift, chart):
-    omega, corrections = brst_charge(lift, SectionOfNormalBundle.zero(chart))
-    c2 = ContractionTwo(chart, RANK, SectionOfNormalBundle.zero(chart))
+    omega, corrections = brst_charge(lift, LeafForm.zero(chart, 1))
+    c2 = ContractionTwo(LeafForm.zero(chart, 1))
     assert corrections == []
     assert (omega - c2.omega_E()).is_zero()
     assert jacobi_bracket(lift.j_hat, omega, omega).is_zero()
@@ -137,10 +136,10 @@ def test_brst_charge_zero_section(lift, chart):
 
 def test_brst_charge_coisotropic_section(lift, chart):
     # f = cos(ph_3), g = 0 solves the coisotropy PDE; the charge exists
-    s = SectionOfNormalBundle(chart, [ScalarFn.cos_phi(chart, "ph_3"), ScalarFn.zero(chart)])
+    s = LeafForm.section(chart, [ScalarFn.cos_phi(chart, "ph_3"), ScalarFn.zero(chart)])
     omega, _ = brst_charge(lift, s)
     assert jacobi_bracket(lift.j_hat, omega, omega).is_zero()
-    c2 = ContractionTwo(chart, RANK, s)
+    c2 = ContractionTwo(s)
     assert (pr(omega, 1, 0) - c2.omega_E()).is_zero()
 
 
@@ -148,14 +147,14 @@ def test_brst_charge_with_genuine_corrections(lift, chart):
     """s = (0, sin ph_4) is coisotropic but its tautological section is not
     MC on the nose: the recursion must add antighost corrections, and every
     partial sum pushes the MC defect up the filtration."""
-    s = SectionOfNormalBundle(chart, [ScalarFn.zero(chart), ScalarFn.sin_phi(chart, "ph_4")])
+    s = LeafForm.section(chart, [ScalarFn.zero(chart), ScalarFn.sin_phi(chart, "ph_4")])
     from coiso.geom import is_coisotropic_section
 
     ok, _ = is_coisotropic_section(lift.j, s)
     assert ok
     residual = bfv_coisotropy_residual(lift, s)
     assert not residual.is_zero()  # raw defect nonzero, wp[s] of it zero
-    c2 = ContractionTwo(chart, RANK, s)
+    c2 = ContractionTwo(s)
     assert c2.wp(residual).is_zero()
     omega, corrections = brst_charge(lift, s)
     assert corrections
@@ -189,7 +188,7 @@ def test_flatness_probes_bracket_antisymmetrically(chart):
     i_nabla keeps the degree (arity - 1) and both brackets are graded
     antisymmetric with the same sign: [[b, a]] = -(-1)^{|a||b|} [[a, b]],
     the diagonal included."""
-    lift = CurvedLift(torus_jacobi(chart), RANK)
+    lift = CurvedLift(torus_jacobi(chart))
     probes = lift.flatness_probes()
     assert len(probes) == 3
     images = [lift.c1.i_nabla(a) for a in probes]
@@ -267,8 +266,8 @@ def test_contraction_axiom_messages(axiom, change, sample):
 def test_sbso_squares_once_per_step(lift, chart):
     """The applicability square is the first square of the loop: the
     bracket runs once per correction and once more for the zero square."""
-    s = SectionOfNormalBundle(chart, [ScalarFn.zero(chart), ScalarFn.sin_phi(chart, "ph_4")])
-    c2 = ContractionTwo(chart, RANK, s)
+    s = LeafForm.section(chart, [ScalarFn.zero(chart), ScalarFn.sin_phi(chart, "ph_4")])
+    c2 = ContractionTwo(s)
     calls = []
 
     def bracket(a, b):
@@ -297,7 +296,7 @@ def test_flat_lift_squares_once(chart, monkeypatch):
 
     monkeypatch.setattr(GradedElement, "bracket", bracket)
     monkeypatch.setattr(bfv, "sbso", lambda *args, **kwargs: sbso_runs.append(args))
-    lifted = Lift(torus_jacobi(chart), RANK)
+    lifted = Lift(torus_jacobi(chart))
     assert sum(a == lifted.j_hat and b == lifted.j_hat for a, b in pairs) == 1
     assert sbso_runs == []
 
@@ -306,7 +305,7 @@ def test_flat_lift_with_nonzero_square_fails(lift, chart, monkeypatch):
     """When [[J^, J^]] != 0 the lifting fails, as an invariant violation:
     the trivial connection is flat (the square is stubbed: a Jacobi J never
     gives a nonzero one)."""
-    qbar = lift.G + i_nabla(lift.j, RANK)
+    qbar = lift.G + i_nabla(lift.j)
     original = GradedElement.bracket
 
     def bracket(a, b):
@@ -316,7 +315,7 @@ def test_flat_lift_with_nonzero_square_fails(lift, chart, monkeypatch):
 
     monkeypatch.setattr(GradedElement, "bracket", bracket)
     with pytest.raises(AssertionError, match="^flat lifting failed: "):
-        Lift(torus_jacobi(chart), RANK)
+        Lift(torus_jacobi(chart))
 
 
 def test_perturbed_sample_sums_four_series(lift, chart, monkeypatch):
@@ -325,7 +324,7 @@ def test_perturbed_sample_sums_four_series(lift, chart, monkeypatch):
     and the chain-map check reuses q d x.  It sums (1 - h delta)^{-1} once,
     for the perturbed j of q x, which the chain-map check reuses too.  The
     6 samples of the s = 0 data sum no series."""
-    dop = d_bfv(lift, brst_charge(lift, SectionOfNormalBundle.zero(chart))[0])
+    dop = d_bfv(lift, brst_charge(lift, LeafForm.zero(chart, 1))[0])
     pert = hpl_resolution(lift, dop)
     series, geometric = [], []
     original = PerturbedContraction.series
@@ -349,8 +348,8 @@ def test_lift_with_nonflat_connection(chart):
         2: [[ScalarFn.zero(chart), ScalarFn.zero(chart)],
             [ScalarFn.cos_phi(chart, "ph_1"), ScalarFn.zero(chart)]],
     }
-    conn = Connection(chart, RANK, gamma=gamma)
-    lifted = CurvedLift(torus_jacobi(chart), RANK, conn)
+    conn = Connection(chart, gamma=gamma)
+    lifted = CurvedLift(torus_jacobi(chart), conn)
     assert not lifted.flat
     assert lifted.corrections
     assert lifted.j_hat.bracket(lifted.j_hat).is_zero()
@@ -361,12 +360,12 @@ def test_lift_with_nonflat_connection(chart):
 
 def test_brst_charge_obstructed_for_noncoisotropic(lift, chart):
     # f = cos(ph_4), g = sin(ph_4): the coisotropy PDE leaves sin(ph_3)
-    s = SectionOfNormalBundle(
+    s = LeafForm.section(
         chart, [ScalarFn.cos_phi(chart, "ph_4"), ScalarFn.sin_phi(chart, "ph_4")]
     )
     with pytest.raises(ObstructionFailure) as err:
         brst_charge(lift, s)
-    c2 = ContractionTwo(chart, RANK, s)
+    c2 = ContractionTwo(s)
     residual = bfv_coisotropy_residual(lift, s)
     assert (err.value.component - c2.wp(residual)).is_zero()
     assert not err.value.component.is_zero()
@@ -380,7 +379,7 @@ def test_coisotropy_residual_displayed(lift, chart):
     for _ in range(4):
         f = random_base_scalar(chart, rng)
         g = random_base_scalar(chart, rng)
-        s = SectionOfNormalBundle(chart, [f, g])
+        s = LeafForm.section(chart, [f, g])
         res = bfv_coisotropy_residual(lift, s)
         coeff = (
             f.partial(2) * X.lie_derivative_fn(g)
@@ -390,18 +389,18 @@ def test_coisotropy_residual_displayed(lift, chart):
             + ScalarFn.y(chart, "y_1") * Y.lie_derivative_fn(g)
             - ScalarFn.y(chart, "y_2") * Y.lie_derivative_fn(f)
         ).scale(2)
-        expected = GradedElement(chart, RANK, {((XI, 0), (XI, 1)): coeff})
+        expected = GradedElement(chart, {((XI, 0), (XI, 1)): coeff})
         assert (res - expected).is_zero()
     # s = 0: the residual vanishes
-    assert bfv_coisotropy_residual(lift, SectionOfNormalBundle.zero(chart)).is_zero()
+    assert bfv_coisotropy_residual(lift, LeafForm.zero(chart, 1)).is_zero()
     # wp[s] of the residual vanishes iff the section is coisotropic
     from coiso.geom import is_coisotropic_section
 
     for _ in range(4):
         f = random_base_scalar(chart, rng)
         g = random_base_scalar(chart, rng)
-        s = SectionOfNormalBundle(chart, [f, g])
-        c2 = ContractionTwo(chart, RANK, s)
+        s = LeafForm.section(chart, [f, g])
+        c2 = ContractionTwo(s)
         ok, _ = is_coisotropic_section(lift.j, s)
         assert ok == c2.wp(bfv_coisotropy_residual(lift, s)).is_zero()
 
@@ -415,17 +414,17 @@ def test_dbfv_displayed_formula(lift, chart):
     resolution differential being +m_1 (the y_A Delta^A part and the word
     content agree with the reference display; the ghost-derivative sector
     carries the orientation those two identities force)."""
-    omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
+    omega, _ = brst_charge(lift, LeafForm.zero(chart, 1))
     dop = d_bfv(lift, omega)
     s3 = ScalarFn.sin_phi(chart, "ph_3")
     c3 = ScalarFn.cos_phi(chart, "ph_3")
     y = [ScalarFn.y(chart, "y_1"), ScalarFn.y(chart, "y_2")]
-    expected = GradedElement.zero(chart, RANK)
-    for A in range(RANK):
-        expected = expected + GradedElement(chart, RANK, {((DXIS, A),): y[A]})
-        expected = expected + GradedElement(chart, RANK, {((XI, A), (DX, A)): ScalarFn.one(chart)})
-        expected = expected + GradedElement(chart, RANK, {((XI, A), (DX, 3)): -(y[A] * s3)})
-        expected = expected + GradedElement(chart, RANK, {((XI, A), (DX, 4)): -(y[A] * c3)})
+    expected = GradedElement.zero(chart)
+    for A in range(chart.m):
+        expected = expected + GradedElement(chart, {((DXIS, A),): y[A]})
+        expected = expected + GradedElement(chart, {((XI, A), (DX, A)): ScalarFn.one(chart)})
+        expected = expected + GradedElement(chart, {((XI, A), (DX, 3)): -(y[A] * s3)})
+        expected = expected + GradedElement(chart, {((XI, A), (DX, 4)): -(y[A] * c3)})
     assert (dop - expected).is_zero()
     # square zero on random sections as well
     rng = random.Random(3)
@@ -437,7 +436,7 @@ def test_dbfv_displayed_formula(lift, chart):
 def test_dbfv_action_on_degree_one(lift, chart):
     """d_BFV(F_1 xi^1 + F_2 xi^2 + (G^1 xis_1 + G^2 xis_2) xi^1 xi^2) has
     the displayed xi^1 xi^2 coefficient."""
-    omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
+    omega, _ = brst_charge(lift, LeafForm.zero(chart, 1))
     dop = d_bfv(lift, omega)
     X, Y = fields_XY(chart)
     rng = random.Random(4)
@@ -447,7 +446,6 @@ def test_dbfv_action_on_degree_one(lift, chart):
         G1, G2 = random_scalar(chart, rng), random_scalar(chart, rng)
         kappa = GradedElement(
             chart,
-            RANK,
             {
                 ((XI, 0),): F1,
                 ((XI, 1),): F2,
@@ -470,7 +468,7 @@ def test_dbfv_action_on_degree_one(lift, chart):
 
 def test_hpl_resolution(lift, chart):
     rng = random.Random(5)
-    omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
+    omega, _ = brst_charge(lift, LeafForm.zero(chart, 1))
     dop = d_bfv(lift, omega)
     sampler = lambda: rand_graded_section(chart, rng)
     pert = hpl_resolution(lift, dop)
@@ -479,41 +477,40 @@ def test_hpl_resolution(lift, chart):
     table = MultibracketTable(lift.j)
     for _ in range(6):
         f = random_base_scalar(chart, rng)
-        base = GradedElement.section(chart, RANK, f)
+        base = GradedElement.section(chart, f)
         out = pert.small_differential(base)
         m1 = table.m1(LeafForm.function(f))
-        expected = GradedElement.zero(chart, RANK)
+        expected = GradedElement.zero(chart)
         for (a,), coeff in m1.terms.items():
-            expected = expected + ghost(chart, RANK, a).scale_fn(coeff)
+            expected = expected + ghost(chart, a).scale_fn(coeff)
         assert (out - expected).is_zero()
-    for A in range(RANK):
-        base = ghost(chart, RANK, A).scale_fn(random_base_scalar(chart, rng))
+    for A in range(chart.m):
+        base = ghost(chart, A).scale_fn(random_base_scalar(chart, rng))
         out = pert.small_differential(base)
         w = LeafForm(chart, 1, {(A,): base.terms[encode(((XI, A),))]})
         m1 = table.m1(w)
-        expected = GradedElement.zero(chart, RANK)
+        expected = GradedElement.zero(chart)
         for (a, b), coeff in m1.terms.items():
             expected = expected + GradedElement(
-                chart, RANK, {((XI, a), (XI, b)): coeff}
+                chart, {((XI, a), (XI, b)): coeff}
             )
         assert (out - expected).is_zero()
 
 
 def test_bfv_kuranishi_obstructed_example(lift, chart):
     rng = random.Random(6)
-    omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
+    omega, _ = brst_charge(lift, LeafForm.zero(chart, 1))
     dop = d_bfv(lift, omega)
     pert = hpl_resolution(lift, dop)
     check_hpl_axioms(pert, lambda: rand_graded_section(chart, rng))
     X, Y = fields_XY(chart)
     f = ScalarFn.cos_phi(chart, "ph_4")
     g = ScalarFn.sin_phi(chart, "ph_4")
-    s = SectionOfNormalBundle(chart, [f, g])
+    s = LeafForm.section(chart, [f, g])
     nu = bfv_lift_cocycle(lift, pert, s)
     # the canonical lift is f xi^1 + g xi^2 + ((Yg) xis_1 - (Yf) xis_2) xi^1 xi^2
     expected = GradedElement(
         chart,
-        RANK,
         {
             ((XI, 0),): f,
             ((XI, 1),): g,
@@ -525,7 +522,7 @@ def test_bfv_kuranishi_obstructed_example(lift, chart):
     assert dop.insert(nu).is_zero()
     kr, zero_mode = bfv_kuranishi(lift, pert, nu)
     s3 = ScalarFn.sin_phi(chart, "ph_3")
-    assert zero_mode == GradedElement(chart, RANK, {((XI, 0), (XI, 1)): s3})
+    assert zero_mode == GradedElement(chart, {((XI, 0), (XI, 1)): s3})
     # agreement with the derived-bracket Kuranishi through the
     # ghost <-> leaf-form correspondence
     table = MultibracketTable(lift.j)
@@ -537,15 +534,15 @@ def test_bfv_kuranishi_obstructed_example(lift, chart):
         lam = rand_graded_section(chart, rng)
         bound = dop.insert(lam)
         gh2 = pr(bound, 2, 0)
-        c2 = ContractionTwo(chart, RANK, SectionOfNormalBundle.zero(chart))
+        c2 = ContractionTwo(LeafForm.zero(chart, 1))
         assert c2.wp(dop.insert(lam)).leaf_zero_mode().is_zero()
 
 
 def test_sbso_gauge_ladder(lift, chart):
     rng = random.Random(7)
-    omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
+    omega, _ = brst_charge(lift, LeafForm.zero(chart, 1))
     bracket = lambda a, b: jacobi_bracket(lift.j_hat, a, b)
-    c2 = ContractionTwo(chart, RANK, SectionOfNormalBundle.zero(chart))
+    c2 = ContractionTwo(LeafForm.zero(chart, 1))
     # trivial ladder
     ladder, final = sbso_gauge(omega, omega, bracket, c2.h, lambda x: x.antighost_filtration())
     assert ladder == [] and (final - omega).is_zero()
@@ -553,7 +550,6 @@ def test_sbso_gauge_ladder(lift, chart):
     # antighost-filtration level >= 2 (where the uniqueness ladder lives)
     r = GradedElement(
         chart,
-        RANK,
         {((XI, 0), (XI, 1), (XIS, 0), (XIS, 1)): random_base_scalar(chart, rng, max_terms=1)},
     )
     omega2 = exp_ad(r, omega, bracket)
@@ -568,10 +564,10 @@ def test_wp0_intertwines_reduced_bracket(lift, chart):
     """wp[0]{l1, l2}_BFV = {l1^0|_S, l2^0|_S}_J for d_BFV-closed degree-0
     sections, and the induced degree-0 bracket on the resolution matches
     m_2 on d_F-closed functions."""
-    omega, _ = brst_charge(lift, SectionOfNormalBundle.zero(chart))
+    omega, _ = brst_charge(lift, LeafForm.zero(chart, 1))
     dop = d_bfv(lift, omega)
     pert = hpl_resolution(lift, dop)
-    c2 = ContractionTwo(chart, RANK, SectionOfNormalBundle.zero(chart))
+    c2 = ContractionTwo(LeafForm.zero(chart, 1))
     table = MultibracketTable(lift.j)
     cases = [
         (ScalarFn.sin_phi(chart, "ph_3"), ScalarFn.cos_phi(chart, "ph_3")),
@@ -580,19 +576,19 @@ def test_wp0_intertwines_reduced_bracket(lift, chart):
     ]
     for f, g in cases:
         # leafwise-constant functions lift to d_BFV-closed degree-0 sections
-        lf = pert.immersion(GradedElement.section(chart, RANK, f))
-        lg = pert.immersion(GradedElement.section(chart, RANK, g))
+        lf = pert.immersion(GradedElement.section(chart, f))
+        lg = pert.immersion(GradedElement.section(chart, g))
         assert dop.insert(lf).is_zero() and dop.insert(lg).is_zero()
         br = jacobi_bracket(lift.j_hat, lf, lg)
         reduced = pr(c2.wp(br), 0, 0)
         expected = GradedElement.section(
-            chart, RANK, lift.j.apply([f, g]).restrict_zero_section()
+            chart, lift.j.apply([f, g]).restrict_zero_section()
         )
         assert (reduced - expected).is_zero()
         # the induced bracket agrees with -m_2 (= the reduced Jacobi
         # bracket) on d_F-closed functions
         m2 = table.m([LeafForm.function(f), LeafForm.function(g)]).as_function()
-        assert (reduced - GradedElement.section(chart, RANK, -m2)).is_zero()
+        assert (reduced - GradedElement.section(chart, -m2)).is_zero()
 
 
 def test_geometric_mc_zero_locus(lift, chart):
@@ -600,25 +596,25 @@ def test_geometric_mc_zero_locus(lift, chart):
     # Omega with pr(1,0) = Omega_E[s] returns s exactly
     f = random_base_scalar(chart, rng)
     g = random_base_scalar(chart, rng)
-    s = SectionOfNormalBundle(chart, [f, g])
-    c2 = ContractionTwo(chart, RANK, s)
+    s = LeafForm.section(chart, [f, g])
+    c2 = ContractionTwo(s)
     out = geometric_mc_zero_locus(c2.omega_E())
     assert out == s
     # constant frame transformation A in GL_2(Q) gives the same zero locus
     om = c2.omega_E()
     a11, a12, a21, a22 = 2, 1, 1, 1
-    transformed = GradedElement.zero(chart, RANK)
+    transformed = GradedElement.zero(chart)
     es = []
-    for A in range(RANK):
-        coeff = ScalarFn.y(chart, chart.fiber[A]) - s.components[A]
+    for A in range(chart.m):
+        coeff = ScalarFn.y(chart, chart.fiber[A]) - s.components()[A]
         es.append(coeff)
     rows = [(a11, a12), (a21, a22)]
-    for A in range(RANK):
+    for A in range(chart.m):
         coeff = es[0].scale(rows[A][0]) + es[1].scale(rows[A][1])
-        transformed = transformed + GradedElement(chart, RANK, {((XI, A),): coeff})
+        transformed = transformed + GradedElement(chart, {((XI, A),): coeff})
     assert geometric_mc_zero_locus(transformed) == s
     # non-section locus: (y_1^2 + 1) xi^1 fails with a structured error
     y1 = ScalarFn.y(chart, "y_1")
-    bad = GradedElement(chart, RANK, {((XI, 0),): y1 * y1 + ScalarFn.one(chart)})
+    bad = GradedElement(chart, {((XI, 0),): y1 * y1 + ScalarFn.one(chart)})
     with pytest.raises(BFVError, match="^zero locus is not a section graph: matrix determinant"):
         geometric_mc_zero_locus(bad)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import coiso
 from coiso.cli import main, TASKS
-from coiso.ring import ContentError
+from coiso.ring import ContentError, ScalarFn
 from coiso.scenario import Scenario, ScenarioError, load_scenario
 from coiso.expr import parse_scalar, scalar_to_json, scalar_to_text
 from coiso.graded import GradedElement
@@ -526,6 +526,26 @@ def test_check_jacobi_reports_a_nonzero_jacobiator(tmp_path, capsys):
     code, out, err = run_cli(["--scenario", path, "--task", "check-jacobi"], capsys)
     assert code == 0 and err == ""
     assert json.loads(out)["tasks"]["check-jacobi"]["jacobiator_zero"] is False
+
+
+@pytest.mark.parametrize(
+    "scenario, coisotropic, pairs",
+    [("torus-obstructed", False, [[0, 1]]), ("legendrian-jet", True, [])],
+)
+def test_coisotropic_reports_both_verdicts(capsys, scenario, coisotropic, pairs):
+    """torus-obstructed's section (cos ph_4, sin ph_4) is infinitesimal
+    only: {y_1 - cos ph_4, y_2 - sin ph_4} is sin ph_3 on its graph, so
+    coisotropic reads false with that one residue, and exit 0.  The zero
+    section of legendrian-jet (it has no section block) reads true with
+    no residues."""
+    code, out, err = run_cli(["--scenario", scenario, "--task", "coisotropic"], capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)["tasks"]["coisotropic"]
+    assert report["coisotropic"] is coisotropic
+    assert [r["pair"] for r in report["residues"]] == pairs
+    chart = load_scenario(scenario).chart
+    for r in report["residues"]:
+        assert scalar_from_json(chart, r["value"]) == ScalarFn.sin_phi(chart, "ph_3")
 
 
 def test_transversal_crosscheck_reports_a_disagreement(tmp_path, capsys):

@@ -6,10 +6,10 @@ import random
 import pytest
 
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ChartError, ScalarFn, mat_eq
+from coiso.ring import Chart, ChartError, ScalarFn
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
-from coiso.leafform import LeafForm, SectionOfNormalBundle
+from coiso.leafform import LeafForm
 from coiso.geom import (
     ContactChart,
     Form,
@@ -83,8 +83,8 @@ def test_curvature_is_the_dense_matrix(chart):
     ]
     for c in (cc, mixed):
         omega = c.curvature()
-        assert len(omega) == 6 and mat_eq(omega, dense_curvature(c))
-    assert not mat_eq(mixed.curvature(), cc.curvature())
+        assert len(omega) == 6 and omega == dense_curvature(c)
+    assert mixed.curvature() != cc.curvature()
 
 
 def test_contact_scaling(chart):
@@ -365,7 +365,7 @@ def test_ker_P_is_subalgebra(chart):
 
 def test_coisotropic_zero_section(chart):
     J = torus_jacobi(chart)
-    ok, residues = is_coisotropic_section(J, SectionOfNormalBundle.zero(chart))
+    ok, residues = is_coisotropic_section(J, LeafForm.zero(chart, 1))
     assert ok and not residues
 
 
@@ -393,7 +393,7 @@ def test_coisotropic_pde_criterion(chart):
         for _ in range(6)
     ]
     for f, g in cases:
-        s = SectionOfNormalBundle(chart, [f, g])
+        s = LeafForm.section(chart, [f, g])
         ok, _ = is_coisotropic_section(J, s)
         assert ok == pde(f, g).is_zero()
         seen_true |= ok
@@ -408,6 +408,6 @@ def test_coisotropic_false_case(chart):
         MultiVectorField.basis_vector(chart, "y_2")
     )
     J = MultiDerivation(lam)
-    ok, residues = is_coisotropic_section(J, SectionOfNormalBundle.zero(chart))
+    ok, residues = is_coisotropic_section(J, LeafForm.zero(chart, 1))
     assert not ok
     assert residues[(0, 1)] == ScalarFn.one(chart)

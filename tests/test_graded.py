@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from coiso import graded
 from coiso.rational import GaussianRational
 from coiso.ring import Chart, ScalarFn
-from coiso.leafform import SectionOfNormalBundle
+from coiso.leafform import LeafForm
 from coiso.scenario import load_scenario
 from coiso.graded import (
     DX,
@@ -44,7 +44,6 @@ from helpers import (
 )
 from paper import Connection, ContractionOne, from_graded
 
-RANK = 2
 
 
 @pytest.fixture
@@ -54,7 +53,7 @@ def chart():
 
 @pytest.fixture
 def G(chart):
-    return tautological_G(chart, RANK)
+    return tautological_G(chart)
 
 
 def rand_section(chart, rng, nterms=2):
@@ -62,12 +61,12 @@ def rand_section(chart, rng, nterms=2):
     for _ in range(nterms):
         letters = []
         for _ in range(rng.randint(0, 2)):
-            letters.append(rng.choice([(XI, rng.randrange(RANK)), (XIS, rng.randrange(RANK))]))
+            letters.append(rng.choice([(XI, rng.randrange(chart.m)), (XIS, rng.randrange(chart.m))]))
         sign, canon = dense_normalize(letters)
         if sign == 0:
             continue
         terms[canon] = random_scalar(chart, rng, max_terms=1)
-    return GradedElement(chart, RANK, terms)
+    return GradedElement(chart, terms)
 
 
 def rand_operator(chart, rng, max_arity=2, nterms=2):
@@ -76,11 +75,11 @@ def rand_operator(chart, rng, max_arity=2, nterms=2):
     while len(terms) < nterms:
         letters = []
         for _ in range(rng.randint(0, 2)):
-            letters.append(rng.choice([(XI, rng.randrange(RANK)), (XIS, rng.randrange(RANK))]))
+            letters.append(rng.choice([(XI, rng.randrange(chart.m)), (XIS, rng.randrange(chart.m))]))
         for _ in range(rng.randint(1, max_arity)):
             letters.append(
                 rng.choice(
-                    [(M,), (DX, rng.randrange(chart.dim)), (DXI, rng.randrange(RANK)), (DXIS, rng.randrange(RANK))]
+                    [(M,), (DX, rng.randrange(chart.dim)), (DXI, rng.randrange(chart.m)), (DXIS, rng.randrange(chart.m))]
                 )
             )
         sign, canon = dense_normalize(letters)
@@ -92,7 +91,7 @@ def rand_operator(chart, rng, max_arity=2, nterms=2):
         if d != deg:
             continue
         terms[canon] = random_scalar(chart, rng, max_terms=1)
-    return GradedElement(chart, RANK, terms)
+    return GradedElement(chart, terms)
 
 
 def deg_of(x):
@@ -101,34 +100,34 @@ def deg_of(x):
 
 
 def test_ghost_multiplication(chart):
-    xi1 = ghost(chart, RANK, 0)
-    xi2 = ghost(chart, RANK, 1)
+    xi1 = ghost(chart, 0)
+    xi2 = ghost(chart, 1)
     assert xi1.mul(xi2) == xi2.mul(xi1).scale(-1)
     assert xi1.mul(xi1).is_zero()
     # (y_1 xi^1)(y_2 xis_2) lands in canonical order with sign +1
     a = xi1.scale_fn(ScalarFn.y(chart, "y_1"))
-    b = antighost(chart, RANK, 1).scale_fn(ScalarFn.y(chart, "y_2"))
+    b = antighost(chart, 1).scale_fn(ScalarFn.y(chart, "y_2"))
     prod = a.mul(b)
     y12 = ScalarFn.y(chart, "y_1") * ScalarFn.y(chart, "y_2")
-    assert prod == GradedElement(chart, RANK, {((XI, 0), (XIS, 1)): y12})
+    assert prod == GradedElement(chart, {((XI, 0), (XIS, 1)): y12})
 
 
 def test_tautological_G_evaluation(chart, G):
     rng = random.Random(1)
     for _ in range(4):
-        u = GradedElement.zero(chart, RANK)
-        al = GradedElement.zero(chart, RANK)
+        u = GradedElement.zero(chart)
+        al = GradedElement.zero(chart)
         pairing = ScalarFn.zero(chart)
-        for A in range(RANK):
+        for A in range(chart.m):
             cu = random_scalar(chart, rng)
             ca = random_scalar(chart, rng)
-            u = u + ghost(chart, RANK, A).scale_fn(cu)
-            al = al + antighost(chart, RANK, A).scale_fn(ca)
+            u = u + ghost(chart, A).scale_fn(cu)
+            al = al + antighost(chart, A).scale_fn(ca)
             pairing = pairing + cu * ca
-        expected = GradedElement.section(chart, RANK, pairing)
+        expected = GradedElement.section(chart, pairing)
         assert G.eval([u, al]) == expected
         assert G.eval([al, u]) == expected
-        u2 = ghost(chart, RANK, 1)
+        u2 = ghost(chart, 1)
         assert G.eval([u, u2]).is_zero()
     # decalage bracket agrees on ghost-degree-1 arguments
     assert jacobi_bracket(G, u, al) == expected
@@ -137,17 +136,17 @@ def test_tautological_G_evaluation(chart, G):
 def test_dG_local_table(chart, G):
     # d_G xi^A = Delta^A, d_G (xis_A mu) = Delta_A, d_G(f mu) = 0,
     # d_G(id) = G, d_G kills the Delta generators
-    for A in range(RANK):
-        out = G.insert(ghost(chart, RANK, A))
-        assert out == GradedElement(chart, RANK, {((DXIS, A),): ScalarFn.one(chart)})
-        out = G.insert(antighost(chart, RANK, A))
-        assert out == GradedElement(chart, RANK, {((DXI, A),): ScalarFn.one(chart)})
-    f = GradedElement.section(chart, RANK, ScalarFn.sin_phi(chart, "ph_3"))
+    for A in range(chart.m):
+        out = G.insert(ghost(chart, A))
+        assert out == GradedElement(chart, {((DXIS, A),): ScalarFn.one(chart)})
+        out = G.insert(antighost(chart, A))
+        assert out == GradedElement(chart, {((DXI, A),): ScalarFn.one(chart)})
+    f = GradedElement.section(chart, ScalarFn.sin_phi(chart, "ph_3"))
     assert G.insert(f).is_zero()
-    id_op = GradedElement(chart, RANK, {((M,),): ScalarFn.one(chart)})
+    id_op = GradedElement(chart, {((M,),): ScalarFn.one(chart)})
     assert G.bracket(id_op) == G
     for letters in (((DX, 0),), ((DXI, 1),), ((DXIS, 0),)):
-        assert G.bracket(GradedElement(chart, RANK, {letters: ScalarFn.one(chart)})).is_zero()
+        assert G.bracket(GradedElement(chart, {letters: ScalarFn.one(chart)})).is_zero()
     assert G.bracket(G).is_zero()
 
 
@@ -249,7 +248,7 @@ def _graded_pair(draw, kinds=("odd", "even", "mixed", "section"), other_kinds=No
         elif kind == "mixed":
             assume(len(degrees) > 1)
         assume(terms)
-        return GradedElement(chart, rank, terms)
+        return GradedElement(chart, terms)
 
     return element(draw(st.sampled_from(kinds))), element(draw(st.sampled_from(other_kinds or kinds)))
 
@@ -306,7 +305,7 @@ def test_letter_codes_order_letters_by_kind_then_index():
 def _dense_bracket(a, b):
     """[[a, b]] by the materializing products, over homogeneous pieces:
     a o b -+ b o a, where no second-order (PAIR) word may survive."""
-    out = GradedElement.zero(a.chart, a.rank)
+    out = GradedElement.zero(a.chart)
     for pa in a._homogeneous_pieces():
         for pb in b._homogeneous_pieces():
             da, db = deg_of(pa), deg_of(pb)
@@ -341,8 +340,8 @@ def test_insert_matches_dense_insertion(pair):
 def test_uncancelled_composite_raises(chart, monkeypatch):
     """A sign error in one derivative composite leaves a second-order word
     in the bracket, and the tally check reports it."""
-    a = GradedElement(chart, RANK, {((DX, 0),): ScalarFn.sin_phi(chart, "ph_3")})
-    b = GradedElement(chart, RANK, {((DX, 1),): ScalarFn.y(chart, "y_1")})
+    a = GradedElement(chart, {((DX, 0),): ScalarFn.sin_phi(chart, "ph_3")})
+    b = GradedElement(chart, {((DX, 1),): ScalarFn.y(chart, "y_1")})
     assert a.bracket(b) == _dense_bracket(a, b)
     original = graded._compose_symbols
 
@@ -376,7 +375,7 @@ def test_bracket_insertion_recursion(chart):
         lam = rand_section(chart, rng)
         da, db = deg_of(a), deg_of(b)
         W = a.bracket(b)
-        lhs = GradedElement.zero(chart, RANK) if W.is_section() else W.insert(lam)
+        lhs = GradedElement.zero(chart) if W.is_section() else W.insert(lam)
         bl = b.insert(lam)
         al = a.insert(lam)
         t1 = a.insert(bl) if bl.is_section() else a.bracket(bl)
@@ -397,7 +396,7 @@ def test_graded_leibniz(chart):
         boxp = rand_operator(chart, rng, max_arity=1, nterms=1)
         f = random_scalar(chart, rng)
         lhs = box.bracket(boxp.scale_fn(f))
-        xf = box.insert(GradedElement.section(chart, RANK, f))
+        xf = box.insert(GradedElement.section(chart, f))
         assert xf.is_section()
         rhs = xf.mul(boxp) + box.bracket(boxp).scale_fn(f)
         assert (lhs - rhs).is_zero()
@@ -425,16 +424,16 @@ def test_to_graded_matches_nested_eval(chart):
     rng = random.Random(7)
     J = torus_jacobi(chart)
     for sq in [J] + [random_multider(chart, rng, rng.choice([1, 2])) for _ in range(5)]:
-        op = to_graded(sq, RANK)
+        op = to_graded(sq)
         args = [random_scalar(chart, rng) for _ in range(sq.arity)]
-        lhs = op.eval([GradedElement.section(chart, RANK, f) for f in args])
+        lhs = op.eval([GradedElement.section(chart, f) for f in args])
         expected = eval_nested(sq, args)
-        assert lhs == GradedElement.section(chart, RANK, expected)
+        assert lhs == GradedElement.section(chart, expected)
         assert from_graded(op) == sq
 
 
 def test_contraction_one_tables(chart, G):
-    c1 = ContractionOne(chart, RANK)
+    c1 = ContractionOne(chart)
     rng = random.Random(8)
     J = torus_jacobi(chart)
     # p o i_nabla = id
@@ -459,23 +458,23 @@ def test_i_nabla_matches_the_connection_reference(chart):
     slot images along each word, and p reads the multiderivation back."""
     rng = random.Random(12)
     jet = load_scenario("legendrian-jet").jacobi()
-    cases = [(torus_jacobi(chart), RANK), (jet, jet.chart.m)]
-    cases += [(random_multider(chart, rng, arity), RANK) for arity in (1, 2, 3) for _ in range(3)]
-    for sq, rank in cases:
-        c1 = ContractionOne(sq.chart, rank)
-        assert i_nabla(sq, rank) == c1.i_nabla(sq)
-        assert c1.p(i_nabla(sq, rank)) == sq
+    cases = [torus_jacobi(chart), jet]
+    cases += [random_multider(chart, rng, arity) for arity in (1, 2, 3) for _ in range(3)]
+    for sq in cases:
+        c1 = ContractionOne(sq.chart)
+        assert i_nabla(sq) == c1.i_nabla(sq)
+        assert c1.p(i_nabla(sq)) == sq
 
 
 def test_contraction_one_homotopy(chart, G):
     rng = random.Random(9)
     for conn in (None, _random_connection(chart, rng)):
-        c1 = ContractionOne(chart, RANK, conn)
+        c1 = ContractionOne(chart, conn)
         for _ in range(5):
             op = rand_operator(chart, rng, max_arity=2)
             # [H~, d_G] = weight
             lhs = c1.H_tilde(G.bracket(op)) + G.bracket(c1.H_tilde(op))
-            weight = GradedElement.zero(chart, RANK).plus(
+            weight = GradedElement.zero(chart).plus(
                 comp.scale(w) for w, comp in c1.weight_split(op).items()
             )
             assert (lhs - weight).is_zero()
@@ -490,18 +489,18 @@ def test_contraction_one_homotopy(chart, G):
 
 
 def _random_connection(chart, rng):
-    gid = [[random_base_scalar(chart, rng, max_terms=1) for _ in range(RANK)] for _ in range(RANK)]
-    g0 = [[random_base_scalar(chart, rng, max_terms=1) for _ in range(RANK)] for _ in range(RANK)]
-    return Connection(chart, RANK, gamma_id=gid, gamma={0: g0})
+    gid = [[random_base_scalar(chart, rng, max_terms=1) for _ in range(chart.m)] for _ in range(chart.m)]
+    g0 = [[random_base_scalar(chart, rng, max_terms=1) for _ in range(chart.m)] for _ in range(chart.m)]
+    return Connection(chart, gamma_id=gid, gamma={0: g0})
 
 
 def test_weight_eigenspace_decomposition(chart, G):
     rng = random.Random(10)
-    c1 = ContractionOne(chart, RANK)
+    c1 = ContractionOne(chart)
     for _ in range(5):
         op = rand_operator(chart, rng, max_arity=2)
         pieces = c1.weight_split(op)
-        total = GradedElement.zero(chart, RANK)
+        total = GradedElement.zero(chart)
         for w, comp in pieces.items():
             total = total + comp
             # eigenspaces invariant under d_G and H~
@@ -518,22 +517,22 @@ def test_weight_eigenspace_decomposition(chart, G):
 
 def test_contraction_two(chart, G):
     rng = random.Random(11)
-    zero = SectionOfNormalBundle.zero(chart)
+    zero = LeafForm.zero(chart, 1)
     sections = [zero]
     for _ in range(2):
         sections.append(
-            SectionOfNormalBundle(
+            LeafForm.section(
                 chart, [random_base_scalar(chart, rng), random_base_scalar(chart, rng)]
             )
         )
     for s in sections:
-        c2 = ContractionTwo(chart, RANK, s)
+        c2 = ContractionTwo(s)
         ds = c2.d_s(G)
         # d[s] is the displayed operator (y_A - g_A) Delta^A
-        expected = GradedElement.zero(chart, RANK)
-        for A in range(RANK):
-            coeff = ScalarFn.y(chart, chart.fiber[A]) - s.components[A]
-            expected = expected + GradedElement(chart, RANK, {((DXIS, A),): coeff})
+        expected = GradedElement.zero(chart)
+        for A in range(chart.m):
+            coeff = ScalarFn.y(chart, chart.fiber[A]) - s.components()[A]
+            expected = expected + GradedElement(chart, {((DXIS, A),): coeff})
         assert (ds - expected).is_zero()
         # d[s]^2 = 0
         assert ds.bracket(ds).is_zero()
@@ -550,7 +549,6 @@ def test_contraction_two(chart, G):
             assert c2.wp(c2.h(lam)).is_zero()
         base = GradedElement(
             chart,
-            RANK,
             {((XI, 0),): random_base_scalar(chart, rng), (): random_base_scalar(chart, rng)},
         )
         assert c2.h(c2.iota(base)).is_zero()
@@ -559,10 +557,10 @@ def test_contraction_two(chart, G):
 
 def test_h0_frozen_value(chart, G):
     # h[0](y_1 mu) = -xis_1 mu and [d[0], h[0]](y_1 mu) = -y_1 mu
-    c2 = ContractionTwo(chart, RANK, SectionOfNormalBundle.zero(chart))
-    y1 = GradedElement.section(chart, RANK, ScalarFn.y(chart, "y_1"))
+    c2 = ContractionTwo(LeafForm.zero(chart, 1))
+    y1 = GradedElement.section(chart, ScalarFn.y(chart, "y_1"))
     hy = c2.h(y1)
-    assert hy == GradedElement(chart, RANK, {((XIS, 0),): ScalarFn.one(chart).scale(-1)})
+    assert hy == GradedElement(chart, {((XIS, 0),): ScalarFn.one(chart).scale(-1)})
     ds = c2.d_s(G)
     commutator = ds.insert(hy) + c2.h(ds.insert(y1))
     assert commutator == y1.scale(-1)

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coiso.rational import GaussianRational
-from coiso.ring import ScalarFn
+from coiso.ring import ChartError, ScalarFn
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
-from coiso.leafform import LeafForm, SectionOfNormalBundle
+from coiso.leafform import LeafForm
 from coiso.geom import injection_I, is_coisotropic_section, projection_P, fiberwise_linear_jacobi
 from coiso.linfty import (
     DeformationError,
@@ -154,7 +154,7 @@ def test_mc_series_matches_displayed_pde(table, chart, J):
     for _ in range(6):
         f = random_base_scalar(chart, rng)
         g = random_base_scalar(chart, rng)
-        s = SectionOfNormalBundle(chart, [f, g])
+        s = LeafForm.section(chart, [f, g])
         mc = mc_series(table, s)
         coeff = (
             f.partial(1)
@@ -165,21 +165,21 @@ def test_mc_series_matches_displayed_pde(table, chart, J):
             - g * Y.lie_derivative_fn(f)
         )
         assert mc == LeafForm(chart, 2, {(0, 1): coeff})
-    assert mc_series(table, SectionOfNormalBundle.zero(chart)).is_zero()
+    assert mc_series(table, LeafForm.zero(chart, 1)).is_zero()
 
 
 def test_mc_zero_iff_coisotropic(table, chart, J):
     rng = random.Random(7)
     hits = 0
     for _ in range(10):
-        s = SectionOfNormalBundle(
+        s = LeafForm.section(
             chart, [random_base_scalar(chart, rng), random_base_scalar(chart, rng)]
         )
         ok, _ = is_coisotropic_section(J, s)
         assert ok == mc_series(table, s).is_zero()
         hits += ok
     # the known coisotropic deformation f = cos(ph_3), g = 0
-    s = SectionOfNormalBundle(chart, [ScalarFn.cos_phi(chart, "ph_3"), ScalarFn.zero(chart)])
+    s = LeafForm.section(chart, [ScalarFn.cos_phi(chart, "ph_3"), ScalarFn.zero(chart)])
     assert mc_series(table, s).is_zero()
     ok, _ = is_coisotropic_section(J, s)
     assert ok
@@ -189,7 +189,7 @@ def test_kuranishi_obstructed_example(table, chart):
     """s = (cos ph_4, sin ph_4): infinitesimal, obstruction (2 pi)^2 sin ph_3."""
     f = ScalarFn.cos_phi(chart, "ph_4")
     g = ScalarFn.sin_phi(chart, "ph_4")
-    s = SectionOfNormalBundle(chart, [f, g])
+    s = LeafForm.section(chart, [f, g])
     # infinitesimal condition dg/dph_1 - df/dph_2 = 0
     assert (g.partial(0) - f.partial(1)).is_zero()
     kr, zero_mode = kuranishi(table, s)
@@ -208,18 +208,36 @@ def test_readme_example(capsys):
 
 
 def test_kuranishi_rejects_non_cocycle(table, chart):
-    s = SectionOfNormalBundle(chart, [ScalarFn.sin_phi(chart, "ph_2"), ScalarFn.zero(chart)])
+    s = LeafForm.section(chart, [ScalarFn.sin_phi(chart, "ph_2"), ScalarFn.zero(chart)])
     with pytest.raises(DeformationError):
         kuranishi(table, s)
 
 
+def test_normal_section_is_a_degree_one_leaf_form(chart):
+    """LeafForm.section takes one component per fiber coordinate, and
+    components() lists them back, the zero ones included: they share one
+    zero ScalarFn."""
+    f = ScalarFn.cos_phi(chart, "ph_3")
+    s = LeafForm.section(chart, [f, ScalarFn.zero(chart)])
+    assert s == LeafForm(chart, 1, {(0,): f})
+    assert s.components() == [f, ScalarFn.zero(chart)]
+    zeros = LeafForm.zero(chart, 1).components()
+    assert zeros == [ScalarFn.zero(chart)] * chart.m and zeros[0] is zeros[1]
+    with pytest.raises(ChartError, match="one component per fiber coordinate"):
+        LeafForm.section(chart, [f])
+    with pytest.raises(ChartError, match="base-only"):
+        LeafForm.section(chart, [f, ScalarFn.y(chart, "y_1")])
+    with pytest.raises(ChartError, match="degree-1"):
+        LeafForm(chart, 2, {(0, 1): f}).components()
+
+
 def test_kuranishi_zero_for_zero(table, chart):
-    kr, zero_mode = kuranishi(table, SectionOfNormalBundle.zero(chart))
+    kr, zero_mode = kuranishi(table, LeafForm.zero(chart, 1))
     assert kr.is_zero() and zero_mode.is_zero()
 
 
 def test_prolong_obstructed(table, chart):
-    s1 = SectionOfNormalBundle(
+    s1 = LeafForm.section(
         chart, [ScalarFn.cos_phi(chart, "ph_4"), ScalarFn.sin_phi(chart, "ph_4")]
     )
     coefficients, orders = prolong_formal(table, s1, 4)
@@ -230,15 +248,15 @@ def test_prolong_obstructed(table, chart):
 
 
 def test_prolong_unobstructed_cases(table, chart):
-    zero = SectionOfNormalBundle.zero(chart)
+    zero = LeafForm.zero(chart, 1)
     coefficients, orders = prolong_formal(table, zero, 3)
     assert [o["solved"] for o in orders] == [True, True]
     assert coefficients == [zero] * 3
 
     # s1 = (cos ph_3, 0): m_2(s1, s1) density vanishes identically, so the
     # prolongation continues with s_2 = 0 (direct evaluation oracle below)
-    s1 = SectionOfNormalBundle(chart, [ScalarFn.cos_phi(chart, "ph_3"), ScalarFn.zero(chart)])
-    m2 = table.m([s1.to_leafform(), s1.to_leafform()])
+    s1 = LeafForm.section(chart, [ScalarFn.cos_phi(chart, "ph_3"), ScalarFn.zero(chart)])
+    m2 = table.m([s1, s1])
     assert m2.is_zero()
     coefficients, orders = prolong_formal(table, s1, 3)
     assert [o["solved"] for o in orders] == [True, True]
@@ -249,11 +267,11 @@ def test_delta_mc(table, chart, J):
     rng = random.Random(8)
     # s = 0: the single surviving term is m_1(lam)
     lam = random_base_scalar(chart, rng)
-    assert delta_mc(table, SectionOfNormalBundle.zero(chart), lam) == table.m1(
+    assert delta_mc(table, LeafForm.zero(chart, 1), lam) == table.m1(
         LeafForm.function(lam)
     )
     # lam = 0 gives 0
-    s = SectionOfNormalBundle(chart, [random_base_scalar(chart, rng), random_base_scalar(chart, rng)])
+    s = LeafForm.section(chart, [random_base_scalar(chart, rng), random_base_scalar(chart, rng)])
     assert delta_mc(table, s, ScalarFn.zero(chart)).is_zero()
     # independent derived-bracket oracle: sum_k 1/k! P[[..[[J, I(-s)]]..], I(lam)]],
     # also on cubic-poisson, whose series runs to k = 6 (its J has no torus
@@ -261,13 +279,13 @@ def test_delta_mc(table, chart, J):
     cubic = (TABLES["cubic-poisson"], STRUCTURES["cubic-poisson"])
     for tab, j in [(table, J)] * 3 + [cubic] * 2:
         chart = tab.chart
-        s = SectionOfNormalBundle(
+        s = LeafForm.section(
             chart, [random_base_scalar(chart, rng), random_base_scalar(chart, rng)]
         )
         lam = random_base_scalar(chart, rng)
         acc = LeafForm.zero(chart, 1)
         current = j
-        minus = injection_I(-s.to_leafform())
+        minus = injection_I(-s)
         for k in range(0, 8):
             acc = acc + projection_P(
                 current.sj_bracket(injection_I(LeafForm.function(lam)))
@@ -279,7 +297,7 @@ def test_delta_mc(table, chart, J):
 def test_extended_brackets(chart, J):
     rng = random.Random(9)
     zero_box = MultiDerivation.zero(chart, 2)
-    s = SectionOfNormalBundle(
+    s = LeafForm.section(
         chart, [random_base_scalar(chart, rng), random_base_scalar(chart, rng)]
     )
     table = MultibracketTable(J)
@@ -290,17 +308,17 @@ def test_extended_brackets(chart, J):
     # s = 0 with box such that J + box is Jacobi and P(J + box) = 0
     box = J.scale(Fraction(1, 3))
     assert J.scale(Fraction(4, 3)).is_jacobi()  # J + box
-    first, second = extended_mc_residual(J, box, SectionOfNormalBundle.zero(chart))
+    first, second = extended_mc_residual(J, box, LeafForm.zero(chart, 1))
     assert first.is_zero() and second.is_zero()
     # infinitesimal pair condition: n_1(box, -s) = 0 iff d_J box = 0 and
     # m_1 s = P box
     for _ in range(4):
-        s = SectionOfNormalBundle(
+        s = LeafForm.section(
             chart, [random_base_scalar(chart, rng), random_base_scalar(chart, rng)]
         )
-        first, second = extended_n1(J, box, -s.to_leafform())
+        first, second = extended_n1(J, box, -s)
         dj_box = J.sj_bracket(box)
-        m1s = table.m1(s.to_leafform())
+        m1s = table.m1(s)
         cond = dj_box.is_zero() and (projection_P(box) - m1s).is_zero()
         assert (first.is_zero() and second.is_zero()) == cond
 
@@ -484,7 +502,7 @@ def _polys(chart, directions):
 def _closed_section(chart, transverse, h):
     """s_a = g_a + d h / d ph_a: leaf-independent g plus the d_F-exact d_F h,
     so that s is d_F-closed, m_1 s = 0."""
-    return SectionOfNormalBundle(
+    return LeafForm.section(
         chart, [g + h.partial(i) for g, i in zip(transverse, chart.leaf_indices())]
     )
 
@@ -515,10 +533,9 @@ def test_multibrackets_symmetric_in_sections(name, sections, perm):
     sections: the I(s) are fiber-constant vertical fields and commute.  The
     partition sum of prolong_formal relies on this."""
     table = TABLES[name]
-    forms = [s.to_leafform() for s in sections]
-    assert all(table.m1(w).is_zero() for w in forms)
+    assert all(table.m1(w).is_zero() for w in sections)
     for h in (2, 3):
-        args = forms[:h]
+        args = sections[:h]
         reordered = [args[i] for i in perm if i < h]
         assert table.m(reordered) == table.m(args)
 
@@ -543,7 +560,7 @@ def composition_prolong(table, s1, order):
         rhs = LeafForm.zero(chart, 2)
         for h in range(2, k + 1):
             for comp in _compositions(k, h):
-                args = [coeffs[i - 1].to_leafform() for i in comp]
+                args = [coeffs[i - 1] for i in comp]
                 m_h = projection_P(nested_derived(table.j, args))
                 rhs = rhs + m_h.scale(Fraction((-1) ** h, math.factorial(h)))
         status, payload = solve_dF(rhs)
@@ -557,7 +574,7 @@ def composition_prolong(table, s1, order):
         )
         if status == "obstructed":
             break
-        coeffs.append(SectionOfNormalBundle.from_leafform(payload))
+        coeffs.append(payload)
     return coeffs, history
 
 
@@ -579,7 +596,7 @@ def _leaf_arguments():
     polys = _polys(chart, (0, 2, 3))
     functions = polys.map(LeafForm.function)
     sections = st.lists(polys, min_size=chart.m, max_size=chart.m).map(
-        lambda comps: SectionOfNormalBundle(chart, comps).to_leafform()
+        lambda comps: LeafForm.section(chart, comps)
     )
     return st.one_of(functions, sections)
 
@@ -650,5 +667,5 @@ def test_mc_series_matches_exp_series_off_shell(name, comps):
     need not vanish, so every odd order checks the sign (-1)^k that
     multilinearity gives."""
     table = TABLES[name]
-    s = SectionOfNormalBundle(table.chart, comps)
+    s = LeafForm.section(table.chart, comps)
     assert mc_series(table, s) == exp_series_mc(table, s)

@@ -6,7 +6,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coiso.rational import HALF, I, ONE, ZERO, GaussianRational
+from coiso.rational import ONE, GaussianRational
+
+ZERO = GaussianRational(0)
+I = GaussianRational(0, 1)
+HALF = GaussianRational(Fraction(1, 2))
 
 prop = settings(max_examples=200, deadline=None)
 

@@ -11,7 +11,7 @@ bracket."""
 import pytest
 from hypothesis import example, given, settings
 
-from coiso.leafform import LeafForm, SectionOfNormalBundle
+from coiso.leafform import LeafForm
 from coiso.linfty import kuranishi, prolong_formal
 from coiso.graded import XI, GradedElement, decode
 from coiso.bfv import bfv_kuranishi, bfv_lift_cocycle
@@ -41,7 +41,7 @@ def ghost_to_leafform(x: GradedElement, degree: int) -> LeafForm:
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(s=_infinitesimal_sections())
 @example(s=TORUS_OBSTRUCTED.section())  # (cos ph_4, sin ph_4): obstructed
-@example(s=SectionOfNormalBundle.zero(TORUS_OBSTRUCTED.chart))  # nu = 0 has no single degree
+@example(s=LeafForm.zero(TORUS_OBSTRUCTED.chart, 1))  # nu = 0 has no single degree
 def test_kuranishi_and_bfv_kuranishi_agree(routes, s):
     table, lift, pert = routes
     _, zero_mode_l = kuranishi(table, s)

@@ -17,7 +17,6 @@ from coiso.ring import Chart, ScalarFn
 from helpers import random_base_scalar, random_scalar
 
 CHART = Chart(torus=("ph_1", "ph_2"), fiber=("y_1", "y_2"), leaf=("ph_1", "ph_2"))
-RANK = 2
 
 
 def _raw_key(rng, bound, degree):
@@ -44,7 +43,7 @@ def _graded(rng):
     for _ in range(4):
         word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
         terms[word] = _scalar(rng)
-    return GradedElement(CHART, RANK, terms)
+    return GradedElement(CHART, terms)
 
 
 CONTAINERS = {
@@ -120,7 +119,7 @@ def test_equal_containers_hash_equal(name):
 
 
 def test_containers_of_other_type_or_shape_differ():
-    """One term table in containers of different type, degree, rank or chart
+    """One term table in containers of different type, degree or chart
     gives different values and different dict keys."""
     f = random_base_scalar(CHART, random.Random(3))
     other_chart = Chart(torus=("th_1", "th_2"), fiber=("y_1", "y_2"), leaf=("th_1", "th_2"))
@@ -137,8 +136,8 @@ def test_containers_of_other_type_or_shape_differ():
         MultiVectorField.zero(CHART, 1),
         MultiVectorField.zero(CHART, 2),
         LeafForm.zero(CHART, 1),
-        GradedElement(CHART, 1),
-        GradedElement(CHART, 2),
+        GradedElement(CHART),
+        GradedElement(other_chart),
     ]
     for group in (same_terms, empty):
         assert len({x: i for i, x in enumerate(group)}) == len(group)

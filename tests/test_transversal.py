@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from coiso.rational import GaussianRational
-from coiso.ring import ScalarFn, mat_eq, mat_identity, mat_mul
+from coiso.ring import ScalarFn, mat_identity, mat_mul
 from coiso.multivector import MultiVectorField
 from coiso.leafform import LeafForm
 from coiso.linfty import MultibracketTable
@@ -59,8 +59,8 @@ def random_td(chart, rng):
 
 
 def test_w_inverse_exact(td, chart):
-    assert mat_eq(mat_mul(chart, td.W(), td.W_inv()), mat_identity(chart, td.n))
-    assert mat_eq(td._y_matrices()(()), td.W_inv())
+    assert mat_mul(chart, td.W(), td.W_inv()) == mat_identity(chart, td.n)
+    assert td._y_matrices()(()) == td.W_inv()
 
 
 def test_y_matrices_vanish_without_curvature(td):
@@ -120,7 +120,7 @@ def test_y_matrix_neumann_oracle(chart):
     for key, M in prod.items():
         expected = mat_identity(chart, td.n) if key == (0, 0) else None
         if expected is not None:
-            assert mat_eq(M, expected)
+            assert M == expected
         else:
             assert all(f.is_zero() for row in M for f in row)
 
