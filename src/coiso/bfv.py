@@ -160,15 +160,7 @@ def brst_charge(lift: Lift, s: LeafForm):
     def bracket(a, b):
         return jacobi_bracket(lift.j_hat, a, b)
 
-    omega, corrections = sbso(
-        bracket,
-        c2.h,
-        lambda x: c2.wp(x),
-        lambda x: x.antighost_filtration(),
-        qbar,
-        -1,
-    )
-    return omega, corrections
+    return sbso(bracket, c2.h, c2.wp, GradedElement.antighost_filtration, qbar, -1)
 
 
 def d_bfv(lift: Lift, omega: GradedElement) -> GradedElement:

@@ -33,6 +33,10 @@ letters above the kind field.
 The public form of a letter is a tuple, (XI, A), (M,), (DX, i) and so on:
 GradedElement() and encode() read it, decode() writes it.
 
+The Gerstenhaber product is a join by symbol: an element indexes the slots
+of its symbols on its first composition and keeps the index, and a term of
+the argument reads only the slots of the symbols that act on it.
+
 Every sign in the module is produced by counting the transpositions of two
 odd letters while a word is sorted (normalize); no sign is ever taken from
 a formula table.  The one free global convention (arguments enter a word
@@ -70,10 +74,6 @@ def _letter(kind, index=0) -> int:
     return kind | index << 2
 
 
-def _index(code) -> int:
-    return code >> 2 & _INDEX
-
-
 def _pair(a, b) -> int:
     """The PAIR letter of the composite a o b of two derivatives; of degree
     |a| + |b| - 1, so odd when a and b have the same parity."""
@@ -107,7 +107,7 @@ def _decode(code):
         mask = (1 << _WIDTH) - 1
         return (PAIR, _decode(code >> 2 * _WIDTH), _decode(code >> _WIDTH & mask))
     kind = code & (7 << _KIND | 1)
-    return (M,) if kind == M else (kind, _index(code))
+    return (M,) if kind == M else (kind, code >> 2 & _INDEX)
 
 
 def normalize(word):
@@ -181,17 +181,18 @@ class GradedElement(SparseTerms):
     tuple-letter words; terms are kept with int words.
     """
 
-    __slots__ = ()
+    __slots__ = ("_by_symbol",)
 
     def __init__(self, chart: Chart, terms=None):
         self.chart = chart
         self.terms = (
             accumulate({}, _canonical((encode(w), f) for w, f in terms.items())) if terms else {}
         )
+        self._by_symbol = None
 
     def _like(self, terms):
         r = object.__new__(type(self))
-        r.chart, r.terms = self.chart, terms
+        r.chart, r.terms, r._by_symbol = self.chart, terms, None
         return r
 
     def _sum(self, pairs) -> "GradedElement":
@@ -272,64 +273,61 @@ class GradedElement(SparseTerms):
         the normalized word arises from the self term x and the other term
         y, so it stands for count * self.terms[x] * other.terms[y].
 
-        Term splits, parities and partial derivatives are read once per
-        call; a word is normalized before its coefficient is multiplied."""
-        others = []
-        for ol, oc in other.terms.items():
-            g = bisect_left(ol, M)
-            # parity of the letters of ol left of each symbol; ghosts are odd
-            reach, reaches = g & 1, []
-            for sp in ol[g:]:
-                reaches.append(reach)
-                reach ^= sp & 1
-            # the term degree of ol is its letter degrees less one
-            others.append((ol, oc, ol[:g], ol[g:], 1 ^ reach, reaches, {}))
-        selfs = []
-        for letters, c in self.terms.items():
-            slots, travel = [], 0  # (position, symbol, its untwisted parity, parity right of it)
-            for p in range(len(letters) - 1, bisect_left(letters, M) - 1, -1):
-                s = letters[p]
-                slots.append((p, s, 1 ^ (s & 1), travel))
-                travel ^= s & 1
-            selfs.append((letters, c, slots[::-1]))
+        An other term reads from self's index only the slots of m, of dx(i)
+        where its coefficient depends on coordinate i (one derivative per
+        term) and of the derivative of each ghost it carries.  A word is
+        normalized before its coefficient is multiplied."""
+        index = self._by_symbol
+        if index is None:
+            index = self._by_symbol = _slots_by_symbol(self.terms)
         tally = {}
 
         def pairs():
-            for letters, c, slots in selfs:
-                for ol, oc, ghost, syms, odd, reaches, partials in others:
-                    for p, s, twisted, travel in slots:
-                        # other enters from the right, passing the letters
-                        # right of the slot
-                        sign0 = -1 if odd & travel else 1
-                        left, right = letters[:p], letters[p + 1 :]
-                        # s acts on the coefficient/ghost part of other; for
-                        # the identity slot m this is already the whole
-                        # action (m is not a derivation)
-                        acted = _act(s, ghost, oc, partials)
-                        if acted:
-                            sa, res_ghost, res_f = acted
-                            sign, canon = normalize(left + res_ghost + syms + right)
-                            if sign:
-                                yield canon, _signed(c * res_f, sign0 * sa * sign)
-                        if s == M:
+            for ol, oc in other.terms.items():
+                g = bisect_left(ol, M)
+                ghost, syms = ol[:g], ol[g:]
+                # parity of the letters of ol left of each symbol; ghosts are odd
+                reach, reaches = g & 1, []
+                for sp in syms:
+                    reaches.append(reach)
+                    reach ^= sp & 1
+                odd = 1 ^ reach  # the term degree of ol is its letter degrees less one
+                # (symbol, sign, ghost letters left, coefficient) of each symbol
+                # acting on ol; m, not a derivation, acts as the identity
+                acting = [(M, 1, ghost, oc)]
+                mask = oc.mask
+                for i in range(mask.bit_length()):
+                    if mask >> i & 1 and _letter(DX, i) in index:
+                        acting.append((_letter(DX, i), 1, ghost, oc.partial(i)))
+                for pos, x in enumerate(ghost):  # ghosts are odd
+                    acting.append((x + _TARGET, -1 if pos & 1 else 1, ghost[:pos] + ghost[pos + 1 :], oc))
+                for s, sa, rest, f in acting:
+                    mid = rest + syms
+                    # other enters from the right, passing the letters right of the slot
+                    for letters, c, left, right, travel in index.get(s, ()):
+                        sign, canon = normalize(left + mid + right)
+                        if sign:
+                            yield canon, _signed(c * f, -sa * sign if odd & travel else sa * sign)
+                # a derivative s composes with one of ol's symbols: first order
+                # when that symbol is m, else a tallied PAIR; reaching past the
+                # letters left of it carries the untwisted parity of s
+                for s, slots in index.items():
+                    for idx, sp in enumerate(syms if s != M else ()):
+                        comp, csign = _compose_symbols(s, sp)
+                        if comp is None:
                             continue
-                        # s composes with one of other's symbols: first order
-                        # when that symbol is m, else a tallied PAIR; reaching
-                        # past the letters left of it carries the untwisted
-                        # parity of s
-                        for idx, sp in enumerate(syms):
-                            comp, csign = _compose_symbols(s, sp)
-                            if comp is None:
-                                continue
-                            sign, canon = normalize(left + ghost + syms[:idx] + (comp,) + syms[idx + 1 :] + right)
-                            if not sign:
-                                continue
-                            sign *= sign0 * csign * (-1 if twisted & reaches[idx] else 1)
-                            if comp >= PAIR:
-                                key = (canon, letters, ol)
-                                tally[key] = tally.get(key, 0) + sign
-                            else:
-                                yield canon, _signed(c * oc, sign)
+                        mid = ghost + syms[:idx] + (comp,) + syms[idx + 1 :]
+                        if reaches[idx] and not s & 1:  # s is untwisted odd
+                            csign = -csign
+                        for letters, c, left, right, travel in slots:
+                            sign, canon = normalize(left + mid + right)
+                            if sign:
+                                sign *= -csign if odd & travel else csign
+                                if comp < PAIR:
+                                    yield canon, _signed(c * oc, sign)
+                                else:
+                                    key = (canon, letters, ol)
+                                    tally[key] = tally.get(key, 0) + sign
 
         return self._like(accumulate({}, pairs())), tally
 
@@ -411,24 +409,18 @@ def _compose_symbols(s, sp):
     return _pair(s, sp), 1
 
 
-def _act(symbol, ghost, f, partials):
-    """Apply one basic symbol to a section term (ghost letters, f): (sign,
-    letters, ScalarFn) or None for zero; `partials` keeps f's derivatives."""
-    if symbol == M:
-        return 1, ghost, f
-    if symbol < DXI:  # dx(i)
-        df = partials.get(symbol)
-        if df is None:
-            i = _index(symbol)
-            if not f.mask >> i & 1:
-                return None
-            df = partials[symbol] = f.partial(i)
-        return 1, ghost, df
-    target = symbol - _TARGET
-    if target in ghost:
-        pos = ghost.index(target)
-        return -1 if pos & 1 else 1, ghost[:pos] + ghost[pos + 1 :], f  # ghosts are odd
-    return None
+def _slots_by_symbol(terms):
+    """symbol -> [(word, coefficient, letters left of the slot, letters right
+    of it, parity of the letters right of it)] over the symbol slots of the
+    terms."""
+    index = {}
+    for letters, c in terms.items():
+        travel = 0
+        for p in range(len(letters) - 1, bisect_left(letters, M) - 1, -1):
+            s = letters[p]
+            index.setdefault(s, []).append((letters, c, letters[:p], letters[p + 1 :], travel))
+            travel ^= s & 1
+    return index
 
 
 def _merged(t_ab, t_ba, sign):

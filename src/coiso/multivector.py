@@ -73,15 +73,17 @@ class SkewTerms(SparseTerms):
 
     def _canonical(self, pairs):
         """Sorted keys with the sign of the sort; repeated indices and zero
-        coefficients dropped, wrong lengths and indices out of range
-        rejected."""
-        bound = self._index_bound()
+        coefficients dropped, wrong lengths, indices out of range and
+        coefficients on another chart rejected."""
+        bound, chart = self._index_bound(), self.chart
         for key, f in pairs:
             key = tuple(key)
             if len(key) != self.degree:
                 raise ChartError("key length does not match degree")
             if any(i < 0 or i >= bound for i in key):
                 raise ChartError(f"{type(self).__name__} index out of range in {key}")
+            if f.chart is not chart and f.chart != chart:
+                raise ChartError(f"{type(self).__name__} coefficient on another chart")
             sign, skey = sort_key_sign(key)
             if sign and not f.is_zero():
                 yield skey, (f if sign == 1 else -f)

@@ -74,7 +74,7 @@ class Chart:
     all index-based APIs refer to this order.
     """
 
-    __slots__ = ("torus", "fiber", "leaf")
+    __slots__ = ("torus", "fiber", "leaf", "coords", "k", "m", "dim")
 
     def __init__(self, torus=(), fiber=(), leaf=()):
         torus = tuple(torus)
@@ -91,22 +91,8 @@ class Chart:
         self.torus = torus
         self.fiber = fiber
         self.leaf = leaf
-
-    @property
-    def k(self) -> int:
-        return len(self.torus)
-
-    @property
-    def m(self) -> int:
-        return len(self.fiber)
-
-    @property
-    def dim(self) -> int:
-        return self.k + self.m
-
-    @property
-    def coords(self):
-        return self.torus + self.fiber
+        self.coords = names
+        self.k, self.m, self.dim = len(torus), len(fiber), len(names)
 
     def index(self, name: str) -> int:
         try:

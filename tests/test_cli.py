@@ -14,11 +14,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import coiso
+from coiso import bfv
 from coiso.cli import main, TASKS
 from coiso.ring import ContentError, ScalarFn
 from coiso.scenario import Scenario, ScenarioError, load_scenario
 from coiso.expr import parse_scalar, scalar_to_json, scalar_to_text
-from coiso.graded import GradedElement
+from coiso.graded import XIS, GradedElement
 
 from helpers import conjugate, random_scalar, scalar_from_json, torus_chart
 
@@ -157,6 +158,25 @@ def test_invariant_violation_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(["--scenario", "torus-obstructed", "--task", "bfv-lift"], capsys)
     assert code == 3 and out == ""
     assert err == "coiso: internal invariant violation in bfv-lift: flat lifting failed: [[J^, J^]] != 0\n"
+
+
+def test_brst_charge_without_mc_exits_3(capsys, monkeypatch):
+    """brst-charge reports "mc": true because the SBSO returns a charge only
+    once its Jacobi bracket vanishes; a bracket that never vanishes (stubbed
+    with a constant antighost term, which wp kills and h maps to zero) is an
+    invariant failure, exit 3 with one line, not a report with "mc": false."""
+    code, out, err = run_cli(["--scenario", "legendrian-jet", "--task", "brst-charge"], capsys)
+    assert code == 0 and json.loads(out)["tasks"]["brst-charge"]["mc"] is True
+    original = bfv.jacobi_bracket
+
+    def never_zero(jop, a, b):
+        return original(jop, a, b) + GradedElement(a.chart, {((XIS, 0),): ScalarFn.one(a.chart)})
+
+    monkeypatch.setattr(bfv, "jacobi_bracket", never_zero)
+    code, out, err = run_cli(["--scenario", "legendrian-jet", "--task", "brst-charge"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("coiso: internal invariant violation in brst-charge: SBSO ")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("value", [[], {"x": 1}, None, "jet"])

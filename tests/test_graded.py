@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coiso import graded
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ScalarFn
+from coiso.ring import Chart, ScalarFn, accumulate
 from coiso.leafform import LeafForm
 from coiso.scenario import load_scenario
 from coiso.graded import (
@@ -335,6 +335,43 @@ def test_insert_matches_dense_insertion(pair):
     op, lam = pair
     assert op.insert(lam) == dense_insert(op, lam)
     assert op._compose(lam)[1] == {}
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_graded_pair())
+def test_compose_tally_matches_dense_compose(pair):
+    """a o b with its tally multiplied out (count * a.terms[x] * b.terms[y]
+    on the PAIR word of each key) is the dense product: the first-order part
+    gives its words without a PAIR letter, the tally those with one; no
+    first-order coefficient is zero (a derivative zero by structure is
+    skipped, not multiplied)."""
+    a, b = pair
+    first, tally = a._compose(b)
+    assert not any(f.is_zero() for f in first.terms.values())
+    assert not any(l >= graded.PAIR for word in first.terms for l in word)
+    assert all(any(l >= graded.PAIR for l in word) for word, _, _ in tally)
+    second = ((word, (a.terms[x] * b.terms[y]).scale(n)) for (word, x, y), n in tally.items() if n)
+    assert first._like(accumulate(dict(first.terms), second)) == dense_compose(a, b)
+
+
+def test_symbol_index_is_built_once_per_element(chart):
+    """An element builds its symbol index on its first composition and keeps
+    it; an element made from it by _like, +, scale or _homogeneous_pieces
+    starts without one.  The index lists every symbol slot of every term."""
+    rng = random.Random(5)
+    op = rand_operator(chart, rng, nterms=3) + rand_operator(chart, rng, nterms=3)
+    lam = rand_section(chart, rng)
+    assert op._by_symbol is None
+    op.insert(lam)
+    index = op._by_symbol
+    assert index is not None
+    op.insert(rand_section(chart, rng))
+    op._compose(op)
+    assert op._by_symbol is index
+    slots = sorted((word, s) for word in op.terms for s in word[len(word) - graded.arity(word) :])
+    assert sorted((word, s) for s, entries in index.items() for word, *_ in entries) == slots
+    derived = [op._like(dict(op.terms)), op + op, op - op, op.scale(2), *op._homogeneous_pieces()]
+    assert all(x._by_symbol is None for x in derived)
 
 
 def test_uncancelled_composite_raises(chart, monkeypatch):

@@ -12,7 +12,7 @@ from coiso.graded import DX, DXI, DXIS, M, XI, XIS, GradedElement, normalize
 from coiso.leafform import LeafForm
 from coiso.multivector import MultiVectorField
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ScalarFn
+from coiso.ring import Chart, ChartError, ScalarFn
 
 from helpers import random_base_scalar, random_scalar
 
@@ -145,3 +145,18 @@ def test_containers_of_other_type_or_shape_differ():
             assert all(x != y for y in group[i + 1 :])
     g = ScalarFn(other_chart, {key: c for key, c in f.terms.items()})
     assert g.terms == f.terms and g != f and len({f, g}) == 2
+
+
+def test_skew_coefficients_on_another_chart_are_rejected():
+    """A skew container takes coefficients on its own chart only: the same
+    chart object or an equal one passes, another chart raises ChartError."""
+    other_chart = Chart(torus=("th_1", "th_2"), fiber=("y_1", "y_2"), leaf=("th_1", "th_2"))
+    twin = Chart(torus=("ph_1", "ph_2"), fiber=("y_1", "y_2"), leaf=("ph_1", "ph_2"))
+    f_b = ScalarFn.sin_phi(other_chart, "th_1")
+    with pytest.raises(ChartError, match="another chart"):
+        LeafForm.section(CHART, [f_b, ScalarFn.zero(CHART)])
+    with pytest.raises(ChartError, match="another chart"):
+        MultiVectorField(CHART, 1, {(0,): f_b})
+    f = ScalarFn.sin_phi(twin, "ph_1")
+    assert twin is not CHART and LeafForm.section(CHART, [f, f]).components() == [f, f]
+    assert MultiVectorField(CHART, 1, {(0,): f}).terms == {(0,): f}
