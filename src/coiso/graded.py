@@ -343,8 +343,8 @@ class GradedElement(SparseTerms):
         multiplies out only the keys with a nonzero count.
 
         A square [[a, a]] (other is self) composes once: b o a = a o b, so
-        it is 2 (a o a) for odd |a|, its tally merged with its own flip, and
-        0 for even |a|."""
+        it is 2 (a o a) for odd |a|, each tally key counted in place with
+        its flip (twice without one), and 0 for even |a|."""
         self._check(other)
         da = self.is_homogeneous_degree()
         db = da if other is self else other.is_homogeneous_degree()
@@ -360,12 +360,13 @@ class GradedElement(SparseTerms):
             if da % 2 == 0:
                 return self._like({})
             ab, tally = self._compose(self)
-            _check_cancelled(_merged(tally, tally, 1), self.terms, self.terms)
+            counts = (((w, x, y), n + tally.get((w, y, x), n)) for (w, x, y), n in tally.items())
+            _check_cancelled(counts, self.terms, self.terms)
             return ab.scale(2)
         ab, t_ab = self._compose(other)
         ba, t_ba = other._compose(self)
         sign = 1 if (da * db) % 2 else -1
-        _check_cancelled(_merged(t_ab, t_ba, sign), self.terms, other.terms)
+        _check_cancelled(_merged(t_ab, t_ba, sign).items(), self.terms, other.terms)
         return ab + ba if sign == 1 else ab - ba
 
     def _homogeneous_pieces(self):
@@ -432,12 +433,12 @@ def _merged(t_ab, t_ba, sign):
     return out
 
 
-def _check_cancelled(tally, a_terms, b_terms):
-    """Multiply out the tally keys (word, x, y) with a nonzero count; raise
-    when some word's sum of count * a_terms[x] * b_terms[y] is nonzero."""
+def _check_cancelled(counts, a_terms, b_terms):
+    """Multiply out the tally items ((word, x, y), n) with n != 0; raise
+    when some word's sum of n * a_terms[x] * b_terms[y] is nonzero."""
     survivors = accumulate(
         {},
-        ((word, (a_terms[x] * b_terms[y]).scale(n)) for (word, x, y), n in tally.items() if n),
+        ((word, (a_terms[x] * b_terms[y]).scale(n)) for (word, x, y), n in counts if n),
     )
     if survivors:
         raise AssertionError("second-order composite survived the bracket")

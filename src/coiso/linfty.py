@@ -15,9 +15,9 @@ A MultibracketTable keeps every derived bracket it builds, keyed by the
 sequence of its LeafForm arguments, so m_k extends the bracket of its
 first k - 1 arguments when that was built before.  Within one table the
 tasks share their brackets: m_1 s and m_2(s, s) of the Kuranishi map, the
-orders of the formal prolongation, the MC series and each order of the
-frame values.  Keys compare by exact equality, and no lookup iterates
-over the memo.
+[[..[[J, I s]].., I s]] of the MC series and the formal prolongation, and
+each order of the frame values.  Keys compare by exact equality, and no
+lookup iterates over the memo.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ class MultibracketTable:
         return self.m([omega])
 
     def series_bound(self) -> int:
-        """All m_k with k > series_bound() vanish on degree <= 1 arguments:
-        the highest fiber degree among the P and Q coefficients of J, plus 2,
-        bounds the number of I(xi) brackets that do not vanish."""
+        """m_k = P [[..]] vanishes for k > series_bound() on degree <= 1
+        arguments, though its bracket need not: the highest fiber degree of
+        J's P and Q coefficients, plus 2, bounds the brackets with P != 0."""
         j = self.j
         coeffs = list(j.p_part.terms.values()) + list(j.q_part.terms.values())
         return max((f.fiber_degree() for f in coeffs), default=0) + 2
@@ -140,30 +140,16 @@ def kuranishi(table: MultibracketTable, s: LeafForm):
     return kr, kr.scale(Fraction(1, 2)).leaf_zero_mode()
 
 
-def _partitions(total, largest):
-    """Non-increasing tuples of positive integers <= largest summing to total."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(total, largest), 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
-
-
 def prolong_formal(table: MultibracketTable, s1: LeafForm, order: int):
     """Solve the MC hierarchy order by order with the torus homotopy.
 
-    The order-k right-hand side is sum_h (-1)^h / h! sum m_h(s_{p_1}, ..,
-    s_{p_h}) over the compositions (p_1, .., p_h) of k with h >= 2.  The
-    I(s_p) are fiber-constant vertical fields, so they commute, and the
-    derived brackets [[..[[J, I s_{p_1}]].., I s_{p_h}]] are symmetric in
-    their arguments.  The sum therefore runs over the partitions of k into
-    parts < k, each taken once in non-increasing order with the weight
-    (-1)^h / prod_j m_j!, m_j the multiplicity of the part j: the
-    h! / prod_j m_j! orderings of a partition are the same bracket.  The
-    nested brackets come from the table, keyed by the leaf forms of their
-    non-increasing prefix, so orders share them, and order 2 shares
-    [[J, I s_1]] and [[[[J, I s_1]], I s_1]] with kuranishi.
+    For S = sum_p s_p e^p, bilinearity gives the e^n coefficient D[h][n] of
+    [[..[[J, I S]].., I S]] (h brackets) as sum_p [[D[h-1][n-p], I s_p]],
+    D[0] = J at n = 0, which reads s_p for p <= n - h + 1 only.  So the
+    order-k right-hand side sum_{h=2}^{min(k, B)} (-1)^h / h! P(D[h][k]),
+    B = table.series_bound(), is known before s_k.  A zero s_p or D[h][n]
+    brackets nothing, D[h][h] comes from the table (shared with kuranishi
+    and mc_series), and P of row B + 1 must vanish.
 
     Returns (sections, orders): the normal sections s_1, s_2, .. solved so
     far, and one entry per order k >= 2 tried, {order_k, rhs,
@@ -174,18 +160,31 @@ def prolong_formal(table: MultibracketTable, s1: LeafForm, order: int):
     sections = [s1]  # sections[p - 1] is s_p
     if not table.m1(s1).is_zero():
         raise DeformationError("s1 is not an infinitesimal deformation")
-
-    def weight(parts):
-        den = math.prod(math.factorial(parts.count(p)) for p in set(parts))
-        return Fraction((-1) ** len(parts), den)
-
-    zero = LeafForm.zero(table.chart, 2)
+    bound = table.series_bound()
+    D = {(0, 0): table.j}  # the nonzero D[h][n]
+    lifts = {}  # p -> I(s_p) for the nonzero s_p
+    zero, dz = LeafForm.zero(table.chart, 2), MultiDerivation.zero(table.chart, 2)
     orders = []
     for k in range(2, order + 1):
-        rhs = zero.plus(
-            table.m([sections[p - 1] for p in parts]).scale(weight(parts))
-            for parts in _partitions(k, k - 1)
-        )
+        if not sections[-1].is_zero():
+            lifts[k - 1] = injection_I(sections[-1])
+        rows = range(2, min(k, bound + 1) + 1)
+        for h, n in [(1, k - 1)] + [(h, k) for h in rows]:
+            brackets = [  # for n = h only p = 1 has a D[h-1][n-p]
+                table.derived((s1,) * h) if n == h else D[h - 1, n - p].sj_bracket(lift)
+                for p, lift in lifts.items()
+                if (h - 1, n - p) in D
+            ]
+            d = MultiDerivation(
+                dz.p_part.plus(b.p_part for b in brackets),
+                dz.q_part.plus(b.q_part for b in brackets),
+            )
+            if not d.is_zero():
+                D[h, n] = d
+        terms = {h: projection_P(D[h, k]) for h in rows if (h, k) in D}
+        if not terms.pop(bound + 1, zero).is_zero():
+            raise AssertionError("MC hierarchy failed to terminate")
+        rhs = zero.plus(m.scale(Fraction((-1) ** h, math.factorial(h))) for h, m in terms.items())
         status, payload = solve_dF(rhs)
         solved = status == "solved"
         # solve_dF returns the zero mode of an obstructed order; a solved

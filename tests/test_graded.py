@@ -376,10 +376,13 @@ def test_symbol_index_is_built_once_per_element(chart):
 
 def test_uncancelled_composite_raises(chart, monkeypatch):
     """A sign error in one derivative composite leaves a second-order word
-    in the bracket, and the tally check reports it."""
+    in the bracket, and the tally check reports it: for two elements, and
+    for the square of an odd one, whose tally is read with its own flip."""
     a = GradedElement(chart, {((DX, 0),): ScalarFn.sin_phi(chart, "ph_3")})
     b = GradedElement(chart, {((DX, 1),): ScalarFn.y(chart, "y_1")})
+    odd = GradedElement(chart, {((DX, 0), (DX, 1)): ScalarFn.sin_phi(chart, "ph_3")})
     assert a.bracket(b) == _dense_bracket(a, b)
+    assert odd.is_homogeneous_degree() == 1 and odd.bracket(odd) == _dense_bracket(odd, odd)
     original = graded._compose_symbols
 
     def flipped(s, sp):
@@ -389,6 +392,8 @@ def test_uncancelled_composite_raises(chart, monkeypatch):
     monkeypatch.setattr(graded, "_compose_symbols", flipped)
     with pytest.raises(AssertionError, match="second-order composite survived the bracket"):
         a.bracket(b)
+    with pytest.raises(AssertionError, match="second-order composite survived the bracket"):
+        odd.bracket(odd)
 
 
 def test_check_cancelled_multiplies_out_survivors(chart):
@@ -399,9 +404,9 @@ def test_check_cancelled_multiplies_out_survivors(chart):
     word = ((graded.PAIR, (DX, 0), (DX, 1)),)
     a_terms = {"x1": f.scale(2), "x2": f}
     tally = {(word, "x1", "y1"): 1, (word, "x2", "y2"): -1, (word, "x3", "y3"): 0}
-    graded._check_cancelled(tally, a_terms, {"y1": g, "y2": g.scale(2)})
+    graded._check_cancelled(tally.items(), a_terms, {"y1": g, "y2": g.scale(2)})
     with pytest.raises(AssertionError, match="second-order composite survived the bracket"):
-        graded._check_cancelled(tally, a_terms, {"y1": g, "y2": g.scale(3)})
+        graded._check_cancelled(tally.items(), a_terms, {"y1": g, "y2": g.scale(3)})
 
 
 def test_bracket_insertion_recursion(chart):

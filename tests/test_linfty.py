@@ -28,6 +28,7 @@ from coiso.linfty import (
     solve_dF,
 )
 from coiso.scenario import Scenario, load_scenario
+from coiso import cli
 
 from helpers import (
     exp_series_mc,
@@ -530,8 +531,8 @@ def _prolonging_section():
 )
 def test_multibrackets_symmetric_in_sections(name, sections, perm):
     """m_h(s_1, .., s_h) for h = 2, 3 does not depend on the order of the
-    sections: the I(s) are fiber-constant vertical fields and commute.  The
-    partition sum of prolong_formal relies on this."""
+    sections: the I(s) are fiber-constant vertical fields and commute, so
+    the symmetric terms m_h(S, .., S) of the MC series are well defined."""
     table = TABLES[name]
     assert all(table.m1(w).is_zero() for w in sections)
     for h in (2, 3):
@@ -583,10 +584,58 @@ def composition_prolong(table, s1, order):
 @given(s1=_infinitesimal_sections(), order=st.integers(2, 5))
 @example(s1=_prolonging_section(), order=5)
 def test_prolong_matches_composition_sum(name, s1, order):
-    """The partition sum with shared prefixes gives the coefficients and
-    the orders of the composition sum."""
+    """The bracket recurrence D[h][n] = sum_p [[D[h-1][n-p], I s_p]] gives
+    the coefficients and the orders of the composition sum."""
     table = TABLES[name]
     assert prolong_formal(table, s1, order) == composition_prolong(table, s1, order)
+
+
+def test_prolong_brackets_are_polynomial_in_the_order(monkeypatch):
+    """Where only s_1 is nonzero the brackets are the diagonal [[..[[J, I
+    s_1]].., I s_1]], the same number at every order.  Where every s_p is
+    nonzero (_prolonging_section) row 1 of the recurrence has at most N
+    brackets and each of the rows 2 .. B + 1 at most N (N + 1) / 2."""
+    calls = []
+    original = MultiDerivation.sj_bracket
+    monkeypatch.setattr(MultiDerivation, "sj_bracket", lambda a, b: calls.append(b) or original(a, b))
+
+    def brackets(s1, order):
+        table = MultibracketTable(STRUCTURES["torus-obstructed"])
+        del calls[:]
+        prolong_formal(table, s1, order)
+        return len(calls)
+
+    chart = TORUS_OBSTRUCTED.chart
+    s1 = LeafForm.section(chart, [ScalarFn.sin_phi(chart, "ph_3"), ScalarFn.cos_phi(chart, "ph_3")])
+    first = brackets(s1, 2)
+    for n in (4, 8, 16, 200):
+        assert brackets(s1, n) == first, n
+    bound = TABLES["torus-obstructed"].series_bound()
+    for n in (4, 8, 16):
+        count = brackets(_prolonging_section(), n)
+        assert count <= n + bound * n * (n + 1) // 2, (n, count)
+
+
+class _LowBoundTable(MultibracketTable):
+    """A table whose series_bound() is 1, below torus-obstructed's 3."""
+
+    def series_bound(self):
+        return 1
+
+
+def test_prolong_checks_the_series_bound(monkeypatch, capsys):
+    """prolong_formal builds row B + 1 of the recurrence and checks that P
+    of it vanishes: with B = 1 on torus-obstructed, m_2(s, s) != 0 lies
+    beyond the bound, so it raises AssertionError and the CLI exits 3 with
+    one line."""
+    table = _LowBoundTable(STRUCTURES["torus-obstructed"])
+    with pytest.raises(AssertionError, match="MC hierarchy failed to terminate"):
+        prolong_formal(table, TORUS_OBSTRUCTED.section(), 3)
+    monkeypatch.setattr(MultibracketTable, "series_bound", _LowBoundTable.series_bound)
+    assert cli.main(["--scenario", "torus-obstructed", "--task", "prolong:3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "coiso: internal invariant violation in prolong: MC hierarchy failed to terminate\n"
 
 
 def _leaf_arguments():
