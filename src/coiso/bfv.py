@@ -6,11 +6,12 @@ one ghost per fiber coordinate of the chart, and a section s of the normal
 bundle is the degree-1 LeafForm sum_A g_A delta_A.
 
 The step-by-step obstruction (SBSO) engine deforms an approximate MC
-element along a filtration.  The BRST charge runs it (filtration by
-antighost word degree on sections, N = -1).  The lift does not: for the
+element along a fixed filtration: the antighost word degree, which is never
+negative on sections.  The BRST charge runs it.  The lift does not: for the
 trivial connection, the only one the library builds, J^ = G + i_nabla(J)
 already squares to zero; a curved connection would need the recursion on
-operators, filtered by antighost bidegree.
+operators, filtered by antighost bidegree.  The two BFV squares, [[J^, J^]]
+and d_BFV^2, are the squares GradedElement.bracket takes.
 
 The homological perturbation lemma perturbs the s = 0 ContractionTwo
 (wp, iota, h) with differential d[0] by delta = d_BFV - d[0]; the result,
@@ -87,15 +88,17 @@ def check_contraction_axioms(homotopy_projection, immersion, differential, x, la
 # ---------------------------------------------------------------------------
 
 
-def sbso(bracket, homotopy, obstruction, filtration, qbar, N, max_steps=16):
-    """Deform qbar into an MC element Q == qbar mod F_{N+1}.
+def sbso(bracket, homotopy, obstruction, qbar, max_steps=16):
+    """Deform qbar into an MC element Q = qbar + sum_k Q_k along a fixed
+    filtration whose degree (the antighost count) is never negative, so
+    [qbar, qbar] cannot sit below the starting level and no level is
+    checked.
 
     * bracket(a, b): the graded Lie bracket.
     * homotopy(x): the contraction homotopy H.
     * obstruction(x): the component P(x) whose vanishing is the
       applicability condition; raises through ObstructionFailure.
-    * filtration(x): the filtration degree of x (10^9 for 0).
-    * qbar: the approximate MC element, N: the starting filtration level.
+    * qbar: the approximate MC element.
 
     Returns (Q, corrections) with corrections the list of added Q_k.  The
     square of the applicability test is the first square of the loop, so
@@ -105,8 +108,6 @@ def sbso(bracket, homotopy, obstruction, filtration, qbar, N, max_steps=16):
     obs = obstruction(sq)
     if not obs.is_zero():
         raise ObstructionFailure(obs)
-    if filtration(sq) < N:
-        raise BFVError("[qbar, qbar] sits below the starting filtration level")
     q = qbar
     corrections = []
     if sq.is_zero():
@@ -141,7 +142,7 @@ class Lift:
         self.j = j
         self.G = tautological_G(j.chart)
         self.j_hat = self.G + i_nabla(j)
-        if not self.j_hat.bracket(self.j_hat).is_zero():
+        if not self.j_hat.bracket().is_zero():
             raise AssertionError("flat lifting failed: [[J^, J^]] != 0")
 
 
@@ -160,13 +161,13 @@ def brst_charge(lift: Lift, s: LeafForm):
     def bracket(a, b):
         return jacobi_bracket(lift.j_hat, a, b)
 
-    return sbso(bracket, c2.h, c2.wp, GradedElement.antighost_filtration, qbar, -1)
+    return sbso(bracket, c2.h, c2.wp, qbar)
 
 
 def d_bfv(lift: Lift, omega: GradedElement) -> GradedElement:
     """d_BFV = {Omega_BRST, -} as a graded operator; square-zero verified."""
     op = hamiltonian_operator(lift.j_hat, omega)
-    if not op.bracket(op).is_zero():
+    if not op.bracket().is_zero():
         raise AssertionError("d_BFV does not square to zero")
     return op
 

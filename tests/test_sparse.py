@@ -15,6 +15,7 @@ from coiso.rational import GaussianRational
 from coiso.ring import Chart, ChartError, ScalarFn
 
 from helpers import random_base_scalar, random_scalar
+from paper import graded_product
 
 CHART = Chart(torus=("ph_1", "ph_2"), fiber=("y_1", "y_2"), leaf=("ph_1", "ph_2"))
 
@@ -51,7 +52,7 @@ CONTAINERS = {
     "MultiVectorField": (_skew(MultiVectorField, CHART.dim, random_scalar), lambda a, b: a.wedge(b)),
     "LeafForm": (_skew(LeafForm, CHART.m, random_base_scalar), lambda a, b: a.wedge(b)),
     "Form": (_skew(Form, CHART.dim, random_scalar), lambda a, b: a.wedge(b)),
-    "GradedElement": (_graded, lambda a, b: a.mul(b)),
+    "GradedElement": (_graded, graded_product),
 }
 
 
