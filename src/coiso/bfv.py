@@ -14,7 +14,8 @@ operators, filtered by antighost bidegree.  The two BFV squares, [[J^, J^]]
 and d_BFV^2, are the squares GradedElement.bracket takes.
 
 The homological perturbation lemma perturbs the s = 0 ContractionTwo
-(wp, iota, h) with differential d[0] by delta = d_BFV - d[0]; the result,
+(wp, iota, h) with differential d[0] by delta = d_BFV - d[0] (iota, the
+inclusion of the small side, returns its argument); the result,
 PerturbedContraction, is built once per scenario.  check_hpl_axioms checks
 the contraction axioms of both on samples (the hpl-resolve task).
 

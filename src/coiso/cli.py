@@ -3,6 +3,8 @@
     coiso --scenario PATH|NAME --task NAME[:ARGS] [--task ...]
           [--format text|json] [--out PATH]
 
+``coiso`` (the console script) and ``python -m coiso`` both call ``main``.
+
 Reports are deterministic: identical scenario and flags produce
 byte-identical JSON.  Exit codes: 0 all tasks succeeded (a *found*
 obstruction is a success), 1 usage error, a scenario that cannot be read
@@ -377,6 +379,8 @@ def format_report(report: dict, fmt: str) -> str:
 
 
 def _render_text(value, lines, indent):
+    """Append the lines of a report object or list, each nested value
+    indented under its key."""
     if isinstance(value, dict):
         for key in sorted(value):
             v = value[key]
@@ -392,8 +396,6 @@ def _render_text(value, lines, indent):
                 _render_text(item, lines, indent + "  ")
             else:
                 lines.append(f"{indent}- {_scalar_text(item)}")
-    else:
-        lines.append(f"{indent}{_scalar_text(value)}")
 
 
 def _scalar_text(v):
@@ -470,7 +472,3 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

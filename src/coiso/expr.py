@@ -213,9 +213,8 @@ def scalar_to_json(f: ScalarFn) -> list:
 
 def scalar_to_text(f: ScalarFn) -> str:
     """Readable rendering in the scenario grammar (sin/cos collected when
-    a +/- frequency pair is recognized, exp otherwise)."""
-    if f.is_zero():
-        return "0"
+    a +/- frequency pair is recognized, exp otherwise) of a nonzero
+    function: the callers render the nonzero coefficients of a term table."""
     chart = f.chart
     k = chart.k
     done = set()

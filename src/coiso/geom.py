@@ -6,10 +6,13 @@ trivialized chart.  A contact form reads its bivector off the exact inverse
 Lambda = sum_{i<j} (omega^-1)_ij E_i ^ E_j; an lcs structure reads it off
 the inverse of its 2-form; either determinant must be a unit of the ring.
 The 1-jet model J^1(T^b) is written in closed form.  Every constructor
-checks [[J, J]] = 0, and the contact ones theta(X_f) = f as well.  The
-conormal projection P and vertical injection I tie multiderivations to leaf
-forms; coisotropy of a section is decided by the exact substitution
-criterion.
+checks [[J, J]] = 0, and the contact ones theta(X_f) = f as well.  Once
+the inputs have passed their checks (a frame of ker theta, a unit
+determinant, a closed theta1), [[J, J]] = 0 and the skewness of the
+inverse curvature matrix are identities, so their failure raises
+AssertionError.  The conormal projection P and vertical injection I tie
+multiderivations to leaf forms; coisotropy of a section is decided by the
+exact substitution criterion.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ class Form(SkewTerms):
     def pair_vector(self, X: MultiVectorField) -> ScalarFn:
         """<theta, X> for a 1-form and vector field, summed over the keys
         both carry."""
-        if self.degree != 1 or X.degree != 1:
-            raise GeometryError("pairing needs a 1-form and a vector field")
         if X.chart != self.chart:
             raise ChartError("pairing operands differ in chart")
         x = X.terms
@@ -111,7 +112,7 @@ def check_contact_jacobi(theta: Form, J: MultiDerivation) -> MultiDerivation:
     if theta.pair_vector(J.q_part) != ScalarFn.one(J.chart) or accumulate({}, contraction()):
         raise GeometryError("postcondition theta(X_f) = f failed")
     if not J.sj_bracket(J).is_zero():
-        raise GeometryError("contact construction produced a non-Jacobi bracket")
+        raise AssertionError("contact construction produced a non-Jacobi bracket")
     return J
 
 
@@ -129,7 +130,7 @@ def contact_to_jacobi(cc: ContactChart) -> MultiDerivation:
 
     omega_inv = inverse_unit(chart, cc.curvature())
     if any(not (omega_inv[i][j] + omega_inv[j][i]).is_zero() for i in range(r) for j in range(i + 1)):
-        raise GeometryError("inverse curvature matrix is not skew")
+        raise AssertionError("inverse curvature matrix is not skew")
 
     (a,) = mat_mul(chart, [[-cc.theta.pair_vector(cc.reeb.sn_bracket(E)) for E in frame]], omega_inv)
     X1 = cc.reeb.plus(frame[i].scale_fn(a[i]) for i in range(r))
@@ -166,7 +167,7 @@ def lcs_to_jacobi(omega: Form, theta1: Form) -> MultiDerivation:
     gamma = MultiVectorField(chart, 1, {(i,): f for i, f in enumerate(gamma)})
     J = MultiDerivation(MultiVectorField(chart, 2, lam), gamma)
     if not J.sj_bracket(J).is_zero():
-        raise GeometryError("lcs construction produced a non-Jacobi bracket")
+        raise AssertionError("lcs construction produced a non-Jacobi bracket")
     return J
 
 

@@ -153,11 +153,6 @@ def bidegree(word):
     return h, k
 
 
-def arity(word) -> int:
-    """The number of symbol letters of a canonical word (they come last)."""
-    return len(word) - bisect_left(word, M)
-
-
 def _signed(f, sign):
     return f if sign == 1 else -f
 
@@ -214,9 +209,6 @@ class GradedElement(SparseTerms):
 
     # -- predicates --------------------------------------------------------------
 
-    def is_section(self) -> bool:
-        return all(arity(l) == 0 for l in self.terms)
-
     def is_homogeneous_degree(self):
         degs = {term_degree(l) for l in self.terms}
         return degs.pop() if len(degs) == 1 else None
@@ -231,15 +223,6 @@ class GradedElement(SparseTerms):
         it passes, with the argument's own shifted degree.  A section has
         no symbols, so this is the first-order part of self o lam."""
         return self._compose(lam)[0]
-
-    def eval(self, args) -> "GradedElement":
-        """Evaluate on graded sections by iterated first-slot insertion."""
-        out = self
-        for lam in args:
-            out = out.insert(lam)
-        if not out.is_section():
-            raise GradedError("argument count does not match arity")
-        return out
 
     # -- Gerstenhaber product and the square of the bracket ------------------------------------
 
@@ -334,22 +317,6 @@ class GradedElement(SparseTerms):
         _check_cancelled(counts, self.terms, self.terms)
         return ab.scale(2)
 
-    # -- display --------------------------------------------------------------------------------
-
-    def __repr__(self):
-        if not self.terms:
-            return "GradedElement(0)"
-        names = self.chart.coords
-        shown = {XI: "xi^{}", XIS: "xis_{}", M: "ID", DXI: "D_xi^{}", DXIS: "D_xis_{}"}
-
-        def show(l):
-            return f"D_{names[l[1]]}" if l[0] == DX else shown[l[0]].format(*(i + 1 for i in l[1:]))
-
-        return " + ".join(
-            f"({self.terms[word]!r})*" + (".".join(map(show, decode(word))) or "1")
-            for word in sorted(self.terms)
-        )
-
 
 def _compose_symbols(s, sp):
     """Ordered composite s o sp of two basic symbols as (letter, sign).
@@ -416,12 +383,13 @@ def decal_sign(section: GradedElement) -> int:
 
 
 def jacobi_bracket(jop: GradedElement, a: GradedElement, b: GradedElement) -> GradedElement:
-    """{a, b}_J = (-1)^{|a|} J(a, b) on homogeneous sections (decalage); zero
-    for a = 0, which has no single degree (the BFV Kuranishi class of the
-    zero section)."""
+    """{a, b}_J = (-1)^{|a|} J(a, b) on homogeneous sections (decalage), with
+    J(a, b) = [[[[J, a]], b]], the two sections inserted in turn (every word
+    of a lift J^ has two symbols); zero for a = 0, which has no single
+    degree (the BFV Kuranishi class of the zero section)."""
     if a.is_zero():
         return a
-    return jop.eval([a, b]).scale(decal_sign(a))
+    return jop.insert(a).insert(b).scale(decal_sign(a))
 
 
 def hamiltonian_operator(jop: GradedElement, omega: GradedElement) -> GradedElement:
@@ -441,7 +409,8 @@ def hamiltonian_operator(jop: GradedElement, omega: GradedElement) -> GradedElem
 def to_graded(sq: MultiDerivation) -> GradedElement:
     """Decalage embedding of a skew multiderivation into the graded word
     algebra, normalized so that iterated insertions reproduce the ungraded
-    nested brackets: eval([f_1..f_n]) = [[..[[sq, f_1]].., f_n]].
+    nested brackets: inserting the sections f_1, .., f_n in turn gives
+    [[..[[sq, f_1]].., f_n]].
 
     The p-part words carry no sign at any arity; the q-part (the id-slot
     words) carries (-1)^arity."""
@@ -505,8 +474,6 @@ class ContractionTwo:
         """Restrict to im s and kill positive antighost words."""
         out = {}
         for letters, f in lam.terms.items():
-            if arity(letters):
-                raise GradedError("wp acts on sections")
             if any(XIS <= x < M for x in letters):
                 continue
             g = f.substitute_fiber(self.powers)
@@ -515,11 +482,9 @@ class ContractionTwo:
         return GradedElement.zero(self.chart)._like(out)
 
     def iota(self, lam: GradedElement) -> GradedElement:
-        for letters, f in lam.terms.items():
-            if any(XIS <= x < M for x in letters) or arity(letters):
-                raise GradedError("iota embeds base ghost words")
-            if not f.is_base_only():
-                raise GradedError("iota embeds base-only coefficients")
+        """The inclusion of the small side: its elements, the images of wp
+        (base-only ghost words without antighosts), are graded sections as
+        they stand."""
         return lam
 
     def h(self, lam: GradedElement) -> GradedElement:
@@ -538,8 +503,6 @@ class ContractionTwo:
 
         def pairs():
             for letters, f in lam.terms.items():
-                if arity(letters):
-                    raise GradedError("h acts on sections")
                 nxis = sum(1 for x in letters if XIS <= x < M)
                 sign = 1 if sum(x & 1 for x in letters) & 1 else -1
                 for A in range(self.chart.m):

@@ -82,9 +82,8 @@ class LeafForm(SkewTerms):
     def homotopy_K(self) -> "LeafForm":
         """The exact torus homotopy: K(e^{i n.phi} alpha) =
         (i n_j)^{-1} iota_j (e^{i n.phi} alpha) with j the least leaf index
-        carrying a nonzero frequency; kills leaf-zero modes."""
-        if self.degree == 0:
-            raise ChartError("homotopy K lowers degree; got degree 0")
+        carrying a nonzero frequency; kills leaf-zero modes.  It lowers the
+        degree, so the form has degree >= 1."""
         chart = self.chart
         leaf_idx = [chart.torus.index(c) for c in self._leaf_names()]
 

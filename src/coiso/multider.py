@@ -82,8 +82,6 @@ class MultiDerivation:
         return self._square
 
     def _bracket(self, other: "MultiDerivation") -> "MultiDerivation":
-        if self.chart != other.chart:
-            raise ChartError("operands live on different charts")
         k = self.arity - 1
         kp = other.arity - 1
         n_out = self.arity + other.arity - 1
@@ -113,9 +111,8 @@ class MultiDerivation:
         return MultiDerivation(new_p, new_q)
 
     def jacobiator(self) -> "MultiDerivation":
-        """Jac(J) = 1/2 [[J, J]]; zero iff J is a Jacobi structure."""
-        if self.arity != 2:
-            raise ArityError("jacobiator needs an arity-2 multiderivation")
+        """Jac(J) = 1/2 [[J, J]] of a bi-derivation; zero iff J is a Jacobi
+        structure."""
         return self.sj_bracket(self).scale(Fraction(1, 2))
 
     def is_jacobi(self) -> bool:
@@ -124,10 +121,9 @@ class MultiDerivation:
     # -- evaluation ---------------------------------------------------------------
 
     def apply(self, fns) -> ScalarFn:
-        """square(f_1, ..., f_n) = P(f...) + sum_i (-1)^{n-1-i} Q(f...^i) f_i."""
+        """square(f_1, ..., f_n) = P(f...) + sum_i (-1)^{n-1-i} Q(f...^i) f_i
+        on n = arity functions."""
         fns = list(fns)
-        if len(fns) != self.arity:
-            raise ArityError("argument count does not match arity")
         out = self.p_part.apply(fns)
         if self.q_part is not None:
             n = self.arity
@@ -137,7 +133,7 @@ class MultiDerivation:
                 out = out + term.scale((-1) ** ((n - 1 - i) % 2))
         return out
 
-    # -- comparison / display ----------------------------------------------------------------
+    # -- comparison ----------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, MultiDerivation):
@@ -147,6 +143,3 @@ class MultiDerivation:
             and self.p_part == other.p_part
             and self.q_or_zero() == other.q_or_zero()
         )
-
-    def __repr__(self):
-        return f"MultiDerivation(P={self.p_part!r}, Q={self.q_part!r})"

@@ -117,9 +117,6 @@ class Chart:
     def __hash__(self):
         return hash((self.torus, self.fiber, self.leaf))
 
-    def __repr__(self):
-        return f"Chart(torus={self.torus}, fiber={self.fiber}, leaf={self.leaf})"
-
 
 def accumulate(out, pairs):
     """Add (key, value) pairs into the dict out, deleting a key whose sum is

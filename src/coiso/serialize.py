@@ -61,6 +61,8 @@ def section_to_json(s: LeafForm) -> list:
 
 
 def _symbol_to_json(chart: Chart, letter) -> str:
+    """The report name of a symbol letter: m, dx, dxi or dxis (the callers
+    pass no other kind)."""
     kind = letter[0]
     if kind == M:
         return "ID"
@@ -71,9 +73,7 @@ def _symbol_to_json(chart: Chart, letter) -> str:
         return f"D_Y({i - chart.k})"
     if kind == DXI:
         return f"D_XI({letter[1]})"
-    if kind == DXIS:
-        return f"D_XISTAR({letter[1]})"
-    raise ValueError(f"not a symbol letter: {letter!r}")
+    return f"D_XISTAR({letter[1]})"
 
 
 def graded_to_json(x: GradedElement) -> list:

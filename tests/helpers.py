@@ -6,6 +6,7 @@ oracles and conveniences of the tests, which no command-line task needs
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -15,7 +16,7 @@ from coiso.multivector import MultiVectorField
 from coiso.multider import ArityError, MultiDerivation
 from coiso.leafform import LeafForm
 from coiso.geom import ContactChart, injection_I
-from coiso.graded import DX, DXI, DXIS, M, PAIR, XI, XIS, GradedElement, decode
+from coiso.graded import DX, DXI, DXIS, M, PAIR, XI, XIS, GradedElement, GradedError, decode
 
 from paper import exp_series, graded_bracket, hamiltonian
 
@@ -123,6 +124,26 @@ def eval_nested(sq: MultiDerivation, fns) -> ScalarFn:
     if out.arity != 0:
         raise ArityError("argument count does not match arity")
     return out.p_part.as_function()
+
+
+def arity(word) -> int:
+    """The number of symbol letters of a canonical int word (they come last)."""
+    return len(word) - bisect_left(word, M)
+
+
+def is_section(x: GradedElement) -> bool:
+    """No term of x carries a symbol letter."""
+    return not any(map(arity, x.terms))
+
+
+def graded_eval(op: GradedElement, args) -> GradedElement:
+    """op(a_1, .., a_n) on graded sections: each argument inserted in turn
+    into the first slot; raises unless the result is a section."""
+    for a in args:
+        op = op.insert(a)
+    if not is_section(op):
+        raise GradedError("argument count does not match arity")
+    return op
 
 
 def jacobi_pair(j: MultiDerivation):

@@ -7,6 +7,7 @@ import io
 import json
 import pkgutil
 import random
+import runpy
 import sys
 from collections import Counter
 
@@ -14,12 +15,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import coiso
-from coiso import bfv
+from coiso import bfv, geom, linfty, transversal
 from coiso.cli import main, TASKS
 from coiso.ring import ContentError, ScalarFn
 from coiso.scenario import Scenario, ScenarioError, load_scenario
 from coiso.expr import parse_scalar, scalar_to_json, scalar_to_text
-from coiso.graded import XIS, GradedElement
+from coiso.serialize import section_to_json
+from coiso.graded import XI, XIS, GradedElement
+from coiso.leafform import LeafForm
 
 from helpers import conjugate, random_scalar, scalar_from_json, torus_chart
 
@@ -30,16 +33,29 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
-def test_builtin_scenarios_listed(capsys):
+def test_builtin_scenarios_listed(capsys, monkeypatch):
     code, out, _ = run_cli(["--list-scenarios"], capsys)
     assert code == 0
     assert set(out.split()) == {"torus-obstructed", "legendrian-jet"}
+    # python -m coiso runs the same main (as a fresh __main__ module, though
+    # another test may have imported coiso.__main__)
+    monkeypatch.setattr(sys, "argv", ["coiso", "--list-scenarios"])
+    monkeypatch.delitem(sys.modules, "coiso.__main__", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("coiso", run_name="__main__")
+    assert exc.value.code == 0 and capsys.readouterr().out == out
 
 
 def test_usage_error(capsys):
     code, _, err = run_cli([], capsys)
     assert code == 1
     assert "required" in err
+    code, out, err = run_cli(["--scenario", "torus-obstructed", "--bogus"], capsys)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --bogus" in err
+    code, out, err = run_cli(["--help"], capsys)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: coiso")
 
 
 @pytest.mark.parametrize(
@@ -64,9 +80,13 @@ def test_unknown_task(capsys, spec, message):
     assert message in err and len(err.splitlines()) == 1
 
 
-def test_missing_scenario(capsys):
+def test_missing_scenario(tmp_path, capsys):
     code, _, err = run_cli(["--scenario", "no-such", "--task", "check-jacobi"], capsys)
     assert code == 1
+    # a directory exists but cannot be read as a scenario file
+    code, out, err = run_cli(["--scenario", str(tmp_path), "--task", "check-jacobi"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("coiso: cannot read scenario file: ") and len(err.splitlines()) == 1
 
 
 def test_validation_error_exit_code(tmp_path, capsys):
@@ -110,12 +130,62 @@ def test_validation_error_exit_code(tmp_path, capsys):
     bad = _builtin_data("torus-obstructed")
     del bad["contact"]
     cases.append((bad, "check-jacobi"))
-    for data, task in cases:
+    # every error of the expression parser; "(1 " also ends the token list
+    # at trailing whitespace
+    for coef, message in [
+        ("1$", "unexpected character '$'"),
+        ("(1 ", "expected ')'"),
+        ("1 1", "trailing input"),
+        ("y_1^x", "expected integer"),
+        ("1/0", "expected nonzero denominator"),
+        ("sin(y_1)", "expected torus coordinate"),
+        ("exp(2*1*ph_1)", "expected I"),
+        ("exp(I*1*y_1)", "expected torus coordinate"),
+        ("y_1^-1", "negative fiber exponent"),
+        ("ph_1", "torus coordinate 'ph_1' is not a function"),
+        ("x", "unknown name 'x'"),
+        ("*", "unexpected token"),
+    ]:
+        term = {"idx": [0, 1], "coef": coef}
+        cases.append(({"schema": 1, "chart": chart, "jacobi": {"p": [term]}}, "check-jacobi", message))
+
+    def edited(block, key, value):
+        data = _builtin_data("torus-obstructed")
+        data[block][key] = value
+        return data
+
+    frame = _builtin_data("torus-obstructed")["contact"]["frame"]
+    # s = (exp(I ph_2), 0) is not d_F-closed: m_1 s != 0, and its BFV lift is
+    # not d_BFV-closed
+    open_section = ["exp(I*1*ph_2)", "0"]
+    cases += [
+        (edited("contact", "frame", frame[:-1]), "check-jacobi", "dim - 1 members"),
+        (edited("contact", "reeb", {"ph_4": "sin(ph_3)"}), "check-jacobi", "theta(R) must be exactly 1"),
+        (edited("contact", "frame", [{"ph_1": "1"}] + frame[1:]), "check-jacobi", "ker theta"),
+        (edited("transversal", "C", ["y_1", "0"]), "transversal-crosscheck", "must be base-only"),
+        (edited("section", "components", open_section), "prolong", "not an infinitesimal deformation"),
+        (edited("section", "components", open_section), "bfv-kuranishi", "requires a d_BFV-closed section"),
+        (edited("chart", "leaf", ["ph_1"]), "kuranishi", "one leaf coordinate per fiber direction"),
+    ]
+    bad = _builtin_data("torus-obstructed")
+    del bad["transversal"]
+    cases.append((bad, "transversal-crosscheck", "no transversal block"))
+    theta1 = [{"idx": [1], "coef": "cos(ph_1)"}]
+    cases.append(({**LCS_T2, "lcs": {**LCS_T2["lcs"], "theta1": theta1}}, "check-jacobi", "theta1 is not closed"))
+    # a jacobi block that is not Jacobi: each construction on J refuses it
+    for task, message in [
+        ("bfv-lift", "lifting requires a Jacobi structure"),
+        ("coisotropic", "is_coisotropic_section requires a Jacobi structure"),
+        ("mc", "multibracket extraction needs a Jacobi structure"),
+    ]:
+        cases.append((NOT_JACOBI_T3, task, message))
+    for data, task, *message in cases:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(data))
         code, _, err = run_cli(["--scenario", str(p), "--task", task], capsys)
         assert code == 2, err
         assert len(err.splitlines()) == 1
+        assert all(m in err for m in message), err
 
 
 def _value_error_classes():
@@ -150,13 +220,145 @@ def test_content_error_in_a_task_exits_2(capsys, monkeypatch, cls):
     assert err == "coiso: task check-jacobi: bad content\n"
 
 
-def test_invariant_violation_exit_code(capsys, monkeypatch):
-    """A failed identity of a valid scenario exits 3 with one line (the
-    square of the lift is stubbed: a Jacobi J never gives a nonzero one)."""
-    monkeypatch.setattr(GradedElement, "bracket", lambda a: a)
-    code, out, err = run_cli(["--scenario", "torus-obstructed", "--task", "bfv-lift"], capsys)
-    assert code == 3 and out == ""
-    assert err == "coiso: internal invariant violation in bfv-lift: flat lifting failed: [[J^, J^]] != 0\n"
+def _squares_after_the_lift(m):
+    """[[J^, J^]] is computed; every later square returns its argument."""
+    real, seen = GradedElement.bracket, []
+
+    def square(a):
+        seen.append(a)
+        return real(a) if len(seen) == 1 else a
+
+    m.setattr(GradedElement, "bracket", square)
+
+
+def _perturbation_not_nilpotent(m):
+    """delta(z) = z + y_1: with h^2 = 0, h delta maps every term to
+    h(y_1) != 0, so (1 - h delta)^{-1} never ends."""
+    real = bfv.PerturbedContraction.__init__
+
+    def init(self, base, d0, dop):
+        real(self, base, d0, dop)
+        y1 = GradedElement.section(base.chart, ScalarFn.y(base.chart, base.chart.fiber[0]))
+        self.delta = lambda z: z + y1
+
+    m.setattr(bfv.PerturbedContraction, "__init__", init)
+
+
+def _projection_off_by_a_ghost(m):
+    """The checked axioms return q'(d' x) plus xi^1."""
+    real = bfv.check_contraction_axioms
+
+    def check(*args):
+        jq, qdx = real(*args)
+        return jq, qdx + GradedElement(jq.chart, {((XI, 0),): ScalarFn.one(jq.chart)})
+
+    m.setattr(bfv, "check_contraction_axioms", check)
+
+
+def _inverse_edited(module, edit):
+    """Replace module.inverse_unit by edit(chart, the true inverse)."""
+
+    def stub(m):
+        real = module.inverse_unit
+        m.setattr(module, "inverse_unit", lambda chart, A: edit(chart, real(chart, A)))
+
+    return stub
+
+
+def _nonzero_diagonal(chart, inv):
+    inv[0][0] = ScalarFn.one(chart)
+    return inv
+
+
+def _scaled_by_a_unit(chart, inv):
+    """The inverse times exp(i ph_1): J scaled by a non-constant function."""
+    u = ScalarFn.exp_phi(chart, chart.torus[0])
+    return [[x * u for x in row] for row in inv]
+
+
+# s_a = d h / d ph_a for h = E(ph_1 + ph_2 + ph_4) - E(ph_1) on torus-obstructed:
+# d_F-closed, and its prolongation solves every order with a nonzero s_k
+PROLONGING_SECTION = [
+    "i*exp(I*1*ph_1)*exp(I*1*ph_2)*exp(I*1*ph_4) - i*exp(I*1*ph_1)",
+    "i*exp(I*1*ph_1)*exp(I*1*ph_2)*exp(I*1*ph_4)",
+]
+
+
+# a 4-dimensional lcs structure: its J changes its bracket when scaled
+LCS_T4 = {
+    "schema": 1,
+    "chart": {"torus": ["ph_1", "ph_2", "ph_3", "ph_4"], "fiber": [], "leaf": []},
+    "lcs": {"omega": [{"idx": [0, 1], "coef": "1"}, {"idx": [2, 3], "coef": "1"}]},
+}
+
+
+def test_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
+    """A failed identity of a valid scenario exits 3 with one line.  Each
+    identity holds for every input that passes the constructors' checks,
+    so a stub breaks the computation behind it."""
+    prolonging = _builtin_data("torus-obstructed")
+    prolonging["section"]["components"] = PROLONGING_SECTION
+    (tmp_path / "prolonging.json").write_text(json.dumps(prolonging))
+    (tmp_path / "lcs.json").write_text(json.dumps(LCS_T4))
+    cases = [
+        # a Jacobi J never gives a nonzero [[J^, J^]]
+        (lambda m: m.setattr(GradedElement, "bracket", lambda a: a), "torus-obstructed", "bfv-lift",
+         "flat lifting failed: [[J^, J^]] != 0"),
+        (_squares_after_the_lift, "torus-obstructed", "dbfv", "d_BFV does not square to zero"),
+        (_perturbation_not_nilpotent, "torus-obstructed", "bfv-kuranishi",
+         "perturbation series failed to terminate"),
+        (_projection_off_by_a_ghost, "torus-obstructed", "hpl-resolve",
+         "perturbed projection is not a chain map"),
+        # m_2(s, s) != 0 lies beyond a bound of 1
+        (lambda m: m.setattr(linfty.MultibracketTable, "series_bound", lambda self: 1), "torus-obstructed",
+         "mc", "MC series failed to terminate"),
+        (lambda m: m.setattr(LeafForm, "homotopy_K", lambda w: LeafForm.zero(w.chart, w.degree - 1)),
+         str(tmp_path / "prolonging.json"), "prolong", "homotopy identity violated"),
+        (_inverse_edited(transversal, lambda chart, inv: [[ScalarFn.one(chart)] * len(inv)] * len(inv)),
+         "torus-obstructed", "transversal-crosscheck", "adjugate inversion failed"),
+        (_inverse_edited(geom, _nonzero_diagonal), "torus-obstructed", "check-jacobi",
+         "inverse curvature matrix is not skew"),
+        (_inverse_edited(geom, _scaled_by_a_unit), "torus-obstructed", "check-jacobi",
+         "contact construction produced a non-Jacobi bracket"),
+        (_inverse_edited(geom, _scaled_by_a_unit), str(tmp_path / "lcs.json"), "check-jacobi",
+         "lcs construction produced a non-Jacobi bracket"),
+    ]
+    for stub, scenario, task, message in cases:
+        with monkeypatch.context() as m:
+            stub(m)
+            code, out, err = run_cli(["--scenario", scenario, "--task", task], capsys)
+        assert code == 3 and out == ""
+        assert err == f"coiso: internal invariant violation in {task}: {message}\n"
+
+
+def test_prolong_report_of_a_solved_section(tmp_path, capsys):
+    """prolong:4 on a section that prolongs reports solved, one entry per
+    order 2..4, and the coefficients s_1..s_4 of prolong_formal."""
+    data = _builtin_data("torus-obstructed")
+    data["section"]["components"] = PROLONGING_SECTION
+    path = _write_scenario(tmp_path, data)
+    code, out, err = run_cli(["--scenario", path, "--task", "prolong:4"], capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)["tasks"]["prolong"]
+    scenario = load_scenario(path)
+    sections, _ = linfty.prolong_formal(scenario.table(), scenario.section(), 4)
+    assert report["solved"] is True and report["order_k"] == 4
+    assert [o["order_k"] for o in report["orders"]] == [2, 3, 4]
+    assert report["coefficients"] == [section_to_json(s) for s in sections]
+    assert all(report["coefficients"][1:])  # s_2 .. s_4 are nonzero
+
+
+def test_hpl_resolve_reports_a_wrong_induced_differential(capsys, monkeypatch):
+    """induced_differential_is_m1 is a report: a small differential off by
+    a factor 2 (stubbed) reads false, with exit 0."""
+    args = ["--scenario", "torus-obstructed", "--task", "hpl-resolve"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and json.loads(out)["tasks"]["hpl-resolve"]["induced_differential_is_m1"] is True
+    real = bfv.PerturbedContraction.small_differential
+    monkeypatch.setattr(bfv.PerturbedContraction, "small_differential", lambda self, y: real(self, y).scale(2))
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["tasks"]["hpl-resolve"] == {"axioms_hold": True, "induced_differential_is_m1": False}
 
 
 def test_brst_charge_without_mc_exits_3(capsys, monkeypatch):
@@ -503,7 +705,7 @@ def test_obstructed_zero_section_is_a_report(tmp_path, capsys):
     assert all(reports[t] == failure for t in tasks)
 
 
-def test_obstruction_is_success(capsys):
+def test_obstruction_is_success(tmp_path, capsys):
     code, out, _ = run_cli(
         ["--scenario", "torus-obstructed", "--task", "kuranishi", "--format", "json"],
         capsys,
@@ -514,6 +716,14 @@ def test_obstruction_is_success(capsys):
     assert task["obstructed"] is True
     assert task["two_pi_power"] == 2
     assert task["zero_mode_text"] == "(sin(ph_3)) dph_1^dph_2"
+    # the zero section is unobstructed: its zero mode is the zero form, "0"
+    data = _builtin_data("torus-obstructed")
+    data["section"]["components"] = ["0", "0"]
+    code, out, err = run_cli(["--scenario", _write_scenario(tmp_path, data), "--task", "kuranishi"], capsys)
+    assert code == 0 and err == ""
+    task = json.loads(out)["tasks"]["kuranishi"]
+    assert task["obstructed"] is False
+    assert task["zero_mode"] == {"degree": 2, "terms": []} and task["zero_mode_text"] == "0"
 
 
 def test_check_jacobi_report(capsys):
@@ -525,23 +735,26 @@ def test_check_jacobi_report(capsys):
     assert json.loads(out)["tasks"]["check-jacobi"]["jacobiator_zero"] is True
 
 
+# a raw jacobi block need not be Jacobi: on T^3, P = cos(ph_3) d2^d3
+# - sin(ph_3) d1^d3 + d1^d2 has [[P, P]] != 0
+NOT_JACOBI_T3 = {
+    "schema": 1,
+    "chart": {"torus": ["ph_1", "ph_2", "ph_3"], "fiber": [], "leaf": []},
+    "jacobi": {
+        "p": [
+            {"idx": [1, 2], "coef": "cos(ph_3)"},
+            {"idx": [0, 2], "coef": "-sin(ph_3)"},
+            {"idx": [0, 1], "coef": "1"},
+        ],
+        "q": [],
+    },
+}
+
+
 def test_check_jacobi_reports_a_nonzero_jacobiator(tmp_path, capsys):
-    """A raw jacobi block need not be Jacobi: on T^3, P = cos(ph_3) d2^d3
-    - sin(ph_3) d1^d3 + d1^d2 has [[P, P]] != 0.  check-jacobi reports
-    that, with exit 0."""
-    data = {
-        "schema": 1,
-        "chart": {"torus": ["ph_1", "ph_2", "ph_3"], "fiber": [], "leaf": []},
-        "jacobi": {
-            "p": [
-                {"idx": [1, 2], "coef": "cos(ph_3)"},
-                {"idx": [0, 2], "coef": "-sin(ph_3)"},
-                {"idx": [0, 1], "coef": "1"},
-            ],
-            "q": [],
-        },
-    }
-    path = _write_scenario(tmp_path, data)
+    """check-jacobi reports the nonzero [[P, P]] of NOT_JACOBI_T3, with
+    exit 0."""
+    path = _write_scenario(tmp_path, NOT_JACOBI_T3)
     code, out, err = run_cli(["--scenario", path, "--task", "check-jacobi"], capsys)
     assert code == 0 and err == ""
     assert json.loads(out)["tasks"]["check-jacobi"]["jacobiator_zero"] is False
@@ -609,6 +822,10 @@ def test_text_format(capsys):
     assert code == 0
     assert "two_pi_power: 2" in out
     assert "sin(ph_3)" in out
+    # an empty list is a value on its key's line
+    code, out, _ = run_cli(["--scenario", "legendrian-jet", "--task", "coisotropic", "--format", "text"], capsys)
+    assert code == 0
+    assert "  coisotropic: true\n" in out and "  residues: []\n" in out
 
 
 def test_report_formatting_examples():

@@ -67,6 +67,12 @@ def test_contact_reproduces_displayed_J(chart):
     J = contact_to_jacobi(torus_contact_chart(chart))
     assert J == torus_jacobi(chart)
     assert J.sj_bracket(J).is_zero()
+    # J depends on theta alone: a candidate R = Y + d_y1 with theta(R) = 1
+    # that is not the Reeb field gives the same J
+    cc = torus_contact_chart(chart)
+    theta = {chart.coords[i]: f for (i,), f in cc.theta.terms.items()}
+    reeb = cc.reeb + MultiVectorField.basis_vector(chart, "y_1")
+    assert contact_to_jacobi(ContactChart(chart, theta, reeb, cc.frame)) == J
 
 
 def test_curvature_is_the_dense_matrix(chart):

@@ -30,12 +30,15 @@ from coiso.graded import (
 
 from helpers import (
     antighost,
+    arity,
     dense_compose,
     dense_insert,
     dense_normalize,
     eval_nested,
     ghost,
+    graded_eval,
     i_then_p_defect,
+    is_section,
     random_base_scalar,
     random_multider,
     random_scalar,
@@ -125,10 +128,10 @@ def test_tautological_G_evaluation(chart, G):
             al = al + antighost(chart, A).scale_fn(ca)
             pairing = pairing + cu * ca
         expected = GradedElement.section(chart, pairing)
-        assert G.eval([u, al]) == expected
-        assert G.eval([al, u]) == expected
+        assert graded_eval(G, [u, al]) == expected
+        assert graded_eval(G, [al, u]) == expected
         u2 = ghost(chart, 1)
-        assert G.eval([u, u2]).is_zero()
+        assert graded_eval(G, [u, u2]).is_zero()
     # decalage bracket agrees on ghost-degree-1 arguments
     assert jacobi_bracket(G, u, al) == expected
 
@@ -386,7 +389,7 @@ def test_symbol_index_is_built_once_per_element(chart):
     op.insert(rand_section(chart, rng))
     op._compose(op)
     assert op._by_symbol is index
-    slots = sorted((word, s) for word in op.terms for s in word[len(word) - graded.arity(word) :])
+    slots = sorted((word, s) for word in op.terms for s in word[len(word) - arity(word) :])
     assert sorted((word, s) for s, entries in index.items() for word, *_ in entries) == slots
     derived = [op._like(dict(op.terms)), op + op, op - op, op.scale(2), *homogeneous_pieces(op)]
     assert all(x._by_symbol is None for x in derived)
@@ -436,11 +439,11 @@ def test_bracket_insertion_recursion(chart):
         lam = rand_section(chart, rng)
         da, db = deg_of(a), deg_of(b)
         W = graded_bracket(a, b)
-        lhs = GradedElement.zero(chart) if W.is_section() else W.insert(lam)
+        lhs = GradedElement.zero(chart) if is_section(W) else W.insert(lam)
         bl = b.insert(lam)
         al = a.insert(lam)
-        t1 = a.insert(bl) if bl.is_section() else graded_bracket(a, bl)
-        t2 = b.insert(al) if al.is_section() else graded_bracket(b, al)
+        t1 = a.insert(bl) if is_section(bl) else graded_bracket(a, bl)
+        t2 = b.insert(al) if is_section(al) else graded_bracket(b, al)
         assert (lhs - (t1 - t2.scale((-1) ** ((da * db) % 2)))).is_zero()
 
 
@@ -458,7 +461,7 @@ def test_graded_leibniz(chart):
         f = random_scalar(chart, rng)
         lhs = graded_bracket(box, boxp.scale_fn(f))
         xf = box.insert(GradedElement.section(chart, f))
-        assert xf.is_section()
+        assert is_section(xf)
         rhs = graded_product(xf, boxp) + graded_bracket(box, boxp).scale_fn(f)
         assert (lhs - rhs).is_zero()
         done += 1
@@ -468,14 +471,14 @@ def test_eval_graded_symmetry(chart):
     rng = random.Random(6)
     for _ in range(6):
         op = rand_operator(chart, rng, max_arity=2, nterms=2)
-        if max(map(graded.arity, op.terms), default=0) != 2:
+        if max(map(arity, op.terms), default=0) != 2:
             continue
         a = rand_section(chart, rng)
         b = rand_section(chart, rng)
         da, db = deg_of(a), deg_of(b)
         try:
-            lhs = op.eval([a, b])
-            rhs = op.eval([b, a]).scale((-1) ** ((da * db) % 2))
+            lhs = graded_eval(op, [a, b])
+            rhs = graded_eval(op, [b, a]).scale((-1) ** ((da * db) % 2))
         except Exception:
             continue
         assert (lhs - rhs).is_zero()
@@ -487,7 +490,7 @@ def test_to_graded_matches_nested_eval(chart):
     for sq in [J] + [random_multider(chart, rng, rng.choice([1, 2])) for _ in range(5)]:
         op = to_graded(sq)
         args = [random_scalar(chart, rng) for _ in range(sq.arity)]
-        lhs = op.eval([GradedElement.section(chart, f) for f in args])
+        lhs = graded_eval(op, [GradedElement.section(chart, f) for f in args])
         expected = eval_nested(sq, args)
         assert lhs == GradedElement.section(chart, expected)
         assert from_graded(op) == sq
@@ -626,3 +629,21 @@ def test_h0_frozen_value(chart, G):
     commutator = ds.insert(hy) + c2.h(ds.insert(y1))
     assert commutator == y1.scale(-1)
     assert (c2.iota(c2.wp(y1)) - y1) == y1.scale(-1)
+
+
+@pytest.mark.parametrize(
+    "word, sign",
+    [((), -1), (((XI, 0),), 1), (((XI, 0), (XI, 1)), -1), (None, None)],
+    ids=["function", "ghost", "two-ghosts", "mixed"],
+)
+def test_decal_sign(chart, word, sign):
+    """(-1)^{shifted degree} of a homogeneous section: a function has
+    shifted degree -1 and each ghost adds 1; a section of two degrees has
+    none."""
+    one = ScalarFn.one(chart)
+    if word is not None:
+        assert graded.decal_sign(GradedElement(chart, {word: one})) == sign
+        return
+    mixed = GradedElement(chart, {((XI, 0),): one, (): one})
+    with pytest.raises(graded.GradedError, match="homogeneous section"):
+        graded.decal_sign(mixed)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coiso.rational import GaussianRational
-from coiso.ring import ChartError, ScalarFn
+from coiso.ring import Chart, ChartError, ScalarFn
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm
@@ -135,6 +135,17 @@ def test_solve_dF(chart):
     with pytest.raises(DeformationError):
         solve_dF(LeafForm(chart, 1, {(0,): ScalarFn.y(chart, "y_1") * ScalarFn.one(chart)})
                  if False else LeafForm(chart, 1, {(0,): ScalarFn.sin_phi(chart, "ph_2")}))
+
+    # K = (i n_j)^{-1} iota_j, j the least leaf index carrying a frequency,
+    # kills a term whose key lacks j: with three leaf directions, d_F of
+    # eta = E(ph_2 + ph_3) dF_1 has a dF_1 ^ dF_3 term (j, for ph_2, is not in it),
+    # and K returns eta from its dF_1 ^ dF_2 term alone
+    names = ("ph_1", "ph_2", "ph_3")
+    chart = Chart(torus=names, fiber=("y_1", "y_2", "y_3"), leaf=names)
+    eta = LeafForm(chart, 1, {(0,): ScalarFn(chart, {(0, 1, 1, 0, 0, 0): 1})})
+    omega = eta.d_leaf()
+    assert sorted(omega.terms) == [(0, 1), (0, 2)]
+    assert solve_dF(omega) == ("solved", eta)
 
 
 def test_solve_dF_random_exact_forms(chart):

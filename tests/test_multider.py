@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from coiso.ring import ScalarFn
+from coiso.ring import Chart, ChartError, ScalarFn
 from coiso.multivector import MultiVectorField
-from coiso.multider import MultiDerivation
+from coiso.multider import ArityError, MultiDerivation
 
 from helpers import (
     eval_nested,
@@ -262,3 +262,24 @@ def test_square_is_kept_and_equals_the_bracket_with_a_copy(J, chart):
         if j.arity == 2:
             assert j.jacobiator() == sq.scale(Fraction(1, 2))
     assert J.is_jacobi() and not random_multider(chart, rng, 2).is_jacobi()
+
+
+@pytest.mark.parametrize(
+    "parts, error, message",
+    [
+        (lambda chart: (MultiVectorField.zero(chart, 0), MultiVectorField.function(ScalarFn.one(chart))),
+         ArityError, "a section has no q-part"),
+        (lambda chart: (MultiVectorField.zero(chart, 2), MultiVectorField.zero(chart, 2)),
+         ArityError, "q-part degree must be arity - 1"),
+        (lambda chart: (MultiVectorField.zero(chart, 2), MultiVectorField.zero(Chart(torus=("t",)), 1)),
+         ChartError, "different charts"),
+    ],
+    ids=["section-q", "q-degree", "q-chart"],
+)
+def test_constructor_checks(chart, parts, error, message):
+    """The constructor refuses a (P, Q) pair of the wrong shape, and a
+    comparison with a foreign type is NotImplemented (so == reads False)."""
+    with pytest.raises(error, match=message):
+        MultiDerivation(*parts(chart))
+    zero = MultiDerivation.zero(chart, 1)
+    assert zero.__eq__(0) is NotImplemented and zero != 0

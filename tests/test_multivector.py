@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ScalarFn
+from coiso.ring import Chart, ChartError, ScalarFn
 from coiso.multivector import MultiVectorField
+from coiso.leafform import LeafForm
+from coiso.geom import Form
 
 from helpers import (
     dense_gerstenhaber,
@@ -195,3 +197,10 @@ def test_gerstenhaber_matches_dense_expansion(pq):
     P, Q = pq
     assert P.gerstenhaber(Q) == dense_gerstenhaber(P, Q)
     assert P.sn_bracket(Q) == dense_sn_bracket(P, Q)
+
+
+
+@pytest.mark.parametrize("cls", [MultiVectorField, LeafForm, Form], ids=lambda cls: cls.__name__)
+def test_negative_degree_is_refused(chart, cls):
+    with pytest.raises(ChartError, match=f"^{cls.__name__} degree must be >= 0$"):
+        cls(chart, -1)

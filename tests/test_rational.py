@@ -1,5 +1,6 @@
 """GaussianRational against a pair-of-Fractions oracle (hypothesis)."""
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -145,3 +146,14 @@ def test_display_unchanged():
     for z, text, rep in cases:
         assert str(z) == text
         assert repr(z) == rep
+
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.mul, operator.truediv], ids=lambda op: op.__name__)
+def test_foreign_operand_is_not_implemented(op):
+    """An operand that is neither a Gaussian nor a plain rational gets
+    NotImplemented, so Python raises TypeError rather than a wrong value."""
+    x = GaussianRational(1, 2)
+    assert getattr(x, f"__{op.__name__}__")("1") is NotImplemented
+    with pytest.raises(TypeError):
+        op(x, "1")

@@ -389,3 +389,21 @@ def test_coordinate_constructors_check_the_kind():
         ScalarFn.y(chart, "ph")
     with pytest.raises(ChartError, match="^'x' is not a fiber coordinate$"):
         ScalarFn.y(chart, "x")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda chart: ScalarFn(chart, {(0,) * (chart.dim - 1): 1}), "exponent arity does not match chart"),
+        (lambda chart: ScalarFn(chart, {(0,) * (chart.dim - 1) + (-1,): 1}), "fiber exponents must be nonnegative"),
+    ],
+    ids=["short-key", "negative-fiber-exponent"],
+)
+def test_constructor_checks(chart, make, message):
+    """ScalarFn refuses a term table of the wrong shape with a ChartError,
+    and a comparison with a foreign type is NotImplemented (so == reads
+    False)."""
+    with pytest.raises(ChartError, match=message):
+        make(chart)
+    one = ScalarFn.one(chart)
+    assert one.__eq__(1) is NotImplemented and one != 1
