@@ -41,8 +41,8 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
+from .rational import GaussianRational
 from .ring import ContentError, ScalarFn
 from .expr import scalar_to_json
 from .leafform import LeafForm
@@ -153,10 +153,17 @@ def _mc(scenario, arg):
     return {"section": section_to_json(s), "mc": leafform_to_json(mc), "mc_zero": mc.is_zero()}
 
 
-def _two_pi_power(chart):
-    """d of the (2 pi)^d factor of an obstruction: the zero mode is an
+def _class_report(chart, kr, zero_mode, to_json, to_text):
+    """The keys that kuranishi and bfv-kuranishi share.  two_pi_power is
+    the d of the (2 pi)^d factor of an obstruction: the zero mode is an
     average over the d leaf angles, the obstruction their integral."""
-    return len(chart.leaf)
+    return {
+        "class": to_json(kr),
+        "zero_mode": to_json(zero_mode),
+        "zero_mode_text": to_text(zero_mode),
+        "two_pi_power": len(chart.leaf),
+        "obstructed": not zero_mode.is_zero(),
+    }
 
 
 def _kuranishi(scenario, arg):
@@ -165,11 +172,7 @@ def _kuranishi(scenario, arg):
     kr, zero_mode = kuranishi(table, s)
     return {
         "section": section_to_json(s),
-        "class": leafform_to_json(kr),
-        "zero_mode": leafform_to_json(zero_mode),
-        "zero_mode_text": leafform_to_text(zero_mode),
-        "two_pi_power": _two_pi_power(scenario.chart),
-        "obstructed": not zero_mode.is_zero(),
+        **_class_report(scenario.chart, kr, zero_mode, leafform_to_json, leafform_to_text),
     }
 
 
@@ -178,7 +181,7 @@ def _prolong(scenario, arg):
     s = scenario.section()
     order = arg or scenario.formal_order()
     sections, history = prolong_formal(table, s, order)
-    power = _two_pi_power(scenario.chart)
+    power = len(scenario.chart.leaf)  # as in _class_report
     orders = [
         {
             "order_k": h["order_k"],
@@ -215,72 +218,54 @@ def _transversal_crosscheck(scenario, arg):
         raise ScenarioError("needs one chart 'leaf' coordinate per fiber coordinate")
     table = scenario.table()
     td = scenario.transversal()
-    checks = []
     delta = _fiber_frame(chart)
-    probes = [ScalarFn.one(chart)] + [ScalarFn.sin_phi(chart, c) for c in chart.torus]
-    agree = True
-
-    def check(label, lhs, rhs):
-        nonlocal agree
-        ok = lhs == rhs
-        agree &= ok
-        checks.append({"generators": label, "equal": ok})
-
-    for f in probes[:3]:
-        check("m1(f)", td.multibracket([("fn", f)]), table.m([LeafForm.function(f)]))
-        for g in probes[:3]:
-            check(
-                "m2(f,g)",
-                td.multibracket([("fn", f), ("fn", g)]),
-                table.m([LeafForm.function(f), LeafForm.function(g)]),
-            )
-        for i in range(chart.m):
-            check(
-                f"m2(f,frame_{i})",
-                td.multibracket([("fn", f), ("form", i)]),
-                table.m([LeafForm.function(f), delta[i]]),
-            )
-    check(
-        "m2(frame_0,frame_1)",
-        td.multibracket([("form", 0), ("form", 1)]),
-        table.m([delta[0], delta[1]]),
-    )
+    probes = [ScalarFn.one(chart)] + [ScalarFn.sin_phi(chart, c) for c in chart.torus[:2]]
+    fns = [LeafForm.function(f) for f in probes]
+    cases = []
+    for f in fns:
+        cases.append(("m1(f)", [f]))
+        cases += [("m2(f,g)", [f, g]) for g in fns]
+        cases += [(f"m2(f,frame_{i})", [f, d]) for i, d in enumerate(delta)]
+    cases.append(("m2(frame_0,frame_1)", delta[:2]))
+    checks = [
+        {"generators": label, "equal": td.multibracket(args) == table.m(args)}
+        for label, args in cases
+    ]
     higher_zero = all(
-        td.multibracket([("form", i % chart.m) for i in range(k)]).is_zero() for k in (3, 4)
+        td.multibracket([delta[i % chart.m] for i in range(k)]).is_zero() for k in (3, 4)
     )
-    return {"generator_agreement": agree, "higher_brackets_zero": higher_zero, "checks": checks}
+    return {
+        "generator_agreement": all(c["equal"] for c in checks),
+        "higher_brackets_zero": higher_zero,
+        "checks": checks,
+    }
+
+
+def _graded_by(x, shift):
+    """The components of a graded element x, as JSON keyed by the string of
+    their antighost count plus shift."""
+    parts = {}
+    for letters, f in x.terms.items():
+        parts.setdefault(str(bidegree(letters)[1] + shift), {})[letters] = f
+    return {k: graded_to_json(x._like(t)) for k, t in sorted(parts.items())}
 
 
 def _bfv_lift(scenario, arg):
-    lift = scenario.lift()
-    by_k = {}
-    for letters, f in lift.j_hat.terms.items():
-        # J^_k sits in bidegree (k-1, k-1)
-        by_k.setdefault(str(bidegree(letters)[1] + 1), {})[letters] = f
     return {
         "corrections_added": 0,  # the trivial connection is flat: Lift adds no SBSO corrections
         "equals_G_plus_inabla": True,  # Lift defines J^ as G + i_nabla(J)
         "mc": True,  # Lift raises unless [[J^, J^]] = 0
-        "components_by_k": {
-            k: graded_to_json(lift.j_hat._like(t))
-            for k, t in sorted(by_k.items())
-        },
+        # J^_k sits in bidegree (k-1, k-1)
+        "components_by_k": _graded_by(scenario.lift().j_hat, 1),
     }
 
 
 def _brst_charge(scenario, arg):
     omega, corrections = brst_charge(scenario.lift(), _section_or_zero(scenario))
-    by_antighost = {}
-    for letters, f in omega.terms.items():
-        k = bidegree(letters)[1]  # omega is a section: its antighost count
-        by_antighost.setdefault(str(k), {})[letters] = f
     return {
         "exists": True,
         "converged_at": len(corrections),
-        "components_by_antighost": {
-            k: graded_to_json(omega._like(t))
-            for k, t in sorted(by_antighost.items())
-        },
+        "components_by_antighost": _graded_by(omega, 0),  # omega is a section
         "mc": True,  # the SBSO returns omega only once {omega, omega}_J = 0
     }
 
@@ -301,11 +286,7 @@ def _bfv_kuranishi(scenario, arg):
     kr, zero_mode = bfv_kuranishi(lift, pert, nu)
     return {
         "cocycle": graded_to_json(nu),
-        "class": graded_to_json(kr),
-        "zero_mode": graded_to_json(zero_mode),
-        "zero_mode_text": graded_to_text(zero_mode),
-        "two_pi_power": _two_pi_power(scenario.chart),
-        "obstructed": not zero_mode.is_zero(),
+        **_class_report(scenario.chart, kr, zero_mode, graded_to_json, graded_to_text),
     }
 
 
@@ -350,8 +331,6 @@ def _section_or_zero(scenario: Scenario) -> LeafForm:
 
 
 def _random_graded_section(chart, rng):
-    from .rational import GaussianRational
-
     terms = {}
     for _ in range(2):
         letters = []
@@ -363,9 +342,7 @@ def _random_graded_section(chart, rng):
             continue
         n = tuple(rng.randint(-1, 1) for _ in range(chart.k))
         alpha = tuple(rng.randint(0, 1) for _ in range(chart.m))
-        coeff = GaussianRational(
-            Fraction(rng.randint(-2, 2), 1), Fraction(rng.randint(-2, 2), 1)
-        )
+        coeff = GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
         terms[canon] = ScalarFn(chart, {n + alpha: coeff})
     return GradedElement.zero(chart)._sum(terms.items())
 

@@ -39,9 +39,11 @@ def _tokenize(text: str):
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ExprError(f"unexpected character {text[pos]!r}", pos)
+        if not m:
+            # name the first character after the whitespace that _TOKEN skips
+            bad = len(text) - len(text[pos:].lstrip())
+            if bad < len(text):
+                raise ExprError(f"unexpected character {text[bad]!r}", bad)
             break
         if m.group("num"):
             tokens.append(("num", int(m.group("num")), m.start()))

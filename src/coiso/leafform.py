@@ -71,7 +71,7 @@ class LeafForm(SkewTerms):
         """Leafwise exterior derivative d_F, using the a-th leaf coordinate
         as the direction paired with the a-th normal frame vector."""
         self._leaf_names()  # ChartError unless one leaf coordinate per fiber direction
-        return self._exterior_d(list(enumerate(self.chart.leaf_indices())))
+        return self._exterior_d(list(enumerate(self.chart.leaf_indices)))
 
     def leaf_zero_mode(self) -> "LeafForm":
         """Projector Pi_0: keep only terms with zero frequency in every leaf
@@ -84,8 +84,8 @@ class LeafForm(SkewTerms):
         (i n_j)^{-1} iota_j (e^{i n.phi} alpha) with j the least leaf index
         carrying a nonzero frequency; kills leaf-zero modes.  It lowers the
         degree, so the form has degree >= 1."""
-        chart = self.chart
-        leaf_idx = [chart.torus.index(c) for c in self._leaf_names()]
+        self._leaf_names()  # ChartError unless one leaf coordinate per fiber direction
+        chart, leaf_idx = self.chart, self.chart.leaf_indices
 
         def pairs():
             for key, f in self.terms.items():

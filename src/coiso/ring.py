@@ -74,7 +74,7 @@ class Chart:
     all index-based APIs refer to this order.
     """
 
-    __slots__ = ("torus", "fiber", "leaf", "coords", "k", "m", "dim")
+    __slots__ = ("torus", "fiber", "leaf", "leaf_indices", "coords", "k", "m", "dim")
 
     def __init__(self, torus=(), fiber=(), leaf=()):
         torus = tuple(torus)
@@ -91,6 +91,8 @@ class Chart:
         self.torus = torus
         self.fiber = fiber
         self.leaf = leaf
+        # the chart index of each leaf coordinate (torus coordinates come first)
+        self.leaf_indices = tuple(torus.index(c) for c in leaf)
         self.coords = names
         self.k, self.m, self.dim = len(torus), len(fiber), len(names)
 
@@ -99,9 +101,6 @@ class Chart:
             return self.coords.index(name)
         except ValueError:
             raise ChartError(f"unknown coordinate {name!r}") from None
-
-    def leaf_indices(self):
-        return tuple(self.torus.index(c) for c in self.leaf)
 
     def is_fiber_index(self, i: int) -> bool:
         return i >= self.k
@@ -196,7 +195,7 @@ class SparseTerms:
     def leaf_zero_mode(self):
         """Pi_0 of a container whose values are ScalarFns: keep the terms of
         each value with zero frequency in every leaf direction."""
-        leaf = self.chart.leaf_indices()
+        leaf = self.chart.leaf_indices
         modes = ((k, f.zero_mode(leaf)) for k, f in self.terms.items())
         return self._like({k: g for k, g in modes if not g.is_zero()})
 

@@ -14,6 +14,11 @@ matrices
 with W inverted exactly by ``ring.inverse_unit``, a Faddeev-LeVerrier
 adjugate (the determinant must be a unit of the ring; no rational functions
 are ever formed).
+
+``TransversalData.multibracket`` takes the LeafForm arguments that
+``linfty.MultibracketTable.m`` takes, so the two engines compare on one
+argument list; it evaluates the generators, functions and the fiber frame
+forms delta_i, and m_1 is the leafwise differential d_F.
 """
 
 from __future__ import annotations
@@ -45,8 +50,6 @@ class TransversalData:
 
     def __init__(self, chart: Chart, Ga_fields, G_field, C, omega, Fab=None, Fa=None):
         self.chart = chart
-        self.leaf = chart.leaf
-        self.nleaf = len(chart.leaf)
         self.Ga = list(Ga_fields)
         self.G = G_field
         self.A = len(self.Ga)
@@ -124,13 +127,10 @@ class TransversalData:
 
     # -- transversal jet tables ------------------------------------------------
 
-    def _leaf_chart_index(self, i):
-        return self.chart.index(self.leaf[i])
-
     def G_comp(self, a, i) -> ScalarFn:
         """G^i_a: the x^i-component of G_a (a < A), or of G (a = A)."""
         field = self.Ga[a] if a < self.A else self.G
-        return field.coefficient((self._leaf_chart_index(i),))
+        return field.coefficient((self.chart.leaf_indices[i],))
 
     def jG0(self, f: ScalarFn):
         """Components (f, G_a f, G f) of the transversal jet of a base
@@ -141,48 +141,46 @@ class TransversalData:
         comps.append(self.G.lie_derivative_fn(f))
         return comps
 
-    def _d_leaf(self, f: ScalarFn, h, zero: ScalarFn) -> ScalarFn:
-        """d f / d x^h, skipped (the caller's one zero) when f does not
-        depend on x^h."""
-        c = self._leaf_chart_index(h)
-        return f.partial(c) if f.mask >> c & 1 else zero
-
     def jG1(self, i):
-        """Component matrix of j^1_G(d_F x^i (x) mu): entry [h][alpha]."""
+        """Component matrix of j^1_G(d_F x^i (x) mu): entry [h][alpha]; the
+        d / d x^h of a G-component that does not depend on x^h is one
+        shared zero."""
         chart = self.chart
         zero = ScalarFn.zero(chart)
         comps = [self.G_comp(a, i) for a in range(self.A + 1)]
         rows = []
-        for h in range(self.nleaf):
+        for h, c in enumerate(chart.leaf_indices):
             row = [ScalarFn.one(chart) if h == i else zero]
-            row += [self._d_leaf(g, h, zero) for g in comps]
+            row += [g.partial(c) if g.mask >> c & 1 else zero for g in comps]
             rows.append(row)
         return rows
 
     # -- multibrackets -----------------------------------------------------------
 
     def multibracket(self, args) -> LeafForm:
-        """Evaluate m_k on generator arguments.
+        """Evaluate m_k on the arguments that MultibracketTable.m takes, when
+        each is a generator: a function (a degree-0 leaf form) or a fiber
+        frame form delta_i = {(i,): 1}, the d_F x^i (x) mu of leaf direction
+        i.  Any other leaf form raises TransversalError.
 
-        args: list of ('fn', ScalarFn) and ('form', leaf index) entries.
-        With more than two 'fn' entries the value is the degree-0 zero, as
-        MultibracketTable.m gives it: the derived bracket has arity
-        2 - (number of functions) < 0.
+        m_1 is the leafwise differential d_F.  With more than two functions
+        the value is the degree-0 zero, as MultibracketTable.m gives it: the
+        derived bracket has arity 2 - (number of functions) < 0.
         """
         chart = self.chart
-        k = len(args)
-        fns = [a[1] for a in args if a[0] == "fn"]
-        forms = [a[1] for a in args if a[0] == "form"]
+        one = ScalarFn.one(chart)
+        fns, forms = [], []
+        for xi in args:
+            if xi.degree == 0:
+                fns.append(xi.as_function())
+            elif xi.degree == 1 and list(xi.terms.values()) == [one]:
+                forms += [i for (i,) in xi.terms]
+            else:
+                raise TransversalError(f"m_k takes functions and frame forms delta_i, not {xi!r}")
         if len(fns) > 2:
             return LeafForm.zero(chart, 0)
-        if k == 1:
-            if fns:
-                f = fns[0]
-                zero = ScalarFn.zero(chart)
-                return LeafForm(chart, 1, {(h,): self._d_leaf(f, h, zero) for h in range(self.nleaf)})
-            (i,) = forms
-            # d_F of d_F x^i (x) mu is zero: the frame forms are d_F-closed
-            return LeafForm.zero(chart, 2)
+        if len(args) == 1:
+            return args[0].d_leaf()
         # sum over the orderings of the form letters, each distinct ordering
         # once with its multiplicity, of Y(prefix)[al][be] u[al] v[be]: u, v
         # are the jets of the functions, then those of the last letters (one

@@ -540,11 +540,6 @@ def geometric_mc_zero_locus(omega: GradedElement, max_iter=12) -> LeafForm:
 # ---------------------------------------------------------------------------
 
 
-def _d_leaf_form(td: TransversalData, g: ScalarFn) -> LeafForm:
-    """d_F g = sum_h (d g / d x^h) d_F x^h over the leaf coordinates."""
-    return LeafForm(td.chart, 1, {(h,): g.partial(td.chart.index(x)) for h, x in enumerate(td.leaf)})
-
-
 def d_G(td: TransversalData, omega: LeafForm):
     """The extension eps of the transversal de Rham differential d_G:
     returns {alpha: LeafForm} over the transverse coframe (du^a..., dz)."""
@@ -558,7 +553,7 @@ def d_G(td: TransversalData, omega: LeafForm):
         for pos, i in enumerate(key):
             rest = LeafForm(chart, len(key) - 1, {key[:pos] + key[pos + 1 :]: c})
             for al in pieces:
-                dG = _d_leaf_form(td, td.G_comp(al, i))
+                dG = LeafForm.function(td.G_comp(al, i)).d_leaf()
                 if not dG.is_zero():
                     pieces[al].append(dG.wedge(rest).scale((-1) ** (pos % 2)))
     zero = LeafForm.zero(chart, omega.degree)

@@ -228,26 +228,18 @@ def test_criterion_06_transversal_crosscheck(chart, J, table):
     rng = random.Random(104)
     delta = [LeafForm(chart, 1, {(a,): one}) for a in range(2)]
     for _ in range(6):
-        f = random_base_scalar(chart, rng)
-        g = random_base_scalar(chart, rng)
-        assert td.multibracket([("fn", f)]) == table.m([LeafForm.function(f)])
-        assert td.multibracket([("fn", f), ("fn", g)]) == table.m(
-            [LeafForm.function(f), LeafForm.function(g)]
-        )
-        for i in range(2):
-            assert td.multibracket([("fn", f), ("form", i)]) == table.m(
-                [LeafForm.function(f), delta[i]]
-            )
-    assert td.multibracket([("form", 0), ("form", 1)]) == table.m([delta[0], delta[1]])
+        f = LeafForm.function(random_base_scalar(chart, rng))
+        g = LeafForm.function(random_base_scalar(chart, rng))
+        for args in ([f], [f, g], [f, delta[0]], [f, delta[1]]):
+            assert td.multibracket(args) == table.m(args)
+    assert td.multibracket(delta) == table.m(delta)
     # randomized involutive data: m_k = 0 for k > 2
     for _ in range(4):
         rtd = random_td(chart, rng)
-        f = random_base_scalar(chart, rng)
+        f = LeafForm.function(random_base_scalar(chart, rng))
         for k in (3, 4, 5):
-            assert rtd.multibracket([("form", i % 2) for i in range(k)]).is_zero()
-            assert rtd.multibracket(
-                [("fn", f)] + [("form", i % 2) for i in range(k - 1)]
-            ).is_zero()
+            assert rtd.multibracket([delta[i % 2] for i in range(k)]).is_zero()
+            assert rtd.multibracket([f] + [delta[i % 2] for i in range(k - 1)]).is_zero()
     report(6, "transversal engine matches the derived-bracket table; involutive cases vanish above m_2")
 
 

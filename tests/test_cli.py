@@ -134,6 +134,7 @@ def test_validation_error_exit_code(tmp_path, capsys):
     # at trailing whitespace
     for coef, message in [
         ("1$", "unexpected character '$'"),
+        ("1 $ 2", "unexpected character '$' (at position 2)"),
         ("(1 ", "expected ')'"),
         ("1 1", "trailing input"),
         ("y_1^x", "expected integer"),

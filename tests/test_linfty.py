@@ -515,7 +515,7 @@ def _closed_section(chart, transverse, h):
     """s_a = g_a + d h / d ph_a: leaf-independent g plus the d_F-exact d_F h,
     so that s is d_F-closed, m_1 s = 0."""
     return LeafForm.section(
-        chart, [g + h.partial(i) for g, i in zip(transverse, chart.leaf_indices())]
+        chart, [g + h.partial(i) for g, i in zip(transverse, chart.leaf_indices)]
     )
 
 

@@ -15,7 +15,7 @@ from coiso.multivector import MultiVectorField
 from coiso.leafform import LeafForm
 from coiso.linfty import MultibracketTable
 from coiso.scenario import Scenario
-from coiso.transversal import TransversalData
+from coiso.transversal import TransversalData, TransversalError
 
 from helpers import fields_XY, random_base_scalar, torus_chart, torus_jacobi
 from paper import d_G, j1_G
@@ -56,6 +56,11 @@ def random_td(chart, rng):
     g = MultiVectorField.vector(chart, {"ph_1": random_base_scalar(chart, rng)})
     C = [random_base_scalar(chart, rng), random_base_scalar(chart, rng)]
     return TransversalData(chart, ga, g, C, omega)
+
+
+def frame_forms(chart):
+    """The fiber frame forms delta_a = {(a,): 1}."""
+    return [LeafForm(chart, 1, {(a,): ScalarFn.one(chart)}) for a in range(chart.m)]
 
 
 def test_w_inverse_exact(td, chart):
@@ -130,35 +135,41 @@ def test_cross_check_with_linfty(td, chart):
     worked example, under the frame identification dF_ph_a <-> delta_a."""
     table = MultibracketTable(torus_jacobi(chart))
     rng = random.Random(2)
-    delta = [LeafForm(chart, 1, {(a,): ScalarFn.one(chart)}) for a in range(2)]
+    delta = frame_forms(chart)
 
     for _ in range(4):
-        f = random_base_scalar(chart, rng)
-        g = random_base_scalar(chart, rng)
-        # m_1 on functions
-        assert td.multibracket([("fn", f)]) == table.m1(LeafForm.function(f))
-        # m_2 generator families
-        assert td.multibracket([("fn", f), ("fn", g)]) == table.m(
-            [LeafForm.function(f), LeafForm.function(g)]
-        )
-        for i in range(2):
-            assert td.multibracket([("fn", f), ("form", i)]) == table.m(
-                [LeafForm.function(f), delta[i]]
-            )
-        assert td.multibracket([("form", 0), ("form", 1)]) == table.m(
-            [delta[0], delta[1]]
-        )
-        # m_1 on the frame forms
-        assert td.multibracket([("form", 0)]) == table.m([delta[0]])
-        # three functions, with and without a form: the degree-0 zero
-        for tail in ([], [delta[0]]):
-            args = [("fn", f), ("fn", g), ("fn", f)] + [("form", 0)] * len(tail)
-            fns = [LeafForm.function(h) for h in (f, g, f)]
-            assert td.multibracket(args) == table.m(fns + tail)
+        f = LeafForm.function(random_base_scalar(chart, rng))
+        g = LeafForm.function(random_base_scalar(chart, rng))
+        for args in (
+            [f],  # m_1 on functions
+            [f, g],  # m_2 generator families
+            [f, delta[0]],
+            [f, delta[1]],
+            delta,
+            [delta[0]],  # m_1 on the frame forms
+            [f, g, f],  # three functions, with and without a form: the degree-0 zero
+            [f, g, f, delta[0]],
+        ):
+            assert td.multibracket(args) == table.m(args)
         # m_k = 0 for k > 2 (transversally integrable)
         for k in (3, 4):
-            args = [("fn", f)] + [("form", i % 2) for i in range(k - 1)]
-            assert td.multibracket(args).is_zero()
+            assert td.multibracket([f] + [delta[i % 2] for i in range(k - 1)]).is_zero()
+
+
+def test_refuses_other_leaf_forms(td, chart):
+    """A leaf form that is neither a function nor a frame form delta_i has
+    no generator formula: a degree-2 form, 2 delta_0 and a degree-1 form
+    with a non-constant coefficient."""
+    f = LeafForm.function(ScalarFn.one(chart))
+    delta = frame_forms(chart)
+    for xi in (
+        delta[0].wedge(delta[1]),
+        delta[0].scale(2),
+        LeafForm(chart, 1, {(0,): ScalarFn.sin_phi(chart, "ph_1")}),
+    ):
+        for args in ([xi], [f, xi]):
+            with pytest.raises(TransversalError, match="frame forms"):
+                td.multibracket(args)
 
 
 def _transverse_disagreements(edit):
@@ -171,10 +182,8 @@ def _transverse_disagreements(edit):
     chart, td, table = scenario.chart, scenario.transversal(), scenario.table()
     sin = [ScalarFn.sin_phi(chart, c) for c in ("ph_3", "ph_4", "ph_5")]
     probes = sin + [ScalarFn.cos_phi(chart, "ph_4") * sin[0]]
-    return sum(
-        td.multibracket([("fn", f), ("fn", g)]) != table.m([LeafForm.function(f), LeafForm.function(g)])
-        for f, g in product(probes, repeat=2)
-    )
+    args = [[LeafForm.function(f), LeafForm.function(g)] for f, g in product(probes, repeat=2)]
+    return sum(td.multibracket(a) != table.m(a) for a in args)
 
 
 def _double_omega(block):
@@ -203,14 +212,13 @@ def test_transverse_probes_detect_a_wrong_block(edit, pairs):
 
 def test_involutive_brackets_vanish_above_two(chart):
     rng = random.Random(3)
+    delta = frame_forms(chart)
     for _ in range(3):
         td = random_td(chart, rng)
-        f = random_base_scalar(chart, rng)
+        f = LeafForm.function(random_base_scalar(chart, rng))
         for k in (3, 4, 5):
-            args = [("form", i % 2) for i in range(k)]
-            assert td.multibracket(args).is_zero()
-            args = [("fn", f)] + [("form", i % 2) for i in range(k - 1)]
-            assert td.multibracket(args).is_zero()
+            assert td.multibracket([delta[i % 2] for i in range(k)]).is_zero()
+            assert td.multibracket([f] + [delta[i % 2] for i in range(k - 1)]).is_zero()
 
 
 def test_dG_extension(td, chart):
@@ -264,7 +272,7 @@ def curved_td(chart, rng):
     directions, so that every Y-matrix is nonzero."""
     td = random_td(chart, rng)
     zero = ScalarFn.zero(chart)
-    for i in range(td.nleaf):
+    for i in range(len(chart.leaf)):
         f = random_base_scalar(chart, rng)
         td.Fab[i] = [[zero, f], [-f, zero]]
         td.Fa[i] = [random_base_scalar(chart, rng) for _ in range(td.A)]
@@ -275,9 +283,9 @@ def permutation_multibracket(td, args):
     """m_k summed over every permutation of the frame-form letters, each
     Y = W^-1 F^{i_1} W^-1 ... F^{i_k} W^-1 multiplied out from the left."""
     chart = td.chart
-    fns = [a[1] for a in args if a[0] == "fn"]
-    forms = [a[1] for a in args if a[0] == "form"]
-    frame = range(td.n)
+    fns = [a.as_function() for a in args if a.degree == 0]
+    forms = [i for a in args if a.degree == 1 for (i,) in a.terms]
+    frame, leaf = range(td.n), range(len(chart.leaf))
 
     def y(letters):
         out = td.W_inv()
@@ -300,15 +308,15 @@ def permutation_multibracket(td, args):
             Y, jf, jlast = y(sigma[:-1]), td.jG0(fns[0]), td.jG1(sigma[-1])
             for al in frame:
                 for be in frame:
-                    for h in range(td.nleaf):
+                    for h in leaf:
                         c = Y[al][be] * jf[al] * jlast[h][be]
                         out = out - LeafForm(chart, 1, {(h,): c})
         else:
             Y, j1, j2 = y(sigma[:-2]), td.jG1(sigma[-2]), td.jG1(sigma[-1])
             for al in frame:
                 for be in frame:
-                    for s in range(td.nleaf):
-                        for t in range(td.nleaf):
+                    for s in leaf:
+                        for t in leaf:
                             if s != t:
                                 c = (Y[al][be] * j1[s][al] * j2[t][be]).scale(Fraction(1, 2))
                                 out = out + LeafForm(chart, 2, {(s, t): c})
@@ -327,7 +335,8 @@ def test_multibracket_matches_permutation_sum(rng, nfns, letters):
     random data, for k = 2 .. 4 arguments."""
     chart = torus_chart()
     td = curved_td(chart, rng)
-    args = [("fn", random_base_scalar(chart, rng)) for _ in range(nfns)]
-    args += [("form", i) for i in letters[: 4 - nfns]]
+    delta = frame_forms(chart)
+    args = [LeafForm.function(random_base_scalar(chart, rng)) for _ in range(nfns)]
+    args += [delta[i] for i in letters[: 4 - nfns]]
     assume(len(args) >= 2)
     assert td.multibracket(args) == permutation_multibracket(td, args)
