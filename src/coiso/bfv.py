@@ -15,7 +15,7 @@ and d_BFV^2, are the squares GradedElement.bracket takes.
 
 The homological perturbation lemma perturbs the s = 0 ContractionTwo
 (wp, iota, h) with differential d[0] by delta = d_BFV - d[0] (iota, the
-inclusion of the small side, returns its argument); the result,
+inclusion of the small side, is the identity); the result,
 PerturbedContraction, is built once per scenario.  check_hpl_axioms checks
 the contraction axioms of both on samples (the hpl-resolve task).
 
@@ -191,7 +191,7 @@ def geometric_series(op, x):
 
 
 class PerturbedContraction:
-    """HPL output: the contraction (wp, iota, h) of base with differential
+    """HPL output: the contraction (wp, iota = id, h) of base with differential
     d0.insert, perturbed by delta = d_BFV - d0 with delta h nilpotent, for
     the operator dop of d_bfv.  The perturbed differential is dop.insert,
     and the perturbed q and h of an argument y both read the one series
@@ -213,9 +213,8 @@ class PerturbedContraction:
         return self.base.h(s), self.base.wp(s)
 
     def immersion(self, y):
-        """(1 - h delta)^{-1} j(y)."""
-        base = self.base
-        return geometric_series(lambda z: base.h(self.delta(z)), base.iota(y))
+        """(1 - h delta)^{-1} y, as the base immersion j is the identity."""
+        return geometric_series(lambda z: self.base.h(self.delta(z)), y)
 
     def small_differential(self, y):
         return self.base.wp(self.delta(self.immersion(y)))
@@ -226,7 +225,7 @@ def hpl_resolution(lift: Lift, dop: GradedElement) -> PerturbedContraction:
     operator dop of d_bfv; the induced differential on the small side is
     the leafwise de Rham differential m_1."""
     base = ContractionTwo(LeafForm.zero(lift.chart, 1))
-    return PerturbedContraction(base, base.d_s(lift.G), dop)
+    return PerturbedContraction(base, hamiltonian_operator(lift.G, base.omega_E()), dop)
 
 
 def check_hpl_axioms(pert: PerturbedContraction, sampler):
@@ -235,7 +234,7 @@ def check_hpl_axioms(pert: PerturbedContraction, sampler):
     base = pert.base
     hq = lambda y: (base.h(y), base.wp(y))
     for _ in range(6):
-        check_contraction_axioms(hq, base.iota, pert.d0.insert, sampler(), "contraction data")
+        check_contraction_axioms(hq, lambda y: y, pert.d0.insert, sampler(), "contraction data")
     for _ in range(6):
         # chain map: q'(d' x) = q delta j'(q' x), j'(q' x) read from the check
         jqx, qdx = check_contraction_axioms(

@@ -207,10 +207,10 @@ def projection_P(sq: MultiDerivation) -> LeafForm:
     chart = sq.chart
     if chart.m < 1:
         raise GeometryError("projection needs at least one fiber direction")
-    out = {}
+    out, fiber = {}, range(chart.k, chart.dim)
     for key, f in sq.p_part.terms.items():
-        if all(chart.is_fiber_index(i) for i in key):
-            g = f.restrict_zero_section()
+        if all(i >= chart.k for i in key):
+            g = f.zero_mode(fiber)
             if not g.is_zero():
                 out[tuple(i - chart.k for i in key)] = g
     return LeafForm(chart, sq.arity, out)

@@ -441,14 +441,16 @@ def i_nabla(sq: MultiDerivation) -> GradedElement:
 
 
 # ---------------------------------------------------------------------------
-# second contraction data: wp[s], iota, h[s], d[s]
+# second contraction data: wp[s], h[s] and Omega_E[s]
 # ---------------------------------------------------------------------------
 
 
 class ContractionTwo:
     """Contraction data on graded sections determined by a normal section
     s = sum_A g_A delta_A, a degree-1 LeafForm on the chart of the data:
-    (wp[s], iota, h[s], d[s])."""
+    (wp[s], iota, h[s], d[s]).  iota is the identity, as the images of wp
+    (base-only ghost words without antighosts) are graded sections as they
+    stand; d[s] is hamiltonian_operator(G, omega_E())."""
 
     def __init__(self, s: LeafForm):
         self.chart = s.chart
@@ -466,10 +468,6 @@ class ContractionTwo:
             },
         )
 
-    def d_s(self, G: GradedElement) -> GradedElement:
-        """d[s] = {Omega_E[s], -}_G as a graded operator."""
-        return hamiltonian_operator(G, self.omega_E())
-
     def wp(self, lam: GradedElement) -> GradedElement:
         """Restrict to im s and kill positive antighost words."""
         out = {}
@@ -480,12 +478,6 @@ class ContractionTwo:
             if not g.is_zero():
                 out[letters] = g
         return GradedElement.zero(self.chart)._like(out)
-
-    def iota(self, lam: GradedElement) -> GradedElement:
-        """The inclusion of the small side: its elements, the images of wp
-        (base-only ghost words without antighosts), are graded sections as
-        they stand."""
-        return lam
 
     def h(self, lam: GradedElement) -> GradedElement:
         """h[s] = int_0^1 j_t[s] dt, evaluated exactly on polynomial terms.

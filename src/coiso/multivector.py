@@ -12,7 +12,9 @@ P o Q, the insertion of Q into the first slot of P, in coordinates:
 It is driven by the terms: for each Q term (I, g) and each coordinate i in
 g's mask (so d_i g != 0), every P term (L, f) with i = L[pos] contributes
 (-1)^pos d_i g * f to the key K = sort(I + R), R = L without i, with the
-sign of that merge.  Intersecting I and R contribute nothing.
+sign of that merge.  Intersecting I and R contribute nothing.  Inserting
+a function g into the first slot of P is P o g, the product with the degree-0
+field of g: apply evaluates P on functions that way.
 """
 
 from __future__ import annotations
@@ -34,14 +36,6 @@ def sort_key_sign(indices):
         if idx[i - 1] == idx[i]:
             return 0, tuple(idx)
     return sign, tuple(idx)
-
-
-def merge_sign(a, b):
-    """Sign of merging two increasing tuples into one increasing tuple.
-
-    Returns (sign, merged) with sign 0 when the tuples intersect.
-    """
-    return sort_key_sign(tuple(a) + tuple(b))
 
 
 class SkewTerms(SparseTerms):
@@ -115,7 +109,7 @@ class SkewTerms(SparseTerms):
         def pairs():
             for k1, f1 in self.terms.items():
                 for k2, f2 in other.terms.items():
-                    sign, key = merge_sign(k1, k2)
+                    sign, key = sort_key_sign(k1 + k2)
                     if sign:
                         yield key, (f1 * f2 if sign == 1 else -(f1 * f2))
 
@@ -131,7 +125,7 @@ class SkewTerms(SparseTerms):
                 for i, c in directions:
                     if not mask >> c & 1:
                         continue
-                    sign, key = merge_sign((i,), k)
+                    sign, key = sort_key_sign((i,) + k)
                     if sign:
                         df = f.partial(c)
                         yield key, (df if sign == 1 else -df)
@@ -163,23 +157,8 @@ class MultiVectorField(SkewTerms):
         d = degree functions."""
         out = self
         for f in fns:
-            out = out.insert_differential(f)
+            out = out.gerstenhaber(MultiVectorField.function(f))
         return out.as_function()
-
-    def insert_differential(self, g: ScalarFn) -> "MultiVectorField":
-        """First-slot insertion P(g, -, ..., -) for degree >= 1."""
-        mask, dg = g.mask, {}
-
-        def pairs():
-            for key, c in self.terms.items():
-                for pos, i in enumerate(key):
-                    if mask >> i & 1:
-                        d = dg.get(i)
-                        if d is None:
-                            d = dg[i] = g.partial(i)
-                        yield key[:pos] + key[pos + 1 :], d * c if pos % 2 == 0 else -(d * c)
-
-        return MultiVectorField(self.chart, self.degree - 1, accumulate({}, pairs()))
 
     # -- Schouten-Nijenhuis ----------------------------------------------------
 
@@ -210,7 +189,7 @@ class MultiVectorField(SkewTerms):
                         continue
                     di = g.partial(i)
                     for rest, c in entries:
-                        sign, key = merge_sign(qk, rest)
+                        sign, key = sort_key_sign(qk + rest)
                         if sign:
                             yield key, di * c if sign == 1 else -(di * c)
 
@@ -228,7 +207,4 @@ class MultiVectorField(SkewTerms):
 
     def lie_derivative_fn(self, f: ScalarFn) -> ScalarFn:
         """X(f) for a vector field."""
-        mask = f.mask
-        return ScalarFn.zero(self.chart).plus(
-            c * f.partial(i) for (i,), c in self.terms.items() if mask >> i & 1
-        )
+        return self.gerstenhaber(MultiVectorField.function(f)).as_function()

@@ -102,9 +102,6 @@ class Chart:
         except ValueError:
             raise ChartError(f"unknown coordinate {name!r}") from None
 
-    def is_fiber_index(self, i: int) -> bool:
-        return i >= self.k
-
     def __eq__(self, other):
         return (
             isinstance(other, Chart)
@@ -470,14 +467,11 @@ class ScalarFn(SparseTerms):
 
         return self._like(accumulate({}, pairs()))
 
-    def restrict_zero_section(self) -> "ScalarFn":
-        """Restrict to y = 0: keep only terms with zero fiber exponent."""
-        k, zm = self.chart.k, (0,) * self.chart.m
-        return self._like({e: c for e, c in self.terms.items() if e[k:] == zm})
-
     def zero_mode(self, js) -> "ScalarFn":
-        """Keep only the terms with zero frequency in every torus direction
-        of the indices js."""
+        """Keep only the terms whose exponent is zero at every chart index
+        of js: the zero frequency along torus indices, y = 0 along fiber
+        ones (zero_mode(range(chart.k, chart.dim)) restricts to the zero
+        section)."""
         return self._like({e: c for e, c in self.terms.items() if not any(e[j] for j in js)})
 
     # -- comparison / display ----------------------------------------------

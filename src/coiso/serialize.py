@@ -8,13 +8,14 @@ from __future__ import annotations
 
 from .ring import Chart
 from .expr import scalar_to_json, scalar_to_text
-from .multivector import MultiVectorField
+from .multivector import SkewTerms
 from .multider import MultiDerivation
 from .leafform import LeafForm
 from .graded import DX, DXI, DXIS, M, XI, XIS, GradedElement, decode
 
 
-def mvf_to_json(v: MultiVectorField) -> list:
+def mvf_to_json(v: SkewTerms) -> list:
+    """The terms of a MultiVectorField or a LeafForm, by sorted index key."""
     return [
         {"idx": list(key), "coef": scalar_to_json(v.terms[key])}
         for key in sorted(v.terms)
@@ -30,13 +31,7 @@ def multider_to_json(sq: MultiDerivation) -> dict:
 
 
 def leafform_to_json(w: LeafForm) -> dict:
-    return {
-        "degree": w.degree,
-        "terms": [
-            {"idx": list(key), "coef": scalar_to_json(w.terms[key])}
-            for key in sorted(w.terms)
-        ],
-    }
+    return {"degree": w.degree, "terms": mvf_to_json(w)}
 
 
 def leafform_to_text(w: LeafForm) -> str:

@@ -101,8 +101,9 @@ class TransversalData:
 
     def W_inv(self):
         if self._w_inv is None:
-            self._w_inv = inverse_unit(self.chart, self.W())
-            if mat_mul(self.chart, self.W(), self._w_inv) != mat_identity(self.chart, self.n):
+            w = self.W()
+            self._w_inv = inverse_unit(self.chart, w)
+            if mat_mul(self.chart, w, self._w_inv) != mat_identity(self.chart, self.n):
                 raise AssertionError("adjugate inversion failed")
         return self._w_inv
 

@@ -221,7 +221,7 @@ def jet(f: ScalarFn, aa) -> ScalarFn:
     restricted to the zero section."""
     for a in aa:
         f = f.partial(f.chart.k + a)
-    return f.restrict_zero_section()
+    return f.zero_mode(range(f.chart.k, f.chart.dim))
 
 
 def gen_two_functions(table, aa, f: ScalarFn, g: ScalarFn) -> ScalarFn:

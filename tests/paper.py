@@ -518,7 +518,7 @@ def geometric_mc_zero_locus(omega: GradedElement, max_iter=12) -> LeafForm:
     e = [pr10.terms.get(encode(((XI, A),)), ScalarFn.zero(chart)) for A in range(chart.m)]
     # linear part L[A][B] = d e_A / d y_B |_{y=0}
     L = [
-        [e[A].partial(chart.k + B).restrict_zero_section() for B in range(chart.m)]
+        [e[A].partial(chart.k + B).zero_mode(range(chart.k, chart.dim)) for B in range(chart.m)]
         for A in range(chart.m)
     ]
     try:

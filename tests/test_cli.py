@@ -782,18 +782,34 @@ def test_coisotropic_reports_both_verdicts(capsys, scenario, coisotropic, pairs)
 
 
 def test_transversal_crosscheck_reports_a_disagreement(tmp_path, capsys):
-    """A transversal block that does not match the structure (frame_z
-    given a d/dph_2 component) is a report: exit 0, generator_agreement
-    false, and the checks that differ marked unequal."""
-    data = _builtin_data("torus-obstructed")
-    data["transversal"]["frame_z"]["ph_2"] = "1"
-    path = _write_scenario(tmp_path, data)
-    code, out, err = run_cli(["--scenario", path, "--task", "transversal-crosscheck"], capsys)
-    assert code == 0 and err == ""
-    report = json.loads(out)["tasks"]["transversal-crosscheck"]
-    assert report["generator_agreement"] is False
+    """Both flags of transversal-crosscheck are reports, each seen false
+    with exit 0.  A block that does not match the structure (frame_z given
+    a d/dph_2 component) reads generator_agreement false, with the checks
+    that differ marked unequal.  A valid block whose frames mix leaf and
+    transverse directions (frame_a[1] given a sin(ph_1) d/dph_1 component)
+    and whose F_a is nonzero agrees on every generator, but its
+    m_3(frame_0, frame_1, frame_0) does not vanish: higher_brackets_zero
+    reads false."""
+
+    def crosscheck(edit):
+        data = _builtin_data("torus-obstructed")
+        edit(data["transversal"])
+        path = _write_scenario(tmp_path, data)
+        code, out, err = run_cli(["--scenario", path, "--task", "transversal-crosscheck"], capsys)
+        assert code == 0 and err == ""
+        return json.loads(out)["tasks"]["transversal-crosscheck"]
+
+    report = crosscheck(lambda t: t["frame_z"].update(ph_2="1"))
+    assert report["generator_agreement"] is False and report["higher_brackets_zero"] is True
     unequal = Counter(c["generators"] for c in report["checks"] if not c["equal"])
     assert unequal == {"m2(f,g)": 4, "m2(f,frame_0)": 1, "m2(f,frame_1)": 1}
+
+    def mixed_frame(t):
+        t["F_a"] = {"0": ["1", "0"]}
+        t["frame_a"][1]["ph_1"] = "sin(ph_1)"
+
+    report = crosscheck(mixed_frame)
+    assert report["generator_agreement"] is True and report["higher_brackets_zero"] is False
 
 
 def test_out_flag(tmp_path, capsys):

@@ -184,14 +184,14 @@ def test_bisymbol(J, chart):
     one = ScalarFn.one(chart)
     for _ in range(5):
         f = random_scalar(chart, rng)
-        lhs = bisymbol(J).insert_differential(f)
+        lhs = bisymbol(J).gerstenhaber(MultiVectorField.function(f))
         rhs = hamiltonian(J, f).p_part - hamiltonian(J, one).p_part.scale_fn(f)
         assert lhs == rhs
     # frozen value from that oracle: sharp(y_1) = X_{y_1} - y_1 X_1
     # = d/dph_1 - y_1 Y
     y1 = ScalarFn.y(chart, "y_1")
     expected = MultiVectorField.basis_vector(chart, "ph_1") - Y.scale_fn(y1)
-    assert bisymbol(J).insert_differential(y1) == expected
+    assert bisymbol(J).gerstenhaber(MultiVectorField.function(y1)) == expected
     # antisymmetry of the bi-symbol on random pairs
     for _ in range(5):
         f = random_scalar(chart, rng)

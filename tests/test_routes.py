@@ -2,22 +2,29 @@
 torus-obstructed, the Maurer-Cartan route (the Kuranishi map of the
 multibracket table, and the formal prolongation at order 2) and the BFV
 route (the Kuranishi class of the canonical d_BFV-closed lift) find the same
-obstruction.
+obstruction.  On each route the class is gauge invariant: it does not change
+when an exact term is added to the section (m_1 f) or to its lift
+(d_BFV beta).
 
 The Lift, d_BFV and the HPL resolution are built once for the module; each
 example costs one derived bracket, one perturbed immersion and one graded
 bracket."""
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
+from coiso.ring import ScalarFn
 from coiso.leafform import LeafForm
 from coiso.linfty import kuranishi, prolong_formal
-from coiso.graded import XI, GradedElement, decode
+from coiso.graded import XI, XIS, GradedElement, decode
 from coiso.bfv import bfv_kuranishi, bfv_lift_cocycle
 from coiso.scenario import load_scenario
 
-from test_linfty import TORUS_OBSTRUCTED, _infinitesimal_sections
+from test_linfty import TORUS_OBSTRUCTED, _infinitesimal_sections, _polys
+
+CHART = TORUS_OBSTRUCTED.chart
+# base functions of every torus direction, leaf and transverse
+_base_functions = _polys(CHART, tuple(range(CHART.k)))
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +57,65 @@ def test_kuranishi_and_bfv_kuranishi_agree(routes, s):
     assert ghost_to_leafform(zero_mode, 2) == zero_mode_l
     _, orders = prolong_formal(table, s, 2)
     assert (not orders[-1]["solved"]) == (not zero_mode.is_zero())
+
+
+def _order_2_obstructed(table, s) -> bool:
+    _, orders = prolong_formal(table, s, 2)
+    return not orders[-1]["solved"]
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(s=_infinitesimal_sections(), f=_base_functions)
+@example(s=TORUS_OBSTRUCTED.section(), f=ScalarFn.sin_phi(CHART, "ph_1") * ScalarFn.cos_phi(CHART, "ph_3"))
+def test_kuranishi_class_is_gauge_invariant(routes, s, f):
+    """s and s + m_1 f are both closed and have the same class: the
+    Kuranishi zero mode and the order-2 verdict of the formal prolongation
+    do not change."""
+    table = routes[0]
+    gauged = s + table.m1(LeafForm.function(f))
+    assert table.m1(gauged).is_zero()
+    assert kuranishi(table, gauged)[1] == kuranishi(table, s)[1]
+    assert _order_2_obstructed(table, gauged) == _order_2_obstructed(table, s)
+
+
+def _gauge_parameters(fiber: bool):
+    """Ghost-degree-0 graded sections beta = f + g xi^A xis_B, with base
+    functions f and g times y^alpha, alpha in {0, 1}^m, when fiber is set
+    (alpha = 0 otherwise)."""
+    exponents = st.tuples(*[st.integers(0, 1 if fiber else 0)] * CHART.m)
+
+    def coefficient(base, alpha):
+        return base * ScalarFn(CHART, {(0,) * CHART.k + alpha: 1})
+
+    coefficients = st.builds(coefficient, _base_functions, exponents)
+    pairs = st.tuples(st.integers(0, CHART.m - 1), st.integers(0, CHART.m - 1))
+    return st.builds(
+        lambda f, g, ab: GradedElement(CHART, {(): f, ((XI, ab[0]), (XIS, ab[1])): g}),
+        coefficients,
+        coefficients,
+        pairs,
+    )
+
+
+# a fiber-dependent gauge parameter: y_1 + sin(ph_3) y_2 xi^2 xis_1
+_FIBER_BETA = GradedElement(
+    CHART,
+    {
+        (): ScalarFn.y(CHART, "y_1"),
+        ((XI, 1), (XIS, 0)): ScalarFn.sin_phi(CHART, "ph_3") * ScalarFn.y(CHART, "y_2"),
+    },
+)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(s=_infinitesimal_sections(), beta=_gauge_parameters(False) | _gauge_parameters(True))
+@example(s=TORUS_OBSTRUCTED.section(), beta=GradedElement.section(CHART, ScalarFn.cos_phi(CHART, "ph_4")))
+@example(s=TORUS_OBSTRUCTED.section(), beta=_FIBER_BETA)
+def test_bfv_kuranishi_class_is_gauge_invariant(routes, s, beta):
+    """nu and nu + d_BFV beta, for the canonical lift nu of s and a
+    ghost-degree-0 beta, base-only or fiber-dependent, give the same
+    bfv_kuranishi zero mode."""
+    _, lift, pert = routes
+    nu = bfv_lift_cocycle(lift, pert, s)
+    gauged = nu + pert.differential(beta)
+    assert bfv_kuranishi(lift, pert, gauged)[1] == bfv_kuranishi(lift, pert, nu)[1]

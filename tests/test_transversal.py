@@ -245,7 +245,7 @@ def test_dG_extension(td, chart):
     # leafwise-constant f: d_F d_G f = 0
     f = ScalarFn.cos_phi(chart, "ph_4") * random_base_scalar(
         chart, rng, max_terms=1
-    ).restrict_zero_section()
+    ).zero_mode(range(chart.k, chart.dim))
     f = ScalarFn(chart, {e: c for e, c in f.terms.items() if e[0] == 0 and e[1] == 0})
     out = d_G(td, LeafForm.function(f))
     for al in out:
