@@ -140,7 +140,7 @@ def contact_to_jacobi(cc: ContactChart) -> MultiDerivation:
         for j in range(i + 1, r)
         if not omega_inv[i][j].is_zero()
     )
-    return check_contact_jacobi(cc.theta, MultiDerivation(lam, X1))
+    return check_contact_jacobi(cc.theta, MultiDerivation.from_parts(lam, X1))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def lcs_to_jacobi(omega: Form, theta1: Form) -> MultiDerivation:
     (gamma,) = mat_mul(chart, [[theta1.coefficient((j,)) for j in range(n)]], Omega_inv)
     lam = {(mu, nu): Omega_inv[mu][nu] for mu in range(n) for nu in range(mu + 1, n)}
     gamma = MultiVectorField(chart, 1, {(i,): f for i, f in enumerate(gamma)})
-    J = MultiDerivation(MultiVectorField(chart, 2, lam), gamma)
+    J = MultiDerivation.from_parts(MultiVectorField(chart, 2, lam), gamma)
     if not J.sj_bracket(J).is_zero():
         raise AssertionError("lcs construction produced a non-Jacobi bracket")
     return J
@@ -192,7 +192,7 @@ def fiberwise_linear_jacobi(chart: Chart) -> MultiDerivation:
         lam[(i, p)], lam[(z, p)] = one, pi
         theta[(i,)] = -pi
     dz = MultiVectorField.basis_vector(chart, chart.fiber[0])
-    J = MultiDerivation(MultiVectorField(chart, 2, lam), dz)
+    J = MultiDerivation.from_parts(MultiVectorField(chart, 2, lam), dz)
     return check_contact_jacobi(Form(chart, 1, theta), J)
 
 
@@ -202,14 +202,14 @@ def fiberwise_linear_jacobi(chart: Chart) -> MultiDerivation:
 
 
 def projection_P(sq: MultiDerivation) -> LeafForm:
-    """P: keep the pure-fiber-derivative coefficients of the p-part,
-    restricted to y = 0."""
+    """P: keep the pure-fiber-derivative coefficients of the p-part (no
+    torus and no id index), restricted to y = 0."""
     chart = sq.chart
     if chart.m < 1:
         raise GeometryError("projection needs at least one fiber direction")
     out, fiber = {}, range(chart.k, chart.dim)
-    for key, f in sq.p_part.terms.items():
-        if all(i >= chart.k for i in key):
+    for key, f in sq.terms.items():
+        if all(chart.k <= i < chart.dim for i in key):
             g = f.zero_mode(fiber)
             if not g.is_zero():
                 out[tuple(i - chart.k for i in key)] = g
@@ -221,7 +221,7 @@ def injection_I(xi: LeafForm) -> MultiDerivation:
     derivative, so the q-part is always zero."""
     chart = xi.chart
     terms = {tuple(a + chart.k for a in key): f for key, f in xi.terms.items()}
-    return MultiDerivation(MultiVectorField(chart, xi.degree, terms))
+    return MultiDerivation(chart, xi.degree, terms)
 
 
 def is_coisotropic_section(j: MultiDerivation, s: LeafForm):

@@ -412,14 +412,13 @@ def to_graded(sq: MultiDerivation) -> GradedElement:
     nested brackets: inserting the sections f_1, .., f_n in turn gives
     [[..[[sq, f_1]].., f_n]].
 
-    The p-part words carry no sign at any arity; the q-part (the id-slot
-    words) carries (-1)^arity."""
-    pairs = [(tuple(_letter(DX, i) for i in key), f) for key, f in sq.p_part.terms.items()]
-    if sq.q_part is not None:
-        qsgn = (-1) ** (sq.arity % 2)
-        for key, f in sq.q_part.terms.items():
-            pairs.append(((M,) + tuple(_letter(DX, i) for i in key), f.scale(qsgn)))
-    return GradedElement.zero(sq.chart)._sum(pairs)
+    A key becomes the word of its letters in order, the id index the m
+    letter; sorting m to the front of the word signs it, so the words of
+    -Q ^ id carry (-1)^arity Q."""
+    dim = sq.chart.dim
+    return GradedElement.zero(sq.chart)._sum(
+        (tuple(M if i == dim else _letter(DX, i) for i in key), f) for key, f in sq.terms.items()
+    )
 
 
 def i_nabla(sq: MultiDerivation) -> GradedElement:

@@ -72,9 +72,7 @@ class MultibracketTable:
         """m_k = P [[..]] vanishes for k > series_bound() on degree <= 1
         arguments, though its bracket need not: the highest fiber degree of
         J's P and Q coefficients, plus 2, bounds the brackets with P != 0."""
-        j = self.j
-        coeffs = list(j.p_part.terms.values()) + list(j.q_part.terms.values())
-        return max((f.fiber_degree() for f in coeffs), default=0) + 2
+        return max((f.fiber_degree() for f in self.j.terms.values()), default=0) + 2
 
 
 def extract_multibrackets(j: MultiDerivation) -> MultibracketTable:
@@ -170,10 +168,7 @@ def prolong_formal(table: MultibracketTable, s1: LeafForm, order: int):
                 for p, lift in lifts.items()
                 if (h - 1, n - p) in D
             ]
-            d = MultiDerivation(
-                dz.p_part.plus(b.p_part for b in brackets),
-                dz.q_part.plus(b.q_part for b in brackets),
-            )
+            d = dz.plus(brackets)
             if not d.is_zero():
                 D[h, n] = d
         terms = {h: projection_P(D[h, k]) for h in rows if (h, k) in D}

@@ -19,7 +19,11 @@ field of g: apply evaluates P on functions that way.
 
 from __future__ import annotations
 
-from .ring import Chart, ChartError, ScalarFn, SparseTerms, accumulate
+from .ring import Chart, ChartError, ContentError, ScalarFn, SparseTerms, accumulate
+
+
+class ArityError(ContentError):
+    pass
 
 
 def sort_key_sign(indices):
@@ -154,7 +158,10 @@ class MultiVectorField(SkewTerms):
     def apply(self, fns) -> ScalarFn:
         """Evaluate on ScalarFn arguments: P(f_1, ..., f_d) with the
         determinant convention (X ^ Y)(f, g) = X(f) Y(g) - X(g) Y(f), on
-        d = degree functions."""
+        exactly d = degree functions."""
+        fns = list(fns)
+        if len(fns) != self.degree:
+            raise ArityError(f"arity {self.degree} operator applied to {len(fns)} functions")
         out = self
         for f in fns:
             out = out.gerstenhaber(MultiVectorField.function(f))
@@ -171,7 +178,7 @@ class MultiVectorField(SkewTerms):
         the sign of merging I and R (zero when they meet), the sign of the
         unshuffle of the output key into (I, R)."""
         p, q = self.degree, other.degree
-        out = MultiVectorField.zero(self.chart, max(p + q - 1, 0))
+        out = type(self).zero(self.chart, max(p + q - 1, 0))
         if p == 0:
             return out
         slots = {}
@@ -204,7 +211,3 @@ class MultiVectorField(SkewTerms):
         a = self.gerstenhaber(other).scale((-1) ** (k * kp))
         b = other.gerstenhaber(self)
         return a - b
-
-    def lie_derivative_fn(self, f: ScalarFn) -> ScalarFn:
-        """X(f) for a vector field."""
-        return self.gerstenhaber(MultiVectorField.function(f)).as_function()

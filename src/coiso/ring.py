@@ -13,11 +13,12 @@ angles (only exp(i n phi) of them occurs, never phi itself) and the fiber
 coordinates are ordinary polynomial variables.
 
 Sparse terms.  ScalarFn and the other containers of the library
-(MultiVectorField, LeafForm, geom.Form, GradedElement) are SparseTerms: a
-shape (the chart, plus a degree for the skew ones) and a dict ``terms`` from
-canonical keys to nonzero values.  Keys are canonical (exponent tuples
-here, sorted skew index tuples or normalized letter words elsewhere) and no
-value is ever zero, so equality is equality of term tables.  Every
+(MultiVectorField, MultiDerivation, LeafForm, geom.Form, GradedElement) are
+SparseTerms: a shape (the chart, plus a degree for the skew ones) and a
+dict ``terms`` from canonical keys to nonzero values.  Keys are canonical
+(exponent tuples here, sorted skew index tuples or normalized letter words
+elsewhere) and no value is ever zero, so equality is equality of term
+tables.  Every
 container is built through the one kernel ``accumulate``, which adds
 (key, value) pairs into a dict and deletes a key whose sum is zero.  A
 term table is never changed once its container is built, so a container

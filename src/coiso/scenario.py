@@ -205,7 +205,7 @@ class Scenario:
         if kind == "jacobi":
             p = MultiVectorField(self.chart, 2, self._skew_terms(block.get("p", [])))
             q = MultiVectorField(self.chart, 1, self._skew_terms(block.get("q", [])))
-            return MultiDerivation(p, q)
+            return MultiDerivation.from_parts(p, q)
         if kind == "contact":
             theta = self._components(block["theta"])
             reeb = self._vector(block["reeb"])

@@ -26,7 +26,7 @@ def multider_to_json(sq: MultiDerivation) -> dict:
     return {
         "arity": sq.arity,
         "p": mvf_to_json(sq.p_part),
-        "q": mvf_to_json(sq.q_part) if sq.q_part is not None else [],
+        "q": mvf_to_json(sq.q_part),
     }
 
 

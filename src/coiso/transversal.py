@@ -138,8 +138,8 @@ class TransversalData:
         function."""
         comps = [f]
         for a in range(self.A):
-            comps.append(self.Ga[a].lie_derivative_fn(f))
-        comps.append(self.G.lie_derivative_fn(f))
+            comps.append(self.Ga[a].apply([f]))
+        comps.append(self.G.apply([f]))
         return comps
 
     def jG1(self, i):

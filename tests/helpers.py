@@ -56,7 +56,7 @@ def torus_jacobi(chart=None) -> MultiDerivation:
         dphi = MultiVectorField.basis_vector(chart, f"ph_{a}")
         dy = MultiVectorField.basis_vector(chart, f"y_{a}")
         lam = lam - dphi.wedge(dy)
-    return MultiDerivation(lam, Y)
+    return MultiDerivation.from_parts(lam, Y)
 
 
 def jet_chart(b: int) -> Chart:
@@ -120,10 +120,10 @@ def eval_nested(sq: MultiDerivation, fns) -> ScalarFn:
     so that iterated insertions reproduce these nested brackets."""
     out = sq
     for f in fns:
-        out = out.sj_bracket(MultiDerivation(MultiVectorField.function(f)))
+        out = out.sj_bracket(MultiDerivation.function(f))
     if out.arity != 0:
         raise ArityError("argument count does not match arity")
-    return out.p_part.as_function()
+    return out.as_function()
 
 
 def arity(word) -> int:
@@ -160,19 +160,46 @@ def jacobi_pair(j: MultiDerivation):
     return lam, gam, {"lie": lie, "mc": mc, "valid": lie.is_zero() and mc.is_zero()}
 
 
-def scale_by_fn(b: MultiDerivation, f: ScalarFn) -> MultiDerivation:
-    """The module product f * b (multiplication of every coefficient)."""
-    return MultiDerivation(b.p_part.scale_fn(f), None if b.q_part is None else b.q_part.scale_fn(f))
-
-
 def leibniz_defect(a: MultiDerivation, f: ScalarFn, b: MultiDerivation) -> MultiDerivation:
     """[[a, f b]] - X_a(f) b - f [[a, b]] for a derivation a (arity 1)."""
     if a.arity != 1:
         raise ArityError("leibniz_defect supports arity-1 a only")
-    whole = a.sj_bracket(scale_by_fn(b, f))
-    rest = (scale_by_fn(b, a.p_part.apply([f])), scale_by_fn(a.sj_bracket(b), f))
-    p = whole.p_part.plus(-x.p_part for x in rest)
-    return MultiDerivation(p, whole.q_or_zero().plus(-x.q_or_zero() for x in rest))
+    whole = a.sj_bracket(b.scale_fn(f))
+    return whole.plus([-b.scale_fn(a.p_part.apply([f])), -a.sj_bracket(b).scale_fn(f)])
+
+
+def closed_sj_bracket(a: MultiDerivation, b: MultiDerivation) -> MultiDerivation:
+    """[[a, b]] by the closed (P, Q)-decomposition
+
+        [[P - Q^id, P' - Q'^id]] = ( [[P,P']] - (-1)^{k'} k P^Q' + k' Q^P' )
+            - ( [[P,Q']] + (-1)^{k'} [[Q,P']] - (k-k') Q^Q' ) ^ id
+
+    with k = arity - 1, k' = arity' - 1 and [[-,-]] the Schouten-Nijenhuis
+    bracket of multivector fields, a section having no Q: the oracle of
+    MultiDerivation.sj_bracket, the twisted Schouten bracket of TM x R."""
+    k, kp = a.arity - 1, b.arity - 1
+    n_out = a.arity + b.arity - 1
+    if n_out < 0:
+        return MultiDerivation.zero(a.chart, 0)
+    P, Q = a.p_part, (a.q_part if a.arity else None)
+    Pp, Qp = b.p_part, (b.q_part if b.arity else None)
+
+    new_p = P.sn_bracket(Pp)
+    if Qp is not None and k != 0:
+        new_p = new_p - P.wedge(Qp).scale(((-1) ** (kp % 2)) * k)
+    if Q is not None and kp != 0:
+        new_p = new_p + Q.wedge(Pp).scale(kp)
+    if n_out == 0:
+        return MultiDerivation.from_parts(new_p)
+
+    new_q = MultiVectorField.zero(a.chart, n_out - 1)
+    if Qp is not None:
+        new_q = new_q + P.sn_bracket(Qp)
+    if Q is not None:
+        new_q = new_q + Q.sn_bracket(Pp).scale((-1) ** (kp % 2))
+    if Q is not None and Qp is not None and k != kp:
+        new_q = new_q - Q.wedge(Qp).scale(k - kp)
+    return MultiDerivation.from_parts(new_p, new_q)
 
 
 def i_then_p_defect(c1, op: GradedElement, d_G: GradedElement) -> GradedElement:
@@ -383,7 +410,7 @@ def random_mvf(chart, rng: random.Random, degree, **kw) -> MultiVectorField:
 def random_multider(chart, rng: random.Random, arity, **kw) -> MultiDerivation:
     p = random_mvf(chart, rng, arity, **kw)
     q = random_mvf(chart, rng, arity - 1, **kw) if arity > 0 else None
-    return MultiDerivation(p, q)
+    return MultiDerivation.from_parts(p, q)
 
 
 def random_unimodular(chart, rng: random.Random, n):

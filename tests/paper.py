@@ -70,7 +70,7 @@ def hamiltonian(j: MultiDerivation, lam: ScalarFn) -> MultiDerivation:
     p-part is the Hamiltonian vector field X_lam."""
     if j.arity != 2:
         raise ArityError("hamiltonian needs arity 2")
-    return j.sj_bracket(MultiDerivation(MultiVectorField.function(lam))).scale(-1)
+    return j.sj_bracket(MultiDerivation.function(lam)).scale(-1)
 
 
 def bisymbol(j: MultiDerivation) -> MultiVectorField:
@@ -128,11 +128,10 @@ def extended_mc_residual(j: MultiDerivation, box: MultiDerivation, s: LeafForm):
     section for it; the corresponding formal MC element is (box, -s), so for
     box = 0 the second component is the ordinary series MC(-s).  I(s) has
     arity 1, so L_{I(s)} x = [[I(s), x]] = [[x, I(-s)]]."""
-    total = MultiDerivation(j.p_part + box.p_part, j.q_part + box.q_part)
+    total = j + box
     first = total.sj_bracket(total).scale(Fraction(-1, 2))
     minus = injection_I(-s)
-    coeffs = [*total.p_part.terms.values(), *total.q_part.terms.values()]
-    bound = max((f.fiber_degree() for f in coeffs), default=0) + 2  # as in series_bound
+    bound = max((f.fiber_degree() for f in total.terms.values()), default=0) + 2  # as in series_bound
     return first, exp_series(total, minus, bound, 0)
 
 
@@ -205,7 +204,7 @@ def from_graded(op: GradedElement) -> MultiDerivation:
     q_terms = accumulate({}, ((key, f.scale(qsgn)) for mcount, key, f in words if mcount == 1))
     p = MultiVectorField(chart, n, p_terms)
     q = MultiVectorField(chart, n - 1, q_terms) if n > 0 else None
-    return MultiDerivation(p, q)
+    return MultiDerivation.from_parts(p, q)
 
 
 def diag_filtration(x: GradedElement) -> int:
@@ -412,7 +411,7 @@ class CurvedLift:
         probes = [self.j]
         for i in range(min(self.chart.dim, 2)):
             probes.append(
-                MultiDerivation(MultiVectorField.basis_vector(self.chart, self.chart.coords[i]))
+                MultiDerivation.from_parts(MultiVectorField.basis_vector(self.chart, self.chart.coords[i]))
             )
         return probes
 

@@ -97,9 +97,7 @@ def test_lift_of_zero_is_G(chart):
     from coiso.multider import MultiDerivation
     from coiso.multivector import MultiVectorField
 
-    zero = MultiDerivation(
-        MultiVectorField.zero(chart, 2), MultiVectorField.zero(chart, 1)
-    )
+    zero = MultiDerivation.from_parts(MultiVectorField.zero(chart, 2), MultiVectorField.zero(chart, 1))
     lf = Lift(zero)
     assert (lf.j_hat - lf.G).is_zero()
 
@@ -392,12 +390,12 @@ def test_coisotropy_residual_displayed(lift, chart):
         s = LeafForm.section(chart, [f, g])
         res = bfv_coisotropy_residual(lift, s)
         coeff = (
-            f.partial(2) * X.lie_derivative_fn(g)
-            - g.partial(2) * X.lie_derivative_fn(f)
+            f.partial(2) * X.apply([g])
+            - g.partial(2) * X.apply([f])
             + f.partial(1)
             - g.partial(0)
-            + ScalarFn.y(chart, "y_1") * Y.lie_derivative_fn(g)
-            - ScalarFn.y(chart, "y_2") * Y.lie_derivative_fn(f)
+            + ScalarFn.y(chart, "y_1") * Y.apply([g])
+            - ScalarFn.y(chart, "y_2") * Y.apply([f])
         ).scale(2)
         expected = GradedElement(chart, {((XI, 0), (XI, 1)): coeff})
         assert (res - expected).is_zero()
@@ -470,8 +468,8 @@ def test_dbfv_action_on_degree_one(lift, chart):
         expected = (
             -F1.partial(1)
             + F2.partial(0)
-            + y[0] * (G1 - Y.lie_derivative_fn(F2))
-            + y[1] * (G2 + Y.lie_derivative_fn(F1))
+            + y[0] * (G1 - Y.apply([F2]))
+            + y[1] * (G2 + Y.apply([F1]))
         )
         assert coeff == expected
 
@@ -524,8 +522,8 @@ def test_bfv_kuranishi_obstructed_example(lift, chart):
         {
             ((XI, 0),): f,
             ((XI, 1),): g,
-            ((XI, 0), (XI, 1), (XIS, 0)): Y.lie_derivative_fn(g),
-            ((XI, 0), (XI, 1), (XIS, 1)): -Y.lie_derivative_fn(f),
+            ((XI, 0), (XI, 1), (XIS, 0)): Y.apply([g]),
+            ((XI, 0), (XI, 1), (XIS, 1)): -Y.apply([f]),
         },
     )
     assert (nu - expected).is_zero()

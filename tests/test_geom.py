@@ -291,9 +291,9 @@ def test_corrupted_structure_fails_both_postconditions(corrupt):
         extra = MultiVectorField.basis_vector(chart, "ph_1").wedge(
             MultiVectorField.basis_vector(chart, "z")
         )
-        bad = MultiDerivation(J.p_part + extra.scale_fn(ScalarFn.y(chart, "p_1")), J.q_part)
+        bad = MultiDerivation.from_parts(J.p_part + extra.scale_fn(ScalarFn.y(chart, "p_1")), J.q_part)
     else:
-        bad = MultiDerivation(J.p_part, J.q_part.scale(2))
+        bad = MultiDerivation.from_parts(J.p_part, J.q_part.scale(2))
     assert not generator_postcondition(theta, bad)
     with pytest.raises(GeometryError, match="^postcondition theta"):
         check_contact_jacobi(theta, bad)
@@ -310,11 +310,11 @@ def test_projection_P(chart):
 
     dy1 = MultiVectorField.basis_vector(chart, "y_1")
     dy2 = MultiVectorField.basis_vector(chart, "y_2")
-    sq = MultiDerivation(dy1.wedge(dy2))
+    sq = MultiDerivation.from_parts(dy1.wedge(dy2))
     out = projection_P(sq)
     assert out == LeafForm(chart, 2, {(0, 1): ScalarFn.one(chart)})
 
-    sq2 = MultiDerivation(dy1.wedge(dy2).scale_fn(ScalarFn.y(chart, "y_1")))
+    sq2 = MultiDerivation.from_parts(dy1.wedge(dy2).scale_fn(ScalarFn.y(chart, "y_1")))
     assert projection_P(sq2).is_zero()
 
 
@@ -325,7 +325,7 @@ def test_projection_depends_on_bisymbol_only(chart):
 
     for _ in range(5):
         sq = random_multider(chart, rng, 2)
-        only_p = MultiDerivation(sq.p_part)
+        only_p = MultiDerivation.from_parts(sq.p_part)
         assert projection_P(sq) == projection_P(only_p)
 
 
@@ -384,10 +384,10 @@ def test_coisotropic_pde_criterion(chart):
         return (
             f.partial(1)
             - g.partial(0)
-            + f.partial(2) * X.lie_derivative_fn(g)
-            - g.partial(2) * X.lie_derivative_fn(f)
-            + f * Y.lie_derivative_fn(g)
-            - g * Y.lie_derivative_fn(f)
+            + f.partial(2) * X.apply([g])
+            - g.partial(2) * X.apply([f])
+            + f * Y.apply([g])
+            - g * Y.apply([f])
         )
 
     rng = random.Random(11)
@@ -413,7 +413,7 @@ def test_coisotropic_false_case(chart):
     lam = MultiVectorField.basis_vector(chart, "y_1").wedge(
         MultiVectorField.basis_vector(chart, "y_2")
     )
-    J = MultiDerivation(lam)
+    J = MultiDerivation.from_parts(lam)
     ok, residues = is_coisotropic_section(J, LeafForm.zero(chart, 1))
     assert not ok
     assert residues[(0, 1)] == ScalarFn.one(chart)

@@ -171,10 +171,10 @@ def test_mc_series_matches_displayed_pde(table, chart, J):
         coeff = (
             f.partial(1)
             - g.partial(0)
-            + f.partial(2) * X.lie_derivative_fn(g)
-            - g.partial(2) * X.lie_derivative_fn(f)
-            + f * Y.lie_derivative_fn(g)
-            - g * Y.lie_derivative_fn(f)
+            + f.partial(2) * X.apply([g])
+            - g.partial(2) * X.apply([f])
+            + f * Y.apply([g])
+            - g * Y.apply([f])
         )
         assert mc == LeafForm(chart, 2, {(0, 1): coeff})
     assert mc_series(table, LeafForm.zero(chart, 1)).is_zero()
@@ -439,7 +439,7 @@ def _cubic_poisson():
     y1, y2 = ScalarFn.y(chart, "y_1"), ScalarFn.y(chart, "y_2")
     lam = ScalarFn.cos_phi(chart, "ph_3") * y1 * y1 * y2 + y2 * y2 * y2
     fy = (chart.index("y_1"), chart.index("y_2"))
-    return MultiDerivation(MultiVectorField(chart, 2, {fy: lam}))
+    return MultiDerivation.from_parts(MultiVectorField(chart, 2, {fy: lam}))
 
 
 STRUCTURES = {"torus-obstructed": TORUS_OBSTRUCTED.jacobi(), "cubic-poisson": _cubic_poisson()}

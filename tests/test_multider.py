@@ -8,12 +8,17 @@ import pytest
 from coiso.ring import Chart, ChartError, ScalarFn
 from coiso.multivector import MultiVectorField
 from coiso.multider import ArityError, MultiDerivation
+from coiso.geom import contact_to_jacobi, fiberwise_linear_jacobi
+from coiso.scenario import load_scenario
 
 from helpers import (
+    closed_sj_bracket,
     eval_nested,
     jacobi_pair,
     leibniz_defect,
     fields_XY,
+    jet_chart,
+    jet_contact_chart,
     random_multider,
     random_scalar,
     torus_chart,
@@ -34,8 +39,8 @@ def J(chart):
 
 def test_sections_bracket_vanishes(chart):
     rng = random.Random(1)
-    f = MultiDerivation(MultiVectorField.function(random_scalar(chart, rng)))
-    g = MultiDerivation(MultiVectorField.function(random_scalar(chart, rng)))
+    f = MultiDerivation.function(random_scalar(chart, rng))
+    g = MultiDerivation.function(random_scalar(chart, rng))
     assert f.sj_bracket(g).is_zero()
 
 
@@ -43,7 +48,7 @@ def test_constant_bivector_is_jacobi(chart):
     lam = MultiVectorField.basis_vector(chart, "ph_1").wedge(
         MultiVectorField.basis_vector(chart, "ph_2")
     )
-    J0 = MultiDerivation(lam)
+    J0 = MultiDerivation.from_parts(lam)
     assert J0.is_jacobi()
 
 
@@ -61,7 +66,7 @@ def test_scaled_bivector_is_still_jacobi(chart):
         .wedge(MultiVectorField.basis_vector(chart, "ph_2"))
         .scale_fn(y1)
     )
-    assert MultiDerivation(lam).jacobiator().is_zero()
+    assert MultiDerivation.from_parts(lam).jacobiator().is_zero()
 
 
 def test_nonjacobi_bivector(chart):
@@ -75,7 +80,7 @@ def test_nonjacobi_bivector(chart):
     ) + MultiVectorField.basis_vector(chart, "y_1").wedge(
         MultiVectorField.basis_vector(chart, "ph_3")
     )
-    Jbad = MultiDerivation(lam)
+    Jbad = MultiDerivation.from_parts(lam)
     jac = Jbad.jacobiator()
     assert not jac.is_zero()
     rng = random.Random(9)
@@ -107,10 +112,10 @@ def test_bracket_table(J, chart):
         for a in range(2):
             assert J.apply([y[a], f]) == f.partial(a)
         expected = (
-            f.partial(2) * X.lie_derivative_fn(g)
-            - g.partial(2) * X.lie_derivative_fn(f)
-            + f * Y.lie_derivative_fn(g)
-            - g * Y.lie_derivative_fn(f)
+            f.partial(2) * X.apply([g])
+            - g.partial(2) * X.apply([f])
+            + f * Y.apply([g])
+            - g * Y.apply([f])
         )
         assert J.apply([f, g]) == expected
 
@@ -149,7 +154,7 @@ def test_hamiltonian_generalized_leibniz(J, chart):
         f = random_scalar(chart, rng)
         mu = random_scalar(chart, rng)
         lhs = J.apply([lam, f * mu])
-        rhs = f * J.apply([lam, mu]) + hamiltonian(J, lam).p_part.lie_derivative_fn(f) * mu
+        rhs = f * J.apply([lam, mu]) + hamiltonian(J, lam).p_part.apply([f]) * mu
         assert lhs == rhs
 
 
@@ -163,13 +168,13 @@ def test_jacobi_pair_dictionary(J, chart):
     b = MultiVectorField.basis_vector(chart, "ph_1").wedge(
         MultiVectorField.basis_vector(chart, "ph_2")
     )
-    _, _, rep = jacobi_pair(MultiDerivation(b))
+    _, _, rep = jacobi_pair(MultiDerivation.from_parts(b))
     assert rep["valid"]
 
     # Lambda = dph_1 ^ dph_2, Gamma = dph_3: L_Gamma Lambda = 0 and
     # [[Lambda, Lambda]] = 0 but 2 Gamma ^ Lambda != 0, so invalid.
     g3 = MultiVectorField.basis_vector(chart, "ph_3")
-    _, _, rep = jacobi_pair(MultiDerivation(b, g3))
+    _, _, rep = jacobi_pair(MultiDerivation.from_parts(b, g3))
     assert rep["lie"].is_zero()
     assert not rep["mc"].is_zero()
     assert not rep["valid"]
@@ -210,7 +215,7 @@ def test_sj_graded_skew_and_jacobi(chart):
         assert a.sj_bracket(b) == b.sj_bracket(a).scale(-sign)
         lhs = a.sj_bracket(b.sj_bracket(c))
         x, y = a.sj_bracket(b).sj_bracket(c), b.sj_bracket(a.sj_bracket(c)).scale(sign)
-        assert lhs.p_part == x.p_part + y.p_part and lhs.q_or_zero() == x.q_or_zero() + y.q_or_zero()
+        assert lhs == x + y
 
 
 def test_sj_leibniz(chart):
@@ -243,8 +248,8 @@ def test_eval_nested_insertion(J, chart):
     for _ in range(5):
         lam = random_scalar(chart, rng)
         mu = random_scalar(chart, rng)
-        step1 = J.sj_bracket(MultiDerivation(MultiVectorField.function(lam)))
-        step2 = step1.sj_bracket(MultiDerivation(MultiVectorField.function(mu)))
+        step1 = J.sj_bracket(MultiDerivation.function(lam))
+        step2 = step1.sj_bracket(MultiDerivation.function(mu))
         assert step2.p_part.as_function().scale(-1) == J.apply([lam, mu])
 
 
@@ -254,7 +259,7 @@ def test_square_is_kept_and_equals_the_bracket_with_a_copy(J, chart):
     jacobiator read the kept square."""
     rng = random.Random(31)
     for j in [J] + [random_multider(chart, rng, n) for n in (0, 1, 2, 2, 3)]:
-        copy = MultiDerivation(j.p_part, j.q_part)
+        copy = MultiDerivation.from_parts(j.p_part, j.q_part)
         sq = j.sj_bracket(j)
         assert j.sj_bracket(j) is sq
         assert sq == j.sj_bracket(copy) == copy.sj_bracket(j)
@@ -280,6 +285,57 @@ def test_constructor_checks(chart, parts, error, message):
     """The constructor refuses a (P, Q) pair of the wrong shape, and a
     comparison with a foreign type is NotImplemented (so == reads False)."""
     with pytest.raises(error, match=message):
-        MultiDerivation(*parts(chart))
+        MultiDerivation.from_parts(*parts(chart))
     zero = MultiDerivation.zero(chart, 1)
     assert zero.__eq__(0) is NotImplemented and zero != 0
+
+
+def _with_parts_dropped(chart, rng, arity):
+    """A random multi-derivation of the arity and, above arity 0, the same
+    with P = 0 and with Q = 0."""
+    x = random_multider(chart, rng, arity)
+    if not arity:
+        return [x]
+    return [x, MultiDerivation.from_parts(MultiVectorField.zero(chart, arity), x.q_part),
+            MultiDerivation.from_parts(x.p_part)]
+
+
+def test_sj_bracket_is_the_closed_formula(chart):
+    """The twisted Schouten bracket of TM x R is the closed (P, Q)-formula
+    of tests/helpers.py on random multi-derivations of arities 0-3, either
+    way round, with P = 0, with Q = 0, on sections and on squares."""
+    rng = random.Random(37)
+    for na in range(4):
+        for nb in range(na, 4):
+            for a in _with_parts_dropped(chart, rng, na):
+                assert a.sj_bracket(a) == closed_sj_bracket(a, a)
+                for b in _with_parts_dropped(chart, rng, nb):
+                    assert a.sj_bracket(b) == closed_sj_bracket(a, b)
+                    assert b.sj_bracket(a) == closed_sj_bracket(b, a)
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [torus_jacobi, lambda: contact_to_jacobi(jet_contact_chart(jet_chart(2))),
+     lambda: fiberwise_linear_jacobi(jet_chart(2))],
+    ids=["torus", "contact", "jet"],
+)
+def test_square_of_each_structure_kind_is_the_closed_formula(structure):
+    j = structure()
+    assert j.sj_bracket(j) == closed_sj_bracket(j, j)
+    assert closed_sj_bracket(j, j).is_zero()
+
+
+@pytest.mark.parametrize(
+    "which, count",
+    [("p", 1), ("p", 3), ("square", 1), ("square", 3)],
+    ids=["p-one", "p-three", "square-one", "square-three"],
+)
+def test_apply_refuses_a_wrong_count(which, count):
+    """A bi-derivation and its P take exactly two functions: one or three
+    raise an ArityError that names both counts."""
+    j = load_scenario("torus-obstructed").jacobi()
+    op = j.p_part if which == "p" else j
+    f, g = ScalarFn.y(j.chart, "y_1"), ScalarFn.cos_phi(j.chart, "ph_3")
+    with pytest.raises(ArityError, match=f"^arity 2 operator applied to {count} functions$"):
+        op.apply([f, g, f][:count])

@@ -228,9 +228,9 @@ def test_dG_extension(td, chart):
     for _ in range(4):
         f = random_base_scalar(chart, rng)
         out = d_G(td, LeafForm.function(f))
-        assert out[0].as_function() == MultiVectorField.basis_vector(chart, "ph_3").lie_derivative_fn(f)
-        assert out[1].as_function() == X.lie_derivative_fn(f)
-        assert out[2].as_function() == Y.lie_derivative_fn(f)
+        assert out[0].as_function() == MultiVectorField.basis_vector(chart, "ph_3").apply([f])
+        assert out[1].as_function() == X.apply([f])
+        assert out[2].as_function() == Y.apply([f])
     # [eps, d_F] = 0 on random degree-1 forms
     for _ in range(4):
         w = LeafForm(
