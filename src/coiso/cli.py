@@ -107,7 +107,7 @@ def run_task(scenario: Scenario, name: str, arg) -> dict:
 def _check_jacobi(scenario, arg):
     j = scenario.jacobi()
     return {
-        "jacobiator_zero": j.jacobiator().is_zero(),
+        "jacobiator_zero": j.is_jacobi(),
         "structure": multider_to_json(j),
     }
 

@@ -93,23 +93,23 @@ def check_contact_jacobi(theta: Form, J: MultiDerivation) -> MultiDerivation:
     theta(X_f) = f for every f, then [[J, J]] = 0.
 
     X_f = f Q + Lambda(df, -), so theta(X_f) - f = f (theta(Q) - 1) -
-    (i_theta Lambda)(f) with i_theta Lambda = Lambda(theta, -).  Hence
-    theta(X_f) = f for every f iff theta(X_1) = theta(Q) = 1 and
-    i_theta Lambda = 0.  These two are also what theta(X_f) = f on the ring
+    (i_theta Lambda)(f).  Inserting theta into the first slot of J gives
+    i_theta J = i_theta Lambda - theta(Q) id, so theta(X_f) = f for every f
+    iff i_theta J = -id.  That is also what theta(X_f) = f on the ring
     generators says: f = 1 gives theta(Q) = 1; then f = y_a gives the d_{y_a}
     component of i_theta Lambda, and f = exp(i ph), with df = i exp(i ph) dph
     and i exp(i ph) a unit, gives its d_ph component."""
     th = {mu: f for (mu,), f in theta.terms.items()}
 
     def contraction():
-        # Lambda(theta, -) = sum_{mu<nu} Lambda^{mu nu} (theta_mu d_nu - theta_nu d_mu)
-        for (mu, nu), f in J.p_part.terms.items():
+        # J(theta, -) = sum_{mu<nu} J^{mu nu} (theta_mu d_nu - theta_nu d_mu)
+        for (mu, nu), f in J.terms.items():
             if mu in th:
                 yield nu, th[mu] * f
             if nu in th:
                 yield mu, -(th[nu] * f)
 
-    if theta.pair_vector(J.q_part) != ScalarFn.one(J.chart) or accumulate({}, contraction()):
+    if accumulate({}, contraction()) != {J.chart.dim: -ScalarFn.one(J.chart)}:
         raise GeometryError("postcondition theta(X_f) = f failed")
     if not J.sj_bracket(J).is_zero():
         raise AssertionError("contact construction produced a non-Jacobi bracket")
@@ -213,7 +213,7 @@ def projection_P(sq: MultiDerivation) -> LeafForm:
             g = f.zero_mode(fiber)
             if not g.is_zero():
                 out[tuple(i - chart.k for i in key)] = g
-    return LeafForm(chart, sq.arity, out)
+    return LeafForm(chart, sq.degree, out)
 
 
 def injection_I(xi: LeafForm) -> MultiDerivation:

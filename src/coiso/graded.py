@@ -384,12 +384,9 @@ def decal_sign(section: GradedElement) -> int:
 
 def jacobi_bracket(jop: GradedElement, a: GradedElement, b: GradedElement) -> GradedElement:
     """{a, b}_J = (-1)^{|a|} J(a, b) on homogeneous sections (decalage), with
-    J(a, b) = [[[[J, a]], b]], the two sections inserted in turn (every word
-    of a lift J^ has two symbols); zero for a = 0, which has no single
-    degree (the BFV Kuranishi class of the zero section)."""
-    if a.is_zero():
-        return a
-    return jop.insert(a).insert(b).scale(decal_sign(a))
+    J(a, b) = [[[[J, a]], b]]: b inserted into the Hamiltonian derivation of
+    a (every word of a lift J^ has two symbols); zero for a = 0."""
+    return hamiltonian_operator(jop, a).insert(b)
 
 
 def hamiltonian_operator(jop: GradedElement, omega: GradedElement) -> GradedElement:

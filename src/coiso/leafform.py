@@ -100,20 +100,3 @@ class LeafForm(SkewTerms):
                     yield key[:pos] + key[pos + 1 :], ScalarFn(chart, {e: coeff})
 
         return LeafForm(chart, self.degree - 1, accumulate({}, pairs()))
-
-    # -- display ----------------------------------------------------------------
-
-    def __repr__(self):
-        if not self.terms:
-            return f"LeafForm(deg={self.degree}, 0)"
-        chart = self.chart
-        display = (
-            [f"dF_{c}" for c in chart.leaf]
-            if len(chart.leaf) == chart.m
-            else [f"delta_{c}" for c in chart.fiber]
-        )
-        bits = []
-        for key in sorted(self.terms):
-            word = "^".join(display[a] for a in key) or "1"
-            bits.append(f"({self.terms[key]!r})*{word}")
-        return " + ".join(bits)

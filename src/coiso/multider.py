@@ -7,8 +7,12 @@ deg P = n and deg Q = n - 1.  It is stored as one skew term table over the
 chart indices and one more index, id = chart.dim: key I holds P^I and key
 I + (chart.dim,) holds -Q^I.  No coefficient depends on the id direction.
 
+apply inserts the TM x R differential d_phi f = df + f phi of each function
+in turn into the first slot, with phi = (0, 1) the algebroid's 1-cocycle:
+square(f_1, ..., f_n) = P(f..) + sum_i (-1)^{n-1-i} Q(f..^i) f_i.
+
 The Schouten-Jacobi bracket is the Schouten bracket of TM x R twisted by
-its 1-cocycle phi = (0, 1) (Grabowski and Marmo, J. Phys. A 34, 2001):
+phi (Grabowski and Marmo, J. Phys. A 34, 2001):
 
     [[A, B]] = [[A, B]]_SN + k A ^ i_phi B - (-1)^k k' (i_phi A) ^ B
 
@@ -19,8 +23,6 @@ Q it is the closed (P, Q)-formula that the test suite keeps as an oracle.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .ring import ChartError, ScalarFn
 from .multivector import ArityError, MultiVectorField
@@ -36,10 +38,6 @@ class MultiDerivation(MultiVectorField):
 
     def _index_bound(self) -> int:
         return self.chart.dim + 1
-
-    @property
-    def arity(self) -> int:
-        return self.degree
 
     # -- the (P, Q) parts -----------------------------------------------------
 
@@ -79,15 +77,10 @@ class MultiDerivation(MultiVectorField):
         terms = {k[:-1]: -f if flip else f for k, f in self.terms.items() if dim in k}
         return MultiDerivation(self.chart, self.degree - 1, terms)
 
-    def apply(self, fns) -> ScalarFn:
-        """square(f_1, ..., f_n) = P(f...) + sum_i (-1)^{n-1-i} Q(f...^i) f_i
-        on exactly n = arity functions."""
-        fns = list(fns)
-        out, q, n = self.p_part.apply(fns), self.q_part, self.degree
-        for i in range(1, n + 1):
-            term = q.apply(fns[: i - 1] + fns[i:]) * fns[i - 1]
-            out = out + term.scale((-1) ** ((n - 1 - i) % 2))
-        return out
+    def _insert(self, f: ScalarFn) -> "MultiDerivation":
+        """Insert d_phi f = df + f phi into the first slot: the Gerstenhaber
+        product with f inserts df, and f phi gives f i_phi."""
+        return super()._insert(f) + self._contract_id().scale_fn(f)
 
     # -- Schouten-Jacobi bracket -------------------------------------------------
 
@@ -108,11 +101,6 @@ class MultiDerivation(MultiVectorField):
         if kp and self.degree:
             out = out - self._contract_id().wedge(other).scale((-1) ** (k % 2) * kp)
         return out
-
-    def jacobiator(self) -> "MultiDerivation":
-        """Jac(J) = 1/2 [[J, J]] of a bi-derivation; zero iff J is a Jacobi
-        structure."""
-        return self.sj_bracket(self).scale(Fraction(1, 2))
 
     def is_jacobi(self) -> bool:
         return self.degree == 2 and self.sj_bracket(self).is_zero()

@@ -164,8 +164,12 @@ class MultiVectorField(SkewTerms):
             raise ArityError(f"arity {self.degree} operator applied to {len(fns)} functions")
         out = self
         for f in fns:
-            out = out.gerstenhaber(MultiVectorField.function(f))
+            out = out._insert(f)
         return out.as_function()
+
+    def _insert(self, f: ScalarFn) -> "MultiVectorField":
+        """Insert the function f into the first slot: self o f."""
+        return self.gerstenhaber(MultiVectorField.function(f))
 
     # -- Schouten-Nijenhuis ----------------------------------------------------
 

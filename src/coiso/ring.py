@@ -180,6 +180,10 @@ class SparseTerms:
         c = GaussianRational.of(c)
         if c.is_zero():
             return self._like({})
+        if c == 1:
+            return self
+        if c == -1:  # a sign flip is a negation, not a product
+            return -self
         return self._like({k: v * c for k, v in self.terms.items()})
 
     def scale_fn(self, f):

@@ -24,7 +24,7 @@ def mvf_to_json(v: SkewTerms) -> list:
 
 def multider_to_json(sq: MultiDerivation) -> dict:
     return {
-        "arity": sq.arity,
+        "arity": sq.degree,
         "p": mvf_to_json(sq.p_part),
         "q": mvf_to_json(sq.q_part),
     }

@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from .ring import Chart, ContentError, ScalarFn, accumulate, inverse_unit, mat_identity, mat_mul
 from .leafform import LeafForm
+from .serialize import leafform_to_text
 
 
 class TransversalError(ContentError):
@@ -177,7 +178,9 @@ class TransversalData:
             elif xi.degree == 1 and list(xi.terms.values()) == [one]:
                 forms += [i for (i,) in xi.terms]
             else:
-                raise TransversalError(f"m_k takes functions and frame forms delta_i, not {xi!r}")
+                raise TransversalError(
+                    f"m_k takes functions and frame forms delta_i, not {leafform_to_text(xi)}"
+                )
         if len(fns) > 2:
             return LeafForm.zero(chart, 0)
         if len(args) == 1:

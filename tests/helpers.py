@@ -86,8 +86,7 @@ def jet_contact_chart(chart) -> ContactChart:
 def generator_postcondition(theta, J) -> bool:
     """theta(X_f) = f on the ring generators 1, y_a and exp(i ph_j), one
     Hamiltonian field each: the generator-by-generator form of the contact
-    postcondition that geom.check_contact_jacobi reads off theta(Q) and
-    i_theta Lambda."""
+    postcondition that geom.check_contact_jacobi reads off i_theta J = -id."""
     chart = J.chart
     gens = [ScalarFn.one(chart)]
     gens += [ScalarFn.y(chart, nm) for nm in chart.fiber]
@@ -121,7 +120,7 @@ def eval_nested(sq: MultiDerivation, fns) -> ScalarFn:
     out = sq
     for f in fns:
         out = out.sj_bracket(MultiDerivation.function(f))
-    if out.arity != 0:
+    if out.degree != 0:
         raise ArityError("argument count does not match arity")
     return out.as_function()
 
@@ -152,7 +151,7 @@ def jacobi_pair(j: MultiDerivation):
     report['lie'] is L_Gamma Lambda = [[Gamma, Lambda]], report['mc'] is
     [[Lambda, Lambda]] + 2 Gamma ^ Lambda; the pair is a Jacobi pair iff
     both vanish, which is equivalent to is_jacobi()."""
-    if j.arity != 2:
+    if j.degree != 2:
         raise ArityError("jacobi_pair needs arity 2")
     lam, gam = j.p_part, j.q_part
     lie = gam.sn_bracket(lam)
@@ -162,10 +161,22 @@ def jacobi_pair(j: MultiDerivation):
 
 def leibniz_defect(a: MultiDerivation, f: ScalarFn, b: MultiDerivation) -> MultiDerivation:
     """[[a, f b]] - X_a(f) b - f [[a, b]] for a derivation a (arity 1)."""
-    if a.arity != 1:
+    if a.degree != 1:
         raise ArityError("leibniz_defect supports arity-1 a only")
     whole = a.sj_bracket(b.scale_fn(f))
     return whole.plus([-b.scale_fn(a.p_part.apply([f])), -a.sj_bracket(b).scale_fn(f)])
+
+
+def closed_apply(sq: MultiDerivation, fns) -> ScalarFn:
+    """square(f_1, ..., f_n) = P(f..) + sum_i (-1)^{n-1-i} Q(f..^i) f_i on
+    exactly n = arity functions: the (P, Q)-expansion, the oracle of
+    MultiDerivation.apply."""
+    fns = list(fns)
+    out, q, n = sq.p_part.apply(fns), sq.q_part, sq.degree
+    for i in range(1, n + 1):
+        term = q.apply(fns[: i - 1] + fns[i:]) * fns[i - 1]
+        out = out + term.scale((-1) ** ((n - 1 - i) % 2))
+    return out
 
 
 def closed_sj_bracket(a: MultiDerivation, b: MultiDerivation) -> MultiDerivation:
@@ -177,12 +188,12 @@ def closed_sj_bracket(a: MultiDerivation, b: MultiDerivation) -> MultiDerivation
     with k = arity - 1, k' = arity' - 1 and [[-,-]] the Schouten-Nijenhuis
     bracket of multivector fields, a section having no Q: the oracle of
     MultiDerivation.sj_bracket, the twisted Schouten bracket of TM x R."""
-    k, kp = a.arity - 1, b.arity - 1
-    n_out = a.arity + b.arity - 1
+    k, kp = a.degree - 1, b.degree - 1
+    n_out = a.degree + b.degree - 1
     if n_out < 0:
         return MultiDerivation.zero(a.chart, 0)
-    P, Q = a.p_part, (a.q_part if a.arity else None)
-    Pp, Qp = b.p_part, (b.q_part if b.arity else None)
+    P, Q = a.p_part, (a.q_part if a.degree else None)
+    Pp, Qp = b.p_part, (b.q_part if b.degree else None)
 
     new_p = P.sn_bracket(Pp)
     if Qp is not None and k != 0:

@@ -68,14 +68,14 @@ from coiso.transversal import TransversalData
 def hamiltonian(j: MultiDerivation, lam: ScalarFn) -> MultiDerivation:
     """Delta_lam = -[[J, lam]] = {lam, -}, an arity-1 derivation; its
     p-part is the Hamiltonian vector field X_lam."""
-    if j.arity != 2:
+    if j.degree != 2:
         raise ArityError("hamiltonian needs arity 2")
     return j.sj_bracket(MultiDerivation.function(lam)).scale(-1)
 
 
 def bisymbol(j: MultiDerivation) -> MultiVectorField:
     """Lambda_J: in the trivialized case the p-part of J."""
-    if j.arity != 2:
+    if j.degree != 2:
         raise ArityError("bisymbol needs arity 2")
     return j.p_part
 

@@ -201,7 +201,7 @@ def test_flatness_probes_bracket_antisymmetrically(chart):
     assert len(probes) == 3
     images = [lift.c1.i_nabla(a) for a in probes]
     degrees = [ia.is_homogeneous_degree() for ia in images]
-    assert degrees == [a.arity - 1 for a in probes]
+    assert degrees == [a.degree - 1 for a in probes]
     for a, ia, da in zip(probes, images, degrees):
         for b, ib, db in zip(probes, images, degrees):
             sign = -((-1) ** (da * db))

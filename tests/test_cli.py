@@ -996,7 +996,7 @@ def test_job_squares_the_structure_once(monkeypatch, capsys, scenario):
     monkeypatch.setattr(MultiDerivation, "_bracket", bracket)
     code, out, err = run_cli(_job_args(scenario, BUILTIN_JOBS[scenario]), capsys)
     assert code == 0, err
-    assert len(squared) == 1 and squared[0].arity == 2
+    assert len(squared) == 1 and squared[0].degree == 2
     assert json.loads(out)["tasks"]["check-jacobi"]["jacobiator_zero"] is True
 
 

@@ -490,7 +490,7 @@ def test_to_graded_matches_nested_eval(chart):
     J = torus_jacobi(chart)
     for sq in [J] + [random_multider(chart, rng, rng.choice([1, 2])) for _ in range(5)]:
         op = to_graded(sq)
-        args = [random_scalar(chart, rng) for _ in range(sq.arity)]
+        args = [random_scalar(chart, rng) for _ in range(sq.degree)]
         lhs = graded_eval(op, [GradedElement.section(chart, f) for f in args])
         expected = eval_nested(sq, args)
         assert lhs == GradedElement.section(chart, expected)

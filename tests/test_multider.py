@@ -12,6 +12,7 @@ from coiso.geom import contact_to_jacobi, fiberwise_linear_jacobi
 from coiso.scenario import load_scenario
 
 from helpers import (
+    closed_apply,
     closed_sj_bracket,
     eval_nested,
     jacobi_pair,
@@ -54,7 +55,7 @@ def test_constant_bivector_is_jacobi(chart):
 
 def test_torus_jacobi_is_jacobi(J):
     assert J.sj_bracket(J).is_zero()
-    assert J.jacobiator().is_zero()
+    assert J.is_jacobi()
 
 
 def test_scaled_bivector_is_still_jacobi(chart):
@@ -66,7 +67,7 @@ def test_scaled_bivector_is_still_jacobi(chart):
         .wedge(MultiVectorField.basis_vector(chart, "ph_2"))
         .scale_fn(y1)
     )
-    assert MultiDerivation.from_parts(lam).jacobiator().is_zero()
+    assert MultiDerivation.from_parts(lam).is_jacobi()
 
 
 def test_nonjacobi_bivector(chart):
@@ -81,7 +82,7 @@ def test_nonjacobi_bivector(chart):
         MultiVectorField.basis_vector(chart, "ph_3")
     )
     Jbad = MultiDerivation.from_parts(lam)
-    jac = Jbad.jacobiator()
+    jac = Jbad.sj_bracket(Jbad).scale(Fraction(1, 2))
     assert not jac.is_zero()
     rng = random.Random(9)
     for _ in range(5):
@@ -255,17 +256,23 @@ def test_eval_nested_insertion(J, chart):
 
 def test_square_is_kept_and_equals_the_bracket_with_a_copy(J, chart):
     """[[J, J]] is computed once per object and kept; the bracket with a
-    distinct copy, which always computes, is the oracle.  is_jacobi and
-    jacobiator read the kept square."""
+    distinct copy, which always computes, is the oracle.  is_jacobi reads
+    the kept square, and half of it is the cyclic Jacobiator."""
     rng = random.Random(31)
     for j in [J] + [random_multider(chart, rng, n) for n in (0, 1, 2, 2, 3)]:
         copy = MultiDerivation.from_parts(j.p_part, j.q_part)
         sq = j.sj_bracket(j)
         assert j.sj_bracket(j) is sq
         assert sq == j.sj_bracket(copy) == copy.sj_bracket(j)
-        assert j.is_jacobi() == (j.arity == 2 and sq.is_zero())
-        if j.arity == 2:
-            assert j.jacobiator() == sq.scale(Fraction(1, 2))
+        assert j.is_jacobi() == (j.degree == 2 and sq.is_zero())
+        if j.degree == 2:
+            f, g, h = (random_scalar(chart, rng) for _ in range(3))
+            cyc = (
+                j.apply([j.apply([f, g]), h])
+                + j.apply([j.apply([g, h]), f])
+                + j.apply([j.apply([h, f]), g])
+            )
+            assert sq.scale(Fraction(1, 2)).apply([f, g, h]) == -cyc
     assert J.is_jacobi() and not random_multider(chart, rng, 2).is_jacobi()
 
 
@@ -328,14 +335,34 @@ def test_square_of_each_structure_kind_is_the_closed_formula(structure):
 
 @pytest.mark.parametrize(
     "which, count",
-    [("p", 1), ("p", 3), ("square", 1), ("square", 3)],
-    ids=["p-one", "p-three", "square-one", "square-three"],
+    [("p", 1), ("p", 3), ("square", 1), ("square", 3), ("derivation", 0), ("derivation", 2)],
+    ids=["p-one", "p-three", "square-one", "square-three", "derivation-zero", "derivation-two"],
 )
 def test_apply_refuses_a_wrong_count(which, count):
-    """A bi-derivation and its P take exactly two functions: one or three
-    raise an ArityError that names both counts."""
+    """A bi-derivation and its P take exactly two functions, a derivation
+    [[J, g]] exactly one: any other count raises an ArityError that names
+    both counts."""
     j = load_scenario("torus-obstructed").jacobi()
-    op = j.p_part if which == "p" else j
     f, g = ScalarFn.y(j.chart, "y_1"), ScalarFn.cos_phi(j.chart, "ph_3")
-    with pytest.raises(ArityError, match=f"^arity 2 operator applied to {count} functions$"):
+    op = {"p": j.p_part, "square": j, "derivation": j.sj_bracket(MultiDerivation.function(g))}[which]
+    with pytest.raises(
+        ArityError, match=f"^arity {op.degree} operator applied to {count} functions$"
+    ):
         op.apply([f, g, f][:count])
+
+
+def test_apply_is_the_closed_expansion(chart):
+    """apply, which inserts d_phi f = df + f phi in turn, is the closed
+    (P, Q)-expansion of tests/helpers.py on random multi-derivations of
+    arities 0-3, with P = 0 and with Q = 0, on sections and on the torus,
+    contact and jet structures."""
+    rng = random.Random(41)
+    structures = [torus_jacobi(chart)]
+    jc = jet_chart(2)
+    structures += [contact_to_jacobi(jet_contact_chart(jc)), fiberwise_linear_jacobi(jc)]
+    for n in range(4):
+        for _ in range(3):
+            structures += _with_parts_dropped(chart, rng, n)
+    for sq in structures:
+        fns = [random_scalar(sq.chart, rng) for _ in range(sq.degree)]
+        assert sq.apply(fns) == closed_apply(sq, fns)

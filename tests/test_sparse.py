@@ -11,6 +11,7 @@ from coiso.geom import Form
 from coiso.graded import DX, DXI, DXIS, M, XI, XIS, GradedElement, normalize
 from coiso.leafform import LeafForm
 from coiso.multivector import MultiVectorField
+from coiso.multider import MultiDerivation
 from coiso.rational import GaussianRational
 from coiso.ring import Chart, ChartError, ScalarFn
 
@@ -52,6 +53,7 @@ CONTAINERS = {
     "MultiVectorField": (_skew(MultiVectorField, CHART.dim, random_scalar), lambda a, b: a.wedge(b)),
     "LeafForm": (_skew(LeafForm, CHART.m, random_base_scalar), lambda a, b: a.wedge(b)),
     "Form": (_skew(Form, CHART.dim, random_scalar), lambda a, b: a.wedge(b)),
+    "MultiDerivation": (_skew(MultiDerivation, CHART.dim + 1, random_scalar), lambda a, b: a.wedge(b)),
     "GradedElement": (_graded, graded_product),
 }
 
@@ -69,7 +71,7 @@ def _assert_canonical(x):
         if isinstance(x, GradedElement):
             assert normalize(key) == (1, key)
         else:
-            bound = CHART.m if isinstance(x, LeafForm) else CHART.dim
+            bound = x._index_bound()
             assert len(key) == x.degree
             assert list(key) == sorted(set(key)) and all(0 <= i < bound for i in key)
 
@@ -95,6 +97,17 @@ def test_sparse_terms_stay_canonical(name):
         assert (a - a).is_zero() and a.scale(0).is_zero()
         assert (a + b) - b == a
         assert a + b == b + a
+
+
+@pytest.mark.parametrize("name", sorted(CONTAINERS))
+def test_scale_by_a_sign_is_a_negation(name):
+    """scale(1) is the container itself and scale(-1) its negation."""
+    make, _ = CONTAINERS[name]
+    rng = random.Random(5)
+    for _ in range(10):
+        x = make(rng)
+        assert x.scale(1) is x and x.scale(GaussianRational(1)) is x
+        assert x.scale(-1) == -x and x.scale(Fraction(-1)) == -x
 
 
 def _reordered(x):
