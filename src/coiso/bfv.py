@@ -178,24 +178,29 @@ def d_bfv(lift: Lift, omega: GradedElement) -> GradedElement:
 # ---------------------------------------------------------------------------
 
 
-def geometric_series(op, x):
-    """(1 - op)^{-1} x = sum op^k x for nilpotent op."""
-    out = x
-    term = x
+def _series(a, b, x):
+    """The terms t_k of (1 - b a)^{-1} x = sum_k (b a)^k x for nilpotent
+    b a, with their images a(t_k): t_0 = x and t_{k+1} = b(a(t_k)).
+    Returns (sum t_k, [a(t_k)]), the last a(t_k) the one that b maps to 0."""
+    terms, images = [], []
     for _ in range(16):
-        term = op(term)
-        if term.is_zero():
-            return out
-        out = out + term
+        images.append(a(x))
+        terms.append(x)
+        x = b(images[-1])
+        if x.is_zero():
+            return terms[0].plus(terms[1:]), images
     raise AssertionError("perturbation series failed to terminate")
 
 
 class PerturbedContraction:
     """HPL output: the contraction (wp, iota = id, h) of base with differential
     d0.insert, perturbed by delta = d_BFV - d0 with delta h nilpotent, for
-    the operator dop of d_bfv.  The perturbed differential is dop.insert,
-    and the perturbed q and h of an argument y both read the one series
-    (1 - delta h)^{-1} y."""
+    the operator dop of d_bfv.  The perturbed differential is dop.insert.
+
+    The perturbed q and h of an argument y both read the one series
+    s = (1 - delta h)^{-1} y = sum_k t_k, t_{k+1} = delta h t_k, which
+    computes h t_k for every term.  h is linear, so the perturbed
+    h y = h s is the sum of those h t_k: h is never applied to s itself."""
 
     def __init__(self, base: ContractionTwo, d0: GradedElement, dop: GradedElement):
         self.base = base
@@ -204,17 +209,15 @@ class PerturbedContraction:
         # insertion is linear in the operator: delta(x) = dop(x) - d0(x)
         self.delta = (dop - d0).insert
 
-    def series(self, y):
-        """(1 - delta h)^{-1} y."""
-        return geometric_series(lambda z: self.delta(self.base.h(z)), y)
-
     def homotopy_projection(self, y):
-        s = self.series(y)
-        return self.base.h(s), self.base.wp(s)
+        """(h s, wp s) for s = (1 - delta h)^{-1} y, h s summed from the
+        h t_k of the series."""
+        s, hs = _series(self.base.h, self.delta, y)
+        return hs[0].plus(hs[1:]), self.base.wp(s)
 
     def immersion(self, y):
         """(1 - h delta)^{-1} y, as the base immersion j is the identity."""
-        return geometric_series(lambda z: self.base.h(self.delta(z)), y)
+        return _series(self.delta, self.base.h, y)[0]
 
     def small_differential(self, y):
         return self.base.wp(self.delta(self.immersion(y)))

@@ -45,12 +45,9 @@ def _tokenize(text: str):
             if bad < len(text):
                 raise ExprError(f"unexpected character {text[bad]!r}", bad)
             break
-        if m.group("num"):
-            tokens.append(("num", int(m.group("num")), m.start()))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start()))
-        else:
-            tokens.append(("op", m.group("op"), m.start()))
+        kind = m.lastgroup  # the one group of _TOKEN that matched
+        val = m.group(kind)
+        tokens.append((kind, int(val) if kind == "num" else val, m.start()))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
@@ -92,15 +89,16 @@ class _Parser:
         if kind == "op" and val in "+-":
             self.next()
             sign = -1 if val == "-" else 1
-        out = self.term().scale(sign)
+        first = self.term().scale(sign)
+        rest = []
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
                 t = self.term()
-                out = out + (t if val == "+" else -t)
+                rest.append(t if val == "+" else -t)
             else:
-                return out
+                return first.plus(rest)
 
     def term(self) -> ScalarFn:
         out = self.factor()

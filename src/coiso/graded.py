@@ -153,10 +153,6 @@ def bidegree(word):
     return h, k
 
 
-def _signed(f, sign):
-    return f if sign == 1 else -f
-
-
 def _canonical(pairs):
     """Normalized (word, value) pairs: letters sorted with their graded
     sign; words with a repeated odd letter and zero values dropped."""
@@ -165,7 +161,7 @@ def _canonical(pairs):
             continue
         sign, canon = normalize(letters)
         if sign:
-            yield canon, _signed(f, sign)
+            yield canon, f if sign > 0 else -f
 
 
 class GradedElement(SparseTerms):
@@ -269,10 +265,11 @@ class GradedElement(SparseTerms):
                 for s, sa, rest, f in acting:
                     mid = rest + syms
                     # other enters from the right, passing the letters right of the slot
-                    for letters, c, left, right, travel in index.get(s, ()):
+                    for letters, cs, left, right, travel in index.get(s, ()):
                         sign, canon = normalize(left + mid + right)
                         if sign:
-                            yield canon, _signed(c * f, -sa * sign if odd & travel else sa * sign)
+                            # negative when exactly one of sign * sa < 0 and odd & travel
+                            yield canon, cs[(sign != sa) ^ odd & travel] * f
                 # a derivative s composes with one of ol's symbols: first order
                 # when that symbol is m, else a tallied PAIR; reaching past the
                 # letters left of it carries the untwisted parity of s
@@ -284,12 +281,12 @@ class GradedElement(SparseTerms):
                         mid = ghost + syms[:idx] + (comp,) + syms[idx + 1 :]
                         if reaches[idx] and not s & 1:  # s is untwisted odd
                             csign = -csign
-                        for letters, c, left, right, travel in slots:
+                        for letters, cs, left, right, travel in slots:
                             sign, canon = normalize(left + mid + right)
                             if sign:
                                 sign *= -csign if odd & travel else csign
                                 if comp < PAIR:
-                                    yield canon, _signed(c * oc, sign)
+                                    yield canon, cs[sign < 0] * oc
                                 else:
                                     key = (canon, letters, ol)
                                     tally[key] = tally.get(key, 0) + sign
@@ -337,15 +334,17 @@ def _compose_symbols(s, sp):
 
 
 def _slots_by_symbol(terms):
-    """symbol -> [(word, coefficient, letters left of the slot, letters right
-    of it, parity of the letters right of it)] over the symbol slots of the
-    terms."""
+    """symbol -> [(word, (coefficient, its negative), letters left of the
+    slot, letters right of it, parity of the letters right of it)] over the
+    symbol slots of the terms; a signed product picks its factor, so it is
+    one product and no negation."""
     index = {}
     for letters, c in terms.items():
+        cs = (c, -c)
         travel = 0
         for p in range(len(letters) - 1, bisect_left(letters, M) - 1, -1):
             s = letters[p]
-            index.setdefault(s, []).append((letters, c, letters[:p], letters[p + 1 :], travel))
+            index.setdefault(s, []).append((letters, cs, letters[:p], letters[p + 1 :], travel))
             travel ^= s & 1
     return index
 
@@ -487,16 +486,26 @@ class ContractionTwo:
         section g = s.  ScalarFn.path_integral evaluates P_A in closed form,
         expanding the path binomially and integrating each power product of
         t by the Beta integral int_0^1 (1-t)^a t^b dt = a! b! / (a + b + 1)!.
+
+        The word w xis_A is normalized first: it vanishes when w already
+        holds xis_A (xis_A is odd), and then P_A is never computed.  The
+        sign above and the sign of the sort are applied as one negation.
         """
+        chart, powers = self.chart, self.powers
 
         def pairs():
             for letters, f in lam.terms.items():
                 nxis = sum(1 for x in letters if XIS <= x < M)
-                sign = 1 if sum(x & 1 for x in letters) & 1 else -1
-                for A in range(self.chart.m):
-                    i = self.chart.k + A
-                    if f.mask >> i & 1:
-                        p_a = f.partial(i).path_integral(self.powers, nxis)
-                        yield letters + (_letter(XIS, A),), _signed(p_a, sign)
+                # the sign above is -1 when the letter degrees sum to an even number
+                even = not sum(x & 1 for x in letters) & 1
+                mask = f.mask
+                for A in range(chart.m):
+                    i = chart.k + A
+                    if mask >> i & 1:
+                        sign, canon = normalize(letters + (_letter(XIS, A),))
+                        if sign:
+                            p_a = f.partial(i).path_integral(powers, nxis)
+                            if not p_a.is_zero():
+                                yield canon, -p_a if (sign < 0) != even else p_a
 
-        return lam._like(accumulate({}, _canonical(pairs())))
+        return lam._like(accumulate({}, pairs()))

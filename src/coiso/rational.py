@@ -9,7 +9,9 @@ gcd(a, b, d) = 1, so zero is (0, 0, 1) and two values are equal iff their
 triples are.  Every operation computes its result triple in integers and
 reduces it with one gcd; negation keeps the triple reduced and skips it.
 Fractions appear only at the boundary: the constructor accepts them (a
-pair of ints skips them), and ``re`` and ``im`` return them.
+pair of ints skips them), and ``re`` and ``im`` return them.  Scaling by an
+integer ratio num/den, as the Beta integrals of ``ScalarFn.path_integral``
+do, is ``scaled(num, den)``: no Fraction is built for it.
 """
 
 from __future__ import annotations
@@ -113,6 +115,11 @@ class GaussianRational:
         return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
+
+    def scaled(self, num: int, den: int) -> "GaussianRational":
+        """self * num/den for integers num and den > 0: one product per
+        part and one gcd, with no Fraction."""
+        return _reduced(self._a * num, self._b * num, self._d * den)
 
     def __truediv__(self, other):
         if type(other) is not GaussianRational:

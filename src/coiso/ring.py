@@ -24,10 +24,19 @@ container is built through the one kernel ``accumulate``, which adds
 term table is never changed once its container is built, so a container
 hashes by its type, shape and terms and can key a dict.
 
+Products.  The product of two one-term functions is one key sum and one
+coefficient product, built as a monomial with no ``accumulate``: the
+product of two nonzero Q(i) numbers is never zero.  Longer products add
+every pair of terms through ``accumulate``.  Operands must share a chart;
+the operands of one computation share one Chart object, so the check
+compares charts by identity and falls back to equality.
+
 Fiber substitution.  ``ScalarFn.substitute_fiber`` replaces every fiber
 coordinate by a target function, and ``ScalarFn.path_integral`` integrates
 exactly along the straight path from the fiber point to the targets, in
-closed form (binomial expansion and the Beta integral).  Both take the
+closed form (binomial expansion and the Beta integral).  Each Beta ratio
+is an integer quotient num/den, which scales a coefficient through
+``GaussianRational.scaled`` with one gcd and no Fraction.  Both take the
 targets as a ``PowerTable``, which computes each product of powers of the
 targets once, however often a caller substitutes into them (a section).
 
@@ -138,9 +147,10 @@ class SparseTerms:
     """The linear structure shared by every sparse container.
 
     A subclass keeps its shape next to ``terms`` and supplies two hooks:
-    ``_shape()``, the tuple that must agree for two containers to add, and
-    ``_like(terms)``, a container of the same shape holding terms that are
-    already canonical.
+    ``_shape()``, the tuple that must agree for two containers to be equal,
+    and ``_like(terms)``, a container of the same shape holding terms that
+    are already canonical.  A subclass whose shape is more than the chart
+    extends ``_check`` as well.
     """
 
     __slots__ = ("chart", "terms")
@@ -149,7 +159,12 @@ class SparseTerms:
         return (self.chart,)
 
     def _check(self, other):
-        if type(other) is not type(self) or other._shape() != self._shape():
+        """Raise unless other has this type and chart.  The operands of one
+        computation share one Chart, so the charts are compared by identity
+        first and by equality only when that fails."""
+        if type(other) is not type(self) or (
+            other.chart is not self.chart and other.chart != self.chart
+        ):
             raise ChartError(f"{type(self).__name__} operands differ in chart or shape")
 
     def is_zero(self) -> bool:
@@ -379,6 +394,11 @@ class ScalarFn(SparseTerms):
             return self
         if not other.terms:
             return other
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            # a product of two nonzero Q(i) numbers is nonzero
+            ((e1, c1),) = self.terms.items()
+            ((e2, c2),) = other.terms.items()
+            return _monomial(self.chart, tuple(map(add, e1, e2)), c1 * c2)
         return self._like(
             accumulate(
                 {},
@@ -419,7 +439,7 @@ class ScalarFn(SparseTerms):
         A term c * exp(i n.phi) * y^alpha becomes
         c * exp(i n.phi) * prod_C g_C^alpha_C, read from the power table.
         """
-        if powers.chart != self.chart:
+        if powers.chart is not self.chart and powers.chart != self.chart:
             raise ChartError("fiber substitution targets differ in chart")
         k, zm = self.chart.k, (0,) * self.chart.m
 
@@ -445,7 +465,7 @@ class ScalarFn(SparseTerms):
         with a = power + sum_C (alpha_C - k_C) and b = sum_C k_C.  The
         products of powers of g come from the power table.
         """
-        if powers.chart != self.chart:
+        if powers.chart is not self.chart and powers.chart != self.chart:
             raise ChartError("fiber substitution targets differ in chart")
         k = self.chart.k
         # a zero target contributes only k_C = 0
@@ -462,7 +482,7 @@ class ScalarFn(SparseTerms):
                     num = factorial(a) * factorial(b)
                     for aC, kC in zip(alpha, ks):
                         num *= comb(aC, kC)
-                    coef = c * Fraction(num, factorial(a + b + 1))
+                    coef = c.scaled(num, factorial(a + b + 1))
                     if not b:
                         yield e, coef
                         continue

@@ -9,6 +9,7 @@ import random
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import add
 
 from coiso.rational import GaussianRational
 from coiso.ring import Chart, ScalarFn, accumulate, mat_mul, unit_inverse
@@ -16,7 +17,7 @@ from coiso.multivector import MultiVectorField
 from coiso.multider import ArityError, MultiDerivation
 from coiso.leafform import LeafForm
 from coiso.geom import ContactChart, injection_I
-from coiso.graded import DX, DXI, DXIS, M, PAIR, XI, XIS, GradedElement, GradedError, decode
+from coiso.graded import DX, DXI, DXIS, M, PAIR, XI, XIS, GradedElement, GradedError, decode, encode
 
 from paper import exp_series, graded_bracket, hamiltonian
 
@@ -677,3 +678,55 @@ def dense_insert(op, lam):
                         yield letters[:p] + res_letters + letters[p + 1 :], (c * res_f).scale(sign0 * sa)
 
     return _dense_sum(op, pairs())
+
+
+# ---------------------------------------------------------------------------
+# the general routes of the ring and HPL kernels, as oracles
+# ---------------------------------------------------------------------------
+
+
+def general_product(f: ScalarFn, g: ScalarFn) -> ScalarFn:
+    """f g by the general product: every pair of terms, accumulated."""
+    return f._like(
+        accumulate(
+            {},
+            (
+                (tuple(map(add, e1, e2)), c1 * c2)
+                for e1, c1 in f.terms.items()
+                for e2, c2 in g.terms.items()
+            ),
+        )
+    )
+
+
+def integrate_then_normalize_h(c2, lam: GradedElement) -> GradedElement:
+    """h[s] of the ContractionTwo c2 by the route partial -> path_integral
+    -> normalize: P_A is integrated for every A along which a coefficient
+    depends on y_A, signed by -(-1)^{letter degrees}, and only then is the
+    word w xis_A sorted (and dropped if xis_A repeats)."""
+    chart = c2.chart
+
+    def pairs():
+        for letters, f in lam.terms.items():
+            nxis = sum(1 for x in letters if XIS <= x < M)
+            sign = 1 if sum(x & 1 for x in letters) & 1 else -1
+            for A in range(chart.m):
+                i = chart.k + A
+                if f.mask >> i & 1:
+                    p_a = f.partial(i).path_integral(c2.powers, nxis)
+                    yield letters + encode(((XIS, A),)), p_a.scale(sign)
+
+    return lam._sum(pairs())
+
+
+def summed_series_homotopy_projection(pert, y):
+    """(h s, wp s) for the series s = (1 - delta h)^{-1} y of the
+    PerturbedContraction pert, with h applied once more to the summed s."""
+    h, delta = pert.base.h, pert.delta
+    s = term = y
+    for _ in range(16):
+        term = delta(h(term))
+        if term.is_zero():
+            return h(s), pert.base.wp(s)
+        s = s + term
+    raise AssertionError("perturbation series failed to terminate")

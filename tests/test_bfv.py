@@ -7,7 +7,9 @@ import re
 import pytest
 
 from coiso import bfv
+from coiso.cli import _random_graded_section
 from coiso.ring import ScalarFn
+from coiso.scenario import Scenario, load_scenario
 from coiso.leafform import LeafForm
 from coiso.linfty import MultibracketTable, kuranishi
 from coiso.graded import (
@@ -27,7 +29,6 @@ from coiso.bfv import (
     BFVError,
     Lift,
     ObstructionFailure,
-    PerturbedContraction,
     bfv_kuranishi,
     bfv_lift_cocycle,
     brst_charge,
@@ -45,6 +46,7 @@ from helpers import (
     ghost,
     random_base_scalar,
     random_scalar,
+    summed_series_homotopy_projection,
     torus_chart,
     torus_jacobi,
 )
@@ -334,17 +336,44 @@ def test_perturbed_sample_sums_four_series(lift, chart, monkeypatch):
     6 samples of the s = 0 data sum no series."""
     dop = d_bfv(lift, brst_charge(lift, LeafForm.zero(chart, 1))[0])
     pert = hpl_resolution(lift, dop)
-    series, geometric = [], []
-    original = PerturbedContraction.series
-    monkeypatch.setattr(
-        PerturbedContraction, "series", lambda self, y: series.append(y) or original(self, y)
-    )
-    summed = bfv.geometric_series
-    monkeypatch.setattr(bfv, "geometric_series", lambda op, x: geometric.append(x) or summed(op, x))
+    # bfv._series(a, b, x) sums (1 - b a)^{-1} x: (a, b) = (h, delta) for
+    # the perturbed q and h, (delta, h) for the perturbed immersion
+    calls = []
+    summed = bfv._series
+    monkeypatch.setattr(bfv, "_series", lambda a, b, x: calls.append((a, b)) or summed(a, b, x))
     rng = random.Random(41)
     check_hpl_axioms(pert, lambda: rand_graded_section(chart, rng))
-    assert len(series) == 4 * 6
-    assert len(geometric) == 5 * 6
+    h, delta = pert.base.h, pert.delta
+    assert calls.count((h, delta)) == 4 * 6
+    assert calls.count((delta, h)) == 6 and len(calls) == 5 * 6
+
+
+def _jet_scenario(k):
+    """The 1-jet model over T^k, as the jet-rank benchmark builds it."""
+    torus = [f"ph_{i + 1}" for i in range(k)]
+    fiber = ["z"] + [f"p_{i + 1}" for i in range(k)]
+    chart = {"torus": torus, "fiber": fiber, "leaf": torus}
+    return Scenario({"schema": 1, "chart": chart, "jet": {}, "bfv": {"connection": "trivial"}})
+
+
+@pytest.mark.parametrize("name", ["jet-T1", "jet-T2", "jet-T3", "torus-obstructed"])
+def test_homotopy_projection_is_h_of_the_summed_series(name):
+    """The perturbed (h, q) of y, h summed from the h t_k that the series
+    (1 - delta h)^{-1} y computes, equals (h s, wp s) of the summed series
+    s.  The arguments are those check_hpl_axioms passes: samples as
+    hpl-resolve draws them, their d_BFV, h and j q images; some of them
+    have a series of more than one term."""
+    scenario = load_scenario(name) if name == "torus-obstructed" else _jet_scenario(int(name[-1]))
+    pert = scenario.hpl()
+    rng = random.Random(0)
+    longer = 0
+    for _ in range(6):
+        x = _random_graded_section(pert.base.chart, rng)
+        hx, qx = pert.homotopy_projection(x)
+        for y in (x, pert.differential(x), hx, pert.immersion(qx)):
+            assert pert.homotopy_projection(y) == summed_series_homotopy_projection(pert, y)
+            longer += not pert.delta(pert.base.h(y)).is_zero()
+    assert longer
 
 
 def test_lift_with_nonflat_connection(chart):

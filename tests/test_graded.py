@@ -39,6 +39,7 @@ from helpers import (
     ghost,
     graded_eval,
     i_then_p_defect,
+    integrate_then_normalize_h,
     is_section,
     random_base_scalar,
     random_multider,
@@ -630,6 +631,50 @@ def test_h0_frozen_value(chart, G):
     commutator = ds.insert(hy) + c2.h(ds.insert(y1))
     assert commutator == y1.scale(-1)
     assert (c2.wp(y1) - y1) == y1.scale(-1)
+
+
+def test_h_is_the_integrate_then_normalize_route(chart):
+    """ContractionTwo.h, which sorts w xis_A before it integrates and signs
+    once, equals the route that integrates, signs and only then sorts, for
+    the zero section and nonzero ones, on words with and without
+    antighosts (h^2 included, whose words already carry antighosts)."""
+    rng = random.Random(29)
+    sections = [LeafForm.zero(chart, 1)] + [
+        LeafForm.section(chart, [random_base_scalar(chart, rng) for _ in range(chart.m)])
+        for _ in range(3)
+    ]
+    letters = [(XI, 0), (XI, 1), (XIS, 0), (XIS, 1)]
+    for s in sections:
+        c2 = ContractionTwo(s)
+        for _ in range(20):
+            terms = {}
+            for _ in range(3):
+                word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+                terms[word] = random_scalar(chart, rng, max_terms=3, fiber_deg=2)
+            lam = GradedElement(chart, terms)
+            hlam = c2.h(lam)
+            assert hlam == integrate_then_normalize_h(c2, lam)
+            assert c2.h(hlam) == integrate_then_normalize_h(c2, hlam)
+
+
+def test_h_skips_a_word_that_holds_its_antighost(chart, monkeypatch):
+    """w xis_A vanishes when w holds xis_A (xis_A is odd), so h takes no
+    derivative along y_A for it: h(y_1^2 xis_1) = 0 with no derivative, and
+    h(y_1 y_2 xis_1) takes the one along y_2."""
+    partials = []
+    original = ScalarFn.partial
+    monkeypatch.setattr(ScalarFn, "partial", lambda f, i: partials.append(i) or original(f, i))
+    y1, y2 = ScalarFn.y(chart, "y_1"), ScalarFn.y(chart, "y_2")
+    g = ScalarFn.sin_phi(chart, "ph_3")
+    for s in (LeafForm.zero(chart, 1), LeafForm.section(chart, [g, g])):
+        c2 = ContractionTwo(s)
+        partials.clear()
+        assert c2.h(GradedElement(chart, {((XIS, 0),): y1 * y1})).is_zero()
+        assert partials == []
+        lam = GradedElement(chart, {((XIS, 0),): y1 * y2})
+        hlam = c2.h(lam)
+        assert partials == [chart.k + 1]
+        assert hlam == integrate_then_normalize_h(c2, lam) and not hlam.is_zero()
 
 
 @pytest.mark.parametrize(

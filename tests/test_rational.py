@@ -2,7 +2,7 @@
 
 import operator
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +72,27 @@ def test_mixed_operands(x, r):
     assert_is(r * z, o_mul(x, q))
     if r:
         assert_is(z / r, o_div(x, q))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pairs, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+def test_scaled_is_the_fraction_product(x, num, den):
+    """scaled(num, den) is the product with Fraction(num, den), canonical,
+    for a zero num, a num and den with a common factor, and any sign."""
+    z = gr(x)
+    q = (Fraction(num, den), Fraction(0))
+    assert_is(z.scaled(num, den), o_mul(x, q))
+    assert z.scaled(num, den) == z * Fraction(num, den)
+    assert_is(z.scaled(num * 6, den * 6), o_mul(x, q))
+
+
+def test_scaled_by_beta_ratios():
+    """The ratios a! b! / (a + b + 1)! of ScalarFn.path_integral."""
+    for x in ((Fraction(3, 4), Fraction(-5, 6)), (Fraction(7), Fraction(0)), (Fraction(0), Fraction(-2, 9))):
+        for a in range(7):
+            for b in range(7):
+                num, den = factorial(a) * factorial(b), factorial(a + b + 1)
+                assert_is(gr(x).scaled(num, den), o_mul(x, (Fraction(num, den), Fraction(0))))
 
 
 @prop

@@ -17,12 +17,13 @@ from coiso.ring import (
     mat_mul,
     unit_inverse,
 )
-from coiso.expr import parse_scalar, scalar_to_json
+from coiso.expr import _tokenize, parse_scalar, scalar_to_json, scalar_to_text
 
 from helpers import (
     TPoly,
     cofactor_inverse,
     conjugate,
+    general_product,
     scalar_from_json,
     random_real_scalar,
     random_scalar,
@@ -192,6 +193,39 @@ def test_parse_whitespace_insensitive(chart):
     assert a == b
 
 
+def test_tokens_keep_kind_value_and_position():
+    """A token is (kind, value, position), the position where the match of
+    the token and the whitespace before it starts; the end token sits at
+    the length of the text."""
+    assert _tokenize(" 12*y_1 ^ 3 - (x)") == [
+        ("num", 12, 0),
+        ("op", "*", 3),
+        ("name", "y_1", 4),
+        ("op", "^", 7),
+        ("num", 3, 9),
+        ("op", "-", 11),
+        ("op", "(", 13),
+        ("name", "x", 15),
+        ("op", ")", 16),
+        ("end", None, 17),
+    ]
+
+
+def test_long_sums_parse_term_by_term(chart):
+    """A sum of many terms, cancelling ones included, is the sum of its
+    terms in order."""
+    rng = random.Random(17)
+    terms = [random_scalar(chart, rng, max_terms=1) for _ in range(40)]
+    terms += [-t for t in terms[::3]]
+    text = " + ".join(f"({scalar_to_text(t)})" for t in terms)
+    expected = ScalarFn.zero(chart)
+    for t in terms:
+        expected = expected + t
+    assert parse_scalar(chart, text) == expected
+    # a leading sign applies to the first term only
+    assert parse_scalar(chart, "-" + text) == expected - terms[0] - terms[0]
+
+
 def test_json_round_trip(chart):
     rng = random.Random(11)
     for _ in range(20):
@@ -242,6 +276,13 @@ def test_path_integral_needs_one_target_per_fiber_coordinate():
     other = ScalarFn.one(Chart(torus=("ph_2",), fiber=("y_1", "y_2")))
     with pytest.raises(ChartError, match="differ in chart"):
         f.path_integral(PowerTable(other.chart, [other, other]), 0)
+    # an equal chart that is another object passes the check
+    twin = Chart(torus=PATH_CHART.torus, fiber=PATH_CHART.fiber)
+    g = ScalarFn.y(twin, "y_2")
+    assert twin is not PATH_CHART
+    assert f.path_integral(PowerTable(twin, [g, g]), 1) == f.path_integral(
+        PowerTable(PATH_CHART, [ScalarFn.y(PATH_CHART, "y_2")] * 2), 1
+    )
 
 
 def _substitution_targets(name):
@@ -337,6 +378,29 @@ def test_mask_of_sum_and_product_within_union(chart, data):
     for h in (f + g, f * g, f - f, f * conjugate(f), f + g - f):
         assert h.mask & ~union == 0
     assert (f - f).mask == 0 and ScalarFn.zero(chart).mask == 0
+
+
+@pytest.mark.parametrize("chart", MASK_CHARTS, ids=["path", "torus"])
+def test_one_term_product_is_the_general_product(chart):
+    """A product of two one-term functions, by its own path, equals the
+    general product, on negative and zero frequencies and fiber powers;
+    products with more terms on either side agree as well."""
+    rng = random.Random(23)
+
+    def monomial():
+        key = tuple(rng.randint(-2, 2) for _ in range(chart.k)) + tuple(
+            rng.randint(0, 2) for _ in range(chart.m)
+        )
+        c = GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.choice((-2, -1, 1, 2)))
+        return ScalarFn(chart, {key: c})
+
+    for _ in range(200):
+        f, g = monomial(), monomial()
+        product = f * g
+        assert product == general_product(f, g) and product.chart is chart
+        assert product.mask == general_product(f, g).mask
+        wide = random_scalar(chart, rng, max_terms=4, freq=2, fiber_deg=2)
+        assert f * wide == general_product(f, wide) and wide * f == general_product(wide, f)
 
 
 @pytest.mark.parametrize("chart", MASK_CHARTS, ids=["path", "torus"])

@@ -110,6 +110,36 @@ def test_scale_by_a_sign_is_a_negation(name):
         assert x.scale(-1) == -x and x.scale(Fraction(-1)) == -x
 
 
+@pytest.mark.parametrize("name", sorted(CONTAINERS))
+def test_operands_on_an_equal_chart_combine(name):
+    """The chart check compares Chart objects by identity first and by
+    equality when they differ: an operand on an equal chart that is another
+    object combines as one on the same chart; another chart, or for a skew
+    container another degree, raises ChartError."""
+    make, _ = CONTAINERS[name]
+    rng = random.Random(13)
+    twin = Chart(torus=CHART.torus, fiber=CHART.fiber, leaf=CHART.leaf)
+    other = Chart(torus=("th_1", "th_2"), fiber=("y_1", "y_2"), leaf=("th_1", "th_2"))
+    for _ in range(5):
+        a = make(rng)
+        b = _same_shape(rng, make, a)
+        on_twin, on_other = b._like(b.terms), b._like(b.terms)
+        on_twin.chart, on_other.chart = twin, other
+        assert twin is not CHART
+        assert a + on_twin == a + b and a - on_twin == a - b and a.plus([on_twin]) == a + b
+        if isinstance(a, ScalarFn):
+            assert a * on_twin == a * b
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x.plus([y])):
+            with pytest.raises(ChartError, match="differ in chart or shape"):
+                op(a, on_other)
+        if hasattr(a, "degree"):
+            c = make(rng)
+            while c.degree == a.degree:
+                c = make(rng)
+            with pytest.raises(ChartError, match="differ in chart or shape"):
+                a + c
+
+
 def _reordered(x):
     """x rebuilt through its constructor from its terms in reverse order."""
     items = list(x.terms.items())[::-1]
