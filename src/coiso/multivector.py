@@ -61,11 +61,6 @@ class SkewTerms(SparseTerms):
     def _shape(self):
         return (self.chart, self.degree)
 
-    def _check(self, other):
-        super()._check(other)
-        if other.degree != self.degree:
-            raise ChartError(f"{type(self).__name__} operands differ in chart or shape")
-
     def _like(self, terms):
         r = object.__new__(type(self))
         r.chart, r.degree, r.terms = self.chart, self.degree, terms

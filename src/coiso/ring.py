@@ -24,13 +24,6 @@ container is built through the one kernel ``accumulate``, which adds
 term table is never changed once its container is built, so a container
 hashes by its type, shape and terms and can key a dict.
 
-Products.  The product of two one-term functions is one key sum and one
-coefficient product, built as a monomial with no ``accumulate``: the
-product of two nonzero Q(i) numbers is never zero.  Longer products add
-every pair of terms through ``accumulate``.  Operands must share a chart;
-the operands of one computation share one Chart object, so the check
-compares charts by identity and falls back to equality.
-
 Fiber substitution.  ``ScalarFn.substitute_fiber`` replaces every fiber
 coordinate by a target function, and ``ScalarFn.path_integral`` integrates
 exactly along the straight path from the fiber point to the targets, in
@@ -147,10 +140,9 @@ class SparseTerms:
     """The linear structure shared by every sparse container.
 
     A subclass keeps its shape next to ``terms`` and supplies two hooks:
-    ``_shape()``, the tuple that must agree for two containers to be equal,
-    and ``_like(terms)``, a container of the same shape holding terms that
-    are already canonical.  A subclass whose shape is more than the chart
-    extends ``_check`` as well.
+    ``_shape()``, the tuple that must agree for two containers to add, and
+    ``_like(terms)``, a container of the same shape holding terms that are
+    already canonical.
     """
 
     __slots__ = ("chart", "terms")
@@ -159,12 +151,7 @@ class SparseTerms:
         return (self.chart,)
 
     def _check(self, other):
-        """Raise unless other has this type and chart.  The operands of one
-        computation share one Chart, so the charts are compared by identity
-        first and by equality only when that fails."""
-        if type(other) is not type(self) or (
-            other.chart is not self.chart and other.chart != self.chart
-        ):
+        if type(other) is not type(self) or other._shape() != self._shape():
             raise ChartError(f"{type(self).__name__} operands differ in chart or shape")
 
     def is_zero(self) -> bool:
@@ -394,11 +381,6 @@ class ScalarFn(SparseTerms):
             return self
         if not other.terms:
             return other
-        if len(self.terms) == 1 and len(other.terms) == 1:
-            # a product of two nonzero Q(i) numbers is nonzero
-            ((e1, c1),) = self.terms.items()
-            ((e2, c2),) = other.terms.items()
-            return _monomial(self.chart, tuple(map(add, e1, e2)), c1 * c2)
         return self._like(
             accumulate(
                 {},

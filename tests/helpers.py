@@ -9,7 +9,6 @@ import random
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations
-from operator import add
 
 from coiso.rational import GaussianRational
 from coiso.ring import Chart, ScalarFn, accumulate, mat_mul, unit_inverse
@@ -681,22 +680,8 @@ def dense_insert(op, lam):
 
 
 # ---------------------------------------------------------------------------
-# the general routes of the ring and HPL kernels, as oracles
+# the general routes of the HPL kernels, as oracles
 # ---------------------------------------------------------------------------
-
-
-def general_product(f: ScalarFn, g: ScalarFn) -> ScalarFn:
-    """f g by the general product: every pair of terms, accumulated."""
-    return f._like(
-        accumulate(
-            {},
-            (
-                (tuple(map(add, e1, e2)), c1 * c2)
-                for e1, c1 in f.terms.items()
-                for e2, c2 in g.terms.items()
-            ),
-        )
-    )
 
 
 def integrate_then_normalize_h(c2, lam: GradedElement) -> GradedElement:

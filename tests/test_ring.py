@@ -23,7 +23,6 @@ from helpers import (
     TPoly,
     cofactor_inverse,
     conjugate,
-    general_product,
     scalar_from_json,
     random_real_scalar,
     random_scalar,
@@ -378,29 +377,6 @@ def test_mask_of_sum_and_product_within_union(chart, data):
     for h in (f + g, f * g, f - f, f * conjugate(f), f + g - f):
         assert h.mask & ~union == 0
     assert (f - f).mask == 0 and ScalarFn.zero(chart).mask == 0
-
-
-@pytest.mark.parametrize("chart", MASK_CHARTS, ids=["path", "torus"])
-def test_one_term_product_is_the_general_product(chart):
-    """A product of two one-term functions, by its own path, equals the
-    general product, on negative and zero frequencies and fiber powers;
-    products with more terms on either side agree as well."""
-    rng = random.Random(23)
-
-    def monomial():
-        key = tuple(rng.randint(-2, 2) for _ in range(chart.k)) + tuple(
-            rng.randint(0, 2) for _ in range(chart.m)
-        )
-        c = GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.choice((-2, -1, 1, 2)))
-        return ScalarFn(chart, {key: c})
-
-    for _ in range(200):
-        f, g = monomial(), monomial()
-        product = f * g
-        assert product == general_product(f, g) and product.chart is chart
-        assert product.mask == general_product(f, g).mask
-        wide = random_scalar(chart, rng, max_terms=4, freq=2, fiber_deg=2)
-        assert f * wide == general_product(f, wide) and wide * f == general_product(wide, f)
 
 
 @pytest.mark.parametrize("chart", MASK_CHARTS, ids=["path", "torus"])

@@ -112,10 +112,9 @@ def test_scale_by_a_sign_is_a_negation(name):
 
 @pytest.mark.parametrize("name", sorted(CONTAINERS))
 def test_operands_on_an_equal_chart_combine(name):
-    """The chart check compares Chart objects by identity first and by
-    equality when they differ: an operand on an equal chart that is another
-    object combines as one on the same chart; another chart, or for a skew
-    container another degree, raises ChartError."""
+    """The check compares shapes by value: an operand on an equal chart
+    that is another object combines as one on the same chart; another
+    chart, or for a skew container another degree, raises ChartError."""
     make, _ = CONTAINERS[name]
     rng = random.Random(13)
     twin = Chart(torus=CHART.torus, fiber=CHART.fiber, leaf=CHART.leaf)
