@@ -263,8 +263,8 @@ def bfv_lift_cocycle(lift: Lift, perturbed: PerturbedContraction, s: LeafForm) -
 def bfv_kuranishi(lift: Lift, perturbed: PerturbedContraction, nu: GradedElement):
     """Kr[nu] = [{nu, nu}_BFV] for a d_BFV-closed degree-1 section; returns
     (class, zero_mode), zero_mode the reduced leaf-torus zero mode of half
-    the class, as linfty.kuranishi returns that of the order-2 prolongation
-    obstruction.  Like that route, it needs a fiber direction."""
+    the class, as order 2 of linfty.prolong_formal reads that of the
+    MC route.  Like that route, it needs a fiber direction."""
     if not lift.chart.m:
         raise BFVError("projection needs at least one fiber direction")
     if not perturbed.differential(nu).is_zero():

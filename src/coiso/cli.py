@@ -47,7 +47,7 @@ from .ring import ContentError, ScalarFn
 from .expr import scalar_to_json
 from .leafform import LeafForm
 from .geom import is_coisotropic_section
-from .linfty import kuranishi, mc_series, prolong_formal
+from .linfty import mc_series, prolong_formal
 from .graded import GradedElement, bidegree, encode, normalize, XI, XIS
 from .bfv import (
     ObstructionFailure,
@@ -167,12 +167,13 @@ def _class_report(chart, kr, zero_mode, to_json, to_text):
 
 
 def _kuranishi(scenario, arg):
+    """The class m_2(s, s) and the zero mode of order 2 of prolong."""
     table = scenario.table()
     s = scenario.section()
-    kr, zero_mode = kuranishi(table, s)
+    _, [(_, zero_mode)] = prolong_formal(table, s, 2)
     return {
         "section": section_to_json(s),
-        **_class_report(scenario.chart, kr, zero_mode, leafform_to_json, leafform_to_text),
+        **_class_report(scenario.chart, table.m([s, s]), zero_mode, leafform_to_json, leafform_to_text),
     }
 
 
@@ -184,13 +185,13 @@ def _prolong(scenario, arg):
     power = len(scenario.chart.leaf)  # as in _class_report
     orders = [
         {
-            "order_k": h["order_k"],
-            "rhs": leafform_to_json(h["rhs"]),
-            "obstruction_zero_mode": leafform_to_json(h["obstruction_zero_mode"]),
+            "order_k": k,
+            "rhs": leafform_to_json(rhs),
+            "obstruction_zero_mode": leafform_to_json(zero_mode),
             "two_pi_power": power,
-            "solved": h["solved"],
+            "solved": zero_mode.is_zero(),
         }
-        for h in history
+        for k, (rhs, zero_mode) in enumerate(history, 2)
     ]
     if orders and not orders[-1]["solved"]:
         last = orders[-1]

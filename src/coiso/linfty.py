@@ -14,8 +14,8 @@ as an oracle of the table.
 A MultibracketTable keeps every derived bracket it builds, keyed by the
 sequence of its LeafForm arguments, so m_k extends the bracket of its
 first k - 1 arguments when that was built before.  Within one table the
-tasks share their brackets: m_1 s and m_2(s, s) of the Kuranishi map, the
-[[..[[J, I s]].., I s]] of the MC series and the formal prolongation, and
+tasks share their brackets: the [[..[[J, I s]].., I s]] of the MC series
+and of the formal prolongation, whose order 2 is the Kuranishi class, and
 each order of the frame values.  Keys compare by exact equality, and no
 lookup iterates over the memo.
 """
@@ -87,22 +87,21 @@ def extract_multibrackets(j: MultiDerivation) -> MultibracketTable:
 
 
 def solve_dF(omega: LeafForm):
-    """Return ('solved', eta) with d_F eta = omega when the leaf-torus zero
-    mode of omega vanishes, else ('obstructed', Pi_0 omega).  omega must be
-    d_F closed."""
+    """(eta, Pi_0 omega) for a d_F-closed omega: eta solves d_F eta = omega
+    when the leaf-torus zero mode Pi_0 omega vanishes, and is None else."""
     if not omega.d_leaf().is_zero():
         raise DeformationError("solve_dF requires a d_F-closed form")
-    obstruction = omega.leaf_zero_mode()
-    if not obstruction.is_zero():
-        return "obstructed", obstruction
+    zero_mode = omega.leaf_zero_mode()
+    if not zero_mode.is_zero():
+        return None, zero_mode
     eta = omega.homotopy_K()
     if eta.d_leaf() != omega:
         raise AssertionError("homotopy identity violated")
-    return "solved", eta
+    return eta, zero_mode
 
 
 # ---------------------------------------------------------------------------
-# Maurer-Cartan series, Kuranishi map, formal prolongation
+# Maurer-Cartan series and formal prolongation
 # ---------------------------------------------------------------------------
 
 
@@ -120,19 +119,6 @@ def mc_series(table: MultibracketTable, s: LeafForm) -> LeafForm:
     return terms[0].plus(terms[1:])
 
 
-def kuranishi(table: MultibracketTable, s: LeafForm):
-    """The Kuranishi class of an infinitesimal deformation.
-
-    Returns (m_2(s, s), zero_mode): the leaf-torus zero mode of the order-2
-    prolongation obstruction (1/2) m_2(s, s).  The obstruction is its
-    integral over the d leaf angles, (2 pi)^d times it, d = len(chart.leaf).
-    """
-    if not table.m1(s).is_zero():
-        raise DeformationError("kuranishi requires an infinitesimal deformation")
-    kr = table.m([s, s])
-    return kr, kr.scale(Fraction(1, 2)).leaf_zero_mode()
-
-
 def prolong_formal(table: MultibracketTable, s1: LeafForm, order: int):
     """Solve the MC hierarchy order by order with the torus homotopy.
 
@@ -141,14 +127,14 @@ def prolong_formal(table: MultibracketTable, s1: LeafForm, order: int):
     D[0] = J at n = 0, which reads s_p for p <= n - h + 1 only.  So the
     order-k right-hand side sum_{h=2}^{min(k, B)} (-1)^h / h! P(D[h][k]),
     B = table.series_bound(), is known before s_k.  A zero s_p or D[h][n]
-    brackets nothing, D[h][h] comes from the table (shared with kuranishi
-    and mc_series), and P of row B + 1 must vanish.
+    brackets nothing, D[h][h] comes from the table (shared with mc_series),
+    and P of row B + 1 must vanish.  Order 2's right-hand side is
+    (1/2) m_2(s_1, s_1), and its zero mode is the Kuranishi class.
 
     Returns (sections, orders): the normal sections s_1, s_2, .. solved so
-    far, and one entry per order k >= 2 tried, {order_k, rhs,
-    obstruction_zero_mode, solved}.  The run stops at the first order whose
-    right-hand side has a nonzero leaf zero mode, so it was obstructed iff
-    the last entry is unsolved.
+    far, and one (rhs, zero_mode) per order k = 2, 3, .. tried.  The run
+    stops at the first order whose leaf zero mode is not zero, so it was
+    obstructed iff the last zero mode is not zero.
     """
     sections = [s1]  # sections[p - 1] is s_p
     if not table.m1(s1).is_zero():
@@ -175,19 +161,9 @@ def prolong_formal(table: MultibracketTable, s1: LeafForm, order: int):
         if not terms.pop(bound + 1, zero).is_zero():
             raise AssertionError("MC hierarchy failed to terminate")
         rhs = zero.plus(m.scale(Fraction((-1) ** h, math.factorial(h))) for h, m in terms.items())
-        status, payload = solve_dF(rhs)
-        solved = status == "solved"
-        # solve_dF returns the zero mode of an obstructed order; a solved
-        # order has none
-        orders.append(
-            {
-                "order_k": k,
-                "rhs": rhs,
-                "obstruction_zero_mode": zero if solved else payload,
-                "solved": solved,
-            }
-        )
-        if not solved:
+        eta, zero_mode = solve_dF(rhs)
+        orders.append((rhs, zero_mode))
+        if eta is None:
             break
-        sections.append(payload)
+        sections.append(eta)
     return sections, orders

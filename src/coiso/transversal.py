@@ -29,7 +29,6 @@ from fractions import Fraction
 
 from .ring import Chart, ContentError, ScalarFn, accumulate, inverse_unit, mat_identity, mat_mul
 from .leafform import LeafForm
-from .serialize import leafform_to_text
 
 
 class TransversalError(ContentError):
@@ -179,7 +178,8 @@ class TransversalData:
                 forms += [i for (i,) in xi.terms]
             else:
                 raise TransversalError(
-                    f"m_k takes functions and frame forms delta_i, not {leafform_to_text(xi)}"
+                    f"m_k takes functions and frame forms delta_i, not a degree-{xi.degree}"
+                    f" form on the keys {sorted(xi.terms)}"
                 )
         if len(fns) > 2:
             return LeafForm.zero(chart, 0)

@@ -5,6 +5,7 @@ oracles and conveniences of the tests, which no command-line task needs
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
@@ -15,6 +16,7 @@ from coiso.ring import Chart, ScalarFn, accumulate, mat_mul, unit_inverse
 from coiso.multivector import MultiVectorField
 from coiso.multider import ArityError, MultiDerivation
 from coiso.leafform import LeafForm
+from coiso.linfty import DeformationError
 from coiso.geom import ContactChart, injection_I
 from coiso.graded import DX, DXI, DXIS, M, PAIR, XI, XIS, GradedElement, GradedError, decode, encode
 
@@ -108,6 +110,39 @@ def exp_series_mc(table, s):
     m_k(s, .., s) from the table and signs them by multilinearity."""
     minus = injection_I(-s)
     return exp_series(table.j, minus, table.series_bound(), 1)
+
+
+def kuranishi(table, s: LeafForm):
+    """(m_2(s, s), Pi_0 (1/2) m_2(s, s)) of an infinitesimal deformation s:
+    the Kuranishi class read on its own, the oracle of the kuranishi task,
+    which reads the zero mode of order 2 of linfty.prolong_formal."""
+    if not table.m1(s).is_zero():
+        raise DeformationError("kuranishi requires an infinitesimal deformation")
+    kr = table.m([s, s])
+    return kr, kr.scale(Fraction(1, 2)).leaf_zero_mode()
+
+
+def compositions(total, parts):
+    """Ordered tuples of `parts` positive integers summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def mc_residual(table, sections, n: int) -> LeafForm:
+    """r_n = sum_h ((-1)^h / h!) sum_{p_1 + .. + p_h = n} m_h(s_p1, .., s_ph),
+    the e^n coefficient of MC(-S) for S = sum_p s_p e^p (sections[p - 1] is
+    s_p), with every m_h, m_1 included, from the table: a solved order n of
+    the formal prolongation is certified by r_n = 0.  It calls no solver."""
+    r = LeafForm.zero(table.chart, 2)
+    for h in range(1, n + 1):
+        weight = Fraction((-1) ** h, math.factorial(h))
+        for comp in compositions(n, h):
+            r = r + table.m([sections[p - 1] for p in comp]).scale(weight)
+    return r
 
 
 def eval_nested(sq: MultiDerivation, fns) -> ScalarFn:
@@ -245,6 +280,17 @@ def scalar_from_json(chart, data) -> ScalarFn:
         key = tuple(item["torus"] + item["fiber"])
         terms[key] = GaussianRational(Fraction(item["re"]), Fraction(item["im"]))
     return ScalarFn(chart, terms)
+
+
+def leafform_from_json(chart, data) -> LeafForm:
+    """The inverse of serialize.leafform_to_json."""
+    terms = {tuple(t["idx"]): scalar_from_json(chart, t["coef"]) for t in data["terms"]}
+    return LeafForm(chart, data["degree"], terms)
+
+
+def section_from_json(chart, data) -> LeafForm:
+    """The inverse of serialize.section_to_json."""
+    return LeafForm.section(chart, [scalar_from_json(chart, c) for c in data])
 
 
 # The generator formulas (coordinate corollary) of the multibrackets on the

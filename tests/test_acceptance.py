@@ -18,7 +18,7 @@ from coiso.geom import (
     fiberwise_linear_jacobi,
     projection_P,
 )
-from coiso.linfty import MultibracketTable, kuranishi, mc_series, prolong_formal
+from coiso.linfty import MultibracketTable, mc_series, prolong_formal
 from coiso.transversal import TransversalData
 from coiso.graded import (
     DX,
@@ -172,12 +172,13 @@ def test_criterion_04_obstructed_deformation(chart, table):
     s = LeafForm.section(chart, [f, g])
     assert (g.partial(0) - f.partial(1)).is_zero()
     assert table.m1(s).is_zero()
-    kr, zero_mode = kuranishi(table, s)
     s3 = ScalarFn.sin_phi(chart, "ph_3")
-    assert zero_mode == LeafForm(chart, 2, {(0, 1): s3})
+    # the Kuranishi class is order 2 of the formal prolongation, where it stops
     coefficients, orders = prolong_formal(table, s, 4)
-    assert [o["order_k"] for o in orders] == [2] and not orders[-1]["solved"]
-    assert orders[-1]["obstruction_zero_mode"] == LeafForm(chart, 2, {(0, 1): s3})
+    assert coefficients == [s]
+    [(rhs, zero_mode)] = orders
+    assert rhs == LeafForm(chart, 2, {(0, 1): s3}) == zero_mode
+    assert table.m([s, s]) == rhs.scale(2)
     report(4, "s = (cos ph_4, sin ph_4) is infinitesimal; Kuranishi zero mode = (2*pi)^2 sin(ph_3) != 0")
 
 

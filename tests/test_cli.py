@@ -164,7 +164,8 @@ def test_validation_error_exit_code(tmp_path, capsys):
         (edited("contact", "reeb", {"ph_4": "sin(ph_3)"}), "check-jacobi", "theta(R) must be exactly 1"),
         (edited("contact", "frame", [{"ph_1": "1"}] + frame[1:]), "check-jacobi", "ker theta"),
         (edited("transversal", "C", ["y_1", "0"]), "transversal-crosscheck", "must be base-only"),
-        (edited("section", "components", open_section), "prolong", "not an infinitesimal deformation"),
+        (edited("section", "components", open_section), "prolong", "s1 is not an infinitesimal deformation"),
+        (edited("section", "components", open_section), "kuranishi", "s1 is not an infinitesimal deformation"),
         (edited("section", "components", open_section), "bfv-kuranishi", "requires a d_BFV-closed section"),
         (edited("chart", "leaf", ["ph_1"]), "kuranishi", "one leaf coordinate per fiber direction"),
     ]

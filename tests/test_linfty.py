@@ -1,4 +1,5 @@
-"""Multibracket extraction, MC series, Kuranishi map, formal prolongation."""
+"""Multibracket extraction, MC series, formal prolongation and the
+Kuranishi class at its order 2."""
 
 import importlib.util
 import json
@@ -22,7 +23,6 @@ from coiso.geom import injection_I, is_coisotropic_section, projection_P, fiberw
 from coiso.linfty import (
     DeformationError,
     MultibracketTable,
-    kuranishi,
     mc_series,
     prolong_formal,
     solve_dF,
@@ -31,12 +31,14 @@ from coiso.scenario import Scenario, load_scenario
 from coiso import cli
 
 from helpers import (
+    compositions,
     exp_series_mc,
     fields_XY,
     gen_no_function,
     gen_one_function,
     gen_two_functions,
     jet_chart,
+    kuranishi,
     nested_derived,
     random_base_scalar,
     torus_chart,
@@ -120,17 +122,16 @@ def test_solve_dF(chart):
     # omega = cos(ph_1) dph_1 ^ dph_2 -> eta = sin(ph_1) dph_2
     c1 = ScalarFn.cos_phi(chart, "ph_1")
     omega = LeafForm(chart, 2, {(0, 1): c1})
-    status, eta = solve_dF(omega)
-    assert status == "solved"
+    eta, zero_mode = solve_dF(omega)
     assert eta == LeafForm(chart, 1, {(1,): ScalarFn.sin_phi(chart, "ph_1")})
     assert eta.d_leaf() == omega
+    assert zero_mode == LeafForm.zero(chart, 2)
 
     const = LeafForm(chart, 2, {(0, 1): ScalarFn.one(chart)})
-    status, obs = solve_dF(const)
-    assert status == "obstructed" and obs == const
+    assert solve_dF(const) == (None, const)
 
-    status, eta = solve_dF(LeafForm.zero(chart, 2))
-    assert status == "solved" and eta.is_zero()
+    eta, zero_mode = solve_dF(LeafForm.zero(chart, 2))
+    assert eta.is_zero() and zero_mode.is_zero()
 
     with pytest.raises(DeformationError):
         solve_dF(LeafForm(chart, 1, {(0,): ScalarFn.y(chart, "y_1") * ScalarFn.one(chart)})
@@ -145,7 +146,7 @@ def test_solve_dF(chart):
     eta = LeafForm(chart, 1, {(0,): ScalarFn(chart, {(0, 1, 1, 0, 0, 0): 1})})
     omega = eta.d_leaf()
     assert sorted(omega.terms) == [(0, 1), (0, 2)]
-    assert solve_dF(omega) == ("solved", eta)
+    assert solve_dF(omega) == (eta, LeafForm.zero(chart, 2))
 
 
 def test_solve_dF_random_exact_forms(chart):
@@ -153,11 +154,9 @@ def test_solve_dF_random_exact_forms(chart):
     for _ in range(6):
         eta = leaf1(chart, random_base_scalar(chart, rng), random_base_scalar(chart, rng))
         omega = eta.d_leaf()
-        status, payload = solve_dF(omega)
-        if status == "solved":
-            assert payload.d_leaf() == omega
-        else:  # pragma: no cover
-            raise AssertionError("exact form reported as obstructed")
+        solved, zero_mode = solve_dF(omega)
+        assert zero_mode.is_zero(), "exact form reported as obstructed"
+        assert solved.d_leaf() == omega
 
 
 def test_mc_series_matches_displayed_pde(table, chart, J):
@@ -198,7 +197,8 @@ def test_mc_zero_iff_coisotropic(table, chart, J):
 
 
 def test_kuranishi_obstructed_example(table, chart):
-    """s = (cos ph_4, sin ph_4): infinitesimal, obstruction (2 pi)^2 sin ph_3."""
+    """s = (cos ph_4, sin ph_4): infinitesimal, obstruction (2 pi)^2 sin ph_3,
+    on the kuranishi oracle."""
     f = ScalarFn.cos_phi(chart, "ph_4")
     g = ScalarFn.sin_phi(chart, "ph_4")
     s = LeafForm.section(chart, [f, g])
@@ -208,6 +208,8 @@ def test_kuranishi_obstructed_example(table, chart):
     s3 = ScalarFn.sin_phi(chart, "ph_3")
     assert kr == LeafForm(chart, 2, {(0, 1): s3.scale(2)})
     assert zero_mode == LeafForm(chart, 2, {(0, 1): s3})
+    # order 2 of the formal prolongation: rhs (1/2) m_2(s, s), the same zero mode
+    assert prolong_formal(table, s, 2) == ([s], [(kr.scale(Fraction(1, 2)), zero_mode)])
 
 
 def test_readme_example(capsys):
@@ -220,9 +222,11 @@ def test_readme_example(capsys):
 
 
 def test_kuranishi_rejects_non_cocycle(table, chart):
+    """The Kuranishi class is order 2 of the formal prolongation, which
+    refuses a section that is not d_F-closed."""
     s = LeafForm.section(chart, [ScalarFn.sin_phi(chart, "ph_2"), ScalarFn.zero(chart)])
-    with pytest.raises(DeformationError):
-        kuranishi(table, s)
+    with pytest.raises(DeformationError, match="s1 is not an infinitesimal deformation"):
+        prolong_formal(table, s, 2)
 
 
 def test_normal_section_is_a_degree_one_leaf_form(chart):
@@ -244,8 +248,9 @@ def test_normal_section_is_a_degree_one_leaf_form(chart):
 
 
 def test_kuranishi_zero_for_zero(table, chart):
-    kr, zero_mode = kuranishi(table, LeafForm.zero(chart, 1))
-    assert kr.is_zero() and zero_mode.is_zero()
+    zero = LeafForm.zero(chart, 1)
+    assert table.m([zero, zero]).is_zero()
+    assert prolong_formal(table, zero, 2) == ([zero, zero], [(LeafForm.zero(chart, 2),) * 2])
 
 
 def test_prolong_obstructed(table, chart):
@@ -254,15 +259,14 @@ def test_prolong_obstructed(table, chart):
     )
     coefficients, orders = prolong_formal(table, s1, 4)
     assert coefficients == [s1]
-    assert [o["order_k"] for o in orders] == [2] and not orders[-1]["solved"]
     zero_mode = LeafForm(chart, 2, {(0, 1): ScalarFn.sin_phi(chart, "ph_3")})
-    assert orders[-1]["obstruction_zero_mode"] == zero_mode
+    assert [zm for _, zm in orders] == [zero_mode]
 
 
 def test_prolong_unobstructed_cases(table, chart):
     zero = LeafForm.zero(chart, 1)
     coefficients, orders = prolong_formal(table, zero, 3)
-    assert [o["solved"] for o in orders] == [True, True]
+    assert [zm.is_zero() for _, zm in orders] == [True, True]
     assert coefficients == [zero] * 3
 
     # s1 = (cos ph_3, 0): m_2(s1, s1) density vanishes identically, so the
@@ -271,7 +275,7 @@ def test_prolong_unobstructed_cases(table, chart):
     m2 = table.m([s1, s1])
     assert m2.is_zero()
     coefficients, orders = prolong_formal(table, s1, 3)
-    assert [o["solved"] for o in orders] == [True, True]
+    assert [zm.is_zero() for _, zm in orders] == [True, True]
     assert coefficients == [s1, zero, zero]
 
 
@@ -552,16 +556,6 @@ def test_multibrackets_symmetric_in_sections(name, sections, perm):
         assert table.m(reordered) == table.m(args)
 
 
-def _compositions(total, parts):
-    """Ordered tuples of `parts` positive integers summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def composition_prolong(table, s1, order):
     """prolong_formal with the order-k right-hand side summed over every
     composition of k into h >= 2 parts, weight (-1)^h / h!, each term an
@@ -571,22 +565,16 @@ def composition_prolong(table, s1, order):
     for k in range(2, order + 1):
         rhs = LeafForm.zero(chart, 2)
         for h in range(2, k + 1):
-            for comp in _compositions(k, h):
+            for comp in compositions(k, h):
                 args = [coeffs[i - 1] for i in comp]
                 m_h = projection_P(nested_derived(table.j, args))
                 rhs = rhs + m_h.scale(Fraction((-1) ** h, math.factorial(h)))
-        status, payload = solve_dF(rhs)
-        history.append(
-            {
-                "order_k": k,
-                "rhs": rhs,
-                "obstruction_zero_mode": rhs.leaf_zero_mode(),
-                "solved": status == "solved",
-            }
-        )
-        if status == "obstructed":
+        eta, zero_mode = solve_dF(rhs)
+        assert zero_mode == rhs.leaf_zero_mode()
+        history.append((rhs, zero_mode))
+        if eta is None:
             break
-        coeffs.append(payload)
+        coeffs.append(eta)
     return coeffs, history
 
 
@@ -687,21 +675,35 @@ def test_derived_memo_matches_fold(name, pool, picks, cut):
     assert warm.m(args) == projection_P(nested_derived(j, args))
 
 
-def _section_scenarios():
-    """The built-in torus-obstructed and seeded sections of both
-    linfty-sections families (ph3: prolongs, mixed: obstructed at order 2),
-    built by the benchmark's own generator."""
+def _benchmark_workloads():
+    """perfbench/workloads.py, the benchmark's generator of scenarios."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # dataclasses look their module up
     spec.loader.exec_module(workloads)
-    base = json.loads(workloads._builtin_bytes("torus-obstructed"))
+    return workloads
+
+
+WORKLOADS = _benchmark_workloads()
+
+
+def _section_data(family, seed):
+    """The scenario data of seeded section `seed` of a linfty-sections
+    family (ph3: prolongs, mixed: obstructed at order 2), built by the
+    benchmark's own generator."""
+    base = json.loads(WORKLOADS._builtin_bytes("torus-obstructed"))
+    rng = random.Random(f"mc-series/{family}/{seed}")
+    return WORKLOADS.section_scenario(base, family, rng)
+
+
+def _section_scenarios():
+    """The built-in torus-obstructed and seeded sections of both
+    linfty-sections families."""
     out = [pytest.param(load_scenario("torus-obstructed"), id="torus-obstructed")]
-    for family in (workloads.PROLONGED, workloads.OBSTRUCTED):
+    for family in (WORKLOADS.PROLONGED, WORKLOADS.OBSTRUCTED):
         for seed in range(3):
-            rng = random.Random(f"mc-series/{family}/{seed}")
-            data = workloads.section_scenario(base, family, rng)
+            data = _section_data(family, seed)
             out.append(pytest.param(Scenario(data, family), id=f"{family}-{seed}"))
     return out
 
@@ -710,11 +712,12 @@ def _section_scenarios():
 def test_mc_series_matches_exp_series(scenario):
     """mc_series, whose m_k(s, .., s) come from the table, equals the
     exponential series of ad_{I(-s)} on J: on a fresh table, and again once
-    kuranishi and prolong_formal have kept their brackets of s there."""
+    the kuranishi task and prolong_formal have kept their brackets of s
+    there."""
     table, s = scenario.table(), scenario.section()
     expected = exp_series_mc(table, s)
     assert mc_series(table, s) == expected
-    kuranishi(table, s)
+    cli.TASKS["kuranishi"](scenario, None)
     prolong_formal(table, s, 4)
     assert mc_series(table, s) == expected
 

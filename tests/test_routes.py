@@ -1,26 +1,32 @@
 """The obstruction routes agree as a property: on infinitesimal sections of
-torus-obstructed, the Maurer-Cartan route (the Kuranishi map of the
-multibracket table, and the formal prolongation at order 2) and the BFV
-route (the Kuranishi class of the canonical d_BFV-closed lift) find the same
-obstruction.  On each route the class is gauge invariant: it does not change
-when an exact term is added to the section (m_1 f) or to its lift
-(d_BFV beta).
+torus-obstructed, the Maurer-Cartan route (order 2 of the formal
+prolongation, which the kuranishi task reads) and the BFV route (the
+Kuranishi class of the canonical d_BFV-closed lift) find the same
+obstruction, and the kuranishi task agrees with the class read on its own
+(helpers.kuranishi).  On each route the class is gauge invariant: it does
+not change when an exact term is added to the section (m_1 f) or to its
+lift (d_BFV beta).
 
 The Lift, d_BFV and the HPL resolution are built once for the module; each
 example costs one derived bracket, one perturbed immersion and one graded
 bracket."""
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coiso.ring import ScalarFn
 from coiso.leafform import LeafForm
-from coiso.linfty import kuranishi, prolong_formal
+from coiso.linfty import prolong_formal
 from coiso.graded import XI, XIS, GradedElement, decode
 from coiso.bfv import bfv_kuranishi, bfv_lift_cocycle
 from coiso.scenario import load_scenario
+from coiso.serialize import leafform_to_json
+from coiso import cli
 
-from test_linfty import TORUS_OBSTRUCTED, _infinitesimal_sections, _polys
+from helpers import kuranishi
+from test_linfty import TORUS_OBSTRUCTED, _infinitesimal_sections, _polys, _prolonging_section
 
 CHART = TORUS_OBSTRUCTED.chart
 # base functions of every torus direction, leaf and transverse
@@ -45,37 +51,42 @@ def ghost_to_leafform(x: GradedElement, degree: int) -> LeafForm:
     return LeafForm(x.chart, degree, terms)
 
 
+def _order_2_zero_mode(table, s) -> LeafForm:
+    """The zero mode of order 2 of the formal prolongation: the MC route's
+    reading of the Kuranishi class."""
+    _, [(_, zero_mode)] = prolong_formal(table, s, 2)
+    return zero_mode
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(s=_infinitesimal_sections())
 @example(s=TORUS_OBSTRUCTED.section())  # (cos ph_4, sin ph_4): obstructed
 @example(s=LeafForm.zero(TORUS_OBSTRUCTED.chart, 1))  # nu = 0 has no single degree
+@example(s=_prolonging_section())  # order 2 solves with s_2 != 0
 def test_kuranishi_and_bfv_kuranishi_agree(routes, s):
+    """The kuranishi task reports the class and the zero mode of the oracle,
+    and the BFV route reads the MC route's order-2 zero mode."""
     table, lift, pert = routes
-    _, zero_mode_l = kuranishi(table, s)
+    kr, zero_mode_l = kuranishi(table, s)
+    task = SimpleNamespace(table=lambda: table, section=lambda: s, chart=CHART)
+    report = cli.TASKS["kuranishi"](task, None)
+    assert report["class"] == leafform_to_json(kr)
+    assert report["zero_mode"] == leafform_to_json(zero_mode_l)
     nu = bfv_lift_cocycle(lift, pert, s)
     _, zero_mode = bfv_kuranishi(lift, pert, nu)
-    assert ghost_to_leafform(zero_mode, 2) == zero_mode_l
-    _, orders = prolong_formal(table, s, 2)
-    assert (not orders[-1]["solved"]) == (not zero_mode.is_zero())
-
-
-def _order_2_obstructed(table, s) -> bool:
-    _, orders = prolong_formal(table, s, 2)
-    return not orders[-1]["solved"]
+    assert ghost_to_leafform(zero_mode, 2) == _order_2_zero_mode(table, s) == zero_mode_l
 
 
 @settings(derandomize=True, max_examples=12, deadline=None)
 @given(s=_infinitesimal_sections(), f=_base_functions)
 @example(s=TORUS_OBSTRUCTED.section(), f=ScalarFn.sin_phi(CHART, "ph_1") * ScalarFn.cos_phi(CHART, "ph_3"))
 def test_kuranishi_class_is_gauge_invariant(routes, s, f):
-    """s and s + m_1 f are both closed and have the same class: the
-    Kuranishi zero mode and the order-2 verdict of the formal prolongation
-    do not change."""
+    """s and s + m_1 f are both closed and have the same class: the zero
+    mode of order 2 of the formal prolongation does not change."""
     table = routes[0]
     gauged = s + table.m1(LeafForm.function(f))
     assert table.m1(gauged).is_zero()
-    assert kuranishi(table, gauged)[1] == kuranishi(table, s)[1]
-    assert _order_2_obstructed(table, gauged) == _order_2_obstructed(table, s)
+    assert _order_2_zero_mode(table, gauged) == _order_2_zero_mode(table, s)
 
 
 def _gauge_parameters(fiber: bool):
