@@ -21,7 +21,7 @@ the contraction axioms of both on samples (the hpl-resolve task).
 
 A failed identity that the paper proves (the contraction axioms, the
 perturbed chain map, [[J^, J^]] = 0, d_BFV^2 = 0, the termination of the
-SBSO and of the perturbation series) raises AssertionError; BFVError is
+SBSO and of the perturbation series) raises AssertionError; ContentError is
 kept for inputs the constructions do not accept.
 """
 
@@ -41,10 +41,6 @@ from .graded import (
     jacobi_bracket,
     tautological_G,
 )
-
-
-class BFVError(ContentError):
-    pass
 
 
 class ObstructionFailure(Exception):
@@ -138,7 +134,7 @@ class Lift:
 
     def __init__(self, j: MultiDerivation):
         if not j.is_jacobi():
-            raise BFVError("lifting requires a Jacobi structure")
+            raise ContentError("lifting requires a Jacobi structure")
         self.chart = j.chart
         self.j = j
         self.G = tautological_G(j.chart)
@@ -266,8 +262,8 @@ def bfv_kuranishi(lift: Lift, perturbed: PerturbedContraction, nu: GradedElement
     the class, as order 2 of linfty.prolong_formal reads that of the
     MC route.  Like that route, it needs a fiber direction."""
     if not lift.chart.m:
-        raise BFVError("projection needs at least one fiber direction")
+        raise ContentError("projection needs at least one fiber direction")
     if not perturbed.differential(nu).is_zero():
-        raise BFVError("bfv_kuranishi requires a d_BFV-closed section")
+        raise ContentError("bfv_kuranishi requires a d_BFV-closed section")
     kr = jacobi_bracket(lift.j_hat, nu, nu)
     return kr, perturbed.base.wp(kr).scale(Fraction(1, 2)).leaf_zero_mode()

@@ -8,10 +8,10 @@
 Reports are deterministic: identical scenario and flags produce
 byte-identical JSON.  Exit codes: 0 all tasks succeeded (a *found*
 obstruction is a success), 1 usage error, a scenario that cannot be read
-as JSON or a report that cannot be written to --out, 2 any error in a
-scenario's content (a ``ring.ContentError``, found by ``scenario.SCHEMA``
-as it loads, or as a task builds an artifact), 3 internal invariant
-violation.
+as JSON (a ``scenario.ScenarioFileError``) or a report that cannot be
+written to --out, 2 any other ``ring.ContentError``: an error in a
+scenario's content, found by ``scenario.SCHEMA`` as it loads, or as a task
+builds an artifact, 3 internal invariant violation.
 
 Each task is one function in ``TASKS``.  Tasks draw on artifacts of the
 scenario, each built on first use and checked once as it is built:
@@ -56,7 +56,7 @@ from .bfv import (
     brst_charge,
     check_hpl_axioms,
 )
-from .scenario import Scenario, ScenarioError, ScenarioFileError, builtin_names, load_scenario
+from .scenario import Scenario, ScenarioFileError, builtin_names, load_scenario
 from .serialize import (
     graded_to_json,
     graded_to_text,
@@ -134,7 +134,7 @@ def _multibrackets(scenario, arg):
     chart = scenario.chart
     if not chart.m:
         # the frame values m_k(delta, ...) cycle through the fiber frame
-        raise ScenarioError("needs at least one fiber coordinate, the chart has none")
+        raise ContentError("needs at least one fiber coordinate, the chart has none")
     table = scenario.table()
     max_order = arg or max(table.series_bound(), 3)
     out = {"series_bound": table.series_bound(), "orders": {}}
@@ -214,9 +214,9 @@ def _transversal_crosscheck(scenario, arg):
     chart = scenario.chart
     if chart.m < 2:
         # the checks pair the first two fiber frame forms
-        raise ScenarioError(f"needs at least two fiber coordinates, the chart has {chart.m}")
+        raise ContentError(f"needs at least two fiber coordinates, the chart has {chart.m}")
     if len(chart.leaf) != chart.m:  # frame form i is d_F of leaf coordinate i
-        raise ScenarioError("needs one chart 'leaf' coordinate per fiber coordinate")
+        raise ContentError("needs one chart 'leaf' coordinate per fiber coordinate")
     table = scenario.table()
     td = scenario.transversal()
     delta = _fiber_frame(chart)
@@ -424,7 +424,7 @@ def main(argv=None) -> int:
 
     try:
         scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
+    except ContentError as exc:
         sys.stderr.write(f"coiso: {exc}\n")
         return 1 if isinstance(exc, ScenarioFileError) else 2
 

@@ -12,7 +12,7 @@ Grammar (whitespace-insensitive):
 Names must be chart coordinates; a bare torus coordinate is not a valid
 factor (angles are not functions), only fiber coordinates may appear as
 monomials.  Parentheses nest at most ``_Parser.MAX_DEPTH`` (100) deep, so a
-deeper expression is an ExprError rather than a RecursionError.
+deeper expression is a ContentError rather than a RecursionError.
 """
 
 from __future__ import annotations
@@ -28,10 +28,8 @@ _TOKEN = re.compile(
 )
 
 
-class ExprError(ContentError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
+def _error(message: str, pos: int) -> ContentError:
+    return ContentError(f"{message} (at position {pos})")
 
 
 def _tokenize(text: str):
@@ -43,7 +41,7 @@ def _tokenize(text: str):
             # name the first character after the whitespace that _TOKEN skips
             bad = len(text) - len(text[pos:].lstrip())
             if bad < len(text):
-                raise ExprError(f"unexpected character {text[bad]!r}", bad)
+                raise _error(f"unexpected character {text[bad]!r}", bad)
             break
         kind = m.lastgroup  # the one group of _TOKEN that matched
         val = m.group(kind)
@@ -74,13 +72,13 @@ class _Parser:
     def expect(self, op: str):
         kind, val, pos = self.next()
         if kind != "op" or val != op:
-            raise ExprError(f"expected {op!r}", pos)
+            raise _error(f"expected {op!r}", pos)
 
     def parse(self) -> ScalarFn:
         f = self.expr()
         kind, _, pos = self.peek()
         if kind != "end":
-            raise ExprError("trailing input", pos)
+            raise _error("trailing input", pos)
         return f
 
     def expr(self) -> ScalarFn:
@@ -117,7 +115,7 @@ class _Parser:
             sign = -1
             kind, val, pos = self.next()
         if kind != "num":
-            raise ExprError("expected integer", pos)
+            raise _error("expected integer", pos)
         return sign * val
 
     def factor(self) -> ScalarFn:
@@ -126,7 +124,7 @@ class _Parser:
         if kind == "op" and val == "(":
             self.depth += 1
             if self.depth > self.MAX_DEPTH:
-                raise ExprError(f"parentheses nested deeper than {self.MAX_DEPTH}", pos)
+                raise _error(f"parentheses nested deeper than {self.MAX_DEPTH}", pos)
             f = self.expr()
             self.expect(")")
             self.depth -= 1
@@ -138,7 +136,7 @@ class _Parser:
                 self.next()
                 kind3, den, pos3 = self.next()
                 if kind3 != "num" or den == 0:
-                    raise ExprError("expected nonzero denominator", pos3)
+                    raise _error("expected nonzero denominator", pos3)
                 return ScalarFn.const(chart, Fraction(num, den))
             return ScalarFn.const(chart, num)
         if kind == "name":
@@ -148,7 +146,7 @@ class _Parser:
                 self.expect("(")
                 kind2, cname, pos2 = self.next()
                 if kind2 != "name" or cname not in chart.torus:
-                    raise ExprError("expected torus coordinate", pos2)
+                    raise _error("expected torus coordinate", pos2)
                 self.expect(")")
                 make = ScalarFn.sin_phi if val == "sin" else ScalarFn.cos_phi
                 return make(chart, cname)
@@ -156,13 +154,13 @@ class _Parser:
                 self.expect("(")
                 kind2, iname, pos2 = self.next()
                 if kind2 != "name" or iname not in ("i", "I"):
-                    raise ExprError("expected I", pos2)
+                    raise _error("expected I", pos2)
                 self.expect("*")
                 n = self._int()
                 self.expect("*")
                 kind3, cname, pos3 = self.next()
                 if kind3 != "name" or cname not in chart.torus:
-                    raise ExprError("expected torus coordinate", pos3)
+                    raise _error("expected torus coordinate", pos3)
                 self.expect(")")
                 return ScalarFn.exp_phi(chart, cname, n)
             if val in chart.fiber:
@@ -172,14 +170,14 @@ class _Parser:
                     self.next()
                     p = self._int()
                     if p < 0:
-                        raise ExprError("negative fiber exponent", pos)
+                        raise _error("negative fiber exponent", pos)
                 return ScalarFn.y(chart, val, p)
             if val in chart.torus:
-                raise ExprError(
+                raise _error(
                     f"torus coordinate {val!r} is not a function; use sin/cos/exp", pos
                 )
-            raise ExprError(f"unknown name {val!r}", pos)
-        raise ExprError("unexpected token", pos)
+            raise _error(f"unknown name {val!r}", pos)
+        raise _error("unexpected token", pos)
 
 
 def parse_scalar(chart: Chart, text: str) -> ScalarFn:

@@ -17,14 +17,10 @@ exact substitution criterion.
 
 from __future__ import annotations
 
-from .ring import Chart, ChartError, ContentError, PowerTable, ScalarFn, accumulate, inverse_unit, mat_mul
+from .ring import Chart, ContentError, PowerTable, ScalarFn, accumulate, inverse_unit, mat_mul
 from .multivector import MultiVectorField, SkewTerms
 from .multider import MultiDerivation
 from .leafform import LeafForm
-
-
-class GeometryError(ContentError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +40,7 @@ class Form(SkewTerms):
         """<theta, X> for a 1-form and vector field, summed over the keys
         both carry."""
         if X.chart != self.chart:
-            raise ChartError("pairing operands differ in chart")
+            raise ContentError("pairing operands differ in chart")
         x = X.terms
         return ScalarFn.zero(self.chart).plus(f * x[k] for k, f in self.terms.items() if k in x)
 
@@ -68,12 +64,12 @@ class ContactChart:
         self.reeb = reeb
         self.frame = list(frame)
         if len(self.frame) != chart.dim - 1:
-            raise GeometryError("frame of ker theta must have dim - 1 members")
+            raise ContentError("frame of ker theta must have dim - 1 members")
         if self.theta.pair_vector(reeb) != ScalarFn.one(chart):
-            raise GeometryError("theta(R) must be exactly 1")
+            raise ContentError("theta(R) must be exactly 1")
         for E in self.frame:
             if not self.theta.pair_vector(E).is_zero():
-                raise GeometryError("frame vectors must lie in ker theta")
+                raise ContentError("frame vectors must lie in ker theta")
 
     def curvature(self):
         """The matrix omega_ij = theta([E_i, E_j]) of the frame.  The Lie
@@ -110,7 +106,7 @@ def check_contact_jacobi(theta: Form, J: MultiDerivation) -> MultiDerivation:
                 yield mu, -(th[nu] * f)
 
     if accumulate({}, contraction()) != {J.chart.dim: -ScalarFn.one(J.chart)}:
-        raise GeometryError("postcondition theta(X_f) = f failed")
+        raise ContentError("postcondition theta(X_f) = f failed")
     if not J.sj_bracket(J).is_zero():
         raise AssertionError("contact construction produced a non-Jacobi bracket")
     return J
@@ -154,9 +150,9 @@ def lcs_to_jacobi(omega: Form, theta1: Form) -> MultiDerivation:
     omega ^ theta1 = 0, X_lam = omega^sharp(d lam + lam theta1)."""
     chart = omega.chart
     if not theta1.d().is_zero():
-        raise GeometryError("theta1 is not closed")
+        raise ContentError("theta1 is not closed")
     if not (omega.d() + omega.wedge(theta1)).is_zero():
-        raise GeometryError("d omega + omega ^ theta1 != 0")
+        raise ContentError("d omega + omega ^ theta1 != 0")
 
     n = chart.dim
     Omega_inv = inverse_unit(chart, [[omega.coefficient((i, j)) for j in range(n)] for i in range(n)])
@@ -183,7 +179,7 @@ def fiberwise_linear_jacobi(chart: Chart) -> MultiDerivation:
     In closed form Lambda = sum_i (d_{ph_i} + p_i d_z) ^ d_{p_i} and Q = d_z."""
     b = chart.k
     if chart.m != b + 1:
-        raise GeometryError("jet chart needs fiber (z, p_1..p_b) over T^b")
+        raise ContentError("jet chart needs fiber (z, p_1..p_b) over T^b")
     one = ScalarFn.one(chart)
     z = chart.index(chart.fiber[0])
     lam, theta = {}, {(z,): one}
@@ -206,7 +202,7 @@ def projection_P(sq: MultiDerivation) -> LeafForm:
     torus and no id index), restricted to y = 0."""
     chart = sq.chart
     if chart.m < 1:
-        raise GeometryError("projection needs at least one fiber direction")
+        raise ContentError("projection needs at least one fiber direction")
     out, fiber = {}, range(chart.k, chart.dim)
     for key, f in sq.terms.items():
         if all(chart.k <= i < chart.dim for i in key):
@@ -232,7 +228,7 @@ def is_coisotropic_section(j: MultiDerivation, s: LeafForm):
     Returns (flag, residues) with residues keyed by the offending (A, B).
     """
     if not j.is_jacobi():
-        raise GeometryError("is_coisotropic_section requires a Jacobi structure")
+        raise ContentError("is_coisotropic_section requires a Jacobi structure")
     chart = j.chart
     comps = s.components()
     gens = [ScalarFn.y(chart, name) - g for name, g in zip(chart.fiber, comps)]

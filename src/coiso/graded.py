@@ -56,10 +56,6 @@ from .multider import MultiDerivation
 from .leafform import LeafForm
 
 
-class GradedError(ContentError):
-    pass
-
-
 _KIND = 24  # first bit of the kind field; the index fills bits 2..23
 _INDEX = (1 << _KIND - 2) - 1
 _WIDTH = _KIND + 3  # bits of a letter that is not a PAIR
@@ -96,7 +92,7 @@ def _encode(letter) -> int:
         type(i) is int and 0 <= i <= _INDEX for i in rest
     ):
         return _letter(kind, *rest)
-    raise GradedError(f"unknown letter {letter!r}")
+    raise ContentError(f"unknown letter {letter!r}")
 
 
 def decode(word) -> tuple:
@@ -308,7 +304,7 @@ class GradedElement(SparseTerms):
             return self
         d = self.is_homogeneous_degree()
         if d is None or d % 2 == 0:
-            raise GradedError("the bracket squares an element of odd degree")
+            raise ContentError("the bracket squares an element of odd degree")
         ab, tally = self._compose(self)
         counts = (((w, x, y), n + tally.get((w, y, x), n)) for (w, x, y), n in tally.items())
         _check_cancelled(counts, self.terms, self.terms)
@@ -377,7 +373,7 @@ def decal_sign(section: GradedElement) -> int:
     relating the symmetric bi-derivation to the Jacobi bracket."""
     d = section.is_homogeneous_degree()
     if d is None:
-        raise GradedError("decalage sign needs a homogeneous section")
+        raise ContentError("decalage sign needs a homogeneous section")
     return (-1) ** (d % 2)
 
 

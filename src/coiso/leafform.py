@@ -16,7 +16,7 @@ them back, zeros included.
 from __future__ import annotations
 
 from .rational import GaussianRational
-from .ring import Chart, ChartError, ScalarFn, accumulate
+from .ring import Chart, ContentError, ScalarFn, accumulate
 from .multivector import SkewTerms
 
 
@@ -29,7 +29,7 @@ class LeafForm(SkewTerms):
     def _canonical(self, pairs):
         for key, f in super()._canonical(pairs):
             if not f.is_base_only():
-                raise ChartError("leaf form coefficients must be base-only")
+                raise ContentError("leaf form coefficients must be base-only")
             yield key, f
 
     # -- normal sections: degree 1 ----------------------------------------------
@@ -39,14 +39,14 @@ class LeafForm(SkewTerms):
         """s = sum_a g_a delta_a, from one component g_a per fiber coordinate."""
         components = list(components)
         if len(components) != chart.m:
-            raise ChartError("one component per fiber coordinate required")
+            raise ContentError("one component per fiber coordinate required")
         return cls(chart, 1, {(a,): g for a, g in enumerate(components)})
 
     def components(self) -> list:
         """The components g_a of a degree-1 form, one per fiber coordinate;
         the missing ones share one zero."""
         if self.degree != 1:
-            raise ChartError("expected a degree-1 leaf form")
+            raise ContentError("expected a degree-1 leaf form")
         terms, m = self.terms, self.chart.m
         zero = ScalarFn.zero(self.chart) if len(terms) < m else None
         return [terms.get((a,), zero) for a in range(m)]
@@ -62,7 +62,7 @@ class LeafForm(SkewTerms):
     def _leaf_names(self):
         chart = self.chart
         if len(chart.leaf) != chart.m:
-            raise ChartError(
+            raise ContentError(
                 "leafwise calculus needs one leaf coordinate per fiber direction"
             )
         return chart.leaf
@@ -70,13 +70,13 @@ class LeafForm(SkewTerms):
     def d_leaf(self) -> "LeafForm":
         """Leafwise exterior derivative d_F, using the a-th leaf coordinate
         as the direction paired with the a-th normal frame vector."""
-        self._leaf_names()  # ChartError unless one leaf coordinate per fiber direction
+        self._leaf_names()  # ContentError unless one leaf coordinate per fiber direction
         return self._exterior_d(list(enumerate(self.chart.leaf_indices)))
 
     def leaf_zero_mode(self) -> "LeafForm":
         """Projector Pi_0: keep only terms with zero frequency in every leaf
         direction (the leaf-torus zero mode)."""
-        self._leaf_names()  # ChartError unless one leaf coordinate per fiber direction
+        self._leaf_names()  # ContentError unless one leaf coordinate per fiber direction
         return super().leaf_zero_mode()
 
     def homotopy_K(self) -> "LeafForm":
@@ -84,7 +84,7 @@ class LeafForm(SkewTerms):
         (i n_j)^{-1} iota_j (e^{i n.phi} alpha) with j the least leaf index
         carrying a nonzero frequency; kills leaf-zero modes.  It lowers the
         degree, so the form has degree >= 1."""
-        self._leaf_names()  # ChartError unless one leaf coordinate per fiber direction
+        self._leaf_names()  # ContentError unless one leaf coordinate per fiber direction
         chart, leaf_idx = self.chart, self.chart.leaf_indices
 
         def pairs():

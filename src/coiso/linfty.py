@@ -31,17 +31,13 @@ from .leafform import LeafForm
 from .geom import injection_I, projection_P
 
 
-class DeformationError(ContentError):
-    pass
-
-
 class MultibracketTable:
     """The Jacobi bi-derivation J whose derived brackets are the multibrackets
     m_k.  Each derived bracket is built once for the life of the table."""
 
     def __init__(self, j: MultiDerivation):
         if not j.is_jacobi():
-            raise DeformationError("multibracket extraction needs a Jacobi structure")
+            raise ContentError("multibracket extraction needs a Jacobi structure")
         self.j = j
         self.chart = j.chart
         # a trie of argument sequences: (bracket, {next argument: node})
@@ -90,7 +86,7 @@ def solve_dF(omega: LeafForm):
     """(eta, Pi_0 omega) for a d_F-closed omega: eta solves d_F eta = omega
     when the leaf-torus zero mode Pi_0 omega vanishes, and is None else."""
     if not omega.d_leaf().is_zero():
-        raise DeformationError("solve_dF requires a d_F-closed form")
+        raise ContentError("solve_dF requires a d_F-closed form")
     zero_mode = omega.leaf_zero_mode()
     if not zero_mode.is_zero():
         return None, zero_mode
@@ -134,11 +130,13 @@ def prolong_formal(table: MultibracketTable, s1: LeafForm, order: int):
     Returns (sections, orders): the normal sections s_1, s_2, .. solved so
     far, and one (rhs, zero_mode) per order k = 2, 3, .. tried.  The run
     stops at the first order whose leaf zero mode is not zero, so it was
-    obstructed iff the last zero mode is not zero.
+    obstructed iff the last zero mode is not zero.  The homotopy solves
+    d_F s_k = rhs, so a nonzero s_k must also solve m_1 s_k = rhs with the
+    table's m_1; a ContentError refuses a structure where it does not.
     """
     sections = [s1]  # sections[p - 1] is s_p
     if not table.m1(s1).is_zero():
-        raise DeformationError("s1 is not an infinitesimal deformation")
+        raise ContentError("s1 is not an infinitesimal deformation")
     bound = table.series_bound()
     D = {(0, 0): table.j}  # the nonzero D[h][n]
     lifts = {}  # p -> I(s_p) for the nonzero s_p
@@ -165,5 +163,7 @@ def prolong_formal(table: MultibracketTable, s1: LeafForm, order: int):
         orders.append((rhs, zero_mode))
         if eta is None:
             break
+        if not eta.is_zero() and table.m1(eta) != rhs:  # the order-k MC equation
+            raise ContentError("m_1 of this structure is not the leaf differential")
         sections.append(eta)
     return sections, orders

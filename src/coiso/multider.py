@@ -24,8 +24,8 @@ Q it is the closed (P, Q)-formula that the test suite keeps as an oracle.
 
 from __future__ import annotations
 
-from .ring import ChartError, ScalarFn
-from .multivector import ArityError, MultiVectorField
+from .ring import ContentError, ScalarFn
+from .multivector import MultiVectorField
 
 
 class MultiDerivation(MultiVectorField):
@@ -49,11 +49,11 @@ class MultiDerivation(MultiVectorField):
         if q is None or (n == 0 and q.is_zero()):
             q = MultiVectorField.zero(p.chart, max(n - 1, 0))
         elif n == 0:
-            raise ArityError("a section has no q-part")
+            raise ContentError("a section has no q-part")
         elif q.degree != n - 1:
-            raise ArityError("q-part degree must be arity - 1")
+            raise ContentError("q-part degree must be arity - 1")
         elif q.chart != p.chart:
-            raise ChartError("p and q parts live on different charts")
+            raise ContentError("p and q parts live on different charts")
         dim = p.chart.dim
         return cls(p.chart, n, {**p.terms, **{k + (dim,): -f for k, f in q.terms.items()}})
 

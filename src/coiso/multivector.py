@@ -19,11 +19,7 @@ field of g: apply evaluates P on functions that way.
 
 from __future__ import annotations
 
-from .ring import Chart, ChartError, ContentError, ScalarFn, SparseTerms, accumulate
-
-
-class ArityError(ContentError):
-    pass
+from .ring import Chart, ContentError, ScalarFn, SparseTerms, accumulate
 
 
 def sort_key_sign(indices):
@@ -53,7 +49,7 @@ class SkewTerms(SparseTerms):
 
     def __init__(self, chart: Chart, degree: int, terms=None):
         if degree < 0:
-            raise ChartError(f"{type(self).__name__} degree must be >= 0")
+            raise ContentError(f"{type(self).__name__} degree must be >= 0")
         self.chart = chart
         self.degree = degree
         self.terms = accumulate({}, self._canonical(terms.items())) if terms else {}
@@ -77,11 +73,11 @@ class SkewTerms(SparseTerms):
         for key, f in pairs:
             key = tuple(key)
             if len(key) != self.degree:
-                raise ChartError("key length does not match degree")
+                raise ContentError("key length does not match degree")
             if any(i < 0 or i >= bound for i in key):
-                raise ChartError(f"{type(self).__name__} index out of range in {key}")
+                raise ContentError(f"{type(self).__name__} index out of range in {key}")
             if f.chart is not chart and f.chart != chart:
-                raise ChartError(f"{type(self).__name__} coefficient on another chart")
+                raise ContentError(f"{type(self).__name__} coefficient on another chart")
             sign, skey = sort_key_sign(key)
             if sign and not f.is_zero():
                 yield skey, (f if sign == 1 else -f)
@@ -161,7 +157,7 @@ class MultiVectorField(SkewTerms):
         exactly d = degree functions."""
         fns = list(fns)
         if len(fns) != self.degree:
-            raise ArityError(f"arity {self.degree} operator applied to {len(fns)} functions")
+            raise ContentError(f"arity {self.degree} operator applied to {len(fns)} functions")
         out = self
         for f in fns:
             out = out._insert(f)

@@ -62,12 +62,10 @@ from .rational import GaussianRational, ONE
 
 
 class ContentError(ValueError):
-    """The base of every error the library raises for invalid input: the
-    command line exits 2 on any of them."""
-
-
-class ChartError(ContentError):
-    pass
+    """The one error the library raises for invalid input, whichever layer
+    finds it: the command line exits 2 on it.  Its one subclass,
+    scenario.ScenarioFileError, is a scenario that cannot be read as JSON,
+    on which the command line exits 1."""
 
 
 class Chart:
@@ -85,12 +83,12 @@ class Chart:
         leaf = tuple(leaf)
         names = torus + fiber
         if len(set(names)) != len(names):
-            raise ChartError("coordinate names must be unique")
+            raise ContentError("coordinate names must be unique")
         for n, c in enumerate(leaf):
             if c not in torus:
-                raise ChartError(f"leaf coordinate {c!r} is not a torus coordinate")
+                raise ContentError(f"leaf coordinate {c!r} is not a torus coordinate")
             if c in leaf[:n]:
-                raise ChartError(f"leaf coordinate {c!r} is repeated")
+                raise ContentError(f"leaf coordinate {c!r} is repeated")
         self.torus = torus
         self.fiber = fiber
         self.leaf = leaf
@@ -103,7 +101,7 @@ class Chart:
         try:
             return self.coords.index(name)
         except ValueError:
-            raise ChartError(f"unknown coordinate {name!r}") from None
+            raise ContentError(f"unknown coordinate {name!r}") from None
 
     def __eq__(self, other):
         return (
@@ -152,7 +150,7 @@ class SparseTerms:
 
     def _check(self, other):
         if type(other) is not type(self) or other._shape() != self._shape():
-            raise ChartError(f"{type(self).__name__} operands differ in chart or shape")
+            raise ContentError(f"{type(self).__name__} operands differ in chart or shape")
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -246,16 +244,16 @@ def _checked_terms(chart, terms):
             continue
         key = tuple(int(v) for v in key)
         if len(key) != chart.dim:
-            raise ChartError("term exponent arity does not match chart")
+            raise ContentError("term exponent arity does not match chart")
         if any(a < 0 for a in key[chart.k :]):
-            raise ChartError("fiber exponents must be nonnegative")
+            raise ContentError("fiber exponents must be nonnegative")
         yield key, c
 
 
 class PowerTable:
     """``table(ks)`` = prod_C g_C^k_C for the targets g of a fiber
     substitution, one ScalarFn per fiber coordinate of the chart in chart
-    order (a ChartError otherwise).  Each power g_C^k and each product is
+    order (a ContentError otherwise).  Each power g_C^k and each product is
     computed once per table; g_C^0 = 1, also for a zero target."""
 
     __slots__ = ("chart", "live", "_powers", "_products")
@@ -263,9 +261,9 @@ class PowerTable:
     def __init__(self, chart: Chart, targets):
         targets = list(targets)
         if len(targets) != chart.m:
-            raise ChartError("a fiber substitution needs one target per fiber coordinate")
+            raise ContentError("a fiber substitution needs one target per fiber coordinate")
         if any(type(g) is not ScalarFn or g.chart != chart for g in targets):
-            raise ChartError("fiber substitution targets differ in chart")
+            raise ContentError("fiber substitution targets differ in chart")
         self.chart = chart
         self.live = [not g.is_zero() for g in targets]
         self._powers = [[None, g] for g in targets]  # _powers[C][k] = g_C^k, k >= 1
@@ -336,7 +334,7 @@ class ScalarFn(SparseTerms):
     def exp_phi(chart: Chart, coord: str, n: int = 1) -> "ScalarFn":
         """exp(i n phi_coord)."""
         if coord not in chart.torus:
-            raise ChartError(f"{coord!r} is not a torus coordinate")
+            raise ContentError(f"{coord!r} is not a torus coordinate")
         key = [0] * chart.dim
         key[chart.torus.index(coord)] = n
         return ScalarFn(chart, {tuple(key): ONE})
@@ -356,7 +354,7 @@ class ScalarFn(SparseTerms):
     @staticmethod
     def y(chart: Chart, coord: str, p: int = 1) -> "ScalarFn":
         if coord not in chart.fiber:
-            raise ChartError(f"{coord!r} is not a fiber coordinate")
+            raise ContentError(f"{coord!r} is not a fiber coordinate")
         key = [0] * chart.dim
         key[chart.index(coord)] = p
         return ScalarFn(chart, {tuple(key): ONE})
@@ -403,7 +401,7 @@ class ScalarFn(SparseTerms):
         """
         dim = self.chart.dim
         if not 0 <= i < dim:
-            raise ChartError(f"coordinate index {i} out of range for a chart of dimension {dim}")
+            raise ContentError(f"coordinate index {i} out of range for a chart of dimension {dim}")
         if i < self.chart.k:
             return self._like(
                 {e: c * GaussianRational(0, e[i]) for e, c in self.terms.items() if e[i]}
@@ -422,7 +420,7 @@ class ScalarFn(SparseTerms):
         c * exp(i n.phi) * prod_C g_C^alpha_C, read from the power table.
         """
         if powers.chart is not self.chart and powers.chart != self.chart:
-            raise ChartError("fiber substitution targets differ in chart")
+            raise ContentError("fiber substitution targets differ in chart")
         k, zm = self.chart.k, (0,) * self.chart.m
 
         def pairs():
@@ -448,7 +446,7 @@ class ScalarFn(SparseTerms):
         products of powers of g come from the power table.
         """
         if powers.chart is not self.chart and powers.chart != self.chart:
-            raise ChartError("fiber substitution targets differ in chart")
+            raise ContentError("fiber substitution targets differ in chart")
         k = self.chart.k
         # a zero target contributes only k_C = 0
         live = powers.live
@@ -504,14 +502,14 @@ class ScalarFn(SparseTerms):
 def unit_inverse(f: ScalarFn) -> ScalarFn:
     """Invert a unit of the ring: a single monomial c * exp(i n.phi).
 
-    Raises ChartError when f is not a unit (zero, several terms, or any
+    Raises ContentError when f is not a unit (zero, several terms, or any
     fiber dependence).
     """
     if len(f.terms) != 1:
-        raise ChartError("not a unit: expected a single monomial")
+        raise ContentError("not a unit: expected a single monomial")
     (e, c), = f.terms.items()
     if not f.is_base_only():
-        raise ChartError("not a unit: fiber-dependent monomial")
+        raise ContentError("not a unit: fiber-dependent monomial")
     return _monomial(f.chart, tuple(-v for v in e), ONE / c)
 
 
@@ -549,7 +547,7 @@ def mat_identity(chart: Chart, n: int):
 
 def inverse_unit(chart: Chart, A):
     """Exact inverse of a square matrix whose determinant is a unit of the
-    ring; raises ChartError naming the determinant otherwise.
+    ring; raises ContentError naming the determinant otherwise.
 
     Faddeev-LeVerrier: from M_1 = I, for k = 1..n, c_(n-k) = -tr(A M_k) / k
     and M_(k+1) = A M_k + c_(n-k) I.  Then det A = (-1)^n c_0 and
@@ -570,8 +568,8 @@ def inverse_unit(chart: Chart, A):
     det = det.scale(Fraction((-1) ** (n - 1), n))
     try:
         det_inv = unit_inverse(det)
-    except ChartError:
-        raise ChartError(f"matrix determinant is not a unit of the ring: {det!r}") from None
+    except ContentError:
+        raise ContentError(f"matrix determinant is not a unit of the ring: {det!r}") from None
     # A^-1 = adj A / det A = (-1)^(n-1) M_n / det A
     det_inv = det_inv.scale((-1) ** (n - 1))
     return [[x * det_inv for x in row] for row in M]

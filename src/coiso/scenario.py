@@ -19,8 +19,8 @@ import importlib.resources as resources
 import json
 import os
 
-from .ring import Chart, ChartError, ContentError, ScalarFn
-from .expr import ExprError, parse_scalar
+from .ring import Chart, ContentError, ScalarFn
+from .expr import parse_scalar
 from .multivector import MultiVectorField
 from .multider import MultiDerivation
 from .leafform import LeafForm
@@ -30,11 +30,7 @@ from .bfv import Lift, ObstructionFailure, brst_charge, d_bfv, hpl_resolution
 from .transversal import TransversalData
 
 
-class ScenarioError(ContentError):
-    """The content of a scenario is not valid."""
-
-
-class ScenarioFileError(ScenarioError):
+class ScenarioFileError(ContentError):
     """No such scenario file or built-in, or one that is not UTF-8 JSON."""
 
 
@@ -127,21 +123,21 @@ STRUCTURES = ("jacobi", "contact", "lcs", "jet")
 
 
 def _walk(where, block, table, doc):
-    """A ScenarioError naming the first key of block, in table order, that
+    """A ContentError naming the first key of block, in table order, that
     the table does not take or whose value is not of its kind."""
     if not isinstance(block, dict):
-        raise ScenarioError(f"{where} block must be an object, not {type(block).__name__}")
+        raise ContentError(f"{where} block must be an object, not {type(block).__name__}")
     extra = sorted(set(block) - set(table))
     if extra:
-        raise ScenarioError(f"{where} block takes only the keys {list(table)}, not {extra}")
+        raise ContentError(f"{where} block takes only the keys {list(table)}, not {extra}")
     for key, (required, kind) in table.items():
         if key not in block:
             if required:
-                raise ScenarioError(f"{where} block needs the key {key!r}")
+                raise ContentError(f"{where} block needs the key {key!r}")
         elif isinstance(kind, dict):
             _walk(key, block[key], kind, doc)
         elif not kind[1](block[key], doc):
-            raise ScenarioError(f"{where} {key!r} must be {kind[0]}")
+            raise ContentError(f"{where} {key!r} must be {kind[0]}")
 
 
 class Scenario:
@@ -150,11 +146,11 @@ class Scenario:
         _walk("top-level", data, SCHEMA, data)
         structures = [k for k in STRUCTURES if k in data]
         if len(structures) != 1:
-            raise ScenarioError(f"scenario needs exactly one structure block of {list(STRUCTURES)}")
+            raise ContentError(f"scenario needs exactly one structure block of {list(STRUCTURES)}")
         try:
             self.chart = Chart(**data["chart"])
-        except ChartError as exc:
-            raise ScenarioError(f"invalid chart block: {exc}") from None
+        except ContentError as exc:
+            raise ContentError(f"invalid chart block: {exc}") from None
         self.structure_kind = structures[0]
         self.data = data
         self._built = {}  # artifact name -> value, or the ObstructionFailure it raised
@@ -178,8 +174,8 @@ class Scenario:
     def _expr(self, text) -> ScalarFn:
         try:
             return parse_scalar(self.chart, text)
-        except ExprError as exc:
-            raise ScenarioError(f"bad expression {text!r}: {exc}") from None
+        except ContentError as exc:
+            raise ContentError(f"bad expression {text!r}: {exc}") from None
 
     def _exprs(self, texts) -> list:
         return [self._expr(e) for e in texts]
@@ -223,12 +219,12 @@ class Scenario:
 
     def _build_section(self) -> LeafForm:
         if "section" not in self.data:
-            raise ScenarioError("scenario has no section block")
+            raise ContentError("scenario has no section block")
         comps = self._exprs(self.data["section"]["components"])
         try:
             return LeafForm.section(self.chart, comps)
-        except ChartError as exc:
-            raise ScenarioError(f"invalid section: {exc}") from None
+        except ContentError as exc:
+            raise ContentError(f"invalid section: {exc}") from None
 
     def formal_order(self) -> int:
         """The formal block's order (3 when absent)."""
@@ -240,7 +236,7 @@ class Scenario:
     def _build_transversal(self) -> TransversalData:
         block = self.data.get("transversal")
         if block is None:
-            raise ScenarioError("scenario has no transversal block")
+            raise ContentError("scenario has no transversal block")
         ga = [self._vector(v) for v in block["frame_a"]]
         gz = self._vector(block["frame_z"])
         C = self._exprs(block.get("C", ["0"] * len(ga)))

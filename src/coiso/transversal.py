@@ -31,10 +31,6 @@ from .ring import Chart, ContentError, ScalarFn, accumulate, inverse_unit, mat_i
 from .leafform import LeafForm
 
 
-class TransversalError(ContentError):
-    pass
-
-
 class TransversalData:
     """Adapted-frame data (W, F^i, G-frame) over the leaf ring of the base.
 
@@ -60,7 +56,7 @@ class TransversalData:
         self.n = self.A + 2  # frame order (bullet, a-block, circ)
         for f in self.C:
             if not f.is_base_only():
-                raise TransversalError("transversal data must be base-only")
+                raise ContentError("transversal data must be base-only")
         self._w_inv = None
 
     # -- the W and F matrices -----------------------------------------------
@@ -162,7 +158,7 @@ class TransversalData:
         """Evaluate m_k on the arguments that MultibracketTable.m takes, when
         each is a generator: a function (a degree-0 leaf form) or a fiber
         frame form delta_i = {(i,): 1}, the d_F x^i (x) mu of leaf direction
-        i.  Any other leaf form raises TransversalError.
+        i.  Any other leaf form raises ContentError.
 
         m_1 is the leafwise differential d_F.  With more than two functions
         the value is the degree-0 zero, as MultibracketTable.m gives it: the
@@ -177,7 +173,7 @@ class TransversalData:
             elif xi.degree == 1 and list(xi.terms.values()) == [one]:
                 forms += [i for (i,) in xi.terms]
             else:
-                raise TransversalError(
+                raise ContentError(
                     f"m_k takes functions and frame forms delta_i, not a degree-{xi.degree}"
                     f" form on the keys {sorted(xi.terms)}"
                 )

@@ -12,13 +12,12 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ScalarFn, accumulate, mat_mul, unit_inverse
+from coiso.ring import Chart, ContentError, ScalarFn, accumulate, mat_mul, unit_inverse
 from coiso.multivector import MultiVectorField
-from coiso.multider import ArityError, MultiDerivation
+from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm
-from coiso.linfty import DeformationError
 from coiso.geom import ContactChart, injection_I
-from coiso.graded import DX, DXI, DXIS, M, PAIR, XI, XIS, GradedElement, GradedError, decode, encode
+from coiso.graded import DX, DXI, DXIS, M, PAIR, XI, XIS, GradedElement, decode, encode
 
 from paper import exp_series, graded_bracket, hamiltonian
 
@@ -117,7 +116,7 @@ def kuranishi(table, s: LeafForm):
     the Kuranishi class read on its own, the oracle of the kuranishi task,
     which reads the zero mode of order 2 of linfty.prolong_formal."""
     if not table.m1(s).is_zero():
-        raise DeformationError("kuranishi requires an infinitesimal deformation")
+        raise ContentError("kuranishi requires an infinitesimal deformation")
     kr = table.m([s, s])
     return kr, kr.scale(Fraction(1, 2)).leaf_zero_mode()
 
@@ -156,7 +155,7 @@ def eval_nested(sq: MultiDerivation, fns) -> ScalarFn:
     for f in fns:
         out = out.sj_bracket(MultiDerivation.function(f))
     if out.degree != 0:
-        raise ArityError("argument count does not match arity")
+        raise ContentError("argument count does not match arity")
     return out.as_function()
 
 
@@ -176,7 +175,7 @@ def graded_eval(op: GradedElement, args) -> GradedElement:
     for a in args:
         op = op.insert(a)
     if not is_section(op):
-        raise GradedError("argument count does not match arity")
+        raise ContentError("argument count does not match arity")
     return op
 
 
@@ -187,7 +186,7 @@ def jacobi_pair(j: MultiDerivation):
     [[Lambda, Lambda]] + 2 Gamma ^ Lambda; the pair is a Jacobi pair iff
     both vanish, which is equivalent to is_jacobi()."""
     if j.degree != 2:
-        raise ArityError("jacobi_pair needs arity 2")
+        raise ContentError("jacobi_pair needs arity 2")
     lam, gam = j.p_part, j.q_part
     lie = gam.sn_bracket(lam)
     mc = lam.sn_bracket(lam) + gam.wedge(lam).scale(2)
@@ -197,7 +196,7 @@ def jacobi_pair(j: MultiDerivation):
 def leibniz_defect(a: MultiDerivation, f: ScalarFn, b: MultiDerivation) -> MultiDerivation:
     """[[a, f b]] - X_a(f) b - f [[a, b]] for a derivation a (arity 1)."""
     if a.degree != 1:
-        raise ArityError("leibniz_defect supports arity-1 a only")
+        raise ContentError("leibniz_defect supports arity-1 a only")
     whole = a.sj_bracket(b.scale_fn(f))
     return whole.plus([-b.scale_fn(a.p_part.apply([f])), -a.sj_bracket(b).scale_fn(f)])
 
@@ -291,6 +290,40 @@ def leafform_from_json(chart, data) -> LeafForm:
 def section_from_json(chart, data) -> LeafForm:
     """The inverse of serialize.section_to_json."""
     return LeafForm.section(chart, [scalar_from_json(chart, c) for c in data])
+
+
+def _symbol_from_json(chart, name):
+    """The letter of a report symbol name: ID, D_PH(i), D_Y(a), D_XI(A) or
+    D_XISTAR(A)."""
+    if name == "ID":
+        return (M,)
+    kind, index = name[:-1].split("(")
+    i = int(index)
+    return {"D_PH": (DX, i), "D_Y": (DX, chart.k + i), "D_XI": (DXI, i), "D_XISTAR": (DXIS, i)}[kind]
+
+
+def graded_from_json(chart, data) -> GradedElement:
+    """The inverse of serialize.graded_to_json.  A report term lists its
+    ghosts, antighosts and symbols apart, each in the order of the
+    normalized word, which sorts ghosts before antighosts before symbols;
+    so the three lists in turn are that word, with sign +1."""
+    terms = {}
+    for term in data:
+        letters = [(XI, A) for A in term["ghost"]] + [(XIS, A) for A in term["antighost"]]
+        letters += [_symbol_from_json(chart, name) for name in term["word"]]
+        terms[tuple(letters)] = scalar_from_json(chart, term["coef"])
+    return GradedElement(chart, terms)
+
+
+def J_a(j: MultiDerivation, a: ScalarFn) -> MultiDerivation:
+    """J_a(f, g) = a^-1 J(a f, a g), J retrivialized by the unit a: as a
+    table, a J - Y ^ id, with Y the arity-1 multi-derivation J with da
+    inserted (the Gerstenhaber product with a, without the f phi part of
+    MultiDerivation._insert).  The wedge with id drops Y's id part."""
+    chart = j.chart
+    y = MultiVectorField._insert(j, a)
+    ident = MultiDerivation(chart, 1, {(chart.dim,): ScalarFn.one(chart)})
+    return j.scale_fn(a) - y.wedge(ident)
 
 
 # The generator formulas (coordinate corollary) of the multibrackets on the

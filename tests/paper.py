@@ -30,12 +30,12 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from coiso.ring import ChartError, PowerTable, ScalarFn, accumulate, dot, inverse_unit
+from coiso.ring import ContentError, PowerTable, ScalarFn, accumulate, dot, inverse_unit
 from coiso.multivector import MultiVectorField
-from coiso.multider import ArityError, MultiDerivation
+from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm
 from coiso.geom import injection_I, projection_P
-from coiso.linfty import DeformationError, MultibracketTable
+from coiso.linfty import MultibracketTable
 from coiso.graded import (
     DX,
     DXI,
@@ -45,7 +45,6 @@ from coiso.graded import (
     XIS,
     ContractionTwo,
     GradedElement,
-    GradedError,
     _check_cancelled,
     bidegree,
     decode,
@@ -56,7 +55,7 @@ from coiso.graded import (
     term_degree,
     to_graded,
 )
-from coiso.bfv import BFVError, Lift, sbso
+from coiso.bfv import Lift, sbso
 from coiso.transversal import TransversalData
 
 
@@ -69,14 +68,14 @@ def hamiltonian(j: MultiDerivation, lam: ScalarFn) -> MultiDerivation:
     """Delta_lam = -[[J, lam]] = {lam, -}, an arity-1 derivation; its
     p-part is the Hamiltonian vector field X_lam."""
     if j.degree != 2:
-        raise ArityError("hamiltonian needs arity 2")
+        raise ContentError("hamiltonian needs arity 2")
     return j.sj_bracket(MultiDerivation.function(lam)).scale(-1)
 
 
 def bisymbol(j: MultiDerivation) -> MultiVectorField:
     """Lambda_J: in the trivialized case the p-part of J."""
     if j.degree != 2:
-        raise ArityError("bisymbol needs arity 2")
+        raise ContentError("bisymbol needs arity 2")
     return j.p_part
 
 
@@ -106,7 +105,7 @@ def delta_mc(table: MultibracketTable, s: LeafForm, lam: ScalarFn) -> LeafForm:
     [[I(-s), I(lam)]] = 0 and, by the graded Jacobi identity, ad_{I(-s)}
     commutes with ad_{I(lam)}: the series is that of [[J, I(lam)]]."""
     if not lam.is_base_only():
-        raise DeformationError("gauge parameter must be base-only")
+        raise ContentError("gauge parameter must be base-only")
     minus = injection_I(-s)
     x = table.j.sj_bracket(injection_I(LeafForm.function(lam)))
     return exp_series(x, minus, table.series_bound(), 0)
@@ -192,7 +191,7 @@ def from_graded(op: GradedElement) -> MultiDerivation:
     for letters, f in op.terms.items():
         letters = decode(letters)
         if not all(l[0] in (M, DX) for l in letters):
-            raise GradedError("from_graded needs a ghost-free operator")
+            raise ContentError("from_graded needs a ghost-free operator")
         # m is odd, so a canonical word holds it at most once, first
         mcount = letters.count((M,))
         words.append((mcount, tuple(l[1] for l in letters[mcount:]), f))
@@ -268,7 +267,7 @@ class ContractionOne:
             elif letter[0] == DX:
                 gamma = self.connection.gamma_i(letter[1])
             else:
-                raise GradedError("i_nabla substitutes only mu* and base-derivative slots")
+                raise ContentError("i_nabla substitutes only mu* and base-derivative slots")
             one = ScalarFn.one(self.chart)
             terms = {(letter,): one}
             for A in range(self.chart.m):
@@ -395,7 +394,7 @@ class CurvedLift:
         elif self.flat:
             raise AssertionError("flat lifting failed: [[J^, J^]] != 0")
         elif diag_filtration(sq) < 0:
-            raise BFVError("[qbar, qbar] sits below the starting filtration level")
+            raise ContentError("[qbar, qbar] sits below the starting filtration level")
         else:
             # sbso squares (bracket(q, q)); its applicability square is sq
             zero = GradedElement.zero(chart)
@@ -447,14 +446,14 @@ def exp_ad(r, x, bracket, max_terms=16):
         if term.is_zero():
             return out
         out = out + term.scale(Fraction(1, math.factorial(k)))
-    raise BFVError("exp(ad) failed to terminate")
+    raise ContentError("exp(ad) failed to terminate")
 
 
 def sbso_gauge(q0, q1, bracket, homotopy, filtration, max_steps=16):
     """Gauge ladder between MC elements agreeing to leading filtration
     order: a sequence of R with exp(ad_R) steps carrying q0 to q1."""
     if not bracket(q0, q0).is_zero() or not bracket(q1, q1).is_zero():
-        raise BFVError("gauge ladder endpoints must be MC elements")
+        raise ContentError("gauge ladder endpoints must be MC elements")
     ladder = []
     current = q0
     for _ in range(max_steps):
@@ -463,12 +462,12 @@ def sbso_gauge(q0, q1, bracket, homotopy, filtration, max_steps=16):
             return ladder, current
         r = homotopy(diff)
         if r.is_zero():
-            raise BFVError("gauge ladder stalled")
+            raise ContentError("gauge ladder stalled")
         ladder.append(r)
         current = exp_ad(r, current, bracket)
         if not bracket(current, current).is_zero():
-            raise BFVError("gauge step failed to preserve the MC equation")
-    raise BFVError("gauge ladder failed to terminate")
+            raise ContentError("gauge step failed to preserve the MC equation")
+    raise ContentError("gauge ladder failed to terminate")
 
 
 def pr(x: GradedElement, h: int, k: int) -> GradedElement:
@@ -511,7 +510,7 @@ def geometric_mc_zero_locus(omega: GradedElement, max_iter=12) -> LeafForm:
     The linear-in-y part along y = 0 must be invertible (unit determinant);
     the solution is found by the exact Newton iteration, which terminates
     for graphs of polynomial sections.  Returns the section or raises
-    BFVError with a structured message."""
+    ContentError with a structured message."""
     chart = omega.chart
     pr10 = pr(omega, 1, 0)
     e = [pr10.terms.get(encode(((XI, A),)), ScalarFn.zero(chart)) for A in range(chart.m)]
@@ -522,8 +521,8 @@ def geometric_mc_zero_locus(omega: GradedElement, max_iter=12) -> LeafForm:
     ]
     try:
         L_inv = inverse_unit(chart, L)
-    except ChartError as exc:
-        raise BFVError(f"zero locus is not a section graph: {exc}") from None
+    except ContentError as exc:
+        raise ContentError(f"zero locus is not a section graph: {exc}") from None
     g = [ScalarFn.zero(chart) for _ in range(chart.m)]
     for _ in range(max_iter):
         powers = PowerTable(chart, g)
@@ -531,7 +530,7 @@ def geometric_mc_zero_locus(omega: GradedElement, max_iter=12) -> LeafForm:
         if all(v.is_zero() for v in vals):
             return LeafForm.section(chart, g)
         g = [gA - dot(chart, row, vals) for gA, row in zip(g, L_inv)]
-    raise BFVError("zero locus iteration failed: locus is not a polynomial section graph")
+    raise ContentError("zero locus iteration failed: locus is not a polynomial section graph")
 
 
 # ---------------------------------------------------------------------------

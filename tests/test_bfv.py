@@ -8,7 +8,7 @@ import pytest
 
 from coiso import bfv
 from coiso.cli import _random_graded_section
-from coiso.ring import ScalarFn
+from coiso.ring import ContentError, ScalarFn
 from coiso.scenario import Scenario, load_scenario
 from coiso.leafform import LeafForm
 from coiso.linfty import MultibracketTable, prolong_formal
@@ -26,7 +26,6 @@ from coiso.graded import (
     jacobi_bracket,
 )
 from coiso.bfv import (
-    BFVError,
     Lift,
     ObstructionFailure,
     bfv_kuranishi,
@@ -653,5 +652,5 @@ def test_geometric_mc_zero_locus(lift, chart):
     # non-section locus: (y_1^2 + 1) xi^1 fails with a structured error
     y1 = ScalarFn.y(chart, "y_1")
     bad = GradedElement(chart, {((XI, 0),): y1 * y1 + ScalarFn.one(chart)})
-    with pytest.raises(BFVError, match="^zero locus is not a section graph: matrix determinant"):
+    with pytest.raises(ContentError, match="^zero locus is not a section graph: matrix determinant"):
         geometric_mc_zero_locus(bad)

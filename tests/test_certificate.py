@@ -5,23 +5,34 @@ r_n = sum_h ((-1)^h / h!) sum_{p_1+..+p_h = n} m_h(s_p1, .., s_ph) = 0
 shares solve_dF, so it cannot see a wrong solve; this check can.
 
 The same check runs on the coefficients of a prolong report, parsed back by
-helpers.section_from_json, and the Kuranishi report is parsed back by
-helpers.leafform_from_json; both parsers are checked by round trips."""
+helpers.section_from_json.  The Kuranishi report is parsed back by
+helpers.leafform_from_json, and the operator of a dbfv report by
+helpers.graded_from_json, which must square to zero.  A prolongation whose
+m_1 is not d_F is refused (cubic-poisson).  Each parser is checked by a
+round trip."""
 
 import json
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coiso.ring import ScalarFn
+from coiso.ring import ContentError, ScalarFn
 from coiso.leafform import LeafForm
 from coiso.linfty import prolong_formal
 from coiso.scenario import Scenario, load_scenario
-from coiso.serialize import leafform_to_json, section_to_json
+from coiso.serialize import graded_to_json, leafform_to_json, section_to_json
 from coiso import cli
 
-from helpers import jet_chart, kuranishi, leafform_from_json, mc_residual, section_from_json
+from helpers import (
+    graded_from_json,
+    jet_chart,
+    kuranishi,
+    leafform_from_json,
+    mc_residual,
+    section_from_json,
+)
 from test_cli import PROLONGING_SECTION, _builtin_data
 from test_linfty import (
     TABLES,
@@ -57,19 +68,32 @@ def test_solved_orders_are_certified(s1, order):
     _assert_certified(table, sections)
 
 
-@pytest.mark.xfail(strict=True, reason="prolong_formal solves d_F eta = rhs, but m_1 = 0 on cubic-poisson")
-def test_solved_orders_are_certified_on_cubic_poisson():
+def test_prolong_refuses_cubic_poisson(tmp_path, capsys):
     """cubic-poisson vanishes to second order on the zero section, so its
-    m_1 is 0, not d_F.  prolong:3 of s = (0, cos ph_2) reports order 3
-    solved, yet r_3 = cos^3(ph_2) dph_1^dph_2 != 0: a silent wrong answer
-    (CHANGES.md FOUND), which refusing or conjugating an m_1 that is not
-    d_F (ROADMAP items 2 and 3) ends."""
+    m_1 is 0 on sections, not d_F.  For s = (0, cos ph_2) order 2 solves
+    with s_2 = 0, and r_2 = 0.  Order 3's rhs is d_F-exact, but its d_F
+    solution leaves r_3 = cos^3(ph_2) dph_1^dph_2 under the table's m_1:
+    prolong_formal refuses it, and prolong:3 exits 2 with one line."""
     table = TABLES["cubic-poisson"]
     chart = table.chart
     s1 = LeafForm.section(chart, [ScalarFn.zero(chart), ScalarFn.cos_phi(chart, "ph_2")])
-    sections, orders = prolong_formal(table, s1, 3)
-    assert [zero_mode.is_zero() for _, zero_mode in orders] == [True, True]
+    sections, orders = prolong_formal(table, s1, 2)
+    assert [zero_mode.is_zero() for _, zero_mode in orders] == [True] and sections[1].is_zero()
     _assert_certified(table, sections)
+    with pytest.raises(ContentError, match="^m_1 of this structure is not the leaf differential$"):
+        prolong_formal(table, s1, 3)
+    data = _builtin_data("torus-obstructed")
+    del data["contact"]
+    fy = [chart.index(y) for y in chart.fiber]
+    data["jacobi"] = {"p": [{"idx": fy, "coef": "cos(ph_3)*y_1^2*y_2 + y_2^3"}]}
+    data["section"]["components"] = ["0", "cos(ph_2)"]
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(data))
+    assert load_scenario(str(path)).jacobi() == table.j
+    assert cli.main(["--scenario", str(path), "--task", "prolong:3"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "coiso: task prolong: m_1 of this structure is not the leaf differential\n"
 
 
 # -- report parsers ---------------------------------------------------------------
@@ -107,6 +131,18 @@ def test_leafform_json_round_trip(w):
 @given(s=_sections(CHART) | _sections(JET_CHART))
 def test_section_json_round_trip(s):
     assert section_from_json(s.chart, section_to_json(s)) == s
+
+
+@pytest.mark.parametrize("name", ["torus-obstructed", "legendrian-jet"])
+def test_graded_json_round_trip(name):
+    """graded_from_json inverts graded_to_json on random graded sections,
+    on J^ and on d_BFV, whose words carry symbols."""
+    scenario = load_scenario(name)
+    chart = scenario.chart
+    rng = random.Random(0)
+    samples = [cli._random_graded_section(chart, rng) for _ in range(40)]
+    for x in samples + [scenario.lift().j_hat, scenario.dbfv()]:
+        assert graded_from_json(chart, graded_to_json(x)) == x
 
 
 # -- certificates read from reports -----------------------------------------------
@@ -148,6 +184,15 @@ def test_prolong_report_is_certified(tmp_path, capsys, data):
         assert order["order_k"] == n and order["solved"] is True
         assert leafform_from_json(chart, order["rhs"]) == table.m1(sections[n - 1])
         assert leafform_from_json(chart, order["obstruction_zero_mode"]).is_zero()
+
+
+@pytest.mark.parametrize("name", ["torus-obstructed", "legendrian-jet"])
+def test_dbfv_report_is_certified(tmp_path, capsys, name):
+    """The operator of a dbfv report, read back alone, is nonzero and
+    squares to zero."""
+    _, reports = _report(tmp_path, capsys, _builtin_data(name), "dbfv")
+    dop = graded_from_json(load_scenario(name).chart, reports["dbfv"]["operator"])
+    assert not dop.is_zero() and dop.bracket().is_zero()
 
 
 @pytest.mark.parametrize(

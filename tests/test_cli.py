@@ -17,14 +17,15 @@ from hypothesis import example, given, settings, strategies as st
 import coiso
 from coiso import bfv, geom, linfty, transversal
 from coiso.cli import main, TASKS
-from coiso.ring import ContentError, ScalarFn
-from coiso.scenario import Scenario, ScenarioError, load_scenario
+from coiso.ring import Chart, ContentError, ScalarFn
+from coiso.multider import MultiDerivation
+from coiso.scenario import Scenario, ScenarioFileError, load_scenario
 from coiso.expr import parse_scalar, scalar_to_json, scalar_to_text
 from coiso.serialize import section_to_json
-from coiso.graded import XI, XIS, GradedElement
+from coiso.graded import XI, XIS, GradedElement, encode
 from coiso.leafform import LeafForm
 
-from helpers import conjugate, random_scalar, scalar_from_json, torus_chart
+from helpers import J_a, conjugate, random_scalar, scalar_from_json, torus_chart
 
 
 def run_cli(args, capsys):
@@ -87,6 +88,20 @@ def test_missing_scenario(tmp_path, capsys):
     code, out, err = run_cli(["--scenario", str(tmp_path), "--task", "check-jacobi"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("coiso: cannot read scenario file: ") and len(err.splitlines()) == 1
+
+
+def _j_a_data(angle):
+    """torus-obstructed with its contact block replaced by a jacobi block
+    that holds helpers.J_a of its structure, a = exp(i angle)."""
+    scenario = load_scenario("torus-obstructed")
+    j = J_a(scenario.jacobi(), ScalarFn.exp_phi(scenario.chart, angle))
+    data = _builtin_data("torus-obstructed")
+    del data["contact"]
+    data["jacobi"] = {
+        name: [{"idx": list(k), "coef": scalar_to_text(f)} for k, f in sorted(part.terms.items())]
+        for name, part in (("p", j.p_part), ("q", j.q_part))
+    }
+    return data
 
 
 def test_validation_error_exit_code(tmp_path, capsys):
@@ -174,6 +189,10 @@ def test_validation_error_exit_code(tmp_path, capsys):
     cases.append((bad, "transversal-crosscheck", "no transversal block"))
     theta1 = [{"idx": [1], "coef": "cos(ph_1)"}]
     cases.append(({**LCS_T2, "lcs": {**LCS_T2["lcs"], "theta1": theta1}}, "check-jacobi", "theta1 is not closed"))
+    # J retrivialized by a = exp(i ph_1): m_1 is not d_F, so the prolongation
+    # refuses its order 2, which solves d_F eta = rhs with a nonzero eta
+    for task in ("kuranishi", "prolong:3"):
+        cases.append((_j_a_data("ph_1"), task, "m_1 of this structure is not the leaf differential"))
     # a jacobi block that is not Jacobi: each construction on J refuses it
     for task, message in [
         ("bfv-lift", "lifting requires a Jacobi structure"),
@@ -204,22 +223,67 @@ def _value_error_classes():
 
 
 def test_every_value_error_is_a_content_error():
-    """One base for the errors of invalid input, so that the exit-2 clause
-    of main names it alone and cannot miss a module's error class."""
-    classes = _value_error_classes()
-    assert ContentError in classes and len(classes) >= 11
-    assert all(issubclass(cls, ContentError) for cls in classes)
+    """One error for invalid input, whichever layer finds it, so that the
+    exit-2 clause of main names it alone; its one subclass is the scenario
+    file that load_scenario cannot read (exit 1)."""
+    assert _value_error_classes() == [ContentError, ScenarioFileError]
 
 
-@pytest.mark.parametrize("cls", _value_error_classes(), ids=lambda cls: cls.__name__)
-def test_content_error_in_a_task_exits_2(capsys, monkeypatch, cls):
+def _raise(exc):
+    raise exc
+
+
+def _non_jacobi(scenario):
+    j = scenario.jacobi()
+    return MultiDerivation.from_parts(j.p_part, j.q_part.scale(2))
+
+
+# one content error from each layer of the construction, named by the kind
+# of content it refuses: (raise it on torus-obstructed, its message)
+CONTENT_ERRORS = {
+    "ContentError": (lambda sc: _raise(ContentError("bad content")), "bad content"),
+    "ScenarioFileError": (
+        lambda sc: load_scenario("no-such-scenario"),
+        "scenario 'no-such-scenario': no such file or built-in scenario",
+    ),
+    "ScenarioError": (lambda sc: Scenario({"schema": 1}), "top-level block needs the key 'chart'"),
+    "ExprError": (lambda sc: parse_scalar(sc.chart, "sin("), "expected torus coordinate (at position 4)"),
+    "ChartError": (lambda sc: Chart(torus=("a", "a")), "coordinate names must be unique"),
+    "ArityError": (
+        lambda sc: sc.jacobi().apply([ScalarFn.one(sc.chart)]),
+        "arity 2 operator applied to 1 functions",
+    ),
+    "GeometryError": (
+        lambda sc: geom.fiberwise_linear_jacobi(sc.chart),
+        "jet chart needs fiber (z, p_1..p_b) over T^b",
+    ),
+    "DeformationError": (
+        lambda sc: linfty.solve_dF(LeafForm.section(sc.chart, [ScalarFn.sin_phi(sc.chart, "ph_2")] * 2)),
+        "solve_dF requires a d_F-closed form",
+    ),
+    "TransversalError": (
+        lambda sc: sc.transversal().multibracket([LeafForm.zero(sc.chart, 2)]),
+        "m_k takes functions and frame forms delta_i, not a degree-2 form on the keys []",
+    ),
+    "GradedError": (lambda sc: encode((("xi", 0),)), "unknown letter ('xi', 0)"),
+    "BFVError": (lambda sc: bfv.Lift(_non_jacobi(sc)), "lifting requires a Jacobi structure"),
+}
+
+
+@pytest.mark.parametrize("kind", CONTENT_ERRORS)
+def test_content_error_in_a_task_exits_2(capsys, monkeypatch, kind):
+    """A ContentError raised in a task, by the library or by the task
+    itself, exits 2 with its message on one line."""
+    make, message = CONTENT_ERRORS[kind]
+
     def fail(scenario, arg):
-        raise ValueError.__new__(cls, "bad content")
+        make(scenario)
+        raise AssertionError(f"{kind}: no error raised")
 
     monkeypatch.setitem(TASKS, "check-jacobi", fail)
     code, out, err = run_cli(["--scenario", "torus-obstructed", "--task", "check-jacobi"], capsys)
     assert code == 2 and out == ""
-    assert err == "coiso: task check-jacobi: bad content\n"
+    assert err == f"coiso: task check-jacobi: {message}\n"
 
 
 def _squares_after_the_lift(m):
@@ -425,7 +489,7 @@ def test_chart_block_not_an_object(tmp_path, capsys):
 
 
 def test_expression_nested_too_deeply(tmp_path, capsys):
-    """2000 nested parentheses are an ExprError (exit 2), not a RecursionError;
+    """2000 nested parentheses are a ContentError (exit 2), not a RecursionError;
     100 still parse."""
     chart = {"torus": ["ph_1"], "fiber": ["y_1"], "leaf": ["ph_1"]}
     coef = "(" * 100 + "1" + ")" * 100
@@ -872,9 +936,9 @@ def test_scenario_requires_single_structure(tmp_path):
         "jet": {},
         "jacobi": {"p": [], "q": []},
     }
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ContentError, match="^scenario needs exactly one structure block of "):
         Scenario(data)
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ContentError, match="^top-level 'schema' must be 1$"):
         Scenario({"schema": 2, "chart": {"torus": []}, "jet": {}})
 
 
@@ -946,7 +1010,7 @@ def test_section_is_shared():
     assert scenario.section() is scenario.section()
     bare = load_scenario("legendrian-jet")
     for _ in range(2):
-        with pytest.raises(ScenarioError, match="no section block"):
+        with pytest.raises(ContentError, match="no section block"):
             bare.section()
     assert "section" not in bare._built
 
@@ -984,8 +1048,6 @@ def test_job_squares_the_structure_once(monkeypatch, capsys, scenario):
     """[[J, J]] is computed once in a job whose constructor, check-jacobi,
     coisotropic, table and lift all read it, and never for another
     multiderivation."""
-    from coiso.multider import MultiDerivation
-
     squared = []
     original = MultiDerivation._bracket
 

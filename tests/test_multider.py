@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from coiso.ring import Chart, ChartError, ScalarFn
+from coiso.ring import Chart, ContentError, ScalarFn
 from coiso.multivector import MultiVectorField
-from coiso.multider import ArityError, MultiDerivation
+from coiso.multider import MultiDerivation
 from coiso.geom import contact_to_jacobi, fiberwise_linear_jacobi
 from coiso.scenario import load_scenario
 
@@ -277,21 +277,21 @@ def test_square_is_kept_and_equals_the_bracket_with_a_copy(J, chart):
 
 
 @pytest.mark.parametrize(
-    "parts, error, message",
+    "parts, message",
     [
         (lambda chart: (MultiVectorField.zero(chart, 0), MultiVectorField.function(ScalarFn.one(chart))),
-         ArityError, "a section has no q-part"),
+         "a section has no q-part"),
         (lambda chart: (MultiVectorField.zero(chart, 2), MultiVectorField.zero(chart, 2)),
-         ArityError, "q-part degree must be arity - 1"),
+         "q-part degree must be arity - 1"),
         (lambda chart: (MultiVectorField.zero(chart, 2), MultiVectorField.zero(Chart(torus=("t",)), 1)),
-         ChartError, "different charts"),
+         "different charts"),
     ],
     ids=["section-q", "q-degree", "q-chart"],
 )
-def test_constructor_checks(chart, parts, error, message):
+def test_constructor_checks(chart, parts, message):
     """The constructor refuses a (P, Q) pair of the wrong shape, and a
     comparison with a foreign type is NotImplemented (so == reads False)."""
-    with pytest.raises(error, match=message):
+    with pytest.raises(ContentError, match=message):
         MultiDerivation.from_parts(*parts(chart))
     zero = MultiDerivation.zero(chart, 1)
     assert zero.__eq__(0) is NotImplemented and zero != 0
@@ -340,13 +340,13 @@ def test_square_of_each_structure_kind_is_the_closed_formula(structure):
 )
 def test_apply_refuses_a_wrong_count(which, count):
     """A bi-derivation and its P take exactly two functions, a derivation
-    [[J, g]] exactly one: any other count raises an ArityError that names
+    [[J, g]] exactly one: any other count raises a ContentError that names
     both counts."""
     j = load_scenario("torus-obstructed").jacobi()
     f, g = ScalarFn.y(j.chart, "y_1"), ScalarFn.cos_phi(j.chart, "ph_3")
     op = {"p": j.p_part, "square": j, "derivation": j.sj_bracket(MultiDerivation.function(g))}[which]
     with pytest.raises(
-        ArityError, match=f"^arity {op.degree} operator applied to {count} functions$"
+        ContentError, match=f"^arity {op.degree} operator applied to {count} functions$"
     ):
         op.apply([f, g, f][:count])
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ChartError, ScalarFn
+from coiso.ring import Chart, ContentError, ScalarFn
 from coiso.multivector import MultiVectorField
 from coiso.leafform import LeafForm
 from coiso.geom import Form
@@ -202,5 +202,5 @@ def test_gerstenhaber_matches_dense_expansion(pq):
 
 @pytest.mark.parametrize("cls", [MultiVectorField, LeafForm, Form], ids=lambda cls: cls.__name__)
 def test_negative_degree_is_refused(chart, cls):
-    with pytest.raises(ChartError, match=f"^{cls.__name__} degree must be >= 0$"):
+    with pytest.raises(ContentError, match=f"^{cls.__name__} degree must be >= 0$"):
         cls(chart, -1)

@@ -1,0 +1,67 @@
+"""Naturality under a change of trivialization.
+
+For a unit a of the ring, J_a(f, g) = a^-1 J(a f, a g) (helpers.J_a) is the
+Jacobi bundle of J in the trivialization multiplied by a.  Multiplication
+by a is an automorphism of the line bundle over the identity of M, so J_a
+has the coisotropic submanifolds of J and the same formal coisotropic
+curves.  Its multibrackets are natural: m_2^{J_a}(s, s) = a|_{y=0} m_2(s, s).
+Where a depends on a leaf angle, m_1^{J_a} is not d_F, and the formal
+prolongation refuses the order it cannot certify; where a depends only on
+transverse angles, the Kuranishi class keeps its verdict, and its zero mode
+is multiplied by a.
+"""
+
+import random
+
+import pytest
+
+from coiso.ring import ContentError, ScalarFn, unit_inverse
+from coiso.linfty import MultibracketTable, prolong_formal
+
+from helpers import J_a, random_scalar
+from test_linfty import TORUS_OBSTRUCTED, _prolonging_section
+
+CHART = TORUS_OBSTRUCTED.chart
+J = TORUS_OBSTRUCTED.jacobi()
+
+
+def _unit(angle):
+    return ScalarFn.exp_phi(CHART, angle)
+
+
+@pytest.mark.parametrize("angle", CHART.torus)
+def test_J_a_is_the_retrivialized_structure(angle):
+    """J_a is Jacobi, and J_a(f, g) = a^-1 J(a f, a g) on seeded f and g."""
+    a = _unit(angle)
+    j_a, a_inv = J_a(J, a), unit_inverse(a)
+    assert j_a.is_jacobi()
+    rng = random.Random(angle)
+    for _ in range(8):
+        f, g = random_scalar(CHART, rng, fiber_deg=2), random_scalar(CHART, rng, fiber_deg=2)
+        assert j_a.apply([f, g]) == a_inv * J.apply([a * f, a * g])
+
+
+@pytest.mark.parametrize("angle", CHART.torus)
+def test_m2_is_multiplied_by_a(angle):
+    """m_2^{J_a}(s, s) = a m_2(s, s): a is base-only, so a|_{y=0} = a."""
+    a = _unit(angle)
+    table, table_a = TORUS_OBSTRUCTED.table(), MultibracketTable(J_a(J, a))
+    for s in (TORUS_OBSTRUCTED.section(), _prolonging_section()):
+        assert table_a.m([s, s]) == table.m([s, s]).scale_fn(a)
+
+
+@pytest.mark.parametrize("angle", CHART.torus)
+def test_kuranishi_verdict_under_retrivialization(angle):
+    """The scenario's section is obstructed at order 2 for J.  For J_a with
+    a transverse a it stays obstructed, with the zero mode multiplied by a;
+    with a leaf a, order 2 solves d_F eta = rhs with m_1^{J_a} eta != rhs,
+    and prolong_formal refuses it."""
+    a, s = _unit(angle), TORUS_OBSTRUCTED.section()
+    table_a = MultibracketTable(J_a(J, a))
+    if angle in CHART.leaf:
+        with pytest.raises(ContentError, match="^m_1 of this structure is not the leaf differential$"):
+            prolong_formal(table_a, s, 2)
+        return
+    _, [(_, zero_mode)] = prolong_formal(TORUS_OBSTRUCTED.table(), s, 2)
+    _, [(_, zero_mode_a)] = prolong_formal(table_a, s, 2)
+    assert not zero_mode.is_zero() and zero_mode_a == zero_mode.scale_fn(a)

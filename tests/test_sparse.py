@@ -13,7 +13,7 @@ from coiso.leafform import LeafForm
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ChartError, ScalarFn
+from coiso.ring import Chart, ContentError, ScalarFn
 
 from helpers import random_base_scalar, random_scalar
 from paper import graded_product
@@ -114,7 +114,7 @@ def test_scale_by_a_sign_is_a_negation(name):
 def test_operands_on_an_equal_chart_combine(name):
     """The check compares shapes by value: an operand on an equal chart
     that is another object combines as one on the same chart; another
-    chart, or for a skew container another degree, raises ChartError."""
+    chart, or for a skew container another degree, raises ContentError."""
     make, _ = CONTAINERS[name]
     rng = random.Random(13)
     twin = Chart(torus=CHART.torus, fiber=CHART.fiber, leaf=CHART.leaf)
@@ -129,13 +129,13 @@ def test_operands_on_an_equal_chart_combine(name):
         if isinstance(a, ScalarFn):
             assert a * on_twin == a * b
         for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x.plus([y])):
-            with pytest.raises(ChartError, match="differ in chart or shape"):
+            with pytest.raises(ContentError, match="differ in chart or shape"):
                 op(a, on_other)
         if hasattr(a, "degree"):
             c = make(rng)
             while c.degree == a.degree:
                 c = make(rng)
-            with pytest.raises(ChartError, match="differ in chart or shape"):
+            with pytest.raises(ContentError, match="differ in chart or shape"):
                 a + c
 
 
@@ -192,13 +192,13 @@ def test_containers_of_other_type_or_shape_differ():
 
 def test_skew_coefficients_on_another_chart_are_rejected():
     """A skew container takes coefficients on its own chart only: the same
-    chart object or an equal one passes, another chart raises ChartError."""
+    chart object or an equal one passes, another chart raises ContentError."""
     other_chart = Chart(torus=("th_1", "th_2"), fiber=("y_1", "y_2"), leaf=("th_1", "th_2"))
     twin = Chart(torus=("ph_1", "ph_2"), fiber=("y_1", "y_2"), leaf=("ph_1", "ph_2"))
     f_b = ScalarFn.sin_phi(other_chart, "th_1")
-    with pytest.raises(ChartError, match="another chart"):
+    with pytest.raises(ContentError, match="another chart"):
         LeafForm.section(CHART, [f_b, ScalarFn.zero(CHART)])
-    with pytest.raises(ChartError, match="another chart"):
+    with pytest.raises(ContentError, match="another chart"):
         MultiVectorField(CHART, 1, {(0,): f_b})
     f = ScalarFn.sin_phi(twin, "ph_1")
     assert twin is not CHART and LeafForm.section(CHART, [f, f]).components() == [f, f]

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from coiso.rational import GaussianRational
-from coiso.ring import ScalarFn, mat_identity, mat_mul
+from coiso.ring import ContentError, ScalarFn, mat_identity, mat_mul
 from coiso.multivector import MultiVectorField
 from coiso.leafform import LeafForm
 from coiso.linfty import MultibracketTable
 from coiso.scenario import Scenario
-from coiso.transversal import TransversalData, TransversalError
+from coiso.transversal import TransversalData
 
 from helpers import fields_XY, random_base_scalar, torus_chart, torus_jacobi
 from paper import d_G, j1_G
@@ -168,7 +168,7 @@ def test_refuses_other_leaf_forms(td, chart):
         LeafForm(chart, 1, {(0,): ScalarFn.sin_phi(chart, "ph_1")}),
     ):
         for args in ([xi], [f, xi]):
-            with pytest.raises(TransversalError, match="frame forms"):
+            with pytest.raises(ContentError, match="frame forms"):
                 td.multibracket(args)
 
 
