@@ -1,7 +1,9 @@
 """Geometric constructors and coisotropy machinery.
 
 Contact and lcs structures are turned into Jacobi multiderivations on the
-trivialized chart.  A contact form reads its bivector off the exact inverse
+trivialized chart; both constructors take their forms as ``Form``s and
+check them.  A contact form theta, given with a Reeb candidate and a
+frame of ker theta, reads its bivector off the exact inverse
 ``ring.inverse_unit`` of the curvature matrix of its frame,
 Lambda = sum_{i<j} (omega^-1)_ij E_i ^ E_j; an lcs structure reads it off
 the inverse of its 2-form; either determinant must be a unit of the ring.
@@ -50,40 +52,6 @@ class Form(SkewTerms):
 # ---------------------------------------------------------------------------
 
 
-class ContactChart:
-    """A contact form on the chart with a declared global frame.
-
-    theta: 1-form coefficients {coordinate name: ScalarFn};
-    reeb: the Reeb candidate R, with theta(R) = 1;
-    frame: dim-1 vector fields spanning C = ker theta, with theta(E_i) = 0.
-    """
-
-    def __init__(self, chart: Chart, theta: dict, reeb: MultiVectorField, frame):
-        self.chart = chart
-        self.theta = Form(chart, 1, {(chart.index(name),): f for name, f in theta.items()})
-        self.reeb = reeb
-        self.frame = list(frame)
-        if len(self.frame) != chart.dim - 1:
-            raise ContentError("frame of ker theta must have dim - 1 members")
-        if self.theta.pair_vector(reeb) != ScalarFn.one(chart):
-            raise ContentError("theta(R) must be exactly 1")
-        for E in self.frame:
-            if not self.theta.pair_vector(E).is_zero():
-                raise ContentError("frame vectors must lie in ker theta")
-
-    def curvature(self):
-        """The matrix omega_ij = theta([E_i, E_j]) of the frame.  The Lie
-        bracket of vector fields is antisymmetric, so only i < j is
-        computed: omega_ji = -omega_ij and the diagonal is zero."""
-        r = len(self.frame)
-        omega = [[ScalarFn.zero(self.chart)] * r for _ in range(r)]
-        for i in range(r):
-            for j in range(i + 1, r):
-                w = self.theta.pair_vector(self.frame[i].sn_bracket(self.frame[j]))
-                omega[i][j], omega[j][i] = w, -w
-        return omega
-
-
 def check_contact_jacobi(theta: Form, J: MultiDerivation) -> MultiDerivation:
     """J = Lambda - Q ^ id after the postconditions of a contact construction:
     theta(X_f) = f for every f, then [[J, J]] = 0.
@@ -112,31 +80,43 @@ def check_contact_jacobi(theta: Form, J: MultiDerivation) -> MultiDerivation:
     return J
 
 
-def contact_to_jacobi(cc: ContactChart) -> MultiDerivation:
+def contact_to_jacobi(theta: Form, reeb: MultiVectorField, frame) -> MultiDerivation:
     """The Jacobi structure of a contact form: {lam, mu} = theta([X_lam, X_mu])
     with X_lam the unique contact field satisfying theta(X_lam) = lam.
 
-    The curvature matrix omega_ij = theta([E_i, E_j]) must be invertible with
-    unit determinant.  Then Lambda = sum_{i<j} (omega^-1)_ij E_i ^ E_j and
+    reeb is a candidate R with theta(R) = 1, frame dim - 1 fields E_i spanning
+    ker theta.  The curvature matrix omega_ij = theta([E_i, E_j]), bracketed
+    for i < j only as the Lie bracket is antisymmetric, must have a unit
+    determinant.  Then Lambda = sum_{i<j} (omega^-1)_ij E_i ^ E_j and
     Q = X_1 = R + sum_i a^i E_i, with sum_i a^i omega_ij = -theta([R, E_j]).
     """
-    chart = cc.chart
-    frame = cc.frame
+    chart = theta.chart
     r = len(frame)
+    if r != chart.dim - 1:
+        raise ContentError("frame of ker theta must have dim - 1 members")
+    if theta.pair_vector(reeb) != ScalarFn.one(chart):
+        raise ContentError("theta(R) must be exactly 1")
+    if any(not theta.pair_vector(E).is_zero() for E in frame):
+        raise ContentError("frame vectors must lie in ker theta")
 
-    omega_inv = inverse_unit(chart, cc.curvature())
+    omega = [[ScalarFn.zero(chart)] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            w = theta.pair_vector(frame[i].sn_bracket(frame[j]))
+            omega[i][j], omega[j][i] = w, -w
+    omega_inv = inverse_unit(chart, omega)
     if any(not (omega_inv[i][j] + omega_inv[j][i]).is_zero() for i in range(r) for j in range(i + 1)):
         raise AssertionError("inverse curvature matrix is not skew")
 
-    (a,) = mat_mul(chart, [[-cc.theta.pair_vector(cc.reeb.sn_bracket(E)) for E in frame]], omega_inv)
-    X1 = cc.reeb.plus(frame[i].scale_fn(a[i]) for i in range(r))
+    (a,) = mat_mul(chart, [[-theta.pair_vector(reeb.sn_bracket(E)) for E in frame]], omega_inv)
+    X1 = reeb.plus(frame[i].scale_fn(a[i]) for i in range(r))
     lam = MultiVectorField.zero(chart, 2).plus(
         frame[i].scale_fn(omega_inv[i][j]).wedge(frame[j])
         for i in range(r)
         for j in range(i + 1, r)
         if not omega_inv[i][j].is_zero()
     )
-    return check_contact_jacobi(cc.theta, MultiDerivation.from_parts(lam, X1))
+    return check_contact_jacobi(theta, MultiDerivation.from_parts(lam, X1))
 
 
 # ---------------------------------------------------------------------------

@@ -73,12 +73,6 @@ class LeafForm(SkewTerms):
         self._leaf_names()  # ContentError unless one leaf coordinate per fiber direction
         return self._exterior_d(list(enumerate(self.chart.leaf_indices)))
 
-    def leaf_zero_mode(self) -> "LeafForm":
-        """Projector Pi_0: keep only terms with zero frequency in every leaf
-        direction (the leaf-torus zero mode)."""
-        self._leaf_names()  # ContentError unless one leaf coordinate per fiber direction
-        return super().leaf_zero_mode()
-
     def homotopy_K(self) -> "LeafForm":
         """The exact torus homotopy: K(e^{i n.phi} alpha) =
         (i n_j)^{-1} iota_j (e^{i n.phi} alpha) with j the least leaf index

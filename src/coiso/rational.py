@@ -8,9 +8,12 @@ stands for (a + b i)/d.  The triple is canonical: d > 0 and
 gcd(a, b, d) = 1, so zero is (0, 0, 1) and two values are equal iff their
 triples are.  Every operation computes its result triple in integers and
 reduces it with one gcd; negation keeps the triple reduced and skips it.
-Fractions appear only at the boundary: the constructor accepts them (a
-pair of ints skips them), and ``re`` and ``im`` return them.  Scaling by an
-integer ratio num/den, as the Beta integrals of ``ScalarFn.path_integral``
+Arithmetic (+, -, *, /) takes Gaussian rationals only: an int or a
+Fraction enters through the constructor or ``of``, and only ``==`` also
+compares with one.  Fractions appear only at the boundary: the constructor
+accepts them (a pair of ints skips them), and ``re`` and ``im`` return
+them.  Scaling by an integer ratio num/den, as the Beta integrals of
+``ScalarFn.path_integral`` and the fiber derivatives of ``ScalarFn.partial``
 do, is ``scaled(num, den)``: no Fraction is built for it.
 """
 
@@ -93,28 +96,20 @@ class GaussianRational:
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
-            other = _from_rational(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         d1, d2 = self._d, other._d
         return _reduced(
             self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2
         )
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
-            other = _from_rational(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
-
-    __rmul__ = __mul__
 
     def scaled(self, num: int, den: int) -> "GaussianRational":
         """self * num/den for integers num and den > 0: one product per
@@ -123,9 +118,7 @@ class GaussianRational:
 
     def __truediv__(self, other):
         if type(other) is not GaussianRational:
-            other = _from_rational(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         a2, b2 = other._a, other._b
         # (a1 + b1 i)/d1 / ((a2 + b2 i)/d2) = (a1 + b1 i)(a2 - b2 i) d2 / (d1 n)
         n = a2 * a2 + b2 * b2

@@ -408,7 +408,7 @@ class ScalarFn(SparseTerms):
             )
         # lowering the exponent maps distinct keys to distinct keys
         return self._like(
-            {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self.terms.items() if e[i]}
+            {e[:i] + (e[i] - 1,) + e[i + 1 :]: c.scaled(e[i], 1) for e, c in self.terms.items() if e[i]}
         )
 
     def substitute_fiber(self, powers: PowerTable) -> "ScalarFn":

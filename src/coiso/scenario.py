@@ -24,7 +24,7 @@ from .expr import parse_scalar
 from .multivector import MultiVectorField
 from .multider import MultiDerivation
 from .leafform import LeafForm
-from .geom import ContactChart, Form, contact_to_jacobi, fiberwise_linear_jacobi, lcs_to_jacobi
+from .geom import Form, contact_to_jacobi, fiberwise_linear_jacobi, lcs_to_jacobi
 from .linfty import MultibracketTable
 from .bfv import Lift, ObstructionFailure, brst_charge, d_bfv, hpl_resolution
 from .transversal import TransversalData
@@ -206,7 +206,8 @@ class Scenario:
             theta = self._components(block["theta"])
             reeb = self._vector(block["reeb"])
             frame = [self._vector(v) for v in block["frame"]]
-            return contact_to_jacobi(ContactChart(self.chart, theta, reeb, frame))
+            theta = Form(self.chart, 1, {(self.chart.index(name),): f for name, f in theta.items()})
+            return contact_to_jacobi(theta, reeb, frame)
         if kind == "lcs":
             omega = Form(self.chart, 2, self._skew_terms(block["omega"]))
             theta1 = Form(self.chart, 1, self._skew_terms(block.get("theta1", [])))
@@ -269,8 +270,9 @@ class Scenario:
 
 
 def load_scenario(path_or_name: str):
-    """The scenario in a file, or the built-in scenario of that name; a
-    ScenarioFileError if it cannot be read as JSON."""
+    """The scenario in a file, or the built-in scenario of that name (a name
+    holds no path separator); a ScenarioFileError if it cannot be read as
+    JSON."""
     if os.path.exists(path_or_name):
         try:
             with open(path_or_name, "rb") as fh:
@@ -279,8 +281,10 @@ def load_scenario(path_or_name: str):
             raise ScenarioFileError(f"cannot read scenario file: {exc.strerror}") from None
         name = os.path.splitext(os.path.basename(path_or_name))[0]
     else:
-        name = path_or_name.split("/")[-1]
+        name = path_or_name
         try:
+            if "/" in name or os.sep in name:  # a path that is not a file names no built-in
+                raise FileNotFoundError(name)
             folder = resources.files("coiso").joinpath("scenarios")
             raw = folder.joinpath(f"{name}.json").read_bytes()
         except (OSError, ValueError, ModuleNotFoundError):  # ValueError: a NUL in the name

@@ -42,6 +42,7 @@ class TransversalData:
     * omega: the skew matrix omega_ab = theta([G_a-flat, G_b-flat]).
     * Fab, Fa: curvature blocks of G per leaf direction i (dicts i -> block),
       absent entries meaning zero.
+    Every entry and every frame coefficient must be base-only.
     """
 
     def __init__(self, chart: Chart, Ga_fields, G_field, C, omega, Fab=None, Fa=None):
@@ -54,9 +55,10 @@ class TransversalData:
         self.Fab = dict(Fab or {})
         self.Fa = dict(Fa or {})
         self.n = self.A + 2  # frame order (bullet, a-block, circ)
-        for f in self.C:
-            if not f.is_base_only():
-                raise ContentError("transversal data must be base-only")
+        entries = [self.C, *omega, *self.Fa.values(), *(row for m in self.Fab.values() for row in m)]
+        entries += [X.terms.values() for X in self.Ga + [self.G]]
+        if not all(f.is_base_only() for block in entries for f in block):
+            raise ContentError("transversal data must be base-only")
         self._w_inv = None
 
     # -- the W and F matrices -----------------------------------------------

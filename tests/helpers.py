@@ -16,7 +16,7 @@ from coiso.ring import Chart, ContentError, ScalarFn, accumulate, mat_mul, unit_
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm
-from coiso.geom import ContactChart, injection_I
+from coiso.geom import Form, injection_I
 from coiso.graded import DX, DXI, DXIS, M, PAIR, XI, XIS, GradedElement, decode, encode
 
 from paper import exp_series, graded_bracket, hamiltonian
@@ -69,8 +69,14 @@ def jet_chart(b: int) -> Chart:
     )
 
 
-def jet_contact_chart(chart) -> ContactChart:
-    """theta = dz - sum_i p_i dph_i on a jet chart, with the Reeb field d_z
+def one_form(chart, coefficients) -> Form:
+    """The 1-form sum_x f_x dx of {coordinate name x: f_x}."""
+    return Form(chart, 1, {(chart.index(x),): f for x, f in coefficients.items()})
+
+
+def jet_contact_data(chart):
+    """(theta, R, frame), the arguments of geom.contact_to_jacobi:
+    theta = dz - sum_i p_i dph_i on a jet chart, with the Reeb field d_z
     and the frame d_{p_i}, d_{ph_i} + p_i d_z of ker theta: the contact
     route through this frame is the oracle of the closed-form jet model."""
     z = chart.fiber[0]
@@ -81,7 +87,7 @@ def jet_contact_chart(chart) -> ContactChart:
     for ph, p in zip(chart.torus, ps):
         theta[ph] = -ScalarFn.y(chart, p)
         frame.append(MultiVectorField.basis_vector(chart, ph) + dz.scale_fn(ScalarFn.y(chart, p)))
-    return ContactChart(chart, theta, dz, frame)
+    return one_form(chart, theta), dz, frame
 
 
 def generator_postcondition(theta, J) -> bool:
@@ -521,11 +527,6 @@ def random_unimodular(chart, rng: random.Random, n):
     L = [[entry() if j < i else one if j == i else zero for j in range(n)] for i in range(n)]
     U = [[entry() if j > i else unit() if j == i else zero for j in range(n)] for i in range(n)]
     return mat_mul(chart, L, U)
-
-
-def dense_curvature(cc):
-    """theta([E_i, E_j]) for every ordered pair of the contact frame."""
-    return [[cc.theta.pair_vector(E.sn_bracket(F)) for F in cc.frame] for E in cc.frame]
 
 
 def _sign(perm) -> int:

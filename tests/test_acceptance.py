@@ -87,8 +87,8 @@ def lift(J):
     return Lift(J)
 
 
-def torus_contact_chart(chart):
-    from test_geom import torus_contact_chart as make
+def torus_contact_data(chart):
+    from test_geom import torus_contact_data as make
 
     return make(chart)
 
@@ -99,7 +99,7 @@ def test_criterion_01_contact_structure(chart, J):
     from coiso.geom import contact_to_jacobi
     from coiso.serialize import multider_to_json
 
-    built = contact_to_jacobi(torus_contact_chart(chart))
+    built = contact_to_jacobi(*torus_contact_data(chart))
     assert built == J
     assert multider_to_json(built) == multider_to_json(J)
     assert built.is_jacobi()

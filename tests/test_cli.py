@@ -90,6 +90,15 @@ def test_missing_scenario(tmp_path, capsys):
     assert err.startswith("coiso: cannot read scenario file: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("path", ["no/such/dir/torus-obstructed", "../torus-obstructed"])
+def test_missing_path_is_not_a_builtin(capsys, path):
+    """A path that is not a file is not looked up as a built-in, whatever
+    its last part names: exit 1, one line."""
+    code, out, err = run_cli(["--scenario", path, "--task", "check-jacobi"], capsys)
+    assert code == 1 and out == ""
+    assert err == f"coiso: scenario {path!r}: no such file or built-in scenario\n"
+
+
 def _j_a_data(angle):
     """torus-obstructed with its contact block replaced by a jacobi block
     that holds helpers.J_a of its structure, a = exp(i angle)."""
@@ -183,6 +192,25 @@ def test_validation_error_exit_code(tmp_path, capsys):
         (edited("section", "components", open_section), "kuranishi", "s1 is not an infinitesimal deformation"),
         (edited("section", "components", open_section), "bfv-kuranishi", "requires a d_BFV-closed section"),
         (edited("chart", "leaf", ["ph_1"]), "kuranishi", "one leaf coordinate per fiber direction"),
+    ]
+    # every other transversal entry and frame coefficient is base-only too
+    # (this omega has the unit determinant 1)
+    for key, value in [
+        ("omega", [["0", "-1"], ["1", "y_1"]]),
+        ("F_ab", {"0": [["0", "y_1"], ["-y_1", "0"]]}),
+        ("F_a", {"0": ["y_1", "0"]}),
+        ("frame_a", [{"ph_3": "1"}, {"ph_4": "y_1"}]),
+        ("frame_z", {"ph_4": "sin(ph_3)", "ph_5": "y_2"}),
+    ]:
+        cases.append((edited("transversal", key, value), "transversal-crosscheck", "must be base-only"))
+    # with the leaf list swapped, m_1 is not d_F on functions of the leaf
+    # angles: s = (sin(ph_2), 0), d_F-closed for the swapped chart, is refused
+    swapped = edited("chart", "leaf", ["ph_2", "ph_1"])
+    swapped["section"]["components"] = ["sin(ph_2)", "0"]
+    cases += [
+        (swapped, "kuranishi", "s1 is not an infinitesimal deformation"),
+        (swapped, "prolong:3", "s1 is not an infinitesimal deformation"),
+        (swapped, "bfv-kuranishi", "requires a d_BFV-closed section"),
     ]
     bad = _builtin_data("torus-obstructed")
     del bad["transversal"]
@@ -790,6 +818,24 @@ def test_obstruction_is_success(tmp_path, capsys):
     task = json.loads(out)["tasks"]["kuranishi"]
     assert task["obstructed"] is False
     assert task["zero_mode"] == {"degree": 2, "terms": []} and task["zero_mode_text"] == "0"
+
+
+def test_swapped_leaf_list_keeps_the_obstruction(tmp_path, capsys):
+    """With the leaf list swapped to (ph_2, ph_1), the scenario's own section
+    still reads obstructed on the MC and the BFV route, with the zero mode
+    sin(ph_3) on both."""
+    data = _builtin_data("torus-obstructed")
+    data["chart"]["leaf"] = ["ph_2", "ph_1"]
+    code, out, err = run_cli(
+        ["--scenario", _write_scenario(tmp_path, data), "--task", "kuranishi", "--task", "bfv-kuranishi"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    mc, bfv = (json.loads(out)["tasks"][t] for t in ("kuranishi", "bfv-kuranishi"))
+    assert mc["obstructed"] is True and bfv["obstructed"] is True
+    assert mc["zero_mode_text"] == "(sin(ph_3)) dph_2^dph_1"
+    assert bfv["zero_mode_text"] == "(sin(ph_3)) xi^1.xi^2"
+    assert [t["coef"] for t in mc["zero_mode"]["terms"]] == [t["coef"] for t in bfv["zero_mode"]]
 
 
 def test_check_jacobi_report(capsys):

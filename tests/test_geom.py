@@ -1,6 +1,5 @@
 """Contact/lcs/jet constructors, projection P, injection I, coisotropy."""
 
-import copy
 import random
 
 import pytest
@@ -11,7 +10,6 @@ from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm
 from coiso.geom import (
-    ContactChart,
     Form,
     check_contact_jacobi,
     contact_to_jacobi,
@@ -23,11 +21,11 @@ from coiso.geom import (
 )
 
 from helpers import (
-    dense_curvature,
     fields_XY,
     generator_postcondition,
     jet_chart,
-    jet_contact_chart,
+    jet_contact_data,
+    one_form,
     random_base_scalar,
     random_scalar,
     torus_chart,
@@ -41,16 +39,17 @@ def chart():
     return torus_chart()
 
 
-def torus_contact_chart(chart) -> ContactChart:
-    """theta_E = y_1 dph_1 + y_2 dph_2 + sin(ph_3) dph_4 + cos(ph_3) dph_5
-    with the Reeb field Y and the obvious frame of ker theta."""
+def torus_contact_data(chart):
+    """(theta, Y, frame), the arguments of contact_to_jacobi: theta_E =
+    y_1 dph_1 + y_2 dph_2 + sin(ph_3) dph_4 + cos(ph_3) dph_5 with the Reeb
+    field Y and the obvious frame of ker theta."""
     X, Y = fields_XY(chart)
-    theta = {
+    theta = one_form(chart, {
         "ph_1": ScalarFn.y(chart, "y_1"),
         "ph_2": ScalarFn.y(chart, "y_2"),
         "ph_4": ScalarFn.sin_phi(chart, "ph_3"),
         "ph_5": ScalarFn.cos_phi(chart, "ph_3"),
-    }
+    })
     frame = [
         MultiVectorField.basis_vector(chart, "y_1"),
         MultiVectorField.basis_vector(chart, "y_2"),
@@ -59,52 +58,45 @@ def torus_contact_chart(chart) -> ContactChart:
         MultiVectorField.basis_vector(chart, "ph_1") - Y.scale_fn(ScalarFn.y(chart, "y_1")),
         MultiVectorField.basis_vector(chart, "ph_2") - Y.scale_fn(ScalarFn.y(chart, "y_2")),
     ]
-    return ContactChart(chart, theta, Y, frame)
+    return theta, Y, frame
 
 
 def test_contact_reproduces_displayed_J(chart):
-    J = contact_to_jacobi(torus_contact_chart(chart))
+    theta, Y, frame = torus_contact_data(chart)
+    J = contact_to_jacobi(theta, Y, frame)
     assert J == torus_jacobi(chart)
     assert J.sj_bracket(J).is_zero()
     # J depends on theta alone: a candidate R = Y + d_y1 with theta(R) = 1
     # that is not the Reeb field gives the same J
-    cc = torus_contact_chart(chart)
-    theta = {chart.coords[i]: f for (i,), f in cc.theta.terms.items()}
-    reeb = cc.reeb + MultiVectorField.basis_vector(chart, "y_1")
-    assert contact_to_jacobi(ContactChart(chart, theta, reeb, cc.frame)) == J
+    reeb = Y + MultiVectorField.basis_vector(chart, "y_1")
+    assert contact_to_jacobi(theta, reeb, frame) == J
 
 
-def test_curvature_is_the_dense_matrix(chart):
-    """ContactChart.curvature brackets the pairs i < j only; the dense
-    r x r matrix is the oracle, on the declared frame and on random
-    ScalarFn combinations of it, which still lie in ker theta."""
-    cc = torus_contact_chart(chart)
+def test_J_does_not_depend_on_the_frame(chart):
+    """J depends on theta alone, so contact_to_jacobi gives the same J on
+    the declared frame, on permutations of it, and on frames changed by
+    E_i -> E_i + f E_j (i != j, seeded ScalarFn f), which still span
+    ker theta with a curvature matrix of unit determinant."""
+    theta, Y, frame = torus_contact_data(chart)
+    J = contact_to_jacobi(theta, Y, frame)
     rng = random.Random(37)
-    zero = MultiVectorField.zero(chart, 1)
-    mixed = copy.copy(cc)
-    mixed.frame = [
-        zero.plus(E.scale_fn(random_scalar(chart, rng, max_terms=1)) for E in rng.sample(cc.frame, 3))
-        for _ in cc.frame
-    ]
-    for c in (cc, mixed):
-        omega = c.curvature()
-        assert len(omega) == 6 and omega == dense_curvature(c)
-    assert mixed.curvature() != cc.curvature()
+    for _ in range(3):
+        permuted = rng.sample(frame, len(frame))
+        assert permuted != frame
+        assert contact_to_jacobi(theta, Y, permuted) == J
+    for _ in range(3):
+        i, j = rng.sample(range(len(frame)), 2)
+        sheared = list(frame)
+        sheared[i] = frame[i] + frame[j].scale_fn(random_scalar(chart, rng, max_terms=2))
+        assert sheared[i] != frame[i]
+        assert contact_to_jacobi(theta, Y, sheared) == J
 
 
 def test_contact_scaling(chart):
-    cc = torus_contact_chart(chart)
+    theta, Y, frame = torus_contact_data(chart)
     c = GaussianRational(3)
-    X, Y = fields_XY(chart)
-    theta_scaled = {
-        "ph_1": ScalarFn.y(chart, "y_1").scale(c),
-        "ph_2": ScalarFn.y(chart, "y_2").scale(c),
-        "ph_4": ScalarFn.sin_phi(chart, "ph_3").scale(c),
-        "ph_5": ScalarFn.cos_phi(chart, "ph_3").scale(c),
-    }
-    cc2 = ContactChart(chart, theta_scaled, Y.scale(GaussianRational(1) / c), cc.frame)
-    J1 = contact_to_jacobi(cc)
-    J2 = contact_to_jacobi(cc2)
+    J1 = contact_to_jacobi(theta, Y, frame)
+    J2 = contact_to_jacobi(theta.scale(c), Y.scale(GaussianRational(1) / c), frame)
     rng = random.Random(0)
     for _ in range(4):
         f, g = random_scalar(chart, rng), random_scalar(chart, rng)
@@ -115,14 +107,14 @@ def test_contact_scaling(chart):
 def test_contact_standard_r3():
     """theta = dz - y dx on a pure fiber chart (k = 0, m = 3)."""
     chart = Chart(torus=(), fiber=("x", "y", "z"))
-    theta = {"z": ScalarFn.one(chart), "x": -ScalarFn.y(chart, "y")}
+    theta = one_form(chart, {"z": ScalarFn.one(chart), "x": -ScalarFn.y(chart, "y")})
     reeb = MultiVectorField.basis_vector(chart, "z")
     frame = [
         MultiVectorField.basis_vector(chart, "y"),
         MultiVectorField.basis_vector(chart, "x")
         + MultiVectorField.basis_vector(chart, "z").scale_fn(ScalarFn.y(chart, "y")),
     ]
-    J = contact_to_jacobi(ContactChart(chart, theta, reeb, frame))
+    J = contact_to_jacobi(theta, reeb, frame)
     assert J.sj_bracket(J).is_zero()
     # the curvature of the declared frame is the unit 1x1... rank 2 here:
     # omega(d_y, d_x + y d_z) = theta([d_y, d_x + y d_z]) = theta(d_z) = 1
@@ -131,18 +123,11 @@ def test_contact_standard_r3():
 
 def test_contact_requires_unit_curvature(chart):
     # collapse the frame so the curvature matrix is singular
-    cc = torus_contact_chart(chart)
-    bad_frame = list(cc.frame)
+    theta, Y, frame = torus_contact_data(chart)
+    bad_frame = list(frame)
     bad_frame[2] = bad_frame[2].scale_fn(ScalarFn.y(chart, "y_1"))
-    theta = {
-        "ph_1": ScalarFn.y(chart, "y_1"),
-        "ph_2": ScalarFn.y(chart, "y_2"),
-        "ph_4": ScalarFn.sin_phi(chart, "ph_3"),
-        "ph_5": ScalarFn.cos_phi(chart, "ph_3"),
-    }
-    _, Y = fields_XY(chart)
     with pytest.raises(ContentError, match="^matrix determinant is not a unit of the ring: "):
-        contact_to_jacobi(ContactChart(chart, theta, Y, bad_frame))
+        contact_to_jacobi(theta, Y, bad_frame)
 
 
 def test_lcs_symplectic_torus():
@@ -258,7 +243,7 @@ def test_jet_model_over_t5():
     curvature matrix, gives the same J."""
     chart = jet_chart(5)
     J = fiberwise_linear_jacobi(chart)
-    assert contact_to_jacobi(jet_contact_chart(chart)) == J
+    assert contact_to_jacobi(*jet_contact_data(chart)) == J
     z = chart.index("z")
     lam = {}
     for i in range(1, 6):
@@ -273,7 +258,7 @@ def test_jet_model_over_t5():
 def test_jet_closed_form_is_the_contact_route(b):
     """The closed form equals contact_to_jacobi on the jet contact frame."""
     chart = jet_chart(b)
-    assert fiberwise_linear_jacobi(chart) == contact_to_jacobi(jet_contact_chart(chart))
+    assert fiberwise_linear_jacobi(chart) == contact_to_jacobi(*jet_contact_data(chart))
 
 
 @pytest.mark.parametrize("corrupt", ["lambda", "q"])
@@ -282,7 +267,7 @@ def test_corrupted_structure_fails_both_postconditions(corrupt):
     generators, accept the jet model and both reject it with an extra
     p_1 d_ph_1 ^ d_z in Lambda, or with Q doubled."""
     chart = jet_chart(1)
-    theta = jet_contact_chart(chart).theta
+    theta, _, _ = jet_contact_data(chart)
     J = fiberwise_linear_jacobi(chart)
     assert generator_postcondition(theta, J)
     assert check_contact_jacobi(theta, J) is J

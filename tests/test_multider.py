@@ -19,7 +19,7 @@ from helpers import (
     leibniz_defect,
     fields_XY,
     jet_chart,
-    jet_contact_chart,
+    jet_contact_data,
     random_multider,
     random_scalar,
     torus_chart,
@@ -323,7 +323,7 @@ def test_sj_bracket_is_the_closed_formula(chart):
 
 @pytest.mark.parametrize(
     "structure",
-    [torus_jacobi, lambda: contact_to_jacobi(jet_contact_chart(jet_chart(2))),
+    [torus_jacobi, lambda: contact_to_jacobi(*jet_contact_data(jet_chart(2))),
      lambda: fiberwise_linear_jacobi(jet_chart(2))],
     ids=["torus", "contact", "jet"],
 )
@@ -359,7 +359,7 @@ def test_apply_is_the_closed_expansion(chart):
     rng = random.Random(41)
     structures = [torus_jacobi(chart)]
     jc = jet_chart(2)
-    structures += [contact_to_jacobi(jet_contact_chart(jc)), fiberwise_linear_jacobi(jc)]
+    structures += [contact_to_jacobi(*jet_contact_data(jc)), fiberwise_linear_jacobi(jc)]
     for n in range(4):
         for _ in range(3):
             structures += _with_parts_dropped(chart, rng, n)

@@ -63,15 +63,22 @@ def test_ring_operations(x, y):
 @prop
 @given(pairs, rationals)
 def test_mixed_operands(x, r):
+    """Arithmetic takes Gaussian rationals only: an int or a Fraction operand,
+    on either side, raises TypeError; GaussianRational.of(r) is the way in,
+    and meets the oracle."""
     q = (Fraction(r), Fraction(0))
-    z = gr(x)
-    assert_is(z + r, (x[0] + r, x[1]))
-    assert_is(r + z, (x[0] + r, x[1]))
-    assert_is(z - r, (x[0] - r, x[1]))
-    assert_is(z * r, o_mul(x, q))
-    assert_is(r * z, o_mul(x, q))
+    z, w = gr(x), GaussianRational.of(r)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b in ((z, r), (r, z)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert_is(z + w, (x[0] + r, x[1]))
+    assert_is(w + z, (x[0] + r, x[1]))
+    assert_is(z - w, (x[0] - r, x[1]))
+    assert_is(z * w, o_mul(x, q))
+    assert_is(w * z, o_mul(x, q))
     if r:
-        assert_is(z / r, o_div(x, q))
+        assert_is(z / w, o_div(x, q))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -82,7 +89,7 @@ def test_scaled_is_the_fraction_product(x, num, den):
     z = gr(x)
     q = (Fraction(num, den), Fraction(0))
     assert_is(z.scaled(num, den), o_mul(x, q))
-    assert z.scaled(num, den) == z * Fraction(num, den)
+    assert z.scaled(num, den) == z * GaussianRational(Fraction(num, den))
     assert_is(z.scaled(num * 6, den * 6), o_mul(x, q))
 
 
@@ -98,7 +105,7 @@ def test_scaled_by_beta_ratios():
 @prop
 @given(pairs)
 def test_division_by_zero(x):
-    for zero in (ZERO, GaussianRational(0, 0), 0, Fraction(0)):
+    for zero in (ZERO, GaussianRational(0, 0), GaussianRational(0), GaussianRational(Fraction(0))):
         with pytest.raises(ZeroDivisionError):
             gr(x) / zero
 
@@ -119,7 +126,7 @@ def test_constructor_and_parts(x):
 
 
 def test_zero_is_canonical():
-    for z in (ZERO, GaussianRational(), ONE - ONE, I * 0, HALF - HALF, GaussianRational(0, 0) / I):
+    for z in (ZERO, GaussianRational(), ONE - ONE, I * GaussianRational(0), HALF - HALF, GaussianRational(0, 0) / I):
         assert (z._a, z._b, z._d) == (0, 0, 1)
 
 
@@ -151,7 +158,7 @@ def test_display_unchanged():
         (ONE, "1", "GaussianRational(Fraction(1, 1), Fraction(0, 1))"),
         (HALF, "1/2", "GaussianRational(Fraction(1, 2), Fraction(0, 1))"),
         (I, "1*i", "GaussianRational(Fraction(0, 1), Fraction(1, 1))"),
-        (-I / 2, "-1/2*i", "GaussianRational(Fraction(0, 1), Fraction(-1, 2))"),
+        (-I / GaussianRational(2), "-1/2*i", "GaussianRational(Fraction(0, 1), Fraction(-1, 2))"),
         (GaussianRational(3, -2), "3-2*i", "GaussianRational(Fraction(3, 1), Fraction(-2, 1))"),
         (
             GaussianRational(Fraction(-1, 3), Fraction(2, 3)),
