@@ -20,6 +20,15 @@ with k = arity A - 1, k' = arity B - 1, [[-,-]]_SN the Schouten-Nijenhuis
 bracket of the extended table (the Gerstenhaber product skips id by its
 mask) and i_phi the contraction with phi from the left.  Split into P and
 Q it is the closed (P, Q)-formula that the test suite keeps as an oracle.
+
+A square needs one Gerstenhaber product.  For arity n = k + 1,
+[[A, A]]_SN = ((-1)^(k^2) - 1) A o A, and (i_phi A) ^ A =
+(-1)^(n(n-1)) A ^ i_phi A = A ^ i_phi A, so
+
+    [[A, A]] = ((-1)^(k^2) - 1) A o A + k (1 - (-1)^k) A ^ i_phi A,
+
+which is -2 (A o A - k A ^ i_phi A) for even n >= 2 and zero for odd n
+(and for a section, n = 0, whose products all vanish).
 """
 
 from __future__ import annotations
@@ -85,13 +94,22 @@ class MultiDerivation(MultiVectorField):
     # -- Schouten-Jacobi bracket -------------------------------------------------
 
     def sj_bracket(self, other: "MultiDerivation") -> "MultiDerivation":
-        """[[self, other]]; [[self, self]] is computed once per object."""
+        """[[self, other]].  [[self, self]] is computed once per object, by
+        the square rule of the module docstring: one product self o self
+        and one wedge self ^ i_phi self for even arity, none for odd."""
         if other is not self:
             return self._bracket(other)
         square = getattr(self, "_square", None)
         if square is None:
-            square = self._square = self._bracket(self)
+            square = self._square = self._self_bracket()
         return square
+
+    def _self_bracket(self) -> "MultiDerivation":
+        n = self.degree
+        if n % 2 or not n:
+            return MultiDerivation.zero(self.chart, max(2 * n - 1, 0))
+        twist = self.wedge(self._contract_id()).scale(n - 1)
+        return (self.gerstenhaber(self) - twist).scale(-2)
 
     def _bracket(self, other: "MultiDerivation") -> "MultiDerivation":
         k, kp = self.degree - 1, other.degree - 1

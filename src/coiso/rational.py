@@ -103,7 +103,12 @@ class GaussianRational:
         )
 
     def __sub__(self, other):
-        return self + (-other)
+        if type(other) is not GaussianRational:
+            return NotImplemented
+        d1, d2 = self._d, other._d
+        return _reduced(
+            self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2
+        )
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:

@@ -22,7 +22,8 @@ tables.  Every
 container is built through the one kernel ``accumulate``, which adds
 (key, value) pairs into a dict and deletes a key whose sum is zero.  A
 term table is never changed once its container is built, so a container
-hashes by its type, shape and terms and can key a dict.
+hashes by its type, shape and terms, keeps that hash after its first use,
+and can key a dict.
 
 Fiber substitution.  ``ScalarFn.substitute_fiber`` replaces every fiber
 coordinate by a target function, and ``ScalarFn.path_integral`` integrates
@@ -143,7 +144,7 @@ class SparseTerms:
     already canonical.
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "terms", "_hash")
 
     def _shape(self):
         return (self.chart,)
@@ -211,8 +212,18 @@ class SparseTerms:
         )
 
     def __hash__(self):
-        # agrees with __eq__; term tables are never changed after construction
-        return hash((type(self), self._shape(), frozenset(self.terms.items())))
+        # agrees with __eq__; term tables are never changed after
+        # construction, so the hash is computed on first use and kept
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash((type(self), self._shape(), frozenset(self.terms.items())))
+            return h
+
+
+_HALF = GaussianRational(Fraction(1, 2))
+_HALF_I = GaussianRational(0, Fraction(1, 2))
+_MINUS_HALF_I = -_HALF_I
 
 
 def _monomial(chart, key, c):
@@ -337,27 +348,39 @@ class ScalarFn(SparseTerms):
             raise ContentError(f"{coord!r} is not a torus coordinate")
         key = [0] * chart.dim
         key[chart.torus.index(coord)] = n
-        return ScalarFn(chart, {tuple(key): ONE})
+        return _monomial(chart, tuple(key), ONE)
+
+    @staticmethod
+    def _trig(chart: Chart, coord: str, c_plus, c_minus) -> "ScalarFn":
+        """c_plus exp(i phi_coord) + c_minus exp(-i phi_coord)."""
+        if coord not in chart.torus:
+            raise ContentError(f"{coord!r} is not a torus coordinate")
+        j = chart.torus.index(coord)
+        head, tail = (0,) * j, (0,) * (chart.dim - j - 1)
+        f = object.__new__(ScalarFn)
+        f.chart, f._mask = chart, None
+        f.terms = {head + (1,) + tail: c_plus, head + (-1,) + tail: c_minus}
+        return f
 
     @staticmethod
     def sin_phi(chart: Chart, coord: str) -> "ScalarFn":
-        e = ScalarFn.exp_phi(chart, coord, 1)
-        em = ScalarFn.exp_phi(chart, coord, -1)
-        return (e - em).scale(GaussianRational(0, Fraction(-1, 2)))
+        """(exp(i phi) - exp(-i phi)) / 2i."""
+        return ScalarFn._trig(chart, coord, _MINUS_HALF_I, _HALF_I)
 
     @staticmethod
     def cos_phi(chart: Chart, coord: str) -> "ScalarFn":
-        e = ScalarFn.exp_phi(chart, coord, 1)
-        em = ScalarFn.exp_phi(chart, coord, -1)
-        return (e + em).scale(GaussianRational(Fraction(1, 2)))
+        """(exp(i phi) + exp(-i phi)) / 2."""
+        return ScalarFn._trig(chart, coord, _HALF, _HALF)
 
     @staticmethod
     def y(chart: Chart, coord: str, p: int = 1) -> "ScalarFn":
         if coord not in chart.fiber:
             raise ContentError(f"{coord!r} is not a fiber coordinate")
+        if p < 0:
+            raise ContentError("fiber exponents must be nonnegative")
         key = [0] * chart.dim
         key[chart.index(coord)] = p
-        return ScalarFn(chart, {tuple(key): ONE})
+        return _monomial(chart, tuple(key), ONE)
 
     # -- predicates -------------------------------------------------------
 
@@ -526,15 +549,17 @@ def dot(chart: Chart, row, col) -> ScalarFn:
 
 
 def mat_mul(chart: Chart, A, B):
-    """A B, reading the nonzero entries of each column of B once; an entry
-    with no nonzero product is one zero shared by the whole result."""
+    """A B, reading the nonzero entries of each column of B and the nonzero
+    pattern of each row of A once; an entry with no nonzero product is one
+    zero shared by the whole result."""
     zero = ScalarFn.zero(chart)
     cols = [[(k, b) for k, b in enumerate(col) if not b.is_zero()] for col in zip(*B)]
     out = []
     for row in A:
+        live = [not a.is_zero() for a in row]
         out_row = []
         for col in cols:
-            products = [row[k] * b for k, b in col if not row[k].is_zero()]
+            products = [row[k] * b for k, b in col if live[k]]
             out_row.append(zero.plus(products) if products else zero)
         out.append(out_row)
     return out

@@ -5,7 +5,8 @@ takes, each key with whether it is required and the kind of its JSON value.
 ``Scenario`` walks it once, over the whole document, so a malformed block
 is an error whichever task runs; the builders then read keys directly.
 Expressions are parsed by the builder of the artifact that reads them (the
-costly part of a load), and the constructors check what values mean.
+costly part of a load), each distinct text once per Scenario, and the
+constructors check what values mean.
 
 A ``Scenario`` also holds the artifacts its tasks share (the Jacobi
 structure, the section, the transversal data, the multibracket table, the
@@ -154,6 +155,7 @@ class Scenario:
         self.structure_kind = structures[0]
         self.data = data
         self._built = {}  # artifact name -> value, or the ObstructionFailure it raised
+        self._parsed = {}  # expression text -> its ScalarFn
 
     def _once(self, name, build):
         """The artifact called name, built by build() on its first use.  An
@@ -172,10 +174,18 @@ class Scenario:
     # -- parsing helpers ----------------------------------------------------
 
     def _expr(self, text) -> ScalarFn:
-        try:
-            return parse_scalar(self.chart, text)
-        except ContentError as exc:
-            raise ContentError(f"bad expression {text!r}: {exc}") from None
+        """The ScalarFn of an expression text.  Each distinct text is parsed
+        once per Scenario and its ScalarFn shared, as a ScalarFn never
+        changes after construction; a text that fails to parse is not kept,
+        so it raises the same error on every use."""
+        f = self._parsed.get(text)
+        if f is None:
+            try:
+                f = parse_scalar(self.chart, text)
+            except ContentError as exc:
+                raise ContentError(f"bad expression {text!r}: {exc}") from None
+            self._parsed[text] = f
+        return f
 
     def _exprs(self, texts) -> list:
         return [self._expr(e) for e in texts]

@@ -1093,20 +1093,58 @@ def test_task_report_independent_of_job(capsys, scenario):
 def test_job_squares_the_structure_once(monkeypatch, capsys, scenario):
     """[[J, J]] is computed once in a job whose constructor, check-jacobi,
     coisotropic, table and lift all read it, and never for another
-    multiderivation."""
-    squared = []
-    original = MultiDerivation._bracket
+    multiderivation: the square rule runs once, on J, and no bracket of
+    distinct operands is handed the same object twice."""
+    squared, doubled = [], []
+    square, bracket = MultiDerivation._self_bracket, MultiDerivation._bracket
 
-    def bracket(a, b):
+    def spy_square(a):
+        squared.append(a)
+        return square(a)
+
+    def spy_bracket(a, b):
         if a is b:
-            squared.append(a)
-        return original(a, b)
+            doubled.append(a)
+        return bracket(a, b)
 
-    monkeypatch.setattr(MultiDerivation, "_bracket", bracket)
+    monkeypatch.setattr(MultiDerivation, "_self_bracket", spy_square)
+    monkeypatch.setattr(MultiDerivation, "_bracket", spy_bracket)
     code, out, err = run_cli(_job_args(scenario, BUILTIN_JOBS[scenario]), capsys)
     assert code == 0, err
-    assert len(squared) == 1 and squared[0].degree == 2
+    assert len(squared) == 1 and squared[0].degree == 2 and not doubled
     assert json.loads(out)["tasks"]["check-jacobi"]["jacobiator_zero"] is True
+
+
+def test_scenario_parses_each_text_once(monkeypatch):
+    """Scenario._expr parses a repeated text once and returns the same
+    ScalarFn for it; a text that fails to parse is not kept, and gives the
+    same "bad expression" error on every use.  Building the torus-obstructed
+    contact structure, whose 17 texts hold 10 distinct ones, parses each
+    distinct text once."""
+    parsed = []
+
+    def spy(chart, text):
+        parsed.append(text)
+        return parse_scalar(chart, text)
+
+    monkeypatch.setattr("coiso.scenario.parse_scalar", spy)
+    s = load_scenario("torus-obstructed")
+    f = s._expr("y_1*sin(ph_3)")
+    assert s._expr("y_1*sin(ph_3)") is f and parsed == ["y_1*sin(ph_3)"]
+    assert f == ScalarFn.y(s.chart, "y_1") * ScalarFn.sin_phi(s.chart, "ph_3")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ContentError, match=r"^bad expression 'ph_1': ") as exc:
+            s._expr("ph_1")
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] and parsed.count("ph_1") == 2
+
+    block = s.data["contact"]
+    texts = [*block["theta"].values(), *block["reeb"].values()]
+    texts += [t for field in block["frame"] for t in field.values()]
+    parsed.clear()
+    s.jacobi()
+    assert len(texts) == 17 and sorted(parsed) == sorted(set(texts)) and len(parsed) == 10
 
 
 # -- fuzzing the scenario format ---------------------------------------------------

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coiso.ring import Chart, ContentError, ScalarFn
 from coiso.multivector import MultiVectorField
@@ -12,6 +13,7 @@ from coiso.geom import contact_to_jacobi, fiberwise_linear_jacobi
 from coiso.scenario import load_scenario
 
 from helpers import (
+    J_a,
     closed_apply,
     closed_sj_bracket,
     eval_nested,
@@ -83,7 +85,7 @@ def test_nonjacobi_bivector(chart):
     )
     Jbad = MultiDerivation.from_parts(lam)
     jac = Jbad.sj_bracket(Jbad).scale(Fraction(1, 2))
-    assert not jac.is_zero()
+    assert not jac.is_zero() and Jbad.sj_bracket(Jbad) == Jbad._bracket(Jbad)
     rng = random.Random(9)
     for _ in range(5):
         f, g, h = (random_scalar(chart, rng) for _ in range(3))
@@ -324,12 +326,18 @@ def test_sj_bracket_is_the_closed_formula(chart):
 @pytest.mark.parametrize(
     "structure",
     [torus_jacobi, lambda: contact_to_jacobi(*jet_contact_data(jet_chart(2))),
-     lambda: fiberwise_linear_jacobi(jet_chart(2))],
-    ids=["torus", "contact", "jet"],
+     lambda: fiberwise_linear_jacobi(jet_chart(2)),
+     lambda: load_scenario("torus-obstructed").jacobi(),
+     lambda: load_scenario("legendrian-jet").jacobi(),
+     lambda: J_a(torus_jacobi(), ScalarFn.exp_phi(torus_chart(), "ph_1"))],
+    ids=["torus", "contact", "jet", "torus-obstructed", "legendrian-jet", "J_a"],
 )
 def test_square_of_each_structure_kind_is_the_closed_formula(structure):
+    """The square rule of sj_bracket is the closed formula and the bracket
+    of distinct operands, _bracket(J, J), on each structure kind, both
+    built-in structures and a retrivialized J_a."""
     j = structure()
-    assert j.sj_bracket(j) == closed_sj_bracket(j, j)
+    assert j.sj_bracket(j) == closed_sj_bracket(j, j) == j._bracket(j)
     assert closed_sj_bracket(j, j).is_zero()
 
 
@@ -366,3 +374,21 @@ def test_apply_is_the_closed_expansion(chart):
     for sq in structures:
         fns = [random_scalar(sq.chart, rng) for _ in range(sq.degree)]
         assert sq.apply(fns) == closed_apply(sq, fns)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+def test_square_rule_is_the_bracket_of_the_operand_with_itself(seed, arity, drop_q):
+    """The square rule of sj_bracket (one A o A and one A ^ i_phi A at even
+    arity, no product at odd arity) equals _bracket(A, A), the general
+    formula for distinct operands applied to A twice, on random
+    multi-derivations of arities 1-3, also with Q = 0; at odd arity both
+    are identically zero."""
+    chart = torus_chart()
+    a = random_multider(chart, random.Random(seed), arity)
+    if drop_q:
+        a = MultiDerivation.from_parts(a.p_part)
+    square = a.sj_bracket(a)
+    assert square == a._bracket(a) and square.degree == 2 * arity - 1
+    if arity % 2:
+        assert square.is_zero()

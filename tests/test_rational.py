@@ -1,6 +1,7 @@
 """GaussianRational against a pair-of-Fractions oracle (hypothesis)."""
 
 import operator
+import re
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -64,13 +65,14 @@ def test_ring_operations(x, y):
 @given(pairs, rationals)
 def test_mixed_operands(x, r):
     """Arithmetic takes Gaussian rationals only: an int or a Fraction operand,
-    on either side, raises TypeError; GaussianRational.of(r) is the way in,
-    and meets the oracle."""
+    on either side, raises a TypeError that names the operator (x - 1 and
+    1 - x name -, not the + of a negated sum); GaussianRational.of(r) is
+    the way in, and meets the oracle."""
     q = (Fraction(r), Fraction(0))
     z, w = gr(x), GaussianRational.of(r)
-    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+    for op, symbol in ((operator.add, "+"), (operator.sub, "-"), (operator.mul, "*"), (operator.truediv, "/")):
         for a, b in ((z, r), (r, z)):
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match=rf"for {re.escape(symbol)}: "):
                 op(a, b)
     assert_is(z + w, (x[0] + r, x[1]))
     assert_is(w + z, (x[0] + r, x[1]))

@@ -18,6 +18,7 @@ from coiso.ring import (
     unit_inverse,
 )
 from coiso.expr import _tokenize, parse_scalar, scalar_to_json, scalar_to_text
+from coiso.scenario import load_scenario
 
 from helpers import (
     TPoly,
@@ -52,6 +53,38 @@ def test_pythagorean_identity(chart):
     s = ScalarFn.sin_phi(chart, "ph_1")
     c = ScalarFn.cos_phi(chart, "ph_1")
     assert s * s + c * c == ScalarFn.one(chart)
+
+
+@pytest.mark.parametrize("name", ["torus-obstructed", "legendrian-jet"])
+def test_factor_builders_are_the_validated_builds(name):
+    """exp_phi, y, sin_phi and cos_phi build their terms directly; each
+    equals, term order included, the function the validating constructor
+    builds from the same exponent keys, on both built-in charts, and a
+    coordinate of the wrong kind or a negative fiber exponent is refused."""
+    chart = load_scenario(name).chart
+    half, half_i = Fraction(1, 2), GaussianRational(0, Fraction(1, 2))
+
+    def key(j, v):
+        return tuple(v if i == j else 0 for i in range(chart.dim))
+
+    for j, c in enumerate(chart.torus):
+        for n in (-2, -1, 0, 1, 3):
+            assert ScalarFn.exp_phi(chart, c, n) == ScalarFn(chart, {key(j, n): 1})
+        sin, cos = ScalarFn.sin_phi(chart, c), ScalarFn.cos_phi(chart, c)
+        want_sin = ScalarFn(chart, {key(j, 1): -half_i, key(j, -1): half_i})
+        want_cos = ScalarFn(chart, {key(j, 1): half, key(j, -1): half})
+        assert sin == want_sin and list(sin.terms) == list(want_sin.terms)
+        assert cos == want_cos and list(cos.terms) == list(want_cos.terms)
+        with pytest.raises(ContentError, match="is not a fiber coordinate"):
+            ScalarFn.y(chart, c)
+    for j, c in enumerate(chart.fiber, chart.k):
+        for p in (0, 1, 4):
+            assert ScalarFn.y(chart, c, p) == ScalarFn(chart, {key(j, p): 1})
+        with pytest.raises(ContentError, match="^fiber exponents must be nonnegative$"):
+            ScalarFn.y(chart, c, -1)
+        for make in (ScalarFn.exp_phi, ScalarFn.sin_phi, ScalarFn.cos_phi):
+            with pytest.raises(ContentError, match="is not a torus coordinate"):
+                make(chart, c)
 
 
 def test_fiber_monomial_product(chart):

@@ -161,6 +161,28 @@ def test_equal_containers_hash_equal(name):
         assert memo[(y, y)] == "kept" and len(memo | {(y, y): "again"}) == 1
 
 
+def _fresh(x):
+    """x rebuilt with new objects down to its coefficients, so no hash of
+    it or of a value is kept yet."""
+    if isinstance(x, ScalarFn):
+        return ScalarFn(x.chart, dict(x.terms))
+    return x._like({k: _fresh(v) for k, v in x.terms.items()})
+
+
+@pytest.mark.parametrize("name", sorted(CONTAINERS))
+def test_kept_hash_is_the_fresh_hash(name):
+    """A container computes its hash on first use and keeps it; the kept
+    hash is the one a freshly built equal container computes."""
+    make, _ = CONTAINERS[name]
+    rng = random.Random(17)
+    for _ in range(10):
+        x = make(rng)
+        first = hash(x)
+        assert x._hash == first and hash(x) == first
+        fresh = _fresh(x)
+        assert fresh == x and not hasattr(fresh, "_hash") and hash(fresh) == first
+
+
 def test_containers_of_other_type_or_shape_differ():
     """One term table in containers of different type, degree or chart
     gives different values and different dict keys."""
