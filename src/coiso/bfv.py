@@ -33,9 +33,9 @@ from .ring import ContentError
 from .multider import MultiDerivation
 from .leafform import LeafForm
 from .graded import (
-    XI,
     ContractionTwo,
     GradedElement,
+    ghost_section,
     hamiltonian_operator,
     i_nabla,
     jacobi_bracket,
@@ -49,6 +49,10 @@ class ObstructionFailure(Exception):
     def __init__(self, component):
         super().__init__("obstruction: the approximate MC element cannot be deformed")
         self.component = component
+
+
+# The step bound of the SBSO and the perturbation series below; reaching it is an AssertionError.
+_STEPS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +89,7 @@ def check_contraction_axioms(homotopy_projection, immersion, differential, x, la
 # ---------------------------------------------------------------------------
 
 
-def sbso(bracket, homotopy, obstruction, qbar, max_steps=16):
+def sbso(bracket, homotopy, obstruction, qbar):
     """Deform qbar into an MC element Q = qbar + sum_k Q_k along a fixed
     filtration whose degree (the antighost count) is never negative, so
     [qbar, qbar] cannot sit below the starting level and no level is
@@ -99,7 +103,7 @@ def sbso(bracket, homotopy, obstruction, qbar, max_steps=16):
 
     Returns (Q, corrections) with corrections the list of added Q_k.  The
     square of the applicability test is the first square of the loop, so
-    the bracket runs len(corrections) + 1 times.
+    the bracket runs len(corrections) + 1 times, at most _STEPS + 1.
     """
     sq = bracket(qbar, qbar)
     obs = obstruction(sq)
@@ -109,7 +113,7 @@ def sbso(bracket, homotopy, obstruction, qbar, max_steps=16):
     corrections = []
     if sq.is_zero():
         return q, corrections
-    for _ in range(max_steps):
+    for _ in range(_STEPS):  # finite: each Q_k sits one antighost level higher
         step = homotopy(sq).scale(Fraction(1, 2))
         if step.is_zero():
             raise AssertionError("SBSO stalled: homotopy produced no correction")
@@ -153,12 +157,11 @@ def brst_charge(lift: Lift, s: LeafForm):
     corrections) or raises ObstructionFailure carrying
     wp[s]{Omega_E[s], Omega_E[s]} when the image of s is not coisotropic."""
     c2 = ContractionTwo(s)
-    qbar = c2.omega_E()
 
     def bracket(a, b):
         return jacobi_bracket(lift.j_hat, a, b)
 
-    return sbso(bracket, c2.h, c2.wp, qbar)
+    return sbso(bracket, c2.h, c2.wp, c2.omega_E())
 
 
 def d_bfv(lift: Lift, omega: GradedElement) -> GradedElement:
@@ -179,7 +182,7 @@ def _series(a, b, x):
     b a, with their images a(t_k): t_0 = x and t_{k+1} = b(a(t_k)).
     Returns (sum t_k, [a(t_k)]), the last a(t_k) the one that b maps to 0."""
     terms, images = [], []
-    for _ in range(16):
+    for _ in range(_STEPS):  # finite: b a is nilpotent on the antighost filtration
         images.append(a(x))
         terms.append(x)
         x = b(images[-1])
@@ -252,8 +255,7 @@ def bfv_lift_cocycle(lift: Lift, perturbed: PerturbedContraction, s: LeafForm) -
     """The perturbed immersion iota' applied to a normal section s = sum_A
     g_A delta_A (as the ghost-degree one element sum_A g_A xi^A): the
     canonical d_BFV-closed lift of an infinitesimal deformation."""
-    ghosts = {((XI, A),): g for A, g in enumerate(s.components())}
-    return perturbed.immersion(GradedElement(lift.chart, ghosts))
+    return perturbed.immersion(ghost_section(lift.chart, s.components()))
 
 
 def bfv_kuranishi(lift: Lift, perturbed: PerturbedContraction, nu: GradedElement):

@@ -48,7 +48,7 @@ from .expr import scalar_to_json
 from .leafform import LeafForm
 from .geom import is_coisotropic_section
 from .linfty import mc_series, prolong_formal
-from .graded import GradedElement, bidegree, encode, normalize, XI, XIS
+from .graded import GradedElement, bidegree, encode, ghost_section, normalize, XI, XIS
 from .bfv import (
     ObstructionFailure,
     bfv_kuranishi,
@@ -127,7 +127,7 @@ def _coisotropic(scenario, arg):
 
 def _fiber_frame(chart):
     """The leafwise 1-forms delta_a of the fiber directions."""
-    return [LeafForm(chart, 1, {(a,): ScalarFn.one(chart)}) for a in range(chart.m)]
+    return [LeafForm._raw(chart, 1, {(a,): ScalarFn.one(chart)}) for a in range(chart.m)]
 
 
 def _multibrackets(scenario, arg):
@@ -302,8 +302,8 @@ def _hpl_resolve(scenario, arg):
     for c in chart.torus[:3]:
         f = ScalarFn.sin_phi(chart, c)
         out = pert.small_differential(GradedElement.section(chart, f))
-        m1 = table.m1(LeafForm.function(f))
-        expected = GradedElement(chart, {((XI, a),): coeff for (a,), coeff in m1.terms.items()})
+        m1 = table.m1(LeafForm._raw(chart, 0, {(): f}))
+        expected = ghost_section(chart, m1.components())
         agree &= (out - expected).is_zero()
     return {"axioms_hold": True, "induced_differential_is_m1": agree}
 

@@ -183,21 +183,18 @@ def projection_P(sq: MultiDerivation) -> LeafForm:
     chart = sq.chart
     if chart.m < 1:
         raise ContentError("projection needs at least one fiber direction")
-    out, fiber = {}, range(chart.k, chart.dim)
-    for key, f in sq.terms.items():
-        if all(chart.k <= i < chart.dim for i in key):
-            g = f.zero_mode(fiber)
-            if not g.is_zero():
-                out[tuple(i - chart.k for i in key)] = g
-    return LeafForm(chart, sq.degree, out)
+    k, fiber = chart.k, range(chart.k, chart.dim)
+    modes = ((key, f.zero_mode(fiber)) for key, f in sq.terms.items() if all(i in fiber for i in key))
+    out = {tuple(i - k for i in key): g for key, g in modes if not g.is_zero()}
+    return LeafForm._raw(chart, sq.degree, out)
 
 
 def injection_I(xi: LeafForm) -> MultiDerivation:
     """I: fiberwise-constant vertical lift; sections map to the flat vertical
     derivative, so the q-part is always zero."""
-    chart = xi.chart
-    terms = {tuple(a + chart.k for a in key): f for key, f in xi.terms.items()}
-    return MultiDerivation(chart, xi.degree, terms)
+    k = xi.chart.k
+    terms = {tuple(a + k for a in key): f for key, f in xi.terms.items()}
+    return MultiDerivation._raw(xi.chart, xi.degree, terms)
 
 
 def is_coisotropic_section(j: MultiDerivation, s: LeafForm):

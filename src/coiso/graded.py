@@ -167,22 +167,25 @@ class GradedElement(SparseTerms):
     terms with symbols are graded symmetric multi-derivation words.  The
     ghost indices A run over the chart's fiber coordinates: the ghosts are
     fiber coordinates of the normal bundle.  The constructor takes
-    tuple-letter words; terms are kept with int words.
+    tuple-letter words; terms are kept with int words, which a kernel makes
+    into an element through _raw when normalized, through _sum otherwise.
     """
 
     __slots__ = ("_by_symbol",)
 
     def __init__(self, chart: Chart, terms=None):
-        self.chart = chart
-        self.terms = (
-            accumulate({}, _canonical((encode(w), f) for w, f in terms.items())) if terms else {}
-        )
-        self._by_symbol = None
+        pairs = ((encode(w), f) for w, f in terms.items()) if terms else ()
+        self.chart, self.terms, self._by_symbol = chart, accumulate({}, _canonical(pairs)), None
+
+    @classmethod
+    def _raw(cls, chart: Chart, terms):
+        """The element of normalized int words and nonzero values, unchecked."""
+        r = object.__new__(cls)
+        r.chart, r.terms, r._by_symbol = chart, terms, None
+        return r
 
     def _like(self, terms):
-        r = object.__new__(type(self))
-        r.chart, r.terms, r._by_symbol = self.chart, terms, None
-        return r
+        return self._raw(self.chart, terms)
 
     def _sum(self, pairs) -> "GradedElement":
         """The element of this shape summing (int word, ScalarFn) pairs,
@@ -365,7 +368,14 @@ def tautological_G(chart: Chart) -> GradedElement:
     """G = sum_A Dxi(A) Dxis(A) (x) mu, the bidegree (-1,-1) pairing of
     ghosts with antighosts."""
     one = ScalarFn.one(chart)
-    return GradedElement(chart, {((DXI, A), (DXIS, A)): one for A in range(chart.m)})
+    return GradedElement._raw(chart, {(_letter(DXI, A), _letter(DXIS, A)): one for A in range(chart.m)})
+
+
+def ghost_section(chart: Chart, components) -> GradedElement:
+    """The ghost-degree-1 section sum_A g_A xi^A of one ScalarFn g_A per
+    fiber coordinate; a zero component has no term."""
+    terms = {(_letter(XI, A),): g for A, g in enumerate(components) if not g.is_zero()}
+    return GradedElement._raw(chart, terms)
 
 
 def decal_sign(section: GradedElement) -> int:
@@ -374,7 +384,7 @@ def decal_sign(section: GradedElement) -> int:
     d = section.is_homogeneous_degree()
     if d is None:
         raise ContentError("decalage sign needs a homogeneous section")
-    return (-1) ** (d % 2)
+    return -1 if d % 2 else 1
 
 
 def jacobi_bracket(jop: GradedElement, a: GradedElement, b: GradedElement) -> GradedElement:
@@ -408,9 +418,8 @@ def to_graded(sq: MultiDerivation) -> GradedElement:
     letter; sorting m to the front of the word signs it, so the words of
     -Q ^ id carry (-1)^arity Q."""
     dim = sq.chart.dim
-    return GradedElement.zero(sq.chart)._sum(
-        (tuple(M if i == dim else _letter(DX, i) for i in key), f) for key, f in sq.terms.items()
-    )
+    words = ((tuple(M if i == dim else _letter(DX, i) for i in key), f) for key, f in sq.terms.items())
+    return GradedElement._raw(sq.chart, accumulate({}, _canonical(words)))
 
 
 def i_nabla(sq: MultiDerivation) -> GradedElement:
@@ -451,24 +460,14 @@ class ContractionTwo:
     def omega_E(self) -> GradedElement:
         """Omega_E[s] = sum_A (y_A - g_A) xi^A."""
         chart = self.chart
-        return GradedElement(
-            chart,
-            {
-                ((XI, A),): ScalarFn.y(chart, chart.fiber[A]) - g
-                for A, g in enumerate(self.components)
-            },
-        )
+        gens = (ScalarFn.y(chart, y) - g for y, g in zip(chart.fiber, self.components))
+        return ghost_section(chart, gens)
 
     def wp(self, lam: GradedElement) -> GradedElement:
         """Restrict to im s and kill positive antighost words."""
-        out = {}
-        for letters, f in lam.terms.items():
-            if any(XIS <= x < M for x in letters):
-                continue
-            g = f.substitute_fiber(self.powers)
-            if not g.is_zero():
-                out[letters] = g
-        return GradedElement.zero(self.chart)._like(out)
+        live = ((w, f) for w, f in lam.terms.items() if not any(XIS <= x < M for x in w))
+        subs = ((w, f.substitute_fiber(self.powers)) for w, f in live)
+        return lam._like({w: g for w, g in subs if not g.is_zero()})
 
     def h(self, lam: GradedElement) -> GradedElement:
         """h[s] = int_0^1 j_t[s] dt, evaluated exactly on polynomial terms.

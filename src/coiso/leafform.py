@@ -91,6 +91,6 @@ class LeafForm(SkewTerms):
                     coeff = c / GaussianRational(0, e[leaf_idx[j]])
                     if pos % 2:
                         coeff = -coeff
-                    yield key[:pos] + key[pos + 1 :], ScalarFn(chart, {e: coeff})
+                    yield key[:pos] + key[pos + 1 :], f._like({e: coeff})
 
-        return LeafForm(chart, self.degree - 1, accumulate({}, pairs()))
+        return LeafForm._raw(chart, self.degree - 1, accumulate({}, pairs()))

@@ -22,8 +22,8 @@ lookup iterates over the memo.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import factorial
 
 from .ring import ContentError
 from .multider import MultiDerivation
@@ -107,7 +107,7 @@ def mc_series(table: MultibracketTable, s: LeafForm) -> LeafForm:
     the table; finite for fiberwise polynomial structures: the terms up to
     k = series_bound() + 1, whose last must vanish."""
     terms = [
-        table.m((s,) * k).scale(Fraction((-1) ** k, math.factorial(k)))
+        table.m((s,) * k).scale(Fraction(-1 if k % 2 else 1, factorial(k)))
         for k in range(1, table.series_bound() + 2)
     ]
     if not terms[-1].is_zero():
@@ -158,7 +158,7 @@ def prolong_formal(table: MultibracketTable, s1: LeafForm, order: int):
         terms = {h: projection_P(D[h, k]) for h in rows if (h, k) in D}
         if not terms.pop(bound + 1, zero).is_zero():
             raise AssertionError("MC hierarchy failed to terminate")
-        rhs = zero.plus(m.scale(Fraction((-1) ** h, math.factorial(h))) for h, m in terms.items())
+        rhs = zero.plus(m.scale(Fraction(-1 if h % 2 else 1, factorial(h))) for h, m in terms.items())
         eta, zero_mode = solve_dF(rhs)
         orders.append((rhs, zero_mode))
         if eta is None:

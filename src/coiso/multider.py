@@ -70,21 +70,21 @@ class MultiDerivation(MultiVectorField):
     def p_part(self) -> MultiVectorField:
         dim = self.chart.dim
         terms = {k: f for k, f in self.terms.items() if dim not in k}
-        return MultiVectorField(self.chart, self.degree, terms)
+        return MultiVectorField._raw(self.chart, self.degree, terms)
 
     @property
     def q_part(self) -> MultiVectorField:
         """Q; the zero of degree 0 for a section."""
         dim = self.chart.dim
-        terms = {k[:-1]: -f for k, f in self.terms.items() if dim in k}
-        return MultiVectorField(self.chart, max(self.degree - 1, 0), terms)
+        terms = {k[:-1]: -f for k, f in self.terms.items() if dim in k}  # id sorts last
+        return MultiVectorField._raw(self.chart, max(self.degree - 1, 0), terms)
 
     def _contract_id(self) -> "MultiDerivation":
         """i_phi from the left: the key I + (id,) gives (-1)^|I| times its
         coefficient on I; arity >= 1."""
         dim, flip = self.chart.dim, self.degree % 2 == 0  # |I| = arity - 1 is odd
         terms = {k[:-1]: -f if flip else f for k, f in self.terms.items() if dim in k}
-        return MultiDerivation(self.chart, self.degree - 1, terms)
+        return MultiDerivation._raw(self.chart, self.degree - 1, terms)
 
     def _insert(self, f: ScalarFn) -> "MultiDerivation":
         """Insert d_phi f = df + f phi into the first slot: the Gerstenhaber
@@ -107,7 +107,7 @@ class MultiDerivation(MultiVectorField):
     def _self_bracket(self) -> "MultiDerivation":
         n = self.degree
         if n % 2 or not n:
-            return MultiDerivation.zero(self.chart, max(2 * n - 1, 0))
+            return self._raw(self.chart, max(2 * n - 1, 0), {})
         twist = self.wedge(self._contract_id()).scale(n - 1)
         return (self.gerstenhaber(self) - twist).scale(-2)
 
@@ -117,7 +117,7 @@ class MultiDerivation(MultiVectorField):
         if k and other.degree:
             out = out + self.wedge(other._contract_id()).scale(k)
         if kp and self.degree:
-            out = out - self._contract_id().wedge(other).scale((-1) ** (k % 2) * kp)
+            out = out - self._contract_id().wedge(other).scale(-kp if k % 2 else kp)
         return out
 
     def is_jacobi(self) -> bool:

@@ -2,7 +2,9 @@
 
 A MultiVectorField of degree d stores coefficients on strictly increasing
 coordinate-index tuples of length d (indices in chart order, torus first).
-Degree 0 is a plain ScalarFn wrapped with an empty key.
+Degree 0 is a plain ScalarFn wrapped with an empty key.  The constructor
+checks outside input; every kernel below (wedge, the exterior derivative,
+the Gerstenhaber product, apply) builds its result through SkewTerms._raw.
 
 The Schouten-Nijenhuis bracket is computed through the Gerstenhaber product
 P o Q, the insertion of Q into the first slot of P, in coordinates:
@@ -50,17 +52,21 @@ class SkewTerms(SparseTerms):
     def __init__(self, chart: Chart, degree: int, terms=None):
         if degree < 0:
             raise ContentError(f"{type(self).__name__} degree must be >= 0")
-        self.chart = chart
-        self.degree = degree
+        self.chart, self.degree = chart, degree
         self.terms = accumulate({}, self._canonical(terms.items())) if terms else {}
 
     def _shape(self):
         return (self.chart, self.degree)
 
-    def _like(self, terms):
-        r = object.__new__(type(self))
-        r.chart, r.degree, r.terms = self.chart, self.degree, terms
+    @classmethod
+    def _raw(cls, chart: Chart, degree: int, terms):
+        """The container of sorted keys in range and nonzero values on chart, unchecked."""
+        r = object.__new__(cls)
+        r.chart, r.degree, r.terms = chart, degree, terms
         return r
+
+    def _like(self, terms):
+        return self._raw(self.chart, self.degree, terms)
 
     def _index_bound(self) -> int:
         return self.chart.dim
@@ -113,7 +119,9 @@ class SkewTerms(SparseTerms):
                     if sign:
                         yield key, (f1 * f2 if sign == 1 else -(f1 * f2))
 
-        return type(self)(self.chart, self.degree + other.degree, accumulate({}, pairs()))
+        if type(other) is not type(self):  # its keys would not index this type's range
+            raise ContentError(f"{type(self).__name__} wedge with a {type(other).__name__}")
+        return self._raw(self.chart, self.degree + other.degree, accumulate({}, pairs()))
 
     def _exterior_d(self, directions):
         """sum_i d_c f  e_i ^ e_key over (key index i, chart index c)
@@ -130,7 +138,7 @@ class SkewTerms(SparseTerms):
                         df = f.partial(c)
                         yield key, (df if sign == 1 else -df)
 
-        return type(self)(self.chart, self.degree + 1, accumulate({}, pairs()))
+        return self._raw(self.chart, self.degree + 1, accumulate({}, pairs()))
 
 
 class MultiVectorField(SkewTerms):
@@ -141,9 +149,7 @@ class MultiVectorField(SkewTerms):
     @staticmethod
     def vector(chart: Chart, components: dict) -> "MultiVectorField":
         """Vector field from {coordinate name: ScalarFn}."""
-        return MultiVectorField(
-            chart, 1, {(chart.index(name),): f for name, f in components.items()}
-        )
+        return MultiVectorField(chart, 1, {(chart.index(name),): f for name, f in components.items()})
 
     @staticmethod
     def basis_vector(chart: Chart, name: str) -> "MultiVectorField":
@@ -165,7 +171,7 @@ class MultiVectorField(SkewTerms):
 
     def _insert(self, f: ScalarFn) -> "MultiVectorField":
         """Insert the function f into the first slot: self o f."""
-        return self.gerstenhaber(MultiVectorField.function(f))
+        return self.gerstenhaber(MultiVectorField._raw(f.chart, 0, {} if f.is_zero() else {(): f}))
 
     # -- Schouten-Nijenhuis ----------------------------------------------------
 
@@ -178,9 +184,8 @@ class MultiVectorField(SkewTerms):
         the sign of merging I and R (zero when they meet), the sign of the
         unshuffle of the output key into (I, R)."""
         p, q = self.degree, other.degree
-        out = type(self).zero(self.chart, max(p + q - 1, 0))
         if p == 0:
-            return out
+            return self._raw(self.chart, max(q - 1, 0), {})
         slots = {}
         for key, f in self.terms.items():
             for pos, i in enumerate(key):
@@ -200,14 +205,13 @@ class MultiVectorField(SkewTerms):
                         if sign:
                             yield key, di * c if sign == 1 else -(di * c)
 
-        out.terms = accumulate({}, pairs())
-        return out
+        return self._raw(self.chart, p + q - 1, accumulate({}, pairs()))
 
     def sn_bracket(self, other: "MultiVectorField") -> "MultiVectorField":
         """Schouten-Nijenhuis bracket, [[P,Q]] = (-1)^{kk'} P o Q - Q o P
         with k = deg P - 1, k' = deg Q - 1."""
         k = self.degree - 1
         kp = other.degree - 1
-        a = self.gerstenhaber(other).scale((-1) ** (k * kp))
+        a = self.gerstenhaber(other).scale(-1 if k * kp % 2 else 1)
         b = other.gerstenhaber(self)
         return a - b

@@ -1,7 +1,8 @@
 """Gaussian rational numbers: the coefficient field Q(i).
 
 Every coefficient in the library is a GaussianRational; no floating point
-is used anywhere.
+is used anywhere: a float part raises TypeError, and a sign (-1)^n is
+written as an integer parity, since (-1) ** n is a float for a negative n.
 
 Representation.  A GaussianRational is one integer triple (a, b, d) that
 stands for (a + b i)/d.  The triple is canonical: d > 0 and
@@ -61,6 +62,8 @@ class GaussianRational:
             # ScalarFn.partial builds one i*n per term; no Fraction for it
             self._a, self._b, self._d = re, im, 1
             return
+        if isinstance(re, float) or isinstance(im, float):
+            raise TypeError("a GaussianRational part must be exact, not a float")
         re = Fraction(re)
         im = Fraction(im)
         p, q = re.numerator, re.denominator

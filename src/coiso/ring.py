@@ -18,12 +18,14 @@ SparseTerms: a shape (the chart, plus a degree for the skew ones) and a
 dict ``terms`` from canonical keys to nonzero values.  Keys are canonical
 (exponent tuples here, sorted skew index tuples or normalized letter words
 elsewhere) and no value is ever zero, so equality is equality of term
-tables.  Every
-container is built through the one kernel ``accumulate``, which adds
-(key, value) pairs into a dict and deletes a key whose sum is zero.  A
-term table is never changed once its container is built, so a container
-hashes by its type, shape and terms, keeps that hash after its first use,
-and can key a dict.
+tables.  The one kernel ``accumulate`` adds (key, value) pairs into a dict
+and deletes a key whose sum is zero.  The public constructors validate
+outside input (scenario text, the parser, callers of the API); a kernel
+makes its canonical terms into a container through the one unchecked
+maker of the family (``_scalar`` here, ``SkewTerms._raw``,
+``GradedElement._raw``, or ``_like`` for the shape at hand).  Nothing
+changes a built term table, so a container hashes by its type, shape and
+terms, keeps that hash after its first use, and can key a dict.
 
 Fiber substitution.  ``ScalarFn.substitute_fiber`` replaces every fiber
 coordinate by a target function, and ``ScalarFn.path_integral`` integrates
@@ -141,7 +143,7 @@ class SparseTerms:
     A subclass keeps its shape next to ``terms`` and supplies two hooks:
     ``_shape()``, the tuple that must agree for two containers to add, and
     ``_like(terms)``, a container of the same shape holding terms that are
-    already canonical.
+    already canonical, built unchecked through the family's maker.
     """
 
     __slots__ = ("chart", "terms", "_hash")
@@ -226,11 +228,10 @@ _HALF_I = GaussianRational(0, Fraction(1, 2))
 _MINUS_HALF_I = -_HALF_I
 
 
-def _monomial(chart, key, c):
-    """The ScalarFn c * exp(i n.phi) * y^alpha of a nonzero c and a key of
-    the chart's shape, built without revalidating them."""
+def _scalar(chart, terms):
+    """The ScalarFn of canonical terms (nonzero values on keys of the chart's shape), unchecked."""
     f = object.__new__(ScalarFn)
-    f.chart, f.terms, f._mask = chart, {key: c}, None
+    f.chart, f.terms, f._mask = chart, terms, None
     return f
 
 
@@ -305,9 +306,8 @@ class ScalarFn(SparseTerms):
     __slots__ = ("_mask",)
 
     def __init__(self, chart: Chart, terms=None):
-        self.chart = chart
+        self.chart, self._mask = chart, None
         self.terms = accumulate({}, _checked_terms(chart, terms)) if terms else {}
-        self._mask = None
 
     def _like(self, terms):
         r = object.__new__(ScalarFn)
@@ -333,13 +333,11 @@ class ScalarFn(SparseTerms):
     @staticmethod
     def const(chart: Chart, c) -> "ScalarFn":
         c = GaussianRational.of(c)
-        if c.is_zero():
-            return ScalarFn(chart)
-        return _monomial(chart, (0,) * chart.dim, c)
+        return _scalar(chart, {} if c.is_zero() else {(0,) * chart.dim: c})
 
     @staticmethod
     def one(chart: Chart) -> "ScalarFn":
-        return _monomial(chart, (0,) * chart.dim, ONE)
+        return _scalar(chart, {(0,) * chart.dim: ONE})
 
     @staticmethod
     def exp_phi(chart: Chart, coord: str, n: int = 1) -> "ScalarFn":
@@ -348,7 +346,7 @@ class ScalarFn(SparseTerms):
             raise ContentError(f"{coord!r} is not a torus coordinate")
         key = [0] * chart.dim
         key[chart.torus.index(coord)] = n
-        return _monomial(chart, tuple(key), ONE)
+        return _scalar(chart, {tuple(key): ONE})
 
     @staticmethod
     def _trig(chart: Chart, coord: str, c_plus, c_minus) -> "ScalarFn":
@@ -357,10 +355,7 @@ class ScalarFn(SparseTerms):
             raise ContentError(f"{coord!r} is not a torus coordinate")
         j = chart.torus.index(coord)
         head, tail = (0,) * j, (0,) * (chart.dim - j - 1)
-        f = object.__new__(ScalarFn)
-        f.chart, f._mask = chart, None
-        f.terms = {head + (1,) + tail: c_plus, head + (-1,) + tail: c_minus}
-        return f
+        return _scalar(chart, {head + (1,) + tail: c_plus, head + (-1,) + tail: c_minus})
 
     @staticmethod
     def sin_phi(chart: Chart, coord: str) -> "ScalarFn":
@@ -380,7 +375,7 @@ class ScalarFn(SparseTerms):
             raise ContentError("fiber exponents must be nonnegative")
         key = [0] * chart.dim
         key[chart.index(coord)] = p
-        return _monomial(chart, tuple(key), ONE)
+        return _scalar(chart, {tuple(key): ONE})
 
     # -- predicates -------------------------------------------------------
 
@@ -533,7 +528,7 @@ def unit_inverse(f: ScalarFn) -> ScalarFn:
     (e, c), = f.terms.items()
     if not f.is_base_only():
         raise ContentError("not a unit: fiber-dependent monomial")
-    return _monomial(f.chart, tuple(-v for v in e), ONE / c)
+    return _scalar(f.chart, {tuple(-v for v in e): ONE / c})
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +585,11 @@ def inverse_unit(chart: Chart, A):
         M = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(AM)]
     # tr(A M_n) = -n c_0, so det A = (-1)^(n-1) tr(A M_n) / n
     det = zero.plus(dot(chart, row, col) for row, col in zip(A, zip(*M)))
-    det = det.scale(Fraction((-1) ** (n - 1), n))
+    det = det.scale(Fraction(1 if n % 2 else -1, n))
     try:
         det_inv = unit_inverse(det)
     except ContentError:
         raise ContentError(f"matrix determinant is not a unit of the ring: {det!r}") from None
     # A^-1 = adj A / det A = (-1)^(n-1) M_n / det A
-    det_inv = det_inv.scale((-1) ** (n - 1))
+    det_inv = det_inv.scale(1 if n % 2 else -1)
     return [[x * det_inv for x in row] for row in M]

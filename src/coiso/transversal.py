@@ -186,7 +186,7 @@ class TransversalData:
         # sum over the orderings of the form letters, each distinct ordering
         # once with its multiplicity, of Y(prefix)[al][be] u[al] v[be]: u, v
         # are the jets of the functions, then those of the last letters (one
-        # j^1_G row per leaf key); keys (s, t) are sorted by LeafForm
+        # j^1_G row per leaf key)
         y = self._y_matrices()
         degree = 2 - len(fns)
         jets = [{(): self.jG0(f)} for f in fns]
@@ -213,4 +213,4 @@ class TransversalData:
                                     # the ring has no zero divisors
                                     yield u + v, (Y[al][be] * a[al] * b[be]).scale(weight * mult)
 
-        return LeafForm(chart, degree, accumulate({}, pairs()))
+        return LeafForm(chart, degree, accumulate({}, pairs()))  # sorts u + v = (s, t) with sign

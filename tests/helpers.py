@@ -606,7 +606,7 @@ def dense_sn_bracket(P: MultiVectorField, Q: MultiVectorField) -> MultiVectorFie
     """[[P, Q]] = (-1)^{kk'} P o Q - Q o P with k = deg P - 1, k' = deg Q - 1,
     both products taken by dense_gerstenhaber."""
     k, kp = P.degree - 1, Q.degree - 1
-    return dense_gerstenhaber(P, Q).scale((-1) ** (k * kp)) - dense_gerstenhaber(Q, P)
+    return dense_gerstenhaber(P, Q).scale(-1 if k * kp % 2 else 1) - dense_gerstenhaber(Q, P)
 
 
 # The graded oracles below work on tuple letters, (XI, A), (M,), (DX, i),

@@ -272,9 +272,10 @@ def test_contraction_axiom_messages(axiom, change, sample):
         _check_toy(sample, **{**_BASE, **change})
 
 
-def test_sbso_squares_once_per_step(lift, chart):
+def test_sbso_squares_once_per_step(lift, chart, monkeypatch):
     """The applicability square is the first square of the loop: the
-    bracket runs once per correction and once more for the zero square."""
+    bracket runs once per correction and once more for the zero square.
+    The guard is probed at the module's step bound."""
     s = LeafForm.section(chart, [ScalarFn.zero(chart), ScalarFn.sin_phi(chart, "ph_4")])
     c2 = ContractionTwo(s)
     calls = []
@@ -288,9 +289,11 @@ def test_sbso_squares_once_per_step(lift, chart):
     assert corrections and len(calls) == len(corrections) + 1
     assert jacobi_bracket(lift.j_hat, q, q).is_zero() and q == brst_charge(lift, s)[0]
     # the square after the last allowed correction is checked, not dropped
-    assert sbso(*args, max_steps=len(corrections)) == (q, corrections)
+    monkeypatch.setattr(bfv, "_STEPS", len(corrections))
+    assert sbso(*args) == (q, corrections)
+    monkeypatch.setattr(bfv, "_STEPS", len(corrections) - 1)
     with pytest.raises(AssertionError, match="failed to converge"):
-        sbso(*args, max_steps=len(corrections) - 1)
+        sbso(*args)
 
 
 def test_flat_lift_squares_once(chart, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coiso.rational import ONE, GaussianRational
+from coiso.ring import Chart, ScalarFn
 
 ZERO = GaussianRational(0)
 I = GaussianRational(0, 1)
@@ -187,3 +188,21 @@ def test_foreign_operand_is_not_implemented(op):
     assert getattr(x, f"__{op.__name__}__")("1") is NotImplemented
     with pytest.raises(TypeError):
         op(x, "1")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GaussianRational(0.1),
+        lambda: GaussianRational(1, -1.0),
+        lambda: GaussianRational.of(-1.0),
+        lambda: ScalarFn.one(Chart(torus=("ph",))).scale(-1.0),
+    ],
+    ids=["float real part", "float imaginary part", "of(-1.0)", "scale(-1.0)"],
+)
+def test_a_float_part_raises(make):
+    """No float becomes a coefficient, not even an exact one: (-1) ** n is
+    the float -1.0 for a negative n, and Fraction(0.1) is
+    3602879701896397/36028797018963968, not 1/10."""
+    with pytest.raises(TypeError, match="must be exact, not a float"):
+        make()
