@@ -332,6 +332,7 @@ def _section_or_zero(scenario: Scenario) -> LeafForm:
 
 
 def _random_graded_section(chart, rng):
+    """Two random terms on canonical ghost words; the last draw of a word counts."""
     terms = {}
     for _ in range(2):
         letters = []
@@ -344,8 +345,8 @@ def _random_graded_section(chart, rng):
         n = tuple(rng.randint(-1, 1) for _ in range(chart.k))
         alpha = tuple(rng.randint(0, 1) for _ in range(chart.m))
         coeff = GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
-        terms[canon] = ScalarFn(chart, {n + alpha: coeff})
-    return GradedElement.zero(chart)._sum(terms.items())
+        terms[canon] = ScalarFn(chart, {n + alpha: coeff})  # zero for a zero draw
+    return GradedElement._raw(chart, {w: f for w, f in terms.items() if not f.is_zero()})
 
 
 def format_report(report: dict, fmt: str) -> str:

@@ -189,23 +189,13 @@ def parse_scalar(chart: Chart, text: str) -> ScalarFn:
 # ---------------------------------------------------------------------------
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def scalar_to_json(f: ScalarFn) -> list:
     """Canonical JSON: term list sorted lexicographically by exponents."""
     k = f.chart.k
     out = []
     for e, c in f.sorted_terms():
-        out.append(
-            {
-                "torus": list(e[:k]),
-                "fiber": list(e[k:]),
-                "re": _frac_str(c.re),
-                "im": _frac_str(c.im),
-            }
-        )
+        p, q, r, s = c.parts()
+        out.append({"torus": list(e[:k]), "fiber": list(e[k:]), "re": f"{p}/{q}", "im": f"{r}/{s}"})
     return out
 
 
@@ -250,9 +240,9 @@ def scalar_to_text(f: ScalarFn) -> str:
 
 def _term_text(chart, c: GaussianRational, e, trig: str | None) -> str:
     parts = []
-    if c == GaussianRational(1):
+    if c == 1:
         pass
-    elif c == GaussianRational(-1):
+    elif c == -1:
         parts.append("-1")
     else:
         s = str(c)

@@ -174,6 +174,8 @@ class GradedElement(SparseTerms):
     __slots__ = ("_by_symbol",)
 
     def __init__(self, chart: Chart, terms=None):
+        if terms and any(f.chart is not chart and f.chart != chart for f in terms.values()):
+            raise ContentError(f"{type(self).__name__} coefficient on another chart")
         pairs = ((encode(w), f) for w, f in terms.items()) if terms else ()
         self.chart, self.terms, self._by_symbol = chart, accumulate({}, _canonical(pairs)), None
 

@@ -27,14 +27,24 @@ A square needs one Gerstenhaber product.  For arity n = k + 1,
 
     [[A, A]] = ((-1)^(k^2) - 1) A o A + k (1 - (-1)^k) A ^ i_phi A,
 
-which is -2 (A o A - k A ^ i_phi A) for even n >= 2 and zero for odd n
-(and for a section, n = 0, whose products all vanish).
+which is -2 (A o A - k A ^ i_phi A) for even n >= 2, summed in one table
+and scaled once, and zero for odd n and for a section (n = 0).  Any other
+bracket is one table too: both signed Gerstenhaber products and both
+twist wedges, k and k' scaling the wedge factor with fewer terms.
 """
 
 from __future__ import annotations
 
-from .ring import ContentError, ScalarFn
+from itertools import chain
+
+from .ring import ContentError, ScalarFn, accumulate
 from .multivector import MultiVectorField
+
+
+def _wedge_pairs(a, b, c):
+    """The terms of c a ^ b, the integer c != 0 scaling the factor with fewer terms."""
+    a, b = (a.scale(c), b) if len(a.terms) <= len(b.terms) else (a, b.scale(c))
+    return a.wedge(b).terms.items()
 
 
 class MultiDerivation(MultiVectorField):
@@ -108,17 +118,17 @@ class MultiDerivation(MultiVectorField):
         n = self.degree
         if n % 2 or not n:
             return self._raw(self.chart, max(2 * n - 1, 0), {})
-        twist = self.wedge(self._contract_id()).scale(n - 1)
-        return (self.gerstenhaber(self) - twist).scale(-2)
+        pairs = chain(self._products(self), _wedge_pairs(self, self._contract_id(), 1 - n))
+        return self._raw(self.chart, 2 * n - 1, accumulate({}, pairs)).scale(-2)
 
     def _bracket(self, other: "MultiDerivation") -> "MultiDerivation":
         k, kp = self.degree - 1, other.degree - 1
-        out = self.sn_bracket(other)
+        streams = [self._products(other, -1 if k * kp % 2 else 1), other._products(self, -1)]
         if k and other.degree:
-            out = out + self.wedge(other._contract_id()).scale(k)
+            streams.append(_wedge_pairs(self, other._contract_id(), k))
         if kp and self.degree:
-            out = out - self._contract_id().wedge(other).scale(-kp if k % 2 else kp)
-        return out
+            streams.append(_wedge_pairs(self._contract_id(), other, kp if k % 2 else -kp))
+        return self._raw(self.chart, max(k + kp + 1, 0), accumulate({}, chain(*streams)))
 
     def is_jacobi(self) -> bool:
         return self.degree == 2 and self.sj_bracket(self).is_zero()

@@ -14,12 +14,15 @@ P o Q, the insertion of Q into the first slot of P, in coordinates:
 It is driven by the terms: for each Q term (I, g) and each coordinate i in
 g's mask (so d_i g != 0), every P term (L, f) with i = L[pos] contributes
 (-1)^pos d_i g * f to the key K = sort(I + R), R = L without i, with the
-sign of that merge.  Intersecting I and R contribute nothing.  Inserting
-a function g into the first slot of P is P o g, the product with the degree-0
-field of g: apply evaluates P on functions that way.
+sign of that merge (nothing when I and R meet).  A negative product negates
+its operand with fewer terms (a d_i g once for all its slots), and [[P, Q]]
+sums both signed products in one table: no table is copied for a sign.
+Inserting g into the first slot of P is P o g, which is how apply works.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .ring import Chart, ContentError, ScalarFn, SparseTerms, accumulate
 
@@ -164,6 +167,8 @@ class MultiVectorField(SkewTerms):
         fns = list(fns)
         if len(fns) != self.degree:
             raise ContentError(f"arity {self.degree} operator applied to {len(fns)} functions")
+        if any(f.chart is not self.chart and f.chart != self.chart for f in fns):
+            raise ContentError(f"{type(self).__name__} applied to a function on another chart")
         out = self
         for f in fns:
             out = out._insert(f)
@@ -176,42 +181,44 @@ class MultiVectorField(SkewTerms):
     # -- Schouten-Nijenhuis ----------------------------------------------------
 
     def gerstenhaber(self, other: "MultiVectorField") -> "MultiVectorField":
-        """Gerstenhaber product P o Q: insert Q into the first slot of P.
+        """Gerstenhaber product P o Q: insert Q into the first slot of P."""
+        degree = max(self.degree + other.degree - 1, 0)
+        return self._raw(self.chart, degree, accumulate({}, self._products(other)))
 
-        (P o Q)^{sort(I + R)} collects sign(I, R) (-1)^pos d_i Q^I P^L over
-        the Q terms (I, Q^I), the coordinates i with d_i Q^I != 0 and the P
-        terms (L, P^L) with L[pos] = i and R = L without i; sign(I, R) is
-        the sign of merging I and R (zero when they meet), the sign of the
-        unshuffle of the output key into (I, R)."""
-        p, q = self.degree, other.degree
-        if p == 0:
-            return self._raw(self.chart, max(q - 1, 0), {})
-        slots = {}
+    def _products(self, other, sign=1):
+        """The signed pairs of sign * (P o Q): (sort(I + R), sign(I, R)
+        (-1)^pos d_i Q^I P^L) over the Q terms (I, Q^I), the coordinates i
+        with d_i Q^I != 0 and the P terms (L, P^L) with L[pos] = i and R = L
+        without i; sign(I, R) is the sign of merging I and R (zero when they
+        meet), the sign of the unshuffle of the output key into (I, R).  A
+        negative product negates whichever operand has fewer terms, once;
+        a negated d_i Q^I is kept for the slots that reuse it."""
+        slots = {}  # i -> (L without i, P^L, pos odd)
         for key, f in self.terms.items():
             for pos, i in enumerate(key):
-                slots.setdefault(i, []).append(
-                    (key[:pos] + key[pos + 1 :], f if pos % 2 == 0 else -f)
-                )
-
-        def pairs():
-            for qk, g in other.terms.items():
-                mask = g.mask
-                for i, entries in slots.items():
-                    if not mask >> i & 1:
+                slots.setdefault(i, []).append((key[:pos] + key[pos + 1 :], f, pos & 1))
+        for qk, g in other.terms.items():
+            mask = g.mask
+            for i, entries in slots.items():
+                if not mask >> i & 1:
+                    continue
+                di, ndi = g.partial(i), None
+                for rest, f, odd in entries:
+                    s, key = sort_key_sign(qk + rest)
+                    if not s:
                         continue
-                    di = g.partial(i)
-                    for rest, c in entries:
-                        sign, key = sort_key_sign(qk + rest)
-                        if sign:
-                            yield key, di * c if sign == 1 else -(di * c)
-
-        return self._raw(self.chart, p + q - 1, accumulate({}, pairs()))
+                    if (s != sign) == odd:  # a positive product
+                        yield key, di * f
+                    elif len(di.terms) <= len(f.terms):
+                        if ndi is None:
+                            ndi = -di
+                        yield key, ndi * f
+                    else:
+                        yield key, di * -f
 
     def sn_bracket(self, other: "MultiVectorField") -> "MultiVectorField":
         """Schouten-Nijenhuis bracket, [[P,Q]] = (-1)^{kk'} P o Q - Q o P
-        with k = deg P - 1, k' = deg Q - 1."""
-        k = self.degree - 1
-        kp = other.degree - 1
-        a = self.gerstenhaber(other).scale(-1 if k * kp % 2 else 1)
-        b = other.gerstenhaber(self)
-        return a - b
+        with k = deg P - 1, k' = deg Q - 1, accumulated in one table."""
+        k, kp = self.degree - 1, other.degree - 1
+        pairs = chain(self._products(other, -1 if k * kp % 2 else 1), other._products(self, -1))
+        return self._raw(self.chart, max(k + kp + 1, 0), accumulate({}, pairs))

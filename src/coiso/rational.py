@@ -13,9 +13,10 @@ Arithmetic (+, -, *, /) takes Gaussian rationals only: an int or a
 Fraction enters through the constructor or ``of``, and only ``==`` also
 compares with one.  Fractions appear only at the boundary: the constructor
 accepts them (a pair of ints skips them), and ``re`` and ``im`` return
-them.  Scaling by an integer ratio num/den, as the Beta integrals of
-``ScalarFn.path_integral`` and the fiber derivatives of ``ScalarFn.partial``
-do, is ``scaled(num, den)``: no Fraction is built for it.
+them; ``parts()``, which the reports and ``str`` read, gives their reduced
+integers without them.  Scaling by num/den for integers (the Beta integrals
+of ``ScalarFn.path_integral``, the fiber derivatives of ``ScalarFn.partial``)
+is ``scaled(num, den)``, and by i n (its torus derivatives) ``scaled_i(n)``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class GaussianRational:
 
     def __init__(self, re=0, im=0):
         if type(re) is int and type(im) is int:
-            # ScalarFn.partial builds one i*n per term; no Fraction for it
+            # integer parts need no Fraction
             self._a, self._b, self._d = re, im, 1
             return
         if isinstance(re, float) or isinstance(im, float):
@@ -81,6 +82,14 @@ class GaussianRational:
         return GaussianRational(x)
 
     # -- parts ------------------------------------------------------------
+
+    def parts(self) -> tuple:
+        """(re numerator, re denominator, im numerator, im denominator),
+        each part reduced with a positive denominator: the integers of re
+        and im, with one gcd per part and no Fraction."""
+        a, b, d = self._a, self._b, self._d
+        g, h = gcd(a, d), gcd(b, d)
+        return a // g, d // g, b // h, d // h
 
     @property
     def re(self) -> Fraction:
@@ -124,6 +133,10 @@ class GaussianRational:
         part and one gcd, with no Fraction."""
         return _reduced(self._a * num, self._b * num, self._d * den)
 
+    def scaled_i(self, n: int) -> "GaussianRational":
+        """self * i n for an integer n: one product per part and one gcd."""
+        return _reduced(-self._b * n, self._a * n, self._d)
+
     def __truediv__(self, other):
         if type(other) is not GaussianRational:
             return NotImplemented
@@ -158,13 +171,14 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        if re == 0:
+        p, q, r, s = self.parts()
+        re = f"{p}/{q}" if q != 1 else f"{p}"
+        im = f"{r}/{s}" if s != 1 else f"{r}"  # signed
+        if not r:
+            return re
+        if not p:
             return f"{im}*i"
-        sign = "+" if im > 0 else "-"
-        return f"{re}{sign}{abs(im)}*i"
+        return f"{re}+{im}*i" if r > 0 else f"{re}{im}*i"
 
 
 ONE = GaussianRational(1)

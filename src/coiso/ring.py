@@ -414,16 +414,14 @@ class ScalarFn(SparseTerms):
         """Partial derivative along chart coordinate i; zero iff bit i of
         the mask is clear.
 
-        Torus coordinate: each term is multiplied by sqrt(-1) times its
-        frequency e[i].  Fiber coordinate: ordinary polynomial derivative.
+        Torus coordinate: each term is scaled by i e[i] (scaled_i).  Fiber
+        coordinate: ordinary polynomial derivative.
         """
         dim = self.chart.dim
         if not 0 <= i < dim:
             raise ContentError(f"coordinate index {i} out of range for a chart of dimension {dim}")
         if i < self.chart.k:
-            return self._like(
-                {e: c * GaussianRational(0, e[i]) for e, c in self.terms.items() if e[i]}
-            )
+            return self._like({e: c.scaled_i(e[i]) for e, c in self.terms.items() if e[i]})
         # lowering the exponent maps distinct keys to distinct keys
         return self._like(
             {e[:i] + (e[i] - 1,) + e[i + 1 :]: c.scaled(e[i], 1) for e, c in self.terms.items() if e[i]}

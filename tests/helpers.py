@@ -226,8 +226,10 @@ def closed_sj_bracket(a: MultiDerivation, b: MultiDerivation) -> MultiDerivation
             - ( [[P,Q']] + (-1)^{k'} [[Q,P']] - (k-k') Q^Q' ) ^ id
 
     with k = arity - 1, k' = arity' - 1 and [[-,-]] the Schouten-Nijenhuis
-    bracket of multivector fields, a section having no Q: the oracle of
-    MultiDerivation.sj_bracket, the twisted Schouten bracket of TM x R."""
+    bracket of multivector fields, taken by dense_sn_bracket, a section
+    having no Q: the oracle of MultiDerivation.sj_bracket, the twisted
+    Schouten bracket of TM x R, which runs neither the Gerstenhaber product
+    nor sn_bracket."""
     k, kp = a.degree - 1, b.degree - 1
     n_out = a.degree + b.degree - 1
     if n_out < 0:
@@ -235,7 +237,7 @@ def closed_sj_bracket(a: MultiDerivation, b: MultiDerivation) -> MultiDerivation
     P, Q = a.p_part, (a.q_part if a.degree else None)
     Pp, Qp = b.p_part, (b.q_part if b.degree else None)
 
-    new_p = P.sn_bracket(Pp)
+    new_p = dense_sn_bracket(P, Pp)
     if Qp is not None and k != 0:
         new_p = new_p - P.wedge(Qp).scale(((-1) ** (kp % 2)) * k)
     if Q is not None and kp != 0:
@@ -245,9 +247,9 @@ def closed_sj_bracket(a: MultiDerivation, b: MultiDerivation) -> MultiDerivation
 
     new_q = MultiVectorField.zero(a.chart, n_out - 1)
     if Qp is not None:
-        new_q = new_q + P.sn_bracket(Qp)
+        new_q = new_q + dense_sn_bracket(P, Qp)
     if Q is not None:
-        new_q = new_q + Q.sn_bracket(Pp).scale((-1) ** (kp % 2))
+        new_q = new_q + dense_sn_bracket(Q, Pp).scale((-1) ** (kp % 2))
     if Q is not None and Qp is not None and k != kp:
         new_q = new_q - Q.wedge(Qp).scale(k - kp)
     return MultiDerivation.from_parts(new_p, new_q)

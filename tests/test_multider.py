@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,8 @@ from helpers import (
     J_a,
     closed_apply,
     closed_sj_bracket,
+    dense_gerstenhaber,
+    dense_sn_bracket,
     eval_nested,
     jacobi_pair,
     leibniz_defect,
@@ -321,6 +324,42 @@ def test_sj_bracket_is_the_closed_formula(chart):
                 for b in _with_parts_dropped(chart, rng, nb):
                     assert a.sj_bracket(b) == closed_sj_bracket(a, b)
                     assert b.sj_bracket(a) == closed_sj_bracket(b, a)
+
+
+def _field(chart, rng, degree, size):
+    """A multivector field of the degree on `size` random keys (one for
+    degree 0), each coefficient a random function of exactly `size` terms."""
+    keys = list(combinations(range(chart.dim), degree))
+    terms = {}
+    for key in rng.sample(keys, min(size, len(keys))):
+        f = ScalarFn.zero(chart)
+        while len(f.terms) < size:
+            f = f + random_scalar(chart, rng, max_terms=1)
+        terms[key] = f
+    return MultiVectorField(chart, degree, terms)
+
+
+@pytest.mark.parametrize("sizes", [(1, 3), (3, 1), (2, 2)], ids=["first-fewer", "second-fewer", "ties"])
+def test_signed_products_are_the_dense_and_closed_oracles(sizes):
+    """Each sign rides along with one product: gerstenhaber and sn_bracket
+    equal the key-by-key unshuffle expansion of tests/helpers.py, and
+    sj_bracket, of distinct operands and squared, the closed (P, Q)-formula
+    over that expansion, at arities 0-3, on operands whose coefficients
+    (and keys) are fewer in the first operand, in the second, or as many:
+    a negative product negates the operand with fewer terms, either one,
+    and so does a twist wedge scaled by k."""
+    chart = torus_chart()
+    rng = random.Random(f"signed-products/{sizes}")
+    first, second = sizes
+    for p in range(4):
+        for q in range(4):
+            P, Q = _field(chart, rng, p, first), _field(chart, rng, q, second)
+            assert P.gerstenhaber(Q) == dense_gerstenhaber(P, Q)
+            assert P.sn_bracket(Q) == dense_sn_bracket(P, Q)
+            a = MultiDerivation.from_parts(P, _field(chart, rng, p - 1, first) if p else None)
+            b = MultiDerivation.from_parts(Q, _field(chart, rng, q - 1, second) if q else None)
+            assert a.sj_bracket(b) == closed_sj_bracket(a, b)
+            assert b.sj_bracket(b) == closed_sj_bracket(b, b)
 
 
 @pytest.mark.parametrize(

@@ -62,6 +62,23 @@ def test_apply_determinant_convention(chart):
     assert w.apply([g, f]) == -ScalarFn.cos_phi(chart, "ph_1")
 
 
+def test_apply_refuses_a_function_on_another_chart():
+    """apply compares each function's chart with the field's before any
+    product: a constant on another chart, which takes no product, and a
+    nonconstant one both raise ContentError, and an equal chart passes."""
+    line = Chart(torus=("x",), fiber=("y",))
+    d_x = MultiVectorField.basis_vector(line, "x")
+    plane = Chart(torus=("u", "v"))
+    message = "^MultiVectorField applied to a function on another chart$"
+    for f in (ScalarFn.const(plane, 3), ScalarFn.exp_phi(plane, "u")):
+        with pytest.raises(ContentError, match=message):
+            d_x.apply([f])
+    with pytest.raises(ContentError, match=message):
+        d_x.wedge(MultiVectorField.basis_vector(line, "y")).apply([ScalarFn.y(line, "y"), f])
+    twin = Chart(torus=("x",), fiber=("y",))
+    assert d_x.apply([ScalarFn.exp_phi(twin, "x")]) == ScalarFn.exp_phi(line, "x").scale(GaussianRational(0, 1))
+
+
 @pytest.mark.parametrize(
     "chart",
     [torus_chart(), Chart(torus=("ph_1", "ph_2", "ph_3"))],

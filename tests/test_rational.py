@@ -41,6 +41,17 @@ def gr(x):
     return GaussianRational(*(v.numerator if v.denominator == 1 else v for v in x))
 
 
+def o_str(x):
+    """The display of a pair of Fractions: the real part, then the signed
+    imaginary part with *i; a zero part is left out (0 when both are)."""
+    re, im = x
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}*i"
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}*i"
+
+
 def assert_is(z, x):
     """z is canonical and equals the oracle pair x."""
     a, b, d = z._a, z._b, z._d
@@ -96,6 +107,17 @@ def test_scaled_is_the_fraction_product(x, num, den):
     assert_is(z.scaled(num * 6, den * 6), o_mul(x, q))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pairs, st.integers(-(10**6), 10**6))
+def test_scaled_i_is_the_product_with_i_n(x, n):
+    """scaled_i(n), the torus derivative's factor, is the product with i n,
+    canonical, for a zero n, an n with a factor in common with the
+    denominator, and any sign."""
+    z = gr(x)
+    assert_is(z.scaled_i(n), o_mul(x, (Fraction(0), Fraction(n))))
+    assert z.scaled_i(n) == z * GaussianRational(0, n)
+
+
 def test_scaled_by_beta_ratios():
     """The ratios a! b! / (a + b + 1)! of ScalarFn.path_integral."""
     for x in ((Fraction(3, 4), Fraction(-5, 6)), (Fraction(7), Fraction(0)), (Fraction(0), Fraction(-2, 9))):
@@ -123,6 +145,8 @@ def test_constructor_and_parts(x):
     assert_is(z, x)
     assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
     assert gr((z.re, z.im)) == z
+    assert z.parts() == (x[0].numerator, x[0].denominator, x[1].numerator, x[1].denominator)
+    assert str(z) == o_str(x)
     assert GaussianRational.of(z) is z
     assert z.is_zero() == (x == (0, 0))
     assert (z.im == 0) == (x[1] == 0)

@@ -225,3 +225,18 @@ def test_skew_coefficients_on_another_chart_are_rejected():
     f = ScalarFn.sin_phi(twin, "ph_1")
     assert twin is not CHART and LeafForm.section(CHART, [f, f]).components() == [f, f]
     assert MultiVectorField(CHART, 1, {(0,): f}).terms == {(0,): f}
+
+
+def test_graded_coefficients_on_another_chart_are_rejected():
+    """GradedElement takes coefficients on its own chart only, as the skew
+    containers do: a coefficient on another chart raises ContentError before
+    any sum (g + g added the foreign coefficients), an equal chart passes."""
+    chart = Chart(torus=("x",), fiber=("y",))
+    word = ((XI, 0),)
+    with pytest.raises(ContentError, match="^GradedElement coefficient on another chart$"):
+        GradedElement(chart, {word: ScalarFn.one(Chart(torus=("u", "v"), fiber=("w",)))})
+    with pytest.raises(ContentError, match="^GradedElement coefficient on another chart$"):
+        GradedElement(chart, {(): ScalarFn.one(chart), word: ScalarFn.y(CHART, "y_1")})
+    f = ScalarFn.y(Chart(torus=("x",), fiber=("y",)), "y")
+    g = GradedElement(chart, {word: f})
+    assert f.chart is not chart and (g + g).terms == GradedElement(chart, {word: f + f}).terms
