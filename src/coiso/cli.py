@@ -167,13 +167,12 @@ def _class_report(chart, kr, zero_mode, to_json, to_text):
 
 
 def _kuranishi(scenario, arg):
-    """The class m_2(s, s) and the zero mode of order 2 of prolong."""
-    table = scenario.table()
+    """The class m_2(s, s) = 2 rhs_2 and the zero mode of order 2 of prolong."""
     s = scenario.section()
-    _, [(_, zero_mode)] = prolong_formal(table, s, 2)
+    _, [(rhs, zero_mode)] = prolong_formal(scenario.table(), s, 2)
     return {
         "section": section_to_json(s),
-        **_class_report(scenario.chart, table.m([s, s]), zero_mode, leafform_to_json, leafform_to_text),
+        **_class_report(scenario.chart, rhs.scale(2), zero_mode, leafform_to_json, leafform_to_text),
     }
 
 

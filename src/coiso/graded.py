@@ -429,17 +429,17 @@ def i_nabla(sq: MultiDerivation) -> GradedElement:
     letters: m maps to m - sum_A xi^A Dxi(A) (the id slot less the ghost
     Euler field) and each dx(i) to itself.  So each word of to_graded(sq)
     is kept, and an id-slot word m w with coefficient f also gives the
-    words xi^A Dxi(A) w with -f."""
+    words xi^A Dxi(A) w with -f; only those new words are normalized."""
     op = to_graded(sq)
 
     def pairs():
         for letters, f in op.terms.items():
             yield letters, f
             if letters[:1] == (M,):  # m is the first letter of a word with it
-                for A in range(op.chart.m):
-                    yield (_letter(XI, A), _letter(DXI, A)) + letters[1:], -f
+                new = ((_letter(XI, A), _letter(DXI, A)) + letters[1:] for A in range(op.chart.m))
+                yield from _canonical((w, -f) for w in new)
 
-    return op._sum(pairs())
+    return op._like(accumulate({}, pairs()))
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ class SkewTerms(SparseTerms):
             key = tuple(key)
             if len(key) != self.degree:
                 raise ContentError("key length does not match degree")
-            if any(i < 0 or i >= bound for i in key):
+            if any(type(i) is not int or not 0 <= i < bound for i in key):
                 raise ContentError(f"{type(self).__name__} index out of range in {key}")
             if f.chart is not chart and f.chart != chart:
                 raise ContentError(f"{type(self).__name__} coefficient on another chart")

@@ -254,7 +254,9 @@ def _checked_terms(chart, terms):
         c = GaussianRational.of(c)
         if c.is_zero():
             continue
-        key = tuple(int(v) for v in key)
+        key = tuple(key)
+        if any(type(v) is not int for v in key):
+            raise ContentError(f"term exponents must be integers, not {key!r}")
         if len(key) != chart.dim:
             raise ContentError("term exponent arity does not match chart")
         if any(a < 0 for a in key[chart.k :]):
@@ -344,6 +346,8 @@ class ScalarFn(SparseTerms):
         """exp(i n phi_coord)."""
         if coord not in chart.torus:
             raise ContentError(f"{coord!r} is not a torus coordinate")
+        if type(n) is not int:
+            raise ContentError(f"term exponents must be integers, not {n!r}")
         key = [0] * chart.dim
         key[chart.torus.index(coord)] = n
         return _scalar(chart, {tuple(key): ONE})
@@ -371,6 +375,8 @@ class ScalarFn(SparseTerms):
     def y(chart: Chart, coord: str, p: int = 1) -> "ScalarFn":
         if coord not in chart.fiber:
             raise ContentError(f"{coord!r} is not a fiber coordinate")
+        if type(p) is not int:
+            raise ContentError(f"term exponents must be integers, not {p!r}")
         if p < 0:
             raise ContentError("fiber exponents must be nonnegative")
         key = [0] * chart.dim
@@ -578,7 +584,7 @@ def inverse_unit(chart: Chart, A):
     zero = ScalarFn.zero(chart)
     M = mat_identity(chart, n)
     for k in range(1, n):
-        AM = mat_mul(chart, A, M)
+        AM = mat_mul(chart, A, M) if k > 1 else A  # M_1 = I
         c = zero.plus(AM[i][i] for i in range(n)).scale(Fraction(-1, k))
         M = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(AM)]
     # tr(A M_n) = -n c_0, so det A = (-1)^(n-1) tr(A M_n) / n

@@ -13,7 +13,8 @@ matrices
 
 with W inverted exactly by ``ring.inverse_unit``, a Faddeev-LeVerrier
 adjugate (the determinant must be a unit of the ring; no rational functions
-are ever formed).
+are ever formed).  ``TransversalData.Y`` keeps W^{-1}, each F^i W^{-1} and
+each Y product by its prefix, for every multibracket on the data.
 
 ``TransversalData.multibracket`` takes the LeafForm arguments that
 ``linfty.MultibracketTable.m`` takes, so the two engines compare on one
@@ -42,7 +43,8 @@ class TransversalData:
     * omega: the skew matrix omega_ab = theta([G_a-flat, G_b-flat]).
     * Fab, Fa: curvature blocks of G per leaf direction i (dicts i -> block),
       absent entries meaning zero.
-    Every entry and every frame coefficient must be base-only.
+    Every entry and every frame coefficient must be base-only.  The data is
+    never changed after construction, so Y keeps every matrix it builds.
     """
 
     def __init__(self, chart: Chart, Ga_fields, G_field, C, omega, Fab=None, Fa=None):
@@ -59,7 +61,7 @@ class TransversalData:
         entries += [X.terms.values() for X in self.Ga + [self.G]]
         if not all(f.is_base_only() for block in entries for f in block):
             raise ContentError("transversal data must be base-only")
-        self._w_inv = None
+        self._factors, self._ys = {}, {}  # i -> F^i W^{-1}, letters -> Y(letters)
 
     # -- the W and F matrices -----------------------------------------------
 
@@ -97,32 +99,25 @@ class TransversalData:
                 M[n - 1][1 + a] = -fa[a]
         return M
 
-    def W_inv(self):
-        if self._w_inv is None:
+    def Y(self, letters=()):
+        """W^{-1} for no letters, else Y(letters[:-1]) F^{i_k} W^{-1}; summed
+        over the orderings of the k letters, (-1)^k times the p-derivative
+        d^k W_p^{-1} / dp_{i_1} .. dp_{i_k} at p = 0.
+        Each Y and each factor F^i W^{-1} is built on first use and kept, and
+        W^{-1} is checked against W W^{-1} = I as it is built."""
+        chart, out = self.chart, self._ys.get(letters)
+        if out is None and letters:
+            i = letters[-1]
+            if i not in self._factors:
+                self._factors[i] = mat_mul(chart, self.F(i), self.Y())
+            out = self._ys[letters] = mat_mul(chart, self.Y(letters[:-1]), self._factors[i])
+        elif out is None:
             w = self.W()
-            self._w_inv = inverse_unit(self.chart, w)
-            if mat_mul(self.chart, w, self._w_inv) != mat_identity(self.chart, self.n):
+            out = inverse_unit(chart, w)
+            if mat_mul(chart, w, out) != mat_identity(chart, self.n):
                 raise AssertionError("adjugate inversion failed")
-        return self._w_inv
-
-    def _y_matrices(self):
-        """Y as a function of a tuple of letters, for the length of one call:
-        each factor F^i W^{-1} is built once and Y(letters) is kept by
-        prefix, Y(letters) = Y(letters[:-1]) F^{i_k} W^{-1}."""
-        chart, w_inv = self.chart, self.W_inv()
-        factors = {}
-        ys = {(): w_inv}
-
-        def y(letters):
-            out = ys.get(letters)
-            if out is None:
-                i = letters[-1]
-                if i not in factors:
-                    factors[i] = mat_mul(chart, self.F(i), w_inv)
-                out = ys[letters] = mat_mul(chart, y(letters[:-1]), factors[i])
-            return out
-
-        return y
+            self._ys[()] = out
+        return out
 
     # -- transversal jet tables ------------------------------------------------
 
@@ -187,7 +182,6 @@ class TransversalData:
         # once with its multiplicity, of Y(prefix)[al][be] u[al] v[be]: u, v
         # are the jets of the functions, then those of the last letters (one
         # j^1_G row per leaf key)
-        y = self._y_matrices()
         degree = 2 - len(fns)
         jets = [{(): self.jG0(f)} for f in fns]
         rows = {i: {(h,): row for h, row in enumerate(self.jG1(i))} for i in set(forms)}
@@ -197,7 +191,7 @@ class TransversalData:
         def pairs():
             for letters, mult in Counter(permutations(forms)).items():
                 cut = len(letters) - degree
-                Y = y(letters[:cut])
+                Y = self.Y(letters[:cut])
                 left, right = jets + [rows[i] for i in letters[cut:]]
                 for al in frame:
                     for be in frame:

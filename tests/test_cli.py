@@ -1115,6 +1115,26 @@ def test_job_squares_the_structure_once(monkeypatch, capsys, scenario):
     assert json.loads(out)["tasks"]["check-jacobi"]["jacobiator_zero"] is True
 
 
+def test_kuranishi_projects_its_square_once(monkeypatch):
+    """A kuranishi task projects the bracket D[2, 2] = [[[[J, I s]],
+    I s]] once, for the order-2 right-hand side whose double is the class,
+    and one other bracket, [[J, I s]] for the m_1 s = 0 check."""
+    projected = []
+    project = linfty.projection_P
+
+    def spy(d):
+        projected.append(d)
+        return project(d)
+
+    monkeypatch.setattr(linfty, "projection_P", spy)
+    scenario = load_scenario("torus-obstructed")
+    report = TASKS["kuranishi"](scenario, None)
+    s = scenario.section()
+    assert report["obstructed"] is True
+    square = scenario.table().derived((s, s))
+    assert len(projected) == 2 and projected.count(square) == 1
+
+
 def test_scenario_parses_each_text_once(monkeypatch):
     """Scenario._expr parses a repeated text once and returns the same
     ScalarFn for it; a text that fails to parse is not kept, and gives the

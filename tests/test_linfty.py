@@ -28,6 +28,7 @@ from coiso.linfty import (
 )
 from coiso.scenario import Scenario, load_scenario
 from coiso import cli
+from coiso.serialize import leafform_to_json
 
 from helpers import (
     compositions,
@@ -736,6 +737,17 @@ def test_mc_series_matches_exp_series(scenario):
     cli.TASKS["kuranishi"](scenario, None)
     prolong_formal(table, s, 4)
     assert mc_series(table, s) == expected
+
+
+@pytest.mark.parametrize("scenario", _section_scenarios())
+def test_kuranishi_class_is_m2_of_the_section(scenario):
+    """The kuranishi task reads its class off order 2 of prolong_formal, as
+    twice the order-2 right-hand side; it equals m_2(s, s) projected from the
+    table, on the obstructed sections and on the prolonging ones."""
+    report = cli.TASKS["kuranishi"](scenario, None)
+    s = scenario.section()
+    assert report["class"] == leafform_to_json(scenario.table().m([s, s]))
+    assert report["obstructed"] == (scenario.name != WORKLOADS.PROLONGED)
 
 
 @pytest.mark.parametrize("name", TABLES)

@@ -217,6 +217,14 @@ def test_gerstenhaber_matches_dense_expansion(pq):
 
 
 
+@pytest.mark.parametrize("index", [0.5, True], ids=["float", "bool"])
+def test_non_integer_index_is_refused(chart, index):
+    """A key of a skew container holds integer indices only: (0.5,) was kept
+    and failed later in a bracket with a TypeError."""
+    with pytest.raises(ContentError, match=r"^MultiVectorField index out of range in \("):
+        MultiVectorField(chart, 1, {(index,): ScalarFn.one(chart)})
+
+
 @pytest.mark.parametrize("cls", [MultiVectorField, LeafForm, Form], ids=lambda cls: cls.__name__)
 def test_negative_degree_is_refused(chart, cls):
     with pytest.raises(ContentError, match=f"^{cls.__name__} degree must be >= 0$"):

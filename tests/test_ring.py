@@ -87,6 +87,25 @@ def test_factor_builders_are_the_validated_builds(name):
                 make(chart, c)
 
 
+@pytest.mark.parametrize("exponent", [1.5, "2", True], ids=["float", "str", "bool"])
+def test_non_integer_exponent_key_is_refused(chart, exponent):
+    """A term key holds integer exponents only: int(1.5) would build exp(i x),
+    int("2") exp(2ix), and True would count as 1."""
+    key = (exponent,) + (0,) * (chart.dim - 1)
+    with pytest.raises(ContentError, match="^term exponents must be integers"):
+        ScalarFn(chart, {key: 1})
+
+
+def test_non_integer_exp_phi_exponent_is_refused(chart):
+    with pytest.raises(ContentError, match="^term exponents must be integers, not 1.5$"):
+        ScalarFn.exp_phi(chart, "ph_1", 1.5)
+
+
+def test_non_integer_y_exponent_is_refused(chart):
+    with pytest.raises(ContentError, match="^term exponents must be integers, not 2.0$"):
+        ScalarFn.y(chart, "y_1", 2.0)
+
+
 def test_fiber_monomial_product(chart):
     y1 = ScalarFn.y(chart, "y_1")
     y2 = ScalarFn.y(chart, "y_2")

@@ -15,6 +15,7 @@ from coiso.multivector import MultiVectorField
 from coiso.leafform import LeafForm
 from coiso.linfty import MultibracketTable
 from coiso.scenario import Scenario
+from coiso import transversal
 from coiso.transversal import TransversalData
 
 from helpers import fields_XY, random_base_scalar, torus_chart, torus_jacobi
@@ -58,19 +59,24 @@ def random_td(chart, rng):
     return TransversalData(chart, ga, g, C, omega)
 
 
+def with_curvature(td, Fab, Fa):
+    """The frame data of td with the curvature blocks Fab and Fa."""
+    return TransversalData(td.chart, td.Ga, td.G, td.C, td.omega, Fab, Fa)
+
+
 def frame_forms(chart):
     """The fiber frame forms delta_a = {(a,): 1}."""
     return [LeafForm(chart, 1, {(a,): ScalarFn.one(chart)}) for a in range(chart.m)]
 
 
 def test_w_inverse_exact(td, chart):
-    assert mat_mul(chart, td.W(), td.W_inv()) == mat_identity(chart, td.n)
-    assert td._y_matrices()(()) == td.W_inv()
+    assert mat_mul(chart, td.W(), td.Y()) == mat_identity(chart, td.n)
+    assert td.Y() is td.Y()  # kept on the data, not rebuilt
 
 
 def test_y_matrices_vanish_without_curvature(td):
     for idx in [(0,), (1,), (0, 1), (1, 1)]:
-        Y = td._y_matrices()(idx)
+        Y = td.Y(idx)
         assert all(f.is_zero() for row in Y for f in row)
 
 
@@ -79,12 +85,10 @@ def test_y_matrix_neumann_oracle(chart):
     series whose p-derivatives the induction formula computes."""
     rng = random.Random(1)
     td = random_td(chart, rng)
-    # plant a nonzero curvature block
-    one = ScalarFn.one(chart)
+    # a nonzero curvature block
     zero = ScalarFn.zero(chart)
-    td.Fab[0] = [[zero, random_base_scalar(chart, rng)], [zero, zero]]
-    td.Fab[0][1][0] = -td.Fab[0][0][1]
-    td.Fa[1] = [random_base_scalar(chart, rng), zero]
+    f = random_base_scalar(chart, rng)
+    td = with_curvature(td, {0: [[zero, f], [-f, zero]]}, {1: [random_base_scalar(chart, rng), zero]})
 
     # formal polynomial in p_0, p_1 with matrix coefficients, truncated
     def trunc_mul(A, B, order):
@@ -108,11 +112,11 @@ def test_y_matrix_neumann_oracle(chart):
     Wp = {(0, 0): td.W(), (1, 0): td.F(0), (0, 1): td.F(1)}
     # Neumann series built from the Y-matrices:
     # W_p^{-1} = sum_k (-1)^k sum_{i_1..i_k} p_{i_1}..p_{i_k} Y^{i_1..i_k}
-    series = {(0, 0): td.W_inv()}
+    series = {(0, 0): td.Y()}
     for k in (1, 2):
         for seq in [(0,) * k, (1,) * k] + ([(0, 1), (1, 0)] if k == 2 else []):
             key = (seq.count(0), seq.count(1))
-            M = td._y_matrices()(seq)
+            M = td.Y(seq)
             M = [[f.scale((-1) ** k) for f in row] for row in M]
             if key in series:
                 series[key] = [
@@ -272,11 +276,12 @@ def curved_td(chart, rng):
     directions, so that every Y-matrix is nonzero."""
     td = random_td(chart, rng)
     zero = ScalarFn.zero(chart)
+    Fab, Fa = {}, {}
     for i in range(len(chart.leaf)):
         f = random_base_scalar(chart, rng)
-        td.Fab[i] = [[zero, f], [-f, zero]]
-        td.Fa[i] = [random_base_scalar(chart, rng) for _ in range(td.A)]
-    return td
+        Fab[i] = [[zero, f], [-f, zero]]
+        Fa[i] = [random_base_scalar(chart, rng) for _ in range(td.A)]
+    return with_curvature(td, Fab, Fa)
 
 
 def permutation_multibracket(td, args):
@@ -288,9 +293,9 @@ def permutation_multibracket(td, args):
     frame, leaf = range(td.n), range(len(chart.leaf))
 
     def y(letters):
-        out = td.W_inv()
+        out = td.Y()
         for i in letters:
-            out = mat_mul(chart, mat_mul(chart, out, td.F(i)), td.W_inv())
+            out = mat_mul(chart, mat_mul(chart, out, td.F(i)), td.Y())
         return out
 
     if len(fns) == 2:
@@ -340,3 +345,31 @@ def test_multibracket_matches_permutation_sum(rng, nfns, letters):
     args += [delta[i] for i in letters[: 4 - nfns]]
     assume(len(args) >= 2)
     assert td.multibracket(args) == permutation_multibracket(td, args)
+
+
+def test_y_table_is_kept_on_the_data(monkeypatch):
+    """W^-1, each factor F^i W^-1 and each prefix Y are built once per
+    TransversalData: a second evaluation of orders 3 and 4 builds no matrix
+    product, and W is inverted once."""
+    chart = torus_chart()
+    rng = random.Random(3)
+    td = curved_td(chart, rng)
+    delta = frame_forms(chart)
+    f, g = (LeafForm.function(random_base_scalar(chart, rng)) for _ in range(2))
+    calls = []
+
+    def spy(name, original):
+        def wrapped(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(transversal, name, wrapped)
+
+    spy("mat_mul", transversal.mat_mul)
+    spy("inverse_unit", transversal.inverse_unit)
+    jobs = [[f, delta[0], delta[1]], [f, g, delta[1], delta[0]], [f, delta[1], delta[0], delta[1]]]
+    first = [td.multibracket(args) for args in jobs]
+    assert calls.count("inverse_unit") == 1 and "mat_mul" in calls
+    calls.clear()
+    assert [td.multibracket(args) for args in jobs] == first
+    assert calls == []
