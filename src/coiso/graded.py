@@ -28,8 +28,8 @@ codes below M, symbols those from M on, ghost derivatives those from DXI
 on.  Bit 1 is clear in every letter the module makes, so a caller may set
 it to tag a letter: normalize sorts a tagged letter right after its plain
 one, with the same parity.  A PAIR letter (the second-order composite of
-two derivatives, which only ever appears in a tally key) packs its two
-letters above the kind field.
+two derivatives, which no element holds) packs its two letters above the
+kind field.
 The public form of a letter is a tuple, (XI, A), (M,), (DX, i) and so on:
 GradedElement() and encode() read it, decode() writes it.
 
@@ -37,14 +37,19 @@ The Gerstenhaber product is a join by symbol: an element indexes the slots
 of its symbols on its first composition and keeps the index, and a term of
 the argument reads only the slots of the symbols that act on it.  The
 graded bracket is only ever taken as a square, [[a, a]] = 2 (a o a) for odd
-a: the MC equation [[J^, J^]] = 0 and d_BFV^2 = 0 are the BFV checks.
+a: the MC equation [[J^, J^]] = 0 and d_BFV^2 = 0 are the BFV checks.  The
+product is made to first order; the second-order words of a square, which
+must cancel, are checked pair by pair without being made.
 
 Every sign in the module is produced by counting the transpositions of two
-odd letters while a word is sorted (normalize); no sign is ever taken from
-a formula table.  The one free global convention (arguments enter a word
-from the right) is pinned by requiring G(u, alpha) = alpha(u) with positive
-sign; the test suite asserts this together with the local tables of d_G,
-p, i_nabla and the worked example's BFV operator.
+odd letters: while a word is sorted (normalize), or, for the second-order
+words of a square, as the popcount of the bit masks of odd letters
+(ranked in integer order) that one word must move past
+(_composite_parity); no sign is ever taken from a formula table.  The one
+free global convention (arguments enter a word from the right) is pinned
+by requiring G(u, alpha) = alpha(u) with positive sign; the test suite
+asserts this together with the local tables of d_G, p, i_nabla and the
+worked example's BFV operator.
 """
 
 from __future__ import annotations
@@ -218,115 +223,89 @@ class GradedElement(SparseTerms):
         The argument enters each word from the right; moving it left to a
         symbol position contributes the transposition signs of the letters
         it passes, with the argument's own shifted degree.  A section has
-        no symbols, so this is the first-order part of self o lam."""
-        return self._compose(lam)[0]
+        no symbols, so this is the product self o lam."""
+        return self._compose(lam)
 
     # -- Gerstenhaber product and the square of the bracket ------------------------------------
 
-    def _compose(self, other: "GradedElement"):
-        """Gerstenhaber product self o other: insert the full operator
-        `other` into the first slot of `self`.  Returns (first, tally).
+    def _compose(self, other: "GradedElement") -> "GradedElement":
+        """The first-order part of the Gerstenhaber product self o other:
+        insert the full operator `other` into the first slot of `self`.
 
-        `first` is the first-order product: a symbol of self acting on the
-        coefficient and ghost letters of an other term, or composing with
-        its identity slot m.  A derivative composed with a derivative of
-        other gives a second-order (PAIR) word, which is counted instead of
-        multiplied out: tally[(word, x, y)] is the signed number of times
-        the normalized word arises from the self term x and the other term
-        y, so it stands for count * self.terms[x] * other.terms[y].
+        A symbol of self acts on the coefficient and ghost letters of an
+        other term, or a derivative of self composes with the term's
+        identity slot m.  A derivative composed with a derivative of other
+        is a second-order word, which is not made: bracket checks that
+        those of a square cancel.
 
         An other term reads from self's index only the slots of m, of dx(i)
         where its coefficient depends on coordinate i (one derivative per
-        term) and of the derivative of each ghost it carries.  A word is
-        normalized before its coefficient is multiplied."""
+        term), of the derivative of each ghost it carries and, when it
+        holds m, of every derivative.  A word is normalized before its
+        coefficient is multiplied."""
         index = self._by_symbol
         if index is None:
             index = self._by_symbol = _slots_by_symbol(self.terms)
-        tally = {}
 
         def pairs():
             for ol, oc in other.terms.items():
                 g = bisect_left(ol, M)
                 ghost, syms = ol[:g], ol[g:]
-                # parity of the letters of ol left of each symbol; ghosts are odd
-                reach, reaches = g & 1, []
-                for sp in syms:
-                    reaches.append(reach)
-                    reach ^= sp & 1
-                odd = 1 ^ reach  # the term degree of ol is its letter degrees less one
-                # (symbol, sign, ghost letters left, coefficient) of each symbol
-                # acting on ol; m, not a derivation, acts as the identity
-                acting = [(M, 1, ghost, oc)]
+                # the term degree of ol is its letter degrees less one; a
+                # letter's parity is its low bit
+                odd = 1 ^ sum(ol) & 1
+                # (symbol, sign, letters of ol left after it acts, coefficient)
+                # of each symbol acting on ol; m, not a derivation, acts as the
+                # identity
+                acting = [(M, 1, ol, oc)]
                 mask = oc.mask
                 for i in range(mask.bit_length()):
                     if mask >> i & 1 and _letter(DX, i) in index:
-                        acting.append((_letter(DX, i), 1, ghost, oc.partial(i)))
+                        acting.append((_letter(DX, i), 1, ol, oc.partial(i)))
                 for pos, x in enumerate(ghost):  # ghosts are odd
-                    acting.append((x + _TARGET, -1 if pos & 1 else 1, ghost[:pos] + ghost[pos + 1 :], oc))
-                for s, sa, rest, f in acting:
-                    mid = rest + syms
+                    acting.append((x + _TARGET, -1 if pos & 1 else 1, ghost[:pos] + ghost[pos + 1 :] + syms, oc))
+                if syms[:1] == (M,):  # m is the least symbol
+                    # m is the identity on untwisted coefficients, so a
+                    # derivative s composed with it is s; reaching past the
+                    # ghosts of ol carries the untwisted parity of s
+                    reach = -1 if g & 1 else 1
+                    acting += ((s, 1 if s & 1 else reach, ghost + (s,) + syms[1:], oc) for s in index if s != M)
+                for s, sa, mid, f in acting:
                     # other enters from the right, passing the letters right of the slot
                     for letters, cs, left, right, travel in index.get(s, ()):
                         sign, canon = normalize(left + mid + right)
                         if sign:
                             # negative when exactly one of sign * sa < 0 and odd & travel
                             yield canon, cs[(sign != sa) ^ odd & travel] * f
-                # a derivative s composes with one of ol's symbols: first order
-                # when that symbol is m, else a tallied PAIR; reaching past the
-                # letters left of it carries the untwisted parity of s
-                for s, slots in index.items():
-                    for idx, sp in enumerate(syms if s != M else ()):
-                        comp, csign = _compose_symbols(s, sp)
-                        if comp is None:
-                            continue
-                        mid = ghost + syms[:idx] + (comp,) + syms[idx + 1 :]
-                        if reaches[idx] and not s & 1:  # s is untwisted odd
-                            csign = -csign
-                        for letters, cs, left, right, travel in slots:
-                            sign, canon = normalize(left + mid + right)
-                            if sign:
-                                sign *= -csign if odd & travel else csign
-                                if comp < PAIR:
-                                    yield canon, cs[sign < 0] * oc
-                                else:
-                                    key = (canon, letters, ol)
-                                    tally[key] = tally.get(key, 0) + sign
 
-        return self._like(accumulate({}, pairs())), tally
+        return self._like(accumulate({}, pairs()))
 
     def bracket(self) -> "GradedElement":
         """The square [[a, a]] = 2 (a o a) of an element a of odd degree,
         the one graded bracket the BFV checks take ([[J^, J^]] = 0,
         d_BFV^2 = 0); the zero element is its own square.
 
-        The second-order words of a o a must cancel.  A tally key
-        (word, x, y) and its flip (word, y, x) both stand for
-        a.terms[x] * a.terms[y], so each key is counted in place with its
-        flip (twice without one); a word's coefficient then vanishes
-        formally when every count is zero, and _check_cancelled multiplies
-        out only the keys with a nonzero count."""
+        The second-order words of a o a must cancel, and they are checked
+        without being made: the composite of a derivative slot A with a slot
+        B and that of B with A stand for the same product of coefficients on
+        the same letters, so _check_second_order asks each such pair for
+        opposite signs."""
         if not self.terms:
             return self
         d = self.is_homogeneous_degree()
         if d is None or d % 2 == 0:
             raise ContentError("the bracket squares an element of odd degree")
-        ab, tally = self._compose(self)
-        counts = (((w, x, y), n + tally.get((w, y, x), n)) for (w, x, y), n in tally.items())
-        _check_cancelled(counts, self.terms, self.terms)
-        return ab.scale(2)
+        first = self._compose(self)
+        _check_second_order(self.terms)
+        return first.scale(2)
 
 
 def _compose_symbols(s, sp):
-    """Ordered composite s o sp of two basic symbols as (letter, sign).
-
-    m is the identity on untwisted coefficients, so composites with m
-    reduce to first order; derivative pairs stay second order and are
-    normalized with the commutation sign of the underlying derivatives:
-    d/dx is even, d/dtheta and d/dtheta* odd (the mu* twist shifts each
-    letter's degree by one, so a derivative's untwisted parity is the
-    opposite of its letter's)."""
-    if sp == M:
-        return s, 1
+    """Ordered composite s o sp of two derivative symbols as (PAIR letter,
+    sign), or (None, 1) when it vanishes, with the commutation sign of the
+    underlying derivatives: d/dx is even, d/dtheta and d/dtheta* odd (the
+    mu* twist shifts each letter's degree by one, so a derivative's
+    untwisted parity is the opposite of its letter's)."""
     if s == sp and not s & 1:
         return None, 1  # odd derivative squares to zero
     if s > sp:
@@ -350,15 +329,97 @@ def _slots_by_symbol(terms):
     return index
 
 
-def _check_cancelled(counts, a_terms, b_terms):
-    """Multiply out the tally items ((word, x, y), n) with n != 0; raise
-    when some word's sum of n * a_terms[x] * b_terms[y] is nonzero."""
-    survivors = accumulate(
-        {},
-        ((word, (a_terms[x] * b_terms[y]).scale(n)) for (word, x, y), n in counts if n),
-    )
-    if survivors:
-        raise AssertionError("second-order composite survived the bracket")
+def _derivative_slots(terms):
+    """symbol s -> the slots of s in the words terms, s a derivative (not
+    m), in the order of the words and of the positions in each, each as
+    (rest, below, n, right, left, odd):
+
+      rest   the mask of the other odd letters of the word, bit j for the
+             j-th of the distinct odd letters of all the words in integer
+             order;
+      below  its prefix-parity mask: bit j set when an odd number of the
+             bits of rest lie below j;
+      n      the parity of the number of bits of rest;
+      right, left  the parities of the numbers of odd letters right and left
+             of the slot;
+      odd    the parity of the term's degree."""
+    rank = {x: 1 << j for j, x in enumerate(sorted({x for w in terms for x in w if x & 1}))}
+    top = 1 << len(rank)
+    slots = {}
+    for w in terms:
+        full = below = 0
+        for x in w:
+            if x & 1:
+                full |= rank[x]
+                below ^= top - (rank[x] << 1)  # the bits above x's
+        n = full.bit_count() & 1
+        left = 0
+        for s in w:
+            if s > M:
+                if s & 1:  # s itself is no other letter
+                    bit = rank[s]
+                    slot = (full ^ bit, below ^ top - (bit << 1), n ^ 1, n ^ left ^ 1, left, n ^ 1)
+                else:
+                    slot = (full, below, n, n ^ left, left, n ^ 1)
+                slots.setdefault(s, []).append(slot)
+            left ^= s & 1
+    return slots
+
+
+def _composite(s, sp):
+    """The composite s o sp of two derivatives as _composite_parity reads
+    it, (c, negative, untwisted): the parity of its PAIR letter from
+    _compose_symbols, whether its sign there is negative, and the untwisted
+    parity of s; None when it vanishes."""
+    comp, csign = _compose_symbols(s, sp)
+    return None if comp is None else (comp & 1, csign < 0, 1 ^ s & 1)
+
+
+def _composite_parity(a, b, composite) -> int:
+    """1 when the composite of slot a (a derivative s of the word w) acting
+    on slot b (sp of v) is negative, 0 when positive; a and b are records
+    of _derivative_slots, composite is _composite(s, sp).
+
+    The composite is the word left + v' + right, v' being v with sp
+    replaced by the PAIR letter, and the parity of the odd transpositions
+    that sort it is
+
+        popcount(rest_a & below_b) + n_b right_a + c (right_b + right_a),
+
+    as the left and right parts of w have no inversions between them and
+    the PAIR letter sorts last.  The sign then takes the commutation sign
+    of s o sp, the untwisted parity of s when it reaches past the odd
+    letters left of sp in v, and the degree of v when the letters right of
+    s are odd, as in _compose."""
+    rest, _, _, right, _, _ = a
+    rest_b, below_b, n_b, right_b, left_b, odd_b = b
+    c, negative, untwisted = composite
+    parity = (rest & below_b).bit_count() ^ n_b & right ^ c & (right_b ^ right)
+    return (parity ^ negative ^ left_b & untwisted ^ odd_b & right) & 1
+
+
+def _check_second_order(terms):
+    """Raise unless the second-order composites of a o a cancel pair by
+    pair, a o a the square of the element of the given terms.
+
+    The composite of slot A on slot B vanishes when the other odd letters
+    of their words meet (rest_A & rest_B) or when _compose_symbols gives no
+    letter.  It and the composite of B on A stand for the same product of
+    coefficients on the same letters, so every pair of derivative slots, a
+    slot with itself included, must give them opposite signs.  Each pair
+    of symbols is read from _compose_symbols once."""
+    groups = list(_derivative_slots(terms).items())
+    for i, (s, slots) in enumerate(groups):
+        for sp, slots_b in groups[i:]:
+            ab, ba = _composite(s, sp), _composite(sp, s)
+            if ab is None and ba is None:
+                continue
+            for j, a in enumerate(slots):
+                for b in slots_b[j:] if s == sp else slots_b:
+                    if a[0] & b[0]:
+                        continue  # an odd letter repeats
+                    if ab is None or ba is None or _composite_parity(a, b, ab) == _composite_parity(b, a, ba):
+                        raise AssertionError("second-order composite survived the bracket")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm
 from coiso.geom import Form, injection_I
+from coiso.scenario import Scenario
 from coiso.graded import DX, DXI, DXIS, M, PAIR, XI, XIS, GradedElement, decode, encode
 
 from paper import exp_series, graded_bracket, hamiltonian
@@ -67,6 +68,14 @@ def jet_chart(b: int) -> Chart:
         fiber=("z",) + tuple(f"p_{i + 1}" for i in range(b)),
         leaf=tuple(f"ph_{i + 1}" for i in range(b)),
     )
+
+
+def jet_scenario(b: int) -> Scenario:
+    """The 1-jet model over T^b as a scenario, as the jet-rank benchmark
+    builds it (its J^ and d_BFV need no section)."""
+    chart = jet_chart(b)
+    names = {"torus": list(chart.torus), "fiber": list(chart.fiber), "leaf": list(chart.leaf)}
+    return Scenario({"schema": 1, "chart": names, "jet": {}, "bfv": {"connection": "trivial"}})
 
 
 def one_form(chart, coefficients) -> Form:

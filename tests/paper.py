@@ -9,7 +9,9 @@ that check it, written on the library's public API:
 * the Hamiltonian gauge direction and the extended brackets of
   simultaneous deformations of structure and submanifold (L-infinity);
 * the graded bracket [[a, b]] of any two elements (the library takes only
-  the square [[a, a]] of an odd one) and the graded symmetric product;
+  the square [[a, a]] of an odd one), whose second-order words are tallied
+  by sorting each one (the library's square reads their signs off bit
+  masks), and the graded symmetric product;
 * the first contraction data (p, i_nabla, the weight splitting, H~ and
   H_nabla) of a connection in the ghost bundle, with the inverse
   from_graded of to_graded and the diagonal bidegree filtration, and the
@@ -27,6 +29,7 @@ Giving one of them a task would add a report, which is feature work.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 
@@ -36,6 +39,7 @@ from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm
 from coiso.geom import injection_I, projection_P
 from coiso.linfty import MultibracketTable
+from coiso import graded
 from coiso.graded import (
     DX,
     DXI,
@@ -45,7 +49,6 @@ from coiso.graded import (
     XIS,
     ContractionTwo,
     GradedElement,
-    _check_cancelled,
     bidegree,
     decode,
     encode,
@@ -147,25 +150,80 @@ def homogeneous_pieces(x: GradedElement) -> list:
     return [x._like(t) for t in by_deg.values()]
 
 
+def composite_sign(w, p, v, q):
+    """The composite of the derivative w[p] of the word w acting on the
+    derivative v[q] of the word v, by sorting it: (sign, word), or (0, ())
+    when it vanishes.  v enters the slot p of w from the right with v[q]
+    replaced by the PAIR letter of graded._compose_symbols(w[p], v[q]), and
+    the word is sorted by normalize; the sign takes the composite's
+    commutation sign, the untwisted parity of w[p] when it reaches past the
+    odd letters of v left of q, and the degree of v when the letters of w
+    right of p are odd."""
+    s = w[p]
+    comp, csign = graded._compose_symbols(s, v[q])
+    if comp is None:
+        return 0, ()
+    sign, word = normalize(w[:p] + v[:q] + (comp,) + v[q + 1 :] + w[p + 1 :])
+    # a letter's parity is its low bit, so a sum of codes has the parity of
+    # its odd letters; the term degree of v is its letter degrees less one
+    flip = (sum(v[:q]) & 1 and not s & 1) ^ (1 ^ sum(v) & 1) & sum(w[p + 1 :]) & 1
+    return (-sign * csign if flip else sign * csign), word
+
+
+def derivative_positions(word):
+    """The positions of the derivative letters (the symbols other than m)
+    of a canonical word."""
+    return range(bisect_right(word, M), len(word))
+
+
+def second_order_tally(a: GradedElement, b: GradedElement) -> dict:
+    """The second-order part of a o b, counted instead of multiplied out:
+    tally[(word, x, y)] is the signed number of times the normalized PAIR
+    word arises from a derivative of the a term x composed with a
+    derivative of the b term y (composite_sign), so it stands for
+    count * a.terms[x] * b.terms[y].  It is the sort route of the signs the
+    library's square reads off parity masks (graded._check_second_order)."""
+    tally = {}
+    for x in a.terms:
+        for p in derivative_positions(x):
+            for y in b.terms:
+                for q in derivative_positions(y):
+                    sign, word = composite_sign(x, p, y, q)
+                    if sign:
+                        tally[word, x, y] = tally.get((word, x, y), 0) + sign
+    return tally
+
+
+def check_cancelled(counts, a_terms, b_terms):
+    """Multiply out the tally items ((word, x, y), n) with n != 0; raise
+    when some word's sum of n * a_terms[x] * b_terms[y] is nonzero."""
+    survivors = accumulate(
+        {},
+        ((word, (a_terms[x] * b_terms[y]).scale(n)) for (word, x, y), n in counts if n),
+    )
+    if survivors:
+        raise AssertionError("second-order composite survived the bracket")
+
+
 def graded_bracket(a: GradedElement, b: GradedElement) -> GradedElement:
     """The graded Schouten-Jacobi bracket [[a, b]] = a o b -+ b o a (+ when
     both degrees are odd), over the homogeneous pieces of a and b, from the
-    library's Gerstenhaber product.
+    library's first-order Gerstenhaber product.
 
-    The second-order words must cancel: the tallies are merged, a key
-    (word, y, x) of b o a flipped to (word, x, y) with its count signed by
-    the -+, as both stand for a.terms[x] * b.terms[y], and multiplied out
-    by _check_cancelled, which raises on a surviving word."""
+    The second-order words must cancel: the tallies of a o b and b o a are
+    merged, a key (word, y, x) of b o a flipped to (word, x, y) with its
+    count signed by the -+, as both stand for a.terms[x] * b.terms[y], and
+    multiplied out by check_cancelled, which raises on a surviving word."""
 
     def pieces():
         for pa in homogeneous_pieces(a):
             for pb in homogeneous_pieces(b):
-                ab, tally = pa._compose(pb)
-                ba, t_ba = pb._compose(pa)
+                ab, ba = pa._compose(pb), pb._compose(pa)
+                tally = second_order_tally(pa, pb)
                 sign = 1 if pa.is_homogeneous_degree() * pb.is_homogeneous_degree() % 2 else -1
-                for (word, y, x), n in t_ba.items():
+                for (word, y, x), n in second_order_tally(pb, pa).items():
                     tally[word, x, y] = tally.get((word, x, y), 0) + sign * n
-                _check_cancelled(tally.items(), pa.terms, pb.terms)
+                check_cancelled(tally.items(), pa.terms, pb.terms)
                 yield ab + ba if sign == 1 else ab - ba
 
     return a._like({}).plus(pieces())

@@ -9,7 +9,7 @@ import pytest
 from coiso import bfv
 from coiso.cli import _random_graded_section
 from coiso.ring import ContentError, ScalarFn
-from coiso.scenario import Scenario, load_scenario
+from coiso.scenario import load_scenario
 from coiso.leafform import LeafForm
 from coiso.linfty import MultibracketTable, prolong_formal
 from coiso.graded import (
@@ -43,6 +43,7 @@ from helpers import (
     dense_normalize,
     fields_XY,
     ghost,
+    jet_scenario,
     random_base_scalar,
     random_scalar,
     summed_series_homotopy_projection,
@@ -350,14 +351,6 @@ def test_perturbed_sample_sums_four_series(lift, chart, monkeypatch):
     assert calls.count((delta, h)) == 6 and len(calls) == 5 * 6
 
 
-def _jet_scenario(k):
-    """The 1-jet model over T^k, as the jet-rank benchmark builds it."""
-    torus = [f"ph_{i + 1}" for i in range(k)]
-    fiber = ["z"] + [f"p_{i + 1}" for i in range(k)]
-    chart = {"torus": torus, "fiber": fiber, "leaf": torus}
-    return Scenario({"schema": 1, "chart": chart, "jet": {}, "bfv": {"connection": "trivial"}})
-
-
 @pytest.mark.parametrize("name", ["jet-T1", "jet-T2", "jet-T3", "torus-obstructed"])
 def test_homotopy_projection_is_h_of_the_summed_series(name):
     """The perturbed (h, q) of y, h summed from the h t_k that the series
@@ -365,7 +358,7 @@ def test_homotopy_projection_is_h_of_the_summed_series(name):
     s.  The arguments are those check_hpl_axioms passes: samples as
     hpl-resolve draws them, their d_BFV, h and j q images; some of them
     have a series of more than one term."""
-    scenario = load_scenario(name) if name == "torus-obstructed" else _jet_scenario(int(name[-1]))
+    scenario = load_scenario(name) if name == "torus-obstructed" else jet_scenario(int(name[-1]))
     pert = scenario.hpl()
     rng = random.Random(0)
     longer = 0

@@ -41,13 +41,25 @@ from helpers import (
     i_then_p_defect,
     integrate_then_normalize_h,
     is_section,
+    jet_scenario,
     random_base_scalar,
     random_multider,
     random_scalar,
     torus_chart,
     torus_jacobi,
 )
-from paper import Connection, ContractionOne, from_graded, graded_bracket, graded_product, homogeneous_pieces
+from paper import (
+    Connection,
+    ContractionOne,
+    check_cancelled,
+    composite_sign,
+    derivative_positions,
+    from_graded,
+    graded_bracket,
+    graded_product,
+    homogeneous_pieces,
+    second_order_tally,
+)
 
 
 
@@ -357,19 +369,19 @@ def test_insert_matches_dense_insertion(pair):
     equals the insertion loop."""
     op, lam = pair
     assert op.insert(lam) == dense_insert(op, lam)
-    assert op._compose(lam)[1] == {}
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(_graded_pair())
 def test_compose_tally_matches_dense_compose(pair):
-    """a o b with its tally multiplied out (count * a.terms[x] * b.terms[y]
-    on the PAIR word of each key) is the dense product: the first-order part
+    """The library's first-order product a o b, with the oracle's tally of
+    the second-order words multiplied out (count * a.terms[x] * b.terms[y]
+    on the PAIR word of each key), is the dense product: the first-order part
     gives its words without a PAIR letter, the tally those with one; no
     first-order coefficient is zero (a derivative zero by structure is
     skipped, not multiplied)."""
     a, b = pair
-    first, tally = a._compose(b)
+    first, tally = a._compose(b), second_order_tally(a, b)
     assert not any(f.is_zero() for f in first.terms.values())
     assert not any(l >= graded.PAIR for word in first.terms for l in word)
     assert all(any(l >= graded.PAIR for l in word) for word, _, _ in tally)
@@ -399,9 +411,9 @@ def test_symbol_index_is_built_once_per_element(chart):
 
 def test_uncancelled_composite_raises(chart, monkeypatch):
     """A sign error in one derivative composite leaves a second-order word
-    in the bracket, and the tally check reports it: for two elements (the
-    tests' bracket), and for the library's square of an odd one, whose
-    tally is read with its own flip."""
+    in the bracket, and the checks report it: the tally check for two
+    elements (the tests' bracket), and the pairwise check of the library's
+    square of an odd one, which reads its signs from _compose_symbols."""
     a = GradedElement(chart, {((DX, 0),): ScalarFn.sin_phi(chart, "ph_3")})
     b = GradedElement(chart, {((DX, 1),): ScalarFn.y(chart, "y_1")})
     odd = GradedElement(chart, {((DX, 0), (DX, 1)): ScalarFn.sin_phi(chart, "ph_3")})
@@ -420,6 +432,104 @@ def test_uncancelled_composite_raises(chart, monkeypatch):
         odd.bracket()
 
 
+# J^ and d_BFV of the jet models over T^1..T^3 and of torus-obstructed
+_BFV_OPERATORS = ["jet-T1", "jet-T2", "jet-T3", "torus-obstructed"]
+
+
+def _bfv_operators(name):
+    scenario = load_scenario(name) if name == "torus-obstructed" else jet_scenario(int(name[-1]))
+    return scenario.lift().j_hat, scenario.dbfv()
+
+
+def _assert_masks_give_the_sorted_signs(terms):
+    """Over every ordered pair of derivative slots of the words terms, a
+    slot with itself included, the library's mask route
+    (graded._composite_parity on the records of graded._derivative_slots)
+    vanishes when the sort route (composite_sign) does and otherwise gives
+    its sign; returns the number of pairs that do not vanish."""
+    records = graded._derivative_slots(terms)
+    positions = {}
+    for w in terms:
+        for p in derivative_positions(w):
+            positions.setdefault(w[p], []).append((w, p))
+    assert {s: len(v) for s, v in records.items()} == {s: len(v) for s, v in positions.items()}
+    slots = [(s, rec, wp) for s in records for rec, wp in zip(records[s], positions[s])]
+    live = 0
+    for s, a, (w, p) in slots:
+        for sp, b, (v, q) in slots:
+            sign, _ = composite_sign(w, p, v, q)
+            composite = graded._composite(s, sp)
+            if a[0] & b[0] or composite is None:
+                assert sign == 0
+            else:
+                assert sign == (-1 if graded._composite_parity(a, b, composite) else 1)
+                live += 1
+    return live
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_graded_pair(kinds=("odd", "even", "mixed")))
+def test_composite_masks_match_the_sort_route(pair):
+    """On operators of odd, even and mixed degree, the mask parity of every
+    ordered pair of derivative slots of the two elements equals the sign of
+    the sorted word."""
+    a, b = pair
+    _assert_masks_give_the_sorted_signs({**a.terms, **b.terms})
+
+
+@pytest.mark.parametrize("name", _BFV_OPERATORS)
+def test_composite_masks_match_the_sort_route_on_bfv_operators(name):
+    """The same on the two squares the BFV checks take, [[J^, J^]] and
+    d_BFV^2, where most slot pairs do not vanish."""
+    for op in _bfv_operators(name):
+        assert _assert_masks_give_the_sorted_signs(op.terms)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_graded_pair(kinds=("odd",)))
+def test_square_matches_the_dense_bracket(pair):
+    """Every odd element's square, checked pair by pair, is the bracket
+    multiplied out by the materializing products."""
+    for x in pair:
+        assert x.bracket() == _dense_bracket(x, x)
+
+
+@pytest.mark.parametrize("name", _BFV_OPERATORS)
+def test_bfv_squares_match_the_dense_bracket(name):
+    """[[J^, J^]] and d_BFV^2 vanish, as the materializing products give."""
+    for op in _bfv_operators(name):
+        assert op.bracket() == _dense_bracket(op, op) == GradedElement.zero(op.chart)
+
+
+def test_flipped_below_mask_raises(monkeypatch):
+    """One bit flipped in the below mask of one slot B changes the sign of
+    the composite of a slot A on B, A holding that bit's letter, and not
+    that of B on A; the square of J^ on a jet chart then raises."""
+    j_hat = jet_scenario(2).lift().j_hat
+    records = graded._derivative_slots(j_hat.terms)
+    target = next(
+        (sp, k, a[0] & -a[0])
+        for s in records
+        for sp in records
+        if graded._composite(s, sp)
+        for a in records[s]
+        for k, b in enumerate(records[sp])
+        if a[0] and not a[0] & b[0]
+    )
+    original = graded._derivative_slots
+
+    def flipped(terms):
+        out = original(terms)
+        sp, k, bit = target
+        rest, below, *more = out[sp][k]
+        out[sp][k] = (rest, below ^ bit, *more)
+        return out
+
+    monkeypatch.setattr(graded, "_derivative_slots", flipped)
+    with pytest.raises(AssertionError, match="second-order composite survived the bracket"):
+        j_hat._like(dict(j_hat.terms)).bracket()
+
+
 def test_check_cancelled_multiplies_out_survivors(chart):
     """Tally entries that do not cancel formally are multiplied out per
     word: distinct factor pairs with equal products and opposite counts
@@ -428,9 +538,9 @@ def test_check_cancelled_multiplies_out_survivors(chart):
     word = ((graded.PAIR, (DX, 0), (DX, 1)),)
     a_terms = {"x1": f.scale(2), "x2": f}
     tally = {(word, "x1", "y1"): 1, (word, "x2", "y2"): -1, (word, "x3", "y3"): 0}
-    graded._check_cancelled(tally.items(), a_terms, {"y1": g, "y2": g.scale(2)})
+    check_cancelled(tally.items(), a_terms, {"y1": g, "y2": g.scale(2)})
     with pytest.raises(AssertionError, match="second-order composite survived the bracket"):
-        graded._check_cancelled(tally.items(), a_terms, {"y1": g, "y2": g.scale(3)})
+        check_cancelled(tally.items(), a_terms, {"y1": g, "y2": g.scale(3)})
 
 
 def test_bracket_insertion_recursion(chart):
