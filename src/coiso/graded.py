@@ -20,16 +20,14 @@ Inside the module a letter is one int,
 
     kind << 24 | index << 2 | parity,
 
-with the kind field XI < XIS < M < DX < DXI < DXIS < PAIR.  Integer order
+with the kind field XI < XIS < M < DX < DXI < DXIS.  Integer order
 is therefore the canonical order (kind first, then index), the low bit is
 the letter's parity, and a kind is read off by comparing with the kind
 constants, which are the codes of the index-0 letters: ghosts are the
 codes below M, symbols those from M on, ghost derivatives those from DXI
 on.  Bit 1 is clear in every letter the module makes, so a caller may set
 it to tag a letter: normalize sorts a tagged letter right after its plain
-one, with the same parity.  A PAIR letter (the second-order composite of
-two derivatives, which no element holds) packs its two letters above the
-kind field.
+one, with the same parity.
 The public form of a letter is a tuple, (XI, A), (M,), (DX, i) and so on:
 GradedElement() and encode() read it, decode() writes it.
 
@@ -38,14 +36,13 @@ of its symbols on its first composition and keeps the index, and a term of
 the argument reads only the slots of the symbols that act on it.  The
 graded bracket is only ever taken as a square, [[a, a]] = 2 (a o a) for odd
 a: the MC equation [[J^, J^]] = 0 and d_BFV^2 = 0 are the BFV checks.  The
-product is made to first order; the second-order words of a square, which
-must cancel, are checked pair by pair without being made.
+product is made to first order: the second-order words of a square (a
+derivative composed with a derivative) cancel, as the bracket of two
+multi-derivations is again one, so they are never made.
 
 Every sign in the module is produced by counting the transpositions of two
-odd letters: while a word is sorted (normalize), or, for the second-order
-words of a square, as the popcount of the bit masks of odd letters
-(ranked in integer order) that one word must move past
-(_composite_parity); no sign is ever taken from a formula table.  The one
+odd letters while a word is sorted (normalize); no sign is ever taken from
+a formula table.  The one
 free global convention (arguments enter a word from the right) is pinned
 by requiring G(u, alpha) = alpha(u) with positive sign; the test suite
 asserts this together with the local tables of d_G, p, i_nabla and the
@@ -63,11 +60,9 @@ from .leafform import LeafForm
 
 _KIND = 24  # first bit of the kind field; the index fills bits 2..23
 _INDEX = (1 << _KIND - 2) - 1
-_WIDTH = _KIND + 3  # bits of a letter that is not a PAIR
 
 # letter kinds, as the codes of their index-0 letters
-XI, XIS, M, DX, DXI, DXIS, PAIR = (kind << _KIND | odd for kind, odd in enumerate((1, 1, 1, 1, 0, 0, 0)))
-_KINDS = (XI, XIS, M, DX, DXI, DXIS)
+_KINDS = XI, XIS, M, DX, DXI, DXIS = tuple(kind << _KIND | odd for kind, odd in enumerate((1, 1, 1, 1, 0, 0)))
 _DEGREES = (1, -1, 1, 1, 0, 2)  # shifted degree by kind field, XI to DXIS
 # a ghost derivative less this is the ghost it removes: DXI(A) -> XI(A), DXIS(A) -> XIS(A)
 _TARGET = DXI - XI
@@ -77,22 +72,14 @@ def _letter(kind, index=0) -> int:
     return kind | index << 2
 
 
-def _pair(a, b) -> int:
-    """The PAIR letter of the composite a o b of two derivatives; of degree
-    |a| + |b| - 1, so odd when a and b have the same parity."""
-    return (a << _WIDTH | b) << _WIDTH | PAIR | (1 ^ (a ^ b) & 1)
-
-
 def encode(word) -> tuple:
-    """Tuple letters (XI, A), (XIS, A), (M,), (DX, i), (DXI, A), (DXIS, A) or
-    (PAIR, a, b) -> their int codes."""
+    """Tuple letters (XI, A), (XIS, A), (M,), (DX, i), (DXI, A) and (DXIS, A)
+    -> their int codes."""
     return tuple(map(_encode, word))
 
 
 def _encode(letter) -> int:
     kind, *rest = letter
-    if kind == PAIR and len(rest) == 2:
-        return _pair(*map(_encode, rest))
     if kind in _KINDS and len(rest) == (kind != M) and all(
         type(i) is int and 0 <= i <= _INDEX for i in rest
     ):
@@ -106,9 +93,6 @@ def decode(word) -> tuple:
 
 
 def _decode(code):
-    if code >= PAIR:
-        mask = (1 << _WIDTH) - 1
-        return (PAIR, _decode(code >> 2 * _WIDTH), _decode(code >> _WIDTH & mask))
     kind = code & (7 << _KIND | 1)
     return (M,) if kind == M else (kind, code >> 2 & _INDEX)
 
@@ -173,7 +157,7 @@ class GradedElement(SparseTerms):
     ghost indices A run over the chart's fiber coordinates: the ghosts are
     fiber coordinates of the normal bundle.  The constructor takes
     tuple-letter words; terms are kept with int words, which a kernel makes
-    into an element through _raw when normalized, through _sum otherwise.
+    into an element through _raw when normalized.
     """
 
     __slots__ = ("_by_symbol",)
@@ -193,11 +177,6 @@ class GradedElement(SparseTerms):
 
     def _like(self, terms):
         return self._raw(self.chart, terms)
-
-    def _sum(self, pairs) -> "GradedElement":
-        """The element of this shape summing (int word, ScalarFn) pairs,
-        each word normalized with its graded sign."""
-        return self._like(accumulate({}, _canonical(pairs)))
 
     # -- constructors --------------------------------------------------------
 
@@ -235,8 +214,8 @@ class GradedElement(SparseTerms):
         A symbol of self acts on the coefficient and ghost letters of an
         other term, or a derivative of self composes with the term's
         identity slot m.  A derivative composed with a derivative of other
-        is a second-order word, which is not made: bracket checks that
-        those of a square cancel.
+        is a second-order word, which is not made: in a square those
+        cancel (see bracket).
 
         An other term reads from self's index only the slots of m, of dx(i)
         where its coefficient depends on coordinate i (one derivative per
@@ -285,32 +264,16 @@ class GradedElement(SparseTerms):
         the one graded bracket the BFV checks take ([[J^, J^]] = 0,
         d_BFV^2 = 0); the zero element is its own square.
 
-        The second-order words of a o a must cancel, and they are checked
-        without being made: the composite of a derivative slot A with a slot
-        B and that of B with A stand for the same product of coefficients on
-        the same letters, so _check_second_order asks each such pair for
-        opposite signs."""
+        The square is the first-order product: the bracket of two
+        multi-derivations is again a multi-derivation, so the second-order
+        words of a o a (a derivative composed with a derivative) cancel for
+        every a, and _compose does not make them."""
         if not self.terms:
             return self
         d = self.is_homogeneous_degree()
         if d is None or d % 2 == 0:
             raise ContentError("the bracket squares an element of odd degree")
-        first = self._compose(self)
-        _check_second_order(self.terms)
-        return first.scale(2)
-
-
-def _compose_symbols(s, sp):
-    """Ordered composite s o sp of two derivative symbols as (PAIR letter,
-    sign), or (None, 1) when it vanishes, with the commutation sign of the
-    underlying derivatives: d/dx is even, d/dtheta and d/dtheta* odd (the
-    mu* twist shifts each letter's degree by one, so a derivative's
-    untwisted parity is the opposite of its letter's)."""
-    if s == sp and not s & 1:
-        return None, 1  # odd derivative squares to zero
-    if s > sp:
-        return _pair(sp, s), -1 if not (s | sp) & 1 else 1
-    return _pair(s, sp), 1
+        return self._compose(self).scale(2)
 
 
 def _slots_by_symbol(terms):
@@ -327,99 +290,6 @@ def _slots_by_symbol(terms):
             index.setdefault(s, []).append((letters, cs, letters[:p], letters[p + 1 :], travel))
             travel ^= s & 1
     return index
-
-
-def _derivative_slots(terms):
-    """symbol s -> the slots of s in the words terms, s a derivative (not
-    m), in the order of the words and of the positions in each, each as
-    (rest, below, n, right, left, odd):
-
-      rest   the mask of the other odd letters of the word, bit j for the
-             j-th of the distinct odd letters of all the words in integer
-             order;
-      below  its prefix-parity mask: bit j set when an odd number of the
-             bits of rest lie below j;
-      n      the parity of the number of bits of rest;
-      right, left  the parities of the numbers of odd letters right and left
-             of the slot;
-      odd    the parity of the term's degree."""
-    rank = {x: 1 << j for j, x in enumerate(sorted({x for w in terms for x in w if x & 1}))}
-    top = 1 << len(rank)
-    slots = {}
-    for w in terms:
-        full = below = 0
-        for x in w:
-            if x & 1:
-                full |= rank[x]
-                below ^= top - (rank[x] << 1)  # the bits above x's
-        n = full.bit_count() & 1
-        left = 0
-        for s in w:
-            if s > M:
-                if s & 1:  # s itself is no other letter
-                    bit = rank[s]
-                    slot = (full ^ bit, below ^ top - (bit << 1), n ^ 1, n ^ left ^ 1, left, n ^ 1)
-                else:
-                    slot = (full, below, n, n ^ left, left, n ^ 1)
-                slots.setdefault(s, []).append(slot)
-            left ^= s & 1
-    return slots
-
-
-def _composite(s, sp):
-    """The composite s o sp of two derivatives as _composite_parity reads
-    it, (c, negative, untwisted): the parity of its PAIR letter from
-    _compose_symbols, whether its sign there is negative, and the untwisted
-    parity of s; None when it vanishes."""
-    comp, csign = _compose_symbols(s, sp)
-    return None if comp is None else (comp & 1, csign < 0, 1 ^ s & 1)
-
-
-def _composite_parity(a, b, composite) -> int:
-    """1 when the composite of slot a (a derivative s of the word w) acting
-    on slot b (sp of v) is negative, 0 when positive; a and b are records
-    of _derivative_slots, composite is _composite(s, sp).
-
-    The composite is the word left + v' + right, v' being v with sp
-    replaced by the PAIR letter, and the parity of the odd transpositions
-    that sort it is
-
-        popcount(rest_a & below_b) + n_b right_a + c (right_b + right_a),
-
-    as the left and right parts of w have no inversions between them and
-    the PAIR letter sorts last.  The sign then takes the commutation sign
-    of s o sp, the untwisted parity of s when it reaches past the odd
-    letters left of sp in v, and the degree of v when the letters right of
-    s are odd, as in _compose."""
-    rest, _, _, right, _, _ = a
-    rest_b, below_b, n_b, right_b, left_b, odd_b = b
-    c, negative, untwisted = composite
-    parity = (rest & below_b).bit_count() ^ n_b & right ^ c & (right_b ^ right)
-    return (parity ^ negative ^ left_b & untwisted ^ odd_b & right) & 1
-
-
-def _check_second_order(terms):
-    """Raise unless the second-order composites of a o a cancel pair by
-    pair, a o a the square of the element of the given terms.
-
-    The composite of slot A on slot B vanishes when the other odd letters
-    of their words meet (rest_A & rest_B) or when _compose_symbols gives no
-    letter.  It and the composite of B on A stand for the same product of
-    coefficients on the same letters, so every pair of derivative slots, a
-    slot with itself included, must give them opposite signs.  Each pair
-    of symbols is read from _compose_symbols once."""
-    groups = list(_derivative_slots(terms).items())
-    for i, (s, slots) in enumerate(groups):
-        for sp, slots_b in groups[i:]:
-            ab, ba = _composite(s, sp), _composite(sp, s)
-            if ab is None and ba is None:
-                continue
-            for j, a in enumerate(slots):
-                for b in slots_b[j:] if s == sp else slots_b:
-                    if a[0] & b[0]:
-                        continue  # an odd letter repeats
-                    if ab is None or ba is None or _composite_parity(a, b, ab) == _composite_parity(b, a, ba):
-                        raise AssertionError("second-order composite survived the bracket")
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm
 from coiso.geom import Form, injection_I
 from coiso.scenario import Scenario
-from coiso.graded import DX, DXI, DXIS, M, PAIR, XI, XIS, GradedElement, decode, encode
+from coiso.graded import DX, DXI, DXIS, M, XI, XIS, GradedElement, decode, encode
 
-from paper import exp_series, graded_bracket, hamiltonian
+from paper import PAIR, encode_pairs, exp_series, graded_bracket, graded_sum, hamiltonian
 
 
 def torus_chart():
@@ -622,7 +622,8 @@ def dense_sn_bracket(P: MultiVectorField, Q: MultiVectorField) -> MultiVectorFie
 
 # The graded oracles below work on tuple letters, (XI, A), (M,), (DX, i),
 # (PAIR, a, b) and so on, with their own order, degrees and sort: they share
-# no code with graded's int letter codes.
+# no code with graded's int letter codes, and reach them only through
+# paper.encode_pairs.
 _ORDER = {XI: 0, XIS: 1, M: 2, DX: 3, DXI: 4, DXIS: 5, PAIR: 6}
 _DEGREE = {XI: 1, XIS: -1, M: 1, DX: 1, DXI: 0, DXIS: 2}
 
@@ -714,7 +715,7 @@ def _dense_sum(like, pairs):
         sign, canon = dense_normalize(letters)
         if sign:
             accumulate(out, [(canon, f if sign == 1 else -f)])
-    return GradedElement(like.chart, out)
+    return graded_sum(like, ((encode_pairs(w), f) for w, f in out.items()))
 
 
 def dense_compose(a, b):
@@ -792,7 +793,7 @@ def integrate_then_normalize_h(c2, lam: GradedElement) -> GradedElement:
                     p_a = f.partial(i).path_integral(c2.powers, nxis)
                     yield letters + encode(((XIS, A),)), p_a.scale(sign)
 
-    return lam._sum(pairs())
+    return graded_sum(lam, pairs())
 
 
 def summed_series_homotopy_projection(pert, y):

@@ -9,9 +9,9 @@ that check it, written on the library's public API:
 * the Hamiltonian gauge direction and the extended brackets of
   simultaneous deformations of structure and submanifold (L-infinity);
 * the graded bracket [[a, b]] of any two elements (the library takes only
-  the square [[a, a]] of an odd one), whose second-order words are tallied
-  by sorting each one (the library's square reads their signs off bit
-  masks), and the graded symmetric product;
+  the square [[a, a]] of an odd one, its first-order product), whose
+  second-order words are written with PAIR letters and tallied by sorting
+  each one, and the graded symmetric product;
 * the first contraction data (p, i_nabla, the weight splitting, H~ and
   H_nabla) of a connection in the ghost bundle, with the inverse
   from_graded of to_graded and the diagonal bidegree filtration, and the
@@ -150,17 +150,61 @@ def homogeneous_pieces(x: GradedElement) -> list:
     return [x._like(t) for t in by_deg.values()]
 
 
+# The second-order composite a o b of two derivatives, which no element of
+# the library holds, is one PAIR letter: its two letters packed above the
+# kind field, so that it sorts after every letter of graded.
+_WIDTH = graded._KIND + 3  # bits of a letter that is not a PAIR
+PAIR = 6 << graded._KIND
+
+
+def pair_letter(a, b) -> int:
+    """The PAIR letter of the composite a o b of two derivatives; of degree
+    |a| + |b| - 1, so odd when a and b have the same parity."""
+    return (a << _WIDTH | b) << _WIDTH | PAIR | (1 ^ (a ^ b) & 1)
+
+
+def encode_pairs(word) -> tuple:
+    """graded.encode, reading (PAIR, a, b) letters as well."""
+    return tuple(
+        pair_letter(*encode(letter[1:])) if letter[0] == PAIR and len(letter) == 3 else encode((letter,))[0]
+        for letter in word
+    )
+
+
+def decode_pairs(word) -> tuple:
+    """graded.decode, writing PAIR letters as well; the inverse of
+    encode_pairs."""
+    mask = (1 << _WIDTH) - 1
+    return tuple(
+        (PAIR, *decode((code >> 2 * _WIDTH, code >> _WIDTH & mask))) if code >= PAIR else decode((code,))[0]
+        for code in word
+    )
+
+
+def compose_symbols(s, sp):
+    """Ordered composite s o sp of two derivative symbols as (PAIR letter,
+    sign), or (None, 1) when it vanishes, with the commutation sign of the
+    underlying derivatives: d/dx is even, d/dtheta and d/dtheta* odd (the
+    mu* twist shifts each letter's degree by one, so a derivative's
+    untwisted parity is the opposite of its letter's)."""
+    if s == sp and not s & 1:
+        return None, 1  # odd derivative squares to zero
+    if s > sp:
+        return pair_letter(sp, s), -1 if not (s | sp) & 1 else 1
+    return pair_letter(s, sp), 1
+
+
 def composite_sign(w, p, v, q):
     """The composite of the derivative w[p] of the word w acting on the
     derivative v[q] of the word v, by sorting it: (sign, word), or (0, ())
     when it vanishes.  v enters the slot p of w from the right with v[q]
-    replaced by the PAIR letter of graded._compose_symbols(w[p], v[q]), and
+    replaced by the PAIR letter of compose_symbols(w[p], v[q]), and
     the word is sorted by normalize; the sign takes the composite's
     commutation sign, the untwisted parity of w[p] when it reaches past the
     odd letters of v left of q, and the degree of v when the letters of w
     right of p are odd."""
     s = w[p]
-    comp, csign = graded._compose_symbols(s, v[q])
+    comp, csign = compose_symbols(s, v[q])
     if comp is None:
         return 0, ()
     sign, word = normalize(w[:p] + v[:q] + (comp,) + v[q + 1 :] + w[p + 1 :])
@@ -181,8 +225,8 @@ def second_order_tally(a: GradedElement, b: GradedElement) -> dict:
     tally[(word, x, y)] is the signed number of times the normalized PAIR
     word arises from a derivative of the a term x composed with a
     derivative of the b term y (composite_sign), so it stands for
-    count * a.terms[x] * b.terms[y].  It is the sort route of the signs the
-    library's square reads off parity masks (graded._check_second_order)."""
+    count * a.terms[x] * b.terms[y].  In a square the counts cancel
+    formally, which the library's first-order square relies on."""
     tally = {}
     for x in a.terms:
         for p in derivative_positions(x):
@@ -233,7 +277,7 @@ def graded_product(a: GradedElement, b: GradedElement) -> GradedElement:
     """The graded symmetric product a b (the exterior product on ghost
     letters): each pair of words joined and normalized with its graded
     sign."""
-    return a._sum((wa + wb, fa * fb) for wa, fa in a.terms.items() for wb, fb in b.terms.items())
+    return graded_sum(a, ((wa + wb, fa * fb) for wa, fa in a.terms.items() for wb, fb in b.terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +340,13 @@ _TAG = 2
 def _canonical_sum(pairs) -> dict:
     """Sum (word, coefficient) pairs over their canonical words, each with
     its graded sign; words with a repeated odd letter and zeros dropped."""
+    return accumulate({}, graded._canonical(pairs))
 
-    def signed():
-        for word, f in pairs:
-            sign, canon = normalize(word)
-            if sign and not f.is_zero():
-                yield canon, f if sign == 1 else -f
 
-    return accumulate({}, signed())
+def graded_sum(like: GradedElement, pairs) -> GradedElement:
+    """The element of like's chart summing (int word, ScalarFn) pairs, each
+    word normalized with its graded sign."""
+    return like._like(_canonical_sum(pairs))
 
 
 class ContractionOne:
