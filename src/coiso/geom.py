@@ -1,20 +1,19 @@
 """Geometric constructors and coisotropy machinery.
 
 Contact and lcs structures are turned into Jacobi multiderivations on the
-trivialized chart; both constructors take their forms as ``Form``s and
-check them.  A contact form theta, given with a Reeb candidate and a
-frame of ker theta, reads its bivector off the exact inverse
-``ring.inverse_unit`` of the curvature matrix of its frame,
-Lambda = sum_{i<j} (omega^-1)_ij E_i ^ E_j; an lcs structure reads it off
-the inverse of its 2-form; either determinant must be a unit of the ring.
-The 1-jet model J^1(T^b) is written in closed form.  Every constructor
-checks [[J, J]] = 0, and the contact ones theta(X_f) = f as well.  Once
-the inputs have passed their checks (a frame of ker theta, a unit
-determinant, a closed theta1), [[J, J]] = 0 and the skewness of the
-inverse curvature matrix are identities, so their failure raises
-AssertionError.  The conormal projection P and vertical injection I tie
-multiderivations to leaf forms; coisotropy of a section is decided by the
-exact substitution criterion.
+trivialized chart.  Both constructors check the ``Form``s they take, read
+them as matrices over the ring (a 1-form or a vector field as a row over
+the chart indices, a 2-form as its skew matrix) and read their bivector off
+the exact inverse ``ring.inverse_unit`` of a matrix whose determinant must
+be a unit of the ring: the curvature matrix of a contact frame E, which is
+-E dtheta E^T by Cartan's formula, or the lcs 2-form.  The 1-jet model
+J^1(T^b) is written in closed form.  Every constructor checks [[J, J]] = 0,
+and the contact ones theta(X_f) = f as well.  Once the inputs have passed
+their checks (a frame of ker theta, a unit determinant, a closed theta1),
+[[J, J]] = 0 and the skewness of the inverse curvature matrix are
+identities, so their failure raises AssertionError.  The conormal
+projection P and vertical injection I tie multiderivations to leaf forms;
+coisotropy of a section is decided by the exact substitution criterion.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .leafform import LeafForm
 
 
 # ---------------------------------------------------------------------------
-# small exterior calculus (used only for the lcs preconditions)
+# forms, read as ring matrices
 # ---------------------------------------------------------------------------
 
 
@@ -38,13 +37,23 @@ class Form(SkewTerms):
     def d(self) -> "Form":
         return self._exterior_d([(i, i) for i in range(self.chart.dim)])
 
-    def pair_vector(self, X: MultiVectorField) -> ScalarFn:
-        """<theta, X> for a 1-form and vector field, summed over the keys
-        both carry."""
-        if X.chart != self.chart:
-            raise ContentError("pairing operands differ in chart")
-        x = X.terms
-        return ScalarFn.zero(self.chart).plus(f * x[k] for k, f in self.terms.items() if k in x)
+
+def _rows(chart: Chart, tables):
+    """Degree-1 tables (1-forms, vector fields) as rows over the chart indices."""
+    zero = ScalarFn.zero(chart)
+    if any(x.chart != chart for x in tables):
+        raise ContentError("form and fields differ in chart")
+    return [[x.terms.get((c,), zero) for c in range(chart.dim)] for x in tables]
+
+
+def _skew(form: Form):
+    """The 2-form as its skew matrix W, so that form(X, Y) = X W Y^T on
+    rows X, Y."""
+    n, zero = form.chart.dim, ScalarFn.zero(form.chart)
+    W = [[zero] * n for _ in range(n)]
+    for (i, j), f in form.terms.items():
+        W[i][j], W[j][i] = f, -f
+    return W
 
 
 # ---------------------------------------------------------------------------
@@ -85,30 +94,30 @@ def contact_to_jacobi(theta: Form, reeb: MultiVectorField, frame) -> MultiDeriva
     with X_lam the unique contact field satisfying theta(X_lam) = lam.
 
     reeb is a candidate R with theta(R) = 1, frame dim - 1 fields E_i spanning
-    ker theta.  The curvature matrix omega_ij = theta([E_i, E_j]), bracketed
-    for i < j only as the Lie bracket is antisymmetric, must have a unit
-    determinant.  Then Lambda = sum_{i<j} (omega^-1)_ij E_i ^ E_j and
-    Q = X_1 = R + sum_i a^i E_i, with sum_i a^i omega_ij = -theta([R, E_j]).
+    ker theta, both checked by one product of their rows X = (R, E) with
+    theta.  On them Cartan's formula gives theta([U, V]) = -dtheta(U, V),
+    so M = X (-dtheta) E^T holds theta([R, E_j]) in row 0 and the curvature
+    matrix omega_ij = theta([E_i, E_j]) below it; its determinant must be a
+    unit.  Lambda = sum_{i<j} (omega^-1)_ij E_i ^ E_j and Q = X_1 = R +
+    sum_i a^i E_i, with sum_i a^i omega_ij = -theta([R, E_j]) = -M[0]_j.
     """
     chart = theta.chart
     r = len(frame)
     if r != chart.dim - 1:
         raise ContentError("frame of ker theta must have dim - 1 members")
-    if theta.pair_vector(reeb) != ScalarFn.one(chart):
+    X = _rows(chart, [reeb, *frame])
+    pairing = [row[0] for row in mat_mul(chart, X, list(zip(*_rows(chart, [theta]))))]
+    if pairing[0] != ScalarFn.one(chart):
         raise ContentError("theta(R) must be exactly 1")
-    if any(not theta.pair_vector(E).is_zero() for E in frame):
+    if any(not p.is_zero() for p in pairing[1:]):
         raise ContentError("frame vectors must lie in ker theta")
 
-    omega = [[ScalarFn.zero(chart)] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            w = theta.pair_vector(frame[i].sn_bracket(frame[j]))
-            omega[i][j], omega[j][i] = w, -w
-    omega_inv = inverse_unit(chart, omega)
+    M = mat_mul(chart, mat_mul(chart, X, _skew(-theta.d())), list(zip(*X[1:])))
+    omega_inv = inverse_unit(chart, M[1:])
     if any(not (omega_inv[i][j] + omega_inv[j][i]).is_zero() for i in range(r) for j in range(i + 1)):
         raise AssertionError("inverse curvature matrix is not skew")
 
-    (a,) = mat_mul(chart, [[-theta.pair_vector(reeb.sn_bracket(E)) for E in frame]], omega_inv)
+    (a,) = mat_mul(chart, [[-m for m in M[0]]], omega_inv)
     X1 = reeb.plus(frame[i].scale_fn(a[i]) for i in range(r))
     lam = MultiVectorField.zero(chart, 2).plus(
         frame[i].scale_fn(omega_inv[i][j]).wedge(frame[j])
@@ -135,10 +144,10 @@ def lcs_to_jacobi(omega: Form, theta1: Form) -> MultiDerivation:
         raise ContentError("d omega + omega ^ theta1 != 0")
 
     n = chart.dim
-    Omega_inv = inverse_unit(chart, [[omega.coefficient((i, j)) for j in range(n)] for i in range(n)])
+    Omega_inv = inverse_unit(chart, _skew(omega))
     # the sharp of a covector beta solves sum_i v^i Omega_ij = beta_j, so it
     # is the row beta Omega^-1; the sharp of dx^mu is row mu of Omega^-1
-    (gamma,) = mat_mul(chart, [[theta1.coefficient((j,)) for j in range(n)]], Omega_inv)
+    (gamma,) = mat_mul(chart, _rows(chart, [theta1]), Omega_inv)
     lam = {(mu, nu): Omega_inv[mu][nu] for mu in range(n) for nu in range(mu + 1, n)}
     gamma = MultiVectorField(chart, 1, {(i,): f for i, f in enumerate(gamma)})
     J = MultiDerivation.from_parts(MultiVectorField(chart, 2, lam), gamma)

@@ -181,10 +181,6 @@ class GradedElement(SparseTerms):
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(chart: Chart) -> "GradedElement":
-        return GradedElement(chart)
-
-    @staticmethod
     def section(chart: Chart, f: ScalarFn) -> "GradedElement":
         return GradedElement(chart, {(): f})
 

@@ -1,4 +1,4 @@
-"""Sparse multivector fields on a chart and the Schouten-Nijenhuis bracket.
+"""Sparse multivector fields on a chart and their Gerstenhaber product.
 
 A MultiVectorField of degree d stores coefficients on strictly increasing
 coordinate-index tuples of length d (indices in chart order, torus first).
@@ -6,8 +6,8 @@ Degree 0 is a plain ScalarFn wrapped with an empty key.  The constructor
 checks outside input; every kernel below (wedge, the exterior derivative,
 the Gerstenhaber product, apply) builds its result through SkewTerms._raw.
 
-The Schouten-Nijenhuis bracket is computed through the Gerstenhaber product
-P o Q, the insertion of Q into the first slot of P, in coordinates:
+The Gerstenhaber product P o Q, the insertion of Q into the first slot of
+P, is in coordinates
 
     (P o Q)^K = sum_{unshuffles K -> (I, R)} sign * sum_i d_i Q^I * P^{(i,) + R}.
 
@@ -15,14 +15,13 @@ It is driven by the terms: for each Q term (I, g) and each coordinate i in
 g's mask (so d_i g != 0), every P term (L, f) with i = L[pos] contributes
 (-1)^pos d_i g * f to the key K = sort(I + R), R = L without i, with the
 sign of that merge (nothing when I and R meet).  A negative product negates
-its operand with fewer terms (a d_i g once for all its slots), and [[P, Q]]
-sums both signed products in one table: no table is copied for a sign.
-Inserting g into the first slot of P is P o g, which is how apply works.
+its operand with fewer terms (a d_i g once for all its slots), so a bracket
+built from signed products (the Schouten-Jacobi bracket of multider) sums
+them in one table: no table is copied for a sign.  Inserting g into the
+first slot of P is P o g, which is how apply works.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 from .ring import Chart, ContentError, ScalarFn, SparseTerms, accumulate
 
@@ -178,7 +177,7 @@ class MultiVectorField(SkewTerms):
         """Insert the function f into the first slot: self o f."""
         return self.gerstenhaber(MultiVectorField._raw(f.chart, 0, {} if f.is_zero() else {(): f}))
 
-    # -- Schouten-Nijenhuis ----------------------------------------------------
+    # -- Gerstenhaber product ---------------------------------------------------
 
     def gerstenhaber(self, other: "MultiVectorField") -> "MultiVectorField":
         """Gerstenhaber product P o Q: insert Q into the first slot of P."""
@@ -215,10 +214,3 @@ class MultiVectorField(SkewTerms):
                         yield key, ndi * f
                     else:
                         yield key, di * -f
-
-    def sn_bracket(self, other: "MultiVectorField") -> "MultiVectorField":
-        """Schouten-Nijenhuis bracket, [[P,Q]] = (-1)^{kk'} P o Q - Q o P
-        with k = deg P - 1, k' = deg Q - 1, accumulated in one table."""
-        k, kp = self.degree - 1, other.degree - 1
-        pairs = chain(self._products(other, -1 if k * kp % 2 else 1), other._products(self, -1))
-        return self._raw(self.chart, max(k + kp + 1, 0), accumulate({}, pairs))

@@ -20,7 +20,7 @@ from coiso.geom import Form, injection_I
 from coiso.scenario import Scenario
 from coiso.graded import DX, DXI, DXIS, M, XI, XIS, GradedElement, decode, encode
 
-from paper import PAIR, encode_pairs, exp_series, graded_bracket, graded_sum, hamiltonian
+from paper import PAIR, encode_pairs, exp_series, graded_bracket, graded_sum, hamiltonian, sn_bracket
 
 
 def torus_chart():
@@ -99,6 +99,14 @@ def jet_contact_data(chart):
     return one_form(chart, theta), dz, frame
 
 
+def pairing(theta: Form, X: MultiVectorField) -> ScalarFn:
+    """<theta, X> of a 1-form and a vector field on one chart, summed over
+    the coordinates both carry."""
+    assert theta.chart == X.chart and theta.degree == X.degree == 1
+    x = X.terms
+    return ScalarFn.zero(theta.chart).plus(f * x[k] for k, f in theta.terms.items() if k in x)
+
+
 def generator_postcondition(theta, J) -> bool:
     """theta(X_f) = f on the ring generators 1, y_a and exp(i ph_j), one
     Hamiltonian field each: the generator-by-generator form of the contact
@@ -107,7 +115,7 @@ def generator_postcondition(theta, J) -> bool:
     gens = [ScalarFn.one(chart)]
     gens += [ScalarFn.y(chart, nm) for nm in chart.fiber]
     gens += [ScalarFn.exp_phi(chart, nm, 1) for nm in chart.torus]
-    return all(theta.pair_vector(hamiltonian(J, f).p_part) == f for f in gens)
+    return all(pairing(theta, hamiltonian(J, f).p_part) == f for f in gens)
 
 
 def nested_derived(j: MultiDerivation, args) -> MultiDerivation:
@@ -203,8 +211,8 @@ def jacobi_pair(j: MultiDerivation):
     if j.degree != 2:
         raise ContentError("jacobi_pair needs arity 2")
     lam, gam = j.p_part, j.q_part
-    lie = gam.sn_bracket(lam)
-    mc = lam.sn_bracket(lam) + gam.wedge(lam).scale(2)
+    lie = sn_bracket(gam, lam)
+    mc = sn_bracket(lam, lam) + gam.wedge(lam).scale(2)
     return lam, gam, {"lie": lie, "mc": mc, "valid": lie.is_zero() and mc.is_zero()}
 
 
@@ -237,8 +245,7 @@ def closed_sj_bracket(a: MultiDerivation, b: MultiDerivation) -> MultiDerivation
     with k = arity - 1, k' = arity' - 1 and [[-,-]] the Schouten-Nijenhuis
     bracket of multivector fields, taken by dense_sn_bracket, a section
     having no Q: the oracle of MultiDerivation.sj_bracket, the twisted
-    Schouten bracket of TM x R, which runs neither the Gerstenhaber product
-    nor sn_bracket."""
+    Schouten bracket of TM x R, which runs no Gerstenhaber product."""
     k, kp = a.degree - 1, b.degree - 1
     n_out = a.degree + b.degree - 1
     if n_out < 0:

@@ -4,6 +4,9 @@ The twelve tasks of ``coiso.cli`` are the library's only production
 callers, so a construction without a task lives here, beside the tests
 that check it, written on the library's public API:
 
+* the Schouten-Nijenhuis bracket of multivector fields, from two signed
+  Gerstenhaber products (the library's contact construction reads its
+  curvature off dtheta instead);
 * the Hamiltonian derivation Delta_lam of a Jacobi bi-derivation and its
   bi-symbol Lambda_J (multi-derivations);
 * the Hamiltonian gauge direction and the extended brackets of
@@ -60,6 +63,18 @@ from coiso.graded import (
 )
 from coiso.bfv import Lift, sbso
 from coiso.transversal import TransversalData
+
+
+# ---------------------------------------------------------------------------
+# the Schouten-Nijenhuis bracket
+# ---------------------------------------------------------------------------
+
+
+def sn_bracket(P: MultiVectorField, Q: MultiVectorField) -> MultiVectorField:
+    """[[P, Q]] = (-1)^{kk'} P o Q - Q o P with k = deg P - 1, k' = deg Q - 1,
+    both products taken by MultiVectorField.gerstenhaber."""
+    k, kp = P.degree - 1, Q.degree - 1
+    return P.gerstenhaber(Q).scale(-1 if k * kp % 2 else 1) - Q.gerstenhaber(P)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +406,7 @@ class ContractionOne:
                     prod = graded_product(prod, self._image(l))
                 yield prod
 
-        return GradedElement.zero(chart).plus(products())
+        return GradedElement(chart).plus(products())
 
     def p(self, op: GradedElement) -> MultiDerivation:
         """Keep ghost-free bidegree-(0,0) words and read them as an ungraded
@@ -438,7 +453,7 @@ class ContractionOne:
                         prod = graded_product(prod, GradedElement(chart, {decode((l,)): one}))
                 yield prod
 
-        return GradedElement.zero(chart).plus(products())
+        return GradedElement(chart).plus(products())
 
     def weight_split(self, op: GradedElement) -> dict:
         """Split into eigencomponents of the weight derivation, which counts
@@ -467,7 +482,7 @@ class ContractionOne:
 
     def H(self, op: GradedElement) -> GradedElement:
         """H_nabla = -(1/k) H_tilde on the weight-k eigenspace, 0 on weight 0."""
-        return GradedElement.zero(self.chart).plus(
+        return GradedElement(self.chart).plus(
             self.H_tilde(comp).scale(Fraction(-1, w))
             for w, comp in self.weight_split(op).items()
             if w
@@ -498,7 +513,7 @@ class CurvedLift:
             raise ContentError("[qbar, qbar] sits below the starting filtration level")
         else:
             # sbso squares (bracket(q, q)); its applicability square is sq
-            zero = GradedElement.zero(chart)
+            zero = GradedElement(chart)
             self.j_hat, self.corrections = sbso(
                 lambda q, _: sq if q is qbar else q.bracket(),
                 self.c1.H,

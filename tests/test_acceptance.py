@@ -276,7 +276,7 @@ def test_criterion_08_bfv_layer(chart, J, lift):
     dop = d_bfv(lift, omega)
     s3, c3 = ScalarFn.sin_phi(chart, "ph_3"), ScalarFn.cos_phi(chart, "ph_3")
     y = [ScalarFn.y(chart, "y_1"), ScalarFn.y(chart, "y_2")]
-    expected = GradedElement.zero(chart)
+    expected = GradedElement(chart)
     for A in range(chart.m):
         expected = expected + GradedElement(chart, {((DXIS, A),): y[A]})
         expected = expected + GradedElement(chart, {((XI, A), (DX, A)): ScalarFn.one(chart)})
@@ -343,7 +343,7 @@ def test_criterion_09_hpl_resolution(chart, J, lift):
         f = random_base_scalar(chart, rng)
         out = pert.small_differential(GradedElement.section(chart, f))
         m1 = table.m1(LeafForm.function(f))
-        expected = GradedElement.zero(chart)
+        expected = GradedElement(chart)
         for (a,), coeff in m1.terms.items():
             expected = expected + ghost(chart, a).scale_fn(coeff)
         assert (out - expected).is_zero()
@@ -441,7 +441,7 @@ def test_criterion_10_property_suites(chart, J, lift):
     for _ in range(10):
         op = rand_op(max_arity=2)
         lhs = c1.H_tilde(graded_bracket(G, op)) + graded_bracket(G, c1.H_tilde(op))
-        weight = GradedElement.zero(chart).plus(
+        weight = GradedElement(chart).plus(
             comp.scale(w) for w, comp in c1.weight_split(op).items()
         )
         assert (lhs - weight).is_zero()

@@ -451,7 +451,7 @@ def test_dbfv_displayed_formula(lift, chart):
     s3 = ScalarFn.sin_phi(chart, "ph_3")
     c3 = ScalarFn.cos_phi(chart, "ph_3")
     y = [ScalarFn.y(chart, "y_1"), ScalarFn.y(chart, "y_2")]
-    expected = GradedElement.zero(chart)
+    expected = GradedElement(chart)
     for A in range(chart.m):
         expected = expected + GradedElement(chart, {((DXIS, A),): y[A]})
         expected = expected + GradedElement(chart, {((XI, A), (DX, A)): ScalarFn.one(chart)})
@@ -512,7 +512,7 @@ def test_hpl_resolution(lift, chart):
         base = GradedElement.section(chart, f)
         out = pert.small_differential(base)
         m1 = table.m1(LeafForm.function(f))
-        expected = GradedElement.zero(chart)
+        expected = GradedElement(chart)
         for (a,), coeff in m1.terms.items():
             expected = expected + ghost(chart, a).scale_fn(coeff)
         assert (out - expected).is_zero()
@@ -521,7 +521,7 @@ def test_hpl_resolution(lift, chart):
         out = pert.small_differential(base)
         w = LeafForm(chart, 1, {(A,): base.terms[encode(((XI, A),))]})
         m1 = table.m1(w)
-        expected = GradedElement.zero(chart)
+        expected = GradedElement(chart)
         for (a, b), coeff in m1.terms.items():
             expected = expected + GradedElement(
                 chart, {((XI, a), (XI, b)): coeff}
@@ -635,7 +635,7 @@ def test_geometric_mc_zero_locus(lift, chart):
     # constant frame transformation A in GL_2(Q) gives the same zero locus
     om = c2.omega_E()
     a11, a12, a21, a22 = 2, 1, 1, 1
-    transformed = GradedElement.zero(chart)
+    transformed = GradedElement(chart)
     es = []
     for A in range(chart.m):
         coeff = ScalarFn.y(chart, chart.fiber[A]) - s.components()[A]

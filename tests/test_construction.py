@@ -85,7 +85,6 @@ def _kernel_results(J, rng):
     for p, q in ((P, Q), (Q, P), (P, P), (fn, P), (P, fn), (fn, fn)):
         yield "wedge", p.wedge(q)
         yield "gerstenhaber", p.gerstenhaber(q)
-        yield "sn_bracket", p.sn_bracket(q)
     for a, b in ((A, B), (B, A), (A, A), (B, B), (J, J), (J, injection_I(s)), (A, J)):
         yield "wedge", a.wedge(b)
         yield "gerstenhaber", a.gerstenhaber(b)
@@ -178,7 +177,6 @@ _KERNELS = {
         MultiVectorField.apply,
         MultiVectorField._insert,
         MultiVectorField.gerstenhaber,
-        MultiVectorField.sn_bracket,
         MultiDerivation._insert,
         MultiDerivation.sj_bracket,
         MultiDerivation._contract_id,
@@ -223,5 +221,5 @@ def test_no_kernel_reaches_the_validating_constructor(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
     assert reached == []
-    # every kernel but Form.d, whose one caller builds an lcs structure
-    assert built == {code.co_name for code in _KERNELS} - {"d"}
+    # every kernel, Form.d too: the contact construction takes dtheta
+    assert built == {code.co_name for code in _KERNELS}

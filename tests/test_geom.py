@@ -5,12 +5,14 @@ import random
 import pytest
 
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ContentError, ScalarFn
+from coiso.ring import Chart, ContentError, ScalarFn, mat_mul
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm
 from coiso.geom import (
     Form,
+    _rows,
+    _skew,
     check_contact_jacobi,
     contact_to_jacobi,
     fiberwise_linear_jacobi,
@@ -21,12 +23,15 @@ from coiso.geom import (
 )
 
 from helpers import (
+    dense_sn_bracket,
     fields_XY,
     generator_postcondition,
     jet_chart,
     jet_contact_data,
     one_form,
+    pairing,
     random_base_scalar,
+    random_mvf,
     random_scalar,
     torus_chart,
     torus_jacobi,
@@ -121,6 +126,48 @@ def test_contact_standard_r3():
     assert hamiltonian(J, ScalarFn.one(chart)).p_part == reeb
 
 
+def test_contact_refuses_fields_on_another_chart(chart):
+    """A Reeb candidate or a frame field on another chart of the same
+    dimension, whose coefficients would line up index by index, is refused
+    before any coefficient is read."""
+    theta, Y, frame = torus_contact_data(chart)
+    other = Chart(torus=chart.torus[:-1] + ("th",), fiber=chart.fiber, leaf=chart.leaf)
+    moved = MultiVectorField.vector(other, {"th": ScalarFn.one(other)})
+    with pytest.raises(ContentError, match="differ in chart"):
+        contact_to_jacobi(theta, moved, frame)
+    with pytest.raises(ContentError, match="differ in chart"):
+        contact_to_jacobi(theta, Y, frame[:-1] + [moved])
+
+
+def _cartan_holds(chart, rng, skew):
+    """For each of 8 seeded X, Y (random_mvf, degree 1) and 1-forms theta
+    with a coefficient on every coordinate: whether theta([X, Y]) =
+    X(theta(Y)) - Y(theta(X)) - dtheta(X, Y), the bracket taken by
+    dense_sn_bracket and dtheta(X, Y) = X W Y^T with W = skew(dtheta)."""
+    out = []
+    for _ in range(8):
+        X, Y = random_mvf(chart, rng, 1), random_mvf(chart, rng, 1)
+        theta = Form(chart, 1, {(c,): random_scalar(chart, rng) for c in range(chart.dim)})
+        x, y = _rows(chart, [X, Y])
+        ((dtheta,),) = mat_mul(chart, mat_mul(chart, [x], skew(theta.d())), [[v] for v in y])
+        lhs = pairing(theta, dense_sn_bracket(X, Y))
+        out.append(lhs == X.apply([pairing(theta, Y)]) - Y.apply([pairing(theta, X)]) - dtheta)
+    return out
+
+
+def test_cartan_formula_through_the_skew_reader(chart):
+    """Cartan's formula for the exterior derivative of a 1-form, the
+    identity contact_to_jacobi reads its curvature off, holds through the
+    skew reader on every sample; with the sign of the reader's lower
+    triangle flipped (W_ji = +W_ij, a symmetric matrix) it fails."""
+
+    def flipped(form):
+        return [[-w if i > j else w for j, w in enumerate(row)] for i, row in enumerate(_skew(form))]
+
+    assert all(_cartan_holds(chart, random.Random(43), _skew))
+    assert not all(_cartan_holds(chart, random.Random(43), flipped))
+
+
 def test_contact_requires_unit_curvature(chart):
     # collapse the frame so the curvature matrix is singular
     theta, Y, frame = torus_contact_data(chart)
@@ -170,20 +217,6 @@ def test_form_keys_are_canonical():
         Form(chart, 2, {(0,): one})
     with pytest.raises(ContentError, match=r"^Form index out of range in \(2,\)$"):
         Form(chart, 1, {(2,): one})
-
-
-def test_pair_vector_reads_shared_keys():
-    """<theta, X> sums over the coordinates both carry; disjoint supports
-    pair to zero, and operands on different charts are refused even then."""
-    chart = Chart(torus=("ph_1", "ph_2", "ph_3"))
-    c1, s2 = ScalarFn.cos_phi(chart, "ph_1"), ScalarFn.sin_phi(chart, "ph_2")
-    theta = Form(chart, 1, {(0,): c1, (1,): s2})
-    X = MultiVectorField.vector(chart, {"ph_2": c1, "ph_3": s2})
-    assert theta.pair_vector(X) == s2 * c1
-    assert theta.pair_vector(MultiVectorField.vector(chart, {"ph_3": c1})).is_zero()
-    other = Chart(torus=("ph_1", "ph_2", "th"))
-    with pytest.raises(ContentError, match="differ in chart"):
-        theta.pair_vector(MultiVectorField.vector(other, {"th": ScalarFn.one(other)}))
 
 
 def test_lcs_nontrivial_flat_connection():

@@ -134,8 +134,8 @@ def test_ghost_multiplication(chart):
 def test_tautological_G_evaluation(chart, G):
     rng = random.Random(1)
     for _ in range(4):
-        u = GradedElement.zero(chart)
-        al = GradedElement.zero(chart)
+        u = GradedElement(chart)
+        al = GradedElement(chart)
         pairing = ScalarFn.zero(chart)
         for A in range(chart.m):
             cu = random_scalar(chart, rng)
@@ -231,7 +231,7 @@ def test_square_needs_odd_degree(chart):
     for x in even + mixed:
         with pytest.raises(ContentError, match="odd degree"):
             x.bracket()
-    zero = GradedElement.zero(chart)
+    zero = GradedElement(chart)
     assert zero.bracket().is_zero()
 
 
@@ -339,7 +339,7 @@ def test_letter_codes_order_letters_by_kind_then_index():
 def _dense_bracket(a, b):
     """[[a, b]] by the materializing products, over homogeneous pieces:
     a o b -+ b o a, where no second-order (PAIR) word may survive."""
-    out = GradedElement.zero(a.chart)
+    out = GradedElement(a.chart)
     for pa in homogeneous_pieces(a):
         for pb in homogeneous_pieces(b):
             da, db = deg_of(pa), deg_of(pb)
@@ -513,7 +513,7 @@ def test_square_matches_the_dense_bracket(pair):
 def test_bfv_squares_match_the_dense_bracket(name):
     """[[J^, J^]] and d_BFV^2 vanish, as the materializing products give."""
     for op in _bfv_operators(name):
-        assert op.bracket() == _dense_bracket(op, op) == GradedElement.zero(op.chart)
+        assert op.bracket() == _dense_bracket(op, op) == GradedElement(op.chart)
 
 
 def test_check_cancelled_multiplies_out_survivors(chart):
@@ -537,7 +537,7 @@ def test_bracket_insertion_recursion(chart):
         lam = rand_section(chart, rng)
         da, db = deg_of(a), deg_of(b)
         W = graded_bracket(a, b)
-        lhs = GradedElement.zero(chart) if is_section(W) else W.insert(lam)
+        lhs = GradedElement(chart) if is_section(W) else W.insert(lam)
         bl = b.insert(lam)
         al = a.insert(lam)
         t1 = a.insert(bl) if is_section(bl) else graded_bracket(a, bl)
@@ -636,7 +636,7 @@ def test_contraction_one_homotopy(chart, G):
             op = rand_operator(chart, rng, max_arity=2)
             # [H~, d_G] = weight
             lhs = c1.H_tilde(graded_bracket(G, op)) + graded_bracket(G, c1.H_tilde(op))
-            weight = GradedElement.zero(chart).plus(
+            weight = GradedElement(chart).plus(
                 comp.scale(w) for w, comp in c1.weight_split(op).items()
             )
             assert (lhs - weight).is_zero()
@@ -662,7 +662,7 @@ def test_weight_eigenspace_decomposition(chart, G):
     for _ in range(5):
         op = rand_operator(chart, rng, max_arity=2)
         pieces = c1.weight_split(op)
-        total = GradedElement.zero(chart)
+        total = GradedElement(chart)
         for w, comp in pieces.items():
             total = total + comp
             # eigenspaces invariant under d_G and H~
@@ -691,7 +691,7 @@ def test_contraction_two(chart, G):
         c2 = ContractionTwo(s)
         ds = hamiltonian_operator(G, c2.omega_E())
         # d[s] is the displayed operator (y_A - g_A) Delta^A
-        expected = GradedElement.zero(chart)
+        expected = GradedElement(chart)
         for A in range(chart.m):
             coeff = ScalarFn.y(chart, chart.fiber[A]) - s.components()[A]
             expected = expected + GradedElement(chart, {((DXIS, A),): coeff})

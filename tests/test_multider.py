@@ -30,7 +30,7 @@ from helpers import (
     torus_chart,
     torus_jacobi,
 )
-from paper import bisymbol, hamiltonian
+from paper import bisymbol, hamiltonian, sn_bracket
 
 
 @pytest.fixture
@@ -341,8 +341,9 @@ def _field(chart, rng, degree, size):
 
 @pytest.mark.parametrize("sizes", [(1, 3), (3, 1), (2, 2)], ids=["first-fewer", "second-fewer", "ties"])
 def test_signed_products_are_the_dense_and_closed_oracles(sizes):
-    """Each sign rides along with one product: gerstenhaber and sn_bracket
-    equal the key-by-key unshuffle expansion of tests/helpers.py, and
+    """Each sign rides along with one product: gerstenhaber, and the
+    Schouten-Nijenhuis bracket of paper.py built from it, equal the
+    key-by-key unshuffle expansion of tests/helpers.py, and
     sj_bracket, of distinct operands and squared, the closed (P, Q)-formula
     over that expansion, at arities 0-3, on operands whose coefficients
     (and keys) are fewer in the first operand, in the second, or as many:
@@ -355,7 +356,7 @@ def test_signed_products_are_the_dense_and_closed_oracles(sizes):
         for q in range(4):
             P, Q = _field(chart, rng, p, first), _field(chart, rng, q, second)
             assert P.gerstenhaber(Q) == dense_gerstenhaber(P, Q)
-            assert P.sn_bracket(Q) == dense_sn_bracket(P, Q)
+            assert sn_bracket(P, Q) == dense_sn_bracket(P, Q)
             a = MultiDerivation.from_parts(P, _field(chart, rng, p - 1, first) if p else None)
             b = MultiDerivation.from_parts(Q, _field(chart, rng, q - 1, second) if q else None)
             assert a.sj_bracket(b) == closed_sj_bracket(a, b)
