@@ -18,7 +18,9 @@ coisotropy of a section is decided by the exact substitution criterion.
 
 from __future__ import annotations
 
-from .ring import Chart, ContentError, PowerTable, ScalarFn, accumulate, inverse_unit, mat_mul
+from itertools import chain
+
+from .ring import Chart, ContentError, PowerTable, ScalarFn, inverse_unit, mat_mul, sum_of_products
 from .multivector import MultiVectorField, SkewTerms
 from .multider import MultiDerivation
 from .leafform import LeafForm
@@ -78,11 +80,11 @@ def check_contact_jacobi(theta: Form, J: MultiDerivation) -> MultiDerivation:
         # J(theta, -) = sum_{mu<nu} J^{mu nu} (theta_mu d_nu - theta_nu d_mu)
         for (mu, nu), f in J.terms.items():
             if mu in th:
-                yield nu, th[mu] * f
+                yield nu, th[mu], f, False
             if nu in th:
-                yield mu, -(th[nu] * f)
+                yield mu, th[nu], f, True
 
-    if accumulate({}, contraction()) != {J.chart.dim: -ScalarFn.one(J.chart)}:
+    if sum_of_products(J.chart, contraction()) != {J.chart.dim: -ScalarFn.one(J.chart)}:
         raise ContentError("postcondition theta(X_f) = f failed")
     if not J.sj_bracket(J).is_zero():
         raise AssertionError("contact construction produced a non-Jacobi bracket")
@@ -118,13 +120,15 @@ def contact_to_jacobi(theta: Form, reeb: MultiVectorField, frame) -> MultiDeriva
         raise AssertionError("inverse curvature matrix is not skew")
 
     (a,) = mat_mul(chart, [[-m for m in M[0]]], omega_inv)
-    X1 = reeb.plus(frame[i].scale_fn(a[i]) for i in range(r))
-    lam = MultiVectorField.zero(chart, 2).plus(
-        frame[i].scale_fn(omega_inv[i][j]).wedge(frame[j])
+    shifts = ((key, e, a[i], False) for i in range(r) for key, e in frame[i].terms.items())
+    X1 = reeb + MultiVectorField._raw(chart, 1, sum_of_products(chart, shifts))
+    wedges = (
+        frame[i].scale_fn(omega_inv[i][j])._wedge_products(frame[j])
         for i in range(r)
         for j in range(i + 1, r)
         if not omega_inv[i][j].is_zero()
     )
+    lam = MultiVectorField._raw(chart, 2, sum_of_products(chart, chain.from_iterable(wedges)))
     return check_contact_jacobi(theta, MultiDerivation.from_parts(lam, X1))
 
 

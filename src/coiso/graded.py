@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .ring import Chart, ContentError, PowerTable, ScalarFn, SparseTerms, accumulate
+from .ring import Chart, ContentError, PowerTable, ScalarFn, SparseTerms, accumulate, sum_of_products
 from .multider import MultiDerivation
 from .leafform import LeafForm
 
@@ -217,7 +217,8 @@ class GradedElement(SparseTerms):
         where its coefficient depends on coordinate i (one derivative per
         term), of the derivative of each ghost it carries and, when it
         holds m, of every derivative.  A word is normalized before its
-        coefficient is multiplied."""
+        signed product (the slot's coefficient, the term's coefficient and
+        the parity of the sign) goes into the one sum_of_products table."""
         index = self._by_symbol
         if index is None:
             index = self._by_symbol = _slots_by_symbol(self.terms)
@@ -247,13 +248,13 @@ class GradedElement(SparseTerms):
                     acting += ((s, 1 if s & 1 else reach, ghost + (s,) + syms[1:], oc) for s in index if s != M)
                 for s, sa, mid, f in acting:
                     # other enters from the right, passing the letters right of the slot
-                    for letters, cs, left, right, travel in index.get(s, ()):
+                    for letters, c, left, right, travel in index.get(s, ()):
                         sign, canon = normalize(left + mid + right)
                         if sign:
                             # negative when exactly one of sign * sa < 0 and odd & travel
-                            yield canon, cs[(sign != sa) ^ odd & travel] * f
+                            yield canon, c, f, (sign != sa) ^ odd & travel
 
-        return self._like(accumulate({}, pairs()))
+        return self._like(sum_of_products(self.chart, pairs()))
 
     def bracket(self) -> "GradedElement":
         """The square [[a, a]] = 2 (a o a) of an element a of odd degree,
@@ -273,17 +274,16 @@ class GradedElement(SparseTerms):
 
 
 def _slots_by_symbol(terms):
-    """symbol -> [(word, (coefficient, its negative), letters left of the
-    slot, letters right of it, parity of the letters right of it)] over the
-    symbol slots of the terms; a signed product picks its factor, so it is
-    one product and no negation."""
+    """symbol -> [(word, coefficient, letters left of the slot, letters
+    right of it, parity of the letters right of it)] over the symbol slots
+    of the terms; a product's sign is the kernel's flag, so no coefficient
+    is negated."""
     index = {}
     for letters, c in terms.items():
-        cs = (c, -c)
         travel = 0
         for p in range(len(letters) - 1, bisect_left(letters, M) - 1, -1):
             s = letters[p]
-            index.setdefault(s, []).append((letters, cs, letters[:p], letters[p + 1 :], travel))
+            index.setdefault(s, []).append((letters, c, letters[:p], letters[p + 1 :], travel))
             travel ^= s & 1
     return index
 

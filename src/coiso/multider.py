@@ -30,21 +30,26 @@ A square needs one Gerstenhaber product.  For arity n = k + 1,
 which is -2 (A o A - k A ^ i_phi A) for even n >= 2, summed in one table
 and scaled once, and zero for odd n and for a section (n = 0).  Any other
 bracket is one table too: both signed Gerstenhaber products and both
-twist wedges, k and k' scaling the wedge factor with fewer terms.
+twist wedges, k and k' scaling the wedge factor with fewer terms.  A
+bracket, like the insertion of d_phi f, is one call of
+ring.sum_of_products, whose sign flag carries the sign of each product and
+of k or k', the (-1)^|I| of i_phi folded into them, so no table is negated
+on the way.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 
-from .ring import ContentError, ScalarFn, accumulate
-from .multivector import MultiVectorField
+from .ring import ContentError, ScalarFn, sum_of_products
+from .multivector import MultiVectorField, function_field
 
 
 def _wedge_pairs(a, b, c):
-    """The terms of c a ^ b, the integer c != 0 scaling the factor with fewer terms."""
-    a, b = (a.scale(c), b) if len(a.terms) <= len(b.terms) else (a, b.scale(c))
-    return a.wedge(b).terms.items()
+    """The signed products of c a ^ b, for an integer c != 0: |c| scales the
+    factor with fewer terms and the sign of c is the kernel's flag."""
+    a, b = (a.scale(abs(c)), b) if len(a.terms) <= len(b.terms) else (a, b.scale(abs(c)))
+    return a._wedge_products(b, c < 0)
 
 
 class MultiDerivation(MultiVectorField):
@@ -90,16 +95,24 @@ class MultiDerivation(MultiVectorField):
         return MultiVectorField._raw(self.chart, max(self.degree - 1, 0), terms)
 
     def _contract_id(self) -> "MultiDerivation":
-        """i_phi from the left: the key I + (id,) gives (-1)^|I| times its
-        coefficient on I; arity >= 1."""
-        dim, flip = self.chart.dim, self.degree % 2 == 0  # |I| = arity - 1 is odd
-        terms = {k[:-1]: -f if flip else f for k, f in self.terms.items() if dim in k}
+        """i_phi from the left up to its sign: the key I + (id,) gives its
+        coefficient on I, and i_phi is (-1)^|I| times that table, |I| =
+        arity - 1, a sign each caller folds into the kernel's flag; arity
+        >= 1."""
+        dim = self.chart.dim
+        terms = {k[:-1]: f for k, f in self.terms.items() if dim in k}  # id sorts last
         return MultiDerivation._raw(self.chart, self.degree - 1, terms)
 
     def _insert(self, f: ScalarFn) -> "MultiDerivation":
-        """Insert d_phi f = df + f phi into the first slot: the Gerstenhaber
-        product with f inserts df, and f phi gives f i_phi."""
-        return super()._insert(f) + self._contract_id().scale_fn(f)
+        """Insert d_phi f = df + f phi into the first slot, one table: the
+        Gerstenhaber product with f inserts df, and f phi gives f i_phi;
+        arity >= 1."""
+        even = self.degree % 2 == 0  # the sign of i_phi
+        items = chain(
+            self._products(function_field(f)),
+            ((k, c, f, even) for k, c in self._contract_id().terms.items()),
+        )
+        return self._raw(self.chart, self.degree - 1, sum_of_products(self.chart, items))
 
     # -- Schouten-Jacobi bracket -------------------------------------------------
 
@@ -118,17 +131,21 @@ class MultiDerivation(MultiVectorField):
         n = self.degree
         if n % 2 or not n:
             return self._raw(self.chart, max(2 * n - 1, 0), {})
-        pairs = chain(self._products(self), _wedge_pairs(self, self._contract_id(), 1 - n))
-        return self._raw(self.chart, 2 * n - 1, accumulate({}, pairs)).scale(-2)
+        # (1 - n) A ^ i_phi A, i_phi negative at even arity
+        items = chain(self._products(self), _wedge_pairs(self, self._contract_id(), n - 1))
+        return self._raw(self.chart, 2 * n - 1, sum_of_products(self.chart, items)).scale(-2)
 
     def _bracket(self, other: "MultiDerivation") -> "MultiDerivation":
         k, kp = self.degree - 1, other.degree - 1
         streams = [self._products(other, -1 if k * kp % 2 else 1), other._products(self, -1)]
+        # k A ^ i_phi B - (-1)^k k' (i_phi A) ^ B, with i_phi A = (-1)^k times
+        # A's id table and i_phi B = (-1)^k' times B's
         if k and other.degree:
-            streams.append(_wedge_pairs(self, other._contract_id(), k))
+            streams.append(_wedge_pairs(self, other._contract_id(), -k if kp % 2 else k))
         if kp and self.degree:
-            streams.append(_wedge_pairs(self._contract_id(), other, kp if k % 2 else -kp))
-        return self._raw(self.chart, max(k + kp + 1, 0), accumulate({}, chain(*streams)))
+            streams.append(_wedge_pairs(self._contract_id(), other, -kp))
+        products = sum_of_products(self.chart, chain(*streams))
+        return self._raw(self.chart, max(k + kp + 1, 0), products)
 
     def is_jacobi(self) -> bool:
         return self.degree == 2 and self.sj_bracket(self).is_zero()

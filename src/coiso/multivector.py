@@ -14,16 +14,18 @@ P, is in coordinates
 It is driven by the terms: for each Q term (I, g) and each coordinate i in
 g's mask (so d_i g != 0), every P term (L, f) with i = L[pos] contributes
 (-1)^pos d_i g * f to the key K = sort(I + R), R = L without i, with the
-sign of that merge (nothing when I and R meet).  A negative product negates
-its operand with fewer terms (a d_i g once for all its slots), so a bracket
-built from signed products (the Schouten-Jacobi bracket of multider) sums
-them in one table: no table is copied for a sign.  Inserting g into the
-first slot of P is P o g, which is how apply works.
+sign of that merge (nothing when I and R meet).  The wedge and the product
+yield their signed products as (key, factor, factor, negative) items of
+ring.sum_of_products, the sign a flag and no operand negated, so a bracket
+built from several signed products and wedges (the Schouten-Jacobi bracket
+of multider) is one call of that kernel: one table, and no product or
+negated copy of a table built on the way.  Inserting g into the first slot
+of P is P o g, which is how apply works.
 """
 
 from __future__ import annotations
 
-from .ring import Chart, ContentError, ScalarFn, SparseTerms, accumulate
+from .ring import Chart, ContentError, ScalarFn, SparseTerms, accumulate, sum_of_products
 
 
 def sort_key_sign(indices):
@@ -114,16 +116,20 @@ class SkewTerms(SparseTerms):
         return f if sign == 1 else -f
 
     def wedge(self, other):
-        def pairs():
-            for k1, f1 in self.terms.items():
-                for k2, f2 in other.terms.items():
-                    sign, key = sort_key_sign(k1 + k2)
-                    if sign:
-                        yield key, (f1 * f2 if sign == 1 else -(f1 * f2))
-
         if type(other) is not type(self):  # its keys would not index this type's range
             raise ContentError(f"{type(self).__name__} wedge with a {type(other).__name__}")
-        return self._raw(self.chart, self.degree + other.degree, accumulate({}, pairs()))
+        products = sum_of_products(self.chart, self._wedge_products(other))
+        return self._raw(self.chart, self.degree + other.degree, products)
+
+    def _wedge_products(self, other, negative=False):
+        """The signed products of self ^ other, negated when negative: items
+        (sort(K1 + K2), f1, f2, negative) over the term pairs whose keys do
+        not meet, negative flipped by the sign of the sort."""
+        for k1, f1 in self.terms.items():
+            for k2, f2 in other.terms.items():
+                sign, key = sort_key_sign(k1 + k2)
+                if sign:
+                    yield key, f1, f2, (sign < 0) != negative
 
     def _exterior_d(self, directions):
         """sum_i d_c f  e_i ^ e_key over (key index i, chart index c)
@@ -141,6 +147,11 @@ class SkewTerms(SparseTerms):
                         yield key, (df if sign == 1 else -df)
 
         return self._raw(self.chart, self.degree + 1, accumulate({}, pairs()))
+
+
+def function_field(f: ScalarFn) -> "MultiVectorField":
+    """The degree-0 field of f, unchecked: the operand that inserts f."""
+    return MultiVectorField._raw(f.chart, 0, {} if f.is_zero() else {(): f})
 
 
 class MultiVectorField(SkewTerms):
@@ -175,23 +186,23 @@ class MultiVectorField(SkewTerms):
 
     def _insert(self, f: ScalarFn) -> "MultiVectorField":
         """Insert the function f into the first slot: self o f."""
-        return self.gerstenhaber(MultiVectorField._raw(f.chart, 0, {} if f.is_zero() else {(): f}))
+        return self.gerstenhaber(function_field(f))
 
     # -- Gerstenhaber product ---------------------------------------------------
 
     def gerstenhaber(self, other: "MultiVectorField") -> "MultiVectorField":
         """Gerstenhaber product P o Q: insert Q into the first slot of P."""
         degree = max(self.degree + other.degree - 1, 0)
-        return self._raw(self.chart, degree, accumulate({}, self._products(other)))
+        return self._raw(self.chart, degree, sum_of_products(self.chart, self._products(other)))
 
     def _products(self, other, sign=1):
-        """The signed pairs of sign * (P o Q): (sort(I + R), sign(I, R)
-        (-1)^pos d_i Q^I P^L) over the Q terms (I, Q^I), the coordinates i
-        with d_i Q^I != 0 and the P terms (L, P^L) with L[pos] = i and R = L
-        without i; sign(I, R) is the sign of merging I and R (zero when they
-        meet), the sign of the unshuffle of the output key into (I, R).  A
-        negative product negates whichever operand has fewer terms, once;
-        a negated d_i Q^I is kept for the slots that reuse it."""
+        """The signed products of sign * (P o Q): items (sort(I + R), d_i Q^I,
+        P^L, negative) over the Q terms (I, Q^I), the coordinates i with
+        d_i Q^I != 0 and the P terms (L, P^L) with L[pos] = i and R = L
+        without i; the product is negative when sign(I, R) (-1)^pos differs
+        from sign, where sign(I, R) is the sign of merging I and R (no item
+        when they meet), the sign of the unshuffle of the output key into
+        (I, R)."""
         slots = {}  # i -> (L without i, P^L, pos odd)
         for key, f in self.terms.items():
             for pos, i in enumerate(key):
@@ -201,16 +212,8 @@ class MultiVectorField(SkewTerms):
             for i, entries in slots.items():
                 if not mask >> i & 1:
                     continue
-                di, ndi = g.partial(i), None
+                di = g.partial(i)
                 for rest, f, odd in entries:
                     s, key = sort_key_sign(qk + rest)
-                    if not s:
-                        continue
-                    if (s != sign) == odd:  # a positive product
-                        yield key, di * f
-                    elif len(di.terms) <= len(f.terms):
-                        if ndi is None:
-                            ndi = -di
-                        yield key, ndi * f
-                    else:
-                        yield key, di * -f
+                    if s:
+                        yield key, di, f, (s != sign) != odd

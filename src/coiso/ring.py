@@ -18,8 +18,13 @@ SparseTerms: a shape (the chart, plus a degree for the skew ones) and a
 dict ``terms`` from canonical keys to nonzero values.  Keys are canonical
 (exponent tuples here, sorted skew index tuples or normalized letter words
 elsewhere) and no value is ever zero, so equality is equality of term
-tables.  The one kernel ``accumulate`` adds (key, value) pairs into a dict
-and deletes a key whose sum is zero.  The public constructors validate
+tables.  Two kernels build every sum: ``accumulate`` adds (key, value)
+pairs into a dict and deletes a key whose sum is zero, and
+``sum_of_products`` sums signed products of ScalarFns per key, adding each
+term product straight into one exponent table per key, so no product or
+partial sum is built on the way (the ring product ``f * g`` is its one-key
+case, and every bracket, wedge and matrix product of the library is one
+call).  The public constructors validate
 outside input (scenario text, the parser, callers of the API); a kernel
 makes its canonical terms into a container through the one unchecked
 maker of the family (``_scalar`` here, ``SkewTerms._raw``,
@@ -57,7 +62,7 @@ a unit of the ring, which ``unit_inverse`` then inverts.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import comb, factorial
 from operator import add, sub
 
@@ -122,7 +127,9 @@ def accumulate(out, pairs):
     """Add (key, value) pairs into the dict out, deleting a key whose sum is
     zero; returns out.  Values are nonzero and have + and is_zero().  out
     becomes a container's term table, which nothing changes afterwards:
-    SparseTerms.__hash__ relies on it."""
+    SparseTerms.__hash__ relies on it.  This is the kernel for sums of
+    values already built; a sum of products of ScalarFns goes through
+    sum_of_products, which never builds the products."""
     get = out.get
     for key, value in pairs:
         prev = get(key)
@@ -135,6 +142,10 @@ def accumulate(out, pairs):
             else:
                 out[key] = value
     return out
+
+
+def _differ(cls) -> ContentError:
+    return ContentError(f"{cls.__name__} operands differ in chart or shape")
 
 
 class SparseTerms:
@@ -153,7 +164,7 @@ class SparseTerms:
 
     def _check(self, other):
         if type(other) is not type(self) or other._shape() != self._shape():
-            raise ContentError(f"{type(self).__name__} operands differ in chart or shape")
+            raise _differ(type(self))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -191,11 +202,8 @@ class SparseTerms:
 
     def scale_fn(self, f):
         """Multiply every value by the ScalarFn f (containers whose values
-        are ScalarFns).  The ring has no zero divisors, so no value becomes
-        zero unless f is."""
-        if f.is_zero():
-            return self._like({})
-        return self._like({k: v * f for k, v in self.terms.items()})
+        are ScalarFns), as one sum_of_products call."""
+        return self._like(sum_of_products(self.chart, ((k, v, f, False) for k, v in self.terms.items())))
 
     def leaf_zero_mode(self):
         """Pi_0 of a container whose values are ScalarFns: keep the terms of
@@ -233,6 +241,46 @@ def _scalar(chart, terms):
     f = object.__new__(ScalarFn)
     f.chart, f.terms, f._mask = chart, terms, None
     return f
+
+
+def sum_of_products(chart: Chart, items) -> dict:
+    """{key: sum of the signed products of the items on that key} over items
+    (key, f, g, negative), f and g ScalarFns on chart, whose product is f g,
+    or -f g when negative is true.
+
+    Each term product c1 c2 of f g goes straight into one exponent table per
+    key, a coefficient that cancels is deleted, a key whose sum is zero is
+    left out, and each sum is built once, unchecked: no product and no
+    partial sum is built on the way.  An operand that is not a ScalarFn on
+    chart is refused with the ContentError of SparseTerms._check."""
+    tables = {}
+    for key, f, g, negative in items:
+        if type(f) is not ScalarFn or type(g) is not ScalarFn or f.chart is not chart or g.chart is not chart:
+            if any(type(x) is not ScalarFn or x.chart != chart for x in (f, g)):
+                raise _differ(ScalarFn)
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = {}
+        get, f_terms, g_terms = table.get, f.terms.items(), g.terms.items()
+        if negative:  # negate the factor with fewer terms
+            if len(f_terms) <= len(g_terms):
+                f_terms = [(e, -c) for e, c in f_terms]
+            else:
+                g_terms = [(e, -c) for e, c in g_terms]
+        for e1, c1 in f_terms:
+            for e2, c2 in g_terms:
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                prev = get(e)
+                if prev is None:
+                    table[e] = c
+                else:
+                    c = prev + c
+                    if c.is_zero():
+                        del table[e]
+                    else:
+                        table[e] = c
+    return {key: _scalar(chart, table) for key, table in tables.items() if table}
 
 
 def _mask_of(terms) -> int:
@@ -398,21 +446,7 @@ class ScalarFn(SparseTerms):
     def __mul__(self, other: "ScalarFn") -> "ScalarFn":
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
-        self._check(other)
-        if not self.terms:
-            return self
-        if not other.terms:
-            return other
-        return self._like(
-            accumulate(
-                {},
-                (
-                    (tuple(map(add, e1, e2)), c1 * c2)
-                    for e1, c1 in self.terms.items()
-                    for e2, c2 in other.terms.items()
-                ),
-            )
-        )
+        return dot(self.chart, (self,), (other,))
 
     # -- calculus ---------------------------------------------------------
 
@@ -541,27 +575,30 @@ def unit_inverse(f: ScalarFn) -> ScalarFn:
 
 
 def dot(chart: Chart, row, col) -> ScalarFn:
-    """sum_k row[k] * col[k]."""
-    return ScalarFn.zero(chart).plus(
-        a * b for a, b in zip(row, col) if not (a.is_zero() or b.is_zero())
-    )
+    """sum_k row[k] * col[k], one sum of products."""
+    sums = sum_of_products(chart, (((), a, b, False) for a, b in zip(row, col)))
+    return sums[()] if sums else _scalar(chart, {})
+
+
+def _matrix(chart: Chart, entries, rows: int, cols: int):
+    """The rows x cols matrix of sum_of_products entries keyed (i, j); an
+    absent entry is one zero shared by the whole matrix."""
+    zero = _scalar(chart, {})
+    return [[entries.get((i, j), zero) for j in range(cols)] for i in range(rows)]
 
 
 def mat_mul(chart: Chart, A, B):
-    """A B, reading the nonzero entries of each column of B and the nonzero
-    pattern of each row of A once; an entry with no nonzero product is one
-    zero shared by the whole result."""
-    zero = ScalarFn.zero(chart)
+    """A B as one sum of products keyed by entry, over the nonzero entries
+    of A and of each column of B."""
     cols = [[(k, b) for k, b in enumerate(col) if not b.is_zero()] for col in zip(*B)]
-    out = []
-    for row in A:
-        live = [not a.is_zero() for a in row]
-        out_row = []
-        for col in cols:
-            products = [row[k] * b for k, b in col if live[k]]
-            out_row.append(zero.plus(products) if products else zero)
-        out.append(out_row)
-    return out
+    items = (
+        ((i, j), row[k], b, False)
+        for i, row in enumerate(A)
+        for j, col in enumerate(cols)
+        for k, b in col
+        if not row[k].is_zero()
+    )
+    return _matrix(chart, sum_of_products(chart, items), len(A), len(cols))
 
 
 def mat_identity(chart: Chart, n: int):
@@ -581,19 +618,21 @@ def inverse_unit(chart: Chart, A):
     n = len(A)
     if not n:
         return []
-    zero = ScalarFn.zero(chart)
     M = mat_identity(chart, n)
     for k in range(1, n):
         AM = mat_mul(chart, A, M) if k > 1 else A  # M_1 = I
-        c = zero.plus(AM[i][i] for i in range(n)).scale(Fraction(-1, k))
-        M = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(AM)]
+        c = AM[0][0].plus(AM[i][i] for i in range(1, n)).scale(Fraction(-1, k))
+        if c.is_zero():
+            M = AM
+        else:
+            M = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(AM)]
     # tr(A M_n) = -n c_0, so det A = (-1)^(n-1) tr(A M_n) / n
-    det = zero.plus(dot(chart, row, col) for row, col in zip(A, zip(*M)))
+    det = dot(chart, chain(*A), chain(*zip(*M)))  # sum_ik A_ik M_ki
     det = det.scale(Fraction(1 if n % 2 else -1, n))
     try:
         det_inv = unit_inverse(det)
     except ContentError:
         raise ContentError(f"matrix determinant is not a unit of the ring: {det!r}") from None
     # A^-1 = adj A / det A = (-1)^(n-1) M_n / det A
-    det_inv = det_inv.scale(1 if n % 2 else -1)
-    return [[x * det_inv for x in row] for row in M]
+    entries = (((i, j), x, det_inv, n % 2 == 0) for i, row in enumerate(M) for j, x in enumerate(row))
+    return _matrix(chart, sum_of_products(chart, entries), n, n)

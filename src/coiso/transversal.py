@@ -28,7 +28,7 @@ from collections import Counter
 from itertools import permutations
 from fractions import Fraction
 
-from .ring import Chart, ContentError, ScalarFn, accumulate, inverse_unit, mat_identity, mat_mul
+from .ring import Chart, ContentError, ScalarFn, accumulate, inverse_unit, mat_identity, mat_mul, sum_of_products
 from .leafform import LeafForm
 
 
@@ -188,23 +188,28 @@ class TransversalData:
         weight = Fraction(1, 2) if degree == 2 else -1
         frame = range(self.n)
 
-        def pairs():
+        def items():
             for letters, mult in Counter(permutations(forms)).items():
                 cut = len(letters) - degree
                 Y = self.Y(letters[:cut])
                 left, right = jets + [rows[i] for i in letters[cut:]]
+                w = weight * mult
                 for al in frame:
                     for be in frame:
-                        if Y[al][be].is_zero():
+                        y = Y[al][be]
+                        if y.is_zero():
                             continue
                         for u, a in left.items():
                             if a[al].is_zero():
                                 continue
+                            ya = None  # y a[al], once for all its v
                             for v, b in right.items():
-                                if u and u == v:
-                                    continue  # d_F x^s ^ d_F x^s = 0
-                                if not b[be].is_zero():
-                                    # the ring has no zero divisors
-                                    yield u + v, (Y[al][be] * a[al] * b[be]).scale(weight * mult)
+                                if u and u == v or b[be].is_zero():
+                                    continue  # d_F x^s ^ d_F x^s = 0, or no product
+                                if ya is None:
+                                    ya = y * a[al]
+                                yield (abs(w), u + v), ya, b[be], w < 0
 
-        return LeafForm(chart, degree, accumulate({}, pairs()))  # sorts u + v = (s, t) with sign
+        # each weight scales its sum once; LeafForm sorts u + v = (s, t) with sign
+        sums = sum_of_products(chart, items())
+        return LeafForm(chart, degree, accumulate({}, ((key, f.scale(w)) for (w, key), f in sums.items())))

@@ -482,6 +482,24 @@ def substitute_fiber_t(f: ScalarFn, assignment: dict) -> TPoly:
     return TPoly(chart, [f._like(t) for t in out])
 
 
+def sum_of_products_oracle(chart, items) -> dict:
+    """ring.sum_of_products by its definition, product by product: each
+    f g of the items (key, f, g, negative) computed term by term (neither
+    through the kernel nor through ScalarFn.__mul__), negated when negative,
+    and the products accumulated per key."""
+    out = {}
+    for key, f, g, negative in items:
+        pairs = (
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in f.terms.items()
+            for e2, c2 in g.terms.items()
+        )
+        product = ScalarFn(chart, accumulate({}, pairs))
+        if not product.is_zero():
+            accumulate(out, [(key, -product if negative else product)])
+    return out
+
+
 def random_scalar(chart, rng: random.Random, max_terms=2, freq=1, fiber_deg=1) -> ScalarFn:
     terms = {}
     for _ in range(rng.randint(1, max_terms)):

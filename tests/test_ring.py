@@ -15,6 +15,7 @@ from coiso.ring import (
     inverse_unit,
     mat_identity,
     mat_mul,
+    sum_of_products,
     unit_inverse,
 )
 from coiso.expr import _tokenize, parse_scalar, scalar_to_json, scalar_to_text
@@ -29,6 +30,7 @@ from helpers import (
     random_scalar,
     random_unimodular,
     substitute_fiber_t,
+    sum_of_products_oracle,
     torus_chart,
 )
 
@@ -503,3 +505,37 @@ def test_constructor_checks(chart, make, message):
         make(chart)
     one = ScalarFn.one(chart)
     assert one.__eq__(1) is NotImplemented and one != 1
+
+
+def test_sum_of_products_is_the_per_product_oracle():
+    """Derandomized keys, signs and operands (zeros included), each list
+    with a key whose products cancel only in part, so some coefficients
+    cancel and others stay, and a key whose whole sum is zero."""
+    chart = Chart(torus=("a", "b"), fiber=("y",))
+    rng = random.Random("sum-of-products")
+    zero = ScalarFn.zero(chart)
+    for _ in range(60):
+        fns = [random_scalar(chart, rng, max_terms=3) for _ in range(4)] + [zero]
+        items = [
+            (rng.choice("pqr"), rng.choice(fns), rng.choice(fns), rng.random() < 0.5)
+            for _ in range(rng.randint(0, 8))
+        ]
+        f, g, k = (random_scalar(chart, rng, max_terms=3) for _ in range(3))
+        items += [("part", f, g, False), ("part", f, g + k, True)]  # -f k
+        items += [("none", f, g, False), ("none", g, f, True)]
+        rng.shuffle(items)
+        sums = sum_of_products(chart, items)
+        assert sums == sum_of_products_oracle(chart, items)
+        assert "none" not in sums and sums["part"] == -(f * k)
+        assert all(not s.is_zero() and s.chart is chart for s in sums.values())
+
+
+def test_sum_of_products_refuses_an_operand_on_another_chart():
+    chart = Chart(torus=("a", "b"), fiber=("y",))
+    twin, other = Chart(torus=("a", "b"), fiber=("y",)), Chart(torus=("a", "c"), fiber=("y",))
+    f = ScalarFn.sin_phi(chart, "a")
+    assert sum_of_products(chart, [(0, f, ScalarFn.cos_phi(twin, "b"), False)]) == {0: f * ScalarFn.cos_phi(chart, "b")}
+    for g in (ScalarFn.sin_phi(other, "c"), ScalarFn.zero(other), GaussianRational(2), f.terms):
+        for pair in ((f, g), (g, f)):
+            with pytest.raises(ContentError, match="ScalarFn operands differ in chart or shape"):
+                sum_of_products(chart, [(0, *pair, False)])
