@@ -2,10 +2,11 @@
 
 Contact and lcs structures are turned into Jacobi multiderivations on the
 trivialized chart.  Both constructors check the ``Form``s they take, read
-them as matrices over the ring (a 1-form or a vector field as a row over
-the chart indices, a 2-form as its skew matrix) and read their bivector off
-the exact inverse ``ring.inverse_unit`` of a matrix whose determinant must
-be a unit of the ring: the curvature matrix of a contact frame E, which is
+them as matrices over the ring, sparse tables {(i, j): ScalarFn} without
+a zero entry (a 1-form or a vector field as a row over the chart indices,
+a 2-form as its skew matrix), and read their bivector off the exact
+inverse ``ring.inverse_unit`` of a matrix whose determinant must be a unit
+of the ring: the curvature matrix of a contact frame E, which is
 -E dtheta E^T by Cartan's formula, or the lcs 2-form.  The 1-jet model
 J^1(T^b) is written in closed form.  Every constructor checks [[J, J]] = 0,
 and the contact ones theta(X_f) = f as well.  Once the inputs have passed
@@ -40,21 +41,20 @@ class Form(SkewTerms):
         return self._exterior_d([(i, i) for i in range(self.chart.dim)])
 
 
-def _rows(chart: Chart, tables):
-    """Degree-1 tables (1-forms, vector fields) as rows over the chart indices."""
-    zero = ScalarFn.zero(chart)
+def _rows(chart: Chart, tables) -> dict:
+    """Degree-1 tables (1-forms, vector fields) as the rows of a ring matrix
+    over the chart indices."""
     if any(x.chart != chart for x in tables):
         raise ContentError("form and fields differ in chart")
-    return [[x.terms.get((c,), zero) for c in range(chart.dim)] for x in tables]
+    return {(r, c): f for r, x in enumerate(tables) for (c,), f in x.terms.items()}
 
 
-def _skew(form: Form):
+def _skew(form: Form) -> dict:
     """The 2-form as its skew matrix W, so that form(X, Y) = X W Y^T on
     rows X, Y."""
-    n, zero = form.chart.dim, ScalarFn.zero(form.chart)
-    W = [[zero] * n for _ in range(n)]
+    W = {}
     for (i, j), f in form.terms.items():
-        W[i][j], W[j][i] = f, -f
+        W[i, j], W[j, i] = f, -f
     return W
 
 
@@ -108,25 +108,23 @@ def contact_to_jacobi(theta: Form, reeb: MultiVectorField, frame) -> MultiDeriva
     if r != chart.dim - 1:
         raise ContentError("frame of ker theta must have dim - 1 members")
     X = _rows(chart, [reeb, *frame])
-    pairing = [row[0] for row in mat_mul(chart, X, list(zip(*_rows(chart, [theta]))))]
-    if pairing[0] != ScalarFn.one(chart):
+    pairing = mat_mul(chart, X, {(c, 0): f for (c,), f in theta.terms.items()})
+    if pairing.get((0, 0)) != ScalarFn.one(chart):
         raise ContentError("theta(R) must be exactly 1")
-    if any(not p.is_zero() for p in pairing[1:]):
+    if len(pairing) > 1:
         raise ContentError("frame vectors must lie in ker theta")
 
-    M = mat_mul(chart, mat_mul(chart, X, _skew(-theta.d())), list(zip(*X[1:])))
-    omega_inv = inverse_unit(chart, M[1:])
-    if any(not (omega_inv[i][j] + omega_inv[j][i]).is_zero() for i in range(r) for j in range(i + 1)):
+    ET = {(c, i - 1): f for (i, c), f in X.items() if i}
+    M = mat_mul(chart, mat_mul(chart, X, _skew(-theta.d())), ET)
+    omega_inv = inverse_unit(chart, {(i - 1, j): f for (i, j), f in M.items() if i}, r)
+    if omega_inv != {(j, i): -f for (i, j), f in omega_inv.items()}:
         raise AssertionError("inverse curvature matrix is not skew")
 
-    (a,) = mat_mul(chart, [[-m for m in M[0]]], omega_inv)
-    shifts = ((key, e, a[i], False) for i in range(r) for key, e in frame[i].terms.items())
+    a = mat_mul(chart, {(0, j): -f for (i, j), f in M.items() if not i}, omega_inv)
+    shifts = ((key, e, f, False) for (_, i), f in a.items() for key, e in frame[i].terms.items())
     X1 = reeb + MultiVectorField._raw(chart, 1, sum_of_products(chart, shifts))
     wedges = (
-        frame[i].scale_fn(omega_inv[i][j])._wedge_products(frame[j])
-        for i in range(r)
-        for j in range(i + 1, r)
-        if not omega_inv[i][j].is_zero()
+        frame[i].scale_fn(f)._wedge_products(frame[j]) for (i, j), f in omega_inv.items() if i < j
     )
     lam = MultiVectorField._raw(chart, 2, sum_of_products(chart, chain.from_iterable(wedges)))
     return check_contact_jacobi(theta, MultiDerivation.from_parts(lam, X1))
@@ -147,13 +145,12 @@ def lcs_to_jacobi(omega: Form, theta1: Form) -> MultiDerivation:
     if not (omega.d() + omega.wedge(theta1)).is_zero():
         raise ContentError("d omega + omega ^ theta1 != 0")
 
-    n = chart.dim
-    Omega_inv = inverse_unit(chart, _skew(omega))
+    Omega_inv = inverse_unit(chart, _skew(omega), chart.dim)
     # the sharp of a covector beta solves sum_i v^i Omega_ij = beta_j, so it
     # is the row beta Omega^-1; the sharp of dx^mu is row mu of Omega^-1
-    (gamma,) = mat_mul(chart, _rows(chart, [theta1]), Omega_inv)
-    lam = {(mu, nu): Omega_inv[mu][nu] for mu in range(n) for nu in range(mu + 1, n)}
-    gamma = MultiVectorField(chart, 1, {(i,): f for i, f in enumerate(gamma)})
+    gamma = mat_mul(chart, _rows(chart, [theta1]), Omega_inv)
+    lam = {key: f for key, f in Omega_inv.items() if key[0] < key[1]}
+    gamma = MultiVectorField(chart, 1, {(i,): f for (_, i), f in gamma.items()})
     J = MultiDerivation.from_parts(MultiVectorField(chart, 2, lam), gamma)
     if not J.sj_bracket(J).is_zero():
         raise AssertionError("lcs construction produced a non-Jacobi bracket")

@@ -107,14 +107,6 @@ class SkewTerms(SparseTerms):
         f = self.terms.get(())
         return ScalarFn.zero(self.chart) if f is None else f
 
-    def coefficient(self, indices) -> ScalarFn:
-        """Coefficient on an arbitrary index tuple (skew in the indices)."""
-        sign, key = sort_key_sign(tuple(indices))
-        f = self.terms.get(key) if sign else None
-        if f is None:
-            return ScalarFn.zero(self.chart)
-        return f if sign == 1 else -f
-
     def wedge(self, other):
         if type(other) is not type(self):  # its keys would not index this type's range
             raise ContentError(f"{type(self).__name__} wedge with a {type(other).__name__}")

@@ -51,18 +51,19 @@ is read, and then kept in a slot.  A term's derivative along a coordinate
 it carries is a nonzero multiple of it, and distinct terms stay distinct,
 so ``partial(i)`` is zero iff bit i is clear; callers test the bit and skip
 the derivative (and every product with it).  A product with a zero operand
-is the zero of the same chart, and ``mat_mul`` shares one zero among its
-empty entries.
+is the zero of the same chart.
 
-Matrices over the ring are lists of rows of ScalarFns.  ``inverse_unit``
-is the one matrix inverse of the library; it needs a determinant that is
-a unit of the ring, which ``unit_inverse`` then inverts.
+Matrices over the ring are sparse tables too: a dict {(i, j): ScalarFn}
+that holds no zero entry, the dict ``sum_of_products`` returns when it is
+keyed by entry.  A matrix does not know its size, so ``inverse_unit``, the
+one matrix inverse of the library, takes it; it needs a determinant that
+is a unit of the ring, which ``unit_inverse`` then inverts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from math import comb, factorial
 from operator import add, sub
 
@@ -446,7 +447,8 @@ class ScalarFn(SparseTerms):
     def __mul__(self, other: "ScalarFn") -> "ScalarFn":
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
-        return dot(self.chart, (self,), (other,))
+        sums = sum_of_products(self.chart, (((), self, other, False),))
+        return sums[()] if sums else self._like({})
 
     # -- calculus ---------------------------------------------------------
 
@@ -570,44 +572,26 @@ def unit_inverse(f: ScalarFn) -> ScalarFn:
 
 
 # ---------------------------------------------------------------------------
-# matrices over the ring: lists of rows of ScalarFns
+# matrices over the ring: sparse tables {(i, j): nonzero ScalarFn}
 # ---------------------------------------------------------------------------
 
 
-def dot(chart: Chart, row, col) -> ScalarFn:
-    """sum_k row[k] * col[k], one sum of products."""
-    sums = sum_of_products(chart, (((), a, b, False) for a, b in zip(row, col)))
-    return sums[()] if sums else _scalar(chart, {})
+def mat_mul(chart: Chart, A: dict, B: dict) -> dict:
+    """A B as one sum of products keyed by entry, B grouped by row."""
+    rows = {}
+    for (k, j), b in B.items():
+        rows.setdefault(k, []).append((j, b))
+    items = (((i, j), a, b, False) for (i, k), a in A.items() for j, b in rows.get(k, ()))
+    return sum_of_products(chart, items)
 
 
-def _matrix(chart: Chart, entries, rows: int, cols: int):
-    """The rows x cols matrix of sum_of_products entries keyed (i, j); an
-    absent entry is one zero shared by the whole matrix."""
-    zero = _scalar(chart, {})
-    return [[entries.get((i, j), zero) for j in range(cols)] for i in range(rows)]
+def mat_identity(chart: Chart, n: int) -> dict:
+    one = ScalarFn.one(chart)
+    return {(i, i): one for i in range(n)}
 
 
-def mat_mul(chart: Chart, A, B):
-    """A B as one sum of products keyed by entry, over the nonzero entries
-    of A and of each column of B."""
-    cols = [[(k, b) for k, b in enumerate(col) if not b.is_zero()] for col in zip(*B)]
-    items = (
-        ((i, j), row[k], b, False)
-        for i, row in enumerate(A)
-        for j, col in enumerate(cols)
-        for k, b in col
-        if not row[k].is_zero()
-    )
-    return _matrix(chart, sum_of_products(chart, items), len(A), len(cols))
-
-
-def mat_identity(chart: Chart, n: int):
-    zero, one = ScalarFn.zero(chart), ScalarFn.one(chart)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def inverse_unit(chart: Chart, A):
-    """Exact inverse of a square matrix whose determinant is a unit of the
+def inverse_unit(chart: Chart, A: dict, n: int) -> dict:
+    """Exact inverse of an n x n matrix whose determinant is a unit of the
     ring; raises ContentError naming the determinant otherwise.
 
     Faddeev-LeVerrier: from M_1 = I, for k = 1..n, c_(n-k) = -tr(A M_k) / k
@@ -615,24 +599,24 @@ def inverse_unit(chart: Chart, A):
     adj A = (-1)^(n-1) M_n.  Only ring products and division by the
     integers 1..n occur, which is exact over Q(i).
     """
-    n = len(A)
     if not n:
-        return []
+        return {}
     M = mat_identity(chart, n)
     for k in range(1, n):
         AM = mat_mul(chart, A, M) if k > 1 else A  # M_1 = I
-        c = AM[0][0].plus(AM[i][i] for i in range(1, n)).scale(Fraction(-1, k))
-        if c.is_zero():
-            M = AM
+        trace = accumulate({}, ((0, f) for (i, j), f in AM.items() if i == j))
+        if trace:
+            c = trace[0].scale(Fraction(-1, k))
+            M = accumulate(dict(AM), (((i, i), c) for i in range(n)))
         else:
-            M = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(AM)]
-    # tr(A M_n) = -n c_0, so det A = (-1)^(n-1) tr(A M_n) / n
-    det = dot(chart, chain(*A), chain(*zip(*M)))  # sum_ik A_ik M_ki
-    det = det.scale(Fraction(1 if n % 2 else -1, n))
+            M = AM
+    # tr(A M_n) = -n c_0, so det A = (-1)^(n-1) tr(A M_n) / n, with
+    # tr(A M_n) = sum_ik A_ik M_ki over the pairs where both are present
+    sums = sum_of_products(chart, ((0, a, M[k, i], False) for (i, k), a in A.items() if (k, i) in M))
+    det = sums[0].scale(Fraction(1 if n % 2 else -1, n)) if sums else ScalarFn.zero(chart)
     try:
         det_inv = unit_inverse(det)
     except ContentError:
         raise ContentError(f"matrix determinant is not a unit of the ring: {det!r}") from None
     # A^-1 = adj A / det A = (-1)^(n-1) M_n / det A
-    entries = (((i, j), x, det_inv, n % 2 == 0) for i, row in enumerate(M) for j, x in enumerate(row))
-    return _matrix(chart, sum_of_products(chart, entries), n, n)
+    return sum_of_products(chart, ((key, x, det_inv, n % 2 == 0) for key, x in M.items()))

@@ -13,8 +13,12 @@ matrices
 
 with W inverted exactly by ``ring.inverse_unit``, a Faddeev-LeVerrier
 adjugate (the determinant must be a unit of the ring; no rational functions
-are ever formed).  ``TransversalData.Y`` keeps W^{-1}, each F^i W^{-1} and
-each Y product by its prefix, for every multibracket on the data.
+are ever formed).  W, F^i, the Y products and the j^1_G component matrices
+are ring matrices, sparse tables {(row, column): ScalarFn} that hold no
+zero entry, and a jet j_G f is the table {frame index: component} of its
+nonzero components, so the multibracket sums over present entries only.
+``TransversalData.Y`` keeps W^{-1}, each F^i W^{-1} and each Y product by
+its prefix, for every multibracket on the data.
 
 ``TransversalData.multibracket`` takes the LeafForm arguments that
 ``linfty.MultibracketTable.m`` takes, so the two engines compare on one
@@ -66,37 +70,22 @@ class TransversalData:
     # -- the W and F matrices -----------------------------------------------
 
     def W(self):
-        chart = self.chart
-        n = self.n
-        A = self.A
-        zero = ScalarFn.zero(chart)
-        one = ScalarFn.one(chart)
-        M = [[zero for _ in range(n)] for _ in range(n)]
-        for b in range(A):
-            M[0][1 + b] = self.C[b]
-        M[0][n - 1] = -one
-        for a in range(A):
-            M[1 + a][0] = -self.C[a]
-            for b in range(A):
-                M[1 + a][1 + b] = self.omega[a][b]
-        M[n - 1][0] = one
+        n, one = self.n, ScalarFn.one(self.chart)
+        M = {(0, n - 1): -one, (n - 1, 0): one}
+        for a, c in enumerate(self.C):
+            if not c.is_zero():
+                M[0, 1 + a], M[1 + a, 0] = c, -c
+        for a, row in enumerate(self.omega):
+            M.update(((1 + a, 1 + b), f) for b, f in enumerate(row) if not f.is_zero())
         return M
 
     def F(self, i):
-        chart = self.chart
-        n = self.n
-        A = self.A
-        zero = ScalarFn.zero(chart)
-        M = [[zero for _ in range(n)] for _ in range(n)]
-        fab = self.Fab.get(i)
-        fa = self.Fa.get(i)
-        for a in range(A):
-            for b in range(A):
-                if fab is not None:
-                    M[1 + a][1 + b] = fab[a][b]
-            if fa is not None:
-                M[1 + a][n - 1] = fa[a]
-                M[n - 1][1 + a] = -fa[a]
+        n, M = self.n, {}
+        for a, row in enumerate(self.Fab.get(i, ())):
+            M.update(((1 + a, 1 + b), f) for b, f in enumerate(row) if not f.is_zero())
+        for a, f in enumerate(self.Fa.get(i, ())):
+            if not f.is_zero():
+                M[1 + a, n - 1], M[n - 1, 1 + a] = f, -f
         return M
 
     def Y(self, letters=()):
@@ -113,7 +102,7 @@ class TransversalData:
             out = self._ys[letters] = mat_mul(chart, self.Y(letters[:-1]), self._factors[i])
         elif out is None:
             w = self.W()
-            out = inverse_unit(chart, w)
+            out = inverse_unit(chart, w, self.n)
             if mat_mul(chart, w, out) != mat_identity(chart, self.n):
                 raise AssertionError("adjugate inversion failed")
             self._ys[()] = out
@@ -121,33 +110,24 @@ class TransversalData:
 
     # -- transversal jet tables ------------------------------------------------
 
-    def G_comp(self, a, i) -> ScalarFn:
-        """G^i_a: the x^i-component of G_a (a < A), or of G (a = A)."""
-        field = self.Ga[a] if a < self.A else self.G
-        return field.coefficient((self.chart.leaf_indices[i],))
-
     def jG0(self, f: ScalarFn):
-        """Components (f, G_a f, G f) of the transversal jet of a base
-        function."""
-        comps = [f]
-        for a in range(self.A):
-            comps.append(self.Ga[a].apply([f]))
-        comps.append(self.G.apply([f]))
-        return comps
+        """The nonzero components of (f, G_a f, G f), the transversal jet of
+        a base function, by frame index."""
+        comps = [f, *(X.apply([f]) for X in self.Ga + [self.G])]
+        return {al: g for al, g in enumerate(comps) if not g.is_zero()}
 
     def jG1(self, i):
-        """Component matrix of j^1_G(d_F x^i (x) mu): entry [h][alpha]; the
-        d / d x^h of a G-component that does not depend on x^h is one
-        shared zero."""
-        chart = self.chart
-        zero = ScalarFn.zero(chart)
-        comps = [self.G_comp(a, i) for a in range(self.A + 1)]
-        rows = []
-        for h, c in enumerate(chart.leaf_indices):
-            row = [ScalarFn.one(chart) if h == i else zero]
-            row += [g.partial(c) if g.mask >> c & 1 else zero for g in comps]
-            rows.append(row)
-        return rows
+        """Component matrix of j^1_G(d_F x^i (x) mu): entry (h, alpha) is 1 at
+        (i, 0) and, for alpha = 1 + a, the d / d x^h of the x^i-component of
+        G_a (a < A) or of G (a = A), present only where that component
+        depends on x^h."""
+        leaf = self.chart.leaf_indices
+        out = {(i, 0): ScalarFn.one(self.chart)}
+        for al, field in enumerate(self.Ga + [self.G], 1):
+            g = field.terms.get((leaf[i],))
+            if g is not None:
+                out.update(((h, al), g.partial(c)) for h, c in enumerate(leaf) if g.mask >> c & 1)
+        return out
 
     # -- multibrackets -----------------------------------------------------------
 
@@ -179,36 +159,33 @@ class TransversalData:
         if len(args) == 1:
             return args[0].d_leaf()
         # sum over the orderings of the form letters, each distinct ordering
-        # once with its multiplicity, of Y(prefix)[al][be] u[al] v[be]: u, v
+        # once with its multiplicity, of Y(prefix)[al, be] u[al] v[be]: u, v
         # are the jets of the functions, then those of the last letters (one
         # j^1_G row per leaf key)
         degree = 2 - len(fns)
         jets = [{(): self.jG0(f)} for f in fns]
-        rows = {i: {(h,): row for h, row in enumerate(self.jG1(i))} for i in set(forms)}
+        rows = {i: {} for i in forms}
+        for i, row in rows.items():
+            for (h, al), f in self.jG1(i).items():
+                row.setdefault((h,), {})[al] = f
         weight = Fraction(1, 2) if degree == 2 else -1
-        frame = range(self.n)
 
         def items():
             for letters, mult in Counter(permutations(forms)).items():
                 cut = len(letters) - degree
-                Y = self.Y(letters[:cut])
                 left, right = jets + [rows[i] for i in letters[cut:]]
                 w = weight * mult
-                for al in frame:
-                    for be in frame:
-                        y = Y[al][be]
-                        if y.is_zero():
+                for (al, be), y in self.Y(letters[:cut]).items():
+                    for u, a in left.items():
+                        if al not in a:
                             continue
-                        for u, a in left.items():
-                            if a[al].is_zero():
-                                continue
-                            ya = None  # y a[al], once for all its v
-                            for v, b in right.items():
-                                if u and u == v or b[be].is_zero():
-                                    continue  # d_F x^s ^ d_F x^s = 0, or no product
-                                if ya is None:
-                                    ya = y * a[al]
-                                yield (abs(w), u + v), ya, b[be], w < 0
+                        ya = None  # y a[al], once for all its v
+                        for v, b in right.items():
+                            if u and u == v or be not in b:
+                                continue  # d_F x^s ^ d_F x^s = 0, or no product
+                            if ya is None:
+                                ya = y * a[al]
+                            yield (abs(w), u + v), ya, b[be], w < 0
 
         # each weight scales its sum once; LeafForm sorts u + v = (s, t) with sign
         sums = sum_of_products(chart, items())

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 
 from coiso.rational import GaussianRational
 from coiso.ring import Chart, ContentError, ScalarFn, accumulate, mat_mul, unit_inverse
-from coiso.multivector import MultiVectorField
+from coiso.multivector import MultiVectorField, sort_key_sign
 from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm
 from coiso.geom import Form, injection_I
@@ -548,21 +548,55 @@ def random_multider(chart, rng: random.Random, arity, **kw) -> MultiDerivation:
 def random_unimodular(chart, rng: random.Random, n):
     """L U with L unit lower triangular and U upper triangular with unit
     monomials c exp(i k.phi) on the diagonal; off-diagonal entries are
-    random (fiber-dependent) ScalarFns or zero."""
-    zero = ScalarFn.zero(chart)
+    random (fiber-dependent) ScalarFns or absent."""
 
     def entry():
-        return random_scalar(chart, rng, max_terms=1) if rng.random() < 0.5 else zero
+        return random_scalar(chart, rng, max_terms=1) if rng.random() < 0.5 else None
 
     def unit():
         k = tuple(rng.randint(-1, 1) for _ in range(chart.k))
         c = GaussianRational(rng.choice([1, -1, 2, Fraction(1, 3)]), rng.randint(-1, 1))
         return ScalarFn(chart, {k + (0,) * chart.m: c})
 
-    one = ScalarFn.one(chart)
-    L = [[entry() if j < i else one if j == i else zero for j in range(n)] for i in range(n)]
-    U = [[entry() if j > i else unit() if j == i else zero for j in range(n)] for i in range(n)]
+    L = {(i, i): ScalarFn.one(chart) for i in range(n)}
+    L.update(((i, j), f) for i in range(n) for j in range(i) if (f := entry()) is not None)
+    U = {}
+    for i in range(n):
+        U[i, i] = unit()
+        U.update(((i, j), f) for j in range(i + 1, n) if (f := entry()) is not None)
     return mat_mul(chart, L, U)
+
+
+def dense(chart, M, rows, cols=None):
+    """The ring matrix M, a dict {(i, j): ScalarFn}, as a rows x cols list
+    of rows (square by default) with a zero at each absent entry: the dense
+    oracles take and give lists of rows and meet the library through this.
+    A key outside the shape fails."""
+    cols = rows if cols is None else cols
+    assert all(0 <= i < rows and 0 <= j < cols for i, j in M), sorted(M)
+    zero = ScalarFn.zero(chart)
+    return [[M.get((i, j), zero) for j in range(cols)] for i in range(rows)]
+
+
+def dense_mul(chart, A, B):
+    """The product of two lists of rows, entry by entry through ScalarFn's
+    + and *."""
+    return [[ScalarFn.zero(chart).plus(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def stores_no_zero(M) -> bool:
+    """Whether every value of the ring matrix M is a nonzero ScalarFn."""
+    return all(type(f) is ScalarFn and not f.is_zero() for f in M.values())
+
+
+def coefficient(container, indices) -> ScalarFn:
+    """The coefficient of a skew container on an arbitrary index tuple
+    (skew in the indices), zero where no term is."""
+    sign, key = sort_key_sign(tuple(indices))
+    f = container.terms.get(key) if sign else None
+    if f is None:
+        return ScalarFn.zero(container.chart)
+    return f if sign == 1 else -f
 
 
 def _sign(perm) -> int:
@@ -628,10 +662,10 @@ def dense_gerstenhaber(P: MultiVectorField, Q: MultiVectorField) -> MultiVectorF
         acc = ScalarFn.zero(chart)
         for chosen in combinations(range(deg), q):
             rest = tuple(s for s in range(deg) if s not in chosen)
-            inner = Q.coefficient(tuple(key[s] for s in chosen))
+            inner = coefficient(Q, tuple(key[s] for s in chosen))
             outer = tuple(key[s] for s in rest)
             for i in range(chart.dim):
-                acc = acc + (inner.partial(i) * P.coefficient((i,) + outer)).scale(
+                acc = acc + (inner.partial(i) * coefficient(P, (i,) + outer)).scale(
                     _sign(chosen + rest)
                 )
         terms[key] = acc

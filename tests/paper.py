@@ -36,7 +36,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 
-from coiso.ring import ContentError, PowerTable, ScalarFn, accumulate, dot, inverse_unit
+from coiso.ring import ContentError, PowerTable, ScalarFn, accumulate, inverse_unit, mat_mul
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm
@@ -630,13 +630,11 @@ def geometric_mc_zero_locus(omega: GradedElement, max_iter=12) -> LeafForm:
     chart = omega.chart
     pr10 = pr(omega, 1, 0)
     e = [pr10.terms.get(encode(((XI, A),)), ScalarFn.zero(chart)) for A in range(chart.m)]
-    # linear part L[A][B] = d e_A / d y_B |_{y=0}
-    L = [
-        [e[A].partial(chart.k + B).zero_mode(range(chart.k, chart.dim)) for B in range(chart.m)]
-        for A in range(chart.m)
-    ]
+    # linear part L[A, B] = d e_A / d y_B |_{y=0}, a ring matrix
+    fiber, m = range(chart.k, chart.dim), chart.m
+    entries = (((A, B), e[A].partial(chart.k + B).zero_mode(fiber)) for A in range(m) for B in range(m))
     try:
-        L_inv = inverse_unit(chart, L)
+        L_inv = inverse_unit(chart, {key: f for key, f in entries if not f.is_zero()}, m)
     except ContentError as exc:
         raise ContentError(f"zero locus is not a section graph: {exc}") from None
     g = [ScalarFn.zero(chart) for _ in range(chart.m)]
@@ -645,13 +643,20 @@ def geometric_mc_zero_locus(omega: GradedElement, max_iter=12) -> LeafForm:
         vals = [eA.substitute_fiber(powers) for eA in e]
         if all(v.is_zero() for v in vals):
             return LeafForm.section(chart, g)
-        g = [gA - dot(chart, row, vals) for gA, row in zip(g, L_inv)]
+        step = mat_mul(chart, L_inv, {(B, 0): v for B, v in enumerate(vals) if not v.is_zero()})
+        g = [gA - step[A, 0] if (A, 0) in step else gA for A, gA in enumerate(g)]
     raise ContentError("zero locus iteration failed: locus is not a polynomial section graph")
 
 
 # ---------------------------------------------------------------------------
 # transversal differential operators
 # ---------------------------------------------------------------------------
+
+
+def G_comp(td: TransversalData, a, i) -> ScalarFn:
+    """G^i_a: the x^i-component of G_a (a < A), or of G (a = A)."""
+    field = td.Ga[a] if a < td.A else td.G
+    return field.terms.get((td.chart.leaf_indices[i],), ScalarFn.zero(td.chart))
 
 
 def d_G(td: TransversalData, omega: LeafForm):
@@ -662,12 +667,13 @@ def d_G(td: TransversalData, omega: LeafForm):
     for key, c in omega.terms.items():
         jc = td.jG0(c)
         for al in pieces:
-            pieces[al].append(LeafForm(chart, omega.degree, {key: jc[al + 1]}))
+            if al + 1 in jc:
+                pieces[al].append(LeafForm(chart, omega.degree, {key: jc[al + 1]}))
         # eps(e_K) = sum_j (-1)^{j-1} d_F(G^{i_j}_alpha) ^ e_{K minus j}
         for pos, i in enumerate(key):
             rest = LeafForm(chart, len(key) - 1, {key[:pos] + key[pos + 1 :]: c})
             for al in pieces:
-                dG = LeafForm.function(td.G_comp(al, i)).d_leaf()
+                dG = LeafForm.function(G_comp(td, al, i)).d_leaf()
                 if not dG.is_zero():
                     pieces[al].append(dG.wedge(rest).scale((-1) ** (pos % 2)))
     zero = LeafForm.zero(chart, omega.degree)

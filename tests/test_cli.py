@@ -350,24 +350,28 @@ def _projection_off_by_a_ghost(m):
 
 
 def _inverse_edited(module, edit):
-    """Replace module.inverse_unit by edit(chart, the true inverse)."""
+    """Replace module.inverse_unit by edit(chart, the true inverse, its size)."""
 
     def stub(m):
         real = module.inverse_unit
-        m.setattr(module, "inverse_unit", lambda chart, A: edit(chart, real(chart, A)))
+        m.setattr(module, "inverse_unit", lambda chart, A, n: edit(chart, real(chart, A, n), n))
 
     return stub
 
 
-def _nonzero_diagonal(chart, inv):
-    inv[0][0] = ScalarFn.one(chart)
-    return inv
+def _nonzero_diagonal(chart, inv, n):
+    return {**inv, (0, 0): ScalarFn.one(chart)}
 
 
-def _scaled_by_a_unit(chart, inv):
+def _scaled_by_a_unit(chart, inv, n):
     """The inverse times exp(i ph_1): J scaled by a non-constant function."""
     u = ScalarFn.exp_phi(chart, chart.torus[0])
-    return [[x * u for x in row] for row in inv]
+    return {key: x * u for key, x in inv.items()}
+
+
+def _all_ones(chart, inv, n):
+    one = ScalarFn.one(chart)
+    return {(i, j): one for i in range(n) for j in range(n)}
 
 
 # s_a = d h / d ph_a for h = E(ph_1 + ph_2 + ph_4) - E(ph_1) on torus-obstructed:
@@ -408,7 +412,7 @@ def test_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
          "mc", "MC series failed to terminate"),
         (lambda m: m.setattr(LeafForm, "homotopy_K", lambda w: LeafForm.zero(w.chart, w.degree - 1)),
          str(tmp_path / "prolonging.json"), "prolong", "homotopy identity violated"),
-        (_inverse_edited(transversal, lambda chart, inv: [[ScalarFn.one(chart)] * len(inv)] * len(inv)),
+        (_inverse_edited(transversal, _all_ones),
          "torus-obstructed", "transversal-crosscheck", "adjugate inversion failed"),
         (_inverse_edited(geom, _nonzero_diagonal), "torus-obstructed", "check-jacobi",
          "inverse curvature matrix is not skew"),

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ContentError, ScalarFn, mat_mul
+from coiso.ring import Chart, ContentError, ScalarFn
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm
@@ -23,6 +23,9 @@ from coiso.geom import (
 )
 
 from helpers import (
+    coefficient,
+    dense,
+    dense_mul,
     dense_sn_bracket,
     fields_XY,
     generator_postcondition,
@@ -148,8 +151,9 @@ def _cartan_holds(chart, rng, skew):
     for _ in range(8):
         X, Y = random_mvf(chart, rng, 1), random_mvf(chart, rng, 1)
         theta = Form(chart, 1, {(c,): random_scalar(chart, rng) for c in range(chart.dim)})
-        x, y = _rows(chart, [X, Y])
-        ((dtheta,),) = mat_mul(chart, mat_mul(chart, [x], skew(theta.d())), [[v] for v in y])
+        x, y = dense(chart, _rows(chart, [X, Y]), 2, chart.dim)
+        W = dense(chart, skew(theta.d()), chart.dim)
+        ((dtheta,),) = dense_mul(chart, dense_mul(chart, [x], W), [[v] for v in y])
         lhs = pairing(theta, dense_sn_bracket(X, Y))
         out.append(lhs == X.apply([pairing(theta, Y)]) - Y.apply([pairing(theta, X)]) - dtheta)
     return out
@@ -162,7 +166,7 @@ def test_cartan_formula_through_the_skew_reader(chart):
     triangle flipped (W_ji = +W_ij, a symmetric matrix) it fails."""
 
     def flipped(form):
-        return [[-w if i > j else w for j, w in enumerate(row)] for i, row in enumerate(_skew(form))]
+        return {(i, j): -w if i > j else w for (i, j), w in _skew(form).items()}
 
     assert all(_cartan_holds(chart, random.Random(43), _skew))
     assert not all(_cartan_holds(chart, random.Random(43), flipped))
@@ -210,8 +214,8 @@ def test_form_keys_are_canonical():
     w = Form(chart, 2, {(1, 0): one})
     assert not w.is_zero()
     assert w == Form(chart, 2, {(0, 1): -one})
-    assert w.coefficient((0, 1)) == -one
-    assert w.coefficient((1, 0)) == one
+    assert coefficient(w, (0, 1)) == -one
+    assert coefficient(w, (1, 0)) == one
     assert Form(chart, 2, {(0, 0): one}).is_zero()
     with pytest.raises(ContentError, match="^key length does not match degree$"):
         Form(chart, 2, {(0,): one})

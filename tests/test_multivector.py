@@ -13,6 +13,7 @@ from coiso.leafform import LeafForm
 from coiso.geom import Form
 
 from helpers import (
+    coefficient,
     dense_gerstenhaber,
     dense_sn_bracket,
     leibniz_apply,
@@ -33,12 +34,12 @@ def commutator(X, Y):
     chart = X.chart
     comps = {}
     for i in range(chart.dim):
-        xi = X.coefficient((i,))
-        yi = Y.coefficient((i,))
+        xi = coefficient(X, (i,))
+        yi = coefficient(Y, (i,))
         acc = ScalarFn.zero(chart)
         for j in range(chart.dim):
-            xj = X.coefficient((j,))
-            yj = Y.coefficient((j,))
+            xj = coefficient(X, (j,))
+            yj = coefficient(Y, (j,))
             acc = acc + xj * yi.partial(j) - yj * xi.partial(j)
         if not acc.is_zero():
             comps[(i,)] = acc

@@ -25,10 +25,12 @@ from helpers import (
     TPoly,
     cofactor_inverse,
     conjugate,
+    dense,
     scalar_from_json,
     random_real_scalar,
     random_scalar,
     random_unimodular,
+    stores_no_zero,
     substitute_fiber_t,
     sum_of_products_oracle,
     torus_chart,
@@ -384,10 +386,10 @@ def test_inverse_unit_matches_cofactor_adjugate(n):
     rng = random.Random(100 + n)
     for _ in range(3):
         A = random_unimodular(chart, rng, n)
-        inv = inverse_unit(chart, A)
+        inv = inverse_unit(chart, A, n)
         assert mat_mul(chart, A, inv) == mat_identity(chart, n)
         assert mat_mul(chart, inv, A) == mat_identity(chart, n)
-        assert len(inv) == n and inv == cofactor_inverse(chart, A)
+        assert dense(chart, inv, n) == cofactor_inverse(chart, dense(chart, A, n))
 
 
 def test_inverse_unit_needs_a_unit_determinant():
@@ -395,9 +397,25 @@ def test_inverse_unit_needs_a_unit_determinant():
     y = ScalarFn.y(chart, "y_1")
     one = ScalarFn.one(chart)
     # det = 1 - y^2 is not a monomial; det = 0 is not a unit either
-    for A in ([[one, y], [y, one]], [[y, y], [y, y]]):
+    for A in ({(0, 0): one, (0, 1): y, (1, 0): y, (1, 1): one}, {(i, j): y for i in range(2) for j in range(2)}):
         with pytest.raises(ContentError, match="^matrix determinant is not a unit of the ring: "):
-            inverse_unit(chart, A)
+            inverse_unit(chart, A, 2)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_ring_matrices_store_no_zero(n):
+    """mat_mul and inverse_unit return sparse tables without a zero value:
+    on random unimodular matrices, whose factors leave entries out, the
+    product L U, the inverse and both products with the inverse.  The
+    inverse of the empty 0 x 0 matrix is the empty table."""
+    chart = MATRIX_CHART
+    rng = random.Random(200 + n)
+    assert inverse_unit(chart, {}, 0) == {}
+    for _ in range(3):
+        A = random_unimodular(chart, rng, n)
+        inv = inverse_unit(chart, A, n)
+        for M in (A, inv, mat_mul(chart, A, inv), mat_mul(chart, inv, A), mat_identity(chart, n)):
+            assert stores_no_zero(M)
 
 
 # -- structural zeros: the coordinate mask ------------------------------------

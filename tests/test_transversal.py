@@ -14,11 +14,11 @@ from coiso.ring import ContentError, ScalarFn, mat_identity, mat_mul
 from coiso.multivector import MultiVectorField
 from coiso.leafform import LeafForm
 from coiso.linfty import MultibracketTable
-from coiso.scenario import Scenario
+from coiso.scenario import Scenario, load_scenario
 from coiso import transversal
 from coiso.transversal import TransversalData
 
-from helpers import fields_XY, random_base_scalar, torus_chart, torus_jacobi
+from helpers import dense, dense_mul, fields_XY, random_base_scalar, stores_no_zero, torus_chart, torus_jacobi
 from paper import d_G, j1_G
 
 
@@ -76,8 +76,7 @@ def test_w_inverse_exact(td, chart):
 
 def test_y_matrices_vanish_without_curvature(td):
     for idx in [(0,), (1,), (0, 1), (1, 1)]:
-        Y = td.Y(idx)
-        assert all(f.is_zero() for row in Y for f in row)
+        assert td.Y(idx) == {}
 
 
 def test_y_matrix_neumann_oracle(chart):
@@ -90,7 +89,11 @@ def test_y_matrix_neumann_oracle(chart):
     f = random_base_scalar(chart, rng)
     td = with_curvature(td, {0: [[zero, f], [-f, zero]]}, {1: [random_base_scalar(chart, rng), zero]})
 
-    # formal polynomial in p_0, p_1 with matrix coefficients, truncated
+    # formal polynomial in p_0, p_1 with matrix coefficients (lists of rows),
+    # truncated
+    def add(A, B):
+        return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
     def trunc_mul(A, B, order):
         out = {}
         for ka, Ma in A.items():
@@ -98,38 +101,25 @@ def test_y_matrix_neumann_oracle(chart):
                 k = tuple(x + y for x, y in zip(ka, kb))
                 if sum(k) > order:
                     continue
-                prod = mat_mul(chart, Ma, Mb)
-                if k in out:
-                    out[k] = [
-                        [a + b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(out[k], prod)
-                    ]
-                else:
-                    out[k] = prod
+                prod = dense_mul(chart, Ma, Mb)
+                out[k] = add(out[k], prod) if k in out else prod
         return out
 
-    order = 2
-    Wp = {(0, 0): td.W(), (1, 0): td.F(0), (0, 1): td.F(1)}
+    order, n = 2, td.n
+    Wp = {(0, 0): dense(chart, td.W(), n), (1, 0): dense(chart, td.F(0), n), (0, 1): dense(chart, td.F(1), n)}
     # Neumann series built from the Y-matrices:
     # W_p^{-1} = sum_k (-1)^k sum_{i_1..i_k} p_{i_1}..p_{i_k} Y^{i_1..i_k}
-    series = {(0, 0): td.Y()}
+    series = {(0, 0): dense(chart, td.Y(), n)}
     for k in (1, 2):
         for seq in [(0,) * k, (1,) * k] + ([(0, 1), (1, 0)] if k == 2 else []):
             key = (seq.count(0), seq.count(1))
-            M = td.Y(seq)
-            M = [[f.scale((-1) ** k) for f in row] for row in M]
-            if key in series:
-                series[key] = [
-                    [a + b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(series[key], M)
-                ]
-            else:
-                series[key] = M
+            M = [[f.scale((-1) ** k) for f in row] for row in dense(chart, td.Y(seq), n)]
+            series[key] = add(series[key], M) if key in series else M
     prod = trunc_mul(Wp, series, order)
+    identity = [[ScalarFn.const(chart, int(i == j)) for j in range(n)] for i in range(n)]
     for key, M in prod.items():
-        expected = mat_identity(chart, td.n) if key == (0, 0) else None
-        if expected is not None:
-            assert M == expected
+        if key == (0, 0):
+            assert M == identity
         else:
             assert all(f.is_zero() for row in M for f in row)
 
@@ -261,9 +251,8 @@ def test_j1G_prolong(td, chart):
     f = random_base_scalar(chart, rng)
     out = j1_G(td, LeafForm.function(f))
     comps = td.jG0(f)
-    assert out[0].as_function() == comps[0]
-    for al in range(1, 4):
-        assert out[al].as_function() == comps[al]
+    for al in range(4):
+        assert out[al].as_function() == comps.get(al, ScalarFn.zero(chart))
     # [delta, d_F] = 0 on random functions
     left = j1_G(td, LeafForm.function(f).d_leaf())
     right = {al: form.d_leaf() for al, form in j1_G(td, LeafForm.function(f)).items()}
@@ -291,15 +280,23 @@ def permutation_multibracket(td, args):
     fns = [a.as_function() for a in args if a.degree == 0]
     forms = [i for a in args if a.degree == 1 for (i,) in a.terms]
     frame, leaf = range(td.n), range(len(chart.leaf))
+    zero = ScalarFn.zero(chart)
 
     def y(letters):
-        out = td.Y()
+        out = dense(chart, td.Y(), td.n)
         for i in letters:
-            out = mat_mul(chart, mat_mul(chart, out, td.F(i)), td.Y())
+            out = dense_mul(chart, dense_mul(chart, out, dense(chart, td.F(i), td.n)), dense(chart, td.Y(), td.n))
         return out
 
+    def jet(f):
+        comps = td.jG0(f)
+        return [comps.get(al, zero) for al in frame]
+
+    def jet1(i):
+        return dense(chart, td.jG1(i), len(leaf), td.n)
+
     if len(fns) == 2:
-        jf, jg = td.jG0(fns[0]), td.jG0(fns[1])
+        jf, jg = jet(fns[0]), jet(fns[1])
         out = ScalarFn.zero(chart)
         for sigma in permutations(forms):
             Y = y(sigma)
@@ -310,14 +307,14 @@ def permutation_multibracket(td, args):
     out = LeafForm.zero(chart, 2 - len(fns))
     for sigma in permutations(forms):
         if fns:
-            Y, jf, jlast = y(sigma[:-1]), td.jG0(fns[0]), td.jG1(sigma[-1])
+            Y, jf, jlast = y(sigma[:-1]), jet(fns[0]), jet1(sigma[-1])
             for al in frame:
                 for be in frame:
                     for h in leaf:
                         c = Y[al][be] * jf[al] * jlast[h][be]
                         out = out - LeafForm(chart, 1, {(h,): c})
         else:
-            Y, j1, j2 = y(sigma[:-2]), td.jG1(sigma[-2]), td.jG1(sigma[-1])
+            Y, j1, j2 = y(sigma[:-2]), jet1(sigma[-2]), jet1(sigma[-1])
             for al in frame:
                 for be in frame:
                     for s in leaf:
@@ -373,3 +370,21 @@ def test_y_table_is_kept_on_the_data(monkeypatch):
     calls.clear()
     assert [td.multibracket(args) for args in jobs] == first
     assert calls == []
+
+
+def test_transversal_matrices_store_no_zero():
+    """W, each F^i, each j^1_G matrix and every Y that a run of
+    multibrackets keeps are sparse tables without a zero value: on
+    torus-obstructed, whose W, F^i and frame leave most entries zero, and
+    on curved random data, whose Y are nonzero."""
+    for td in (load_scenario("torus-obstructed").transversal(), curved_td(torus_chart(), random.Random(6))):
+        chart = td.chart
+        delta = frame_forms(chart)
+        f = LeafForm.function(ScalarFn.sin_phi(chart, "ph_3"))
+        for k in (2, 3, 4):
+            td.multibracket([delta[i % chart.m] for i in range(k)])
+            td.multibracket([f] + [delta[i % chart.m] for i in range(k - 1)])
+        leaf = range(len(chart.leaf))
+        matrices = [td.W(), *(td.F(i) for i in leaf), *(td.jG1(i) for i in leaf), *td._ys.values()]
+        assert len(td._ys) > 1
+        assert all(stores_no_zero(M) for M in matrices)
