@@ -16,14 +16,16 @@ builds an artifact, 3 internal invariant violation.
 Each task is one function in ``TASKS``.  Tasks draw on artifacts of the
 scenario, each built on first use and checked once as it is built:
 
-    J ([[J, J]] = 0) --> multibracket table       mc, kuranishi, prolong, ...
+    J ([[J, J]] = 0) --> MC(-s), the section's graph residue   coisotropic, mc
+      |
+      +--> multibracket table       multibrackets, kuranishi, prolong, ...
       |
       +--> Lift: J^ = G + i_nabla(J) for the trivial connection
            ([[J^, J^]] = 0) --> Omega_0 = BRST charge of the zero section
            (SBSO applicability) --> d_BFV (d_BFV^2 = 0) --> HPL data
 
 J keeps [[J, J]] once computed, so the structure's constructor,
-check-jacobi, coisotropic, the table and the lift share one square.
+check-jacobi, the residue, the table and the lift share one square.
 
 Artifacts live on the ``Scenario`` object, so they last one ``main`` call
 and are never shared between calls.  A task's report does not depend on
@@ -46,8 +48,7 @@ from .rational import GaussianRational
 from .ring import ContentError, ScalarFn
 from .expr import scalar_to_json
 from .leafform import LeafForm
-from .geom import is_coisotropic_section
-from .linfty import mc_series, prolong_formal
+from .linfty import prolong_formal
 from .graded import GradedElement, bidegree, encode, ghost_section, normalize, XI, XIS
 from .bfv import (
     ObstructionFailure,
@@ -113,14 +114,13 @@ def _check_jacobi(scenario, arg):
 
 
 def _coisotropic(scenario, arg):
-    s = _section_or_zero(scenario)
-    ok, residues = is_coisotropic_section(scenario.jacobi(), s)
+    residue = scenario.residue()
     return {
-        "section": section_to_json(s),
-        "coisotropic": ok,
+        "section": section_to_json(scenario.section_or_zero()),
+        "coisotropic": residue.is_zero(),
         "residues": [
             {"pair": list(k), "value": scalar_to_json(v)}
-            for k, v in sorted(residues.items())
+            for k, v in sorted(residue.terms.items())
         ],
     }
 
@@ -147,9 +147,11 @@ def _multibrackets(scenario, arg):
 
 
 def _mc(scenario, arg):
-    table = scenario.table()
+    """MC(-s) of the section: its coisotropy residue, term for term."""
+    mc = scenario.residue()
     s = scenario.section()
-    mc = mc_series(table, s)
+    if not scenario.chart.m:  # as P refuses it: an empty residue is no MC verdict
+        raise ContentError("projection needs at least one fiber direction")
     return {"section": section_to_json(s), "mc": leafform_to_json(mc), "mc_zero": mc.is_zero()}
 
 
@@ -261,7 +263,7 @@ def _bfv_lift(scenario, arg):
 
 
 def _brst_charge(scenario, arg):
-    omega, corrections = brst_charge(scenario.lift(), _section_or_zero(scenario))
+    omega, corrections = brst_charge(scenario.lift(), scenario.section_or_zero())
     return {
         "exists": True,
         "converged_at": len(corrections),
@@ -322,12 +324,6 @@ TASKS = {
     "bfv-kuranishi": _bfv_kuranishi,
     "hpl-resolve": _hpl_resolve,
 }
-
-
-def _section_or_zero(scenario: Scenario) -> LeafForm:
-    if "section" in scenario.data:
-        return scenario.section()
-    return LeafForm.zero(scenario.chart, 1)
 
 
 def _random_graded_section(chart, rng):

@@ -210,9 +210,8 @@ def injection_I(xi: LeafForm) -> MultiDerivation:
 def is_coisotropic_section(j: MultiDerivation, s: LeafForm):
     """Substitution criterion for the normal section s = sum_A g_A delta_A:
     all brackets {(y_A - g_A), (y_B - g_B)} restricted to y = g(u) must
-    vanish.
-
-    Returns (flag, residues) with residues keyed by the offending (A, B).
+    vanish.  Returns (flag, residues) with residues keyed by the offending
+    (A, B): the coefficients of MC(-s) = sum_k (1/k!) m_k(-s, .., -s).
     """
     if not j.is_jacobi():
         raise ContentError("is_coisotropic_section requires a Jacobi structure")

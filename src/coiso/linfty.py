@@ -14,10 +14,11 @@ as an oracle of the table.
 A MultibracketTable keeps every derived bracket it builds, keyed by the
 sequence of its LeafForm arguments, so m_k extends the bracket of its
 first k - 1 arguments when that was built before.  Within one table the
-tasks share their brackets: the [[..[[J, I s]].., I s]] of the MC series
-and of the formal prolongation, whose order 2 is the Kuranishi class, and
-each order of the frame values.  Keys compare by exact equality, and no
-lookup iterates over the memo.
+tasks share their brackets: the [[..[[J, I s]].., I s]] of the formal
+prolongation, whose order 2 is the Kuranishi class, and each order of the
+frame values.  Keys compare by exact equality, and no lookup iterates over
+the memo.  MC(-s) = sum_k (1/k!) m_k(-s, .., -s) is the coisotropy residue
+of the graph of s (geom.is_coisotropic_section), term for term.
 """
 
 from __future__ import annotations
@@ -97,35 +98,20 @@ def solve_dF(omega: LeafForm):
 
 
 # ---------------------------------------------------------------------------
-# Maurer-Cartan series and formal prolongation
+# formal prolongation
 # ---------------------------------------------------------------------------
 
 
-def mc_series(table: MultibracketTable, s: LeafForm) -> LeafForm:
-    """MC(-s) = sum_k (1/k!) m_k(-s, ..., -s) = sum_k ((-1)^k / k!) m_k(s, ..., s)
-    for a normal section s, by multilinearity, with the m_k(s, ..., s) from
-    the table; finite for fiberwise polynomial structures: the terms up to
-    k = series_bound() + 1, whose last must vanish."""
-    terms = [
-        table.m((s,) * k).scale(Fraction(-1 if k % 2 else 1, factorial(k)))
-        for k in range(1, table.series_bound() + 2)
-    ]
-    if not terms[-1].is_zero():
-        raise AssertionError("MC series failed to terminate")
-    return terms[0].plus(terms[1:])
-
-
 def prolong_formal(table: MultibracketTable, s1: LeafForm, order: int):
-    """Solve the MC hierarchy order by order with the torus homotopy.
+    """Solve MC(-S) = 0, S = sum_p s_p e^p, order by order with the torus homotopy.
 
-    For S = sum_p s_p e^p, bilinearity gives the e^n coefficient D[h][n] of
-    [[..[[J, I S]].., I S]] (h brackets) as sum_p [[D[h-1][n-p], I s_p]],
-    D[0] = J at n = 0, which reads s_p for p <= n - h + 1 only.  So the
-    order-k right-hand side sum_{h=2}^{min(k, B)} (-1)^h / h! P(D[h][k]),
-    B = table.series_bound(), is known before s_k.  A zero s_p or D[h][n]
-    brackets nothing, D[h][h] comes from the table (shared with mc_series),
-    and P of row B + 1 must vanish.  Order 2's right-hand side is
-    (1/2) m_2(s_1, s_1), and its zero mode is the Kuranishi class.
+    Bilinearity gives the e^n coefficient D[h][n] of [[..[[J, I S]].., I S]]
+    (h brackets) as sum_p [[D[h-1][n-p], I s_p]], D[0] = J at n = 0, which
+    reads s_p for p <= n - h + 1 only.  So the order-k right-hand side
+    sum_{h=2}^{min(k, B)} (-1)^h / h! P(D[h][k]), B = table.series_bound(),
+    is known before s_k.  A zero s_p or D[h][n] brackets nothing, D[h][h]
+    comes from the table, and P of row B + 1 must vanish.  Order 2's
+    rhs is (1/2) m_2(s_1, s_1), and its zero mode is the Kuranishi class.
 
     Returns (sections, orders): the normal sections s_1, s_2, .. solved so
     far, and one (rhs, zero_mode) per order k = 2, 3, .. tried.  The run

@@ -9,8 +9,8 @@ costly part of a load), each distinct text once per Scenario, and the
 constructors check what values mean.
 
 A ``Scenario`` also holds the artifacts its tasks share (the Jacobi
-structure, the section, the transversal data, the multibracket table, the
-lift, the BRST charge of the zero section, d_BFV and its HPL data), each
+structure, the section and its coisotropy residue, the transversal data,
+the multibracket table, the lift, Omega_0, d_BFV and its HPL data), each
 built on first use and kept for the life of the object.
 """
 
@@ -25,7 +25,7 @@ from .expr import parse_scalar
 from .multivector import MultiVectorField
 from .multider import MultiDerivation
 from .leafform import LeafForm
-from .geom import Form, contact_to_jacobi, fiberwise_linear_jacobi, lcs_to_jacobi
+from .geom import Form, contact_to_jacobi, fiberwise_linear_jacobi, is_coisotropic_section, lcs_to_jacobi
 from .linfty import MultibracketTable
 from .bfv import Lift, ObstructionFailure, brst_charge, d_bfv, hpl_resolution
 from .transversal import TransversalData
@@ -236,6 +236,19 @@ class Scenario:
             return LeafForm.section(self.chart, comps)
         except ContentError as exc:
             raise ContentError(f"invalid section: {exc}") from None
+
+    def section_or_zero(self) -> LeafForm:
+        """The section, or the zero section without a section block."""
+        return self.section() if "section" in self.data else LeafForm.zero(self.chart, 1)
+
+    def residue(self) -> LeafForm:
+        """MC(-s) of section_or_zero() as a degree-2 leaf form: the residues
+        {y_a - g_a, y_b - g_b}|_{y=g} of its graph, term for term."""
+        return self._once("residue", self._build_residue)
+
+    def _build_residue(self) -> LeafForm:
+        _, residues = is_coisotropic_section(self.jacobi(), self.section_or_zero())
+        return LeafForm._raw(self.chart, 2, residues)
 
     def formal_order(self) -> int:
         """The formal block's order (3 when absent)."""

@@ -38,6 +38,7 @@ MUTANTS = {
     "generator_agreement": "test_transversal_crosscheck_reports_a_disagreement",
     "induced_differential_is_m1": "test_hpl_resolve_reports_a_wrong_induced_differential",
     "higher_brackets_zero": "test_transversal_crosscheck_reports_a_disagreement",
+    "mc_zero": "test_mc_reports_both_verdicts",
 }
 
 

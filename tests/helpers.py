@@ -16,7 +16,7 @@ from coiso.ring import Chart, ContentError, ScalarFn, accumulate, mat_mul, unit_
 from coiso.multivector import MultiVectorField, sort_key_sign
 from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm
-from coiso.geom import Form, injection_I
+from coiso.geom import Form, injection_I, is_coisotropic_section
 from coiso.scenario import Scenario
 from coiso.graded import DX, DXI, DXIS, M, XI, XIS, GradedElement, decode, encode
 
@@ -128,10 +128,17 @@ def nested_derived(j: MultiDerivation, args) -> MultiDerivation:
 
 def exp_series_mc(table, s):
     """MC(-s) by the exponential series of ad_{I(-s)} on J, each order one
-    bracket more than the last: the oracle of linfty.mc_series, which reads
+    bracket more than the last: the oracle of paper.mc_series, which reads
     m_k(s, .., s) from the table and signs them by multilinearity."""
     minus = injection_I(-s)
     return exp_series(table.j, minus, table.series_bound(), 1)
+
+
+def residue_mc(j: MultiDerivation, s: LeafForm) -> LeafForm:
+    """The library's MC(-s): the residues of geom.is_coisotropic_section as
+    a degree-2 leaf form, as Scenario.residue reads them for the mc task."""
+    _, residues = is_coisotropic_section(j, s)
+    return LeafForm(j.chart, 2, residues)
 
 
 def kuranishi(table, s: LeafForm):

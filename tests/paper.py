@@ -9,6 +9,11 @@ that check it, written on the library's public API:
   curvature off dtheta instead);
 * the Hamiltonian derivation Delta_lam of a Jacobi bi-derivation and its
   bi-symbol Lambda_J (multi-derivations);
+* the MC series MC(-s) = sum_k (1/k!) m_k(-s, .., -s) summed from the
+  multibracket table, and the order-k right-hand side of the formal
+  prolongation read off the graph of S = sum_p s_p t^p (the library reads
+  MC(-s) as the coisotropy residue of the graph of s, and prolongs by the
+  bracket recurrence);
 * the Hamiltonian gauge direction and the extended brackets of
   simultaneous deformations of structure and submanifold (L-infinity);
 * the graded bracket [[a, b]] of any two elements (the library takes only
@@ -35,6 +40,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations, product
 
 from coiso.ring import ContentError, PowerTable, ScalarFn, accumulate, inverse_unit, mat_mul
 from coiso.multivector import MultiVectorField
@@ -114,6 +120,45 @@ def exp_series(x: MultiDerivation, v: MultiDerivation, bound: int, start: int) -
     if not terms[-1].is_zero():
         raise AssertionError("derived-bracket series failed to terminate")
     return terms[0].plus(terms[1:])
+
+
+def mc_series(table: MultibracketTable, s: LeafForm) -> LeafForm:
+    """MC(-s) = sum_k (1/k!) m_k(-s, ..., -s) = sum_k ((-1)^k / k!) m_k(s, ..., s)
+    for a normal section s, by multilinearity, with the m_k(s, ..., s) from
+    the table; finite for fiberwise polynomial structures: the terms up to
+    k = series_bound() + 1, whose last must vanish."""
+    terms = [
+        table.m((s,) * k).scale(Fraction(-1 if k % 2 else 1, math.factorial(k)))
+        for k in range(1, table.series_bound() + 2)
+    ]
+    if not terms[-1].is_zero():
+        raise AssertionError("MC series failed to terminate")
+    return terms[0].plus(terms[1:])
+
+
+def graph_rhs(j: MultiDerivation, sections, k: int) -> LeafForm:
+    """[t^k] {y_a - S_a, y_b - S_b}|_{y=S} for S = sum_{p<k} s_p t^p
+    (sections[p - 1] is s_p): the order-k right-hand side of the formal
+    prolongation, read off the graph of S.  MC(-S) is that residue, and s_k
+    enters its t^k coefficient only as -m_1 s_k.  By bilinearity the
+    bracket is sum_{p, q} t^(p+q) J(u^p_a, u^q_b) with u^0_a = y_a and
+    u^p_a = -s_p,a, each J.apply on two functions substituted y = S(t); it
+    takes no derived bracket, injection or projection."""
+    from helpers import TPoly, substitute_fiber_t  # helpers imports this module
+
+    chart, zero = j.chart, ScalarFn.zero(j.chart)
+    comps = [s.components() for s in sections[: k - 1]]
+    u = [[ScalarFn.y(chart, name)] + [-c[a] for c in comps] for a, name in enumerate(chart.fiber)]
+    graph = {name: TPoly(chart, [zero] + [c[a] for c in comps]) for a, name in enumerate(chart.fiber)}
+    out = {}
+    for a, b in combinations(range(chart.m), 2):
+        total = TPoly(chart, [])
+        for (p, f), (q, g) in product(enumerate(u[a]), enumerate(u[b])):
+            if p + q <= k:
+                substituted = substitute_fiber_t(j.apply([f, g]), graph)
+                total = total + TPoly(chart, [zero] * (p + q) + substituted.coeffs)
+        out[a, b] = total.coeffs[k] if len(total.coeffs) > k else zero
+    return LeafForm(chart, 2, out)
 
 
 def delta_mc(table: MultibracketTable, s: LeafForm, lam: ScalarFn) -> LeafForm:

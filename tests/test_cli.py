@@ -25,7 +25,8 @@ from coiso.serialize import section_to_json
 from coiso.graded import XI, XIS, GradedElement, encode
 from coiso.leafform import LeafForm
 
-from helpers import J_a, conjugate, random_scalar, scalar_from_json, torus_chart
+from helpers import J_a, conjugate, leafform_from_json, random_scalar, scalar_from_json, torus_chart
+from paper import mc_series
 
 
 def run_cli(args, capsys):
@@ -225,9 +226,13 @@ def test_validation_error_exit_code(tmp_path, capsys):
     for task, message in [
         ("bfv-lift", "lifting requires a Jacobi structure"),
         ("coisotropic", "is_coisotropic_section requires a Jacobi structure"),
-        ("mc", "multibracket extraction needs a Jacobi structure"),
+        # mc reads the coisotropy residue of the graph before the section
+        ("mc", "is_coisotropic_section requires a Jacobi structure"),
     ]:
         cases.append((NOT_JACOBI_T3, task, message))
+    # kuranishi reads the section, then the multibracket table refuses J
+    with_section = {**NOT_JACOBI_T3, "section": {"components": []}}
+    cases.append((with_section, "kuranishi", "multibracket extraction needs a Jacobi structure"))
     for data, task, *message in cases:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(data))
@@ -407,9 +412,6 @@ def test_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
          "perturbation series failed to terminate"),
         (_projection_off_by_a_ghost, "torus-obstructed", "hpl-resolve",
          "perturbed projection is not a chain map"),
-        # m_2(s, s) != 0 lies beyond a bound of 1
-        (lambda m: m.setattr(linfty.MultibracketTable, "series_bound", lambda self: 1), "torus-obstructed",
-         "mc", "MC series failed to terminate"),
         (lambda m: m.setattr(LeafForm, "homotopy_K", lambda w: LeafForm.zero(w.chart, w.degree - 1)),
          str(tmp_path / "prolonging.json"), "prolong", "homotopy identity violated"),
         (_inverse_edited(transversal, _all_ones),
@@ -427,6 +429,42 @@ def test_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
             code, out, err = run_cli(["--scenario", scenario, "--task", task], capsys)
         assert code == 3 and out == ""
         assert err == f"coiso: internal invariant violation in {task}: {message}\n"
+
+
+def test_mc_series_checks_its_bound(capsys, monkeypatch):
+    """paper.mc_series sums m_k(s, .., s) up to k = series_bound() + 1 and
+    checks that the last term vanishes: with the bound stubbed to 1 on
+    torus-obstructed, m_2(s, s) != 0 lies beyond it, and it raises.  The
+    mc task reads the coisotropy residue, which has no series to bound, so
+    its report does not change."""
+    args = ["--scenario", "torus-obstructed", "--task", "mc"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and err == "" and json.loads(out)["tasks"]["mc"]["mc_zero"] is False
+    scenario = load_scenario("torus-obstructed")
+    monkeypatch.setattr(linfty.MultibracketTable, "series_bound", lambda self: 1)
+    with pytest.raises(AssertionError, match="^MC series failed to terminate$"):
+        mc_series(scenario.table(), scenario.section())
+    assert run_cli(args, capsys) == (0, out, "")
+
+
+def test_mc_reports_both_verdicts(tmp_path, capsys):
+    """mc_zero is a report: torus-obstructed's own section (cos ph_4,
+    sin ph_4) reads false, with MC(-s) = sin(ph_3) dph_1^dph_2 its one
+    residue, and its zero section reads true; both exit 0."""
+
+    def mc(path):
+        code, out, err = run_cli(["--scenario", path, "--task", "mc"], capsys)
+        assert code == 0 and err == ""
+        return json.loads(out)["tasks"]["mc"]
+
+    report = mc("torus-obstructed")
+    chart = load_scenario("torus-obstructed").chart
+    assert report["mc_zero"] is False
+    assert leafform_from_json(chart, report["mc"]) == LeafForm(chart, 2, {(0, 1): ScalarFn.sin_phi(chart, "ph_3")})
+    data = _builtin_data("torus-obstructed")
+    data["section"]["components"] = ["0", "0"]
+    report = mc(_write_scenario(tmp_path, data))
+    assert report["mc_zero"] is True and report["mc"] == {"degree": 2, "terms": []}
 
 
 def test_prolong_report_of_a_solved_section(tmp_path, capsys):
@@ -563,8 +601,9 @@ def test_multibrackets_without_fiber(tmp_path, capsys):
 def test_dbfv_without_fiber(tmp_path, capsys):
     """Without fiber coordinates the BRST charge of the zero section is
     zero, and so is d_BFV; hpl-resolve, which projects onto the fiber
-    directions, exits 2 with one line, and so do both obstruction routes,
-    with the same message, on an empty section."""
+    directions, exits 2 with one line, and so do both obstruction routes
+    and mc, whose residue table on an empty section is empty, with the same
+    message."""
     p = tmp_path / "lcs.json"
     p.write_text(json.dumps(LCS_T2))
     code, out, err = run_cli(["--scenario", str(p), "--task", "dbfv"], capsys)
@@ -576,11 +615,11 @@ def test_dbfv_without_fiber(tmp_path, capsys):
     assert "fiber direction" in err and len(err.splitlines()) == 1
     p.write_text(json.dumps({**LCS_T2, "section": {"components": []}}))
     messages = []
-    for task in ("kuranishi", "bfv-kuranishi"):
+    for task in ("kuranishi", "bfv-kuranishi", "mc"):
         code, out, err = run_cli(["--scenario", str(p), "--task", task], capsys)
         assert code == 2 and out == "" and len(err.splitlines()) == 1
         messages.append(err.replace(f"task {task}: ", ""))
-    assert messages == ["coiso: projection needs at least one fiber direction\n"] * 2
+    assert messages == ["coiso: projection needs at least one fiber direction\n"] * 3
 
 
 def test_transversal_crosscheck_needs_two_fiber_coordinates(tmp_path, capsys):

@@ -19,18 +19,14 @@ from coiso.ring import Chart, ContentError, ScalarFn
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm
-from coiso.geom import injection_I, is_coisotropic_section, projection_P, fiberwise_linear_jacobi
-from coiso.linfty import (
-    MultibracketTable,
-    mc_series,
-    prolong_formal,
-    solve_dF,
-)
+from coiso.geom import injection_I, projection_P, fiberwise_linear_jacobi
+from coiso.linfty import MultibracketTable, prolong_formal, solve_dF
 from coiso.scenario import Scenario, load_scenario
 from coiso import cli
 from coiso.serialize import leafform_to_json
 
 from helpers import (
+    J_a,
     compositions,
     exp_series_mc,
     fields_XY,
@@ -41,10 +37,11 @@ from helpers import (
     kuranishi,
     nested_derived,
     random_base_scalar,
+    residue_mc,
     torus_chart,
     torus_jacobi,
 )
-from paper import delta_mc, extended_mc_residual, extended_n1
+from paper import delta_mc, extended_mc_residual, extended_n1, graph_rhs, mc_series
 
 
 @pytest.fixture
@@ -180,20 +177,59 @@ def test_mc_series_matches_displayed_pde(table, chart, J):
 
 
 def test_mc_zero_iff_coisotropic(table, chart, J):
+    """MC(-s) is the coisotropy residue of the graph of s as a value, not
+    only as a verdict: the library's mc (the residue table) equals the MC
+    series of the multibracket table and the exponential series of
+    ad_{I(-s)} term for term.  A wrong section (s doubled) gives another
+    residue, so the comparison can fail."""
     rng = random.Random(7)
     hits = 0
     for _ in range(10):
         s = LeafForm.section(
             chart, [random_base_scalar(chart, rng), random_base_scalar(chart, rng)]
         )
-        ok, _ = is_coisotropic_section(J, s)
-        assert ok == mc_series(table, s).is_zero()
-        hits += ok
+        mc = residue_mc(J, s)
+        assert mc == mc_series(table, s) == exp_series_mc(table, s)
+        assert mc.is_zero() or residue_mc(J, s.scale(2)) != mc
+        hits += mc.is_zero()
     # the known coisotropic deformation f = cos(ph_3), g = 0
     s = LeafForm.section(chart, [ScalarFn.cos_phi(chart, "ph_3"), ScalarFn.zero(chart)])
-    assert mc_series(table, s).is_zero()
-    ok, _ = is_coisotropic_section(J, s)
-    assert ok
+    assert residue_mc(J, s).is_zero() and mc_series(table, s).is_zero()
+    assert hits < 10
+
+
+def _retrivialized(angle):
+    return J_a(STRUCTURES["torus-obstructed"], ScalarFn.exp_phi(TORUS_OBSTRUCTED.chart, angle))
+
+
+# structures beyond torus-obstructed on which MC(-s) is compared with the
+# residue: a Poisson structure whose m_k vanish below k = 3, J retrivialized
+# by a leaf unit (m_1 is not d_F) and by a transverse one, and the 1-jet
+# models J^1(T^b), with b + 1 fiber directions
+MC_STRUCTURES = {
+    "cubic-poisson": lambda: STRUCTURES["cubic-poisson"],
+    "J_a-leaf": lambda: _retrivialized("ph_1"),
+    "J_a-transverse": lambda: _retrivialized("ph_3"),
+    **{f"jet-T{b}": (lambda b=b: fiberwise_linear_jacobi(jet_chart(b))) for b in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", MC_STRUCTURES)
+def test_mc_is_the_coisotropy_residue(name):
+    """The same identity on the other structures, on seeded sections of
+    their charts (the first of J^1(T^1)'s, a constant z, is Legendrian), each
+    nonzero residue with its wrong-section control."""
+    j = MC_STRUCTURES[name]()
+    table, chart = MultibracketTable(j), j.chart
+    rng = random.Random(name)
+    nonzero = 0
+    for _ in range(4):
+        s = LeafForm.section(chart, [random_base_scalar(chart, rng) for _ in range(chart.m)])
+        mc = residue_mc(j, s)
+        assert mc == mc_series(table, s) == exp_series_mc(table, s)
+        assert mc.is_zero() or residue_mc(j, s.scale(2)) != mc
+        nonzero += not mc.is_zero()
+    assert nonzero
 
 
 def test_kuranishi_obstructed_example(table, chart):
@@ -727,13 +763,15 @@ def _section_scenarios():
 
 @pytest.mark.parametrize("scenario", _section_scenarios())
 def test_mc_series_matches_exp_series(scenario):
-    """mc_series, whose m_k(s, .., s) come from the table, equals the
-    exponential series of ad_{I(-s)} on J: on a fresh table, and again once
-    the kuranishi task and prolong_formal have kept their brackets of s
-    there."""
+    """The mc task reports the scenario's residue, and it equals
+    paper.mc_series, whose m_k(s, .., s) come from the table, and the
+    exponential series of ad_{I(-s)} on J term for term: on a fresh table,
+    and again once the kuranishi task and prolong_formal have kept their
+    brackets of s there."""
     table, s = scenario.table(), scenario.section()
     expected = exp_series_mc(table, s)
-    assert mc_series(table, s) == expected
+    assert mc_series(table, s) == expected == scenario.residue()
+    assert cli.TASKS["mc"](scenario, None)["mc"] == leafform_to_json(expected)
     cli.TASKS["kuranishi"](scenario, None)
     prolong_formal(table, s, 4)
     assert mc_series(table, s) == expected
@@ -750,13 +788,37 @@ def test_kuranishi_class_is_m2_of_the_section(scenario):
     assert report["obstructed"] == (scenario.name != WORKLOADS.PROLONGED)
 
 
+@pytest.mark.parametrize("scenario", _section_scenarios())
+def test_prolong_rhs_is_the_graph_residue(scenario):
+    """Every order's right-hand side of prolong_formal to order 6 is
+    paper.graph_rhs: the t^k coefficient of the residue of the graph of
+    S = sum_{p<k} s_p t^p, an oracle that shares no code with the bracket
+    trie (a mixed section stops at its obstructed order 2)."""
+    sections, orders = prolong_formal(scenario.table(), scenario.section(), 6)
+    for k, (rhs, _) in enumerate(orders, 2):
+        assert graph_rhs(scenario.jacobi(), sections, k) == rhs
+
+
+def test_dense_prolong_rhs_is_the_graph_residue():
+    """The same through the 15 orders of prolong:16 on _prolonging_section,
+    the dense section of CI's prolong:16 step, whose s_p are all nonzero.
+    With s_2 doubled the order-3 comparison fails."""
+    j = STRUCTURES["torus-obstructed"]
+    sections, orders = prolong_formal(TORUS_OBSTRUCTED.table(), _prolonging_section(), 16)
+    assert len(orders) == 15 and not any(s.is_zero() for s in sections)
+    for k, (rhs, _) in enumerate(orders, 2):
+        assert graph_rhs(j, sections, k) == rhs
+    wrong = [sections[0], sections[1].scale(2)] + sections[2:]
+    assert graph_rhs(j, wrong, 3) != orders[1][0]
+
+
 @pytest.mark.parametrize("name", TABLES)
 @settings(max_examples=15, deadline=None)
 @given(comps=st.lists(_polys(TORUS_OBSTRUCTED.chart, (0, 1, 2, 3)), min_size=2, max_size=2))
 def test_mc_series_matches_exp_series_off_shell(name, comps):
     """The same on any section, where m_1 s and, on cubic-poisson, m_3(s, s, s)
     need not vanish, so every odd order checks the sign (-1)^k that
-    multilinearity gives."""
+    multilinearity gives, and the library's residue equals both."""
     table = TABLES[name]
     s = LeafForm.section(table.chart, comps)
-    assert mc_series(table, s) == exp_series_mc(table, s)
+    assert residue_mc(table.j, s) == mc_series(table, s) == exp_series_mc(table, s)
