@@ -25,7 +25,7 @@ of P is P o g, which is how apply works.
 
 from __future__ import annotations
 
-from .ring import Chart, ContentError, ScalarFn, SparseTerms, accumulate, sum_of_products
+from .ring import Chart, ContentError, ScalarFn, SparseTerms, _scalar, accumulate, sum_of_products
 
 
 def sort_key_sign(indices):
@@ -103,9 +103,10 @@ class SkewTerms(SparseTerms):
         return cls(f.chart, 0, {(): f})
 
     def as_function(self) -> ScalarFn:
-        """The coefficient of a degree-0 container."""
+        """The coefficient of a degree-0 container; the empty zero is built
+        unchecked."""
         f = self.terms.get(())
-        return ScalarFn.zero(self.chart) if f is None else f
+        return _scalar(self.chart, {}) if f is None else f
 
     def wedge(self, other):
         if type(other) is not type(self):  # its keys would not index this type's range

@@ -9,6 +9,15 @@ stands for (a + b i)/d.  The triple is canonical: d > 0 and
 gcd(a, b, d) = 1, so zero is (0, 0, 1) and two values are equal iff their
 triples are.  Every operation computes its result triple in integers and
 reduces it with one gcd; negation keeps the triple reduced and skips it.
+
+The triple is also the integer interface to ``ring.sum_of_products``, the
+product kernel of the ring: it reads the slots ``_a``, ``_b`` and ``_d`` of
+its operands' coefficients, sums its term products as unreduced integer
+triples, and makes each output coefficient once through ``_reduced``, with
+no operator of this class on the way.  The operators here run outside
+that kernel: in a scale, the parser, ``accumulate`` and the fiber
+substitutions.
+
 Arithmetic (+, -, *, /) takes Gaussian rationals only: an int or a
 Fraction enters through the constructor or ``of``, and only ``==`` also
 compares with one.  Fractions appear only at the boundary: the constructor

@@ -21,25 +21,30 @@ elsewhere) and no value is ever zero, so equality is equality of term
 tables.  Two kernels build every sum: ``accumulate`` adds (key, value)
 pairs into a dict and deletes a key whose sum is zero, and
 ``sum_of_products`` sums signed products of ScalarFns per key, adding each
-term product straight into one exponent table per key, so no product or
-partial sum is built on the way (the ring product ``f * g`` is its one-key
-case, and every bracket, wedge and matrix product of the library is one
-call).  The public constructors validate
-outside input (scenario text, the parser, callers of the API); a kernel
-makes its canonical terms into a container through the one unchecked
-maker of the family (``_scalar`` here, ``SkewTerms._raw``,
-``GradedElement._raw``, or ``_like`` for the shape at hand).  Nothing
-changes a built term table, so a container hashes by its type, shape and
-terms, keeps that hash after its first use, and can key a dict.
+term product straight into one exponent table per key as an exact integer
+triple (a, b, d) for (a + b i)/d, read off the canonical triples of the
+operands' coefficients (see rational), and reducing each output
+coefficient once at the end, so no product, partial sum or
+GaussianRational of either is built on the way (the ring product ``f * g``
+is its one-key case, and every bracket, wedge and matrix product of the
+library is one call).  The public constructors validate outside input
+(scenario text, the parser, callers of the API); a kernel makes its
+canonical terms into a container through the one unchecked maker of the
+family (``_scalar`` here, ``SkewTerms._raw``, ``GradedElement._raw``, or
+``_like`` for the shape at hand).  Nothing changes a built term table, so
+a container hashes by its type, shape and terms, keeps that hash after its
+first use, and can key a dict.
 
 Fiber substitution.  ``ScalarFn.substitute_fiber`` replaces every fiber
 coordinate by a target function, and ``ScalarFn.path_integral`` integrates
 exactly along the straight path from the fiber point to the targets, in
 closed form (binomial expansion and the Beta integral).  Each Beta ratio
 is an integer quotient num/den, which scales a coefficient through
-``GaussianRational.scaled`` with one gcd and no Fraction.  Both take the
-targets as a ``PowerTable``, which computes each product of powers of the
-targets once, however often a caller substitutes into them (a section).
+``GaussianRational.scaled`` with one gcd and no Fraction; with every target
+zero (the s = 0 homotopy) that ratio is 1/(a + 1) and nothing else is
+computed.  Both take the targets as a ``PowerTable``, which computes each
+product of powers of the targets once, however often a caller substitutes
+into them (a section).
 
 Structural zeros.  Most coefficients of the calculus depend on few of the
 chart's coordinates, so most of their partial derivatives, and the products
@@ -64,10 +69,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import add, sub
 
-from .rational import GaussianRational, ONE
+from .rational import GaussianRational, ONE, _reduced
 
 
 class ContentError(ValueError):
@@ -250,10 +255,17 @@ def sum_of_products(chart: Chart, items) -> dict:
     or -f g when negative is true.
 
     Each term product c1 c2 of f g goes straight into one exponent table per
-    key, a coefficient that cancels is deleted, a key whose sum is zero is
-    left out, and each sum is built once, unchecked: no product and no
-    partial sum is built on the way.  An operand that is not a ScalarFn on
-    chart is refused with the ContentError of SparseTerms._check."""
+    key as an unreduced integer triple (a, b, d), standing for (a + b i)/d:
+    four integer products and one product of denominators, read off the
+    canonical triples of c1 and c2.  A triple adds to the one already on
+    its exponent by numerators over a common denominator, the lcm of the
+    two, and a triple that sums to zero stays in the table until the end,
+    so an exponent that cancels can grow again.  Then each nonzero triple
+    is reduced once into a GaussianRational, a zero one is left out, as is
+    a key with no term left, and each sum is built once, unchecked: no
+    product, partial sum or GaussianRational of either is built on the way.
+    An operand that is not a ScalarFn on chart is refused with the
+    ContentError of SparseTerms._check."""
     tables = {}
     for key, f, g, negative in items:
         if type(f) is not ScalarFn or type(g) is not ScalarFn or f.chart is not chart or g.chart is not chart:
@@ -262,26 +274,32 @@ def sum_of_products(chart: Chart, items) -> dict:
         table = tables.get(key)
         if table is None:
             table = tables[key] = {}
-        get, f_terms, g_terms = table.get, f.terms.items(), g.terms.items()
-        if negative:  # negate the factor with fewer terms
-            if len(f_terms) <= len(g_terms):
-                f_terms = [(e, -c) for e, c in f_terms]
-            else:
-                g_terms = [(e, -c) for e, c in g_terms]
-        for e1, c1 in f_terms:
+        get, g_terms = table.get, g.terms.items()
+        for e1, c1 in f.terms.items():
+            a1, b1, d1 = c1._a, c1._b, c1._d
+            if negative:
+                a1, b1 = -a1, -b1
             for e2, c2 in g_terms:
                 e = tuple(map(add, e1, e2))
-                c = c1 * c2
+                a2, b2 = c2._a, c2._b
+                a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * c2._d
                 prev = get(e)
                 if prev is None:
-                    table[e] = c
+                    table[e] = a, b, d
                 else:
-                    c = prev + c
-                    if c.is_zero():
-                        del table[e]
-                    else:
-                        table[e] = c
-    return {key: _scalar(chart, table) for key, table in tables.items() if table}
+                    pa, pb, pd = prev
+                    if pd == d:
+                        table[e] = pa + a, pb + b, d
+                    else:  # over the lcm of the two denominators
+                        h = gcd(pd, d)
+                        p, q = d // h, pd // h
+                        table[e] = pa * p + a * q, pb * p + b * q, pd * p
+    out = {}
+    for key, table in tables.items():
+        terms = {e: _reduced(a, b, d) for e, (a, b, d) in table.items() if a or b}
+        if terms:
+            out[key] = _scalar(chart, terms)
+    return out
 
 
 def _mask_of(terms) -> int:
@@ -501,13 +519,16 @@ class ScalarFn(SparseTerms):
             int_0^1 (1-t)^a t^b dt = a! b! / (a + b + 1)!,
 
         with a = power + sum_C (alpha_C - k_C) and b = sum_C k_C.  The
-        products of powers of g come from the power table.
+        products of powers of g come from the power table.  With every
+        target zero, b = 0 and each term is scaled by 1/(a + 1) alone.
         """
         if powers.chart is not self.chart and powers.chart != self.chart:
             raise ContentError("fiber substitution targets differ in chart")
         k = self.chart.k
         # a zero target contributes only k_C = 0
         live = powers.live
+        if not any(live):  # every k_C = 0
+            return self._like({e: c.scaled(1, power + sum(e[k:]) + 1) for e, c in self.terms.items()})
 
         def pairs():
             for e, c in self.terms.items():

@@ -18,7 +18,9 @@ are ring matrices, sparse tables {(row, column): ScalarFn} that hold no
 zero entry, and a jet j_G f is the table {frame index: component} of its
 nonzero components, so the multibracket sums over present entries only.
 ``TransversalData.Y`` keeps W^{-1}, each F^i W^{-1} and each Y product by
-its prefix, for every multibracket on the data.
+its prefix, and ``TransversalData.jG0`` the transversal jet of each
+function it meets (keyed by exact equality, so an equal function built
+anew finds it), for every multibracket on the data.
 
 ``TransversalData.multibracket`` takes the LeafForm arguments that
 ``linfty.MultibracketTable.m`` takes, so the two engines compare on one
@@ -48,7 +50,8 @@ class TransversalData:
     * Fab, Fa: curvature blocks of G per leaf direction i (dicts i -> block),
       absent entries meaning zero.
     Every entry and every frame coefficient must be base-only.  The data is
-    never changed after construction, so Y keeps every matrix it builds.
+    never changed after construction, so Y keeps every matrix it builds
+    and jG0 every jet.
     """
 
     def __init__(self, chart: Chart, Ga_fields, G_field, C, omega, Fab=None, Fa=None):
@@ -65,7 +68,8 @@ class TransversalData:
         entries += [X.terms.values() for X in self.Ga + [self.G]]
         if not all(f.is_base_only() for block in entries for f in block):
             raise ContentError("transversal data must be base-only")
-        self._factors, self._ys = {}, {}  # i -> F^i W^{-1}, letters -> Y(letters)
+        # i -> F^i W^{-1}, letters -> Y(letters), f -> jG0(f)
+        self._factors, self._ys, self._jets = {}, {}, {}
 
     # -- the W and F matrices -----------------------------------------------
 
@@ -112,9 +116,13 @@ class TransversalData:
 
     def jG0(self, f: ScalarFn):
         """The nonzero components of (f, G_a f, G f), the transversal jet of
-        a base function, by frame index."""
-        comps = [f, *(X.apply([f]) for X in self.Ga + [self.G])]
-        return {al: g for al, g in enumerate(comps) if not g.is_zero()}
+        a base function, by frame index; built on first use for each
+        function (by exact equality) and kept."""
+        jet = self._jets.get(f)
+        if jet is None:
+            comps = [f, *(X.apply([f]) for X in self.Ga + [self.G])]
+            jet = self._jets[f] = {al: g for al, g in enumerate(comps) if not g.is_zero()}
+        return jet
 
     def jG1(self, i):
         """Component matrix of j^1_G(d_F x^i (x) mu): entry (h, alpha) is 1 at

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from coiso import rational
 from coiso.rational import GaussianRational
 from coiso.ring import (
     Chart,
@@ -308,9 +309,15 @@ _targets = st.one_of(st.just(ScalarFn.zero(PATH_CHART)), _fourier_polys(0), _fou
 
 @settings(max_examples=150, deadline=None)
 @given(_fourier_polys(3), st.lists(_targets, min_size=2, max_size=2), st.integers(0, 3))
+@example(
+    ScalarFn(PATH_CHART, {(1, 3, 2): GaussianRational(Fraction(-5, 2), 1), (0, 0, 1): GaussianRational(0, 3), (-1, 0, 0): 1}),
+    [ScalarFn.zero(PATH_CHART)] * 2,
+    3,
+)
 def test_path_integral_matches_tpoly_route(f, targets, power):
     """The closed form equals substituting y -> y - t (y - g), multiplying by
-    (1-t)^power and integrating the t-polynomial over [0, 1]."""
+    (1-t)^power and integrating the t-polynomial over [0, 1]; the explicit
+    example has no live target, the s = 0 homotopy."""
     chart = PATH_CHART
     t = TPoly.t(chart)
     one = ScalarFn.one(chart)
@@ -546,6 +553,88 @@ def test_sum_of_products_is_the_per_product_oracle():
         assert sums == sum_of_products_oracle(chart, items)
         assert "none" not in sums and sums["part"] == -(f * k)
         assert all(not s.is_zero() and s.chart is chart for s in sums.values())
+
+
+# T^1 x R^1 with few exponents, so that term products meet on one exponent
+TRIPLE_CHART = Chart(torus=("a",), fiber=("y",))
+
+
+def _triple_operand(rng, max_terms):
+    """A nonzero function on TRIPLE_CHART whose coefficients have
+    denominators 1 to 6, an imaginary part about half the time, and now and
+    then numerators above 2^64."""
+
+    def part():
+        big = 2**70 + 3 if rng.random() < 0.2 else 1
+        return Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)) * big, rng.randint(1, 6))
+
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        im = part() if rng.random() < 0.5 else 0
+        terms[rng.randint(-1, 1), rng.randint(0, 1)] = GaussianRational(part(), im)
+    return ScalarFn(TRIPLE_CHART, terms)
+
+
+def test_sum_of_products_accumulates_exact_triples():
+    """The integer accumulation equals the per-term oracle of helpers, which
+    multiplies and adds Gaussian rationals: derandomized operands with
+    mixed denominators 1 to 6, imaginary parts and numerators above 2^64,
+    negative flags and repeated keys, a key whose terms all cancel (absent
+    from the result), and exponents that cancel and then grow again."""
+    chart = TRIPLE_CHART
+    rng = random.Random("integer-triples")
+    e = (1, 1)
+    m = ScalarFn(chart, {e: GaussianRational(Fraction(2**65, 3), Fraction(-1, 5))})
+    n = ScalarFn(chart, {e: GaussianRational(Fraction(1, 6), 1)})
+    # the exponent 2e cancels between the first two items and grows again
+    again = sum_of_products(chart, [("k", m, n, False), ("k", n, m, True), ("k", m, m, False)])
+    assert again == {"k": m * m}
+    big = False
+    for _ in range(80):
+        fns = [_triple_operand(rng, 4) for _ in range(4)]
+        items = [
+            (rng.choice("pq"), rng.choice(fns), rng.choice(fns), rng.random() < 0.5)
+            for _ in range(rng.randint(1, 8))
+        ]
+        f, g, h = fns[:3]
+        items += [("gone", f, g, False), ("gone", g, f, True)]
+        items += [("again", f, g, True), ("again", f, g, False), ("again", f, h, rng.random() < 0.5)]
+        sums = sum_of_products(chart, items)
+        assert sums == sum_of_products_oracle(chart, items)
+        assert "gone" not in sums and sums["again"] in (f * h, -(f * h))
+        big = big or any(abs(x) > 2**64 for s in sums.values() for c in s.terms.values() for x in c.parts())
+    assert big
+
+
+def test_sum_of_products_makes_one_rational_per_output_coefficient(monkeypatch):
+    """The kernel sums integer triples: it runs no Gaussian-rational
+    operator, and it makes one GaussianRational per nonzero coefficient of
+    its result, none per term product or partial sum."""
+    chart = TRIPLE_CHART
+    rng = random.Random("one-rational-each")
+    fns = [_triple_operand(rng, 4) for _ in range(5)]
+    items = [(rng.choice("pq"), rng.choice(fns), rng.choice(fns), rng.random() < 0.5) for _ in range(12)]
+    items += [("gone", fns[0], fns[1], False), ("gone", fns[1], fns[0], True)]
+    expected = sum_of_products_oracle(chart, items)
+    made = []
+    new = rational._new
+
+    def counted(cls):
+        made.append(cls)
+        return new(cls)
+
+    def refuse(*args):
+        raise AssertionError("the kernel ran a GaussianRational operator")
+
+    monkeypatch.setattr(rational, "_new", counted)
+    for name in ("__mul__", "__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(GaussianRational, name, refuse)
+    sums = sum_of_products(chart, items)
+    monkeypatch.undo()
+    assert sums == expected
+    coefficients = sum(len(s.terms) for s in sums.values())
+    assert made == [GaussianRational] * coefficients
+    assert sum(len(f.terms) * len(g.terms) for _, f, g, _ in items) > 2 * coefficients
 
 
 def test_sum_of_products_refuses_an_operand_on_another_chart():

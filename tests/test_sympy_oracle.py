@@ -11,7 +11,7 @@ sympy is a test dependency only: without it this module is skipped.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 sp = pytest.importorskip("sympy")
 
@@ -100,8 +100,16 @@ def test_substitute_fiber_matches_sympy_substitution(f, targets):
     assert agrees(f.substitute_fiber(PowerTable(CHART, targets)), sp.expand(expr))
 
 
+_ZERO = ScalarFn.zero(CHART)
+# all targets zero: the s = 0 homotopy, each term scaled by its Beta integral alone
+_NO_TARGET = ScalarFn(
+    CHART, {(1, 0, 2, 1): GaussianRational(Fraction(2, 3), -1), (0, -1, 0, 0): GaussianRational(0, Fraction(1, 2))}
+)
+
+
 @settings(max_examples=15, deadline=None)
 @given(_scalars(), _target_pairs, st.integers(0, 2))
+@example(_NO_TARGET, (_ZERO, _ZERO), 2)
 def test_path_integral_matches_sympy_integrate(f, targets, power):
     path = {y: (1 - T) * y + T * to_sympy(g) for y, g in zip(Y, targets)}
     integrand = sp.expand((1 - T) ** power * to_sympy(f).xreplace(path))

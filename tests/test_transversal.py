@@ -372,6 +372,38 @@ def test_y_table_is_kept_on_the_data(monkeypatch):
     assert calls == []
 
 
+def test_jets_are_kept_on_the_data(monkeypatch):
+    """Each distinct function's transversal jet is built once per
+    TransversalData, keyed by exact equality: the probes of a
+    transversal-crosscheck, each met in many multibrackets and again as an
+    equal function built anew, apply every frame field to it once."""
+    td = load_scenario("torus-obstructed").transversal()
+    chart = td.chart
+    delta = frame_forms(chart)
+    applied = []
+    apply = MultiVectorField.apply
+
+    def spy(self, fns):
+        applied.append(fns[0])
+        return apply(self, fns)
+
+    monkeypatch.setattr(MultiVectorField, "apply", spy)
+
+    def probes():
+        return [ScalarFn.one(chart)] + [ScalarFn.sin_phi(chart, c) for c in chart.torus[:2]]
+
+    def run(fns):
+        fns = [LeafForm.function(f) for f in fns]
+        return [td.multibracket([f, g]) for f in fns for g in fns + delta]
+
+    first = run(probes())
+    frame = len(td.Ga) + 1
+    assert len(applied) == 3 * frame
+    assert all(applied.count(f) == frame for f in probes())
+    assert run(probes()) == first and len(applied) == 3 * frame
+    assert td.jG0(probes()[1]) is td.jG0(probes()[1])
+
+
 def test_transversal_matrices_store_no_zero():
     """W, each F^i, each j^1_G matrix and every Y that a run of
     multibrackets keeps are sparse tables without a zero value: on
