@@ -48,6 +48,7 @@ from .rational import GaussianRational
 from .ring import ContentError, ScalarFn
 from .expr import scalar_to_json
 from .leafform import LeafForm
+from .geom import projection_P
 from .linfty import prolong_formal
 from .graded import GradedElement, bidegree, encode, ghost_section, normalize, XI, XIS
 from .bfv import (
@@ -140,8 +141,9 @@ def _multibrackets(scenario, arg):
     out = {"series_bound": table.series_bound(), "orders": {}}
     delta = _fiber_frame(chart)
     out["generators"] = {"m1_on_normal_frame": [leafform_to_json(table.m([d])) for d in delta]}
-    for k in range(1, max_order + 1):
-        val = table.m([delta[i % chart.m] for i in range(k)])
+    frame = (delta[i % chart.m] for i in range(max_order))
+    for k, bracket in enumerate(table.chain(frame), 1):
+        val = projection_P(bracket)
         out["orders"][str(k)] = {"frame_value": leafform_to_json(val), "zero": val.is_zero()}
     return out
 

@@ -16,7 +16,7 @@ them back, zeros included.
 from __future__ import annotations
 
 from .rational import GaussianRational
-from .ring import Chart, ContentError, ScalarFn, accumulate
+from .ring import Chart, ContentError, ScalarFn, _scalar
 from .multivector import SkewTerms
 
 
@@ -77,20 +77,18 @@ class LeafForm(SkewTerms):
         """The exact torus homotopy: K(e^{i n.phi} alpha) =
         (i n_j)^{-1} iota_j (e^{i n.phi} alpha) with j the least leaf index
         carrying a nonzero frequency; kills leaf-zero modes.  It lowers the
-        degree, so the form has degree >= 1."""
+        degree, so the form has degree >= 1.  The exponent fixes j, so K
+        takes distinct (key, exponent) pairs to distinct pairs: each term
+        goes into the output table as it is, and nothing adds."""
         self._leaf_names()  # ContentError unless one leaf coordinate per fiber direction
         chart, leaf_idx = self.chart, self.chart.leaf_indices
-
-        def pairs():
-            for key, f in self.terms.items():
-                for e, c in f.terms.items():
-                    j = next((a for a, ji in enumerate(leaf_idx) if e[ji] != 0), None)
-                    if j is None or j not in key:
-                        continue
-                    pos = key.index(j)
-                    coeff = c / GaussianRational(0, e[leaf_idx[j]])
-                    if pos % 2:
-                        coeff = -coeff
-                    yield key[:pos] + key[pos + 1 :], f._like({e: coeff})
-
-        return LeafForm._raw(chart, self.degree - 1, accumulate({}, pairs()))
+        out = {}
+        for key, f in self.terms.items():
+            for e, c in f.terms.items():
+                j = next((a for a, ji in enumerate(leaf_idx) if e[ji] != 0), None)
+                if j is None or j not in key:
+                    continue
+                pos = key.index(j)
+                coeff = c / GaussianRational(0, e[leaf_idx[j]])
+                out.setdefault(key[:pos] + key[pos + 1 :], {})[e] = -coeff if pos % 2 else coeff
+        return LeafForm._raw(chart, self.degree - 1, {key: _scalar(chart, t) for key, t in out.items()})

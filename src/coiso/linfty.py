@@ -13,12 +13,14 @@ as an oracle of the table.
 
 A MultibracketTable keeps every derived bracket it builds, keyed by the
 sequence of its LeafForm arguments, so m_k extends the bracket of its
-first k - 1 arguments when that was built before.  Within one table the
-tasks share their brackets: the [[..[[J, I s]].., I s]] of the formal
-prolongation, whose order 2 is the Kuranishi class, and each order of the
-frame values.  Keys compare by exact equality, and no lookup iterates over
-the memo.  MC(-s) = sum_k (1/k!) m_k(-s, .., -s) is the coisotropy residue
-of the graph of s (geom.is_coisotropic_section), term for term.
+first k - 1 arguments when that was built before, and one chain walks the
+frame values of every order.  Within one table the tasks share their
+brackets: the [[..[[J, I s]].., I s]] of the formal prolongation, whose
+order 2 is the Kuranishi class and whose m_1 checks give its row 1, and
+each order of the frame values.  Keys compare by exact equality, and no
+lookup iterates over the memo.  MC(-s) = sum_k (1/k!) m_k(-s, .., -s) is
+the coisotropy residue of the graph of s (geom.is_coisotropic_section),
+term for term.
 """
 
 from __future__ import annotations
@@ -46,16 +48,25 @@ class MultibracketTable:
 
     # -- evaluation ----------------------------------------------------------
 
-    def derived(self, args) -> MultiDerivation:
-        """[[..[[J, I xi_1]].., I xi_k]] of the LeafForms args = (xi_1, ..,
-        xi_k): the bracket of each prefix is that of the prefix before it
-        with I of its last argument, built on first use and kept."""
+    def chain(self, args):
+        """Yield [[..[[J, I xi_1]].., I xi_k]] for each prefix (xi_1, ..,
+        xi_k) of the LeafForms args, k = 1, 2, ..: one trie step per
+        argument, each bracket that of the prefix before it with I of its
+        last argument, built on first use and kept."""
         bracket, children = self._derived
         for xi in args:
             node = children.get(xi)
             if node is None:
                 node = children[xi] = (bracket.sj_bracket(injection_I(xi)), {})
             bracket, children = node
+            yield bracket
+
+    def derived(self, args) -> MultiDerivation:
+        """[[..[[J, I xi_1]].., I xi_k]] of the LeafForms args = (xi_1, ..,
+        xi_k): the last bracket of chain(args), J for no argument."""
+        bracket = self.j
+        for bracket in self.chain(args):
+            pass
         return bracket
 
     def m(self, args) -> LeafForm:
@@ -106,12 +117,14 @@ def prolong_formal(table: MultibracketTable, s1: LeafForm, order: int):
     """Solve MC(-S) = 0, S = sum_p s_p e^p, order by order with the torus homotopy.
 
     Bilinearity gives the e^n coefficient D[h][n] of [[..[[J, I S]].., I S]]
-    (h brackets) as sum_p [[D[h-1][n-p], I s_p]], D[0] = J at n = 0, which
-    reads s_p for p <= n - h + 1 only.  So the order-k right-hand side
-    sum_{h=2}^{min(k, B)} (-1)^h / h! P(D[h][k]), B = table.series_bound(),
-    is known before s_k.  A zero s_p or D[h][n] brackets nothing, D[h][h]
-    comes from the table, and P of row B + 1 must vanish.  Order 2's
-    rhs is (1/2) m_2(s_1, s_1), and its zero mode is the Kuranishi class.
+    (h brackets) as sum_p [[D[h-1][n-p], I s_p]], which reads s_p for
+    p <= n - h + 1 only.  Row 1, D[1][n] = [[J, I s_n]], is the bracket
+    that the m_1 check of s_n built in the table.  So the order-k
+    right-hand side sum_{h=2}^{min(k, B)} (-1)^h / h! P(D[h][k]),
+    B = table.series_bound(), is known before s_k.  A zero s_p or D[h][n]
+    brackets nothing, D[h][h] comes from the table, and P of row B + 1 must
+    vanish.  Order 2's rhs is (1/2) m_2(s_1, s_1), and its zero mode is the
+    Kuranishi class.
 
     Returns (sections, orders): the normal sections s_1, s_2, .. solved so
     far, and one (rhs, zero_mode) per order k = 2, 3, .. tried.  The run
@@ -124,23 +137,27 @@ def prolong_formal(table: MultibracketTable, s1: LeafForm, order: int):
     if not table.m1(s1).is_zero():
         raise ContentError("s1 is not an infinitesimal deformation")
     bound = table.series_bound()
-    D = {(0, 0): table.j}  # the nonzero D[h][n]
+    D = {}  # the nonzero D[h][n], h >= 1
     lifts = {}  # p -> I(s_p) for the nonzero s_p
     zero, dz = LeafForm.zero(table.chart, 2), MultiDerivation.zero(table.chart, 2)
     orders = []
     for k in range(2, order + 1):
-        if not sections[-1].is_zero():
-            lifts[k - 1] = injection_I(sections[-1])
+        s = sections[-1]
+        if not s.is_zero():
+            lifts[k - 1] = injection_I(s)
+            d = table.derived((s,))  # built by the m_1 check of s
+            if not d.is_zero():
+                D[1, k - 1] = d
         rows = range(2, min(k, bound + 1) + 1)
-        for h, n in [(1, k - 1)] + [(h, k) for h in rows]:
-            brackets = [  # for n = h only p = 1 has a D[h-1][n-p]
-                table.derived((s1,) * h) if n == h else D[h - 1, n - p].sj_bracket(lift)
+        for h in rows:
+            brackets = [  # for k = h only p = 1 has a D[h-1][k-p]
+                table.derived((s1,) * h) if k == h else D[h - 1, k - p].sj_bracket(lift)
                 for p, lift in lifts.items()
-                if (h - 1, n - p) in D
+                if (h - 1, k - p) in D
             ]
             d = dz.plus(brackets)
             if not d.is_zero():
-                D[h, n] = d
+                D[h, k] = d
         terms = {h: projection_P(D[h, k]) for h in rows if (h, k) in D}
         if not terms.pop(bound + 1, zero).is_zero():
             raise AssertionError("MC hierarchy failed to terminate")

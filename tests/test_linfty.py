@@ -592,15 +592,16 @@ def test_multibrackets_symmetric_in_sections(name, sections, perm):
         assert table.m(reordered) == table.m(args)
 
 
-def composition_prolong(table, s1, order):
+def composition_prolong(table, s1, order, parts=None):
     """prolong_formal with the order-k right-hand side summed over every
     composition of k into h >= 2 parts, weight (-1)^h / h!, each term an
-    m_h evaluated from J by a fold that shares no bracket."""
+    m_h evaluated from J by a fold that shares no bracket.  With parts
+    given, only the compositions into at most that many parts count."""
     chart = table.chart
     coeffs, history = [s1], []
     for k in range(2, order + 1):
         rhs = LeafForm.zero(chart, 2)
-        for h in range(2, k + 1):
+        for h in range(2, min(k, parts or k) + 1):
             for comp in compositions(k, h):
                 args = [coeffs[i - 1] for i in comp]
                 m_h = projection_P(nested_derived(table.j, args))
@@ -724,8 +725,55 @@ def test_derived_memo_matches_fold(name, pool, picks, cut):
         assert fresh.derived(xs) == expected
         assert fresh.m(xs) == projection_P(expected)
         assert fresh.derived(xs) is fresh.derived(list(xs))
+        assert list(fresh.chain(xs)) == [fresh.derived(xs[:i]) for i in range(1, len(xs) + 1)]
     warm = TABLES[name]
     assert warm.m(args) == projection_P(nested_derived(j, args))
+
+
+def _per_order_multibrackets(scenario, max_order):
+    """The multibrackets report with each order k walked from the root of
+    the trie on its own list of k frame arguments: O(K^2) lookups, the
+    oracle of the one chain that cli._multibrackets walks."""
+    chart, table = scenario.chart, scenario.table()
+    delta = cli._fiber_frame(chart)
+    out = {"series_bound": table.series_bound(), "orders": {}}
+    out["generators"] = {"m1_on_normal_frame": [leafform_to_json(table.m([d])) for d in delta]}
+    for k in range(1, max_order + 1):
+        val = table.m([delta[i % chart.m] for i in range(k)])
+        out["orders"][str(k)] = {"frame_value": leafform_to_json(val), "zero": val.is_zero()}
+    return out
+
+
+@pytest.mark.parametrize("name", ["torus-obstructed", "legendrian-jet"])
+def test_multibrackets_chain_matches_per_order_route(name):
+    """multibrackets:K for K <= 12 reports what the per-order route gives on
+    a table of its own, through the orders where the frame values vanish."""
+    scenario, oracle = load_scenario(name), load_scenario(name)
+    for k in range(1, 13):
+        assert cli.TASKS["multibrackets"](scenario, k) == _per_order_multibrackets(oracle, k)
+
+
+@pytest.mark.parametrize("name", ["torus-obstructed", "legendrian-jet"])
+def test_multibrackets_takes_one_trie_step_per_order(name, monkeypatch):
+    """multibrackets:50 looks the trie up once for each generator m_1(delta_a)
+    and once per order, and inserts each bracket it builds once: LeafForm
+    hashes count both.  Warm, it builds nothing and hashes m + 50 times; the
+    per-order route hashes m + 50 * 51 / 2 times."""
+    hashes, brackets = [], []
+    leaf_hash, sj_bracket = LeafForm.__hash__, MultiDerivation.sj_bracket
+    monkeypatch.setattr(LeafForm, "__hash__", lambda w: hashes.append(w) or leaf_hash(w))
+    monkeypatch.setattr(MultiDerivation, "sj_bracket", lambda a, b: brackets.append(b) or sj_bracket(a, b))
+    scenario = load_scenario(name)
+    scenario.table()
+    m = scenario.chart.m
+    for built in (True, False):
+        del hashes[:], brackets[:]
+        cli.TASKS["multibrackets"](scenario, 50)
+        assert bool(brackets) == built
+        assert len(hashes) == m + 50 + len(brackets)
+    del hashes[:]
+    _per_order_multibrackets(scenario, 50)
+    assert len(hashes) == m + 50 * 51 // 2
 
 
 def _benchmark_workloads():
@@ -810,6 +858,26 @@ def test_dense_prolong_rhs_is_the_graph_residue():
         assert graph_rhs(j, sections, k) == rhs
     wrong = [sections[0], sections[1].scale(2)] + sections[2:]
     assert graph_rhs(j, wrong, 3) != orders[1][0]
+
+
+def test_prolong_brackets_each_row_one_once(monkeypatch):
+    """prolong_formal to order 16 on _prolonging_section brackets J with each
+    I(s_n) once, s_16 included: row 1 of the recurrence is the bracket that
+    the m_1 check of s_n built in the table.  Sections and right-hand sides
+    equal the composition sum; m_h vanishes for h > 3 on torus-obstructed,
+    so it stops at 4 parts, the first whose terms must vanish."""
+    j = STRUCTURES["torus-obstructed"]
+    table = MultibracketTable(j)
+    lifts = []
+    original = MultiDerivation._bracket
+    monkeypatch.setattr(
+        MultiDerivation, "_bracket", lambda a, b: (a is table.j and lifts.append(b)) or original(a, b)
+    )
+    sections, orders = prolong_formal(table, _prolonging_section(), 16)
+    monkeypatch.undo()
+    assert len(sections) == 16 and not any(s.is_zero() for s in sections)
+    assert lifts == [injection_I(s) for s in sections]
+    assert composition_prolong(MultibracketTable(j), _prolonging_section(), 16, parts=4) == (sections, orders)
 
 
 @pytest.mark.parametrize("name", TABLES)
