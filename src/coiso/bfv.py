@@ -154,19 +154,26 @@ class Lift:
 
 def brst_charge(lift: Lift, s: LeafForm):
     """Run the SBSO on Omega_E[s] for a normal section s; returns (Omega,
-    corrections) or raises ObstructionFailure carrying
-    wp[s]{Omega_E[s], Omega_E[s]} when the image of s is not coisotropic."""
+    corrections, op) or raises ObstructionFailure carrying
+    wp[s]{Omega_E[s], Omega_E[s]} when the image of s is not coisotropic.
+    op = hamiltonian_operator(J^, Omega) is {Omega, -}, the operator of the
+    SBSO's last square {Omega, Omega} = op(Omega), as each square
+    {a, b} inserts b into the Hamiltonian operator of a."""
     c2 = ContractionTwo(s)
+    op = None
 
     def bracket(a, b):
-        return jacobi_bracket(lift.j_hat, a, b)
+        nonlocal op
+        op = hamiltonian_operator(lift.j_hat, a)
+        return op.insert(b)
 
-    return sbso(bracket, c2.h, c2.wp, c2.omega_E())
+    omega, corrections = sbso(bracket, c2.h, c2.wp, c2.omega_E())
+    return omega, corrections, op
 
 
-def d_bfv(lift: Lift, omega: GradedElement) -> GradedElement:
-    """d_BFV = {Omega_BRST, -} as a graded operator; square-zero verified."""
-    op = hamiltonian_operator(lift.j_hat, omega)
+def d_bfv(op: GradedElement) -> GradedElement:
+    """d_BFV = {Omega_BRST, -} as a graded operator, the op that brst_charge
+    returns with Omega_BRST; square-zero verified."""
     if not op.bracket().is_zero():
         raise AssertionError("d_BFV does not square to zero")
     return op

@@ -265,7 +265,7 @@ def _bfv_lift(scenario, arg):
 
 
 def _brst_charge(scenario, arg):
-    omega, corrections = brst_charge(scenario.lift(), scenario.section_or_zero())
+    omega, corrections, _ = brst_charge(scenario.lift(), scenario.section_or_zero())
     return {
         "exists": True,
         "converged_at": len(corrections),

@@ -13,175 +13,182 @@ Names must be chart coordinates; a bare torus coordinate is not a valid
 factor (angles are not functions), only fiber coordinates may appear as
 monomials.  Parentheses nest at most ``_Parser.MAX_DEPTH`` (100) deep, so a
 deeper expression is a ContentError rather than a RecursionError.
+
+One regex pass cuts the whole text into tokens, each with the whitespace
+before it, so the position an error names is the length of the tokens
+before it.  A character that starts no token is a token of its own, which
+no rule accepts; an error names the first such character, if there is one,
+instead of its own message.  The parser builds each expression's term
+table directly.  A term folds every factor of one term (a rational, i,
+exp(I*n*ph), y^p, a parenthesized expression with one term) into one
+running coefficient, the integer triple (a, b, d) of (a + b i)/d reduced
+once at the end (see rational), and one exponent vector.  Only sin, cos
+and parenthesized expressions with several terms are multiplied, through
+ring.sum_of_products.  The terms are summed into one table with
+accumulate, made into one ScalarFn unchecked.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .rational import GaussianRational
-from .ring import Chart, ContentError, ScalarFn
+from .rational import GaussianRational, _reduced
+from .ring import Chart, ContentError, ScalarFn, _scalar, accumulate, sum_of_products
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
-)
+# (whitespace, number, name, operator, any other character)
+_TOKEN = re.compile(r"(\s*)(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])|(\S))")
 
 
-def _error(message: str, pos: int) -> ContentError:
-    return ContentError(f"{message} (at position {pos})")
+def _tokenize(text: str) -> list:
+    """The tokens of text in one regex pass, then the end token (all
+    groups empty)."""
+    return _TOKEN.findall(text) + [("",) * 5]
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            # name the first character after the whitespace that _TOKEN skips
-            bad = len(text) - len(text[pos:].lstrip())
-            if bad < len(text):
-                raise _error(f"unexpected character {text[bad]!r}", bad)
-            break
-        kind = m.lastgroup  # the one group of _TOKEN that matched
-        val = m.group(kind)
-        tokens.append((kind, int(val) if kind == "num" else val, m.start()))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
+def _position(text: str, tokens: list, i: int) -> int:
+    """Where token i starts, the whitespace before it included: the length
+    of the tokens before it; the end token sits at the length of the text."""
+    if i == len(tokens) - 1:
+        return len(text)
+    return sum(len(part) for token in tokens[:i] for part in token)
 
 
 class _Parser:
-    # parentheses nest at most this deep: each level is three Python frames
+    # parentheses nest at most this deep: each level is two Python frames
     MAX_DEPTH = 100
 
     def __init__(self, chart: Chart, text: str):
-        self.chart = chart
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.depth = 0
+        self.chart, self.text, self.tokens = chart, text, _tokenize(text)
 
-    def peek(self):
-        return self.tokens[self.i]
+    def error(self, message: str, i: int) -> ContentError:
+        """The error at token i, or at the first character that starts no token."""
+        tokens = self.tokens
+        for j, (space, _, _, _, bad) in enumerate(tokens):
+            if bad:
+                pos = _position(self.text, tokens, j) + len(space)
+                return ContentError(f"unexpected character {bad!r} (at position {pos})")
+        return ContentError(f"{message} (at position {_position(self.text, tokens, i)})")
 
-    def next(self):
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
+    def expect(self, i: int, op: str) -> int:
+        if self.tokens[i][3] != op:
+            raise self.error(f"expected {op!r}", i)
+        return i + 1
 
-    def expect(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise _error(f"expected {op!r}", pos)
+    def integer(self, i: int):
+        """(the integer at token i, with an optional '-', the next token)."""
+        _, num, _, op, _ = self.tokens[i]
+        if op == "-":
+            i += 1
+            num = self.tokens[i][1]
+        if not num:
+            raise self.error("expected integer", i)
+        return (-int(num) if op == "-" else int(num)), i + 1
 
-    def parse(self) -> ScalarFn:
-        f = self.expr()
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise _error("trailing input", pos)
-        return f
-
-    def expr(self) -> ScalarFn:
-        sign = 1
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            sign = -1 if val == "-" else 1
-        first = self.term().scale(sign)
-        rest = []
+    def expr(self, i: int, depth: int):
+        """(the term table of the expression at token i, the token after it)."""
+        tokens, table = self.tokens, {}
+        op = tokens[i][3]
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                t = self.term()
-                rest.append(t if val == "+" else -t)
-            else:
-                return first.plus(rest)
+            sign = -1 if op == "-" else 1
+            if op == "+" or op == "-":
+                i += 1
+            pairs, i = self.term(i, sign, depth)
+            accumulate(table, pairs)
+            op = tokens[i][3]
+            if op != "+" and op != "-":
+                return table, i
 
-    def term(self) -> ScalarFn:
-        out = self.factor()
+    def term(self, i: int, sign: int, depth: int):
+        """(the (key, coefficient) pairs of sign times the term at token i,
+        the token after it)."""
+        chart, tokens = self.chart, self.tokens
+        torus, fiber = chart.torus, chart.fiber
+        a, b, d = sign, 0, 1  # the one-term factors: (a + b i)/d ...
+        e = [0] * chart.dim  # ... times the basis monomial of e
+        several = []  # the factors of several terms, in order
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                out = out * self.factor()
-            else:
-                return out
-
-    def _int(self) -> int:
-        sign = 1
-        kind, val, pos = self.next()
-        if kind == "op" and val == "-":
-            sign = -1
-            kind, val, pos = self.next()
-        if kind != "num":
-            raise _error("expected integer", pos)
-        return sign * val
-
-    def factor(self) -> ScalarFn:
-        chart = self.chart
-        kind, val, pos = self.next()
-        if kind == "op" and val == "(":
-            self.depth += 1
-            if self.depth > self.MAX_DEPTH:
-                raise _error(f"parentheses nested deeper than {self.MAX_DEPTH}", pos)
-            f = self.expr()
-            self.expect(")")
-            self.depth -= 1
-            return f
-        if kind == "num":
-            num = val
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "/":
-                self.next()
-                kind3, den, pos3 = self.next()
-                if kind3 != "num" or den == 0:
-                    raise _error("expected nonzero denominator", pos3)
-                return ScalarFn.const(chart, Fraction(num, den))
-            return ScalarFn.const(chart, num)
-        if kind == "name":
-            if val in ("i", "I"):
-                return ScalarFn.const(chart, GaussianRational(0, 1))
-            if val in ("sin", "cos"):
-                self.expect("(")
-                kind2, cname, pos2 = self.next()
-                if kind2 != "name" or cname not in chart.torus:
-                    raise _error("expected torus coordinate", pos2)
-                self.expect(")")
-                make = ScalarFn.sin_phi if val == "sin" else ScalarFn.cos_phi
-                return make(chart, cname)
-            if val == "exp":
-                self.expect("(")
-                kind2, iname, pos2 = self.next()
-                if kind2 != "name" or iname not in ("i", "I"):
-                    raise _error("expected I", pos2)
-                self.expect("*")
-                n = self._int()
-                self.expect("*")
-                kind3, cname, pos3 = self.next()
-                if kind3 != "name" or cname not in chart.torus:
-                    raise _error("expected torus coordinate", pos3)
-                self.expect(")")
-                return ScalarFn.exp_phi(chart, cname, n)
-            if val in chart.fiber:
-                p = 1
-                kind2, val2, _ = self.peek()
-                if kind2 == "op" and val2 == "^":
-                    self.next()
-                    p = self._int()
+            _, num, name, op, _ = tokens[i]
+            if num:
+                n, i = int(num), i + 1
+                if tokens[i][3] == "/":
+                    den = tokens[i + 1][1]
+                    if not den or not int(den):
+                        raise self.error("expected nonzero denominator", i + 1)
+                    d *= int(den)
+                    i += 2
+                a, b = a * n, b * n
+            elif name == "i" or name == "I":
+                a, b = -b, a
+                i += 1
+            elif name == "sin" or name == "cos":
+                i = self.expect(i + 1, "(")
+                cname = tokens[i][2]
+                if not cname or cname not in torus:
+                    raise self.error("expected torus coordinate", i)
+                i = self.expect(i + 1, ")")
+                several.append((ScalarFn.sin_phi if name == "sin" else ScalarFn.cos_phi)(chart, cname))
+            elif name == "exp":
+                i = self.expect(i + 1, "(")
+                if tokens[i][2] not in ("i", "I"):
+                    raise self.error("expected I", i)
+                n, i = self.integer(self.expect(i + 1, "*"))
+                i = self.expect(i, "*")
+                cname = tokens[i][2]
+                if not cname or cname not in torus:
+                    raise self.error("expected torus coordinate", i)
+                i = self.expect(i + 1, ")")
+                e[torus.index(cname)] += n
+            elif name and name in fiber:
+                p, j = 1, i + 1
+                if tokens[j][3] == "^":
+                    p, j = self.integer(j + 1)
                     if p < 0:
-                        raise _error("negative fiber exponent", pos)
-                return ScalarFn.y(chart, val, p)
-            if val in chart.torus:
-                raise _error(
-                    f"torus coordinate {val!r} is not a function; use sin/cos/exp", pos
-                )
-            raise _error(f"unknown name {val!r}", pos)
-        raise _error("unexpected token", pos)
+                        raise self.error("negative fiber exponent", i)
+                e[chart.k + fiber.index(name)] += p
+                i = j
+            elif name and name in torus:
+                raise self.error(f"torus coordinate {name!r} is not a function; use sin/cos/exp", i)
+            elif name:
+                raise self.error(f"unknown name {name!r}", i)
+            elif op == "(":
+                if depth == self.MAX_DEPTH:
+                    raise self.error(f"parentheses nested deeper than {self.MAX_DEPTH}", i)
+                table, i = self.expr(i + 1, depth + 1)
+                i = self.expect(i, ")")
+                if len(table) == 1:
+                    (key, c), = table.items()
+                    a, b, d = a * c._a - b * c._b, a * c._b + b * c._a, d * c._d
+                    e = [x + y for x, y in zip(e, key)]
+                elif table:
+                    several.append(_scalar(chart, table))
+                else:
+                    a = b = 0
+            else:
+                raise self.error("unexpected token", i)
+            if tokens[i][3] != "*":
+                break
+            i += 1
+        if not (a or b):
+            return (), i
+        if not several:
+            return ((tuple(e), _reduced(a, b, d)),), i
+        bare_sign = not b and d == 1 and a in (1, -1) and not any(e)
+        if not bare_sign:
+            several.insert(0, _scalar(chart, {tuple(e): _reduced(a, b, d)}))
+        f = several[0]
+        for g in several[1:]:  # nonzero: the ring has no zero divisors
+            f = sum_of_products(chart, (((), f, g, False),))[()]
+        if bare_sign and a == -1:
+            return ((k, -c) for k, c in f.terms.items()), i
+        return f.terms.items(), i
 
 
 def parse_scalar(chart: Chart, text: str) -> ScalarFn:
-    return _Parser(chart, str(text)).parse()
+    parser = _Parser(chart, str(text))
+    table, i = parser.expr(0, 0)
+    if i != len(parser.tokens) - 1:
+        raise parser.error("trailing input", i)
+    return _scalar(chart, table)
 
 
 # ---------------------------------------------------------------------------
@@ -212,39 +219,27 @@ def scalar_to_text(f: ScalarFn) -> str:
             continue
         n = e[:k]
         mirror = tuple(-v for v in n) + e[k:]
-        single = sum(1 for v in n if v != 0) == 1
-        if single and mirror in f.terms and mirror != e:
-            j = next(j for j, v in enumerate(n) if v != 0)
-            v = n[j]
-            pos_key, neg_key = (e, mirror) if v > 0 else (mirror, e)
-            a = f.terms[pos_key]
-            b = f.terms[neg_key]
-            freq = abs(v)
-            name = chart.torus[j]
-            if freq == 1:
-                # a E(+1) + b E(-1) = cos_c cos + sin_c sin with
-                # cos_c = a + b and sin_c = i (a - b), exactly
-                cos_c = a + b
-                sin_c = (a - b) * GaussianRational(0, 1)
-                done.add(e)
-                done.add(mirror)
-                for coeff, fn in ((cos_c, f"cos({name})"), (sin_c, f"sin({name})")):
-                    if not coeff.is_zero():
-                        bits.append(_term_text(chart, coeff, (0,) * k + e[k:], fn))
-                continue
-        done.add(e)
-        bits.append(_term_text(chart, c, e, None))
+        moved = [j for j, v in enumerate(n) if v]
+        if len(moved) == 1 and abs(n[moved[0]]) == 1 and mirror in f.terms:
+            # a E(+1) + b E(-1) = cos_c cos + sin_c sin with
+            # cos_c = a + b and sin_c = i (a - b), exactly
+            a, b = (c, f.terms[mirror]) if n[moved[0]] > 0 else (f.terms[mirror], c)
+            name = chart.torus[moved[0]]
+            done.add(mirror)
+            for coeff, fn in ((a + b, f"cos({name})"), ((a - b) * GaussianRational(0, 1), f"sin({name})")):
+                if not coeff.is_zero():
+                    bits.append(_term_text(chart, coeff, (0,) * k + e[k:], fn))
+        else:
+            bits.append(_term_text(chart, c, e, None))
     text = " + ".join(bits)
     return text.replace("+ -", "- ")
 
 
 def _term_text(chart, c: GaussianRational, e, trig: str | None) -> str:
     parts = []
-    if c == 1:
-        pass
-    elif c == -1:
+    if c == -1:
         parts.append("-1")
-    else:
+    elif c != 1:
         s = str(c)
         parts.append(f"({s})" if ("+" in s[1:] or "-" in s[1:]) else s)
     for name, v in zip(chart.torus, e):
@@ -255,6 +250,4 @@ def _term_text(chart, c: GaussianRational, e, trig: str | None) -> str:
     for name, v in zip(chart.fiber, e[chart.k :]):
         if v:
             parts.append(name if v == 1 else f"{name}^{v}")
-    if not parts:
-        return "1"
-    return "*".join(parts)
+    return "*".join(parts) or "1"

@@ -220,9 +220,10 @@ def is_coisotropic_section(j: MultiDerivation, s: LeafForm):
     gens = [ScalarFn.y(chart, name) - g for name, g in zip(chart.fiber, comps)]
     powers = PowerTable(chart, comps)
     residues = {}
-    for a in range(chart.m):
+    for a in range(chart.m - 1):
+        j_a = j._insert(gens[a])  # J(y_A - g_A, .), shared by every B > A
         for b in range(a + 1, chart.m):
-            r = j.apply([gens[a], gens[b]]).substitute_fiber(powers)
+            r = j_a._insert(gens[b]).as_function().substitute_fiber(powers)
             if not r.is_zero():
                 residues[(a, b)] = r
     return (not residues), residues

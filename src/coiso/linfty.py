@@ -45,6 +45,7 @@ class MultibracketTable:
         self.chart = j.chart
         # a trie of argument sequences: (bracket, {next argument: node})
         self._derived = (j, {})
+        self._zeros = {}  # degree -> the zero a chain yields past a zero bracket
 
     # -- evaluation ----------------------------------------------------------
 
@@ -52,13 +53,27 @@ class MultibracketTable:
         """Yield [[..[[J, I xi_1]].., I xi_k]] for each prefix (xi_1, ..,
         xi_k) of the LeafForms args, k = 1, 2, ..: one trie step per
         argument, each bracket that of the prefix before it with I of its
-        last argument, built on first use and kept."""
+        last argument, built on first use and kept.  Every bracket of a zero
+        is zero, so after the first zero bracket each further argument
+        yields the table's zero of its degree, with no bracket and no trie
+        node."""
         bracket, children = self._derived
+        args = iter(args)
         for xi in args:
             node = children.get(xi)
             if node is None:
                 node = children[xi] = (bracket.sj_bracket(injection_I(xi)), {})
             bracket, children = node
+            yield bracket
+            if bracket.is_zero():
+                break
+        for xi in args:
+            # [[A, I xi]] has degree deg A + deg xi - 1, as in sj_bracket
+            degree = max(bracket.degree + xi.degree - 1, 0)
+            if degree != bracket.degree:
+                bracket = self._zeros.get(degree)
+                if bracket is None:
+                    bracket = self._zeros[degree] = MultiDerivation._raw(self.chart, degree, {})
             yield bracket
 
     def derived(self, args) -> MultiDerivation:

@@ -14,9 +14,9 @@ The triple is also the integer interface to ``ring.sum_of_products``, the
 product kernel of the ring: it reads the slots ``_a``, ``_b`` and ``_d`` of
 its operands' coefficients, sums its term products as unreduced integer
 triples, and makes each output coefficient once through ``_reduced``, with
-no operator of this class on the way.  The operators here run outside
-that kernel: in a scale, the parser, ``accumulate`` and the fiber
-substitutions.
+no operator of this class on the way.  The expression parser folds the
+coefficient of each term the same way.  The operators here run outside
+both: in a scale, ``accumulate`` and the fiber substitutions.
 
 Arithmetic (+, -, *, /) takes Gaussian rationals only: an int or a
 Fraction enters through the constructor or ``of``, and only ``==`` also

@@ -28,10 +28,11 @@ coefficient once at the end, so no product, partial sum or
 GaussianRational of either is built on the way (the ring product ``f * g``
 is its one-key case, and every bracket, wedge and matrix product of the
 library is one call).  The public constructors validate outside input
-(scenario text, the parser, callers of the API); a kernel makes its
-canonical terms into a container through the one unchecked maker of the
-family (``_scalar`` here, ``SkewTerms._raw``, ``GradedElement._raw``, or
-``_like`` for the shape at hand).  Nothing changes a built term table, so
+(scenario data, callers of the API); the parser, which checks its text
+itself, and every kernel make their canonical terms into a container
+through the one unchecked maker of the family (``_scalar`` here,
+``SkewTerms._raw``, ``GradedElement._raw``, or ``_like`` for the shape at
+hand).  Nothing changes a built term table, so
 a container hashes by its type, shape and terms, keeps that hash after its
 first use, and can key a dict.
 
@@ -400,24 +401,8 @@ class ScalarFn(SparseTerms):
         return ScalarFn(chart)
 
     @staticmethod
-    def const(chart: Chart, c) -> "ScalarFn":
-        c = GaussianRational.of(c)
-        return _scalar(chart, {} if c.is_zero() else {(0,) * chart.dim: c})
-
-    @staticmethod
     def one(chart: Chart) -> "ScalarFn":
         return _scalar(chart, {(0,) * chart.dim: ONE})
-
-    @staticmethod
-    def exp_phi(chart: Chart, coord: str, n: int = 1) -> "ScalarFn":
-        """exp(i n phi_coord)."""
-        if coord not in chart.torus:
-            raise ContentError(f"{coord!r} is not a torus coordinate")
-        if type(n) is not int:
-            raise ContentError(f"term exponents must be integers, not {n!r}")
-        key = [0] * chart.dim
-        key[chart.torus.index(coord)] = n
-        return _scalar(chart, {tuple(key): ONE})
 
     @staticmethod
     def _trig(chart: Chart, coord: str, c_plus, c_minus) -> "ScalarFn":

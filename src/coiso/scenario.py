@@ -278,13 +278,14 @@ class Scenario:
         return self._once("lift", lambda: Lift(self.jacobi()))
 
     def omega0(self):
-        """(Omega_BRST, corrections) of the zero section; raises the
-        ObstructionFailure of a zero section that is not coisotropic."""
+        """(Omega_BRST, corrections, {Omega_BRST, -}) of the zero section;
+        raises the ObstructionFailure of a zero section that is not
+        coisotropic."""
         return self._once("omega0", lambda: brst_charge(self.lift(), LeafForm.zero(self.chart, 1)))
 
     def dbfv(self):
         """d_BFV of Omega_0, its square checked to be zero."""
-        return self._once("dbfv", lambda: d_bfv(self.lift(), self.omega0()[0]))
+        return self._once("dbfv", lambda: d_bfv(self.omega0()[2]))
 
     def hpl(self):
         """The HPL data of d_BFV: the zero-section contraction perturbed by

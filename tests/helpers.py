@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -114,7 +115,7 @@ def generator_postcondition(theta, J) -> bool:
     chart = J.chart
     gens = [ScalarFn.one(chart)]
     gens += [ScalarFn.y(chart, nm) for nm in chart.fiber]
-    gens += [ScalarFn.exp_phi(chart, nm, 1) for nm in chart.torus]
+    gens += [exp_phi(chart, nm, 1) for nm in chart.torus]
     return all(pairing(theta, hamiltonian(J, f).p_part) == f for f in gens)
 
 
@@ -303,6 +304,190 @@ def antighost(chart, A) -> GradedElement:
     return GradedElement(chart, {((XIS, A),): ScalarFn.one(chart)})
 
 
+def const(chart, c) -> ScalarFn:
+    """The constant function c (an int, a Fraction or a GaussianRational)."""
+    c = GaussianRational.of(c)
+    return ScalarFn(chart, {} if c.is_zero() else {(0,) * chart.dim: c})
+
+
+def exp_phi(chart, coord: str, n: int = 1) -> ScalarFn:
+    """exp(i n phi_coord); a coordinate that is not an angle or an exponent
+    that is not an int is refused as the validating constructor refuses it."""
+    if coord not in chart.torus:
+        raise ContentError(f"{coord!r} is not a torus coordinate")
+    if type(n) is not int:
+        raise ContentError(f"term exponents must be integers, not {n!r}")
+    key = [0] * chart.dim
+    key[chart.torus.index(coord)] = n
+    return ScalarFn(chart, {tuple(key): 1})
+
+
+# ---------------------------------------------------------------------------
+# the recursive-descent expression parser: the oracle of expr.parse_scalar,
+# one ScalarFn per factor and one ring product per '*'
+# ---------------------------------------------------------------------------
+
+_ORACLE_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))")
+
+
+def _oracle_error(message: str, pos: int) -> ContentError:
+    return ContentError(f"{message} (at position {pos})")
+
+
+def oracle_tokens(text: str):
+    """(kind, value, position) tokens, matched one at a time, the position
+    that of the token's match with the whitespace before it; an end token
+    sits at the length of the text."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _ORACLE_TOKEN.match(text, pos)
+        if not m:
+            bad = len(text) - len(text[pos:].lstrip())
+            if bad < len(text):
+                raise _oracle_error(f"unexpected character {text[bad]!r}", bad)
+            break
+        kind = m.lastgroup
+        val = m.group(kind)
+        tokens.append((kind, int(val) if kind == "num" else val, m.start()))
+        pos = m.end()
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+class _OracleParser:
+    MAX_DEPTH = 100
+
+    def __init__(self, chart, text: str):
+        self.chart = chart
+        self.tokens = oracle_tokens(text)
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        t = self.tokens[self.i]
+        self.i += 1
+        return t
+
+    def expect(self, op: str):
+        kind, val, pos = self.next()
+        if kind != "op" or val != op:
+            raise _oracle_error(f"expected {op!r}", pos)
+
+    def parse(self) -> ScalarFn:
+        f = self.expr()
+        kind, _, pos = self.peek()
+        if kind != "end":
+            raise _oracle_error("trailing input", pos)
+        return f
+
+    def expr(self) -> ScalarFn:
+        sign = 1
+        kind, val, _ = self.peek()
+        if kind == "op" and val in "+-":
+            self.next()
+            sign = -1 if val == "-" else 1
+        first = self.term().scale(sign)
+        rest = []
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.next()
+                t = self.term()
+                rest.append(t if val == "+" else -t)
+            else:
+                return first.plus(rest)
+
+    def term(self) -> ScalarFn:
+        out = self.factor()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val == "*":
+                self.next()
+                out = out * self.factor()
+            else:
+                return out
+
+    def _int(self) -> int:
+        sign = 1
+        kind, val, pos = self.next()
+        if kind == "op" and val == "-":
+            sign = -1
+            kind, val, pos = self.next()
+        if kind != "num":
+            raise _oracle_error("expected integer", pos)
+        return sign * val
+
+    def factor(self) -> ScalarFn:
+        chart = self.chart
+        kind, val, pos = self.next()
+        if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > self.MAX_DEPTH:
+                raise _oracle_error(f"parentheses nested deeper than {self.MAX_DEPTH}", pos)
+            f = self.expr()
+            self.expect(")")
+            self.depth -= 1
+            return f
+        if kind == "num":
+            num = val
+            kind2, val2, _ = self.peek()
+            if kind2 == "op" and val2 == "/":
+                self.next()
+                kind3, den, pos3 = self.next()
+                if kind3 != "num" or den == 0:
+                    raise _oracle_error("expected nonzero denominator", pos3)
+                return const(chart, Fraction(num, den))
+            return const(chart, num)
+        if kind == "name":
+            if val in ("i", "I"):
+                return const(chart, GaussianRational(0, 1))
+            if val in ("sin", "cos"):
+                self.expect("(")
+                kind2, cname, pos2 = self.next()
+                if kind2 != "name" or cname not in chart.torus:
+                    raise _oracle_error("expected torus coordinate", pos2)
+                self.expect(")")
+                make = ScalarFn.sin_phi if val == "sin" else ScalarFn.cos_phi
+                return make(chart, cname)
+            if val == "exp":
+                self.expect("(")
+                kind2, iname, pos2 = self.next()
+                if kind2 != "name" or iname not in ("i", "I"):
+                    raise _oracle_error("expected I", pos2)
+                self.expect("*")
+                n = self._int()
+                self.expect("*")
+                kind3, cname, pos3 = self.next()
+                if kind3 != "name" or cname not in chart.torus:
+                    raise _oracle_error("expected torus coordinate", pos3)
+                self.expect(")")
+                return exp_phi(chart, cname, n)
+            if val in chart.fiber:
+                p = 1
+                kind2, val2, _ = self.peek()
+                if kind2 == "op" and val2 == "^":
+                    self.next()
+                    p = self._int()
+                    if p < 0:
+                        raise _oracle_error("negative fiber exponent", pos)
+                return ScalarFn.y(chart, val, p)
+            if val in chart.torus:
+                raise _oracle_error(f"torus coordinate {val!r} is not a function; use sin/cos/exp", pos)
+            raise _oracle_error(f"unknown name {val!r}", pos)
+        raise _oracle_error("unexpected token", pos)
+
+
+def parse_scalar_oracle(chart, text: str) -> ScalarFn:
+    """expr.parse_scalar as a recursive descent over (kind, value, position)
+    tokens that builds a ScalarFn for every factor and multiplies the
+    factors of a term one ring product at a time."""
+    return _OracleParser(chart, str(text)).parse()
+
+
 def scalar_from_json(chart, data) -> ScalarFn:
     """The inverse of expr.scalar_to_json."""
     terms = {}
@@ -477,7 +662,7 @@ def substitute_fiber_t(f: ScalarFn, assignment: dict) -> TPoly:
     out = []  # terms of the coefficient of t^p, p = 0, 1, ...
     for e, c in f.terms.items():
         kept = list(e)
-        factor = TPoly.const(ScalarFn.const(chart, c))
+        factor = TPoly.const(const(chart, c))
         for i, tp in idx.items():
             kept[i] = 0
             for _ in range(e[i]):
@@ -618,7 +803,7 @@ def leibniz_det(chart, M) -> ScalarFn:
         factors = [M[i][j] for i, j in enumerate(perm)]
         if any(f.is_zero() for f in factors):
             continue
-        prod = ScalarFn.const(chart, _sign(perm))
+        prod = const(chart, _sign(perm))
         for f in factors:
             prod = prod * f
         out = out + prod

@@ -269,12 +269,12 @@ def test_criterion_08_bfv_layer(chart, J, lift):
     assert lift.j_hat == lift.G + i_nabla(J)
     assert (lift.j_hat - lift.G - i_nabla(J)).is_zero()
     # Omega_BRST = Omega_E
-    omega, corrections = brst_charge(lift, LeafForm.zero(chart, 1))
+    omega, corrections, op = brst_charge(lift, LeafForm.zero(chart, 1))
     c2 = ContractionTwo(LeafForm.zero(chart, 1))
     assert corrections == [] and (omega - c2.omega_E()).is_zero()
     # d_BFV: the worked example's operator (in the orientation forced by
     # d[0] = y_A Delta^A and the +m_1 resolution), and d_BFV^2 = 0
-    dop = d_bfv(lift, omega)
+    dop = d_bfv(op)
     s3, c3 = ScalarFn.sin_phi(chart, "ph_3"), ScalarFn.cos_phi(chart, "ph_3")
     y = [ScalarFn.y(chart, "y_1"), ScalarFn.y(chart, "y_2")]
     expected = GradedElement(chart)
@@ -335,8 +335,8 @@ def test_criterion_09_hpl_resolution(chart, J, lift):
             terms[canon] = random_scalar(chart, rng, max_terms=1)
         return GradedElement(chart, terms)
 
-    omega, _ = brst_charge(lift, LeafForm.zero(chart, 1))
-    dop = d_bfv(lift, omega)
+    omega, _, op = brst_charge(lift, LeafForm.zero(chart, 1))
+    dop = d_bfv(op)
     pert = hpl_resolution(lift, dop)
     table = MultibracketTable(J)
     # induced differential = m_1 on generators
@@ -486,7 +486,7 @@ def test_criterion_10_property_suites(chart, J, lift):
         xj = LeafForm(chart, 1, {(rng.randrange(2),): random_base_scalar(chart, rng)})
         assert injection_I(xi).sj_bracket(injection_I(xj)).is_zero()
     # SBSO outputs are MC; gauge ladder preserves MC
-    omega, _ = brst_charge(lift, LeafForm.zero(chart, 1))
+    omega, _, _ = brst_charge(lift, LeafForm.zero(chart, 1))
     bracket = lambda x, y: jacobi_bracket(lift.j_hat, x, y)
     assert bracket(omega, omega).is_zero()
     r = GradedElement(

@@ -22,6 +22,7 @@ from coiso.graded import (
     GradedElement,
     decode,
     encode,
+    hamiltonian_operator,
     i_nabla,
     jacobi_bracket,
 )
@@ -137,17 +138,18 @@ def test_displayed_lift(lift, chart):
 
 
 def test_brst_charge_zero_section(lift, chart):
-    omega, corrections = brst_charge(lift, LeafForm.zero(chart, 1))
+    omega, corrections, op = brst_charge(lift, LeafForm.zero(chart, 1))
     c2 = ContractionTwo(LeafForm.zero(chart, 1))
     assert corrections == []
     assert (omega - c2.omega_E()).is_zero()
     assert jacobi_bracket(lift.j_hat, omega, omega).is_zero()
+    assert op == hamiltonian_operator(lift.j_hat, omega)
 
 
 def test_brst_charge_coisotropic_section(lift, chart):
     # f = cos(ph_3), g = 0 solves the coisotropy PDE; the charge exists
     s = LeafForm.section(chart, [ScalarFn.cos_phi(chart, "ph_3"), ScalarFn.zero(chart)])
-    omega, _ = brst_charge(lift, s)
+    omega, _, _ = brst_charge(lift, s)
     assert jacobi_bracket(lift.j_hat, omega, omega).is_zero()
     c2 = ContractionTwo(s)
     assert (pr(omega, 1, 0) - c2.omega_E()).is_zero()
@@ -166,10 +168,12 @@ def test_brst_charge_with_genuine_corrections(lift, chart):
     assert not residual.is_zero()  # raw defect nonzero, wp[s] of it zero
     c2 = ContractionTwo(s)
     assert c2.wp(residual).is_zero()
-    omega, corrections = brst_charge(lift, s)
+    omega, corrections, op = brst_charge(lift, s)
     assert corrections
     assert (pr(omega, 1, 0) - c2.omega_E()).is_zero()
     assert jacobi_bracket(lift.j_hat, omega, omega).is_zero()
+    # the operator of the last square is {Omega, -} of the returned Omega
+    assert op == hamiltonian_operator(lift.j_hat, omega)
     # recursion consistency: the defect of each partial sum climbs the
     # antighost filtration step by step
     partial = c2.omega_E()
@@ -297,6 +301,32 @@ def test_sbso_squares_once_per_step(lift, chart, monkeypatch):
         sbso(*args)
 
 
+@pytest.mark.parametrize("name", ["torus-obstructed", "jet-T2"])
+def test_dbfv_is_the_operator_of_the_last_square(name, monkeypatch):
+    """d_BFV = {Omega_0, -} is the Hamiltonian operator that the SBSO's last
+    square of Omega_0 built: the tasks that need d_BFV (dbfv, bfv-kuranishi,
+    hpl-resolve) build hamiltonian_operator(J^, Omega_0) once per scenario,
+    and it equals the operator built afresh."""
+    from coiso import cli, graded
+
+    scenario = load_scenario(name) if name != "jet-T2" else jet_scenario(2)
+    tasks = ["dbfv", "hpl-resolve"] + (["bfv-kuranishi"] if name != "jet-T2" else [])
+    calls = []
+    original = graded.hamiltonian_operator
+
+    def spy(jop, a):
+        calls.append((jop, a))
+        return original(jop, a)
+
+    monkeypatch.setattr(graded, "hamiltonian_operator", spy)
+    monkeypatch.setattr(bfv, "hamiltonian_operator", spy)
+    for task in tasks:
+        cli.TASKS[task](scenario, None)
+    j_hat, omega0 = scenario.lift().j_hat, scenario.omega0()[0]
+    assert sum(jop is j_hat and a == omega0 for jop, a in calls) == 1
+    assert scenario.dbfv() == original(j_hat, omega0)
+
+
 def test_flat_lift_squares_once(chart, monkeypatch):
     """A lift brackets J^ with itself once and never runs the SBSO."""
     squares = []
@@ -337,7 +367,7 @@ def test_perturbed_sample_sums_four_series(lift, chart, monkeypatch):
     and the chain-map check reuses q d x.  It sums (1 - h delta)^{-1} once,
     for the perturbed j of q x, which the chain-map check reuses too.  The
     6 samples of the s = 0 data sum no series."""
-    dop = d_bfv(lift, brst_charge(lift, LeafForm.zero(chart, 1))[0])
+    dop = d_bfv(brst_charge(lift, LeafForm.zero(chart, 1))[2])
     pert = hpl_resolution(lift, dop)
     # bfv._series(a, b, x) sums (1 - b a)^{-1} x: (a, b) = (h, delta) for
     # the perturbed q and h, (delta, h) for the perturbed immersion
@@ -446,8 +476,8 @@ def test_dbfv_displayed_formula(lift, chart):
     resolution differential being +m_1 (the y_A Delta^A part and the word
     content agree with the reference display; the ghost-derivative sector
     carries the orientation those two identities force)."""
-    omega, _ = brst_charge(lift, LeafForm.zero(chart, 1))
-    dop = d_bfv(lift, omega)
+    omega, _, op = brst_charge(lift, LeafForm.zero(chart, 1))
+    dop = d_bfv(op)
     s3 = ScalarFn.sin_phi(chart, "ph_3")
     c3 = ScalarFn.cos_phi(chart, "ph_3")
     y = [ScalarFn.y(chart, "y_1"), ScalarFn.y(chart, "y_2")]
@@ -468,8 +498,8 @@ def test_dbfv_displayed_formula(lift, chart):
 def test_dbfv_action_on_degree_one(lift, chart):
     """d_BFV(F_1 xi^1 + F_2 xi^2 + (G^1 xis_1 + G^2 xis_2) xi^1 xi^2) has
     the displayed xi^1 xi^2 coefficient."""
-    omega, _ = brst_charge(lift, LeafForm.zero(chart, 1))
-    dop = d_bfv(lift, omega)
+    omega, _, op = brst_charge(lift, LeafForm.zero(chart, 1))
+    dop = d_bfv(op)
     X, Y = fields_XY(chart)
     rng = random.Random(4)
     y = [ScalarFn.y(chart, "y_1"), ScalarFn.y(chart, "y_2")]
@@ -500,8 +530,8 @@ def test_dbfv_action_on_degree_one(lift, chart):
 
 def test_hpl_resolution(lift, chart):
     rng = random.Random(5)
-    omega, _ = brst_charge(lift, LeafForm.zero(chart, 1))
-    dop = d_bfv(lift, omega)
+    omega, _, op = brst_charge(lift, LeafForm.zero(chart, 1))
+    dop = d_bfv(op)
     sampler = lambda: rand_graded_section(chart, rng)
     pert = hpl_resolution(lift, dop)
     check_hpl_axioms(pert, sampler)
@@ -531,8 +561,8 @@ def test_hpl_resolution(lift, chart):
 
 def test_bfv_kuranishi_obstructed_example(lift, chart):
     rng = random.Random(6)
-    omega, _ = brst_charge(lift, LeafForm.zero(chart, 1))
-    dop = d_bfv(lift, omega)
+    omega, _, op = brst_charge(lift, LeafForm.zero(chart, 1))
+    dop = d_bfv(op)
     pert = hpl_resolution(lift, dop)
     check_hpl_axioms(pert, lambda: rand_graded_section(chart, rng))
     X, Y = fields_XY(chart)
@@ -572,7 +602,7 @@ def test_bfv_kuranishi_obstructed_example(lift, chart):
 
 def test_sbso_gauge_ladder(lift, chart):
     rng = random.Random(7)
-    omega, _ = brst_charge(lift, LeafForm.zero(chart, 1))
+    omega, _, _ = brst_charge(lift, LeafForm.zero(chart, 1))
     bracket = lambda a, b: jacobi_bracket(lift.j_hat, a, b)
     c2 = ContractionTwo(LeafForm.zero(chart, 1))
     # trivial ladder
@@ -596,8 +626,8 @@ def test_wp0_intertwines_reduced_bracket(lift, chart):
     """wp[0]{l1, l2}_BFV = {l1^0|_S, l2^0|_S}_J for d_BFV-closed degree-0
     sections, and the induced degree-0 bracket on the resolution matches
     m_2 on d_F-closed functions."""
-    omega, _ = brst_charge(lift, LeafForm.zero(chart, 1))
-    dop = d_bfv(lift, omega)
+    omega, _, op = brst_charge(lift, LeafForm.zero(chart, 1))
+    dop = d_bfv(op)
     pert = hpl_resolution(lift, dop)
     c2 = ContractionTwo(LeafForm.zero(chart, 1))
     table = MultibracketTable(lift.j)

@@ -25,7 +25,7 @@ from coiso.serialize import section_to_json
 from coiso.graded import XI, XIS, GradedElement, encode
 from coiso.leafform import LeafForm
 
-from helpers import J_a, conjugate, leafform_from_json, random_scalar, scalar_from_json, torus_chart
+from helpers import J_a, conjugate, exp_phi, leafform_from_json, random_scalar, scalar_from_json, torus_chart
 from paper import mc_series
 
 
@@ -104,7 +104,7 @@ def _j_a_data(angle):
     """torus-obstructed with its contact block replaced by a jacobi block
     that holds helpers.J_a of its structure, a = exp(i angle)."""
     scenario = load_scenario("torus-obstructed")
-    j = J_a(scenario.jacobi(), ScalarFn.exp_phi(scenario.chart, angle))
+    j = J_a(scenario.jacobi(), exp_phi(scenario.chart, angle))
     data = _builtin_data("torus-obstructed")
     del data["contact"]
     data["jacobi"] = {
@@ -370,7 +370,7 @@ def _nonzero_diagonal(chart, inv, n):
 
 def _scaled_by_a_unit(chart, inv, n):
     """The inverse times exp(i ph_1): J scaled by a non-constant function."""
-    u = ScalarFn.exp_phi(chart, chart.torus[0])
+    u = exp_phi(chart, chart.torus[0])
     return {key: x * u for key, x in inv.items()}
 
 
@@ -504,12 +504,18 @@ def test_brst_charge_without_mc_exits_3(capsys, monkeypatch):
     invariant failure, exit 3 with one line, not a report with "mc": false."""
     code, out, err = run_cli(["--scenario", "legendrian-jet", "--task", "brst-charge"], capsys)
     assert code == 0 and json.loads(out)["tasks"]["brst-charge"]["mc"] is True
-    original = bfv.jacobi_bracket
+    original = bfv.hamiltonian_operator
 
-    def never_zero(jop, a, b):
-        return original(jop, a, b) + GradedElement(a.chart, {((XIS, 0),): ScalarFn.one(a.chart)})
+    class NeverZero:
+        """The Hamiltonian operator of a, whose insertions gain the constant term."""
 
-    monkeypatch.setattr(bfv, "jacobi_bracket", never_zero)
+        def __init__(self, jop, a):
+            self.op = original(jop, a)
+
+        def insert(self, b):
+            return self.op.insert(b) + GradedElement(b.chart, {((XIS, 0),): ScalarFn.one(b.chart)})
+
+    monkeypatch.setattr(bfv, "hamiltonian_operator", NeverZero)
     code, out, err = run_cli(["--scenario", "legendrian-jet", "--task", "brst-charge"], capsys)
     assert code == 3 and out == ""
     assert err.startswith("coiso: internal invariant violation in brst-charge: SBSO ")

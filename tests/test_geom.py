@@ -5,7 +5,7 @@ import random
 import pytest
 
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ContentError, ScalarFn
+from coiso.ring import Chart, ContentError, PowerTable, ScalarFn
 from coiso.multivector import MultiVectorField
 from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm
@@ -27,10 +27,12 @@ from helpers import (
     dense,
     dense_mul,
     dense_sn_bracket,
+    exp_phi,
     fields_XY,
     generator_postcondition,
     jet_chart,
     jet_contact_data,
+    jet_scenario,
     one_form,
     pairing,
     random_base_scalar,
@@ -232,7 +234,7 @@ def test_lcs_nontrivial_flat_connection():
     omega = Form(
         chart,
         2,
-        {(0, 1): ScalarFn.exp_phi(chart, "ph_3", -1), (2, 3): one},
+        {(0, 1): exp_phi(chart, "ph_3", -1), (2, 3): one},
     )
     J = lcs_to_jacobi(omega, theta1)
     assert J.sj_bracket(J).is_zero()
@@ -426,6 +428,31 @@ def test_coisotropic_pde_criterion(chart):
         seen_true |= ok
         seen_false |= not ok
     assert seen_true and seen_false
+
+
+def test_coisotropic_section_inserts_each_generator_once(monkeypatch):
+    """The residue of (A, B) inserts y_B - g_B into J(y_A - g_A, .), which
+    is built once per A: J meets each generator y_A - g_A, A < m - 1, once,
+    and the residues are those of J applied to each pair on its own."""
+    j = jet_scenario(3).jacobi()
+    chart = j.chart
+    rng = random.Random(7)
+    s = LeafForm.section(chart, [random_base_scalar(chart, rng) for _ in range(chart.m)])
+    gens = [ScalarFn.y(chart, name) - g for name, g in zip(chart.fiber, s.components())]
+    powers = PowerTable(chart, s.components())
+    expected = {}
+    for a in range(chart.m):
+        for b in range(a + 1, chart.m):
+            r = j.apply([gens[a], gens[b]]).substitute_fiber(powers)
+            if not r.is_zero():
+                expected[a, b] = r
+    inserts = []
+    insert = MultiDerivation._insert
+    monkeypatch.setattr(MultiDerivation, "_insert", lambda d, f: inserts.append((d, f)) or insert(d, f))
+    ok, residues = is_coisotropic_section(j, s)
+    assert expected and not ok and residues == expected
+    assert [f for d, f in inserts if d is j] == gens[:-1]
+    assert len(inserts) == chart.m - 1 + chart.m * (chart.m - 1) // 2
 
 
 def test_coisotropic_false_case(chart):

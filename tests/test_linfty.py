@@ -29,6 +29,7 @@ from helpers import (
     J_a,
     compositions,
     exp_series_mc,
+    exp_phi,
     fields_XY,
     gen_no_function,
     gen_one_function,
@@ -199,7 +200,7 @@ def test_mc_zero_iff_coisotropic(table, chart, J):
 
 
 def _retrivialized(angle):
-    return J_a(STRUCTURES["torus-obstructed"], ScalarFn.exp_phi(TORUS_OBSTRUCTED.chart, angle))
+    return J_a(STRUCTURES["torus-obstructed"], exp_phi(TORUS_OBSTRUCTED.chart, angle))
 
 
 # structures beyond torus-obstructed on which MC(-s) is compared with the
@@ -753,27 +754,59 @@ def test_multibrackets_chain_matches_per_order_route(name):
         assert cli.TASKS["multibrackets"](scenario, k) == _per_order_multibrackets(oracle, k)
 
 
+def _first_zero_order(scenario, max_order):
+    """The first order k whose frame bracket [[..[[J, I delta_0]].., I
+    delta_(k-1)]] is zero, by the plain fold."""
+    delta = cli._fiber_frame(scenario.chart)
+    frame = [delta[i % scenario.chart.m] for i in range(max_order)]
+    return next(k for k in range(1, max_order + 1) if nested_derived(scenario.jacobi(), frame[:k]).is_zero())
+
+
 @pytest.mark.parametrize("name", ["torus-obstructed", "legendrian-jet"])
 def test_multibrackets_takes_one_trie_step_per_order(name, monkeypatch):
     """multibrackets:50 looks the trie up once for each generator m_1(delta_a)
-    and once per order, and inserts each bracket it builds once: LeafForm
-    hashes count both.  Warm, it builds nothing and hashes m + 50 times; the
-    per-order route hashes m + 50 * 51 / 2 times."""
+    and once per order up to the first zero bracket, order z, and inserts
+    each bracket it builds once: LeafForm hashes count both.  Past order z
+    it looks nothing up.  Warm, it builds nothing and hashes m + z times;
+    the per-order route hashes m + sum_k min(k, z) times."""
+    scenario = load_scenario(name)
+    scenario.table()
+    m, z = scenario.chart.m, _first_zero_order(scenario, 50)
     hashes, brackets = [], []
     leaf_hash, sj_bracket = LeafForm.__hash__, MultiDerivation.sj_bracket
     monkeypatch.setattr(LeafForm, "__hash__", lambda w: hashes.append(w) or leaf_hash(w))
     monkeypatch.setattr(MultiDerivation, "sj_bracket", lambda a, b: brackets.append(b) or sj_bracket(a, b))
-    scenario = load_scenario(name)
-    scenario.table()
-    m = scenario.chart.m
     for built in (True, False):
         del hashes[:], brackets[:]
         cli.TASKS["multibrackets"](scenario, 50)
         assert bool(brackets) == built
-        assert len(hashes) == m + 50 + len(brackets)
+        assert len(hashes) == m + z + len(brackets)
     del hashes[:]
     _per_order_multibrackets(scenario, 50)
-    assert len(hashes) == m + 50 * 51 // 2
+    assert len(hashes) == m + sum(min(k, z) for k in range(1, 51))
+
+
+@pytest.mark.parametrize("name", ["torus-obstructed", "legendrian-jet"])
+def test_multibrackets_stop_bracketing_at_a_zero(name, monkeypatch):
+    """Every longer bracket of a zero is zero, so multibrackets:50 brackets
+    no zero: its Schouten-Jacobi brackets are the m generators m_1(delta_a)
+    and the frame brackets of orders 2..z, z the first zero order (order 1
+    is the generator of delta_0), and its frame values are those of the
+    plain fold, one bracket per order."""
+    scenario = load_scenario(name)
+    scenario.table()
+    m, z = scenario.chart.m, _first_zero_order(scenario, 50)
+    calls = []
+    sj_bracket = MultiDerivation.sj_bracket
+    monkeypatch.setattr(MultiDerivation, "sj_bracket", lambda a, b: calls.append(a) or sj_bracket(a, b))
+    report = cli.TASKS["multibrackets"](scenario, 50)
+    assert not any(a.is_zero() for a in calls)
+    assert len(calls) == m + z - 1
+    monkeypatch.undo()
+    delta, bracket = cli._fiber_frame(scenario.chart), scenario.jacobi()
+    for k in range(1, 51):
+        bracket = bracket.sj_bracket(injection_I(delta[(k - 1) % m]))
+        assert report["orders"][str(k)]["frame_value"] == leafform_to_json(projection_P(bracket))
 
 
 def _benchmark_workloads():

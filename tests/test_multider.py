@@ -20,6 +20,7 @@ from helpers import (
     dense_gerstenhaber,
     dense_sn_bracket,
     eval_nested,
+    exp_phi,
     jacobi_pair,
     leibniz_defect,
     fields_XY,
@@ -369,7 +370,7 @@ def test_signed_products_are_the_dense_and_closed_oracles(sizes):
      lambda: fiberwise_linear_jacobi(jet_chart(2)),
      lambda: load_scenario("torus-obstructed").jacobi(),
      lambda: load_scenario("legendrian-jet").jacobi(),
-     lambda: J_a(torus_jacobi(), ScalarFn.exp_phi(torus_chart(), "ph_1"))],
+     lambda: J_a(torus_jacobi(), exp_phi(torus_chart(), "ph_1"))],
     ids=["torus", "contact", "jet", "torus-obstructed", "legendrian-jet", "J_a"],
 )
 def test_square_of_each_structure_kind_is_the_closed_formula(structure):

@@ -14,8 +14,10 @@ from coiso.geom import Form
 
 from helpers import (
     coefficient,
+    const,
     dense_gerstenhaber,
     dense_sn_bracket,
+    exp_phi,
     leibniz_apply,
     random_mvf,
     random_scalar,
@@ -73,13 +75,13 @@ def test_apply_refuses_a_function_on_another_chart():
     d_x = MultiVectorField.basis_vector(line, "x")
     plane = Chart(torus=("u", "v"))
     message = "^MultiVectorField applied to a function on another chart$"
-    for f in (ScalarFn.const(plane, 3), ScalarFn.exp_phi(plane, "u")):
+    for f in (const(plane, 3), exp_phi(plane, "u")):
         with pytest.raises(ContentError, match=message):
             d_x.apply([f])
     with pytest.raises(ContentError, match=message):
         d_x.wedge(MultiVectorField.basis_vector(line, "y")).apply([ScalarFn.y(line, "y"), f])
     twin = Chart(torus=("x",), fiber=("y",))
-    assert d_x.apply([ScalarFn.exp_phi(twin, "x")]) == ScalarFn.exp_phi(line, "x").scale(GaussianRational(0, 1))
+    assert d_x.apply([exp_phi(twin, "x")]) == exp_phi(line, "x").scale(GaussianRational(0, 1))
 
 
 @pytest.mark.parametrize(

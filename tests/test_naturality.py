@@ -22,7 +22,7 @@ from coiso.ring import ContentError, ScalarFn, unit_inverse
 from coiso.leafform import LeafForm
 from coiso.linfty import MultibracketTable, prolong_formal
 
-from helpers import J_a, random_scalar, residue_mc
+from helpers import J_a, exp_phi, random_scalar, residue_mc
 from test_linfty import TORUS_OBSTRUCTED, _prolonging_section
 
 CHART = TORUS_OBSTRUCTED.chart
@@ -30,7 +30,7 @@ J = TORUS_OBSTRUCTED.jacobi()
 
 
 def _unit(angle):
-    return ScalarFn.exp_phi(CHART, angle)
+    return exp_phi(CHART, angle)
 
 
 @pytest.mark.parametrize("angle", CHART.torus)

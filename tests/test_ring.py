@@ -1,12 +1,13 @@
 """The exact Fourier-polynomial ring: arithmetic, calculus, integration."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coiso import rational
+from coiso import expr, rational
 from coiso.rational import GaussianRational
 from coiso.ring import (
     Chart,
@@ -19,7 +20,7 @@ from coiso.ring import (
     sum_of_products,
     unit_inverse,
 )
-from coiso.expr import _tokenize, parse_scalar, scalar_to_json, scalar_to_text
+from coiso.expr import _position, _tokenize, parse_scalar, scalar_to_json, scalar_to_text
 from coiso.scenario import load_scenario
 
 from helpers import (
@@ -27,6 +28,9 @@ from helpers import (
     cofactor_inverse,
     conjugate,
     dense,
+    exp_phi,
+    oracle_tokens,
+    parse_scalar_oracle,
     scalar_from_json,
     random_real_scalar,
     random_scalar,
@@ -62,10 +66,10 @@ def test_pythagorean_identity(chart):
 
 @pytest.mark.parametrize("name", ["torus-obstructed", "legendrian-jet"])
 def test_factor_builders_are_the_validated_builds(name):
-    """exp_phi, y, sin_phi and cos_phi build their terms directly; each
-    equals, term order included, the function the validating constructor
-    builds from the same exponent keys, on both built-in charts, and a
-    coordinate of the wrong kind or a negative fiber exponent is refused."""
+    """y, sin_phi and cos_phi build their terms directly; each equals, term
+    order included, the function the validating constructor builds from the
+    same exponent keys, on both built-in charts (the tests' exp_phi too), and
+    a coordinate of the wrong kind or a negative fiber exponent is refused."""
     chart = load_scenario(name).chart
     half, half_i = Fraction(1, 2), GaussianRational(0, Fraction(1, 2))
 
@@ -74,7 +78,7 @@ def test_factor_builders_are_the_validated_builds(name):
 
     for j, c in enumerate(chart.torus):
         for n in (-2, -1, 0, 1, 3):
-            assert ScalarFn.exp_phi(chart, c, n) == ScalarFn(chart, {key(j, n): 1})
+            assert exp_phi(chart, c, n) == ScalarFn(chart, {key(j, n): 1})
         sin, cos = ScalarFn.sin_phi(chart, c), ScalarFn.cos_phi(chart, c)
         want_sin = ScalarFn(chart, {key(j, 1): -half_i, key(j, -1): half_i})
         want_cos = ScalarFn(chart, {key(j, 1): half, key(j, -1): half})
@@ -87,7 +91,7 @@ def test_factor_builders_are_the_validated_builds(name):
             assert ScalarFn.y(chart, c, p) == ScalarFn(chart, {key(j, p): 1})
         with pytest.raises(ContentError, match="^fiber exponents must be nonnegative$"):
             ScalarFn.y(chart, c, -1)
-        for make in (ScalarFn.exp_phi, ScalarFn.sin_phi, ScalarFn.cos_phi):
+        for make in (exp_phi, ScalarFn.sin_phi, ScalarFn.cos_phi):
             with pytest.raises(ContentError, match="is not a torus coordinate"):
                 make(chart, c)
 
@@ -103,7 +107,7 @@ def test_non_integer_exponent_key_is_refused(chart, exponent):
 
 def test_non_integer_exp_phi_exponent_is_refused(chart):
     with pytest.raises(ContentError, match="^term exponents must be integers, not 1.5$"):
-        ScalarFn.exp_phi(chart, "ph_1", 1.5)
+        exp_phi(chart, "ph_1", 1.5)
 
 
 def test_non_integer_y_exponent_is_refused(chart):
@@ -123,8 +127,8 @@ def test_sin_cos_product_is_half_sin_double(chart):
     # sin = (E(1)-E(-1))/(2i), cos = (E(1)+E(-1))/2, product telescopes.
     s3 = ScalarFn.sin_phi(chart, "ph_3")
     c3 = ScalarFn.cos_phi(chart, "ph_3")
-    e2 = ScalarFn.exp_phi(chart, "ph_3", 2)
-    em2 = ScalarFn.exp_phi(chart, "ph_3", -2)
+    e2 = exp_phi(chart, "ph_3", 2)
+    em2 = exp_phi(chart, "ph_3", -2)
     half_sin_2 = (e2 - em2).scale(GaussianRational(0, Fraction(-1, 4)))
     assert s3 * c3 == half_sin_2
 
@@ -225,7 +229,7 @@ def test_reality_preserved(chart):
 
 
 def test_unit_inverse(chart):
-    u = ScalarFn.exp_phi(chart, "ph_1", 3).scale(GaussianRational(2, 1))
+    u = exp_phi(chart, "ph_1", 3).scale(GaussianRational(2, 1))
     assert u * unit_inverse(u) == ScalarFn.one(chart)
     with pytest.raises(ContentError, match="^not a unit: fiber-dependent monomial$"):
         unit_inverse(ScalarFn.y(chart, "y_1"))
@@ -238,7 +242,7 @@ def test_parse_scalar(chart):
     expected = (
         ScalarFn.sin_phi(chart, "ph_1").scale(Fraction(2, 3)) * ScalarFn.y(chart, "y_1", 2)
         - ScalarFn.cos_phi(chart, "ph_2")
-        + ScalarFn.exp_phi(chart, "ph_3", -2).scale(GaussianRational(0, 1))
+        + exp_phi(chart, "ph_3", -2).scale(GaussianRational(0, 1))
     )
     assert f == expected
 
@@ -250,21 +254,32 @@ def test_parse_whitespace_insensitive(chart):
 
 
 def test_tokens_keep_kind_value_and_position():
-    """A token is (kind, value, position), the position where the match of
-    the token and the whitespace before it starts; the end token sits at
-    the length of the text."""
-    assert _tokenize(" 12*y_1 ^ 3 - (x)") == [
-        ("num", 12, 0),
-        ("op", "*", 3),
-        ("name", "y_1", 4),
-        ("op", "^", 7),
-        ("num", 3, 9),
-        ("op", "-", 11),
-        ("op", "(", 13),
-        ("name", "x", 15),
-        ("op", ")", 16),
-        ("end", None, 17),
+    """A token is (whitespace, number, name, operator, other character), one
+    regex match with one group set after the whitespace; its position, where
+    its match and the whitespace before it start, is the length of the
+    tokens before it, and the end token (all groups empty) sits at the
+    length of the text.  The positions are those of the oracle tokenizer,
+    which matches one token at a time."""
+    text = " 12*y_1 ^ 3 - (x) $"
+    tokens = _tokenize(text)
+    positions = [_position(text, tokens, i) for i in range(len(tokens))]
+    assert list(zip(tokens, positions)) == [
+        ((" ", "12", "", "", ""), 0),
+        (("", "", "", "*", ""), 3),
+        (("", "", "y_1", "", ""), 4),
+        ((" ", "", "", "^", ""), 7),
+        ((" ", "3", "", "", ""), 9),
+        ((" ", "", "", "-", ""), 11),
+        ((" ", "", "", "(", ""), 13),
+        (("", "", "x", "", ""), 15),
+        (("", "", "", ")", ""), 16),
+        ((" ", "", "", "", "$"), 17),
+        (("", "", "", "", ""), 19),
     ]
+    clean = text[:-2] + "  "
+    tokens = _tokenize(clean)
+    assert [t[2] or t[1] or t[3] for t in tokens[:-1]] == [str(v) for _, v, _ in oracle_tokens(clean)[:-1]]
+    assert [_position(clean, tokens, i) for i in range(len(tokens))] == [p for _, _, p in oracle_tokens(clean)]
 
 
 def test_long_sums_parse_term_by_term(chart):
@@ -280,6 +295,101 @@ def test_long_sums_parse_term_by_term(chart):
     assert parse_scalar(chart, text) == expected
     # a leading sign applies to the first term only
     assert parse_scalar(chart, "-" + text) == expected - terms[0] - terms[0]
+
+
+def _parsed(chart, parse, text):
+    """(the ScalarFn and its term order, or the ContentError message)."""
+    try:
+        f = parse(chart, text)
+    except ContentError as exc:
+        return str(exc)
+    return f, list(f.terms)
+
+
+def _spaced(rng, text):
+    """text with whitespace of random kinds around its operators."""
+    pad = ("", "", " ", "  ", "\t", "\n")
+    return re.sub(r"[-+*/^()]", lambda m: rng.choice(pad) + m.group() + rng.choice(pad), text)
+
+
+def _random_text(chart, rng):
+    """The text of a random function (scalar_to_text), or a signed sum or a
+    product of such texts, parenthesized and nested at random, with products
+    of sums, monomial factors and rational or i coefficients."""
+    def leaf():
+        f = random_scalar(chart, rng, max_terms=rng.randint(1, 4), freq=2, fiber_deg=2)
+        return scalar_to_text(f) if not f.is_zero() else "0"
+
+    def build(depth):
+        kind = rng.randrange(4) if depth else 0
+        if kind == 0:
+            return leaf()
+        parts = [f"({build(depth - 1)})" for _ in range(rng.randint(1, 3))]
+        if kind == 1:  # a signed sum
+            text = parts[0]
+            for p in parts[1:]:
+                text += rng.choice((" + ", " - ")) + p
+            return rng.choice(("", "-", "+")) + text
+        if kind == 2:  # a product of sums and one-term factors
+            extra = ("2/3", "i", "I", "y_1^2", "exp(I*-2*ph_3)", "(1/2 - 3*i)", "sin(ph_1)", "(y_2)")
+            factors = parts + [rng.choice(extra) for _ in range(rng.randint(0, 3))]
+            rng.shuffle(factors)
+            return "*".join(factors)
+        nest = rng.randint(1, 3)  # a nested parenthesis
+        return "(" * nest + build(depth - 1) + ")" * nest
+
+    return _spaced(rng, build(rng.randint(0, 3)))
+
+
+def test_parse_matches_the_recursive_descent_oracle(chart):
+    """parse_scalar gives the oracle's function, term order included, on
+    random texts (whitespace, signs, nesting, parenthesized sums, products
+    of sums), and on every malformed mutation of them the oracle's
+    ContentError, message and position included."""
+    rng = random.Random(49)
+    alphabet = "()*+-/^ 0123iI$xsinexpcos_y1ph"
+    for _ in range(150):
+        text = _random_text(chart, rng)
+        expected = _parsed(chart, parse_scalar_oracle, text)
+        assert not isinstance(expected, str), (text, expected)
+        assert _parsed(chart, parse_scalar, text) == expected
+        mutations = [text.replace("sin(", "(", 1), text.replace("^", "^-", 1)]
+        for _ in range(4):
+            at = rng.randrange(len(text) + 1)
+            cut = rng.choice((0, 1, 1, 2))
+            mutations.append(text[:at] + rng.choice(("", rng.choice(alphabet))) + text[at + cut :])
+        for bad in mutations:
+            assert _parsed(chart, parse_scalar, bad) == _parsed(chart, parse_scalar_oracle, bad), bad
+
+
+def test_monomial_products_fold_without_ring_products(chart, monkeypatch):
+    """A long sum of products of one-term factors folds each product into
+    one monomial: no ScalarFn.__mul__ and no sum_of_products call.  Only a
+    factor of several terms (sin, cos, a parenthesized sum) is multiplied,
+    one sum_of_products call each, none for a term that is that factor
+    alone, signed or not."""
+    rng = random.Random(3)
+    factors = ("(3/2 - 1/2*i)", "exp(I*-1*ph_1)", "exp(I*2*ph_4)", "y_1^2", "y_2", "i", "2/3", "(y_1)", "(-5)")
+    text = " + ".join(
+        "*".join(rng.choice(factors) for _ in range(rng.randint(1, 6))) for _ in range(60)
+    )
+    expected = parse_scalar_oracle(chart, text)
+    calls = []
+    mul = ScalarFn.__mul__
+    monkeypatch.setattr(ScalarFn, "__mul__", lambda a, b: calls.append("mul") or mul(a, b))
+    monkeypatch.setattr(expr, "sum_of_products", lambda *a: calls.append("sum") or sum_of_products(*a))
+    f = parse_scalar(chart, text)
+    assert calls == [] and f == expected and list(f.terms) == list(expected.terms)
+    for text, products in [
+        ("sin(ph_1)", 0),
+        ("-cos(ph_3)", 0),
+        ("-y_1*sin(ph_3)", 1),
+        ("2*i*sin(ph_1)*cos(ph_2)*(y_1 + y_2)", 3),
+        ("sin(ph_1)*cos(ph_2) - (y_1 - y_2)*(y_1 + y_2)", 2),
+    ]:
+        del calls[:]
+        f = parse_scalar(chart, text)
+        assert calls == ["sum"] * products and f == parse_scalar_oracle(chart, text)
 
 
 def test_json_round_trip(chart):
@@ -505,7 +615,7 @@ def test_partial_index_rejects_out_of_range():
 
 def test_coordinate_constructors_check_the_kind():
     chart = Chart(torus=("ph",), fiber=("y",))
-    for make in (ScalarFn.exp_phi, ScalarFn.sin_phi, ScalarFn.cos_phi):
+    for make in (exp_phi, ScalarFn.sin_phi, ScalarFn.cos_phi):
         with pytest.raises(ContentError, match="^'y' is not a torus coordinate$"):
             make(chart, "y")
     with pytest.raises(ContentError, match="^'ph' is not a fiber coordinate$"):

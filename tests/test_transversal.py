@@ -18,7 +18,7 @@ from coiso.scenario import Scenario, load_scenario
 from coiso import transversal
 from coiso.transversal import TransversalData
 
-from helpers import dense, dense_mul, fields_XY, random_base_scalar, stores_no_zero, torus_chart, torus_jacobi
+from helpers import const, dense, dense_mul, fields_XY, random_base_scalar, stores_no_zero, torus_chart, torus_jacobi
 from paper import d_G, j1_G
 
 
@@ -49,7 +49,7 @@ def random_td(chart, rng):
     random C_a and G-frame components."""
     zero = ScalarFn.zero(chart)
     c = GaussianRational(rng.randint(1, 3))
-    omega = [[zero, ScalarFn.const(chart, c)], [ScalarFn.const(chart, -c), zero]]
+    omega = [[zero, const(chart, c)], [const(chart, -c), zero]]
     ga = [
         MultiVectorField.vector(chart, {"ph_1": random_base_scalar(chart, rng)}),
         MultiVectorField.vector(chart, {"ph_2": random_base_scalar(chart, rng)}),
@@ -116,7 +116,7 @@ def test_y_matrix_neumann_oracle(chart):
             M = [[f.scale((-1) ** k) for f in row] for row in dense(chart, td.Y(seq), n)]
             series[key] = add(series[key], M) if key in series else M
     prod = trunc_mul(Wp, series, order)
-    identity = [[ScalarFn.const(chart, int(i == j)) for j in range(n)] for i in range(n)]
+    identity = [[const(chart, int(i == j)) for j in range(n)] for i in range(n)]
     for key, M in prod.items():
         if key == (0, 0):
             assert M == identity
