@@ -74,15 +74,22 @@ class _Parser:
             raise self.error(f"expected {op!r}", i)
         return i + 1
 
+    def number(self, i: int, message: str) -> int:
+        """The integer literal at token i, or the error message if none; a
+        literal past the interpreter's limit on int digits is an error too."""
+        num = self.tokens[i][1]
+        if not num:
+            raise self.error(message, i)
+        try:
+            return int(num)
+        except ValueError:
+            raise self.error("integer literal too long", i) from None
+
     def integer(self, i: int):
         """(the integer at token i, with an optional '-', the next token)."""
-        _, num, _, op, _ = self.tokens[i]
-        if op == "-":
-            i += 1
-            num = self.tokens[i][1]
-        if not num:
-            raise self.error("expected integer", i)
-        return (-int(num) if op == "-" else int(num)), i + 1
+        negative = self.tokens[i][3] == "-"
+        n = self.number(i + negative, "expected integer")
+        return (-n if negative else n), i + negative + 1
 
     def expr(self, i: int, depth: int):
         """(the term table of the expression at token i, the token after it)."""
@@ -109,12 +116,12 @@ class _Parser:
         while True:
             _, num, name, op, _ = tokens[i]
             if num:
-                n, i = int(num), i + 1
+                n, i = self.number(i, "expected integer"), i + 1
                 if tokens[i][3] == "/":
-                    den = tokens[i + 1][1]
-                    if not den or not int(den):
+                    den = self.number(i + 1, "expected nonzero denominator")
+                    if not den:
                         raise self.error("expected nonzero denominator", i + 1)
-                    d *= int(den)
+                    d *= den
                     i += 2
                 a, b = a * n, b * n
             elif name == "i" or name == "I":

@@ -215,10 +215,11 @@ class GradedElement(SparseTerms):
 
         An other term reads from self's index only the slots of m, of dx(i)
         where its coefficient depends on coordinate i (one derivative per
-        term), of the derivative of each ghost it carries and, when it
-        holds m, of every derivative.  A word is normalized before its
-        signed product (the slot's coefficient, the term's coefficient and
-        the parity of the sign) goes into the one sum_of_products table."""
+        term, taken at the first slot that leaves a word), of the
+        derivative of each ghost it carries and, when it holds m, of every
+        derivative.  A word is normalized before its signed product (the
+        slot's coefficient, the term's coefficient and the parity of the
+        sign) goes into the one sum_of_products table."""
         index = self._by_symbol
         if index is None:
             index = self._by_symbol = _slots_by_symbol(self.terms)
@@ -232,12 +233,12 @@ class GradedElement(SparseTerms):
                 odd = 1 ^ sum(ol) & 1
                 # (symbol, sign, letters of ol left after it acts, coefficient)
                 # of each symbol acting on ol; m, not a derivation, acts as the
-                # identity
+                # identity; dx(i) carries i until a slot of it leaves a word
                 acting = [(M, 1, ol, oc)]
                 mask = oc.mask
                 for i in range(mask.bit_length()):
                     if mask >> i & 1 and _letter(DX, i) in index:
-                        acting.append((_letter(DX, i), 1, ol, oc.partial(i)))
+                        acting.append((_letter(DX, i), 1, ol, i))
                 for pos, x in enumerate(ghost):  # ghosts are odd
                     acting.append((x + _TARGET, -1 if pos & 1 else 1, ghost[:pos] + ghost[pos + 1 :] + syms, oc))
                 if syms[:1] == (M,):  # m is the least symbol
@@ -251,6 +252,8 @@ class GradedElement(SparseTerms):
                     for letters, c, left, right, travel in index.get(s, ()):
                         sign, canon = normalize(left + mid + right)
                         if sign:
+                            if type(f) is int:
+                                f = oc.partial(f)
                             # negative when exactly one of sign * sa < 0 and odd & travel
                             yield canon, c, f, (sign != sa) ^ odd & travel
 
@@ -379,18 +382,23 @@ class ContractionTwo:
     s = sum_A g_A delta_A, a degree-1 LeafForm on the chart of the data:
     (wp[s], iota, h[s], d[s]).  iota is the identity, as the images of wp
     (base-only ghost words without antighosts) are graded sections as they
-    stand; d[s] is hamiltonian_operator(G, omega_E())."""
+    stand; d[s] is hamiltonian_operator(G, omega_E()).  h[s] is h[0]
+    carried over by the fiber translation T_s f(u, y) = f(u, y + s(u))."""
 
     def __init__(self, s: LeafForm):
-        self.chart = s.chart
+        chart = self.chart = s.chart
         self.components = s.components()
-        self.powers = PowerTable(s.chart, self.components)  # wp and h substitute s
+        self.powers = PowerTable(chart, self.components)  # wp substitutes s
+        ys = [ScalarFn.y(chart, y) for y in chart.fiber]
+        self.gens = [y - g for y, g in zip(ys, self.components)]  # y_A - g_A
+        # T_s and T_s^-1 substitute y_A + g_A and y_A - g_A; s = 0 needs neither
+        self.translations = None if s.is_zero() else (
+            PowerTable(chart, [y + g for y, g in zip(ys, self.components)]), PowerTable(chart, self.gens)
+        )
 
     def omega_E(self) -> GradedElement:
         """Omega_E[s] = sum_A (y_A - g_A) xi^A."""
-        chart = self.chart
-        gens = (ScalarFn.y(chart, y) - g for y, g in zip(chart.fiber, self.components))
-        return ghost_section(chart, gens)
+        return ghost_section(self.chart, self.gens)
 
     def wp(self, lam: GradedElement) -> GradedElement:
         """Restrict to im s and kill positive antighost words."""
@@ -399,37 +407,40 @@ class ContractionTwo:
         return lam._like({w: g for w, g in subs if not g.is_zero()})
 
     def h(self, lam: GradedElement) -> GradedElement:
-        """h[s] = int_0^1 j_t[s] dt, evaluated exactly on polynomial terms.
-
-        A term f w whose word w holds N antighost letters maps to
+        """h[s] = T_s^-1 h[0] T_s (s is base-only, and h differentiates and
+        integrates in the fiber only), where h[0] = int_0^1 j_t[0] dt maps a
+        term f w whose word w holds N antighost letters to
 
             -(-1)^{sum of letter degrees of w} sum_A P_A w xis_A,
-            P_A = int_0^1 (1-t)^N (d f / d y_A)((1-t) y + t g) dt,
+            P_A = int_0^1 (1-t)^N (d f / d y_A)((1-t) y) dt,
 
-        along the path y -> y - t (y - g) from the fiber point to the
-        section g = s.  ScalarFn.path_integral evaluates P_A in closed form,
-        expanding the path binomially and integrating each power product of
-        t by the Beta integral int_0^1 (1-t)^a t^b dt = a! b! / (a + b + 1)!.
+        which is c alpha_A / (N + |alpha|) y^(alpha - e_A) for a term
+        c exp(i n.phi) y^alpha of f (ScalarFn.path_integral).  T_s acts on
+        the coefficient of each word h does not kill, T_s^-1 on the result.
 
         The word w xis_A is normalized first: it vanishes when w already
         holds xis_A (xis_A is odd), and then P_A is never computed.  The
         sign above and the sign of the sort are applied as one negation.
         """
-        chart, powers = self.chart, self.powers
+        k, fiber = self.chart.k, range(self.chart.k, self.chart.dim)
+        forward, back = self.translations or (None, None)
 
         def pairs():
             for letters, f in lam.terms.items():
                 nxis = sum(1 for x in letters if XIS <= x < M)
                 # the sign above is -1 when the letter degrees sum to an even number
                 even = not sum(x & 1 for x in letters) & 1
-                mask = f.mask
-                for A in range(chart.m):
-                    i = chart.k + A
-                    if mask >> i & 1:
-                        sign, canon = normalize(letters + (_letter(XIS, A),))
+                g = f if forward is None else None  # T_s f, made for the first live word
+                for i in fiber:  # T_s f depends on the y_A that f depends on
+                    if f.mask >> i & 1:
+                        sign, canon = normalize(letters + (_letter(XIS, i - k),))
                         if sign:
-                            p_a = f.partial(i).path_integral(powers, nxis)
-                            if not p_a.is_zero():
-                                yield canon, -p_a if (sign < 0) != even else p_a
+                            if g is None:
+                                g = f.substitute_fiber(forward)
+                            p_a = g.path_integral(i, nxis)  # nonzero, as g depends on y_A
+                            yield canon, -p_a if (sign < 0) != even else p_a
 
-        return lam._like(accumulate({}, pairs()))
+        out = accumulate({}, pairs())
+        if back is not None:  # T_s^-1 keeps a nonzero coefficient nonzero
+            out = {w: f.substitute_fiber(back) for w, f in out.items()}
+        return lam._like(out)

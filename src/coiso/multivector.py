@@ -191,7 +191,7 @@ class MultiVectorField(SkewTerms):
     def _products(self, other, sign=1):
         """The signed products of sign * (P o Q): items (sort(I + R), d_i Q^I,
         P^L, negative) over the Q terms (I, Q^I), the coordinates i with
-        d_i Q^I != 0 and the P terms (L, P^L) with L[pos] = i and R = L
+        d_i Q^I != 0 (taken at the first item that needs it) and the P terms (L, P^L) with L[pos] = i and R = L
         without i; the product is negative when sign(I, R) (-1)^pos differs
         from sign, where sign(I, R) is the sign of merging I and R (no item
         when they meet), the sign of the unshuffle of the output key into
@@ -205,8 +205,10 @@ class MultiVectorField(SkewTerms):
             for i, entries in slots.items():
                 if not mask >> i & 1:
                     continue
-                di = g.partial(i)
+                di = None  # taken at the first slot whose key survives
                 for rest, f, odd in entries:
                     s, key = sort_key_sign(qk + rest)
                     if s:
+                        if di is None:
+                            di = g.partial(i)
                         yield key, di, f, (s != sign) != odd

@@ -11,21 +11,21 @@ triples are.  Every operation computes its result triple in integers and
 reduces it with one gcd; negation keeps the triple reduced and skips it.
 
 The triple is also the integer interface to ``ring.sum_of_products``, the
-product kernel of the ring: it reads the slots ``_a``, ``_b`` and ``_d`` of
-its operands' coefficients, sums its term products as unreduced integer
-triples, and makes each output coefficient once through ``_reduced``, with
-no operator of this class on the way.  The expression parser folds the
-coefficient of each term the same way.  The operators here run outside
-both: in a scale, ``accumulate`` and the fiber substitutions.
+product kernel of the ring (fiber substitutions included): it sums term
+products of the slots ``_a``, ``_b`` and ``_d`` as unreduced triples and
+makes each output coefficient once through ``_reduced``, as the parser does
+for the coefficient of a term.  The operators here run in a scale and in
+``accumulate``.
 
 Arithmetic (+, -, *, /) takes Gaussian rationals only: an int or a
 Fraction enters through the constructor or ``of``, and only ``==`` also
 compares with one.  Fractions appear only at the boundary: the constructor
 accepts them (a pair of ints skips them), and ``re`` and ``im`` return
 them; ``parts()``, which the reports and ``str`` read, gives their reduced
-integers without them.  Scaling by num/den for integers (the Beta integrals
-of ``ScalarFn.path_integral``, the fiber derivatives of ``ScalarFn.partial``)
-is ``scaled(num, den)``, and by i n (its torus derivatives) ``scaled_i(n)``.
+integers without them.  Scaling by num/den for integers (the factors
+alpha_i / (power + |alpha|) of ``ScalarFn.path_integral``, the fiber
+derivatives of ``ScalarFn.partial``) is ``scaled(num, den)``, and by i n
+(its torus derivatives) ``scaled_i(n)``.
 """
 
 from __future__ import annotations

@@ -20,44 +20,38 @@ dict ``terms`` from canonical keys to nonzero values.  Keys are canonical
 elsewhere) and no value is ever zero, so equality is equality of term
 tables.  Two kernels build every sum: ``accumulate`` adds (key, value)
 pairs into a dict and deletes a key whose sum is zero, and
-``sum_of_products`` sums signed products of ScalarFns per key, adding each
-term product straight into one exponent table per key as an exact integer
-triple (a, b, d) for (a + b i)/d, read off the canonical triples of the
-operands' coefficients (see rational), and reducing each output
-coefficient once at the end, so no product, partial sum or
-GaussianRational of either is built on the way (the ring product ``f * g``
-is its one-key case, and every bracket, wedge and matrix product of the
-library is one call).  The public constructors validate outside input
-(scenario data, callers of the API); the parser, which checks its text
-itself, and every kernel make their canonical terms into a container
-through the one unchecked maker of the family (``_scalar`` here,
-``SkewTerms._raw``, ``GradedElement._raw``, or ``_like`` for the shape at
-hand).  Nothing changes a built term table, so
+``sum_of_products`` sums signed products of ScalarFns per key as exact
+integer triples, building no product or partial sum on the way (the ring
+product ``f * g`` is its one-key case, and every bracket, wedge, matrix
+product and fiber substitution of the library is one call).  The public
+constructors validate outside input (scenario data, callers of the API);
+the parser, which checks its text itself, and every kernel make their
+canonical terms into a container through the one unchecked maker of the
+family (``_scalar`` here, ``SkewTerms._raw``, ``GradedElement._raw``, or
+``_like`` for the shape at hand).  Nothing changes a built term table, so
 a container hashes by its type, shape and terms, keeps that hash after its
 first use, and can key a dict.
 
 Fiber substitution.  ``ScalarFn.substitute_fiber`` replaces every fiber
-coordinate by a target function, and ``ScalarFn.path_integral`` integrates
-exactly along the straight path from the fiber point to the targets, in
-closed form (binomial expansion and the Beta integral).  Each Beta ratio
-is an integer quotient num/den, which scales a coefficient through
-``GaussianRational.scaled`` with one gcd and no Fraction; with every target
-zero (the s = 0 homotopy) that ratio is 1/(a + 1) and nothing else is
-computed.  Both take the targets as a ``PowerTable``, which computes each
-product of powers of the targets once, however often a caller substitutes
-into them (a section).
+coordinate by a target function, one ``sum_of_products`` item per fiber
+exponent of its terms; a ``PowerTable`` computes each product of powers of
+the targets once, however often a caller substitutes into them (a section,
+or the translations y -> y + g and y -> y - g that carry the homotopy along
+the zero section to the one along a section g, graded.ContractionTwo).
+``ScalarFn.path_integral`` is that zero-section integral of a fiber
+derivative, with one integer scaling per term.
 
 Structural zeros.  Most coefficients of the calculus depend on few of the
 chart's coordinates, so most of their partial derivatives, and the products
 with them, are zero before anything is computed.  ``ScalarFn.mask`` is the
 set of coordinates a function depends on, as an int: bit i is set iff some
-key has a nonzero entry at index i.  The mask is exact: it is computed from
-the terms themselves, never taken from a caller's claim, the first time it
-is read, and then kept in a slot.  A term's derivative along a coordinate
-it carries is a nonzero multiple of it, and distinct terms stay distinct,
-so ``partial(i)`` is zero iff bit i is clear; callers test the bit and skip
-the derivative (and every product with it).  A product with a zero operand
-is the zero of the same chart.
+key has a nonzero entry at index i, computed from the terms themselves on
+first read, never taken from a caller's claim.  A term's derivative along a
+coordinate it carries is a nonzero multiple of it, and distinct terms stay
+distinct, so ``partial(i)`` is zero iff bit i is clear; callers test the
+bit and skip the derivative (and every product with it), and take it only
+where a product needs it.  A product with a zero operand is the zero of
+the same chart.
 
 Matrices over the ring are sparse tables too: a dict {(i, j): ScalarFn}
 that holds no zero entry, the dict ``sum_of_products`` returns when it is
@@ -69,9 +63,8 @@ is a unit of the ring, which ``unit_inverse`` then inverts.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import comb, factorial, gcd
-from operator import add, sub
+from math import gcd
+from operator import add
 
 from .rational import GaussianRational, ONE, _reduced
 
@@ -334,11 +327,10 @@ def _checked_terms(chart, terms):
 
 class PowerTable:
     """``table(ks)`` = prod_C g_C^k_C for the targets g of a fiber
-    substitution, one ScalarFn per fiber coordinate of the chart in chart
-    order (a ContentError otherwise).  Each power g_C^k and each product is
-    computed once per table; g_C^0 = 1, also for a zero target."""
+    substitution, one ScalarFn per fiber coordinate in chart order (a
+    ContentError otherwise); each power and product is computed once."""
 
-    __slots__ = ("chart", "live", "_powers", "_products")
+    __slots__ = ("chart", "_powers", "_products")
 
     def __init__(self, chart: Chart, targets):
         targets = list(targets)
@@ -347,21 +339,18 @@ class PowerTable:
         if any(type(g) is not ScalarFn or g.chart != chart for g in targets):
             raise ContentError("fiber substitution targets differ in chart")
         self.chart = chart
-        self.live = [not g.is_zero() for g in targets]
         self._powers = [[None, g] for g in targets]  # _powers[C][k] = g_C^k, k >= 1
-        self._products = {}  # k tuple -> prod_C g_C^k_C
+        self._products = {(0,) * chart.m: ScalarFn.one(chart)}  # k tuple -> prod_C g_C^k_C
 
     def __call__(self, ks) -> "ScalarFn":
         prod = self._products.get(ks)
-        if prod is None:
+        if prod is None:  # some k_C > 0
             for C, k in enumerate(ks):
                 if k:
                     pw = self._powers[C]
                     while len(pw) <= k:
                         pw.append(pw[-1] * pw[1])
                     prod = pw[k] if prod is None else prod * pw[k]
-            if prod is None:  # every k_C = 0
-                prod = ScalarFn.one(self.chart)
             self._products[ks] = prod
         return prod
 
@@ -387,8 +376,7 @@ class ScalarFn(SparseTerms):
     @property
     def mask(self) -> int:
         """The coordinates this function depends on, as a bit mask over chart
-        indices (see the module docstring); computed from the terms on first
-        read and kept."""
+        indices (see the module docstring), computed on first read and kept."""
         mask = self._mask
         if mask is None:
             mask = self._mask = _mask_of(self.terms)
@@ -473,68 +461,30 @@ class ScalarFn(SparseTerms):
         )
 
     def substitute_fiber(self, powers: PowerTable) -> "ScalarFn":
-        """f(u, g): every fiber coordinate y_C replaced by its target g_C,
-        the targets given as a PowerTable (the target ScalarFn.y(chart, y_C)
-        keeps y_C).
-
-        A term c * exp(i n.phi) * y^alpha becomes
-        c * exp(i n.phi) * prod_C g_C^alpha_C, read from the power table.
-        """
+        """f(u, g): every fiber coordinate y_C replaced by its target g_C from
+        a PowerTable (the target ScalarFn.y(chart, y_C) keeps y_C).  The terms
+        c * exp(i n.phi) * y^alpha of one alpha make one base function, one
+        sum_of_products item with prod_C g_C^alpha_C."""
         if powers.chart is not self.chart and powers.chart != self.chart:
             raise ContentError("fiber substitution targets differ in chart")
-        k, zm = self.chart.k, (0,) * self.chart.m
+        chart, k, zm = self.chart, self.chart.k, (0,) * self.chart.m
+        bases = {}  # alpha -> {n + 0: c} of the terms with fiber exponent alpha
+        for e, c in self.terms.items():
+            bases.setdefault(e[k:], {})[e[:k] + zm] = c
+        sums = sum_of_products(chart, (((), _scalar(chart, b), powers(alpha), False) for alpha, b in bases.items()))
+        return sums[()] if sums else self._like({})
 
-        def pairs():
-            for e, c in self.terms.items():
-                base = e[:k] + zm
-                for e2, c2 in powers(e[k:]).terms.items():
-                    yield tuple(map(add, base, e2)), c * c2
-
-        return self._like(accumulate({}, pairs()))
-
-    def path_integral(self, powers: PowerTable, power: int) -> "ScalarFn":
-        """int_0^1 (1-t)^power f((1-t) y + t g) dt along the straight path
-        from the fiber point y to the targets g, given as a PowerTable.
-
-        Computed in closed form, term by term: y_C^alpha_C on the path
-        expands binomially into the sum over k_C of
-        C(alpha_C, k_C) (1-t)^(alpha_C - k_C) t^k_C y_C^(alpha_C - k_C) g_C^k_C,
-        and each power product of t integrates by the Beta integral
-
-            int_0^1 (1-t)^a t^b dt = a! b! / (a + b + 1)!,
-
-        with a = power + sum_C (alpha_C - k_C) and b = sum_C k_C.  The
-        products of powers of g come from the power table.  With every
-        target zero, b = 0 and each term is scaled by 1/(a + 1) alone.
-        """
-        if powers.chart is not self.chart and powers.chart != self.chart:
-            raise ContentError("fiber substitution targets differ in chart")
+    def path_integral(self, i: int, power: int) -> "ScalarFn":
+        """int_0^1 (1-t)^power (d f / d y)((1-t) y) dt for the fiber
+        coordinate y at chart index i, along the straight path from the
+        fiber point to the zero section: c * exp(i n.phi) * y^alpha becomes
+        c alpha_i / (power + |alpha|) y^(alpha - e_i), one scaling per term."""
         k = self.chart.k
-        # a zero target contributes only k_C = 0
-        live = powers.live
-        if not any(live):  # every k_C = 0
-            return self._like({e: c.scaled(1, power + sum(e[k:]) + 1) for e, c in self.terms.items()})
-
-        def pairs():
-            for e, c in self.terms.items():
-                alpha = e[k:]
-                top = power + sum(alpha)
-                ranges = [range(a + 1) if on else (0,) for a, on in zip(alpha, live)]
-                for ks in product(*ranges):
-                    b = sum(ks)
-                    a = top - b
-                    num = factorial(a) * factorial(b)
-                    for aC, kC in zip(alpha, ks):
-                        num *= comb(aC, kC)
-                    coef = c.scaled(num, factorial(a + b + 1))
-                    if not b:
-                        yield e, coef
-                        continue
-                    rest = e[:k] + tuple(map(sub, alpha, ks))
-                    for e2, c2 in powers(ks).terms.items():
-                        yield tuple(map(add, rest, e2)), coef * c2
-
-        return self._like(accumulate({}, pairs()))
+        if not k <= i < self.chart.dim:
+            raise ContentError(f"coordinate index {i} is not a fiber index")
+        return self._like(
+            {e[:i] + (e[i] - 1,) + e[i + 1 :]: c.scaled(e[i], power + sum(e[k:])) for e, c in self.terms.items() if e[i]}
+        )
 
     def zero_mode(self, js) -> "ScalarFn":
         """Keep only the terms whose exponent is zero at every chart index

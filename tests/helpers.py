@@ -5,21 +5,24 @@ oracles and conveniences of the tests, which no command-line task needs
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
 import re
+import sys
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from pathlib import Path
 
 from coiso.rational import GaussianRational
-from coiso.ring import Chart, ContentError, ScalarFn, accumulate, mat_mul, unit_inverse
+from coiso.ring import Chart, ContentError, PowerTable, ScalarFn, accumulate, mat_mul, unit_inverse
 from coiso.multivector import MultiVectorField, sort_key_sign
 from coiso.multider import MultiDerivation
 from coiso.leafform import LeafForm
 from coiso.geom import Form, injection_I, is_coisotropic_section
 from coiso.scenario import Scenario
-from coiso.graded import DX, DXI, DXIS, M, XI, XIS, GradedElement, decode, encode
+from coiso.graded import DX, DXI, DXIS, M, XI, XIS, ContractionTwo, GradedElement, decode, encode
 
 from paper import PAIR, encode_pairs, exp_series, graded_bracket, graded_sum, hamiltonian, sn_bracket
 
@@ -601,7 +604,8 @@ def gen_no_function(table, aa) -> LeafForm:
 class TPoly:
     """Polynomial in an auxiliary parameter t with ScalarFn coefficients,
     with the exact integral over t in [0, 1]: the t-polynomial route that is
-    the oracle of ScalarFn.substitute_fiber and ScalarFn.path_integral."""
+    the oracle of ScalarFn.substitute_fiber and of the path integrals of
+    ContractionTwo.h (h_path_integrals)."""
 
     __slots__ = ("chart", "coeffs")
 
@@ -1027,11 +1031,49 @@ def dense_insert(op, lam):
 # ---------------------------------------------------------------------------
 
 
+def beta_path_integral(f: ScalarFn, targets, power: int) -> ScalarFn:
+    """int_0^1 (1-t)^power f((1-t) y + t g) dt along the straight path from
+    the fiber point y to the targets g, one per fiber coordinate, in closed
+    form, term by term: y_C^alpha_C on the path expands binomially into the
+    sum over k_C of
+    C(alpha_C, k_C) (1-t)^(alpha_C - k_C) t^k_C y_C^(alpha_C - k_C) g_C^k_C,
+    and each power product of t integrates by the Beta integral
+
+        int_0^1 (1-t)^a t^b dt = a! b! / (a + b + 1)!,
+
+    with a = power + sum_C (alpha_C - k_C) and b = sum_C k_C; a zero target
+    contributes k_C = 0 only.  The oracle of ContractionTwo.h along a
+    section, which integrates along the path to the zero section and
+    translates instead."""
+    chart, k = f.chart, f.chart.k
+    powers = PowerTable(chart, targets)
+    live = [not g.is_zero() for g in targets]
+
+    def pairs():
+        for e, c in f.terms.items():
+            alpha = e[k:]
+            top = power + sum(alpha)
+            ranges = [range(a + 1) if on else (0,) for a, on in zip(alpha, live)]
+            for ks in product(*ranges):
+                b = sum(ks)
+                a = top - b
+                num = math.factorial(a) * math.factorial(b)
+                for aC, kC in zip(alpha, ks):
+                    num *= math.comb(aC, kC)
+                coef = c.scaled(num, math.factorial(a + b + 1))
+                rest = e[:k] + tuple(x - y for x, y in zip(alpha, ks))
+                for e2, c2 in powers(ks).terms.items():
+                    yield tuple(x + y for x, y in zip(rest, e2)), coef * c2
+
+    return ScalarFn(chart, accumulate({}, pairs()))
+
+
 def integrate_then_normalize_h(c2, lam: GradedElement) -> GradedElement:
-    """h[s] of the ContractionTwo c2 by the route partial -> path_integral
-    -> normalize: P_A is integrated for every A along which a coefficient
-    depends on y_A, signed by -(-1)^{letter degrees}, and only then is the
-    word w xis_A sorted (and dropped if xis_A repeats)."""
+    """h[s] of the ContractionTwo c2 by the route partial ->
+    beta_path_integral -> normalize, along the straight path to s itself:
+    P_A is integrated for every A along which a coefficient depends on y_A,
+    signed by -(-1)^{letter degrees}, and only then is the word w xis_A
+    sorted (and dropped if xis_A repeats)."""
     chart = c2.chart
 
     def pairs():
@@ -1041,10 +1083,52 @@ def integrate_then_normalize_h(c2, lam: GradedElement) -> GradedElement:
             for A in range(chart.m):
                 i = chart.k + A
                 if f.mask >> i & 1:
-                    p_a = f.partial(i).path_integral(c2.powers, nxis)
+                    p_a = beta_path_integral(f.partial(i), c2.components, nxis)
                     yield letters + encode(((XIS, A),)), p_a.scale(sign)
 
     return graded_sum(lam, pairs())
+
+
+def h_path_integrals(f: ScalarFn, targets, power: int) -> list:
+    """[P_A for each fiber direction A], read off the library's h[s] for
+    s = sum_A g_A delta_A with base-only targets g:
+
+        P_A = int_0^1 (1-t)^power (d f / d y_A)((1-t) y + t g) dt.
+
+    h reads the power from the antighost letters of a word, and w xis_A
+    needs xis_A outside w (it is odd), so f moves to a chart with `power`
+    more fiber coordinates z_j, along which s is zero, and w is
+    xis_{z_1} .. xis_{z_power}.  Sorted to xis_A w, the term of h(f w) is
+    -(-1)^power (-1)^power P_A = -P_A."""
+    chart = f.chart
+    wide = Chart(chart.torus, chart.fiber + tuple(f"z_{j}" for j in range(power)), chart.leaf)
+    pad = (0,) * power
+
+    def widen(g):
+        return ScalarFn(wide, {e + pad: c for e, c in g.terms.items()})
+
+    zero = ScalarFn.zero(wide)
+    s = LeafForm.section(wide, [widen(g) for g in targets] + [zero] * power)
+    word = tuple((XIS, chart.m + j) for j in range(power))
+    out = ContractionTwo(s).h(GradedElement(wide, {word: widen(f)}))
+    words = [encode(((XIS, A),) + word) for A in range(chart.m)]
+    assert set(out.terms) <= set(words)
+    p = [out.terms.get(w, zero) for w in words]
+    assert not any(e[chart.dim :] != pad for g in p for e in g.terms)
+    return [ScalarFn(chart, {e[: chart.dim]: -c for e, c in g.terms.items()}) for g in p]
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, the benchmark's generator of scenarios,
+    loaded once."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[name] = workloads  # dataclasses look their module up
+        spec.loader.exec_module(workloads)
+    return sys.modules[name]
 
 
 def summed_series_homotopy_projection(pert, y):

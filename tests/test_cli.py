@@ -171,6 +171,10 @@ def test_validation_error_exit_code(tmp_path, capsys):
         ("ph_1", "torus coordinate 'ph_1' is not a function"),
         ("x", "unknown name 'x'"),
         ("*", "unexpected token"),
+        # past the interpreter's limit on the digits of an int read from text
+        ("1" * 5000, "integer literal too long (at position 0)"),
+        ("1/" + "1" * 5000, "integer literal too long (at position 2)"),
+        ("y_1^" + "1" * 5000, "integer literal too long (at position 4)"),
     ]:
         term = {"idx": [0, 1], "coef": coef}
         cases.append(({"schema": 1, "chart": chart, "jacobi": {"p": [term]}}, "check-jacobi", message))

@@ -1,5 +1,6 @@
 """Ghost algebra, graded Schouten-Jacobi bracket, contraction data."""
 
+import json
 import random
 from itertools import combinations, combinations_with_replacement
 
@@ -10,7 +11,7 @@ from coiso import graded
 from coiso.rational import GaussianRational
 from coiso.ring import Chart, ContentError, ScalarFn, accumulate
 from coiso.leafform import LeafForm
-from coiso.scenario import load_scenario
+from coiso.scenario import Scenario, load_scenario
 from coiso.graded import (
     DX,
     DXI,
@@ -32,6 +33,7 @@ from coiso.graded import (
 from helpers import (
     antighost,
     arity,
+    benchmark_workloads,
     dense_compose,
     dense_insert,
     dense_normalize,
@@ -731,9 +733,11 @@ def test_h0_frozen_value(chart, G):
 
 def test_h_is_the_integrate_then_normalize_route(chart):
     """ContractionTwo.h, which sorts w xis_A before it integrates and signs
-    once, equals the route that integrates, signs and only then sorts, for
-    the zero section and nonzero ones, on words with and without
-    antighosts (h^2 included, whose words already carry antighosts)."""
+    once, and takes a nonzero section as the zero one translated, equals
+    the route that integrates along the straight path to the section in
+    closed form (binomial and Beta), signs and only then sorts, for the
+    zero section and nonzero ones, on words with and without antighosts
+    (h^2 included, whose words already carry antighosts)."""
     rng = random.Random(29)
     sections = [LeafForm.zero(chart, 1)] + [
         LeafForm.section(chart, [random_base_scalar(chart, rng) for _ in range(chart.m)])
@@ -754,23 +758,85 @@ def test_h_is_the_integrate_then_normalize_route(chart):
 
 
 def test_h_skips_a_word_that_holds_its_antighost(chart, monkeypatch):
-    """w xis_A vanishes when w holds xis_A (xis_A is odd), so h takes no
-    derivative along y_A for it: h(y_1^2 xis_1) = 0 with no derivative, and
-    h(y_1 y_2 xis_1) takes the one along y_2."""
-    partials = []
-    original = ScalarFn.partial
-    monkeypatch.setattr(ScalarFn, "partial", lambda f, i: partials.append(i) or original(f, i))
+    """w xis_A vanishes when w holds xis_A (xis_A is odd), so h integrates
+    no derivative along y_A for it: h(y_1^2 xis_1) = 0 with no path
+    integral, and h(y_1 y_2 xis_1) takes the one along y_2, for the zero
+    section and along a nonzero one, where the word that h kills is not
+    translated either."""
+    integrals, substitutions = [], []
+    integral, substitute = ScalarFn.path_integral, ScalarFn.substitute_fiber
+    monkeypatch.setattr(ScalarFn, "path_integral", lambda f, i, n: integrals.append(i) or integral(f, i, n))
+    monkeypatch.setattr(ScalarFn, "substitute_fiber", lambda f, p: substitutions.append(f) or substitute(f, p))
     y1, y2 = ScalarFn.y(chart, "y_1"), ScalarFn.y(chart, "y_2")
     g = ScalarFn.sin_phi(chart, "ph_3")
     for s in (LeafForm.zero(chart, 1), LeafForm.section(chart, [g, g])):
         c2 = ContractionTwo(s)
-        partials.clear()
+        integrals.clear()
+        substitutions.clear()
         assert c2.h(GradedElement(chart, {((XIS, 0),): y1 * y1})).is_zero()
-        assert partials == []
+        assert integrals == [] and substitutions == []
         lam = GradedElement(chart, {((XIS, 0),): y1 * y2})
         hlam = c2.h(lam)
-        assert partials == [chart.k + 1]
+        assert integrals == [chart.k + 1]
         assert hlam == integrate_then_normalize_h(c2, lam) and not hlam.is_zero()
+
+
+def test_h0_takes_no_partial(chart, monkeypatch):
+    """h[0] integrates each fiber derivative in one scaling per term
+    (ScalarFn.path_integral): it takes no ScalarFn.partial and makes no
+    fiber substitution, and h[s] takes no partial either."""
+    calls = []
+    partial, substitute = ScalarFn.partial, ScalarFn.substitute_fiber
+    monkeypatch.setattr(ScalarFn, "partial", lambda f, i: calls.append("partial") or partial(f, i))
+    monkeypatch.setattr(ScalarFn, "substitute_fiber", lambda f, p: calls.append("substitute_fiber") or substitute(f, p))
+    rng = random.Random(31)
+    lam = rand_section(chart, rng, nterms=4) + GradedElement.section(chart, ScalarFn.y(chart, "y_1", 3))
+    h0 = ContractionTwo(LeafForm.zero(chart, 1)).h(lam)
+    assert calls == [] and not h0.is_zero()
+    s = LeafForm.section(chart, [random_base_scalar(chart, rng) for _ in range(chart.m)])
+    assert not ContractionTwo(s).h(lam).is_zero()
+    assert "partial" not in calls and "substitute_fiber" in calls
+
+
+def _h_sections():
+    """Nonzero sections (LeafForms) of J^1(T^1)..J^1(T^3), torus-obstructed
+    and both linfty-sections families, the jet and linfty ones from the
+    benchmark's seeded generators."""
+    workloads = benchmark_workloads()
+    out = [pytest.param(load_scenario("torus-obstructed").section(), id="torus-obstructed")]
+    for b in (1, 2, 3):
+        data = workloads.jet_scenario(b, random.Random(f"h/jet/{b}"))
+        out.append(pytest.param(Scenario(data, f"jet{b}").section(), id=f"jet-T{b}"))
+    base = json.loads(workloads._builtin_bytes("torus-obstructed"))
+    for family in (workloads.PROLONGED, workloads.OBSTRUCTED):
+        for seed in range(2):
+            data = workloads.section_scenario(base, family, random.Random(f"h/{family}/{seed}"))
+            out.append(pytest.param(Scenario(data, family).section(), id=f"{family}-{seed}"))
+    return out
+
+
+@pytest.mark.parametrize("s", _h_sections())
+def test_h_along_a_section_matches_the_beta_binomial_route(s):
+    """h[s] = T_s^-1 h[0] T_s equals the closed-form path integral along the
+    straight path to s (binomial expansion and Beta integrals), on random
+    words of up to 3 ghost and antighost letters whose coefficients have
+    fiber degree up to 3 per coordinate (2 on the four fiber coordinates
+    of J^1(T^3), where degree 3 gives images of about 10^4 terms and takes
+    the test to tens of seconds), and again on their images."""
+    chart = s.chart
+    assert not s.is_zero()
+    rng = random.Random(f"h/{chart.torus}/{chart.fiber}")
+    letters = [(kind, A) for kind in (XI, XIS) for A in range(chart.m)]
+    c2 = ContractionTwo(s)
+    for _ in range(8):
+        terms = {}
+        for _ in range(2):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+            terms[word] = random_scalar(chart, rng, max_terms=2, fiber_deg=3 if chart.m < 4 else 2)
+        lam = GradedElement(chart, terms)
+        hlam = c2.h(lam)
+        assert hlam == integrate_then_normalize_h(c2, lam)
+        assert c2.h(hlam) == integrate_then_normalize_h(c2, hlam)
 
 
 @pytest.mark.parametrize(

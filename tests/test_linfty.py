@@ -1,12 +1,10 @@
 """Multibracket extraction, MC series, formal prolongation and the
 Kuranishi class at its order 2."""
 
-import importlib.util
 import json
 import math
 import random
 import re
-import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
@@ -27,6 +25,7 @@ from coiso.serialize import leafform_to_json
 
 from helpers import (
     J_a,
+    benchmark_workloads,
     compositions,
     exp_series_mc,
     exp_phi,
@@ -809,17 +808,7 @@ def test_multibrackets_stop_bracketing_at_a_zero(name, monkeypatch):
         assert report["orders"][str(k)]["frame_value"] == leafform_to_json(projection_P(bracket))
 
 
-def _benchmark_workloads():
-    """perfbench/workloads.py, the benchmark's generator of scenarios."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
-WORKLOADS = _benchmark_workloads()
+WORKLOADS = benchmark_workloads()
 
 
 def _section_data(family, seed):

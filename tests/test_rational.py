@@ -119,7 +119,8 @@ def test_scaled_i_is_the_product_with_i_n(x, n):
 
 
 def test_scaled_by_beta_ratios():
-    """The ratios a! b! / (a + b + 1)! of ScalarFn.path_integral."""
+    """The ratios a! b! / (a + b + 1)! of the Beta integrals of
+    helpers.beta_path_integral, the oracle of h[s]."""
     for x in ((Fraction(3, 4), Fraction(-5, 6)), (Fraction(7), Fraction(0)), (Fraction(0), Fraction(-2, 9))):
         for a in range(7):
             for b in range(7):

@@ -29,6 +29,7 @@ from helpers import (
     conjugate,
     dense,
     exp_phi,
+    h_path_integrals,
     oracle_tokens,
     parse_scalar_oracle,
     scalar_from_json,
@@ -414,7 +415,8 @@ def _fourier_polys(max_fiber_degree):
     return st.dictionaries(keys, _coefs, max_size=3).map(lambda t: ScalarFn(PATH_CHART, t))
 
 
-_targets = st.one_of(st.just(ScalarFn.zero(PATH_CHART)), _fourier_polys(0), _fourier_polys(1))
+# the section of a homotopy h[s] is base-only: zero or a Fourier polynomial
+_targets = st.one_of(st.just(ScalarFn.zero(PATH_CHART)), _fourier_polys(0))
 
 
 @settings(max_examples=150, deadline=None)
@@ -425,9 +427,10 @@ _targets = st.one_of(st.just(ScalarFn.zero(PATH_CHART)), _fourier_polys(0), _fou
     3,
 )
 def test_path_integral_matches_tpoly_route(f, targets, power):
-    """The closed form equals substituting y -> y - t (y - g), multiplying by
-    (1-t)^power and integrating the t-polynomial over [0, 1]; the explicit
-    example has no live target, the s = 0 homotopy."""
+    """Each path integral P_A of the library's h[s] (the zero-section one
+    translated by s) equals substituting y -> y - t (y - g) into d f / d y_A,
+    multiplying by (1-t)^power and integrating the t-polynomial over
+    [0, 1]; the explicit example is the zero section, s = 0."""
     chart = PATH_CHART
     t = TPoly.t(chart)
     one = ScalarFn.one(chart)
@@ -435,26 +438,22 @@ def test_path_integral_matches_tpoly_route(f, targets, power):
     for name, g in zip(chart.fiber, targets):
         y = ScalarFn.y(chart, name)
         path[name] = TPoly.const(y) - t.scale_fn(y - g)
-    tp = substitute_fiber_t(f, path)
-    for _ in range(power):
-        tp = tp * TPoly(chart, [one, -one])
-    assert f.path_integral(PowerTable(chart, targets), power) == tp.integrate01()
+    for A, p_a in enumerate(h_path_integrals(f, targets, power)):
+        tp = substitute_fiber_t(f.partial(chart.k + A), path)
+        for _ in range(power):
+            tp = tp * TPoly(chart, [one, -one])
+        assert p_a == tp.integrate01()
 
 
-def test_path_integral_needs_one_target_per_fiber_coordinate():
-    f = ScalarFn.y(PATH_CHART, "y_1")
-    with pytest.raises(ContentError, match="^a fiber substitution needs one target per fiber coordinate$"):
-        f.path_integral(PowerTable(PATH_CHART, [ScalarFn.zero(PATH_CHART)]), 0)
-    other = ScalarFn.one(Chart(torus=("ph_2",), fiber=("y_1", "y_2")))
-    with pytest.raises(ContentError, match="differ in chart"):
-        f.path_integral(PowerTable(other.chart, [other, other]), 0)
-    # an equal chart that is another object passes the check
-    twin = Chart(torus=PATH_CHART.torus, fiber=PATH_CHART.fiber)
-    g = ScalarFn.y(twin, "y_2")
-    assert twin is not PATH_CHART
-    assert f.path_integral(PowerTable(twin, [g, g]), 1) == f.path_integral(
-        PowerTable(PATH_CHART, [ScalarFn.y(PATH_CHART, "y_2")] * 2), 1
-    )
+def test_path_integral_needs_a_fiber_coordinate():
+    """path_integral integrates a fiber derivative: a torus index or one out
+    of range is refused, and the index of y_2 lowers y_2."""
+    f = ScalarFn.y(PATH_CHART, "y_1") * ScalarFn.y(PATH_CHART, "y_2", 2)
+    for i in (-1, 0, 3):
+        with pytest.raises(ContentError, match=rf"^coordinate index {i} is not a fiber index"):
+            f.path_integral(i, 0)
+    # y_1 y_2^2 along (1-t) y, times (1-t): 2 y_1 y_2 int (1-t)^3 dt
+    assert f.path_integral(2, 1) == (ScalarFn.y(PATH_CHART, "y_1") * ScalarFn.y(PATH_CHART, "y_2")).scale(Fraction(1, 2))
 
 
 def _substitution_targets(name):
@@ -591,12 +590,16 @@ def test_zero_operand_gives_zero_on_its_chart(chart, data):
 @given(data=st.data())
 def test_keys_stay_flat_exponent_tuples(chart, data):
     """Every key of a product, a derivative, a substitution and a path
-    integral is one int tuple of length chart.dim in chart order: the torus
-    frequencies, then nonnegative fiber exponents."""
+    integral (alone and inside h along a section) is one int tuple of
+    length chart.dim in chart order: the torus frequencies, then
+    nonnegative fiber exponents."""
     f, g = data.draw(_sparse_polys(chart)), data.draw(_sparse_polys(chart))
     powers = PowerTable(chart, [g] * chart.m)
-    results = [f * g, f.substitute_fiber(powers), f.path_integral(powers, 1)]
+    results = [f * g, f.substitute_fiber(powers)]
     results += [f.partial(i) for i in range(chart.dim)]
+    results += [f.path_integral(i, 1) for i in range(chart.k, chart.dim)]
+    # the path integrals of h along the base-only section g|_{y=0}
+    results += h_path_integrals(f, [g.zero_mode(range(chart.k, chart.dim))] * chart.m, 1)
     for h in results:
         for key in h.terms:
             assert type(key) is tuple and len(key) == chart.dim
